@@ -1,10 +1,10 @@
-//! Ablation studies for the design choices called out in DESIGN.md §5:
+//! Ablation studies for the design choices `docs/ARCHITECTURE.md` describes
+//! ("The offline/online split"):
 //!
 //! 1. batch vs single-node BCA propagation (the paper's §4.1.2 claim);
 //! 2. hub budget `B` (including no hubs at all);
 //! 3. degree-based vs Berkhin-greedy hub selection (§4.1.1);
-//! 4. paper-faithful vs strict bound accounting under coarse rounding;
-//! 5. refinement batch size (iterations per refinement step).
+//! 4. paper-faithful vs strict bound accounting under coarse rounding.
 //!
 //! ```sh
 //! cargo run --release -p rtk-bench --bin ablation -- --quick
@@ -25,7 +25,7 @@ fn main() {
     let graph = web_cs_sim();
     banner(
         "Ablations",
-        "design-choice ablations (DESIGN.md §5)",
+        "design-choice ablations (docs/ARCHITECTURE.md)",
         &format!("web-cs-sim ({})", graph_summary(&graph)),
         &format!("{queries} queries per configuration, k = 100"),
     );
@@ -139,28 +139,4 @@ fn main() {
         rows.push(vec![name.to_string(), format!("{:.4}", mean(&times)), fallbacks.to_string()]);
     }
     print_table(&["bound mode", "avg query (s)", "exact fallbacks"], &rows);
-
-    // --- 5. Refinement batch size ---
-    println!("\n### 5. BCA iterations per refinement step");
-    let base = ReverseIndex::build(&transition, index_config(spec, spec.default_b, n))
-        .expect("index build");
-    let mut rows = Vec::new();
-    for refine_iterations in [1u32, 2, 4, 16] {
-        let mut index = base.clone();
-        let mut session = QueryEngine::new(&index);
-        let opts = QueryOptions { refine_iterations, ..Default::default() };
-        let mut times = Vec::new();
-        let mut iters = Vec::new();
-        for &q in &workload {
-            let r = session.query(&transition, &mut index, q, 100, &opts).unwrap();
-            times.push(r.stats().total_seconds);
-            iters.push(r.stats().refine_iterations as f64);
-        }
-        rows.push(vec![
-            refine_iterations.to_string(),
-            format!("{:.4}", mean(&times)),
-            format!("{:.1}", mean(&iters)),
-        ]);
-    }
-    print_table(&["iters/step", "avg query (s)", "avg refine iters"], &rows);
 }

@@ -1,5 +1,5 @@
 //! Shared harness for the experiment binaries (one per table/figure of the
-//! paper — see `DESIGN.md` §5 for the index).
+//! paper — `docs/ARCHITECTURE.md`, "Perf tracking", lists what each emits).
 //!
 //! Every binary accepts:
 //!
@@ -75,7 +75,7 @@ impl Args {
 /// Builds the paper-default index configuration for a dataset spec.
 ///
 /// Hub vectors use the power method on small graphs and exhaustive-ish BCA
-/// on large ones (the paper permits either; see DESIGN.md §3 — BCA keeps
+/// on large ones (the paper permits either, see `rtk_index::HubSolver` — BCA keeps
 /// multi-thousand-hub builds tractable on one machine, with the truncation
 /// tracked as a deficit).
 pub fn index_config(spec: &DatasetSpec, b: usize, nodes: usize) -> IndexConfig {

@@ -14,7 +14,7 @@
 //!   Yu/Han/Faloutsos rows of Table 3, whose reverse top-5 lists dwarf their
 //!   co-author counts.
 //!
-//! One normalization deviation (documented in DESIGN.md): the paper's
+//! One normalization deviation from the paper: its
 //! `Σ_i w_{i,j}` can exceed `w_j` when papers have 3+ authors, making its
 //! transition matrix super-stochastic; we normalize each column by its actual
 //! outgoing weight so the RWR fixpoint (Eq. 1) exists. Relative edge weights

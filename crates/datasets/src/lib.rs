@@ -2,13 +2,13 @@
 //!
 //! The paper evaluates on SNAP/LAW crawls (Web-stanford-cs, Epinions,
 //! Web-stanford, Web-google), the Webspam-uk2006 host graph, and a DBLP
-//! co-authorship network — none of which are available offline. Per the
-//! substitution rules in `DESIGN.md` §4, this crate generates analogues with
-//! matched degree skew and (scaled) size from fixed seeds, so every
-//! experiment in the harness is reproducible bit-for-bit.
+//! co-authorship network — none of which are available offline. In their
+//! place this crate generates analogues with matched degree skew and
+//! (scaled) size from fixed seeds, so every experiment in the harness is
+//! reproducible bit-for-bit.
 //!
 //! * [`toy_graph`] — the paper's 6-node running example, recovered *exactly*
-//!   from Figure 1's proximity matrix (see `DESIGN.md` §3);
+//!   from Figure 1's proximity matrix (the [`toy`] module docs show how);
 //! * [`web`] — R-MAT web-crawl analogues in four sizes;
 //! * [`epinions`] — a reciprocated scale-free trust network;
 //! * [`webspam`] — a labeled host graph with planted spam farms (§5.4);

@@ -3,7 +3,8 @@
 //! Table 2 evaluates four hub-budget values `B` per graph; the bold column is
 //! the configuration reused by every query experiment (Figures 5–7, 9). The
 //! `B` values here are the paper's, scaled by each analogue's node-count
-//! ratio (see `DESIGN.md` §4) and rounded to friendly numbers.
+//! ratio (the substitution described in the crate docs) and rounded to
+//! friendly numbers.
 
 use rtk_graph::DiGraph;
 

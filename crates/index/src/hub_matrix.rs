@@ -294,13 +294,39 @@ impl Materializer {
     pub fn materialize(&mut self, snapshot: &BcaSnapshot, hub_matrix: &HubMatrix) -> &EpochScratch {
         self.scratch.reset();
         snapshot.retained.scatter_into(1.0, &mut self.scratch);
-        for (h, s) in snapshot.hub_ink.iter() {
+        self.add_hub_columns(&snapshot.hub_ink, hub_matrix);
+        &self.scratch
+    }
+
+    /// Adds `s(h)·p_h` for every hub holding parked ink, in ascending order.
+    fn add_hub_columns(&mut self, hub_ink: &SparseVector, hub_matrix: &HubMatrix) {
+        for (h, s) in hub_ink.iter() {
             let col = hub_matrix
                 .column(h)
                 .expect("hub ink parked at a node missing from the hub matrix");
             col.scatter_into(s, &mut self.scratch);
         }
-        &self.scratch
+    }
+
+    /// [`Self::top_k`] of a computation still resident in its engine:
+    /// `retained` is the engine's dense `w`, `hub_ink` its parked ink as the
+    /// snapshot would store it. Every slot receives the same addends in the
+    /// same order as it would from the unloaded snapshot, and selection
+    /// breaks ties by id, so the list is bitwise the one [`Self::top_k`]
+    /// returns for that snapshot.
+    pub(crate) fn top_k_resident(
+        &mut self,
+        retained: &EpochScratch,
+        hub_ink: &SparseVector,
+        hub_matrix: &HubMatrix,
+        k: usize,
+    ) -> Vec<(u32, f64)> {
+        self.scratch.reset();
+        for (i, w) in retained.iter_touched() {
+            self.scratch.add(i as usize, w);
+        }
+        self.add_hub_columns(hub_ink, hub_matrix);
+        top_k_of_pairs(self.scratch.iter_touched().filter(|&(_, v)| v > 0.0), k)
     }
 
     /// Materializes and selects the descending top-`k` entries.

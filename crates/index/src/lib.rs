@@ -14,7 +14,8 @@
 //!   sparsely after rounding away entries below `ω` (§4.1.3). We additionally
 //!   track each hub's *mass deficit* (rounded-away + solver-truncated mass),
 //!   which lets the query layer keep its upper bounds sound under aggressive
-//!   rounding (see `DESIGN.md` §3 — an extension over the paper);
+//!   rounding (an extension over the paper; see the [`hub_matrix`] module
+//!   docs);
 //! * [`NodeState`] — one column of the index: the BCA snapshot (`r`, `w`,
 //!   `s`) plus the descending top-K lower bounds `p̂^t_u(1:K)`;
 //! * [`LbiBuilder`] / [`ReverseIndex::build`] — parallel index construction
@@ -30,8 +31,9 @@
 //!   shard section standalone ([`ShardSlice`]) — the loading unit of
 //!   multi-process serving, where each backend process owns one shard;
 //! * [`refine_state`] — the shared refinement step (Alg. 1 lines 6–7) used
-//!   by query processing to tighten a node's bounds, either on a scratch
-//!   copy (`no-update` mode) or in place (`update` mode).
+//!   to tighten a stored node's bounds in place, and [`Refiner`] — the same
+//!   step with the computation held resident in a worker's scratch, which
+//!   is how query processing re-tests a candidate's bounds between runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +54,7 @@ pub use config::{HubSelection, HubSolver, IndexConfig};
 pub use error::IndexError;
 pub use hub_matrix::{HubMatrix, Materializer};
 pub use index::ReverseIndex;
-pub use node_state::{refine_state, NodeState};
+pub use node_state::{refine_state, NodeState, Refiner};
 pub use shard::{IndexShard, ShardMap};
 pub use stats::IndexStats;
 pub use storage::{ShardSlice, UpdateRecord};

@@ -120,6 +120,102 @@ pub fn refine_state(
     executed
 }
 
+/// One worker's refinement scratch, holding a node's BCA computation
+/// **resident** between bound tests.
+///
+/// [`refine_state`] pays a load of three sparse vectors, a store of three,
+/// and a rematerialization on every call. A query that re-tests a
+/// candidate's bounds after each run of iterations instead [`Self::load`]s
+/// the stored state once, [`Self::advance`]s it as often as the bounds
+/// require — reading `lb`, `‖r‖₁` and the deficit straight from here — and
+/// [`Self::unload`]s a [`NodeState`] only if the refinement is to be kept.
+/// The bounds read between runs are the ones the unloaded state would carry
+/// (same list, same deficit; `‖r‖₁` is the engine's running norm, which
+/// differs from the stored sum by accumulated rounding only).
+pub struct Refiner {
+    engine: BcaEngine,
+    materializer: Materializer,
+    lower_bounds: DescendingTopK,
+    parked_deficit: f64,
+}
+
+impl Refiner {
+    /// Wraps an engine and a materializer sized to the same graph.
+    pub fn new(engine: BcaEngine, materializer: Materializer) -> Self {
+        Self { engine, materializer, lower_bounds: DescendingTopK::default(), parked_deficit: 0.0 }
+    }
+
+    /// Makes `state` the resident computation (`state` itself is not
+    /// touched; frozen queries never write it back).
+    pub fn load(&mut self, state: &NodeState) {
+        self.engine.load(&state.snapshot);
+        self.lower_bounds = state.lower_bounds.clone();
+        self.parked_deficit = state.parked_deficit;
+    }
+
+    /// Advances the resident computation until `stop` and, if any iteration
+    /// ran, rematerializes the top-K lower bounds and the parked deficit.
+    /// Returns the iterations executed; `0` leaves everything as it was.
+    pub fn advance(
+        &mut self,
+        transition: &rtk_graph::TransitionMatrix<'_>,
+        hub_matrix: &HubMatrix,
+        stop: &BcaStop,
+    ) -> u32 {
+        let executed = self.engine.advance(transition, stop);
+        if executed > 0 {
+            // A handful of hubs: storing them as the snapshot would keeps
+            // the hub order, and with it every sum below, the snapshot's.
+            let hub_ink = self.engine.hub_ink().to_sparse(0.0);
+            let max_k = self.lower_bounds.capacity();
+            let top = self.materializer.top_k_resident(
+                self.engine.retained(),
+                &hub_ink,
+                hub_matrix,
+                max_k,
+            );
+            self.lower_bounds = DescendingTopK::from_sorted(top, max_k);
+            self.parked_deficit = hub_matrix.parked_deficit(&hub_ink);
+        }
+        executed
+    }
+
+    /// Descending top-K lower bounds of the resident computation.
+    #[inline]
+    pub fn lower_bounds(&self) -> &DescendingTopK {
+        &self.lower_bounds
+    }
+
+    /// `‖r‖₁` of the resident computation (the engine's running norm).
+    #[inline]
+    pub fn residue_norm(&self) -> f64 {
+        self.engine.residue_norm()
+    }
+
+    /// [`NodeState::residual_mass`] of the resident computation.
+    #[inline]
+    pub fn residual_mass(&self, strict: bool) -> f64 {
+        if strict {
+            self.engine.residue_norm() + self.parked_deficit
+        } else {
+            self.engine.residue_norm()
+        }
+    }
+
+    /// `Σ_h s(h)·d_h` of the resident computation.
+    #[inline]
+    pub fn parked_deficit(&self) -> f64 {
+        self.parked_deficit
+    }
+
+    /// Stores the resident computation as a [`NodeState`] — the state
+    /// [`refine_state`] would have left, caches recomputed from the stored
+    /// vectors so it round-trips through [`crate::storage`] unchanged.
+    pub fn unload(&self, hub_matrix: &HubMatrix) -> NodeState {
+        NodeState::from_parts(self.engine.snapshot(), self.lower_bounds.clone(), hub_matrix)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,6 +324,53 @@ mod tests {
             );
         }
         assert!(state.residual_mass(true) < 1e-8);
+    }
+
+    #[test]
+    fn refiner_reads_and_unloads_what_refine_state_leaves() {
+        let g = rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(150, 700, 9)).unwrap();
+        let t = TransitionMatrix::new(&g);
+        let hubs = HubSet::degree_based(&g, 5);
+        let m = HubMatrix::build(
+            &t,
+            hubs.clone(),
+            &HubSolver::PowerMethod(RwrParams::default()),
+            1e-4, // rounded columns: a non-zero parked deficit to carry
+            1,
+        );
+        let mk = || {
+            BcaEngine::new(hubs.clone(), BcaParams::default(), PropagationStrategy::BatchThreshold)
+        };
+        let mut engine = mk();
+        let mut mat = Materializer::new(150);
+        let mut refiner = Refiner::new(mk(), Materializer::new(150));
+        let stop = BcaStop { residue_norm: 0.02, max_iterations: 40 };
+        let mut refined = 0;
+        for u in (0..150u32).step_by(7) {
+            let snap = engine.run_from(&t, u, &BcaStop { residue_norm: 0.3, max_iterations: 3 });
+            let stored = NodeState::from_snapshot(snap, &m, &mut mat, 10);
+
+            refiner.load(&stored);
+            assert_eq!(refiner.lower_bounds(), stored.lower_bounds());
+            assert_eq!(refiner.residue_norm(), stored.residue_norm());
+            assert_eq!(refiner.residual_mass(true), stored.residual_mass(true));
+            // A stop rule already met: nothing runs, nothing changes.
+            let idle = BcaStop { residue_norm: 1.0, max_iterations: 40 };
+            assert_eq!(refiner.advance(&t, &m, &idle), 0);
+            assert_eq!(refiner.unload(&m), stored);
+
+            let mut expect = stored.clone();
+            let ran = refine_state(&mut expect, &t, &mut engine, &m, &mut mat, &stop);
+            assert_eq!(refiner.advance(&t, &m, &stop), ran, "u={u}");
+            // Same list and deficit bit for bit; the running norm is the
+            // stored sum up to rounding.
+            assert_eq!(refiner.lower_bounds(), expect.lower_bounds(), "u={u}");
+            assert_eq!(refiner.parked_deficit(), expect.parked_deficit(), "u={u}");
+            assert!((refiner.residue_norm() - expect.residue_norm()).abs() < 1e-14, "u={u}");
+            assert_eq!(refiner.unload(&m), expect, "u={u}");
+            refined += usize::from(ran > 0);
+        }
+        assert!(refined > 10, "test premise: most sampled nodes refine ({refined})");
     }
 
     #[test]

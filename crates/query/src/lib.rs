@@ -7,8 +7,9 @@
 //! 2. every node is screened against the offline index: pruned when its
 //!    `k`-th lower bound already exceeds `p_u(q)`, confirmed when `p_u(q)`
 //!    reaches the staircase **upper bound** of Alg. 3, and otherwise
-//!    *refined* — its stored BCA is resumed one iteration at a time until
-//!    the bounds decide (Alg. 4). Refinements can be written back into the
+//!    *refined* — its stored BCA is resumed until the bounds decide
+//!    (Alg. 4), each run going straight to the residual the bound test
+//!    needs ([`confirm_cost`]). Refinements can be written back into the
 //!    index (`update` mode, §4.2.3), making future queries cheaper.
 //!
 //! The crate also ships the paper's exact baselines ([`baseline::Ibf`],
@@ -31,4 +32,4 @@ pub use query::{
 };
 pub use rtk_approx::{ApproxParams, ApproxUsage};
 pub use topk::{top_k_rwr_early, TopkReport};
-pub use upper_bound::upper_bound_kth;
+pub use upper_bound::{confirm_cost, upper_bound_kth};

@@ -10,10 +10,11 @@
 //!    *classify* fans the cheap bound checks out over shard-aligned,
 //!    degree-balanced chunks (a chunk never crosses a shard boundary), then
 //!    *refine* visits the undecided candidates in descending upper-bound
-//!    order — loosest bounds first. Each worker owns a private
-//!    [`BcaEngine`] + [`Materializer`] (recycled across queries through a
-//!    [`ScratchPool`]) and refines candidates on *private copies* of their
-//!    [`NodeState`] — the shared index is only read;
+//!    order — loosest bounds first. Each worker owns a private [`Refiner`]
+//!    (a [`BcaEngine`] + [`Materializer`], recycled across queries through
+//!    a [`ScratchPool`]) and refines each candidate *resident in it* — the
+//!    shared index is only read, and a [`NodeState`] is written out only
+//!    for the commit phase;
 //! 3. the **commit phase** (update mode only) serially merges every refined
 //!    copy back into the owning shards by node id — the cross-shard merge.
 //!
@@ -24,10 +25,10 @@
 //! `parallel_determinism` and `shard_determinism` integration suites.
 
 use crate::error::QueryError;
-use crate::upper_bound::upper_bound_kth;
+use crate::upper_bound::{confirm_cost, upper_bound_kth};
 use rtk_approx::{ApproxParams, BidirEstimator};
 use rtk_graph::{resolve_threads, DiGraph, TransitionMatrix};
-use rtk_index::{refine_state, HubMatrix, IndexShard, Materializer, NodeState, ReverseIndex};
+use rtk_index::{HubMatrix, IndexShard, Materializer, NodeState, Refiner, ReverseIndex};
 use rtk_rwr::bca::{BcaEngine, BcaStop, PropagationStrategy};
 use rtk_rwr::pmpn::proximity_to;
 use rtk_rwr::power::proximity_from;
@@ -38,6 +39,18 @@ use std::time::Instant;
 
 /// Residual mass below which a node's bounds are treated as exact.
 const EXACT_RESIDUAL_EPS: f64 = 1e-12;
+
+/// Share of a candidate's confirm cost that one refinement run aims its
+/// residual at (see [`screen_candidate`]). The cost is the residual at which
+/// a confirm *first becomes possible*, read off the staircase before the
+/// run; aiming below it leaves room for the mass that lands outside the
+/// top-k steps, so most candidates decide on the first re-test.
+const REFINE_TARGET_FRACTION: f64 = 0.7;
+
+/// Most BCA iterations one refinement run takes before the bounds are
+/// re-tested — what bounds the overshoot of a candidate that is about to be
+/// *pruned*, for which no residual target exists.
+const REFINE_RUN_CAP: u32 = 64;
 
 /// Nodes claimed per worker fetch during the screen phase
 /// ([`ChunkStrategy::NodeCount`]). Small enough to balance the heavy
@@ -110,9 +123,6 @@ pub struct QueryOptions {
     /// PMPN parameters (`α` is overridden by the index's `α`, and the SpMV
     /// thread count by [`Self::query_threads`]).
     pub rwr: RwrParams,
-    /// BCA iterations per refinement step (Alg. 4 runs 1; larger values
-    /// trade bound tightness checks for fewer materializations).
-    pub refine_iterations: u32,
     /// Approximate mode (paper §5.3): skip refinement entirely and return
     /// only the nodes whose bounds decide immediately — the "hits" plus the
     /// exact-bound nodes. A subset of the exact answer; on the paper's web
@@ -147,7 +157,6 @@ impl Default for QueryOptions {
             update_index: true,
             bound_mode: BoundMode::PaperFaithful,
             rwr: RwrParams::default(),
-            refine_iterations: 1,
             approximate: false,
             query_threads: 0,
             chunking: ChunkStrategy::EdgeBalanced,
@@ -169,6 +178,9 @@ pub struct QueryStats {
     pub refined_nodes: usize,
     /// Total BCA iterations spent refining.
     pub refine_iterations: u64,
+    /// Refinement runs: how often a refined candidate's bounds were
+    /// rematerialized and re-tested. In-process only (not on the wire).
+    pub refine_rounds: u64,
     /// Strict-mode nodes whose bounds could not close (hub-rounding deficit)
     /// and were resolved by one exact forward solve.
     pub exact_fallbacks: usize,
@@ -204,6 +216,7 @@ impl QueryStats {
         self.pruned_by_lower_bound += other.pruned_by_lower_bound;
         self.refined_nodes += other.refined_nodes;
         self.refine_iterations += other.refine_iterations;
+        self.refine_rounds += other.refine_rounds;
         self.exact_fallbacks += other.exact_fallbacks;
         self.approx_active |= other.approx_active;
         self.approx_estimated += other.approx_estimated;
@@ -226,7 +239,8 @@ impl QueryStats {
             .annotate("hits", self.hits.to_string())
             .annotate("pruned", self.pruned_by_lower_bound.to_string())
             .annotate("refined_nodes", self.refined_nodes.to_string())
-            .annotate("refine_iterations", self.refine_iterations.to_string());
+            .annotate("refine_iterations", self.refine_iterations.to_string())
+            .annotate("refine_rounds", self.refine_rounds.to_string());
         if self.exact_fallbacks > 0 {
             screen = screen.annotate("exact_fallbacks", self.exact_fallbacks.to_string());
         }
@@ -307,21 +321,15 @@ impl QueryResult {
     }
 }
 
-/// Per-worker solver scratch: a BCA engine plus a materializer, both sized
-/// to the graph. Recycled across queries through the session's pool.
-struct RefineScratch {
-    engine: BcaEngine,
-    materializer: Materializer,
-}
-
-/// A reusable query session: owns a pool of per-thread BCA/materializer
-/// scratch so repeated queries allocate almost nothing. Holds no graph
-/// borrow — the transition matrix is passed per call.
+/// A reusable query session: owns a pool of per-thread [`Refiner`]s (a BCA
+/// engine plus a materializer, both sized to the graph) so repeated queries
+/// allocate almost nothing. Holds no graph borrow — the transition matrix
+/// is passed per call.
 pub struct QueryEngine {
     nodes: usize,
     hubs: HubSet,
     bca: BcaParams,
-    scratch: ScratchPool<RefineScratch>,
+    scratch: ScratchPool<Refiner>,
 }
 
 impl QueryEngine {
@@ -343,20 +351,16 @@ impl QueryEngine {
         }
     }
 
-    fn make_scratch(&self) -> RefineScratch {
-        RefineScratch {
-            engine: BcaEngine::new(
-                self.hubs.clone(),
-                self.bca,
-                PropagationStrategy::BatchThreshold,
-            ),
-            materializer: Materializer::new(self.nodes),
-        }
+    fn make_scratch(&self) -> Refiner {
+        Refiner::new(
+            BcaEngine::new(self.hubs.clone(), self.bca, PropagationStrategy::BatchThreshold),
+            Materializer::new(self.nodes),
+        )
     }
 
     /// Runs Algorithm 4. With `options.update_index` the refined states are
-    /// committed back into `index`; otherwise refinement happens on private
-    /// copies and the index is untouched.
+    /// committed back into `index`; otherwise refinement stays in the
+    /// workers' scratch and the index is untouched.
     pub fn query(
         &mut self,
         transition: &TransitionMatrix<'_>,
@@ -368,8 +372,8 @@ impl QueryEngine {
         self.run(transition, QueryTarget::Mutable(index), q, k, options)
     }
 
-    /// Runs Algorithm 4 against a read-only index (always refines copies;
-    /// the paper's `no-update` mode).
+    /// Runs Algorithm 4 against a read-only index (refinements are never
+    /// written back; the paper's `no-update` mode).
     pub fn query_frozen(
         &mut self,
         transition: &TransitionMatrix<'_>,
@@ -757,9 +761,9 @@ fn execute_query(
     // **Refine** then visits the survivors in descending upper-bound order
     // — the loosest bounds first, so the longest refinements start early
     // and the parallel tail stays short. The order is a pure scheduling
-    // choice: candidates refine private copies against the read-only
-    // index, so the visit order (like the thread count and the chunk
-    // layout) cannot change any answer.
+    // choice: candidates refine inside their worker's scratch against the
+    // read-only index, so the visit order (like the thread count and the
+    // chunk layout) cannot change any answer.
     let screen_t0 = Instant::now();
     let screen_scope = scope;
     let chunks = match options.chunking {
@@ -1175,14 +1179,13 @@ fn classify_worker_approx(
 
 /// Refine pass: pulls single pending candidates off `next` (the list is
 /// sorted by descending upper bound) and resolves each with
-/// [`screen_candidate`] — or, when `approx_epsilon` is set, with the
-/// ε-banded [`screen_candidate_approx`]. Candidates are claimed one at a
-/// time — the refinement tail is heavy and skewed, so finer granularity
-/// beats lower counter traffic here.
+/// [`screen_candidate`]. Candidates are claimed one at a time — the
+/// refinement tail is heavy and skewed, so finer granularity beats lower
+/// counter traffic here.
 #[allow(clippy::too_many_arguments)]
 fn refine_worker(
     local: &mut LocalScreen,
-    scratch: &mut RefineScratch,
+    refiner: &mut Refiner,
     pending: &[PendingCandidate],
     next: &AtomicUsize,
     transition: &TransitionMatrix<'_>,
@@ -1192,51 +1195,95 @@ fn refine_worker(
     options: &QueryOptions,
     fallback_params: &RwrParams,
     want_commits: bool,
-    approx_epsilon: Option<f64>,
+    epsilon_band: Option<f64>,
 ) {
     loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         let Some(candidate) = pending.get(i) else {
             break;
         };
-        match approx_epsilon {
-            Some(epsilon) => screen_candidate_approx(
-                local,
-                scratch,
-                transition,
-                scope,
-                candidate.node,
-                candidate.p_uq,
-                q,
-                k,
-                options,
-                fallback_params,
-                want_commits,
-                epsilon,
-            ),
-            None => screen_candidate(
-                local,
-                scratch,
-                transition,
-                scope,
-                candidate.node,
-                candidate.p_uq,
-                q,
-                k,
-                options,
-                fallback_params,
-                want_commits,
-            ),
-        }
+        screen_candidate(
+            local,
+            refiner,
+            transition,
+            scope,
+            candidate.node,
+            candidate.p_uq,
+            q,
+            k,
+            options,
+            fallback_params,
+            want_commits,
+            epsilon_band,
+        );
     }
 }
 
-/// Screens one surviving candidate: bound checks plus refinement on a
-/// private copy of its state (Alg. 4 lines 4–13).
+/// What one refinement run did to the resident candidate.
+#[derive(Debug, PartialEq, Eq)]
+enum RefineRun {
+    /// This many BCA iterations ran; the bounds were rematerialized.
+    Advanced(u32),
+    /// No ink is left to move: `‖r‖₁` is at most [`EXACT_RESIDUAL_EPS`], or
+    /// the engine found nothing above its numerical floor.
+    Exhausted,
+}
+
+/// Runs the resident candidate's BCA until `‖r‖₁ ≤ target` (at most
+/// [`REFINE_RUN_CAP`] iterations). Exhaustion is read off the residue
+/// itself, never off the iteration count: a target that is *already met* —
+/// which the bound test rules out up to rounding, since `p < ub` means the
+/// residual still exceeds the whole cost — takes Alg. 4's single iteration
+/// instead, so the caller's loop always moves and never mistakes an idle
+/// run for an exhausted one.
+fn refine_run(
+    refiner: &mut Refiner,
+    transition: &TransitionMatrix<'_>,
+    hub_matrix: &HubMatrix,
+    target: f64,
+) -> RefineRun {
+    let norm = refiner.residue_norm();
+    if norm <= EXACT_RESIDUAL_EPS {
+        return RefineRun::Exhausted;
+    }
+    let stop = if norm <= target {
+        BcaStop::one_iteration()
+    } else {
+        BcaStop { residue_norm: target, max_iterations: REFINE_RUN_CAP }
+    };
+    match refiner.advance(transition, hub_matrix, &stop) {
+        0 => RefineRun::Exhausted,
+        executed => RefineRun::Advanced(executed),
+    }
+}
+
+/// Resolves one candidate the classify pass left undecided: bound tests
+/// alternating with refinement of its BCA, resident in `refiner` (Alg. 4
+/// lines 4–13).
+///
+/// Alg. 4 refines "one more iteration" between bound tests. Here each run
+/// goes straight to the residual the test needs: by Alg. 3's pouring
+/// argument `p_u(q) ≥ ub` holds exactly when the residual is at most
+/// [`confirm_cost`], the ink that lifts the top-k steps to `p_u(q)`, so no
+/// confirm is possible before the residual gets there and nothing is lost
+/// by not looking earlier. Bounds only tighten, so *when* they are re-tested
+/// cannot change a decision — the schedule is derived from the candidate's
+/// own state and `p_u(q)` alone, and is the same for every thread and shard
+/// count.
+///
+/// With `epsilon_band` set (the bounded-error approximate path) `p_uq` is
+/// the bidirectional estimate `p̃`, within ε/2 of the truth, and the loop
+/// gains one exit: once the top-k boundary window `[lb, ub]` is no wider
+/// than ε, membership is called at its midpoint. A wrong call then needs
+/// `|p̃ − p̂| ≤ ε/2` and `|p − p̃| ≤ ε/2`, so a misclassified node's true
+/// margin is at most ε — the error contract. The window closes once the
+/// residual is down to the cost of level `lb + ε`, so runs aim at whichever
+/// of the two exits comes first. Candidates whose window never narrows to ε
+/// are decided by the exact machinery, exactly as on the exact path.
 #[allow(clippy::too_many_arguments)]
 fn screen_candidate(
     local: &mut LocalScreen,
-    scratch: &mut RefineScratch,
+    refiner: &mut Refiner,
     transition: &TransitionMatrix<'_>,
     scope: &ScreenScope<'_>,
     u: u32,
@@ -1246,218 +1293,89 @@ fn screen_candidate(
     options: &QueryOptions,
     fallback_params: &RwrParams,
     want_commits: bool,
+    epsilon_band: Option<f64>,
 ) {
     let strict = options.bound_mode == BoundMode::Strict;
-    let base_step = options.refine_iterations.max(1);
-    let mut scratch_state: Option<NodeState> = None;
-
-    let mut untouched = true; // no refinement performed yet
-    let mut is_result = false;
+    let stored = scope.state(u);
+    let mut resident = false; // `refiner` holds u's computation
     let mut advanced = false; // at least one BCA iteration executed
-                              // Refinement step size doubles while a candidate stays undecided
-                              // (capped): hard candidates need O(100) BCA iterations, and
-                              // rematerializing the top-K after every single one would dominate.
-                              // Bounds only tighten, so results are unchanged (DESIGN.md §3).
-    let mut step = base_step;
-    loop {
-        // Current view: the private refined copy when one exists, otherwise
-        // the index's stored state.
-        let (lb, residual, staircase) = {
-            let state = scratch_state.as_ref().unwrap_or_else(|| scope.state(u));
-            (
-                state.kth_lower_bound(k),
-                state.residual_mass(strict),
-                state.lower_bounds().prefix_values(k),
-            )
-        };
-        if p_uq < lb - TIE_EPSILON {
-            break; // pruned (possibly after refinement)
-        }
-        if residual <= EXACT_RESIDUAL_EPS {
-            // Bounds are exact: p ≥ lb = p^kmax_u ⇒ result (lines 5–7).
-            is_result = true;
-            break;
-        }
-        let ub = upper_bound_kth(&staircase, residual, k);
-        if p_uq >= ub {
-            if untouched {
-                local.stats.hits += 1; // confirmed without any refinement
-            }
-            is_result = true;
-            break;
-        }
-
-        // Approximate mode stops here: the node is neither an immediate hit
-        // nor exactly bounded, so it is dropped (no refinement, paper §5.3's
-        // suggested variant).
-        if options.approximate {
-            break;
-        }
-
-        // Refine (Alg. 4 line 13) on a lazily-created private copy; update
-        // mode merges the copies back during the commit phase.
-        if untouched {
-            local.stats.refined_nodes += 1;
-            untouched = false;
-        }
-        let refine_stop = BcaStop { residue_norm: 0.0, max_iterations: step };
-        step = (step * 2).min(base_step * 64);
-        let state = scratch_state.get_or_insert_with(|| scope.state(u).clone());
-        let executed = refine_state(
-            state,
-            transition,
-            &mut scratch.engine,
-            scope.hub_matrix,
-            &mut scratch.materializer,
-            &refine_stop,
-        );
-        if executed == 0 {
-            // Residue exhausted but bounds still open. In paper-faithful
-            // mode this means the lower bound equals the exact k-th value —
-            // decide on it (mirroring the paper's treatment of rounded hub
-            // vectors as exact). In strict mode the gap is the hub-rounding
-            // deficit, which refinement cannot shrink: resolve exactly with
-            // one forward solve so strict results stay sound.
-            match options.bound_mode {
-                BoundMode::PaperFaithful => {
-                    is_result = p_uq >= lb - TIE_EPSILON;
-                }
-                BoundMode::Strict => {
-                    local.stats.exact_fallbacks += 1;
-                    let (col, _) = proximity_from(transition, u, fallback_params);
-                    let kth = rtk_sparse::dense::kth_largest(&col, k);
-                    is_result = col[q as usize] >= kth - TIE_EPSILON;
-                }
-            }
-            break;
-        }
-        advanced = true;
-        local.stats.refine_iterations += u64::from(executed);
-    }
-    if is_result {
-        local.results.push((u, p_uq));
-    }
-    if want_commits && advanced {
-        if let Some(state) = scratch_state {
-            local.commits.push((u, state));
-        }
-    }
-}
-
-/// [`screen_candidate`] for the bounded-error approximate path: `p_uq` is
-/// the bidirectional estimate `p̃` (within ε/2 of the truth), and the
-/// refinement loop gains one extra exit — once the candidate's top-k
-/// boundary window `[lb, ub]` is no wider than ε, the membership call is
-/// made at the window midpoint instead of refining further. A wrong call
-/// then needs `|p̃ − p̂| ≤ ε/2` and `|p − p̃| ≤ ε/2`, so any misclassified
-/// node's true margin is at most ε — the error contract. Candidates whose
-/// window never narrows to ε are decided by the *exact* machinery exactly
-/// as the exact path would (bound crossing, or the strict-mode forward
-/// solve), which is the "exact fallback inside the ε-band".
-#[allow(clippy::too_many_arguments)]
-fn screen_candidate_approx(
-    local: &mut LocalScreen,
-    scratch: &mut RefineScratch,
-    transition: &TransitionMatrix<'_>,
-    scope: &ScreenScope<'_>,
-    u: u32,
-    p_uq: f64,
-    q: u32,
-    k: usize,
-    options: &QueryOptions,
-    fallback_params: &RwrParams,
-    want_commits: bool,
-    epsilon: f64,
-) {
-    let strict = options.bound_mode == BoundMode::Strict;
-    let base_step = options.refine_iterations.max(1);
-    let mut scratch_state: Option<NodeState> = None;
-
-    let mut untouched = true;
-    let mut is_result = false;
-    let mut advanced = false;
     let mut midpoint_call = false; // decided by the ε-window, not by bounds
-    let mut step = base_step;
-    loop {
-        let (lb, residual, staircase) = {
-            let state = scratch_state.as_ref().unwrap_or_else(|| scope.state(u));
-            (
-                state.kth_lower_bound(k),
-                state.residual_mass(strict),
-                state.lower_bounds().prefix_values(k),
-            )
+    let is_result = loop {
+        // Current view: the resident refinement once one exists, otherwise
+        // the index's stored state (whose first look repeats classify's).
+        let (bounds, residual) = if resident {
+            (refiner.lower_bounds(), refiner.residual_mass(strict))
+        } else {
+            (stored.lower_bounds(), stored.residual_mass(strict))
         };
+        let lb = bounds.kth_value(k);
         if p_uq < lb - TIE_EPSILON {
-            break; // estimated below the (possibly refined) lower bound
+            break false; // pruned by the refined lower bound
         }
         if residual <= EXACT_RESIDUAL_EPS {
-            is_result = true;
-            break;
+            break true; // bounds are exact: p ≥ lb = p^kmax_u (lines 5–7)
         }
+        let staircase = bounds.prefix_values(k);
         let ub = upper_bound_kth(&staircase, residual, k);
         if p_uq >= ub {
-            if untouched {
-                local.stats.hits += 1;
-            }
-            is_result = true;
-            break;
+            break true;
         }
-        // ε-window exit: p̂_u(k) ∈ [lb, ub]; once that window fits in ε,
-        // call membership at the midpoint and stop paying for refinement.
-        if ub - lb <= epsilon {
-            is_result = p_uq >= (lb + ub) * 0.5;
-            midpoint_call = true;
-            break;
+        let mut cost = confirm_cost(&staircase, p_uq);
+        if let Some(epsilon) = epsilon_band {
+            // ε-window exit: p̂_u(k) ∈ [lb, ub]; once that window fits in ε,
+            // call membership at the midpoint and stop paying for refinement.
+            if ub - lb <= epsilon {
+                midpoint_call = true;
+                break p_uq >= (lb + ub) * 0.5;
+            }
+            cost = cost.max(confirm_cost(&staircase, lb + epsilon));
         }
 
-        if untouched {
+        // Refine (Alg. 4 line 13), loading the stored state on first use.
+        if !resident {
             local.stats.refined_nodes += 1;
-            untouched = false;
+            refiner.load(stored);
+            resident = true;
         }
-        let refine_stop = BcaStop { residue_norm: 0.0, max_iterations: step };
-        step = (step * 2).min(base_step * 64);
-        let state = scratch_state.get_or_insert_with(|| scope.state(u).clone());
-        let executed = refine_state(
-            state,
-            transition,
-            &mut scratch.engine,
-            scope.hub_matrix,
-            &mut scratch.materializer,
-            &refine_stop,
-        );
-        if executed == 0 {
-            // Residue exhausted with the window still wider than ε: the
-            // remaining gap is hub-rounding deficit. Resolve exactly as the
-            // exact path does (lower bound is exact in paper-faithful mode;
-            // strict mode runs one exact forward solve).
-            match options.bound_mode {
-                BoundMode::PaperFaithful => {
-                    is_result = p_uq >= lb - TIE_EPSILON;
-                }
+        // The target is on ‖r‖₁; in strict mode the parked deficit is part
+        // of the residual and refinement cannot shrink it.
+        let deficit = if strict { refiner.parked_deficit() } else { 0.0 };
+        let target = (REFINE_TARGET_FRACTION * cost - deficit).max(0.0);
+        match refine_run(refiner, transition, scope.hub_matrix, target) {
+            RefineRun::Advanced(executed) => {
+                advanced = true;
+                local.stats.refine_iterations += u64::from(executed);
+                local.stats.refine_rounds += 1;
+            }
+            // Residue exhausted but bounds still open. In paper-faithful
+            // mode the lower bound then *is* the exact k-th value, which
+            // p_uq already cleared above (mirroring the paper's treatment of
+            // rounded hub vectors as exact). In strict mode the gap is the
+            // hub-rounding deficit, which refinement cannot shrink: resolve
+            // exactly with one forward solve so strict results stay sound.
+            RefineRun::Exhausted => match options.bound_mode {
+                BoundMode::PaperFaithful => break true,
                 BoundMode::Strict => {
                     local.stats.exact_fallbacks += 1;
                     let (col, _) = proximity_from(transition, u, fallback_params);
                     let kth = rtk_sparse::dense::kth_largest(&col, k);
-                    is_result = col[q as usize] >= kth - TIE_EPSILON;
+                    break col[q as usize] >= kth - TIE_EPSILON;
                 }
-            }
-            break;
+            },
         }
-        advanced = true;
-        local.stats.refine_iterations += u64::from(executed);
-    }
-    if midpoint_call {
-        local.stats.approx_estimated += 1;
-    } else {
-        local.stats.approx_exact_refined += 1;
+    };
+    if epsilon_band.is_some() {
+        if midpoint_call {
+            local.stats.approx_estimated += 1;
+        } else {
+            local.stats.approx_exact_refined += 1;
+        }
     }
     if is_result {
         local.results.push((u, p_uq));
     }
     if want_commits && advanced {
-        if let Some(state) = scratch_state {
-            local.commits.push((u, state));
-        }
+        local.commits.push((u, refiner.unload(scope.hub_matrix)));
     }
 }
 
@@ -2189,6 +2107,7 @@ mod tests {
             pruned_by_lower_bound: 80,
             refined_nodes: 3,
             refine_iterations: 5,
+            refine_rounds: 4,
             exact_fallbacks: 1,
             pmpn_iterations: 17,
             pmpn_seconds: 0.002,
@@ -2211,7 +2130,51 @@ mod tests {
         assert_eq!(trace.duration_seconds, stats.total_seconds);
         let screen = &trace.children[1];
         assert!(screen.annotations.iter().any(|(k, v)| k == "candidates" && v == "12"));
+        // Re-tests sit right after the iterations they followed.
+        let keys: Vec<&str> = screen.annotations.iter().map(|(k, _)| k.as_str()).collect();
+        let at = keys.iter().position(|&k| k == "refine_iterations").expect("annotated");
+        assert_eq!(keys[at + 1], "refine_rounds");
+        assert_eq!(screen.annotations[at + 1].1, "4");
         assert!(screen.annotations.iter().any(|(k, _)| k == "exact_fallbacks"));
+    }
+
+    #[test]
+    fn a_run_whose_target_is_already_met_is_not_mistaken_for_exhaustion() {
+        // Node 4 (1-based) of the running example is stored with ‖r‖ = 0.36
+        // and open bounds. A target at or above that residual — which the
+        // bound test rules out up to rounding — must neither stall the loop
+        // nor read as "no ink left": it takes one plain iteration, and only
+        // `Exhausted` may lead to a decision on the lower bound or to a
+        // strict-mode exact solve. (One iteration parks all of this node's
+        // ink at the toy's hubs; runs to a genuine target are covered by
+        // `tests/refine_schedule.rs`.)
+        let g = toy();
+        let t = TransitionMatrix::new(&g);
+        let index = ReverseIndex::build(&t, toy_index_config()).unwrap();
+        let session = QueryEngine::new(&index);
+        let mut refiner = session.make_scratch();
+        let stored = index.state(3);
+        assert!(stored.residue_norm() > 0.3);
+
+        refiner.load(stored);
+        let run = refine_run(&mut refiner, &t, index.hub_matrix(), 0.5);
+        assert_eq!(run, RefineRun::Advanced(1));
+        assert!(refiner.residue_norm() < stored.residue_norm());
+
+        // Exhaustion is read off the residue: a hub's state has none.
+        refiner.load(index.state(1));
+        assert_eq!(refiner.residue_norm(), 0.0);
+        assert_eq!(refine_run(&mut refiner, &t, index.hub_matrix(), 0.0), RefineRun::Exhausted);
+
+        // End to end, strict mode on exact hub vectors: every candidate's
+        // bounds close by refinement, so no run may count as a fallback.
+        let mut session = session;
+        let strict = QueryOptions { bound_mode: BoundMode::Strict, ..Default::default() };
+        for q in 0..6u32 {
+            let r = session.query_frozen(&t, &index, q, 2, &strict).unwrap();
+            assert_eq!(r.stats().exact_fallbacks, 0, "q={q}");
+            assert!(r.stats().refine_rounds <= r.stats().refine_iterations, "q={q}");
+        }
     }
 
     #[test]

@@ -46,6 +46,19 @@ pub fn upper_bound_kth(staircase: &[f64], residual: f64, k: usize) -> f64 {
     staircase[0] + (residual - z_prev) / k as f64
 }
 
+/// The ink needed to lift the staircase's `k` steps to level `p`:
+/// `Σ_{i≤k} (p − p̂(i))⁺` — Algorithm 3's pouring argument read backwards.
+///
+/// Pouring `residual` raises the level to `ub`, and the level only rises
+/// with more ink, so `p ≥ ub` holds exactly when `residual ≤` this cost.
+/// Refinement only raises the steps (Prop. 1), so the cost only falls: a
+/// candidate with proximity `p` cannot be confirmed before its residual is
+/// down to the cost read off its *current* staircase — the stopping target
+/// the query's refinement runs to.
+pub fn confirm_cost(staircase: &[f64], p: f64) -> f64 {
+    staircase.iter().map(|&step| (p - step).max(0.0)).sum()
+}
+
 /// Brute-force reference: simulate pouring `residual` in tiny increments
 /// (test oracle; `O(k / step)`).
 #[cfg(test)]
@@ -136,6 +149,30 @@ mod tests {
                 (fast - slow).abs() < 1e-3,
                 "k={k} staircase={s:?} residual={residual}: {fast} vs {slow}"
             );
+        }
+    }
+
+    #[test]
+    fn confirm_cost_is_the_residual_at_which_the_bound_test_flips() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..500 {
+            let k = rng.gen_range(1..8);
+            let mut s: Vec<f64> = (0..k).map(|_| rng.gen_range(0.0..0.5)).collect();
+            s.sort_by(|a, b| b.partial_cmp(a).unwrap());
+            if rng.gen_range(0..4) == 0 {
+                let keep = rng.gen_range(0..k);
+                s[keep..].fill(0.0); // short list, zero-padded
+            }
+            let p = rng.gen_range(0.0..0.7);
+            let cost = confirm_cost(&s, p);
+            // Below the lowest step nothing needs lifting; above it the
+            // test `p ≥ ub` holds just inside the cost and fails just past it.
+            assert_eq!(cost == 0.0, p <= s[k - 1], "staircase={s:?} p={p}");
+            if cost > 1e-6 {
+                assert!(p >= upper_bound_kth(&s, cost - 1e-9, k), "staircase={s:?} p={p}");
+                assert!(p < upper_bound_kth(&s, cost + 1e-9, k), "staircase={s:?} p={p}");
+            }
         }
     }
 

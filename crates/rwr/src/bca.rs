@@ -123,6 +123,12 @@ pub struct BcaEngine {
     retained: EpochScratch,
     hub_ink: EpochScratch,
     residue_norm: f64,
+    /// Source and cumulative iteration count of the resident computation.
+    source: u32,
+    iterations: u32,
+    /// Per-iteration selection buffers, kept so an iteration allocates nothing.
+    frontier: Vec<(u32, f64)>,
+    swept: Vec<u32>,
     work: BcaWork,
 }
 
@@ -145,6 +151,10 @@ impl BcaEngine {
             retained: EpochScratch::new(n),
             hub_ink: EpochScratch::new(n),
             residue_norm: 0.0,
+            source: 0,
+            iterations: 0,
+            frontier: Vec::new(),
+            swept: Vec::new(),
             work: BcaWork::default(),
         }
     }
@@ -170,14 +180,13 @@ impl BcaEngine {
         source: u32,
         stop: &BcaStop,
     ) -> BcaSnapshot {
-        let n = transition.node_count();
-        assert_eq!(n, self.residue.len(), "BcaEngine: graph/hub-set node count mismatch");
-        assert!((source as usize) < n, "BcaEngine: source {source} out of range");
+        assert!((source as usize) < self.residue.len(), "BcaEngine: source {source} out of range");
         self.clear();
+        self.source = source;
         self.residue.add(source as usize, 1.0);
         self.residue_norm = 1.0;
-        let iterations = self.iterate(transition, stop);
-        self.unload(source, iterations)
+        self.advance(transition, stop);
+        self.snapshot()
     }
 
     /// Loads `snapshot`, advances it until `stop`, and stores the result back.
@@ -188,20 +197,64 @@ impl BcaEngine {
         snapshot: &mut BcaSnapshot,
         stop: &BcaStop,
     ) -> u32 {
+        self.load(snapshot);
+        let executed = self.advance(transition, stop);
+        *snapshot = self.snapshot();
+        executed
+    }
+
+    /// Makes `snapshot` the resident computation: [`Self::advance`] then
+    /// continues it in place, any number of times, and [`Self::snapshot`]
+    /// stores it back — so a caller that re-tests bounds between runs pays
+    /// the load and the store once, not once per run.
+    pub fn load(&mut self, snapshot: &BcaSnapshot) {
+        self.clear();
+        self.source = snapshot.source;
+        self.iterations = snapshot.iterations;
+        snapshot.residue.scatter_into(1.0, &mut self.residue);
+        snapshot.retained.scatter_into(1.0, &mut self.retained);
+        snapshot.hub_ink.scatter_into(1.0, &mut self.hub_ink);
+        self.residue_norm = snapshot.residue.sum();
+    }
+
+    /// Advances the resident computation until `stop`; returns the
+    /// iterations executed.
+    pub fn advance(&mut self, transition: &TransitionMatrix<'_>, stop: &BcaStop) -> u32 {
         assert_eq!(
             transition.node_count(),
             self.residue.len(),
             "BcaEngine: graph/hub-set node count mismatch"
         );
-        self.clear();
-        snapshot.residue.scatter_into(1.0, &mut self.residue);
-        snapshot.retained.scatter_into(1.0, &mut self.retained);
-        snapshot.hub_ink.scatter_into(1.0, &mut self.hub_ink);
-        self.residue_norm = snapshot.residue.sum();
         let executed = self.iterate(transition, stop);
-        let mut out = self.unload(snapshot.source, snapshot.iterations + executed);
-        std::mem::swap(snapshot, &mut out);
+        self.iterations += executed;
         executed
+    }
+
+    /// The resident computation as a compact snapshot.
+    pub fn snapshot(&self) -> BcaSnapshot {
+        BcaSnapshot {
+            source: self.source,
+            iterations: self.iterations,
+            residue: self.residue.to_sparse(0.0),
+            retained: self.retained.to_sparse(0.0),
+            hub_ink: self.hub_ink.to_sparse(0.0),
+        }
+    }
+
+    /// `‖r‖₁` of the resident computation, maintained incrementally by the
+    /// pushes (equal to the stored norm right after [`Self::load`]).
+    pub fn residue_norm(&self) -> f64 {
+        self.residue_norm
+    }
+
+    /// Retained ink `w` of the resident computation.
+    pub fn retained(&self) -> &EpochScratch {
+        &self.retained
+    }
+
+    /// Ink parked at hubs `s` of the resident computation.
+    pub fn hub_ink(&self) -> &EpochScratch {
+        &self.hub_ink
     }
 
     fn clear(&mut self) {
@@ -209,16 +262,7 @@ impl BcaEngine {
         self.retained.reset();
         self.hub_ink.reset();
         self.residue_norm = 0.0;
-    }
-
-    fn unload(&mut self, source: u32, iterations: u32) -> BcaSnapshot {
-        BcaSnapshot {
-            source,
-            iterations,
-            residue: self.residue.to_sparse(0.0),
-            retained: self.retained.to_sparse(0.0),
-            hub_ink: self.hub_ink.to_sparse(0.0),
-        }
+        self.iterations = 0;
     }
 
     /// Numerical exhaustion floor for `‖r‖₁`. Below the smallest normal
@@ -241,18 +285,37 @@ impl BcaEngine {
     /// swept next iteration.
     fn iterate(&mut self, transition: &TransitionMatrix<'_>, stop: &BcaStop) -> u32 {
         let mut executed = 0u32;
-        let mut frontier: Vec<(u32, f64)> = Vec::new();
-        let mut swept: Vec<u32> = Vec::new();
+        let mut frontier = std::mem::take(&mut self.frontier);
+        let mut swept = std::mem::take(&mut self.swept);
         let stop_norm = stop.residue_norm.max(Self::RESIDUE_FLOOR);
+        let eta = self.params.propagation_threshold;
         while executed < stop.max_iterations && self.residue_norm > stop_norm {
-            // Eq. 6: s_t = Σ_{i∈H} r_{t−1}(i)·e_i + s_{t−1}, removing the
-            // swept ink from the residue.
+            // One pass over r_{t−1} in touch order picks everything the
+            // iteration needs: the hub slots to sweep (Eq. 6), the non-hub
+            // slots at or above η (the batch frontier), and the largest
+            // non-hub residue (ties to the smaller id) for the sub-η rules.
             swept.clear();
+            frontier.clear();
+            let mut largest: Option<(u32, f64)> = None;
             for (i, v) in self.residue.iter_touched() {
-                if v > 0.0 && self.hubs.contains(i) {
+                if v <= 0.0 {
+                    continue;
+                }
+                if self.hubs.contains(i) {
                     swept.push(i);
+                    continue;
+                }
+                if v >= eta {
+                    frontier.push((i, v));
+                }
+                match largest {
+                    Some((bi, bv)) if bv > v || (bv == v && bi < i) => {}
+                    _ => largest = Some((i, v)),
                 }
             }
+
+            // Eq. 6: s_t = Σ_{i∈H} r_{t−1}(i)·e_i + s_{t−1}, removing the
+            // swept ink from the residue.
             let mut progressed = !swept.is_empty();
             for &i in &swept {
                 let v = self.residue.get(i as usize);
@@ -262,15 +325,8 @@ impl BcaEngine {
             }
 
             // Frontier selection over the (non-hub) residue r_{t−1}.
-            frontier.clear();
             match self.strategy {
                 PropagationStrategy::BatchThreshold => {
-                    let eta = self.params.propagation_threshold;
-                    for (i, v) in self.residue.iter_touched() {
-                        if v >= eta {
-                            frontier.push((i, v));
-                        }
-                    }
                     if frontier.is_empty() {
                         // Sub-η regime: the paper's analysis stops refining
                         // "until the maximum residue drops below η" (Thm. 3),
@@ -278,12 +334,12 @@ impl BcaEngine {
                         // tighter bounds. Batch every node above half the
                         // maximum residue so the residual keeps decaying
                         // geometrically instead of draining one node at a
-                        // time (see DESIGN.md §3).
-                        if let Some((_, rmax)) = self.max_residue_node() {
+                        // time.
+                        if let Some((_, rmax)) = largest {
                             // `rmax / 2` can underflow to 0 once the residue
                             // reaches the denormal floor; the `v > 0` guard
-                            // keeps zero-valued touched slots (no-op pushes)
-                            // out of the frontier.
+                            // keeps zero-valued touched slots (no-op pushes,
+                            // the hubs just swept) out of the frontier.
                             let adaptive = rmax / 2.0;
                             for (i, v) in self.residue.iter_touched() {
                                 if v >= adaptive && v > 0.0 {
@@ -294,26 +350,24 @@ impl BcaEngine {
                     }
                 }
                 PropagationStrategy::SingleMaxResidue => {
-                    if let Some(best) = self.max_residue_node() {
-                        frontier.push(best);
-                    }
+                    frontier.clear();
+                    frontier.extend(largest);
                 }
-                PropagationStrategy::SingleAboveThreshold => {
-                    let eta = self.params.propagation_threshold;
-                    if let Some(pick) = self.residue.iter_touched().find(|&(_, v)| v >= eta) {
-                        frontier.push(pick);
-                    }
-                }
+                PropagationStrategy::SingleAboveThreshold => frontier.truncate(1),
             }
             if frontier.is_empty() && !progressed {
                 // Sub-threshold residue everywhere and nothing parked at
                 // hubs: fall back to the single largest residue so
                 // refinement always makes progress (the paper is silent
-                // here; see DESIGN.md).
-                if let Some(best) = self.max_residue_node() {
-                    frontier.push(best);
-                } else {
-                    break; // no residue at all
+                // here).
+                match largest {
+                    Some(best) => frontier.push(best),
+                    None => {
+                        // No residue at all: whatever the running norm still
+                        // reads is accumulated rounding, not ink.
+                        self.residue_norm = 0.0;
+                        break;
+                    }
                 }
             }
 
@@ -353,21 +407,10 @@ impl BcaEngine {
                 self.residue_norm = 0.0;
             }
         }
+        self.frontier = frontier;
+        self.swept = swept;
         self.work.iterations += executed;
         executed
-    }
-
-    fn max_residue_node(&self) -> Option<(u32, f64)> {
-        let mut best: Option<(u32, f64)> = None;
-        for (i, v) in self.residue.iter_touched() {
-            if v > 0.0 {
-                match best {
-                    Some((bi, bv)) if bv > v || (bv == v && bi < i) => {}
-                    _ => best = Some((i, v)),
-                }
-            }
-        }
-        best
     }
 }
 
@@ -573,6 +616,36 @@ mod tests {
             assert!((a[v] - b[v]).abs() < 1e-15);
         }
         assert_eq!(spliced.residue, straight.residue);
+    }
+
+    #[test]
+    fn a_resident_computation_advances_as_one_uninterrupted_run() {
+        // No store and reload between runs: 2 + 3 iterations on the resident
+        // state are bitwise the 5 of a straight run, and a loaded snapshot
+        // reads back unchanged.
+        let g = toy();
+        let t = TransitionMatrix::new(&g);
+        let mk = || {
+            BcaEngine::new(
+                HubSet::from_ids(6, vec![1]),
+                BcaParams::default(),
+                PropagationStrategy::BatchThreshold,
+            )
+        };
+        let steps = |n| BcaStop { residue_norm: 0.0, max_iterations: n };
+        let straight = mk().run_from(&t, 2, &steps(5));
+        let mut engine = mk();
+        let after_two = engine.run_from(&t, 2, &steps(2));
+        assert_eq!(engine.advance(&t, &steps(3)), 3);
+        assert_eq!(engine.snapshot(), straight);
+        assert!((engine.residue_norm() - straight.residue_norm()).abs() < 1e-15);
+
+        engine.load(&after_two);
+        assert_eq!(engine.snapshot(), after_two);
+        assert_eq!(engine.residue_norm(), after_two.residue_norm());
+        // A stop rule that is already met runs nothing and changes nothing.
+        assert_eq!(engine.advance(&t, &BcaStop { residue_norm: 1.0, max_iterations: 9 }), 0);
+        assert_eq!(engine.snapshot(), after_two);
     }
 
     #[test]

@@ -10,12 +10,12 @@
 //! a hand-rolled wire protocol built from the same [`rtk_sparse::codec`]
 //! primitives as the on-disk formats.
 //!
-//! ## Wire protocol (`RTKWIRE1`, version 6 — pipelined, traceable)
+//! ## Wire protocol (`RTKWIRE1`, version [`wire::WIRE_VERSION`] — pipelined)
 //!
 //! | field      | size | meaning                                  |
 //! |------------|------|------------------------------------------|
 //! | magic      | 8 B  | `"RTKWIRE1"`                             |
-//! | version    | 4 B  | `u32`, currently 6                       |
+//! | version    | 4 B  | `u32`, must equal the receiver's exactly |
 //! | request id | 8 B  | `u64`, echoed on the response            |
 //! | length     | 4 B  | `u32` payload bytes (capped per config)  |
 //! | payload    | *n*  | tagged request / status-prefixed response|

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! magic      "RTKWIRE1"               8 bytes
-//! version    u32 (currently 7)        4 bytes   (must match exactly)
+//! version    u32 ([`WIRE_VERSION`])  4 bytes   (must match exactly)
 //! request_id u64                      8 bytes   (echoed on the response)
 //! length     u32 payload byte count   4 bytes   (bounded by the receiver)
 //! payload    `length` bytes
@@ -698,6 +698,27 @@ fn expect_exhausted(r: &Cursor<&[u8]>, len: usize) -> Result<(), DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn formats_md_states_the_current_wire_version() {
+        // `docs/FORMATS.md` is the normative spec; the version it states —
+        // in its summary, its section heading and its header table — is the
+        // one this crate speaks.
+        let spec = include_str!("../../../docs/FORMATS.md");
+        let stated = |lead: &str| -> u32 {
+            let at = spec.find(lead).unwrap_or_else(|| panic!("FORMATS.md lost {lead:?}"));
+            let digits: String =
+                spec[at + lead.len()..].chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().unwrap_or_else(|_| panic!("no version after {lead:?}"))
+        };
+        for lead in [
+            "`RTKWIRE1` wire protocol (version ",
+            "## `RTKWIRE1` — the wire protocol (version ",
+            "u32 version (currently ",
+        ] {
+            assert_eq!(stated(lead), WIRE_VERSION, "FORMATS.md: {lead:?}");
+        }
+    }
 
     fn sample_result(q: u32) -> WireQueryResult {
         WireQueryResult {

@@ -4,7 +4,8 @@
 //! these primitives: fixed-width little-endian integers/floats and
 //! `u64`-length-prefixed sequences, preceded by an 8-byte magic tag and a
 //! `u32` format version. A hand-rolled codec keeps the on-disk layout
-//! explicit, auditable and dependency-free (see DESIGN.md §3).
+//! explicit, auditable and dependency-free (the primitives are specified in
+//! `docs/FORMATS.md`, "Shared primitives").
 
 use std::io::{self, Read, Write};
 

@@ -34,12 +34,12 @@
 //!   shards: the work queue is built from shard-aligned chunks (no unit of
 //!   work crosses a shard boundary) and workers pull chunks off an atomic
 //!   counter. Each worker owns a private BCA engine + materializer
-//!   (recycled across queries through a scratch pool) and refines
-//!   candidates on *private copies* of their node states — the shared index
-//!   is only read. Per-node decisions never depend on another node's
+//!   (recycled across queries through a scratch pool) and refines each
+//!   candidate *inside that scratch* — the shared index is only read.
+//!   Per-node decisions never depend on another node's
 //!   refinement, so any interleaving yields the same results and
 //!   statistics.
-//! * The **commit phase** (update mode) serially merges the refined copies
+//! * The **commit phase** (update mode) serially merges the refined states
 //!   back into the owning shards by node id — the cross-shard merge —
 //!   leaving exactly the index a serial in-place run would have produced.
 //!

@@ -139,22 +139,6 @@ fn every_config_knob_preserves_correctness() {
 }
 
 #[test]
-fn refine_batch_size_does_not_change_results() {
-    let graph = rmat(&RmatConfig::new(70, 280, 31)).unwrap();
-    let transition = TransitionMatrix::new(&graph);
-    let index = ReverseIndex::build(&transition, config(4, 5)).unwrap();
-    let mut session = QueryEngine::new(&index);
-    for refine_iterations in [1u32, 2, 8] {
-        let opts = QueryOptions { refine_iterations, ..Default::default() };
-        let baseline = session
-            .query_frozen(&transition, &index, 7, 5, &QueryOptions::default())
-            .unwrap();
-        let got = session.query_frozen(&transition, &index, 7, 5, &opts).unwrap();
-        assert_eq!(got.nodes(), baseline.nodes(), "refine_iterations={refine_iterations}");
-    }
-}
-
-#[test]
 fn repeated_updates_never_corrupt_the_index() {
     // Hammer one index with a query workload in update mode, verifying
     // against brute force continuously.

@@ -1,0 +1,343 @@
+//! The refinement schedule is a pure scheduling choice.
+//!
+//! `rtk-query` runs each undecided candidate's BCA straight to the residual
+//! its bound test needs (`confirm_cost`), with the state resident in the
+//! worker's scratch. This suite pins that against a **stepwise oracle**
+//! written here from public pieces only — Alg. 4 verbatim: one BCA iteration
+//! (`refine_state` on a private copy), rematerialize, re-test — on seeded
+//! Erdős–Rényi and R-MAT graphs, `k ∈ {1, 5, 20}`, both bound modes, frozen
+//! and update mode: node sets and proximity bits must be equal. On the
+//! ε-band path a midpoint call is made on the window as it stands when it is
+//! first seen to fit in ε, so *which* window is schedule-dependent by
+//! design; there the two may disagree, but only on nodes inside the band
+//! (the path's contract), and must agree bit for bit everywhere else. It
+//! also pins that the derived schedule depends only on the
+//! candidate's own state and `p_u(q)`: answers, `refined_nodes`,
+//! `refine_iterations`, `refine_rounds` and (update mode) the post-query
+//! index are identical across {1, 2, 4} threads × {1, 2, 3} shards.
+
+use rtk_approx::BidirEstimator;
+use rtk_graph::gen::{erdos_renyi, rmat, ErdosRenyiConfig, RmatConfig};
+use rtk_graph::{DiGraph, TransitionMatrix};
+use rtk_index::{refine_state, HubSelection, IndexConfig, ReverseIndex};
+use rtk_query::query::TIE_EPSILON;
+use rtk_query::{upper_bound_kth, ApproxParams, BoundMode, QueryEngine, QueryOptions, QueryResult};
+use rtk_rwr::bca::BcaStop;
+use rtk_rwr::{proximity_from, proximity_to, RwrParams};
+
+const KS: [usize; 3] = [1, 5, 20];
+const MAX_K: usize = 20;
+/// Residual below which bounds count as exact (the engine's own constant).
+const EXACT_RESIDUAL_EPS: f64 = 1e-12;
+const APPROX: ApproxParams = ApproxParams { epsilon: 1e-3, walks: 16, seed: 11 };
+
+fn graphs() -> Vec<(&'static str, DiGraph)> {
+    vec![
+        ("er", erdos_renyi(&ErdosRenyiConfig { nodes: 120, edges: 520, seed: 4 }).unwrap()),
+        ("rmat", rmat(&RmatConfig::new(140, 600, 21)).unwrap()),
+    ]
+}
+
+fn index_config(bound_mode: BoundMode, shards: usize) -> IndexConfig {
+    IndexConfig {
+        max_k: MAX_K,
+        hub_selection: HubSelection::DegreeBased { b: 6 },
+        // Coarse rounding in strict mode leaves a hub deficit refinement
+        // cannot close, so the exact-fallback exit is exercised too.
+        rounding_threshold: if bound_mode == BoundMode::Strict { 1e-3 } else { 1e-6 },
+        threads: 1,
+        shards,
+        ..Default::default()
+    }
+}
+
+fn query_nodes(n: usize) -> Vec<u32> {
+    (0..5usize).map(|i| ((i * 37 + 2) % n) as u32).collect()
+}
+
+/// Alg. 4 with its refinement loop verbatim: every undecided candidate is
+/// refined **one iteration at a time** on a private copy of its state, with
+/// a full rematerialization and bound test after each. With `approx` set,
+/// `p_u(q)` is the bidirectional estimate and the ε-window exit applies.
+/// Update mode commits each refined copy before moving on (per-node
+/// decisions never read another node's state, so the order is immaterial).
+fn stepwise_oracle(
+    transition: &TransitionMatrix<'_>,
+    index: &mut ReverseIndex,
+    q: u32,
+    k: usize,
+    bound_mode: BoundMode,
+    update: bool,
+    approx: Option<ApproxParams>,
+) -> (Vec<u32>, Vec<u64>) {
+    let strict = bound_mode == BoundMode::Strict;
+    let alpha = index.config().alpha();
+    let rwr = RwrParams { alpha, threads: 1, ..QueryOptions::default().rwr };
+    let mut engine = index.make_engine();
+    let mut materializer = index.make_materializer();
+    let estimator =
+        approx.map(|a| BidirEstimator::build(transition, q, alpha, &a, a.epsilon / 2.0));
+    let to_q = if estimator.is_none() { proximity_to(transition, q, &rwr).0 } else { Vec::new() };
+
+    let (mut nodes, mut bits) = (Vec::new(), Vec::new());
+    for u in 0..index.node_count() as u32 {
+        // Classify: the exact proximity, or the estimator's envelope and
+        // walk-refined point estimate.
+        let p = match &estimator {
+            None => {
+                let p = to_q[u as usize];
+                if p <= TIE_EPSILON {
+                    continue;
+                }
+                p
+            }
+            Some(est) => {
+                let reach = est.lower(u) + est.bound();
+                if reach <= TIE_EPSILON || reach < index.state(u).kth_lower_bound(k) - TIE_EPSILON {
+                    continue;
+                }
+                let (p, _) = est.estimate(transition, u);
+                if p <= TIE_EPSILON {
+                    continue;
+                }
+                p
+            }
+        };
+
+        let mut state = index.state(u).clone();
+        let mut advanced = false;
+        let is_result = loop {
+            let lb = state.kth_lower_bound(k);
+            if p < lb - TIE_EPSILON {
+                break false;
+            }
+            let residual = state.residual_mass(strict);
+            if residual <= EXACT_RESIDUAL_EPS {
+                break true;
+            }
+            let ub = upper_bound_kth(&state.lower_bounds().prefix_values(k), residual, k);
+            if p >= ub {
+                break true;
+            }
+            if let Some(a) = approx {
+                if ub - lb <= a.epsilon {
+                    break p >= (lb + ub) * 0.5;
+                }
+            }
+            let executed = if state.residue_norm() <= EXACT_RESIDUAL_EPS {
+                0
+            } else {
+                refine_state(
+                    &mut state,
+                    transition,
+                    &mut engine,
+                    index.hub_matrix(),
+                    &mut materializer,
+                    &BcaStop::one_iteration(),
+                )
+            };
+            if executed == 0 {
+                // No ink left to move, bounds still open: the lower bound is
+                // exact (paper-faithful), or the gap is hub-rounding deficit
+                // and one forward solve settles it (strict).
+                break match bound_mode {
+                    BoundMode::PaperFaithful => true,
+                    BoundMode::Strict => {
+                        let (col, _) = proximity_from(transition, u, &rwr);
+                        let kth = rtk_sparse::dense::kth_largest(&col, k);
+                        col[q as usize] >= kth - TIE_EPSILON
+                    }
+                };
+            }
+            advanced = true;
+        };
+        if is_result {
+            nodes.push(u);
+            bits.push(p.to_bits());
+        }
+        if update && advanced {
+            index.commit_state(u, state);
+        }
+    }
+    (nodes, bits)
+}
+
+fn answer_bits(r: &QueryResult) -> Vec<u64> {
+    r.proximities().iter().map(|p| p.to_bits()).collect()
+}
+
+/// ε-band comparison: nodes in both answers carry the same estimate bits,
+/// and a node in only one of them sits within ε of its top-k boundary.
+/// Returns the number of such in-band disagreements.
+fn assert_equal_outside_the_band(
+    transition: &TransitionMatrix<'_>,
+    got: &QueryResult,
+    nodes: &[u32],
+    bits: &[u64],
+    label: &str,
+) -> usize {
+    let exact = RwrParams { epsilon: 1e-14, ..Default::default() };
+    let (q, k) = (got.query(), got.k());
+    for (i, &u) in nodes.iter().enumerate() {
+        if let Ok(j) = got.nodes().binary_search(&u) {
+            assert_eq!(got.proximities()[j].to_bits(), bits[i], "{label} u={u}");
+        }
+    }
+    let disputed: Vec<u32> = got
+        .nodes()
+        .iter()
+        .chain(nodes)
+        .copied()
+        .filter(|&u| got.contains(u) != nodes.binary_search(&u).is_ok())
+        .collect();
+    for &u in &disputed {
+        let (col, _) = proximity_from(transition, u, &exact);
+        let margin = (col[q as usize] - rtk_sparse::dense::kth_largest(&col, k)).abs();
+        assert!(
+            margin <= APPROX.epsilon + TIE_EPSILON,
+            "{label} u={u}: schedules disagree at margin {margin:.3e} > ε"
+        );
+    }
+    disputed.len()
+}
+
+#[test]
+fn gap_directed_refinement_answers_exactly_as_the_stepwise_oracle() {
+    let mut refined = 0usize;
+    let mut rounds = 0u64;
+    let mut fallbacks = 0usize;
+    let (mut band_answers, mut band_disagreements) = (0usize, 0usize);
+    for (name, graph) in graphs() {
+        let transition = TransitionMatrix::new(&graph);
+        for bound_mode in [BoundMode::PaperFaithful, BoundMode::Strict] {
+            let built = ReverseIndex::build(&transition, index_config(bound_mode, 1)).unwrap();
+            for update in [false, true] {
+                for approx in [None, Some(APPROX)] {
+                    // Each side owns its index: in update mode both evolve
+                    // under their own schedule, and must keep agreeing.
+                    let mut oracle_index = built.clone();
+                    let mut index = built.clone();
+                    let mut session = QueryEngine::new(&index);
+                    let options = QueryOptions {
+                        update_index: update,
+                        bound_mode,
+                        approx,
+                        query_threads: 1,
+                        ..Default::default()
+                    };
+                    for q in query_nodes(graph.node_count()) {
+                        for k in KS {
+                            let label = format!(
+                                "{name} {bound_mode:?} update={update} approx={} q={q} k={k}",
+                                approx.is_some()
+                            );
+                            let (nodes, bits) = stepwise_oracle(
+                                &transition,
+                                &mut oracle_index,
+                                q,
+                                k,
+                                bound_mode,
+                                update,
+                                approx,
+                            );
+                            let got = if update {
+                                session.query(&transition, &mut index, q, k, &options).unwrap()
+                            } else {
+                                session.query_frozen(&transition, &index, q, k, &options).unwrap()
+                            };
+                            if approx.is_none() {
+                                assert_eq!(got.nodes(), &nodes[..], "{label}: node sets differ");
+                                assert_eq!(answer_bits(&got), bits, "{label}: bits differ");
+                            } else {
+                                band_disagreements += assert_equal_outside_the_band(
+                                    &transition,
+                                    &got,
+                                    &nodes,
+                                    &bits,
+                                    &label,
+                                );
+                                band_answers += nodes.len();
+                            }
+                            let s = got.stats();
+                            assert!(s.refine_rounds <= s.refine_iterations, "{label}");
+                            refined += s.refined_nodes;
+                            rounds += s.refine_rounds;
+                            fallbacks += s.exact_fallbacks;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // The suite must actually exercise refinement and the strict fallback,
+    // and the derived schedule must re-test far less often than once per
+    // iteration (the doubling schedule it replaced averaged 4.6 per node).
+    assert!(refined > 500, "only {refined} candidates were refined");
+    assert!(fallbacks > 0, "strict mode never reached the exact fallback");
+    assert!(rounds < 3 * refined as u64, "{rounds} re-tests for {refined} refined candidates");
+    // In-band disagreements are allowed, but they are the rare case.
+    assert!(
+        band_disagreements * 50 <= band_answers,
+        "{band_disagreements} ε-band disagreements in {band_answers} answer nodes"
+    );
+}
+
+#[test]
+fn the_schedule_is_identical_for_every_thread_and_shard_count() {
+    for (name, graph) in graphs() {
+        let transition = TransitionMatrix::new(&graph);
+        for bound_mode in [BoundMode::PaperFaithful, BoundMode::Strict] {
+            for update in [false, true] {
+                for approx in [None, Some(APPROX)] {
+                    let mut reference: Option<(Vec<QueryResult>, ReverseIndex)> = None;
+                    for shards in [1usize, 2, 3] {
+                        for threads in [1usize, 2, 4] {
+                            let mut index =
+                                ReverseIndex::build(&transition, index_config(bound_mode, shards))
+                                    .unwrap();
+                            let mut session = QueryEngine::new(&index);
+                            let options = QueryOptions {
+                                update_index: update,
+                                bound_mode,
+                                approx,
+                                query_threads: threads,
+                                ..Default::default()
+                            };
+                            let mut results = Vec::new();
+                            for q in query_nodes(graph.node_count()) {
+                                let k = KS[q as usize % KS.len()];
+                                results.push(if update {
+                                    session.query(&transition, &mut index, q, k, &options).unwrap()
+                                } else {
+                                    session
+                                        .query_frozen(&transition, &index, q, k, &options)
+                                        .unwrap()
+                                });
+                            }
+                            let Some((expect, expect_index)) = &reference else {
+                                reference = Some((results, index));
+                                continue;
+                            };
+                            let label = format!(
+                                "{name} {bound_mode:?} update={update} approx={} s={shards} t={threads}",
+                                approx.is_some()
+                            );
+                            for (a, b) in expect.iter().zip(&results) {
+                                assert_eq!(a.nodes(), b.nodes(), "{label}");
+                                assert_eq!(answer_bits(a), answer_bits(b), "{label}");
+                                let (sa, sb) = (a.stats(), b.stats());
+                                assert_eq!(sa.refined_nodes, sb.refined_nodes, "{label}");
+                                assert_eq!(sa.refine_iterations, sb.refine_iterations, "{label}");
+                                assert_eq!(sa.refine_rounds, sb.refine_rounds, "{label}");
+                                assert_eq!(sa.exact_fallbacks, sb.exact_fallbacks, "{label}");
+                            }
+                            for u in 0..graph.node_count() as u32 {
+                                assert_eq!(expect_index.state(u), index.state(u), "{label} u={u}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
