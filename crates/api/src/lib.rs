@@ -9,10 +9,10 @@
 //!   sockets;
 //! * [`service`] — the [`RtkService`] trait covering the full surface
 //!   (`reverse_topk`, `topk`, `batch`, `stats`, `persist`, `shutdown`,
-//!   plus the shard-scoped `shard_reverse_topk`), implemented here for the
-//!   in-process [`rtk_core::ReverseTopkEngine`] and
-//!   [`rtk_core::ShardEngine`], and in `rtk-server` for the remote
-//!   `Client` and the router's backend aggregate.
+//!   plus the shard-scoped `shard_reverse_topk`), implemented here once
+//!   for the in-process [`rtk_core::ReverseTopkEngine`] (whole index or
+//!   one shard of it), and in `rtk-server` for the remote `Client` and the
+//!   router's backend aggregate.
 //!
 //! ```
 //! use rtk_api::RtkService;

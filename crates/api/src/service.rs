@@ -3,11 +3,11 @@
 //! Every way of answering reverse top-k traffic implements this trait:
 //!
 //! * [`rtk_core::ReverseTopkEngine`] — the in-process engine (implemented
-//!   here);
-//! * [`rtk_core::ShardEngine`] — one shard of a partitioned index
-//!   (implemented here; the full-index requests are clean
-//!   [`ServiceError::Unsupported`] errors, exactly like a `--shard-only`
-//!   server answers them);
+//!   here), holding every shard of its index or exactly one; the requests
+//!   of the family it cannot answer (whole answers on one shard,
+//!   shard-scoped slices on a whole index) are clean
+//!   [`ServiceError::Unsupported`] errors, exactly like a server over the
+//!   same engine answers them;
 //! * `rtk_server::Client` — a remote server or router over the wire;
 //! * the router's backend aggregate inside `rtk-server`.
 //!
@@ -23,7 +23,7 @@ use crate::model::{
 };
 use rtk_core::graph::NodeId;
 use rtk_core::query::{ApproxParams, QueryOptions, QueryResult};
-use rtk_core::{ReverseTopkEngine, ShardEngine};
+use rtk_core::{EngineError, ReverseTopkEngine};
 
 /// What a service call can fail with.
 #[derive(Clone, Debug)]
@@ -98,8 +98,9 @@ pub trait RtkService {
         ))
     }
 
-    /// The shard-scoped slice of one reverse top-k query. Only shard
-    /// backends answer it; everything else reports `Unsupported`.
+    /// The shard-scoped slice of one reverse top-k query. Only engines
+    /// holding exactly one shard answer it; everything else reports
+    /// `Unsupported`.
     fn shard_reverse_topk(
         &mut self,
         _q: u32,
@@ -255,22 +256,19 @@ pub fn to_wire(r: &QueryResult, server_seconds: f64) -> WireQueryResult {
     }
 }
 
-fn engine_err<E: std::fmt::Display>(e: E) -> ServiceError {
-    ServiceError::Engine(e.to_string())
+fn engine_err(e: EngineError) -> ServiceError {
+    match e {
+        EngineError::Ownership(m) => ServiceError::Unsupported(m),
+        other => ServiceError::Engine(other.to_string()),
+    }
 }
 
-/// Flushes `bytes` of a snapshot writer to `path`, returning the file
-/// size — shared by the engine and shard-engine `persist` impls.
-fn persist_to<F>(path: &str, write: F) -> ServiceResult<u64>
-where
-    F: FnOnce(std::io::BufWriter<std::fs::File>) -> ServiceResult<()>,
-{
-    let file = std::fs::File::create(path)
-        .map_err(|e| ServiceError::Engine(format!("persist: cannot create {path:?}: {e}")))?;
-    write(std::io::BufWriter::new(file))?;
-    std::fs::metadata(path)
-        .map(|m| m.len())
-        .map_err(|e| ServiceError::Engine(format!("persist: cannot stat {path:?}: {e}")))
+fn updated(engine: &ReverseTopkEngine, effect: rtk_core::UpdateEffect) -> WireUpdateResult {
+    WireUpdateResult {
+        recomputed_states: effect.recomputed_states as u64,
+        recomputed_hubs: effect.recomputed_hubs as u64,
+        index_digest: engine.index_digest(),
+    }
 }
 
 impl RtkService for ReverseTopkEngine {
@@ -316,82 +314,6 @@ impl RtkService for ReverseTopkEngine {
         Ok(wire)
     }
 
-    fn add_edge(&mut self, from: u32, to: u32, weight: f64) -> ServiceResult<WireUpdateResult> {
-        let effect = ReverseTopkEngine::add_edge(self, NodeId(from), NodeId(to), weight)
-            .map_err(engine_err)?;
-        Ok(WireUpdateResult {
-            recomputed_states: effect.recomputed_states as u64,
-            recomputed_hubs: effect.recomputed_hubs as u64,
-            index_digest: self.index_digest(),
-        })
-    }
-
-    fn remove_edge(&mut self, from: u32, to: u32) -> ServiceResult<WireUpdateResult> {
-        let effect =
-            ReverseTopkEngine::remove_edge(self, NodeId(from), NodeId(to)).map_err(engine_err)?;
-        Ok(WireUpdateResult {
-            recomputed_states: effect.recomputed_states as u64,
-            recomputed_hubs: effect.recomputed_hubs as u64,
-            index_digest: self.index_digest(),
-        })
-    }
-
-    fn topk(&mut self, u: u32, k: u32, early: bool) -> ServiceResult<WireTopk> {
-        let top = if early {
-            self.top_k_early(NodeId(u), k as usize)
-        } else {
-            self.top_k(NodeId(u), k as usize)
-        }
-        .map_err(engine_err)?;
-        let (nodes, scores) = top.into_iter().map(|(v, p)| (v.0, p)).unzip();
-        Ok(WireTopk { node: u, k, nodes, scores })
-    }
-
-    fn batch(&mut self, queries: &[(u32, u32)]) -> ServiceResult<Vec<WireQueryResult>> {
-        let raw: Vec<(NodeId, usize)> =
-            queries.iter().map(|&(q, k)| (NodeId(q), k as usize)).collect();
-        let opts = QueryOptions { update_index: false, ..*self.options() };
-        let results = self.query_batch(&raw, &opts).map_err(engine_err)?;
-        Ok(results.iter().map(|r| to_wire(r, r.stats().total_seconds)).collect())
-    }
-
-    fn stats(&mut self) -> ServiceResult<StatsSnapshot> {
-        let info = EngineInfo {
-            nodes: self.node_count() as u64,
-            edges: self.graph().edge_count() as u64,
-            max_k: self.index().max_k() as u64,
-            workers: 0,
-            shard_lo: 0,
-            shard_hi: self.node_count() as u64,
-            index_digest: self.index_digest(),
-        };
-        let shards = self.index().shards();
-        Ok(StatsSnapshot::local(
-            info,
-            shards.iter().map(|s| s.len() as u64).collect(),
-            shards.iter().map(|s| s.heap_bytes() as u64).collect(),
-        ))
-    }
-
-    fn persist(&mut self, path: &str) -> ServiceResult<u64> {
-        persist_to(path, |w| self.save(w).map_err(engine_err))
-    }
-
-    fn shutdown(&mut self) -> ServiceResult<()> {
-        Ok(())
-    }
-}
-
-impl RtkService for ShardEngine {
-    fn reverse_topk(&mut self, _q: u32, _k: u32, _update: bool) -> ServiceResult<WireQueryResult> {
-        let r = self.shard_range();
-        Err(ServiceError::Unsupported(format!(
-            "this backend serves only shard nodes {}..{} (--shard-only); \
-             send shard_reverse_topk, or query the router for full answers",
-            r.start, r.end
-        )))
-    }
-
     fn shard_reverse_topk(
         &mut self,
         q: u32,
@@ -420,25 +342,23 @@ impl RtkService for ShardEngine {
         pmpn: Option<&[f64]>,
         want_pmpn: bool,
     ) -> ServiceResult<WireShardResult> {
-        let opts = QueryOptions { approx, ..QueryOptions::default() };
-        let (result, pmpn_out) = if update {
-            self.query_shard_update_with_pmpn(NodeId(q), k as usize, &opts, pmpn, want_pmpn)
-        } else {
-            self.query_shard_frozen_with_pmpn(NodeId(q), k as usize, &opts, pmpn, want_pmpn)
-        }
-        .map_err(engine_err)?;
-        let range = self.shard_range();
+        let opts = QueryOptions { update_index: update, approx, ..*self.options() };
+        let (result, pmpn_out) = self
+            .query_shard(NodeId(q), k as usize, &opts, pmpn, want_pmpn)
+            .map_err(engine_err)?;
+        let shard_id = self.index().owned_shard().expect("query_shard checked ownership") as u32;
+        let range = self.index().owned_range();
         let stats = *result.stats();
         let mut wire = to_wire(&result, stats.total_seconds);
         if trace {
             wire.trace = Some(
                 stats
                     .to_trace("engine:shard_reverse_topk")
-                    .annotate("shard", self.shard_id().to_string()),
+                    .annotate("shard", shard_id.to_string()),
             );
         }
         Ok(WireShardResult {
-            shard_id: self.shard_id() as u32,
+            shard_id,
             node_lo: range.start,
             node_hi: range.end,
             result: wire,
@@ -447,23 +367,15 @@ impl RtkService for ShardEngine {
     }
 
     fn add_edge(&mut self, from: u32, to: u32, weight: f64) -> ServiceResult<WireUpdateResult> {
-        let effect =
-            ShardEngine::add_edge(self, NodeId(from), NodeId(to), weight).map_err(engine_err)?;
-        Ok(WireUpdateResult {
-            recomputed_states: effect.recomputed_states as u64,
-            recomputed_hubs: effect.recomputed_hubs as u64,
-            index_digest: self.index_digest(),
-        })
+        let effect = ReverseTopkEngine::add_edge(self, NodeId(from), NodeId(to), weight)
+            .map_err(engine_err)?;
+        Ok(updated(self, effect))
     }
 
     fn remove_edge(&mut self, from: u32, to: u32) -> ServiceResult<WireUpdateResult> {
         let effect =
-            ShardEngine::remove_edge(self, NodeId(from), NodeId(to)).map_err(engine_err)?;
-        Ok(WireUpdateResult {
-            recomputed_states: effect.recomputed_states as u64,
-            recomputed_hubs: effect.recomputed_hubs as u64,
-            index_digest: self.index_digest(),
-        })
+            ReverseTopkEngine::remove_edge(self, NodeId(from), NodeId(to)).map_err(engine_err)?;
+        Ok(updated(self, effect))
     }
 
     fn topk(&mut self, u: u32, k: u32, early: bool) -> ServiceResult<WireTopk> {
@@ -477,35 +389,40 @@ impl RtkService for ShardEngine {
         Ok(WireTopk { node: u, k, nodes, scores })
     }
 
-    fn batch(&mut self, _queries: &[(u32, u32)]) -> ServiceResult<Vec<WireQueryResult>> {
-        let r = self.shard_range();
-        Err(ServiceError::Unsupported(format!(
-            "this backend serves only shard nodes {}..{} (--shard-only); \
-             batch requests need the router or a full server",
-            r.start, r.end
-        )))
+    fn batch(&mut self, queries: &[(u32, u32)]) -> ServiceResult<Vec<WireQueryResult>> {
+        let raw: Vec<(NodeId, usize)> =
+            queries.iter().map(|&(q, k)| (NodeId(q), k as usize)).collect();
+        let opts = QueryOptions { update_index: false, ..*self.options() };
+        let results = self.query_batch(&raw, &opts).map_err(engine_err)?;
+        Ok(results.iter().map(|r| to_wire(r, r.stats().total_seconds)).collect())
     }
 
     fn stats(&mut self) -> ServiceResult<StatsSnapshot> {
-        let range = self.shard_range();
+        let owned = self.index().owned_range();
         let info = EngineInfo {
             nodes: self.node_count() as u64,
             edges: self.graph().edge_count() as u64,
-            max_k: self.max_k() as u64,
+            max_k: self.index().max_k() as u64,
             workers: 0,
-            shard_lo: u64::from(range.start),
-            shard_hi: u64::from(range.end),
+            shard_lo: u64::from(owned.start),
+            shard_hi: u64::from(owned.end),
             index_digest: self.index_digest(),
         };
+        let shards = self.index().shards();
         Ok(StatsSnapshot::local(
             info,
-            vec![self.shard_len() as u64],
-            vec![self.shard_heap_bytes() as u64],
+            shards.iter().map(|s| s.len() as u64).collect(),
+            shards.iter().map(|s| s.heap_bytes() as u64).collect(),
         ))
     }
 
     fn persist(&mut self, path: &str) -> ServiceResult<u64> {
-        persist_to(path, |w| self.save_shard(w).map_err(engine_err))
+        let file = std::fs::File::create(path)
+            .map_err(|e| ServiceError::Engine(format!("persist: cannot create {path:?}: {e}")))?;
+        self.save_owned(std::io::BufWriter::new(file)).map_err(engine_err)?;
+        std::fs::metadata(path)
+            .map(|m| m.len())
+            .map_err(|e| ServiceError::Engine(format!("persist: cannot stat {path:?}: {e}")))
     }
 
     fn shutdown(&mut self) -> ServiceResult<()> {
@@ -525,6 +442,11 @@ mod tests {
             .shards(shards)
             .build()
             .unwrap()
+    }
+
+    fn one_shard_engine(whole: &ReverseTopkEngine, shard: usize) -> ReverseTopkEngine {
+        let index = whole.index().one_shard(shard).unwrap();
+        ReverseTopkEngine::from_parts(rtk_datasets::toy_graph(), index).unwrap()
     }
 
     /// Drives any service flavor through the same paper running example —
@@ -588,11 +510,8 @@ mod tests {
             (child_sum - trace.duration_seconds).abs() <= 1e-12 * trace.duration_seconds.max(1.0)
         );
 
-        // The shard flavor traces too, annotated with its shard id.
-        use rtk_core::index::ShardSlice;
-        let sharded = toy_engine(2);
-        let slice = ShardSlice::from_index(sharded.index(), 0).unwrap();
-        let mut shard = ShardEngine::from_parts(rtk_datasets::toy_graph(), slice).unwrap();
+        // A one-shard engine traces too, annotated with its shard id.
+        let mut shard = one_shard_engine(&toy_engine(2), 0);
         let partial = shard.shard_reverse_topk_traced(0, 2, false).unwrap();
         let trace = partial.result.trace.expect("traced shard response carries a span tree");
         assert_eq!(trace.name, "engine:shard_reverse_topk");
@@ -601,17 +520,23 @@ mod tests {
 
     #[test]
     fn shard_engine_answers_the_shard_scoped_surface() {
-        use rtk_core::index::ShardSlice;
-        let engine = toy_engine(2);
-        let slice = ShardSlice::from_index(engine.index(), 0).unwrap();
-        let mut shard = ShardEngine::from_parts(rtk_datasets::toy_graph(), slice).unwrap();
+        let mut whole = toy_engine(2);
+        let mut shard = one_shard_engine(&whole, 0);
 
-        // Full-index requests are clean Unsupported errors.
+        // Whole-answer requests are clean Unsupported errors naming the
+        // owned range — and so is the shard-scoped one on a whole engine.
         assert!(matches!(
             shard.reverse_topk(0, 2, false),
-            Err(ServiceError::Unsupported(m)) if m.contains("--shard-only")
+            Err(ServiceError::Unsupported(m)) if m.contains("--shard-only") && m.contains("0..3")
         ));
-        assert!(matches!(shard.batch(&[(0, 2)]), Err(ServiceError::Unsupported(_))));
+        assert!(matches!(
+            shard.batch(&[(0, 2)]),
+            Err(ServiceError::Unsupported(m)) if m.contains("0..3")
+        ));
+        assert!(matches!(
+            whole.shard_reverse_topk(0, 2, false),
+            Err(ServiceError::Unsupported(m)) if m.contains("0..6")
+        ));
 
         // The shard-scoped slice answers (nodes 0..3 of {0, 1, 4} = {0, 1}).
         let partial = shard.shard_reverse_topk(0, 2, false).unwrap();

@@ -19,7 +19,6 @@ const BOOLEAN_FLAGS: &[&str] = &[
     "early",
     "approximate",
     "shard-only",
-    "serial-fanout",
     "pipeline",
     "trace",
     "json",

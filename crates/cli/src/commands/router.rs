@@ -55,7 +55,6 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
         auth_token: args.get("auth-token").map(str::to_string),
         connect_timeout,
         backend_io_timeout,
-        serial_fanout: args.has("serial-fanout"),
         hedge_quantile: {
             let q = args.get_num("hedge-quantile", defaults.hedge_quantile)?;
             if q != 0.0 && !(0.0..1.0).contains(&q) {
@@ -84,13 +83,13 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
     let router =
         Router::bind(&backends, addr, config.clone()).map_err(|e| format!("router: {e}"))?;
     println!(
-        "rtk router listening on {} ({} workers, {} backend(s) over {} shard(s), {} fan-out{}); \
+        "rtk router listening on {} ({} workers, {} backend(s) over {} shard(s), \
+         concurrent fan-out{}); \
          stop with `rtk remote shutdown --addr {}` (propagates to backends)",
         router.local_addr(),
         if config.workers == 0 { "all-core".to_string() } else { config.workers.to_string() },
         router.backend_count(),
         router.shard_count(),
-        if config.serial_fanout { "serial" } else { "concurrent" },
         if config.auth_token.is_some() { ", auth required" } else { "" },
         router.local_addr()
     );
@@ -119,8 +118,7 @@ mod tests {
 
     #[test]
     fn end_to_end_router_over_shard_backends() {
-        use rtk_core::{ReverseTopkEngine, ShardEngine};
-        use rtk_index::ShardSlice;
+        use rtk_core::ReverseTopkEngine;
         use rtk_server::{Client, Server, ServerConfig};
 
         let build = || {
@@ -135,10 +133,10 @@ mod tests {
         let engine = build();
         let mut backends = Vec::new();
         for sid in 0..2 {
-            let slice = ShardSlice::from_index(engine.index(), sid).unwrap();
-            let shard = ShardEngine::from_parts(rtk_datasets::toy_graph(), slice).unwrap();
+            let index = engine.index().one_shard(sid).unwrap();
+            let shard = ReverseTopkEngine::from_parts(rtk_datasets::toy_graph(), index).unwrap();
             backends.push(
-                Server::bind_shard(
+                Server::bind(
                     shard,
                     "127.0.0.1:0",
                     ServerConfig { workers: 2, ..Default::default() },

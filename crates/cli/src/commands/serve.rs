@@ -5,7 +5,7 @@
 //! [`rtk_server::ChaosConfig`]) for exercising the router's failover.
 
 use crate::args::Parsed;
-use rtk_core::{ReverseTopkEngine, ShardEngine};
+use rtk_core::ReverseTopkEngine;
 use rtk_server::{Server, ServerConfig};
 use std::io::Read;
 
@@ -35,25 +35,21 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
         update_log: args.get("update-log").map(std::path::PathBuf::from),
     };
 
-    let (server, what) = if args.has("shard-only") {
-        let engine = load_shard_engine(args)?;
-        let what = format!(
-            "shard {} of {} (nodes {}..{})",
-            engine.shard_id(),
-            engine.shard_count(),
-            engine.shard_range().start,
-            engine.shard_range().end
-        );
-        let server = Server::bind_shard(engine, addr, config.clone())
-            .map_err(|e| format!("serve: cannot bind {addr}: {e}"))?;
-        (server, what)
-    } else {
-        let engine = load_engine(args)?;
-        let what = format!("{} index shard(s)", engine.shard_count());
-        let server = Server::bind(engine, addr, config.clone())
-            .map_err(|e| format!("serve: cannot bind {addr}: {e}"))?;
-        (server, what)
+    let engine = if args.has("shard-only") { load_shard_engine(args)? } else { load_engine(args)? };
+    let what = match engine.index().owned_shard() {
+        Some(shard) => {
+            let owned = engine.index().owned_range();
+            format!(
+                "shard {shard} of {} (nodes {}..{})",
+                engine.shard_count(),
+                owned.start,
+                owned.end
+            )
+        }
+        None => format!("{} index shard(s)", engine.shard_count()),
     };
+    let server = Server::bind(engine, addr, config.clone())
+        .map_err(|e| format!("serve: cannot bind {addr}: {e}"))?;
     println!(
         "rtk-server listening on {} ({} workers, {what}{}{}); \
          stop with `rtk remote shutdown --addr {}`",
@@ -76,12 +72,12 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
     server.run().map_err(|e| format!("serve: {e}"))
 }
 
-/// Loads one shard of a sharded snapshot as a backend engine
-/// (`--shard-only`): `--index` must be a bare index snapshot (`RTKMANI1`
-/// manifest, or legacy `RTKINDX1` for `--shard 0`) and `--graph` is
-/// required — every backend walks the full graph even though it holds only
-/// its shard's states.
-fn load_shard_engine(args: &Parsed) -> Result<ShardEngine, String> {
+/// Loads the engine whose index holds only shard `--shard` of a sharded
+/// snapshot (`--shard-only`): `--index` must be a bare index snapshot
+/// (`RTKMANI1` manifest, or legacy `RTKINDX1` for `--shard 0`) and
+/// `--graph` is required — every backend walks the full graph even though
+/// it holds only its shard's states.
+fn load_shard_engine(args: &Parsed) -> Result<ReverseTopkEngine, String> {
     let index_path = args
         .get("index")
         .ok_or_else(|| "serve: --index <file> is required".to_string())?;
@@ -90,9 +86,9 @@ fn load_shard_engine(args: &Parsed) -> Result<ShardEngine, String> {
         "serve --shard-only: --graph <file> is required (backends hold the full graph)".to_string()
     })?;
     let graph = super::load_graph(graph_path)?;
-    let slice = rtk_index::storage::load_shard_slice_path(index_path, shard_id)
+    let index = rtk_index::storage::load_one_shard_path(index_path, shard_id)
         .map_err(|e| format!("serve: shard {shard_id} of {index_path:?}: {e}"))?;
-    ShardEngine::from_parts(graph, slice).map_err(|e| format!("serve: {e}"))
+    ReverseTopkEngine::from_parts(graph, index).map_err(|e| format!("serve: {e}"))
 }
 
 /// Loads the engine from `--index`, which may be either an engine snapshot

@@ -3,7 +3,8 @@
 use crate::error::EngineError;
 use rtk_graph::{DiGraph, EdgeSplice, NodeId, TransitionKernel, TransitionMatrix, TransitionProbs};
 use rtk_index::{
-    HubSelection, HubSolver, IndexConfig, IndexStats, ReverseIndex, UpdateEffect, UpdateRecord,
+    storage, HubSelection, HubSolver, IndexConfig, IndexStats, ReverseIndex, UpdateEffect,
+    UpdateRecord,
 };
 use rtk_query::{QueryEngine, QueryOptions, QueryResult};
 use rtk_rwr::{BcaParams, RwrParams};
@@ -39,6 +40,20 @@ use std::path::Path;
 /// mutating graph APIs, [`Self::add_edge`] / [`Self::remove_edge`], splice
 /// the caches in place (bitwise-equal to recomputing them); the view
 /// constructor asserts graph/cache agreement as a backstop.
+///
+/// # Whole or one shard
+///
+/// The engine always holds the full graph (PMPN and BCA refinement walk the
+/// whole transition matrix); its index holds the node states of **every**
+/// shard or of **exactly one** ([`ReverseIndex::one_shard`],
+/// [`rtk_index::storage::load_one_shard`]) — the memory that actually scales
+/// with the index, and what one backend of a multi-process tier owns. A
+/// whole engine answers [`Self::query`] / [`Self::query_batch`]; a one-shard
+/// engine answers the shard-scoped slice ([`Self::query_shard`]) that a
+/// router merges into the full answer, bitwise equal to the whole engine's.
+/// Calling the wrong family is an [`EngineError::Ownership`] error naming
+/// the owned node range — never a partial answer. Everything else (edge
+/// updates, forward top-k, proximities, the digest) works on both.
 pub struct ReverseTopkEngine {
     graph: DiGraph,
     /// Cached transition probabilities for `graph` (kept in sync by
@@ -59,8 +74,9 @@ impl ReverseTopkEngine {
         EngineBuilder { graph, config: IndexConfig::default(), options: QueryOptions::default() }
     }
 
-    /// Rebuilds an engine from a graph and a previously built index
-    /// (e.g. one loaded via [`rtk_index::storage::load`]).
+    /// Rebuilds an engine from a graph and a previously built index — one
+    /// holding every shard (e.g. loaded via [`rtk_index::storage::load`]) or
+    /// exactly one ([`rtk_index::storage::load_one_shard`]).
     pub fn from_parts(graph: DiGraph, index: ReverseIndex) -> Result<Self, EngineError> {
         if graph.node_count() != index.node_count() {
             return Err(EngineError::Query(rtk_query::QueryError::GraphMismatch {
@@ -86,13 +102,25 @@ impl ReverseTopkEngine {
         TransitionMatrix::with_probs_and_kernel(&self.graph, &self.probs, &self.kernel)
     }
 
-    /// Recomputes the cached transition probabilities (and gather kernel)
-    /// from the graph. Currently only needed if the graph is swapped through
-    /// future APIs; kept public so embedders mutating via `from_parts`
-    /// round-trips can re-validate the cache explicitly.
-    pub fn refresh_transition_cache(&mut self) {
-        self.probs = TransitionProbs::compute(&self.graph);
-        self.kernel = TransitionKernel::build(&self.graph, &self.probs);
+    /// The one ownership check: whole-answer calls need an index holding
+    /// every shard, shard-scoped calls an index holding exactly one. The
+    /// wrong family is refused, naming the owned node range — screening
+    /// only the held range would be a silently partial answer.
+    fn check_ownership(&self, shard_scoped: bool) -> Result<(), EngineError> {
+        let owned = self.index.owned_range();
+        match (self.index.owned_shard(), shard_scoped) {
+            (None, false) | (Some(_), true) => Ok(()),
+            (Some(shard), false) => Err(EngineError::Ownership(format!(
+                "this engine serves only shard {shard}, nodes {}..{} (--shard-only); \
+                 send shard_reverse_topk, or query the router for full answers",
+                owned.start, owned.end
+            ))),
+            (None, true) => Err(EngineError::Ownership(format!(
+                "shard_reverse_topk requires an engine holding exactly one shard \
+                 (--shard-only); this one holds every shard, nodes {}..{} — use reverse_topk",
+                owned.start, owned.end
+            ))),
+        }
     }
 
     /// The underlying graph.
@@ -115,7 +143,7 @@ impl ReverseTopkEngine {
         self.graph.node_count()
     }
 
-    /// Number of index shards `S`.
+    /// Number of index shards `S` in the partition (held or not).
     pub fn shard_count(&self) -> usize {
         self.index.shard_count()
     }
@@ -124,6 +152,9 @@ impl ReverseTopkEngine {
     /// layout change: every per-node state is preserved bitwise, so answers
     /// are unaffected (`rtk shard split|merge` offline, or an embedder
     /// retuning a loaded snapshot).
+    ///
+    /// # Panics
+    /// Panics on a one-shard engine (see [`ReverseIndex::repartition_by_map`]).
     pub fn reshard(&mut self, shards: usize) {
         self.index.repartition(shards);
     }
@@ -132,8 +163,10 @@ impl ReverseTopkEngine {
     /// existing one) and incrementally repairs everything downstream: the
     /// spliced transition caches stay bitwise-equal to a from-scratch
     /// rebuild, and the index recompute is limited to the affected set
-    /// (nodes that can reach `from`; see [`rtk_index::update`]). Returns
-    /// what was invalidated.
+    /// (nodes that can reach `from`; see [`rtk_index::update`]) — on a
+    /// one-shard engine, to the affected states it holds, so every backend
+    /// applying the same update does the identical hub recompute and
+    /// disjoint per-node work. Returns what was invalidated.
     pub fn add_edge(
         &mut self,
         from: NodeId,
@@ -186,16 +219,41 @@ impl ReverseTopkEngine {
         self.index.apply_update(&transition, splice.from)
     }
 
-    /// A stable digest (FNV-1a 64) of the exact bytes
-    /// [`rtk_index::storage::save`] would persist for the current index.
-    /// Two engines answer identically whenever their digests match; the
-    /// router compares these over the wire (`stats`) to assert replica
-    /// convergence after updates.
+    /// A stable digest (FNV-1a 64) of the exact bytes the current index
+    /// persists as: the [`rtk_index::storage::save`] snapshot when every
+    /// shard is held, the `RTKSHRD1` section of the one held shard
+    /// otherwise. Two engines holding the same shards answer identically
+    /// whenever their digests match; the router compares these over the
+    /// wire (`stats`) to assert replica convergence after updates.
     pub fn index_digest(&self) -> u64 {
         let mut bytes = Vec::new();
-        rtk_index::storage::save(&self.index, &mut bytes)
-            .expect("in-memory index serialization cannot fail");
+        self.write_index(&mut bytes).expect("in-memory index serialization cannot fail");
         crate::digest::fnv1a64(&bytes)
+    }
+
+    fn write_index<W: Write>(&self, writer: W) -> Result<(), EngineError> {
+        match self.index.owned_shard() {
+            None => storage::save(&self.index, writer)?,
+            Some(_) => storage::save_shard(
+                &self.index.shards()[0],
+                self.node_count(),
+                self.index.max_k(),
+                writer,
+            )?,
+        }
+        Ok(())
+    }
+
+    /// Persists what this engine owns: the engine snapshot ([`Self::save`])
+    /// when it holds every shard; when it holds one, that shard's
+    /// self-contained `RTKSHRD1` section (every backend already has the
+    /// graph) — loadable by [`rtk_index::storage::load_shard`],
+    /// re-assembled under a manifest by [`rtk_index::storage::stitch`].
+    pub fn save_owned<W: Write>(&self, writer: W) -> Result<(), EngineError> {
+        match self.index.owned_shard() {
+            None => self.save(writer),
+            Some(_) => self.write_index(writer),
+        }
     }
 
     /// The default query options used by [`Self::query`].
@@ -221,9 +279,8 @@ impl ReverseTopkEngine {
         k: usize,
         options: &QueryOptions,
     ) -> Result<QueryResult, EngineError> {
-        let transition =
-            TransitionMatrix::with_probs_and_kernel(&self.graph, &self.probs, &self.kernel);
-        Ok(self.session.query(&transition, &mut self.index, q.0, k, options)?)
+        self.check_ownership(false)?;
+        Ok(self.screen_and_commit(q, k, options, None, false)?.0)
     }
 
     /// Runs many reverse top-k queries *serially* over the cached transition
@@ -234,13 +291,7 @@ impl ReverseTopkEngine {
         queries: &[(NodeId, usize)],
         options: &QueryOptions,
     ) -> Result<Vec<QueryResult>, EngineError> {
-        let transition =
-            TransitionMatrix::with_probs_and_kernel(&self.graph, &self.probs, &self.kernel);
-        let mut out = Vec::with_capacity(queries.len());
-        for &(q, k) in queries {
-            out.push(self.session.query(&transition, &mut self.index, q.0, k, options)?);
-        }
-        Ok(out)
+        queries.iter().map(|&(q, k)| self.query_with(q, k, options)).collect()
     }
 
     /// Fans independent reverse top-k queries across
@@ -252,9 +303,103 @@ impl ReverseTopkEngine {
         queries: &[(NodeId, usize)],
         options: &QueryOptions,
     ) -> Result<Vec<QueryResult>, EngineError> {
+        self.check_ownership(false)?;
         let transition = self.transition();
         let raw: Vec<(u32, usize)> = queries.iter().map(|&(q, k)| (q.0, k)).collect();
         Ok(self.session.query_batch(&transition, &self.index, &raw, options)?)
+    }
+
+    /// The shard-scoped slice of a reverse top-k query, on an engine
+    /// holding one shard: PMPN over the whole graph, screening over the
+    /// owned node range only. With `options.update_index` the refined
+    /// private states commit back into the owned shard — the backend-local
+    /// half of the cross-process commit merge (each backend owns its shard,
+    /// so commits never race across processes).
+    ///
+    /// `pmpn` supplies a precomputed proximity-to-`q` vector so this
+    /// backend can skip the solve, and `want_pmpn` asks for the locally
+    /// solved vector back so a router can solve once per query and ship the
+    /// result to the other shards. The returned vector is `None` unless
+    /// `want_pmpn` and the exact solve actually ran or a vector was
+    /// supplied (approx mode has no exact PMPN).
+    pub fn query_shard(
+        &mut self,
+        q: NodeId,
+        k: usize,
+        options: &QueryOptions,
+        pmpn: Option<&[f64]>,
+        want_pmpn: bool,
+    ) -> Result<(QueryResult, Option<Vec<f64>>), EngineError> {
+        self.check_ownership(true)?;
+        self.screen_and_commit(q, k, options, pmpn, want_pmpn)
+    }
+
+    /// [`Self::query_shard`] without the commit: refined states are
+    /// dropped and the engine is not modified, whatever
+    /// `options.update_index` says — so concurrent callers can share it.
+    ///
+    /// ```
+    /// use rtk_core::{ReverseTopkEngine, graph::NodeId};
+    ///
+    /// // Build a 2-shard engine, then serve shard 0 standalone.
+    /// let graph = rtk_datasets::toy_graph();
+    /// let whole = ReverseTopkEngine::builder(graph.clone())
+    ///     .max_k(3)
+    ///     .hubs_per_direction(1)
+    ///     .shards(2)
+    ///     .build()
+    ///     .unwrap();
+    /// let index = whole.index().one_shard(0).unwrap();
+    /// let backend = ReverseTopkEngine::from_parts(graph, index).unwrap();
+    /// assert_eq!(backend.index().owned_range(), 0..3);
+    ///
+    /// // The shard-scoped slice of "reverse top-2 of node 0" ({0, 1, 4}
+    /// // globally) restricted to nodes 0..3 is {0, 1}.
+    /// let (partial, _) = backend
+    ///     .query_shard_frozen(NodeId(0), 2, &Default::default(), None, false)
+    ///     .unwrap();
+    /// assert_eq!(partial.nodes(), &[0, 1]);
+    ///
+    /// // Whole answers are refused, naming what this engine holds.
+    /// let err = backend.query_batch(&[(NodeId(0), 2)], &Default::default()).unwrap_err();
+    /// assert!(err.to_string().contains("nodes 0..3"));
+    /// ```
+    pub fn query_shard_frozen(
+        &self,
+        q: NodeId,
+        k: usize,
+        options: &QueryOptions,
+        pmpn: Option<&[f64]>,
+        want_pmpn: bool,
+    ) -> Result<(QueryResult, Option<Vec<f64>>), EngineError> {
+        self.check_ownership(true)?;
+        let opts = QueryOptions { update_index: false, ..*options };
+        let (result, _, pmpn_out) =
+            self.session
+                .screen(&self.transition(), &self.index, q.0, k, &opts, pmpn, want_pmpn)?;
+        Ok((result, pmpn_out))
+    }
+
+    /// Screens the held node range and commits refinements (update mode).
+    fn screen_and_commit(
+        &mut self,
+        q: NodeId,
+        k: usize,
+        options: &QueryOptions,
+        pmpn: Option<&[f64]>,
+        want_pmpn: bool,
+    ) -> Result<(QueryResult, Option<Vec<f64>>), EngineError> {
+        let transition =
+            TransitionMatrix::with_probs_and_kernel(&self.graph, &self.probs, &self.kernel);
+        Ok(self.session.screen_and_commit(
+            &transition,
+            &mut self.index,
+            q.0,
+            k,
+            options,
+            pmpn,
+            want_pmpn,
+        )?)
     }
 
     /// Forward top-k RWR search: the `k` nodes with the highest proximity
@@ -309,7 +454,9 @@ impl ReverseTopkEngine {
     }
 
     /// Persists graph + index into one stream. Each section is length-
-    /// prefixed so the (buffered) section decoders cannot over-read.
+    /// prefixed so the (buffered) section decoders cannot over-read. Needs
+    /// an index holding every shard (a one-shard engine's unit of
+    /// persistence is its section — see [`Self::save_owned`]).
     pub fn save<W: Write>(&self, mut writer: W) -> Result<(), EngineError> {
         let io_err = EngineError::from_io;
         writer.write_all(ENGINE_MAGIC).map_err(io_err)?;
@@ -320,7 +467,7 @@ impl ReverseTopkEngine {
         writer.write_all(&graph_bytes).map_err(io_err)?;
 
         let mut index_bytes = Vec::new();
-        rtk_index::storage::save(&self.index, &mut index_bytes)?;
+        storage::save(&self.index, &mut index_bytes)?;
         writer.write_all(&(index_bytes.len() as u64).to_le_bytes()).map_err(io_err)?;
         writer.write_all(&index_bytes).map_err(io_err)?;
         Ok(())
@@ -340,7 +487,7 @@ impl ReverseTopkEngine {
         let graph_bytes = read_section(&mut reader)?;
         let graph = rtk_graph::io::read_binary(graph_bytes.as_slice())?;
         let index_bytes = read_section(&mut reader)?;
-        let index = rtk_index::storage::load(index_bytes.as_slice())?;
+        let index = storage::load(index_bytes.as_slice())?;
         Self::from_parts(graph, index)
     }
 
@@ -639,15 +786,6 @@ mod tests {
         assert_eq!(engine.options().query_threads, 4);
         let r = engine.query(NodeId(0), 2).unwrap();
         assert_eq!(r.nodes(), &[0, 1, 4]);
-    }
-
-    #[test]
-    fn cached_transition_survives_refresh() {
-        let mut engine = toy_engine();
-        let before = engine.proximities_to(NodeId(0)).unwrap();
-        engine.refresh_transition_cache();
-        let after = engine.proximities_to(NodeId(0)).unwrap();
-        assert_eq!(before, after);
     }
 
     #[test]

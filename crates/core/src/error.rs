@@ -14,6 +14,10 @@ pub enum EngineError {
     Index(IndexError),
     /// Query validation failed.
     Query(QueryError),
+    /// A whole-answer call reached an engine holding one shard, or a
+    /// shard-scoped call one holding every shard; the message names the
+    /// owned node range.
+    Ownership(String),
 }
 
 impl std::fmt::Display for EngineError {
@@ -22,6 +26,7 @@ impl std::fmt::Display for EngineError {
             EngineError::Graph(e) => write!(f, "graph error: {e}"),
             EngineError::Index(e) => write!(f, "index error: {e}"),
             EngineError::Query(e) => write!(f, "query error: {e}"),
+            EngineError::Ownership(m) => write!(f, "{m}"),
         }
     }
 }
@@ -32,6 +37,7 @@ impl std::error::Error for EngineError {
             EngineError::Graph(e) => Some(e),
             EngineError::Index(e) => Some(e),
             EngineError::Query(e) => Some(e),
+            EngineError::Ownership(_) => None,
         }
     }
 }

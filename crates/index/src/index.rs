@@ -15,8 +15,14 @@ use rtk_rwr::bca::{BcaEngine, BcaStop, PropagationStrategy};
 ///
 /// The hub matrix `P_H` is shared across shards (every node's materialized
 /// bounds reference the same hub vectors); everything per-node lives in the
-/// shard owning that node's id range. Supports the three operations query
-/// processing needs:
+/// shard owning that node's id range. An index always carries the
+/// configuration, `P_H` and the full [`ShardMap`], and holds the node states
+/// of either **every** shard (a single process serving whole answers) or
+/// **exactly one** ([`Self::one_shard`] / [`crate::storage::load_one_shard`]
+/// — what one backend of a multi-process tier owns; see
+/// [`Self::owned_shard`]). Per-node operations are valid for the nodes of
+/// [`Self::owned_range`]. Supports the three operations query processing
+/// needs:
 /// * O(1) access to the `k`-th lower bound of any node ([`Self::state`]);
 /// * refinement of a node's bounds, in place ([`Self::refine_node`], the
 ///   paper's dynamic index update, §4.2.3) or on a caller-owned copy;
@@ -25,8 +31,11 @@ use rtk_rwr::bca::{BcaEngine, BcaStop, PropagationStrategy};
 pub struct ReverseIndex {
     config: IndexConfig,
     hub_matrix: HubMatrix,
+    /// The held shards in shard-id order: all of `shard_map`'s, or one.
     shards: Vec<IndexShard>,
     shard_map: ShardMap,
+    /// `Some(i)` when only shard `i` is held; `None` when every shard is.
+    only: Option<usize>,
     stats: IndexStats,
 }
 
@@ -49,19 +58,46 @@ impl ReverseIndex {
     ) -> Self {
         let shard_map = ShardMap::even(states.len(), config.effective_shards(states.len()));
         let shards = partition_states(&shard_map, states);
-        Self { config, hub_matrix, shards, shard_map, stats }
+        Self { config, hub_matrix, shards, shard_map, only: None, stats }
     }
 
-    /// Assembles an index from already-partitioned shards (persistence).
+    /// Assembles an index from already-partitioned shards (persistence):
+    /// every shard of `shard_map`, or — with `only = Some(i)` — shard `i`
+    /// alone.
     pub(crate) fn from_shards(
         config: IndexConfig,
         hub_matrix: HubMatrix,
         shards: Vec<IndexShard>,
         shard_map: ShardMap,
+        only: Option<usize>,
         stats: IndexStats,
     ) -> Self {
-        debug_assert_eq!(shards.len(), shard_map.shard_count());
-        Self { config, hub_matrix, shards, shard_map, stats }
+        debug_assert!(match only {
+            Some(i) => shards.len() == 1 && shards[0].id() == i,
+            None => shards.len() == shard_map.shard_count(),
+        });
+        Self { config, hub_matrix, shards, shard_map, only, stats }
+    }
+
+    /// A copy of this index holding only shard `shard_id` (plus everything
+    /// shared: configuration, hub matrix, shard map) — the in-memory twin
+    /// of [`crate::storage::load_one_shard`].
+    pub fn one_shard(&self, shard_id: usize) -> Result<Self, IndexError> {
+        let Some(shard) = self.shards.iter().find(|s| s.id() == shard_id) else {
+            return Err(IndexError::InvalidConfig(format!(
+                "shard {shard_id} is not held by this index ({} shards, owning nodes {:?})",
+                self.shard_count(),
+                self.owned_range()
+            )));
+        };
+        Ok(Self {
+            config: self.config.clone(),
+            hub_matrix: self.hub_matrix.clone(),
+            shards: vec![shard.clone()],
+            shard_map: self.shard_map.clone(),
+            only: Some(shard_id),
+            stats: self.stats,
+        })
     }
 
     /// The configuration the index was built with.
@@ -79,9 +115,24 @@ impl ReverseIndex {
         self.shard_map.node_count()
     }
 
-    /// Number of shards `S`.
+    /// Number of shards `S` in the partition (held or not).
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.shard_map.shard_count()
+    }
+
+    /// `Some(i)` when this index holds only shard `i` of the partition;
+    /// `None` when it holds every shard.
+    pub fn owned_shard(&self) -> Option<usize> {
+        self.only
+    }
+
+    /// The node-id range whose states this index holds: `0..n`, or the one
+    /// owned shard's range.
+    pub fn owned_range(&self) -> std::ops::Range<u32> {
+        match (self.shards.first(), self.shards.last()) {
+            (Some(first), Some(last)) => first.node_lo()..last.node_hi(),
+            _ => unreachable!("an index holds at least one shard"),
+        }
     }
 
     /// The shard partition of the node id space.
@@ -89,9 +140,18 @@ impl ReverseIndex {
         &self.shard_map
     }
 
-    /// All shards, ordered by node range.
+    /// The held shards (all of them, or the one owned), ordered by node
+    /// range.
     pub fn shards(&self) -> &[IndexShard] {
         &self.shards
+    }
+
+    /// Position in `self.shards` of the shard holding node `u`, which must
+    /// lie in [`Self::owned_range`].
+    #[inline]
+    fn slot(&self, u: u32) -> usize {
+        debug_assert!(self.owned_range().contains(&u), "node {u} is not held by this index");
+        self.shard_map.shard_of(u) - self.only.unwrap_or(0)
     }
 
     /// The hub proximity matrix `P_H` (shared by every shard).
@@ -102,10 +162,10 @@ impl ReverseIndex {
     /// Per-node state of `u`, resolved through the shard map.
     #[inline]
     pub fn state(&self, u: u32) -> &NodeState {
-        self.shards[self.shard_map.shard_of(u)].state(u)
+        self.shards[self.slot(u)].state(u)
     }
 
-    /// All node states in ascending id order (crosses shard boundaries).
+    /// All held node states in ascending id order (crosses shard boundaries).
     pub fn iter_states(&self) -> impl Iterator<Item = &NodeState> {
         self.shards.iter().flat_map(|s| s.states().iter())
     }
@@ -129,10 +189,12 @@ impl ReverseIndex {
     /// re-grouping of the same per-node states, so answers are unchanged.
     ///
     /// # Panics
-    /// Panics if `map` covers a different node count than the index.
+    /// Panics if `map` covers a different node count than the index, or if
+    /// the index holds only one shard (there is nothing to re-group).
     pub fn repartition_by_map(&mut self, map: ShardMap) {
         let n = self.node_count();
         assert_eq!(map.node_count(), n, "shard map covers a different node count");
+        assert!(self.only.is_none(), "cannot repartition an index holding one shard");
         if map == self.shard_map {
             self.config.shards = map.shard_count();
             return;
@@ -172,9 +234,9 @@ impl ReverseIndex {
         materializer: &mut Materializer,
         stop: &BcaStop,
     ) -> u32 {
-        let shard = self.shard_map.shard_of(u);
+        let slot = self.slot(u);
         refine_state(
-            self.shards[shard].state_mut(u),
+            self.shards[slot].state_mut(u),
             transition,
             engine,
             &self.hub_matrix,
@@ -186,8 +248,8 @@ impl ReverseIndex {
     /// Replaces node `u`'s state wholesale (commit of an externally refined
     /// copy; used by the query layer's update mode).
     pub fn commit_state(&mut self, u: u32, state: NodeState) {
-        let shard = self.shard_map.shard_of(u);
-        self.shards[shard].commit_state(u, state);
+        let slot = self.slot(u);
+        self.shards[slot].commit_state(u, state);
     }
 
     /// Commits a batch of externally refined states — the serial cross-shard
@@ -206,16 +268,21 @@ impl ReverseIndex {
     /// transition row is `source` (the edge's tail; see [`crate::update`]).
     /// `transition` must already reflect the mutated graph. Recomputes the
     /// affected hub columns first (states materialize against `P_H`), then
-    /// the affected node states, with the exact Algorithm 1 recipes — so the
-    /// post-update index is bitwise-equal to a full rebuild as long as
-    /// untouched states were never query-refined. Everything outside the
-    /// affected set is left alone.
+    /// the affected node states *this index holds*, with the exact
+    /// Algorithm 1 recipes — so the post-update index is bitwise-equal to a
+    /// full rebuild as long as untouched states were never query-refined.
+    /// Everything outside the affected set is left alone.
+    ///
+    /// One-shard indexes of the same partition applying the same update run
+    /// the identical hub recompute (their hub matrices stay bitwise
+    /// converged) and disjoint per-node work, so their union equals this
+    /// call on the whole index.
     pub fn apply_update(
         &mut self,
         transition: &TransitionMatrix<'_>,
         source: u32,
     ) -> crate::update::UpdateEffect {
-        let affected = crate::update::affected_set(transition.graph(), source);
+        let mut affected = crate::update::affected_set(transition.graph(), source);
         let hub_ids: Vec<u32> = affected
             .iter()
             .copied()
@@ -224,6 +291,8 @@ impl ReverseIndex {
         let threads = self.config.effective_threads();
         self.hub_matrix
             .recompute_columns(transition, &hub_ids, &self.config.hub_solver, threads);
+        let owned = self.owned_range();
+        affected.retain(|u| owned.contains(u));
         let fresh =
             crate::update::recompute_states(transition, &self.hub_matrix, &self.config, &affected);
         let recomputed_states = fresh.len();
@@ -231,7 +300,8 @@ impl ReverseIndex {
         crate::update::UpdateEffect { recomputed_states, recomputed_hubs: hub_ids.len() }
     }
 
-    /// Recomputes total heap bytes (states drift as queries refine them).
+    /// Recomputes total heap bytes of what this index holds (states drift
+    /// as queries refine them).
     pub fn current_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.heap_bytes()).sum::<usize>() + self.hub_matrix.heap_bytes()
     }
@@ -321,6 +391,30 @@ mod tests {
             let covered: usize = index.shards().iter().map(|s| s.len()).sum();
             assert_eq!(covered, 6);
         }
+    }
+
+    #[test]
+    fn one_shard_index_holds_its_range_and_nothing_else() {
+        let g = toy();
+        let t = TransitionMatrix::new(&g);
+        let whole = ReverseIndex::build(&t, IndexConfig { shards: 3, ..config() }).unwrap();
+        assert_eq!(whole.owned_shard(), None);
+        assert_eq!(whole.owned_range(), 0..6);
+        for sid in 0..3 {
+            let one = whole.one_shard(sid).unwrap();
+            assert_eq!(one.owned_shard(), Some(sid));
+            assert_eq!(one.owned_range(), whole.shard_map().range(sid));
+            // Everything shared describes the whole index.
+            assert_eq!((one.node_count(), one.shard_count()), (6, 3));
+            assert_eq!(one.shard_map(), whole.shard_map());
+            assert_eq!(one.hub_matrix(), whole.hub_matrix());
+            assert_eq!(one.iter_states().count(), 2);
+            for u in one.owned_range() {
+                assert_eq!(one.state(u), whole.state(u), "shard {sid} node {u}");
+            }
+            assert!(one.current_bytes() < whole.current_bytes());
+        }
+        assert!(whole.one_shard(3).is_err());
     }
 
     #[test]

@@ -27,9 +27,11 @@
 //!   layer. Shard count never changes answers, only wall time and layout;
 //! * [`storage`] — versioned binary persistence: the legacy single-blob
 //!   format plus a sharded manifest format (one section per shard).
-//!   [`storage::load_shard_slice`] loads the shared hub matrix plus *one*
-//!   shard section standalone ([`ShardSlice`]) — the loading unit of
-//!   multi-process serving, where each backend process owns one shard;
+//!   A [`ReverseIndex`] holds every shard's states or exactly one
+//!   ([`ReverseIndex::one_shard`]): [`storage::load_one_shard`] reads the
+//!   shared hub matrix and shard map plus *one* shard section — the loading
+//!   unit of multi-process serving, where each backend process owns one
+//!   shard;
 //! * [`refine_state`] — the shared refinement step (Alg. 1 lines 6–7) used
 //!   to tighten a stored node's bounds in place, and [`Refiner`] — the same
 //!   step with the computation held resident in a worker's scratch, which
@@ -57,5 +59,22 @@ pub use index::ReverseIndex;
 pub use node_state::{refine_state, NodeState, Refiner};
 pub use shard::{IndexShard, ShardMap};
 pub use stats::IndexStats;
-pub use storage::{ShardSlice, UpdateRecord};
-pub use update::{affected_set, apply_update_sharded, recompute_states, UpdateEffect};
+pub use storage::UpdateRecord;
+pub use update::{affected_set, recompute_states, UpdateEffect};
+
+// ---- Deprecated aliases -------------------------------------------------
+// Old names the repo benchmark (`crates/bench/src/bin/benchmark`, which may
+// not be edited alongside the code it measures) still calls. Nothing else
+// in the tree may use them (`-D warnings`); a `[benchmark]` PR drops them.
+
+/// Old name of a [`ReverseIndex`] holding one shard.
+#[deprecated(note = "a one-shard index is a `ReverseIndex`; see `ReverseIndex::one_shard`")]
+pub type ShardSlice = ReverseIndex;
+
+impl ReverseIndex {
+    /// Old spelling of [`ReverseIndex::one_shard`].
+    #[deprecated(note = "use `index.one_shard(shard_id)`")]
+    pub fn from_index(index: &ReverseIndex, shard_id: usize) -> Result<Self, IndexError> {
+        index.one_shard(shard_id)
+    }
+}

@@ -39,6 +39,9 @@
 //! magic, so an `S = 1` engine loads pre-existing legacy snapshots
 //! unchanged, and every sequence decode is bounded by stream-derived sizes
 //! (node count, `max_k`, section byte counts) *before* allocating.
+//! [`load_one_shard`] reads the same bytes through the same checks but
+//! decodes a single shard's section and skips the rest — the start-up load
+//! of a multi-process backend, whose footprint is one shard, not the index.
 //!
 //! The hub-selection policy and hub-vector solver are *not* round-tripped —
 //! they only matter during construction; a loaded index refines and queries
@@ -82,6 +85,9 @@ fn corrupt(msg: String) -> IndexError {
 /// Serializes `index` to `writer`: the legacy single-blob layout for one
 /// shard (byte-identical to pre-sharding snapshots), the sharded manifest
 /// layout otherwise.
+///
+/// Only an index holding every shard has a snapshot; a one-shard index
+/// persists its section with [`save_shard`].
 pub fn save<W: Write>(index: &ReverseIndex, writer: W) -> Result<(), IndexError> {
     if index.shard_count() <= 1 {
         save_legacy(index, writer)
@@ -91,23 +97,59 @@ pub fn save<W: Write>(index: &ReverseIndex, writer: W) -> Result<(), IndexError>
 }
 
 /// Deserializes an index written by [`save`] (either layout, dispatched on
-/// the magic tag).
+/// the magic tag), holding every shard.
 pub fn load<R: Read>(reader: R) -> Result<ReverseIndex, IndexError> {
+    load_owning(reader, None)
+}
+
+/// Loads the index holding only shard `shard_id` (plus the shared hub matrix
+/// and shard map) from a snapshot written by [`save`], skipping every other
+/// shard's section — the memory footprint is one shard, not the whole
+/// index. Every check [`load`] applies to the manifest applies here too.
+///
+/// Accepts both layouts: a sharded manifest (`RTKMANI1`), where the other
+/// sections are skipped by their length prefixes, and — for `shard_id == 0`
+/// only — a legacy single-blob snapshot (`RTKINDX1`), which *is* its single
+/// shard.
+pub fn load_one_shard<R: Read>(reader: R, shard_id: usize) -> Result<ReverseIndex, IndexError> {
+    load_owning(reader, Some(shard_id))
+}
+
+/// The one snapshot reader: `only` picks the shard to hold (`None` = all).
+fn load_owning<R: Read>(reader: R, only: Option<usize>) -> Result<ReverseIndex, IndexError> {
     let mut r = BufReader::new(reader);
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic).map_err(DecodeError::Io)?;
     match &magic {
         m if m == INDEX_MAGIC => {
             check_version(&mut r, INDEX_VERSION, "index")?;
-            load_legacy_body(&mut r)
+            let index = load_legacy_body(&mut r)?;
+            match only {
+                None => Ok(index),
+                Some(0) => index.one_shard(0),
+                Some(other) => Err(corrupt(format!(
+                    "legacy single-shard snapshot has only shard 0, requested {other}"
+                ))),
+            }
         }
         m if m == MANIFEST_MAGIC => {
             check_version(&mut r, MANIFEST_VERSION, "manifest")?;
-            load_sharded_body(&mut r)
+            load_manifest_body(&mut r, only)
         }
         found => {
             Err(IndexError::Decode(DecodeError::BadMagic { expected: *INDEX_MAGIC, found: *found }))
         }
+    }
+}
+
+/// Whole-index snapshots need every shard's states.
+fn require_every_shard(index: &ReverseIndex) -> Result<(), IndexError> {
+    match index.owned_shard() {
+        None => Ok(()),
+        Some(i) => Err(IndexError::InvalidConfig(format!(
+            "this index holds only shard {i} (nodes {:?}); persist its section with save_shard",
+            index.owned_range()
+        ))),
     }
 }
 
@@ -341,6 +383,7 @@ fn loaded_config(
 /// flattened into one id-ordered node section — byte-identical to the
 /// pre-sharding format for any shard count).
 pub fn save_legacy<W: Write>(index: &ReverseIndex, writer: W) -> Result<(), IndexError> {
+    require_every_shard(index)?;
     let mut w = BufWriter::new(writer);
     codec::write_header(&mut w, INDEX_MAGIC, INDEX_VERSION)?;
     codec::write_u64(&mut w, index.node_count() as u64)?;
@@ -454,6 +497,7 @@ pub fn load_shard<R: Read>(
 /// Serializes `index` in the sharded manifest layout regardless of shard
 /// count (the plain [`save`] picks the legacy layout for `S == 1`).
 pub fn save_sharded<W: Write>(index: &ReverseIndex, writer: W) -> Result<(), IndexError> {
+    require_every_shard(index)?;
     let mut w = BufWriter::new(writer);
     codec::write_header(&mut w, MANIFEST_MAGIC, MANIFEST_VERSION)?;
     codec::write_u64(&mut w, index.node_count() as u64)?;
@@ -494,7 +538,10 @@ impl Write for CountingWriter {
     }
 }
 
-fn load_sharded_body<R: Read>(r: &mut R) -> Result<ReverseIndex, IndexError> {
+/// Reads a manifest body, decoding the section of every shard (`only =
+/// None`) or of shard `only` alone — the others are skipped by their length
+/// prefixes, never materialized. Both paths run the same checks.
+fn load_manifest_body<R: Read>(r: &mut R, only: Option<usize>) -> Result<ReverseIndex, IndexError> {
     let n = codec::check_len(
         codec::read_u64(r).map_err(DecodeError::Io)?,
         codec::MAX_SEQ_LEN,
@@ -513,6 +560,11 @@ fn load_sharded_body<R: Read>(r: &mut R) -> Result<ReverseIndex, IndexError> {
     if shard_count == 0 {
         return Err(corrupt("manifest declares zero shards".into()));
     }
+    if let Some(wanted) = only.filter(|&w| w >= shard_count) {
+        return Err(corrupt(format!(
+            "shard {wanted} out of range: manifest declares {shard_count} shards"
+        )));
+    }
     let (bca, rounding_threshold) = read_bca_and_rounding(r)?;
     let starts = codec::read_u32_seq_bounded(r, shard_count as u64)?;
     if starts.len() != shard_count {
@@ -527,7 +579,7 @@ fn load_sharded_body<R: Read>(r: &mut R) -> Result<ReverseIndex, IndexError> {
     })?;
     let hub_matrix = read_hub_matrix(r, n, rounding_threshold)?;
 
-    let mut shards = Vec::with_capacity(shard_count);
+    let mut shards = Vec::with_capacity(if only.is_some() { 1 } else { shard_count });
     for i in 0..shard_count {
         let section_bytes = codec::read_u64(r).map_err(DecodeError::Io)?;
         if section_bytes > MAX_SHARD_SECTION_BYTES {
@@ -535,9 +587,20 @@ fn load_sharded_body<R: Read>(r: &mut R) -> Result<ReverseIndex, IndexError> {
                 "shard {i}: section of {section_bytes} bytes is implausible"
             )));
         }
-        // The section decoder reads from a take-bounded view, so a shard
-        // blob lying about its length cannot consume the next section.
+        // Sections are read through a take-bounded view, so a shard blob
+        // lying about its length cannot consume the next section.
         let mut section = r.take(section_bytes);
+        if only.is_some_and(|wanted| wanted != i) {
+            // Skip the section without decoding (or materializing) it.
+            let copied =
+                std::io::copy(&mut section, &mut std::io::sink()).map_err(DecodeError::Io)?;
+            if copied != section_bytes {
+                return Err(corrupt(format!(
+                    "shard {i}: section truncated ({copied} of {section_bytes} bytes)"
+                )));
+            }
+            continue;
+        }
         let shard = load_shard(&mut section, &hub_matrix, n, max_k)?;
         if section.limit() != 0 {
             return Err(corrupt(format!(
@@ -562,170 +625,7 @@ fn load_sharded_body<R: Read>(r: &mut R) -> Result<ReverseIndex, IndexError> {
 
     let config =
         loaded_config(max_k, bca, &hub_matrix, rounding_threshold, stats.threads, shard_count);
-    Ok(ReverseIndex::from_shards(config, hub_matrix, shards, shard_map, stats))
-}
-
-// ---------------------------------------------------------------------------
-// Standalone shard slices (multi-process serving)
-// ---------------------------------------------------------------------------
-
-/// One shard of a sharded index plus everything shared that a process needs
-/// to serve it standalone: the configuration, the hub matrix, and the full
-/// [`ShardMap`] (so the process knows which node range it owns and how the
-/// rest of the id space is partitioned).
-///
-/// This is the loading unit of multi-process serving: each `rtk serve
-/// --shard-only` backend holds exactly one `ShardSlice` (plus the graph)
-/// instead of the whole index. Produced by [`load_shard_slice`] from a
-/// snapshot on disk, or by [`ShardSlice::from_index`] from an in-memory
-/// index (tests, benches).
-#[derive(Clone, Debug)]
-pub struct ShardSlice {
-    /// Index configuration (`max_k`, BCA parameters, hub ids, shard count).
-    pub config: IndexConfig,
-    /// The shared hub proximity matrix `P_H`.
-    pub hub_matrix: HubMatrix,
-    /// The full partition of the node id space.
-    pub shard_map: ShardMap,
-    /// The one shard this slice owns.
-    pub shard: IndexShard,
-}
-
-impl ShardSlice {
-    /// Extracts shard `shard_id` of an in-memory index (hub matrix and
-    /// states are cloned).
-    pub fn from_index(index: &ReverseIndex, shard_id: usize) -> Result<Self, IndexError> {
-        let Some(shard) = index.shards().get(shard_id) else {
-            return Err(IndexError::InvalidConfig(format!(
-                "shard {shard_id} out of range for {} shards",
-                index.shard_count()
-            )));
-        };
-        Ok(Self {
-            config: index.config().clone(),
-            hub_matrix: index.hub_matrix().clone(),
-            shard_map: index.shard_map().clone(),
-            shard: shard.clone(),
-        })
-    }
-
-    /// Number of nodes in the whole index (not just this shard).
-    pub fn node_count(&self) -> usize {
-        self.shard_map.node_count()
-    }
-}
-
-/// Loads shard `shard_id` (plus the shared hub matrix and shard map) from an
-/// index snapshot, skipping every other shard's section — the memory
-/// footprint is one shard, not the whole index.
-///
-/// Accepts both layouts: a sharded manifest (`RTKMANI1`), where the other
-/// sections are skipped by their length prefixes, and — for `shard_id == 0`
-/// only — a legacy single-blob snapshot (`RTKINDX1`), which *is* its single
-/// shard.
-pub fn load_shard_slice<R: Read>(reader: R, shard_id: usize) -> Result<ShardSlice, IndexError> {
-    let mut r = BufReader::new(reader);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic).map_err(DecodeError::Io)?;
-    match &magic {
-        m if m == MANIFEST_MAGIC => {
-            check_version(&mut r, MANIFEST_VERSION, "manifest")?;
-            load_shard_slice_body(&mut r, shard_id)
-        }
-        m if m == INDEX_MAGIC => {
-            if shard_id != 0 {
-                return Err(corrupt(format!(
-                    "legacy single-shard snapshot has only shard 0, requested {shard_id}"
-                )));
-            }
-            check_version(&mut r, INDEX_VERSION, "index")?;
-            let index = load_legacy_body(&mut r)?;
-            ShardSlice::from_index(&index, 0)
-        }
-        found => Err(IndexError::Decode(DecodeError::BadMagic {
-            expected: *MANIFEST_MAGIC,
-            found: *found,
-        })),
-    }
-}
-
-/// Loads shard `shard_id` from a snapshot file (see [`load_shard_slice`]).
-pub fn load_shard_slice_path<P: AsRef<Path>>(
-    path: P,
-    shard_id: usize,
-) -> Result<ShardSlice, IndexError> {
-    load_shard_slice(std::fs::File::open(path)?, shard_id)
-}
-
-fn load_shard_slice_body<R: Read>(r: &mut R, shard_id: usize) -> Result<ShardSlice, IndexError> {
-    let n = codec::check_len(
-        codec::read_u64(r).map_err(DecodeError::Io)?,
-        codec::MAX_SEQ_LEN,
-        "node count",
-    )?;
-    let max_k = codec::check_len(
-        codec::read_u64(r).map_err(DecodeError::Io)?,
-        codec::MAX_SEQ_LEN,
-        "max_k",
-    )?;
-    let shard_count = codec::check_len(
-        codec::read_u64(r).map_err(DecodeError::Io)?,
-        n.max(1) as u64,
-        "shard count",
-    )?;
-    if shard_id >= shard_count {
-        return Err(corrupt(format!(
-            "shard {shard_id} out of range: manifest declares {shard_count} shards"
-        )));
-    }
-    let (bca, rounding_threshold) = read_bca_and_rounding(r)?;
-    let starts = codec::read_u32_seq_bounded(r, shard_count as u64)?;
-    let shard_map = ShardMap::from_starts(n, starts).map_err(|e| match e {
-        IndexError::InvalidConfig(m) => corrupt(format!("shard map: {m}")),
-        other => other,
-    })?;
-    let hub_matrix = read_hub_matrix(r, n, rounding_threshold)?;
-
-    let mut wanted = None;
-    for i in 0..shard_count {
-        let section_bytes = codec::read_u64(r).map_err(DecodeError::Io)?;
-        if section_bytes > MAX_SHARD_SECTION_BYTES {
-            return Err(corrupt(format!(
-                "shard {i}: section of {section_bytes} bytes is implausible"
-            )));
-        }
-        if i == shard_id {
-            let mut section = r.take(section_bytes);
-            let shard = load_shard(&mut section, &hub_matrix, n, max_k)?;
-            if section.limit() != 0 {
-                return Err(corrupt(format!(
-                    "shard {i}: {} trailing bytes after shard payload",
-                    section.limit()
-                )));
-            }
-            if shard.id() != i || shard.range() != shard_map.range(i) {
-                return Err(corrupt(format!(
-                    "shard {i}: section covers {:?} (id {}), manifest expects {:?}",
-                    shard.range(),
-                    shard.id(),
-                    shard_map.range(i)
-                )));
-            }
-            wanted = Some(shard);
-        } else {
-            // Skip the section without decoding (or materializing) it.
-            let copied = std::io::copy(&mut r.take(section_bytes), &mut std::io::sink())
-                .map_err(DecodeError::Io)?;
-            if copied != section_bytes {
-                return Err(corrupt(format!(
-                    "shard {i}: section truncated ({copied} of {section_bytes} bytes)"
-                )));
-            }
-        }
-    }
-    let shard = wanted.expect("shard_id checked against shard_count above");
-    let config = loaded_config(max_k, bca, &hub_matrix, rounding_threshold, 1, shard_count);
-    Ok(ShardSlice { config, hub_matrix, shard_map, shard })
+    Ok(ReverseIndex::from_shards(config, hub_matrix, shards, shard_map, only, stats))
 }
 
 // ---------------------------------------------------------------------------
@@ -795,7 +695,7 @@ pub fn stitch<R: Read>(donor: &ReverseIndex, sections: Vec<R>) -> Result<Reverse
         stats.threads,
         shard_count,
     );
-    Ok(ReverseIndex::from_shards(config, hub_matrix, shards, shard_map, stats))
+    Ok(ReverseIndex::from_shards(config, hub_matrix, shards, shard_map, None, stats))
 }
 
 /// [`stitch`] from files: opens `<prefix>.shard0`, `<prefix>.shard1`, …
@@ -838,6 +738,15 @@ pub fn save_path<P: AsRef<Path>>(index: &ReverseIndex, path: P) -> Result<(), In
 /// Loads from a file path (either layout).
 pub fn load_path<P: AsRef<Path>>(path: P) -> Result<ReverseIndex, IndexError> {
     load(std::fs::File::open(path)?)
+}
+
+/// Loads the index holding only shard `shard_id` from a snapshot file (see
+/// [`load_one_shard`]).
+pub fn load_one_shard_path<P: AsRef<Path>>(
+    path: P,
+    shard_id: usize,
+) -> Result<ReverseIndex, IndexError> {
+    load_one_shard(std::fs::File::open(path)?, shard_id)
 }
 
 // ---------------------------------------------------------------------------
@@ -1323,17 +1232,28 @@ mod tests {
         let mut buf = Vec::new();
         save(&index, &mut buf).unwrap();
         for sid in 0..3usize {
-            let slice = load_shard_slice(Cursor::new(&buf), sid).unwrap();
-            assert_eq!(slice.shard_map, *index.shard_map());
-            assert_eq!(slice.node_count(), 6);
-            assert_eq!(slice.config.max_k, 3);
-            assert_eq!(slice.hub_matrix.hubs().ids(), index.hub_matrix().hubs().ids());
-            assert_eq!(slice.shard.id(), sid);
-            assert_eq!(slice.shard.range(), index.shard_map().range(sid));
-            assert_eq!(slice.shard.states(), index.shards()[sid].states());
+            let one = load_one_shard(Cursor::new(&buf), sid).unwrap();
+            assert_eq!(one.owned_shard(), Some(sid));
+            assert_eq!(one.shard_map(), index.shard_map());
+            assert_eq!(one.shard_count(), 3);
+            assert_eq!(one.node_count(), 6);
+            assert_eq!(one.max_k(), 3);
+            assert_eq!(one.config().shards, 3);
+            assert_eq!(one.hub_matrix().hubs().ids(), index.hub_matrix().hubs().ids());
+            assert_eq!(one.owned_range(), index.shard_map().range(sid));
+            assert_eq!(one.shards().len(), 1);
+            assert_eq!(one.shards()[0].id(), sid);
+            assert_eq!(one.shards()[0].states(), index.shards()[sid].states());
+            for u in one.owned_range() {
+                assert_eq!(one.state(u), index.state(u), "shard {sid} node {u}");
+            }
+            // A one-shard index has no whole-index snapshot.
+            assert!(save(&one, Vec::new()).is_err());
+            assert!(save_sharded(&one, Vec::new()).is_err());
+            assert!(save_legacy(&one, Vec::new()).is_err());
         }
         // Out-of-range shard ids fail cleanly.
-        assert!(load_shard_slice(Cursor::new(&buf), 3).is_err());
+        assert!(load_one_shard(Cursor::new(&buf), 3).is_err());
     }
 
     #[test]
@@ -1344,14 +1264,48 @@ mod tests {
         let mut buf = Vec::new();
         save(&index, &mut buf).unwrap();
         assert_eq!(&buf[..8], INDEX_MAGIC);
-        let slice = load_shard_slice(Cursor::new(&buf), 0).unwrap();
-        assert_eq!(slice.shard.range(), 0..6);
-        assert_eq!(slice.shard.states().len(), 6);
-        assert!(load_shard_slice(Cursor::new(&buf), 1).is_err());
+        let one = load_one_shard(Cursor::new(&buf), 0).unwrap();
+        assert_eq!(one.owned_shard(), Some(0));
+        assert_eq!(one.owned_range(), 0..6);
+        assert_eq!(one.iter_states().count(), 6);
+        assert!(load_one_shard(Cursor::new(&buf), 1).is_err());
 
-        let mem = ShardSlice::from_index(&index, 0).unwrap();
-        assert_eq!(mem.shard.states(), slice.shard.states());
-        assert!(ShardSlice::from_index(&index, 5).is_err());
+        let mem = index.one_shard(0).unwrap();
+        assert_eq!(mem.shards()[0].states(), one.shards()[0].states());
+        assert!(index.one_shard(5).is_err());
+        // A one-shard index can hand out its own shard, nothing else.
+        let sharded = {
+            let (g, config) = build_sample();
+            let t = TransitionMatrix::new(&g);
+            ReverseIndex::build(&t, IndexConfig { shards: 2, ..config }).unwrap()
+        };
+        let second = sharded.one_shard(1).unwrap();
+        assert!(second.one_shard(1).is_ok());
+        assert!(second.one_shard(0).is_err());
+    }
+
+    #[test]
+    fn short_starts_list_is_corrupt_on_both_load_paths() {
+        // A manifest declaring 2 shards but listing 1 start used to pass the
+        // one-shard loader's checks and panic in `ShardMap::range` — the
+        // file a `--shard-only` backend reads at start-up.
+        let (g, config) = build_sample();
+        let t = TransitionMatrix::new(&g);
+        let index = ReverseIndex::build(&t, IndexConfig { shards: 2, ..config }).unwrap();
+        let mut buf = Vec::new();
+        save(&index, &mut buf).unwrap();
+        // Starts live at 72 (see `rejects_manifest_shard_range_mismatch`):
+        // u64 count, then one u32 per shard. Drop the second start.
+        buf[72..80].copy_from_slice(&1u64.to_le_bytes());
+        buf.drain(84..88);
+        let is_corrupt = |r: Result<ReverseIndex, IndexError>| match r {
+            Err(IndexError::Decode(DecodeError::Corrupt(m))) => m.contains("starts"),
+            _ => false,
+        };
+        assert!(is_corrupt(load(Cursor::new(&buf))));
+        for sid in 0..2 {
+            assert!(is_corrupt(load_one_shard(Cursor::new(&buf), sid)), "shard {sid}");
+        }
     }
 
     #[test]

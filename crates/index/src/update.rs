@@ -36,7 +36,6 @@
 use crate::config::IndexConfig;
 use crate::hub_matrix::{HubMatrix, Materializer};
 use crate::node_state::NodeState;
-use crate::shard::IndexShard;
 use rtk_graph::{DiGraph, TransitionMatrix};
 use rtk_rwr::bca::{BcaEngine, BcaStop, PropagationStrategy};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,8 +47,9 @@ const RECOMPUTE_CHUNK: usize = 64;
 /// What one applied edge update invalidated and recomputed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UpdateEffect {
-    /// Node states recomputed — the whole affected set for a full index,
-    /// the shard-owned subset for [`apply_update_sharded`].
+    /// Node states recomputed — the affected set intersected with the nodes
+    /// the index holds (all of it for a whole index, the owned shard's
+    /// subset for a one-shard index).
     pub recomputed_states: usize,
     /// Hub columns recomputed (hubs inside the affected set).
     pub recomputed_hubs: usize,
@@ -149,38 +149,6 @@ pub fn recompute_states(
         .collect()
 }
 
-/// Shard-local update application for multi-process serving: recomputes the
-/// affected hub columns of the (process-local copy of the) shared hub
-/// matrix, then only the affected states *this shard owns*. Every process
-/// runs the identical hub recompute, so their hub matrices stay
-/// bitwise-converged; the per-node work is disjoint across shards and the
-/// union over all shards equals [`crate::ReverseIndex::apply_update`] on a
-/// full index.
-pub fn apply_update_sharded(
-    transition: &TransitionMatrix<'_>,
-    config: &IndexConfig,
-    hub_matrix: &mut HubMatrix,
-    shard: &mut IndexShard,
-    source: u32,
-) -> UpdateEffect {
-    let affected = affected_set(transition.graph(), source);
-    let hub_ids: Vec<u32> = affected
-        .iter()
-        .copied()
-        .filter(|&h| hub_matrix.hubs().position(h).is_some())
-        .collect();
-    let threads = config.effective_threads();
-    hub_matrix.recompute_columns(transition, &hub_ids, &config.hub_solver, threads);
-    let range = shard.range();
-    let owned: Vec<u32> = affected.iter().copied().filter(|u| range.contains(u)).collect();
-    let fresh = recompute_states(transition, hub_matrix, config, &owned);
-    let recomputed_states = fresh.len();
-    for (u, state) in fresh {
-        shard.commit_state(u, state);
-    }
-    UpdateEffect { recomputed_states, recomputed_hubs: hub_ids.len() }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,26 +221,26 @@ mod tests {
         .unwrap();
         let cfg = config(1, 3);
         let t0 = TransitionMatrix::new(&g);
-        let mut full = ReverseIndex::build(&t0, cfg.clone()).unwrap();
-        let sharded = ReverseIndex::build(&t0, cfg.clone()).unwrap();
-        let mut hub_copies: Vec<HubMatrix> =
-            (0..sharded.shard_count()).map(|_| sharded.hub_matrix().clone()).collect();
-        let mut shards: Vec<IndexShard> = sharded.shards().to_vec();
+        let mut full = ReverseIndex::build(&t0, cfg).unwrap();
+        let mut parts: Vec<ReverseIndex> =
+            (0..full.shard_count()).map(|i| full.one_shard(i).unwrap()).collect();
         drop(t0);
 
         let splice = g.add_edge(7, 33, 1.0).unwrap();
         let t = TransitionMatrix::new(&g);
-        full.apply_update(&t, splice.from);
-        for (hubs, shard) in hub_copies.iter_mut().zip(shards.iter_mut()) {
-            apply_update_sharded(&t, &cfg, hubs, shard, splice.from);
-        }
-        for hubs in &hub_copies {
-            assert_eq!(hubs, full.hub_matrix());
-        }
-        for shard in &shards {
-            for u in shard.range() {
-                assert_eq!(shard.state(u), full.state(u), "node {u} diverged");
+        let whole = full.apply_update(&t, splice.from);
+        let mut recomputed = 0;
+        for part in &mut parts {
+            let effect = part.apply_update(&t, splice.from);
+            // Every process runs the identical hub recompute ...
+            assert_eq!(effect.recomputed_hubs, whole.recomputed_hubs);
+            assert_eq!(part.hub_matrix(), full.hub_matrix());
+            // ... and only its own share of the per-node work.
+            recomputed += effect.recomputed_states;
+            for u in part.owned_range() {
+                assert_eq!(part.state(u), full.state(u), "node {u} diverged");
             }
         }
+        assert_eq!(recomputed, whole.recomputed_states);
     }
 }

@@ -100,6 +100,15 @@ fn truncation_at_every_prefix_errors_cleanly() {
             "prefix {cut}/{} decoded as a full manifest",
             buf.len()
         );
+        // The one-shard load (a `--shard-only` backend's start-up read)
+        // runs the same reader: no prefix may satisfy it either.
+        for sid in 0..index.shard_count() {
+            assert!(
+                storage::load_one_shard(Cursor::new(&buf[..cut]), sid).is_err(),
+                "prefix {cut}/{} decoded as shard {sid} of a manifest",
+                buf.len()
+            );
+        }
     }
 }
 
@@ -117,12 +126,26 @@ fn random_single_byte_corruption_never_panics() {
         let bit = 1u8 << rng.gen_range(0..8);
         let mut bad = buf.clone();
         bad[pos] ^= bit;
-        if let Ok(loaded) = storage::load(Cursor::new(bad)) {
+        if let Ok(loaded) = storage::load(Cursor::new(&bad)) {
             assert_eq!(loaded.node_count(), index.node_count(), "trial {trial} (flip at {pos})");
             let covered: usize = loaded.shards().iter().map(|s| s.len()).sum();
             assert_eq!(covered, loaded.node_count(), "trial {trial} (flip at {pos})");
             for u in 0..loaded.node_count() as u32 {
                 let _ = loaded.state(u); // resolvable through the shard map
+            }
+        }
+        // Same bytes through the one-shard load, for every shard id (a
+        // flipped shard count may put some ids out of range — an error).
+        for sid in 0..index.shard_count() {
+            if let Ok(one) = storage::load_one_shard(Cursor::new(&bad), sid) {
+                assert_eq!(one.owned_shard(), Some(sid), "trial {trial} (flip at {pos})");
+                assert_eq!(one.node_count(), index.node_count(), "trial {trial} (flip at {pos})");
+                let owned = one.owned_range();
+                assert_eq!(owned, one.shard_map().range(sid), "trial {trial} (flip at {pos})");
+                assert_eq!(one.iter_states().count(), owned.len());
+                for u in owned {
+                    let _ = one.state(u);
+                }
             }
         }
     }
@@ -140,12 +163,14 @@ fn corrupt_section_lengths_are_rejected_before_allocation() {
         // (after magic 8 + version 4 + node_count 8 + max_k 8) hold it.
         let mut bad = buf.clone();
         bad[28..36].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(storage::load(Cursor::new(bad)).is_err(), "case {case}: absurd shard count");
+        assert!(storage::load(Cursor::new(&bad)).is_err(), "case {case}: absurd shard count");
+        assert!(storage::load_one_shard(Cursor::new(&bad), 0).is_err(), "case {case}");
 
         // Declared node count far beyond the stream must fail fast too.
         let mut bad = buf.clone();
         bad[12..20].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
-        assert!(storage::load(Cursor::new(bad)).is_err(), "case {case}: absurd node count");
+        assert!(storage::load(Cursor::new(&bad)).is_err(), "case {case}: absurd node count");
+        assert!(storage::load_one_shard(Cursor::new(&bad), 0).is_err(), "case {case}");
     }
 }
 

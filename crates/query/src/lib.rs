@@ -27,8 +27,7 @@ pub mod upper_bound;
 
 pub use error::QueryError;
 pub use query::{
-    BoundMode, ChunkStrategy, QueryEngine, QueryOptions, QueryResult, QueryStats, ScreenScope,
-    ShardQueryOutput,
+    BoundMode, ChunkStrategy, QueryEngine, QueryOptions, QueryResult, QueryStats, ScreenOutput,
 };
 pub use rtk_approx::{ApproxParams, ApproxUsage};
 pub use topk::{top_k_rwr_early, TopkReport};

@@ -28,7 +28,7 @@ use crate::error::QueryError;
 use crate::upper_bound::{confirm_cost, upper_bound_kth};
 use rtk_approx::{ApproxParams, BidirEstimator};
 use rtk_graph::{resolve_threads, DiGraph, TransitionMatrix};
-use rtk_index::{HubMatrix, IndexShard, Materializer, NodeState, Refiner, ReverseIndex};
+use rtk_index::{HubMatrix, Materializer, NodeState, Refiner, ReverseIndex};
 use rtk_rwr::bca::{BcaEngine, BcaStop, PropagationStrategy};
 use rtk_rwr::pmpn::proximity_to;
 use rtk_rwr::power::proximity_from;
@@ -79,11 +79,11 @@ const SCREEN_CHUNK_EDGES: usize = 96;
 /// well-defined and mutually consistent.
 pub const TIE_EPSILON: f64 = 1e-9;
 
-/// What a shard-scoped query hands back: the partial answer, the per-node
-/// refinement commits it produced, and — when `want_pmpn` asked for it —
-/// the solved PMPN vector for router sharing
-/// ([`QueryEngine::query_shard_with_pmpn`]).
-pub type ShardQueryOutput = (QueryResult, Vec<(u32, NodeState)>, Option<Vec<f64>>);
+/// What [`QueryEngine::screen`] hands back: the answer over the index's
+/// owned node range, the per-node refinement commits it produced, and —
+/// when `want_pmpn` asked for it — the solved PMPN vector for router
+/// sharing.
+pub type ScreenOutput = (QueryResult, Vec<(u32, NodeState)>, Option<Vec<f64>>);
 
 /// How the screen scan is cut into work units (within each shard range).
 ///
@@ -336,17 +336,10 @@ impl QueryEngine {
     /// Creates a session compatible with `index` (same hub set and BCA
     /// parameters).
     pub fn new(index: &ReverseIndex) -> Self {
-        Self::from_parts(index.node_count(), index.hub_matrix(), index.config().bca)
-    }
-
-    /// Creates a session from the shared pieces directly — the constructor
-    /// for processes that hold a [`rtk_index::ShardSlice`] instead of a
-    /// whole [`ReverseIndex`] (multi-process serving backends).
-    pub fn from_parts(node_count: usize, hub_matrix: &HubMatrix, bca: BcaParams) -> Self {
         Self {
-            nodes: node_count,
-            hubs: hub_matrix.hubs().clone(),
-            bca,
+            nodes: index.node_count(),
+            hubs: index.hub_matrix().hubs().clone(),
+            bca: index.config().bca,
             scratch: ScratchPool::new(),
         }
     }
@@ -369,7 +362,8 @@ impl QueryEngine {
         k: usize,
         options: &QueryOptions,
     ) -> Result<QueryResult, QueryError> {
-        self.run(transition, QueryTarget::Mutable(index), q, k, options)
+        self.screen_and_commit(transition, index, q, k, options, None, false)
+            .map(|(r, _)| r)
     }
 
     /// Runs Algorithm 4 against a read-only index (refinements are never
@@ -382,9 +376,99 @@ impl QueryEngine {
         k: usize,
         options: &QueryOptions,
     ) -> Result<QueryResult, QueryError> {
-        let mut opts = *options;
-        opts.update_index = false;
-        self.run(transition, QueryTarget::Frozen(index), q, k, &opts)
+        let opts = QueryOptions { update_index: false, ..*options };
+        self.screen(transition, index, q, k, &opts, None, false).map(|(r, _, _)| r)
+    }
+
+    /// The one query entry: PMPN over the whole graph, then the screen
+    /// phase over the node range `index` holds — every node for a whole
+    /// index, one shard's range for a one-shard index (the unit of work a
+    /// multi-process backend executes). The index is only read; with
+    /// `options.update_index` the refined private states come back as
+    /// commits for the caller to merge (see [`Self::screen_and_commit`]).
+    ///
+    /// Running it once per shard of a partition and merging — results
+    /// concatenated in shard order, counters summed — reproduces the whole
+    /// index's answer bitwise, because per-node screening decisions are
+    /// independent and every shard computes the same PMPN vector.
+    ///
+    /// `pmpn` supplies a precomputed proximity-to-`q` vector (the solve is
+    /// skipped), and `want_pmpn` asks for the solved vector back so a
+    /// router can compute it once and ship it to every other backend of the
+    /// same query. Every backend solves the identical full-graph system, so
+    /// a shipped vector is bitwise-equal to a local solve — answers cannot
+    /// change. The returned vector is `None` when `want_pmpn` is false or
+    /// no vector was produced (approx mode has no exact PMPN); a supplied
+    /// vector whose length disagrees with the graph is rejected with
+    /// [`QueryError::GraphMismatch`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn screen(
+        &self,
+        transition: &TransitionMatrix<'_>,
+        index: &ReverseIndex,
+        q: u32,
+        k: usize,
+        options: &QueryOptions,
+        pmpn: Option<&[f64]>,
+        want_pmpn: bool,
+    ) -> Result<ScreenOutput, QueryError> {
+        let started = Instant::now();
+        let n = transition.node_count();
+        if index.node_count() != n {
+            return Err(QueryError::GraphMismatch {
+                index_nodes: index.node_count(),
+                graph_nodes: n,
+            });
+        }
+        if k == 0 || k > index.max_k() {
+            return Err(QueryError::KOutOfRange { k, max_k: index.max_k() });
+        }
+        if q as usize >= n {
+            return Err(QueryError::NodeOutOfRange { node: q, node_count: n });
+        }
+        if let Some(v) = pmpn {
+            if v.len() != n {
+                return Err(QueryError::GraphMismatch { index_nodes: v.len(), graph_nodes: n });
+            }
+        }
+        let threads = resolve_threads(options.query_threads);
+        let (mut result, commits, pmpn_out) = execute_query(
+            self,
+            transition,
+            &ScreenScope::new(index),
+            q,
+            k,
+            options,
+            threads,
+            options.update_index,
+            pmpn,
+            want_pmpn,
+        );
+        result.stats.total_seconds = started.elapsed().as_secs_f64();
+        Ok((result, commits, pmpn_out))
+    }
+
+    /// [`Self::screen`] plus the commit phase (update mode): the refined
+    /// private copies are serially merged back into `index`, and
+    /// `total_seconds` is stamped after the merge so the trace's `commit`
+    /// span contains it.
+    #[allow(clippy::too_many_arguments)]
+    pub fn screen_and_commit(
+        &self,
+        transition: &TransitionMatrix<'_>,
+        index: &mut ReverseIndex,
+        q: u32,
+        k: usize,
+        options: &QueryOptions,
+        pmpn: Option<&[f64]>,
+        want_pmpn: bool,
+    ) -> Result<(QueryResult, Option<Vec<f64>>), QueryError> {
+        let started = Instant::now();
+        let (mut result, commits, pmpn_out) =
+            self.screen(transition, index, q, k, options, pmpn, want_pmpn)?;
+        index.commit_states(commits);
+        result.stats.total_seconds = started.elapsed().as_secs_f64();
+        Ok((result, pmpn_out))
     }
 
     /// Runs many *independent* queries against a frozen index, fanning them
@@ -428,7 +512,7 @@ impl QueryEngine {
             query_threads: (threads / workers.max(1)).max(1),
             ..*options
         };
-        let screen_scope = ScreenScope::full(index);
+        let screen_scope = ScreenScope::new(index);
         let mut slots: Vec<Option<QueryResult>> = (0..queries.len()).map(|_| None).collect();
         if workers <= 1 {
             for (slot, &(q, k)) in slots.iter_mut().zip(queries) {
@@ -493,145 +577,6 @@ impl QueryEngine {
             .map(|s| s.expect("query result missing after batch"))
             .collect())
     }
-
-    /// Runs the shard-scoped slice of a reverse top-k query: PMPN over the
-    /// whole graph, then the screen phase over **only** `shard`'s node
-    /// range. Returns the partial result (result nodes, proximities, and
-    /// counter statistics for that range alone) plus the refined private
-    /// states of the range — the caller decides whether to commit them back
-    /// into the shard (update mode) or drop them (frozen mode).
-    ///
-    /// This is the unit of work a multi-process backend executes: running
-    /// it once per shard of an index and merging — partial results
-    /// concatenated in shard order, counters summed — reproduces
-    /// [`Self::query`] / [`Self::query_frozen`] bitwise, because per-node
-    /// screening decisions are independent and every shard computes the
-    /// same PMPN vector. `max_k` is the owning index's `K` (bounds `k`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn query_shard(
-        &self,
-        transition: &TransitionMatrix<'_>,
-        hub_matrix: &HubMatrix,
-        alpha: f64,
-        max_k: usize,
-        shard: &IndexShard,
-        q: u32,
-        k: usize,
-        options: &QueryOptions,
-    ) -> Result<(QueryResult, Vec<(u32, NodeState)>), QueryError> {
-        let (result, commits, _) = self.query_shard_with_pmpn(
-            transition, hub_matrix, alpha, max_k, shard, q, k, options, None, false,
-        )?;
-        Ok((result, commits))
-    }
-
-    /// [`Self::query_shard`] with explicit PMPN sharing: `pmpn` supplies a
-    /// precomputed proximity-to-`q` vector (the solve is skipped), and
-    /// `want_pmpn` asks for the solved vector back so a router can compute
-    /// it once and ship it to every other backend of the same query. Every
-    /// backend solves the identical full-graph system, so a shipped vector
-    /// is bitwise-equal to a local solve — answers cannot change.
-    ///
-    /// The returned vector is `None` when `want_pmpn` is false, when a
-    /// vector was not produced (approx mode has no exact PMPN), and the
-    /// supplied vector is rejected with [`QueryError::GraphMismatch`] when
-    /// its length disagrees with the graph.
-    #[allow(clippy::too_many_arguments)]
-    pub fn query_shard_with_pmpn(
-        &self,
-        transition: &TransitionMatrix<'_>,
-        hub_matrix: &HubMatrix,
-        alpha: f64,
-        max_k: usize,
-        shard: &IndexShard,
-        q: u32,
-        k: usize,
-        options: &QueryOptions,
-        pmpn: Option<&[f64]>,
-        want_pmpn: bool,
-    ) -> Result<ShardQueryOutput, QueryError> {
-        let started = Instant::now();
-        let n = transition.node_count();
-        if k == 0 || k > max_k {
-            return Err(QueryError::KOutOfRange { k, max_k });
-        }
-        if q as usize >= n {
-            return Err(QueryError::NodeOutOfRange { node: q, node_count: n });
-        }
-        if (shard.node_hi() as usize) > n {
-            return Err(QueryError::GraphMismatch {
-                index_nodes: shard.node_hi() as usize,
-                graph_nodes: n,
-            });
-        }
-        if let Some(v) = pmpn {
-            if v.len() != n {
-                return Err(QueryError::GraphMismatch { index_nodes: v.len(), graph_nodes: n });
-            }
-        }
-        let threads = resolve_threads(options.query_threads);
-        let want_commits = options.update_index;
-        let scope = ScreenScope::shard(alpha, hub_matrix, shard);
-        let (mut result, commits, pmpn_out) = execute_query(
-            self,
-            transition,
-            &scope,
-            q,
-            k,
-            options,
-            threads,
-            want_commits,
-            pmpn,
-            want_pmpn,
-        );
-        result.stats.total_seconds = started.elapsed().as_secs_f64();
-        Ok((result, commits, pmpn_out))
-    }
-
-    fn run(
-        &mut self,
-        transition: &TransitionMatrix<'_>,
-        mut target: QueryTarget<'_>,
-        q: u32,
-        k: usize,
-        options: &QueryOptions,
-    ) -> Result<QueryResult, QueryError> {
-        let started = Instant::now();
-        let n = transition.node_count();
-        {
-            let index = target.as_ref();
-            if index.node_count() != n {
-                return Err(QueryError::GraphMismatch {
-                    index_nodes: index.node_count(),
-                    graph_nodes: n,
-                });
-            }
-            if k == 0 || k > index.max_k() {
-                return Err(QueryError::KOutOfRange { k, max_k: index.max_k() });
-            }
-            if q as usize >= n {
-                return Err(QueryError::NodeOutOfRange { node: q, node_count: n });
-            }
-        }
-
-        let threads = resolve_threads(options.query_threads);
-        let commit = options.update_index && matches!(target, QueryTarget::Mutable(_));
-        let (mut result, commits, _) = {
-            let scope = ScreenScope::full(target.as_ref());
-            execute_query(&*self, transition, &scope, q, k, options, threads, commit, None, false)
-        };
-
-        // Commit phase (update mode): serially merge the refined private
-        // copies back into the index.
-        if commit {
-            if let QueryTarget::Mutable(index) = &mut target {
-                index.commit_states(commits);
-            }
-        }
-
-        result.stats.total_seconds = started.elapsed().as_secs_f64();
-        Ok(result)
-    }
 }
 
 /// One worker's screen-phase output.
@@ -644,63 +589,36 @@ struct LocalScreen {
     commits: Vec<(u32, NodeState)>,
 }
 
-/// The slice of an index one screen pass scans: per-node states over a set
-/// of shard-aligned node ranges, plus the shared hub matrix and restart
-/// probability.
-///
-/// Two sources back a scope: a whole [`ReverseIndex`] (every shard's range
-/// is scanned — the single-process query) or one [`IndexShard`] (only its
-/// range is scanned — the unit a multi-process backend owns). Because
-/// per-node screening decisions are independent, the union of per-shard
-/// scans equals the full scan: concatenating the shard results in range
-/// order and summing their counters reproduces the single-process answer
-/// bitwise — the invariant multi-process serving is built on.
-pub struct ScreenScope<'a> {
+/// What one screen pass scans: the node states an index holds, as a set of
+/// shard-aligned node ranges — every shard of a whole index (the
+/// single-process query), or the one shard a multi-process backend owns.
+/// Because per-node screening decisions are independent, the union of
+/// per-shard scans equals the full scan: concatenating the shard results in
+/// range order and summing their counters reproduces the single-process
+/// answer bitwise — the invariant multi-process serving is built on.
+struct ScreenScope<'a> {
+    index: &'a ReverseIndex,
     alpha: f64,
     hub_matrix: &'a HubMatrix,
-    states: StateSource<'a>,
     /// Shard-aligned `[lo, hi)` node ranges to scan, ascending and disjoint.
     ranges: Vec<(u32, u32)>,
 }
 
-enum StateSource<'a> {
-    Index(&'a ReverseIndex),
-    Shard(&'a IndexShard),
-}
-
 impl<'a> ScreenScope<'a> {
-    /// Scope over every shard of `index` — the single-process scan.
-    pub fn full(index: &'a ReverseIndex) -> Self {
-        let map = index.shard_map();
-        let ranges =
-            (0..map.shard_count()).map(|i| (map.range(i).start, map.range(i).end)).collect();
+    /// Scope over every shard `index` holds.
+    fn new(index: &'a ReverseIndex) -> Self {
         Self {
+            index,
             alpha: index.config().alpha(),
             hub_matrix: index.hub_matrix(),
-            states: StateSource::Index(index),
-            ranges,
-        }
-    }
-
-    /// Scope over exactly one shard: `shard`'s node range, backed by its
-    /// states and the shared `hub_matrix`.
-    pub fn shard(alpha: f64, hub_matrix: &'a HubMatrix, shard: &'a IndexShard) -> Self {
-        let r = shard.range();
-        Self {
-            alpha,
-            hub_matrix,
-            states: StateSource::Shard(shard),
-            ranges: vec![(r.start, r.end)],
+            ranges: index.shards().iter().map(|s| (s.node_lo(), s.node_hi())).collect(),
         }
     }
 
     /// State of node `u`, which must lie inside one of the scope's ranges.
     #[inline]
     fn state(&self, u: u32) -> &NodeState {
-        match self.states {
-            StateSource::Index(index) => index.state(u),
-            StateSource::Shard(shard) => shard.state(u),
-        }
+        self.index.state(u)
     }
 }
 
@@ -1379,21 +1297,6 @@ fn screen_candidate(
     }
 }
 
-/// The index access mode for one query run.
-enum QueryTarget<'i> {
-    Mutable(&'i mut ReverseIndex),
-    Frozen(&'i ReverseIndex),
-}
-
-impl QueryTarget<'_> {
-    fn as_ref(&self) -> &ReverseIndex {
-        match self {
-            QueryTarget::Mutable(i) => i,
-            QueryTarget::Frozen(i) => i,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2007,7 +1910,7 @@ mod tests {
 
     #[test]
     fn shard_scoped_scans_merge_to_the_full_answer_bitwise() {
-        // The multi-process invariant: query_shard once per shard, partial
+        // The multi-process invariant: one screen per one-shard index, partial
         // results concatenated in shard order and counters summed, equals
         // the single-process query — results, proximities, stats, and (in
         // update mode) the post-commit index.
@@ -2022,7 +1925,8 @@ mod tests {
         };
         for update in [false, true] {
             let mut whole = ReverseIndex::build(&t, config.clone()).unwrap();
-            let mut sharded = ReverseIndex::build(&t, config.clone()).unwrap();
+            let mut parts: Vec<ReverseIndex> =
+                (0..whole.shard_count()).map(|sid| whole.one_shard(sid).unwrap()).collect();
             let mut session = QueryEngine::new(&whole);
             let opts = QueryOptions { update_index: update, ..Default::default() };
             for q in [0u32, 31, 77, 149] {
@@ -2035,31 +1939,16 @@ mod tests {
                 let mut nodes = Vec::new();
                 let mut proximities = Vec::new();
                 let mut stats = QueryStats::default();
-                let mut all_commits = Vec::new();
-                let alpha = sharded.config().alpha();
-                let max_k = sharded.max_k();
-                for sid in 0..sharded.shard_count() {
-                    let (partial, commits) = session
-                        .query_shard(
-                            &t,
-                            sharded.hub_matrix(),
-                            alpha,
-                            max_k,
-                            &sharded.shards()[sid],
-                            q,
-                            5,
-                            &opts,
-                        )
-                        .unwrap();
+                for part in &mut parts {
+                    let (partial, _) =
+                        session.screen_and_commit(&t, part, q, 5, &opts, None, false).unwrap();
                     // The partial covers only this shard's range.
-                    let range = sharded.shard_map().range(sid);
+                    let range = part.owned_range();
                     assert!(partial.nodes().iter().all(|&u| range.contains(&u)));
                     nodes.extend_from_slice(partial.nodes());
                     proximities.extend_from_slice(partial.proximities());
                     stats.absorb(partial.stats());
-                    all_commits.extend(commits);
                 }
-                sharded.commit_states(all_commits);
 
                 assert_eq!(nodes, expect.nodes(), "q={q} update={update}");
                 for (a, b) in proximities.iter().zip(expect.proximities()) {
@@ -2072,8 +1961,10 @@ mod tests {
             }
             if update {
                 // Backend-local commits leave exactly the single-process index.
-                for u in 0..150u32 {
-                    assert_eq!(whole.state(u), sharded.state(u), "node {u}");
+                for part in &parts {
+                    for u in part.owned_range() {
+                        assert_eq!(whole.state(u), part.state(u), "node {u}");
+                    }
                 }
             }
         }
@@ -2083,19 +1974,23 @@ mod tests {
     fn query_shard_rejects_invalid_queries() {
         let g = toy();
         let t = TransitionMatrix::new(&g);
-        let index = ReverseIndex::build(&t, toy_index_config()).unwrap();
+        let whole =
+            ReverseIndex::build(&t, IndexConfig { shards: 2, ..toy_index_config() }).unwrap();
+        let index = whole.one_shard(0).unwrap();
         let session = QueryEngine::new(&index);
         let opts = QueryOptions::default();
-        let hm = index.hub_matrix();
-        let alpha = index.config().alpha();
-        let shard = &index.shards()[0];
         assert!(matches!(
-            session.query_shard(&t, hm, alpha, 3, shard, 0, 0, &opts),
+            session.screen(&t, &index, 0, 0, &opts, None, false),
             Err(QueryError::KOutOfRange { k: 0, .. })
         ));
         assert!(matches!(
-            session.query_shard(&t, hm, alpha, 3, shard, 9, 1, &opts),
+            session.screen(&t, &index, 9, 1, &opts, None, false),
             Err(QueryError::NodeOutOfRange { node: 9, .. })
+        ));
+        // A shipped PMPN vector of the wrong length is refused, not indexed.
+        assert!(matches!(
+            session.screen(&t, &index, 0, 1, &opts, Some(&[0.0; 5]), false),
+            Err(QueryError::GraphMismatch { index_nodes: 5, graph_nodes: 6 })
         ));
     }
 

@@ -52,9 +52,11 @@
 //!
 //! ## Multi-process serving (the router tier)
 //!
-//! One process per shard: [`Server::bind_shard`] (CLI: `rtk serve
-//! --shard-only --shard i`) serves a [`rtk_core::ShardEngine`] — the full
-//! graph plus one `RTKSHRD1` section — and a [`Router`] (CLI: `rtk
+//! One process per shard: [`Server::bind`] over a
+//! [`rtk_core::ReverseTopkEngine`] whose index holds one shard (CLI: `rtk
+//! serve --shard-only --shard i`) — the full graph plus one `RTKSHRD1`
+//! section; the engine itself refuses whole answers, naming the node
+//! range it holds — and a [`Router`] (CLI: `rtk
 //! router --backends …`) owns the shard map and fans each `reverse_topk`
 //! out as per-shard `shard_reverse_topk` calls — **concurrently**: all
 //! shards are in flight at once over pipelined connections, and the

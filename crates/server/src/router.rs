@@ -109,12 +109,6 @@ pub struct RouterConfig {
     /// backend can pin a router worker. Generous by default: a slow query
     /// is not a dead backend.
     pub backend_io_timeout: Duration,
-    /// Fan out serially (one shard at a time, in shard order) instead of
-    /// concurrently. Answers are bitwise identical either way — this knob
-    /// exists so `router_study` can measure what concurrency buys, and as
-    /// an ops escape hatch for debugging a misbehaving backend. Serial
-    /// fan-out never hedges (there is no concurrent wait to race).
-    pub serial_fanout: bool,
     /// Latency quantile of past shard calls after which a frozen call
     /// hedges to a second healthy replica (`0.0` disables hedging).
     /// Requires at least two healthy replicas on the shard to fire.
@@ -144,7 +138,6 @@ impl Default for RouterConfig {
             auth_token: None,
             connect_timeout: Duration::from_secs(5),
             backend_io_timeout: Duration::from_secs(120),
-            serial_fanout: false,
             hedge_quantile: 0.99,
             hedge_min_delay: Duration::from_millis(10),
             probe_interval: Duration::from_millis(250),
@@ -255,7 +248,6 @@ struct RouterCtx {
     auth_token: Option<String>,
     connect_timeout: Duration,
     backend_io_timeout: Duration,
-    serial_fanout: bool,
     hedge_quantile: f64,
     hedge_min_delay: Duration,
     probe_interval: Duration,
@@ -475,7 +467,6 @@ impl Router {
             auth_token: config.auth_token,
             connect_timeout: config.connect_timeout,
             backend_io_timeout: config.backend_io_timeout,
-            serial_fanout: config.serial_fanout,
             hedge_quantile: config.hedge_quantile,
             hedge_min_delay: config.hedge_min_delay,
             probe_interval: config.probe_interval,
@@ -949,9 +940,7 @@ impl RouterCtx {
     /// Issues one shard-scoped query to **every shard concurrently** (one
     /// pipelined submit per shard, all in flight at once), then collects
     /// the responses in deterministic shard order — hedging and failing
-    /// over per shard as needed. With [`RouterConfig::serial_fanout`] each
-    /// shard is called in turn — same responses, one-shard wall time
-    /// multiplied by the shard count.
+    /// over per shard as needed.
     ///
     /// `trace_from` is the root instant of a traced query: when set, the
     /// backend request carries the trace flag and each [`ShardCall`]
@@ -1008,8 +997,8 @@ impl RouterCtx {
         bytes <= u64::from(self.max_frame_bytes)
     }
 
-    /// The concurrent (or serial) fan-out of one prepared request across
-    /// `sets`, collecting responses in deterministic shard order.
+    /// The concurrent fan-out of one prepared request across `sets`,
+    /// collecting responses in deterministic shard order.
     fn fan_out_request(
         &self,
         request: &Request,
@@ -1020,17 +1009,6 @@ impl RouterCtx {
         let request = request.clone();
         let frozen = !update;
         let offset = || trace_from.map_or(0.0, |t| t.elapsed().as_secs_f64());
-        if self.serial_fanout {
-            return sets
-                .iter()
-                .map(|set| {
-                    let mut meta = CallMeta::default();
-                    let submit_offset = offset();
-                    let outcome = self.set_call(set, &request, frozen, false, &mut meta);
-                    ShardCall { outcome, meta, submit_offset, answer_offset: offset() }
-                })
-                .collect();
-        }
         // Submit phase: one frame write per shard, on each shard's chosen
         // replica — every shard is computing its slice while the later
         // submits are still going out.

@@ -8,7 +8,7 @@ use crate::state::SharedEngine;
 use crate::wire::{Request, Response, DEFAULT_MAX_FRAME_BYTES};
 use rtk_api::service::{dispatch_request, RtkService, ServiceError, ServiceResult};
 use rtk_api::{StatsSnapshot, WireQueryResult, WireShardResult, WireTopk, WireUpdateResult};
-use rtk_core::{ReverseTopkEngine, ShardEngine, UpdateRecord};
+use rtk_core::{ReverseTopkEngine, UpdateRecord};
 use rtk_graph::resolve_threads;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -448,37 +448,23 @@ pub struct Server {
 impl Server {
     /// Binds `addr` and wraps `engine` for serving. Port `0` picks an
     /// ephemeral port — read it back with [`Self::local_addr`].
+    ///
+    /// An engine holding every shard of its index serves whole answers; one
+    /// holding a single shard is the `--shard-only` flavor: it answers
+    /// `shard_reverse_topk` (plus the shard-independent requests) and
+    /// expects a [`crate::Router`] in front for full answers.
     pub fn bind<A: ToSocketAddrs>(
         engine: ReverseTopkEngine,
         addr: A,
         config: ServerConfig,
     ) -> io::Result<Self> {
-        let shared = SharedEngine::new(engine, config.query_threads, config.persist_dir.clone());
-        Self::bind_shared(shared, addr, config)
-    }
-
-    /// Binds `addr` and wraps a per-shard backend engine for serving — the
-    /// `--shard-only` flavor: it answers `shard_reverse_topk` (plus the
-    /// shard-independent requests) and expects a [`crate::Router`] in front
-    /// for full answers.
-    pub fn bind_shard<A: ToSocketAddrs>(
-        engine: ShardEngine,
-        addr: A,
-        config: ServerConfig,
-    ) -> io::Result<Self> {
-        let shared =
-            SharedEngine::new_shard(engine, config.query_threads, config.persist_dir.clone());
-        Self::bind_shared(shared, addr, config)
-    }
-
-    fn bind_shared<A: ToSocketAddrs>(
-        shared: SharedEngine,
-        addr: A,
-        config: ServerConfig,
-    ) -> io::Result<Self> {
         check_auth_token_len(config.auth_token.as_deref())?;
-        let mut shared = shared;
-        shared.set_update_log(config.update_log.clone());
+        let shared = SharedEngine::new(
+            engine,
+            config.query_threads,
+            config.persist_dir.clone(),
+            config.update_log.clone(),
+        );
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let workers = resolve_threads(config.workers).max(1);
@@ -538,6 +524,22 @@ impl Server {
         let addr = self.local_addr();
         let thread = std::thread::spawn(move || self.run());
         ServerHandle { addr, thread }
+    }
+}
+
+// ---- Deprecated aliases -------------------------------------------------
+// Old name the repo benchmark (`crates/bench/src/bin/benchmark`, which may
+// not be edited alongside the code it measures) still calls. Nothing else
+// in the tree may use it (`-D warnings`); a `[benchmark]` PR drops it.
+impl Server {
+    /// Old spelling of [`Server::bind`] for an engine holding one shard.
+    #[deprecated(note = "use `Server::bind`; the engine knows which shards it holds")]
+    pub fn bind_shard<A: ToSocketAddrs>(
+        engine: ReverseTopkEngine,
+        addr: A,
+        config: ServerConfig,
+    ) -> io::Result<Self> {
+        Self::bind(engine, addr, config)
     }
 }
 

@@ -14,33 +14,25 @@
 //! tightens bounds; it never changes answers), so interleaving update-mode
 //! traffic cannot perturb concurrent frozen readers' results.
 //!
-//! Two engine kinds sit behind the same lock discipline: a full
-//! [`ReverseTopkEngine`] (every shard in one process — `rtk serve`) or a
-//! [`ShardEngine`] (one shard per process — `rtk serve --shard-only`, the
-//! backend of an `rtk router` tier). A shard-only engine answers only the
-//! shard-scoped request plus the shard-independent ones (`topk`, `stats`,
-//! `persist`, `ping`, `shutdown`); full-index requests against it are
-//! engine errors, and vice versa.
+//! One engine type sits behind the lock: a [`ReverseTopkEngine`] holding
+//! every shard of its index (`rtk serve`) or exactly one (`rtk serve
+//! --shard-only`, the backend of an `rtk router` tier). The engine itself
+//! refuses the request family it cannot answer — whole answers on one
+//! shard, the shard-scoped slice on a whole index — with an error naming
+//! the owned node range; the shard-independent requests (`topk`, `stats`,
+//! `persist`, edge updates, `ping`, `shutdown`) work on both.
 
 use crate::wire::{ApproxParams, WireQueryResult, WireShardResult, WireTopk, WireUpdateResult};
 use rtk_api::service::to_wire;
-use rtk_core::{ReverseTopkEngine, ShardEngine, UpdateRecord};
+use rtk_core::{ReverseTopkEngine, UpdateRecord};
 use rtk_graph::NodeId;
 use rtk_query::QueryOptions;
 use std::sync::RwLock;
 use std::time::Instant;
 
-/// Which engine flavor this process serves.
-enum EngineKind {
-    /// The whole index in one process (`rtk serve`).
-    Full(RwLock<ReverseTopkEngine>),
-    /// One shard of a sharded index (`rtk serve --shard-only`).
-    Shard(RwLock<ShardEngine>),
-}
-
 /// Shared engine plus the per-request query options the server uses.
 pub(crate) struct SharedEngine {
-    kind: EngineKind,
+    engine: RwLock<ReverseTopkEngine>,
     /// Thread count for the *inside* of one request (PMPN SpMV + screen).
     /// Servers parallelize across requests, so this defaults to 1.
     query_threads: usize,
@@ -58,59 +50,28 @@ impl SharedEngine {
         engine: ReverseTopkEngine,
         query_threads: usize,
         persist_dir: Option<std::path::PathBuf>,
+        update_log: Option<std::path::PathBuf>,
     ) -> Self {
         Self {
-            kind: EngineKind::Full(RwLock::new(engine)),
+            engine: RwLock::new(engine),
             query_threads: query_threads.max(1),
             persist_dir,
-            update_log: None,
+            update_log,
         }
     }
 
-    pub(crate) fn new_shard(
-        engine: ShardEngine,
-        query_threads: usize,
-        persist_dir: Option<std::path::PathBuf>,
-    ) -> Self {
-        Self {
-            kind: EngineKind::Shard(RwLock::new(engine)),
-            query_threads: query_threads.max(1),
-            persist_dir,
-            update_log: None,
-        }
-    }
-
-    /// Configures the append-only `RTKULOG1` update log (see
-    /// [`SharedEngine::apply_update`]).
-    pub(crate) fn set_update_log(&mut self, path: Option<std::path::PathBuf>) {
-        self.update_log = path;
-    }
-
-    /// `(nodes, edges, max_k, shard_lo, shard_hi)` of the served engine.
+    /// `(nodes, edges, max_k, shard_lo, shard_hi)` of the served engine;
+    /// the shard range is the node range its index holds.
     pub(crate) fn info(&self) -> (u64, u64, u64, u64, u64) {
-        match &self.kind {
-            EngineKind::Full(e) => {
-                let engine = e.read().expect("engine lock");
-                (
-                    engine.node_count() as u64,
-                    engine.graph().edge_count() as u64,
-                    engine.index().max_k() as u64,
-                    0,
-                    engine.node_count() as u64,
-                )
-            }
-            EngineKind::Shard(e) => {
-                let engine = e.read().expect("engine lock");
-                let r = engine.shard_range();
-                (
-                    engine.node_count() as u64,
-                    engine.graph().edge_count() as u64,
-                    engine.max_k() as u64,
-                    u64::from(r.start),
-                    u64::from(r.end),
-                )
-            }
-        }
+        let engine = self.engine.read().expect("engine lock");
+        let owned = engine.index().owned_range();
+        (
+            engine.node_count() as u64,
+            engine.graph().edge_count() as u64,
+            engine.index().max_k() as u64,
+            u64::from(owned.start),
+            u64::from(owned.end),
+        )
     }
 
     fn options(&self, update: bool, approx: Option<ApproxParams>) -> QueryOptions {
@@ -119,20 +80,6 @@ impl SharedEngine {
             query_threads: self.query_threads,
             approx,
             ..Default::default()
-        }
-    }
-
-    fn full(&self) -> Result<&RwLock<ReverseTopkEngine>, String> {
-        match &self.kind {
-            EngineKind::Full(e) => Ok(e),
-            EngineKind::Shard(e) => {
-                let r = e.read().expect("engine lock").shard_range();
-                Err(format!(
-                    "this backend serves only shard nodes {}..{} (--shard-only); \
-                     send shard_reverse_topk, or query the router for full answers",
-                    r.start, r.end
-                ))
-            }
         }
     }
 
@@ -149,14 +96,12 @@ impl SharedEngine {
         approx: Option<ApproxParams>,
     ) -> Result<WireQueryResult, String> {
         let started = Instant::now();
-        let lock = self.full()?;
+        let opts = self.options(update, approx);
         let result = if update {
-            let mut engine = lock.write().expect("engine lock");
-            let opts = self.options(true, approx);
+            let mut engine = self.engine.write().expect("engine lock");
             engine.query_with(NodeId(q), k as usize, &opts).map_err(|e| e.to_string())?
         } else {
-            let engine = lock.read().expect("engine lock");
-            let opts = self.options(false, approx);
+            let engine = self.engine.read().expect("engine lock");
             let mut results = engine
                 .query_batch(&[(NodeId(q), k as usize)], &opts)
                 .map_err(|e| e.to_string())?;
@@ -169,8 +114,9 @@ impl SharedEngine {
         Ok(wire)
     }
 
-    /// The shard-scoped slice of one reverse top-k query (wire v3). Only a
-    /// shard-only backend answers it: a router fans these out and merges.
+    /// The shard-scoped slice of one reverse top-k query (wire v3). Only an
+    /// engine holding one shard answers it: a router fans these out and
+    /// merges.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn shard_reverse_topk(
         &self,
@@ -183,39 +129,23 @@ impl SharedEngine {
         want_pmpn: bool,
     ) -> Result<WireShardResult, String> {
         let started = Instant::now();
-        let EngineKind::Shard(lock) = &self.kind else {
-            return Err("shard_reverse_topk requires a --shard-only backend; this server holds \
-                 the whole index — use reverse_topk"
-                .to_string());
-        };
-        let (shard_id, node_lo, node_hi, result, pmpn_out) = if update {
-            let mut engine = lock.write().expect("engine lock");
-            let (r, v) = engine
-                .query_shard_update_with_pmpn(
-                    NodeId(q),
-                    k as usize,
-                    &self.options(true, approx),
-                    pmpn,
-                    want_pmpn,
-                )
+        let opts = self.options(update, approx);
+        let owned = |e: &ReverseTopkEngine| (e.index().owned_shard(), e.index().owned_range());
+        let ((result, pmpn_out), (shard, range)) = if update {
+            let mut engine = self.engine.write().expect("engine lock");
+            let answer = engine
+                .query_shard(NodeId(q), k as usize, &opts, pmpn, want_pmpn)
                 .map_err(|e| e.to_string())?;
-            let range = engine.shard_range();
-            (engine.shard_id() as u32, range.start, range.end, r, v)
+            (answer, owned(&engine))
         } else {
-            let engine = lock.read().expect("engine lock");
-            let (r, v) = engine
-                .query_shard_frozen_with_pmpn(
-                    NodeId(q),
-                    k as usize,
-                    &self.options(false, approx),
-                    pmpn,
-                    want_pmpn,
-                )
+            let engine = self.engine.read().expect("engine lock");
+            let answer = engine
+                .query_shard_frozen(NodeId(q), k as usize, &opts, pmpn, want_pmpn)
                 .map_err(|e| e.to_string())?;
-            let range = engine.shard_range();
-            (engine.shard_id() as u32, range.start, range.end, r, v)
+            (answer, owned(&engine))
         };
         let mut wire = to_wire(&result, started.elapsed().as_secs_f64());
+        let shard_id = shard.expect("query_shard checked ownership") as u32;
         if trace {
             wire.trace = Some(
                 result
@@ -224,78 +154,55 @@ impl SharedEngine {
                     .annotate("shard", shard_id.to_string()),
             );
         }
-        Ok(WireShardResult { shard_id, node_lo, node_hi, result: wire, pmpn: pmpn_out })
+        Ok(WireShardResult {
+            shard_id,
+            node_lo: range.start,
+            node_hi: range.end,
+            result: wire,
+            pmpn: pmpn_out,
+        })
     }
 
-    /// Forward top-k from `u`; always frozen. Both engine kinds hold the
-    /// full graph, so shard-only backends answer it too.
+    /// Forward top-k from `u`; always frozen. Every engine holds the full
+    /// graph, so shard-only backends answer it too.
     pub(crate) fn topk(&self, u: u32, k: u32, early: bool) -> Result<WireTopk, String> {
-        let top = match &self.kind {
-            EngineKind::Full(e) => {
-                let engine = e.read().expect("engine lock");
-                if early {
-                    engine.top_k_early(NodeId(u), k as usize)
-                } else {
-                    engine.top_k(NodeId(u), k as usize)
-                }
-                .map_err(|e| e.to_string())?
-            }
-            EngineKind::Shard(e) => {
-                let engine = e.read().expect("engine lock");
-                if early {
-                    engine.top_k_early(NodeId(u), k as usize)
-                } else {
-                    engine.top_k(NodeId(u), k as usize)
-                }
-                .map_err(|e| e.to_string())?
-            }
-        };
+        let engine = self.engine.read().expect("engine lock");
+        let top = if early {
+            engine.top_k_early(NodeId(u), k as usize)
+        } else {
+            engine.top_k(NodeId(u), k as usize)
+        }
+        .map_err(|e| e.to_string())?;
         let (nodes, scores): (Vec<u32>, Vec<f64>) = top.into_iter().map(|(v, p)| (v.0, p)).unzip();
         Ok(WireTopk { node: u, k, nodes, scores })
     }
 
-    /// Per-shard `(nodes, heap bytes)` of the served index, sampled fresh —
-    /// update-mode refinement grows shard states over time. A shard-only
-    /// backend reports its single shard.
+    /// Per-shard `(nodes, heap bytes)` of the held index shards, sampled
+    /// fresh — update-mode refinement grows shard states over time. A
+    /// shard-only backend reports its single shard.
     pub(crate) fn shard_info(&self) -> (Vec<u64>, Vec<u64>) {
-        match &self.kind {
-            EngineKind::Full(e) => {
-                let engine = e.read().expect("engine lock");
-                let shards = engine.index().shards();
-                (
-                    shards.iter().map(|s| s.len() as u64).collect(),
-                    shards.iter().map(|s| s.heap_bytes() as u64).collect(),
-                )
-            }
-            EngineKind::Shard(e) => {
-                let engine = e.read().expect("engine lock");
-                (vec![engine.shard_len() as u64], vec![engine.shard_heap_bytes() as u64])
-            }
-        }
+        let engine = self.engine.read().expect("engine lock");
+        let shards = engine.index().shards();
+        (
+            shards.iter().map(|s| s.len() as u64).collect(),
+            shards.iter().map(|s| s.heap_bytes() as u64).collect(),
+        )
     }
 
     /// Flushes the current engine state to `path` on the server's
     /// filesystem, under the **write lock** so the snapshot is quiescent.
-    /// A full engine writes an engine snapshot (`RTKENGN1`); a shard-only
-    /// backend writes its shard section (`RTKSHRD1`). Returns the byte size.
+    /// An engine holding every shard writes an engine snapshot
+    /// (`RTKENGN1`); a shard-only backend writes its shard section
+    /// (`RTKSHRD1`). Returns the byte size.
     pub(crate) fn persist(&self, path: &str) -> Result<u64, String> {
         let target = self.resolve_persist_path(path)?;
         let file = std::fs::File::create(&target)
             .map_err(|e| format!("persist: cannot create {target:?}: {e}"))?;
-        match &self.kind {
-            EngineKind::Full(e) => {
-                let engine = e.write().expect("engine lock");
-                engine
-                    .save(std::io::BufWriter::new(file))
-                    .map_err(|e| format!("persist: snapshot write failed: {e}"))?;
-            }
-            EngineKind::Shard(e) => {
-                let engine = e.write().expect("engine lock");
-                engine
-                    .save_shard(std::io::BufWriter::new(file))
-                    .map_err(|e| format!("persist: shard section write failed: {e}"))?;
-            }
-        }
+        self.engine
+            .write()
+            .expect("engine lock")
+            .save_owned(std::io::BufWriter::new(file))
+            .map_err(|e| format!("persist: snapshot write failed: {e}"))?;
         std::fs::metadata(&target)
             .map(|m| m.len())
             .map_err(|e| format!("persist: cannot stat {target:?}: {e}"))
@@ -329,31 +236,17 @@ impl SharedEngine {
     /// observe a half-applied update. With an update log configured, the
     /// record is appended (and fsynced) inside the same critical section,
     /// so `snapshot + replay(log)` reproduces this engine byte for byte.
-    /// Both engine kinds apply updates: each holds the full graph, and a
-    /// shard-only backend repairs just its owned section.
+    /// Every engine holds the full graph; a shard-only backend repairs
+    /// just the states it holds.
     pub(crate) fn apply_update(&self, record: UpdateRecord) -> Result<WireUpdateResult, String> {
-        match &self.kind {
-            EngineKind::Full(e) => {
-                let mut engine = e.write().expect("engine lock");
-                let effect = engine.replay_updates(&[record]).map_err(|e| e.to_string())?;
-                self.log_update(&record)?;
-                Ok(WireUpdateResult {
-                    recomputed_states: effect.recomputed_states as u64,
-                    recomputed_hubs: effect.recomputed_hubs as u64,
-                    index_digest: engine.index_digest(),
-                })
-            }
-            EngineKind::Shard(e) => {
-                let mut engine = e.write().expect("engine lock");
-                let effect = engine.replay_updates(&[record]).map_err(|e| e.to_string())?;
-                self.log_update(&record)?;
-                Ok(WireUpdateResult {
-                    recomputed_states: effect.recomputed_states as u64,
-                    recomputed_hubs: effect.recomputed_hubs as u64,
-                    index_digest: engine.index_digest(),
-                })
-            }
-        }
+        let mut engine = self.engine.write().expect("engine lock");
+        let effect = engine.replay_updates(&[record]).map_err(|e| e.to_string())?;
+        self.log_update(&record)?;
+        Ok(WireUpdateResult {
+            recomputed_states: effect.recomputed_states as u64,
+            recomputed_hubs: effect.recomputed_hubs as u64,
+            index_digest: engine.index_digest(),
+        })
     }
 
     fn log_update(&self, record: &UpdateRecord) -> Result<(), String> {
@@ -367,24 +260,17 @@ impl SharedEngine {
     /// under the read lock, so it is O(index bytes): cheap next to index
     /// builds, but not free — it runs per `stats` call, not per query.
     pub(crate) fn index_digest(&self) -> u64 {
-        match &self.kind {
-            EngineKind::Full(e) => e.read().expect("engine lock").index_digest(),
-            EngineKind::Shard(e) => e.read().expect("engine lock").index_digest(),
-        }
+        self.engine.read().expect("engine lock").index_digest()
     }
 
     /// Live edge count — dynamic updates move it after startup.
     pub(crate) fn edge_count(&self) -> u64 {
-        match &self.kind {
-            EngineKind::Full(e) => e.read().expect("engine lock").graph().edge_count() as u64,
-            EngineKind::Shard(e) => e.read().expect("engine lock").graph().edge_count() as u64,
-        }
+        self.engine.read().expect("engine lock").graph().edge_count() as u64
     }
 
     /// Many independent frozen queries in one read-lock hold.
     pub(crate) fn batch(&self, queries: &[(u32, u32)]) -> Result<Vec<WireQueryResult>, String> {
-        let lock = self.full()?;
-        let engine = lock.read().expect("engine lock");
+        let engine = self.engine.read().expect("engine lock");
         let opts = self.options(false, None);
         let raw: Vec<(NodeId, usize)> =
             queries.iter().map(|&(q, k)| (NodeId(q), k as usize)).collect();

@@ -143,21 +143,24 @@
 //!
 //! # Multi-process serving
 //!
-//! Each shard can live in its own process: `rtk serve --shard-only
-//! --shard i` loads the full graph plus **one** `RTKSHRD1` section (a
-//! `ShardSlice`) and answers shard-scoped requests; `rtk router
-//! --backends …` owns the shard map, fans each query out **concurrently**
-//! (all backends in flight at once over pipelined connections, merged in
-//! deterministic shard order; `--serial-fanout` keeps the old walk for
-//! comparison), and merges the
-//! partial answers — bitwise equal to a single-process server, so the
+//! Each shard can live in its own process. There is one engine type: a
+//! [`ReverseTopkEngine`] always holds the full graph, and its index holds
+//! the node states of every shard or of exactly one. `rtk serve
+//! --shard-only --shard i` loads the full graph plus **one** `RTKSHRD1`
+//! section (`rtk_index::storage::load_one_shard`) and answers the
+//! shard-scoped slice of each query — whole answers on a one-shard
+//! engine, and shard-scoped calls on a whole one, are errors naming the
+//! owned node range, never partial answers; `rtk router --backends …`
+//! owns the shard map, fans each query out **concurrently** (all
+//! backends in flight at once over pipelined connections, merged in
+//! deterministic shard order), and merges the partial answers — bitwise equal to a single-process server, so the
 //! determinism contract now reads **{threads, shards, processes} may
 //! only change wall time, never answers** (pinned by
 //! `tests/router_equivalence.rs`). The router retries and marks
 //! unreachable backends `degraded` in `stats` instead of serving partial
-//! answers. See `docs/ARCHITECTURE.md` for the tier diagram and
-//! `cargo run --release -p rtk-bench --bin router_study` for the
-//! single-vs-routed, serial-vs-concurrent sweep (`BENCH_router.json`).
+//! answers. See `docs/ARCHITECTURE.md` for the tier diagram; the repo
+//! benchmark's `routed_closed` workload (`BENCHMARK.json`) measures the
+//! tier against the same stream run in-process.
 //!
 //! ```
 //! use reverse_topk_rwr::prelude::*;

@@ -13,10 +13,10 @@
 //! * requests that engage no v8 feature stay byte-identical to the
 //!   v7-shaped frame on the wire.
 
-use rtk_core::{ReverseTopkEngine, ShardEngine};
+use rtk_core::ReverseTopkEngine;
 use rtk_graph::gen::{erdos_renyi, rmat, ErdosRenyiConfig, RmatConfig};
 use rtk_graph::{DiGraph, TransitionMatrix};
-use rtk_index::{HubSelection, IndexConfig, ReverseIndex, ShardSlice};
+use rtk_index::{HubSelection, IndexConfig, ReverseIndex};
 use rtk_query::baseline::brute_force_reverse_topk;
 use rtk_query::query::TIE_EPSILON;
 use rtk_query::{ApproxParams, QueryEngine, QueryOptions};
@@ -53,9 +53,9 @@ fn server_config(query_threads: usize) -> ServerConfig {
 }
 
 fn spawn_backend(engine: &ReverseTopkEngine, sid: usize, query_threads: usize) -> ServerHandle {
-    let slice = ShardSlice::from_index(engine.index(), sid).expect("shard slice");
-    let shard_engine = ShardEngine::from_parts(graph(), slice).expect("shard engine");
-    Server::bind_shard(shard_engine, "127.0.0.1:0", server_config(query_threads))
+    let index = engine.index().one_shard(sid).expect("shard index");
+    let shard_engine = ReverseTopkEngine::from_parts(graph(), index).expect("shard engine");
+    Server::bind(shard_engine, "127.0.0.1:0", server_config(query_threads))
         .expect("bind backend")
         .spawn()
 }

@@ -1,0 +1,126 @@
+//! Golden index digests across the one-engine refactor.
+//!
+//! The values below were recorded with the two-engine tree (commit
+//! `944fd1a`: `ReverseTopkEngine` for the whole index, a separate engine
+//! type for one shard) *before* the two were folded into one.
+//! `index_digest()` hashes exactly the bytes an engine persists — the
+//! `RTKINDX1` / `RTKMANI1` snapshot for a whole index, the `RTKSHRD1`
+//! section for one shard — so equal digests prove the persisted bytes, the
+//! incremental update recompute (`affected ∩ owned`) and the digest itself
+//! came through unchanged, for whole engines and for every one-shard engine.
+//!
+//! Rounding is off (`ω = 0`): a rounded hub matrix persists an aggregate
+//! nnz count an incremental recompute cannot reproduce. Build timings are
+//! the only non-deterministic bytes of a snapshot; `canonical` zeroes them.
+
+use rtk_core::ReverseTopkEngine;
+use rtk_graph::{DiGraph, NodeId};
+use rtk_index::storage;
+
+/// `(is_add, from, to, weight)` — an add / add / remove / add script.
+type Script = [(bool, u32, u32, f64); 4];
+
+const TOY_SCRIPT: Script =
+    [(true, 0, 2, 1.0), (true, 4, 0, 2.0), (false, 0, 2, 0.0), (true, 5, 5, 1.0)];
+const RMAT_SCRIPT: Script =
+    [(true, 3, 77, 1.0), (true, 40, 5, 2.5), (false, 3, 77, 0.0), (true, 12, 12, 1.0)];
+
+/// `(fresh, after the script)` digests, recorded at the parent commit.
+struct Golden {
+    whole_s1: (u64, u64),
+    whole_s3: (u64, u64),
+    one_of_3: [(u64, u64); 3],
+}
+
+const TOY: Golden = Golden {
+    whole_s1: (0xdfc90a561db86ada, 0xfb93a7f0002050a2),
+    whole_s3: (0xe2d60158786cb419, 0xedb846fd18adf349),
+    one_of_3: [
+        (0x40f1466bb4324be0, 0x756ec64e9cb4a031),
+        (0xfbef0a855f77e9e0, 0x5d0ad15f59b09db1),
+        (0x82878e48c1bcb1b5, 0x3fd016728b522d4a),
+    ],
+};
+
+const RMAT: Golden = Golden {
+    whole_s1: (0x00ef11d52f958f30, 0x1d2fc015eaf5f205),
+    whole_s3: (0x395a9b83e7b62ad0, 0xce1e1b18078c1f22),
+    one_of_3: [
+        (0xbbf4e1489778a868, 0xd3b0bae80f674e0b),
+        (0xdd09c8cbdd7188d1, 0x4fbb912ef25f776c),
+        (0x3274caa4eaae191e, 0x1949f91906523a25),
+    ],
+};
+
+/// Builds the engine, then round-trips its index through a snapshot whose
+/// four build-timing fields (the first 32 of the 56 trailing stats bytes)
+/// are zeroed, so the digest depends on nothing but the graph and config.
+fn canonical(graph: &DiGraph, max_k: usize, hubs: usize, shards: usize) -> ReverseTopkEngine {
+    let built = ReverseTopkEngine::builder(graph.clone())
+        .max_k(max_k)
+        .hubs_per_direction(hubs)
+        .rounding_threshold(0.0)
+        .threads(1)
+        .shards(shards)
+        .build()
+        .unwrap();
+    let mut bytes = Vec::new();
+    storage::save(built.index(), &mut bytes).unwrap();
+    let n = bytes.len();
+    bytes[n - 56..n - 24].fill(0);
+    let index = storage::load(bytes.as_slice()).unwrap();
+    ReverseTopkEngine::from_parts(graph.clone(), index).unwrap()
+}
+
+fn digests(mut engine: ReverseTopkEngine, script: &Script) -> (u64, u64) {
+    let fresh = engine.index_digest();
+    for &(add, from, to, weight) in script {
+        if add {
+            engine.add_edge(NodeId(from), NodeId(to), weight).unwrap();
+        } else {
+            engine.remove_edge(NodeId(from), NodeId(to)).unwrap();
+        }
+    }
+    (fresh, engine.index_digest())
+}
+
+fn check(name: &str, graph: DiGraph, max_k: usize, hubs: usize, script: &Script, want: &Golden) {
+    let hex = |(a, b): (u64, u64)| format!("({a:#018x}, {b:#018x})");
+    for (shards, golden) in [(1, want.whole_s1), (3, want.whole_s3)] {
+        let got = digests(canonical(&graph, max_k, hubs, shards), script);
+        assert_eq!(hex(got), hex(golden), "{name}: whole engine, S = {shards}");
+    }
+    let whole = canonical(&graph, max_k, hubs, 3);
+    for (sid, &golden) in want.one_of_3.iter().enumerate() {
+        let index = whole.index().one_shard(sid).unwrap();
+        let engine = ReverseTopkEngine::from_parts(graph.clone(), index).unwrap();
+        let got = digests(engine, script);
+        assert_eq!(hex(got), hex(golden), "{name}: one-shard engine {sid} of 3");
+    }
+}
+
+#[test]
+fn toy_graph_digests_equal_the_two_engine_tree() {
+    check("toy", rtk_datasets::toy_graph(), 3, 1, &TOY_SCRIPT, &TOY);
+}
+
+#[test]
+fn rmat_digests_equal_the_two_engine_tree() {
+    let graph = rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(80, 320, 11)).unwrap();
+    check("rmat", graph, 5, 4, &RMAT_SCRIPT, &RMAT);
+}
+
+#[test]
+fn a_one_shard_load_hashes_like_the_in_memory_one_shard_index() {
+    // `load_one_shard` (a `--shard-only` backend's start-up read) and
+    // `one_shard` (tests, the benchmark) must hand out the same shard.
+    let graph = rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(80, 320, 11)).unwrap();
+    let whole = canonical(&graph, 5, 4, 3);
+    let mut manifest = Vec::new();
+    storage::save(whole.index(), &mut manifest).unwrap();
+    for (sid, &(fresh, _)) in RMAT.one_of_3.iter().enumerate() {
+        let index = storage::load_one_shard(manifest.as_slice(), sid).unwrap();
+        let engine = ReverseTopkEngine::from_parts(graph.clone(), index).unwrap();
+        assert_eq!(engine.index_digest(), fresh, "shard {sid}");
+    }
+}

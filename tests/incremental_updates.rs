@@ -11,7 +11,7 @@
 //! update-mode query refines states the rebuild oracle never saw).
 
 use reverse_topk_rwr::ReverseTopkEngine;
-use rtk_core::{ShardEngine, UpdateRecord};
+use rtk_core::UpdateRecord;
 use rtk_graph::gen::{erdos_renyi, rmat, ErdosRenyiConfig, RmatConfig};
 use rtk_graph::NodeId;
 use rtk_graph::{DiGraph, TransitionMatrix};
@@ -244,7 +244,7 @@ fn kernel_on_off_agree_after_updates() {
     }
 }
 
-/// Replica convergence for sharded backends: two `ShardEngine` replicas of
+/// Replica convergence for sharded backends: two one-shard engine replicas of
 /// the same shard applying the same log step by step report identical
 /// digests throughout, and a third replica that replays the whole log at
 /// once lands on the same bytes (`stats index_digest` is exactly this
@@ -259,10 +259,10 @@ fn shard_replicas_converge_under_the_same_log() {
     rtk_index::storage::save_path(full.index(), &manifest).unwrap();
 
     for shard in [0usize, 1] {
-        let slice = rtk_index::storage::load_shard_slice_path(&manifest, shard).unwrap();
-        let mut a = ShardEngine::from_parts(graph.clone(), slice.clone()).unwrap();
-        let mut b = ShardEngine::from_parts(graph.clone(), slice.clone()).unwrap();
-        let mut late = ShardEngine::from_parts(graph.clone(), slice).unwrap();
+        let index = rtk_index::storage::load_one_shard_path(&manifest, shard).unwrap();
+        let mut a = ReverseTopkEngine::from_parts(graph.clone(), index.clone()).unwrap();
+        let mut b = ReverseTopkEngine::from_parts(graph.clone(), index.clone()).unwrap();
+        let mut late = ReverseTopkEngine::from_parts(graph.clone(), index).unwrap();
         let records = update_sequence(graph, 17, 80);
         for (step, record) in records.iter().enumerate() {
             let ea = a.replay_updates(std::slice::from_ref(record)).unwrap();

@@ -1,6 +1,6 @@
 //! Multi-process serving determinism (ISSUE 4 acceptance criteria).
 //!
-//! Spins up per-shard `rtk-server` backends (each holding one `ShardSlice`
+//! Spins up per-shard `rtk-server` backends (each holding a one-shard index
 //! of the same index) behind an `rtk-server` router, and pins the tier's
 //! answers **bitwise equal** to a single-process server over the identical
 //! index:
@@ -14,10 +14,9 @@
 //!   again bitwise equal;
 //! * the shared-secret auth token gates every entry point of the tier.
 
-use rtk_core::{ReverseTopkEngine, ShardEngine};
+use rtk_core::ReverseTopkEngine;
 use rtk_graph::gen::{rmat, RmatConfig};
 use rtk_graph::DiGraph;
-use rtk_index::ShardSlice;
 use rtk_server::{Client, Router, RouterConfig, Server, ServerConfig, ServerHandle};
 
 const NODES: usize = 260;
@@ -56,9 +55,9 @@ fn spawn_backend(
     addr: &str,
     auth: Option<&str>,
 ) -> ServerHandle {
-    let slice = ShardSlice::from_index(engine.index(), sid).expect("shard slice");
-    let shard_engine = ShardEngine::from_parts(graph(), slice).expect("shard engine");
-    Server::bind_shard(shard_engine, addr, backend_config(auth))
+    let index = engine.index().one_shard(sid).expect("shard index");
+    let shard_engine = ReverseTopkEngine::from_parts(graph(), index).expect("shard engine");
+    Server::bind(shard_engine, addr, backend_config(auth))
         .expect("bind backend")
         .spawn()
 }
@@ -212,9 +211,9 @@ fn backend_restart_mid_sequence_degrades_then_recovers() {
         let mut attempt = 0;
         loop {
             // The freed port can linger in TIME_WAIT briefly; retry.
-            let slice = ShardSlice::from_index(sharded.index(), 0).expect("slice");
-            let engine = ShardEngine::from_parts(graph(), slice).expect("shard engine");
-            match Server::bind_shard(engine, b0_addr, backend_config(None)) {
+            let index = sharded.index().one_shard(0).expect("index");
+            let engine = ReverseTopkEngine::from_parts(graph(), index).expect("shard engine");
+            match Server::bind(engine, b0_addr, backend_config(None)) {
                 Ok(server) => break server.spawn(),
                 Err(e) if attempt < 50 => {
                     attempt += 1;

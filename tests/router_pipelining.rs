@@ -8,15 +8,12 @@
 //!   concurrently — under v3 a connection pinned its worker, so this exact
 //!   topology (backend workers < connections) deadlocked and forced the
 //!   `--workers ≥ router workers + 1` ops rule that this PR deletes;
-//! * serial and concurrent fan-out produce bitwise-identical answers (the
-//!   knob is wall-time only);
 //! * a pipelined client driving the router keeps answers bitwise equal to
 //!   serial queries against a single-process server.
 
-use rtk_core::{ReverseTopkEngine, ShardEngine};
+use rtk_core::ReverseTopkEngine;
 use rtk_graph::gen::{rmat, RmatConfig};
 use rtk_graph::DiGraph;
-use rtk_index::ShardSlice;
 use rtk_server::{Client, Router, RouterConfig, Server, ServerConfig, ServerHandle};
 
 const NODES: usize = 220;
@@ -40,15 +37,11 @@ fn build_engine(shards: usize) -> ReverseTopkEngine {
 
 /// One-worker backends: the configuration that deadlocked under v3.
 fn spawn_backend(engine: &ReverseTopkEngine, sid: usize) -> ServerHandle {
-    let slice = ShardSlice::from_index(engine.index(), sid).expect("shard slice");
-    let shard_engine = ShardEngine::from_parts(graph(), slice).expect("shard engine");
-    Server::bind_shard(
-        shard_engine,
-        "127.0.0.1:0",
-        ServerConfig { workers: 1, ..Default::default() },
-    )
-    .expect("bind backend")
-    .spawn()
+    let index = engine.index().one_shard(sid).expect("shard index");
+    let shard_engine = ReverseTopkEngine::from_parts(graph(), index).expect("shard engine");
+    Server::bind(shard_engine, "127.0.0.1:0", ServerConfig { workers: 1, ..Default::default() })
+        .expect("bind backend")
+        .spawn()
 }
 
 fn queries() -> Vec<(u32, u32)> {
@@ -107,51 +100,6 @@ fn one_worker_backends_serve_router_and_admin_clients_concurrently() {
     }
     direct.shutdown().expect("single shutdown");
     single.join().expect("single join");
-}
-
-#[test]
-fn serial_and_concurrent_fanout_answer_bitwise_identically() {
-    let backends = 3usize;
-    let sharded = build_engine(backends);
-    let backend_handles: Vec<ServerHandle> =
-        (0..backends).map(|sid| spawn_backend(&sharded, sid)).collect();
-    let addrs: Vec<String> = backend_handles.iter().map(|h| h.addr().to_string()).collect();
-
-    // Two routers over the *same* backends — one per fan-out mode.
-    let concurrent = Router::bind(&addrs, "127.0.0.1:0", RouterConfig::default())
-        .expect("bind concurrent router")
-        .spawn();
-    let serial = Router::bind(
-        &addrs,
-        "127.0.0.1:0",
-        RouterConfig { serial_fanout: true, ..RouterConfig::default() },
-    )
-    .expect("bind serial router")
-    .spawn();
-
-    let mut via_concurrent = Client::connect(concurrent.addr()).expect("connect concurrent");
-    let mut via_serial = Client::connect(serial.addr()).expect("connect serial");
-    for &(q, k) in &queries() {
-        let a = via_concurrent.reverse_topk(q, k, false).expect("concurrent query");
-        let b = via_serial.reverse_topk(q, k, false).expect("serial query");
-        assert_eq!(a.nodes, b.nodes, "q={q} k={k}: fan-out mode changed the answer");
-        assert_eq!(a.candidates, b.candidates, "q={q} k={k}");
-        assert_eq!(a.hits, b.hits, "q={q} k={k}");
-        for (x, y) in a.proximities.iter().zip(&b.proximities) {
-            assert_eq!(x.to_bits(), y.to_bits(), "q={q} k={k}");
-        }
-    }
-
-    // Tear down: the serial router's shutdown propagates to the shared
-    // backends; the concurrent router's shutdown then only stops itself
-    // (its propagation to the already-dead backends is best-effort).
-    via_serial.shutdown().expect("serial router shutdown");
-    serial.join().expect("serial router join");
-    via_concurrent.shutdown().expect("concurrent router shutdown");
-    concurrent.join().expect("concurrent router join");
-    for h in backend_handles {
-        h.join().expect("backend join");
-    }
 }
 
 #[test]

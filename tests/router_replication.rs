@@ -24,10 +24,9 @@
 //!   tier that is bitwise identical to a single-process engine that
 //!   applied the same updates.
 
-use rtk_core::{ReverseTopkEngine, ShardEngine};
+use rtk_core::ReverseTopkEngine;
 use rtk_graph::gen::{rmat, RmatConfig};
 use rtk_graph::DiGraph;
-use rtk_index::ShardSlice;
 use rtk_server::{ChaosConfig, Client, Router, RouterConfig, Server, ServerConfig, ServerHandle};
 use std::time::{Duration, Instant};
 
@@ -60,14 +59,14 @@ fn spawn_replica(
     addr: &str,
     chaos: Option<&str>,
 ) -> ServerHandle {
-    let slice = ShardSlice::from_index(engine.index(), sid).expect("shard slice");
-    let shard_engine = ShardEngine::from_parts(graph(), slice).expect("shard engine");
+    let index = engine.index().one_shard(sid).expect("shard index");
+    let shard_engine = ReverseTopkEngine::from_parts(graph(), index).expect("shard engine");
     let config = ServerConfig {
         workers: 2,
         chaos: chaos.map(|spec| ChaosConfig::parse(spec).expect("chaos spec")),
         ..Default::default()
     };
-    Server::bind_shard(shard_engine, addr, config).expect("bind replica").spawn()
+    Server::bind(shard_engine, addr, config).expect("bind replica").spawn()
 }
 
 /// The frozen query workload; replicas never see update-mode commits here
@@ -153,10 +152,10 @@ fn killing_any_single_replica_mid_load_is_invisible_and_heals() {
         let restarted = {
             let mut attempt = 0;
             loop {
-                let slice = ShardSlice::from_index(sharded.index(), victim / 2).expect("slice");
-                let engine = ShardEngine::from_parts(graph(), slice).expect("shard engine");
+                let index = sharded.index().one_shard(victim / 2).expect("index");
+                let engine = ReverseTopkEngine::from_parts(graph(), index).expect("shard engine");
                 let config = ServerConfig { workers: 2, ..Default::default() };
-                match Server::bind_shard(engine, victim_addr, config) {
+                match Server::bind(engine, victim_addr, config) {
                     Ok(server) => break server.spawn(),
                     Err(e) if attempt < 50 => {
                         attempt += 1;
@@ -312,11 +311,11 @@ fn spawn_logged_replica(
     addr: &str,
     log: &std::path::Path,
 ) -> ServerHandle {
-    let slice = ShardSlice::from_index(engine.index(), sid).expect("shard slice");
-    let shard_engine = ShardEngine::from_parts(graph(), slice).expect("shard engine");
+    let index = engine.index().one_shard(sid).expect("shard index");
+    let shard_engine = ReverseTopkEngine::from_parts(graph(), index).expect("shard engine");
     let config =
         ServerConfig { workers: 2, update_log: Some(log.to_path_buf()), ..Default::default() };
-    Server::bind_shard(shard_engine, addr, config).expect("bind replica").spawn()
+    Server::bind(shard_engine, addr, config).expect("bind replica").spawn()
 }
 
 /// A deterministic edge-update stream that is valid against `g` at every
@@ -371,10 +370,10 @@ fn update_stream_survives_owner_kill_with_loud_errors_and_replay_recovery() {
     // plus in-process mirror shard engines that track what each shard's
     // owner should hold after every acknowledged update.
     let mut sharded = build_exact_engine();
-    let mut mirrors: Vec<ShardEngine> = (0..SHARDS)
+    let mut mirrors: Vec<ReverseTopkEngine> = (0..SHARDS)
         .map(|sid| {
-            let slice = ShardSlice::from_index(sharded.index(), sid).expect("mirror slice");
-            ShardEngine::from_parts(graph(), slice).expect("mirror engine")
+            let index = sharded.index().one_shard(sid).expect("mirror index");
+            ReverseTopkEngine::from_parts(graph(), index).expect("mirror engine")
         })
         .collect();
 
@@ -479,10 +478,11 @@ fn update_stream_survives_owner_kill_with_loud_errors_and_replay_recovery() {
     for mirror in &mut mirrors {
         mirror.replay_updates(std::slice::from_ref(&partial)).expect("mirror catch-up");
     }
-    let recovered: Vec<ShardEngine> = (0..SHARDS)
+    let recovered: Vec<ReverseTopkEngine> = (0..SHARDS)
         .map(|sid| {
-            let slice = ShardSlice::from_index(sharded.index(), sid).expect("recovery slice");
-            let mut engine = ShardEngine::from_parts(graph(), slice).expect("recovery engine");
+            let index = sharded.index().one_shard(sid).expect("recovery index");
+            let mut engine =
+                ReverseTopkEngine::from_parts(graph(), index).expect("recovery engine");
             engine.replay_updates(&shard0_log).expect("recovery replay");
             assert_eq!(
                 engine.index_digest(),
@@ -506,9 +506,7 @@ fn update_stream_survives_owner_kill_with_loud_errors_and_replay_recovery() {
         .into_iter()
         .map(|engine| {
             let config = ServerConfig { workers: 2, ..Default::default() };
-            Server::bind_shard(engine, "127.0.0.1:0", config)
-                .expect("bind recovered")
-                .spawn()
+            Server::bind(engine, "127.0.0.1:0", config).expect("bind recovered").spawn()
         })
         .collect();
     let addrs: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();

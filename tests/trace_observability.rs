@@ -16,10 +16,9 @@
 //! `GET /metrics` in Prometheus text format with a nonzero
 //! `rtk_requests_total{kind="reverse_topk"}` after traffic.
 
-use rtk_core::{ReverseTopkEngine, ShardEngine};
+use rtk_core::ReverseTopkEngine;
 use rtk_graph::gen::{rmat, RmatConfig};
 use rtk_graph::DiGraph;
-use rtk_index::ShardSlice;
 use rtk_obs::TraceSpan;
 use rtk_server::{ChaosConfig, Client, Router, RouterConfig, Server, ServerConfig, ServerHandle};
 use std::io::{Read, Write};
@@ -46,16 +45,14 @@ fn build_engine(shards: usize) -> ReverseTopkEngine {
 }
 
 fn spawn_replica(engine: &ReverseTopkEngine, sid: usize, chaos: Option<&str>) -> ServerHandle {
-    let slice = ShardSlice::from_index(engine.index(), sid).expect("shard slice");
-    let shard_engine = ShardEngine::from_parts(graph(), slice).expect("shard engine");
+    let index = engine.index().one_shard(sid).expect("shard index");
+    let shard_engine = ReverseTopkEngine::from_parts(graph(), index).expect("shard engine");
     let config = ServerConfig {
         workers: 2,
         chaos: chaos.map(|spec| ChaosConfig::parse(spec).expect("chaos spec")),
         ..Default::default()
     };
-    Server::bind_shard(shard_engine, "127.0.0.1:0", config)
-        .expect("bind replica")
-        .spawn()
+    Server::bind(shard_engine, "127.0.0.1:0", config).expect("bind replica").spawn()
 }
 
 fn workload() -> Vec<(u32, u32)> {
@@ -179,6 +176,22 @@ fn routed_trace_stitches_backend_spans_and_never_changes_answers() {
 
         // The renderer shows one line per span — the CLI's --trace output.
         assert_eq!(trace.render().lines().count(), trace.node_count());
+    }
+
+    // Update mode on the one-shard engines: the commit of the refined states
+    // happens inside the span tree (its duration is stamped after the
+    // commit), and the three phases still tile the engine span.
+    let (q, k) = workload()[0];
+    let traced = client.reverse_topk_traced(q, k, true).expect("traced update query");
+    let trace = traced.trace.as_ref().expect("traced answer carries a trace");
+    for sid in 0..SHARDS {
+        let engine = find_span(trace, &format!("shard{sid}"))
+            .and_then(|shard| find_span(shard, "engine:shard_reverse_topk"))
+            .unwrap_or_else(|| panic!("shard{sid} lacks its backend trace"));
+        let names: Vec<&str> = engine.children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["pmpn_solve", "screen", "commit"]);
+        let phase_sum: f64 = engine.children.iter().map(|c| c.duration_seconds).sum();
+        assert!((phase_sum - engine.duration_seconds).abs() <= 1e-9);
     }
 
     client.shutdown().expect("router shutdown");
