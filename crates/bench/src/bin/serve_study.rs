@@ -5,9 +5,8 @@
 //! sweeping `M` over 1/2/4/8. Reports throughput plus client-side latency
 //! percentiles (the shared fixed-bucket histogram), a one-round-trip batch
 //! comparison, and the server's own metrics snapshot. Writes the
-//! machine-readable `BENCH_serve.json` — schema-aligned with
-//! `BENCH_query.json` (`p50_seconds` / `p95_seconds` / `p99_seconds`) so
-//! local and served latency trajectories are directly comparable.
+//! machine-readable `BENCH_serve.json` (`p50_seconds` / `p95_seconds` /
+//! `p99_seconds`).
 //!
 //! ```sh
 //! cargo run --release -p rtk-bench --bin serve_study            # full

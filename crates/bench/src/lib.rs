@@ -1,5 +1,5 @@
 //! Shared harness for the experiment binaries (one per table/figure of the
-//! paper — `docs/ARCHITECTURE.md`, "Perf tracking", lists what each emits).
+//! paper, plus `serve_study`).
 //!
 //! Every binary accepts:
 //!
@@ -190,125 +190,6 @@ pub fn write_json_artifact(path: &str, value: &Json) {
     println!("wrote {path}");
 }
 
-/// Sets one top-level member of an existing `BENCH_*.json` artifact,
-/// preserving every other member — so a study can contribute its section
-/// to an artifact another binary owns (e.g. `update_study` adding
-/// `incremental_vs_rebuild` to `parallel_study`'s `BENCH_query.json`)
-/// without rerunning or clobbering the rest. Creates the file with just
-/// this member when it does not exist.
-pub fn merge_json_artifact(path: &str, key: &str, value: &Json) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(existing) => merge_top_level_member(&existing, key, value).unwrap_or_else(|why| {
-            log_event(Level::Error, "bench", &format!("cannot merge into {path}: {why}"), &[]);
-            std::process::exit(1);
-        }),
-        Err(_) => {
-            let mut t = obj(vec![(key, value.clone())]).render_pretty();
-            t.push('\n');
-            t
-        }
-    };
-    std::fs::write(path, text).unwrap_or_else(|e| {
-        log_event(Level::Error, "bench", &format!("cannot write {path}: {e}"), &[]);
-        std::process::exit(1);
-    });
-    println!("merged {key:?} into {path}");
-}
-
-/// Replaces (or appends) `key` among the top-level members of a rendered
-/// JSON object, leaving the other members' raw text untouched.
-fn merge_top_level_member(text: &str, key: &str, value: &Json) -> Result<String, String> {
-    let mut members = split_top_level_members(text)?;
-    members.retain(|(k, _)| k != key);
-    members.push((key.to_string(), value.render_pretty()));
-    let body = members
-        .iter()
-        .map(|(k, v)| format!("  \"{k}\": {v}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    Ok(format!("{{\n{body}\n}}\n"))
-}
-
-/// Splits a rendered JSON object into its top-level `(key, raw value)`
-/// members. Only needs to handle what [`Json::render_pretty`] emits, but
-/// tracks strings/escapes/nesting properly so hand-edited artifacts do
-/// not get mangled silently — anything unparsable is an error.
-fn split_top_level_members(text: &str) -> Result<Vec<(String, String)>, String> {
-    let trimmed = text.trim();
-    let inner = trimmed
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("artifact is not a JSON object")?;
-    let chars: Vec<char> = inner.chars().collect();
-    let mut members = Vec::new();
-    let mut i = 0;
-    loop {
-        while i < chars.len() && chars[i].is_whitespace() {
-            i += 1;
-        }
-        if i >= chars.len() {
-            break;
-        }
-        if chars[i] != '"' {
-            return Err(format!("expected a quoted key, found {:?}", chars[i]));
-        }
-        i += 1;
-        let mut key = String::new();
-        while i < chars.len() && chars[i] != '"' {
-            if chars[i] == '\\' {
-                key.push(chars[i]);
-                i += 1;
-                if i >= chars.len() {
-                    return Err("truncated escape in key".into());
-                }
-            }
-            key.push(chars[i]);
-            i += 1;
-        }
-        if i >= chars.len() {
-            return Err("unterminated key".into());
-        }
-        i += 1; // closing quote
-        while i < chars.len() && chars[i].is_whitespace() {
-            i += 1;
-        }
-        if i >= chars.len() || chars[i] != ':' {
-            return Err(format!("expected ':' after key {key:?}"));
-        }
-        i += 1;
-        let start = i;
-        let mut depth = 0i64;
-        let mut in_string = false;
-        while i < chars.len() {
-            let c = chars[i];
-            if in_string {
-                match c {
-                    '\\' => i += 1,
-                    '"' => in_string = false,
-                    _ => {}
-                }
-            } else {
-                match c {
-                    '"' => in_string = true,
-                    '[' | '{' => depth += 1,
-                    ']' | '}' => depth -= 1,
-                    ',' if depth == 0 => break,
-                    _ => {}
-                }
-            }
-            i += 1;
-        }
-        if depth != 0 || in_string {
-            return Err(format!("unbalanced value for key {key:?}"));
-        }
-        members.push((key, chars[start..i].iter().collect::<String>().trim().to_string()));
-        if i < chars.len() {
-            i += 1; // the separating comma
-        }
-    }
-    Ok(members)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,55 +214,6 @@ mod tests {
     fn json_helpers_share_the_obs_renderer() {
         let g = graph_json("rmat", 10, 20, 7);
         assert_eq!(g.render(), r#"{"kind":"rmat","nodes":10,"edges":20,"seed":7}"#);
-    }
-
-    #[test]
-    fn split_recovers_members_of_rendered_objects() {
-        let v = obj(vec![
-            ("a", Json::U64(1)),
-            ("b", Json::Arr(vec![Json::Str("x,]}".into()), Json::Bool(true)])),
-            ("c", obj(vec![("nested", Json::F64(0.5))])),
-        ]);
-        let members = split_top_level_members(&v.render_pretty()).expect("split");
-        assert_eq!(members.len(), 3);
-        assert_eq!(members[0], ("a".to_string(), "1".to_string()));
-        assert_eq!(members[1].0, "b");
-        assert!(members[1].1.contains("x,]}"));
-        assert_eq!(members[2].0, "c");
-        // Compact renderings split identically.
-        let compact = split_top_level_members(&v.render()).expect("split compact");
-        assert_eq!(compact.len(), 3);
-        assert_eq!(compact[0], ("a".to_string(), "1".to_string()));
-    }
-
-    #[test]
-    fn split_rejects_garbage() {
-        assert!(split_top_level_members("[1,2]").is_err());
-        assert!(split_top_level_members(r#"{"a": [1, 2}"#).is_err());
-        assert!(split_top_level_members(r#"{"a" 1}"#).is_err());
-    }
-
-    #[test]
-    fn merge_replaces_one_member_and_keeps_the_rest_verbatim() {
-        let original = obj(vec![
-            ("bench", Json::Str("parallel_study".into())),
-            ("screen_kernel", Json::Arr(vec![Json::U64(1), Json::U64(2)])),
-        ])
-        .render_pretty();
-        let merged =
-            merge_top_level_member(&original, "incremental_vs_rebuild", &Json::Arr(vec![]))
-                .expect("merge");
-        let members = split_top_level_members(&merged).expect("resplit");
-        assert_eq!(
-            members.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
-            vec!["bench", "screen_kernel", "incremental_vs_rebuild"],
-        );
-        // Merging again with a new value replaces, not duplicates.
-        let remerged =
-            merge_top_level_member(&merged, "incremental_vs_rebuild", &Json::U64(7)).expect("re");
-        let members = split_top_level_members(&remerged).expect("resplit 2");
-        assert_eq!(members.len(), 3);
-        assert_eq!(members[2], ("incremental_vs_rebuild".to_string(), "7".to_string()));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The owning engine: graph + index + query session in one value.
 
 use crate::error::EngineError;
-use rtk_graph::{DiGraph, EdgeSplice, NodeId, TransitionKernel, TransitionMatrix, TransitionProbs};
+use rtk_graph::{DiGraph, EdgeSplice, NodeId, TransitionMatrix, TransitionProbs};
 use rtk_index::{
     storage, HubSelection, HubSolver, IndexConfig, IndexStats, ReverseIndex, UpdateEffect,
     UpdateRecord,
@@ -38,7 +38,7 @@ use std::path::Path;
 /// probabilities** — every query/top-k/proximity call wraps the cache in an
 /// `O(1)` [`TransitionMatrix`] view instead of recomputing it. The only
 /// mutating graph APIs, [`Self::add_edge`] / [`Self::remove_edge`], splice
-/// the caches in place (bitwise-equal to recomputing them); the view
+/// the cache in place (bitwise-equal to recomputing it); the view
 /// constructor asserts graph/cache agreement as a backstop.
 ///
 /// # Whole or one shard
@@ -59,10 +59,6 @@ pub struct ReverseTopkEngine {
     /// Cached transition probabilities for `graph` (kept in sync by
     /// construction; edge updates splice the touched row in place).
     probs: TransitionProbs,
-    /// Cached flat-CSR gather kernel for `graph` + `probs`, so every query's
-    /// SpMV and BCA push loops run the contiguous layout (same lifecycle as
-    /// `probs`; answers are bitwise identical with or without it).
-    kernel: TransitionKernel,
     index: ReverseIndex,
     session: QueryEngine,
     options: QueryOptions,
@@ -92,14 +88,13 @@ impl ReverseTopkEngine {
             }));
         }
         let probs = TransitionProbs::compute(&graph);
-        let kernel = TransitionKernel::build(&graph, &probs);
         let session = QueryEngine::new(&index);
-        Ok(Self { graph, probs, kernel, index, session, options: QueryOptions::default() })
+        Ok(Self { graph, probs, index, session, options: QueryOptions::default() })
     }
 
-    /// The cached transition view — `O(1)`, no allocation, kernel-backed.
+    /// The cached transition view — `O(1)`, no allocation.
     fn transition(&self) -> TransitionMatrix<'_> {
-        TransitionMatrix::with_probs_and_kernel(&self.graph, &self.probs, &self.kernel)
+        TransitionMatrix::with_probs(&self.graph, &self.probs)
     }
 
     /// The one ownership check: whole-answer calls need an index holding
@@ -161,7 +156,7 @@ impl ReverseTopkEngine {
 
     /// Inserts the edge `from → to` (or accumulates `weight` onto an
     /// existing one) and incrementally repairs everything downstream: the
-    /// spliced transition caches stay bitwise-equal to a from-scratch
+    /// spliced transition cache stays bitwise-equal to a from-scratch
     /// rebuild, and the index recompute is limited to the affected set
     /// (nodes that can reach `from`; see [`rtk_index::update`]) — on a
     /// one-shard engine, to the affected states it holds, so every backend
@@ -179,7 +174,7 @@ impl ReverseTopkEngine {
 
     /// Removes the edge `from → to` entirely (errors if it does not exist,
     /// or if removing it would leave `from` dangling) and incrementally
-    /// repairs the transition caches and the affected index entries, as
+    /// repairs the transition cache and the affected index entries, as
     /// [`Self::add_edge`] does.
     pub fn remove_edge(&mut self, from: NodeId, to: NodeId) -> Result<UpdateEffect, EngineError> {
         let splice = self.graph.remove_edge(from.0, to.0)?;
@@ -209,13 +204,11 @@ impl ReverseTopkEngine {
         Ok(total)
     }
 
-    /// Splices the cached transition probabilities and kernel (bitwise-equal
-    /// to recomputing them) and applies the targeted index recompute.
+    /// Splices the cached transition probabilities (bitwise-equal to
+    /// recomputing them) and applies the targeted index recompute.
     fn apply_splice(&mut self, splice: &EdgeSplice) -> UpdateEffect {
         self.probs.apply_splice(&self.graph, splice);
-        self.kernel.apply_splice(&self.graph, &self.probs, splice);
-        let transition =
-            TransitionMatrix::with_probs_and_kernel(&self.graph, &self.probs, &self.kernel);
+        let transition = TransitionMatrix::with_probs(&self.graph, &self.probs);
         self.index.apply_update(&transition, splice.from)
     }
 
@@ -389,8 +382,7 @@ impl ReverseTopkEngine {
         pmpn: Option<&[f64]>,
         want_pmpn: bool,
     ) -> Result<(QueryResult, Option<Vec<f64>>), EngineError> {
-        let transition =
-            TransitionMatrix::with_probs_and_kernel(&self.graph, &self.probs, &self.kernel);
+        let transition = TransitionMatrix::with_probs(&self.graph, &self.probs);
         Ok(self.session.screen_and_commit(
             &transition,
             &mut self.index,
@@ -644,13 +636,9 @@ impl EngineBuilder {
             }));
         }
         let probs = TransitionProbs::compute(&graph);
-        let kernel = TransitionKernel::build(&graph, &probs);
-        let index = {
-            let transition = TransitionMatrix::with_probs_and_kernel(&graph, &probs, &kernel);
-            ReverseIndex::build(&transition, config)?
-        };
+        let index = ReverseIndex::build(&TransitionMatrix::with_probs(&graph, &probs), config)?;
         let session = QueryEngine::new(&index);
-        Ok(ReverseTopkEngine { graph, probs, kernel, index, session, options })
+        Ok(ReverseTopkEngine { graph, probs, index, session, options })
     }
 }
 

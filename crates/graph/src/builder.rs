@@ -67,8 +67,9 @@ impl GraphBuilder {
     /// Adds a weighted edge; parallel additions sum their weights.
     ///
     /// # Errors
-    /// Rejects endpoints outside `0..node_count` and weights that are not
-    /// strictly positive finite numbers.
+    /// Rejects endpoints outside `0..node_count`, weights that are not
+    /// strictly positive finite numbers, and parallel additions whose merged
+    /// weight overflows.
     pub fn add_weighted_edge(
         &mut self,
         from: u32,
@@ -96,6 +97,10 @@ impl GraphBuilder {
         }
         let slot = self.edges.entry((from, to)).or_insert(0.0);
         let had = *slot != 0.0;
+        // Valid weights can still merge to `inf`.
+        if !(*slot + weight).is_finite() {
+            return Err(GraphError::InvalidWeight { from, to, weight });
+        }
         *slot += weight;
         // A repeated unweighted edge makes the graph effectively weighted.
         if explicit || had {
@@ -118,6 +123,11 @@ impl GraphBuilder {
     }
 
     /// Builds the graph, applying `policy` to dangling nodes.
+    ///
+    /// # Errors
+    /// Besides the policy's own, [`GraphError::InvalidWeight`] when some
+    /// node's out-weights cannot be normalized to finite probabilities (the
+    /// row sums to `inf`, or to something so small its inverse does).
     pub fn build(self, policy: DanglingPolicy) -> Result<DiGraph, GraphError> {
         self.build_with_remap(policy).map(|(g, _)| g)
     }
@@ -214,7 +224,10 @@ impl GraphBuilder {
             weighted = false;
         }
 
-        Ok((DiGraph::from_sorted_edges(n, edges, weighted), remap))
+        // Row sums are only final here, in the built row's summation order.
+        let graph = DiGraph::from_sorted_edges(n, edges, weighted);
+        graph.validate()?;
+        Ok((graph, remap))
     }
 }
 
@@ -240,6 +253,32 @@ mod tests {
                 GraphError::InvalidWeight { .. }
             ));
         }
+    }
+
+    #[test]
+    fn rejects_rows_that_cannot_normalize() {
+        // Valid weights whose parallel-edge merge overflows.
+        let mut b = GraphBuilder::new(2);
+        b.add_weighted_edge(0, 1, 1e308).unwrap();
+        assert!(matches!(
+            b.add_weighted_edge(0, 1, 1e308).unwrap_err(),
+            GraphError::InvalidWeight { from: 0, to: 1, .. }
+        ));
+        // Distinct edges whose row sum overflows.
+        b.add_weighted_edge(0, 0, 1e308).unwrap();
+        b.add_weighted_edge(1, 0, 1.0).unwrap();
+        assert!(matches!(
+            b.build(DanglingPolicy::Error).unwrap_err(),
+            GraphError::InvalidWeight { from: 0, .. }
+        ));
+        // A lone out-edge so light that its row's inverse is inf.
+        let mut b = GraphBuilder::new(2);
+        b.add_weighted_edge(0, 1, 5e-324).unwrap();
+        b.add_weighted_edge(1, 0, 1.0).unwrap();
+        assert!(matches!(
+            b.build(DanglingPolicy::Error).unwrap_err(),
+            GraphError::InvalidWeight { from: 0, to: 1, .. }
+        ));
     }
 
     #[test]

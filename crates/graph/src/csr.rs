@@ -25,8 +25,8 @@ pub enum SpliceKind {
 
 /// What one [`DiGraph::add_edge`] / [`DiGraph::remove_edge`] did to the flat
 /// CSR/CSC edge arrays — the splice that parallel arrays derived from edge
-/// order (transition probabilities, the flat transition kernel) must mirror
-/// to stay bitwise-equal to a from-scratch rebuild.
+/// order (the transition probabilities) must mirror to stay bitwise-equal to
+/// a from-scratch rebuild.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EdgeSplice {
     /// Source of the mutated edge.
@@ -44,6 +44,14 @@ pub struct EdgeSplice {
     /// The edge's weight after an add (accumulated total), or the weight the
     /// removed edge carried.
     pub weight: f64,
+}
+
+/// Whether a row with out-weight sum `sum` normalizes to finite
+/// probabilities: `w / sum` needs both `sum` and `1 / sum` finite. Weights
+/// that are each valid can still break this together — two `1e308`s sum to
+/// `inf` (probabilities `NaN`), a lone `5e-324` inverts to `inf`.
+fn normalizable(sum: f64) -> bool {
+    sum.is_finite() && (1.0 / sum).is_finite()
 }
 
 /// A directed graph in CSR + CSC form, optionally edge-weighted.
@@ -185,6 +193,20 @@ impl DiGraph {
         &self.in_sources[self.in_edge_range(node)]
     }
 
+    /// The whole CSR side, `(out_offsets, out_targets)`: row `u` is
+    /// `out_targets[out_offsets[u]..out_offsets[u + 1]]`. The transition
+    /// operators resolve the arrays once per apply, not once per row.
+    #[inline]
+    pub(crate) fn csr(&self) -> (&[u64], &[u32]) {
+        (&self.out_offsets, &self.out_targets)
+    }
+
+    /// The whole CSC side, `(in_offsets, in_sources)` — see [`Self::csr`].
+    #[inline]
+    pub(crate) fn csc(&self) -> (&[u64], &[u32]) {
+        (&self.in_offsets, &self.in_sources)
+    }
+
     /// Weights parallel to [`Self::out_neighbors`]; `None` when unweighted.
     #[inline]
     pub fn out_weights(&self, node: u32) -> Option<&[f64]> {
@@ -258,6 +280,17 @@ impl DiGraph {
                     });
                 }
             }
+            for from in 0..self.n as u32 {
+                let row = self.out_edge_range(from);
+                if !row.is_empty() && !normalizable(self.out_weight_sum(from)) {
+                    let k = row.start;
+                    return Err(GraphError::InvalidWeight {
+                        from,
+                        to: self.out_targets[k],
+                        weight: ws[k],
+                    });
+                }
+            }
         }
         Ok(())
     }
@@ -273,8 +306,10 @@ impl DiGraph {
     /// offset bump — cheap next to any index maintenance the caller does.
     ///
     /// # Errors
-    /// Rejects endpoints outside `0..node_count` and weights that are not
-    /// strictly positive finite numbers.
+    /// Rejects endpoints outside `0..node_count`, weights that are not
+    /// strictly positive finite numbers, and weights that would leave
+    /// `from`'s out-weight sum impossible to normalize (overflow to `inf`,
+    /// or so small its inverse is) — always before mutating anything.
     pub fn add_edge(&mut self, from: u32, to: u32, weight: f64) -> Result<EdgeSplice, GraphError> {
         if from as usize >= self.n {
             return Err(GraphError::NodeOutOfRange { node: from, node_count: self.n });
@@ -287,7 +322,15 @@ impl DiGraph {
         }
         let out_range = self.out_edge_range(from);
         let in_range = self.in_edge_range(to);
-        match self.out_targets[out_range.clone()].binary_search(&to) {
+        let slot = self.out_targets[out_range.clone()].binary_search(&to);
+        let sum = self.edited_out_weight_sum(from, |row| match slot {
+            Ok(i) => row[i] += weight,
+            Err(i) => row.insert(i, weight),
+        });
+        if !normalizable(sum) {
+            return Err(GraphError::InvalidWeight { from, to, weight });
+        }
+        match slot {
             Ok(i) => {
                 // Existing edge: accumulate the weight in both mirrors. The
                 // total is never 1.0-able back to unweighted unless every
@@ -345,10 +388,13 @@ impl DiGraph {
     /// Removes edge `from → to`, splicing both CSR and CSC in place.
     ///
     /// # Errors
-    /// [`GraphError::EdgeNotFound`] when the edge does not exist, and
+    /// [`GraphError::EdgeNotFound`] when the edge does not exist,
     /// [`GraphError::DanglingNode`] when removing it would leave `from` with
     /// out-degree zero (RWR needs a column-stochastic transition matrix, so
-    /// dangling nodes are never allowed to appear).
+    /// dangling nodes are never allowed to appear), and
+    /// [`GraphError::InvalidWeight`], naming an edge left behind, when the
+    /// remaining out-weights of `from` are too small to normalize. A refused
+    /// removal mutates nothing.
     pub fn remove_edge(&mut self, from: u32, to: u32) -> Result<EdgeSplice, GraphError> {
         if from as usize >= self.n {
             return Err(GraphError::NodeOutOfRange { node: from, node_count: self.n });
@@ -364,6 +410,14 @@ impl DiGraph {
             return Err(GraphError::DanglingNode { node: from, count: 1 });
         }
         let out_pos = out_range.start + i;
+        let left_sum = self.edited_out_weight_sum(from, |row| {
+            row.remove(i);
+        });
+        if !normalizable(left_sum) {
+            let k = out_range.start + usize::from(i == 0);
+            let weight = self.out_weights.as_ref().map_or(1.0, |ws| ws[k]);
+            return Err(GraphError::InvalidWeight { from, to: self.out_targets[k], weight });
+        }
         let in_range = self.in_edge_range(to);
         let j = self.in_sources[in_range.clone()].binary_search(&from).expect("CSC mirrors CSR");
         let in_pos = in_range.start + j;
@@ -387,6 +441,18 @@ impl DiGraph {
             self.collapse_unit_weights();
         }
         Ok(EdgeSplice { from, to, out_pos, in_pos, kind: SpliceKind::Removed, weight })
+    }
+
+    /// The out-weight sum `from` would have once `edit` is applied to its
+    /// row of weights, added up in the order [`Self::out_weight_sum`] uses —
+    /// so a mutation can be refused before anything is touched.
+    fn edited_out_weight_sum(&self, from: u32, edit: impl FnOnce(&mut Vec<f64>)) -> f64 {
+        let mut row = match self.out_weights(from) {
+            Some(ws) => ws.to_vec(),
+            None => vec![1.0; self.out_degree(from)],
+        };
+        edit(&mut row);
+        row.iter().sum()
     }
 
     /// Materializes all-1.0 weight arrays so a non-unit weight can be
@@ -604,6 +670,35 @@ mod tests {
         assert!(matches!(g.remove_edge(3, 0), Err(GraphError::DanglingNode { node: 3, count: 1 })));
         // Failed mutations leave the graph untouched.
         assert_eq!(g, diamond());
+    }
+
+    #[test]
+    fn weights_that_cannot_normalize_are_refused_before_mutating() {
+        // Each weight below is valid on its own; the row it would leave is
+        // not. Row 0 becomes [1e308, 1]: fine so far.
+        let mut g = diamond();
+        g.add_edge(0, 1, 1e308).unwrap();
+        let before = g.clone();
+        // Accumulating onto 0→1, or a new edge in the same row: the row
+        // sums to inf, and `w · 1/inf` would be a NaN probability.
+        assert!(matches!(
+            g.add_edge(0, 1, 1e308),
+            Err(GraphError::InvalidWeight { from: 0, to: 1, .. })
+        ));
+        assert!(matches!(g.add_edge(0, 3, 1e308), Err(GraphError::InvalidWeight { .. })));
+        assert_eq!(g, before);
+
+        // Row 3 becomes [1, 5e-324]; removing 3→0 would leave the denormal
+        // alone, whose inverse is inf.
+        g.add_edge(3, 2, 5e-324).unwrap();
+        let before = g.clone();
+        assert!(matches!(
+            g.remove_edge(3, 0),
+            Err(GraphError::InvalidWeight { from: 3, to: 2, .. })
+        ));
+        assert_eq!(g, before);
+        g.validate().unwrap();
+        assert_eq!(g, rebuild(&g));
     }
 
     #[test]

@@ -35,9 +35,7 @@ pub mod transition;
 pub use builder::{DanglingPolicy, GraphBuilder};
 pub use csr::{DiGraph, EdgeSplice, SpliceKind};
 pub use error::GraphError;
-pub use transition::{
-    gather_dot, resolve_threads, TransitionKernel, TransitionMatrix, TransitionProbs,
-};
+pub use transition::{gather_dot, resolve_threads, TransitionMatrix, TransitionProbs};
 
 /// A node identifier: a dense index in `0..graph.node_count()`.
 ///

@@ -27,14 +27,10 @@
 //! respawned. Every row is still summed in its serial edge order, so results
 //! are **bitwise identical** for any thread count.
 //!
-//! For long-lived engines there is additionally [`TransitionKernel`]: a flat
-//! CSR/CSC gather layout (`row_ptr`/`col_idx`/`weight` contiguous arrays,
-//! 32-bit column ids) built once next to [`TransitionProbs`]. A kernel-backed
-//! view ([`TransitionMatrix::with_probs_and_kernel`]) runs its SpMV inner
-//! loops through [`gather_dot`] — an unrolled gather over the contiguous
-//! arrays with a **single accumulator in serial edge order**, so the result
-//! is bitwise identical to the legacy per-node walk while letting the CPU
-//! overlap the index loads.
+//! Every SpMV row runs through [`gather_dot`] over the graph's own CSR/CSC
+//! id row and the matching probability row: an unrolled gather with a
+//! **single accumulator in serial edge order**, so the result is bitwise the
+//! naive row sum while letting the CPU overlap the index loads.
 
 use crate::csr::{DiGraph, EdgeSplice, SpliceKind};
 use rtk_sparse::WorkerPool;
@@ -49,8 +45,8 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Below this many edges a parallel apply falls back to one thread — the
-/// spawn overhead would exceed the gather work.
+/// Below this many edges a parallel apply falls back to one thread — waking
+/// the pooled workers and joining them would exceed the gather work.
 const PARALLEL_EDGE_CUTOFF: usize = 8_192;
 
 /// Owned transition probabilities for one graph — no graph borrow, so a
@@ -211,166 +207,14 @@ pub fn gather_dot(cols: &[u32], weights: &[f64], x: &[f64]) -> f64 {
     acc
 }
 
-/// Flat gather-kernel layout of the transition operator: both edge sides as
-/// self-contained `row_ptr`/`col_idx`/`weight` triples with 32-bit column
-/// ids, each row's ids and probabilities contiguous and adjacent.
-///
-/// Built once from a graph + [`TransitionProbs`] (`O(|E|)`), then shared by
-/// every [`TransitionMatrix`] view over the same graph
-/// ([`TransitionMatrix::with_probs_and_kernel`] is `O(1)`). The *transpose*
-/// side (out-edges, CSR order) also backs the BCA ink-push loop via
-/// [`TransitionMatrix::out_edges`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct TransitionKernel {
-    nodes: usize,
-    /// CSC side, gathered by the forward operator: row `v` holds the
-    /// sources of `v`'s in-edges.
-    in_ptr: Vec<usize>,
-    in_src: Vec<u32>,
-    in_prob: Vec<f64>,
-    /// CSR side, gathered by the transpose operator (and walked by BCA
-    /// pushes): row `u` holds the targets of `u`'s out-edges.
-    out_ptr: Vec<usize>,
-    out_dst: Vec<u32>,
-    out_prob: Vec<f64>,
-}
-
-impl TransitionKernel {
-    /// Flattens `graph` + `probs` into the gather layout. `O(|E|)`.
-    ///
-    /// # Panics
-    /// Panics when `probs` disagrees with `graph` on node or edge count.
-    pub fn build(graph: &DiGraph, probs: &TransitionProbs) -> Self {
-        assert!(
-            probs.matches(graph),
-            "TransitionKernel: probabilities do not match the graph \
-             ({} nodes / {} edges vs {} nodes / {} edges)",
-            probs.node_count(),
-            probs.edge_count(),
-            graph.node_count(),
-            graph.edge_count()
-        );
-        let n = graph.node_count();
-        let m = graph.edge_count();
-
-        let mut in_ptr = Vec::with_capacity(n + 1);
-        let mut in_src = Vec::with_capacity(m);
-        in_ptr.push(0);
-        for v in 0..n as u32 {
-            in_src.extend_from_slice(graph.in_neighbors(v));
-            in_ptr.push(in_src.len());
-        }
-
-        let mut out_ptr = Vec::with_capacity(n + 1);
-        let mut out_dst = Vec::with_capacity(m);
-        out_ptr.push(0);
-        for u in 0..n as u32 {
-            out_dst.extend_from_slice(graph.out_neighbors(u));
-            out_ptr.push(out_dst.len());
-        }
-
-        Self {
-            nodes: n,
-            in_ptr,
-            in_src,
-            in_prob: probs.probs_in.clone(),
-            out_ptr,
-            out_dst,
-            out_prob: probs.probs_out.clone(),
-        }
-    }
-
-    /// Number of nodes the kernel was built for.
-    #[inline]
-    pub fn node_count(&self) -> usize {
-        self.nodes
-    }
-
-    /// Number of edges the kernel was built for.
-    #[inline]
-    pub fn edge_count(&self) -> usize {
-        self.out_dst.len()
-    }
-
-    /// Cheap structural compatibility check against `graph`.
-    #[inline]
-    pub fn matches(&self, graph: &DiGraph) -> bool {
-        self.nodes == graph.node_count() && self.out_dst.len() == graph.edge_count()
-    }
-
-    /// In-edge row of `v`: `(sources, probabilities)`, CSC order.
-    #[inline]
-    fn in_row(&self, v: usize) -> (&[u32], &[f64]) {
-        let (lo, hi) = (self.in_ptr[v], self.in_ptr[v + 1]);
-        (&self.in_src[lo..hi], &self.in_prob[lo..hi])
-    }
-
-    /// Out-edge row of `u`: `(targets, probabilities)`, CSR order.
-    #[inline]
-    fn out_row(&self, u: usize) -> (&[u32], &[f64]) {
-        let (lo, hi) = (self.out_ptr[u], self.out_ptr[u + 1]);
-        (&self.out_dst[lo..hi], &self.out_prob[lo..hi])
-    }
-
-    /// Incrementally maintains the flat gather layout across one edge
-    /// mutation: mirrors the structural splice into both sides, then copies
-    /// the mutated source's refreshed probabilities out of `probs` (which
-    /// must already have had [`TransitionProbs::apply_splice`] applied).
-    /// Bitwise-equal to rebuilding the kernel from scratch on the
-    /// post-mutation graph, asserted by unit tests. `O(|E|)`.
-    pub fn apply_splice(&mut self, graph: &DiGraph, probs: &TransitionProbs, splice: &EdgeSplice) {
-        match splice.kind {
-            SpliceKind::Inserted => {
-                self.out_dst.insert(splice.out_pos, splice.to);
-                self.out_prob.insert(splice.out_pos, 0.0);
-                self.in_src.insert(splice.in_pos, splice.from);
-                self.in_prob.insert(splice.in_pos, 0.0);
-                for p in self.out_ptr[splice.from as usize + 1..].iter_mut() {
-                    *p += 1;
-                }
-                for p in self.in_ptr[splice.to as usize + 1..].iter_mut() {
-                    *p += 1;
-                }
-            }
-            SpliceKind::Removed => {
-                self.out_dst.remove(splice.out_pos);
-                self.out_prob.remove(splice.out_pos);
-                self.in_src.remove(splice.in_pos);
-                self.in_prob.remove(splice.in_pos);
-                for p in self.out_ptr[splice.from as usize + 1..].iter_mut() {
-                    *p -= 1;
-                }
-                for p in self.in_ptr[splice.to as usize + 1..].iter_mut() {
-                    *p -= 1;
-                }
-            }
-            SpliceKind::Accumulated => {}
-        }
-        debug_assert!(self.matches(graph), "apply_splice: graph does not reflect the splice");
-        debug_assert!(probs.matches(graph), "apply_splice: probs were not spliced first");
-        // Refresh the mutated row's probabilities on both sides from the
-        // already-updated probability arrays (the kernel's ptr arrays mirror
-        // the graph's offsets, so the graph ranges address both).
-        let out_range = graph.out_edge_range(splice.from);
-        self.out_prob[out_range.clone()].copy_from_slice(&probs.probs_out[out_range.clone()]);
-        for &t in graph.out_neighbors(splice.from) {
-            let j = graph.in_neighbors(t).binary_search(&splice.from).expect("CSC mirrors CSR");
-            let in_pos = graph.in_edge_range(t).start + j;
-            self.in_prob[in_pos] = probs.probs_in[in_pos];
-        }
-    }
-}
-
 /// Precomputed transition probabilities over a [`DiGraph`].
 ///
 /// Holds a borrow of the graph; construct one per graph and share it across
-/// solvers, or build it in `O(1)` from a cached [`TransitionProbs`] (and
-/// optionally a cached [`TransitionKernel`] for the gather-layout SpMV).
+/// solvers, or build it in `O(1)` from a cached [`TransitionProbs`].
 #[derive(Clone, Debug)]
 pub struct TransitionMatrix<'g> {
     graph: &'g DiGraph,
     probs: Cow<'g, TransitionProbs>,
-    kernel: Option<Cow<'g, TransitionKernel>>,
 }
 
 impl<'g> TransitionMatrix<'g> {
@@ -380,15 +224,7 @@ impl<'g> TransitionMatrix<'g> {
     /// Panics if the graph has dangling nodes (the builder policies prevent
     /// this; a zero out-degree column cannot be normalized).
     pub fn new(graph: &'g DiGraph) -> Self {
-        Self { graph, probs: Cow::Owned(TransitionProbs::compute(graph)), kernel: None }
-    }
-
-    /// Like [`Self::new`], but also builds the owned [`TransitionKernel`] so
-    /// all applies run the gather layout. `O(|E|)`, twice.
-    pub fn new_kernelized(graph: &'g DiGraph) -> Self {
-        let probs = TransitionProbs::compute(graph);
-        let kernel = TransitionKernel::build(graph, &probs);
-        Self { graph, probs: Cow::Owned(probs), kernel: Some(Cow::Owned(kernel)) }
+        Self { graph, probs: Cow::Owned(TransitionProbs::compute(graph)) }
     }
 
     /// Wraps a cached [`TransitionProbs`] in `O(1)` — the hot path for
@@ -412,44 +248,7 @@ impl<'g> TransitionMatrix<'g> {
             graph.node_count(),
             graph.edge_count()
         );
-        Self { graph, probs: Cow::Borrowed(probs), kernel: None }
-    }
-
-    /// [`Self::with_probs`] plus a cached [`TransitionKernel`] — the `O(1)`
-    /// hot path for engines that own graph, probabilities, *and* kernel.
-    ///
-    /// # Panics
-    /// Panics when `probs` or `kernel` disagrees with `graph` on node or
-    /// edge count.
-    pub fn with_probs_and_kernel(
-        graph: &'g DiGraph,
-        probs: &'g TransitionProbs,
-        kernel: &'g TransitionKernel,
-    ) -> Self {
-        let mut view = Self::with_probs(graph, probs);
-        assert!(
-            kernel.matches(graph),
-            "TransitionMatrix: cached kernel does not match the graph \
-             ({} nodes / {} edges vs {} nodes / {} edges)",
-            kernel.node_count(),
-            kernel.edge_count(),
-            graph.node_count(),
-            graph.edge_count()
-        );
-        view.kernel = Some(Cow::Borrowed(kernel));
-        view
-    }
-
-    /// Builds an owned [`TransitionKernel`] for this view's graph and
-    /// probabilities — what engines cache next to their [`TransitionProbs`].
-    pub fn build_kernel(&self) -> TransitionKernel {
-        TransitionKernel::build(self.graph, &self.probs)
-    }
-
-    /// Whether the gather kernel backs this view's applies.
-    #[inline]
-    pub fn has_kernel(&self) -> bool {
-        self.kernel.is_some()
+        Self { graph, probs: Cow::Borrowed(probs) }
     }
 
     /// Consumes the view, returning owned probabilities (cloning only when
@@ -483,15 +282,13 @@ impl<'g> TransitionMatrix<'g> {
     }
 
     /// Out-edge row of `node` as `(targets, probabilities)` — the BCA
-    /// ink-push view. Served from the kernel's contiguous arrays when one is
-    /// attached (values identical either way), so the refinement inner loop
-    /// walks the same cache lines as the SpMV.
+    /// ink-push view: the same rows the `Aᵀ·x` gather walks, resolved from
+    /// one read of the row's offset pair.
     #[inline]
     pub fn out_edges(&self, node: u32) -> (&[u32], &[f64]) {
-        match self.kernel.as_deref() {
-            Some(kernel) => kernel.out_row(node as usize),
-            None => (self.graph.out_neighbors(node), self.out_probs(node)),
-        }
+        let (_, targets) = self.graph.csr();
+        let range = self.graph.out_edge_range(node);
+        (&targets[range.clone()], &self.probs.probs_out[range])
     }
 
     /// `y ← (1−α)·A·x + α·e_restart`, the forward RWR operator (Eq. 12).
@@ -511,25 +308,8 @@ impl<'g> TransitionMatrix<'g> {
         y: &mut [f64],
         threads: usize,
     ) {
-        let n = self.node_count();
-        assert_eq!(x.len(), n);
-        assert_eq!(y.len(), n);
         let damp = 1.0 - alpha;
-        match self.kernel.as_deref() {
-            Some(kernel) => self.for_rows(y, threads, Direction::Forward, move |_, _, vi| {
-                let (src, probs) = kernel.in_row(vi);
-                damp * gather_dot(src, probs, x)
-            }),
-            None => self.for_rows(y, threads, Direction::Forward, |view, v, _| {
-                let sources = view.graph.in_neighbors(v);
-                let probs = view.in_probs(v);
-                let mut acc = 0.0;
-                for (&s, &p) in sources.iter().zip(probs) {
-                    acc += p * x[s as usize];
-                }
-                damp * acc
-            }),
-        }
+        self.for_rows(x, y, threads, Direction::Forward, move |_, dot| damp * dot);
         y[restart as usize] += alpha;
     }
 
@@ -543,26 +323,11 @@ impl<'g> TransitionMatrix<'g> {
         y: &mut [f64],
         threads: usize,
     ) {
-        let n = self.node_count();
-        assert_eq!(x.len(), n);
-        assert_eq!(restart.len(), n);
-        assert_eq!(y.len(), n);
+        assert_eq!(restart.len(), self.node_count());
         let damp = 1.0 - alpha;
-        match self.kernel.as_deref() {
-            Some(kernel) => self.for_rows(y, threads, Direction::Forward, move |_, _, vi| {
-                let (src, probs) = kernel.in_row(vi);
-                damp * gather_dot(src, probs, x) + alpha * restart[vi]
-            }),
-            None => self.for_rows(y, threads, Direction::Forward, |view, v, _| {
-                let sources = view.graph.in_neighbors(v);
-                let probs = view.in_probs(v);
-                let mut acc = 0.0;
-                for (&s, &p) in sources.iter().zip(probs) {
-                    acc += p * x[s as usize];
-                }
-                damp * acc + alpha * restart[v as usize]
-            }),
-        }
+        self.for_rows(x, y, threads, Direction::Forward, move |v, dot| {
+            damp * dot + alpha * restart[v]
+        });
     }
 
     /// `y ← (1−α)·Aᵀ·x + α·e_restart`, the PMPN operator (Eq. 13).
@@ -582,102 +347,61 @@ impl<'g> TransitionMatrix<'g> {
         y: &mut [f64],
         threads: usize,
     ) {
-        let n = self.node_count();
-        assert_eq!(x.len(), n);
-        assert_eq!(y.len(), n);
         let damp = 1.0 - alpha;
-        match self.kernel.as_deref() {
-            Some(kernel) => self.for_rows(y, threads, Direction::Transpose, move |_, _, ui| {
-                let (dst, probs) = kernel.out_row(ui);
-                damp * gather_dot(dst, probs, x)
-            }),
-            None => self.for_rows(y, threads, Direction::Transpose, |view, u, _| {
-                let targets = view.graph.out_neighbors(u);
-                let probs = view.out_probs(u);
-                let mut acc = 0.0;
-                for (&t, &p) in targets.iter().zip(probs) {
-                    acc += p * x[t as usize];
-                }
-                damp * acc
-            }),
-        }
+        self.for_rows(x, y, threads, Direction::Transpose, move |_, dot| damp * dot);
         y[restart as usize] += alpha;
     }
 
-    /// Runs `row` for every node, writing `y[v] = row(self, v)` — serially,
-    /// or across edge-balanced contiguous node ranges when `threads > 1` and
-    /// the graph is large enough to amortize the dispatch. Workers come from
-    /// the process-wide [`WorkerPool`] (parked threads, no spawn per apply).
-    /// Each worker owns a disjoint `y` slice, and each row sums in its
-    /// serial edge order, so the output is identical for any thread count.
-    fn for_rows<F>(&self, y: &mut [f64], threads: usize, direction: Direction, row: F)
+    /// Writes `y[v] = finish(v, Σ_k prob[k]·x[id[k]])` for every node `v`,
+    /// the sum running over `v`'s row on the side `direction` gathers —
+    /// serially, or across edge-balanced contiguous node ranges when
+    /// `threads > 1` and the graph is large enough to amortize the dispatch.
+    /// Workers come from the process-wide [`WorkerPool`] (parked threads, no
+    /// spawn per apply). Each worker owns a disjoint `y` slice, and each row
+    /// sums in its serial edge order, so the output is identical for any
+    /// thread count.
+    fn for_rows<F>(&self, x: &[f64], y: &mut [f64], threads: usize, direction: Direction, finish: F)
     where
-        F: Fn(&Self, u32, usize) -> f64 + Sync,
+        F: Fn(usize, f64) -> f64 + Sync,
     {
         let n = self.node_count();
+        assert_eq!(x.len(), n);
+        assert_eq!(y.len(), n);
+        // The three arrays are resolved once per apply, and a run of rows
+        // reads each offset once: a row's end is the next row's start.
+        let ((offsets, ids), probs) = match direction {
+            Direction::Forward => (self.graph.csc(), self.probs.probs_in.as_slice()),
+            Direction::Transpose => (self.graph.csr(), self.probs.probs_out.as_slice()),
+        };
+        let gather_rows = |first: usize, out: &mut [f64]| {
+            let mut lo = offsets[first] as usize;
+            for (slot, v) in out.iter_mut().zip(first..) {
+                let hi = offsets[v + 1] as usize;
+                *slot = finish(v, gather_dot(&ids[lo..hi], &probs[lo..hi], x));
+                lo = hi;
+            }
+        };
+
         let mut threads = resolve_threads(threads).min(n.max(1));
         if self.graph.edge_count() < PARALLEL_EDGE_CUTOFF {
             threads = 1;
         }
         if threads <= 1 {
-            for v in 0..n as u32 {
-                y[v as usize] = row(self, v, v as usize);
-            }
+            gather_rows(0, y);
             return;
         }
 
-        let bounds = self.edge_balanced_partition(threads, direction);
+        let bounds = edge_balanced_partition(offsets, threads);
         WorkerPool::global().scope(|scope| {
             let mut rest = y;
             for w in 0..threads {
                 let (lo, hi) = (bounds[w], bounds[w + 1]);
                 let (chunk, tail) = rest.split_at_mut(hi - lo);
                 rest = tail;
-                let row = &row;
-                scope.spawn(move || {
-                    for v in lo..hi {
-                        chunk[v - lo] = row(self, v as u32, v);
-                    }
-                });
+                let gather_rows = &gather_rows;
+                scope.spawn(move || gather_rows(lo, chunk));
             }
         });
-    }
-
-    /// Splits `0..n` into `parts` contiguous node ranges with roughly equal
-    /// edge counts on the gathered side (in-edges for the forward operator,
-    /// out-edges for the transpose). Returns `parts + 1` boundaries.
-    fn edge_balanced_partition(&self, parts: usize, direction: Direction) -> Vec<usize> {
-        let n = self.node_count();
-        let m = self.graph.edge_count();
-        let start_of = |node: usize| -> usize {
-            if node >= n {
-                return m;
-            }
-            match direction {
-                Direction::Forward => self.graph.in_edge_range(node as u32).start,
-                Direction::Transpose => self.graph.out_edge_range(node as u32).start,
-            }
-        };
-        let mut bounds = Vec::with_capacity(parts + 1);
-        bounds.push(0);
-        for part in 1..parts {
-            let target = m * part / parts;
-            // Smallest node whose edge range starts at or past the target,
-            // clamped to keep boundaries monotone.
-            let mut lo = *bounds.last().expect("bounds never empty");
-            let mut hi = n;
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if start_of(mid) < target {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            bounds.push(lo);
-        }
-        bounds.push(n);
-        bounds
     }
 
     /// Materializes column `j` of `A` as a dense vector (test/oracle helper).
@@ -690,10 +414,31 @@ impl<'g> TransitionMatrix<'g> {
     }
 }
 
-/// Which edge direction an apply gathers over (partition balancing).
+/// Splits the `offsets.len() - 1` rows of one CSR/CSC side into `parts`
+/// contiguous node ranges with roughly equal edge counts. Returns
+/// `parts + 1` boundaries.
+fn edge_balanced_partition(offsets: &[u64], parts: usize) -> Vec<usize> {
+    let n = offsets.len() - 1;
+    let m = offsets[n] as usize;
+    let mut bounds = Vec::with_capacity(parts + 1);
+    bounds.push(0);
+    for part in 1..parts {
+        let target = (m * part / parts) as u64;
+        // Smallest node whose edge range starts at or past the target, at or
+        // after the previous boundary to keep boundaries monotone.
+        let lo = *bounds.last().expect("bounds never empty");
+        bounds.push(lo + offsets[lo..n].partition_point(|&start| start < target));
+    }
+    bounds.push(n);
+    bounds
+}
+
+/// Which edge direction an apply gathers over.
 #[derive(Clone, Copy, Debug)]
 enum Direction {
+    /// In-edges (CSC side): `A·x`.
     Forward,
+    /// Out-edges (CSR side): `Aᵀ·x`.
     Transpose,
 }
 
@@ -863,46 +608,48 @@ mod tests {
     }
 
     #[test]
-    fn kernelized_applies_are_bitwise_identical_to_legacy() {
+    fn applies_match_a_naive_row_loop_bitwise() {
+        // The reference is a plain loop, not `gather_dot`, so the contract —
+        // every row sums on one accumulator in serial edge order, whatever
+        // the thread count — stays pinned by code the operators do not run.
         let g = crate::gen::rmat(&crate::gen::RmatConfig::new(4_000, 20_000, 23)).unwrap();
-        let legacy = TransitionMatrix::new(&g);
-        let probs = TransitionProbs::compute(&g);
-        let kernel = TransitionKernel::build(&g, &probs);
-        assert!(kernel.matches(&g));
-        assert_eq!(kernel.node_count(), g.node_count());
-        assert_eq!(kernel.edge_count(), g.edge_count());
-        let fast = TransitionMatrix::with_probs_and_kernel(&g, &probs, &kernel);
-        assert!(fast.has_kernel() && !legacy.has_kernel());
-
+        let t = TransitionMatrix::new(&g);
         let n = g.node_count();
         let alpha = 0.15;
+        let damp = 1.0 - alpha;
         let x: Vec<f64> = (0..n).map(|i| ((i * 41 + 3) % 97) as f64 / 97.0).collect();
         let restart_vec: Vec<f64> = (0..n).map(|i| ((i * 17) % 5) as f64 / 10.0).collect();
-        for threads in [1usize, 2, 4, 8] {
-            let mut want = vec![0.0; n];
-            let mut got = vec![0.0; n];
-            legacy.apply_forward_threaded(alpha, &x, 7, &mut want, 1);
-            fast.apply_forward_threaded(alpha, &x, 7, &mut got, threads);
-            assert_eq!(got, want, "forward, kernel, {threads} threads");
-            legacy.apply_transpose_threaded(alpha, &x, 7, &mut want, 1);
-            fast.apply_transpose_threaded(alpha, &x, 7, &mut got, threads);
-            assert_eq!(got, want, "transpose, kernel, {threads} threads");
-            legacy.apply_forward_restart_threaded(alpha, &x, &restart_vec, &mut want, 1);
-            fast.apply_forward_restart_threaded(alpha, &x, &restart_vec, &mut got, threads);
-            assert_eq!(got, want, "forward restart, kernel, {threads} threads");
-        }
-    }
+        let naive = |ids: &[u32], probs: &[f64]| {
+            let mut acc = 0.0;
+            for (&j, &p) in ids.iter().zip(probs) {
+                acc += p * x[j as usize];
+            }
+            damp * acc
+        };
+        let bits = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<u64>>();
 
-    #[test]
-    fn out_edges_is_identical_with_and_without_kernel() {
-        let g = toy();
-        let legacy = TransitionMatrix::new(&g);
-        let kernelized = TransitionMatrix::new_kernelized(&g);
-        for u in 0..g.node_count() as u32 {
-            let (lt, lp) = legacy.out_edges(u);
-            let (kt, kp) = kernelized.out_edges(u);
-            assert_eq!(lt, g.out_neighbors(u));
-            assert_eq!((lt, lp), (kt, kp), "node {u}");
+        let gathered_in: Vec<f64> =
+            (0..n as u32).map(|v| naive(g.in_neighbors(v), t.in_probs(v))).collect();
+        let mut want_forward = gathered_in.clone();
+        want_forward[7] += alpha;
+        let want_restart: Vec<f64> =
+            gathered_in.iter().zip(&restart_vec).map(|(y, r)| y + alpha * r).collect();
+        let mut want_transpose: Vec<f64> =
+            (0..n as u32).map(|u| naive(g.out_neighbors(u), t.out_probs(u))).collect();
+        want_transpose[7] += alpha;
+        // The push view is the same rows the transpose gather walks.
+        for u in 0..n as u32 {
+            assert_eq!(t.out_edges(u), (g.out_neighbors(u), t.out_probs(u)), "node {u}");
+        }
+
+        for threads in [1usize, 2, 4, 8] {
+            let mut got = vec![0.0; n];
+            t.apply_forward_threaded(alpha, &x, 7, &mut got, threads);
+            assert_eq!(bits(&got), bits(&want_forward), "forward, {threads} threads");
+            t.apply_transpose_threaded(alpha, &x, 7, &mut got, threads);
+            assert_eq!(bits(&got), bits(&want_transpose), "transpose, {threads} threads");
+            t.apply_forward_restart_threaded(alpha, &x, &restart_vec, &mut got, threads);
+            assert_eq!(bits(&got), bits(&want_restart), "forward restart, {threads} threads");
         }
     }
 
@@ -924,24 +671,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "kernel does not match")]
-    fn stale_kernel_is_rejected() {
-        let g = toy();
-        let probs = TransitionProbs::compute(&g);
-        let other =
-            GraphBuilder::from_edges(3, &[(0, 1), (1, 2), (2, 0)], DanglingPolicy::Error).unwrap();
-        let other_probs = TransitionProbs::compute(&other);
-        let kernel = TransitionKernel::build(&other, &other_probs);
-        let _ = TransitionMatrix::with_probs_and_kernel(&g, &probs, &kernel);
-    }
-
-    #[test]
     fn partition_covers_all_rows_monotonically() {
         let g = crate::gen::rmat(&crate::gen::RmatConfig::new(2_000, 12_000, 5)).unwrap();
-        let t = TransitionMatrix::new(&g);
         for parts in [1usize, 2, 3, 7, 16] {
-            for direction in [Direction::Forward, Direction::Transpose] {
-                let bounds = t.edge_balanced_partition(parts, direction);
+            for (offsets, _) in [g.csc(), g.csr()] {
+                let bounds = edge_balanced_partition(offsets, parts);
                 assert_eq!(bounds.len(), parts + 1);
                 assert_eq!(bounds[0], 0);
                 assert_eq!(*bounds.last().unwrap(), g.node_count());
@@ -970,14 +704,13 @@ mod tests {
     }
 
     #[test]
-    fn spliced_probs_and_kernel_match_fresh_rebuild_bitwise() {
+    fn spliced_probs_match_fresh_rebuild_bitwise() {
         // Drive a long add/remove script over a seeded R-MAT graph and pin
-        // the incremental probability + kernel maintenance to a from-scratch
+        // the incremental probability maintenance to a from-scratch
         // recompute after every single step — the graph-layer half of the
         // dynamic-graph determinism contract.
         let mut g = crate::gen::rmat(&crate::gen::RmatConfig::new(60, 240, 7)).unwrap();
         let mut probs = TransitionProbs::compute(&g);
-        let mut kernel = TransitionKernel::build(&g, &probs);
         let script: &[(bool, u32, u32, f64)] = &[
             (true, 0, 59, 1.0),
             (true, 59, 0, 2.5),
@@ -1002,21 +735,14 @@ mod tests {
                 }
             };
             probs.apply_splice(&g, &splice);
-            kernel.apply_splice(&g, &probs, &splice);
             assert_eq!(probs, TransitionProbs::compute(&g), "probs after {:?}", (add, f, t));
-            assert_eq!(
-                kernel,
-                TransitionKernel::build(&g, &probs),
-                "kernel after {:?}",
-                (add, f, t)
-            );
         }
     }
 
     #[test]
     fn spliced_view_applies_identically_to_rebuilt_view() {
-        // After a mutation, a kernel-backed view over the spliced caches
-        // must produce the same operator outputs as a fresh build.
+        // After a mutation, a view over the spliced cache must produce the
+        // same operator outputs as a fresh build.
         let mut g = crate::gen::erdos_renyi(&crate::gen::ErdosRenyiConfig {
             nodes: 40,
             edges: 160,
@@ -1024,13 +750,11 @@ mod tests {
         })
         .unwrap();
         let mut probs = TransitionProbs::compute(&g);
-        let mut kernel = TransitionKernel::build(&g, &probs);
         let splice = g.add_edge(1, 38, 3.0).unwrap();
         probs.apply_splice(&g, &splice);
-        kernel.apply_splice(&g, &probs, &splice);
 
-        let spliced = TransitionMatrix::with_probs_and_kernel(&g, &probs, &kernel);
-        let fresh = TransitionMatrix::new_kernelized(&g);
+        let spliced = TransitionMatrix::with_probs(&g, &probs);
+        let fresh = TransitionMatrix::new(&g);
         let x: Vec<f64> = (0..40).map(|i| 1.0 / (1.0 + i as f64)).collect();
         let mut y1 = vec![0.0; 40];
         let mut y2 = vec![0.0; 40];

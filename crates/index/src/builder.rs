@@ -14,7 +14,7 @@ use crate::index::ReverseIndex;
 use crate::node_state::NodeState;
 use crate::stats::IndexStats;
 use rtk_graph::TransitionMatrix;
-use rtk_rwr::bca::{BcaEngine, BcaStop, BcaWork, PropagationStrategy};
+use rtk_rwr::bca::{BcaEngine, BcaStop, BcaWork};
 use rtk_rwr::HubSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -91,8 +91,7 @@ impl LbiBuilder {
                 let (next, collected) = (&next, &collected);
                 let hubs = hubs.clone();
                 scope.spawn(move || {
-                    let mut engine =
-                        BcaEngine::new(hubs, config.bca, PropagationStrategy::BatchThreshold);
+                    let mut engine = BcaEngine::new(hubs, config.bca);
                     let mut materializer = Materializer::new(n);
                     let mut local = Vec::new();
                     loop {

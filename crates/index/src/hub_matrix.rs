@@ -15,7 +15,7 @@
 
 use crate::config::HubSolver;
 use rtk_graph::TransitionMatrix;
-use rtk_rwr::bca::{BcaEngine, BcaSnapshot, BcaStop, PropagationStrategy};
+use rtk_rwr::bca::{BcaEngine, BcaSnapshot, BcaStop};
 use rtk_rwr::{proximity_from, HubSet};
 use rtk_sparse::{top_k_of_pairs, EpochScratch, SparseVector};
 
@@ -256,11 +256,7 @@ fn compute_hub_column(
             SparseVector::from_dense(&dense, 0.0)
         }
         HubSolver::Bca(params) => {
-            let mut engine = BcaEngine::new(
-                HubSet::empty(transition.node_count()),
-                *params,
-                PropagationStrategy::BatchThreshold,
-            );
+            let mut engine = BcaEngine::new(HubSet::empty(transition.node_count()), *params);
             let snap: BcaSnapshot = engine.run_from(transition, hub, &BcaStop::from_params(params));
             snap.retained
         }
@@ -459,8 +455,7 @@ mod tests {
         let exact = rtk_rwr::exact::proximity_matrix_dense(&t, 0.15);
 
         // Exhaustive BCA from node 2 with hubs; materialized vector must be p_2.
-        let mut engine =
-            BcaEngine::new(hubs, BcaParams::exhaustive(0.15), PropagationStrategy::BatchThreshold);
+        let mut engine = BcaEngine::new(hubs, BcaParams::exhaustive(0.15));
         let snap =
             engine.run_from(&t, 2, &BcaStop { residue_norm: 1e-12, max_iterations: 1_000_000 });
         let mut mat = Materializer::new(6);

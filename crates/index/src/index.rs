@@ -8,7 +8,7 @@ use crate::node_state::{refine_state, NodeState};
 use crate::shard::{partition_states, IndexShard, ShardMap};
 use crate::stats::IndexStats;
 use rtk_graph::TransitionMatrix;
-use rtk_rwr::bca::{BcaEngine, BcaStop, PropagationStrategy};
+use rtk_rwr::bca::{BcaEngine, BcaStop};
 
 /// The offline index `I = (P̂, R, W, S, P_H)` of Alg. 1, organized per node
 /// and partitioned into `S` contiguous node-range [`IndexShard`]s.
@@ -211,11 +211,7 @@ impl ReverseIndex {
     /// Creates a [`BcaEngine`] matching this index's hub set and BCA
     /// parameters — required for any refinement against it.
     pub fn make_engine(&self) -> BcaEngine {
-        BcaEngine::new(
-            self.hub_matrix.hubs().clone(),
-            self.config.bca,
-            PropagationStrategy::BatchThreshold,
-        )
+        BcaEngine::new(self.hub_matrix.hubs().clone(), self.config.bca)
     }
 
     /// Creates a [`Materializer`] sized for this index's graph.

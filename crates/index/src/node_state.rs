@@ -221,7 +221,6 @@ mod tests {
     use super::*;
     use crate::config::HubSolver;
     use rtk_graph::{DanglingPolicy, DiGraph, GraphBuilder, TransitionMatrix};
-    use rtk_rwr::bca::PropagationStrategy;
     use rtk_rwr::{BcaParams, HubSet, RwrParams};
 
     fn toy() -> DiGraph {
@@ -255,8 +254,7 @@ mod tests {
             0.0,
             1,
         );
-        let engine =
-            BcaEngine::new(hubs, BcaParams::default(), PropagationStrategy::BatchThreshold);
+        let engine = BcaEngine::new(hubs, BcaParams::default());
         (m, engine, Materializer::new(6))
     }
 
@@ -338,9 +336,7 @@ mod tests {
             1e-4, // rounded columns: a non-zero parked deficit to carry
             1,
         );
-        let mk = || {
-            BcaEngine::new(hubs.clone(), BcaParams::default(), PropagationStrategy::BatchThreshold)
-        };
+        let mk = || BcaEngine::new(hubs.clone(), BcaParams::default());
         let mut engine = mk();
         let mut mat = Materializer::new(150);
         let mut refiner = Refiner::new(mk(), Materializer::new(150));
@@ -385,8 +381,7 @@ mod tests {
             0.1, // aggressive rounding
             1,
         );
-        let mut engine =
-            BcaEngine::new(hubs, BcaParams::default(), PropagationStrategy::BatchThreshold);
+        let mut engine = BcaEngine::new(hubs, BcaParams::default());
         let mut mat = Materializer::new(6);
         let snap = engine.run_from(&t, 2, &BcaStop { residue_norm: 0.1, max_iterations: 100 });
         assert!(!snap.hub_ink.is_empty(), "test premise: some ink parked at hubs");

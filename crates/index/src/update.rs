@@ -37,7 +37,7 @@ use crate::config::IndexConfig;
 use crate::hub_matrix::{HubMatrix, Materializer};
 use crate::node_state::NodeState;
 use rtk_graph::{DiGraph, TransitionMatrix};
-use rtk_rwr::bca::{BcaEngine, BcaStop, PropagationStrategy};
+use rtk_rwr::bca::{BcaEngine, BcaStop};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Nodes claimed per worker fetch during a recompute sweep (mirrors the
@@ -110,8 +110,7 @@ pub fn recompute_states(
             let (next, collected, stop) = (&next, &collected, &stop);
             let hubs = hub_matrix.hubs().clone();
             scope.spawn(move || {
-                let mut engine =
-                    BcaEngine::new(hubs, config.bca, PropagationStrategy::BatchThreshold);
+                let mut engine = BcaEngine::new(hubs, config.bca);
                 let mut materializer = Materializer::new(n);
                 let mut local = Vec::new();
                 loop {

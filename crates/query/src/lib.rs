@@ -26,9 +26,7 @@ pub mod topk;
 pub mod upper_bound;
 
 pub use error::QueryError;
-pub use query::{
-    BoundMode, ChunkStrategy, QueryEngine, QueryOptions, QueryResult, QueryStats, ScreenOutput,
-};
+pub use query::{BoundMode, QueryEngine, QueryOptions, QueryResult, QueryStats, ScreenOutput};
 pub use rtk_approx::{ApproxParams, ApproxUsage};
 pub use topk::{top_k_rwr_early, TopkReport};
 pub use upper_bound::{confirm_cost, upper_bound_kth};

@@ -29,7 +29,7 @@ use crate::upper_bound::{confirm_cost, upper_bound_kth};
 use rtk_approx::{ApproxParams, BidirEstimator};
 use rtk_graph::{resolve_threads, DiGraph, TransitionMatrix};
 use rtk_index::{HubMatrix, Materializer, NodeState, Refiner, ReverseIndex};
-use rtk_rwr::bca::{BcaEngine, BcaStop, PropagationStrategy};
+use rtk_rwr::bca::{BcaEngine, BcaStop};
 use rtk_rwr::pmpn::proximity_to;
 use rtk_rwr::power::proximity_from;
 use rtk_rwr::{BcaParams, HubSet, RwrParams};
@@ -52,19 +52,13 @@ const REFINE_TARGET_FRACTION: f64 = 0.7;
 /// *pruned*, for which no residual target exists.
 const REFINE_RUN_CAP: u32 = 64;
 
-/// Nodes claimed per worker fetch during the screen phase
-/// ([`ChunkStrategy::NodeCount`]). Small enough to balance the heavy
-/// refinement tail (one hard candidate can cost thousands of BCA iterations
-/// while its neighbors cost none), large enough to amortize the atomic
-/// counter.
-const SCREEN_CHUNK: usize = 16;
-
-/// Target weight per screen chunk ([`ChunkStrategy::EdgeBalanced`]), where
-/// node `u` weighs `1 + out_degree(u)` — its bound checks plus the edges a
-/// refinement would push along. Chosen so chunks carry about the same
-/// *work* as `SCREEN_CHUNK` nodes do on a mean-degree-6 graph; on skewed
-/// (power-law) graphs it keeps a hub node from making one chunk orders of
-/// magnitude heavier than the rest.
+/// Target weight per screen chunk a worker claims, where node `u` weighs
+/// `1 + out_degree(u)` — its bound checks plus the edges a refinement would
+/// push along. About 16 nodes on a mean-degree-6 graph: small enough to
+/// balance the heavy refinement tail (one hard candidate can cost thousands
+/// of BCA iterations while its neighbors cost none), large enough to
+/// amortize the atomic counter; on skewed (power-law) graphs it keeps a hub
+/// node from making one chunk orders of magnitude heavier than the rest.
 const SCREEN_CHUNK_EDGES: usize = 96;
 
 /// Tie tolerance for membership comparisons (`p_u(q) ≥ p̂_u(k)`).
@@ -84,22 +78,6 @@ pub const TIE_EPSILON: f64 = 1e-9;
 /// when `want_pmpn` asked for it — the solved PMPN vector for router
 /// sharing.
 pub type ScreenOutput = (QueryResult, Vec<(u32, NodeState)>, Option<Vec<f64>>);
-
-/// How the screen scan is cut into work units (within each shard range).
-///
-/// A pure scheduling knob: per-node screening decisions are independent, so
-/// the chunk plan — like the thread count — may only change wall time,
-/// never answers (`tests/parallel_determinism.rs` pins this down).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChunkStrategy {
-    /// Chunk boundaries placed so each chunk covers roughly
-    /// `SCREEN_CHUNK_EDGES` out-edges — degree-balanced work units, the
-    /// default (skewed graphs schedule evenly).
-    EdgeBalanced,
-    /// Fixed `SCREEN_CHUNK`-node chunks — the legacy layout, kept as an
-    /// explicit axis for determinism tests and benches.
-    NodeCount,
-}
 
 /// How residual mass is accounted for in the bounds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -134,9 +112,6 @@ pub struct QueryOptions {
     /// a single query, and the fan-out width of
     /// [`QueryEngine::query_batch`]. Results are identical for any value.
     pub query_threads: usize,
-    /// How the screen scan is cut into work units (see [`ChunkStrategy`]).
-    /// Results are identical for any value.
-    pub chunking: ChunkStrategy,
     /// Bounded-error approximate screen (the `rtk-approx` subsystem): when
     /// set with `epsilon > 0`, the exact PMPN solve is replaced by a
     /// bidirectional estimate — a backward residue push from `q` with
@@ -159,7 +134,6 @@ impl Default for QueryOptions {
             rwr: RwrParams::default(),
             approximate: false,
             query_threads: 0,
-            chunking: ChunkStrategy::EdgeBalanced,
             approx: None,
         }
     }
@@ -345,10 +319,7 @@ impl QueryEngine {
     }
 
     fn make_scratch(&self) -> Refiner {
-        Refiner::new(
-            BcaEngine::new(self.hubs.clone(), self.bca, PropagationStrategy::BatchThreshold),
-            Materializer::new(self.nodes),
-        )
+        Refiner::new(BcaEngine::new(self.hubs.clone(), self.bca), Materializer::new(self.nodes))
     }
 
     /// Runs Algorithm 4. With `options.update_index` the refined states are
@@ -671,10 +642,10 @@ fn execute_query(
     // expensive tail — can be scheduled by how undecided each candidate is.
     //
     // **Classify** scans every node: workers pull shard-aligned chunks off
-    // an atomic counter (degree-balanced by default, see [`ChunkStrategy`])
-    // and run the cheap bound tests that need no BCA scratch. Most nodes
-    // are pruned or confirmed here; the survivors are recorded with their
-    // first upper bound.
+    // an atomic counter (degree-balanced, see [`ChunkPlan`]) and run the
+    // cheap bound tests that need no BCA scratch. Most nodes are pruned or
+    // confirmed here; the survivors are recorded with their first upper
+    // bound.
     //
     // **Refine** then visits the survivors in descending upper-bound order
     // — the loosest bounds first, so the longest refinements start early
@@ -684,10 +655,7 @@ fn execute_query(
     // chunk layout) cannot change any answer.
     let screen_t0 = Instant::now();
     let screen_scope = scope;
-    let chunks = match options.chunking {
-        ChunkStrategy::EdgeBalanced => ChunkPlan::edge_balanced(&scope.ranges, transition.graph()),
-        ChunkStrategy::NodeCount => ChunkPlan::from_ranges(&scope.ranges),
-    };
+    let chunks = ChunkPlan::edge_balanced(&scope.ranges, transition.graph());
     let threads = threads.max(1);
     let classify_threads = threads.min(chunks.total()).max(1);
     let next = AtomicUsize::new(0);
@@ -848,53 +816,35 @@ fn execute_query(
 /// the thread count) cannot change any answer — only how the scan is
 /// scheduled.
 ///
-/// Two layouts (see [`ChunkStrategy`]): fixed [`SCREEN_CHUNK`]-node pieces
-/// resolved arithmetically in `O(S)` space, or degree-balanced pieces
-/// whose boundaries are placed so each chunk covers roughly the same
-/// node-plus-out-edge weight — one `u32` per chunk, computed in a single
-/// pass over the scan range.
+/// Chunks are degree-balanced: boundaries are placed so each chunk covers
+/// roughly the same node-plus-out-edge weight — one `u32` per chunk,
+/// computed in a single pass over the scan range.
 struct ChunkPlan {
-    /// Node range per shard, copied out of the shard map.
-    ranges: Vec<(u32, u32)>,
+    /// End node (exclusive) of each shard's range in the scan.
+    ends: Vec<u32>,
     /// Cumulative chunk counts: shard `s` owns global chunk indices
     /// `prefix[s]..prefix[s + 1]`.
     prefix: Vec<usize>,
-    /// Chunk start nodes (degree-balanced mode): chunk `ci` starts at
-    /// `bounds[ci]` and ends at the next chunk's start, or at its shard's
-    /// end for the last chunk of a shard. `None` in fixed-node mode.
-    bounds: Option<Vec<u32>>,
+    /// Chunk start nodes: chunk `ci` starts at `bounds[ci]` and ends at the
+    /// next chunk's start, or at its shard's end for the last chunk of a
+    /// shard.
+    bounds: Vec<u32>,
 }
 
 impl ChunkPlan {
-    /// Fixed-size plan ([`ChunkStrategy::NodeCount`]): each shard range is
-    /// a run of `SCREEN_CHUNK`-node pieces — the full shard map's ranges
-    /// for a single-process scan, or one shard's range for a multi-process
-    /// backend.
-    fn from_ranges(scan: &[(u32, u32)]) -> Self {
-        let mut ranges = Vec::with_capacity(scan.len());
-        let mut prefix = Vec::with_capacity(scan.len() + 1);
-        let mut total = 0usize;
-        prefix.push(0);
-        for &(lo, hi) in scan {
-            ranges.push((lo, hi));
-            total += ((hi - lo) as usize).div_ceil(SCREEN_CHUNK);
-            prefix.push(total);
-        }
-        Self { ranges, prefix, bounds: None }
-    }
-
-    /// Degree-balanced plan ([`ChunkStrategy::EdgeBalanced`]): boundaries
-    /// are placed so each chunk accumulates at least [`SCREEN_CHUNK_EDGES`]
+    /// Cuts each range of `scan` — the full shard map's ranges for a
+    /// single-process scan, or one shard's range for a multi-process
+    /// backend — so each chunk accumulates at least [`SCREEN_CHUNK_EDGES`]
     /// units of `1 + out_degree` weight (the `1` keeps edge-free stretches
     /// from collapsing into one giant chunk). On skewed graphs the chunks
     /// carry equal *work*: a hub's chunk is small in nodes, not in edges.
     fn edge_balanced(scan: &[(u32, u32)], graph: &DiGraph) -> Self {
-        let mut ranges = Vec::with_capacity(scan.len());
+        let mut ends = Vec::with_capacity(scan.len());
         let mut prefix = Vec::with_capacity(scan.len() + 1);
         let mut bounds = Vec::new();
         prefix.push(0);
         for &(lo, hi) in scan {
-            ranges.push((lo, hi));
+            ends.push(hi);
             let mut weight = 0usize;
             for u in lo..hi {
                 if weight == 0 {
@@ -907,33 +857,21 @@ impl ChunkPlan {
             }
             prefix.push(bounds.len());
         }
-        Self { ranges, prefix, bounds: Some(bounds) }
+        Self { ends, prefix, bounds }
     }
 
     /// Total number of chunks across all shards.
     fn total(&self) -> usize {
-        *self.prefix.last().unwrap_or(&0)
+        self.bounds.len()
     }
 
     /// Node range of global chunk `ci`, or `None` past the end.
     fn chunk(&self, ci: usize) -> Option<(u32, u32)> {
-        if ci >= self.total() {
-            return None;
-        }
+        let lo = *self.bounds.get(ci)?;
         // The owning shard is the last one whose prefix is ≤ ci.
         let s = self.prefix.partition_point(|&p| p <= ci) - 1;
-        let (start, end) = self.ranges[s];
-        match &self.bounds {
-            Some(bounds) => {
-                let lo = bounds[ci];
-                let hi = if ci + 1 < self.prefix[s + 1] { bounds[ci + 1] } else { end };
-                Some((lo, hi))
-            }
-            None => {
-                let lo = start + ((ci - self.prefix[s]) * SCREEN_CHUNK) as u32;
-                Some((lo, (lo + SCREEN_CHUNK as u32).min(end)))
-            }
-        }
+        let hi = if ci + 1 < self.prefix[s + 1] { self.bounds[ci + 1] } else { self.ends[s] };
+        Some((lo, hi))
     }
 }
 
@@ -1760,7 +1698,7 @@ mod tests {
 
     #[test]
     fn chunk_plan_covers_every_node_once_and_respects_shards() {
-        // Both layouts must partition the scan exactly: every node in one
+        // The plan must partition the scan exactly: every node in one
         // chunk, no chunk crossing a shard boundary.
         let g = rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(100, 420, 3)).unwrap();
         for (n, shards) in
@@ -1769,26 +1707,23 @@ mod tests {
             let map = rtk_index::ShardMap::even(n, shards);
             let ranges: Vec<(u32, u32)> =
                 (0..map.shard_count()).map(|i| (map.range(i).start, map.range(i).end)).collect();
-            let node_plan = ChunkPlan::from_ranges(&ranges);
-            let edge_plan = ChunkPlan::edge_balanced(&ranges, &g);
-            for (name, plan) in [("node", &node_plan), ("edge", &edge_plan)] {
-                let mut seen = vec![0u32; n];
-                for ci in 0..plan.total() {
-                    let (lo, hi) = plan.chunk(ci).expect("in-range chunk");
-                    assert!(lo < hi, "{name} n={n} shards={shards} ci={ci}");
-                    let s = map.shard_of(lo);
-                    assert_eq!(
-                        map.shard_of(hi - 1),
-                        s,
-                        "{name} n={n} shards={shards} ci={ci}: chunk crosses a shard boundary"
-                    );
-                    for u in lo..hi {
-                        seen[u as usize] += 1;
-                    }
+            let plan = ChunkPlan::edge_balanced(&ranges, &g);
+            let mut seen = vec![0u32; n];
+            for ci in 0..plan.total() {
+                let (lo, hi) = plan.chunk(ci).expect("in-range chunk");
+                assert!(lo < hi, "n={n} shards={shards} ci={ci}");
+                let s = map.shard_of(lo);
+                assert_eq!(
+                    map.shard_of(hi - 1),
+                    s,
+                    "n={n} shards={shards} ci={ci}: chunk crosses a shard boundary"
+                );
+                for u in lo..hi {
+                    seen[u as usize] += 1;
                 }
-                assert!(plan.chunk(plan.total()).is_none());
-                assert!(seen.iter().all(|&c| c == 1), "{name} n={n} shards={shards}: {seen:?}");
             }
+            assert!(plan.chunk(plan.total()).is_none());
+            assert!(seen.iter().all(|&c| c == 1), "n={n} shards={shards}: {seen:?}");
         }
     }
 
@@ -1809,69 +1744,6 @@ mod tests {
             // Every light node weighs 1 + 1 (self loop or one in-edge), so
             // chunks stay near SCREEN_CHUNK_EDGES / 2 nodes wide.
             assert!((hi - lo) as usize <= SCREEN_CHUNK_EDGES, "ci={ci}: {lo}..{hi}");
-        }
-    }
-
-    #[test]
-    fn chunk_strategies_agree_bitwise() {
-        // The chunk layout is a scheduling knob: answers, proximities, and
-        // counter stats are identical for both strategies, at any thread
-        // count, in both frozen and update mode.
-        let g = rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(250, 1100, 31)).unwrap();
-        let t = TransitionMatrix::new(&g);
-        let config = IndexConfig {
-            max_k: 8,
-            hub_selection: HubSelection::DegreeBased { b: 6 },
-            threads: 1,
-            shards: 3,
-            ..Default::default()
-        };
-        let frozen = ReverseIndex::build(&t, config.clone()).unwrap();
-        let mut session = QueryEngine::new(&frozen);
-        for q in [0u32, 49, 123] {
-            let base = session
-                .query_frozen(
-                    &t,
-                    &frozen,
-                    q,
-                    8,
-                    &QueryOptions {
-                        query_threads: 1,
-                        chunking: ChunkStrategy::NodeCount,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-            for threads in [1usize, 2, 4, 8] {
-                for chunking in [ChunkStrategy::EdgeBalanced, ChunkStrategy::NodeCount] {
-                    let opts =
-                        QueryOptions { query_threads: threads, chunking, ..Default::default() };
-                    let got = session.query_frozen(&t, &frozen, q, 8, &opts).unwrap();
-                    assert_eq!(got.nodes(), base.nodes(), "q={q} t={threads} {chunking:?}");
-                    for (a, b) in got.proximities().iter().zip(base.proximities()) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "q={q} t={threads} {chunking:?}");
-                    }
-                    assert_eq!(got.stats().candidates, base.stats().candidates);
-                    assert_eq!(got.stats().hits, base.stats().hits);
-                    assert_eq!(got.stats().refined_nodes, base.stats().refined_nodes);
-                    assert_eq!(got.stats().refine_iterations, base.stats().refine_iterations);
-                }
-            }
-        }
-
-        // Update mode: the post-commit index is also layout-independent.
-        let mut by_node = ReverseIndex::build(&t, config.clone()).unwrap();
-        let mut by_edge = ReverseIndex::build(&t, config).unwrap();
-        for (index, chunking) in
-            [(&mut by_node, ChunkStrategy::NodeCount), (&mut by_edge, ChunkStrategy::EdgeBalanced)]
-        {
-            let opts = QueryOptions { query_threads: 4, chunking, ..Default::default() };
-            for q in [0u32, 49, 123] {
-                session.query(&t, index, q, 8, &opts).unwrap();
-            }
-        }
-        for u in 0..250u32 {
-            assert_eq!(by_node.state(u), by_edge.state(u), "node {u}");
         }
     }
 

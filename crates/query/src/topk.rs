@@ -19,7 +19,7 @@
 //! [`crate::query::TIE_EPSILON`] used everywhere else.
 
 use rtk_graph::TransitionMatrix;
-use rtk_rwr::bca::{BcaEngine, BcaStop, PropagationStrategy};
+use rtk_rwr::bca::{BcaEngine, BcaStop};
 use rtk_rwr::{BcaParams, HubSet};
 use rtk_sparse::top_k_of_pairs;
 
@@ -55,7 +55,7 @@ pub fn top_k_rwr_early(
     assert!(k >= 1, "top_k_rwr_early: k must be ≥ 1");
     params.validate();
 
-    let mut engine = BcaEngine::new(HubSet::empty(n), *params, PropagationStrategy::BatchThreshold);
+    let mut engine = BcaEngine::new(HubSet::empty(n), *params);
     // Run one iteration at a time, testing the separation condition between
     // iterations. `residue_norm: 0.0` makes each resume run exactly one step.
     let step = BcaStop { residue_norm: 0.0, max_iterations: 1 };

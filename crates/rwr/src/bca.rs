@@ -7,19 +7,12 @@
 //! instead of propagating (Eq. 6) — its effect is recovered later from the
 //! precomputed hub proximity vectors (`p^t_u = w^t_u + P_H·s^t_u`, Eq. 7).
 //!
-//! Three propagation strategies are provided:
-//!
-//! * [`PropagationStrategy::BatchThreshold`] — the paper's adaptation
-//!   (Eqs. 8–9): every node with residue `≥ η` propagates in one iteration,
-//!   collected *before* any pushes so an iteration exactly matches the
-//!   equations;
-//! * [`PropagationStrategy::SingleMaxResidue`] — Berkhin's original rule;
-//! * [`PropagationStrategy::SingleAboveThreshold`] — the FOCS'06 variant
-//!   (any single node above `η`).
-//!
-//! Every strategy maintains the conservation invariant
-//! `‖w‖₁ + ‖s‖₁ + ‖r‖₁ = 1` and the monotonicity of retained ink
-//! (Prop. 1), which is what makes the index's values true lower bounds.
+//! Propagation follows the paper's batch adaptation (Eqs. 8–9): every node
+//! with residue `≥ η` propagates in one iteration, collected *before* any
+//! pushes so an iteration exactly matches the equations. It maintains the
+//! conservation invariant `‖w‖₁ + ‖s‖₁ + ‖r‖₁ = 1` and the monotonicity of
+//! retained ink (Prop. 1), which is what makes the index's values true lower
+//! bounds.
 //!
 //! The engine's state round-trips through compact [`BcaSnapshot`]s so a
 //! partially-run computation can be stored in the offline index and *resumed*
@@ -29,17 +22,6 @@ use crate::hubs::HubSet;
 use crate::params::BcaParams;
 use rtk_graph::TransitionMatrix;
 use rtk_sparse::{EpochScratch, SparseVector};
-
-/// How nodes are chosen for propagation each iteration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PropagationStrategy {
-    /// Paper's batch rule: `L_t = {v ∉ H : r(v) ≥ η}` (Eqs. 8–9).
-    BatchThreshold,
-    /// Berkhin's rule: the single node with the largest residue.
-    SingleMaxResidue,
-    /// FOCS'06 rule: one arbitrary node with residue `≥ η`.
-    SingleAboveThreshold,
-}
 
 /// Stop condition for a (resumed) BCA run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -118,7 +100,6 @@ impl BcaSnapshot {
 pub struct BcaEngine {
     hubs: HubSet,
     params: BcaParams,
-    strategy: PropagationStrategy,
     residue: EpochScratch,
     retained: EpochScratch,
     hub_ink: EpochScratch,
@@ -140,13 +121,12 @@ impl BcaEngine {
     ///
     /// # Panics
     /// Panics if `params` are invalid.
-    pub fn new(hubs: HubSet, params: BcaParams, strategy: PropagationStrategy) -> Self {
+    pub fn new(hubs: HubSet, params: BcaParams) -> Self {
         params.validate();
         let n = hubs.node_count();
         Self {
             hubs,
             params,
-            strategy,
             residue: EpochScratch::new(n),
             retained: EpochScratch::new(n),
             hub_ink: EpochScratch::new(n),
@@ -293,7 +273,8 @@ impl BcaEngine {
             // One pass over r_{t−1} in touch order picks everything the
             // iteration needs: the hub slots to sweep (Eq. 6), the non-hub
             // slots at or above η (the batch frontier), and the largest
-            // non-hub residue (ties to the smaller id) for the sub-η rules.
+            // non-hub residue (ties to the smaller id) for the sub-η
+            // fallbacks.
             swept.clear();
             frontier.clear();
             let mut largest: Option<(u32, f64)> = None;
@@ -324,36 +305,26 @@ impl BcaEngine {
                 self.residue_norm -= v;
             }
 
-            // Frontier selection over the (non-hub) residue r_{t−1}.
-            match self.strategy {
-                PropagationStrategy::BatchThreshold => {
-                    if frontier.is_empty() {
-                        // Sub-η regime: the paper's analysis stops refining
-                        // "until the maximum residue drops below η" (Thm. 3),
-                        // but deciding borderline candidates *exactly* needs
-                        // tighter bounds. Batch every node above half the
-                        // maximum residue so the residual keeps decaying
-                        // geometrically instead of draining one node at a
-                        // time.
-                        if let Some((_, rmax)) = largest {
-                            // `rmax / 2` can underflow to 0 once the residue
-                            // reaches the denormal floor; the `v > 0` guard
-                            // keeps zero-valued touched slots (no-op pushes,
-                            // the hubs just swept) out of the frontier.
-                            let adaptive = rmax / 2.0;
-                            for (i, v) in self.residue.iter_touched() {
-                                if v >= adaptive && v > 0.0 {
-                                    frontier.push((i, v));
-                                }
-                            }
+            // The batch frontier `L_t = {v ∉ H : r_{t−1}(v) ≥ η}` (Eqs. 8–9).
+            if frontier.is_empty() {
+                // Sub-η regime: the paper's analysis stops refining "until
+                // the maximum residue drops below η" (Thm. 3), but deciding
+                // borderline candidates *exactly* needs tighter bounds. Batch
+                // every node above half the maximum residue so the residual
+                // keeps decaying geometrically instead of draining one node
+                // at a time.
+                if let Some((_, rmax)) = largest {
+                    // `rmax / 2` can underflow to 0 once the residue reaches
+                    // the denormal floor; the `v > 0` guard keeps zero-valued
+                    // touched slots (no-op pushes, the hubs just swept) out
+                    // of the frontier.
+                    let adaptive = rmax / 2.0;
+                    for (i, v) in self.residue.iter_touched() {
+                        if v >= adaptive && v > 0.0 {
+                            frontier.push((i, v));
                         }
                     }
                 }
-                PropagationStrategy::SingleMaxResidue => {
-                    frontier.clear();
-                    frontier.extend(largest);
-                }
-                PropagationStrategy::SingleAboveThreshold => frontier.truncate(1),
             }
             if frontier.is_empty() && !progressed {
                 // Sub-threshold residue everywhere and nothing parked at
@@ -385,8 +356,6 @@ impl BcaEngine {
             for &(v, rv) in &frontier {
                 self.retained.add(v as usize, alpha * rv);
                 let spill = (1.0 - alpha) * rv;
-                // Kernel-backed when the view carries one: same values, but
-                // ids and probabilities come from adjacent contiguous arrays.
                 let (targets, probs) = transition.out_edges(v);
                 for (&t, &p) in targets.iter().zip(probs) {
                     let amount = spill * p;
@@ -453,8 +422,7 @@ mod tests {
         let g = toy();
         let t = TransitionMatrix::new(&g);
         let hubs = HubSet::from_ids(6, vec![0, 1]);
-        let mut engine =
-            BcaEngine::new(hubs, BcaParams::default(), PropagationStrategy::BatchThreshold);
+        let mut engine = BcaEngine::new(hubs, BcaParams::default());
         let mut snap = engine.run_from(&t, 3, &BcaStop { residue_norm: 0.5, max_iterations: 1 });
         for _ in 0..20 {
             let total = snap.residue_norm() + snap.settled_mass();
@@ -467,27 +435,15 @@ mod tests {
     fn no_hub_bca_converges_to_power_method() {
         let g = toy();
         let t = TransitionMatrix::new(&g);
-        let params = BcaParams::exhaustive(0.15);
-        for strategy in [
-            PropagationStrategy::BatchThreshold,
-            PropagationStrategy::SingleMaxResidue,
-            PropagationStrategy::SingleAboveThreshold,
-        ] {
-            let mut engine = BcaEngine::new(HubSet::empty(6), params, strategy);
-            for u in 0..6u32 {
-                let snap = engine.run_from(&t, u, &exhaustive_stop());
-                let (pm, _) = proximity_from(&t, u, &RwrParams::default());
-                let w = snap.retained.to_dense(6);
-                for v in 0..6 {
-                    assert!(
-                        (w[v] - pm[v]).abs() < 1e-8,
-                        "{strategy:?} u={u} v={v}: {} vs {}",
-                        w[v],
-                        pm[v]
-                    );
-                }
-                assert!(snap.hub_ink.is_empty());
+        let mut engine = BcaEngine::new(HubSet::empty(6), BcaParams::exhaustive(0.15));
+        for u in 0..6u32 {
+            let snap = engine.run_from(&t, u, &exhaustive_stop());
+            let (pm, _) = proximity_from(&t, u, &RwrParams::default());
+            let w = snap.retained.to_dense(6);
+            for v in 0..6 {
+                assert!((w[v] - pm[v]).abs() < 1e-8, "u={u} v={v}: {} vs {}", w[v], pm[v]);
             }
+            assert!(snap.hub_ink.is_empty());
         }
     }
 
@@ -498,8 +454,7 @@ mod tests {
         let t = TransitionMatrix::new(&g);
         let exact = proximity_matrix_dense(&t, 0.15);
         let hubs = HubSet::from_ids(6, vec![0, 1]);
-        let mut engine =
-            BcaEngine::new(hubs, BcaParams::exhaustive(0.15), PropagationStrategy::BatchThreshold);
+        let mut engine = BcaEngine::new(hubs, BcaParams::exhaustive(0.15));
         for u in 2..6u32 {
             let snap = engine.run_from(&t, u, &exhaustive_stop());
             let mut p = snap.retained.to_dense(6);
@@ -524,8 +479,7 @@ mod tests {
         let g = toy();
         let t = TransitionMatrix::new(&g);
         let hubs = HubSet::from_ids(6, vec![0, 1]);
-        let mut engine =
-            BcaEngine::new(hubs, BcaParams::default(), PropagationStrategy::BatchThreshold);
+        let mut engine = BcaEngine::new(hubs, BcaParams::default());
         let snap = engine.run_from(&t, 1, &BcaStop::from_params(&BcaParams::default()));
         assert_eq!(snap.hub_ink.get(1), 1.0);
         assert!(snap.residue.is_empty());
@@ -539,8 +493,7 @@ mod tests {
         let g = toy();
         let t = TransitionMatrix::new(&g);
         let hubs = HubSet::from_ids(6, vec![1]);
-        let mut engine =
-            BcaEngine::new(hubs, BcaParams::default(), PropagationStrategy::BatchThreshold);
+        let mut engine = BcaEngine::new(hubs, BcaParams::default());
         let mut snap = engine.run_from(&t, 2, &BcaStop { residue_norm: 0.9, max_iterations: 1 });
         let mut prev_w = snap.retained.to_dense(6);
         let mut prev_s = snap.hub_ink.to_dense(6);
@@ -561,11 +514,7 @@ mod tests {
     fn residue_norm_shrinks_every_iteration() {
         let g = toy();
         let t = TransitionMatrix::new(&g);
-        let mut engine = BcaEngine::new(
-            HubSet::empty(6),
-            BcaParams::default(),
-            PropagationStrategy::BatchThreshold,
-        );
+        let mut engine = BcaEngine::new(HubSet::empty(6), BcaParams::default());
         let mut snap = engine.run_from(&t, 0, &BcaStop { residue_norm: 0.99, max_iterations: 1 });
         let mut prev = snap.residue_norm();
         for _ in 0..10 {
@@ -580,11 +529,7 @@ mod tests {
     fn stop_rule_residue_threshold_is_respected() {
         let g = toy();
         let t = TransitionMatrix::new(&g);
-        let mut engine = BcaEngine::new(
-            HubSet::empty(6),
-            BcaParams::default(),
-            PropagationStrategy::BatchThreshold,
-        );
+        let mut engine = BcaEngine::new(HubSet::empty(6), BcaParams::default());
         let snap = engine.run_from(&t, 0, &BcaStop { residue_norm: 0.3, max_iterations: 10_000 });
         assert!(snap.residue_norm() <= 0.3);
         // ... but not absurdly small: BCA stops as soon as the rule is met.
@@ -599,11 +544,7 @@ mod tests {
         let t = TransitionMatrix::new(&g);
         let params = BcaParams::default();
         fn mk(params: BcaParams) -> BcaEngine {
-            BcaEngine::new(
-                HubSet::from_ids(6, vec![1]),
-                params,
-                PropagationStrategy::BatchThreshold,
-            )
+            BcaEngine::new(HubSet::from_ids(6, vec![1]), params)
         }
         let mut spliced =
             mk(params).run_from(&t, 2, &BcaStop { residue_norm: 0.0, max_iterations: 2 });
@@ -625,13 +566,7 @@ mod tests {
         // reads back unchanged.
         let g = toy();
         let t = TransitionMatrix::new(&g);
-        let mk = || {
-            BcaEngine::new(
-                HubSet::from_ids(6, vec![1]),
-                BcaParams::default(),
-                PropagationStrategy::BatchThreshold,
-            )
-        };
+        let mk = || BcaEngine::new(HubSet::from_ids(6, vec![1]), BcaParams::default());
         let steps = |n| BcaStop { residue_norm: 0.0, max_iterations: n };
         let straight = mk().run_from(&t, 2, &steps(5));
         let mut engine = mk();
@@ -649,29 +584,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_needs_fewer_iterations_than_single() {
-        let g = toy();
-        let t = TransitionMatrix::new(&g);
-        let params = BcaParams { residue_threshold: 0.01, ..Default::default() };
-        let stop = BcaStop::from_params(&params);
-        let mut batch =
-            BcaEngine::new(HubSet::empty(6), params, PropagationStrategy::BatchThreshold);
-        let mut single =
-            BcaEngine::new(HubSet::empty(6), params, PropagationStrategy::SingleMaxResidue);
-        let b = batch.run_from(&t, 0, &stop);
-        let s = single.run_from(&t, 0, &stop);
-        assert!(b.iterations < s.iterations, "batch {} vs single {}", b.iterations, s.iterations);
-    }
-
-    #[test]
     fn work_counters_accumulate() {
         let g = toy();
         let t = TransitionMatrix::new(&g);
-        let mut engine = BcaEngine::new(
-            HubSet::empty(6),
-            BcaParams::default(),
-            PropagationStrategy::BatchThreshold,
-        );
+        let mut engine = BcaEngine::new(HubSet::empty(6), BcaParams::default());
         engine.run_from(&t, 0, &BcaStop { residue_norm: 0.1, max_iterations: 100 });
         let w = engine.work();
         assert!(w.iterations > 0 && w.propagations > 0 && w.pushes > 0);
@@ -682,11 +598,7 @@ mod tests {
     fn rejects_bad_source() {
         let g = toy();
         let t = TransitionMatrix::new(&g);
-        let mut engine = BcaEngine::new(
-            HubSet::empty(6),
-            BcaParams::default(),
-            PropagationStrategy::BatchThreshold,
-        );
+        let mut engine = BcaEngine::new(HubSet::empty(6), BcaParams::default());
         engine.run_from(&t, 6, &BcaStop::one_iteration());
     }
 }

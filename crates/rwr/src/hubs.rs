@@ -7,7 +7,7 @@
 //! independent — and argues this beats Berkhin's greedy BCA-driven scheme at
 //! scale. Both are implemented; the greedy scheme feeds the ablation bench.
 
-use crate::bca::{BcaEngine, BcaStop, PropagationStrategy};
+use crate::bca::{BcaEngine, BcaStop};
 use crate::params::BcaParams;
 use rtk_graph::degree::degree_hub_union;
 use rtk_graph::{DiGraph, TransitionMatrix};
@@ -68,8 +68,7 @@ impl HubSet {
         };
         while hubs.len() < count {
             let probe = rng.gen_range(0..n) as u32;
-            let mut engine =
-                BcaEngine::new(hubs.clone(), *params, PropagationStrategy::BatchThreshold);
+            let mut engine = BcaEngine::new(hubs.clone(), *params);
             let snap = engine.run_from(transition, probe, &stop);
             // Largest retained ink among non-hubs (probe included).
             let candidate = snap

@@ -8,9 +8,9 @@
 //! * [`pmpn`] — **Power Method for Proximity to Node** (Alg. 2): the paper's
 //!   novel result that the *row* `p_{q,*}` of the proximity matrix is
 //!   computable by iterating on `Aᵀ` with convergence rate `1−α` (Thm. 2);
-//! * [`bca`] — the Bookmark Coloring Algorithm: Berkhin's single-node
-//!   propagation, the threshold variant, and the paper's batched adaptation
-//!   (Eqs. 8–9) with hub ink accumulation (Eq. 6) and resumable snapshots;
+//! * [`bca`] — the Bookmark Coloring Algorithm in the paper's batched
+//!   adaptation (Eqs. 8–9) with hub ink accumulation (Eq. 6) and resumable
+//!   snapshots;
 //! * [`monte_carlo`] — the MC End-Point and MC Complete-Path estimators the
 //!   paper discusses as (non-lower-bounding) alternatives (§6.2);
 //! * [`hubs`] — degree-based hub selection (§4.1.1) and Berkhin's greedy
@@ -29,7 +29,7 @@ pub mod params;
 pub mod pmpn;
 pub mod power;
 
-pub use bca::{BcaEngine, BcaSnapshot, BcaStop, PropagationStrategy};
+pub use bca::{BcaEngine, BcaSnapshot, BcaStop};
 pub use hubs::HubSet;
 pub use params::{BcaParams, RwrParams};
 pub use pmpn::proximity_to;

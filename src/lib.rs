@@ -59,11 +59,8 @@
 //! `ReverseTopkEngine` additionally caches the `O(|E|)` transition
 //! probability arrays once and wraps them in an `O(1)` view per call, so no
 //! query, top-k, or proximity call ever recomputes them. The
-//! `parallel_determinism` integration suite pins the equivalence contract,
-//! and `cargo run --release -p rtk-bench --bin parallel_study` writes a
-//! machine-readable `BENCH_query.json` tracking serial vs. parallel
-//! latency/throughput (including fixed-bucket p50/p95/p99 percentiles and a
-//! 1/2/4 shard sweep).
+//! `parallel_determinism` integration suite pins the equivalence contract;
+//! the repo benchmark (`BENCHMARK.json`) measures latency and throughput.
 //!
 //! # Sharding
 //!
@@ -138,8 +135,7 @@
 //! goes to concurrent requests). `rtk remote
 //! query|topk|batch|persist|stats|ping|shutdown` is the matching client;
 //! `cargo run --release -p rtk-bench --bin serve_study` drives a loopback
-//! server from concurrent client threads and writes `BENCH_serve.json`
-//! with the same percentile fields as `BENCH_query.json`.
+//! server from concurrent client threads and writes `BENCH_serve.json`.
 //!
 //! # Multi-process serving
 //!

@@ -9,7 +9,7 @@
 use rtk_graph::gen::{erdos_renyi, rmat, ErdosRenyiConfig, RmatConfig};
 use rtk_graph::{DiGraph, TransitionMatrix};
 use rtk_index::{HubSelection, IndexConfig, ReverseIndex};
-use rtk_query::{BoundMode, ChunkStrategy, QueryEngine, QueryOptions, QueryResult};
+use rtk_query::{BoundMode, QueryEngine, QueryOptions, QueryResult};
 
 const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
 
@@ -78,26 +78,15 @@ fn run_workload(
         query_threads: threads,
         ..Default::default()
     };
-    run_workload_with(transition, index, update, &options)
-}
-
-/// Like [`run_workload`], but with fully caller-chosen options — the entry
-/// point for sweeping the kernel and chunk-layout axes.
-fn run_workload_with(
-    transition: &TransitionMatrix<'_>,
-    index: &ReverseIndex,
-    update: bool,
-    options: &QueryOptions,
-) -> (Vec<QueryResult>, ReverseIndex) {
     let mut index = index.clone();
     let mut session = QueryEngine::new(&index);
     let n = transition.node_count();
     let mut results = Vec::new();
     for (q, k) in sample_queries(n, index.max_k()) {
         let r = if update {
-            session.query(transition, &mut index, q, k, options).unwrap()
+            session.query(transition, &mut index, q, k, &options).unwrap()
         } else {
-            session.query_frozen(transition, &index, q, k, options).unwrap()
+            session.query_frozen(transition, &index, q, k, &options).unwrap()
         };
         results.push(r);
     }
@@ -210,61 +199,6 @@ fn query_batch_is_deterministic_across_thread_counts() {
         }
         for u in 0..graph.node_count() as u32 {
             assert_eq!(before.state(u), index.state(u), "{label}: batch mutated the index");
-        }
-    }
-}
-
-/// The raw-speed screen engine's two new axes — the flat CSR
-/// `TransitionKernel` and the chunk layout — are, like the thread count,
-/// pure scheduling/representation choices: every combination of
-/// {kernel on/off} × {edge-balanced, node-count chunks} × {1, 2, 4, 8}
-/// threads reproduces the serial legacy-walk answers bitwise, including
-/// the post-query index in update mode.
-#[test]
-fn csr_kernel_and_chunk_layout_match_the_legacy_serial_path() {
-    let graphs = [
-        ("er", erdos_renyi(&ErdosRenyiConfig { nodes: 90, edges: 360, seed: 1 }).unwrap()),
-        ("rmat", rmat(&RmatConfig::new(110, 450, 3)).unwrap()),
-    ];
-    for (label, graph) in &graphs {
-        let legacy = TransitionMatrix::new(graph);
-        let kernelized = TransitionMatrix::new_kernelized(graph);
-        assert!(kernelized.has_kernel() && !legacy.has_kernel());
-        let index = ReverseIndex::build(&legacy, index_config(BoundMode::PaperFaithful)).unwrap();
-        for update in [false, true] {
-            let base = run_workload_with(
-                &legacy,
-                &index,
-                update,
-                &QueryOptions {
-                    update_index: update,
-                    query_threads: 1,
-                    chunking: ChunkStrategy::NodeCount,
-                    ..Default::default()
-                },
-            );
-            for (kernel, transition) in [(false, &legacy), (true, &kernelized)] {
-                for chunking in [ChunkStrategy::NodeCount, ChunkStrategy::EdgeBalanced] {
-                    for threads in [1usize, 2, 4, 8] {
-                        let got = run_workload_with(
-                            transition,
-                            &index,
-                            update,
-                            &QueryOptions {
-                                update_index: update,
-                                query_threads: threads,
-                                chunking,
-                                ..Default::default()
-                            },
-                        );
-                        let mode = format!(
-                            "{label} kernel={kernel} {chunking:?} {}",
-                            if update { "update" } else { "frozen" }
-                        );
-                        assert_equivalent(&mode, threads, &base, &got);
-                    }
-                }
-            }
         }
     }
 }

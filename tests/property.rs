@@ -11,7 +11,7 @@ use rtk_graph::{DanglingPolicy, DiGraph, GraphBuilder, TransitionMatrix};
 use rtk_index::{HubSelection, IndexConfig, ReverseIndex};
 use rtk_query::baseline::brute_force_reverse_topk;
 use rtk_query::{upper_bound_kth, BoundMode, QueryEngine, QueryOptions};
-use rtk_rwr::bca::{BcaEngine, BcaStop, PropagationStrategy};
+use rtk_rwr::bca::{BcaEngine, BcaStop};
 use rtk_rwr::exact::proximity_matrix_dense;
 use rtk_rwr::{proximity_from, proximity_to, BcaParams, HubSet, RwrParams};
 
@@ -64,8 +64,7 @@ fn bca_lower_bounds_hold() {
         let t = TransitionMatrix::new(&graph);
         let hubs = HubSet::degree_based(&graph, hub_count.min(n));
         let exact = proximity_matrix_dense(&t, 0.15);
-        let mut engine =
-            BcaEngine::new(hubs.clone(), BcaParams::default(), PropagationStrategy::BatchThreshold);
+        let mut engine = BcaEngine::new(hubs.clone(), BcaParams::default());
         for u in 0..n as u32 {
             let snap =
                 engine.run_from(&t, u, &BcaStop { residue_norm: 0.0, max_iterations: iterations });
@@ -103,11 +102,7 @@ fn ubc_is_sound() {
         let n = graph.node_count();
         let t = TransitionMatrix::new(&graph);
         let exact = proximity_matrix_dense(&t, 0.15);
-        let mut engine = BcaEngine::new(
-            HubSet::empty(n),
-            BcaParams::default(),
-            PropagationStrategy::BatchThreshold,
-        );
+        let mut engine = BcaEngine::new(HubSet::empty(n), BcaParams::default());
         for u in 0..n as u32 {
             let snap =
                 engine.run_from(&t, u, &BcaStop { residue_norm: 0.0, max_iterations: iterations });

@@ -217,13 +217,29 @@ fn stalled_replica_is_hedged_around_with_bitwise_equal_answers() {
 
     // Round-robin sends roughly half of all first submits to the stalled
     // replica; each of those must hedge to the fast one and win the race.
-    let t0 = Instant::now();
+    // The traced answer names, per shard call, whether a hedge fired and
+    // which replica's answer was used: a hedged call answered by a stalled
+    // replica would mean the hedge did not hide the stall.
+    let stalled: Vec<String> = addrs.iter().skip(1).step_by(2).cloned().collect();
     for (q, k) in workload() {
-        let a = client.reverse_topk(q, k, false).expect("hedged query");
+        let a = client.reverse_topk_traced(q, k, false).expect("hedged query");
         let b = direct.reverse_topk(q, k, false).expect("direct query");
         assert_bitwise(&a, &b, &format!("hedged q={q} k={k}"));
+        let trace = a.trace.expect("traced query carries its span tree");
+        for span in trace.children.iter().filter(|s| s.name.starts_with("shard")) {
+            let note = |key: &str| {
+                span.annotations.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+            };
+            if note("hedged") == Some("true") {
+                let replica = note("replica").expect("shard span names its replica");
+                assert!(
+                    !stalled.iter().any(|s| s == replica),
+                    "q={q} k={k} {}: hedged, yet answered by stalled replica {replica}",
+                    span.name
+                );
+            }
+        }
     }
-    let elapsed = t0.elapsed();
     let stats = client.stats().expect("hedge stats");
     assert!(
         stats.hedged_requests >= 1,
@@ -231,9 +247,6 @@ fn stalled_replica_is_hedged_around_with_bitwise_equal_answers() {
     );
     // A stalled replica is slow, not broken — it must not be marked down.
     assert_eq!(stats.unhealthy_backends, 0, "stall must not mark the replica unhealthy");
-    // Sanity: hedging means the workload does not pay the 250ms stall per
-    // affected query (12 queries × 250ms would be ≥ 3s serial).
-    assert!(elapsed < Duration::from_secs(3), "hedging should hide the stall, took {elapsed:?}");
 
     client.shutdown().expect("router shutdown");
     router.join().expect("router join");

@@ -267,21 +267,20 @@ fn engine_snapshots_round_trip_across_shard_counts() {
 }
 
 /// Degree-balanced repartitioning (the layout behind `rtk shard split
-/// --balance edges`) and the CSR kernel are invisible to answers: an
-/// edge-balanced shard layout queried through a kernelized matrix behaves
-/// identically to the 1-shard legacy-walk baseline — results, stats, and
-/// the post-query states.
+/// --balance edges`) is invisible to answers: an edge-balanced shard layout
+/// behaves identically to the 1-shard baseline — results, stats, and the
+/// post-query states.
 #[test]
-fn edge_balanced_repartition_and_kernel_match_unsharded() {
+fn edge_balanced_repartition_matches_unsharded() {
     use rtk_index::ShardMap;
     let (label, graph) = &test_graphs()[2]; // one R-MAT instance is plenty
-    let legacy = TransitionMatrix::new(graph);
-    let kernelized = TransitionMatrix::new_kernelized(graph);
-    let baseline = ReverseIndex::build(&legacy, index_config(BoundMode::PaperFaithful, 1)).unwrap();
+    let transition = TransitionMatrix::new(graph);
+    let baseline =
+        ReverseIndex::build(&transition, index_config(BoundMode::PaperFaithful, 1)).unwrap();
     let n = graph.node_count();
     let weights: Vec<u64> = (0..n as u32).map(|u| graph.out_neighbors(u).len() as u64).collect();
     for update in [false, true] {
-        let reference = run_workload(&legacy, &baseline, update, BoundMode::PaperFaithful);
+        let reference = run_workload(&transition, &baseline, update, BoundMode::PaperFaithful);
         for shards in SHARD_COUNTS {
             let map = ShardMap::balanced(n, shards, &weights);
             let mut index = baseline.clone();
@@ -292,14 +291,9 @@ fn edge_balanced_repartition_and_kernel_match_unsharded() {
             for u in 0..n as u32 {
                 assert_eq!(baseline.state(u), index.state(u), "{label} s={shards} node {u}");
             }
-            for (kernel, transition) in [(false, &legacy), (true, &kernelized)] {
-                let got = run_workload(transition, &index, update, BoundMode::PaperFaithful);
-                let mode = format!(
-                    "{label} balanced kernel={kernel} {}",
-                    if update { "update" } else { "frozen" }
-                );
-                assert_equivalent(&mode, shards, &reference, &got);
-            }
+            let got = run_workload(&transition, &index, update, BoundMode::PaperFaithful);
+            let mode = format!("{label} balanced {}", if update { "update" } else { "frozen" });
+            assert_equivalent(&mode, shards, &reference, &got);
         }
     }
 }
