@@ -8,19 +8,20 @@
 //!   protocol (requests, results, stats snapshots) without any bytes or
 //!   sockets;
 //! * [`service`] — the [`RtkService`] trait covering the full surface
-//!   (`reverse_topk`, `topk`, `batch`, `stats`, `persist`, `shutdown`,
-//!   plus the shard-scoped `shard_reverse_topk`), implemented here once
+//!   (`reverse_topk` and the shard-scoped `shard_reverse_topk`, both over
+//!   one [`QueryCall`] value; `topk`, `batch`, edge updates, `stats`,
+//!   `persist`, `shutdown`), implemented here once
 //!   for the in-process [`rtk_core::ReverseTopkEngine`] (whole index or
 //!   one shard of it), and in `rtk-server` for the remote `Client` and the
 //!   router's backend aggregate.
 //!
 //! ```
-//! use rtk_api::RtkService;
+//! use rtk_api::{QueryCall, RtkService};
 //! use rtk_core::ReverseTopkEngine;
 //!
 //! // Code written against the trait serves local and remote identically.
 //! fn first_fan(svc: &mut impl RtkService) -> u32 {
-//!     svc.reverse_topk(0, 2, false).unwrap().nodes[0]
+//!     svc.reverse_topk(&QueryCall::new(0, 2, false)).unwrap().nodes[0]
 //! }
 //!
 //! let mut engine = ReverseTopkEngine::builder(rtk_datasets::toy_graph())
@@ -38,8 +39,10 @@ pub mod model;
 pub mod service;
 
 pub use model::{
-    ApproxParams, EngineInfo, KindLatency, Request, RequestKind, Response, StatsSnapshot,
-    WireApproxStats, WireQueryResult, WireShardResult, WireTopk, WireUpdateResult,
+    ApproxParams, EngineInfo, KindLatency, QueryCall, Request, RequestKind, Response,
+    StatsSnapshot, WireApproxStats, WireQueryResult, WireShardResult, WireTopk, WireUpdateResult,
 };
 pub use rtk_obs::TraceSpan;
-pub use service::{dispatch_request, to_wire, RtkService, ServiceError, ServiceResult};
+pub use service::{
+    dispatch_request, to_wire, to_wire_shard, RtkService, ServiceError, ServiceResult,
+};

@@ -218,6 +218,37 @@ impl Request {
     }
 }
 
+/// One reverse top-k query as a value: exactly the fields
+/// [`Request::ReverseTopk`] carries. Every per-query feature is a field
+/// here — never a method of its own on [`crate::RtkService`] — so each
+/// layer (client, router, server, engine) has one query entry point and
+/// reads the fields it acts on.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct QueryCall {
+    /// Query node id.
+    pub q: u32,
+    /// Result set size.
+    pub k: u32,
+    /// Commit refinements back into the index (the paper's update mode).
+    pub update: bool,
+    /// Attach a span tree to the answer. Observational only: a traced and
+    /// an untraced run return bitwise-identical results.
+    pub trace: bool,
+    /// Answer through the approximate screen with this error budget: the
+    /// node set is correct for every node farther than ε from its top-k
+    /// decision boundary, and the reported proximities are the
+    /// bidirectional estimates (within ε/2 of the truth). `None` (or an
+    /// inactive ε) answers exactly.
+    pub approx: Option<ApproxParams>,
+}
+
+impl QueryCall {
+    /// An untraced, exact query.
+    pub fn new(q: u32, k: u32, update: bool) -> Self {
+        Self { q, k, update, trace: false, approx: None }
+    }
+}
+
 /// How the approximate screen classified a query's candidates (wire v8).
 /// Attached to an answer only when the query ran with an active
 /// [`ApproxParams`]; exact answers carry nothing and cost zero bytes.

@@ -16,14 +16,20 @@
 //! code drives a local engine or a sharded multi-process tier. Servers use
 //! [`dispatch_request`] to map a decoded wire [`Request`] onto the trait,
 //! so the request enum is matched in exactly one place outside the codec.
+//!
+//! The trait has two query methods — `reverse_topk` and the shard-scoped
+//! `shard_reverse_topk` — and both take a [`QueryCall`]: update mode,
+//! tracing and the approximate screen are fields of that value, so a new
+//! per-query feature is a new field, not a new method on every implementor.
 
 use crate::model::{
-    EngineInfo, Request, RequestKind, Response, StatsSnapshot, WireApproxStats, WireQueryResult,
-    WireShardResult, WireTopk, WireUpdateResult, STATUS_ENGINE_ERROR,
+    EngineInfo, QueryCall, Request, RequestKind, Response, StatsSnapshot, WireApproxStats,
+    WireQueryResult, WireShardResult, WireTopk, WireUpdateResult, STATUS_ENGINE_ERROR,
 };
 use rtk_core::graph::NodeId;
-use rtk_core::query::{ApproxParams, QueryOptions, QueryResult};
+use rtk_core::query::{QueryOptions, QueryResult};
 use rtk_core::{EngineError, ReverseTopkEngine};
+use std::ops::Range;
 
 /// What a service call can fail with.
 #[derive(Clone, Debug)]
@@ -63,94 +69,25 @@ pub trait RtkService {
         Ok(())
     }
 
-    /// One reverse top-k query; `update` commits refinements.
-    fn reverse_topk(&mut self, q: u32, k: u32, update: bool) -> ServiceResult<WireQueryResult>;
+    /// One reverse top-k query. Every per-query feature — update mode,
+    /// tracing, the approximate screen — is a field of `call`; a service
+    /// honours every field or fails the call, never silently ignores one.
+    fn reverse_topk(&mut self, call: &QueryCall) -> ServiceResult<WireQueryResult>;
 
-    /// Like [`reverse_topk`](Self::reverse_topk), but asks the service to
-    /// attach a span tree to the answer (wire v6). The default ignores the
-    /// request and answers untraced — tracing is best-effort and may never
-    /// change the result nodes or proximities.
-    fn reverse_topk_traced(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-    ) -> ServiceResult<WireQueryResult> {
-        self.reverse_topk(q, k, update)
-    }
-
-    /// Like [`reverse_topk`](Self::reverse_topk), but answers through the
-    /// approximate screen with the given error budget (wire v8): the node
-    /// set is guaranteed correct for every node farther than ε from its
-    /// top-k decision boundary, and the reported proximities are the
-    /// bidirectional estimates (within ε/2 of the truth). Services that
-    /// cannot honor the contract must refuse, never silently degrade.
-    fn reverse_topk_approx(
-        &mut self,
-        _q: u32,
-        _k: u32,
-        _update: bool,
-        _trace: bool,
-        _approx: ApproxParams,
-    ) -> ServiceResult<WireQueryResult> {
-        Err(ServiceError::Unsupported(
-            "approximate serving is not supported by this service flavor".to_string(),
-        ))
-    }
-
-    /// The shard-scoped slice of one reverse top-k query. Only engines
-    /// holding exactly one shard answer it; everything else reports
-    /// `Unsupported`.
+    /// The shard-scoped slice of one reverse top-k query. `pmpn` supplies a
+    /// precomputed PMPN vector to screen against, and `want_pmpn` asks the
+    /// locally solved vector back (the router's solve-once, ship-to-the-rest
+    /// optimisation). Only engines holding exactly one shard answer it;
+    /// everything else reports `Unsupported`.
     fn shard_reverse_topk(
         &mut self,
-        _q: u32,
-        _k: u32,
-        _update: bool,
+        _call: &QueryCall,
+        _pmpn: Option<&[f64]>,
+        _want_pmpn: bool,
     ) -> ServiceResult<WireShardResult> {
         Err(ServiceError::Unsupported(
             "shard_reverse_topk requires a shard backend; send reverse_topk instead".to_string(),
         ))
-    }
-
-    /// Traced variant of [`shard_reverse_topk`](Self::shard_reverse_topk)
-    /// (wire v6); the default answers untraced.
-    fn shard_reverse_topk_traced(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-    ) -> ServiceResult<WireShardResult> {
-        self.shard_reverse_topk(q, k, update)
-    }
-
-    /// The full wire-v8 shard query surface: the optional approx knob, an
-    /// optional precomputed PMPN vector to screen against, and `want_pmpn`
-    /// asking the locally solved vector back. The default delegates plain
-    /// calls to the v7 methods and refuses anything it cannot honor — a
-    /// service must never accept an approx knob or a shipped vector and
-    /// silently ignore it.
-    #[allow(clippy::too_many_arguments)]
-    fn shard_reverse_topk_ext(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-        trace: bool,
-        approx: Option<ApproxParams>,
-        pmpn: Option<&[f64]>,
-        want_pmpn: bool,
-    ) -> ServiceResult<WireShardResult> {
-        if approx.is_some() || pmpn.is_some() || want_pmpn {
-            return Err(ServiceError::Unsupported(
-                "wire-v8 shard query extensions are not supported by this service flavor"
-                    .to_string(),
-            ));
-        }
-        if trace {
-            self.shard_reverse_topk_traced(q, k, update)
-        } else {
-            self.shard_reverse_topk(q, k, update)
-        }
     }
 
     /// Inserts the edge `from -> to` with `weight` (accumulating onto an
@@ -199,24 +136,16 @@ pub fn dispatch_request<S: RtkService + ?Sized>(
     let kind = request.kind();
     let result = match request {
         Request::Ping => svc.ping().map(|()| Response::Pong),
-        Request::ReverseTopk { q, k, update, trace, approx } => match approx {
-            Some(a) => svc.reverse_topk_approx(q, k, update, trace, a),
-            None if trace => svc.reverse_topk_traced(q, k, update),
-            None => svc.reverse_topk(q, k, update),
-        }
-        .map(Response::ReverseTopk),
-        Request::ShardReverseTopk { q, k, update, trace, approx, pmpn, want_pmpn } => {
-            if approx.is_none() && pmpn.is_none() && !want_pmpn {
-                if trace {
-                    svc.shard_reverse_topk_traced(q, k, update)
-                } else {
-                    svc.shard_reverse_topk(q, k, update)
-                }
-            } else {
-                svc.shard_reverse_topk_ext(q, k, update, trace, approx, pmpn.as_deref(), want_pmpn)
-            }
-            .map(Response::ShardReverseTopk)
-        }
+        Request::ReverseTopk { q, k, update, trace, approx } => svc
+            .reverse_topk(&QueryCall { q, k, update, trace, approx })
+            .map(Response::ReverseTopk),
+        Request::ShardReverseTopk { q, k, update, trace, approx, pmpn, want_pmpn } => svc
+            .shard_reverse_topk(
+                &QueryCall { q, k, update, trace, approx },
+                pmpn.as_deref(),
+                want_pmpn,
+            )
+            .map(Response::ShardReverseTopk),
         Request::AddEdge { from, to, weight } => {
             svc.add_edge(from, to, weight).map(Response::Updated)
         }
@@ -234,8 +163,11 @@ pub fn dispatch_request<S: RtkService + ?Sized>(
 
 /// Converts an engine-layer [`QueryResult`] into its wire shape. The
 /// approx counter block rides along automatically whenever the query ran
-/// through the approximate screen.
-pub fn to_wire(r: &QueryResult, server_seconds: f64) -> WireQueryResult {
+/// through the approximate screen. `trace` names the root of the span tree
+/// to attach (a call that asked for one); the tree is rebuilt from the
+/// timings the engine records for every query anyway, so tracing adds no
+/// timing syscalls and cannot change the answer.
+pub fn to_wire(r: &QueryResult, server_seconds: f64, trace: Option<&str>) -> WireQueryResult {
     let s = r.stats();
     WireQueryResult {
         query: r.query(),
@@ -247,13 +179,34 @@ pub fn to_wire(r: &QueryResult, server_seconds: f64) -> WireQueryResult {
         refined_nodes: s.refined_nodes as u64,
         refine_iterations: s.refine_iterations,
         server_seconds,
-        trace: None,
+        trace: trace.map(|name| s.to_trace(name)),
         approx: s.approx_active.then_some(WireApproxStats {
             estimated: s.approx_estimated,
             exact_refined: s.approx_exact_refined,
             walks: s.approx_walks,
         }),
     }
+}
+
+/// [`to_wire`] for the shard-scoped slice `owned_shard` answered over its
+/// node range `owned`; a traced slice is annotated with its shard id so a
+/// router can stitch it into the full query trace.
+pub fn to_wire_shard(
+    r: &QueryResult,
+    server_seconds: f64,
+    trace: bool,
+    (owned_shard, owned): (usize, Range<u32>),
+    pmpn: Option<Vec<f64>>,
+) -> WireShardResult {
+    let shard_id = owned_shard as u32;
+    let mut result = to_wire(r, server_seconds, trace.then_some("engine:shard_reverse_topk"));
+    result.trace = result.trace.map(|t| t.annotate("shard", shard_id.to_string()));
+    WireShardResult { shard_id, node_lo: owned.start, node_hi: owned.end, result, pmpn }
+}
+
+/// The engine's default options with `call`'s fields applied.
+fn call_options(engine: &ReverseTopkEngine, call: &QueryCall) -> QueryOptions {
+    QueryOptions { update_index: call.update, approx: call.approx, ..*engine.options() }
 }
 
 fn engine_err(e: EngineError) -> ServiceError {
@@ -272,98 +225,26 @@ fn updated(engine: &ReverseTopkEngine, effect: rtk_core::UpdateEffect) -> WireUp
 }
 
 impl RtkService for ReverseTopkEngine {
-    fn reverse_topk(&mut self, q: u32, k: u32, update: bool) -> ServiceResult<WireQueryResult> {
-        let opts = QueryOptions { update_index: update, ..*self.options() };
-        let result = self.query_with(NodeId(q), k as usize, &opts).map_err(engine_err)?;
-        let seconds = result.stats().total_seconds;
-        Ok(to_wire(&result, seconds))
-    }
-
-    fn reverse_topk_traced(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-    ) -> ServiceResult<WireQueryResult> {
-        let opts = QueryOptions { update_index: update, ..*self.options() };
-        let result = self.query_with(NodeId(q), k as usize, &opts).map_err(engine_err)?;
-        let stats = *result.stats();
-        let mut wire = to_wire(&result, stats.total_seconds);
-        // The span tree is rebuilt from the timings the engine already
-        // records for every query — tracing adds no timing syscalls and
-        // cannot change the answer.
-        wire.trace = Some(stats.to_trace("engine:reverse_topk"));
-        Ok(wire)
-    }
-
-    fn reverse_topk_approx(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-        trace: bool,
-        approx: ApproxParams,
-    ) -> ServiceResult<WireQueryResult> {
-        let opts = QueryOptions { update_index: update, approx: Some(approx), ..*self.options() };
-        let result = self.query_with(NodeId(q), k as usize, &opts).map_err(engine_err)?;
-        let stats = *result.stats();
-        let mut wire = to_wire(&result, stats.total_seconds);
-        if trace {
-            wire.trace = Some(stats.to_trace("engine:reverse_topk"));
-        }
-        Ok(wire)
+    fn reverse_topk(&mut self, call: &QueryCall) -> ServiceResult<WireQueryResult> {
+        let opts = call_options(self, call);
+        let result = self.query_with(NodeId(call.q), call.k as usize, &opts).map_err(engine_err)?;
+        let trace = call.trace.then_some("engine:reverse_topk");
+        Ok(to_wire(&result, result.stats().total_seconds, trace))
     }
 
     fn shard_reverse_topk(
         &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-    ) -> ServiceResult<WireShardResult> {
-        self.shard_reverse_topk_ext(q, k, update, false, None, None, false)
-    }
-
-    fn shard_reverse_topk_traced(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-    ) -> ServiceResult<WireShardResult> {
-        self.shard_reverse_topk_ext(q, k, update, true, None, None, false)
-    }
-
-    fn shard_reverse_topk_ext(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-        trace: bool,
-        approx: Option<ApproxParams>,
+        call: &QueryCall,
         pmpn: Option<&[f64]>,
         want_pmpn: bool,
     ) -> ServiceResult<WireShardResult> {
-        let opts = QueryOptions { update_index: update, approx, ..*self.options() };
+        let opts = call_options(self, call);
         let (result, pmpn_out) = self
-            .query_shard(NodeId(q), k as usize, &opts, pmpn, want_pmpn)
+            .query_shard(NodeId(call.q), call.k as usize, &opts, pmpn, want_pmpn)
             .map_err(engine_err)?;
-        let shard_id = self.index().owned_shard().expect("query_shard checked ownership") as u32;
-        let range = self.index().owned_range();
-        let stats = *result.stats();
-        let mut wire = to_wire(&result, stats.total_seconds);
-        if trace {
-            wire.trace = Some(
-                stats
-                    .to_trace("engine:shard_reverse_topk")
-                    .annotate("shard", shard_id.to_string()),
-            );
-        }
-        Ok(WireShardResult {
-            shard_id,
-            node_lo: range.start,
-            node_hi: range.end,
-            result: wire,
-            pmpn: pmpn_out,
-        })
+        let shard = self.index().owned_shard().expect("query_shard checked ownership");
+        let owned = (shard, self.index().owned_range());
+        Ok(to_wire_shard(&result, result.stats().total_seconds, call.trace, owned, pmpn_out))
     }
 
     fn add_edge(&mut self, from: u32, to: u32, weight: f64) -> ServiceResult<WireUpdateResult> {
@@ -394,7 +275,7 @@ impl RtkService for ReverseTopkEngine {
             queries.iter().map(|&(q, k)| (NodeId(q), k as usize)).collect();
         let opts = QueryOptions { update_index: false, ..*self.options() };
         let results = self.query_batch(&raw, &opts).map_err(engine_err)?;
-        Ok(results.iter().map(|r| to_wire(r, r.stats().total_seconds)).collect())
+        Ok(results.iter().map(|r| to_wire(r, r.stats().total_seconds, None)).collect())
     }
 
     fn stats(&mut self) -> ServiceResult<StatsSnapshot> {
@@ -453,7 +334,7 @@ mod tests {
     /// the point of the trait is that this function cannot tell them apart.
     fn exercise(svc: &mut impl RtkService) {
         svc.ping().unwrap();
-        let r = svc.reverse_topk(0, 2, false).unwrap();
+        let r = svc.reverse_topk(&QueryCall::new(0, 2, false)).unwrap();
         assert_eq!(r.nodes, vec![0, 1, 4]);
         let t = svc.topk(2, 2, false).unwrap();
         assert_eq!(t.nodes[0], 1);
@@ -469,7 +350,7 @@ mod tests {
         let mut engine = toy_engine(1);
         exercise(&mut engine);
         // Update mode commits without changing answers.
-        let r = engine.reverse_topk(0, 2, true).unwrap();
+        let r = engine.reverse_topk(&QueryCall::new(0, 2, true)).unwrap();
         assert_eq!(r.nodes, vec![0, 1, 4]);
         // Dispatching a decoded wire request lands on the same method.
         let (kind, resp) = dispatch_request(
@@ -491,7 +372,7 @@ mod tests {
     #[test]
     fn traced_queries_attach_phase_spans_without_changing_answers() {
         let mut engine = toy_engine(1);
-        let plain = engine.reverse_topk(0, 2, false).unwrap();
+        let plain = engine.reverse_topk(&QueryCall::new(0, 2, false)).unwrap();
         let (_, resp) = dispatch_request(
             &mut engine,
             Request::ReverseTopk { q: 0, k: 2, update: false, trace: true, approx: None },
@@ -512,7 +393,8 @@ mod tests {
 
         // A one-shard engine traces too, annotated with its shard id.
         let mut shard = one_shard_engine(&toy_engine(2), 0);
-        let partial = shard.shard_reverse_topk_traced(0, 2, false).unwrap();
+        let call = QueryCall { trace: true, ..QueryCall::new(0, 2, false) };
+        let partial = shard.shard_reverse_topk(&call, None, false).unwrap();
         let trace = partial.result.trace.expect("traced shard response carries a span tree");
         assert_eq!(trace.name, "engine:shard_reverse_topk");
         assert!(trace.annotations.iter().any(|(k, v)| k == "shard" && v == "0"));
@@ -526,7 +408,7 @@ mod tests {
         // Whole-answer requests are clean Unsupported errors naming the
         // owned range — and so is the shard-scoped one on a whole engine.
         assert!(matches!(
-            shard.reverse_topk(0, 2, false),
+            shard.reverse_topk(&QueryCall::new(0, 2, false)),
             Err(ServiceError::Unsupported(m)) if m.contains("--shard-only") && m.contains("0..3")
         ));
         assert!(matches!(
@@ -534,12 +416,12 @@ mod tests {
             Err(ServiceError::Unsupported(m)) if m.contains("0..3")
         ));
         assert!(matches!(
-            whole.shard_reverse_topk(0, 2, false),
+            whole.shard_reverse_topk(&QueryCall::new(0, 2, false), None, false),
             Err(ServiceError::Unsupported(m)) if m.contains("0..6")
         ));
 
         // The shard-scoped slice answers (nodes 0..3 of {0, 1, 4} = {0, 1}).
-        let partial = shard.shard_reverse_topk(0, 2, false).unwrap();
+        let partial = shard.shard_reverse_topk(&QueryCall::new(0, 2, false), None, false).unwrap();
         assert_eq!(partial.result.nodes, vec![0, 1]);
         assert_eq!((partial.node_lo, partial.node_hi), (0, 3));
 

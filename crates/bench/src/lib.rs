@@ -1,5 +1,5 @@
 //! Shared harness for the experiment binaries (one per table/figure of the
-//! paper, plus `serve_study`).
+//! paper).
 //!
 //! Every binary accepts:
 //!
@@ -15,7 +15,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use rtk_datasets::DatasetSpec;
 use rtk_graph::DiGraph;
 use rtk_index::{HubSelection, HubSolver, IndexConfig};
-use rtk_obs::{log_event, Json, Level};
+use rtk_obs::{log_event, Level};
 use rtk_rwr::{BcaParams, RwrParams};
 
 /// Parsed command-line options shared by all experiment binaries.
@@ -158,38 +158,6 @@ pub fn graph_summary(g: &DiGraph) -> String {
     format!("{} nodes / {} edges", g.node_count(), g.edge_count())
 }
 
-/// Builds a [`Json`] object from `(key, value)` pairs — shorthand for the
-/// study writers.
-pub fn obj(members: Vec<(&str, Json)>) -> Json {
-    Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-/// The standard `"graph"` member every study artifact carries.
-pub fn graph_json(kind: &str, nodes: usize, edges: usize, seed: u64) -> Json {
-    obj(vec![
-        ("kind", Json::Str(kind.to_string())),
-        ("nodes", Json::U64(nodes as u64)),
-        ("edges", Json::U64(edges as u64)),
-        ("seed", Json::U64(seed)),
-    ])
-}
-
-/// Writes a machine-readable `BENCH_*.json` artifact and announces it.
-///
-/// All study binaries serialize through [`rtk_obs::Json`] — the same tree
-/// and renderer behind `rtk remote stats --json` — so the artifacts stay
-/// schema-aligned by construction instead of by hand-matched format
-/// strings.
-pub fn write_json_artifact(path: &str, value: &Json) {
-    let mut text = value.render_pretty();
-    text.push('\n');
-    std::fs::write(path, text).unwrap_or_else(|e| {
-        log_event(Level::Error, "bench", &format!("cannot write {path}: {e}"), &[]);
-        std::process::exit(1);
-    });
-    println!("wrote {path}");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,12 +176,6 @@ mod tests {
         assert_eq!(mean(&[1.0, 3.0]), 2.0);
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mib(1024 * 1024), 1.0);
-    }
-
-    #[test]
-    fn json_helpers_share_the_obs_renderer() {
-        let g = graph_json("rmat", 10, 20, 7);
-        assert_eq!(g.render(), r#"{"kind":"rmat","nodes":10,"edges":20,"seed":7}"#);
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
         approximate: args.has("approximate"),
         query_threads: threads,
         approx: approx_from_args(args)?,
-        ..Default::default()
     };
     let mut session = QueryEngine::new(&index);
     let result = session

@@ -9,7 +9,7 @@
 //! machinery instead of a single batch frame.
 
 use crate::args::Parsed;
-use rtk_server::{Client, RtkService};
+use rtk_server::{Client, QueryCall, RtkService};
 use std::time::Duration;
 
 pub(crate) fn run(argv: &[String]) -> Result<(), String> {
@@ -103,12 +103,9 @@ fn query(svc: &mut impl RtkService, args: &Parsed) -> Result<(), String> {
     let approx =
         super::query::approx_from_args(args).map_err(|e| e.replace("query:", "remote query:"))?;
     let started = std::time::Instant::now();
-    let r = match approx {
-        Some(a) => svc.reverse_topk_approx(q, k, update, traced, a),
-        None if traced => svc.reverse_topk_traced(q, k, update),
-        None => svc.reverse_topk(q, k, update),
-    }
-    .map_err(|e| format!("remote query: {e}"))?;
+    let r = svc
+        .reverse_topk(&QueryCall { q, k, update, trace: traced, approx })
+        .map_err(|e| format!("remote query: {e}"))?;
     let round_trip = started.elapsed().as_secs_f64();
     println!(
         "reverse top-{k} of node {q}{}: {} result(s)",

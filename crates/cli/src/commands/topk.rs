@@ -19,6 +19,10 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
     if u as usize >= graph.node_count() {
         return Err(format!("topk: node {u} out of range (graph has {})", graph.node_count()));
     }
+    if k == 0 {
+        let err = rtk_query::QueryError::KOutOfRange { k, max_k: graph.node_count() };
+        return Err(format!("topk: {err}"));
+    }
     let transition = TransitionMatrix::new(&graph);
 
     let top = if args.has("early") {

@@ -397,7 +397,7 @@ impl ReverseTopkEngine {
     /// Forward top-k RWR search: the `k` nodes with the highest proximity
     /// *from* `u`, descending.
     pub fn top_k(&self, u: NodeId, k: usize) -> Result<Vec<(NodeId, f64)>, EngineError> {
-        self.check_node(u)?;
+        self.check_top_k(u, k)?;
         let transition = self.transition();
         let params = self.solver_params();
         let top = rtk_query::baseline::top_k_rwr(&transition, u.0, k, &params);
@@ -409,7 +409,7 @@ impl ReverseTopkEngine {
     /// (up to value ties below 1e-9); the proximities are lower bounds and
     /// the internal order follows them, not the converged ranking.
     pub fn top_k_early(&self, u: NodeId, k: usize) -> Result<Vec<(NodeId, f64)>, EngineError> {
-        self.check_node(u)?;
+        self.check_top_k(u, k)?;
         let transition = self.transition();
         let params = rtk_rwr::BcaParams {
             alpha: self.index.config().alpha(),
@@ -493,6 +493,17 @@ impl ReverseTopkEngine {
     pub fn load_path<P: AsRef<Path>>(path: P) -> Result<Self, EngineError> {
         let file = std::fs::File::open(path).map_err(rtk_graph::GraphError::Io)?;
         Self::load(file)
+    }
+
+    /// Forward top-k input check: `rtk-query` asserts `k ≥ 1`, and a `k`
+    /// off the wire must be an error, not a panic on a serving thread.
+    fn check_top_k(&self, u: NodeId, k: usize) -> Result<(), EngineError> {
+        self.check_node(u)?;
+        if k == 0 {
+            let max_k = self.node_count();
+            return Err(EngineError::Query(rtk_query::QueryError::KOutOfRange { k, max_k }));
+        }
+        Ok(())
     }
 
     #[allow(clippy::wrong_self_convention)]

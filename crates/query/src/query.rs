@@ -98,9 +98,6 @@ pub struct QueryOptions {
     pub update_index: bool,
     /// Residual accounting (see [`BoundMode`]).
     pub bound_mode: BoundMode,
-    /// PMPN parameters (`α` is overridden by the index's `α`, and the SpMV
-    /// thread count by [`Self::query_threads`]).
-    pub rwr: RwrParams,
     /// Approximate mode (paper §5.3): skip refinement entirely and return
     /// only the nodes whose bounds decide immediately — the "hits" plus the
     /// exact-bound nodes. A subset of the exact answer; on the paper's web
@@ -131,7 +128,6 @@ impl Default for QueryOptions {
         Self {
             update_index: true,
             bound_mode: BoundMode::PaperFaithful,
-            rwr: RwrParams::default(),
             approximate: false,
             query_threads: 0,
             approx: None,
@@ -402,7 +398,6 @@ impl QueryEngine {
                 return Err(QueryError::GraphMismatch { index_nodes: v.len(), graph_nodes: n });
             }
         }
-        let threads = resolve_threads(options.query_threads);
         let (mut result, commits, pmpn_out) = execute_query(
             self,
             transition,
@@ -410,8 +405,6 @@ impl QueryEngine {
             q,
             k,
             options,
-            threads,
-            options.update_index,
             pmpn,
             want_pmpn,
         );
@@ -487,18 +480,8 @@ impl QueryEngine {
         let mut slots: Vec<Option<QueryResult>> = (0..queries.len()).map(|_| None).collect();
         if workers <= 1 {
             for (slot, &(q, k)) in slots.iter_mut().zip(queries) {
-                let (result, _, _) = execute_query(
-                    self,
-                    transition,
-                    &screen_scope,
-                    q,
-                    k,
-                    &per_query,
-                    per_query.query_threads,
-                    false,
-                    None,
-                    false,
-                );
+                let (result, _, _) =
+                    execute_query(self, transition, &screen_scope, q, k, &per_query, None, false);
                 *slot = Some(result);
             }
         } else {
@@ -525,8 +508,6 @@ impl QueryEngine {
                                 q,
                                 k,
                                 per_query,
-                                per_query.query_threads,
-                                false,
                                 None,
                                 false,
                             );
@@ -595,9 +576,9 @@ impl<'a> ScreenScope<'a> {
 
 /// Runs PMPN + the screen phase against a read-only scope. Returns the
 /// result (with `total_seconds` still unset), the refined states to commit
-/// (empty unless `want_commits`), and — when `want_pmpn` and the exact path
-/// ran — the PMPN vector, so a router can ship it to sibling backends
-/// instead of having each re-solve it.
+/// (empty unless `options.update_index`), and — when `want_pmpn` and the
+/// exact path ran — the PMPN vector, so a router can ship it to sibling
+/// backends instead of having each re-solve it.
 ///
 /// `pmpn_in` supplies a precomputed PMPN vector (skipping the solve); the
 /// caller must have validated its length. Every backend solves the
@@ -611,18 +592,17 @@ fn execute_query(
     q: u32,
     k: usize,
     options: &QueryOptions,
-    threads: usize,
-    want_commits: bool,
     pmpn_in: Option<&[f64]>,
     want_pmpn: bool,
 ) -> (QueryResult, Vec<(u32, NodeState)>, Option<Vec<f64>>) {
     let approx = options.approx.filter(|a| a.is_active());
+    let threads = resolve_threads(options.query_threads);
 
     // Step 1 (Alg. 4 line 1): exact proximities to q via PMPN, with the
     // index's restart probability, SpMV spread over the query threads — or,
     // in approx mode, the backward residue push of the bidirectional
     // estimator (deterministic radius ε/2; see `rtk-approx`).
-    let pmpn_params = RwrParams { alpha: scope.alpha, threads, ..options.rwr };
+    let pmpn_params = RwrParams { alpha: scope.alpha, threads, ..RwrParams::default() };
     let pmpn_t0 = Instant::now();
     let mut pmpn_iterations = 0u32;
     let mut estimator: Option<BidirEstimator> = None;
@@ -654,67 +634,14 @@ fn execute_query(
     // read-only index, so the visit order (like the thread count and the
     // chunk layout) cannot change any answer.
     let screen_t0 = Instant::now();
-    let screen_scope = scope;
     let chunks = ChunkPlan::edge_balanced(&scope.ranges, transition.graph());
-    let threads = threads.max(1);
-    let classify_threads = threads.min(chunks.total()).max(1);
-    let next = AtomicUsize::new(0);
-    let mut stats = QueryStats::default();
-    let mut results: Vec<(u32, f64)> = Vec::new();
-    let mut pending: Vec<PendingCandidate> = Vec::new();
-    if classify_threads <= 1 {
-        let mut local = LocalClassify::default();
-        match &estimator {
-            Some(est) => classify_worker_approx(
-                &mut local, &chunks, &next, scope, transition, est, k, options,
-            ),
-            None => classify_worker(&mut local, &chunks, &next, scope, &to_q, k, options),
+    let LocalClassify { mut stats, mut results, mut pending } = match &estimator {
+        Some(est) => {
+            let source = EnvelopeSource { est, transition };
+            classify(&source, &chunks, scope, k, options, threads)
         }
-        stats.absorb(&local.stats);
-        results.extend(local.results);
-        pending.extend(local.pending);
-    } else {
-        let collected = std::sync::Mutex::new(Vec::with_capacity(classify_threads));
-        WorkerPool::global().scope(|pool| {
-            for _ in 0..classify_threads {
-                let next = &next;
-                let chunks = &chunks;
-                let to_q = &to_q;
-                let estimator = &estimator;
-                let collected = &collected;
-                pool.spawn(move || {
-                    let mut local = LocalClassify::default();
-                    match estimator {
-                        Some(est) => classify_worker_approx(
-                            &mut local,
-                            chunks,
-                            next,
-                            screen_scope,
-                            transition,
-                            est,
-                            k,
-                            options,
-                        ),
-                        None => classify_worker(
-                            &mut local,
-                            chunks,
-                            next,
-                            screen_scope,
-                            to_q,
-                            k,
-                            options,
-                        ),
-                    }
-                    collected.lock().expect("classify results poisoned").push(local);
-                });
-            }
-        });
-        for local in collected.into_inner().expect("classify results poisoned") {
-            stats.absorb(&local.stats);
-            results.extend(local.results);
-            pending.extend(local.pending);
-        }
-    }
+        None => classify(&ExactSource(&to_q), &chunks, scope, k, options, threads),
+    };
 
     // Loosest bounds first; ties break by node id so the refinement
     // schedule is reproducible no matter how classify chunks interleaved.
@@ -728,7 +655,6 @@ fn execute_query(
         threads: if refine_threads > 1 { 1 } else { pmpn_params.threads },
         ..pmpn_params
     };
-    let approx_epsilon = approx.map(|a| a.epsilon);
     let next = AtomicUsize::new(0);
     let locals: Vec<LocalScreen> = if refine_threads <= 1 {
         let mut scratch = session.scratch.take_with(|| session.make_scratch());
@@ -744,8 +670,6 @@ fn execute_query(
             k,
             options,
             &fallback_params,
-            want_commits,
-            approx_epsilon,
         );
         session.scratch.put(scratch);
         vec![local]
@@ -766,13 +690,11 @@ fn execute_query(
                         pending,
                         next,
                         transition,
-                        screen_scope,
+                        scope,
                         q,
                         k,
                         options,
                         fallback_params,
-                        want_commits,
-                        approx_epsilon,
                     );
                     session.scratch.put(scratch);
                     collected.lock().expect("screen results poisoned").push(local);
@@ -895,51 +817,161 @@ struct LocalClassify {
     pending: Vec<PendingCandidate>,
 }
 
+/// What classify reads in place of `p_u(q)`. Algorithm 4's tests are the
+/// same whichever value stands in; the two sources — and any further sound
+/// bound on `p_u(q)` — differ only in how that value is obtained.
+/// Monomorphised: the classify loop makes no dynamic call.
+trait BoundSource: Sync {
+    /// Whether [`Self::point`] is an estimate of `p_u(q)` rather than the
+    /// value itself; gates the `approx_*` counters.
+    const ESTIMATED: bool;
+
+    /// An upper bound on `p_u(q)` that costs nothing extra: a node whose
+    /// ceiling fails a pruning test is a certain miss.
+    fn ceiling(&self, u: u32) -> f64;
+
+    /// The value a surviving candidate is decided (and reported) with, at
+    /// most [`Self::ceiling`], and the forward walks spent obtaining it.
+    fn point(&self, u: u32) -> (f64, u64);
+}
+
+/// The exact source: the PMPN vector. Ceiling and point are both
+/// `p_u(q)` itself.
+struct ExactSource<'a>(&'a [f64]);
+
+impl BoundSource for ExactSource<'_> {
+    const ESTIMATED: bool = false;
+
+    #[inline]
+    fn ceiling(&self, u: u32) -> f64 {
+        self.0[u as usize]
+    }
+
+    #[inline]
+    fn point(&self, u: u32) -> (f64, u64) {
+        (self.0[u as usize], 0)
+    }
+}
+
+/// The approximate source (`rtk-approx` subsystem): the bidirectional
+/// estimator's deterministic envelope `est[u] ≤ p_u(q) ≤ est[u] + ρ`
+/// (ρ = ε/2). The ceiling is the envelope's optimistic edge, so nodes the
+/// envelope alone prunes cost no walk; the point is the walk-refined
+/// estimate `p̃`, still inside the envelope. Any misclassification requires
+/// the true proximity to lie within ε of the node's top-k boundary.
+struct EnvelopeSource<'a> {
+    est: &'a BidirEstimator,
+    transition: &'a TransitionMatrix<'a>,
+}
+
+impl BoundSource for EnvelopeSource<'_> {
+    const ESTIMATED: bool = true;
+
+    #[inline]
+    fn ceiling(&self, u: u32) -> f64 {
+        self.est.lower(u) + self.est.bound()
+    }
+
+    #[inline]
+    fn point(&self, u: u32) -> (f64, u64) {
+        self.est.estimate(self.transition, u)
+    }
+}
+
+/// Runs the classify pass over `chunks` on up to `threads` pool workers
+/// and folds their outputs.
+fn classify<S: BoundSource>(
+    source: &S,
+    chunks: &ChunkPlan,
+    scope: &ScreenScope<'_>,
+    k: usize,
+    options: &QueryOptions,
+    threads: usize,
+) -> LocalClassify {
+    let threads = threads.min(chunks.total()).max(1);
+    let next = AtomicUsize::new(0);
+    let mut total = LocalClassify::default();
+    if threads <= 1 {
+        classify_worker(&mut total, chunks, &next, scope, source, k, options);
+        return total;
+    }
+    let collected = std::sync::Mutex::new(Vec::with_capacity(threads));
+    WorkerPool::global().scope(|pool| {
+        for _ in 0..threads {
+            let next = &next;
+            let collected = &collected;
+            pool.spawn(move || {
+                let mut local = LocalClassify::default();
+                classify_worker(&mut local, chunks, next, scope, source, k, options);
+                collected.lock().expect("classify results poisoned").push(local);
+            });
+        }
+    });
+    for local in collected.into_inner().expect("classify results poisoned") {
+        total.stats.absorb(&local.stats);
+        total.results.extend(local.results);
+        total.pending.extend(local.pending);
+    }
+    total
+}
+
 /// Classify pass: screens chunks pulled off `next` until the plan is
 /// exhausted, running only the checks that need no BCA scratch — the
 /// pruning tests and the first lower/upper bound evaluation (Alg. 4
-/// lines 3–7 plus line 4's first look). Undecided nodes become
-/// [`PendingCandidate`]s; the refine pass re-derives these exact values
-/// from the same read-only state, so splitting the phases changes no
-/// decision.
-fn classify_worker(
+/// lines 3–7 plus line 4's first look) against `source`'s stand-in for
+/// `p_u(q)`. Undecided nodes become [`PendingCandidate`]s; the refine pass
+/// re-derives these exact values from the same read-only state, so
+/// splitting the phases changes no decision.
+fn classify_worker<S: BoundSource>(
     local: &mut LocalClassify,
     chunks: &ChunkPlan,
     next: &AtomicUsize,
     scope: &ScreenScope<'_>,
-    to_q: &[f64],
+    source: &S,
     k: usize,
     options: &QueryOptions,
 ) {
     let strict = options.bound_mode == BoundMode::Strict;
+    // An estimated source's decisions are reported in the approx counters.
+    let estimated = u64::from(S::ESTIMATED);
     loop {
         let ci = next.fetch_add(1, Ordering::Relaxed);
         let Some((lo, hi)) = chunks.chunk(ci) else {
             break;
         };
         for u in lo..hi {
-            let p_uq = to_q[u as usize];
+            let ceiling = source.ceiling(u);
 
             // Membership requires strictly positive proximity: a top-k
             // *set* only contains reachable nodes. Without this, every node
             // whose proximity vector has fewer than k non-zeros (its k-th
             // value is 0) would "contain" every query node — Figure 1's
             // shaded cells are always non-zero.
-            if p_uq <= TIE_EPSILON {
+            if ceiling <= TIE_EPSILON {
                 local.stats.pruned_by_lower_bound += 1;
                 continue;
             }
             // Fast path: prune on the stored lower bound without copying
-            // (Alg. 4 line 4's first evaluation).
+            // (Alg. 4 line 4's first evaluation) — the certain misses.
             let state = scope.state(u);
-            if p_uq < state.kth_lower_bound(k) - TIE_EPSILON {
+            let lb = state.kth_lower_bound(k);
+            if ceiling < lb - TIE_EPSILON {
                 local.stats.pruned_by_lower_bound += 1;
                 continue;
             }
             local.stats.candidates += 1;
+            let (p_uq, walks) = source.point(u);
+            local.stats.approx_walks += walks;
+            // Only an estimate can sit below its own ceiling; on the exact
+            // source the point *is* the ceiling that just passed both tests.
+            if S::ESTIMATED && (p_uq <= TIE_EPSILON || p_uq < lb - TIE_EPSILON) {
+                local.stats.approx_estimated += 1; // estimated miss
+                continue;
+            }
             let residual = state.residual_mass(strict);
             if residual <= EXACT_RESIDUAL_EPS {
                 // Bounds are exact: p ≥ lb = p^kmax_u ⇒ result (lines 5–7).
+                local.stats.approx_estimated += estimated;
                 local.results.push((u, p_uq));
                 continue;
             }
@@ -947,6 +979,7 @@ fn classify_worker(
             let ub = upper_bound_kth(&staircase, residual, k);
             if p_uq >= ub {
                 local.stats.hits += 1; // confirmed without any refinement
+                local.stats.approx_estimated += estimated;
                 local.results.push((u, p_uq));
                 continue;
             }
@@ -957,78 +990,6 @@ fn classify_worker(
                 continue;
             }
             local.pending.push(PendingCandidate { node: u, p_uq, ub });
-        }
-    }
-}
-
-/// Approximate classify pass (`rtk-approx` subsystem): the exact PMPN value
-/// is replaced by the bidirectional estimator's deterministic envelope
-/// `est[u] ≤ p_u(q) ≤ est[u] + ρ` (ρ = ε/2). Nodes the envelope alone
-/// prunes cost nothing extra; surviving candidates get a walk-refined point
-/// estimate `p̃` (still inside the envelope) and are decided against the
-/// same stored bounds the exact pass uses. Only candidates whose `p̃` falls
-/// strictly between the stored bounds stay pending for the (approximately
-/// early-stopped) refinement. Any misclassification requires the true
-/// proximity to lie within ε of the node's top-k boundary.
-#[allow(clippy::too_many_arguments)]
-fn classify_worker_approx(
-    local: &mut LocalClassify,
-    chunks: &ChunkPlan,
-    next: &AtomicUsize,
-    scope: &ScreenScope<'_>,
-    transition: &TransitionMatrix<'_>,
-    est: &BidirEstimator,
-    k: usize,
-    options: &QueryOptions,
-) {
-    let strict = options.bound_mode == BoundMode::Strict;
-    let rho = est.bound();
-    loop {
-        let ci = next.fetch_add(1, Ordering::Relaxed);
-        let Some((lo, hi)) = chunks.chunk(ci) else {
-            break;
-        };
-        for u in lo..hi {
-            let lower = est.lower(u);
-            // Positivity prune on the envelope's optimistic edge: even
-            // `est + ρ` cannot clear the tie floor.
-            if lower + rho <= TIE_EPSILON {
-                local.stats.pruned_by_lower_bound += 1;
-                continue;
-            }
-            // Envelope prune against the stored lower bound — the certain
-            // misses, decided without a single walk.
-            let state = scope.state(u);
-            let lb = state.kth_lower_bound(k);
-            if lower + rho < lb - TIE_EPSILON {
-                local.stats.pruned_by_lower_bound += 1;
-                continue;
-            }
-            local.stats.candidates += 1;
-            // Walk-refined point estimate; stays within [lower, lower + ρ].
-            let (p_est, walks) = est.estimate(transition, u);
-            local.stats.approx_walks += walks;
-            if p_est <= TIE_EPSILON || p_est < lb - TIE_EPSILON {
-                local.stats.approx_estimated += 1; // estimated miss
-                continue;
-            }
-            let residual = state.residual_mass(strict);
-            if residual <= EXACT_RESIDUAL_EPS {
-                // Stored bounds are exact: the boundary *is* lb; the
-                // estimate already cleared it above.
-                local.stats.approx_estimated += 1;
-                local.results.push((u, p_est));
-                continue;
-            }
-            let staircase = state.lower_bounds().prefix_values(k);
-            let ub = upper_bound_kth(&staircase, residual, k);
-            if p_est >= ub {
-                local.stats.hits += 1; // confirmed without any refinement
-                local.stats.approx_estimated += 1;
-                local.results.push((u, p_est));
-                continue;
-            }
-            local.pending.push(PendingCandidate { node: u, p_uq: p_est, ub });
         }
     }
 }
@@ -1050,8 +1011,6 @@ fn refine_worker(
     k: usize,
     options: &QueryOptions,
     fallback_params: &RwrParams,
-    want_commits: bool,
-    epsilon_band: Option<f64>,
 ) {
     loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -1069,8 +1028,6 @@ fn refine_worker(
             k,
             options,
             fallback_params,
-            want_commits,
-            epsilon_band,
         );
     }
 }
@@ -1127,8 +1084,8 @@ fn refine_run(
 /// own state and `p_u(q)` alone, and is the same for every thread and shard
 /// count.
 ///
-/// With `epsilon_band` set (the bounded-error approximate path) `p_uq` is
-/// the bidirectional estimate `p̃`, within ε/2 of the truth, and the loop
+/// With an active `options.approx` (the bounded-error approximate path)
+/// `p_uq` is the bidirectional estimate `p̃`, within ε/2 of the truth, and the loop
 /// gains one exit: once the top-k boundary window `[lb, ub]` is no wider
 /// than ε, membership is called at its midpoint. A wrong call then needs
 /// `|p̃ − p̂| ≤ ε/2` and `|p − p̃| ≤ ε/2`, so a misclassified node's true
@@ -1148,9 +1105,8 @@ fn screen_candidate(
     k: usize,
     options: &QueryOptions,
     fallback_params: &RwrParams,
-    want_commits: bool,
-    epsilon_band: Option<f64>,
 ) {
+    let epsilon_band = options.approx.filter(|a| a.is_active()).map(|a| a.epsilon);
     let strict = options.bound_mode == BoundMode::Strict;
     let stored = scope.state(u);
     let mut resident = false; // `refiner` holds u's computation
@@ -1230,7 +1186,7 @@ fn screen_candidate(
     if is_result {
         local.results.push((u, p_uq));
     }
-    if want_commits && advanced {
+    if options.update_index && advanced {
         local.commits.push((u, refiner.unload(scope.hub_matrix)));
     }
 }

@@ -4,10 +4,11 @@
 use crate::error::ServerError;
 use crate::metrics::StatsSnapshot;
 use crate::wire::{
-    self, ApproxParams, Request, Response, WireQueryResult, WireShardResult, WireTopk,
-    WireUpdateResult, DEFAULT_MAX_FRAME_BYTES,
+    self, Request, Response, WireQueryResult, WireShardResult, WireTopk, WireUpdateResult,
+    DEFAULT_MAX_FRAME_BYTES,
 };
 use rtk_api::service::{RtkService, ServiceError, ServiceResult};
+use rtk_api::QueryCall;
 use std::collections::{HashMap, HashSet};
 use std::io::BufReader;
 use std::marker::PhantomData;
@@ -29,7 +30,7 @@ use std::time::Duration;
 ///
 /// ```
 /// use rtk_core::ReverseTopkEngine;
-/// use rtk_server::{Client, Server, ServerConfig};
+/// use rtk_server::{Client, QueryCall, Server, ServerConfig};
 ///
 /// // An in-process loopback server over the paper's toy graph.
 /// let engine = ReverseTopkEngine::builder(rtk_datasets::toy_graph())
@@ -48,8 +49,8 @@ use std::time::Duration;
 /// assert_eq!(r.nodes, vec![0, 1, 4]);
 ///
 /// // The same two queries pipelined: both in flight at once.
-/// let a = client.submit_reverse_topk(0, 2, false).unwrap();
-/// let b = client.submit_reverse_topk(1, 2, false).unwrap();
+/// let a = client.submit_query(&QueryCall::new(0, 2, false)).unwrap();
+/// let b = client.submit_query(&QueryCall::new(1, 2, false)).unwrap();
 /// let rb = client.wait(b).unwrap(); // waiting out of submit order is fine
 /// let ra = client.wait(a).unwrap();
 /// assert_eq!(ra.nodes, vec![0, 1, 4]);
@@ -339,99 +340,33 @@ impl Client {
         self.submit_typed(request)
     }
 
-    /// [`Self::submit`] with a typed handle for a reverse top-k query.
+    /// [`Self::submit`] with a typed handle for a reverse top-k query;
+    /// update mode, tracing and the approximate screen are fields of `call`.
     ///
     /// Pipelining update-mode queries is allowed: result sets and
     /// proximities do not depend on execution order (refinement is
     /// monotone), but in-flight requests may *execute* in any order, so
     /// counter statistics can differ from a serial submission.
-    pub fn submit_reverse_topk(
+    pub fn submit_query(
         &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
+        call: &QueryCall,
     ) -> Result<Pending<WireQueryResult>, ServerError> {
-        self.submit_typed(&Request::ReverseTopk { q, k, update, trace: false, approx: None })
+        let QueryCall { q, k, update, trace, approx } = *call;
+        self.submit_typed(&Request::ReverseTopk { q, k, update, trace, approx })
     }
 
-    /// [`Self::submit_reverse_topk`] with the wire v6 trace flag set: the
-    /// answer carries the service's span tree (router hops included) in
-    /// `WireQueryResult::trace`. Same answer bytes otherwise.
-    pub fn submit_reverse_topk_traced(
+    /// [`Self::submit`] with a typed handle for a shard-scoped query:
+    /// `pmpn` ships a precomputed PMPN vector for the backend to reuse, and
+    /// `want_pmpn` asks for the solved vector back (the router's ship-once
+    /// optimization).
+    pub fn submit_shard_query(
         &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-    ) -> Result<Pending<WireQueryResult>, ServerError> {
-        self.submit_typed(&Request::ReverseTopk { q, k, update, trace: true, approx: None })
-    }
-
-    /// [`Self::submit_reverse_topk`] with the wire v8 approximate-screen
-    /// knob set: the service classifies candidates through the
-    /// bidirectional estimator and the answer carries its usage report in
-    /// `WireQueryResult::approx`.
-    pub fn submit_reverse_topk_approx(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-        trace: bool,
-        approx: ApproxParams,
-    ) -> Result<Pending<WireQueryResult>, ServerError> {
-        self.submit_typed(&Request::ReverseTopk { q, k, update, trace, approx: Some(approx) })
-    }
-
-    /// [`Self::submit`] with a typed handle for a shard-scoped query.
-    pub fn submit_shard_reverse_topk(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-    ) -> Result<Pending<WireShardResult>, ServerError> {
-        self.submit_typed(&Request::ShardReverseTopk {
-            q,
-            k,
-            update,
-            trace: false,
-            approx: None,
-            pmpn: None,
-            want_pmpn: false,
-        })
-    }
-
-    /// [`Self::submit_shard_reverse_topk`] with the wire v6 trace flag set.
-    pub fn submit_shard_reverse_topk_traced(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-    ) -> Result<Pending<WireShardResult>, ServerError> {
-        self.submit_typed(&Request::ShardReverseTopk {
-            q,
-            k,
-            update,
-            trace: true,
-            approx: None,
-            pmpn: None,
-            want_pmpn: false,
-        })
-    }
-
-    /// [`Self::submit_shard_reverse_topk`] with the full wire v8 tail:
-    /// optional approximate-screen knob, an optional precomputed PMPN
-    /// vector for the backend to reuse, and the `want_pmpn` request to
-    /// return the solved vector (the router's ship-once optimization).
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_shard_reverse_topk_ext(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-        trace: bool,
-        approx: Option<ApproxParams>,
-        pmpn: Option<Vec<f64>>,
+        call: &QueryCall,
+        pmpn: Option<&[f64]>,
         want_pmpn: bool,
     ) -> Result<Pending<WireShardResult>, ServerError> {
+        let QueryCall { q, k, update, trace, approx } = *call;
+        let pmpn = pmpn.map(<[f64]>::to_vec);
         self.submit_typed(&Request::ShardReverseTopk {
             q,
             k,
@@ -552,8 +487,7 @@ impl Client {
                 None => {
                     // Depth-cap rejection: nothing is in flight anymore, so
                     // a blocking re-issue is always admitted.
-                    let pending = self.submit_reverse_topk(q, k, update)?;
-                    self.wait(pending)
+                    self.reverse_topk(q, k, update)
                 }
             })
             .collect()
@@ -585,57 +519,48 @@ impl Client {
         }
     }
 
-    /// One reverse top-k query. `update = true` commits refinements into
-    /// the server's index (serialized through the server's write lock).
+    /// One reverse top-k query. `call.update` commits refinements into the
+    /// server's index (serialized through the server's write lock); with
+    /// `call.trace` the answer's `trace` field carries the span tree of
+    /// every hop that served it; with `call.approx` (wire v8) candidates
+    /// farther than ε from their top-k decision boundary are classified by
+    /// the bidirectional estimator, only the ε-band falls back to exact
+    /// refinement, and the answer's `approx` field reports the usage split.
+    pub fn query(&mut self, call: &QueryCall) -> Result<WireQueryResult, ServerError> {
+        let pending = self.submit_query(call)?;
+        self.wait(pending)
+    }
+
+    /// Shorthand for an untraced, exact [`Self::query`].
     pub fn reverse_topk(
         &mut self,
         q: u32,
         k: u32,
         update: bool,
     ) -> Result<WireQueryResult, ServerError> {
-        let pending = self.submit_reverse_topk(q, k, update)?;
-        self.wait(pending)
+        self.query(&QueryCall::new(q, k, update))
     }
 
-    /// [`Self::reverse_topk`] with tracing requested: the answer's `trace`
-    /// field carries the span tree of every hop that served it.
+    /// Shorthand for a traced, exact [`Self::query`].
     pub fn reverse_topk_traced(
         &mut self,
         q: u32,
         k: u32,
         update: bool,
     ) -> Result<WireQueryResult, ServerError> {
-        let pending = self.submit_reverse_topk_traced(q, k, update)?;
-        self.wait(pending)
-    }
-
-    /// [`Self::reverse_topk`] through the approximate screen (wire v8):
-    /// candidates farther than `approx.epsilon` from their top-k decision
-    /// boundary are classified by the bidirectional estimator; only the
-    /// ε-band falls back to exact refinement. The answer's `approx` field
-    /// reports the usage split.
-    pub fn reverse_topk_approx(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-        trace: bool,
-        approx: ApproxParams,
-    ) -> Result<WireQueryResult, ServerError> {
-        let pending = self.submit_reverse_topk_approx(q, k, update, trace, approx)?;
-        self.wait(pending)
+        self.query(&QueryCall { trace: true, ..QueryCall::new(q, k, update) })
     }
 
     /// The shard-scoped slice of one reverse top-k query: only the
     /// receiving backend's shard range is screened. Answered by `rtk
     /// serve --shard-only` backends; the router sends these and merges.
-    pub fn shard_reverse_topk(
+    pub fn shard_query(
         &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
+        call: &QueryCall,
+        pmpn: Option<&[f64]>,
+        want_pmpn: bool,
     ) -> Result<WireShardResult, ServerError> {
-        let pending = self.submit_shard_reverse_topk(q, k, update)?;
+        let pending = self.submit_shard_query(call, pmpn, want_pmpn)?;
         self.wait(pending)
     }
 
@@ -722,72 +647,17 @@ impl RtkService for Client {
         Client::ping(self).map_err(transport)
     }
 
-    fn reverse_topk(&mut self, q: u32, k: u32, update: bool) -> ServiceResult<WireQueryResult> {
-        Client::reverse_topk(self, q, k, update).map_err(transport)
-    }
-
-    fn reverse_topk_traced(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-    ) -> ServiceResult<WireQueryResult> {
-        Client::reverse_topk_traced(self, q, k, update).map_err(transport)
+    fn reverse_topk(&mut self, call: &QueryCall) -> ServiceResult<WireQueryResult> {
+        self.query(call).map_err(transport)
     }
 
     fn shard_reverse_topk(
         &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-    ) -> ServiceResult<WireShardResult> {
-        Client::shard_reverse_topk(self, q, k, update).map_err(transport)
-    }
-
-    fn shard_reverse_topk_traced(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-    ) -> ServiceResult<WireShardResult> {
-        let pending = self.submit_shard_reverse_topk_traced(q, k, update).map_err(transport)?;
-        self.wait(pending).map_err(transport)
-    }
-
-    fn reverse_topk_approx(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-        trace: bool,
-        approx: ApproxParams,
-    ) -> ServiceResult<WireQueryResult> {
-        Client::reverse_topk_approx(self, q, k, update, trace, approx).map_err(transport)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn shard_reverse_topk_ext(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-        trace: bool,
-        approx: Option<ApproxParams>,
+        call: &QueryCall,
         pmpn: Option<&[f64]>,
         want_pmpn: bool,
     ) -> ServiceResult<WireShardResult> {
-        let pending = self
-            .submit_shard_reverse_topk_ext(
-                q,
-                k,
-                update,
-                trace,
-                approx,
-                pmpn.map(<[f64]>::to_vec),
-                want_pmpn,
-            )
-            .map_err(transport)?;
-        self.wait(pending).map_err(transport)
+        self.shard_query(call, pmpn, want_pmpn).map_err(transport)
     }
 
     fn add_edge(&mut self, from: u32, to: u32, weight: f64) -> ServiceResult<WireUpdateResult> {

@@ -27,6 +27,7 @@ use crate::wire::{
 use rtk_sparse::codec::{self, DecodeError};
 use std::io::{self, Read};
 use std::net::TcpStream;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -119,7 +120,18 @@ pub(crate) struct Job {
 /// the acknowledgement is on the wire.
 pub(crate) fn execute_job<H: ServiceHost>(job: Job, host: &H) {
     let Job { conn, request_id, request, accepted } = job;
-    let (kind, response) = host.dispatch(request);
+    let kind = request.kind();
+    // A panicking request costs one error response, not the worker: the
+    // bookkeeping below must run or the connection's inflight count and the
+    // waiting client are stranded. Unwind safety: everything a host shares
+    // sits behind locks and atomics, and lock poisoning is left alone — after
+    // a panic under the engine's write lock every later request fails loudly.
+    let dispatched = std::panic::catch_unwind(AssertUnwindSafe(|| host.dispatch(request).1));
+    let response = dispatched.unwrap_or_else(|_| {
+        // The panic hook has already logged the message and its location.
+        let message = format!("internal error: the {} handler panicked", kind.name());
+        Response::Error { code: wire::STATUS_ENGINE_ERROR, message }
+    });
     // A response that cannot fit through the frame limit is replaced by an
     // error frame: sending it anyway would only be rejected client-side
     // after the transfer.
@@ -394,4 +406,78 @@ fn read_exact_polling<H: ServiceHost>(
         }
     }
     ReadStatus::Done
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+
+    /// Answers `ping` and `shutdown`; panics on every other kind.
+    struct PanickyHost {
+        metrics: ServerMetrics,
+        shutdown: AtomicBool,
+        connections: AtomicU64,
+        addr: std::net::SocketAddr,
+    }
+
+    impl ServiceHost for PanickyHost {
+        fn metrics(&self) -> &ServerMetrics {
+            &self.metrics
+        }
+        fn shutdown_flag(&self) -> &AtomicBool {
+            &self.shutdown
+        }
+        fn max_frame_bytes(&self) -> u32 {
+            wire::DEFAULT_MAX_FRAME_BYTES
+        }
+        fn auth_token(&self) -> Option<&[u8]> {
+            None
+        }
+        fn active_connections(&self) -> &AtomicU64 {
+            &self.connections
+        }
+        fn max_connections(&self) -> usize {
+            0
+        }
+        fn max_inflight(&self) -> usize {
+            0
+        }
+        fn dispatch(&self, request: Request) -> (RequestKind, Response) {
+            match request {
+                Request::Ping => (RequestKind::Ping, Response::Pong),
+                Request::Shutdown => (RequestKind::Shutdown, Response::ShuttingDown),
+                other => panic!("no handler for {}", other.kind().name()),
+            }
+        }
+        fn begin_shutdown(&self) {
+            self.shutdown.store(true, Ordering::SeqCst);
+            crate::server::wake_acceptor(self.addr);
+        }
+    }
+
+    #[test]
+    fn a_panicking_request_costs_one_error_frame_not_the_worker() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let host = Arc::new(PanickyHost {
+            metrics: ServerMetrics::new(),
+            shutdown: AtomicBool::new(false),
+            connections: AtomicU64::new(0),
+            addr,
+        });
+        let serving = {
+            let host = Arc::clone(&host);
+            std::thread::spawn(move || crate::server::serve_loop(listener, host, 1))
+        };
+        let mut client = Client::connect(addr).unwrap();
+        let err = client.topk(0, 1, false).unwrap_err().to_string();
+        assert_eq!(err, "server error: internal error: the topk handler panicked");
+        // The pool's only worker outlived the panic and serves the next
+        // requests; once it has drained, nothing is left in flight.
+        client.ping().unwrap();
+        client.shutdown().unwrap();
+        serving.join().unwrap().unwrap();
+        assert_eq!(host.metrics.inflight(), 0);
+    }
 }

@@ -28,10 +28,13 @@
 //! [`Client::pipeline`] drives N queries concurrently over one connection;
 //! the plain blocking methods are submit-then-wait wrappers.
 //!
-//! Requests: `ping`, `reverse_topk(q, k, update)`, `topk(u, k, early)`,
+//! Requests: `ping`, `reverse_topk`, `topk(u, k, early)`,
 //! `batch([(q, k)…])`, `stats`, `shutdown`, `persist(path)`, and the
-//! shard-scoped `shard_reverse_topk(q, k, update)` the router tier is
-//! built on. Every request starts with a length-prefixed auth token
+//! shard-scoped `shard_reverse_topk` the router tier is built on. Both
+//! query requests carry one [`QueryCall`] — `q`, `k`, `update`, `trace`,
+//! `approx` — and every layer has one entry point per request that reads
+//! those fields ([`Client::query`], the router's fan-out, the server's
+//! lock choice, the engine's options). Every request starts with a length-prefixed auth token
 //! (empty when unauthenticated). All integers little-endian; proximities
 //! travel as exact IEEE-754 bits, so remote answers are **bitwise
 //! identical** to local engine calls. The served engine may be sharded
@@ -124,7 +127,7 @@
 //! Three pay-for-what-you-use layers, all `std`-only (`rtk-obs`):
 //!
 //! * **Tracing** — wire v6 lets a query request opt into a trace
-//!   ([`Client::reverse_topk_traced`], CLI `rtk remote query --trace`):
+//!   ([`QueryCall::trace`], CLI `rtk remote query --trace`):
 //!   the response carries an [`rtk_obs::TraceSpan`] tree breaking the
 //!   answer down by phase (PMPN solve / screen / commit), and the router
 //!   stitches each backend's sub-trace under a per-shard span annotated
@@ -164,7 +167,7 @@ pub use client::{Client, ClientBuilder, FromResponse, Pending};
 pub use error::ServerError;
 pub use metrics::{EngineInfo, ServerMetrics, StatsSnapshot};
 pub use router::{Router, RouterConfig};
-pub use rtk_api::{RtkService, ServiceError};
+pub use rtk_api::{QueryCall, RtkService, ServiceError};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use wire::{Request, Response, WireQueryResult, WireShardResult, WireTopk, WireUpdateResult};
 
@@ -206,7 +209,9 @@ mod tests {
     fn end_to_end_loopback_smoke() {
         let engine = toy_engine();
         let reference = toy_engine();
-        let config = ServerConfig { workers: 2, ..Default::default() };
+        // One worker: every request after the refused ones below proves
+        // the refusal cost a response, not the thread.
+        let config = ServerConfig { workers: 1, ..Default::default() };
         let handle = Server::bind(engine, "127.0.0.1:0", config).unwrap().spawn();
         let mut client = Client::connect(handle.addr()).unwrap();
 
@@ -247,12 +252,18 @@ mod tests {
         assert!(matches!(err, ServerError::Remote(_)), "{err}");
         let err = client.reverse_topk(0, 99, false).unwrap_err();
         assert!(err.to_string().contains("99"), "{err}");
+        for early in [true, false] {
+            let err = client.topk(0, 0, early).unwrap_err();
+            assert!(matches!(&err, ServerError::Remote(m) if m.contains("k = 0")), "{err}");
+        }
+        client.ping().unwrap();
+        assert_eq!(client.reverse_topk(0, 2, false).unwrap().nodes, vec![0, 1, 4]);
 
         // Stats reflect the traffic.
         let stats = client.stats().unwrap();
         assert!(stats.total_requests() >= 6, "{stats:?}");
         assert_eq!(stats.nodes, 6);
-        assert_eq!(stats.engine_errors, 2);
+        assert_eq!(stats.engine_errors, 4);
         assert!(stats.p50_seconds >= 0.0);
 
         client.shutdown().unwrap();

@@ -71,7 +71,7 @@ use crate::wire::{Request, Response, WireQueryResult, WireUpdateResult, DEFAULT_
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtk_api::service::{dispatch_request, RtkService, ServiceError, ServiceResult};
-use rtk_api::{ApproxParams, StatsSnapshot, WireShardResult, WireTopk};
+use rtk_api::{ApproxParams, QueryCall, StatsSnapshot, WireTopk};
 use rtk_index::ShardMap;
 use rtk_obs::{log_event, Json, Level, TraceSpan};
 use rtk_sparse::LatencyHistogram;
@@ -348,7 +348,7 @@ impl Router {
             // plausible range (0..n) but cannot answer shard_reverse_topk —
             // catch that here as a startup error instead of failing every
             // query at runtime.
-            client.shard_reverse_topk(0, 1, false).map_err(|e| {
+            client.shard_query(&QueryCall::new(0, 1, false), None, false).map_err(|e| {
                 bad_input(format!(
                     "router: backend {spec} does not answer shard-scoped queries — is it \
                      running with --shard-only? ({e})"
@@ -942,19 +942,13 @@ impl RouterCtx {
     /// the responses in deterministic shard order — hedging and failing
     /// over per shard as needed.
     ///
-    /// `trace_from` is the root instant of a traced query: when set, the
-    /// backend request carries the trace flag and each [`ShardCall`]
-    /// records its submit/answer offsets. Untraced fan-outs (`None`) take
-    /// zero timing syscalls beyond what the untraced path always took.
-    fn fan_out(
-        &self,
-        q: u32,
-        k: u32,
-        update: bool,
-        trace_from: Option<Instant>,
-        approx: Option<ApproxParams>,
-    ) -> Vec<ShardCall> {
-        let trace = trace_from.is_some();
+    /// `started` is the root instant of the query: a traced call carries
+    /// the trace flag to the backends and each [`ShardCall`] records its
+    /// submit/answer offsets from it. Untraced fan-outs take zero timing
+    /// syscalls beyond what the untraced path always took.
+    fn fan_out(&self, call: &QueryCall, started: Instant) -> Vec<ShardCall> {
+        let QueryCall { q, k, update, trace, approx } = *call;
+        let trace_from = trace.then_some(started);
         let make = |approx: Option<ApproxParams>, pmpn: Option<Vec<f64>>, want_pmpn: bool| {
             Request::ShardReverseTopk { q, k, update, trace, approx, pmpn, want_pmpn }
         };
@@ -1087,43 +1081,16 @@ impl RouterCtx {
     // ---- the tier-level operations ------------------------------------
 
     /// The concurrent fan-out + shard-order merge of one reverse top-k
-    /// query.
-    fn reverse_topk(&self, q: u32, k: u32, update: bool) -> Result<WireQueryResult, String> {
-        self.reverse_topk_inner(q, k, update, false, None)
-    }
-
-    /// [`Self::reverse_topk`] with the approximate-screen knob forwarded to
-    /// every shard. The per-shard usage reports are summed into the merged
-    /// answer's `approx_stats` tail and into the router's `rtk_approx_*`
-    /// counters.
-    fn reverse_topk_approx(
-        &self,
-        q: u32,
-        k: u32,
-        update: bool,
-        trace: bool,
-        approx: ApproxParams,
-    ) -> Result<WireQueryResult, String> {
-        self.reverse_topk_inner(q, k, update, trace, Some(approx))
-    }
-
-    /// [`Self::reverse_topk`] with trace stitching: the merged answer
-    /// carries a span tree — one child per shard call (annotated with the
-    /// answering replica, hedge, and failover facts, wrapping the
-    /// backend's own engine sub-trace) plus a `merge` span. The fan-out
-    /// and merge are byte-identical to the untraced path.
-    fn reverse_topk_traced(&self, q: u32, k: u32, update: bool) -> Result<WireQueryResult, String> {
-        self.reverse_topk_inner(q, k, update, true, None)
-    }
-
-    fn reverse_topk_inner(
-        &self,
-        q: u32,
-        k: u32,
-        update: bool,
-        traced: bool,
-        approx: Option<ApproxParams>,
-    ) -> Result<WireQueryResult, String> {
+    /// query. The approximate-screen knob is forwarded to every shard; the
+    /// per-shard usage reports are summed into the merged answer's
+    /// `approx_stats` tail and into the router's `rtk_approx_*` counters.
+    /// A traced call's merged answer carries a span tree — one child per
+    /// shard call (annotated with the answering replica, hedge, and
+    /// failover facts, wrapping the backend's own engine sub-trace) plus a
+    /// `merge` span. The fan-out and merge are byte-identical to the
+    /// untraced path.
+    fn reverse_topk(&self, call: &QueryCall) -> Result<WireQueryResult, String> {
+        let QueryCall { q, k, trace: traced, .. } = *call;
         let started = Instant::now();
         let mut merged = WireQueryResult {
             query: q,
@@ -1138,7 +1105,7 @@ impl RouterCtx {
             trace: None,
             approx: None,
         };
-        let calls = self.fan_out(q, k, update, traced.then_some(started), approx);
+        let calls = self.fan_out(call, started);
         // The merge starts once every shard's answer is in hand (fan_out
         // waits in shard order); only traced queries pay the clock read.
         let merge_start = if traced { started.elapsed().as_secs_f64() } else { 0.0 };
@@ -1420,48 +1387,8 @@ impl RouterCtx {
 struct RouterService<'a>(&'a RouterCtx);
 
 impl RtkService for RouterService<'_> {
-    fn reverse_topk(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-    ) -> ServiceResult<rtk_api::WireQueryResult> {
-        self.0.reverse_topk(q, k, update).map_err(ServiceError::Engine)
-    }
-
-    fn reverse_topk_traced(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-    ) -> ServiceResult<rtk_api::WireQueryResult> {
-        self.0.reverse_topk_traced(q, k, update).map_err(ServiceError::Engine)
-    }
-
-    fn reverse_topk_approx(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-        trace: bool,
-        approx: ApproxParams,
-    ) -> ServiceResult<rtk_api::WireQueryResult> {
-        self.0
-            .reverse_topk_approx(q, k, update, trace, approx)
-            .map_err(ServiceError::Engine)
-    }
-
-    fn shard_reverse_topk(
-        &mut self,
-        _q: u32,
-        _k: u32,
-        _update: bool,
-    ) -> ServiceResult<WireShardResult> {
-        Err(ServiceError::Unsupported(
-            "this is a router, not a shard backend; send reverse_topk and the router \
-             will fan it out"
-                .to_string(),
-        ))
+    fn reverse_topk(&mut self, call: &QueryCall) -> ServiceResult<WireQueryResult> {
+        self.0.reverse_topk(call).map_err(ServiceError::Engine)
     }
 
     fn add_edge(&mut self, from: u32, to: u32, weight: f64) -> ServiceResult<WireUpdateResult> {
@@ -1486,13 +1413,13 @@ impl RtkService for RouterService<'_> {
         }
     }
 
-    fn batch(&mut self, queries: &[(u32, u32)]) -> ServiceResult<Vec<rtk_api::WireQueryResult>> {
+    fn batch(&mut self, queries: &[(u32, u32)]) -> ServiceResult<Vec<WireQueryResult>> {
         // Frozen per-query fan-out (each query concurrent across shards),
         // answered in request order — mirroring the all-or-error semantics
         // of a single server.
         queries
             .iter()
-            .map(|&(q, k)| self.0.reverse_topk(q, k, false).map_err(ServiceError::Engine))
+            .map(|&(q, k)| self.reverse_topk(&QueryCall::new(q, k, false)))
             .collect()
     }
 

@@ -7,7 +7,9 @@ use crate::metrics::{EngineInfo, RequestKind, ServerMetrics};
 use crate::state::SharedEngine;
 use crate::wire::{Request, Response, DEFAULT_MAX_FRAME_BYTES};
 use rtk_api::service::{dispatch_request, RtkService, ServiceError, ServiceResult};
-use rtk_api::{StatsSnapshot, WireQueryResult, WireShardResult, WireTopk, WireUpdateResult};
+use rtk_api::{
+    QueryCall, StatsSnapshot, WireQueryResult, WireShardResult, WireTopk, WireUpdateResult,
+};
 use rtk_core::{ReverseTopkEngine, UpdateRecord};
 use rtk_graph::resolve_threads;
 use std::io;
@@ -119,88 +121,35 @@ pub(crate) struct ServerCtx {
 /// the server's metrics for `stats`.
 struct ServerService<'a>(&'a ServerCtx);
 
-impl RtkService for ServerService<'_> {
-    fn reverse_topk(&mut self, q: u32, k: u32, update: bool) -> ServiceResult<WireQueryResult> {
-        self.0
-            .shared
-            .reverse_topk(q, k, update, false, None)
-            .map_err(ServiceError::Engine)
-    }
-
-    fn reverse_topk_traced(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-    ) -> ServiceResult<WireQueryResult> {
-        self.0
-            .shared
-            .reverse_topk(q, k, update, true, None)
-            .map_err(ServiceError::Engine)
-    }
-
-    fn reverse_topk_approx(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-        trace: bool,
-        approx: rtk_api::ApproxParams,
-    ) -> ServiceResult<WireQueryResult> {
-        let wire = self
-            .0
-            .shared
-            .reverse_topk(q, k, update, trace, Some(approx))
-            .map_err(ServiceError::Engine)?;
-        if let Some(stats) = &wire.approx {
+impl ServerService<'_> {
+    /// Folds an answer's approx usage report (present exactly when the
+    /// approximate screen ran) into the `rtk_approx_*` counters.
+    fn record_approx(&self, answer: &WireQueryResult) {
+        if let Some(stats) = &answer.approx {
             self.0.metrics.record_approx(stats.estimated, stats.exact_refined, stats.walks);
         }
+    }
+}
+
+impl RtkService for ServerService<'_> {
+    fn reverse_topk(&mut self, call: &QueryCall) -> ServiceResult<WireQueryResult> {
+        let wire = self.0.shared.reverse_topk(call).map_err(ServiceError::Engine)?;
+        self.record_approx(&wire);
         Ok(wire)
     }
 
     fn shard_reverse_topk(
         &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-    ) -> ServiceResult<WireShardResult> {
-        self.0
-            .shared
-            .shard_reverse_topk(q, k, update, false, None, None, false)
-            .map_err(ServiceError::Engine)
-    }
-
-    fn shard_reverse_topk_traced(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-    ) -> ServiceResult<WireShardResult> {
-        self.0
-            .shared
-            .shard_reverse_topk(q, k, update, true, None, None, false)
-            .map_err(ServiceError::Engine)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn shard_reverse_topk_ext(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-        trace: bool,
-        approx: Option<rtk_api::ApproxParams>,
+        call: &QueryCall,
         pmpn: Option<&[f64]>,
         want_pmpn: bool,
     ) -> ServiceResult<WireShardResult> {
         let wire = self
             .0
             .shared
-            .shard_reverse_topk(q, k, update, trace, approx, pmpn, want_pmpn)
+            .shard_reverse_topk(call, pmpn, want_pmpn)
             .map_err(ServiceError::Engine)?;
-        if let Some(stats) = &wire.result.approx {
-            self.0.metrics.record_approx(stats.estimated, stats.exact_refined, stats.walks);
-        }
+        self.record_approx(&wire.result);
         Ok(wire)
     }
 

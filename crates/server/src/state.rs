@@ -23,7 +23,8 @@
 //! `persist`, edge updates, `ping`, `shutdown`) work on both.
 
 use crate::wire::{ApproxParams, WireQueryResult, WireShardResult, WireTopk, WireUpdateResult};
-use rtk_api::service::to_wire;
+use rtk_api::service::{to_wire, to_wire_shard};
+use rtk_api::QueryCall;
 use rtk_core::{ReverseTopkEngine, UpdateRecord};
 use rtk_graph::NodeId;
 use rtk_query::QueryOptions;
@@ -83,84 +84,55 @@ impl SharedEngine {
         }
     }
 
-    /// One reverse top-k query; frozen requests share the read lock. When
-    /// `trace` is set, the answer carries the span tree rebuilt from the
-    /// timings the engine records anyway — the query itself executes
-    /// identically either way (determinism contract).
-    pub(crate) fn reverse_topk(
-        &self,
-        q: u32,
-        k: u32,
-        update: bool,
-        trace: bool,
-        approx: Option<ApproxParams>,
-    ) -> Result<WireQueryResult, String> {
+    /// One reverse top-k query; frozen calls share the read lock, update
+    /// calls serialize through the write lock. A traced call executes
+    /// identically (determinism contract) — the span tree is rebuilt from
+    /// the timings the engine records anyway.
+    pub(crate) fn reverse_topk(&self, call: &QueryCall) -> Result<WireQueryResult, String> {
         let started = Instant::now();
-        let opts = self.options(update, approx);
-        let result = if update {
+        let opts = self.options(call.update, call.approx);
+        let (q, k) = (NodeId(call.q), call.k as usize);
+        let result = if call.update {
             let mut engine = self.engine.write().expect("engine lock");
-            engine.query_with(NodeId(q), k as usize, &opts).map_err(|e| e.to_string())?
+            engine.query_with(q, k, &opts).map_err(|e| e.to_string())?
         } else {
             let engine = self.engine.read().expect("engine lock");
-            let mut results = engine
-                .query_batch(&[(NodeId(q), k as usize)], &opts)
-                .map_err(|e| e.to_string())?;
+            let mut results = engine.query_batch(&[(q, k)], &opts).map_err(|e| e.to_string())?;
             results.pop().expect("one result for one query")
         };
-        let mut wire = to_wire(&result, started.elapsed().as_secs_f64());
-        if trace {
-            wire.trace = Some(result.stats().to_trace("engine:reverse_topk"));
-        }
-        Ok(wire)
+        let trace = call.trace.then_some("engine:reverse_topk");
+        Ok(to_wire(&result, started.elapsed().as_secs_f64(), trace))
     }
 
-    /// The shard-scoped slice of one reverse top-k query (wire v3). Only an
-    /// engine holding one shard answers it: a router fans these out and
-    /// merges.
-    #[allow(clippy::too_many_arguments)]
+    /// The shard-scoped slice of one reverse top-k query (wire v3), under
+    /// the same lock choice. Only an engine holding one shard answers it: a
+    /// router fans these out and merges.
     pub(crate) fn shard_reverse_topk(
         &self,
-        q: u32,
-        k: u32,
-        update: bool,
-        trace: bool,
-        approx: Option<ApproxParams>,
+        call: &QueryCall,
         pmpn: Option<&[f64]>,
         want_pmpn: bool,
     ) -> Result<WireShardResult, String> {
         let started = Instant::now();
-        let opts = self.options(update, approx);
-        let owned = |e: &ReverseTopkEngine| (e.index().owned_shard(), e.index().owned_range());
-        let ((result, pmpn_out), (shard, range)) = if update {
+        let opts = self.options(call.update, call.approx);
+        let (q, k) = (NodeId(call.q), call.k as usize);
+        let owned = |e: &ReverseTopkEngine| {
+            let shard = e.index().owned_shard().expect("query_shard checked ownership");
+            (shard, e.index().owned_range())
+        };
+        let ((result, pmpn_out), owned) = if call.update {
             let mut engine = self.engine.write().expect("engine lock");
-            let answer = engine
-                .query_shard(NodeId(q), k as usize, &opts, pmpn, want_pmpn)
-                .map_err(|e| e.to_string())?;
+            let answer =
+                engine.query_shard(q, k, &opts, pmpn, want_pmpn).map_err(|e| e.to_string())?;
             (answer, owned(&engine))
         } else {
             let engine = self.engine.read().expect("engine lock");
             let answer = engine
-                .query_shard_frozen(NodeId(q), k as usize, &opts, pmpn, want_pmpn)
+                .query_shard_frozen(q, k, &opts, pmpn, want_pmpn)
                 .map_err(|e| e.to_string())?;
             (answer, owned(&engine))
         };
-        let mut wire = to_wire(&result, started.elapsed().as_secs_f64());
-        let shard_id = shard.expect("query_shard checked ownership") as u32;
-        if trace {
-            wire.trace = Some(
-                result
-                    .stats()
-                    .to_trace("engine:shard_reverse_topk")
-                    .annotate("shard", shard_id.to_string()),
-            );
-        }
-        Ok(WireShardResult {
-            shard_id,
-            node_lo: range.start,
-            node_hi: range.end,
-            result: wire,
-            pmpn: pmpn_out,
-        })
+        Ok(to_wire_shard(&result, started.elapsed().as_secs_f64(), call.trace, owned, pmpn_out))
     }
 
     /// Forward top-k from `u`; always frozen. Every engine holds the full
@@ -277,6 +249,6 @@ impl SharedEngine {
         let results = engine.query_batch(&raw, &opts).map_err(|e| e.to_string())?;
         // Each result already carries its own wall time, so the per-query
         // `server_seconds` stays accurate inside a batch too.
-        Ok(results.iter().map(|r| to_wire(r, r.stats().total_seconds)).collect())
+        Ok(results.iter().map(|r| to_wire(r, r.stats().total_seconds, None)).collect())
     }
 }

@@ -7,7 +7,7 @@
 //! must read the same through the engine API, through `dispatch_request`,
 //! and through a loopback `Server`.
 
-use rtk_api::{dispatch_request, RtkService};
+use rtk_api::{dispatch_request, QueryCall, RtkService};
 use rtk_core::graph::NodeId;
 use rtk_core::query::QueryOptions;
 use rtk_core::{EngineError, ReverseTopkEngine};
@@ -123,7 +123,8 @@ fn dispatch_request_refuses_the_wrong_family() {
             other => panic!("{context}: expected an error, got {other:?}"),
         }
     }
-    assert_eq!(whole.reverse_topk(0, 2, false).unwrap().nodes, vec![0, 1, 4]);
+    let call = QueryCall::new(0, 2, false);
+    assert_eq!(whole.reverse_topk(&call).unwrap().nodes, vec![0, 1, 4]);
     assert_eq!(whole.stats().unwrap().shard_count(), 2);
     assert_eq!(shard.stats().unwrap().shard_count(), 1);
 }
@@ -147,7 +148,8 @@ fn loopback_server_refuses_the_wrong_family() {
     for request in whole_family() {
         remote(client.request(&request), "3..6", &format!("{request:?}"));
     }
-    let partial = client.shard_reverse_topk(0, 2, false).expect("own family answers");
+    let call = QueryCall::new(0, 2, false);
+    let partial = client.shard_query(&call, None, false).expect("own family answers");
     assert_eq!((partial.node_lo, partial.node_hi), (3, 6));
     let stats = client.stats().expect("stats");
     assert_eq!((stats.shard_lo, stats.shard_hi, stats.shard_count()), (3, 6, 1));

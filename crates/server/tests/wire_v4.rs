@@ -10,7 +10,7 @@
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rtk_core::ReverseTopkEngine;
 use rtk_server::wire::{self, FRAME_HEADER_BYTES, WIRE_MAGIC, WIRE_VERSION};
-use rtk_server::{Client, Request, Response, Server, ServerConfig, ServerError};
+use rtk_server::{Client, QueryCall, Request, Response, Server, ServerConfig, ServerError};
 use rtk_sparse::codec::{self, DecodeError};
 use std::io::Cursor;
 use std::net::TcpListener;
@@ -177,8 +177,9 @@ fn reversing_server(n: usize) -> (std::net::SocketAddr, std::thread::JoinHandle<
 fn out_of_order_responses_reassociate_by_request_id() {
     let (addr, server) = reversing_server(4);
     let mut client = Client::connect(addr).unwrap();
-    let pending: Vec<_> =
-        (0..4u32).map(|q| client.submit_reverse_topk(q, 1, false).unwrap()).collect();
+    let pending: Vec<_> = (0..4u32)
+        .map(|q| client.submit_query(&QueryCall::new(q, 1, false)).unwrap())
+        .collect();
     assert_eq!(client.inflight(), 4);
     // Wait in submit order even though the wire delivers reverse order:
     // every result must land on the query that asked for it.
@@ -307,8 +308,9 @@ fn max_inflight_cap_answers_busy_and_keeps_the_connection() {
     let mut client = Client::connect(handle.addr()).unwrap();
 
     // Flood 8 pipelined queries; with the cap at 2 some must bounce.
-    let pending: Vec<_> =
-        (0..8).map(|_| client.submit_reverse_topk(0, 2, false).unwrap()).collect();
+    let pending: Vec<_> = (0..8)
+        .map(|_| client.submit_query(&QueryCall::new(0, 2, false)).unwrap())
+        .collect();
     let mut ok = 0usize;
     let mut busy = 0usize;
     for p in pending {

@@ -1,7 +1,7 @@
 //! A fixed-bucket latency histogram with deterministic quantiles.
 //!
-//! Both the serving layer (`rtk-server`'s per-request metrics) and the bench
-//! harness (`BENCH_serve.json`) need p50/p95/p99 over
+//! The serving layer (`rtk-server`'s per-request metrics and the router's
+//! hedge delay) needs p50/p95/p99 over
 //! many observations without storing them all. This histogram uses a fixed
 //! geometric bucket ladder, so recording is O(log buckets), merging is a
 //! vector add, and quantiles are reproducible: the reported value is always

@@ -104,11 +104,13 @@
 //! connection can carry many requests at once, the server dispatches
 //! frames — not connections — to its worker pool, and responses return
 //! in completion order, re-associated by id (`Client::submit`/`wait`/
-//! `pipeline`). Requests: `ping`, `reverse_topk(q, k, update)`,
-//! `topk(u, k, early)`, `batch`, `stats`, `shutdown`, `persist(path)`,
-//! and the shard-scoped `shard_reverse_topk` that multi-process serving
-//! is built on — one trait, `rtk_api::RtkService`, covers the whole
-//! surface for local engines, remote clients, and the router alike.
+//! `pipeline`). Requests: `ping`, `reverse_topk`, `topk(u, k, early)`,
+//! `batch`, `stats`, `shutdown`, `persist(path)`, and the shard-scoped
+//! `shard_reverse_topk` that multi-process serving is built on — one
+//! trait, `rtk_api::RtkService`, covers the whole surface for local
+//! engines, remote clients, and the router alike, and its two query
+//! methods take one `rtk_api::QueryCall` value whose fields (`q`, `k`,
+//! `update`, `trace`, `approx`) are every per-query feature there is.
 //! Proximities travel as exact IEEE-754 bits, so remote answers are
 //! **bitwise identical** to local engine calls (pinned by
 //! `tests/server_loopback.rs`). `docs/FORMATS.md` is the normative
@@ -133,9 +135,7 @@
 //! (`--max-connections`, default 1024, `0` = unlimited), and per-request SpMV/screen
 //! threads (`--query-threads`, default 1 — a server's parallelism budget
 //! goes to concurrent requests). `rtk remote
-//! query|topk|batch|persist|stats|ping|shutdown` is the matching client;
-//! `cargo run --release -p rtk-bench --bin serve_study` drives a loopback
-//! server from concurrent client threads and writes `BENCH_serve.json`.
+//! query|topk|batch|persist|stats|ping|shutdown` is the matching client.
 //!
 //! # Multi-process serving
 //!

@@ -22,7 +22,9 @@ use rtk_query::query::TIE_EPSILON;
 use rtk_query::{ApproxParams, QueryEngine, QueryOptions};
 use rtk_rwr::{proximity_from, RwrParams};
 use rtk_server::wire;
-use rtk_server::{Client, Request, Router, RouterConfig, Server, ServerConfig, ServerHandle};
+use rtk_server::{
+    Client, QueryCall, Request, Router, RouterConfig, Server, ServerConfig, ServerHandle,
+};
 
 const NODES: usize = 260;
 const EDGES: usize = 1200;
@@ -152,12 +154,9 @@ fn pinned_seed_is_bitwise_stable_across_threads_shards_and_routing() {
 
             for (i, (q, k)) in queries().into_iter().enumerate() {
                 let ctx = format!("shards={shards} threads={threads} q={q} k={k}");
-                let a = direct
-                    .reverse_topk_approx(q, k, false, false, PINNED)
-                    .expect("direct approx query");
-                let b = routed
-                    .reverse_topk_approx(q, k, false, false, PINNED)
-                    .expect("routed approx query");
+                let call = QueryCall { approx: Some(PINNED), ..QueryCall::new(q, k, false) };
+                let a = direct.query(&call).expect("direct approx query");
+                let b = routed.query(&call).expect("routed approx query");
                 assert_bitwise_equal(&a, &b, &format!("{ctx}: routed vs single"));
                 let (sa, sb) = (a.approx.as_ref().expect("direct stats"), b.approx.as_ref());
                 assert_eq!(Some(sa), sb, "{ctx}: approx stats diverge across routing");
@@ -207,7 +206,8 @@ fn zero_epsilon_is_byte_identical_to_exact() {
             let ctx = format!("shards={shards} q={q} k={k}");
             let exact = direct.reverse_topk(q, k, false).expect("exact query");
             for (who, client) in [("direct", &mut direct), ("routed", &mut routed)] {
-                let r = client.reverse_topk_approx(q, k, false, false, zero).expect("ε=0 query");
+                let call = QueryCall { approx: Some(zero), ..QueryCall::new(q, k, false) };
+                let r = client.query(&call).expect("ε=0 query");
                 assert!(r.approx.is_none(), "{ctx} {who}: ε=0 must report no approx stats");
                 assert_bitwise_equal(&r, &exact, &format!("{ctx} {who}: ε=0 vs exact"));
             }

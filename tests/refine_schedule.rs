@@ -72,7 +72,7 @@ fn stepwise_oracle(
 ) -> (Vec<u32>, Vec<u64>) {
     let strict = bound_mode == BoundMode::Strict;
     let alpha = index.config().alpha();
-    let rwr = RwrParams { alpha, threads: 1, ..QueryOptions::default().rwr };
+    let rwr = RwrParams { alpha, threads: 1, ..RwrParams::default() };
     let mut engine = index.make_engine();
     let mut materializer = index.make_materializer();
     let estimator =

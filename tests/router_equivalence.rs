@@ -5,9 +5,12 @@
 //! answers **bitwise equal** to a single-process server over the identical
 //! index:
 //!
-//! * backend counts {1, 2, 4} × {frozen, update} query sequences — result
-//!   nodes, proximities (exact IEEE-754 bits), and counter statistics all
-//!   match the single-process answers;
+//! * one conformance list of [`QueryCall`]s covering every field (update ×
+//!   trace × approx) runs through `&mut impl RtkService` on the in-process
+//!   engine, a single server, and the routed tier at backend counts
+//!   {1, 2, 4} — result nodes, proximities (exact IEEE-754 bits), and
+//!   counter statistics all match;
+//! * the shard-scoped surface ships PMPN vectors without changing a bit;
 //! * one backend is killed and restarted mid-sequence: during the outage
 //!   the router degrades loudly (engine errors + `unhealthy_backends` in
 //!   stats, never a partial answer), and after the restart answers are
@@ -16,13 +19,22 @@
 
 use rtk_core::ReverseTopkEngine;
 use rtk_graph::gen::{rmat, RmatConfig};
-use rtk_graph::DiGraph;
-use rtk_server::{Client, Router, RouterConfig, Server, ServerConfig, ServerHandle};
+use rtk_graph::{DiGraph, NodeId};
+use rtk_server::wire::ApproxParams;
+use rtk_server::{
+    Client, QueryCall, Router, RouterConfig, RtkService, Server, ServerConfig, ServerHandle,
+    WireQueryResult,
+};
 
 const NODES: usize = 260;
 const EDGES: usize = 1200;
 const SEED: u64 = 0xCAFE;
 const MAX_K: usize = 8;
+
+/// An active approx knob with a pinned seed (answers are reproducible), and
+/// the inert ε = 0 setting that must take the exact path.
+const PINNED: ApproxParams = ApproxParams { epsilon: 1e-3, walks: 24, seed: 42 };
+const ZERO: ApproxParams = ApproxParams { epsilon: 0.0, ..PINNED };
 
 fn graph() -> DiGraph {
     rmat(&RmatConfig::new(NODES, EDGES, SEED)).expect("rmat")
@@ -62,25 +74,40 @@ fn spawn_backend(
         .spawn()
 }
 
-/// The query sequence both tiers execute: interleaved frozen and update
-/// queries (update mode makes later queries depend on earlier commits, so
-/// ordering bugs in the cross-process merge would surface here).
-fn sequence() -> Vec<(u32, u32, bool)> {
+/// The conformance list every service flavor executes: each field of
+/// [`QueryCall`] at every value — `update` × `trace` × `approx` ∈ {none,
+/// ε = 0, pinned ε > 0}. Update calls make later calls depend on earlier
+/// commits, so ordering bugs in the cross-process merge would surface here.
+/// Each ε = 0 call directly follows its `approx: None` twin.
+fn sequence() -> Vec<QueryCall> {
     let mut seq = Vec::new();
-    for (i, q) in [0u32, 19, 77, 133, 200, 259, 41, 88].iter().enumerate() {
-        let k = 1 + (i as u32 % MAX_K as u32);
-        seq.push((*q, k, false));
-        seq.push((*q, k, i % 2 == 0)); // every other query commits
+    for (q, k) in [(0u32, 1u32), (77, 4), (200, 8), (41, 3)] {
+        for update in [false, true] {
+            for trace in [false, true] {
+                for approx in [None, Some(ZERO), Some(PINNED)] {
+                    seq.push(QueryCall { q, k, update, trace, approx });
+                }
+            }
+        }
     }
     seq
+}
+
+/// Drives `calls` through any service flavor — the point of the trait is
+/// that this function cannot tell them apart.
+fn run(svc: &mut impl RtkService, calls: &[QueryCall]) -> Vec<WireQueryResult> {
+    calls
+        .iter()
+        .map(|call| svc.reverse_topk(call).unwrap_or_else(|e| panic!("{call:?}: {e}")))
+        .collect()
 }
 
 /// Asserts one router answer equals one single-process answer bitwise
 /// (`check_stats` also pins the counter statistics — disable it after a
 /// backend restart, where committed refinements were legitimately lost).
 fn assert_equal(
-    via_router: &rtk_server::WireQueryResult,
-    direct: &rtk_server::WireQueryResult,
+    via_router: &WireQueryResult,
+    direct: &WireQueryResult,
     check_stats: bool,
     context: &str,
 ) {
@@ -125,10 +152,25 @@ fn router_matches_single_process_bitwise_across_backend_counts() {
             .spawn();
         let mut via_router = Client::connect(router.addr()).expect("connect router");
 
-        for (q, k, update) in sequence() {
-            let a = via_router.reverse_topk(q, k, update).expect("router query");
-            let b = direct.reverse_topk(q, k, update).expect("direct query");
-            assert_equal(&a, &b, true, &format!("backends={backends} q={q} k={k} upd={update}"));
+        let calls = sequence();
+        let local = run(&mut build_engine(backends), &calls);
+        let served = run(&mut direct, &calls);
+        let routed = run(&mut via_router, &calls);
+        for (i, call) in calls.iter().enumerate() {
+            let ctx = format!("backends={backends} {call:?}");
+            for (who, answers) in [("in-process", &local), ("routed", &routed)] {
+                assert_equal(&answers[i], &served[i], true, &format!("{ctx}: {who} vs served"));
+                assert_eq!(answers[i].approx, served[i].approx, "{ctx}: {who} approx stats");
+                assert_eq!(answers[i].trace.is_some(), call.trace, "{ctx}: {who} trace");
+            }
+            assert_eq!(served[i].trace.is_some(), call.trace, "{ctx}: served trace");
+            assert_eq!(served[i].approx.is_some(), call.approx == Some(PINNED), "{ctx}: approx");
+            if call.approx == Some(ZERO) {
+                // ε = 0 is the exact path: the same bits as the `None` twin
+                // just before it, and — when no commit fell between the two
+                // (frozen calls) — the same work.
+                assert_equal(&served[i], &served[i - 1], !call.update, &format!("{ctx}: ε=0"));
+            }
         }
 
         // The router is transparent for the rest of the surface too.
@@ -164,6 +206,40 @@ fn router_matches_single_process_bitwise_across_backend_counts() {
     }
 }
 
+/// The shard-scoped surface on one service flavor: `want_pmpn` hands back
+/// exactly the PMPN vector, and screening against the shipped vector skips
+/// the solve without changing a bit of the answer.
+fn ship_pmpn(svc: &mut impl RtkService, call: &QueryCall, pmpn: &[f64]) -> WireQueryResult {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let solved = svc.shard_reverse_topk(call, None, true).expect("solving slice");
+    assert_eq!(solved.pmpn.as_deref().map(bits), Some(bits(pmpn)), "want_pmpn vector");
+    let reused = svc.shard_reverse_topk(call, Some(pmpn), false).expect("reusing slice");
+    assert!(reused.pmpn.is_none(), "no vector was asked back");
+    assert_equal(&reused.result, &solved.result, true, "shipped vs solved PMPN");
+    let solve = &reused.result.trace.as_ref().expect("traced call").children[0];
+    assert_eq!(solve.name, "pmpn_solve");
+    assert!(solve.annotations.contains(&("iterations".into(), "0".into())), "{solve:?}");
+    solved.result
+}
+
+#[test]
+fn shipped_pmpn_is_the_local_solve_on_the_shard_surface() {
+    let whole = build_engine(2);
+    let index = whole.index().one_shard(1).expect("shard index");
+    let mut local = ReverseTopkEngine::from_parts(graph(), index).expect("shard engine");
+    let backend = spawn_backend(&whole, 1, "127.0.0.1:0", None);
+    let mut remote = Client::connect(backend.addr()).expect("connect backend");
+
+    let call = QueryCall { trace: true, ..QueryCall::new(133, 5, false) };
+    let pmpn = whole.proximities_to(NodeId(call.q)).expect("pmpn");
+    let a = ship_pmpn(&mut local, &call, &pmpn);
+    let b = ship_pmpn(&mut remote, &call, &pmpn);
+    assert_equal(&a, &b, true, "in-process vs --shard-only server");
+
+    remote.shutdown().expect("backend shutdown");
+    backend.join().expect("backend join");
+}
+
 #[test]
 fn backend_restart_mid_sequence_degrades_then_recovers() {
     let backends = 2usize;
@@ -185,10 +261,8 @@ fn backend_restart_mid_sequence_degrades_then_recovers() {
     // Phase 1: a prefix with commits, fully pinned (stats included).
     let seq = sequence();
     let (prefix, suffix) = seq.split_at(seq.len() / 2);
-    for &(q, k, update) in prefix {
-        let a = via_router.reverse_topk(q, k, update).expect("router query");
-        let b = direct.reverse_topk(q, k, update).expect("direct query");
-        assert_equal(&a, &b, true, &format!("prefix q={q} k={k} upd={update}"));
+    for (a, b) in run(&mut via_router, prefix).iter().zip(&run(&mut direct, prefix)) {
+        assert_equal(a, b, true, &format!("prefix q={} k={}", b.query, b.k));
     }
 
     // Kill backend 0 directly (not through the router).
@@ -247,10 +321,8 @@ fn backend_restart_mid_sequence_degrades_then_recovers() {
     // (answers never depend on refinement state); counters may differ
     // because backend 0 lost its committed refinements, exactly like a
     // process restarted from its last snapshot.
-    for &(q, k, update) in suffix {
-        let a = via_router.reverse_topk(q, k, update).expect("router query after restart");
-        let b = direct.reverse_topk(q, k, update).expect("direct query");
-        assert_equal(&a, &b, false, &format!("suffix q={q} k={k} upd={update}"));
+    for (a, b) in run(&mut via_router, suffix).iter().zip(&run(&mut direct, suffix)) {
+        assert_equal(a, b, false, &format!("suffix q={} k={}", b.query, b.k));
     }
     let stats = via_router.stats().expect("stats after recovery");
     assert_eq!(stats.unhealthy_backends, 0, "recovered backend must clear the unhealthy mark");
