@@ -320,10 +320,12 @@ pub struct WireUpdateResult {
     pub recomputed_states: u64,
     /// Hub columns recomputed.
     pub recomputed_hubs: u64,
-    /// FNV-1a 64 digest of the service's serialized post-update index.
-    /// Replicas that applied the same update stream must report the same
-    /// digest — the router's convergence check. A router reports the
-    /// digest of the concatenated per-shard digests, in shard order.
+    /// Index digest (`docs/FORMATS.md`, "Index digest": FNV-1a 64 over the
+    /// persisted stream with each record folded to its own hash) of the
+    /// service's post-update index. Replicas that applied the same update
+    /// stream must report the same digest — the router's convergence
+    /// check. A router reports the digest of the concatenated per-shard
+    /// digests, in shard order.
     pub index_digest: u64,
 }
 
@@ -391,8 +393,8 @@ pub struct EngineInfo {
     /// One past the last global node id this process screens (the node
     /// count unless shard-only).
     pub shard_hi: u64,
-    /// FNV-1a 64 digest of the serialized index this service currently
-    /// holds (wire v7) — see [`WireUpdateResult::index_digest`].
+    /// Index digest of the index this service currently holds (wire v7) —
+    /// see [`WireUpdateResult::index_digest`].
     pub index_digest: u64,
 }
 
@@ -491,8 +493,9 @@ pub struct StatsSnapshot {
     pub shard_lo: u64,
     /// One past the last global node id this process screens.
     pub shard_hi: u64,
-    /// FNV-1a 64 digest of the serialized index currently held (wire v7):
-    /// bitwise replica convergence, checkable with one `stats` round-trip.
+    /// Index digest of the index currently held (wire v7; see
+    /// [`WireUpdateResult::index_digest`]): bitwise replica convergence,
+    /// checkable with one `stats` round-trip.
     pub index_digest: u64,
     /// Nodes per index shard (length = shard count).
     pub shard_nodes: Vec<u64>,

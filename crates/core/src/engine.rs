@@ -212,29 +212,20 @@ impl ReverseTopkEngine {
         self.index.apply_update(&transition, splice.from)
     }
 
-    /// A stable digest (FNV-1a 64) of the exact bytes the current index
-    /// persists as: the [`rtk_index::storage::save`] snapshot when every
-    /// shard is held, the `RTKSHRD1` section of the one held shard
-    /// otherwise. Two engines holding the same shards answer identically
+    /// A stable digest (FNV-1a 64) of what the current index persists as —
+    /// the [`rtk_index::storage::save`] snapshot when every shard is held,
+    /// the `RTKSHRD1` section of the one held shard otherwise — with every
+    /// hub-column and node-state record folded to its own hash first
+    /// ([`rtk_index::storage::index_digest`]). Those record hashes are
+    /// cached beside the records: an edge update re-hashes what it
+    /// recomputed, a query commit only forgets the hashes of the states it
+    /// replaced, and this call hashes what is missing plus 8 bytes per
+    /// record. Two engines holding the same shards answer identically
     /// whenever their digests match; the router compares these over the
-    /// wire (`stats`) to assert replica convergence after updates.
+    /// wire (`stats`) to assert replica convergence after updates. Values
+    /// are comparable between processes of the same build only.
     pub fn index_digest(&self) -> u64 {
-        let mut bytes = Vec::new();
-        self.write_index(&mut bytes).expect("in-memory index serialization cannot fail");
-        crate::digest::fnv1a64(&bytes)
-    }
-
-    fn write_index<W: Write>(&self, writer: W) -> Result<(), EngineError> {
-        match self.index.owned_shard() {
-            None => storage::save(&self.index, writer)?,
-            Some(_) => storage::save_shard(
-                &self.index.shards()[0],
-                self.node_count(),
-                self.index.max_k(),
-                writer,
-            )?,
-        }
-        Ok(())
+        storage::index_digest(&self.index)
     }
 
     /// Persists what this engine owns: the engine snapshot ([`Self::save`])
@@ -245,7 +236,12 @@ impl ReverseTopkEngine {
     pub fn save_owned<W: Write>(&self, writer: W) -> Result<(), EngineError> {
         match self.index.owned_shard() {
             None => self.save(writer),
-            Some(_) => self.write_index(writer),
+            Some(_) => Ok(storage::save_shard(
+                &self.index.shards()[0],
+                self.node_count(),
+                self.index.max_k(),
+                writer,
+            )?),
         }
     }
 

@@ -45,14 +45,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod digest;
 pub mod engine;
 pub mod error;
 
-pub use digest::fnv1a64;
 pub use engine::{EngineBuilder, ReverseTopkEngine};
 pub use error::EngineError;
-pub use rtk_index::{UpdateEffect, UpdateRecord};
+pub use rtk_index::{fnv1a64, UpdateEffect, UpdateRecord};
 
 // ---- Deprecated aliases -------------------------------------------------
 // Old name the repo benchmark (`crates/bench/src/bin/benchmark`, which may

@@ -291,6 +291,16 @@ impl<'g> TransitionMatrix<'g> {
         (&targets[range.clone()], &self.probs.probs_out[range])
     }
 
+    /// In-edge row of `node` as `(sources, probabilities)` — the rows the
+    /// `A·x` gather walks, for solvers that carry several vectors through
+    /// one walk of the row.
+    #[inline]
+    pub fn in_edges(&self, node: u32) -> (&[u32], &[f64]) {
+        let (_, sources) = self.graph.csc();
+        let range = self.graph.in_edge_range(node);
+        (&sources[range.clone()], &self.probs.probs_in[range])
+    }
+
     /// `y ← (1−α)·A·x + α·e_restart`, the forward RWR operator (Eq. 12).
     ///
     /// Gathers over in-edges; `y` is fully overwritten.

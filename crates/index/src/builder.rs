@@ -1,11 +1,13 @@
 //! Parallel index construction — Algorithm 1 (Lower Bound Indexing).
 //!
 //! The paper notes the per-node BCA sweeps are embarrassingly parallel (its
-//! evaluation spread them over 100 cluster cores). Here workers pull node
-//! ranges off an atomic counter inside `std::thread::scope`; each worker owns
-//! its own [`rtk_rwr::BcaEngine`] and [`Materializer`], so the sweep performs
-//! no cross-thread synchronization beyond the counter. The result is
+//! evaluation spread them over 100 cluster cores). Here pool workers pull
+//! node ranges off an atomic counter; each worker owns its own
+//! [`rtk_rwr::BcaEngine`] and [`Materializer`], so the sweep performs no
+//! cross-thread synchronization beyond the counter. The result is
 //! deterministic: per-node computations are independent and merged by id.
+//! The same `sweep` serves edge updates ([`crate::update`]), which hand it
+//! the affected nodes and say which stored runs may be kept.
 
 use crate::config::{HubSelection, IndexConfig};
 use crate::error::IndexError;
@@ -13,9 +15,11 @@ use crate::hub_matrix::{HubMatrix, Materializer};
 use crate::index::ReverseIndex;
 use crate::node_state::NodeState;
 use crate::stats::IndexStats;
+use crate::storage::node_record_digest;
 use rtk_graph::TransitionMatrix;
 use rtk_rwr::bca::{BcaEngine, BcaStop, BcaWork};
 use rtk_rwr::HubSet;
+use rtk_sparse::DescendingTopK;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -23,8 +27,10 @@ use std::time::Instant;
 /// uses β = 0.76, citing Bahmani et al.).
 pub const DEFAULT_POWER_LAW_BETA: f64 = 0.76;
 
-/// Nodes claimed per worker fetch during the sweep (amortizes the atomic).
-const SWEEP_CHUNK: usize = 64;
+/// Nodes claimed per worker fetch during the sweep: enough to amortize the
+/// atomic, few enough that the last chunk an update's few hundred affected
+/// nodes leave one worker holding is a small share of the sweep.
+const SWEEP_CHUNK: usize = 16;
 
 /// Builder for [`ReverseIndex`]. Thin stateful wrapper so callers can reuse
 /// a config across graphs; [`ReverseIndex::build`] is the one-shot form.
@@ -68,7 +74,7 @@ impl LbiBuilder {
         let hub_t1 = Instant::now();
         let hub_matrix = HubMatrix::build(
             transition,
-            hubs.clone(),
+            hubs,
             &self.config.hub_solver,
             self.config.rounding_threshold,
             threads,
@@ -77,60 +83,17 @@ impl LbiBuilder {
 
         // --- Per-node partial BCA sweep (Alg. 1 lines 3–9) ---
         let sweep_t0 = Instant::now();
-        let stop = BcaStop::from_params(&self.config.bca);
-        let next = AtomicUsize::new(0);
-        let hub_matrix_ref = &hub_matrix;
-        let config = &self.config;
-        // Pool workers (no spawn per build) pull `SWEEP_CHUNK` node ranges
-        // off the shared counter; states land in per-node slots and the work
-        // counters are order-independent sums, so scheduling cannot change
-        // the built index.
-        let collected = std::sync::Mutex::new(Vec::<(Vec<(u32, NodeState)>, BcaWork)>::new());
-        rtk_sparse::WorkerPool::global().scope(|scope| {
-            for _ in 0..threads {
-                let (next, collected) = (&next, &collected);
-                let hubs = hubs.clone();
-                scope.spawn(move || {
-                    let mut engine = BcaEngine::new(hubs, config.bca);
-                    let mut materializer = Materializer::new(n);
-                    let mut local = Vec::new();
-                    loop {
-                        let lo = next.fetch_add(SWEEP_CHUNK, Ordering::Relaxed);
-                        if lo >= n {
-                            break;
-                        }
-                        let hi = (lo + SWEEP_CHUNK).min(n);
-                        for u in lo as u32..hi as u32 {
-                            let snapshot = engine.run_from(transition, u, &stop);
-                            let state = NodeState::from_snapshot(
-                                snapshot,
-                                hub_matrix_ref,
-                                &mut materializer,
-                                config.max_k,
-                            );
-                            local.push((u, state));
-                        }
-                    }
-                    collected.lock().expect("sweep results poisoned").push((local, engine.work()));
-                });
-            }
-        });
-        let results = collected.into_inner().expect("sweep results poisoned");
+        let nodes: Vec<u32> = (0..n as u32).collect();
+        let (swept, total_iterations, total_pushes) =
+            sweep(transition, &hub_matrix, &self.config, &nodes, &|_| None);
         let node_sweep_seconds = sweep_t0.elapsed().as_secs_f64();
-
-        let mut slots: Vec<Option<NodeState>> = (0..n).map(|_| None).collect();
-        let mut total_iterations = 0u64;
-        let mut total_pushes = 0u64;
-        for (chunk, work) in results {
-            total_iterations += u64::from(work.iterations);
-            total_pushes += work.pushes;
-            for (u, state) in chunk {
-                debug_assert!(slots[u as usize].is_none());
-                slots[u as usize] = Some(state);
-            }
-        }
-        let states: Vec<NodeState> =
-            slots.into_iter().map(|s| s.expect("node state missing after sweep")).collect();
+        let (states, digests): (Vec<NodeState>, Vec<u64>) = swept
+            .into_iter()
+            .map(|(swept, digest)| match swept {
+                Swept::Run(state) => (state, digest),
+                Swept::Rebound(..) => unreachable!("a build keeps no stored run"),
+            })
+            .unzip();
 
         // --- Size accounting ---
         let lower_bound_bytes: usize = states.iter().map(|s| s.lower_bounds().heap_bytes()).sum();
@@ -158,8 +121,102 @@ impl LbiBuilder {
             threads,
         };
 
-        Ok(ReverseIndex::from_parts(self.config.clone(), hub_matrix, states, stats))
+        Ok(ReverseIndex::from_build(self.config.clone(), hub_matrix, states, digests, stats))
     }
+}
+
+/// One node's outcome of [`sweep`].
+pub(crate) enum Swept {
+    /// The Algorithm 1 run from scratch, materialized.
+    Run(NodeState),
+    /// The stored run stands (see [`crate::update`]); only what is
+    /// materialized against `P_H` is new: `(top-K lower bounds, parked
+    /// deficit)`.
+    Rebound(DescendingTopK, f64),
+}
+
+/// Algorithm 1 lines 3–9 for `nodes`, spread over `config.effective_threads()`
+/// pool workers: the build's sweep over every node, and an edge update's
+/// recompute of the affected ones. `keep(u)` may hand back `u`'s stored state
+/// to say its BCA run need not be repeated — then only its bounds are
+/// rematerialized against `hub_matrix`; otherwise `u` runs from scratch under
+/// the configured stop rule. Each worker also hashes the persisted record of
+/// what it produced.
+///
+/// Returns `(outcome, record digest)` per node in `nodes` order, plus the
+/// iterations and edge pushes the BCA runs took. Workers pull
+/// [`SWEEP_CHUNK`] nodes at a time off a shared counter; outcomes land in
+/// per-node slots and the work counters are order-independent sums, so
+/// scheduling cannot change anything returned.
+pub(crate) fn sweep<'a>(
+    transition: &TransitionMatrix<'_>,
+    hub_matrix: &HubMatrix,
+    config: &IndexConfig,
+    nodes: &[u32],
+    keep: &(dyn Fn(u32) -> Option<&'a NodeState> + Sync),
+) -> (Vec<(Swept, u64)>, u64, u64) {
+    if nodes.is_empty() {
+        return (Vec::new(), 0, 0);
+    }
+    let n = transition.node_count();
+    let threads = config.effective_threads().max(1).min(nodes.len());
+    let stop = BcaStop::from_params(&config.bca);
+    let next = AtomicUsize::new(0);
+    let collected = std::sync::Mutex::new(Vec::<(Vec<(usize, (Swept, u64))>, BcaWork)>::new());
+    rtk_sparse::WorkerPool::global().scope(|scope| {
+        for _ in 0..threads {
+            let (next, collected, stop) = (&next, &collected, &stop);
+            let hubs = hub_matrix.hubs().clone();
+            scope.spawn(move || {
+                let mut engine = BcaEngine::new(hubs, config.bca);
+                let mut materializer = Materializer::new(n);
+                let mut local = Vec::new();
+                loop {
+                    let lo = next.fetch_add(SWEEP_CHUNK, Ordering::Relaxed);
+                    if lo >= nodes.len() {
+                        break;
+                    }
+                    let hi = (lo + SWEEP_CHUNK).min(nodes.len());
+                    for (i, &u) in nodes.iter().enumerate().take(hi).skip(lo) {
+                        let outcome = match keep(u) {
+                            Some(state) => {
+                                let (lower_bounds, parked_deficit) =
+                                    state.rebound(hub_matrix, &mut materializer);
+                                let digest = node_record_digest(state.snapshot(), &lower_bounds);
+                                (Swept::Rebound(lower_bounds, parked_deficit), digest)
+                            }
+                            None => {
+                                let snapshot = engine.run_from(transition, u, stop);
+                                let state = NodeState::from_snapshot(
+                                    snapshot,
+                                    hub_matrix,
+                                    &mut materializer,
+                                    config.max_k,
+                                );
+                                let digest =
+                                    node_record_digest(state.snapshot(), state.lower_bounds());
+                                (Swept::Run(state), digest)
+                            }
+                        };
+                        local.push((i, outcome));
+                    }
+                }
+                collected.lock().expect("sweep results poisoned").push((local, engine.work()));
+            });
+        }
+    });
+    let mut slots: Vec<Option<(Swept, u64)>> = (0..nodes.len()).map(|_| None).collect();
+    let (mut total_iterations, mut total_pushes) = (0u64, 0u64);
+    for (chunk, work) in collected.into_inner().expect("sweep results poisoned") {
+        total_iterations += u64::from(work.iterations);
+        total_pushes += work.pushes;
+        for (i, outcome) in chunk {
+            debug_assert!(slots[i].is_none());
+            slots[i] = Some(outcome);
+        }
+    }
+    let swept = slots.into_iter().map(|s| s.expect("node missing after sweep")).collect();
+    (swept, total_iterations, total_pushes)
 }
 
 #[cfg(test)]

@@ -14,10 +14,13 @@
 //! crate uses exactly this).
 
 use crate::config::HubSolver;
+use crate::digest::DigestCell;
 use rtk_graph::TransitionMatrix;
 use rtk_rwr::bca::{BcaEngine, BcaSnapshot, BcaStop};
-use rtk_rwr::{proximity_from, HubSet};
+use rtk_rwr::power::BLOCK_WIDTH;
+use rtk_rwr::{proximity_from_many, HubSet};
 use rtk_sparse::{top_k_of_pairs, EpochScratch, SparseVector};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Sparse, rounded hub proximity vectors plus per-hub deficits.
 #[derive(Clone, Debug, PartialEq)]
@@ -30,6 +33,8 @@ pub struct HubMatrix {
     /// Entries each column held *before* rounding (for Table 2's
     /// "no rounding" space accounting).
     unrounded_nnz: Vec<usize>,
+    /// Cached digest of each column's persisted record (never compared).
+    digests: Vec<DigestCell>,
     /// The rounding threshold `ω` the columns were built with.
     rounding_threshold: f64,
 }
@@ -44,63 +49,26 @@ impl HubMatrix {
         rounding_threshold: f64,
         threads: usize,
     ) -> Self {
-        let ids = hubs.ids().to_vec();
-        let mut slots: Vec<Option<HubColumn>> = vec![None; ids.len()];
-        let threads = threads.max(1).min(ids.len().max(1));
-
-        if ids.is_empty() {
-            return Self {
-                hubs,
-                columns: Vec::new(),
-                deficits: Vec::new(),
-                unrounded_nnz: Vec::new(),
-                rounding_threshold,
-            };
+        let solved = solve_columns(transition, hubs.ids(), solver, rounding_threshold, threads);
+        let mut matrix = Self {
+            hubs,
+            columns: Vec::with_capacity(solved.len()),
+            deficits: Vec::with_capacity(solved.len()),
+            unrounded_nnz: Vec::with_capacity(solved.len()),
+            digests: Vec::with_capacity(solved.len()),
+            rounding_threshold,
+        };
+        for column in solved {
+            matrix.columns.push(column.vector);
+            matrix.deficits.push(column.deficit);
+            matrix.unrounded_nnz.push(column.unrounded_nnz);
+            matrix.digests.push(DigestCell::filled(column.digest));
         }
-
-        // Workers come from the shared pool (no spawn per build) and pull
-        // hub ids off a shared counter; each result lands in its own slot,
-        // so completion order cannot affect the matrix.
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let results = std::sync::Mutex::new(Vec::<Vec<(usize, HubColumn)>>::new());
-        rtk_sparse::WorkerPool::global().scope(|scope| {
-            for _ in 0..threads {
-                let (ids, next, results) = (&ids, &next, &results);
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= ids.len() {
-                            break;
-                        }
-                        local.push((
-                            i,
-                            compute_hub_column(transition, ids[i], solver, rounding_threshold),
-                        ));
-                    }
-                    results.lock().expect("hub results poisoned").push(local);
-                });
-            }
-        });
-        for chunk in results.into_inner().expect("hub results poisoned") {
-            for (i, col) in chunk {
-                slots[i] = Some(col);
-            }
-        }
-
-        let mut columns = Vec::with_capacity(ids.len());
-        let mut deficits = Vec::with_capacity(ids.len());
-        let mut unrounded_nnz = Vec::with_capacity(ids.len());
-        for slot in slots {
-            let (col, deficit, nnz) = slot.expect("hub column missing");
-            columns.push(col);
-            deficits.push(deficit);
-            unrounded_nnz.push(nnz);
-        }
-        Self { hubs, columns, deficits, unrounded_nnz, rounding_threshold }
+        matrix
     }
 
-    /// Reassembles a matrix from stored parts (used by [`crate::storage`]).
+    /// Reassembles a matrix from stored parts (used by [`crate::storage`]);
+    /// the record digests are computed when first asked for.
     pub(crate) fn from_parts(
         hubs: HubSet,
         columns: Vec<SparseVector>,
@@ -111,7 +79,8 @@ impl HubMatrix {
         assert_eq!(hubs.len(), columns.len());
         assert_eq!(hubs.len(), deficits.len());
         assert_eq!(hubs.len(), unrounded_nnz.len());
-        Self { hubs, columns, deficits, unrounded_nnz, rounding_threshold }
+        let digests = columns.iter().map(|_| DigestCell::default()).collect();
+        Self { hubs, columns, deficits, unrounded_nnz, digests, rounding_threshold }
     }
 
     /// The hub set.
@@ -149,45 +118,24 @@ impl HubMatrix {
         solver: &HubSolver,
         threads: usize,
     ) -> usize {
-        if ids.is_empty() {
-            return 0;
-        }
-        let positions: Vec<usize> = ids
-            .iter()
-            .map(|&h| self.hubs.position(h).expect("recompute_columns id is not a hub"))
-            .collect();
-        let threads = threads.max(1).min(ids.len());
-        let omega = self.rounding_threshold;
-        // Same slot discipline as `build`: workers pull ids off a shared
-        // counter, results land by position, so scheduling cannot change
-        // the matrix.
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let results = std::sync::Mutex::new(Vec::<Vec<(usize, HubColumn)>>::new());
-        rtk_sparse::WorkerPool::global().scope(|scope| {
-            for _ in 0..threads {
-                let (ids, next, results) = (&ids, &next, &results);
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= ids.len() {
-                            break;
-                        }
-                        local.push((i, compute_hub_column(transition, ids[i], solver, omega)));
-                    }
-                    results.lock().expect("hub results poisoned").push(local);
-                });
-            }
-        });
-        for chunk in results.into_inner().expect("hub results poisoned") {
-            for (i, (col, deficit, nnz)) in chunk {
-                let p = positions[i];
-                self.columns[p] = col;
-                self.deficits[p] = deficit;
-                self.unrounded_nnz[p] = nnz;
-            }
+        let solved = solve_columns(transition, ids, solver, self.rounding_threshold, threads);
+        for (&h, column) in ids.iter().zip(solved) {
+            let p = self.hubs.position(h).expect("recompute_columns id is not a hub");
+            self.columns[p] = column.vector;
+            self.deficits[p] = column.deficit;
+            self.unrounded_nnz[p] = column.unrounded_nnz;
+            self.digests[p] = DigestCell::filled(column.digest);
         }
         ids.len()
+    }
+
+    /// Digest of the persisted record of the `i`-th hub column (in
+    /// [`HubSet::ids`] order) — cached unless `cached` is false; hashed here
+    /// if nothing has yet.
+    pub(crate) fn column_digest(&self, i: usize, cached: bool) -> u64 {
+        self.digests[i].get_or(cached, || {
+            crate::storage::hub_record_digest(&self.columns[i], self.deficits[i])
+        })
     }
 
     /// Rounded proximity vector of hub `node`, or `None` if not a hub.
@@ -222,6 +170,7 @@ impl HubMatrix {
     pub fn heap_bytes(&self) -> usize {
         self.columns.iter().map(|c| c.heap_bytes()).sum::<usize>()
             + self.deficits.len() * std::mem::size_of::<f64>()
+            + self.digests.len() * std::mem::size_of::<DigestCell>()
     }
 
     /// Theorem 1's predicted storage (bytes) for the hub part given the
@@ -240,34 +189,95 @@ impl HubMatrix {
     }
 }
 
-/// One computed hub column: `(rounded vector, deficit, unrounded nnz)`.
-type HubColumn = (SparseVector, f64, usize);
+/// One solved hub column, as [`HubMatrix`] stores it.
+struct HubColumn {
+    /// The rounded vector.
+    vector: SparseVector,
+    /// `1 − ‖vector‖₁`, rounding loss and solver truncation together.
+    deficit: f64,
+    /// Entries before rounding.
+    unrounded_nnz: usize,
+    /// Digest of the persisted record, hashed by the worker that solved it.
+    digest: u64,
+}
 
-/// Computes one hub column; returns `(rounded vector, deficit, unrounded nnz)`.
-fn compute_hub_column(
+/// Solves, rounds and hashes the columns of `ids` (returned in `ids` order)
+/// over `threads` pool workers — the one routine behind [`HubMatrix::build`]
+/// and [`HubMatrix::recompute_columns`]. The unit of work is a tile of
+/// [`BLOCK_WIDTH`] hubs for the power method (one pass over the edges solves
+/// the whole tile) and a single hub for BCA. Workers pull tiles off a shared
+/// counter and results are ordered by tile, so scheduling cannot change the
+/// matrix; a column does not depend on its tile-mates, so neither can the
+/// tiling.
+fn solve_columns(
     transition: &TransitionMatrix<'_>,
-    hub: u32,
+    ids: &[u32],
     solver: &HubSolver,
     rounding_threshold: f64,
-) -> HubColumn {
-    let mut vector = match solver {
-        HubSolver::PowerMethod(params) => {
-            let (dense, _) = proximity_from(transition, hub, params);
-            SparseVector::from_dense(&dense, 0.0)
+    threads: usize,
+) -> Vec<HubColumn> {
+    let width = match solver {
+        HubSolver::PowerMethod(_) => BLOCK_WIDTH,
+        HubSolver::Bca(_) => 1,
+    };
+    let tiles: Vec<&[u32]> = ids.chunks(width).collect();
+    let threads = threads.max(1).min(tiles.len());
+    let next = AtomicUsize::new(0);
+    let results = std::sync::Mutex::new(Vec::<(usize, Vec<HubColumn>)>::new());
+    rtk_sparse::WorkerPool::global().scope(|scope| {
+        for _ in 0..threads {
+            let (tiles, next, results) = (&tiles, &next, &results);
+            scope.spawn(move || {
+                let mut local = Vec::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= tiles.len() {
+                        break;
+                    }
+                    local.push((i, solve_tile(transition, tiles[i], solver, rounding_threshold)));
+                }
+                results.lock().expect("hub results poisoned").extend(local);
+            });
         }
+    });
+    let mut solved = results.into_inner().expect("hub results poisoned");
+    solved.sort_unstable_by_key(|&(i, _)| i);
+    solved.into_iter().flat_map(|(_, columns)| columns).collect()
+}
+
+/// Solves one tile of hubs, then rounds and hashes each column.
+fn solve_tile(
+    transition: &TransitionMatrix<'_>,
+    hubs: &[u32],
+    solver: &HubSolver,
+    rounding_threshold: f64,
+) -> Vec<HubColumn> {
+    let vectors: Vec<SparseVector> = match solver {
+        HubSolver::PowerMethod(params) => proximity_from_many(transition, hubs, params)
+            .into_iter()
+            .map(|(dense, _)| SparseVector::from_dense(&dense, 0.0))
+            .collect(),
         HubSolver::Bca(params) => {
             let mut engine = BcaEngine::new(HubSet::empty(transition.node_count()), *params);
-            let snap: BcaSnapshot = engine.run_from(transition, hub, &BcaStop::from_params(params));
-            snap.retained
+            let stop = BcaStop::from_params(params);
+            hubs.iter()
+                .map(|&hub| engine.run_from(transition, hub, &stop).retained)
+                .collect()
         }
     };
-    let unrounded = vector.nnz();
-    if rounding_threshold > 0.0 {
-        vector.round_below(rounding_threshold);
-    }
-    // Deficit folds in both rounding loss and any solver truncation.
-    let deficit = (1.0 - vector.sum()).max(0.0);
-    (vector, deficit, unrounded)
+    vectors
+        .into_iter()
+        .map(|mut vector| {
+            let unrounded_nnz = vector.nnz();
+            if rounding_threshold > 0.0 {
+                vector.round_below(rounding_threshold);
+            }
+            // Deficit folds in both rounding loss and any solver truncation.
+            let deficit = (1.0 - vector.sum()).max(0.0);
+            let digest = crate::storage::hub_record_digest(&vector, deficit);
+            HubColumn { vector, deficit, unrounded_nnz, digest }
+        })
+        .collect()
 }
 
 /// Reusable materializer for `p^t_u = w^t_u + P_H·s^t_u` (Eq. 7).
@@ -429,10 +439,40 @@ mod tests {
     fn parallel_build_matches_serial() {
         let g = rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(200, 800, 3)).unwrap();
         let t = TransitionMatrix::new(&g);
-        let hubs = HubSet::degree_based(&g, 10);
-        let serial = HubMatrix::build(&t, hubs.clone(), &pm_solver(), 1e-6, 1);
-        let parallel = HubMatrix::build(&t, hubs, &pm_solver(), 1e-6, 4);
-        assert_eq!(serial, parallel);
+        let hubs = HubSet::degree_based(&g, 14);
+        assert!(
+            hubs.len() > 2 * BLOCK_WIDTH && !hubs.len().is_multiple_of(BLOCK_WIDTH),
+            "test premise: several tiles, the last partial"
+        );
+        for solver in [pm_solver(), HubSolver::Bca(BcaParams::default())] {
+            let serial = HubMatrix::build(&t, hubs.clone(), &solver, 1e-6, 1);
+            for threads in [2, 4] {
+                let parallel = HubMatrix::build(&t, hubs.clone(), &solver, 1e-6, threads);
+                assert_eq!(serial, parallel, "threads = {threads}");
+            }
+            // A recompute of any subset, in any order, lands on the same
+            // columns (and the same cached record digests) as the build.
+            let mut patched = serial.clone();
+            let ids: Vec<u32> = hubs.ids().iter().rev().step_by(2).copied().collect();
+            assert_eq!(patched.recompute_columns(&t, &ids, &solver, 2), ids.len());
+            assert_eq!(patched, serial);
+            for i in 0..hubs.len() {
+                assert_eq!(patched.column_digest(i, true), serial.column_digest(i, false));
+            }
+        }
+    }
+
+    #[test]
+    fn power_method_columns_are_the_single_solves() {
+        // The tiled solve behind `build` is `proximity_from`, column by column.
+        let g = rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(200, 800, 3)).unwrap();
+        let t = TransitionMatrix::new(&g);
+        let hubs = HubSet::degree_based(&g, 6);
+        let m = HubMatrix::build(&t, hubs.clone(), &pm_solver(), 0.0, 2);
+        for &h in hubs.ids() {
+            let (dense, _) = rtk_rwr::proximity_from(&t, h, &RwrParams::default());
+            assert_eq!(m.column(h).unwrap(), &SparseVector::from_dense(&dense, 0.0), "hub {h}");
+        }
     }
 
     #[test]

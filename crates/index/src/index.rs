@@ -61,6 +61,24 @@ impl ReverseIndex {
         Self { config, hub_matrix, shards, shard_map, only: None, stats }
     }
 
+    /// Assembles a freshly built index: [`Self::from_parts`], every state
+    /// marked as built and carrying the record digest its sweep worker
+    /// computed (`digests[u]` for node `u`).
+    pub(crate) fn from_build(
+        config: IndexConfig,
+        hub_matrix: HubMatrix,
+        states: Vec<NodeState>,
+        digests: Vec<u64>,
+        stats: IndexStats,
+    ) -> Self {
+        let mut index = Self::from_parts(config, hub_matrix, states, stats);
+        for shard in &mut index.shards {
+            let range = shard.node_lo() as usize..shard.node_hi() as usize;
+            shard.mark_built(&digests[range]);
+        }
+        index
+    }
+
     /// Assembles an index from already-partitioned shards (persistence):
     /// every shard of `shard_map`, or — with `only = Some(i)` — shard `i`
     /// alone.
@@ -267,6 +285,9 @@ impl ReverseIndex {
     /// the affected node states *this index holds*, with the exact
     /// Algorithm 1 recipes — so the post-update index is bitwise-equal to a
     /// full rebuild as long as untouched states were never query-refined.
+    /// An affected state that is still as built and whose run never read
+    /// row `source` keeps its run and only rematerializes its bounds against
+    /// the new columns — bit for bit what re-running it would produce.
     /// Everything outside the affected set is left alone.
     ///
     /// One-shard indexes of the same partition applying the same update run
@@ -285,15 +306,44 @@ impl ReverseIndex {
             .filter(|&h| self.hub_matrix.hubs().position(h).is_some())
             .collect();
         let threads = self.config.effective_threads();
+        let started = std::time::Instant::now();
         self.hub_matrix
             .recompute_columns(transition, &hub_ids, &self.config.hub_solver, threads);
+        let hubs_seconds = started.elapsed().as_secs_f64();
+        let started = std::time::Instant::now();
         let owned = self.owned_range();
         affected.retain(|u| owned.contains(u));
-        let fresh =
-            crate::update::recompute_states(transition, &self.hub_matrix, &self.config, &affected);
-        let recomputed_states = fresh.len();
-        self.commit_states(fresh);
-        crate::update::UpdateEffect { recomputed_states, recomputed_hubs: hub_ids.len() }
+        let min_probability = (0..self.node_count() as u32)
+            .flat_map(|u| transition.out_probs(u))
+            .fold(f64::INFINITY, |min, &p| min.min(p));
+        let keep = |q: u32| {
+            let shard = &self.shards[self.slot(q)];
+            let state = shard.state(q);
+            let replays = shard.is_as_built(q)
+                && crate::update::never_read_row(
+                    state,
+                    source,
+                    self.hub_matrix.hubs(),
+                    self.config.bca.alpha,
+                    min_probability,
+                );
+            replays.then_some(state)
+        };
+        let (swept, _, _) =
+            crate::builder::sweep(transition, &self.hub_matrix, &self.config, &affected, &keep);
+        let bca_runs =
+            swept.iter().filter(|(s, _)| matches!(s, crate::builder::Swept::Run(_))).count();
+        for (&u, (outcome, digest)) in affected.iter().zip(swept) {
+            let slot = self.slot(u);
+            self.shards[slot].install_built(u, outcome, digest);
+        }
+        crate::update::UpdateEffect {
+            recomputed_states: affected.len(),
+            recomputed_hubs: hub_ids.len(),
+            bca_runs,
+            hubs_seconds,
+            states_seconds: started.elapsed().as_secs_f64(),
+        }
     }
 
     /// Recomputes total heap bytes of what this index holds (states drift
@@ -430,6 +480,66 @@ mod tests {
             let after = index.state(3).kth_lower_bound(2);
             assert!((after - 0.23).abs() < 5e-3, "after = {after}");
         }
+    }
+
+    #[test]
+    fn side_bits_and_digests_follow_every_way_a_state_changes() {
+        use crate::storage::{index_digest, index_digest_cold};
+        let as_built = |index: &ReverseIndex| -> Vec<bool> {
+            index
+                .owned_range()
+                .map(|u| index.shards[index.slot(u)].is_as_built(u))
+                .collect()
+        };
+        let g = toy();
+        let t = TransitionMatrix::new(&g);
+        let mut index = ReverseIndex::build(&t, IndexConfig { shards: 3, ..config() }).unwrap();
+        assert_eq!(as_built(&index), [true; 6]);
+        let built = index_digest(&index);
+        assert_eq!(built, index_digest_cold(&index));
+
+        // In-place refinement and a commit each clear the bit, drop the
+        // cached record hash, and so move the digest.
+        let mut engine = index.make_engine();
+        let mut mat = index.make_materializer();
+        index.refine_node(3, &t, &mut engine, &mut mat, &BcaStop::one_iteration());
+        let refined = index_digest(&index);
+        assert_ne!(refined, built);
+        assert_eq!(refined, index_digest_cold(&index));
+        let mut copy = index.state(5).clone();
+        crate::node_state::refine_state(
+            &mut copy,
+            &t,
+            &mut engine,
+            index.hub_matrix(),
+            &mut mat,
+            &BcaStop::one_iteration(),
+        );
+        index.commit_state(5, copy);
+        assert_eq!(as_built(&index), [true, true, true, false, true, false]);
+        let committed = index_digest(&index);
+        assert!(committed != refined && committed == index_digest_cold(&index));
+
+        // One shard of it keeps bits and hashes; an update sets the bit on
+        // every affected state it holds (here: all of them) and resets the
+        // two refined states to the recipe's output.
+        let mut one = index.one_shard(1).unwrap();
+        assert_eq!(as_built(&one), [true, false]);
+        assert_eq!(index_digest(&one), index_digest_cold(&one));
+        let effect = index.apply_update(&t, 0);
+        assert_eq!((effect.recomputed_states, effect.recomputed_hubs), (6, 2));
+        assert_eq!(effect.bca_runs, 2, "node 0 is a hub: only the refined states run again");
+        assert_eq!(as_built(&index), [true; 6]);
+        assert_eq!(index_digest(&index), built);
+        assert_eq!(index_digest_cold(&index), built);
+        one.apply_update(&t, 0);
+        assert_eq!(one.state(3), index.state(3));
+        assert_eq!(index_digest(&one), index_digest_cold(&one));
+
+        // A regrouping keeps the states but not what was kept beside them.
+        index.repartition(2);
+        assert_eq!(as_built(&index), [false; 6]);
+        assert_eq!(index_digest(&index), index_digest_cold(&index));
     }
 
     #[test]

@@ -32,6 +32,10 @@
 //!   shared hub matrix and shard map plus *one* shard section — the loading
 //!   unit of multi-process serving, where each backend process owns one
 //!   shard;
+//! * [`update`] — incremental edge updates: which entries an edit can
+//!   change, which stored runs it may keep, and [`digest`] — the index
+//!   digest replicas are compared by, folded from per-record hashes cached
+//!   beside the records;
 //! * [`refine_state`] — the shared refinement step (Alg. 1 lines 6–7) used
 //!   to tighten a stored node's bounds in place, and [`Refiner`] — the same
 //!   step with the computation held resident in a worker's scratch, which
@@ -42,6 +46,7 @@
 
 pub mod builder;
 pub mod config;
+pub mod digest;
 pub mod error;
 pub mod hub_matrix;
 pub mod index;
@@ -53,6 +58,7 @@ pub mod update;
 
 pub use builder::LbiBuilder;
 pub use config::{HubSelection, HubSolver, IndexConfig};
+pub use digest::fnv1a64;
 pub use error::IndexError;
 pub use hub_matrix::{HubMatrix, Materializer};
 pub use index::ReverseIndex;
@@ -60,7 +66,7 @@ pub use node_state::{refine_state, NodeState, Refiner};
 pub use shard::{IndexShard, ShardMap};
 pub use stats::IndexStats;
 pub use storage::UpdateRecord;
-pub use update::{affected_set, recompute_states, UpdateEffect};
+pub use update::{affected_set, UpdateEffect};
 
 // ---- Deprecated aliases -------------------------------------------------
 // Old names the repo benchmark (`crates/bench/src/bin/benchmark`, which may

@@ -25,15 +25,29 @@ impl NodeState {
         materializer: &mut Materializer,
         max_k: usize,
     ) -> Self {
-        let top = materializer.top_k(&snapshot, hub_matrix, max_k);
+        let (lower_bounds, parked_deficit) =
+            materialize_bounds(&snapshot, hub_matrix, materializer, max_k);
         let residue_norm = snapshot.residue_norm();
-        let parked_deficit = hub_matrix.parked_deficit(&snapshot.hub_ink);
-        Self {
-            snapshot,
-            lower_bounds: DescendingTopK::from_sorted(top, max_k),
-            residue_norm,
-            parked_deficit,
-        }
+        Self { snapshot, lower_bounds, residue_norm, parked_deficit }
+    }
+
+    /// What [`Self::from_snapshot`] would materialize for this state's own
+    /// snapshot against `hub_matrix`: `(top-K lower bounds, parked deficit)`.
+    /// An edge update uses it for a state whose stored run replays
+    /// identically on the edited graph — only `P_H` moved under it.
+    pub(crate) fn rebound(
+        &self,
+        hub_matrix: &HubMatrix,
+        materializer: &mut Materializer,
+    ) -> (DescendingTopK, f64) {
+        materialize_bounds(&self.snapshot, hub_matrix, materializer, self.lower_bounds.capacity())
+    }
+
+    /// Installs bounds computed by [`Self::rebound`]. `‖r‖₁` stays: it is a
+    /// function of the unchanged residue vector alone.
+    pub(crate) fn set_bounds(&mut self, lower_bounds: DescendingTopK, parked_deficit: f64) {
+        self.lower_bounds = lower_bounds;
+        self.parked_deficit = parked_deficit;
     }
 
     /// Reassembles a state from stored parts without re-materializing
@@ -112,12 +126,23 @@ pub fn refine_state(
     let executed = engine.resume(transition, &mut state.snapshot, stop);
     if executed > 0 {
         let max_k = state.lower_bounds.capacity();
-        let top = materializer.top_k(&state.snapshot, hub_matrix, max_k);
-        state.lower_bounds = DescendingTopK::from_sorted(top, max_k);
+        (state.lower_bounds, state.parked_deficit) =
+            materialize_bounds(&state.snapshot, hub_matrix, materializer, max_k);
         state.residue_norm = state.snapshot.residue_norm();
-        state.parked_deficit = hub_matrix.parked_deficit(&state.snapshot.hub_ink);
     }
     executed
+}
+
+/// Everything of a state that is materialized against `P_H`: the top-K of
+/// `w + P_H·s` (Eq. 7) and the parked deficit `Σ_h s(h)·d_h`.
+fn materialize_bounds(
+    snapshot: &BcaSnapshot,
+    hub_matrix: &HubMatrix,
+    materializer: &mut Materializer,
+    max_k: usize,
+) -> (DescendingTopK, f64) {
+    let top = materializer.top_k(snapshot, hub_matrix, max_k);
+    (DescendingTopK::from_sorted(top, max_k), hub_matrix.parked_deficit(&snapshot.hub_ink))
 }
 
 /// One worker's refinement scratch, holding a node's BCA computation

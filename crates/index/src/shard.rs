@@ -9,6 +9,8 @@
 //! the shard count, like the thread count, may only change wall time, never
 //! answers.
 
+use crate::builder::Swept;
+use crate::digest::DigestCell;
 use crate::error::IndexError;
 use crate::node_state::NodeState;
 
@@ -141,17 +143,32 @@ impl ShardMap {
 ///
 /// All node ids in its API are **global**; the shard translates to local
 /// offsets internally.
+///
+/// Beside each state the shard keeps two things that are never persisted
+/// and never compared: the cached digest of the state's persisted record
+/// (see [`crate::digest`]), and the **as-built bit** — set when the state is
+/// exactly what the build recipe (Alg. 1: `run_from` under the configured
+/// stop, then materialization) yields on the current graph, which is what
+/// lets an edge update keep a run that never read the edited row (see
+/// [`crate::update`]). [`crate::builder`] and
+/// [`crate::ReverseIndex::apply_update`] set both; every other way a state
+/// can arrive or change (a query commit, in-place refinement, a load, a
+/// stitch, a repartition) leaves them clear.
 #[derive(Clone, Debug)]
 pub struct IndexShard {
     id: usize,
     node_lo: u32,
     states: Vec<NodeState>,
+    digests: Vec<DigestCell>,
+    as_built: Vec<bool>,
 }
 
 impl IndexShard {
     /// Assembles a shard from its id, first global node id, and states.
     pub fn new(id: usize, node_lo: u32, states: Vec<NodeState>) -> Self {
-        Self { id, node_lo, states }
+        let digests = states.iter().map(|_| DigestCell::default()).collect();
+        let as_built = vec![false; states.len()];
+        Self { id, node_lo, states, digests, as_built }
     }
 
     /// The shard's position in the [`ShardMap`].
@@ -195,20 +212,62 @@ impl IndexShard {
         &self.states[(u - self.node_lo) as usize]
     }
 
-    /// Mutable state of global node `u`.
+    /// Mutable state of global node `u`; whatever the caller does to it, it
+    /// is no longer known to be as built and its record must be re-hashed.
     #[inline]
     pub(crate) fn state_mut(&mut self, u: u32) -> &mut NodeState {
-        &mut self.states[(u - self.node_lo) as usize]
+        let i = (u - self.node_lo) as usize;
+        self.digests[i].clear();
+        self.as_built[i] = false;
+        &mut self.states[i]
     }
 
     /// Replaces the state of global node `u` (commit of a refined copy).
     pub fn commit_state(&mut self, u: u32, state: NodeState) {
-        self.states[(u - self.node_lo) as usize] = state;
+        *self.state_mut(u) = state;
     }
 
-    /// Heap bytes of this shard's states.
+    /// Marks every state as built, `digests[i]` being the digest of the
+    /// `i`-th state's persisted record (a fresh build's shards).
+    pub(crate) fn mark_built(&mut self, digests: &[u64]) {
+        self.digests = digests.iter().map(|&d| DigestCell::filled(d)).collect();
+        self.as_built = vec![true; self.states.len()];
+        assert_eq!(self.digests.len(), self.states.len(), "one digest per state");
+    }
+
+    /// Whether the state of global node `u` carries the as-built bit.
+    pub(crate) fn is_as_built(&self, u: u32) -> bool {
+        self.as_built[(u - self.node_lo) as usize]
+    }
+
+    /// Installs what the build recipe produced for global node `u`, with the
+    /// digest of its persisted record: the state is as built from here on.
+    pub(crate) fn install_built(&mut self, u: u32, swept: Swept, digest: u64) {
+        let i = (u - self.node_lo) as usize;
+        match swept {
+            Swept::Run(state) => self.states[i] = state,
+            Swept::Rebound(lower_bounds, parked_deficit) => {
+                self.states[i].set_bounds(lower_bounds, parked_deficit)
+            }
+        }
+        self.digests[i] = DigestCell::filled(digest);
+        self.as_built[i] = true;
+    }
+
+    /// Digest of the persisted record of the `i`-th state of this shard —
+    /// cached unless `cached` is false; hashed here if nothing has yet.
+    pub(crate) fn state_digest(&self, i: usize, cached: bool) -> u64 {
+        let state = &self.states[i];
+        self.digests[i].get_or(cached, || {
+            crate::storage::node_record_digest(state.snapshot(), state.lower_bounds())
+        })
+    }
+
+    /// Heap bytes of this shard's states and what it keeps beside them.
     pub fn heap_bytes(&self) -> usize {
-        self.states.iter().map(|s| s.heap_bytes()).sum()
+        self.states.iter().map(|s| s.heap_bytes()).sum::<usize>()
+            + self.digests.len() * std::mem::size_of::<DigestCell>()
+            + self.as_built.len()
     }
 
     /// Consumes the shard, returning its states.

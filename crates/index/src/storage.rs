@@ -12,9 +12,10 @@
 //! u64 node_count, u64 max_k
 //! bca: f64 alpha, f64 eta, f64 delta, u32 max_iterations
 //! f64 rounding_threshold
-//! hubs: u32seq ids, then per hub: sparse column, f64 deficit, u64 unrounded_nnz
-//! nodes: per node: u32 iterations, sparse r, sparse w, sparse s,
-//!        u32seq topk_indices, f64seq topk_values
+//! hubs: u32seq ids, then per hub one record: sparse column, f64 deficit;
+//!       after the last hub one u64: unrounded nnz summed over all hubs
+//! nodes: per node one record: u32 source, u32 iterations, sparse r,
+//!        sparse w, sparse s, u32seq topk_indices, f64seq topk_values
 //! stats: timings, counters (see code)
 //! ```
 //!
@@ -43,11 +44,19 @@
 //! decodes a single shard's section and skips the rest — the start-up load
 //! of a multi-process backend, whose footprint is one shard, not the index.
 //!
+//! **Index digest.** [`index_digest`] hashes the stream an index persists
+//! as — [`save`]'s for an index holding every shard, [`save_shard`]'s for a
+//! one-shard index — with each hub record and each node record replaced by
+//! the 8 little-endian bytes of its own [`crate::fnv1a64`] (and each section length
+//! counting the folded section). The per-record hashes are cached beside the
+//! records, so the digest costs one short pass, not a serialization.
+//!
 //! The hub-selection policy and hub-vector solver are *not* round-tripped —
 //! they only matter during construction; a loaded index refines and queries
 //! identically. `config().hub_selection` becomes `Explicit(ids)` after load.
 
 use crate::config::{HubSelection, HubSolver, IndexConfig};
+use crate::digest::Fnv1a64;
 use crate::error::IndexError;
 use crate::hub_matrix::HubMatrix;
 use crate::index::ReverseIndex;
@@ -89,11 +98,58 @@ fn corrupt(msg: String) -> IndexError {
 /// Only an index holding every shard has a snapshot; a one-shard index
 /// persists its section with [`save_shard`].
 pub fn save<W: Write>(index: &ReverseIndex, writer: W) -> Result<(), IndexError> {
+    write_index(index, writer, Records::Encoded)
+}
+
+/// How the writers below emit hub-column and node-state records.
+#[derive(Clone, Copy)]
+enum Records {
+    /// The persisted encoding.
+    Encoded,
+    /// Each record as the 8 LE bytes of its [`crate::fnv1a64`] — the stream
+    /// [`index_digest`] hashes. `cached: false` re-hashes every record
+    /// instead of trusting the cells kept beside them.
+    Digested { cached: bool },
+}
+
+fn write_index<W: Write>(
+    index: &ReverseIndex,
+    writer: W,
+    records: Records,
+) -> Result<(), IndexError> {
     if index.shard_count() <= 1 {
-        save_legacy(index, writer)
+        write_legacy(index, writer, records)
     } else {
-        save_sharded(index, writer)
+        write_sharded(index, writer, records)
     }
+}
+
+/// A stable digest (FNV-1a 64) of what `index` persists as (see the module
+/// docs): two indexes holding the same shards have equal digests exactly
+/// when their persisted bytes are equal, up to hash collisions. Record
+/// hashes are cached, so after an update this re-hashes what the update
+/// recomputed and otherwise folds 8 bytes per record. Comparable between
+/// processes of the same build only — the fold is not a wire format.
+pub fn index_digest(index: &ReverseIndex) -> u64 {
+    fold_digest(index, Records::Digested { cached: true })
+}
+
+/// [`index_digest`] recomputed from the entries, trusting no cached record
+/// hash — the reference the cache is tested against.
+pub fn index_digest_cold(index: &ReverseIndex) -> u64 {
+    fold_digest(index, Records::Digested { cached: false })
+}
+
+fn fold_digest(index: &ReverseIndex, records: Records) -> u64 {
+    let mut hasher = Fnv1a64::default();
+    match index.owned_shard() {
+        None => write_index(index, &mut hasher, records),
+        Some(_) => {
+            write_shard(&index.shards()[0], index.node_count(), index.max_k(), &mut hasher, records)
+        }
+    }
+    .expect("hashing an in-memory index cannot fail");
+    hasher.finish()
 }
 
 /// Deserializes an index written by [`save`] (either layout, dispatched on
@@ -167,18 +223,44 @@ fn check_version<R: Read>(r: &mut R, supported: u32, what: &str) -> Result<(), I
 // Shared per-node and hub-matrix encoding
 // ---------------------------------------------------------------------------
 
-fn write_node_state<W: Write>(w: &mut W, state: &NodeState) -> std::io::Result<()> {
-    let snap = state.snapshot();
+/// One node-state record: the resumable run and its top-K lower bounds.
+fn write_node_record<W: Write>(
+    w: &mut W,
+    snap: &BcaSnapshot,
+    lower_bounds: &DescendingTopK,
+) -> std::io::Result<()> {
     codec::write_u32(w, snap.source)?;
     codec::write_u32(w, snap.iterations)?;
     codec::write_sparse_vector(w, &snap.residue)?;
     codec::write_sparse_vector(w, &snap.retained)?;
     codec::write_sparse_vector(w, &snap.hub_ink)?;
-    let entries = state.lower_bounds().entries();
+    let entries = lower_bounds.entries();
     let idx: Vec<u32> = entries.iter().map(|&(i, _)| i).collect();
     let vals: Vec<f64> = entries.iter().map(|&(_, v)| v).collect();
     codec::write_u32_seq(w, &idx)?;
     codec::write_f64_seq(w, &vals)
+}
+
+/// [`crate::fnv1a64`] of the record [`write_node_record`] emits.
+pub(crate) fn node_record_digest(snap: &BcaSnapshot, lower_bounds: &DescendingTopK) -> u64 {
+    let mut hasher = Fnv1a64::default();
+    write_node_record(&mut hasher, snap, lower_bounds).expect("hashing cannot fail");
+    hasher.finish()
+}
+
+/// The node records of one shard, in id order.
+fn write_shard_states<W: Write>(
+    w: &mut W,
+    shard: &IndexShard,
+    records: Records,
+) -> std::io::Result<()> {
+    for (i, state) in shard.states().iter().enumerate() {
+        match records {
+            Records::Encoded => write_node_record(w, state.snapshot(), state.lower_bounds())?,
+            Records::Digested { cached } => codec::write_u64(w, shard.state_digest(i, cached))?,
+        }
+    }
+    Ok(())
 }
 
 fn read_node_state<R: Read>(
@@ -236,11 +318,32 @@ fn check_node_ids(
     Ok(())
 }
 
-fn write_hub_matrix<W: Write>(w: &mut W, hm: &HubMatrix) -> std::io::Result<()> {
+/// One hub record: the rounded column and its mass deficit.
+fn write_hub_record<W: Write>(
+    w: &mut W,
+    column: &rtk_sparse::SparseVector,
+    deficit: f64,
+) -> std::io::Result<()> {
+    codec::write_sparse_vector(w, column)?;
+    codec::write_f64(w, deficit)
+}
+
+/// [`crate::fnv1a64`] of the record [`write_hub_record`] emits.
+pub(crate) fn hub_record_digest(column: &rtk_sparse::SparseVector, deficit: f64) -> u64 {
+    let mut hasher = Fnv1a64::default();
+    write_hub_record(&mut hasher, column, deficit).expect("hashing cannot fail");
+    hasher.finish()
+}
+
+fn write_hub_matrix<W: Write>(w: &mut W, hm: &HubMatrix, records: Records) -> std::io::Result<()> {
     codec::write_u32_seq(w, hm.hubs().ids())?;
-    for &h in hm.hubs().ids() {
-        codec::write_sparse_vector(w, hm.column(h).expect("hub column"))?;
-        codec::write_f64(w, hm.deficit(h))?;
+    for (i, &h) in hm.hubs().ids().iter().enumerate() {
+        match records {
+            Records::Encoded => {
+                write_hub_record(w, hm.column(h).expect("hub column"), hm.deficit(h))?
+            }
+            Records::Digested { cached } => codec::write_u64(w, hm.column_digest(i, cached))?,
+        }
     }
     // Unrounded nnz totals are stored as one aggregate across hubs.
     codec::write_u64(w, hm.unrounded_nnz() as u64)
@@ -383,15 +486,23 @@ fn loaded_config(
 /// flattened into one id-ordered node section — byte-identical to the
 /// pre-sharding format for any shard count).
 pub fn save_legacy<W: Write>(index: &ReverseIndex, writer: W) -> Result<(), IndexError> {
+    write_legacy(index, writer, Records::Encoded)
+}
+
+fn write_legacy<W: Write>(
+    index: &ReverseIndex,
+    writer: W,
+    records: Records,
+) -> Result<(), IndexError> {
     require_every_shard(index)?;
     let mut w = BufWriter::new(writer);
     codec::write_header(&mut w, INDEX_MAGIC, INDEX_VERSION)?;
     codec::write_u64(&mut w, index.node_count() as u64)?;
     codec::write_u64(&mut w, index.max_k() as u64)?;
     write_bca_and_rounding(&mut w, &index.config().bca, index.config().rounding_threshold)?;
-    write_hub_matrix(&mut w, index.hub_matrix())?;
-    for state in index.iter_states() {
-        write_node_state(&mut w, state)?;
+    write_hub_matrix(&mut w, index.hub_matrix(), records)?;
+    for shard in index.shards() {
+        write_shard_states(&mut w, shard, records)?;
     }
     write_stats(&mut w, index.stats())?;
     w.flush()?;
@@ -441,6 +552,16 @@ pub fn save_shard<W: Write>(
     max_k: usize,
     writer: W,
 ) -> Result<(), IndexError> {
+    write_shard(shard, node_count, max_k, writer, Records::Encoded)
+}
+
+fn write_shard<W: Write>(
+    shard: &IndexShard,
+    node_count: usize,
+    max_k: usize,
+    writer: W,
+    records: Records,
+) -> Result<(), IndexError> {
     let mut w = BufWriter::new(writer);
     codec::write_header(&mut w, SHARD_MAGIC, SHARD_VERSION)?;
     codec::write_u64(&mut w, shard.id() as u64)?;
@@ -448,9 +569,7 @@ pub fn save_shard<W: Write>(
     codec::write_u64(&mut w, shard.len() as u64)?;
     codec::write_u64(&mut w, node_count as u64)?;
     codec::write_u64(&mut w, max_k as u64)?;
-    for state in shard.states() {
-        write_node_state(&mut w, state)?;
-    }
+    write_shard_states(&mut w, shard, records)?;
     w.flush()?;
     Ok(())
 }
@@ -497,6 +616,14 @@ pub fn load_shard<R: Read>(
 /// Serializes `index` in the sharded manifest layout regardless of shard
 /// count (the plain [`save`] picks the legacy layout for `S == 1`).
 pub fn save_sharded<W: Write>(index: &ReverseIndex, writer: W) -> Result<(), IndexError> {
+    write_sharded(index, writer, Records::Encoded)
+}
+
+fn write_sharded<W: Write>(
+    index: &ReverseIndex,
+    writer: W,
+    records: Records,
+) -> Result<(), IndexError> {
     require_every_shard(index)?;
     let mut w = BufWriter::new(writer);
     codec::write_header(&mut w, MANIFEST_MAGIC, MANIFEST_VERSION)?;
@@ -505,15 +632,15 @@ pub fn save_sharded<W: Write>(index: &ReverseIndex, writer: W) -> Result<(), Ind
     codec::write_u64(&mut w, index.shard_count() as u64)?;
     write_bca_and_rounding(&mut w, &index.config().bca, index.config().rounding_threshold)?;
     codec::write_u32_seq(&mut w, index.shard_map().starts())?;
-    write_hub_matrix(&mut w, index.hub_matrix())?;
+    write_hub_matrix(&mut w, index.hub_matrix(), records)?;
     for shard in index.shards() {
         // Two-pass section write: a counting pre-pass computes the length
         // prefix so the section never has to be buffered in memory (a
         // single shard of a large index can be gigabytes).
         let mut counter = CountingWriter::default();
-        save_shard(shard, index.node_count(), index.max_k(), &mut counter)?;
+        write_shard(shard, index.node_count(), index.max_k(), &mut counter, records)?;
         codec::write_u64(&mut w, counter.bytes)?;
-        save_shard(shard, index.node_count(), index.max_k(), &mut w)?;
+        write_shard(shard, index.node_count(), index.max_k(), &mut w, records)?;
     }
     write_stats(&mut w, index.stats())?;
     w.flush()?;

@@ -1,31 +1,50 @@
 //! Incremental edge updates — targeted invalidation and recompute
-//! (ROADMAP direction 2).
+//! (ROADMAP direction 1, the write path).
 //!
 //! An edge update `u → v` (insert, weight change, or removal) renormalizes
-//! exactly one row of the transition matrix: `u`'s out-row. The only walks
-//! whose probabilities change are those that *visit `u`*, so the only index
-//! entries that can change are those of nodes that can reach `u` along
-//! out-edges — the **affected set** [`affected_set`], computed as a BFS from
-//! `u` over in-edges. Everything outside that set is untouched *bitwise*:
+//! exactly one row of the transition matrix: `u`'s out-row. Every index
+//! entry is the output of a computation over the transition matrix, so an
+//! entry can change only if its computation **reads row `u`** — directly, or
+//! through a hub column that does.
 //!
-//! * A BCA run from an unaffected `q` never places residue on `u`, so it
-//!   never reads the mutated row and replays the exact same pushes.
-//! * A hub column `p_h` with `h` unaffected assigns exact `+0.0` to every
-//!   node that cannot be reached from `h` without passing through… nothing:
-//!   walks from `h` never traverse `u`'s out-edges (`x[u]` stays `+0.0`),
-//!   and inserting a `p·0.0 = +0.0` term into a non-negative, in-order
-//!   accumulation leaves every partial sum bit-identical.
-//! * Unaffected `q` can only park ink on unaffected hubs (if `q` reached an
-//!   affected hub `h`, then `q` reaches `u` through `h` and would itself be
-//!   affected), so its materialized bounds see only unchanged columns.
+//! *Who can read row `u`.* Reading `u`'s out-row takes mass at `u`: a BCA run
+//! from `q` reads it only when it pushes residue from `u`, a hub solve only
+//! when `x[u] ≠ 0`. Mass reaches `u` only along out-edges, so nothing outside
+//! the **affected set** [`affected_set`] — every node that can reach `u`,
+//! a BFS from `u` over in-edges — ever reads the row. Outside it everything
+//! is untouched *bitwise*: a run from an unaffected `q` replays the exact
+//! same pushes; a column `p_h` of an unaffected hub sees `x[u] = +0.0`
+//! throughout, and a `p·0.0 = +0.0` term inserted into a non-negative,
+//! in-order accumulation leaves every partial sum bit-identical; and an
+//! unaffected `q` parks ink only on unaffected hubs (a path `q → h → u`
+//! would make `q` affected), so its materialized bounds see only unchanged
+//! columns.
 //!
-//! Affected entries are recomputed *from scratch* with the exact Algorithm 1
-//! recipe ([`recompute_states`]), hub columns first (states materialize
-//! against `P_H`), then node states. Consequently the post-update index is
-//! bitwise-equal to a full rebuild of the mutated graph — provided the
-//! untouched states were never refined past their build-time stop (queries
-//! in `update` mode tighten states monotonically; those remain correct, just
-//! no longer byte-comparable to a *fresh* rebuild).
+//! *Inside the affected set* hub columns are re-solved first (states
+//! materialize against `P_H`), then each held state is brought to what the
+//! Algorithm 1 recipe yields on the edited graph — which is a from-scratch
+//! run only for the states that need one. Reachability over-approximates
+//! reading: a push reads the out-row of the node it pushes from and nothing
+//! else (the linear push invariant), so a run from an affected `q` that never
+//! pushed *from `u`* replays push for push on the edited graph and ends in the
+//! same `(r, w, s, t)`. The shard's **as-built bit** (see
+//! [`crate::IndexShard`]) says a stored state *is* the recipe's output on the
+//! graph as it stood before the edit, and `never_read_row` reads off the
+//! stored run whether it pushed from `u`; a state passing both keeps its run
+//! and only rematerializes top-K and parked deficit against the new columns
+//! (`‖r‖₁` is a function of the kept residue). Every hub-tailed edit
+//! qualifies all of its as-built states: hub ink is parked, never pushed. A
+//! state a query refined, or one that arrived by load / stitch /
+//! repartition, has no bit and takes the from-scratch run — which is also
+//! what *resets* a refined state to the recipe's output, the property that
+//! lets `snapshot + replay(log)` reproduce a live index that served
+//! update-mode queries between edits.
+//!
+//! Consequently the post-update index is bitwise-equal to a full rebuild of
+//! the mutated graph — provided the states outside the affected set were
+//! never refined past their build-time stop (queries in `update` mode tighten
+//! states monotonically; those remain correct, just no longer
+//! byte-comparable to a *fresh* rebuild).
 //!
 //! The affected set is identical on the pre- and post-update graph: whether
 //! `q` can reach `u` never depends on `u`'s own out-edges, and `u` is always
@@ -33,19 +52,14 @@
 //! update log ([`crate::storage::UpdateRecord`]) stores only the edit, and
 //! replaying it deterministically regenerates the exact recompute schedule.
 
-use crate::config::IndexConfig;
-use crate::hub_matrix::{HubMatrix, Materializer};
 use crate::node_state::NodeState;
-use rtk_graph::{DiGraph, TransitionMatrix};
-use rtk_rwr::bca::{BcaEngine, BcaStop};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use rtk_graph::DiGraph;
+use rtk_rwr::HubSet;
 
-/// Nodes claimed per worker fetch during a recompute sweep (mirrors the
-/// builder's `SWEEP_CHUNK`).
-const RECOMPUTE_CHUNK: usize = 64;
-
-/// What one applied edge update invalidated and recomputed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// What one applied edge update invalidated and recomputed, and what the
+/// two recompute stages cost. Only the first two counts go over the wire;
+/// the rest is in-process observability.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct UpdateEffect {
     /// Node states recomputed — the affected set intersected with the nodes
     /// the index holds (all of it for a whole index, the owned shard's
@@ -53,6 +67,16 @@ pub struct UpdateEffect {
     pub recomputed_states: usize,
     /// Hub columns recomputed (hubs inside the affected set).
     pub recomputed_hubs: usize,
+    /// How many of [`Self::recomputed_states`] re-ran their BCA from scratch;
+    /// the rest kept a run that never read the edited row. In-process only:
+    /// it depends on which states queries refined since they were built, so
+    /// two replicas may differ here while agreeing on every byte.
+    pub bca_runs: usize,
+    /// Wall time of the hub-column recompute.
+    pub hubs_seconds: f64,
+    /// Wall time of the node-state recompute (BCA runs, rematerialization,
+    /// record hashing, install).
+    pub states_seconds: f64,
 }
 
 impl UpdateEffect {
@@ -60,6 +84,9 @@ impl UpdateEffect {
     pub fn merge(&mut self, other: UpdateEffect) {
         self.recomputed_states += other.recomputed_states;
         self.recomputed_hubs += other.recomputed_hubs;
+        self.bca_runs += other.bca_runs;
+        self.hubs_seconds += other.hubs_seconds;
+        self.states_seconds += other.states_seconds;
     }
 }
 
@@ -85,75 +112,46 @@ pub fn affected_set(graph: &DiGraph, source: u32) -> Vec<u32> {
     (0..n as u32).filter(|&u| seen[u as usize]).collect()
 }
 
-/// Recomputes fresh node states for `nodes` with the exact Algorithm 1
-/// recipe (same engine construction, stop rule, and top-K materialization
-/// as [`crate::builder::LbiBuilder::build`]), spread over
-/// `config.effective_threads()` pool workers. Returns `(node, state)` pairs
-/// in `nodes` order; scheduling cannot change any state (per-node runs are
-/// independent and merged by slot).
-pub fn recompute_states(
-    transition: &TransitionMatrix<'_>,
-    hub_matrix: &HubMatrix,
-    config: &IndexConfig,
-    nodes: &[u32],
-) -> Vec<(u32, NodeState)> {
-    if nodes.is_empty() {
-        return Vec::new();
+/// Whether the **as-built** run stored in `state` provably never read the
+/// out-row of `source` — so it replays identically when only that row
+/// changes. Sound, not complete: `false` merely costs a from-scratch run.
+///
+/// A hub's row is never read: ink arriving at a hub is parked (Eq. 6), not
+/// pushed. For any other node, a push from `source` of residue `r` retains
+/// `α·r` there, and retained ink never leaves — so `w[source] == 0` means no
+/// push, *unless* `α·r` rounded to zero. It cannot have: a run starts from
+/// one unit of residue, and each iteration turns a positive residue `r` into
+/// pushes of `(1−α)·r·p` that are added to non-negative slots, so after `t`
+/// iterations every positive residue is at least `((1−α)·p_min)^t`, with
+/// `p_min` the smallest transition probability of the rows the run read. Up
+/// to its first push from `source` the run read only rows the edit leaves
+/// alone, so `min_probability` — taken over the edited matrix — bounds them
+/// from below. The rule asks for `α` times that floor, at the run's total
+/// iteration count, to be a *normal* number, 2⁵² above the smallest
+/// subnormal — far outside what the rounding ignored in this argument can
+/// close. As-built runs stop after a handful of iterations; one long enough
+/// to fail the test is simply run again.
+pub(crate) fn never_read_row(
+    state: &NodeState,
+    source: u32,
+    hubs: &HubSet,
+    alpha: f64,
+    min_probability: f64,
+) -> bool {
+    if hubs.contains(source) {
+        return true;
     }
-    let n = transition.node_count();
-    let threads = config.effective_threads().max(1).min(nodes.len());
-    let stop = BcaStop::from_params(&config.bca);
-    let next = AtomicUsize::new(0);
-    let collected = std::sync::Mutex::new(Vec::<Vec<(usize, NodeState)>>::new());
-    rtk_sparse::WorkerPool::global().scope(|scope| {
-        for _ in 0..threads {
-            let (next, collected, stop) = (&next, &collected, &stop);
-            let hubs = hub_matrix.hubs().clone();
-            scope.spawn(move || {
-                let mut engine = BcaEngine::new(hubs, config.bca);
-                let mut materializer = Materializer::new(n);
-                let mut local = Vec::new();
-                loop {
-                    let lo = next.fetch_add(RECOMPUTE_CHUNK, Ordering::Relaxed);
-                    if lo >= nodes.len() {
-                        break;
-                    }
-                    let hi = (lo + RECOMPUTE_CHUNK).min(nodes.len());
-                    for (i, &u) in nodes.iter().enumerate().take(hi).skip(lo) {
-                        let snapshot = engine.run_from(transition, u, stop);
-                        let state = NodeState::from_snapshot(
-                            snapshot,
-                            hub_matrix,
-                            &mut materializer,
-                            config.max_k,
-                        );
-                        local.push((i, state));
-                    }
-                }
-                collected.lock().expect("recompute results poisoned").push(local);
-            });
-        }
-    });
-    let mut slots: Vec<Option<NodeState>> = (0..nodes.len()).map(|_| None).collect();
-    for chunk in collected.into_inner().expect("recompute results poisoned") {
-        for (i, state) in chunk {
-            debug_assert!(slots[i].is_none());
-            slots[i] = Some(state);
-        }
-    }
-    nodes
-        .iter()
-        .copied()
-        .zip(slots.into_iter().map(|s| s.expect("state missing after recompute")))
-        .collect()
+    let iterations = i32::try_from(state.snapshot().iterations).unwrap_or(i32::MAX);
+    let residue_floor = ((1.0 - alpha) * min_probability).powi(iterations);
+    state.snapshot().retained.get(source) == 0.0 && alpha * residue_floor >= f64::MIN_POSITIVE
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{HubSelection, HubSolver};
+    use crate::config::{HubSelection, HubSolver, IndexConfig};
     use crate::index::ReverseIndex;
-    use rtk_graph::{DanglingPolicy, GraphBuilder};
+    use rtk_graph::{DanglingPolicy, GraphBuilder, TransitionMatrix};
     use rtk_rwr::{BcaParams, RwrParams};
 
     fn config(threads: usize, shards: usize) -> IndexConfig {

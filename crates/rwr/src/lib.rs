@@ -4,7 +4,8 @@
 //!
 //! * [`power`] — the forward power method solving
 //!   `p_u = (1−α)·A·p_u + α·e_u` (Eq. 1/12), plus PageRank and personalized
-//!   PageRank through the same operator (Eq. 3);
+//!   PageRank through the same operator (Eq. 3), and the blocked
+//!   many-source form that solves a tile of columns per pass over the edges;
 //! * [`pmpn`] — **Power Method for Proximity to Node** (Alg. 2): the paper's
 //!   novel result that the *row* `p_{q,*}` of the proximity matrix is
 //!   computable by iterating on `Aᵀ` with convergence rate `1−α` (Thm. 2);
@@ -33,4 +34,4 @@ pub use bca::{BcaEngine, BcaSnapshot, BcaStop};
 pub use hubs::HubSet;
 pub use params::{BcaParams, RwrParams};
 pub use pmpn::proximity_to;
-pub use power::{pagerank, personalized_pagerank, proximity_from};
+pub use power::{pagerank, personalized_pagerank, proximity_from, proximity_from_many};

@@ -33,6 +33,94 @@ pub fn proximity_from(
     solve_forward(transition, &restart, params)
 }
 
+/// Columns [`proximity_from_many`] carries per node: one walk of an in-edge
+/// row feeds this many accumulators, so the edge ids and probabilities are
+/// loaded once per tile of columns instead of once per column.
+pub const BLOCK_WIDTH: usize = 8;
+
+/// [`proximity_from`] for every node of `sources`, in order, solved
+/// [`BLOCK_WIDTH`] columns per pass over the edges.
+///
+/// Each column is bit for bit the vector and report [`proximity_from`]
+/// returns for that source: per column the tile adds the same products in
+/// the same in-edge order as [`rtk_graph::gather_dot`], applies
+/// the same `(1−α)·dot + α·restart` and the same in-order L1 step, and is
+/// captured at the iteration its *own* step drops below `ε` (or at the
+/// iteration cap) — its tile-mates iterating on does not touch it. Tiles run
+/// one after another on the calling thread (`params.threads` is the width of
+/// a *single* solve's products and is not read here); callers wanting
+/// parallelism hand tiles to workers.
+///
+/// # Panics
+/// Panics if a source is out of range.
+pub fn proximity_from_many(
+    transition: &TransitionMatrix<'_>,
+    sources: &[u32],
+    params: &RwrParams,
+) -> Vec<(Vec<f64>, SolveReport)> {
+    params.validate();
+    let n = transition.node_count();
+    if let Some(&u) = sources.iter().find(|&&u| u as usize >= n) {
+        panic!("proximity_from_many: node {u} out of range");
+    }
+    sources
+        .chunks(BLOCK_WIDTH)
+        .flat_map(|tile| solve_tile(transition, tile, params))
+        .collect()
+}
+
+/// One tile of [`proximity_from_many`]: at most [`BLOCK_WIDTH`] sources,
+/// unused columns stay all-zero.
+fn solve_tile(
+    transition: &TransitionMatrix<'_>,
+    sources: &[u32],
+    params: &RwrParams,
+) -> Vec<(Vec<f64>, SolveReport)> {
+    type Tile = [f64; BLOCK_WIDTH];
+    let n = transition.node_count();
+    let (alpha, damp) = (params.alpha, 1.0 - params.alpha);
+    let mut restart: Vec<Tile> = vec![[0.0; BLOCK_WIDTH]; n];
+    for (c, &u) in sources.iter().enumerate() {
+        restart[u as usize][c] = 1.0;
+    }
+    let mut x = restart.clone();
+    let mut y: Vec<Tile> = vec![[0.0; BLOCK_WIDTH]; n];
+    let mut solved: Vec<Option<(Vec<f64>, SolveReport)>> = vec![None; sources.len()];
+    let mut pending = sources.len();
+    let mut iterations = 0;
+    while pending > 0 {
+        let mut delta: Tile = [0.0; BLOCK_WIDTH];
+        for (v, (yv, (xv, rv))) in y.iter_mut().zip(x.iter().zip(&restart)).enumerate() {
+            let (ids, probs) = transition.in_edges(v as u32);
+            let mut acc: Tile = [0.0; BLOCK_WIDTH];
+            for (&j, &p) in ids.iter().zip(probs) {
+                let xj = &x[j as usize];
+                for c in 0..BLOCK_WIDTH {
+                    acc[c] += p * xj[c];
+                }
+            }
+            for c in 0..BLOCK_WIDTH {
+                yv[c] = damp * acc[c] + alpha * rv[c];
+                delta[c] += (xv[c] - yv[c]).abs();
+            }
+        }
+        iterations += 1;
+        std::mem::swap(&mut x, &mut y);
+        for (c, slot) in solved.iter_mut().enumerate() {
+            let converged = delta[c] < params.epsilon;
+            if slot.is_none() && (converged || iterations == params.max_iterations) {
+                let report = SolveReport { iterations, final_delta: delta[c], converged };
+                *slot = Some((x.iter().map(|tile| tile[c]).collect(), report));
+                pending -= 1;
+            }
+        }
+    }
+    solved
+        .into_iter()
+        .map(|s| s.expect("every column is captured by the iteration cap"))
+        .collect()
+}
+
 /// Computes the global PageRank vector `pr = P·e/n` (Eq. 3): the stationary
 /// distribution of a walk restarting uniformly.
 pub fn pagerank(transition: &TransitionMatrix<'_>, params: &RwrParams) -> (Vec<f64>, SolveReport) {
@@ -207,6 +295,73 @@ mod tests {
         let params = RwrParams::default();
         let (_, report) = proximity_from(&t, 0, &params);
         assert!(report.iterations <= params.iteration_bound() + 1);
+    }
+
+    /// `graph` plus one extra node whose only out-edge is a self-loop: a
+    /// sink, whose column `α·e + (1−α)·e` is reached at iteration 1.
+    fn with_sink(graph: &rtk_graph::DiGraph) -> (rtk_graph::DiGraph, u32) {
+        let sink = graph.node_count() as u32;
+        let mut edges: Vec<(u32, u32)> = graph.edges().map(|(f, t, _)| (f, t)).collect();
+        edges.push((0, sink));
+        edges.push((sink, sink));
+        let g = GraphBuilder::from_edges(sink as usize + 1, &edges, DanglingPolicy::Error).unwrap();
+        (g, sink)
+    }
+
+    fn assert_blocked_equals_single(t: &TransitionMatrix<'_>, sources: &[u32], params: &RwrParams) {
+        let blocked = proximity_from_many(t, sources, params);
+        assert_eq!(blocked.len(), sources.len());
+        for (&u, (column, report)) in sources.iter().zip(&blocked) {
+            let (single, single_report) = proximity_from(t, u, params);
+            assert_eq!(report, &single_report, "report of column {u}");
+            let same = column.iter().zip(&single).all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same && column.len() == single.len(), "column {u} differs bitwise");
+        }
+    }
+
+    #[test]
+    fn blocked_solve_equals_proximity_from_bit_for_bit() {
+        use rtk_graph::gen::{erdos_renyi, rmat, ErdosRenyiConfig, RmatConfig};
+        let graphs = [
+            toy(),
+            erdos_renyi(&ErdosRenyiConfig { nodes: 120, edges: 700, seed: 4 }).unwrap(),
+            rmat(&RmatConfig::new(300, 1_800, 9)).unwrap(),
+        ];
+        let params = RwrParams::default();
+        for base in &graphs {
+            let (g, sink) = with_sink(base);
+            let t = TransitionMatrix::new(&g);
+            let n = g.node_count() as u32;
+            // Highest-degree nodes first, the sink in the middle of a tile.
+            let mut hubs = crate::HubSet::degree_based(&g, 12).ids().to_vec();
+            hubs.retain(|&h| h != sink);
+            hubs.insert(hubs.len().min(3), sink);
+            let spread = |len: usize| -> Vec<u32> {
+                let mut ids: Vec<u32> = (0..len as u32).map(|i| (i * 7 + 1) % (n - 1)).collect();
+                ids[len / 2] = sink;
+                ids
+            };
+            for len in [1, BLOCK_WIDTH - 1, BLOCK_WIDTH, BLOCK_WIDTH + 1] {
+                assert_blocked_equals_single(&t, &spread(len), &params);
+            }
+            assert_blocked_equals_single(&t, &hubs, &params);
+            assert!(proximity_from_many(&t, &[], &params).is_empty());
+
+            // The sink converges at once while its tile-mates need dozens of
+            // iterations — each column is captured at its own.
+            let reports = proximity_from_many(&t, &[0, sink, 1], &params);
+            assert_eq!(reports[1].1.iterations, 1);
+            assert!(reports[0].1.iterations > 20 && reports[2].1.iterations > 20);
+            assert_eq!(reports[1].0[sink as usize], 1.0);
+
+            // An iteration cap below convergence: unconverged columns are
+            // captured at the cap, exactly like the single solve.
+            let capped = RwrParams { max_iterations: 5, ..params };
+            assert_blocked_equals_single(&t, &[0, sink, 1], &capped);
+            let cut = proximity_from_many(&t, &[0, sink, 1], &capped);
+            assert!(!cut[0].1.converged && cut[0].1.iterations == 5);
+            assert!(cut[1].1.converged);
+        }
     }
 
     #[test]

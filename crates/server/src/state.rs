@@ -27,6 +27,7 @@ use rtk_api::service::{to_wire, to_wire_shard};
 use rtk_api::QueryCall;
 use rtk_core::{ReverseTopkEngine, UpdateRecord};
 use rtk_graph::NodeId;
+use rtk_obs::{log_event, Json, Level};
 use rtk_query::QueryOptions;
 use std::sync::RwLock;
 use std::time::Instant;
@@ -213,11 +214,32 @@ impl SharedEngine {
     pub(crate) fn apply_update(&self, record: UpdateRecord) -> Result<WireUpdateResult, String> {
         let mut engine = self.engine.write().expect("engine lock");
         let effect = engine.replay_updates(&[record]).map_err(|e| e.to_string())?;
+        let started = Instant::now();
         self.log_update(&record)?;
+        let log_append_ms = started.elapsed().as_secs_f64() * 1e3;
+        let started = Instant::now();
+        let index_digest = engine.index_digest();
+        let digest_ms = started.elapsed().as_secs_f64() * 1e3;
+        // Where the write path's time went, stage by stage (debug level:
+        // one line per update, free when filtered out).
+        log_event(
+            Level::Debug,
+            "server",
+            "edge update applied",
+            &[
+                ("hubs_ms", Json::F64(effect.hubs_seconds * 1e3)),
+                ("states_ms", Json::F64(effect.states_seconds * 1e3)),
+                ("digest_ms", Json::F64(digest_ms)),
+                ("log_append_ms", Json::F64(log_append_ms)),
+                ("recomputed_states", Json::U64(effect.recomputed_states as u64)),
+                ("bca_runs", Json::U64(effect.bca_runs as u64)),
+                ("recomputed_hubs", Json::U64(effect.recomputed_hubs as u64)),
+            ],
+        );
         Ok(WireUpdateResult {
             recomputed_states: effect.recomputed_states as u64,
             recomputed_hubs: effect.recomputed_hubs as u64,
-            index_digest: engine.index_digest(),
+            index_digest,
         })
     }
 
@@ -227,10 +249,11 @@ impl SharedEngine {
             .map_err(|e| format!("update applied but logging to {path:?} failed: {e}"))
     }
 
-    /// Stable FNV-1a digest of the serialized index as currently held —
-    /// the replica-convergence check `stats` reports. Serializes the index
-    /// under the read lock, so it is O(index bytes): cheap next to index
-    /// builds, but not free — it runs per `stats` call, not per query.
+    /// Stable FNV-1a digest of the index as currently held — the
+    /// replica-convergence check `stats` reports. Under the read lock it
+    /// hashes the records whose cached hash a commit dropped since the last
+    /// call and folds 8 bytes per record; it runs per `stats` call, not per
+    /// query.
     pub(crate) fn index_digest(&self) -> u64 {
         self.engine.read().expect("engine lock").index_digest()
     }

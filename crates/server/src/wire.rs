@@ -703,21 +703,28 @@ mod tests {
     fn formats_md_states_the_current_wire_version() {
         // `docs/FORMATS.md` is the normative spec; the version it states —
         // in its summary, its section heading and its header table — is the
-        // one this crate speaks.
-        let spec = include_str!("../../../docs/FORMATS.md");
-        let stated = |lead: &str| -> u32 {
-            let at = spec.find(lead).unwrap_or_else(|| panic!("FORMATS.md lost {lead:?}"));
+        // one this crate speaks. So is the version in both places the
+        // README names one (the serving section and the documentation
+        // table's FORMATS.md row).
+        fn stated_after(text: &str, lead: &str, from: usize) -> (u32, usize) {
+            let at =
+                from + text[from..].find(lead).unwrap_or_else(|| panic!("the docs lost {lead:?}"));
             let digits: String =
-                spec[at + lead.len()..].chars().take_while(char::is_ascii_digit).collect();
-            digits.parse().unwrap_or_else(|_| panic!("no version after {lead:?}"))
-        };
+                text[at + lead.len()..].chars().take_while(char::is_ascii_digit).collect();
+            (digits.parse().unwrap_or_else(|_| panic!("no version after {lead:?}")), at + 1)
+        }
+        let spec = include_str!("../../../docs/FORMATS.md");
         for lead in [
             "`RTKWIRE1` wire protocol (version ",
             "## `RTKWIRE1` — the wire protocol (version ",
             "u32 version (currently ",
         ] {
-            assert_eq!(stated(lead), WIRE_VERSION, "FORMATS.md: {lead:?}");
+            assert_eq!(stated_after(spec, lead, 0).0, WIRE_VERSION, "FORMATS.md: {lead:?}");
         }
+        let readme = include_str!("../../../README.md");
+        let (serving, next) = stated_after(readme, "`RTKWIRE1` v", 0);
+        let (table_row, _) = stated_after(readme, "`RTKWIRE1` v", next);
+        assert_eq!((serving, table_row), (WIRE_VERSION, WIRE_VERSION), "README.md");
     }
 
     fn sample_result(q: u32) -> WireQueryResult {

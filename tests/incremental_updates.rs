@@ -205,6 +205,147 @@ fn snapshot_plus_replay_reproduces_live_bytes() {
     }
 }
 
+/// The as-built leg: an edit keeps the BCA run of an affected state that is
+/// still the build recipe's output and never pushed from the edited row,
+/// and re-runs the rest — and both land on the rebuild. Update-mode queries
+/// run before every edit, so some affected states are refined (no bit: they
+/// re-run, which also resets them) and some are not. After each edit every
+/// affected state equals the pinned-hub rebuild's, the engine's own
+/// `bca_runs` equals the count the rule predicts from what this test can
+/// see from outside, and every one-shard engine of three, driven through
+/// the same steps, holds exactly the whole engine's states. The script
+/// contains hub tails, edits whose tail is an affected as-built state itself
+/// (`q == u`), and — asserted below — an edit whose tail a state kept by an
+/// earlier edit *does* push from.
+#[test]
+fn kept_runs_and_repeated_runs_both_land_on_the_rebuild() {
+    let update_mode =
+        QueryOptions { update_index: true, query_threads: 1, ..QueryOptions::default() };
+    for (label, graph) in test_graphs() {
+        for threads in [1usize, 2, 4] {
+            let mut live = ReverseTopkEngine::builder(graph.clone())
+                .max_k(4)
+                .hubs_per_direction(4)
+                .threads(threads)
+                .rounding_threshold(0.0)
+                .shards(3)
+                .build()
+                .unwrap();
+            let mut parts: Vec<ReverseTopkEngine> = (0..3)
+                .map(|sid| {
+                    let index = live.index().one_shard(sid).unwrap();
+                    ReverseTopkEngine::from_parts(graph.clone(), index).unwrap()
+                })
+                .collect();
+            let hubs: Vec<u32> = live.index().hub_matrix().hubs().ids().to_vec();
+            let n = live.node_count();
+
+            // A seeded stream with a hub-tailed insert spliced in every
+            // fourth step (the generator alone rarely draws one).
+            let mut records = update_sequence(live.graph(), 23, 36);
+            for (i, &hub) in hubs.iter().enumerate().take(6) {
+                let to = (hub + 1 + i as u32) % n as u32;
+                records.insert(4 * i + 2, UpdateRecord::AddEdge { from: hub, to, weight: 0.5 });
+            }
+
+            // `as_built[u]`: u's state is the recipe's output (nothing
+            // committed over it since the build or the last edit reached it).
+            // `kept[u]`: some earlier edit kept u's run.
+            let mut as_built = vec![true; n];
+            let mut kept = vec![false; n];
+            let (mut hub_tails, mut self_tails, mut kept_then_rerun, mut mixed) = (0, 0, 0, 0);
+            for (step, record) in records.iter().enumerate() {
+                let before = live.index().clone();
+                for (q, k) in probe_queries(step, n, 4) {
+                    let whole = live.query_with(NodeId(q), k, &update_mode).unwrap();
+                    let mut merged = Vec::new();
+                    for part in parts.iter_mut() {
+                        let (partial, _) =
+                            part.query_shard(NodeId(q), k, &update_mode, None, false).unwrap();
+                        merged.extend_from_slice(partial.nodes());
+                    }
+                    assert_eq!(whole.nodes(), merged, "{label} step {step} q={q}");
+                }
+                for u in 0..n as u32 {
+                    if live.index().state(u) != before.state(u) {
+                        as_built[u as usize] = false;
+                    }
+                }
+
+                let tail = match *record {
+                    UpdateRecord::AddEdge { from, .. } | UpdateRecord::RemoveEdge { from, .. } => {
+                        from
+                    }
+                };
+                let affected = rtk_index::affected_set(live.graph(), tail);
+                let predicted_before = |u: u32| {
+                    let retained = &live.index().state(u).snapshot().retained;
+                    as_built[u as usize] && (hubs.contains(&tail) || retained.get(tail) == 0.0)
+                };
+                // The rule, from outside: a hub's row is never read; else the
+                // run read row `tail` iff it retained ink there. (Its guard
+                // against a retained amount rounding to zero cannot trip on
+                // as-built runs of a few iterations — asserted.)
+                let predicted: Vec<bool> = affected.iter().map(|&u| predicted_before(u)).collect();
+                for &u in affected.iter().filter(|&&u| as_built[u as usize]) {
+                    assert!(live.index().state(u).snapshot().iterations < 50, "short runs");
+                }
+
+                let effect = live.replay_updates(std::slice::from_ref(record)).unwrap();
+                let runs = predicted.iter().filter(|&&keep| !keep).count();
+                assert_eq!(effect.recomputed_states, affected.len(), "{label} step {step}");
+                assert_eq!(effect.bca_runs, runs, "{label} t={threads} step {step} {record:?}");
+                let mut part_runs = 0;
+                for part in parts.iter_mut() {
+                    part_runs +=
+                        part.replay_updates(std::slice::from_ref(record)).unwrap().bca_runs;
+                }
+                assert_eq!(part_runs, runs, "{label} step {step}: one-shard engines");
+
+                hub_tails += usize::from(hubs.contains(&tail));
+                mixed += usize::from(runs > 0 && runs < affected.len());
+                for (&u, &keep) in affected.iter().zip(&predicted) {
+                    self_tails += usize::from(u == tail && as_built[u as usize] && !keep);
+                    kept_then_rerun +=
+                        usize::from(kept[u as usize] && as_built[u as usize] && !keep);
+                    kept[u as usize] = keep;
+                    as_built[u as usize] = true;
+                }
+
+                let rebuilt = ReverseTopkEngine::builder(live.graph().clone())
+                    .max_k(4)
+                    .hub_selection(HubSelection::Explicit(hubs.clone()))
+                    .threads(1)
+                    .rounding_threshold(0.0)
+                    .build()
+                    .unwrap();
+                assert_eq!(live.index().hub_matrix(), rebuilt.index().hub_matrix());
+                for &u in &affected {
+                    assert_eq!(
+                        live.index().state(u),
+                        rebuilt.index().state(u),
+                        "{label} t={threads} step {step} ({record:?}): state {u} vs rebuild"
+                    );
+                }
+                for part in &parts {
+                    assert_eq!(part.index().hub_matrix(), live.index().hub_matrix());
+                    for u in part.index().owned_range() {
+                        assert_eq!(
+                            part.index().state(u),
+                            live.index().state(u),
+                            "{label} t={threads} step {step}: one-shard state {u}"
+                        );
+                    }
+                }
+            }
+            assert!(hub_tails >= 6, "{label}: hub-tailed edits");
+            assert!(mixed > 5, "{label}: edits that keep some runs and repeat others ({mixed})");
+            assert!(self_tails > 0, "{label}: an edit whose own tail state was as built");
+            assert!(kept_then_rerun > 0, "{label}: a kept run later pushed from an edited tail");
+        }
+    }
+}
+
 /// The engine's cached transition view is maintained by splices; a view
 /// computed from scratch on the post-update graph answers bitwise the same
 /// over the same index.
