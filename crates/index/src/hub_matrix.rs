@@ -320,19 +320,25 @@ impl Materializer {
     /// same order as it would from the unloaded snapshot, and selection
     /// breaks ties by id, so the list is bitwise the one [`Self::top_k`]
     /// returns for that snapshot.
+    ///
+    /// `floor` is a value that at least `k` entries are known to reach (0 if
+    /// none is known): only entries `≥ floor` are handed to the selection,
+    /// which cannot change the list — anything below `floor` has `k` entries
+    /// above it, and ties at `floor` all pass.
     pub(crate) fn top_k_resident(
         &mut self,
         retained: &EpochScratch,
         hub_ink: &SparseVector,
         hub_matrix: &HubMatrix,
         k: usize,
+        floor: f64,
     ) -> Vec<(u32, f64)> {
         self.scratch.reset();
         for (i, w) in retained.iter_touched() {
             self.scratch.add(i as usize, w);
         }
         self.add_hub_columns(hub_ink, hub_matrix);
-        top_k_of_pairs(self.scratch.iter_touched().filter(|&(_, v)| v > 0.0), k)
+        top_k_of_pairs(self.scratch.iter_touched().filter(|&(_, v)| v > 0.0 && v >= floor), k)
     }
 
     /// Materializes and selects the descending top-`k` entries.

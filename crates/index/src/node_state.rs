@@ -1,7 +1,7 @@
 //! One column of the index: resumable BCA state + top-K lower bounds.
 
 use crate::hub_matrix::{HubMatrix, Materializer};
-use rtk_rwr::bca::{BcaEngine, BcaSnapshot, BcaStop};
+use rtk_rwr::bca::{BcaEngine, BcaSnapshot, BcaStop, BcaWork};
 use rtk_sparse::DescendingTopK;
 
 /// Per-node index entry (`p̂^t_u(1:K)` plus the `r`, `w`, `s` state needed to
@@ -193,11 +193,20 @@ impl Refiner {
             // the hub order, and with it every sum below, the snapshot's.
             let hub_ink = self.engine.hub_ink().to_sparse(0.0);
             let max_k = self.lower_bounds.capacity();
+            // Prop. 1: every entry of `w + P_H·s` only grows (each addend
+            // does, and rounded addition is monotone), so the K entries of a
+            // full resident list still reach its K-th value and nothing
+            // below that value can enter the new list.
+            let floor = match self.lower_bounds.entries() {
+                [.., (_, kth)] if self.lower_bounds.len() == max_k => *kth,
+                _ => 0.0,
+            };
             let top = self.materializer.top_k_resident(
                 self.engine.retained(),
                 &hub_ink,
                 hub_matrix,
                 max_k,
+                floor,
             );
             self.lower_bounds = DescendingTopK::from_sorted(top, max_k);
             self.parked_deficit = hub_matrix.parked_deficit(&hub_ink);
@@ -231,6 +240,12 @@ impl Refiner {
     #[inline]
     pub fn parked_deficit(&self) -> f64 {
         self.parked_deficit
+    }
+
+    /// Cumulative work of this refiner's engine across everything it ran.
+    #[inline]
+    pub fn work(&self) -> BcaWork {
+        self.engine.work()
     }
 
     /// Stores the resident computation as a [`NodeState`] — the state
@@ -392,6 +407,109 @@ mod tests {
             refined += usize::from(ran > 0);
         }
         assert!(refined > 10, "test premise: most sampled nodes refine ({refined})");
+    }
+
+    /// One iteration on the resident computation; the list it leaves must be
+    /// the unfiltered selection over the unloaded snapshot. `false` once
+    /// nothing runs any more.
+    fn step_and_check(
+        refiner: &mut Refiner,
+        t: &TransitionMatrix<'_>,
+        m: &HubMatrix,
+        mat: &mut Materializer,
+    ) -> bool {
+        if refiner.advance(t, m, &BcaStop::one_iteration()) == 0 {
+            return false;
+        }
+        let k = refiner.lower_bounds().capacity();
+        let full = mat.top_k(&refiner.engine.snapshot(), m, k);
+        assert_eq!(refiner.lower_bounds().entries(), &full[..]);
+        true
+    }
+
+    #[test]
+    fn advance_selects_above_the_resident_floor_what_top_k_selects_from_everything() {
+        // Star 0 ⇄ {1, 2, 3, 4}: the leaves tie exactly, and every other
+        // iteration pushes from the leaves only, leaving their values — the
+        // floor among them — where they were.
+        let star = GraphBuilder::from_edges(
+            5,
+            &[(0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (2, 0), (3, 0), (4, 0)],
+            DanglingPolicy::Error,
+        )
+        .unwrap();
+        let t = TransitionMatrix::new(&star);
+        let no_hubs = HubSet::empty(5);
+        let m = HubMatrix::build(
+            &t,
+            no_hubs.clone(),
+            &HubSolver::PowerMethod(RwrParams::default()),
+            0.0,
+            1,
+        );
+        let mut mat = Materializer::new(5);
+        let mk = || BcaEngine::new(no_hubs.clone(), BcaParams::default());
+        let first = mk().run_from(&t, 0, &BcaStop::one_iteration());
+        let (mut short_lists, mut floor_ties) = (0, 0);
+        for max_k in [3, 10] {
+            let mut refiner = Refiner::new(mk(), Materializer::new(5));
+            refiner.load(&NodeState::from_snapshot(first.clone(), &m, &mut mat, max_k));
+            for _ in 0..12 {
+                let before = refiner.lower_bounds().clone();
+                assert!(step_and_check(&mut refiner, &t, &m, &mut mat));
+                let after = refiner.lower_bounds();
+                if before.len() < max_k {
+                    short_lists += 1; // no floor: nothing is filtered
+                } else if after.kth_value(max_k) == before.kth_value(max_k) {
+                    // The list is full and its floor did not move: the tied
+                    // leaves outside it sit exactly at the filter's edge.
+                    let floor = after.kth_value(max_k);
+                    assert_eq!(after.entries()[1..], [(1, floor), (2, floor)]);
+                    assert_eq!(refiner.engine.retained().get(4), floor);
+                    floor_ties += 1;
+                }
+            }
+        }
+        assert!(short_lists >= 12 && floor_ties >= 4, "{short_lists} short, {floor_ties} ties");
+
+        // With hubs, a node that holds no retained ink and sat outside the
+        // old list enters the new one on parked ink alone (`s(h)·p_h`).
+        let g = rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(150, 700, 9)).unwrap();
+        let t = TransitionMatrix::new(&g);
+        let hubs = HubSet::degree_based(&g, 5);
+        let m = HubMatrix::build(
+            &t,
+            hubs.clone(),
+            &HubSolver::PowerMethod(RwrParams::default()),
+            1e-4,
+            1,
+        );
+        let mut mat = Materializer::new(150);
+        let mut engine = BcaEngine::new(hubs.clone(), BcaParams::default());
+        let mut refiner =
+            Refiner::new(BcaEngine::new(hubs, BcaParams::default()), Materializer::new(150));
+        let mut lifted_by_hub_columns = 0;
+        for u in (0..150u32).step_by(7) {
+            let snap = engine.run_from(&t, u, &BcaStop::one_iteration());
+            refiner.load(&NodeState::from_snapshot(snap, &m, &mut mat, 10));
+            for _ in 0..25 {
+                let before = refiner.lower_bounds().clone();
+                if !step_and_check(&mut refiner, &t, &m, &mut mat) {
+                    break;
+                }
+                lifted_by_hub_columns += refiner
+                    .lower_bounds()
+                    .entries()
+                    .iter()
+                    .filter(|&&(v, _)| {
+                        before.len() == 10
+                            && before.value_of(v) == 0.0
+                            && refiner.engine.retained().get(v as usize) == 0.0
+                    })
+                    .count();
+            }
+        }
+        assert!(lifted_by_hub_columns > 0, "test premise: a hub column lifts a node into a list");
     }
 
     #[test]

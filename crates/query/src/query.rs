@@ -151,6 +151,9 @@ pub struct QueryStats {
     /// Refinement runs: how often a refined candidate's bounds were
     /// rematerialized and re-tested. In-process only (not on the wire).
     pub refine_rounds: u64,
+    /// Edge pushes those iterations performed (screen time over this is the
+    /// cost of a push, rematerialization included). In-process only.
+    pub refine_pushes: u64,
     /// Strict-mode nodes whose bounds could not close (hub-rounding deficit)
     /// and were resolved by one exact forward solve.
     pub exact_fallbacks: usize,
@@ -187,6 +190,7 @@ impl QueryStats {
         self.refined_nodes += other.refined_nodes;
         self.refine_iterations += other.refine_iterations;
         self.refine_rounds += other.refine_rounds;
+        self.refine_pushes += other.refine_pushes;
         self.exact_fallbacks += other.exact_fallbacks;
         self.approx_active |= other.approx_active;
         self.approx_estimated += other.approx_estimated;
@@ -210,7 +214,8 @@ impl QueryStats {
             .annotate("pruned", self.pruned_by_lower_bound.to_string())
             .annotate("refined_nodes", self.refined_nodes.to_string())
             .annotate("refine_iterations", self.refine_iterations.to_string())
-            .annotate("refine_rounds", self.refine_rounds.to_string());
+            .annotate("refine_rounds", self.refine_rounds.to_string())
+            .annotate("refine_pushes", self.refine_pushes.to_string());
         if self.exact_fallbacks > 0 {
             screen = screen.annotate("exact_fallbacks", self.exact_fallbacks.to_string());
         }
@@ -1012,6 +1017,7 @@ fn refine_worker(
     options: &QueryOptions,
     fallback_params: &RwrParams,
 ) {
+    let pushes_before = refiner.work().pushes;
     loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         let Some(candidate) = pending.get(i) else {
@@ -1030,6 +1036,7 @@ fn refine_worker(
             fallback_params,
         );
     }
+    local.stats.refine_pushes += refiner.work().pushes - pushes_before;
 }
 
 /// What one refinement run did to the resident candidate.
@@ -1254,6 +1261,7 @@ mod tests {
         // Nodes 4 and 6 (0-based 3, 5) required refinement.
         assert_eq!(s.refined_nodes, 2);
         assert!(s.refine_iterations >= 2);
+        assert!(s.refine_pushes > 0, "{s:?}");
         // Update mode: node 4's bound is now the refined 0.23.
         assert!((index.state(3).kth_lower_bound(2) - 0.23).abs() < 5e-3);
     }
@@ -1602,6 +1610,8 @@ mod tests {
                 assert_eq!(got.proximities(), base.proximities(), "q={q} threads={threads}");
                 assert_eq!(got.stats().candidates, base.stats().candidates);
                 assert_eq!(got.stats().refine_iterations, base.stats().refine_iterations);
+                // Summed over the workers' engines, whoever refined what.
+                assert_eq!(got.stats().refine_pushes, base.stats().refine_pushes);
             }
         }
     }
@@ -1786,6 +1796,7 @@ mod tests {
                 assert_eq!(stats.hits, expect.stats().hits);
                 assert_eq!(stats.refined_nodes, expect.stats().refined_nodes);
                 assert_eq!(stats.refine_iterations, expect.stats().refine_iterations);
+                assert_eq!(stats.refine_pushes, expect.stats().refine_pushes);
             }
             if update {
                 // Backend-local commits leave exactly the single-process index.
@@ -1831,6 +1842,7 @@ mod tests {
             refined_nodes: 3,
             refine_iterations: 5,
             refine_rounds: 4,
+            refine_pushes: 321,
             exact_fallbacks: 1,
             pmpn_iterations: 17,
             pmpn_seconds: 0.002,
@@ -1858,6 +1870,7 @@ mod tests {
         let at = keys.iter().position(|&k| k == "refine_iterations").expect("annotated");
         assert_eq!(keys[at + 1], "refine_rounds");
         assert_eq!(screen.annotations[at + 1].1, "4");
+        assert_eq!(screen.annotations[at + 2], ("refine_pushes".to_string(), "321".to_string()));
         assert!(screen.annotations.iter().any(|(k, _)| k == "exact_fallbacks"));
     }
 

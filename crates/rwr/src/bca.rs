@@ -17,6 +17,14 @@
 //! The engine's state round-trips through compact [`BcaSnapshot`]s so a
 //! partially-run computation can be stored in the offline index and *resumed*
 //! during query refinement (§4.2.3).
+//!
+//! An iteration costs its pushes, not the list of nodes `r` ever touched:
+//! the resident residue is kept in **touch order** (`Residue`: values in a
+//! dense array by slot, a node → slot map beside it, the hub slots listed
+//! apart), so Eq. 6's sweep walks the hub slots only, the largest residue is
+//! one vectorised maximum over the values, and the frontier of Eqs. 8–9 is
+//! one sequential collect at the threshold that maximum fixes — `η`, or half
+//! the maximum once everything is below `η`.
 
 use crate::hubs::HubSet;
 use crate::params::BcaParams;
@@ -92,6 +100,88 @@ impl BcaSnapshot {
     }
 }
 
+/// The resident residue `r` in touch order: slot `i` is the `i`-th node that
+/// ever received ink in this computation and keeps its slot when its value
+/// returns to zero, so a walk over `vals` visits the nodes in the order a
+/// snapshot load or the pushes first reached them.
+struct Residue {
+    /// Slot of each node; [`Self::UNTOUCHED`] until its first ink.
+    slot_of: Vec<u32>,
+    /// Node of each slot.
+    ids: Vec<u32>,
+    /// Residue of each slot.
+    vals: Vec<f64>,
+    /// The slots whose node is a hub — all Eq. 6's sweep has to visit.
+    hub_slots: Vec<u32>,
+}
+
+impl Residue {
+    const UNTOUCHED: u32 = u32::MAX;
+
+    fn new(node_count: usize) -> Self {
+        Self {
+            slot_of: vec![Self::UNTOUCHED; node_count],
+            ids: Vec::new(),
+            vals: Vec::new(),
+            hub_slots: Vec::new(),
+        }
+    }
+
+    /// Back to all-zero in `O(touched)`.
+    fn reset(&mut self) {
+        for &node in &self.ids {
+            self.slot_of[node as usize] = Self::UNTOUCHED;
+        }
+        self.ids.clear();
+        self.vals.clear();
+        self.hub_slots.clear();
+    }
+
+    /// Adds `amount` to `node`'s residue, giving the node the next slot on
+    /// its first ink.
+    #[inline]
+    fn add(&mut self, node: u32, amount: f64, hubs: &HubSet) {
+        let slot = self.slot_of[node as usize];
+        if slot != Self::UNTOUCHED {
+            self.vals[slot as usize] += amount;
+            return;
+        }
+        let slot = self.ids.len() as u32;
+        self.slot_of[node as usize] = slot;
+        self.ids.push(node);
+        self.vals.push(amount);
+        if hubs.contains(node) {
+            self.hub_slots.push(slot);
+        }
+    }
+
+    /// The largest residue, `0.0` when none is positive. Independent running
+    /// maxima let the pass vectorise; a maximum is exact, so how it is
+    /// associated cannot change it.
+    fn largest(&self) -> f64 {
+        const LANES: usize = 8;
+        let mut lanes = [0.0f64; LANES];
+        let mut chunks = self.vals.chunks_exact(LANES);
+        for chunk in &mut chunks {
+            for (best, &v) in lanes.iter_mut().zip(chunk) {
+                if v > *best {
+                    *best = v;
+                }
+            }
+        }
+        lanes
+            .iter()
+            .chain(chunks.remainder())
+            .fold(0.0, |best, &v| if v > best { v } else { best })
+    }
+
+    /// The non-zero entries as a sorted sparse vector.
+    fn to_sparse(&self) -> SparseVector {
+        let pairs = self.ids.iter().copied().zip(self.vals.iter().copied());
+        SparseVector::from_unsorted(pairs.filter(|&(_, v)| v != 0.0).collect())
+    }
+}
+
 /// Reusable BCA executor over one graph + hub set.
 ///
 /// Owns dense scratch buffers sized to the graph, so building one engine and
@@ -100,16 +190,16 @@ impl BcaSnapshot {
 pub struct BcaEngine {
     hubs: HubSet,
     params: BcaParams,
-    residue: EpochScratch,
+    residue: Residue,
     retained: EpochScratch,
     hub_ink: EpochScratch,
     residue_norm: f64,
     /// Source and cumulative iteration count of the resident computation.
     source: u32,
     iterations: u32,
-    /// Per-iteration selection buffers, kept so an iteration allocates nothing.
+    /// Per-iteration frontier `(slot, residue)`, kept so an iteration
+    /// allocates nothing.
     frontier: Vec<(u32, f64)>,
-    swept: Vec<u32>,
     work: BcaWork,
 }
 
@@ -127,14 +217,13 @@ impl BcaEngine {
         Self {
             hubs,
             params,
-            residue: EpochScratch::new(n),
+            residue: Residue::new(n),
             retained: EpochScratch::new(n),
             hub_ink: EpochScratch::new(n),
             residue_norm: 0.0,
             source: 0,
             iterations: 0,
             frontier: Vec::new(),
-            swept: Vec::new(),
             work: BcaWork::default(),
         }
     }
@@ -160,10 +249,13 @@ impl BcaEngine {
         source: u32,
         stop: &BcaStop,
     ) -> BcaSnapshot {
-        assert!((source as usize) < self.residue.len(), "BcaEngine: source {source} out of range");
+        assert!(
+            (source as usize) < self.hubs.node_count(),
+            "BcaEngine: source {source} out of range"
+        );
         self.clear();
         self.source = source;
-        self.residue.add(source as usize, 1.0);
+        self.residue.add(source, 1.0, &self.hubs);
         self.residue_norm = 1.0;
         self.advance(transition, stop);
         self.snapshot()
@@ -191,7 +283,9 @@ impl BcaEngine {
         self.clear();
         self.source = snapshot.source;
         self.iterations = snapshot.iterations;
-        snapshot.residue.scatter_into(1.0, &mut self.residue);
+        for (node, v) in snapshot.residue.iter() {
+            self.residue.add(node, v, &self.hubs);
+        }
         snapshot.retained.scatter_into(1.0, &mut self.retained);
         snapshot.hub_ink.scatter_into(1.0, &mut self.hub_ink);
         self.residue_norm = snapshot.residue.sum();
@@ -202,7 +296,7 @@ impl BcaEngine {
     pub fn advance(&mut self, transition: &TransitionMatrix<'_>, stop: &BcaStop) -> u32 {
         assert_eq!(
             transition.node_count(),
-            self.residue.len(),
+            self.hubs.node_count(),
             "BcaEngine: graph/hub-set node count mismatch"
         );
         let executed = self.iterate(transition, stop);
@@ -215,7 +309,7 @@ impl BcaEngine {
         BcaSnapshot {
             source: self.source,
             iterations: self.iterations,
-            residue: self.residue.to_sparse(0.0),
+            residue: self.residue.to_sparse(),
             retained: self.retained.to_sparse(0.0),
             hub_ink: self.hub_ink.to_sparse(0.0),
         }
@@ -266,107 +360,71 @@ impl BcaEngine {
     fn iterate(&mut self, transition: &TransitionMatrix<'_>, stop: &BcaStop) -> u32 {
         let mut executed = 0u32;
         let mut frontier = std::mem::take(&mut self.frontier);
-        let mut swept = std::mem::take(&mut self.swept);
         let stop_norm = stop.residue_norm.max(Self::RESIDUE_FLOOR);
         let eta = self.params.propagation_threshold;
+        let alpha = self.params.alpha;
         while executed < stop.max_iterations && self.residue_norm > stop_norm {
-            // One pass over r_{t−1} in touch order picks everything the
-            // iteration needs: the hub slots to sweep (Eq. 6), the non-hub
-            // slots at or above η (the batch frontier), and the largest
-            // non-hub residue (ties to the smaller id) for the sub-η
-            // fallbacks.
-            swept.clear();
-            frontier.clear();
-            let mut largest: Option<(u32, f64)> = None;
-            for (i, v) in self.residue.iter_touched() {
-                if v <= 0.0 {
-                    continue;
-                }
-                if self.hubs.contains(i) {
-                    swept.push(i);
-                    continue;
-                }
-                if v >= eta {
-                    frontier.push((i, v));
-                }
-                match largest {
-                    Some((bi, bv)) if bv > v || (bv == v && bi < i) => {}
-                    _ => largest = Some((i, v)),
-                }
-            }
-
             // Eq. 6: s_t = Σ_{i∈H} r_{t−1}(i)·e_i + s_{t−1}, removing the
-            // swept ink from the residue.
-            let mut progressed = !swept.is_empty();
-            for &i in &swept {
-                let v = self.residue.get(i as usize);
-                self.hub_ink.add(i as usize, v);
-                self.residue.set(i as usize, 0.0);
-                self.residue_norm -= v;
+            // swept ink from the residue — which also leaves every hub slot
+            // at zero, out of the selection below.
+            let mut swept = false;
+            for &slot in &self.residue.hub_slots {
+                let v = self.residue.vals[slot as usize];
+                if v > 0.0 {
+                    self.hub_ink.add(self.residue.ids[slot as usize] as usize, v);
+                    self.residue.vals[slot as usize] = 0.0;
+                    self.residue_norm -= v;
+                    swept = true;
+                }
             }
 
-            // The batch frontier `L_t = {v ∉ H : r_{t−1}(v) ≥ η}` (Eqs. 8–9).
-            if frontier.is_empty() {
-                // Sub-η regime: the paper's analysis stops refining "until
-                // the maximum residue drops below η" (Thm. 3), but deciding
-                // borderline candidates *exactly* needs tighter bounds. Batch
-                // every node above half the maximum residue so the residual
-                // keeps decaying geometrically instead of draining one node
-                // at a time.
-                if let Some((_, rmax)) = largest {
-                    // `rmax / 2` can underflow to 0 once the residue reaches
-                    // the denormal floor; the `v > 0` guard keeps zero-valued
-                    // touched slots (no-op pushes, the hubs just swept) out
-                    // of the frontier.
-                    let adaptive = rmax / 2.0;
-                    for (i, v) in self.residue.iter_touched() {
-                        if v >= adaptive && v > 0.0 {
-                            frontier.push((i, v));
-                        }
+            // The batch frontier `L_t = {v ∉ H : r_{t−1}(v) ≥ η}` (Eqs. 8–9),
+            // in touch order. Sub-η regime: the paper's analysis stops
+            // refining "until the maximum residue drops below η" (Thm. 3),
+            // but deciding borderline candidates *exactly* needs tighter
+            // bounds. Batch every node above half the maximum residue — the
+            // maximum itself always among them — so the residual keeps
+            // decaying geometrically instead of draining one node at a time.
+            frontier.clear();
+            let rmax = self.residue.largest();
+            if rmax > 0.0 {
+                // `rmax / 2` can underflow to 0 once the residue reaches the
+                // denormal floor; the `v > 0` guard keeps zero-valued slots
+                // (no-op pushes, withdrawn nodes, the hubs just swept) out of
+                // the frontier.
+                let threshold = if rmax >= eta { eta } else { rmax / 2.0 };
+                for (slot, &v) in self.residue.vals.iter().enumerate() {
+                    if v >= threshold && v > 0.0 {
+                        frontier.push((slot as u32, v));
                     }
                 }
-            }
-            if frontier.is_empty() && !progressed {
-                // Sub-threshold residue everywhere and nothing parked at
-                // hubs: fall back to the single largest residue so
-                // refinement always makes progress (the paper is silent
-                // here).
-                match largest {
-                    Some(best) => frontier.push(best),
-                    None => {
-                        // No residue at all: whatever the running norm still
-                        // reads is accumulated rounding, not ink.
-                        self.residue_norm = 0.0;
-                        break;
-                    }
-                }
+            } else if !swept {
+                // No residue at all and nothing parked at hubs: whatever the
+                // running norm still reads is accumulated rounding, not ink.
+                self.residue_norm = 0.0;
+                break;
             }
 
             // Phase 1 (Eq. 9, second term): withdraw the frontier's residue
             // *before* any pushes so this iteration uses r_{t−1} throughout.
-            for &(v, rv) in &frontier {
-                debug_assert!(rv > 0.0);
-                self.residue.set(v as usize, 0.0);
+            for &(slot, rv) in &frontier {
+                self.residue.vals[slot as usize] = 0.0;
                 self.residue_norm -= rv;
             }
 
             // Phase 2 (Eqs. 8, 9 first term): retain α, push 1−α. Pushes to
             // hubs stay in `r` until next iteration's sweep.
-            let alpha = self.params.alpha;
-            for &(v, rv) in &frontier {
+            for &(slot, rv) in &frontier {
+                let v = self.residue.ids[slot as usize];
                 self.retained.add(v as usize, alpha * rv);
                 let spill = (1.0 - alpha) * rv;
                 let (targets, probs) = transition.out_edges(v);
                 for (&t, &p) in targets.iter().zip(probs) {
                     let amount = spill * p;
-                    self.residue.add(t as usize, amount);
+                    self.residue.add(t, amount, &self.hubs);
                     self.residue_norm += amount;
                 }
                 self.work.pushes += targets.len() as u64;
-            }
-            progressed |= !frontier.is_empty();
-            if !progressed {
-                break;
             }
             self.work.propagations += frontier.len() as u64;
             executed += 1;
@@ -377,7 +435,6 @@ impl BcaEngine {
             }
         }
         self.frontier = frontier;
-        self.swept = swept;
         self.work.iterations += executed;
         executed
     }
@@ -600,5 +657,408 @@ mod tests {
         let t = TransitionMatrix::new(&g);
         let mut engine = BcaEngine::new(HubSet::empty(6), BcaParams::default());
         engine.run_from(&t, 6, &BcaStop::one_iteration());
+    }
+
+    /// The engine as it was before the residue became touch-ordered, kept as
+    /// the reference the touch-ordered one must equal bit for bit: residue
+    /// indexed by node, one pass over the whole touched list through a hub
+    /// lookup picking the hubs to sweep, the η-frontier and the largest
+    /// residue (ties to the smaller id), and a second pass once sub-η.
+    struct ReferenceEngine {
+        hubs: HubSet,
+        params: BcaParams,
+        residue: Vec<f64>,
+        seen: Vec<bool>,
+        touched: Vec<u32>,
+        retained: EpochScratch,
+        hub_ink: EpochScratch,
+        residue_norm: f64,
+        source: u32,
+        iterations: u32,
+        work: BcaWork,
+    }
+
+    impl ReferenceEngine {
+        fn new(hubs: HubSet, params: BcaParams) -> Self {
+            let n = hubs.node_count();
+            Self {
+                hubs,
+                params,
+                residue: vec![0.0; n],
+                seen: vec![false; n],
+                touched: Vec::new(),
+                retained: EpochScratch::new(n),
+                hub_ink: EpochScratch::new(n),
+                residue_norm: 0.0,
+                source: 0,
+                iterations: 0,
+                work: BcaWork::default(),
+            }
+        }
+
+        fn add_residue(&mut self, i: u32, delta: f64) {
+            if self.seen[i as usize] {
+                self.residue[i as usize] += delta;
+            } else {
+                self.seen[i as usize] = true;
+                self.residue[i as usize] = delta;
+                self.touched.push(i);
+            }
+        }
+
+        fn clear(&mut self) {
+            for &i in &self.touched {
+                self.seen[i as usize] = false;
+                self.residue[i as usize] = 0.0;
+            }
+            self.touched.clear();
+            self.retained.reset();
+            self.hub_ink.reset();
+            self.residue_norm = 0.0;
+            self.iterations = 0;
+        }
+
+        fn start(&mut self, source: u32) {
+            self.clear();
+            self.source = source;
+            self.add_residue(source, 1.0);
+            self.residue_norm = 1.0;
+        }
+
+        fn load(&mut self, snapshot: &BcaSnapshot) {
+            self.clear();
+            self.source = snapshot.source;
+            self.iterations = snapshot.iterations;
+            for (i, v) in snapshot.residue.iter() {
+                self.add_residue(i, 1.0 * v);
+            }
+            snapshot.retained.scatter_into(1.0, &mut self.retained);
+            snapshot.hub_ink.scatter_into(1.0, &mut self.hub_ink);
+            self.residue_norm = snapshot.residue.sum();
+        }
+
+        fn snapshot(&self) -> BcaSnapshot {
+            let residue = self.touched.iter().map(|&i| (i, self.residue[i as usize]));
+            BcaSnapshot {
+                source: self.source,
+                iterations: self.iterations,
+                residue: SparseVector::from_unsorted(residue.filter(|&(_, v)| v != 0.0).collect()),
+                retained: self.retained.to_sparse(0.0),
+                hub_ink: self.hub_ink.to_sparse(0.0),
+            }
+        }
+
+        fn advance(&mut self, transition: &TransitionMatrix<'_>, stop: &BcaStop) -> u32 {
+            let mut executed = 0u32;
+            let mut frontier: Vec<(u32, f64)> = Vec::new();
+            let mut swept: Vec<u32> = Vec::new();
+            let stop_norm = stop.residue_norm.max(BcaEngine::RESIDUE_FLOOR);
+            let eta = self.params.propagation_threshold;
+            while executed < stop.max_iterations && self.residue_norm > stop_norm {
+                swept.clear();
+                frontier.clear();
+                let mut largest: Option<(u32, f64)> = None;
+                for &i in &self.touched {
+                    let v = self.residue[i as usize];
+                    if v <= 0.0 {
+                        continue;
+                    }
+                    if self.hubs.contains(i) {
+                        swept.push(i);
+                        continue;
+                    }
+                    if v >= eta {
+                        frontier.push((i, v));
+                    }
+                    match largest {
+                        Some((bi, bv)) if bv > v || (bv == v && bi < i) => {}
+                        _ => largest = Some((i, v)),
+                    }
+                }
+
+                let mut progressed = !swept.is_empty();
+                for &i in &swept {
+                    let v = self.residue[i as usize];
+                    self.hub_ink.add(i as usize, v);
+                    self.residue[i as usize] = 0.0;
+                    self.residue_norm -= v;
+                }
+
+                if frontier.is_empty() {
+                    if let Some((_, rmax)) = largest {
+                        let adaptive = rmax / 2.0;
+                        for &i in &self.touched {
+                            let v = self.residue[i as usize];
+                            if v >= adaptive && v > 0.0 {
+                                frontier.push((i, v));
+                            }
+                        }
+                    }
+                }
+                if frontier.is_empty() && !progressed {
+                    match largest {
+                        // The single-largest fallback (ties to the smaller
+                        // id) this loop used to carry: `rmax ≥ rmax / 2`, so
+                        // the pass above has always taken the largest.
+                        Some(_) => unreachable!("the largest residue is in its own batch"),
+                        None => {
+                            self.residue_norm = 0.0;
+                            break;
+                        }
+                    }
+                }
+
+                for &(v, rv) in &frontier {
+                    self.residue[v as usize] = 0.0;
+                    self.residue_norm -= rv;
+                }
+                let alpha = self.params.alpha;
+                for &(v, rv) in &frontier {
+                    self.retained.add(v as usize, alpha * rv);
+                    let spill = (1.0 - alpha) * rv;
+                    let (targets, probs) = transition.out_edges(v);
+                    for (&t, &p) in targets.iter().zip(probs) {
+                        let amount = spill * p;
+                        self.add_residue(t, amount);
+                        self.residue_norm += amount;
+                    }
+                    self.work.pushes += targets.len() as u64;
+                }
+                progressed |= !frontier.is_empty();
+                if !progressed {
+                    break;
+                }
+                self.work.propagations += frontier.len() as u64;
+                executed += 1;
+                if self.residue_norm < 0.0 {
+                    self.residue_norm = 0.0;
+                }
+            }
+            self.work.iterations += executed;
+            self.iterations += executed;
+            executed
+        }
+    }
+
+    /// A snapshot down to the bits of every value (`==` on `f64` would let
+    /// `0.0` pass for `-0.0`).
+    fn bits(snapshot: &BcaSnapshot) -> (u32, u32, [Vec<(u32, u64)>; 3]) {
+        let of = |v: &SparseVector| v.iter().map(|(i, x)| (i, x.to_bits())).collect::<Vec<_>>();
+        (
+            snapshot.source,
+            snapshot.iterations,
+            [of(&snapshot.residue), of(&snapshot.retained), of(&snapshot.hub_ink)],
+        )
+    }
+
+    fn assert_same_state(engine: &BcaEngine, reference: &ReferenceEngine, context: &str) {
+        assert_eq!(bits(&engine.snapshot()), bits(&reference.snapshot()), "{context}: snapshot");
+        assert_eq!(
+            engine.residue_norm().to_bits(),
+            reference.residue_norm.to_bits(),
+            "{context}: running norm"
+        );
+        assert_eq!(engine.work(), reference.work, "{context}: work");
+    }
+
+    /// Steps both engines — which must hold the same computation — one
+    /// iteration at a time until `stop`, comparing after **every** iteration.
+    /// Returns the iterations run.
+    fn lockstep(
+        engine: &mut BcaEngine,
+        reference: &mut ReferenceEngine,
+        t: &TransitionMatrix<'_>,
+        stop: &BcaStop,
+        context: &str,
+    ) -> u32 {
+        let step = BcaStop { residue_norm: stop.residue_norm, max_iterations: 1 };
+        let mut ran = 0;
+        assert_same_state(engine, reference, context);
+        while ran < stop.max_iterations {
+            let executed = engine.advance(t, &step);
+            assert_eq!(executed, reference.advance(t, &step), "{context}: iteration {ran}");
+            assert_same_state(engine, reference, &format!("{context}: iteration {ran}"));
+            if executed == 0 {
+                break;
+            }
+            ran += 1;
+        }
+        ran
+    }
+
+    fn pair(hubs: &HubSet, params: BcaParams) -> (BcaEngine, ReferenceEngine) {
+        (BcaEngine::new(hubs.clone(), params), ReferenceEngine::new(hubs.clone(), params))
+    }
+
+    /// Injects the unit of ink at `source` in both engines and runs nothing.
+    fn start(
+        engine: &mut BcaEngine,
+        reference: &mut ReferenceEngine,
+        t: &TransitionMatrix<'_>,
+        source: u32,
+    ) {
+        engine.run_from(t, source, &BcaStop { residue_norm: 0.0, max_iterations: 0 });
+        reference.start(source);
+    }
+
+    #[test]
+    fn touch_ordered_engine_equals_the_node_indexed_reference_every_iteration() {
+        use rtk_graph::gen::{erdos_renyi, rmat, ErdosRenyiConfig, RmatConfig};
+        let graphs = [
+            toy(),
+            erdos_renyi(&ErdosRenyiConfig { nodes: 120, edges: 700, seed: 4 }).unwrap(),
+            rmat(&RmatConfig::new(300, 1_800, 9)).unwrap(),
+        ];
+        // The build's η, and one no residue can reach: every iteration of
+        // that run batches at half the maximum.
+        let etas = [BcaParams::default().propagation_threshold, 2.0];
+        let stop = BcaStop { residue_norm: 1e-9, max_iterations: 400 };
+        let mut sub_eta_iterations = 0;
+        for (gi, g) in graphs.iter().enumerate() {
+            let t = TransitionMatrix::new(g);
+            let n = g.node_count();
+            let degree_hubs = HubSet::degree_based(g, 4);
+            assert!(!degree_hubs.is_empty());
+            for hubs in [HubSet::empty(n), degree_hubs] {
+                // A hub source (when there is one) and a spread of others.
+                let mut sources: Vec<u32> = hubs.ids().iter().take(1).copied().collect();
+                sources.extend((0..n as u32).step_by(n / 5));
+                for eta in etas {
+                    let params = BcaParams { propagation_threshold: eta, ..Default::default() };
+                    let (mut engine, mut reference) = pair(&hubs, params);
+                    for &u in &sources {
+                        let context =
+                            format!("graph {gi}, {} hubs, η = {eta}, u = {u}", hubs.len());
+                        start(&mut engine, &mut reference, &t, u);
+                        let ran = lockstep(&mut engine, &mut reference, &t, &stop, &context);
+                        assert!(ran > 0, "{context}: nothing ran");
+                        if eta > 1.0 {
+                            sub_eta_iterations += ran;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(sub_eta_iterations > 1_000, "test premise: {sub_eta_iterations} sub-η iterations");
+    }
+
+    #[test]
+    fn an_exact_tie_at_the_largest_residue_batches_both_nodes() {
+        // 0 → {1, 2} in equal parts, sub-η throughout: after one iteration
+        // r(1) = r(2) exactly. Half the maximum takes both (in touch order),
+        // so no tie is ever left to break — the reference panics if its
+        // single-largest fallback is reached.
+        let g = GraphBuilder::from_edges(
+            4,
+            &[(0, 2), (0, 1), (1, 3), (2, 3), (3, 0)],
+            DanglingPolicy::Error,
+        )
+        .unwrap();
+        let t = TransitionMatrix::new(&g);
+        let params = BcaParams { propagation_threshold: 2.0, ..Default::default() };
+        let (mut engine, mut reference) = pair(&HubSet::empty(4), params);
+        start(&mut engine, &mut reference, &t, 0);
+        let one = BcaStop::one_iteration();
+        assert_eq!(lockstep(&mut engine, &mut reference, &t, &one, "first"), 1);
+        let r = engine.snapshot().residue;
+        assert_eq!(r.get(1).to_bits(), r.get(2).to_bits(), "test premise: an exact tie");
+        let before = engine.work().propagations;
+        assert_eq!(lockstep(&mut engine, &mut reference, &t, &one, "tied"), 1);
+        assert_eq!(engine.work().propagations - before, 2, "both tied nodes propagate");
+        assert_eq!(engine.snapshot().residue.indices(), &[3]);
+        let many = BcaStop { residue_norm: 1e-12, max_iterations: 500 };
+        lockstep(&mut engine, &mut reference, &t, &many, "to exhaustion");
+    }
+
+    #[test]
+    fn denormal_residue_on_a_certain_cycle_ends_the_run() {
+        // 0 → 1 → 0 with probability 1: at the denormal minimum `0.85·r`
+        // rounds back up to `r`, so only the floor on `‖r‖₁` ends the run.
+        let g =
+            GraphBuilder::from_edges(3, &[(0, 1), (1, 0), (2, 0)], DanglingPolicy::Error).unwrap();
+        let t = TransitionMatrix::new(&g);
+        let to_the_floor = BcaStop { residue_norm: 0.0, max_iterations: 100_000 };
+        let (mut engine, mut reference) = pair(&HubSet::empty(3), BcaParams::default());
+        start(&mut engine, &mut reference, &t, 0);
+        let ran = lockstep(&mut engine, &mut reference, &t, &to_the_floor, "cycle");
+        assert!(ran > 4_000 && ran < 5_000, "0.85^t reaches 2.2e-308 after ~4 360 steps: {ran}");
+        assert!(engine.residue_norm() <= f64::MIN_POSITIVE);
+
+        let tiny = f64::from_bits(1);
+        let stalled = BcaSnapshot {
+            source: 0,
+            iterations: 7,
+            residue: SparseVector::from_parts(vec![0, 1], vec![tiny, tiny]),
+            retained: SparseVector::from_parts(vec![0], vec![0.5]),
+            hub_ink: SparseVector::new(),
+        };
+        engine.load(&stalled);
+        reference.load(&stalled);
+        assert_eq!(lockstep(&mut engine, &mut reference, &t, &to_the_floor, "stalled"), 0);
+
+        // Half the denormal minimum is zero: with a hub's ink keeping the
+        // norm above the floor, the zero threshold must not let the slot of
+        // the hub just swept (or any other zero) into the frontier.
+        let hubs = HubSet::from_ids(3, vec![2]);
+        let (mut engine, mut reference) = pair(&hubs, BcaParams::default());
+        let underflow = BcaSnapshot {
+            source: 0,
+            iterations: 3,
+            residue: SparseVector::from_parts(vec![0, 1, 2], vec![tiny, 0.0, 1e-300]),
+            retained: SparseVector::new(),
+            hub_ink: SparseVector::new(),
+        };
+        engine.load(&underflow);
+        reference.load(&underflow);
+        let before = engine.work().propagations;
+        let ran = lockstep(&mut engine, &mut reference, &t, &BcaStop::one_iteration(), "underflow");
+        assert_eq!((ran, engine.work().propagations - before), (1, 1), "node 0 alone propagates");
+        assert_eq!(engine.snapshot().hub_ink.get(2), 1e-300);
+    }
+
+    #[test]
+    fn load_then_advance_splices_equal_the_reference() {
+        let g = rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(300, 1_800, 9)).unwrap();
+        let t = TransitionMatrix::new(&g);
+        let hubs = HubSet::degree_based(&g, 4);
+        let (mut engine, mut reference) = pair(&hubs, BcaParams::default());
+        let (mut loaded, mut loaded_reference) = pair(&hubs, BcaParams::default());
+        let steps = |n| BcaStop { residue_norm: 0.0, max_iterations: n };
+        for u in [1u32, 50, 299] {
+            start(&mut engine, &mut reference, &t, u);
+            for (cut, more) in [(1, 2), (3, 5), (4, 30)] {
+                lockstep(&mut engine, &mut reference, &t, &steps(cut), "straight");
+                // The stored state resumes in a second engine — slots in id
+                // order there, in touch order here — as it does in the first.
+                let stored = engine.snapshot();
+                loaded.load(&stored);
+                loaded_reference.load(&stored);
+                assert_eq!(bits(&loaded.snapshot()), bits(&stored), "u={u}: load round-trips");
+                assert_eq!(loaded.residue_norm().to_bits(), stored.residue_norm().to_bits());
+                lockstep(&mut loaded, &mut loaded_reference, &t, &steps(more), "spliced");
+            }
+        }
+    }
+
+    #[test]
+    fn one_engine_reused_across_a_thousand_sources_starts_each_from_nothing() {
+        let g = rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(1_000, 6_000, 42)).unwrap();
+        let t = TransitionMatrix::new(&g);
+        let hubs = HubSet::degree_based(&g, 10);
+        let params = BcaParams::default();
+        let stop = BcaStop::from_params(&params);
+        let (mut engine, mut reference) = pair(&hubs, params);
+        for u in 0..1_000u32 {
+            let snapshot = engine.run_from(&t, u, &stop);
+            reference.start(u);
+            reference.advance(&t, &stop);
+            assert_eq!(bits(&snapshot), bits(&reference.snapshot()), "u={u}");
+            assert_same_state(&engine, &reference, &format!("u={u}"));
+            // And from nothing means the same as a fresh engine's run.
+            if u % 97 == 0 {
+                let fresh = BcaEngine::new(hubs.clone(), params).run_from(&t, u, &stop);
+                assert_eq!(bits(&snapshot), bits(&fresh), "u={u}: fresh engine");
+            }
+        }
     }
 }

@@ -62,16 +62,6 @@ impl EpochScratch {
         }
     }
 
-    /// Overwrites slot `i` with `value`, marking it touched.
-    #[inline]
-    pub fn set(&mut self, i: usize, value: f64) {
-        if self.epochs[i] != self.epoch {
-            self.epochs[i] = self.epoch;
-            self.touched.push(i as u32);
-        }
-        self.values[i] = value;
-    }
-
     /// Logically zeroes the whole buffer in `O(1)` (amortized; a wrap of the
     /// 32-bit epoch counter triggers one full `O(n)` clear every 2³²−1 resets).
     pub fn reset(&mut self) {
@@ -93,12 +83,8 @@ impl EpochScratch {
     /// Collects the touched non-zero entries whose value exceeds `threshold`
     /// into a sorted [`crate::SparseVector`].
     pub fn to_sparse(&self, threshold: f64) -> crate::SparseVector {
-        let mut pairs: Vec<(u32, f64)> =
-            self.iter_touched().filter(|&(_, v)| v != 0.0 && v.abs() > threshold).collect();
-        pairs.sort_unstable_by_key(|&(i, _)| i);
-        crate::SparseVector::from_parts(
-            pairs.iter().map(|&(i, _)| i).collect(),
-            pairs.iter().map(|&(_, v)| v).collect(),
+        crate::SparseVector::from_unsorted(
+            self.iter_touched().filter(|&(_, v)| v != 0.0 && v.abs() > threshold).collect(),
         )
     }
 
@@ -140,17 +126,6 @@ mod tests {
         assert_eq!(s.touched_len(), 0);
         s.add(2, 0.5);
         assert_eq!(s.get(2), 0.5);
-    }
-
-    #[test]
-    fn set_overwrites() {
-        let mut s = EpochScratch::new(4);
-        s.add(0, 1.0);
-        s.set(0, 0.25);
-        assert_eq!(s.get(0), 0.25);
-        s.set(1, 2.0);
-        assert_eq!(s.get(1), 2.0);
-        assert_eq!(s.touched_len(), 2);
     }
 
     #[test]

@@ -44,6 +44,20 @@ impl SparseVector {
         Self { indices, values }
     }
 
+    /// Builds a sparse vector from `(index, value)` pairs in any order.
+    ///
+    /// # Panics
+    /// As [`Self::from_parts`], once sorted: on a repeated index or a
+    /// non-finite value.
+    pub fn from_unsorted(mut pairs: Vec<(u32, f64)>) -> Self {
+        pairs.sort_unstable_by_key(|&(i, _)| i);
+        // Exact-size collects: capacity is what `heap_bytes` accounts.
+        Self::from_parts(
+            pairs.iter().map(|&(i, _)| i).collect(),
+            pairs.iter().map(|&(_, v)| v).collect(),
+        )
+    }
+
     /// Builds a sparse vector from the entries of `dense` whose absolute value
     /// exceeds `threshold` (use `0.0` to keep every non-zero entry).
     pub fn from_dense(dense: &[f64], threshold: f64) -> Self {
@@ -206,6 +220,17 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn from_parts_rejects_mismatch() {
         SparseVector::from_parts(vec![1], vec![0.1, 0.2]);
+    }
+
+    #[test]
+    fn from_unsorted_sorts_and_allocates_exactly() {
+        let mut pairs = Vec::with_capacity(64);
+        pairs.extend([(5, 0.5), (1, 0.25), (3, 1.0)]);
+        let v = SparseVector::from_unsorted(pairs);
+        assert_eq!(v.indices(), &[1, 3, 5]);
+        assert_eq!(v.values(), &[0.25, 1.0, 0.5]);
+        // Index size accounting reads capacities: none beyond the entries.
+        assert_eq!(v.heap_bytes(), 3 * (4 + 8));
     }
 
     #[test]

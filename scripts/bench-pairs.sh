@@ -1,0 +1,104 @@
+#!/usr/bin/env bash
+# Alternating parent/change runs of the repo benchmark, the evidence every
+# gain PR needs (ROADMAP "Rules that apply to every direction").
+#
+#   scripts/bench-pairs.sh <parent-rev> <workload> [pairs=10] [seed=42]
+#
+# Builds the benchmark once from a copy of <parent-rev> and once from the
+# working tree (each into its own directory under target/bench-pairs/), runs
+# them <pairs> times each at BENCHMARK.json's `run_seconds`, alternating which
+# side goes first, and prints per end-to-end metric each side's median and
+# quartiles and how many pairs the change won. It only *runs* the benchmark:
+# a wrong answer or a failed run stops the script.
+set -euo pipefail
+
+if [ $# -lt 2 ]; then
+    sed -n '2,12p' "$0" | sed 's/^# \{0,1\}//' >&2
+    exit 2
+fi
+parent_rev=$1
+workload=$2
+pairs=${3:-10}
+seed=${4:-42}
+
+root=$(git rev-parse --show-toplevel)
+cd "$root"
+sha=$(git rev-parse --short=12 "$parent_rev^{commit}")
+manifest=crates/bench/src/bin/benchmark/Cargo.toml
+seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
+work=$root/target/bench-pairs
+parent_src=$work/parent-$sha
+out=$work/runs-$sha-$workload-seed$seed
+mkdir -p "$out"
+: >"$out/parent.jsonl"
+: >"$out/change.jsonl"
+
+# A plain copy of the parent's committed files (no worktree metadata left in
+# .git); kept between invocations, as are both target directories.
+if [ ! -d "$parent_src" ]; then
+    mkdir -p "$parent_src"
+    git archive "$sha" | tar -x -C "$parent_src"
+fi
+
+build() { # <source dir> <target dir>
+    (cd "$1" && CARGO_TARGET_DIR="$2" \
+        cargo build --release --offline --quiet --manifest-path "$manifest")
+}
+echo "building parent $sha and the working tree ..." >&2
+build "$parent_src" "$work/parent-$sha-target"
+build "$root" "$work/change-target"
+
+run() { # parent | change
+    local src=$root target=$work/change-target
+    if [ "$1" = parent ]; then
+        src=$parent_src target=$work/parent-$sha-target
+    fi
+    (cd "$src" && "$target/release/benchmark" --workload "$workload" --seed "$seed" \
+        --seconds "$seconds" --trace 0 | tail -n 1) >>"$out/$1.jsonl"
+}
+for i in $(seq 1 "$pairs"); do
+    echo "pair $i/$pairs" >&2
+    if [ $((i % 2)) -eq 1 ]; then
+        run parent
+        run change
+    else
+        run change
+        run parent
+    fi
+done
+
+python3 - "$out" "$workload" "$sha" "$seed" "$seconds" <<'PY'
+import json, statistics, sys
+
+out, workload, sha, seed, seconds = sys.argv[1:6]
+sides = {s: [json.loads(l) for l in open(f"{out}/{s}.jsonl")] for s in ("parent", "change")}
+print(f"{workload}: parent {sha} vs working tree, {len(sides['parent'])} pairs, "
+      f"seed {seed}, --seconds {seconds}")
+for side, runs in sides.items():
+    print(f"  {side}: failed {sum(r['failed'] for r in runs)} of "
+          f"{sum(r['attempted'] for r in runs)}, correct in {sum(r['correct'] for r in runs)} "
+          f"of {len(runs)} runs")
+
+def spread(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return median, q1, q3
+
+print(f"  {'metric':<16}{'parent median [q1, q3]':>36}{'change median [q1, q3]':>36}"
+      f"{'delta':>9}  wins")
+for spec in json.load(open("BENCHMARK.json"))["end_to_end"]:
+    name = spec["name"]
+    p = [r["metrics"][name]["value"] for r in sides["parent"] if name in r["metrics"]]
+    c = [r["metrics"][name]["value"] for r in sides["change"] if name in r["metrics"]]
+    if not p or not c:
+        continue
+    better = (lambda a, b: a > b) if spec["better"] == "higher" else (lambda a, b: a < b)
+    wins = sum(better(cv, pv) for pv, cv in zip(p, c))
+    losses = sum(better(pv, cv) for pv, cv in zip(p, c))
+    (pm, p1, p3), (cm, c1, c3) = spread(p), spread(c)
+    delta = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
+    print(f"  {name:<16}{f'{pm:.4g} [{p1:.4g}, {p3:.4g}]':>36}"
+          f"{f'{cm:.4g} [{c1:.4g}, {c3:.4g}]':>36}{delta:>9}  "
+          f"{wins}/{len(p)} (lost {losses}), {spec['better']} is better, bound {spec['bound']:.0%}")
+PY
