@@ -57,8 +57,8 @@ pub enum Request {
         /// the same query return bitwise-identical results.
         trace: bool,
         /// Run the approximate screen with this error budget (wire v8).
-        /// `None` (or an inactive ε) answers exactly; the encoded frame of
-        /// an absent knob is byte-identical to its wire-v7 shape.
+        /// `None` (or an inactive ε) answers exactly; an absent knob adds
+        /// no bytes to the encoded frame.
         approx: Option<ApproxParams>,
     },
     /// Forward top-k proximity search from `u`.
@@ -506,7 +506,7 @@ pub struct StatsSnapshot {
     /// (wire v6). The aggregate fields above merge all kinds.
     pub kind_latency: [KindLatency; REQUEST_KINDS],
     /// Reverse top-k queries answered through the approximate screen
-    /// (wire v8; part of the versioned stats tail).
+    /// (wire v8).
     pub approx_queries: u64,
     /// Candidates decided from bidirectional estimates across all approx
     /// queries (wire v8).
@@ -728,15 +728,14 @@ impl StatsSnapshot {
                 codec::write_f64(w, v)?;
             }
         }
-        // Versioned tail (wire v8): new counters are *appended*, never
-        // spliced into the fixed prefix, so a parser written against the
-        // v7 layout decodes everything above and simply stops early. The
-        // tail declares its own version so a future v9 can extend it again.
-        codec::write_u64(w, STATS_TAIL_V1)?;
-        codec::write_u64(w, self.approx_queries)?;
-        codec::write_u64(w, self.approx_estimated)?;
-        codec::write_u64(w, self.approx_exact_refined)?;
-        codec::write_u64(w, self.approx_walks)?;
+        for v in [
+            self.approx_queries,
+            self.approx_estimated,
+            self.approx_exact_refined,
+            self.approx_walks,
+        ] {
+            codec::write_u64(w, v)?;
+        }
         Ok(())
     }
 
@@ -810,46 +809,12 @@ impl StatsSnapshot {
                 max_seconds: codec::read_f64(r)?,
             };
         }
-        // Versioned tail: absent on a v7-era snapshot (counters stay
-        // zero), otherwise a tail version stamp followed by its counters.
-        match read_u64_or_eof(r)? {
-            None => {}
-            Some(STATS_TAIL_V1) => {
-                snap.approx_queries = codec::read_u64(r)?;
-                snap.approx_estimated = codec::read_u64(r)?;
-                snap.approx_exact_refined = codec::read_u64(r)?;
-                snap.approx_walks = codec::read_u64(r)?;
-            }
-            Some(v) => {
-                return Err(DecodeError::Corrupt(format!(
-                    "stats snapshot tail declares unknown version {v}"
-                )));
-            }
-        }
+        snap.approx_queries = codec::read_u64(r)?;
+        snap.approx_estimated = codec::read_u64(r)?;
+        snap.approx_exact_refined = codec::read_u64(r)?;
+        snap.approx_walks = codec::read_u64(r)?;
         Ok(snap)
     }
-}
-
-/// Version stamp of the first stats-snapshot tail (the wire-v8 approx
-/// counters). Future tails bump this and append after the v1 fields.
-pub const STATS_TAIL_V1: u64 = 1;
-
-/// Reads one `u64`, mapping a clean end-of-stream (zero bytes available)
-/// to `None` — how the decoder distinguishes "snapshot has no tail" from
-/// a tail truncated mid-field, which stays an error.
-fn read_u64_or_eof<R: Read>(r: &mut R) -> Result<Option<u64>, DecodeError> {
-    let mut buf = [0u8; 8];
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => return Err(DecodeError::Corrupt("stats snapshot tail truncated".to_string())),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(DecodeError::Io(e)),
-        }
-    }
-    Ok(Some(u64::from_le_bytes(buf)))
 }
 
 #[cfg(test)]
@@ -927,17 +892,17 @@ mod tests {
         assert_eq!(back.kind_latency[1].count, 7);
 
         // A snapshot claiming the wrong number of kinds is corrupt, not
-        // silently misaligned. The v8 tail (version stamp + 4 counters)
-        // sits after the kind records.
-        let tail_bytes = 8 * 5;
-        let kinds_at = buf.len() - tail_bytes - 8 * (1 + REQUEST_KINDS * 6);
+        // silently misaligned. The 4 approx counters sit after the kind
+        // records.
+        let approx_bytes = 8 * 4;
+        let kinds_at = buf.len() - approx_bytes - 8 * (1 + REQUEST_KINDS * 6);
         buf[kinds_at..kinds_at + 8].copy_from_slice(&9u64.to_le_bytes());
         let err = StatsSnapshot::decode(&mut Cursor::new(buf), 4).unwrap_err();
         assert!(matches!(err, DecodeError::Corrupt(_)), "{err:?}");
     }
 
     #[test]
-    fn approx_tail_round_trips_and_stays_backward_compatible() {
+    fn approx_counters_round_trip_and_are_required() {
         let info = EngineInfo {
             nodes: 10,
             edges: 20,
@@ -957,30 +922,15 @@ mod tests {
         let back = StatsSnapshot::decode(&mut Cursor::new(buf.clone()), 4).unwrap();
         assert_eq!(back, snap);
 
-        // A v7-era snapshot — same bytes with the tail chopped off —
-        // still decodes, with the approx counters reading zero.
-        buf.truncate(buf.len() - 8 * 5);
-        let legacy = StatsSnapshot::decode(&mut Cursor::new(buf.clone()), 4).unwrap();
-        assert_eq!(legacy.approx_queries, 0);
-        assert_eq!(legacy.approx_walks, 0);
-        assert_eq!(legacy.reverse_topk, snap.reverse_topk);
+        // The counters are fixed fields: a snapshot ending before any or
+        // all of them is truncated, never read as zeros.
+        for missing in [8 * 4, 8] {
+            let cut = &buf[..buf.len() - missing];
+            let err = StatsSnapshot::decode(&mut Cursor::new(cut), 4).unwrap_err();
+            assert!(matches!(err, DecodeError::Io(_)), "{missing} bytes short: {err:?}");
+        }
 
-        // A truncated tail (some but not all counters) is corrupt.
-        let mut cut = Vec::new();
-        snap.encode(&mut cut).unwrap();
-        cut.truncate(cut.len() - 8);
-        let err = StatsSnapshot::decode(&mut Cursor::new(cut), 4).unwrap_err();
-        assert!(matches!(err, DecodeError::Io(_)), "{err:?}");
-
-        // An unknown tail version is corrupt, not silently misread.
-        let mut bad = Vec::new();
-        snap.encode(&mut bad).unwrap();
-        let tail_at = bad.len() - 8 * 5;
-        bad[tail_at..tail_at + 8].copy_from_slice(&99u64.to_le_bytes());
-        let err = StatsSnapshot::decode(&mut Cursor::new(bad), 4).unwrap_err();
-        assert!(matches!(err, DecodeError::Corrupt(_)), "{err:?}");
-
-        // JSON exposes the tail as one nested object.
+        // JSON exposes the counters as one nested object.
         let json = snap.to_json().render();
         assert!(json.contains("\"approx\""), "{json}");
         assert!(json.contains("\"walks\":1280"), "{json}");

@@ -25,7 +25,6 @@ usage:
   rtk index info <index>                         index statistics
   rtk shard split <index> --shards S [--balance nodes|edges --graph <g>] [--out F]
                                                  re-partition a saved index
-  rtk shard merge <index> [--out F]              flatten to one shard (legacy format)
   rtk shard info <index>                         shard manifest summary
   rtk query <graph> <index> --node Q --k K [--update] [--strict] [--approximate] [--threads T]
   rtk topk <graph> --node U --k K [--early] [--threads T]   forward top-k search

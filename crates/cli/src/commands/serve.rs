@@ -74,7 +74,7 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
 
 /// Loads the engine whose index holds only shard `--shard` of a sharded
 /// snapshot (`--shard-only`): `--index` must be a bare index snapshot
-/// (`RTKMANI1` manifest, or legacy `RTKINDX1` for `--shard 0`) and
+/// (an `RTKMANI1` manifest, of any shard count) and
 /// `--graph` is required — every backend walks the full graph even though
 /// it holds only its shard's states.
 fn load_shard_engine(args: &Parsed) -> Result<ReverseTopkEngine, String> {
@@ -93,7 +93,7 @@ fn load_shard_engine(args: &Parsed) -> Result<ReverseTopkEngine, String> {
 
 /// Loads the engine from `--index`, which may be either an engine snapshot
 /// (`RTKENGN1`: graph + index in one file, written by `ReverseTopkEngine::
-/// save_path`) or a bare index (`RTKINDX1`) paired with `--graph`.
+/// save_path`) or a bare index (`RTKMANI1`) paired with `--graph`.
 fn load_engine(args: &Parsed) -> Result<ReverseTopkEngine, String> {
     let index_path = args
         .get("index")

@@ -1,10 +1,9 @@
-//! `rtk shard split|merge|info|stitch` — offline re-partitioning and
+//! `rtk shard split|info|stitch` — offline re-partitioning and
 //! re-assembly of a saved index.
 //!
 //! Sharding is a pure layout change: `split` re-partitions an existing
-//! index (legacy or sharded) into `--shards N` contiguous node ranges
-//! (even by node count, or by total out-degree with `--balance edges`),
-//! `merge` flattens back to one shard (the legacy single-blob format),
+//! index into `--shards N` contiguous node ranges (even by node count, or
+//! by total out-degree with `--balance edges`; `--shards 1` flattens it),
 //! `info` prints the shard manifest, and `stitch` re-assembles the
 //! `<path>.shard<i>` section files a router-tier `persist` leaves behind
 //! into one manifest. Per-node states are preserved bitwise, so a
@@ -14,12 +13,11 @@ use crate::args::Parsed;
 
 pub(crate) fn run(argv: &[String]) -> Result<(), String> {
     let Some(sub) = argv.first() else {
-        return Err("shard: expected `split`, `merge`, `info`, or `stitch`".into());
+        return Err("shard: expected `split`, `info`, or `stitch`".into());
     };
     let rest = Parsed::parse(&argv[1..])?;
     match sub.as_str() {
         "split" => split(&rest),
-        "merge" => merge(&rest),
         "info" => info(&rest),
         "stitch" => stitch(&rest),
         other => Err(format!("shard: unknown subcommand {other:?}")),
@@ -83,19 +81,6 @@ fn split(args: &Parsed) -> Result<(), String> {
         "re-partitioned {path} from {before} to {} shard(s) (balance: {balance}); wrote {out}",
         index.shard_count()
     );
-    Ok(())
-}
-
-/// `rtk shard merge <index> [--out <file>]`: flatten to one shard (the
-/// legacy single-blob format old tooling understands).
-fn merge(args: &Parsed) -> Result<(), String> {
-    let path = args.positional(0, "index")?;
-    let out = args.get("out").unwrap_or(path);
-    let mut index = load(path)?;
-    let before = index.shard_count();
-    index.repartition(1);
-    save(&index, out)?;
-    println!("merged {path} ({before} shard(s)) into a single-shard index; wrote {out}");
     Ok(())
 }
 
@@ -172,7 +157,7 @@ mod tests {
         let sharded = dir.join("g4.rtki");
         let sharded_str = sharded.to_str().unwrap().to_string();
 
-        // Split a legacy index into 3 shards.
+        // Split a one-shard index into 3 shards.
         run(&[
             "split".into(),
             ipath_str.clone(),
@@ -189,17 +174,24 @@ mod tests {
             assert_eq!(loaded.state(u), original.state(u), "node {u}");
         }
 
-        // Info runs on both layouts.
+        // Info runs on both shard counts.
         run(&["info".into(), ipath_str.clone()]).unwrap();
         run(&["info".into(), sharded_str.clone()]).unwrap();
 
-        // Merge back: byte-identical to the original legacy file.
-        let merged = dir.join("merged.rtki");
-        run(&["merge".into(), sharded_str, "--out".into(), merged.to_str().unwrap().into()])
-            .unwrap();
+        // Split back to one shard: byte-identical to the original file.
+        let flat = dir.join("flat.rtki");
+        run(&[
+            "split".into(),
+            sharded_str,
+            "--shards".into(),
+            "1".into(),
+            "--out".into(),
+            flat.to_str().unwrap().into(),
+        ])
+        .unwrap();
         let a = std::fs::read(&ipath).unwrap();
-        let b = std::fs::read(&merged).unwrap();
-        assert_eq!(a, b, "merge must restore the legacy bytes");
+        let b = std::fs::read(&flat).unwrap();
+        assert_eq!(a, b, "splitting back to one shard must restore the original bytes");
 
         std::fs::remove_dir_all(&dir).ok();
     }

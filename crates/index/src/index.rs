@@ -48,22 +48,10 @@ impl ReverseIndex {
         LbiBuilder::new(config)?.build(transition)
     }
 
-    /// Assembles an index from a full id-ordered state vector, partitioning
-    /// it per `config.shards`.
-    pub(crate) fn from_parts(
-        config: IndexConfig,
-        hub_matrix: HubMatrix,
-        states: Vec<NodeState>,
-        stats: IndexStats,
-    ) -> Self {
-        let shard_map = ShardMap::even(states.len(), config.effective_shards(states.len()));
-        let shards = partition_states(&shard_map, states);
-        Self { config, hub_matrix, shards, shard_map, only: None, stats }
-    }
-
-    /// Assembles a freshly built index: [`Self::from_parts`], every state
-    /// marked as built and carrying the record digest its sweep worker
-    /// computed (`digests[u]` for node `u`).
+    /// Assembles a freshly built index from its full id-ordered state
+    /// vector, partitioned per `config.shards`: every state marked as built
+    /// and carrying the record digest its sweep worker computed
+    /// (`digests[u]` for node `u`).
     pub(crate) fn from_build(
         config: IndexConfig,
         hub_matrix: HubMatrix,
@@ -71,12 +59,13 @@ impl ReverseIndex {
         digests: Vec<u64>,
         stats: IndexStats,
     ) -> Self {
-        let mut index = Self::from_parts(config, hub_matrix, states, stats);
-        for shard in &mut index.shards {
+        let shard_map = ShardMap::even(states.len(), config.effective_shards(states.len()));
+        let mut shards = partition_states(&shard_map, states);
+        for shard in &mut shards {
             let range = shard.node_lo() as usize..shard.node_hi() as usize;
             shard.mark_built(&digests[range]);
         }
-        index
+        Self { config, hub_matrix, shards, shard_map, only: None, stats }
     }
 
     /// Assembles an index from already-partitioned shards (persistence):

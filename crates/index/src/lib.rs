@@ -25,8 +25,8 @@
 //!   `S` contiguous node-range shards ([`IndexConfig::shards`]), each
 //!   individually serializable and independently scannable by the query
 //!   layer. Shard count never changes answers, only wall time and layout;
-//! * [`storage`] — versioned binary persistence: the legacy single-blob
-//!   format plus a sharded manifest format (one section per shard).
+//! * [`storage`] — versioned binary persistence: one shard manifest format
+//!   (one self-contained section per shard) for every shard count.
 //!   A [`ReverseIndex`] holds every shard's states or exactly one
 //!   ([`ReverseIndex::one_shard`]): [`storage::load_one_shard`] reads the
 //!   shared hub matrix and shard map plus *one* shard section — the loading

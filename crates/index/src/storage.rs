@@ -1,48 +1,37 @@
-//! Versioned binary persistence of the index — legacy single-blob format
-//! (magic `RTKINDX1`) plus the sharded manifest format (magic `RTKMANI1`).
+//! Versioned binary persistence of the index: one layout, the shard
+//! manifest (magic `RTKMANI1`), for every shard count.
 //!
 //! The paper's index is explicitly designed to be kept and *updated* across
-//! query sessions; persistence makes that durable. Two on-disk layouts share
-//! the same per-node encoding (little-endian, see [`rtk_sparse::codec`]):
-//!
-//! **Legacy / single shard** (`RTKINDX1`, written when `S == 1`):
-//!
-//! ```text
-//! header: magic "RTKINDX1", u32 version
-//! u64 node_count, u64 max_k
-//! bca: f64 alpha, f64 eta, f64 delta, u32 max_iterations
-//! f64 rounding_threshold
-//! hubs: u32seq ids, then per hub one record: sparse column, f64 deficit;
-//!       after the last hub one u64: unrounded nnz summed over all hubs
-//! nodes: per node one record: u32 source, u32 iterations, sparse r,
-//!        sparse w, sparse s, u32seq topk_indices, f64seq topk_values
-//! stats: timings, counters (see code)
-//! ```
-//!
-//! **Sharded manifest** (`RTKMANI1`, written when `S > 1`):
+//! query sessions; persistence makes that durable. Little-endian, see
+//! [`rtk_sparse::codec`]:
 //!
 //! ```text
 //! header: magic "RTKMANI1", u32 version
 //! u64 node_count, u64 max_k, u64 shard_count
-//! bca + rounding threshold (as above)
+//! bca: f64 alpha, f64 eta, f64 delta, u32 max_iterations
+//! f64 rounding_threshold
 //! u32seq shard start offsets
-//! hubs (as above, shared by all shards)
+//! hubs: u32seq ids, then per hub one record: sparse column, f64 deficit;
+//!       after the last hub one u64: unrounded nnz summed over all hubs
 //! per shard: u64 section_bytes, then a self-contained shard blob:
 //!     header: magic "RTKSHRD1", u32 version
 //!     u64 shard_id, u64 node_lo, u64 shard_len, u64 node_count, u64 max_k
-//!     nodes of the shard's range (as above)
-//! stats (as above)
+//!     per node of the shard's range one record: u32 source,
+//!     u32 iterations, sparse r, sparse w, sparse s,
+//!     u32seq topk_indices, f64seq topk_values
+//! stats: timings, counters (see code)
 //! ```
 //!
 //! Shard blobs are individually writable/readable ([`save_shard`] /
 //! [`load_shard`]) — the unit of per-shard persistence and of the offline
-//! `rtk shard split|merge` re-partitioning. [`load`] dispatches on the
-//! magic, so an `S = 1` engine loads pre-existing legacy snapshots
-//! unchanged, and every sequence decode is bounded by stream-derived sizes
-//! (node count, `max_k`, section byte counts) *before* allocating.
-//! [`load_one_shard`] reads the same bytes through the same checks but
-//! decodes a single shard's section and skips the rest — the start-up load
-//! of a multi-process backend, whose footprint is one shard, not the index.
+//! `rtk shard split` re-partitioning. Every sequence decode is bounded by
+//! stream-derived sizes (node count, `max_k`, section byte counts) *before*
+//! allocating. [`load_one_shard`] reads the same bytes through the same
+//! checks but decodes a single shard's section and skips the rest — the
+//! start-up load of a multi-process backend, whose footprint is one shard,
+//! not the index. A file with any other magic is refused with
+//! [`DecodeError::BadMagic`]; there is no importer for older layouts —
+//! rebuild with `rtk index build`.
 //!
 //! **Index digest.** [`index_digest`] hashes the stream an index persists
 //! as — [`save`]'s for an index holding every shard, [`save_shard`]'s for a
@@ -70,11 +59,7 @@ use rtk_sparse::DescendingTopK;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-/// Magic tag of the legacy (single-shard) index format.
-pub const INDEX_MAGIC: &[u8; 8] = b"RTKINDX1";
-/// Current legacy format version.
-pub const INDEX_VERSION: u32 = 1;
-/// Magic tag of the sharded manifest format.
+/// Magic tag of the index snapshot (the shard manifest).
 pub const MANIFEST_MAGIC: &[u8; 8] = b"RTKMANI1";
 /// Current manifest format version.
 pub const MANIFEST_VERSION: u32 = 1;
@@ -91,14 +76,13 @@ fn corrupt(msg: String) -> IndexError {
     IndexError::Decode(DecodeError::Corrupt(msg))
 }
 
-/// Serializes `index` to `writer`: the legacy single-blob layout for one
-/// shard (byte-identical to pre-sharding snapshots), the sharded manifest
-/// layout otherwise.
+/// Serializes `index` to `writer` as a shard manifest, whatever its shard
+/// count.
 ///
 /// Only an index holding every shard has a snapshot; a one-shard index
 /// persists its section with [`save_shard`].
 pub fn save<W: Write>(index: &ReverseIndex, writer: W) -> Result<(), IndexError> {
-    write_index(index, writer, Records::Encoded)
+    write_manifest(index, writer, Records::Encoded)
 }
 
 /// How the writers below emit hub-column and node-state records.
@@ -110,18 +94,6 @@ enum Records {
     /// [`index_digest`] hashes. `cached: false` re-hashes every record
     /// instead of trusting the cells kept beside them.
     Digested { cached: bool },
-}
-
-fn write_index<W: Write>(
-    index: &ReverseIndex,
-    writer: W,
-    records: Records,
-) -> Result<(), IndexError> {
-    if index.shard_count() <= 1 {
-        write_legacy(index, writer, records)
-    } else {
-        write_sharded(index, writer, records)
-    }
 }
 
 /// A stable digest (FNV-1a 64) of what `index` persists as (see the module
@@ -143,7 +115,7 @@ pub fn index_digest_cold(index: &ReverseIndex) -> u64 {
 fn fold_digest(index: &ReverseIndex, records: Records) -> u64 {
     let mut hasher = Fnv1a64::default();
     match index.owned_shard() {
-        None => write_index(index, &mut hasher, records),
+        None => write_manifest(index, &mut hasher, records),
         Some(_) => {
             write_shard(&index.shards()[0], index.node_count(), index.max_k(), &mut hasher, records)
         }
@@ -152,21 +124,16 @@ fn fold_digest(index: &ReverseIndex, records: Records) -> u64 {
     hasher.finish()
 }
 
-/// Deserializes an index written by [`save`] (either layout, dispatched on
-/// the magic tag), holding every shard.
+/// Deserializes an index written by [`save`], holding every shard.
 pub fn load<R: Read>(reader: R) -> Result<ReverseIndex, IndexError> {
     load_owning(reader, None)
 }
 
 /// Loads the index holding only shard `shard_id` (plus the shared hub matrix
 /// and shard map) from a snapshot written by [`save`], skipping every other
-/// shard's section — the memory footprint is one shard, not the whole
-/// index. Every check [`load`] applies to the manifest applies here too.
-///
-/// Accepts both layouts: a sharded manifest (`RTKMANI1`), where the other
-/// sections are skipped by their length prefixes, and — for `shard_id == 0`
-/// only — a legacy single-blob snapshot (`RTKINDX1`), which *is* its single
-/// shard.
+/// shard's section by its length prefix — the memory footprint is one
+/// shard, not the whole index. Every check [`load`] applies to the manifest
+/// applies here too.
 pub fn load_one_shard<R: Read>(reader: R, shard_id: usize) -> Result<ReverseIndex, IndexError> {
     load_owning(reader, Some(shard_id))
 }
@@ -174,49 +141,8 @@ pub fn load_one_shard<R: Read>(reader: R, shard_id: usize) -> Result<ReverseInde
 /// The one snapshot reader: `only` picks the shard to hold (`None` = all).
 fn load_owning<R: Read>(reader: R, only: Option<usize>) -> Result<ReverseIndex, IndexError> {
     let mut r = BufReader::new(reader);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic).map_err(DecodeError::Io)?;
-    match &magic {
-        m if m == INDEX_MAGIC => {
-            check_version(&mut r, INDEX_VERSION, "index")?;
-            let index = load_legacy_body(&mut r)?;
-            match only {
-                None => Ok(index),
-                Some(0) => index.one_shard(0),
-                Some(other) => Err(corrupt(format!(
-                    "legacy single-shard snapshot has only shard 0, requested {other}"
-                ))),
-            }
-        }
-        m if m == MANIFEST_MAGIC => {
-            check_version(&mut r, MANIFEST_VERSION, "manifest")?;
-            load_manifest_body(&mut r, only)
-        }
-        found => {
-            Err(IndexError::Decode(DecodeError::BadMagic { expected: *INDEX_MAGIC, found: *found }))
-        }
-    }
-}
-
-/// Whole-index snapshots need every shard's states.
-fn require_every_shard(index: &ReverseIndex) -> Result<(), IndexError> {
-    match index.owned_shard() {
-        None => Ok(()),
-        Some(i) => Err(IndexError::InvalidConfig(format!(
-            "this index holds only shard {i} (nodes {:?}); persist its section with save_shard",
-            index.owned_range()
-        ))),
-    }
-}
-
-fn check_version<R: Read>(r: &mut R, supported: u32, what: &str) -> Result<(), IndexError> {
-    let version = codec::read_u32(r).map_err(DecodeError::Io)?;
-    if version > supported {
-        return Err(corrupt(format!(
-            "{what} format version {version} is newer than supported {supported}"
-        )));
-    }
-    Ok(())
+    codec::read_header(&mut r, MANIFEST_MAGIC, MANIFEST_VERSION)?;
+    load_manifest_body(&mut r, only)
 }
 
 // ---------------------------------------------------------------------------
@@ -246,21 +172,6 @@ pub(crate) fn node_record_digest(snap: &BcaSnapshot, lower_bounds: &DescendingTo
     let mut hasher = Fnv1a64::default();
     write_node_record(&mut hasher, snap, lower_bounds).expect("hashing cannot fail");
     hasher.finish()
-}
-
-/// The node records of one shard, in id order.
-fn write_shard_states<W: Write>(
-    w: &mut W,
-    shard: &IndexShard,
-    records: Records,
-) -> std::io::Result<()> {
-    for (i, state) in shard.states().iter().enumerate() {
-        match records {
-            Records::Encoded => write_node_record(w, state.snapshot(), state.lower_bounds())?,
-            Records::Digested { cached } => codec::write_u64(w, shard.state_digest(i, cached))?,
-        }
-    }
-    Ok(())
 }
 
 fn read_node_state<R: Read>(
@@ -479,69 +390,7 @@ fn loaded_config(
 }
 
 // ---------------------------------------------------------------------------
-// Legacy single-blob layout
-// ---------------------------------------------------------------------------
-
-/// Serializes `index` in the legacy single-blob layout (all shards are
-/// flattened into one id-ordered node section — byte-identical to the
-/// pre-sharding format for any shard count).
-pub fn save_legacy<W: Write>(index: &ReverseIndex, writer: W) -> Result<(), IndexError> {
-    write_legacy(index, writer, Records::Encoded)
-}
-
-fn write_legacy<W: Write>(
-    index: &ReverseIndex,
-    writer: W,
-    records: Records,
-) -> Result<(), IndexError> {
-    require_every_shard(index)?;
-    let mut w = BufWriter::new(writer);
-    codec::write_header(&mut w, INDEX_MAGIC, INDEX_VERSION)?;
-    codec::write_u64(&mut w, index.node_count() as u64)?;
-    codec::write_u64(&mut w, index.max_k() as u64)?;
-    write_bca_and_rounding(&mut w, &index.config().bca, index.config().rounding_threshold)?;
-    write_hub_matrix(&mut w, index.hub_matrix(), records)?;
-    for shard in index.shards() {
-        write_shard_states(&mut w, shard, records)?;
-    }
-    write_stats(&mut w, index.stats())?;
-    w.flush()?;
-    Ok(())
-}
-
-fn load_legacy_body<R: Read>(r: &mut R) -> Result<ReverseIndex, IndexError> {
-    // Stream-derived bounds: every sequence that follows is sized by the
-    // node count (sparse vectors, hub ids) or by `max_k` (top-K lists), so
-    // corrupt length prefixes are rejected before any allocation.
-    let n = codec::check_len(
-        codec::read_u64(r).map_err(DecodeError::Io)?,
-        codec::MAX_SEQ_LEN,
-        "node count",
-    )?;
-    let max_k = codec::check_len(
-        codec::read_u64(r).map_err(DecodeError::Io)?,
-        codec::MAX_SEQ_LEN,
-        "max_k",
-    )?;
-    let (bca, rounding_threshold) = read_bca_and_rounding(r)?;
-    let hub_matrix = read_hub_matrix(r, n, rounding_threshold)?;
-
-    // Eager capacity is clamped like the codec readers: a corrupt node
-    // count must not trigger a huge reservation before any state decodes.
-    let mut states = Vec::with_capacity(n.min(1 << 20));
-    for u in 0..n as u32 {
-        states.push(read_node_state(r, u, n, max_k, &hub_matrix)?);
-    }
-    let state_refs: Vec<&NodeState> = states.iter().collect();
-    let stats = read_stats(r, &state_refs, &hub_matrix, n)?;
-    drop(state_refs);
-
-    let config = loaded_config(max_k, bca, &hub_matrix, rounding_threshold, stats.threads, 1);
-    Ok(ReverseIndex::from_parts(config, hub_matrix, states, stats))
-}
-
-// ---------------------------------------------------------------------------
-// Sharded manifest layout
+// Shard sections and the manifest
 // ---------------------------------------------------------------------------
 
 /// Serializes one shard as a self-contained section. `node_count` and
@@ -569,7 +418,14 @@ fn write_shard<W: Write>(
     codec::write_u64(&mut w, shard.len() as u64)?;
     codec::write_u64(&mut w, node_count as u64)?;
     codec::write_u64(&mut w, max_k as u64)?;
-    write_shard_states(&mut w, shard, records)?;
+    for (i, state) in shard.states().iter().enumerate() {
+        match records {
+            Records::Encoded => write_node_record(&mut w, state.snapshot(), state.lower_bounds())?,
+            Records::Digested { cached } => {
+                codec::write_u64(&mut w, shard.state_digest(i, cached))?
+            }
+        }
+    }
     w.flush()?;
     Ok(())
 }
@@ -613,18 +469,18 @@ pub fn load_shard<R: Read>(
     Ok(IndexShard::new(id, node_lo as u32, states))
 }
 
-/// Serializes `index` in the sharded manifest layout regardless of shard
-/// count (the plain [`save`] picks the legacy layout for `S == 1`).
-pub fn save_sharded<W: Write>(index: &ReverseIndex, writer: W) -> Result<(), IndexError> {
-    write_sharded(index, writer, Records::Encoded)
-}
-
-fn write_sharded<W: Write>(
+fn write_manifest<W: Write>(
     index: &ReverseIndex,
     writer: W,
     records: Records,
 ) -> Result<(), IndexError> {
-    require_every_shard(index)?;
+    // Whole-index snapshots need every shard's states.
+    if let Some(i) = index.owned_shard() {
+        return Err(IndexError::InvalidConfig(format!(
+            "this index holds only shard {i} (nodes {:?}); persist its section with save_shard",
+            index.owned_range()
+        )));
+    }
     let mut w = BufWriter::new(writer);
     codec::write_header(&mut w, MANIFEST_MAGIC, MANIFEST_VERSION)?;
     codec::write_u64(&mut w, index.node_count() as u64)?;
@@ -647,8 +503,8 @@ fn write_sharded<W: Write>(
     Ok(())
 }
 
-/// An `io::Write` sink that only counts bytes — the length pre-pass of
-/// [`save_sharded`].
+/// An `io::Write` sink that only counts bytes — the section-length pre-pass
+/// of `write_manifest`.
 #[derive(Default)]
 struct CountingWriter {
     bytes: u64,
@@ -857,12 +713,12 @@ fn section_path(prefix: &Path, i: usize) -> std::path::PathBuf {
     std::path::PathBuf::from(name)
 }
 
-/// Saves to a file path (layout picked by shard count, see [`save`]).
+/// Saves to a file path (see [`save`]).
 pub fn save_path<P: AsRef<Path>>(index: &ReverseIndex, path: P) -> Result<(), IndexError> {
     save(index, std::fs::File::create(path)?)
 }
 
-/// Loads from a file path (either layout).
+/// Loads from a file path (see [`load`]).
 pub fn load_path<P: AsRef<Path>>(path: P) -> Result<ReverseIndex, IndexError> {
     load(std::fs::File::open(path)?)
 }
@@ -1099,6 +955,7 @@ mod tests {
         let index = ReverseIndex::build(&t, config).unwrap();
         let mut buf = Vec::new();
         save(&index, &mut buf).unwrap();
+        assert_eq!(&buf[..8], MANIFEST_MAGIC);
         let loaded = load(Cursor::new(buf)).unwrap();
         assert_eq!(loaded.node_count(), index.node_count());
         assert_eq!(loaded.max_k(), index.max_k());
@@ -1116,11 +973,11 @@ mod tests {
     fn sharded_round_trip_preserves_everything() {
         let (g, config) = build_sample();
         let t = TransitionMatrix::new(&g);
-        for shards in [2usize, 3, 6] {
+        for shards in [1usize, 2, 3, 6] {
             let index = ReverseIndex::build(&t, IndexConfig { shards, ..config.clone() }).unwrap();
             let mut buf = Vec::new();
             save(&index, &mut buf).unwrap();
-            // S > 1 must produce the manifest layout.
+            // Every shard count produces the manifest layout.
             assert_eq!(&buf[..8], MANIFEST_MAGIC);
             let loaded = load(Cursor::new(buf)).unwrap();
             assert_eq!(loaded.shard_count(), shards);
@@ -1134,35 +991,20 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_save_is_byte_identical_to_legacy() {
-        // The dispatching `save` and the explicit legacy writer must agree
-        // bit for bit when S = 1 — the compatibility contract for snapshots
-        // written before sharding existed.
-        let (g, config) = build_sample();
-        let t = TransitionMatrix::new(&g);
-        let index = ReverseIndex::build(&t, config).unwrap();
-        let mut via_save = Vec::new();
-        save(&index, &mut via_save).unwrap();
-        let mut via_legacy = Vec::new();
-        save_legacy(&index, &mut via_legacy).unwrap();
-        assert_eq!(via_save, via_legacy);
-        assert_eq!(&via_save[..8], INDEX_MAGIC);
-    }
-
-    #[test]
-    fn legacy_flatten_of_sharded_index_round_trips() {
-        // Re-partitioning and saving through the legacy writer flattens to
-        // the exact bytes of the unsharded index (`rtk shard merge`'s
-        // guarantee: sharding changes layout, never content).
+    fn flattening_a_sharded_index_restores_its_bytes() {
+        // Sharding changes layout, never content: re-partitioning to 3
+        // shards and back to 1 saves the exact bytes of the index that was
+        // never sharded (`rtk shard split --shards 1`'s guarantee).
         let (g, config) = build_sample();
         let t = TransitionMatrix::new(&g);
         let single = ReverseIndex::build(&t, config).unwrap();
-        let mut sharded = single.clone();
-        sharded.repartition(3);
+        let mut flattened = single.clone();
+        flattened.repartition(3);
+        flattened.repartition(1);
         let mut a = Vec::new();
-        save_legacy(&single, &mut a).unwrap();
+        save(&single, &mut a).unwrap();
         let mut b = Vec::new();
-        save_legacy(&sharded, &mut b).unwrap();
+        save(&flattened, &mut b).unwrap();
         assert_eq!(a, b);
     }
 
@@ -1313,16 +1155,24 @@ mod tests {
         let (g, config) = build_sample();
         let t = TransitionMatrix::new(&g);
         let index = ReverseIndex::build(&t, config).unwrap();
+        assert!(index.hub_matrix().hub_count() >= 2);
         let mut buf = Vec::new();
         save(&index, &mut buf).unwrap();
-        // Locate the hub-id sequence right after the fixed-size prelude:
-        // header (12) + n/max_k (16) + bca (28) + omega (8) = 64, then the
-        // u64 count and the ids. Overwrite the second id with the first.
-        let ids_start = 64 + 8;
+        // Locate the hub-id sequence after the manifest prelude: header
+        // (12) + n/max_k/shards (24) + bca (28) + omega (8), the starts
+        // `u32seq` (u64 count + one u32 per shard), then the hub-id u64
+        // count and the ids. Overwrite the second id with the first.
+        let ids_start = 12 + 24 + 28 + 8 + (8 + 4 * index.shard_count()) + 8;
         let first = buf[ids_start..ids_start + 4].to_vec();
         buf[ids_start + 4..ids_start + 8].copy_from_slice(&first);
-        // Must be a clean decode error, not a HubSet panic.
-        assert!(load(Cursor::new(buf)).is_err());
+        // Must be a clean decode error naming the duplicate, not a HubSet
+        // panic.
+        match load(Cursor::new(buf)) {
+            Err(IndexError::Decode(DecodeError::Corrupt(m))) => {
+                assert!(m.contains("duplicate hub id"), "{m}")
+            }
+            other => panic!("expected a duplicate-hub-id error, got {:?}", other.err()),
+        }
     }
 
     #[test]
@@ -1376,21 +1226,18 @@ mod tests {
             }
             // A one-shard index has no whole-index snapshot.
             assert!(save(&one, Vec::new()).is_err());
-            assert!(save_sharded(&one, Vec::new()).is_err());
-            assert!(save_legacy(&one, Vec::new()).is_err());
         }
         // Out-of-range shard ids fail cleanly.
         assert!(load_one_shard(Cursor::new(&buf), 3).is_err());
     }
 
     #[test]
-    fn shard_slice_handles_legacy_snapshots_and_from_index() {
+    fn shard_slice_handles_one_shard_manifests_and_from_index() {
         let (g, config) = build_sample();
         let t = TransitionMatrix::new(&g);
         let index = ReverseIndex::build(&t, config).unwrap();
         let mut buf = Vec::new();
         save(&index, &mut buf).unwrap();
-        assert_eq!(&buf[..8], INDEX_MAGIC);
         let one = load_one_shard(Cursor::new(&buf), 0).unwrap();
         assert_eq!(one.owned_shard(), Some(0));
         assert_eq!(one.owned_range(), 0..6);

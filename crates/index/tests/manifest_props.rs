@@ -1,9 +1,9 @@
-//! Property tests for the sharded manifest format (`RTKMANI1`) and the
-//! per-shard sections (`RTKSHRD1`), in the style of
-//! `crates/sparse/tests/codec_props.rs`: arbitrary indexes must round-trip
-//! for arbitrary shard partitions, and every truncation / byte corruption
-//! must surface as a clean error — never a panic, never a silently wrong
-//! index.
+//! Property tests for the index snapshot format (the `RTKMANI1` manifest,
+//! one shard included) and the per-shard sections (`RTKSHRD1`), in the
+//! style of `crates/sparse/tests/codec_props.rs`: arbitrary indexes must
+//! round-trip for arbitrary shard partitions, and every truncation / byte
+//! corruption must surface as a clean error — never a panic, never a
+//! silently wrong index.
 //!
 //! Driven by seeded `StdRng` case generation — failures reproduce from the
 //! printed case seed.
@@ -11,7 +11,8 @@
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rtk_graph::gen::{erdos_renyi, ErdosRenyiConfig};
 use rtk_graph::TransitionMatrix;
-use rtk_index::{storage, HubSelection, IndexConfig, ReverseIndex};
+use rtk_index::{storage, HubSelection, IndexConfig, IndexError, ReverseIndex};
+use rtk_sparse::codec::DecodeError;
 use std::io::Cursor;
 
 const CASES: u64 = 12;
@@ -27,10 +28,18 @@ fn arb_index(rng: &mut StdRng) -> ReverseIndex {
         hub_selection: HubSelection::DegreeBased { b: rng.gen_range(1usize..4) },
         rounding_threshold: if rng.gen_bool(0.5) { 1e-6 } else { 0.0 },
         threads: 1,
-        shards: rng.gen_range(2usize..9),
+        shards: rng.gen_range(1usize..9),
         ..Default::default()
     };
     ReverseIndex::build(&t, config).unwrap()
+}
+
+/// `index` and its one-shard layout: the whole-file properties run on
+/// both, so `S = 1` is covered whatever shard count the seed drew.
+fn with_one_shard(index: ReverseIndex) -> [ReverseIndex; 2] {
+    let mut one = index.clone();
+    one.repartition(1);
+    [index, one]
 }
 
 fn assert_same(a: &ReverseIndex, b: &ReverseIndex, context: &str) {
@@ -91,23 +100,25 @@ fn truncation_at_every_prefix_errors_cleanly() {
     // One representative manifest, every strict prefix: must error, never
     // panic, never decode.
     let mut rng = StdRng::seed_from_u64(0x5AAD_2000);
-    let index = arb_index(&mut rng);
-    let mut buf = Vec::new();
-    storage::save(&index, &mut buf).unwrap();
-    for cut in 0..buf.len() {
-        assert!(
-            storage::load(Cursor::new(&buf[..cut])).is_err(),
-            "prefix {cut}/{} decoded as a full manifest",
-            buf.len()
-        );
-        // The one-shard load (a `--shard-only` backend's start-up read)
-        // runs the same reader: no prefix may satisfy it either.
-        for sid in 0..index.shard_count() {
+    for index in with_one_shard(arb_index(&mut rng)) {
+        let s = index.shard_count();
+        let mut buf = Vec::new();
+        storage::save(&index, &mut buf).unwrap();
+        for cut in 0..buf.len() {
             assert!(
-                storage::load_one_shard(Cursor::new(&buf[..cut]), sid).is_err(),
-                "prefix {cut}/{} decoded as shard {sid} of a manifest",
+                storage::load(Cursor::new(&buf[..cut])).is_err(),
+                "S = {s}: prefix {cut}/{} decoded as a full manifest",
                 buf.len()
             );
+            // The one-shard load (a `--shard-only` backend's start-up read)
+            // runs the same reader: no prefix may satisfy it either.
+            for sid in 0..s {
+                assert!(
+                    storage::load_one_shard(Cursor::new(&buf[..cut]), sid).is_err(),
+                    "S = {s}: prefix {cut}/{} decoded as shard {sid} of a manifest",
+                    buf.len()
+                );
+            }
         }
     }
 }
@@ -118,35 +129,64 @@ fn random_single_byte_corruption_never_panics() {
     // (timings and values are arbitrary bytes), but it must never panic,
     // and any index it does produce must be structurally sound.
     let mut rng = StdRng::seed_from_u64(0x5AAD_3000);
-    let index = arb_index(&mut rng);
-    let mut buf = Vec::new();
-    storage::save(&index, &mut buf).unwrap();
-    for trial in 0..256 {
-        let pos = rng.gen_range(0..buf.len());
-        let bit = 1u8 << rng.gen_range(0..8);
-        let mut bad = buf.clone();
-        bad[pos] ^= bit;
-        if let Ok(loaded) = storage::load(Cursor::new(&bad)) {
-            assert_eq!(loaded.node_count(), index.node_count(), "trial {trial} (flip at {pos})");
-            let covered: usize = loaded.shards().iter().map(|s| s.len()).sum();
-            assert_eq!(covered, loaded.node_count(), "trial {trial} (flip at {pos})");
-            for u in 0..loaded.node_count() as u32 {
-                let _ = loaded.state(u); // resolvable through the shard map
-            }
-        }
-        // Same bytes through the one-shard load, for every shard id (a
-        // flipped shard count may put some ids out of range — an error).
-        for sid in 0..index.shard_count() {
-            if let Ok(one) = storage::load_one_shard(Cursor::new(&bad), sid) {
-                assert_eq!(one.owned_shard(), Some(sid), "trial {trial} (flip at {pos})");
-                assert_eq!(one.node_count(), index.node_count(), "trial {trial} (flip at {pos})");
-                let owned = one.owned_range();
-                assert_eq!(owned, one.shard_map().range(sid), "trial {trial} (flip at {pos})");
-                assert_eq!(one.iter_states().count(), owned.len());
-                for u in owned {
-                    let _ = one.state(u);
+    for index in with_one_shard(arb_index(&mut rng)) {
+        let s = index.shard_count();
+        let mut buf = Vec::new();
+        storage::save(&index, &mut buf).unwrap();
+        for trial in 0..256 {
+            let pos = rng.gen_range(0..buf.len());
+            let bit = 1u8 << rng.gen_range(0..8);
+            let mut bad = buf.clone();
+            bad[pos] ^= bit;
+            let at = format!("S = {s}, trial {trial} (flip at {pos})");
+            if let Ok(loaded) = storage::load(Cursor::new(&bad)) {
+                assert_eq!(loaded.node_count(), index.node_count(), "{at}");
+                let covered: usize = loaded.shards().iter().map(|s| s.len()).sum();
+                assert_eq!(covered, loaded.node_count(), "{at}");
+                for u in 0..loaded.node_count() as u32 {
+                    let _ = loaded.state(u); // resolvable through the shard map
                 }
             }
+            // Same bytes through the one-shard load, for every shard id (a
+            // flipped shard count may put some ids out of range — an error).
+            for sid in 0..s {
+                if let Ok(one) = storage::load_one_shard(Cursor::new(&bad), sid) {
+                    assert_eq!(one.owned_shard(), Some(sid), "{at}");
+                    assert_eq!(one.node_count(), index.node_count(), "{at}");
+                    let owned = one.owned_range();
+                    assert_eq!(owned, one.shard_map().range(sid), "{at}");
+                    assert_eq!(one.iter_states().count(), owned.len());
+                    for u in owned {
+                        let _ = one.state(u);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn pre_manifest_snapshots_are_refused_by_their_magic() {
+    // The retired pre-sharding blob opened with the manifest's magic with
+    // `INDX` in place of `MANI`. There is no importer: such a file must
+    // fail on its first 8 bytes with a `BadMagic` naming both tags — no
+    // panic, no partial decode.
+    let mut rng = StdRng::seed_from_u64(0x5AAD_6000);
+    for index in with_one_shard(arb_index(&mut rng)) {
+        let mut bytes = Vec::new();
+        storage::save(&index, &mut bytes).unwrap();
+        bytes[3..7].copy_from_slice(b"INDX");
+        let old_magic: [u8; 8] = bytes[..8].try_into().unwrap();
+        let refused = |r: Result<ReverseIndex, IndexError>| match r {
+            Err(IndexError::Decode(DecodeError::BadMagic { expected, found })) => {
+                expected == *storage::MANIFEST_MAGIC && found == old_magic
+            }
+            _ => false,
+        };
+        let s = index.shard_count();
+        assert!(refused(storage::load(Cursor::new(&bytes))), "S = {s}: load");
+        for sid in 0..s {
+            assert!(refused(storage::load_one_shard(Cursor::new(&bytes), sid)), "S = {s}: {sid}");
         }
     }
 }

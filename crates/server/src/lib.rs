@@ -132,7 +132,7 @@
 //!   answer down by phase (PMPN solve / screen / commit), and the router
 //!   stitches each backend's sub-trace under a per-shard span annotated
 //!   with the replica that answered and whether a hedge or failover
-//!   fired. Untraced requests encode byte-identically to wire v5 and
+//!   fired. Untraced requests carry no trace bytes on the wire and
 //!   take **zero** timing syscalls on the trace path; traced answers are
 //!   bitwise-equal to untraced ones (the determinism contract — pinned
 //!   by `tests/trace_observability.rs` at the workspace root).

@@ -46,32 +46,22 @@ pub use rtk_api::model::{
 
 /// Magic tag opening every frame.
 pub const WIRE_MAGIC: &[u8; 8] = b"RTKWIRE1";
-/// Current protocol version (2 added `persist`, per-shard stats, and the
-/// `busy` backpressure status; 3 added the shard-scoped
-/// `shard_reverse_topk` pair and the per-request auth-token field; 4 made
-/// the protocol **pipelined**: a `u64` request id in every frame header,
-/// out-of-order responses, and the `inflight_peak` / `inflight_rejections`
-/// stats fields; 5 replaced the `degraded_backends` stats field with the
+/// Current protocol version; peers must match it exactly (see
+/// [`read_frame`]). 2 added `persist`, per-shard stats, and the `busy`
+/// backpressure status; 3 the shard-scoped `shard_reverse_topk` pair and
+/// the per-request auth-token field; 4 made the protocol **pipelined**: a
+/// `u64` request id in every frame header, out-of-order responses, and the
+/// `inflight_peak` / `inflight_rejections` stats fields; 5 the
 /// replicated-router health triple `unhealthy_backends` /
-/// `hedged_requests` / `failovers`; 6 added the opt-in **trace** flag on
-/// `reverse_topk` / `shard_reverse_topk` requests, the optional trailing
-/// trace section on their responses, and the per-kind latency section of
-/// the stats snapshot — untraced v6 frames are byte-identical in shape to
-/// v5, so tracing costs nothing on the wire unless asked for; 7 added the
-/// dynamic-graph update pair `add_edge` / `remove_edge`, the `updated`
-/// response carrying the recompute effect plus the post-update index
-/// digest, and the `add_edge` / `remove_edge` counters + `index_digest`
-/// field of the stats snapshot; 8 generalized the trailing trace flag of
-/// `reverse_topk` / `shard_reverse_topk` requests into a **tail-flags
-/// word** carrying the optional approx knob (ε / walks / seed), the
-/// optional router-shipped PMPN vector, and the `want_pmpn` bit — a
-/// trace-only tail still encodes as the single word `1`, so every v7
-/// request frame is byte-identical under v8; responses gained the same
-/// flags word ahead of their optional tail sections (trace, approx
-/// counters, returned PMPN vector), and the stats snapshot gained its
-/// versioned approx-counter tail — untraced non-approx frames are
-/// byte-identical in shape to v7).
-pub const WIRE_VERSION: u32 = 8;
+/// `hedged_requests` / `failovers`; 6 the opt-in **trace** on
+/// `reverse_topk` / `shard_reverse_topk` and the per-kind latency section
+/// of the stats snapshot; 7 the dynamic-graph update pair `add_edge` /
+/// `remove_edge`, the `updated` response, and the update counters +
+/// `index_digest` stats fields; 8 the **tail-flags word** on query
+/// requests and responses (trace, approx knob and counters, shipped and
+/// returned PMPN vectors, `want_pmpn`) and the approx stats counters; 9
+/// made those counters plain fixed fields of the stats snapshot.
+pub const WIRE_VERSION: u32 = 9;
 /// Default per-frame payload cap (16 MiB) — generous for batch responses,
 /// small enough that a malicious length prefix cannot balloon memory.
 pub const DEFAULT_MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
@@ -92,13 +82,12 @@ const TAG_SHARD_REVERSE_TOPK: u32 = 7;
 const TAG_ADD_EDGE: u32 = 8;
 const TAG_REMOVE_EDGE: u32 = 9;
 
-/// Tail-flags bits (wire v8). On requests the word follows the fixed
-/// fields of `reverse_topk` / `shard_reverse_topk`; on responses it
-/// follows the fixed query result. Each set bit announces one optional
-/// section, appended in bit order. The word itself is trailing-optional:
-/// a payload that ends at the fixed fields means "no flags set", which
-/// keeps plain v7 frames byte-identical — and a trace-only tail is the
-/// word `1`, exactly the byte shape of the v7 trace flag.
+/// Tail-flags bits. On requests the word follows the fixed fields of
+/// `reverse_topk` / `shard_reverse_topk`; on responses it follows the
+/// fixed query result. Each set bit announces one optional section,
+/// appended in bit order. The word itself is trailing-optional: a payload
+/// that ends at the fixed fields means "no flags set", so a plain query
+/// pays no bytes for the features it does not use.
 const FLAG_TRACE: u32 = 1;
 /// Approx knob on requests (`f64` ε, `u32` walks, `u64` seed); approx
 /// counter block on responses (3 × `u64`).
@@ -172,8 +161,7 @@ pub fn encode_request_authed(req: &Request, token: &[u8]) -> Vec<u8> {
             codec::write_u32(w, *k).unwrap();
             codec::write_u32(w, u32::from(*update)).unwrap();
             // The tail-flags word is trailing-optional: plain requests
-            // omit it entirely (byte-identical to v5..v7), and trace-only
-            // requests write the word `1` — the v7 trace-flag bytes.
+            // omit it entirely.
             write_request_tail(w, *trace, approx.as_ref(), None, false);
         }
         Request::ShardReverseTopk { q, k, update, trace, approx, pmpn, want_pmpn } => {
@@ -469,7 +457,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ServerError> {
     Ok(resp)
 }
 
-/// Decoded request tail (wire v8): everything the tail-flags word can
+/// Decoded request tail: everything the tail-flags word can
 /// announce after a query request's fixed fields.
 #[derive(Default)]
 struct RequestTail {
@@ -516,8 +504,8 @@ fn write_request_tail<W: Write>(
     }
 }
 
-/// Reads the trailing-optional tail of a query request: absent (a plain
-/// v7-shaped payload) means no feature engaged. `allowed` masks the bits
+/// Reads the trailing-optional tail of a query request: absent means no
+/// feature engaged. `allowed` masks the bits
 /// this request kind may carry — anything else is corrupt, so a future
 /// flag cannot be silently dropped by an older server.
 fn read_request_tail(
@@ -561,7 +549,7 @@ fn read_request_tail(
     Ok(tail)
 }
 
-/// Decoded response tail (wire v8): the optional sections a single-result
+/// Decoded response tail: the optional sections a single-result
 /// answer can append after its fixed query result.
 #[derive(Default)]
 struct ResultTail {
@@ -910,20 +898,6 @@ mod tests {
     }
 
     #[test]
-    fn v6_peer_is_rejected_not_misparsed() {
-        // v7 added request tags 8/9 and the stats digest field; a v6 peer
-        // must be turned away with both versions named, not half-parsed.
-        let mut buf = Vec::new();
-        codec::write_header(&mut buf, WIRE_MAGIC, 6).unwrap();
-        codec::write_u64(&mut buf, 1).unwrap();
-        codec::write_u32(&mut buf, 0).unwrap();
-        assert!(matches!(
-            read_frame(&mut Cursor::new(buf), 1024).unwrap_err(),
-            DecodeError::UnsupportedVersion { found: 6, supported: WIRE_VERSION }
-        ));
-    }
-
-    #[test]
     fn add_edge_weight_is_validated_at_the_codec() {
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             let mut payload = Vec::new();
@@ -987,8 +961,8 @@ mod tests {
 
     #[test]
     fn untraced_frames_carry_zero_trace_overhead() {
-        // An untraced v6 request is byte-shaped exactly like v5: empty
-        // token (8) + tag (4) + q/k/update (12) = 24 bytes, no flag.
+        // An untraced request carries no flags word: empty token (8) +
+        // tag (4) + q/k/update (12) = 24 bytes.
         let plain = encode_request(&Request::ReverseTopk {
             q: 7,
             k: 10,

@@ -1,8 +1,8 @@
 //! Wire v8 approx-codec property tests (seeded, mirror of `wire_v4.rs`).
 //!
-//! The v8 request/response tails are trailing-optional: a frame without
-//! the tail-flags word must decode exactly like a v7-shaped frame, a
-//! truncated tail must error (never panic), and the epsilon field must be
+//! The request/response tails are trailing-optional: a frame without the
+//! tail-flags word must decode as a plain query, a truncated tail must
+//! error (never panic), and the epsilon field must be
 //! finite and non-negative on the wire. These properties are pinned here
 //! over seeded random parameter draws.
 
@@ -73,8 +73,8 @@ fn shard_requests_round_trip_with_every_tail_combination() {
 
 /// Truncating the payload at every prefix either errors cleanly or — at
 /// exactly a tail-section boundary — decodes as the same request with the
-/// later tail features stripped (that *is* the v7 compatibility contract:
-/// an absent tail means a plain frame). No prefix may panic or decode to
+/// later tail features stripped (an absent tail means a plain frame). No
+/// prefix may panic or decode to
 /// anything else.
 #[test]
 fn truncation_at_every_prefix_errors_or_strips_the_tail() {
@@ -94,7 +94,7 @@ fn truncation_at_every_prefix_errors_or_strips_the_tail() {
         };
         let stripped = [
             // The only decodable proper prefix: the fixed fields with the
-            // whole tail absent (a v7-shaped plain frame).
+            // whole tail absent (a plain frame).
             Request::ShardReverseTopk {
                 q,
                 k,
@@ -155,10 +155,9 @@ fn unknown_tail_flag_bits_are_rejected() {
 
 #[test]
 fn plain_frames_stay_byte_identical_to_the_v7_shape() {
-    // A request with no v8 feature engaged must not grow a tail word: its
-    // payload must be byte-identical to the fixed v7 fields. The fixed
-    // part is pinned by decoding a prefix-truncated approx frame — the
-    // bytes before the tail *are* the v7 encoding.
+    // A request with no optional feature engaged must not grow a tail
+    // word: its payload is the fixed fields alone, and a tail only ever
+    // appends to them.
     let plain = Request::ReverseTopk { q: 11, k: 3, update: true, trace: false, approx: None };
     let approx = Request::ReverseTopk {
         q: 11,
@@ -176,8 +175,7 @@ fn plain_frames_stay_byte_identical_to_the_v7_shape() {
         "fixed fields unchanged by the tail"
     );
 
-    // Trace-only requests keep the v7 layout too: the v8 flags word in
-    // trace position carries the same value the v7 trace flag word did.
+    // A trace-only tail is the flags word `1` and nothing else.
     let traced = Request::ReverseTopk { q: 11, k: 3, update: true, trace: true, approx: None };
     let traced_payload = wire::encode_request(&traced);
     assert_eq!(traced_payload.len(), plain_payload.len() + 4, "trace tail is one u32");

@@ -77,13 +77,12 @@
 //! * **Scan scheduling** — the screen fan-out is per shard first (no work
 //!   unit crosses a shard boundary), the structural door to multi-process
 //!   serving where each shard lives in its own process;
-//! * **Persistence** — `S > 1` snapshots use a versioned **shard manifest**
-//!   format (`RTKMANI1`): shared hub matrix + one self-contained,
-//!   individually loadable section per shard (`RTKSHRD1`). `S = 1` keeps
-//!   writing the legacy `RTKINDX1` bytes, and legacy snapshots load
-//!   unchanged — byte-for-byte compatible in both directions;
-//! * **Operations** — `rtk shard split|merge|info` re-partitions a saved
-//!   index offline (states preserved bitwise), `rtk index info` and the
+//! * **Persistence** — every snapshot is a versioned **shard manifest**
+//!   (`RTKMANI1`): shared hub matrix + one self-contained, individually
+//!   loadable section per shard (`RTKSHRD1`); `S = 1` is the same layout
+//!   with one section;
+//! * **Operations** — `rtk shard split|info` re-partitions a saved index
+//!   offline (states preserved bitwise), `rtk index info` and the
 //!   server's `stats` report per-shard node counts and sizes.
 //!
 //! # Serving

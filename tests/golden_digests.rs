@@ -1,17 +1,22 @@
 //! Golden digests of the persisted index bytes across refactors.
 //!
-//! The values below were recorded with the two-engine tree (commit
-//! `944fd1a`: `ReverseTopkEngine` for the whole index, a separate engine
-//! type for one shard) *before* the two were folded into one, when
-//! `index_digest()` was FNV-1a 64 of exactly the bytes an engine persists —
-//! the `RTKINDX1` / `RTKMANI1` snapshot for a whole index, the `RTKSHRD1`
-//! section for one shard. `index_digest()` has since become a fold over
-//! cached per-record hashes, so this test hashes the persisted bytes itself
-//! (`persisted_digest`): the constants staying put proves the persisted
-//! bytes and the incremental update recompute (`affected ∩ owned`, kept runs
-//! included) came through every change since unchanged, for whole engines
-//! and for every one-shard engine. Beside each comparison it checks the new
-//! digest against the same fold computed cold from the entries.
+//! The `whole_s3` and `one_of_3` values were recorded with the two-engine
+//! tree (commit `944fd1a`: `ReverseTopkEngine` for the whole index, a
+//! separate engine type for one shard) *before* the two were folded into
+//! one, when `index_digest()` was FNV-1a 64 of exactly the bytes an engine
+//! persists — the `RTKMANI1` snapshot for a whole index, the `RTKSHRD1`
+//! section for one shard. The `whole_s1` values were re-recorded once, in
+//! PR 26, when the one-shard snapshot became a manifest too: each is FNV-1a
+//! 64 of the manifest the parent commit (`4805a27`) wrote for the same
+//! `canonical` engine through its explicit manifest writer, fresh and after
+//! the script. `index_digest()` has
+//! since become a fold over cached per-record hashes, so this test hashes
+//! the persisted bytes itself (`persisted_digest`): the constants staying
+//! put proves the persisted bytes and the incremental update recompute
+//! (`affected ∩ owned`, kept runs included) came through every change since
+//! unchanged, for whole engines and for every one-shard engine. Beside each
+//! comparison it checks the new digest against the same fold computed cold
+//! from the entries.
 //!
 //! Rounding is off (`ω = 0`): a rounded hub matrix persists an aggregate
 //! nnz count an incremental recompute cannot reproduce. Build timings are
@@ -29,7 +34,7 @@ const TOY_SCRIPT: Script =
 const RMAT_SCRIPT: Script =
     [(true, 3, 77, 1.0), (true, 40, 5, 2.5), (false, 3, 77, 0.0), (true, 12, 12, 1.0)];
 
-/// `(fresh, after the script)` digests, recorded at the parent commit.
+/// `(fresh, after the script)` digests (provenance in the module docs).
 struct Golden {
     whole_s1: (u64, u64),
     whole_s3: (u64, u64),
@@ -37,7 +42,7 @@ struct Golden {
 }
 
 const TOY: Golden = Golden {
-    whole_s1: (0xdfc90a561db86ada, 0xfb93a7f0002050a2),
+    whole_s1: (0x613324d480bc8b5c, 0x5e34e0331e83b8ac),
     whole_s3: (0xe2d60158786cb419, 0xedb846fd18adf349),
     one_of_3: [
         (0x40f1466bb4324be0, 0x756ec64e9cb4a031),
@@ -47,7 +52,7 @@ const TOY: Golden = Golden {
 };
 
 const RMAT: Golden = Golden {
-    whole_s1: (0x00ef11d52f958f30, 0x1d2fc015eaf5f205),
+    whole_s1: (0x5334bb33654cc61e, 0x127b514b603d156a),
     whole_s3: (0x395a9b83e7b62ad0, 0xce1e1b18078c1f22),
     one_of_3: [
         (0xbbf4e1489778a868, 0xd3b0bae80f674e0b),

@@ -6,9 +6,8 @@
 //! to tune freely: sharding, like threading, may only change wall time and
 //! storage layout, never answers.
 //!
-//! Also pins the persistence compatibility contract: an `S = 1` save is
-//! byte-for-byte the legacy `RTKINDX1` format, and loading such a legacy
-//! snapshot reproduces the index exactly.
+//! Also pins persistence: snapshots of every shard count — one included —
+//! round-trip through the manifest and keep answering identically.
 
 use rtk_graph::gen::{erdos_renyi, rmat, ErdosRenyiConfig, RmatConfig};
 use rtk_graph::{DiGraph, TransitionMatrix};
@@ -166,8 +165,10 @@ fn strict_mode_sharded_queries_match_unsharded() {
     }
 }
 
-/// Sharded snapshots round-trip through the manifest format, and a
-/// re-loaded sharded index keeps answering bitwise-identically.
+/// Snapshots of every shard count round-trip through the manifest format:
+/// a re-loaded index — freshly built or refined by update-mode queries —
+/// holds every state bitwise and re-saves to the same bytes, and a
+/// re-loaded built index keeps answering bitwise-identically.
 #[test]
 fn sharded_snapshots_round_trip_and_answer_identically() {
     let (_, graph) = &test_graphs()[2]; // one R-MAT instance is plenty
@@ -175,61 +176,33 @@ fn sharded_snapshots_round_trip_and_answer_identically() {
     let baseline =
         ReverseIndex::build(&transition, index_config(BoundMode::PaperFaithful, 1)).unwrap();
     let reference = run_workload(&transition, &baseline, true, BoundMode::PaperFaithful);
-    for shards in SHARD_COUNTS {
-        let mut sharded = baseline.clone();
+    let round_trip = |index: &ReverseIndex, shards: usize| {
+        let mut sharded = index.clone();
         sharded.repartition(shards);
         let mut buf = Vec::new();
         rtk_index::storage::save(&sharded, &mut buf).unwrap();
-        let loaded = rtk_index::storage::load(std::io::Cursor::new(buf)).unwrap();
+        assert_eq!(&buf[..8], rtk_index::storage::MANIFEST_MAGIC, "shards={shards}");
+        let loaded = rtk_index::storage::load(std::io::Cursor::new(&buf)).unwrap();
         assert_eq!(loaded.shard_count(), shards);
+        for u in 0..graph.node_count() as u32 {
+            assert_eq!(loaded.state(u), index.state(u), "shards={shards} node {u}");
+        }
+        let mut resaved = Vec::new();
+        rtk_index::storage::save(&loaded, &mut resaved).unwrap();
+        assert_eq!(buf, resaved, "shards={shards}: load + save must reproduce the bytes");
+        loaded
+    };
+    for shards in [1].into_iter().chain(SHARD_COUNTS) {
+        round_trip(&reference.1, shards);
+        let loaded = round_trip(&baseline, shards);
         let got = run_workload(&transition, &loaded, true, BoundMode::PaperFaithful);
         assert_equivalent("manifest-round-trip", shards, &reference, &got);
     }
 }
 
-/// The legacy-compat contract: an `S = 1` index writes the pre-sharding
-/// `RTKINDX1` bytes, loads them back state-identically, and re-saves them
-/// byte-for-byte — so snapshots written before sharding existed keep
-/// working unchanged, and vice versa.
-#[test]
-fn single_shard_engine_is_byte_compatible_with_legacy_snapshots() {
-    let (_, graph) = &test_graphs()[0];
-    let transition = TransitionMatrix::new(graph);
-    let mut index =
-        ReverseIndex::build(&transition, index_config(BoundMode::PaperFaithful, 1)).unwrap();
-
-    // Refine it first, so the snapshot carries non-trivial update state.
-    let mut session = QueryEngine::new(&index);
-    for (q, k) in sample_queries(graph.node_count(), index.max_k()) {
-        session.query(&transition, &mut index, q, k, &QueryOptions::default()).unwrap();
-    }
-
-    // "Pre-existing" legacy snapshot: written by the explicit legacy writer.
-    let mut legacy = Vec::new();
-    rtk_index::storage::save_legacy(&index, &mut legacy).unwrap();
-    assert_eq!(&legacy[..8], rtk_index::storage::INDEX_MAGIC);
-
-    // The dispatching save of an S=1 index must produce those exact bytes.
-    let mut via_save = Vec::new();
-    rtk_index::storage::save(&index, &mut via_save).unwrap();
-    assert_eq!(legacy, via_save, "S=1 save must be the legacy byte stream");
-
-    // Loading the legacy bytes reproduces every state bitwise…
-    let loaded = rtk_index::storage::load(std::io::Cursor::new(legacy.clone())).unwrap();
-    assert_eq!(loaded.shard_count(), 1);
-    for u in 0..graph.node_count() as u32 {
-        assert_eq!(loaded.state(u), index.state(u), "node {u}");
-    }
-
-    // …and re-saving the loaded index reproduces the file bitwise.
-    let mut resaved = Vec::new();
-    rtk_index::storage::save(&loaded, &mut resaved).unwrap();
-    assert_eq!(legacy, resaved, "legacy snapshot must survive load+save byte-for-byte");
-}
-
-/// Engine-level compatibility: a `ReverseTopkEngine` snapshot containing a
-/// legacy (single-shard) index section loads and re-saves byte-for-byte,
-/// and sharded engine snapshots answer identically after a round-trip.
+/// Engine snapshots: an `S = 1` engine snapshot loads and re-saves
+/// byte-for-byte, and engines re-sharded from it answer identically after
+/// a round-trip.
 #[test]
 fn engine_snapshots_round_trip_across_shard_counts() {
     use reverse_topk_rwr::prelude::*;
@@ -242,17 +215,17 @@ fn engine_snapshots_round_trip_across_shard_counts() {
         .unwrap();
     let expected = engine.query(NodeId(7), 5).unwrap();
 
-    // Legacy engine snapshot (S = 1): byte-stable across load + save.
-    let mut legacy = Vec::new();
-    engine.save(&mut legacy).unwrap();
-    let loaded = ReverseTopkEngine::load(std::io::Cursor::new(legacy.clone())).unwrap();
+    // One-shard engine snapshot: byte-stable across load + save.
+    let mut single = Vec::new();
+    engine.save(&mut single).unwrap();
+    let loaded = ReverseTopkEngine::load(std::io::Cursor::new(&single)).unwrap();
     assert_eq!(loaded.shard_count(), 1);
     let mut resaved = Vec::new();
     loaded.save(&mut resaved).unwrap();
-    assert_eq!(legacy, resaved);
+    assert_eq!(single, resaved);
 
     for shards in SHARD_COUNTS {
-        let mut sharded = ReverseTopkEngine::load(std::io::Cursor::new(legacy.clone())).unwrap();
+        let mut sharded = ReverseTopkEngine::load(std::io::Cursor::new(&single)).unwrap();
         sharded.reshard(shards);
         let mut buf = Vec::new();
         sharded.save(&mut buf).unwrap();
