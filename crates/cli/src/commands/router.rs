@@ -1,9 +1,11 @@
 //! `rtk router` — the client-facing fan-out process in front of per-shard
 //! `rtk serve --shard-only` backends. Several backends may announce the
 //! same shard range; they form a replica set the router load-balances
-//! across, health-checks, and fails over within (`--hedge-quantile`,
+//! across, health-checks, and fails over within. A cut pooled connection
+//! retries once on a fresh dial before a replica counts as failed; edge
+//! updates never retry. `--hedge-quantile`, `--hedge-min-delay-ms` and
 //! `--probe-interval-ms` tune the tail-latency hedging and re-admission
-//! probing).
+//! probing.
 
 use crate::args::Parsed;
 use rtk_server::{Router, RouterConfig};
@@ -76,7 +78,6 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
             }
             std::time::Duration::from_millis(ms)
         },
-        health_seed: args.get_num("health-seed", defaults.health_seed)?,
         metrics_addr: args.get("metrics-addr").map(str::to_string),
     };
 

@@ -20,7 +20,7 @@ use std::time::Duration;
 ///
 /// Every request frame carries a client-chosen `u64` request id (wire v4),
 /// so a connection may have **many requests in flight**: [`Client::submit`]
-/// (and its typed `submit_*` siblings) writes a frame and returns a
+/// (and its typed sibling [`Client::submit_query`]) writes a frame and returns a
 /// [`Pending`] handle immediately, [`Client::wait`] blocks until *that*
 /// request's response arrives — re-associating out-of-order responses by
 /// id and parking the ones that belong to other in-flight requests.
@@ -279,14 +279,6 @@ impl Client {
         ClientBuilder::new().connect(addr)
     }
 
-    /// Connects with a timeout applied to the TCP connect only.
-    pub fn connect_timeout(
-        addr: &std::net::SocketAddr,
-        timeout: Duration,
-    ) -> Result<Self, ServerError> {
-        ClientBuilder::new().connect_timeout(timeout).connect(addr)
-    }
-
     fn from_stream(stream: TcpStream) -> Result<Self, ServerError> {
         stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
@@ -353,39 +345,6 @@ impl Client {
     ) -> Result<Pending<WireQueryResult>, ServerError> {
         let QueryCall { q, k, update, trace, approx } = *call;
         self.submit_typed(&Request::ReverseTopk { q, k, update, trace, approx })
-    }
-
-    /// [`Self::submit`] with a typed handle for a shard-scoped query:
-    /// `pmpn` ships a precomputed PMPN vector for the backend to reuse, and
-    /// `want_pmpn` asks for the solved vector back (the router's ship-once
-    /// optimization).
-    pub fn submit_shard_query(
-        &mut self,
-        call: &QueryCall,
-        pmpn: Option<&[f64]>,
-        want_pmpn: bool,
-    ) -> Result<Pending<WireShardResult>, ServerError> {
-        let QueryCall { q, k, update, trace, approx } = *call;
-        let pmpn = pmpn.map(<[f64]>::to_vec);
-        self.submit_typed(&Request::ShardReverseTopk {
-            q,
-            k,
-            update,
-            trace,
-            approx,
-            pmpn,
-            want_pmpn,
-        })
-    }
-
-    /// [`Self::submit`] with a typed handle for a forward top-k search.
-    pub fn submit_topk(
-        &mut self,
-        u: u32,
-        k: u32,
-        early: bool,
-    ) -> Result<Pending<WireTopk>, ServerError> {
-        self.submit_typed(&Request::Topk { u, k, early })
     }
 
     fn submit_typed<T>(&mut self, request: &Request) -> Result<Pending<T>, ServerError> {
@@ -560,7 +519,17 @@ impl Client {
         pmpn: Option<&[f64]>,
         want_pmpn: bool,
     ) -> Result<WireShardResult, ServerError> {
-        let pending = self.submit_shard_query(call, pmpn, want_pmpn)?;
+        let QueryCall { q, k, update, trace, approx } = *call;
+        let pmpn = pmpn.map(<[f64]>::to_vec);
+        let pending = self.submit_typed(&Request::ShardReverseTopk {
+            q,
+            k,
+            update,
+            trace,
+            approx,
+            pmpn,
+            want_pmpn,
+        })?;
         self.wait(pending)
     }
 
@@ -589,7 +558,7 @@ impl Client {
 
     /// Forward top-k proximity search from `u`.
     pub fn topk(&mut self, u: u32, k: u32, early: bool) -> Result<WireTopk, ServerError> {
-        let pending = self.submit_topk(u, k, early)?;
+        let pending = self.submit_typed(&Request::Topk { u, k, early })?;
         self.wait(pending)
     }
 

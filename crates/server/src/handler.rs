@@ -12,9 +12,9 @@
 //! connection's (or even the same connection's) cheap requests.
 //!
 //! The machinery is generic over a (crate-private) `ServiceHost` trait so
-//! the same framing, limits, auth check, and shutdown discipline serve both
-//! hosts in this crate: the engine-backed [`crate::Server`] and the fan-out
-//! [`crate::Router`]. Request execution itself goes through
+//! the same framing, limits, auth check, and shutdown discipline — one
+//! `Host` struct both embed — serve both hosts in this crate: the
+//! engine-backed [`crate::Server`] and the fan-out [`crate::Router`]. Request execution itself goes through
 //! [`rtk_api::service::dispatch_request`] against each host's
 //! [`rtk_api::RtkService`] view — the request enum is never matched here.
 
@@ -26,7 +26,7 @@ use crate::wire::{
 };
 use rtk_sparse::codec::{self, DecodeError};
 use std::io::{self, Read};
-use std::net::TcpStream;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -42,26 +42,82 @@ const IDLE_POLL: Duration = Duration::from_millis(100);
 /// is dropped with the connection.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// What a process serving the wire protocol provides to the shared
-/// connection machinery: limits, metrics, the shutdown flag, the optional
-/// auth token, and the request dispatcher itself.
-pub(crate) trait ServiceHost: Send + Sync + 'static {
+/// The serving state every wire host owns: limits, metrics, the shutdown
+/// flag, the optional auth token, and the connection counter.
+pub(crate) struct Host {
     /// The host's request metrics.
-    fn metrics(&self) -> &ServerMetrics;
+    pub(crate) metrics: ServerMetrics,
     /// The shutdown flag the readers poll.
-    fn shutdown_flag(&self) -> &AtomicBool;
+    pub(crate) shutdown: AtomicBool,
     /// Per-frame payload cap, both directions.
-    fn max_frame_bytes(&self) -> u32;
+    pub(crate) max_frame_bytes: u32,
     /// When set, every request's token must match (constant-time compare).
-    fn auth_token(&self) -> Option<&[u8]>;
+    /// Kept as the original string: a router also presents it to backends.
+    pub(crate) auth_token: Option<String>,
     /// Admitted (reader alive) connection counter.
-    fn active_connections(&self) -> &AtomicU64;
+    pub(crate) active_connections: AtomicU64,
     /// Backpressure cap on connections (`0` = unlimited).
-    fn max_connections(&self) -> usize;
+    pub(crate) max_connections: usize,
     /// Pipeline-depth cap per connection (`0` = unlimited): requests
     /// arriving while this many are already in flight on the connection
     /// are answered with a `busy` frame instead of queuing.
-    fn max_inflight(&self) -> usize;
+    pub(crate) max_inflight: usize,
+    /// Where the listener is bound — used to self-connect on shutdown so a
+    /// blocked `accept` wakes up without busy-polling.
+    pub(crate) local_addr: SocketAddr,
+}
+
+impl Host {
+    pub(crate) fn new(
+        local_addr: SocketAddr,
+        max_frame_bytes: u32,
+        auth_token: Option<String>,
+        max_connections: usize,
+        max_inflight: usize,
+    ) -> Self {
+        Self {
+            metrics: ServerMetrics::new(),
+            shutdown: AtomicBool::new(false),
+            max_frame_bytes,
+            auth_token,
+            active_connections: AtomicU64::new(0),
+            max_connections,
+            max_inflight,
+            local_addr,
+        }
+    }
+
+    /// Whether shutdown has been requested.
+    pub(crate) fn shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Flags shutdown and wakes the accept loop.
+    pub(crate) fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        wake_acceptor(self.local_addr);
+    }
+}
+
+/// Connects to the (possibly wildcard-bound) listener so a blocked `accept`
+/// returns and observes the shutdown flag.
+fn wake_acceptor(mut wake: SocketAddr) {
+    // Wildcard binds (0.0.0.0 / ::) are not connectable addresses on
+    // every platform — wake the acceptor through loopback instead.
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    let _ = TcpStream::connect(wake);
+}
+
+/// What a process serving the wire protocol provides to the shared
+/// connection machinery: its [`Host`] state and the request dispatcher.
+pub(crate) trait ServiceHost: Send + Sync + 'static {
+    /// Limits, metrics, shutdown flag, auth token.
+    fn host(&self) -> &Host;
     /// Deterministic fault injection, when configured (`rtk serve
     /// --chaos`). The default host serves faithfully.
     fn chaos(&self) -> Option<&ChaosState> {
@@ -69,8 +125,6 @@ pub(crate) trait ServiceHost: Send + Sync + 'static {
     }
     /// Executes one (already authenticated) request.
     fn dispatch(&self, request: Request) -> (RequestKind, Response);
-    /// Flags shutdown and wakes the accept loop.
-    fn begin_shutdown(&self);
 }
 
 /// The write half of a connection, shared between its reader and every
@@ -118,15 +172,16 @@ pub(crate) struct Job {
 /// response write (tagged with the job's request id), inflight bookkeeping,
 /// and — for an acknowledged shutdown — flipping the host's flag *after*
 /// the acknowledgement is on the wire.
-pub(crate) fn execute_job<H: ServiceHost>(job: Job, host: &H) {
+pub(crate) fn execute_job<H: ServiceHost>(job: Job, ctx: &H) {
     let Job { conn, request_id, request, accepted } = job;
+    let host = ctx.host();
     let kind = request.kind();
     // A panicking request costs one error response, not the worker: the
     // bookkeeping below must run or the connection's inflight count and the
     // waiting client are stranded. Unwind safety: everything a host shares
     // sits behind locks and atomics, and lock poisoning is left alone — after
     // a panic under the engine's write lock every later request fails loudly.
-    let dispatched = std::panic::catch_unwind(AssertUnwindSafe(|| host.dispatch(request).1));
+    let dispatched = std::panic::catch_unwind(AssertUnwindSafe(|| ctx.dispatch(request).1));
     let response = dispatched.unwrap_or_else(|_| {
         // The panic hook has already logged the message and its location.
         let message = format!("internal error: the {} handler panicked", kind.name());
@@ -136,29 +191,29 @@ pub(crate) fn execute_job<H: ServiceHost>(job: Job, host: &H) {
     // error frame: sending it anyway would only be rejected client-side
     // after the transfer.
     let mut encoded = wire::encode_response(&response);
-    if encoded.len() as u64 > u64::from(host.max_frame_bytes()) {
+    if encoded.len() as u64 > u64::from(host.max_frame_bytes) {
         let err = Response::Error {
             code: wire::STATUS_ENGINE_ERROR,
             message: format!(
                 "response of {} bytes exceeds the {}-byte frame limit; split the request",
                 encoded.len(),
-                host.max_frame_bytes()
+                host.max_frame_bytes
             ),
         };
         encoded = wire::encode_response(&err);
-        host.metrics().record_engine_error();
+        host.metrics.record_engine_error();
     } else if matches!(response, Response::Error { code: wire::STATUS_ENGINE_ERROR, .. }) {
-        host.metrics().record_engine_error();
+        host.metrics.record_engine_error();
     } else {
-        host.metrics().record_request(kind, accepted.elapsed().as_secs_f64());
+        host.metrics.record_request(kind, accepted.elapsed().as_secs_f64());
     }
     // Chaos: the request *executed* (engine state is whatever it would
     // have been) — only the answer goes missing or late, exactly the
     // failure a crashed-after-commit or stalled backend produces.
-    if let Some(chaos) = host.chaos() {
+    if let Some(chaos) = ctx.chaos() {
         if chaos.drop_response() {
             conn.inflight.fetch_sub(1, Ordering::AcqRel);
-            host.metrics().end_request();
+            host.metrics.end_request();
             if kind == RequestKind::Shutdown {
                 host.begin_shutdown();
             }
@@ -172,7 +227,7 @@ pub(crate) fn execute_job<H: ServiceHost>(job: Job, host: &H) {
     // side and the remaining in-flight responses fail the same way.
     let _ = conn.send_encoded(request_id, &encoded);
     conn.inflight.fetch_sub(1, Ordering::AcqRel);
-    host.metrics().end_request();
+    host.metrics.end_request();
     if kind == RequestKind::Shutdown {
         host.begin_shutdown();
     }
@@ -194,12 +249,9 @@ enum FrameOutcome {
 /// shutdown, feeding decoded requests into the worker queue. Responses are
 /// written by the workers (out of order); this reader only ever writes
 /// *connection-level* error frames and `busy` rejections.
-pub(crate) fn read_connection<H: ServiceHost>(
-    stream: TcpStream,
-    host: &H,
-    jobs: mpsc::Sender<Job>,
-) {
-    host.metrics().record_connection();
+pub(crate) fn read_connection<H: ServiceHost>(stream: TcpStream, ctx: &H, jobs: mpsc::Sender<Job>) {
+    let host = ctx.host();
+    host.metrics.record_connection();
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
@@ -217,7 +269,7 @@ pub(crate) fn read_connection<H: ServiceHost>(
                 // tell the peer if the socket still works, drop the
                 // connection (resynchronizing a byte stream after garbage
                 // is not possible), and keep serving everyone else.
-                host.metrics().record_protocol_error();
+                host.metrics.record_protocol_error();
                 let resp = Response::Error {
                     code: STATUS_PROTOCOL_ERROR,
                     message: format!("malformed frame: {e}"),
@@ -231,7 +283,7 @@ pub(crate) fn read_connection<H: ServiceHost>(
                 let (token, request) = match wire::decode_request(&payload) {
                     Ok(r) => r,
                     Err(e) => {
-                        host.metrics().record_protocol_error();
+                        host.metrics.record_protocol_error();
                         let resp = Response::Error {
                             code: STATUS_PROTOCOL_ERROR,
                             message: format!("malformed request: {e}"),
@@ -244,9 +296,9 @@ pub(crate) fn read_connection<H: ServiceHost>(
                 // including shutdown — must present a matching one. The
                 // compare is constant-time so timing does not leak prefix
                 // matches; the connection is dropped after one failure.
-                if let Some(expected) = host.auth_token() {
-                    if !constant_time_eq(expected, &token) {
-                        host.metrics().record_auth_failure();
+                if let Some(expected) = host.auth_token.as_deref() {
+                    if !constant_time_eq(expected.as_bytes(), &token) {
+                        host.metrics.record_auth_failure();
                         let resp = Response::Error {
                             code: STATUS_UNAUTHORIZED,
                             message: "auth token missing or mismatched".to_string(),
@@ -259,9 +311,9 @@ pub(crate) fn read_connection<H: ServiceHost>(
                 // `busy` immediately and the connection stays up — the
                 // client backs off and re-submits; admitted requests keep
                 // their latency.
-                let cap = host.max_inflight();
+                let cap = host.max_inflight;
                 if cap > 0 && conn.inflight.load(Ordering::Acquire) >= cap as u64 {
-                    host.metrics().record_inflight_rejection();
+                    host.metrics.record_inflight_rejection();
                     let resp = Response::Error {
                         code: STATUS_BUSY,
                         message: format!(
@@ -275,13 +327,13 @@ pub(crate) fn read_connection<H: ServiceHost>(
                     continue;
                 }
                 conn.inflight.fetch_add(1, Ordering::AcqRel);
-                host.metrics().begin_request();
+                host.metrics.begin_request();
                 let job = Job { conn: Arc::clone(&conn), request_id, request, accepted };
                 if jobs.send(job).is_err() {
                     // Worker pool gone (shutdown drained) — undo the
                     // bookkeeping for the job that will never run.
                     conn.inflight.fetch_sub(1, Ordering::AcqRel);
-                    host.metrics().end_request();
+                    host.metrics.end_request();
                     break;
                 }
             }
@@ -289,7 +341,7 @@ pub(crate) fn read_connection<H: ServiceHost>(
         // Chaos: sever the whole connection after N frames — in-flight
         // responses are cut off mid-conversation, the failure a crashing
         // backend hands a pipelining router.
-        if let Some(limit) = host.chaos().and_then(|c| c.close_after_frames()) {
+        if let Some(limit) = ctx.chaos().and_then(|c| c.close_after_frames()) {
             if frames_read >= limit {
                 let _ = conn
                     .writer
@@ -299,7 +351,7 @@ pub(crate) fn read_connection<H: ServiceHost>(
                 break;
             }
         }
-        if host.shutdown_flag().load(Ordering::SeqCst) {
+        if host.shutting_down() {
             break;
         }
     }
@@ -310,7 +362,7 @@ pub(crate) fn read_connection<H: ServiceHost>(
 /// Only the *first* byte of a frame is allowed to wait indefinitely; once a
 /// frame has started, timeouts keep retrying (the peer is mid-write) unless
 /// shutdown is requested, in which case the connection is abandoned.
-fn read_frame_polling<H: ServiceHost>(stream: &mut TcpStream, host: &H) -> FrameOutcome {
+fn read_frame_polling(stream: &mut TcpStream, host: &Host) -> FrameOutcome {
     // Header: magic + version + request id + payload length.
     let mut header = [0u8; wire::FRAME_HEADER_BYTES];
     match read_exact_polling(stream, &mut header, true, host) {
@@ -340,12 +392,12 @@ fn read_frame_polling<H: ServiceHost>(stream: &mut TcpStream, host: &H) -> Frame
         Ok(l) => l,
         Err(e) => return FrameOutcome::Malformed(request_id, DecodeError::Io(e)),
     };
-    if len > host.max_frame_bytes() {
+    if len > host.max_frame_bytes {
         return FrameOutcome::Malformed(
             request_id,
             DecodeError::Corrupt(format!(
                 "frame payload of {len} bytes exceeds limit {}",
-                host.max_frame_bytes()
+                host.max_frame_bytes
             )),
         );
     }
@@ -368,11 +420,11 @@ enum ReadStatus {
 
 /// `read_exact` over a timeout-polled socket. `idle_ok` marks the position
 /// between frames, where EOF and shutdown are clean exits.
-fn read_exact_polling<H: ServiceHost>(
+fn read_exact_polling(
     stream: &mut TcpStream,
     buf: &mut [u8],
     idle_ok: bool,
-    host: &H,
+    host: &Host,
 ) -> ReadStatus {
     let mut filled = 0usize;
     while filled < buf.len() {
@@ -389,7 +441,7 @@ fn read_exact_polling<H: ServiceHost>(
             }
             Ok(n) => filled += n,
             Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                if host.shutdown_flag().load(Ordering::SeqCst) {
+                if host.shutting_down() {
                     // Idle between frames: clean close. Mid-frame: abandon.
                     return if filled == 0 && idle_ok {
                         ReadStatus::Closed
@@ -414,34 +466,11 @@ mod tests {
     use crate::Client;
 
     /// Answers `ping` and `shutdown`; panics on every other kind.
-    struct PanickyHost {
-        metrics: ServerMetrics,
-        shutdown: AtomicBool,
-        connections: AtomicU64,
-        addr: std::net::SocketAddr,
-    }
+    struct PanickyHost(Host);
 
     impl ServiceHost for PanickyHost {
-        fn metrics(&self) -> &ServerMetrics {
-            &self.metrics
-        }
-        fn shutdown_flag(&self) -> &AtomicBool {
-            &self.shutdown
-        }
-        fn max_frame_bytes(&self) -> u32 {
-            wire::DEFAULT_MAX_FRAME_BYTES
-        }
-        fn auth_token(&self) -> Option<&[u8]> {
-            None
-        }
-        fn active_connections(&self) -> &AtomicU64 {
-            &self.connections
-        }
-        fn max_connections(&self) -> usize {
-            0
-        }
-        fn max_inflight(&self) -> usize {
-            0
+        fn host(&self) -> &Host {
+            &self.0
         }
         fn dispatch(&self, request: Request) -> (RequestKind, Response) {
             match request {
@@ -450,22 +479,14 @@ mod tests {
                 other => panic!("no handler for {}", other.kind().name()),
             }
         }
-        fn begin_shutdown(&self) {
-            self.shutdown.store(true, Ordering::SeqCst);
-            crate::server::wake_acceptor(self.addr);
-        }
     }
 
     #[test]
     fn a_panicking_request_costs_one_error_frame_not_the_worker() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let host = Arc::new(PanickyHost {
-            metrics: ServerMetrics::new(),
-            shutdown: AtomicBool::new(false),
-            connections: AtomicU64::new(0),
-            addr,
-        });
+        let host =
+            Arc::new(PanickyHost(Host::new(addr, wire::DEFAULT_MAX_FRAME_BYTES, None, 0, 0)));
         let serving = {
             let host = Arc::clone(&host);
             std::thread::spawn(move || crate::server::serve_loop(listener, host, 1))
@@ -478,6 +499,6 @@ mod tests {
         client.ping().unwrap();
         client.shutdown().unwrap();
         serving.join().unwrap().unwrap();
-        assert_eq!(host.metrics.inflight(), 0);
+        assert_eq!(host.0.metrics.inflight(), 0);
     }
 }

@@ -14,6 +14,7 @@
 //! the backends, so a scrape can never perturb query answers or health
 //! state (the determinism contract extends to observers).
 
+use crate::handler::ServiceHost;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -27,13 +28,11 @@ const ACCEPT_POLL: Duration = Duration::from_millis(100);
 /// Request headers beyond this are ignored (a scrape request is tiny).
 const MAX_REQUEST_BYTES: usize = 8192;
 
-/// What the endpoint serves: a Prometheus text rendering plus the
-/// process's shutdown flag (the thread exits when `done` turns true).
-pub(crate) trait MetricsSource: Send + Sync + 'static {
+/// What the endpoint serves: a Prometheus text rendering of a wire host
+/// (the thread exits once the host starts shutting down).
+pub(crate) trait MetricsSource: ServiceHost {
     /// Renders the current counters in Prometheus text format.
     fn render_metrics(&self) -> String;
-    /// Whether the owning process is shutting down.
-    fn done(&self) -> bool;
 }
 
 /// Binds `addr`, spawns the endpoint thread, and returns the bound
@@ -50,7 +49,7 @@ pub(crate) fn spawn_metrics_endpoint<S: MetricsSource>(
 }
 
 fn accept_loop<S: MetricsSource>(listener: TcpListener, source: Arc<S>) {
-    while !source.done() {
+    while !source.host().shutting_down() {
         match listener.accept() {
             Ok((mut stream, _)) => {
                 // Handled inline and blocking: one scrape at a time.
@@ -113,19 +112,26 @@ fn handle_scrape<S: MetricsSource>(stream: &mut TcpStream, source: &S) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use crate::handler::Host;
+    use crate::metrics::RequestKind;
+    use crate::wire::{Request, Response};
+    use std::sync::atomic::Ordering;
 
-    struct FakeSource {
-        done: AtomicBool,
+    struct FakeSource(Host);
+
+    impl ServiceHost for FakeSource {
+        fn host(&self) -> &Host {
+            &self.0
+        }
+
+        fn dispatch(&self, _: Request) -> (RequestKind, Response) {
+            unreachable!("the metrics endpoint never dispatches wire requests")
+        }
     }
 
     impl MetricsSource for FakeSource {
         fn render_metrics(&self) -> String {
             "# TYPE rtk_requests_total counter\nrtk_requests_total{kind=\"ping\"} 3\n".to_string()
-        }
-
-        fn done(&self) -> bool {
-            self.done.load(Ordering::SeqCst)
         }
     }
 
@@ -139,7 +145,8 @@ mod tests {
 
     #[test]
     fn serves_metrics_and_404s_everything_else() {
-        let source = Arc::new(FakeSource { done: AtomicBool::new(false) });
+        let unbound = "127.0.0.1:0".parse().unwrap();
+        let source = Arc::new(FakeSource(Host::new(unbound, 1024, None, 0, 0)));
         let addr = spawn_metrics_endpoint("127.0.0.1:0", Arc::clone(&source)).unwrap();
 
         let ok = scrape(addr, "GET /metrics HTTP/1.0\r\n\r\n");
@@ -153,6 +160,6 @@ mod tests {
         let post = scrape(addr, "POST /metrics HTTP/1.0\r\n\r\n");
         assert!(post.starts_with("HTTP/1.0 405 Method Not Allowed\r\n"), "{post}");
 
-        source.done.store(true, Ordering::SeqCst);
+        source.0.shutdown.store(true, Ordering::SeqCst);
     }
 }

@@ -38,13 +38,19 @@
 //! ## Health, failover, hedging
 //!
 //! Frozen queries **load-balance** round-robin across a shard's healthy
-//! replicas. A failed replica call retries once on a fresh dial (a stale
-//! pooled connection after a backend restart is not an outage), then the
-//! replica is marked **unhealthy** (`unhealthy_backends` in `stats`) and
-//! the call **fails over** transparently to the next healthy replica
-//! (`failovers`) — re-executing even an update-mode slice is safe because
-//! refinement is monotone. Unhealthy replicas back off exponentially
-//! (seeded jitter, capped) and a background **prober** pings them each
+//! replicas. Every replica call is one *submit* (a pooled connection, else
+//! a fresh dial, then one frame write) and one *settle*, under **one retry
+//! rule**: a transport failure on a *pooled* connection retries once on a
+//! fresh dial to the same replica (a stale or severed pooled connection is
+//! not an outage); a transport failure on a *fresh* connection marks the
+//! replica **unhealthy** (`unhealthy_backends` in `stats`) and the call
+//! **fails over** transparently to the next healthy replica (`failovers`)
+//! — re-executing even an update-mode slice is safe because refinement is
+//! monotone. The rule holds inside a hedge race too. Edge updates are the
+//! one exception: they are not idempotent, so they never retry and never
+//! fail over. Unhealthy replicas back off exponentially (capped, with a
+//! jitter stream seeded per replica so failing replicas never retry in
+//! lockstep) and a background **prober** pings them each
 //! [`RouterConfig::probe_interval`], re-admitting a restarted backend
 //! automatically — recovery no longer waits for a query to trip over the
 //! dead address. Only a shard with **zero** live replicas surfaces an
@@ -63,10 +69,10 @@
 //! shard to flush its section to `<path>.shard<i>` (reassemble with `rtk
 //! shard stitch`); `shutdown` propagates to every replica of every shard.
 
-use crate::client::{Client, Pending};
-use crate::handler::ServiceHost;
-use crate::metrics::{EngineInfo, RequestKind, ServerMetrics};
-use crate::server::{serve_loop, wake_acceptor};
+use crate::client::{Client, ClientBuilder, Pending};
+use crate::handler::{Host, ServiceHost};
+use crate::metrics::{EngineInfo, RequestKind};
+use crate::server::serve_loop;
 use crate::wire::{Request, Response, WireQueryResult, WireUpdateResult, DEFAULT_MAX_FRAME_BYTES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,7 +83,7 @@ use rtk_obs::{log_event, Json, Level, TraceSpan};
 use rtk_sparse::LatencyHistogram;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -119,9 +125,6 @@ pub struct RouterConfig {
     /// How often the background prober pings unhealthy replicas (whose
     /// backoff has expired) to re-admit recovered backends.
     pub probe_interval: Duration,
-    /// Seed for the per-replica backoff jitter — deterministic retry
-    /// schedules make fault-injection runs reproducible.
-    pub health_seed: u64,
     /// When set, an HTTP/1.0 metrics endpoint binds this address and
     /// serves the tier's counters at `GET /metrics` in Prometheus text
     /// format (see the `http` module). `None` (the default) serves none.
@@ -141,7 +144,6 @@ impl Default for RouterConfig {
             hedge_quantile: 0.99,
             hedge_min_delay: Duration::from_millis(10),
             probe_interval: Duration::from_millis(250),
-            health_seed: 0,
             metrics_addr: None,
         }
     }
@@ -154,8 +156,8 @@ struct HealthState {
     /// Before this instant an unhealthy replica is not re-attempted (by
     /// queries or the prober) — the capped exponential backoff.
     next_retry_at: Instant,
-    /// Seeded jitter source so two replicas failing together do not retry
-    /// in lockstep — and so chaos runs reproduce.
+    /// Jitter source seeded from the replica index, so two replicas failing
+    /// together do not retry in lockstep — and so chaos runs reproduce.
     rng: StdRng,
 }
 
@@ -178,32 +180,37 @@ struct ReplicaSet {
     cursor: AtomicU64,
 }
 
-/// A submitted frozen call: the replica holding it, the connection it
-/// rides on, and when it was submitted.
-struct InFlight {
+/// Which replica a call went to, whether its connection came from the
+/// pool, and when it was submitted.
+#[derive(Clone, Copy)]
+struct Attempt {
     idx: usize,
-    client: Client,
-    pending: Pending<Response>,
+    pooled: bool,
     started: Instant,
 }
 
-/// One shard's slice of a concurrent fan-out.
-// In a healthy fan-out every slot is the large `InFlight` variant, so
-// boxing it would trade one allocation per shard call for nothing.
-#[allow(clippy::large_enum_variant)]
-enum FanSlot {
-    /// Submitted on replica `InFlight::idx`, waiting on its connection.
-    InFlight(InFlight),
-    /// The submit phase failed on replica `idx`; the wait phase retries
-    /// fresh and fails over.
-    SubmitFailed(usize),
-    /// No replica was even attemptable at submit time; the wait phase
-    /// re-checks (the prober may have re-admitted one meanwhile).
-    NoReplica,
+/// A submitted replica call: the connection plus the handle its answer is
+/// redeemed with — or the error that already ended it (a failed dial or
+/// frame write).
+struct InFlight {
+    attempt: Attempt,
+    sent: Result<(Client, Pending<Response>), String>,
 }
 
-/// What one replica wait-thread reports back to the hedged race.
-type RaceMsg = (usize, Option<Client>, Result<Response, String>);
+/// A replica call's transport outcome, ready for `RouterCtx::settle`.
+type Landed = (Attempt, Result<(Client, Response), String>);
+
+impl InFlight {
+    /// Blocks on the connection until this call's answer (or a transport
+    /// failure) lands.
+    fn wait(self) -> Landed {
+        let outcome = self.sent.and_then(|(mut client, pending)| {
+            let resp = client.wait(pending).map_err(|e| e.to_string())?;
+            Ok((client, resp))
+        });
+        (self.attempt, outcome)
+    }
+}
 
 /// How one shard call was actually served: which replica answered,
 /// whether the hedge fired, how many failovers were walked. The metrics
@@ -232,29 +239,21 @@ struct ShardCall {
 
 /// Everything the router's workers share.
 struct RouterCtx {
+    host: Host,
     shards: Vec<ReplicaSet>,
     /// The shard map assembled from the backend handshakes — the router's
     /// authoritative picture of the partition.
     shard_map: ShardMap,
     engine_info: EngineInfo,
-    metrics: ServerMetrics,
-    shutdown: AtomicBool,
-    max_frame_bytes: u32,
-    active_connections: AtomicU64,
-    max_connections: usize,
-    max_inflight: usize,
-    /// Kept as the original string: presented to backends through the
-    /// client builder, compared as bytes on the client-facing side.
-    auth_token: Option<String>,
-    connect_timeout: Duration,
-    backend_io_timeout: Duration,
+    /// How every backend connection is dialed: connect and I/O timeouts,
+    /// plus the tier's auth token.
+    backend: ClientBuilder,
     hedge_quantile: f64,
     hedge_min_delay: Duration,
     probe_interval: Duration,
     /// Observed shard-call latency (successful calls only) — what the
     /// hedge delay is quantiled from.
     shard_latency: Mutex<LatencyHistogram>,
-    local_addr: SocketAddr,
 }
 
 /// A bound (but not yet running) replicated fan-out router.
@@ -310,6 +309,15 @@ impl Router {
             ));
         }
         let bad_input = |m: String| io::Error::new(io::ErrorKind::InvalidInput, m);
+        // The same timeouts for the handshake as for every later dial —
+        // without them, a hung backend could wedge the handshake (or, once
+        // this connection is pooled, pin a router worker forever).
+        let mut backend = Client::builder()
+            .connect_timeout(config.connect_timeout)
+            .io_timeout(config.backend_io_timeout);
+        if let Some(token) = &config.auth_token {
+            backend = backend.auth_token(token);
+        }
         // Handshake every distinct backend; group by announced range.
         type RangeGroup = (u32, u32, Vec<(SocketAddr, Client)>);
         let mut groups: Vec<RangeGroup> = Vec::new();
@@ -329,16 +337,8 @@ impl Router {
                 continue;
             }
             seen.push(backend_addr);
-            // The same timeouts as every later dial — without them, a hung
-            // backend could wedge the handshake (or, once this connection
-            // is pooled, pin a router worker forever).
-            let mut builder = Client::builder()
-                .connect_timeout(config.connect_timeout)
-                .io_timeout(config.backend_io_timeout);
-            if let Some(token) = &config.auth_token {
-                builder = builder.auth_token(token);
-            }
-            let mut client = builder
+            let mut client = backend
+                .clone()
                 .connect(backend_addr)
                 .map_err(|e| bad_input(format!("router: cannot reach backend {spec}: {e}")))?;
             let stats = client
@@ -407,11 +407,10 @@ impl Router {
             let replicas = members
                 .into_iter()
                 .map(|(addr, client)| {
-                    // Distinct jitter stream per replica, derived from one
-                    // seed: reproducible, but never lockstep.
-                    let rng = StdRng::seed_from_u64(
-                        config.health_seed ^ replica_index.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    );
+                    // Distinct jitter stream per replica, derived from its
+                    // index: reproducible, but never lockstep.
+                    let rng =
+                        StdRng::seed_from_u64(replica_index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
                     replica_index += 1;
                     Replica {
                         addr,
@@ -446,6 +445,13 @@ impl Router {
         let local_addr = listener.local_addr()?;
         let workers = rtk_graph::resolve_threads(config.workers).max(1);
         let ctx = Arc::new(RouterCtx {
+            host: Host::new(
+                local_addr,
+                config.max_frame_bytes,
+                config.auth_token,
+                config.max_connections,
+                config.max_inflight,
+            ),
             shards,
             shard_map,
             engine_info: EngineInfo {
@@ -458,20 +464,11 @@ impl Router {
                 // Filled per `stats` call from the live shard digests.
                 index_digest: 0,
             },
-            metrics: ServerMetrics::new(),
-            shutdown: AtomicBool::new(false),
-            max_frame_bytes: config.max_frame_bytes,
-            active_connections: AtomicU64::new(0),
-            max_connections: config.max_connections,
-            max_inflight: config.max_inflight,
-            auth_token: config.auth_token,
-            connect_timeout: config.connect_timeout,
-            backend_io_timeout: config.backend_io_timeout,
+            backend,
             hedge_quantile: config.hedge_quantile,
             hedge_min_delay: config.hedge_min_delay,
             probe_interval: config.probe_interval,
             shard_latency: Mutex::new(LatencyHistogram::new()),
-            local_addr,
         });
         let metrics_addr = match &config.metrics_addr {
             Some(maddr) => Some(crate::http::spawn_metrics_endpoint(maddr, Arc::clone(&ctx))?),
@@ -482,7 +479,7 @@ impl Router {
 
     /// The bound client-facing address (resolves ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
-        self.ctx.local_addr
+        self.ctx.host.local_addr
     }
 
     /// Where the Prometheus `GET /metrics` endpoint is bound, when
@@ -604,14 +601,14 @@ impl RouterCtx {
     /// for a query to trip over the dead address. Runs until shutdown.
     fn probe_loop(&self) {
         let slice = Duration::from_millis(50);
-        while !self.shutdown.load(Ordering::SeqCst) {
+        while !self.host.shutting_down() {
             let mut slept = Duration::ZERO;
-            while slept < self.probe_interval && !self.shutdown.load(Ordering::SeqCst) {
+            while slept < self.probe_interval && !self.host.shutting_down() {
                 let step = slice.min(self.probe_interval - slept);
                 std::thread::sleep(step);
                 slept += step;
             }
-            if self.shutdown.load(Ordering::SeqCst) {
+            if self.host.shutting_down() {
                 break;
             }
             for set in &self.shards {
@@ -623,70 +620,23 @@ impl RouterCtx {
                     if !due {
                         continue;
                     }
-                    match self.connect_replica(set, idx) {
-                        Ok(mut client) => match client.ping() {
-                            Ok(()) => {
-                                // Re-admitted: the probe connection seeds
-                                // the fresh pool.
-                                self.mark_success(replica);
-                                self.checkin(replica, client);
-                                log_event(
-                                    Level::Info,
-                                    "router",
-                                    "replica re-admitted by prober",
-                                    &[("replica", Json::Str(replica.addr.to_string()))],
-                                );
-                            }
-                            Err(_) => self.mark_failure(replica),
-                        },
-                        Err(_) => self.mark_failure(replica),
+                    // A ping is an ordinary replica call: a `Pong` re-admits
+                    // the replica and its connection seeds the fresh pool; a
+                    // transport failure extends the backoff, and so does any
+                    // other answer (e.g. an auth rejection).
+                    match self.try_replica(set, idx, &Request::Ping, &mut CallMeta::default()) {
+                        Ok(Response::Pong) => log_event(
+                            Level::Info,
+                            "router",
+                            "replica re-admitted by prober",
+                            &[("replica", Json::Str(replica.addr.to_string()))],
+                        ),
+                        Ok(_) => self.mark_failure(replica),
+                        Err(_) => {}
                     }
                 }
             }
         }
-    }
-
-    // ---- connections --------------------------------------------------
-
-    /// Dials a fresh authenticated connection to replica `idx` of `set`.
-    fn connect_replica(&self, set: &ReplicaSet, idx: usize) -> Result<Client, String> {
-        let replica = &set.replicas[idx];
-        let mut builder = Client::builder()
-            .connect_timeout(self.connect_timeout)
-            .io_timeout(self.backend_io_timeout);
-        if let Some(token) = &self.auth_token {
-            builder = builder.auth_token(token);
-        }
-        builder
-            .connect(replica.addr)
-            .map_err(|e| format!("shard {} replica {} ({}): {e}", set.shard_id, idx, replica.addr))
-    }
-
-    /// Pops a pooled connection (flagged `true`) or dials fresh.
-    fn checkout(&self, set: &ReplicaSet, idx: usize) -> Result<(Client, bool), String> {
-        let pooled = set.replicas[idx].pool.lock().expect("replica pool lock").pop();
-        match pooled {
-            Some(c) => Ok((c, true)),
-            None => self.connect_replica(set, idx).map(|c| (c, false)),
-        }
-    }
-
-    /// Returns a working connection to the replica's pool.
-    fn checkin(&self, replica: &Replica, client: Client) {
-        replica.pool.lock().expect("replica pool lock").push(client);
-    }
-
-    fn replica_label(&self, set: &ReplicaSet, idx: usize, e: impl std::fmt::Display) -> String {
-        format!("shard {} replica {} ({}): {e}", set.shard_id, idx, set.replicas[idx].addr)
-    }
-
-    /// Records a successful shard call's latency — the sample the hedge
-    /// delay is quantiled from.
-    fn record_shard_latency(&self, started: Instant) {
-        self.shard_latency
-            .lock()
-            .expect("shard latency lock")
-            .record(started.elapsed().as_secs_f64());
     }
 
     /// Current hedge delay: the configured quantile of observed shard-call
@@ -701,72 +651,86 @@ impl RouterCtx {
         Duration::from_secs_f64(quantile).max(self.hedge_min_delay)
     }
 
-    // ---- per-replica calls with retry / failover ----------------------
+    // ---- one replica call: submit + settle ----------------------------
 
-    /// One request against replica `idx`: fresh-dial retry when a pooled
-    /// connection turns out stale, unhealthy marking on real failure.
-    /// Application errors (`Response::Error`) are *not* failures — the
-    /// replica answered; the request is just wrong.
+    /// Sends `request` to replica `idx` of `set` on an idle pooled
+    /// connection, else on a fresh dial. Never blocks on the answer.
+    fn submit(&self, set: &ReplicaSet, idx: usize, request: &Request) -> InFlight {
+        let pooled = set.replicas[idx].pool.lock().expect("replica pool lock").pop();
+        self.send(set, idx, pooled, request)
+    }
+
+    /// Writes `request` on `client`, or on a fresh dial when `None`.
+    fn send(
+        &self,
+        set: &ReplicaSet,
+        idx: usize,
+        client: Option<Client>,
+        request: &Request,
+    ) -> InFlight {
+        let attempt = Attempt { idx, pooled: client.is_some(), started: Instant::now() };
+        let sent = client
+            .map_or_else(|| self.backend.clone().connect(set.replicas[idx].addr), Ok)
+            .and_then(|mut client| {
+                let pending = client.submit(request)?;
+                Ok((client, pending))
+            })
+            .map_err(|e| e.to_string());
+        InFlight { attempt, sent }
+    }
+
+    /// All outcome bookkeeping of one replica call. An answer — even an
+    /// application `Response::Error`: the replica answered, the request is
+    /// just wrong — marks the replica healthy, returns the connection to
+    /// the pool, and feeds a shard call's latency to the hedge histogram.
+    /// A transport failure on a pooled connection retries once on a fresh
+    /// dial when `retry` allows (a stale pool entry is not an outage); any
+    /// other transport failure marks the replica unhealthy.
+    fn settle(
+        &self,
+        set: &ReplicaSet,
+        (attempt, outcome): Landed,
+        request: &Request,
+        retry: bool,
+        meta: &mut CallMeta,
+    ) -> Result<Response, String> {
+        let replica = &set.replicas[attempt.idx];
+        match outcome {
+            Ok((client, resp)) => {
+                if matches!(request, Request::ShardReverseTopk { .. }) {
+                    self.shard_latency
+                        .lock()
+                        .expect("shard latency lock")
+                        .record(attempt.started.elapsed().as_secs_f64());
+                }
+                self.mark_success(replica);
+                replica.pool.lock().expect("replica pool lock").push(client);
+                meta.replica = Some(replica.addr);
+                Ok(resp)
+            }
+            Err(_) if attempt.pooled && retry => {
+                let fresh = self.send(set, attempt.idx, None, request).wait();
+                self.settle(set, fresh, request, retry, meta)
+            }
+            Err(e) => {
+                self.mark_failure(replica);
+                Err(format!(
+                    "shard {} replica {} ({}): {e}",
+                    set.shard_id, attempt.idx, replica.addr
+                ))
+            }
+        }
+    }
+
+    /// One blocking request against replica `idx`: submit, wait, settle.
     fn try_replica(
         &self,
         set: &ReplicaSet,
         idx: usize,
         request: &Request,
+        meta: &mut CallMeta,
     ) -> Result<Response, String> {
-        let started = Instant::now();
-        match self.checkout(set, idx) {
-            Ok((mut client, was_pooled)) => match client.request(request) {
-                Ok(resp) => {
-                    if matches!(request, Request::ShardReverseTopk { .. }) {
-                        self.record_shard_latency(started);
-                    }
-                    self.mark_success(&set.replicas[idx]);
-                    self.checkin(&set.replicas[idx], client);
-                    Ok(resp)
-                }
-                // A stale pool entry (backend restarted behind us) is not
-                // an outage — one fresh dial decides. Safe to re-execute
-                // even update-mode slices: refinement is monotone.
-                Err(_) if was_pooled => self.retry_fresh(set, idx, request),
-                Err(e) => {
-                    self.mark_failure(&set.replicas[idx]);
-                    Err(self.replica_label(set, idx, e))
-                }
-            },
-            // checkout already dialed fresh and failed; one more dial is
-            // the single retry every path gets.
-            Err(_) => self.retry_fresh(set, idx, request),
-        }
-    }
-
-    /// The one fresh-dial retry: dial, request, mark unhealthy on failure.
-    fn retry_fresh(
-        &self,
-        set: &ReplicaSet,
-        idx: usize,
-        request: &Request,
-    ) -> Result<Response, String> {
-        let started = Instant::now();
-        let outcome =
-            self.connect_replica(set, idx)
-                .and_then(|mut client| match client.request(request) {
-                    Ok(resp) => Ok((client, resp)),
-                    Err(e) => Err(self.replica_label(set, idx, e)),
-                });
-        match outcome {
-            Ok((client, resp)) => {
-                if matches!(request, Request::ShardReverseTopk { .. }) {
-                    self.record_shard_latency(started);
-                }
-                self.mark_success(&set.replicas[idx]);
-                self.checkin(&set.replicas[idx], client);
-                Ok(resp)
-            }
-            Err(e) => {
-                self.mark_failure(&set.replicas[idx]);
-                Err(e)
-            }
-        }
+        self.settle(set, self.submit(set, idx, request).wait(), request, true, meta)
     }
 
     /// One request against a shard, walking its replicas until one
@@ -794,14 +758,11 @@ impl RouterCtx {
         let mut errors: Vec<String> = Vec::new();
         for idx in candidates {
             if prior_failure {
-                self.metrics.record_failover();
+                self.host.metrics.record_failover();
                 meta.failovers += 1;
             }
-            match self.try_replica(set, idx, request) {
-                Ok(resp) => {
-                    meta.replica = Some(set.replicas[idx].addr);
-                    return Ok(resp);
-                }
+            match self.try_replica(set, idx, request, meta) {
+                Ok(resp) => return Ok(resp),
                 Err(e) => {
                     errors.push(e);
                     prior_failure = true;
@@ -823,28 +784,12 @@ impl RouterCtx {
             })
     }
 
-    /// Moves a submitted call onto a thread that reports its outcome into
-    /// the race channel. The loser of a race is simply never received; its
-    /// send fails and its connection drops — the pool re-dials later.
-    fn spawn_wait(
-        &self,
-        idx: usize,
-        mut client: Client,
-        pending: Pending<Response>,
-        tx: &mpsc::Sender<RaceMsg>,
-    ) {
-        let tx = tx.clone();
-        std::thread::spawn(move || {
-            let result = client.wait(pending).map_err(|e| e.to_string());
-            let _ = tx.send((idx, Some(client), result));
-        });
-    }
-
     /// Waits on an in-flight frozen call, hedging to a second replica if
     /// the first has not answered within [`Self::hedge_delay`]. Whichever
     /// replica answers first wins — partials are bitwise identical, so the
-    /// race cannot change the merged answer. Falls back to a plain
-    /// failover walk if every raced replica fails.
+    /// race cannot change the merged answer. Each racer's outcome settles
+    /// under the same retry rule as any replica call; the error lists every
+    /// racer that failed for good.
     fn wait_hedged(
         &self,
         set: &ReplicaSet,
@@ -852,17 +797,25 @@ impl RouterCtx {
         request: &Request,
         meta: &mut CallMeta,
     ) -> Result<Response, String> {
-        let InFlight { idx: first_idx, client, pending, started } = call;
-        let (tx, rx) = mpsc::channel::<RaceMsg>();
-        self.spawn_wait(first_idx, client, pending, &tx);
+        let first = call.attempt;
+        let (tx, rx) = mpsc::channel::<Landed>();
+        // Each racer waits on its own thread and reports exactly once. The
+        // loser of a race is simply never received; its send fails and its
+        // connection drops — the pool re-dials later.
+        let race = |call: InFlight| {
+            let tx = tx.clone();
+            std::thread::spawn(move || {
+                let _ = tx.send(call.wait());
+            });
+        };
+        race(call);
         let mut outstanding = 1usize;
         let mut hedged = false;
         let mut errors: Vec<String> = Vec::new();
         while outstanding > 0 {
-            let msg = if hedged {
+            let landed = if hedged {
                 // Both racers launched (or no second replica available):
-                // their io timeouts bound this wait, and each thread always
-                // sends exactly one message.
+                // their io timeouts bound this wait.
                 match rx.recv() {
                     Ok(m) => m,
                     Err(_) => break,
@@ -872,69 +825,39 @@ impl RouterCtx {
                     Ok(m) => m,
                     Err(mpsc::RecvTimeoutError::Timeout) => {
                         hedged = true;
-                        // Race a different healthy replica. Submit happens
-                        // here on the caller thread (it needs &self); only
-                        // the wait moves onto the race thread.
                         let second =
-                            self.candidates(set, true).into_iter().find(|&i| i != first_idx);
+                            self.candidates(set, true).into_iter().find(|&i| i != first.idx);
                         if let Some(idx) = second {
-                            match self.checkout(set, idx) {
-                                Ok((mut c, _)) => match c.submit(request) {
-                                    Ok(p) => {
-                                        self.metrics.record_hedged_request();
-                                        meta.hedged = true;
-                                        log_event(
-                                            Level::Debug,
-                                            "router",
-                                            "hedged slow shard call",
-                                            &[
-                                                ("shard", Json::U64(set.shard_id as u64)),
-                                                (
-                                                    "replica",
-                                                    Json::Str(set.replicas[idx].addr.to_string()),
-                                                ),
-                                            ],
-                                        );
-                                        self.spawn_wait(idx, c, p, &tx);
-                                        outstanding += 1;
-                                    }
-                                    Err(e) => {
-                                        self.mark_failure(&set.replicas[idx]);
-                                        errors.push(self.replica_label(set, idx, e));
-                                    }
-                                },
-                                Err(e) => {
-                                    self.mark_failure(&set.replicas[idx]);
-                                    errors.push(e);
-                                }
-                            }
+                            self.host.metrics.record_hedged_request();
+                            meta.hedged = true;
+                            log_event(
+                                Level::Debug,
+                                "router",
+                                "hedged slow shard call",
+                                &[
+                                    ("shard", Json::U64(set.shard_id as u64)),
+                                    ("replica", Json::Str(set.replicas[idx].addr.to_string())),
+                                ],
+                            );
+                            let mut hedge = self.submit(set, idx, request);
+                            // Whichever racer wins answers the original
+                            // call: its latency counts from the first submit.
+                            hedge.attempt.started = first.started;
+                            race(hedge);
+                            outstanding += 1;
                         }
                         continue;
                     }
                     Err(mpsc::RecvTimeoutError::Disconnected) => break,
                 }
             };
-            let (idx, client, result) = msg;
             outstanding -= 1;
-            match result {
-                Ok(resp) => {
-                    self.record_shard_latency(started);
-                    self.mark_success(&set.replicas[idx]);
-                    if let Some(c) = client {
-                        self.checkin(&set.replicas[idx], c);
-                    }
-                    meta.replica = Some(set.replicas[idx].addr);
-                    return Ok(resp);
-                }
-                Err(e) => {
-                    self.mark_failure(&set.replicas[idx]);
-                    errors.push(self.replica_label(set, idx, e));
-                }
+            match self.settle(set, landed, request, true, meta) {
+                Ok(resp) => return Ok(resp),
+                Err(e) => errors.push(e),
             }
         }
-        // Every raced replica failed: transparent failover across whatever
-        // is still attemptable.
-        self.set_call(set, request, true, true, meta)
+        Err(errors.join("; "))
     }
 
     /// Issues one shard-scoped query to **every shard concurrently** (one
@@ -988,7 +911,7 @@ impl RouterCtx {
     /// fits the backend frame cap — the gate on shipping it at all.
     fn pmpn_fits_frame(&self) -> bool {
         let bytes = self.engine_info.nodes.saturating_mul(8).saturating_add(256);
-        bytes <= u64::from(self.max_frame_bytes)
+        bytes <= u64::from(self.host.max_frame_bytes)
     }
 
     /// The concurrent fan-out of one prepared request across `sets`,
@@ -1000,77 +923,39 @@ impl RouterCtx {
         trace_from: Option<Instant>,
         sets: &[ReplicaSet],
     ) -> Vec<ShardCall> {
-        let request = request.clone();
         let frozen = !update;
         let offset = || trace_from.map_or(0.0, |t| t.elapsed().as_secs_f64());
         // Submit phase: one frame write per shard, on each shard's chosen
         // replica — every shard is computing its slice while the later
         // submits are still going out.
-        let slots: Vec<(FanSlot, f64)> = sets
+        let calls: Vec<(Option<InFlight>, f64)> = sets
             .iter()
             .map(|set| {
                 let submit_offset = offset();
-                let Some(&idx) = self.candidates(set, frozen).first() else {
-                    return (FanSlot::NoReplica, submit_offset);
-                };
-                let slot = match self.checkout(set, idx) {
-                    Ok((mut client, _)) => match client.submit(&request) {
-                        Ok(pending) => FanSlot::InFlight(InFlight {
-                            idx,
-                            client,
-                            pending,
-                            started: Instant::now(),
-                        }),
-                        Err(_) => FanSlot::SubmitFailed(idx),
-                    },
-                    Err(_) => FanSlot::SubmitFailed(idx),
-                };
-                (slot, submit_offset)
+                let first = self.candidates(set, frozen).first().copied();
+                (first.map(|idx| self.submit(set, idx, request)), submit_offset)
             })
             .collect();
         // Wait phase, shard order: merge determinism comes from here, not
         // from response arrival order.
-        slots
+        calls
             .into_iter()
             .zip(sets)
-            .map(|((slot, submit_offset), set)| {
+            .map(|((call, submit_offset), set)| {
                 let mut meta = CallMeta::default();
-                let outcome = match slot {
-                    FanSlot::NoReplica => self.set_call(set, &request, frozen, false, &mut meta),
-                    FanSlot::SubmitFailed(idx) => match self.retry_fresh(set, idx, &request) {
-                        Ok(resp) => {
-                            meta.replica = Some(set.replicas[idx].addr);
-                            Ok(resp)
-                        }
-                        Err(_) => self.set_call(set, &request, frozen, true, &mut meta),
-                    },
-                    FanSlot::InFlight(call) => {
-                        if frozen && self.should_hedge(set, call.idx) {
-                            self.wait_hedged(set, call, &request, &mut meta)
+                let outcome = match call {
+                    // No replica was attemptable at submit time; the walk
+                    // re-checks (the prober may have re-admitted one).
+                    None => self.set_call(set, request, frozen, false, &mut meta),
+                    Some(call) => {
+                        let answer = if frozen && self.should_hedge(set, call.attempt.idx) {
+                            self.wait_hedged(set, call, request, &mut meta)
                         } else {
-                            let InFlight { idx, mut client, pending, started } = call;
-                            match client.wait(pending) {
-                                Ok(resp) => {
-                                    self.record_shard_latency(started);
-                                    self.mark_success(&set.replicas[idx]);
-                                    self.checkin(&set.replicas[idx], client);
-                                    meta.replica = Some(set.replicas[idx].addr);
-                                    Ok(resp)
-                                }
-                                Err(_) => {
-                                    drop(client);
-                                    match self.retry_fresh(set, idx, &request) {
-                                        Ok(resp) => {
-                                            meta.replica = Some(set.replicas[idx].addr);
-                                            Ok(resp)
-                                        }
-                                        Err(_) => {
-                                            self.set_call(set, &request, frozen, true, &mut meta)
-                                        }
-                                    }
-                                }
-                            }
-                        }
+                            self.settle(set, call.wait(), request, true, &mut meta)
+                        };
+                        // Failed for good on the chosen replica(s): fail
+                        // over across whatever is still attemptable.
+                        answer.or_else(|_| self.set_call(set, request, frozen, true, &mut meta))
                     }
                 };
                 ShardCall { outcome, meta, submit_offset, answer_offset: offset() }
@@ -1184,7 +1069,7 @@ impl RouterCtx {
             merged.trace = Some(root);
         }
         if let Some(a) = &merged.approx {
-            self.metrics.record_approx(a.estimated, a.exact_refined, a.walks);
+            self.host.metrics.record_approx(a.estimated, a.exact_refined, a.walks);
         }
         Ok(merged)
     }
@@ -1223,13 +1108,14 @@ impl RouterCtx {
                 .replicas
                 .iter()
                 .position(|r| r.health.lock().expect("replica health lock").healthy);
-            let sampled =
-                healthy.and_then(|idx| match self.try_replica(set, idx, &Request::Stats) {
+            let sampled = healthy.and_then(|idx| {
+                match self.try_replica(set, idx, &Request::Stats, &mut CallMeta::default()) {
                     Ok(Response::Stats(s)) => {
                         Some((s.shard_nodes, s.shard_bytes, s.index_digest, s.edges))
                     }
                     _ => None,
-                });
+                }
+            });
             match sampled {
                 Some((nodes, bytes, digest, edges)) => {
                     shard_nodes.extend(nodes);
@@ -1254,7 +1140,8 @@ impl RouterCtx {
         // A digest over a partial sample would look like divergence; report
         // 0 ("unknown") unless every shard answered.
         engine_info.index_digest = if all_sampled { rtk_core::fnv1a64(&digest_bytes) } else { 0 };
-        self.metrics
+        self.host
+            .metrics
             .snapshot(engine_info, shard_nodes, shard_bytes, self.unhealthy_count())
     }
 
@@ -1276,23 +1163,8 @@ impl RouterCtx {
                 set.replicas.len()
             ));
         };
-        match self.checkout(set, idx) {
-            Ok((mut client, _)) => match client.request(request) {
-                Ok(resp) => {
-                    self.mark_success(&set.replicas[idx]);
-                    self.checkin(&set.replicas[idx], client);
-                    Ok(resp)
-                }
-                Err(e) => {
-                    self.mark_failure(&set.replicas[idx]);
-                    Err(self.replica_label(set, idx, e))
-                }
-            },
-            Err(e) => {
-                self.mark_failure(&set.replicas[idx]);
-                Err(e)
-            }
-        }
+        let landed = self.submit(set, idx, request).wait();
+        self.settle(set, landed, request, false, &mut CallMeta::default())
     }
 
     /// Applies one edge update to **every shard's** stable owner, in shard
@@ -1375,7 +1247,7 @@ impl RouterCtx {
     fn shutdown_backends(&self) {
         for set in &self.shards {
             for idx in 0..set.replicas.len() {
-                let _ = self.try_replica(set, idx, &Request::Shutdown);
+                let _ = self.try_replica(set, idx, &Request::Shutdown, &mut CallMeta::default());
             }
         }
     }
@@ -1441,49 +1313,16 @@ impl RtkService for RouterService<'_> {
 
 impl crate::http::MetricsSource for RouterCtx {
     fn render_metrics(&self) -> String {
-        self.metrics.render_prometheus(self.unhealthy_count())
-    }
-
-    fn done(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.host.metrics.render_prometheus(self.unhealthy_count())
     }
 }
 
 impl ServiceHost for RouterCtx {
-    fn metrics(&self) -> &ServerMetrics {
-        &self.metrics
-    }
-
-    fn shutdown_flag(&self) -> &AtomicBool {
-        &self.shutdown
-    }
-
-    fn max_frame_bytes(&self) -> u32 {
-        self.max_frame_bytes
-    }
-
-    fn auth_token(&self) -> Option<&[u8]> {
-        self.auth_token.as_deref().map(str::as_bytes)
-    }
-
-    fn active_connections(&self) -> &AtomicU64 {
-        &self.active_connections
-    }
-
-    fn max_connections(&self) -> usize {
-        self.max_connections
-    }
-
-    fn max_inflight(&self) -> usize {
-        self.max_inflight
+    fn host(&self) -> &Host {
+        &self.host
     }
 
     fn dispatch(&self, request: Request) -> (RequestKind, Response) {
         dispatch_request(&mut RouterService(self), request)
-    }
-
-    fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        wake_acceptor(self.local_addr);
     }
 }

@@ -2,8 +2,8 @@
 //! pool executing individual requests (wire v4 pipelining).
 
 use crate::chaos::{ChaosConfig, ChaosState};
-use crate::handler::{execute_job, read_connection, Job, ServiceHost};
-use crate::metrics::{EngineInfo, RequestKind, ServerMetrics};
+use crate::handler::{execute_job, read_connection, Host, Job, ServiceHost};
+use crate::metrics::{EngineInfo, RequestKind};
 use crate::state::SharedEngine;
 use crate::wire::{Request, Response, DEFAULT_MAX_FRAME_BYTES};
 use rtk_api::service::{dispatch_request, RtkService, ServiceError, ServiceResult};
@@ -14,7 +14,7 @@ use rtk_core::{ReverseTopkEngine, UpdateRecord};
 use rtk_graph::resolve_threads;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -95,24 +95,11 @@ impl Default for ServerConfig {
 
 /// Everything the workers share.
 pub(crate) struct ServerCtx {
-    pub(crate) shared: SharedEngine,
-    pub(crate) metrics: ServerMetrics,
-    pub(crate) shutdown: AtomicBool,
-    pub(crate) max_frame_bytes: u32,
-    pub(crate) engine_info: EngineInfo,
-    /// Admitted connections (readers alive), for the accept cap.
-    pub(crate) active_connections: AtomicU64,
-    /// Backpressure cap (`0` = unlimited).
-    pub(crate) max_connections: usize,
-    /// Per-connection pipeline-depth cap (`0` = unlimited).
-    pub(crate) max_inflight: usize,
-    /// Shared-secret token every request must carry (when set).
-    pub(crate) auth_token: Option<Vec<u8>>,
+    host: Host,
+    shared: SharedEngine,
+    engine_info: EngineInfo,
     /// Seeded fault injection; `None` serves faithfully.
-    pub(crate) chaos: Option<ChaosState>,
-    /// Where the listener is bound — used to self-connect on shutdown so a
-    /// blocked `accept` wakes up without busy-polling.
-    local_addr: SocketAddr,
+    chaos: Option<ChaosState>,
 }
 
 /// The server's [`RtkService`] view: one short-lived value per dispatched
@@ -126,7 +113,10 @@ impl ServerService<'_> {
     /// approximate screen ran) into the `rtk_approx_*` counters.
     fn record_approx(&self, answer: &WireQueryResult) {
         if let Some(stats) = &answer.approx {
-            self.0.metrics.record_approx(stats.estimated, stats.exact_refined, stats.walks);
+            self.0
+                .host
+                .metrics
+                .record_approx(stats.estimated, stats.exact_refined, stats.walks);
         }
     }
 }
@@ -182,7 +172,7 @@ impl RtkService for ServerService<'_> {
         let mut info = self.0.engine_info;
         info.edges = self.0.shared.edge_count();
         info.index_digest = self.0.shared.index_digest();
-        Ok(self.0.metrics.snapshot(info, shard_nodes, shard_bytes, 0))
+        Ok(self.0.host.metrics.snapshot(info, shard_nodes, shard_bytes, 0))
     }
 
     fn persist(&mut self, path: &str) -> ServiceResult<u64> {
@@ -199,41 +189,13 @@ impl RtkService for ServerService<'_> {
 impl crate::http::MetricsSource for ServerCtx {
     fn render_metrics(&self) -> String {
         // A single server has no backends, so nothing can be unhealthy.
-        self.metrics.render_prometheus(0)
-    }
-
-    fn done(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.host.metrics.render_prometheus(0)
     }
 }
 
 impl ServiceHost for ServerCtx {
-    fn metrics(&self) -> &ServerMetrics {
-        &self.metrics
-    }
-
-    fn shutdown_flag(&self) -> &AtomicBool {
-        &self.shutdown
-    }
-
-    fn max_frame_bytes(&self) -> u32 {
-        self.max_frame_bytes
-    }
-
-    fn auth_token(&self) -> Option<&[u8]> {
-        self.auth_token.as_deref()
-    }
-
-    fn active_connections(&self) -> &AtomicU64 {
-        &self.active_connections
-    }
-
-    fn max_connections(&self) -> usize {
-        self.max_connections
-    }
-
-    fn max_inflight(&self) -> usize {
-        self.max_inflight
+    fn host(&self) -> &Host {
+        &self.host
     }
 
     fn chaos(&self) -> Option<&ChaosState> {
@@ -243,12 +205,6 @@ impl ServiceHost for ServerCtx {
     /// Executes one request through the [`RtkService`] surface.
     fn dispatch(&self, request: Request) -> (RequestKind, Response) {
         dispatch_request(&mut ServerService(self), request)
-    }
-
-    /// Flags shutdown and pokes the accept loop awake.
-    fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        wake_acceptor(self.local_addr);
     }
 }
 
@@ -269,20 +225,6 @@ pub(crate) fn check_auth_token_len(token: Option<&str>) -> io::Result<()> {
         }
     }
     Ok(())
-}
-
-/// Connects to the (possibly wildcard-bound) listener so a blocked `accept`
-/// returns and observes the shutdown flag.
-pub(crate) fn wake_acceptor(mut wake: SocketAddr) {
-    // Wildcard binds (0.0.0.0 / ::) are not connectable addresses on
-    // every platform — wake the acceptor through loopback instead.
-    if wake.ip().is_unspecified() {
-        wake.set_ip(match wake.ip() {
-            std::net::IpAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-            std::net::IpAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-        });
-    }
-    let _ = TcpStream::connect(wake);
 }
 
 /// The shared serve loop: an acceptor spawning one frame-reader per
@@ -317,9 +259,10 @@ pub(crate) fn serve_loop<H: ServiceHost>(
         })
         .collect();
 
+    let host = ctx.host();
     let mut readers: Vec<JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
-        if ctx.shutdown_flag().load(Ordering::SeqCst) {
+        if host.shutting_down() {
             break; // the wake-up connection (or a late client) lands here
         }
         match stream {
@@ -337,20 +280,20 @@ pub(crate) fn serve_loop<H: ServiceHost>(
                 // Backpressure: over the cap, the connection gets one
                 // clean `busy` error frame and is closed — it never gets
                 // a reader, so admitted clients keep their latency.
-                if ctx.max_connections() > 0
-                    && ctx.active_connections().load(Ordering::Acquire)
-                        >= ctx.max_connections() as u64
+                if host.max_connections > 0
+                    && host.active_connections.load(Ordering::Acquire)
+                        >= host.max_connections as u64
                 {
-                    ctx.metrics().record_rejected_connection();
-                    reject_busy(s, ctx.max_connections());
+                    host.metrics.record_rejected_connection();
+                    reject_busy(s, host.max_connections);
                     continue;
                 }
-                ctx.active_connections().fetch_add(1, Ordering::AcqRel);
+                host.active_connections.fetch_add(1, Ordering::AcqRel);
                 let ctx = Arc::clone(&ctx);
                 let jobs = jobs_tx.clone();
                 readers.push(std::thread::spawn(move || {
                     read_connection(s, &*ctx, jobs);
-                    ctx.active_connections().fetch_sub(1, Ordering::AcqRel);
+                    ctx.host().active_connections.fetch_sub(1, Ordering::AcqRel);
                 }));
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -419,10 +362,14 @@ impl Server {
         let workers = resolve_threads(config.workers).max(1);
         let (nodes, edges, max_k, shard_lo, shard_hi) = shared.info();
         let ctx = Arc::new(ServerCtx {
+            host: Host::new(
+                local_addr,
+                config.max_frame_bytes,
+                config.auth_token,
+                config.max_connections,
+                config.max_inflight,
+            ),
             shared,
-            metrics: ServerMetrics::new(),
-            shutdown: AtomicBool::new(false),
-            max_frame_bytes: config.max_frame_bytes,
             engine_info: EngineInfo {
                 nodes,
                 edges,
@@ -433,12 +380,7 @@ impl Server {
                 // Sampled live per `stats` call — see `ServerService::stats`.
                 index_digest: 0,
             },
-            active_connections: AtomicU64::new(0),
-            max_connections: config.max_connections,
-            max_inflight: config.max_inflight,
-            auth_token: config.auth_token.map(String::into_bytes),
             chaos: config.chaos.map(ChaosConfig::into_state),
-            local_addr,
         });
         let metrics_addr = match &config.metrics_addr {
             Some(addr) => Some(crate::http::spawn_metrics_endpoint(addr, Arc::clone(&ctx))?),
@@ -449,7 +391,7 @@ impl Server {
 
     /// The bound address (resolves ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
-        self.ctx.local_addr
+        self.ctx.host.local_addr
     }
 
     /// Where the Prometheus `GET /metrics` endpoint is bound, when

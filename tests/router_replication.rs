@@ -291,6 +291,15 @@ fn connection_severing_replica_is_retried_transparently() {
             assert_bitwise(&a, &b, &format!("round={round} q={q} k={k}"));
         }
     }
+    // A severed pooled connection is retried on a fresh dial to the same
+    // replica — inside a hedge race too — so it is neither an outage nor a
+    // failover.
+    let stats = client.stats().expect("router stats");
+    assert_eq!(stats.failovers, 0, "a severed pooled connection must not fail over: {stats:?}");
+    assert_eq!(
+        stats.unhealthy_backends, 0,
+        "a severed pooled connection must not evict its replica: {stats:?}"
+    );
 
     client.shutdown().expect("router shutdown");
     router.join().expect("router join");
