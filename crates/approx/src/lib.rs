@@ -48,7 +48,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use rtk_graph::TransitionMatrix;
 use rtk_rwr::monte_carlo::walk_endpoint;
 
-/// Hard cap on a single walk's length (matches the Monte Carlo default; the
+/// Hard cap on a single walk's length (`1/α · 300` at the default α; the
 /// geometric tail beyond this is far below any epsilon worth serving).
 const MAX_WALK_STEPS: u32 = 2_000;
 
@@ -236,8 +236,8 @@ impl BidirEstimator {
 
 /// Derives the RNG seed for walk `w` of candidate `u`: a SplitMix64-style
 /// multiplicative mix of the candidate id keeps per-candidate streams far
-/// apart, and `+ w` within a candidate mirrors the Monte Carlo module's
-/// `seed + walk_index` discipline.
+/// apart, and `+ w` gives each walk of a candidate its own stream, so an
+/// estimate is a pure function of `(seed, u)`.
 #[inline]
 fn walk_seed(seed: u64, u: u32, w: u32) -> u64 {
     seed ^ ((u as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_add(w as u64)

@@ -1,11 +1,12 @@
 //! Parallel index construction — Algorithm 1 (Lower Bound Indexing).
 //!
 //! The paper notes the per-node BCA sweeps are embarrassingly parallel (its
-//! evaluation spread them over 100 cluster cores). Here pool workers pull
-//! node ranges off an atomic counter; each worker owns its own
-//! [`rtk_rwr::BcaEngine`] and [`Materializer`], so the sweep performs no
-//! cross-thread synchronization beyond the counter. The result is
-//! deterministic: per-node computations are independent and merged by id.
+//! evaluation spread them over 100 cluster cores). Here the sweep is one
+//! [`rtk_sparse::WorkerPool::claim`] loop over node chunks; each lane owns
+//! its own [`rtk_rwr::BcaEngine`] and [`Materializer`], so the sweep
+//! performs no cross-thread synchronization beyond the claim counter. The
+//! result is deterministic: per-node computations are independent and
+//! merged by id.
 //! The same `sweep` serves edge updates ([`crate::update`]), which hand it
 //! the affected nodes and say which stored runs may be kept.
 
@@ -17,19 +18,18 @@ use crate::node_state::NodeState;
 use crate::stats::IndexStats;
 use crate::storage::node_record_digest;
 use rtk_graph::TransitionMatrix;
-use rtk_rwr::bca::{BcaEngine, BcaStop, BcaWork};
+use rtk_rwr::bca::{BcaEngine, BcaStop};
 use rtk_rwr::HubSet;
 use rtk_sparse::DescendingTopK;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Power-law exponent assumed by the Theorem 1 space prediction (the paper
 /// uses β = 0.76, citing Bahmani et al.).
 pub const DEFAULT_POWER_LAW_BETA: f64 = 0.76;
 
-/// Nodes claimed per worker fetch during the sweep: enough to amortize the
-/// atomic, few enough that the last chunk an update's few hundred affected
-/// nodes leave one worker holding is a small share of the sweep.
+/// Nodes per claimed sweep chunk: enough to amortize the claim counter, few
+/// enough that the last chunk an update's few hundred affected nodes leave
+/// one lane holding is a small share of the sweep.
 const SWEEP_CHUNK: usize = 16;
 
 /// Builder for [`ReverseIndex`]. Thin stateful wrapper so callers can reuse
@@ -136,18 +136,18 @@ pub(crate) enum Swept {
 }
 
 /// Algorithm 1 lines 3–9 for `nodes`, spread over `config.effective_threads()`
-/// pool workers: the build's sweep over every node, and an edge update's
+/// lanes: the build's sweep over every node, and an edge update's
 /// recompute of the affected ones. `keep(u)` may hand back `u`'s stored state
 /// to say its BCA run need not be repeated — then only its bounds are
 /// rematerialized against `hub_matrix`; otherwise `u` runs from scratch under
-/// the configured stop rule. Each worker also hashes the persisted record of
+/// the configured stop rule. Each lane also hashes the persisted record of
 /// what it produced.
 ///
 /// Returns `(outcome, record digest)` per node in `nodes` order, plus the
-/// iterations and edge pushes the BCA runs took. Workers pull
-/// [`SWEEP_CHUNK`] nodes at a time off a shared counter; outcomes land in
-/// per-node slots and the work counters are order-independent sums, so
-/// scheduling cannot change anything returned.
+/// iterations and edge pushes the BCA runs took. Lanes claim
+/// [`SWEEP_CHUNK`] nodes at a time; outcomes are put back in node order by
+/// index and the work counters are order-independent sums, so scheduling
+/// cannot change anything returned.
 pub(crate) fn sweep<'a>(
     transition: &TransitionMatrix<'_>,
     hub_matrix: &HubMatrix,
@@ -155,63 +155,51 @@ pub(crate) fn sweep<'a>(
     nodes: &[u32],
     keep: &(dyn Fn(u32) -> Option<&'a NodeState> + Sync),
 ) -> (Vec<(Swept, u64)>, u64, u64) {
-    if nodes.is_empty() {
-        return (Vec::new(), 0, 0);
-    }
     let n = transition.node_count();
-    let threads = config.effective_threads().max(1).min(nodes.len());
     let stop = BcaStop::from_params(&config.bca);
-    let next = AtomicUsize::new(0);
-    let collected = std::sync::Mutex::new(Vec::<(Vec<(usize, (Swept, u64))>, BcaWork)>::new());
-    rtk_sparse::WorkerPool::global().scope(|scope| {
-        for _ in 0..threads {
-            let (next, collected, stop) = (&next, &collected, &stop);
-            let hubs = hub_matrix.hubs().clone();
-            scope.spawn(move || {
-                let mut engine = BcaEngine::new(hubs, config.bca);
-                let mut materializer = Materializer::new(n);
-                let mut local = Vec::new();
-                loop {
-                    let lo = next.fetch_add(SWEEP_CHUNK, Ordering::Relaxed);
-                    if lo >= nodes.len() {
-                        break;
+    let lanes = rtk_sparse::WorkerPool::global().claim(
+        config.effective_threads(),
+        nodes.len().div_ceil(SWEEP_CHUNK),
+        || {
+            (
+                BcaEngine::new(hub_matrix.hubs().clone(), config.bca),
+                Materializer::new(n),
+                Vec::new(),
+            )
+        },
+        |(engine, materializer, outputs), chunk| {
+            let lo = chunk * SWEEP_CHUNK;
+            for (i, &u) in nodes.iter().enumerate().skip(lo).take(SWEEP_CHUNK) {
+                let outcome = match keep(u) {
+                    Some(state) => {
+                        let (lower_bounds, parked_deficit) =
+                            state.rebound(hub_matrix, materializer);
+                        let digest = node_record_digest(state.snapshot(), &lower_bounds);
+                        (Swept::Rebound(lower_bounds, parked_deficit), digest)
                     }
-                    let hi = (lo + SWEEP_CHUNK).min(nodes.len());
-                    for (i, &u) in nodes.iter().enumerate().take(hi).skip(lo) {
-                        let outcome = match keep(u) {
-                            Some(state) => {
-                                let (lower_bounds, parked_deficit) =
-                                    state.rebound(hub_matrix, &mut materializer);
-                                let digest = node_record_digest(state.snapshot(), &lower_bounds);
-                                (Swept::Rebound(lower_bounds, parked_deficit), digest)
-                            }
-                            None => {
-                                let snapshot = engine.run_from(transition, u, stop);
-                                let state = NodeState::from_snapshot(
-                                    snapshot,
-                                    hub_matrix,
-                                    &mut materializer,
-                                    config.max_k,
-                                );
-                                let digest =
-                                    node_record_digest(state.snapshot(), state.lower_bounds());
-                                (Swept::Run(state), digest)
-                            }
-                        };
-                        local.push((i, outcome));
+                    None => {
+                        let snapshot = engine.run_from(transition, u, &stop);
+                        let state = NodeState::from_snapshot(
+                            snapshot,
+                            hub_matrix,
+                            materializer,
+                            config.max_k,
+                        );
+                        let digest = node_record_digest(state.snapshot(), state.lower_bounds());
+                        (Swept::Run(state), digest)
                     }
-                }
-                collected.lock().expect("sweep results poisoned").push((local, engine.work()));
-            });
-        }
-    });
+                };
+                outputs.push((i, outcome));
+            }
+        },
+    );
+    // Outcomes are large: each moves once, into its node's slot, unsorted.
     let mut slots: Vec<Option<(Swept, u64)>> = (0..nodes.len()).map(|_| None).collect();
     let (mut total_iterations, mut total_pushes) = (0u64, 0u64);
-    for (chunk, work) in collected.into_inner().expect("sweep results poisoned") {
-        total_iterations += u64::from(work.iterations);
-        total_pushes += work.pushes;
-        for (i, outcome) in chunk {
-            debug_assert!(slots[i].is_none());
+    for (engine, _, outputs) in lanes {
+        total_iterations += u64::from(engine.work().iterations);
+        total_pushes += engine.work().pushes;
+        for (i, outcome) in outputs {
             slots[i] = Some(outcome);
         }
     }

@@ -20,7 +20,6 @@ use rtk_rwr::bca::{BcaEngine, BcaSnapshot, BcaStop};
 use rtk_rwr::power::BLOCK_WIDTH;
 use rtk_rwr::{proximity_from_many, HubSet};
 use rtk_sparse::{top_k_of_pairs, EpochScratch, SparseVector};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Sparse, rounded hub proximity vectors plus per-hub deficits.
 #[derive(Clone, Debug, PartialEq)]
@@ -202,13 +201,12 @@ struct HubColumn {
 }
 
 /// Solves, rounds and hashes the columns of `ids` (returned in `ids` order)
-/// over `threads` pool workers — the one routine behind [`HubMatrix::build`]
-/// and [`HubMatrix::recompute_columns`]. The unit of work is a tile of
+/// over `threads` lanes — the one routine behind [`HubMatrix::build`] and
+/// [`HubMatrix::recompute_columns`]. The unit of work is a tile of
 /// [`BLOCK_WIDTH`] hubs for the power method (one pass over the edges solves
-/// the whole tile) and a single hub for BCA. Workers pull tiles off a shared
-/// counter and results are ordered by tile, so scheduling cannot change the
-/// matrix; a column does not depend on its tile-mates, so neither can the
-/// tiling.
+/// the whole tile) and a single hub for BCA. Lanes claim tiles and results
+/// are ordered by tile, so scheduling cannot change the matrix; a column
+/// does not depend on its tile-mates, so neither can the tiling.
 fn solve_columns(
     transition: &TransitionMatrix<'_>,
     ids: &[u32],
@@ -221,26 +219,11 @@ fn solve_columns(
         HubSolver::Bca(_) => 1,
     };
     let tiles: Vec<&[u32]> = ids.chunks(width).collect();
-    let threads = threads.max(1).min(tiles.len());
-    let next = AtomicUsize::new(0);
-    let results = std::sync::Mutex::new(Vec::<(usize, Vec<HubColumn>)>::new());
-    rtk_sparse::WorkerPool::global().scope(|scope| {
-        for _ in 0..threads {
-            let (tiles, next, results) = (&tiles, &next, &results);
-            scope.spawn(move || {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= tiles.len() {
-                        break;
-                    }
-                    local.push((i, solve_tile(transition, tiles[i], solver, rounding_threshold)));
-                }
-                results.lock().expect("hub results poisoned").extend(local);
-            });
-        }
-    });
-    let mut solved = results.into_inner().expect("hub results poisoned");
+    let lanes =
+        rtk_sparse::WorkerPool::global().claim(threads, tiles.len(), Vec::new, |done, i| {
+            done.push((i, solve_tile(transition, tiles[i], solver, rounding_threshold)));
+        });
+    let mut solved: Vec<(usize, Vec<HubColumn>)> = lanes.into_iter().flatten().collect();
     solved.sort_unstable_by_key(|&(i, _)| i);
     solved.into_iter().flat_map(|(_, columns)| columns).collect()
 }

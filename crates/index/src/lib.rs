@@ -19,8 +19,8 @@
 //! * [`NodeState`] — one column of the index: the BCA snapshot (`r`, `w`,
 //!   `s`) plus the descending top-K lower bounds `p̂^t_u(1:K)`;
 //! * [`LbiBuilder`] / [`ReverseIndex::build`] — parallel index construction
-//!   (Alg. 1) over `std::thread::scope`, deterministic regardless of thread
-//!   count;
+//!   (Alg. 1) as `rtk_sparse::WorkerPool::claim` loops over hub tiles and
+//!   node chunks, deterministic regardless of thread count;
 //! * [`IndexShard`] / [`ShardMap`] — partition of the per-node states into
 //!   `S` contiguous node-range shards ([`IndexConfig::shards`]), each
 //!   individually serializable and independently scannable by the query

@@ -1,20 +1,20 @@
 //! The Online Query algorithm — Algorithm 4 (paper §4.2).
 //!
-//! # Two-phase parallel execution, fanned out per shard
+//! # Two-phase parallel execution
 //!
 //! A query runs as **PMPN → screen → commit**:
 //!
 //! 1. PMPN computes `p_*(q)` with its sparse matrix–vector products spread
 //!    over [`QueryOptions::query_threads`] workers;
-//! 2. the **screen phase** runs in two passes on the shared [`WorkerPool`]:
-//!    *classify* fans the cheap bound checks out over shard-aligned,
-//!    degree-balanced chunks (a chunk never crosses a shard boundary), then
+//! 2. the **screen phase** runs in two passes, each one
+//!    [`WorkerPool::claim`] loop: *classify* runs the cheap bound checks
+//!    over degree-balanced chunks of the node range the index holds, then
 //!    *refine* visits the undecided candidates in descending upper-bound
-//!    order — loosest bounds first. Each worker owns a private [`Refiner`]
-//!    (a [`BcaEngine`] + [`Materializer`], recycled across queries through
-//!    a [`ScratchPool`]) and refines each candidate *resident in it* — the
-//!    shared index is only read, and a [`NodeState`] is written out only
-//!    for the commit phase;
+//!    order — loosest bounds first. Each refine lane owns a private
+//!    [`Refiner`] (a [`BcaEngine`] + [`Materializer`], recycled across
+//!    queries through a [`ScratchPool`]) and refines each candidate
+//!    *resident in it* — the shared index is only read, and a
+//!    [`NodeState`] is written out only for the commit phase;
 //! 3. the **commit phase** (update mode only) serially merges every refined
 //!    copy back into the owning shards by node id — the cross-shard merge.
 //!
@@ -34,7 +34,7 @@ use rtk_rwr::pmpn::proximity_to;
 use rtk_rwr::power::proximity_from;
 use rtk_rwr::{BcaParams, HubSet, RwrParams};
 use rtk_sparse::{ScratchPool, WorkerPool};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Residual mass below which a node's bounds are treated as exact.
@@ -52,13 +52,12 @@ const REFINE_TARGET_FRACTION: f64 = 0.7;
 /// *pruned*, for which no residual target exists.
 const REFINE_RUN_CAP: u32 = 64;
 
-/// Target weight per screen chunk a worker claims, where node `u` weighs
+/// Target weight per classify chunk a lane claims, where node `u` weighs
 /// `1 + out_degree(u)` — its bound checks plus the edges a refinement would
 /// push along. About 16 nodes on a mean-degree-6 graph: small enough to
-/// balance the heavy refinement tail (one hard candidate can cost thousands
-/// of BCA iterations while its neighbors cost none), large enough to
-/// amortize the atomic counter; on skewed (power-law) graphs it keeps a hub
-/// node from making one chunk orders of magnitude heavier than the rest.
+/// balance uneven chunks, large enough to amortize the claim counter; on
+/// skewed (power-law) graphs it keeps a hub node from making one chunk
+/// orders of magnitude heavier than the rest.
 const SCREEN_CHUNK_EDGES: usize = 96;
 
 /// Tie tolerance for membership comparisons (`p_u(q) ≥ p̂_u(k)`).
@@ -386,33 +385,14 @@ impl QueryEngine {
     ) -> Result<ScreenOutput, QueryError> {
         let started = Instant::now();
         let n = transition.node_count();
-        if index.node_count() != n {
-            return Err(QueryError::GraphMismatch {
-                index_nodes: index.node_count(),
-                graph_nodes: n,
-            });
-        }
-        if k == 0 || k > index.max_k() {
-            return Err(QueryError::KOutOfRange { k, max_k: index.max_k() });
-        }
-        if q as usize >= n {
-            return Err(QueryError::NodeOutOfRange { node: q, node_count: n });
-        }
+        check_request(index, n, &[(q, k)])?;
         if let Some(v) = pmpn {
             if v.len() != n {
                 return Err(QueryError::GraphMismatch { index_nodes: v.len(), graph_nodes: n });
             }
         }
-        let (mut result, commits, pmpn_out) = execute_query(
-            self,
-            transition,
-            &ScreenScope::new(index),
-            q,
-            k,
-            options,
-            pmpn,
-            want_pmpn,
-        );
+        let (mut result, commits, pmpn_out) =
+            execute_query(self, transition, index, q, k, options, pmpn, want_pmpn);
         result.stats.total_seconds = started.elapsed().as_secs_f64();
         Ok((result, commits, pmpn_out))
     }
@@ -458,85 +438,45 @@ impl QueryEngine {
         queries: &[(u32, usize)],
         options: &QueryOptions,
     ) -> Result<Vec<QueryResult>, QueryError> {
-        let n = transition.node_count();
-        if index.node_count() != n {
-            return Err(QueryError::GraphMismatch {
-                index_nodes: index.node_count(),
-                graph_nodes: n,
-            });
-        }
-        for &(q, k) in queries {
-            if k == 0 || k > index.max_k() {
-                return Err(QueryError::KOutOfRange { k, max_k: index.max_k() });
-            }
-            if q as usize >= n {
-                return Err(QueryError::NodeOutOfRange { node: q, node_count: n });
-            }
-        }
-
+        check_request(index, transition.node_count(), queries)?;
         let threads = resolve_threads(options.query_threads);
         let workers = threads.min(queries.len().max(1));
-        let per_query = QueryOptions {
-            update_index: false,
-            query_threads: (threads / workers.max(1)).max(1),
-            ..*options
-        };
-        let screen_scope = ScreenScope::new(index);
-        let mut slots: Vec<Option<QueryResult>> = (0..queries.len()).map(|_| None).collect();
-        if workers <= 1 {
-            for (slot, &(q, k)) in slots.iter_mut().zip(queries) {
-                let (result, _, _) =
-                    execute_query(self, transition, &screen_scope, q, k, &per_query, None, false);
-                *slot = Some(result);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let collected = std::sync::Mutex::new(Vec::with_capacity(workers));
-            WorkerPool::global().scope(|pool| {
-                for _ in 0..workers {
-                    let next = &next;
-                    let per_query = &per_query;
-                    let screen_scope = &screen_scope;
-                    let collected = &collected;
-                    pool.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= queries.len() {
-                                break;
-                            }
-                            let (q, k) = queries[i];
-                            let (result, _, _) = execute_query(
-                                self,
-                                transition,
-                                screen_scope,
-                                q,
-                                k,
-                                per_query,
-                                None,
-                                false,
-                            );
-                            local.push((i, result));
-                        }
-                        collected.lock().expect("batch results poisoned").push(local);
-                    });
-                }
-            });
-            for chunk in collected.into_inner().expect("batch results poisoned") {
-                for (i, result) in chunk {
-                    debug_assert!(slots[i].is_none());
-                    slots[i] = Some(result);
-                }
-            }
-        }
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("query result missing after batch"))
-            .collect())
+        let per_query =
+            QueryOptions { update_index: false, query_threads: threads / workers, ..*options };
+        let lanes = WorkerPool::global().claim(workers, queries.len(), Vec::new, |done, i| {
+            let (q, k) = queries[i];
+            let (result, _, _) =
+                execute_query(self, transition, index, q, k, &per_query, None, false);
+            done.push((i, result));
+        });
+        let mut results: Vec<(usize, QueryResult)> = lanes.into_iter().flatten().collect();
+        results.sort_unstable_by_key(|&(i, _)| i);
+        Ok(results.into_iter().map(|(_, result)| result).collect())
     }
 }
 
-/// One worker's screen-phase output.
+/// The checks every query entry makes before any work: the graph must be
+/// the one `index` was built over, and every `(q, k)` must be in range.
+fn check_request(
+    index: &ReverseIndex,
+    n: usize,
+    queries: &[(u32, usize)],
+) -> Result<(), QueryError> {
+    if index.node_count() != n {
+        return Err(QueryError::GraphMismatch { index_nodes: index.node_count(), graph_nodes: n });
+    }
+    for &(q, k) in queries {
+        if k == 0 || k > index.max_k() {
+            return Err(QueryError::KOutOfRange { k, max_k: index.max_k() });
+        }
+        if q as usize >= n {
+            return Err(QueryError::NodeOutOfRange { node: q, node_count: n });
+        }
+    }
+    Ok(())
+}
+
+/// One refine lane's screen-phase output.
 #[derive(Default)]
 struct LocalScreen {
     stats: QueryStats,
@@ -546,44 +486,17 @@ struct LocalScreen {
     commits: Vec<(u32, NodeState)>,
 }
 
-/// What one screen pass scans: the node states an index holds, as a set of
-/// shard-aligned node ranges — every shard of a whole index (the
-/// single-process query), or the one shard a multi-process backend owns.
+/// Runs PMPN + the screen phase over the node range `index` holds — every
+/// node of a whole index, or the one shard a multi-process backend owns.
 /// Because per-node screening decisions are independent, the union of
-/// per-shard scans equals the full scan: concatenating the shard results in
-/// range order and summing their counters reproduces the single-process
+/// per-shard screens equals the full one: concatenating the shard results
+/// in range order and summing their counters reproduces the single-process
 /// answer bitwise — the invariant multi-process serving is built on.
-struct ScreenScope<'a> {
-    index: &'a ReverseIndex,
-    alpha: f64,
-    hub_matrix: &'a HubMatrix,
-    /// Shard-aligned `[lo, hi)` node ranges to scan, ascending and disjoint.
-    ranges: Vec<(u32, u32)>,
-}
-
-impl<'a> ScreenScope<'a> {
-    /// Scope over every shard `index` holds.
-    fn new(index: &'a ReverseIndex) -> Self {
-        Self {
-            index,
-            alpha: index.config().alpha(),
-            hub_matrix: index.hub_matrix(),
-            ranges: index.shards().iter().map(|s| (s.node_lo(), s.node_hi())).collect(),
-        }
-    }
-
-    /// State of node `u`, which must lie inside one of the scope's ranges.
-    #[inline]
-    fn state(&self, u: u32) -> &NodeState {
-        self.index.state(u)
-    }
-}
-
-/// Runs PMPN + the screen phase against a read-only scope. Returns the
-/// result (with `total_seconds` still unset), the refined states to commit
-/// (empty unless `options.update_index`), and — when `want_pmpn` and the
-/// exact path ran — the PMPN vector, so a router can ship it to sibling
-/// backends instead of having each re-solve it.
+///
+/// Returns the result (with `total_seconds` still unset), the refined
+/// states to commit (empty unless `options.update_index`), and — when
+/// `want_pmpn` and the exact path ran — the PMPN vector, so a router can
+/// ship it to sibling backends instead of having each re-solve it.
 ///
 /// `pmpn_in` supplies a precomputed PMPN vector (skipping the solve); the
 /// caller must have validated its length. Every backend solves the
@@ -593,7 +506,7 @@ impl<'a> ScreenScope<'a> {
 fn execute_query(
     session: &QueryEngine,
     transition: &TransitionMatrix<'_>,
-    scope: &ScreenScope<'_>,
+    index: &ReverseIndex,
     q: u32,
     k: usize,
     options: &QueryOptions,
@@ -607,12 +520,13 @@ fn execute_query(
     // index's restart probability, SpMV spread over the query threads — or,
     // in approx mode, the backward residue push of the bidirectional
     // estimator (deterministic radius ε/2; see `rtk-approx`).
-    let pmpn_params = RwrParams { alpha: scope.alpha, threads, ..RwrParams::default() };
+    let alpha = index.config().alpha();
+    let pmpn_params = RwrParams { alpha, threads, ..RwrParams::default() };
     let pmpn_t0 = Instant::now();
     let mut pmpn_iterations = 0u32;
     let mut estimator: Option<BidirEstimator> = None;
     let to_q: Vec<f64> = if let Some(a) = approx {
-        estimator = Some(BidirEstimator::build(transition, q, scope.alpha, &a, a.epsilon / 2.0));
+        estimator = Some(BidirEstimator::build(transition, q, alpha, &a, a.epsilon / 2.0));
         Vec::new()
     } else if let Some(v) = pmpn_in {
         v.to_vec()
@@ -626,94 +540,72 @@ fn execute_query(
     // Step 2 (Alg. 4 lines 2–14) runs in two passes so refinement — the
     // expensive tail — can be scheduled by how undecided each candidate is.
     //
-    // **Classify** scans every node: workers pull shard-aligned chunks off
-    // an atomic counter (degree-balanced, see [`ChunkPlan`]) and run the
-    // cheap bound tests that need no BCA scratch. Most nodes are pruned or
-    // confirmed here; the survivors are recorded with their first upper
-    // bound.
+    // **Classify** scans every node: lanes claim degree-balanced chunks
+    // (see [`screen_chunks`]) and run the cheap bound tests that need no
+    // BCA scratch. Most nodes are pruned or confirmed here; the survivors
+    // are recorded with their first upper bound.
     //
     // **Refine** then visits the survivors in descending upper-bound order
     // — the loosest bounds first, so the longest refinements start early
-    // and the parallel tail stays short. The order is a pure scheduling
-    // choice: candidates refine inside their worker's scratch against the
+    // and the parallel tail stays short. Candidates are claimed one at a
+    // time: the refinement tail is heavy and skewed, so finer granularity
+    // beats lower counter traffic here. The order is a pure scheduling
+    // choice: candidates refine inside their lane's scratch against the
     // read-only index, so the visit order (like the thread count and the
     // chunk layout) cannot change any answer.
     let screen_t0 = Instant::now();
-    let chunks = ChunkPlan::edge_balanced(&scope.ranges, transition.graph());
+    let chunks = screen_chunks(index.owned_range(), transition.graph());
     let LocalClassify { mut stats, mut results, mut pending } = match &estimator {
         Some(est) => {
             let source = EnvelopeSource { est, transition };
-            classify(&source, &chunks, scope, k, options, threads)
+            classify(&source, &chunks, index, k, options, threads)
         }
-        None => classify(&ExactSource(&to_q), &chunks, scope, k, options, threads),
+        None => classify(&ExactSource(&to_q), &chunks, index, k, options, threads),
     };
 
     // Loosest bounds first; ties break by node id so the refinement
     // schedule is reproducible no matter how classify chunks interleaved.
     pending.sort_unstable_by(|a, b| b.ub.total_cmp(&a.ub).then(a.node.cmp(&b.node)));
 
-    // Workers already refining in parallel solve strict-mode exact
-    // fallbacks serially to avoid oversubscription; a lone refiner keeps
-    // the full SpMV thread budget for its fallback solves.
-    let refine_threads = threads.min(pending.len().max(1));
+    // Lanes already refining in parallel solve strict-mode exact fallbacks
+    // serially to avoid oversubscription; a lone refiner keeps the full
+    // SpMV thread budget for its fallback solves.
     let fallback_params = RwrParams {
-        threads: if refine_threads > 1 { 1 } else { pmpn_params.threads },
+        threads: if threads.min(pending.len()) > 1 { 1 } else { pmpn_params.threads },
         ..pmpn_params
     };
-    let next = AtomicUsize::new(0);
-    let locals: Vec<LocalScreen> = if refine_threads <= 1 {
-        let mut scratch = session.scratch.take_with(|| session.make_scratch());
-        let mut local = LocalScreen::default();
-        refine_worker(
-            &mut local,
-            &mut scratch,
-            &pending,
-            &next,
-            transition,
-            scope,
-            q,
-            k,
-            options,
-            &fallback_params,
-        );
-        session.scratch.put(scratch);
-        vec![local]
-    } else {
-        let collected = std::sync::Mutex::new(Vec::with_capacity(refine_threads));
-        WorkerPool::global().scope(|pool| {
-            for _ in 0..refine_threads {
-                let next = &next;
-                let pending = &pending;
-                let fallback_params = &fallback_params;
-                let collected = &collected;
-                pool.spawn(move || {
-                    let mut scratch = session.scratch.take_with(|| session.make_scratch());
-                    let mut local = LocalScreen::default();
-                    refine_worker(
-                        &mut local,
-                        &mut scratch,
-                        pending,
-                        next,
-                        transition,
-                        scope,
-                        q,
-                        k,
-                        options,
-                        fallback_params,
-                    );
-                    session.scratch.put(scratch);
-                    collected.lock().expect("screen results poisoned").push(local);
-                });
-            }
-        });
-        collected.into_inner().expect("screen results poisoned")
-    };
+    let lanes = WorkerPool::global().claim(
+        threads,
+        pending.len(),
+        || {
+            let refiner = session.scratch.take_with(|| session.make_scratch());
+            let pushes_before = refiner.work().pushes;
+            (refiner, LocalScreen::default(), pushes_before)
+        },
+        |(refiner, local, _), i| {
+            let PendingCandidate { node, p_uq, .. } = pending[i];
+            screen_candidate(
+                local,
+                refiner,
+                transition,
+                index,
+                node,
+                p_uq,
+                q,
+                k,
+                options,
+                &fallback_params,
+            );
+        },
+    );
 
     // Serial cross-shard merge: counters add; results and commits sort by
     // node id, so the output is independent of phase interleaving *and* of
-    // the shard partition the chunks were derived from.
+    // the shard partition.
     let mut commits: Vec<(u32, NodeState)> = Vec::new();
-    for local in locals {
+    for (refiner, local, pushes_before) in lanes {
+        stats.refine_pushes += refiner.work().pushes - pushes_before;
+        session.scratch.put(refiner);
         stats.absorb(&local.stats);
         results.extend(local.results);
         commits.extend(local.commits);
@@ -737,69 +629,27 @@ fn execute_query(
     (QueryResult { query: q, k, nodes, proximities, stats }, commits, pmpn_out)
 }
 
-/// Shard-aligned chunking of the screen scan: every shard's node range is
-/// cut into its own run of chunks, so no unit of work ever crosses a shard
-/// boundary. Per-node decisions are independent, so the partition (like
-/// the thread count) cannot change any answer — only how the scan is
-/// scheduled.
-///
-/// Chunks are degree-balanced: boundaries are placed so each chunk covers
-/// roughly the same node-plus-out-edge weight — one `u32` per chunk,
-/// computed in a single pass over the scan range.
-struct ChunkPlan {
-    /// End node (exclusive) of each shard's range in the scan.
-    ends: Vec<u32>,
-    /// Cumulative chunk counts: shard `s` owns global chunk indices
-    /// `prefix[s]..prefix[s + 1]`.
-    prefix: Vec<usize>,
-    /// Chunk start nodes: chunk `ci` starts at `bounds[ci]` and ends at the
-    /// next chunk's start, or at its shard's end for the last chunk of a
-    /// shard.
-    bounds: Vec<u32>,
-}
-
-impl ChunkPlan {
-    /// Cuts each range of `scan` — the full shard map's ranges for a
-    /// single-process scan, or one shard's range for a multi-process
-    /// backend — so each chunk accumulates at least [`SCREEN_CHUNK_EDGES`]
-    /// units of `1 + out_degree` weight (the `1` keeps edge-free stretches
-    /// from collapsing into one giant chunk). On skewed graphs the chunks
-    /// carry equal *work*: a hub's chunk is small in nodes, not in edges.
-    fn edge_balanced(scan: &[(u32, u32)], graph: &DiGraph) -> Self {
-        let mut ends = Vec::with_capacity(scan.len());
-        let mut prefix = Vec::with_capacity(scan.len() + 1);
-        let mut bounds = Vec::new();
-        prefix.push(0);
-        for &(lo, hi) in scan {
-            ends.push(hi);
-            let mut weight = 0usize;
-            for u in lo..hi {
-                if weight == 0 {
-                    bounds.push(u);
-                }
-                weight += 1 + graph.out_neighbors(u).len();
-                if weight >= SCREEN_CHUNK_EDGES {
-                    weight = 0;
-                }
-            }
-            prefix.push(bounds.len());
+/// Cuts `nodes` into the classify pass's `[lo, hi)` chunks, ascending and
+/// covering every node once. A chunk closes at the first node that brings
+/// its `1 + out_degree` weight to [`SCREEN_CHUNK_EDGES`] (the `1` keeps
+/// edge-free stretches from collapsing into one giant chunk), so on skewed
+/// graphs chunks carry equal *work*: a hub's chunk is small in nodes, not
+/// in edges. A chunk may span shards; per-node decisions are independent
+/// and merged by node id, so the layout only changes scheduling.
+fn screen_chunks(nodes: Range<u32>, graph: &DiGraph) -> Vec<(u32, u32)> {
+    let mut chunks = Vec::new();
+    let (mut lo, mut weight) = (nodes.start, 0usize);
+    for u in nodes.clone() {
+        weight += 1 + graph.out_neighbors(u).len();
+        if weight >= SCREEN_CHUNK_EDGES {
+            chunks.push((lo, u + 1));
+            (lo, weight) = (u + 1, 0);
         }
-        Self { ends, prefix, bounds }
     }
-
-    /// Total number of chunks across all shards.
-    fn total(&self) -> usize {
-        self.bounds.len()
+    if lo < nodes.end {
+        chunks.push((lo, nodes.end));
     }
-
-    /// Node range of global chunk `ci`, or `None` past the end.
-    fn chunk(&self, ci: usize) -> Option<(u32, u32)> {
-        let lo = *self.bounds.get(ci)?;
-        // The owning shard is the last one whose prefix is ≤ ci.
-        let s = self.prefix.partition_point(|&p| p <= ci) - 1;
-        let hi = if ci + 1 < self.prefix[s + 1] { self.bounds[ci + 1] } else { self.ends[s] };
-        Some((lo, hi))
-    }
+    chunks
 }
 
 /// A candidate the classify pass could not decide: its bounds are open, so
@@ -883,36 +733,22 @@ impl BoundSource for EnvelopeSource<'_> {
     }
 }
 
-/// Runs the classify pass over `chunks` on up to `threads` pool workers
-/// and folds their outputs.
+/// Runs the classify pass over `chunks` on up to `threads` lanes and folds
+/// their outputs.
 fn classify<S: BoundSource>(
     source: &S,
-    chunks: &ChunkPlan,
-    scope: &ScreenScope<'_>,
+    chunks: &[(u32, u32)],
+    index: &ReverseIndex,
     k: usize,
     options: &QueryOptions,
     threads: usize,
 ) -> LocalClassify {
-    let threads = threads.min(chunks.total()).max(1);
-    let next = AtomicUsize::new(0);
+    let lanes =
+        WorkerPool::global().claim(threads, chunks.len(), LocalClassify::default, |local, ci| {
+            classify_chunk(local, chunks[ci], index, source, k, options)
+        });
     let mut total = LocalClassify::default();
-    if threads <= 1 {
-        classify_worker(&mut total, chunks, &next, scope, source, k, options);
-        return total;
-    }
-    let collected = std::sync::Mutex::new(Vec::with_capacity(threads));
-    WorkerPool::global().scope(|pool| {
-        for _ in 0..threads {
-            let next = &next;
-            let collected = &collected;
-            pool.spawn(move || {
-                let mut local = LocalClassify::default();
-                classify_worker(&mut local, chunks, next, scope, source, k, options);
-                collected.lock().expect("classify results poisoned").push(local);
-            });
-        }
-    });
-    for local in collected.into_inner().expect("classify results poisoned") {
+    for local in lanes {
         total.stats.absorb(&local.stats);
         total.results.extend(local.results);
         total.pending.extend(local.pending);
@@ -920,18 +756,17 @@ fn classify<S: BoundSource>(
     total
 }
 
-/// Classify pass: screens chunks pulled off `next` until the plan is
-/// exhausted, running only the checks that need no BCA scratch — the
-/// pruning tests and the first lower/upper bound evaluation (Alg. 4
-/// lines 3–7 plus line 4's first look) against `source`'s stand-in for
-/// `p_u(q)`. Undecided nodes become [`PendingCandidate`]s; the refine pass
-/// re-derives these exact values from the same read-only state, so
-/// splitting the phases changes no decision.
-fn classify_worker<S: BoundSource>(
+/// Classify pass over the nodes `lo..hi`, running only the checks that
+/// need no BCA scratch — the pruning tests and the first lower/upper bound
+/// evaluation (Alg. 4 lines 3–7 plus line 4's first look) against
+/// `source`'s stand-in for `p_u(q)`. Undecided nodes become
+/// [`PendingCandidate`]s; the refine pass re-derives these exact values
+/// from the same read-only state, so splitting the phases changes no
+/// decision.
+fn classify_chunk<S: BoundSource>(
     local: &mut LocalClassify,
-    chunks: &ChunkPlan,
-    next: &AtomicUsize,
-    scope: &ScreenScope<'_>,
+    (lo, hi): (u32, u32),
+    index: &ReverseIndex,
     source: &S,
     k: usize,
     options: &QueryOptions,
@@ -939,104 +774,58 @@ fn classify_worker<S: BoundSource>(
     let strict = options.bound_mode == BoundMode::Strict;
     // An estimated source's decisions are reported in the approx counters.
     let estimated = u64::from(S::ESTIMATED);
-    loop {
-        let ci = next.fetch_add(1, Ordering::Relaxed);
-        let Some((lo, hi)) = chunks.chunk(ci) else {
-            break;
-        };
-        for u in lo..hi {
-            let ceiling = source.ceiling(u);
+    for u in lo..hi {
+        let ceiling = source.ceiling(u);
 
-            // Membership requires strictly positive proximity: a top-k
-            // *set* only contains reachable nodes. Without this, every node
-            // whose proximity vector has fewer than k non-zeros (its k-th
-            // value is 0) would "contain" every query node — Figure 1's
-            // shaded cells are always non-zero.
-            if ceiling <= TIE_EPSILON {
-                local.stats.pruned_by_lower_bound += 1;
-                continue;
-            }
-            // Fast path: prune on the stored lower bound without copying
-            // (Alg. 4 line 4's first evaluation) — the certain misses.
-            let state = scope.state(u);
-            let lb = state.kth_lower_bound(k);
-            if ceiling < lb - TIE_EPSILON {
-                local.stats.pruned_by_lower_bound += 1;
-                continue;
-            }
-            local.stats.candidates += 1;
-            let (p_uq, walks) = source.point(u);
-            local.stats.approx_walks += walks;
-            // Only an estimate can sit below its own ceiling; on the exact
-            // source the point *is* the ceiling that just passed both tests.
-            if S::ESTIMATED && (p_uq <= TIE_EPSILON || p_uq < lb - TIE_EPSILON) {
-                local.stats.approx_estimated += 1; // estimated miss
-                continue;
-            }
-            let residual = state.residual_mass(strict);
-            if residual <= EXACT_RESIDUAL_EPS {
-                // Bounds are exact: p ≥ lb = p^kmax_u ⇒ result (lines 5–7).
-                local.stats.approx_estimated += estimated;
-                local.results.push((u, p_uq));
-                continue;
-            }
-            let staircase = state.lower_bounds().prefix_values(k);
-            let ub = upper_bound_kth(&staircase, residual, k);
-            if p_uq >= ub {
-                local.stats.hits += 1; // confirmed without any refinement
-                local.stats.approx_estimated += estimated;
-                local.results.push((u, p_uq));
-                continue;
-            }
-            // Approximate mode stops here: the node is neither an immediate
-            // hit nor exactly bounded, so it is dropped (no refinement,
-            // paper §5.3's suggested variant).
-            if options.approximate {
-                continue;
-            }
-            local.pending.push(PendingCandidate { node: u, p_uq, ub });
+        // Membership requires strictly positive proximity: a top-k *set*
+        // only contains reachable nodes. Without this, every node whose
+        // proximity vector has fewer than k non-zeros (its k-th value is 0)
+        // would "contain" every query node — Figure 1's shaded cells are
+        // always non-zero.
+        if ceiling <= TIE_EPSILON {
+            local.stats.pruned_by_lower_bound += 1;
+            continue;
         }
+        // Fast path: prune on the stored lower bound without copying
+        // (Alg. 4 line 4's first evaluation) — the certain misses.
+        let state = index.state(u);
+        let lb = state.kth_lower_bound(k);
+        if ceiling < lb - TIE_EPSILON {
+            local.stats.pruned_by_lower_bound += 1;
+            continue;
+        }
+        local.stats.candidates += 1;
+        let (p_uq, walks) = source.point(u);
+        local.stats.approx_walks += walks;
+        // Only an estimate can sit below its own ceiling; on the exact
+        // source the point *is* the ceiling that just passed both tests.
+        if S::ESTIMATED && (p_uq <= TIE_EPSILON || p_uq < lb - TIE_EPSILON) {
+            local.stats.approx_estimated += 1; // estimated miss
+            continue;
+        }
+        let residual = state.residual_mass(strict);
+        if residual <= EXACT_RESIDUAL_EPS {
+            // Bounds are exact: p ≥ lb = p^kmax_u ⇒ result (lines 5–7).
+            local.stats.approx_estimated += estimated;
+            local.results.push((u, p_uq));
+            continue;
+        }
+        let staircase = state.lower_bounds().prefix_values(k);
+        let ub = upper_bound_kth(&staircase, residual, k);
+        if p_uq >= ub {
+            local.stats.hits += 1; // confirmed without any refinement
+            local.stats.approx_estimated += estimated;
+            local.results.push((u, p_uq));
+            continue;
+        }
+        // Approximate mode stops here: the node is neither an immediate hit
+        // nor exactly bounded, so it is dropped (no refinement, paper §5.3's
+        // suggested variant).
+        if options.approximate {
+            continue;
+        }
+        local.pending.push(PendingCandidate { node: u, p_uq, ub });
     }
-}
-
-/// Refine pass: pulls single pending candidates off `next` (the list is
-/// sorted by descending upper bound) and resolves each with
-/// [`screen_candidate`]. Candidates are claimed one at a time — the
-/// refinement tail is heavy and skewed, so finer granularity beats lower
-/// counter traffic here.
-#[allow(clippy::too_many_arguments)]
-fn refine_worker(
-    local: &mut LocalScreen,
-    refiner: &mut Refiner,
-    pending: &[PendingCandidate],
-    next: &AtomicUsize,
-    transition: &TransitionMatrix<'_>,
-    scope: &ScreenScope<'_>,
-    q: u32,
-    k: usize,
-    options: &QueryOptions,
-    fallback_params: &RwrParams,
-) {
-    let pushes_before = refiner.work().pushes;
-    loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some(candidate) = pending.get(i) else {
-            break;
-        };
-        screen_candidate(
-            local,
-            refiner,
-            transition,
-            scope,
-            candidate.node,
-            candidate.p_uq,
-            q,
-            k,
-            options,
-            fallback_params,
-        );
-    }
-    local.stats.refine_pushes += refiner.work().pushes - pushes_before;
 }
 
 /// What one refinement run did to the resident candidate.
@@ -1105,7 +894,7 @@ fn screen_candidate(
     local: &mut LocalScreen,
     refiner: &mut Refiner,
     transition: &TransitionMatrix<'_>,
-    scope: &ScreenScope<'_>,
+    index: &ReverseIndex,
     u: u32,
     p_uq: f64,
     q: u32,
@@ -1115,7 +904,7 @@ fn screen_candidate(
 ) {
     let epsilon_band = options.approx.filter(|a| a.is_active()).map(|a| a.epsilon);
     let strict = options.bound_mode == BoundMode::Strict;
-    let stored = scope.state(u);
+    let stored = index.state(u);
     let mut resident = false; // `refiner` holds u's computation
     let mut advanced = false; // at least one BCA iteration executed
     let mut midpoint_call = false; // decided by the ε-window, not by bounds
@@ -1160,7 +949,7 @@ fn screen_candidate(
         // of the residual and refinement cannot shrink it.
         let deficit = if strict { refiner.parked_deficit() } else { 0.0 };
         let target = (REFINE_TARGET_FRACTION * cost - deficit).max(0.0);
-        match refine_run(refiner, transition, scope.hub_matrix, target) {
+        match refine_run(refiner, transition, index.hub_matrix(), target) {
             RefineRun::Advanced(executed) => {
                 advanced = true;
                 local.stats.refine_iterations += u64::from(executed);
@@ -1194,7 +983,7 @@ fn screen_candidate(
         local.results.push((u, p_uq));
     }
     if options.update_index && advanced {
-        local.commits.push((u, refiner.unload(scope.hub_matrix)));
+        local.commits.push((u, refiner.unload(index.hub_matrix())));
     }
 }
 
@@ -1663,33 +1452,18 @@ mod tests {
     }
 
     #[test]
-    fn chunk_plan_covers_every_node_once_and_respects_shards() {
-        // The plan must partition the scan exactly: every node in one
-        // chunk, no chunk crossing a shard boundary.
+    fn screen_chunks_cover_every_node_once_in_order() {
+        // The chunks must partition the range exactly: ascending, non-empty,
+        // each starting where the previous one ended.
         let g = rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(100, 420, 3)).unwrap();
-        for (n, shards) in
-            [(1usize, 1usize), (15, 1), (16, 1), (17, 2), (90, 4), (100, 8), (33, 33)]
-        {
-            let map = rtk_index::ShardMap::even(n, shards);
-            let ranges: Vec<(u32, u32)> =
-                (0..map.shard_count()).map(|i| (map.range(i).start, map.range(i).end)).collect();
-            let plan = ChunkPlan::edge_balanced(&ranges, &g);
-            let mut seen = vec![0u32; n];
-            for ci in 0..plan.total() {
-                let (lo, hi) = plan.chunk(ci).expect("in-range chunk");
-                assert!(lo < hi, "n={n} shards={shards} ci={ci}");
-                let s = map.shard_of(lo);
-                assert_eq!(
-                    map.shard_of(hi - 1),
-                    s,
-                    "n={n} shards={shards} ci={ci}: chunk crosses a shard boundary"
-                );
-                for u in lo..hi {
-                    seen[u as usize] += 1;
-                }
+        for nodes in [0..1u32, 0..100, 17..33, 99..100] {
+            let chunks = screen_chunks(nodes.clone(), &g);
+            let mut next = nodes.start;
+            for &(lo, hi) in &chunks {
+                assert!(lo == next && lo < hi, "{nodes:?}: {chunks:?}");
+                next = hi;
             }
-            assert!(plan.chunk(plan.total()).is_none());
-            assert!(seen.iter().all(|&c| c == 1), "n={n} shards={shards}: {seen:?}");
+            assert_eq!(next, nodes.end, "{nodes:?}: {chunks:?}");
         }
     }
 
@@ -1700,16 +1474,13 @@ mod tests {
         // edge-free stretch still gets cut into bounded pieces.
         let heavy: Vec<(u32, u32)> = (1..=200u32).map(|v| (0, v % 256)).collect();
         let g = GraphBuilder::from_edges(256, &heavy, DanglingPolicy::SelfLoop).unwrap();
-        let plan = ChunkPlan::edge_balanced(&[(0, 256)], &g);
-        assert!(plan.total() > 1, "heavy graph should split into several chunks");
-        let (lo, hi) = plan.chunk(0).expect("first chunk");
-        assert_eq!(lo, 0);
-        assert_eq!(hi, 1, "the 200-edge hub saturates its chunk alone");
-        for ci in 1..plan.total() {
-            let (lo, hi) = plan.chunk(ci).expect("chunk");
+        let chunks = screen_chunks(0..256, &g);
+        assert!(chunks.len() > 1, "heavy graph should split into several chunks");
+        assert_eq!(chunks[0], (0, 1), "the 200-edge hub saturates its chunk alone");
+        for &(lo, hi) in &chunks[1..] {
             // Every light node weighs 1 + 1 (self loop or one in-edge), so
             // chunks stay near SCREEN_CHUNK_EDGES / 2 nodes wide.
-            assert!((hi - lo) as usize <= SCREEN_CHUNK_EDGES, "ci={ci}: {lo}..{hi}");
+            assert!((hi - lo) as usize <= SCREEN_CHUNK_EDGES, "{lo}..{hi}");
         }
     }
 

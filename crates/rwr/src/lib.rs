@@ -3,17 +3,17 @@
 //! Implements every proximity computation the paper builds on:
 //!
 //! * [`power`] — the forward power method solving
-//!   `p_u = (1−α)·A·p_u + α·e_u` (Eq. 1/12), plus PageRank and personalized
-//!   PageRank through the same operator (Eq. 3), and the blocked
-//!   many-source form that solves a tile of columns per pass over the edges;
+//!   `p_u = (1−α)·A·p_u + α·e_u` (Eq. 1/12), and the blocked many-source
+//!   form that solves a tile of columns per pass over the edges;
 //! * [`pmpn`] — **Power Method for Proximity to Node** (Alg. 2): the paper's
 //!   novel result that the *row* `p_{q,*}` of the proximity matrix is
 //!   computable by iterating on `Aᵀ` with convergence rate `1−α` (Thm. 2);
 //! * [`bca`] — the Bookmark Coloring Algorithm in the paper's batched
 //!   adaptation (Eqs. 8–9) with hub ink accumulation (Eq. 6) and resumable
 //!   snapshots;
-//! * [`monte_carlo`] — the MC End-Point and MC Complete-Path estimators the
-//!   paper discusses as (non-lower-bounding) alternatives (§6.2);
+//! * [`monte_carlo`] — the restart-terminated walk behind the MC End-Point
+//!   estimator the paper discusses as a (non-lower-bounding) alternative
+//!   (§6.2), which `rtk-approx`'s bidirectional estimator samples;
 //! * [`hubs`] — degree-based hub selection (§4.1.1) and Berkhin's greedy
 //!   BCA-driven selection as an ablation baseline;
 //! * [`exact`] — a dense Gaussian-elimination oracle for small graphs, used
@@ -34,4 +34,4 @@ pub use bca::{BcaEngine, BcaSnapshot, BcaStop};
 pub use hubs::HubSet;
 pub use params::{BcaParams, RwrParams};
 pub use pmpn::proximity_to;
-pub use power::{pagerank, personalized_pagerank, proximity_from, proximity_from_many};
+pub use power::{proximity_from, proximity_from_many};

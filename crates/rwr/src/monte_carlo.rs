@@ -1,59 +1,16 @@
-//! Monte Carlo RWR estimators (paper §6.2, after Fogaras et al. and
+//! Restart-terminated random walks (paper §6.2, after Fogaras et al. and
 //! Avrachenkov et al.).
 //!
-//! Both simulate restart-terminated walks from the source:
-//!
-//! * **MC End Point** estimates `p_u(v)` as the fraction of walks that *end*
-//!   at `v` (a walk ends when the restart coin with probability `α` fires);
-//! * **MC Complete Path** counts *every visit* to `v` and scales by `α`,
-//!   using `E[visits to v] = p_u(v)/α` — strictly lower variance per walk.
-//!
-//! Walks are embarrassingly parallel, so both estimators fan out over the
-//! persistent [`WorkerPool`]. Each walk draws from its own RNG seeded
-//! `seed + walk_index`, which makes the estimate a pure function of
-//! `(graph, source, params)` — independent of thread count, chunk size, and
-//! scheduling order. Per-chunk visit tallies are integers, so the final merge
-//! is an exact sum with no floating-point order sensitivity.
-//!
-//! The paper's index cannot be built on these (they are unbiased estimates,
-//! not lower bounds — §6.1), but they serve as fast approximate baselines and
-//! as statistical cross-checks in the test suite.
+//! A walk from `u` stops each step with the restart probability `α` and
+//! otherwise moves along an out-edge drawn by transition probability, so
+//! the node it ends on is distributed as `p_u` — the MC End-Point
+//! estimator's observation. The paper's index cannot be built on such
+//! estimates (they are unbiased, not lower bounds — §6.1); `rtk-approx`'s
+//! bidirectional estimator weights walk end points by backward residuals,
+//! and owns the per-walk seeding discipline.
 
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::{rngs::StdRng, Rng};
 use rtk_graph::TransitionMatrix;
-use rtk_sparse::WorkerPool;
-
-/// Parameters for the Monte Carlo estimators.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct McParams {
-    /// Restart probability `α`.
-    pub alpha: f64,
-    /// Number of simulated walks.
-    pub walks: u32,
-    /// Hard cap on a single walk's length (the geometric tail is unbounded;
-    /// `1/α · 50` comfortably exceeds any mass that matters).
-    pub max_steps: u32,
-    /// RNG seed (estimates are deterministic given the seed).
-    pub seed: u64,
-}
-
-impl Default for McParams {
-    fn default() -> Self {
-        Self { alpha: 0.15, walks: 10_000, max_steps: 2_000, seed: 0 }
-    }
-}
-
-impl McParams {
-    fn validate(&self) {
-        assert!(self.alpha > 0.0 && self.alpha < 1.0, "McParams: alpha in (0,1)");
-        assert!(self.walks > 0, "McParams: need at least one walk");
-        assert!(self.max_steps > 0, "McParams: need at least one step");
-    }
-}
-
-/// Walk indices per pool task. Small enough to load-balance uneven walk
-/// lengths, large enough to amortise the per-task `vec![0; n]` tally.
-const WALK_CHUNK: u32 = 2_048;
 
 /// Samples one transition out of `node` according to the transition
 /// probabilities (linear scan of the out-edges; fine for simulation use).
@@ -73,9 +30,8 @@ fn step(transition: &TransitionMatrix<'_>, node: u32, rng: &mut StdRng) -> u32 {
 }
 
 /// Simulates one restart-terminated walk from `start` and returns the node
-/// the restart coin fired on. The caller owns the RNG, so derived estimators
-/// (e.g. the bidirectional residue-weighted one in `rtk-approx`) can impose
-/// their own per-walk seeding discipline.
+/// the restart coin fired on (or the walk's position after `max_steps`
+/// steps). The caller owns the RNG, and with it the seeding discipline.
 pub fn walk_endpoint(
     transition: &TransitionMatrix<'_>,
     start: u32,
@@ -93,109 +49,12 @@ pub fn walk_endpoint(
     at
 }
 
-/// Runs `params.walks` independent walks on `pool`, tallying integer counts
-/// per node. `complete` selects visit counting (Complete Path) over endpoint
-/// counting (End Point). Walk `w` uses `StdRng::seed_from_u64(seed + w)`.
-fn run_walks(
-    pool: &WorkerPool,
-    transition: &TransitionMatrix<'_>,
-    u: u32,
-    params: &McParams,
-    complete: bool,
-) -> Vec<u64> {
-    let n = transition.node_count();
-    let chunks: Vec<(u32, u32)> = (0..params.walks)
-        .step_by(WALK_CHUNK as usize)
-        .map(|lo| (lo, (lo + WALK_CHUNK).min(params.walks)))
-        .collect();
-    let mut partials: Vec<Vec<u64>> = vec![Vec::new(); chunks.len()];
-    pool.scope(|s| {
-        for (slot, &(lo, hi)) in partials.iter_mut().zip(&chunks) {
-            s.spawn(move || {
-                let mut counts = vec![0u64; n];
-                for w in lo..hi {
-                    let mut rng = StdRng::seed_from_u64(params.seed.wrapping_add(w as u64));
-                    let mut at = u;
-                    if complete {
-                        counts[at as usize] += 1;
-                    }
-                    for _ in 0..params.max_steps {
-                        if rng.gen_bool(params.alpha) {
-                            break;
-                        }
-                        at = step(transition, at, &mut rng);
-                        if complete {
-                            counts[at as usize] += 1;
-                        }
-                    }
-                    if !complete {
-                        counts[at as usize] += 1;
-                    }
-                }
-                *slot = counts;
-            });
-        }
-    });
-    let mut total = vec![0u64; n];
-    for part in &partials {
-        for (t, &c) in total.iter_mut().zip(part) {
-            *t += c;
-        }
-    }
-    total
-}
-
-/// MC End Point: `p̂_u(v)` = fraction of walks ending at `v`.
-///
-/// Runs on the shared global [`WorkerPool`]; see [`mc_end_point_on`] to pin
-/// a specific pool (the estimate itself never depends on the pool's size).
-pub fn mc_end_point(transition: &TransitionMatrix<'_>, u: u32, params: &McParams) -> Vec<f64> {
-    mc_end_point_on(WorkerPool::global(), transition, u, params)
-}
-
-/// [`mc_end_point`] on an explicit pool.
-pub fn mc_end_point_on(
-    pool: &WorkerPool,
-    transition: &TransitionMatrix<'_>,
-    u: u32,
-    params: &McParams,
-) -> Vec<f64> {
-    params.validate();
-    let n = transition.node_count();
-    assert!((u as usize) < n, "mc_end_point: node {u} out of range");
-    let counts = run_walks(pool, transition, u, params, false);
-    counts.iter().map(|&c| c as f64 / params.walks as f64).collect()
-}
-
-/// MC Complete Path: `p̂_u(v)` = `α ×` average visits to `v` per walk.
-///
-/// Runs on the shared global [`WorkerPool`]; see [`mc_complete_path_on`] to
-/// pin a specific pool (the estimate itself never depends on the pool's
-/// size).
-pub fn mc_complete_path(transition: &TransitionMatrix<'_>, u: u32, params: &McParams) -> Vec<f64> {
-    mc_complete_path_on(WorkerPool::global(), transition, u, params)
-}
-
-/// [`mc_complete_path`] on an explicit pool.
-pub fn mc_complete_path_on(
-    pool: &WorkerPool,
-    transition: &TransitionMatrix<'_>,
-    u: u32,
-    params: &McParams,
-) -> Vec<f64> {
-    params.validate();
-    let n = transition.node_count();
-    assert!((u as usize) < n, "mc_complete_path: node {u} out of range");
-    let visits = run_walks(pool, transition, u, params, true);
-    let scale = params.alpha / params.walks as f64;
-    visits.iter().map(|&c| c as f64 * scale).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::RwrParams;
     use crate::power::proximity_from;
+    use rand::SeedableRng;
     use rtk_graph::{DanglingPolicy, DiGraph, GraphBuilder};
 
     fn toy() -> DiGraph {
@@ -220,82 +79,37 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn estimates_are_deterministic_per_seed() {
-        let g = toy();
-        let t = TransitionMatrix::new(&g);
-        let p = McParams { walks: 500, ..Default::default() };
-        assert_eq!(mc_end_point(&t, 0, &p), mc_end_point(&t, 0, &p));
-        assert_eq!(mc_complete_path(&t, 0, &p), mc_complete_path(&t, 0, &p));
-    }
-
-    #[test]
-    fn estimates_are_independent_of_thread_count() {
-        // Per-walk seeding means the estimate is a pure function of the
-        // parameters: pools of size 0 (caller-only), 1, 2, and 4 must all
-        // produce bit-identical vectors, including when the walk count does
-        // not divide evenly into chunks.
-        let g = toy();
-        let t = TransitionMatrix::new(&g);
-        let p = McParams { walks: 3 * WALK_CHUNK + 37, seed: 11, ..Default::default() };
-        let pools: Vec<WorkerPool> =
-            [0usize, 1, 2, 4].iter().map(|&w| WorkerPool::new(w)).collect();
-        let ep: Vec<Vec<f64>> = pools.iter().map(|pl| mc_end_point_on(pl, &t, 0, &p)).collect();
-        let cp: Vec<Vec<f64>> = pools.iter().map(|pl| mc_complete_path_on(pl, &t, 0, &p)).collect();
-        for i in 1..pools.len() {
-            assert_eq!(ep[0], ep[i], "end-point differs on pool {i}");
-            assert_eq!(cp[0], cp[i], "complete-path differs on pool {i}");
+    /// End-point frequencies of `walks` walks from `u`, walk `w` seeded `w`.
+    fn end_point_frequencies(
+        t: &TransitionMatrix<'_>,
+        u: u32,
+        alpha: f64,
+        max_steps: u32,
+        walks: u64,
+    ) -> Vec<f64> {
+        let mut counts = vec![0u64; t.node_count()];
+        for seed in 0..walks {
+            let mut rng = StdRng::seed_from_u64(seed);
+            counts[walk_endpoint(t, u, alpha, max_steps, &mut rng) as usize] += 1;
         }
+        counts.iter().map(|&c| c as f64 / walks as f64).collect()
     }
 
     #[test]
-    fn end_point_estimates_are_distributions() {
-        let g = toy();
-        let t = TransitionMatrix::new(&g);
-        let est = mc_end_point(&t, 2, &McParams { walks: 1_000, ..Default::default() });
-        assert!((est.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(est.iter().all(|&v| v >= 0.0));
-    }
-
-    #[test]
-    fn both_estimators_approach_ground_truth() {
+    fn end_point_frequencies_approach_ground_truth() {
         let g = toy();
         let t = TransitionMatrix::new(&g);
         let (truth, _) = proximity_from(&t, 0, &RwrParams::default());
-        let p = McParams { walks: 200_000, seed: 17, ..Default::default() };
-        let ep = mc_end_point(&t, 0, &p);
-        let cp = mc_complete_path(&t, 0, &p);
+        let est = end_point_frequencies(&t, 0, 0.15, 2_000, 100_000);
         for v in 0..6 {
-            assert!((ep[v] - truth[v]).abs() < 0.01, "end-point v={v}: {} vs {}", ep[v], truth[v]);
-            assert!((cp[v] - truth[v]).abs() < 0.01, "complete v={v}: {} vs {}", cp[v], truth[v]);
+            assert!((est[v] - truth[v]).abs() < 0.01, "v={v}: {} vs {}", est[v], truth[v]);
         }
-    }
-
-    #[test]
-    fn complete_path_has_lower_error_than_end_point() {
-        // With matched walk budgets, the visit-counting estimator should land
-        // closer to the truth in aggregate (its per-walk information is
-        // higher). Aggregate L1 over a few seeds to avoid flakiness; spread
-        // the seeds far apart so the per-walk streams don't overlap.
-        let g = toy();
-        let t = TransitionMatrix::new(&g);
-        let (truth, _) = proximity_from(&t, 3, &RwrParams::default());
-        let mut err_ep = 0.0;
-        let mut err_cp = 0.0;
-        for seed in 0..5u64 {
-            let p = McParams { walks: 5_000, seed: seed * 1_000_003, ..Default::default() };
-            let ep = mc_end_point(&t, 3, &p);
-            let cp = mc_complete_path(&t, 3, &p);
-            err_ep += rtk_sparse::dense::l1_distance(&ep, &truth);
-            err_cp += rtk_sparse::dense::l1_distance(&cp, &truth);
-        }
-        assert!(err_cp < err_ep, "complete-path {err_cp} vs end-point {err_ep}");
     }
 
     #[test]
     fn respects_weighted_transitions() {
-        // 0 -> 1 with weight 9, 0 -> 2 with weight 1: walks overwhelmingly
-        // visit 1.
+        // 0 -> 1 with weight 9, 0 -> 2 with weight 1: one step out of 0
+        // (the restart coin never fires) lands on 1 nine times in ten.
         let mut b = GraphBuilder::new(3);
         b.add_weighted_edge(0, 1, 9.0).unwrap();
         b.add_weighted_edge(0, 2, 1.0).unwrap();
@@ -303,15 +117,8 @@ mod tests {
         b.add_edge(2, 0).unwrap();
         let g = b.build(DanglingPolicy::Error).unwrap();
         let t = TransitionMatrix::new(&g);
-        let est = mc_complete_path(&t, 0, &McParams { walks: 20_000, ..Default::default() });
-        assert!(est[1] > 4.0 * est[2], "p(1)={} p(2)={}", est[1], est[2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn rejects_bad_source() {
-        let g = toy();
-        let t = TransitionMatrix::new(&g);
-        mc_end_point(&t, 9, &McParams::default());
+        let est = end_point_frequencies(&t, 0, 0.0, 1, 20_000);
+        assert_eq!(est[0], 0.0);
+        assert!((est[1] - 0.9).abs() < 0.01, "p(1)={} p(2)={}", est[1], est[2]);
     }
 }

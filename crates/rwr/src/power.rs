@@ -1,4 +1,4 @@
-//! Forward power-method solvers (Eq. 12 and Eq. 3 of the paper).
+//! Forward power-method solvers (Eq. 12 of the paper).
 
 use crate::params::RwrParams;
 use rtk_graph::TransitionMatrix;
@@ -16,7 +16,10 @@ pub struct SolveReport {
 }
 
 /// Computes the proximity vector `p_u` — column `u` of the proximity matrix
-/// `P` — by the iteration `x ← (1−α)·A·x + α·e_u` (Eq. 12).
+/// `P` — by the iteration `x ← (1−α)·A·x + α·e_u` (Eq. 12), until the L1
+/// step-change drops below `ε`. Each `A·x` product runs over
+/// `params.threads` workers (`0` = all cores) with bitwise identical
+/// results for any thread count.
 ///
 /// Returns the vector and a [`SolveReport`]. The result is non-negative and
 /// sums to 1 (up to `ε`).
@@ -30,7 +33,28 @@ pub fn proximity_from(
     assert!((u as usize) < n, "proximity_from: node {u} out of range");
     let mut restart = vec![0.0; n];
     restart[u as usize] = 1.0;
-    solve_forward(transition, &restart, params)
+    let mut x = restart.clone();
+    let mut y = vec![0.0; n];
+    let mut iterations = 0;
+    let mut delta = f64::INFINITY;
+    while iterations < params.max_iterations {
+        // y = (1-α) A x + α restart, via the CSC gather.
+        transition.apply_forward_restart_threaded(
+            params.alpha,
+            &x,
+            &restart,
+            &mut y,
+            params.threads,
+        );
+        iterations += 1;
+        delta = dense::l1_distance(&x, &y);
+        std::mem::swap(&mut x, &mut y);
+        if delta < params.epsilon {
+            break;
+        }
+    }
+    let converged = delta < params.epsilon;
+    (x, SolveReport { iterations, final_delta: delta, converged })
 }
 
 /// Columns [`proximity_from_many`] carries per node: one walk of an in-edge
@@ -121,65 +145,6 @@ fn solve_tile(
         .collect()
 }
 
-/// Computes the global PageRank vector `pr = P·e/n` (Eq. 3): the stationary
-/// distribution of a walk restarting uniformly.
-pub fn pagerank(transition: &TransitionMatrix<'_>, params: &RwrParams) -> (Vec<f64>, SolveReport) {
-    params.validate();
-    let n = transition.node_count();
-    let restart = vec![1.0 / n as f64; n];
-    solve_forward(transition, &restart, params)
-}
-
-/// Computes a personalized PageRank vector `ppr_v = P·v` (Eq. 3) for an
-/// arbitrary restart distribution `v` (non-negative, summing to 1).
-pub fn personalized_pagerank(
-    transition: &TransitionMatrix<'_>,
-    restart: &[f64],
-    params: &RwrParams,
-) -> (Vec<f64>, SolveReport) {
-    params.validate();
-    assert_eq!(restart.len(), transition.node_count(), "restart length mismatch");
-    assert!(restart.iter().all(|&v| v >= 0.0), "restart must be non-negative");
-    let sum: f64 = restart.iter().sum();
-    assert!((sum - 1.0).abs() < 1e-9, "restart must sum to 1, got {sum}");
-    solve_forward(transition, restart, params)
-}
-
-/// Shared iteration: `x ← (1−α)·A·x + α·restart` until the L1 step-change
-/// drops below `ε`. The restart vector is folded in densely, so this handles
-/// unit, uniform, and arbitrary personalization alike. Each `A·x` product
-/// runs over `params.threads` workers (`0` = all cores) with bitwise
-/// identical results for any thread count.
-fn solve_forward(
-    transition: &TransitionMatrix<'_>,
-    restart: &[f64],
-    params: &RwrParams,
-) -> (Vec<f64>, SolveReport) {
-    let n = transition.node_count();
-    let mut x = restart.to_vec();
-    let mut y = vec![0.0; n];
-    let mut iterations = 0;
-    let mut delta = f64::INFINITY;
-    while iterations < params.max_iterations {
-        // y = (1-α) A x + α restart, via the CSC gather.
-        transition.apply_forward_restart_threaded(
-            params.alpha,
-            &x,
-            restart,
-            &mut y,
-            params.threads,
-        );
-        iterations += 1;
-        delta = dense::l1_distance(&x, &y);
-        std::mem::swap(&mut x, &mut y);
-        if delta < params.epsilon {
-            break;
-        }
-    }
-    let converged = delta < params.epsilon;
-    (x, SolveReport { iterations, final_delta: delta, converged })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,38 +219,6 @@ mod tests {
         let max = rtk_sparse::dense::argmax(&p).unwrap();
         assert_eq!(max, 2);
         assert!(p[2] > 0.9);
-    }
-
-    #[test]
-    fn pagerank_averages_columns() {
-        let g = toy();
-        let t = TransitionMatrix::new(&g);
-        let params = RwrParams::default();
-        let (pr, _) = pagerank(&t, &params);
-        let mut avg = [0.0; 6];
-        for u in 0..6u32 {
-            let (p, _) = proximity_from(&t, u, &params);
-            for v in 0..6 {
-                avg[v] += p[v] / 6.0;
-            }
-        }
-        for v in 0..6 {
-            assert!((pr[v] - avg[v]).abs() < 1e-7, "pagerank({v})");
-        }
-    }
-
-    #[test]
-    fn personalized_pagerank_matches_mixture() {
-        let g = toy();
-        let t = TransitionMatrix::new(&g);
-        let params = RwrParams::default();
-        let restart = [0.5, 0.0, 0.0, 0.5, 0.0, 0.0];
-        let (ppr, _) = personalized_pagerank(&t, &restart, &params);
-        let (p0, _) = proximity_from(&t, 0, &params);
-        let (p3, _) = proximity_from(&t, 3, &params);
-        for v in 0..6 {
-            assert!((ppr[v] - 0.5 * (p0[v] + p3[v])).abs() < 1e-7);
-        }
     }
 
     #[test]
@@ -370,13 +303,5 @@ mod tests {
         let g = toy();
         let t = TransitionMatrix::new(&g);
         proximity_from(&t, 99, &RwrParams::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "sum to 1")]
-    fn rejects_unnormalized_restart() {
-        let g = toy();
-        let t = TransitionMatrix::new(&g);
-        personalized_pagerank(&t, &[0.5; 6], &RwrParams::default());
     }
 }

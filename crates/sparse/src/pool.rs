@@ -1,11 +1,12 @@
 //! A tiny object pool for per-thread scratch reuse.
 //!
-//! The parallel query path hands each worker thread its own solver scratch
+//! The parallel query path hands each refine lane its own solver scratch
 //! (dense epoch buffers sized to the graph). Allocating those per query would
-//! dominate small queries, so sessions keep a [`ScratchPool`]: workers take
-//! an object when they start and put it back when they finish, and the
-//! buffers survive across queries. The pool is deliberately dumb — a mutexed
-//! free list, locked only at worker start/end, never inside hot loops.
+//! dominate small queries, so sessions keep a [`ScratchPool`]: a lane takes
+//! an object when it starts, the caller puts it back when it folds the
+//! lanes' results, and the buffers survive across queries. The pool is
+//! deliberately dumb — a mutexed free list, locked only at lane start and
+//! at the fold, never inside hot loops.
 
 use std::sync::Mutex;
 

@@ -31,11 +31,22 @@
 //! * a panicking task poisons nothing: the first payload is captured and
 //!   re-thrown from `scope` on the caller's thread after all tasks join.
 //!
-//! The pool never re-orders observable results by itself — callers are
-//! expected to assign each task a disjoint output slot (as all call sites in
-//! this workspace do), which keeps the workspace-wide bitwise-determinism
-//! contract intact: the pool changes *when* work runs, never *what* it
-//! computes.
+//! Two ways in, one per loop shape:
+//!
+//! * [`WorkerPool::claim`] runs a loop over independent items: lanes claim
+//!   indices off one counter, each folding into its own state, and the
+//!   caller merges the states. Index construction's node sweep and hub
+//!   solve, the query's classify and refine passes, and `query_batch` all
+//!   run through it, and its one-lane case runs inline with no scope;
+//! * [`WorkerPool::scope`] spawns arbitrary borrowing tasks. Outside
+//!   `claim`, only the SpMV row split (`TransitionMatrix::for_rows`) uses it
+//!   directly, handing each task a fixed, disjoint output slice.
+//!
+//! The pool never re-orders observable results by itself — `claim` callers
+//! record each item's index with its output and merge by it, and `scope`
+//! callers assign each task a disjoint output slot. That keeps the
+//! workspace-wide bitwise-determinism contract intact: the pool changes
+//! *when* work runs, never *what* it computes.
 
 // The one unsafe block below (a lifetime transmute on boxed tasks) is what
 // lets a long-lived pool run borrowing closures; its soundness argument is
@@ -206,6 +217,56 @@ impl WorkerPool {
             resume_unwind(payload);
         }
         result
+    }
+
+    /// Runs `body(&mut state, i)` for every `i` in `0..items` on up to
+    /// `lanes` lanes (`0` counts as one) and returns the lanes' final states,
+    /// in no set order. Each lane starts from `init()` and claims indices
+    /// one at a time off a shared counter, so a lane that draws cheap items
+    /// simply claims more of them. One lane runs inline on the caller with
+    /// no scope; zero items return no lanes and never call `init`. A panic
+    /// in `body` is re-thrown here, as from [`Self::scope`].
+    ///
+    /// Which lane ran which index is scheduling: callers whose answer must
+    /// not depend on it record the index with each output and merge by it.
+    pub fn claim<S, I, B>(&self, lanes: usize, items: usize, init: I, body: B) -> Vec<S>
+    where
+        S: Send,
+        I: Fn() -> S + Sync,
+        B: Fn(&mut S, usize) + Sync,
+    {
+        if items == 0 {
+            return Vec::new();
+        }
+        let lanes = lanes.clamp(1, items);
+        if lanes == 1 {
+            let mut state = init();
+            for i in 0..items {
+                body(&mut state, i);
+            }
+            return vec![state];
+        }
+        // `Relaxed` suffices: the counter only hands out indices, and the
+        // states reach the caller through the scope's join.
+        let next = AtomicUsize::new(0);
+        let mut states: Vec<Option<S>> = (0..lanes).map(|_| None).collect();
+        self.scope(|s| {
+            for slot in &mut states {
+                let (next, init, body) = (&next, &init, &body);
+                s.spawn(move || {
+                    let mut state = init();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items {
+                            break;
+                        }
+                        body(&mut state, i);
+                    }
+                    *slot = Some(state);
+                });
+            }
+        });
+        states.into_iter().flatten().collect()
     }
 }
 
@@ -404,6 +465,50 @@ mod tests {
             s.spawn(move || *x = 7);
         });
         assert_eq!(x, 7);
+    }
+
+    #[test]
+    fn claim_visits_every_index_exactly_once() {
+        let pool = WorkerPool::new(3);
+        for lanes in [0usize, 1, 2, 3, 8] {
+            for items in [1usize, 7, 100] {
+                let states = pool.claim(lanes, items, Vec::new, |seen, i| seen.push(i));
+                assert_eq!(states.len(), lanes.max(1).min(items), "lanes={lanes} items={items}");
+                let mut seen: Vec<usize> = states.into_iter().flatten().collect();
+                seen.sort_unstable();
+                assert_eq!(seen, (0..items).collect::<Vec<_>>(), "lanes={lanes} items={items}");
+            }
+        }
+    }
+
+    #[test]
+    fn claim_over_no_items_returns_no_lanes() {
+        let pool = WorkerPool::new(2);
+        let states: Vec<()> =
+            pool.claim(4, 0, || panic!("init must not run"), |_, _| panic!("no items"));
+        assert!(states.is_empty());
+    }
+
+    #[test]
+    fn one_lane_claims_on_the_calling_thread() {
+        let pool = WorkerPool::new(2);
+        let caller = std::thread::current().id();
+        let states =
+            pool.claim(1, 5, Vec::new, |threads, _| threads.push(std::thread::current().id()));
+        assert_eq!(states, vec![vec![caller; 5]]);
+    }
+
+    #[test]
+    fn claim_panics_propagate_and_the_pool_keeps_serving() {
+        let pool = WorkerPool::new(2);
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.claim(3, 20, || (), |_, i| assert_ne!(i, 11, "item eleven exploded"));
+        }));
+        let payload = outcome.expect_err("panic must cross the claim");
+        let message = payload.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(message.contains("item eleven exploded"), "{message}");
+        let sums = pool.claim(3, 20, || 0usize, |sum, i| *sum += i);
+        assert_eq!(sums.iter().sum::<usize>(), (0..20).sum());
     }
 
     #[test]

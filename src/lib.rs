@@ -14,7 +14,8 @@
 //!   (paper §4.2.1, Theorem 2);
 //! * the **online query algorithm** with staircase upper bounds, candidate
 //!   refinement and dynamic index updates (paper §4.2.2–4.2.3);
-//! * exact baselines (IBF / FBF), Monte Carlo estimators, and deterministic
+//! * exact baselines (IBF / FBF), a bounded-error approximate screen built
+//!   on backward push and restart-terminated walks, and deterministic
 //!   synthetic dataset generators mirroring the paper's evaluation graphs.
 //!
 //! This facade crate re-exports the whole public API; see the `examples/`
@@ -30,15 +31,14 @@
 //! * **PMPN** spreads each `Aᵀ·x` (and the forward solvers each `A·x`)
 //!   over edge-balanced contiguous row ranges; every row still sums in its
 //!   serial edge order, so the iterates are exactly the serial ones.
-//! * The **screen phase** fans the candidate scan out over the index's
-//!   shards: the work queue is built from shard-aligned chunks (no unit of
-//!   work crosses a shard boundary) and workers pull chunks off an atomic
-//!   counter. Each worker owns a private BCA engine + materializer
-//!   (recycled across queries through a scratch pool) and refines each
-//!   candidate *inside that scratch* — the shared index is only read.
-//!   Per-node decisions never depend on another node's
-//!   refinement, so any interleaving yields the same results and
-//!   statistics.
+//! * The **screen phase** fans the candidate scan out over degree-balanced
+//!   chunks of the node range the index holds, which pool lanes claim off
+//!   one counter (`WorkerPool::claim`). Each refine lane owns a private BCA
+//!   engine + materializer (recycled across queries through a scratch
+//!   pool) and refines each candidate *inside that scratch* — the shared
+//!   index is only read. Per-node decisions never depend on another node's
+//!   refinement, and results merge by node id, so any interleaving yields
+//!   the same results and statistics.
 //! * The **commit phase** (update mode) serially merges the refined states
 //!   back into the owning shards by node id — the cross-shard merge —
 //!   leaving exactly the index a serial in-place run would have produced.
@@ -74,9 +74,9 @@
 //!
 //! What sharding changes:
 //!
-//! * **Scan scheduling** — the screen fan-out is per shard first (no work
-//!   unit crosses a shard boundary), the structural door to multi-process
-//!   serving where each shard lives in its own process;
+//! * **Scan scope** — a one-shard index screens only its own node range,
+//!   the structural door to multi-process serving where each shard lives
+//!   in its own process;
 //! * **Persistence** — every snapshot is a versioned **shard manifest**
 //!   (`RTKMANI1`): shared hub matrix + one self-contained, individually
 //!   loadable section per shard (`RTKSHRD1`); `S = 1` is the same layout
