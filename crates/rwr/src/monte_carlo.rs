@@ -39,6 +39,7 @@ pub fn walk_endpoint(
     max_steps: u32,
     rng: &mut StdRng,
 ) -> u32 {
+    assert!((start as usize) < transition.node_count(), "walk_endpoint: node {start} out of range");
     let mut at = start;
     for _ in 0..max_steps {
         if rng.gen_bool(alpha) {
@@ -120,5 +121,14 @@ mod tests {
         let est = end_point_frequencies(&t, 0, 0.0, 1, 20_000);
         assert_eq!(est[0], 0.0);
         assert!((est[1] - 0.9).abs() < 0.01, "p(1)={} p(2)={}", est[1], est[2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn rejects_bad_source() {
+        let g = toy();
+        let t = TransitionMatrix::new(&g);
+        let mut rng = StdRng::seed_from_u64(0);
+        walk_endpoint(&t, 9, 0.15, 2_000, &mut rng);
     }
 }
