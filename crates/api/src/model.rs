@@ -80,8 +80,9 @@ pub enum Request {
     /// Graceful shutdown: in-flight requests finish, then the server exits.
     Shutdown,
     /// Flush the current (refined) engine snapshot to `path` on the
-    /// *server's* filesystem, under the write lock, so the paper's update
-    /// mode becomes durable on demand.
+    /// *server's* filesystem, so the paper's update mode becomes durable on
+    /// demand. A read: every mutation holds the write lock, so the image
+    /// is quiescent under the read lock.
     Persist {
         /// Server-side destination path.
         path: String,
@@ -215,6 +216,20 @@ impl Request {
             Request::AddEdge { .. } => RequestKind::AddEdge,
             Request::RemoveEdge { .. } => RequestKind::RemoveEdge,
         }
+    }
+
+    /// Whether answering this request mutates the engine: update-mode
+    /// queries commit refinements, edge updates change the graph. Only an
+    /// owned engine answers these; its `&` view refuses them, so a server
+    /// takes the write lock for exactly these and the read lock otherwise.
+    pub fn writes(&self) -> bool {
+        matches!(
+            self,
+            Request::ReverseTopk { update: true, .. }
+                | Request::ShardReverseTopk { update: true, .. }
+                | Request::AddEdge { .. }
+                | Request::RemoveEdge { .. }
+        )
     }
 }
 
@@ -836,6 +851,8 @@ mod tests {
             want_pmpn: false,
         };
         assert_eq!(shard.kind() as usize, 7);
+        assert!(!shard.writes() && !Request::Persist { path: String::new() }.writes());
+        assert!(Request::RemoveEdge { from: 0, to: 1 }.writes());
         assert_eq!(Request::Stats.kind(), RequestKind::Stats);
         for (i, kind) in RequestKind::ALL.iter().enumerate() {
             assert_eq!(*kind as usize, i);

@@ -6,12 +6,18 @@
 //!   here), holding every shard of its index or exactly one; the requests
 //!   of the family it cannot answer (whole answers on one shard,
 //!   shard-scoped slices on a whole index) are clean
-//!   [`ServiceError::Unsupported`] errors, exactly like a server over the
-//!   same engine answers them;
+//!   [`ServiceError::Unsupported`] errors;
+//! * `&ReverseTopkEngine` — the engine's read-only view (implemented
+//!   here): every request except the writes [`Request::writes`] names,
+//!   which it refuses as [`ServiceError::Unsupported`]. The owned engine
+//!   answers the writes itself and forwards everything else to this view;
 //! * `rtk_server::Client` — a remote server or router over the wire;
 //! * the router's backend aggregate inside `rtk-server`.
 //!
-//! Callers written against `&mut impl RtkService` (the CLI's `rtk remote`
+//! A server answers through the two engine impls too — `&mut` under its
+//! write lock, the view under its read lock — so a served answer is the
+//! in-process answer of the same engine, options included. Callers
+//! written against `&mut impl RtkService` (the CLI's `rtk remote`
 //! commands, embedders, tests) cannot tell the flavors apart — the same
 //! code drives a local engine or a sharded multi-process tier. Servers use
 //! [`dispatch_request`] to map a decoded wire [`Request`] onto the trait,
@@ -29,7 +35,9 @@ use crate::model::{
 use rtk_core::graph::NodeId;
 use rtk_core::query::{QueryOptions, QueryResult};
 use rtk_core::{EngineError, ReverseTopkEngine};
+use rtk_obs::{log_event, Json, Level};
 use std::ops::Range;
+use std::time::Instant;
 
 /// What a service call can fail with.
 #[derive(Clone, Debug)]
@@ -216,20 +224,66 @@ fn engine_err(e: EngineError) -> ServiceError {
     }
 }
 
+/// The wire answer of a whole-index query, stamped with its own wall time.
+fn query_wire(result: &QueryResult, call: &QueryCall) -> WireQueryResult {
+    let trace = call.trace.then_some("engine:reverse_topk");
+    to_wire(result, result.stats().total_seconds, trace)
+}
+
+/// The wire answer of the one-shard `engine`'s slice.
+fn shard_wire(
+    engine: &ReverseTopkEngine,
+    (result, pmpn): (QueryResult, Option<Vec<f64>>),
+    call: &QueryCall,
+) -> WireShardResult {
+    let shard = engine.index().owned_shard().expect("the shard query checked ownership");
+    let owned = (shard, engine.index().owned_range());
+    to_wire_shard(&result, result.stats().total_seconds, call.trace, owned, pmpn)
+}
+
+/// Folds the post-update digest into the wire answer and logs where the
+/// write path's time went (debug level: one line per update, free when
+/// filtered out).
 fn updated(engine: &ReverseTopkEngine, effect: rtk_core::UpdateEffect) -> WireUpdateResult {
+    let started = Instant::now();
+    let index_digest = engine.index_digest();
+    log_event(
+        Level::Debug,
+        "engine",
+        "edge update applied",
+        &[
+            ("hubs_ms", Json::F64(effect.hubs_seconds * 1e3)),
+            ("states_ms", Json::F64(effect.states_seconds * 1e3)),
+            ("digest_ms", Json::F64(started.elapsed().as_secs_f64() * 1e3)),
+            ("recomputed_states", Json::U64(effect.recomputed_states as u64)),
+            ("bca_runs", Json::U64(effect.bca_runs as u64)),
+            ("recomputed_hubs", Json::U64(effect.recomputed_hubs as u64)),
+        ],
+    );
     WireUpdateResult {
         recomputed_states: effect.recomputed_states as u64,
         recomputed_hubs: effect.recomputed_hubs as u64,
-        index_digest: engine.index_digest(),
+        index_digest,
     }
 }
 
+/// The `&` view's refusal of a request that needs `&mut`.
+fn read_only(what: &str) -> ServiceError {
+    ServiceError::Unsupported(format!("{what} mutates the engine; it needs `&mut` access"))
+}
+
+/// The owned engine: answers the writes ([`Request::writes`]) — update-mode
+/// queries commit refinements, edge updates repair the index — and
+/// forwards every other request to the read-only view, so each request has
+/// exactly one answering path.
 impl RtkService for ReverseTopkEngine {
     fn reverse_topk(&mut self, call: &QueryCall) -> ServiceResult<WireQueryResult> {
+        if !call.update {
+            return (&*self).reverse_topk(call);
+        }
         let opts = call_options(self, call);
         let result = self.query_with(NodeId(call.q), call.k as usize, &opts).map_err(engine_err)?;
-        let trace = call.trace.then_some("engine:reverse_topk");
-        Ok(to_wire(&result, result.stats().total_seconds, trace))
+        Ok(query_wire(&result, call))
     }
 
     fn shard_reverse_topk(
@@ -238,13 +292,14 @@ impl RtkService for ReverseTopkEngine {
         pmpn: Option<&[f64]>,
         want_pmpn: bool,
     ) -> ServiceResult<WireShardResult> {
+        if !call.update {
+            return (&*self).shard_reverse_topk(call, pmpn, want_pmpn);
+        }
         let opts = call_options(self, call);
-        let (result, pmpn_out) = self
+        let answer = self
             .query_shard(NodeId(call.q), call.k as usize, &opts, pmpn, want_pmpn)
             .map_err(engine_err)?;
-        let shard = self.index().owned_shard().expect("query_shard checked ownership");
-        let owned = (shard, self.index().owned_range());
-        Ok(to_wire_shard(&result, result.stats().total_seconds, call.trace, owned, pmpn_out))
+        Ok(shard_wire(self, answer, call))
     }
 
     fn add_edge(&mut self, from: u32, to: u32, weight: f64) -> ServiceResult<WireUpdateResult> {
@@ -257,6 +312,67 @@ impl RtkService for ReverseTopkEngine {
         let effect =
             ReverseTopkEngine::remove_edge(self, NodeId(from), NodeId(to)).map_err(engine_err)?;
         Ok(updated(self, effect))
+    }
+
+    fn topk(&mut self, u: u32, k: u32, early: bool) -> ServiceResult<WireTopk> {
+        (&*self).topk(u, k, early)
+    }
+
+    fn batch(&mut self, queries: &[(u32, u32)]) -> ServiceResult<Vec<WireQueryResult>> {
+        (&*self).batch(queries)
+    }
+
+    fn stats(&mut self) -> ServiceResult<StatsSnapshot> {
+        (&*self).stats()
+    }
+
+    fn persist(&mut self, path: &str) -> ServiceResult<u64> {
+        (&*self).persist(path)
+    }
+
+    fn shutdown(&mut self) -> ServiceResult<()> {
+        (&*self).shutdown()
+    }
+}
+
+/// The read-only view: frozen queries, forward top-k, batch, stats,
+/// persist, ping and shutdown. Update-mode queries and edge updates are
+/// refused as [`ServiceError::Unsupported`]; they go through the owned
+/// engine.
+impl RtkService for &ReverseTopkEngine {
+    fn reverse_topk(&mut self, call: &QueryCall) -> ServiceResult<WireQueryResult> {
+        if call.update {
+            return Err(read_only("an update-mode reverse_topk"));
+        }
+        let opts = call_options(self, call);
+        let mut results = self
+            .query_batch(&[(NodeId(call.q), call.k as usize)], &opts)
+            .map_err(engine_err)?;
+        Ok(query_wire(&results.pop().expect("one result for one query"), call))
+    }
+
+    fn shard_reverse_topk(
+        &mut self,
+        call: &QueryCall,
+        pmpn: Option<&[f64]>,
+        want_pmpn: bool,
+    ) -> ServiceResult<WireShardResult> {
+        if call.update {
+            return Err(read_only("an update-mode shard_reverse_topk"));
+        }
+        let opts = call_options(self, call);
+        let answer = self
+            .query_shard_frozen(NodeId(call.q), call.k as usize, &opts, pmpn, want_pmpn)
+            .map_err(engine_err)?;
+        Ok(shard_wire(self, answer, call))
+    }
+
+    fn add_edge(&mut self, _: u32, _: u32, _: f64) -> ServiceResult<WireUpdateResult> {
+        Err(read_only("add_edge"))
+    }
+
+    fn remove_edge(&mut self, _: u32, _: u32) -> ServiceResult<WireUpdateResult> {
+        Err(read_only("remove_edge"))
     }
 
     fn topk(&mut self, u: u32, k: u32, early: bool) -> ServiceResult<WireTopk> {
@@ -273,8 +389,7 @@ impl RtkService for ReverseTopkEngine {
     fn batch(&mut self, queries: &[(u32, u32)]) -> ServiceResult<Vec<WireQueryResult>> {
         let raw: Vec<(NodeId, usize)> =
             queries.iter().map(|&(q, k)| (NodeId(q), k as usize)).collect();
-        let opts = QueryOptions { update_index: false, ..*self.options() };
-        let results = self.query_batch(&raw, &opts).map_err(engine_err)?;
+        let results = self.query_batch(&raw, self.options()).map_err(engine_err)?;
         Ok(results.iter().map(|r| to_wire(r, r.stats().total_seconds, None)).collect())
     }
 
@@ -349,6 +464,16 @@ mod tests {
     fn local_engine_implements_the_full_surface() {
         let mut engine = toy_engine(1);
         exercise(&mut engine);
+        // The read-only view answers the same surface and refuses the writes.
+        let mut view = &engine;
+        exercise(&mut view);
+        for refused in [
+            view.reverse_topk(&QueryCall::new(0, 2, true)).map(drop),
+            view.add_edge(0, 2, 1.0).map(drop),
+            view.remove_edge(0, 1).map(drop),
+        ] {
+            assert!(matches!(refused, Err(ServiceError::Unsupported(_))), "{refused:?}");
+        }
         // Update mode commits without changing answers.
         let r = engine.reverse_topk(&QueryCall::new(0, 2, true)).unwrap();
         assert_eq!(r.nodes, vec![0, 1, 4]);

@@ -3,8 +3,7 @@
 //!
 //! Every binary accepts:
 //!
-//! * `--quick` — scaled-down workloads (the committed `EXPERIMENTS.md`
-//!   numbers use this mode);
+//! * `--quick` — scaled-down workloads, for smoke runs;
 //! * `--full`  — the full workloads (default);
 //! * `--queries N` — override the workload size.
 

@@ -221,7 +221,8 @@ fn remove_edge(svc: &mut impl RtkService, args: &Parsed) -> Result<(), String> {
 }
 
 /// `--out <path>`: flush the server's current (refined) engine snapshot to
-/// a path on the *server's* filesystem, under its write lock.
+/// a path on the *server's* filesystem, under its read lock (every
+/// mutation holds the write lock, so the image is quiescent).
 fn persist(svc: &mut impl RtkService, args: &Parsed) -> Result<(), String> {
     let out = args
         .get("out")

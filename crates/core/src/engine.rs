@@ -145,7 +145,7 @@ impl ReverseTopkEngine {
 
     /// Re-partitions the index into `shards` even node-range shards. A pure
     /// layout change: every per-node state is preserved bitwise, so answers
-    /// are unaffected (`rtk shard split|merge` offline, or an embedder
+    /// are unaffected (`rtk shard split` offline, or an embedder
     /// retuning a loaded snapshot).
     ///
     /// # Panics
@@ -270,17 +270,6 @@ impl ReverseTopkEngine {
     ) -> Result<QueryResult, EngineError> {
         self.check_ownership(false)?;
         Ok(self.screen_and_commit(q, k, options, None, false)?.0)
-    }
-
-    /// Runs many reverse top-k queries *serially* over the cached transition
-    /// view. Unlike [`Self::query_batch`] this honors `update` mode — each
-    /// query observes the refinements of the previous ones.
-    pub fn query_many(
-        &mut self,
-        queries: &[(NodeId, usize)],
-        options: &QueryOptions,
-    ) -> Result<Vec<QueryResult>, EngineError> {
-        queries.iter().map(|&(q, k)| self.query_with(q, k, options)).collect()
     }
 
     /// Fans independent reverse top-k queries across
@@ -517,19 +506,27 @@ impl ReverseTopkEngine {
 /// Magic tag of the engine snapshot container.
 const ENGINE_MAGIC: &[u8; 8] = b"RTKENGN1";
 
-/// Reads one `u64`-length-prefixed section.
+/// Up-front buffer reservation for one snapshot section: sections up to this
+/// size load with no reallocation, and a declared length beyond it reserves
+/// only this much before the bytes actually arrive.
+const SECTION_PREALLOC_BYTES: u64 = 1 << 26;
+
+/// Reads one `u64`-length-prefixed section. Past
+/// [`SECTION_PREALLOC_BYTES`] the buffer grows with the bytes that actually
+/// arrive, so a header declaring a huge section costs an error, never an
+/// allocation of the declared size.
 fn read_section<R: Read>(reader: &mut R) -> Result<Vec<u8>, EngineError> {
     let mut len_bytes = [0u8; 8];
     reader.read_exact(&mut len_bytes).map_err(EngineError::from_io)?;
     let len = u64::from_le_bytes(len_bytes);
-    if len > 1 << 40 {
+    let mut bytes = Vec::with_capacity(len.min(SECTION_PREALLOC_BYTES) as usize);
+    reader.take(len).read_to_end(&mut bytes).map_err(EngineError::from_io)?;
+    if (bytes.len() as u64) < len {
         return Err(EngineError::Graph(rtk_graph::GraphError::Parse {
             line: 0,
-            message: format!("engine snapshot section of {len} bytes is implausible"),
+            message: format!("engine snapshot section truncated ({} of {len} bytes)", bytes.len()),
         }));
     }
-    let mut bytes = vec![0u8; len as usize];
-    reader.read_exact(&mut bytes).map_err(EngineError::from_io)?;
     Ok(bytes)
 }
 
@@ -739,20 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn query_many_matches_individual_queries() {
-        let mut engine = toy_engine();
-        let batch = engine
-            .query_many(
-                &[(NodeId(0), 2), (NodeId(1), 2), (NodeId(2), 3)],
-                &rtk_query::QueryOptions::default(),
-            )
-            .unwrap();
-        assert_eq!(batch.len(), 3);
-        let single = engine.query(NodeId(0), 2).unwrap();
-        assert_eq!(batch[0].nodes(), single.nodes());
-    }
-
-    #[test]
     fn query_batch_matches_frozen_singles_in_order() {
         let mut engine = toy_engine();
         let queries: Vec<(NodeId, usize)> =
@@ -848,6 +831,24 @@ mod tests {
         let after = loaded.query(NodeId(0), 2).unwrap();
         assert_eq!(before.nodes(), after.nodes());
         assert_eq!(loaded.node_count(), 6);
+    }
+
+    #[test]
+    fn load_rejects_sections_longer_than_the_stream() {
+        // A 16-byte header declaring a huge graph section, with no body.
+        for len in [1u64 << 39, 1 << 40] {
+            let mut bytes = ENGINE_MAGIC.to_vec();
+            bytes.extend_from_slice(&len.to_le_bytes());
+            let err = ReverseTopkEngine::load(bytes.as_slice()).err().expect("must not load");
+            assert!(err.to_string().contains("truncated"), "len {len}: {err}");
+        }
+        // A real snapshot cut inside its graph section.
+        let mut full = Vec::new();
+        toy_engine().save(&mut full).unwrap();
+        let graph_len = u64::from_le_bytes(full[8..16].try_into().unwrap()) as usize;
+        let cut = &full[..16 + graph_len / 2];
+        let err = ReverseTopkEngine::load(cut).err().expect("must not load");
+        assert!(err.to_string().contains("truncated"), "{err}");
     }
 
     #[test]

@@ -184,7 +184,7 @@ impl ReverseIndex {
 
     /// Re-partitions the index into `shards` even node ranges. A pure
     /// re-grouping of the same per-node states: answers, bounds, and the
-    /// serialized per-node bytes are unchanged (`rtk shard split|merge`).
+    /// serialized per-node bytes are unchanged (`rtk shard split`).
     pub fn repartition(&mut self, shards: usize) {
         let n = self.node_count();
         self.repartition_by_map(ShardMap::even(n, shards.max(1).min(n.max(1))));

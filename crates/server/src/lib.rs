@@ -33,8 +33,8 @@
 //! shard-scoped `shard_reverse_topk` the router tier is built on. Both
 //! query requests carry one [`QueryCall`] — `q`, `k`, `update`, `trace`,
 //! `approx` — and every layer has one entry point per request that reads
-//! those fields ([`Client::query`], the router's fan-out, the server's
-//! lock choice, the engine's options). Every request starts with a length-prefixed auth token
+//! those fields ([`Client::query`], the router's fan-out, the engine's
+//! options). Every request starts with a length-prefixed auth token
 //! (empty when unauthenticated). All integers little-endian; proximities
 //! travel as exact IEEE-754 bits, so remote answers are **bitwise
 //! identical** to local engine calls. The served engine may be sharded
@@ -45,10 +45,12 @@
 //! ## The `RtkService` surface
 //!
 //! The request *model* (and the [`rtk_api::RtkService`] trait covering the
-//! full surface) lives in the `rtk-api` crate. This crate implements the
-//! trait for [`Client`] (remote calls) and for the router's backend
-//! aggregate, and both server flavors dispatch every decoded request
-//! through [`rtk_api::service::dispatch_request`] — the request enum is
+//! full surface) lives in the `rtk-api` crate, with the engine's impls.
+//! This crate implements the trait for [`Client`] (remote calls) and for
+//! the router's backend aggregate, and both server flavors dispatch every
+//! decoded request through [`rtk_api::service::dispatch_request`] — the
+//! [`Server`] straight onto the engine's impls, the [`Router`] onto its
+//! aggregate — the request enum is
 //! matched exactly once outside the codec, and code written against
 //! `&mut impl RtkService` (the CLI's `rtk remote`, embedders) drives a
 //! local engine, a single server, or a routed tier identically.
@@ -91,22 +93,21 @@
 //!
 //! ## Concurrency model
 //!
-//! The engine sits behind one `RwLock`:
-//!
-//! * frozen-mode queries (`update = false`, `topk`, `batch`) share the
-//!   **read lock** and run concurrently across the worker pool;
-//! * update-mode queries take the **write lock**, so index refinements
-//!   commit serially through `ReverseIndex::commit_states` — exactly the
-//!   paper's update mode, now safe under concurrent traffic.
-//!
-//! Refinement only tightens bounds, never changes answers, so mixing the
-//! two modes cannot perturb any client's results — which is also why
-//! pipelined requests may execute in any order without perturbing
-//! answers. `persist(path)` flushes the current (refined) engine snapshot
-//! to disk under the same write lock, so the on-disk image is always a
-//! quiescent state. With [`ServerConfig::persist_dir`] set, persist paths
-//! must be relative (no `..`) and resolve inside that directory — the
-//! protocol is unauthenticated, so fence it on untrusted networks.
+//! The engine sits behind one `RwLock`, and the lock follows the borrow:
+//! a [`Server`] answers through the engine's own [`rtk_api::RtkService`]
+//! impls — the owned engine under the **write lock** for the requests
+//! that need `&mut` ([`Request::writes`]: update-mode queries, edge
+//! updates), the `&` view under the **read lock** for everything else —
+//! so served answers are the engine's in-process answers, options
+//! included. Refinement only tightens bounds, never changes answers, so
+//! mixing the two query modes (or running pipelined requests in any
+//! order) cannot perturb any client's results. `persist(path)` runs
+//! under the read lock; every mutation holds the write lock, so the image
+//! is quiescent. An applied update is appended to
+//! [`ServerConfig::update_log`] inside its write guard (log order = apply
+//! order). With [`ServerConfig::persist_dir`] set, persist paths must be
+//! relative (no `..`) and resolve inside that directory — the protocol is
+//! unauthenticated, so fence it on untrusted networks.
 //!
 //! ## Robustness & backpressure
 //!
@@ -159,7 +160,6 @@ pub(crate) mod http;
 pub mod metrics;
 pub mod router;
 pub mod server;
-pub mod state;
 pub mod wire;
 
 pub use chaos::ChaosConfig;
@@ -220,13 +220,9 @@ mod tests {
         // Paper running example: reverse top-2 of node 0 = {0, 1, 4}.
         let r = client.reverse_topk(0, 2, false).unwrap();
         assert_eq!(r.nodes, vec![0, 1, 4]);
-        let direct = reference
-            .query_batch(&[(NodeId(0), 2)], reference.options())
-            .unwrap()
-            .pop()
-            .unwrap();
-        assert_eq!(r.nodes, direct.nodes());
-        for (a, b) in r.proximities.iter().zip(direct.proximities()) {
+        let direct = (&reference).reverse_topk(&QueryCall::new(0, 2, false)).unwrap();
+        assert_eq!(r.nodes, direct.nodes);
+        for (a, b) in r.proximities.iter().zip(&direct.proximities) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
 

@@ -147,17 +147,12 @@ impl ServerMetrics {
         self.inflight.load(Ordering::Acquire)
     }
 
-    /// Consistent-enough snapshot for reporting (counters are read
-    /// individually; exactness across counters is not needed). Per-shard
-    /// sizes are sampled fresh by the caller — they drift as update-mode
-    /// traffic refines node states.
-    pub fn snapshot(
-        &self,
-        engine: EngineInfo,
-        shard_nodes: Vec<u64>,
-        shard_bytes: Vec<u64>,
-        unhealthy_backends: u64,
-    ) -> StatsSnapshot {
+    /// Overlays these counters on `engine`, a snapshot carrying only engine
+    /// facts ([`StatsSnapshot::local`]) — consistent enough for reporting
+    /// (counters are read individually; exactness across counters is not
+    /// needed). The engine facts are sampled fresh by the caller: edges, the
+    /// digest and per-shard sizes drift under updates and refinement.
+    pub fn snapshot(&self, engine: StatsSnapshot, unhealthy_backends: u64) -> StatsSnapshot {
         let per_kind: Vec<LatencyHistogram> =
             self.latency.iter().map(|h| h.lock().expect("metrics lock").clone()).collect();
         let mut hist = LatencyHistogram::new();
@@ -206,20 +201,12 @@ impl ServerMetrics {
             p95_seconds: p95,
             p99_seconds: p99,
             max_seconds: hist.max(),
-            nodes: engine.nodes,
-            edges: engine.edges,
-            max_k: engine.max_k,
-            workers: engine.workers,
-            shard_lo: engine.shard_lo,
-            shard_hi: engine.shard_hi,
-            index_digest: engine.index_digest,
-            shard_nodes,
-            shard_bytes,
             kind_latency,
             approx_queries: self.approx_queries.load(Ordering::Relaxed),
             approx_estimated: self.approx_estimated.load(Ordering::Relaxed),
             approx_exact_refined: self.approx_exact_refined.load(Ordering::Relaxed),
             approx_walks: self.approx_walks.load(Ordering::Relaxed),
+            ..engine
         }
     }
 
@@ -402,7 +389,7 @@ mod tests {
         m.record_hedged_request();
         m.record_failover();
         m.record_failover();
-        let snap = m.snapshot(info(100), vec![50, 50], vec![1024, 2048], 1);
+        let snap = m.snapshot(StatsSnapshot::local(info(100), vec![50, 50], vec![1024, 2048]), 1);
         assert_eq!(snap.total_requests(), 5);
         assert_eq!(snap.reverse_topk, 2);
         assert_eq!(snap.persist, 1);
@@ -437,14 +424,14 @@ mod tests {
         m.end_request();
         m.end_request();
         assert_eq!(m.inflight(), 0);
-        let snap = m.snapshot(info(1), vec![1], vec![1], 0);
+        let snap = m.snapshot(StatsSnapshot::local(info(1), vec![1], vec![1]), 0);
         assert_eq!(snap.inflight_peak, 3, "peak must survive the drain");
     }
 
     #[test]
     fn shard_count_is_bounded_on_decode() {
         let m = ServerMetrics::new();
-        let snap = m.snapshot(info(1), vec![1; 8], vec![1; 8], 0);
+        let snap = m.snapshot(StatsSnapshot::local(info(1), vec![1; 8], vec![1; 8]), 0);
         let mut buf = Vec::new();
         snap.encode(&mut buf).unwrap();
         // A bound below the declared count must fail before allocating.
@@ -458,7 +445,7 @@ mod tests {
             m.record_request(RequestKind::Batch, 0.001);
         }
         m.record_request(RequestKind::Stats, 0.001);
-        let snap = m.snapshot(info(1), vec![1], vec![1], 0);
+        let snap = m.snapshot(StatsSnapshot::local(info(1), vec![1], vec![1]), 0);
         assert_eq!(snap.batch, 5);
         assert_eq!(snap.stats, 1);
         assert_eq!(snap.reverse_topk, 0);
@@ -475,7 +462,7 @@ mod tests {
         for _ in 0..10 {
             m.record_request(RequestKind::ReverseTopk, 0.05);
         }
-        let snap = m.snapshot(info(1), vec![1], vec![1], 0);
+        let snap = m.snapshot(StatsSnapshot::local(info(1), vec![1], vec![1]), 0);
         let ping = snap.kind_latency[RequestKind::Ping as usize];
         let rtk = snap.kind_latency[RequestKind::ReverseTopk as usize];
         assert_eq!(ping.count, 100);

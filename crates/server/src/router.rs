@@ -1140,9 +1140,8 @@ impl RouterCtx {
         // A digest over a partial sample would look like divergence; report
         // 0 ("unknown") unless every shard answered.
         engine_info.index_digest = if all_sampled { rtk_core::fnv1a64(&digest_bytes) } else { 0 };
-        self.host
-            .metrics
-            .snapshot(engine_info, shard_nodes, shard_bytes, self.unhealthy_count())
+        let engine = StatsSnapshot::local(engine_info, shard_nodes, shard_bytes);
+        self.host.metrics.snapshot(engine, self.unhealthy_count())
     }
 
     /// One dynamic-graph update against the shard's **stable owner** (the

@@ -3,21 +3,23 @@
 
 use crate::chaos::{ChaosConfig, ChaosState};
 use crate::handler::{execute_job, read_connection, Host, Job, ServiceHost};
-use crate::metrics::{EngineInfo, RequestKind};
-use crate::state::SharedEngine;
-use crate::wire::{Request, Response, DEFAULT_MAX_FRAME_BYTES};
-use rtk_api::service::{dispatch_request, RtkService, ServiceError, ServiceResult};
-use rtk_api::{
-    QueryCall, StatsSnapshot, WireQueryResult, WireShardResult, WireTopk, WireUpdateResult,
-};
+use crate::metrics::RequestKind;
+use crate::wire::{Request, Response, DEFAULT_MAX_FRAME_BYTES, STATUS_ENGINE_ERROR};
+use rtk_api::service::dispatch_request;
+use rtk_api::{StatsSnapshot, WireQueryResult, WireUpdateResult};
+use rtk_core::index::storage::append_update_log;
+use rtk_core::query::QueryOptions;
 use rtk_core::{ReverseTopkEngine, UpdateRecord};
 use rtk_graph::resolve_threads;
+use rtk_obs::{log_event, Json, Level};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// Default cap on admitted connections. Wire v4 gives every admitted
 /// connection a reader thread, so "unlimited" would let a connection
@@ -93,96 +95,80 @@ impl Default for ServerConfig {
     }
 }
 
-/// Everything the workers share.
+/// Everything the workers share: the engine behind one lock, plus what a
+/// host adds around the engine's own answer.
 pub(crate) struct ServerCtx {
     host: Host,
-    shared: SharedEngine,
-    engine_info: EngineInfo,
+    engine: RwLock<ReverseTopkEngine>,
+    /// Worker threads, reported in `stats`.
+    workers: u32,
+    /// See [`ServerConfig::persist_dir`].
+    persist_dir: Option<PathBuf>,
+    /// See [`ServerConfig::update_log`].
+    update_log: Option<PathBuf>,
     /// Seeded fault injection; `None` serves faithfully.
     chaos: Option<ChaosState>,
 }
 
-/// The server's [`RtkService`] view: one short-lived value per dispatched
-/// request, delegating to the `RwLock`-disciplined [`SharedEngine`] (frozen
-/// queries share the read lock, update/persist take the write lock) and to
-/// the server's metrics for `stats`.
-struct ServerService<'a>(&'a ServerCtx);
+impl ServerCtx {
+    /// Applies the `persist_dir` fence: with a fence configured, the
+    /// requested path must be relative, must not climb out via `..`, and is
+    /// resolved inside the fence directory.
+    fn fence(&self, path: &str) -> Result<String, String> {
+        let Some(dir) = &self.persist_dir else { return Ok(path.to_string()) };
+        let rel = Path::new(path);
+        let escapes = rel.is_absolute()
+            || rel
+                .components()
+                .any(|c| matches!(c, Component::ParentDir | Component::Prefix(_)));
+        if escapes || rel.file_name().is_none() {
+            return Err(format!(
+                "persist: {path:?} rejected — this server only writes snapshots to \
+                 relative paths (no `..`) under {dir:?}"
+            ));
+        }
+        let target = dir.join(rel).into_os_string();
+        target.into_string().map_err(|t| format!("persist: {t:?} is not UTF-8"))
+    }
 
-impl ServerService<'_> {
-    /// Folds an answer's approx usage report (present exactly when the
-    /// approximate screen ran) into the `rtk_approx_*` counters.
-    fn record_approx(&self, answer: &WireQueryResult) {
-        if let Some(stats) = &answer.approx {
-            self.0
-                .host
-                .metrics
-                .record_approx(stats.estimated, stats.exact_refined, stats.walks);
+    /// Appends (and fsyncs) an applied update to the `RTKULOG1` log. Runs
+    /// under the update's write guard, so log order is apply order and
+    /// `snapshot + replay(log)` reproduces this engine byte for byte.
+    fn log_update(&self, log: &Path, record: &UpdateRecord, updated: WireUpdateResult) -> Response {
+        let started = Instant::now();
+        if let Err(e) = append_update_log(log, record) {
+            return engine_error(format!("update applied but logging to {log:?} failed: {e}"));
+        }
+        let log_append_ms = Json::F64(started.elapsed().as_secs_f64() * 1e3);
+        log_event(
+            Level::Debug,
+            "server",
+            "edge update logged",
+            &[("log_append_ms", log_append_ms)],
+        );
+        Response::Updated(updated)
+    }
+
+    /// What the host adds to a query answer: its wall time inside this
+    /// server, and its approx usage report folded into `rtk_approx_*`.
+    fn answered(&self, answer: &mut WireQueryResult, started: Instant) {
+        answer.server_seconds = started.elapsed().as_secs_f64();
+        if let Some(a) = &answer.approx {
+            self.host.metrics.record_approx(a.estimated, a.exact_refined, a.walks);
         }
     }
 }
 
-impl RtkService for ServerService<'_> {
-    fn reverse_topk(&mut self, call: &QueryCall) -> ServiceResult<WireQueryResult> {
-        let wire = self.0.shared.reverse_topk(call).map_err(ServiceError::Engine)?;
-        self.record_approx(&wire);
-        Ok(wire)
-    }
+fn engine_error(message: String) -> Response {
+    Response::Error { code: STATUS_ENGINE_ERROR, message }
+}
 
-    fn shard_reverse_topk(
-        &mut self,
-        call: &QueryCall,
-        pmpn: Option<&[f64]>,
-        want_pmpn: bool,
-    ) -> ServiceResult<WireShardResult> {
-        let wire = self
-            .0
-            .shared
-            .shard_reverse_topk(call, pmpn, want_pmpn)
-            .map_err(ServiceError::Engine)?;
-        self.record_approx(&wire.result);
-        Ok(wire)
-    }
-
-    fn topk(&mut self, u: u32, k: u32, early: bool) -> ServiceResult<WireTopk> {
-        self.0.shared.topk(u, k, early).map_err(ServiceError::Engine)
-    }
-
-    fn batch(&mut self, queries: &[(u32, u32)]) -> ServiceResult<Vec<WireQueryResult>> {
-        self.0.shared.batch(queries).map_err(ServiceError::Engine)
-    }
-
-    fn add_edge(&mut self, from: u32, to: u32, weight: f64) -> ServiceResult<WireUpdateResult> {
-        self.0
-            .shared
-            .apply_update(UpdateRecord::AddEdge { from, to, weight })
-            .map_err(ServiceError::Engine)
-    }
-
-    fn remove_edge(&mut self, from: u32, to: u32) -> ServiceResult<WireUpdateResult> {
-        self.0
-            .shared
-            .apply_update(UpdateRecord::RemoveEdge { from, to })
-            .map_err(ServiceError::Engine)
-    }
-
-    fn stats(&mut self) -> ServiceResult<StatsSnapshot> {
-        let (shard_nodes, shard_bytes) = self.0.shared.shard_info();
-        // Edge count and digest are sampled live: dynamic updates move
-        // both after the bind-time snapshot in `engine_info`.
-        let mut info = self.0.engine_info;
-        info.edges = self.0.shared.edge_count();
-        info.index_digest = self.0.shared.index_digest();
-        Ok(self.0.host.metrics.snapshot(info, shard_nodes, shard_bytes, 0))
-    }
-
-    fn persist(&mut self, path: &str) -> ServiceResult<u64> {
-        self.0.shared.persist(path).map_err(ServiceError::Engine)
-    }
-
-    /// Acknowledge only — the worker flips the shutdown flag *after* the
-    /// acknowledgement frame is written (see `execute_job`).
-    fn shutdown(&mut self) -> ServiceResult<()> {
-        Ok(())
+/// The `RTKULOG1` record of an edge-update request.
+fn update_record(request: &Request) -> Option<UpdateRecord> {
+    match *request {
+        Request::AddEdge { from, to, weight } => Some(UpdateRecord::AddEdge { from, to, weight }),
+        Request::RemoveEdge { from, to } => Some(UpdateRecord::RemoveEdge { from, to }),
+        _ => None,
     }
 }
 
@@ -202,9 +188,39 @@ impl ServiceHost for ServerCtx {
         self.chaos.as_ref()
     }
 
-    /// Executes one request through the [`RtkService`] surface.
-    fn dispatch(&self, request: Request) -> (RequestKind, Response) {
-        dispatch_request(&mut ServerService(self), request)
+    /// Executes one request through the engine's own [`RtkService`] impls:
+    /// the owned engine under the write lock for the requests that write
+    /// ([`Request::writes`]), its `&` view under the read lock otherwise.
+    fn dispatch(&self, mut request: Request) -> (RequestKind, Response) {
+        let started = Instant::now();
+        if let Request::Persist { path } = &mut request {
+            match self.fence(path) {
+                Ok(target) => *path = target,
+                Err(message) => return (RequestKind::Persist, engine_error(message)),
+            }
+        }
+        let (kind, mut response) = if request.writes() {
+            let mut engine = self.engine.write().expect("engine lock");
+            let record = update_record(&request);
+            match (dispatch_request(&mut *engine, request), record, &self.update_log) {
+                ((kind, Response::Updated(u)), Some(record), Some(log)) => {
+                    (kind, self.log_update(log, &record, u))
+                }
+                (dispatched, _, _) => dispatched,
+            }
+        } else {
+            dispatch_request(&mut &*self.engine.read().expect("engine lock"), request)
+        };
+        match &mut response {
+            Response::ReverseTopk(r) => self.answered(r, started),
+            Response::ShardReverseTopk(s) => self.answered(&mut s.result, started),
+            Response::Stats(s) => {
+                let engine = StatsSnapshot { workers: self.workers, ..(**s).clone() };
+                **s = self.host.metrics.snapshot(engine, 0);
+            }
+            _ => {}
+        }
+        (kind, response)
     }
 }
 
@@ -346,21 +362,18 @@ impl Server {
     /// `shard_reverse_topk` (plus the shard-independent requests) and
     /// expects a [`crate::Router`] in front for full answers.
     pub fn bind<A: ToSocketAddrs>(
-        engine: ReverseTopkEngine,
+        mut engine: ReverseTopkEngine,
         addr: A,
         config: ServerConfig,
     ) -> io::Result<Self> {
         check_auth_token_len(config.auth_token.as_deref())?;
-        let shared = SharedEngine::new(
-            engine,
-            config.query_threads,
-            config.persist_dir.clone(),
-            config.update_log.clone(),
-        );
+        // Every other option is the engine's own: served answers are the
+        // in-process answers of the same engine.
+        let query_threads = config.query_threads.max(1);
+        engine.set_options(QueryOptions { query_threads, ..*engine.options() });
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let workers = resolve_threads(config.workers).max(1);
-        let (nodes, edges, max_k, shard_lo, shard_hi) = shared.info();
         let ctx = Arc::new(ServerCtx {
             host: Host::new(
                 local_addr,
@@ -369,17 +382,10 @@ impl Server {
                 config.max_connections,
                 config.max_inflight,
             ),
-            shared,
-            engine_info: EngineInfo {
-                nodes,
-                edges,
-                max_k,
-                workers: workers as u32,
-                shard_lo,
-                shard_hi,
-                // Sampled live per `stats` call — see `ServerService::stats`.
-                index_digest: 0,
-            },
+            engine: RwLock::new(engine),
+            workers: workers as u32,
+            persist_dir: config.persist_dir,
+            update_log: config.update_log,
             chaos: config.chaos.map(ChaosConfig::into_state),
         });
         let metrics_addr = match &config.metrics_addr {

@@ -42,7 +42,6 @@ fn engine_api_refuses_the_wrong_family() {
     let refusals = [
         shard.query(NodeId(0), 2).map(drop),
         shard.query_with(NodeId(0), 2, &opts).map(drop),
-        shard.query_many(&[(NodeId(0), 2)], &opts).map(drop),
         shard.query_batch(&[(NodeId(0), 2)], &opts).map(drop),
     ];
     for (i, r) in refusals.into_iter().enumerate() {

@@ -121,7 +121,8 @@
 //! update-mode queries serialize through the write lock so refinements
 //! commit via `ReverseIndex::commit_states` exactly as in a serial run.
 //! `persist(path)` flushes the refined engine snapshot to disk under the
-//! same write lock, making update mode durable on demand. Corrupt or
+//! read lock — every mutation holds the write lock, so the image is
+//! quiescent — making update mode durable on demand. Corrupt or
 //! oversized frames are counted, answered with an error when possible, and
 //! never take the server down; with `--max-connections` set, connections
 //! beyond the cap get a clean `busy` error frame and are counted in

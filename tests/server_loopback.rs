@@ -1,4 +1,4 @@
-//! Integration test for the serving layer (ISSUE 2 acceptance criteria).
+//! Integration test for the serving layer.
 //!
 //! Starts an in-process `rtk-server` on an ephemeral loopback port and
 //! checks that:
@@ -7,14 +7,19 @@
 //!   requests — with update-mode queries interleaved from another client —
 //!   receive results **bitwise identical** to direct `ReverseTopkEngine`
 //!   calls on an identically built index;
+//! * a served answer equals the in-process `RtkService` answer of the same
+//!   engine — nodes, proximity bits and counters — under every engine
+//!   configuration: the defaults, the strict bound over a coarsely rounded
+//!   index, and the paper's §5.3 drop mode;
 //! * a corrupt frame is rejected (counted, connection dropped) without
 //!   killing the server;
 //! * graceful shutdown drains and joins cleanly.
 
+use rtk_core::query::{BoundMode, QueryOptions};
 use rtk_core::ReverseTopkEngine;
 use rtk_graph::gen::{rmat, RmatConfig};
 use rtk_graph::NodeId;
-use rtk_server::{Client, Server, ServerConfig, ServerError};
+use rtk_server::{Client, QueryCall, RtkService, Server, ServerConfig, ServerError};
 
 const NODES: usize = 400;
 const EDGES: usize = 1800;
@@ -23,23 +28,51 @@ const MAX_K: usize = 8;
 const CLIENT_THREADS: usize = 4;
 const QUERIES_PER_CLIENT: usize = 12;
 
+/// The engine configurations the loopback tests serve.
+#[derive(Clone, Copy, Debug)]
+enum Config {
+    /// The builder's defaults.
+    Default,
+    /// `BoundMode::Strict` over an index rounded at ω = 1e-2.
+    Strict,
+    /// The paper's §5.3 drop mode (`approximate: true`).
+    DropMode,
+}
+
+const CONFIGS: [Config; 3] = [Config::Default, Config::Strict, Config::DropMode];
+
 /// Deterministic engine build: same graph + config ⇒ identical index, so a
 /// second build serves as the direct-call reference for the served one.
-fn build_engine() -> ReverseTopkEngine {
+fn build_engine(config: Config) -> ReverseTopkEngine {
     let graph = rmat(&RmatConfig::new(NODES, EDGES, SEED)).expect("rmat");
-    ReverseTopkEngine::builder(graph)
-        .max_k(MAX_K)
-        .hubs_per_direction(6)
-        .threads(1)
-        .build()
-        .expect("engine build")
+    let builder = ReverseTopkEngine::builder(graph).max_k(MAX_K).hubs_per_direction(6).threads(1);
+    let builder = match config {
+        Config::Default => builder,
+        Config::Strict => builder
+            .rounding_threshold(1e-2)
+            .query_options(QueryOptions { bound_mode: BoundMode::Strict, ..Default::default() }),
+        Config::DropMode => {
+            builder.query_options(QueryOptions { approximate: true, ..Default::default() })
+        }
+    };
+    builder.build().expect("engine build")
+}
+
+/// The `(q, k)` of the frozen client `t`'s query `i`.
+fn frozen_query(t: usize, i: usize) -> (u32, usize) {
+    (((t * 89 + i * 31) % NODES) as u32, 1 + ((t + i) % MAX_K))
+}
+
+/// The `(q, k)` of the update-mode client's query `i`.
+fn update_query(i: usize) -> (u32, usize) {
+    (((i * 53) % NODES) as u32, 1 + (i % MAX_K))
 }
 
 #[test]
 fn concurrent_remote_queries_match_direct_engine_calls_bitwise() {
-    let reference = build_engine();
+    let reference = build_engine(Config::Default);
     let handle = Server::bind(
-        build_engine(),
+        build_engine(Config::Default),
         "127.0.0.1:0",
         ServerConfig { workers: 4, ..Default::default() },
     )
@@ -56,8 +89,7 @@ fn concurrent_remote_queries_match_direct_engine_calls_bitwise() {
             scope.spawn(move || {
                 let mut client = Client::connect(addr).expect("connect");
                 for i in 0..QUERIES_PER_CLIENT {
-                    let q = ((t * 89 + i * 31) % NODES) as u32;
-                    let k = 1 + ((t + i) % MAX_K);
+                    let (q, k) = frozen_query(t, i);
                     let remote = client
                         .reverse_topk(q, k as u32, false)
                         .unwrap_or_else(|e| panic!("t={t} i={i} q={q} k={k}: {e}"));
@@ -87,8 +119,7 @@ fn concurrent_remote_queries_match_direct_engine_calls_bitwise() {
         scope.spawn(move || {
             let mut client = Client::connect(addr).expect("connect");
             for i in 0..QUERIES_PER_CLIENT {
-                let q = ((i * 53) % NODES) as u32;
-                let k = 1 + (i % MAX_K);
+                let (q, k) = update_query(i);
                 let remote = client
                     .reverse_topk(q, k as u32, true)
                     .unwrap_or_else(|e| panic!("update i={i} q={q} k={k}: {e}"));
@@ -147,9 +178,9 @@ fn concurrent_remote_queries_match_direct_engine_calls_bitwise() {
 
 #[test]
 fn batch_and_topk_match_direct_calls() {
-    let reference = build_engine();
+    let reference = build_engine(Config::Default);
     let handle = Server::bind(
-        build_engine(),
+        build_engine(Config::Default),
         "127.0.0.1:0",
         ServerConfig { workers: 2, ..Default::default() },
     )
@@ -188,4 +219,40 @@ fn batch_and_topk_match_direct_calls() {
 
     client.shutdown().expect("shutdown");
     handle.join().expect("join");
+}
+
+#[test]
+fn served_answers_equal_the_in_process_service_under_every_configuration() {
+    for config in CONFIGS {
+        let mut local = build_engine(config);
+        let handle = Server::bind(
+            build_engine(config),
+            "127.0.0.1:0",
+            ServerConfig { workers: 2, ..Default::default() },
+        )
+        .expect("bind")
+        .spawn();
+        let mut client = Client::connect(handle.addr()).expect("connect");
+
+        // The concurrent test's queries, serialized: every frozen client's
+        // round, then one update-mode query, so both engines refine alike.
+        for i in 0..QUERIES_PER_CLIENT {
+            let frozen = (0..CLIENT_THREADS).map(|t| (frozen_query(t, i), false));
+            for ((q, k), update) in frozen.chain([(update_query(i), true)]) {
+                let call = QueryCall::new(q, k as u32, update);
+                let served = client.query(&call).expect("served query");
+                let direct = local.reverse_topk(&call).expect("in-process query");
+                let context = format!("{config:?} {call:?}");
+                assert_eq!(served.nodes, direct.nodes, "{context}");
+                let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&served.proximities), bits(&direct.proximities), "{context}");
+                let counters = |r: &rtk_server::WireQueryResult| {
+                    (r.candidates, r.hits, r.refined_nodes, r.refine_iterations)
+                };
+                assert_eq!(counters(&served), counters(&direct), "{context}");
+            }
+        }
+        client.shutdown().expect("shutdown");
+        handle.join().expect("join");
+    }
 }

@@ -60,7 +60,7 @@ fn sample_queries(n: usize, max_k: usize) -> Vec<(u32, usize)> {
 }
 
 /// Runs the sample workload from a fresh copy of `index` (2 threads, so the
-/// shard-aligned chunk queue is actually contended); returns the per-query
+/// screen's claim loop actually runs two lanes); returns the per-query
 /// results and the final index.
 fn run_workload(
     transition: &TransitionMatrix<'_>,
