@@ -6,6 +6,11 @@
 //! size of the full proximity matrix `P` (with the minimum lower-bound-only
 //! index size in parentheses).
 //!
+//! "Actual" counts `P_H` as `rtk_index::HubMatrix` holds it in memory: one
+//! dense panel, 8 B per slot over the columns' common support. Theorem 1's
+//! prediction still counts 12 B per sparse entry (u32 index + f64 value),
+//! the entries of a persisted hub record.
+//!
 //! ```sh
 //! cargo run --release -p rtk-bench --bin table2 -- --quick
 //! ```

@@ -135,6 +135,15 @@ pub fn read_binary<R: Read>(reader: R) -> Result<DiGraph, GraphError> {
     let n = codec::check_len(codec::read_u64(&mut r)?, codec::MAX_SEQ_LEN, "node count")?;
     let weighted = codec::read_u32(&mut r)? != 0;
     let m = codec::check_len(codec::read_u64(&mut r)?, codec::MAX_SEQ_LEN, "edge count")?;
+    // A stored graph has no dangling node, so each node owns at least one of
+    // the `m` edge records: refusing `n > m` bounds everything `build` sizes
+    // by `n` by the records actually read, not by a header.
+    if n > m {
+        return Err(codec::DecodeError::Corrupt(format!(
+            "{n} nodes but {m} edges: a stored graph has no dangling node"
+        ))
+        .into());
+    }
     let mut b = GraphBuilder::new(n);
     for _ in 0..m {
         let f = codec::read_u32(&mut r)?;
@@ -250,5 +259,18 @@ mod tests {
         write_binary(&sample(), &mut buf).unwrap();
         buf.truncate(buf.len() - 3);
         assert!(read_binary(Cursor::new(buf)).is_err());
+    }
+
+    #[test]
+    fn binary_refuses_more_nodes_than_edges() {
+        // 32 bytes declaring 10⁹ nodes and no edges: refused on the counts,
+        // before the builder sizes anything by the node count.
+        let mut buf = Vec::new();
+        codec::write_header(&mut buf, GRAPH_MAGIC, GRAPH_VERSION).unwrap();
+        codec::write_u64(&mut buf, 1_000_000_000).unwrap();
+        codec::write_u32(&mut buf, 0).unwrap();
+        codec::write_u64(&mut buf, 0).unwrap();
+        assert_eq!(buf.len(), 32);
+        assert!(matches!(read_binary(Cursor::new(buf)), Err(GraphError::Decode(_))));
     }
 }

@@ -155,7 +155,6 @@ pub(crate) fn sweep<'a>(
     nodes: &[u32],
     keep: &(dyn Fn(u32) -> Option<&'a NodeState> + Sync),
 ) -> (Vec<(Swept, u64)>, u64, u64) {
-    let n = transition.node_count();
     let stop = BcaStop::from_params(&config.bca);
     let lanes = rtk_sparse::WorkerPool::global().claim(
         config.effective_threads(),
@@ -163,7 +162,7 @@ pub(crate) fn sweep<'a>(
         || {
             (
                 BcaEngine::new(hub_matrix.hubs().clone(), config.bca),
-                Materializer::new(n),
+                Materializer::default(),
                 Vec::new(),
             )
         },

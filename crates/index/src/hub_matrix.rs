@@ -2,9 +2,9 @@
 //! (paper §4.1.3).
 //!
 //! Each hub's exact proximity vector is computed once, rounded by zeroing
-//! entries `≤ ω`, and stored sparsely. Rounding preserves the lower-bound
-//! property of everything materialized from `P_H` (rounded values are `≤`
-//! exact values elementwise — the paper's Prop. 1/2 carry over, as it notes).
+//! entries `≤ ω`, and stored. Rounding preserves the lower-bound property of
+//! everything materialized from `P_H` (rounded values are `≤` exact values
+//! elementwise — the paper's Prop. 1/2 carry over, as it notes).
 //!
 //! Beyond the paper, each hub records its **mass deficit**
 //! `d_h = 1 − ‖stored p_h‖₁`: the proximity mass lost to rounding plus any
@@ -12,6 +12,22 @@
 //! `d_h` of future proximity anywhere, so sound upper bounds must treat
 //! `Σ_h s(h)·d_h` as additional residue (`BoundMode::Strict` in the query
 //! crate uses exactly this).
+//!
+//! **One dense panel.** In memory the columns are one panel over `U`, the
+//! ascending union of their supports: a node → position map (`u32::MAX`
+//! outside `U`), and one contiguous row of `|U|` values per hub, in
+//! [`HubSet::ids`] order, with `0.0` where a column has no entry.
+//! Materializing `w + P_H·s` (Eq. 7) is then one branch-free axpy per parked
+//! hub; [`Materializer`] says why that is bitwise the sparse scatter it
+//! replaced. The panel takes `8·|H|·|U| + 4·|U| + 4·n` bytes against the
+//! sparse columns' `12·Σ nnz`, so it is the smaller whenever the columns
+//! cover at least about 2/3 of `U` — at `ω = 1e-6` every column of an R-MAT
+//! graph has the same support; disjoint supports are the case where it is
+//! larger. `0.0` can stand for "no entry" because every stored entry is
+//! `> 0`: rounding and both solvers keep only positive values, and the loader
+//! refuses anything else. A persisted hub record is the column re-emitted
+//! from its row — `(U[j], row[j])` for every `row[j] ≠ 0` — so the bytes and
+//! the record digests do not depend on this layout.
 
 use crate::config::HubSolver;
 use crate::digest::DigestCell;
@@ -19,15 +35,20 @@ use rtk_graph::TransitionMatrix;
 use rtk_rwr::bca::{BcaEngine, BcaSnapshot, BcaStop};
 use rtk_rwr::power::BLOCK_WIDTH;
 use rtk_rwr::{proximity_from_many, HubSet};
-use rtk_sparse::{top_k_of_pairs, EpochScratch, SparseVector};
+use rtk_sparse::{select_top_k, EpochScratch, SparseVector};
 
-/// Sparse, rounded hub proximity vectors plus per-hub deficits.
+/// Rounded hub proximity vectors as one dense panel, plus per-hub deficits.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HubMatrix {
     hubs: HubSet,
-    /// `columns[i]` is the rounded `p_h` for `hubs.ids()[i]`.
-    columns: Vec<SparseVector>,
-    /// `deficits[i] = 1 − ‖columns[i]‖₁ ≥ 0`.
+    /// `U`: the ascending union of the column supports.
+    support: Vec<u32>,
+    /// Node → position in `support`, or `u32::MAX` outside it.
+    slot: Vec<u32>,
+    /// `|H| × |U|`, row-major: row `i` is the rounded `p_h` of
+    /// `hubs.ids()[i]` over `support`, `0.0` where the column has no entry.
+    panel: Vec<f64>,
+    /// `deficits[i] = 1 − ‖row i‖₁ ≥ 0`.
     deficits: Vec<f64>,
     /// Entries each column held *before* rounding (for Table 2's
     /// "no rounding" space accounting).
@@ -49,25 +70,25 @@ impl HubMatrix {
         threads: usize,
     ) -> Self {
         let solved = solve_columns(transition, hubs.ids(), solver, rounding_threshold, threads);
-        let mut matrix = Self {
-            hubs,
-            columns: Vec::with_capacity(solved.len()),
-            deficits: Vec::with_capacity(solved.len()),
-            unrounded_nnz: Vec::with_capacity(solved.len()),
-            digests: Vec::with_capacity(solved.len()),
-            rounding_threshold,
-        };
+        let mut columns = Vec::with_capacity(solved.len());
+        let mut deficits = Vec::with_capacity(solved.len());
+        let mut unrounded_nnz = Vec::with_capacity(solved.len());
+        let mut digests = Vec::with_capacity(solved.len());
         for column in solved {
-            matrix.columns.push(column.vector);
-            matrix.deficits.push(column.deficit);
-            matrix.unrounded_nnz.push(column.unrounded_nnz);
-            matrix.digests.push(DigestCell::filled(column.digest));
+            columns.push(column.vector);
+            deficits.push(column.deficit);
+            unrounded_nnz.push(column.unrounded_nnz);
+            digests.push(DigestCell::filled(column.digest));
         }
+        let mut matrix =
+            Self::from_parts(hubs, columns, deficits, unrounded_nnz, rounding_threshold);
+        matrix.digests = digests;
         matrix
     }
 
-    /// Reassembles a matrix from stored parts (used by [`crate::storage`]);
-    /// the record digests are computed when first asked for.
+    /// Reassembles a matrix from its columns (in [`HubSet::ids`] order; used
+    /// by [`crate::storage`]); the record digests are computed when first
+    /// asked for.
     pub(crate) fn from_parts(
         hubs: HubSet,
         columns: Vec<SparseVector>,
@@ -79,7 +100,44 @@ impl HubMatrix {
         assert_eq!(hubs.len(), deficits.len());
         assert_eq!(hubs.len(), unrounded_nnz.len());
         let digests = columns.iter().map(|_| DigestCell::default()).collect();
-        Self { hubs, columns, deficits, unrounded_nnz, digests, rounding_threshold }
+        let mut matrix = Self {
+            hubs,
+            support: Vec::new(),
+            slot: Vec::new(),
+            panel: Vec::new(),
+            deficits,
+            unrounded_nnz,
+            digests,
+            rounding_threshold,
+        };
+        matrix.lay_out(&columns);
+        matrix
+    }
+
+    /// Lays `columns` (in [`HubSet::ids`] order) out as the panel. The
+    /// support is recomputed: an edit can grow or shrink it.
+    fn lay_out(&mut self, columns: &[SparseVector]) {
+        let n = self.hubs.node_count();
+        let mut slot = vec![u32::MAX; n];
+        for &i in columns.iter().flat_map(|c| c.indices()) {
+            slot[i as usize] = 0;
+        }
+        let mut support: Vec<u32> =
+            (0..n as u32).filter(|&i| slot[i as usize] != u32::MAX).collect();
+        // Exact size: capacity is what `heap_bytes` accounts.
+        support.shrink_to_fit();
+        for (j, &i) in support.iter().enumerate() {
+            slot[i as usize] = j as u32;
+        }
+        let mut panel = vec![0.0; columns.len() * support.len()];
+        if !support.is_empty() {
+            for (row, column) in panel.chunks_exact_mut(support.len()).zip(columns) {
+                for (i, v) in column.iter() {
+                    row[slot[i as usize] as usize] = v;
+                }
+            }
+        }
+        (self.support, self.slot, self.panel) = (support, slot, panel);
     }
 
     /// The hub set.
@@ -91,7 +149,7 @@ impl HubMatrix {
     /// Number of hubs.
     #[inline]
     pub fn hub_count(&self) -> usize {
-        self.columns.len()
+        self.hubs.len()
     }
 
     /// The rounding threshold `ω` used at build time.
@@ -101,12 +159,12 @@ impl HubMatrix {
     }
 
     /// Recomputes the columns of the given hub `ids` in place (incremental
-    /// edge updates, [`crate::update`]). Every id must be a hub of this
-    /// matrix. Each column goes through the exact per-column computation of
-    /// [`Self::build`] — same solver, same rounding, same deficit formula —
-    /// so a column recomputed here is bitwise-identical to the one a
-    /// from-scratch build against the same transition matrix produces.
-    /// Returns the number of columns recomputed.
+    /// edge updates, [`crate::update`]), then re-lays the panel. Every id
+    /// must be a hub of this matrix. Each column goes through the exact
+    /// per-column computation of [`Self::build`] — same solver, same
+    /// rounding, same deficit formula — so a column recomputed here is
+    /// bitwise-identical to the one a from-scratch build against the same
+    /// transition matrix produces. Returns the number of columns recomputed.
     ///
     /// # Panics
     /// Panics if an id is not a hub of this matrix.
@@ -118,13 +176,16 @@ impl HubMatrix {
         threads: usize,
     ) -> usize {
         let solved = solve_columns(transition, ids, solver, self.rounding_threshold, threads);
+        let mut columns: Vec<SparseVector> =
+            (0..self.hub_count()).map(|i| self.column_at(i)).collect();
         for (&h, column) in ids.iter().zip(solved) {
             let p = self.hubs.position(h).expect("recompute_columns id is not a hub");
-            self.columns[p] = column.vector;
+            columns[p] = column.vector;
             self.deficits[p] = column.deficit;
             self.unrounded_nnz[p] = column.unrounded_nnz;
             self.digests[p] = DigestCell::filled(column.digest);
         }
+        self.lay_out(&columns);
         ids.len()
     }
 
@@ -133,13 +194,28 @@ impl HubMatrix {
     /// if nothing has yet.
     pub(crate) fn column_digest(&self, i: usize, cached: bool) -> u64 {
         self.digests[i].get_or(cached, || {
-            crate::storage::hub_record_digest(&self.columns[i], self.deficits[i])
+            crate::storage::hub_record_digest(&self.column_at(i), self.deficits[i])
         })
     }
 
-    /// Rounded proximity vector of hub `node`, or `None` if not a hub.
-    pub fn column(&self, node: u32) -> Option<&SparseVector> {
-        self.hubs.position(node).map(|i| &self.columns[i])
+    /// Panel row `i`: the `i`-th column (in [`HubSet::ids`] order) over the
+    /// support.
+    fn row(&self, i: usize) -> &[f64] {
+        let width = self.support.len();
+        &self.panel[i * width..(i + 1) * width]
+    }
+
+    /// The `i`-th column as the sparse vector it is persisted as.
+    fn column_at(&self, i: usize) -> SparseVector {
+        let entries = self.support.iter().zip(self.row(i)).filter(|&(_, &v)| v != 0.0);
+        let (indices, values) = entries.map(|(&u, &v)| (u, v)).unzip();
+        SparseVector::from_parts(indices, values)
+    }
+
+    /// Rounded proximity vector of hub `node` (re-emitted from its panel
+    /// row), or `None` if not a hub.
+    pub fn column(&self, node: u32) -> Option<SparseVector> {
+        self.hubs.position(node).map(|i| self.column_at(i))
     }
 
     /// Mass deficit `d_h` of hub `node` (0 for non-hubs).
@@ -157,7 +233,7 @@ impl HubMatrix {
 
     /// Stored entries across all columns (after rounding).
     pub fn nnz(&self) -> usize {
-        self.columns.iter().map(|c| c.nnz()).sum()
+        self.panel.iter().filter(|&&v| v != 0.0).count()
     }
 
     /// Entries across all columns before rounding.
@@ -165,9 +241,11 @@ impl HubMatrix {
         self.unrounded_nnz.iter().sum()
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint in bytes: the panel, the support and the
+    /// node → position map, plus the per-hub deficits and digest cells.
     pub fn heap_bytes(&self) -> usize {
-        self.columns.iter().map(|c| c.heap_bytes()).sum::<usize>()
+        self.panel.capacity() * std::mem::size_of::<f64>()
+            + (self.support.capacity() + self.slot.capacity()) * std::mem::size_of::<u32>()
             + self.deficits.len() * std::mem::size_of::<f64>()
             + self.digests.len() * std::mem::size_of::<DigestCell>()
     }
@@ -188,7 +266,7 @@ impl HubMatrix {
     }
 }
 
-/// One solved hub column, as [`HubMatrix`] stores it.
+/// One solved hub column, before [`HubMatrix`] lays it out.
 struct HubColumn {
     /// The rounded vector.
     vector: SparseVector,
@@ -263,40 +341,31 @@ fn solve_tile(
         .collect()
 }
 
-/// Reusable materializer for `p^t_u = w^t_u + P_H·s^t_u` (Eq. 7).
+/// Reusable materializer for `p^t_u = w^t_u + P_H·s^t_u` (Eq. 7): a dense
+/// accumulator over the [`HubMatrix`] panel's support plus a selection
+/// buffer. One instance per worker lane (index build, edge update) or per
+/// query worker; it fits itself to the matrix it is handed on every call.
 ///
-/// Owns a dense epoch scratch sized to the graph; one instance per worker
-/// thread (index build) or per query session.
-#[derive(Clone, Debug)]
+/// Every list comes out of one path. Per support slot the accumulator holds
+/// `0.0`, then the retained `w` (if any), then `s(h)·row_h[j]` for every
+/// parked hub in ascending order: the addends the scatter of sparse columns
+/// into an [`EpochScratch`] applied, in the same order, plus `s·0.0 = +0.0`
+/// where a column has no entry. Adding `+0.0` leaves a non-negative sum
+/// bit-identical, and Rust does not fuse the multiply and the add, so every
+/// slot the scatter touched ends on the same bits, and a slot it never
+/// touched stays `0.0` and fails the `v > 0` filter. Retained entries
+/// outside the support get no hub addend and are final as read. Selection
+/// orders by value descending, ties by id — a total order, so the order the
+/// candidates arrive in cannot change the list.
+#[derive(Clone, Debug, Default)]
 pub struct Materializer {
-    scratch: EpochScratch,
+    /// `acc[j]` accumulates the entry of the support's `j`-th node.
+    acc: Vec<f64>,
+    /// Selection candidates, reused across calls.
+    pairs: Vec<(u32, f64)>,
 }
 
 impl Materializer {
-    /// Creates a materializer for graphs of `node_count` nodes.
-    pub fn new(node_count: usize) -> Self {
-        Self { scratch: EpochScratch::new(node_count) }
-    }
-
-    /// Materializes the lower-bound vector of `snapshot` and returns the
-    /// scratch holding it (valid until the next call).
-    pub fn materialize(&mut self, snapshot: &BcaSnapshot, hub_matrix: &HubMatrix) -> &EpochScratch {
-        self.scratch.reset();
-        snapshot.retained.scatter_into(1.0, &mut self.scratch);
-        self.add_hub_columns(&snapshot.hub_ink, hub_matrix);
-        &self.scratch
-    }
-
-    /// Adds `s(h)·p_h` for every hub holding parked ink, in ascending order.
-    fn add_hub_columns(&mut self, hub_ink: &SparseVector, hub_matrix: &HubMatrix) {
-        for (h, s) in hub_ink.iter() {
-            let col = hub_matrix
-                .column(h)
-                .expect("hub ink parked at a node missing from the hub matrix");
-            col.scatter_into(s, &mut self.scratch);
-        }
-    }
-
     /// [`Self::top_k`] of a computation still resident in its engine:
     /// `retained` is the engine's dense `w`, `hub_ink` its parked ink as the
     /// snapshot would store it. Every slot receives the same addends in the
@@ -316,31 +385,65 @@ impl Materializer {
         k: usize,
         floor: f64,
     ) -> Vec<(u32, f64)> {
-        self.scratch.reset();
-        for (i, w) in retained.iter_touched() {
-            self.scratch.add(i as usize, w);
-        }
-        self.add_hub_columns(hub_ink, hub_matrix);
-        top_k_of_pairs(self.scratch.iter_touched().filter(|&(_, v)| v > 0.0 && v >= floor), k)
+        self.select(retained.iter_touched(), hub_ink, hub_matrix, k, floor)
     }
 
-    /// Materializes and selects the descending top-`k` entries.
+    /// Materializes `snapshot`'s lower-bound vector and selects its
+    /// descending top-`k` entries.
     pub fn top_k(
         &mut self,
         snapshot: &BcaSnapshot,
         hub_matrix: &HubMatrix,
         k: usize,
     ) -> Vec<(u32, f64)> {
-        let scratch = self.materialize(snapshot, hub_matrix);
-        top_k_of_pairs(scratch.iter_touched().filter(|&(_, v)| v > 0.0), k)
+        self.select(snapshot.retained.iter(), &snapshot.hub_ink, hub_matrix, k, 0.0)
+    }
+
+    /// The one materialize-and-select path (see the type docs): the top `k`
+    /// of `w + P_H·s` among its entries `v > 0` with `v ≥ floor`, as an
+    /// exact-size list.
+    fn select(
+        &mut self,
+        retained: impl Iterator<Item = (u32, f64)>,
+        hub_ink: &SparseVector,
+        hub_matrix: &HubMatrix,
+        k: usize,
+        floor: f64,
+    ) -> Vec<(u32, f64)> {
+        let keep = |v: f64| v > 0.0 && v >= floor;
+        self.acc.clear();
+        self.acc.resize(hub_matrix.support.len(), 0.0);
+        self.pairs.clear();
+        for (i, w) in retained {
+            match hub_matrix.slot[i as usize] {
+                u32::MAX if keep(w) => self.pairs.push((i, w)),
+                u32::MAX => {}
+                j => self.acc[j as usize] += w,
+            }
+        }
+        for (h, s) in hub_ink.iter() {
+            let p = hub_matrix
+                .hubs
+                .position(h)
+                .expect("hub ink parked at a node missing from the hub matrix");
+            for (a, &v) in self.acc.iter_mut().zip(hub_matrix.row(p)) {
+                *a += s * v;
+            }
+        }
+        let accumulated = hub_matrix.support.iter().zip(&self.acc);
+        self.pairs.extend(accumulated.filter(|&(_, &v)| keep(v)).map(|(&i, &v)| (i, v)));
+        select_top_k(&mut self.pairs, k);
+        self.pairs.to_vec()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtk_graph::gen::{erdos_renyi, rmat, ErdosRenyiConfig, RmatConfig};
     use rtk_graph::{DanglingPolicy, DiGraph, GraphBuilder};
     use rtk_rwr::{BcaParams, RwrParams};
+    use rtk_sparse::top_k_of_pairs;
 
     fn toy() -> DiGraph {
         GraphBuilder::from_edges(
@@ -426,7 +529,7 @@ mod tests {
 
     #[test]
     fn parallel_build_matches_serial() {
-        let g = rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(200, 800, 3)).unwrap();
+        let g = rmat(&RmatConfig::new(200, 800, 3)).unwrap();
         let t = TransitionMatrix::new(&g);
         let hubs = HubSet::degree_based(&g, 14);
         assert!(
@@ -454,13 +557,13 @@ mod tests {
     #[test]
     fn power_method_columns_are_the_single_solves() {
         // The tiled solve behind `build` is `proximity_from`, column by column.
-        let g = rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(200, 800, 3)).unwrap();
+        let g = rmat(&RmatConfig::new(200, 800, 3)).unwrap();
         let t = TransitionMatrix::new(&g);
         let hubs = HubSet::degree_based(&g, 6);
         let m = HubMatrix::build(&t, hubs.clone(), &pm_solver(), 0.0, 2);
         for &h in hubs.ids() {
             let (dense, _) = rtk_rwr::proximity_from(&t, h, &RwrParams::default());
-            assert_eq!(m.column(h).unwrap(), &SparseVector::from_dense(&dense, 0.0), "hub {h}");
+            assert_eq!(m.column(h).unwrap(), SparseVector::from_dense(&dense, 0.0), "hub {h}");
         }
     }
 
@@ -487,19 +590,146 @@ mod tests {
         let mut engine = BcaEngine::new(hubs, BcaParams::exhaustive(0.15));
         let snap =
             engine.run_from(&t, 2, &BcaStop { residue_norm: 1e-12, max_iterations: 1_000_000 });
-        let mut mat = Materializer::new(6);
-        let scratch = mat.materialize(&snap, &m);
+        let mut mat = Materializer::default();
+        let mut materialized = [0.0; 6];
+        for (v, p) in mat.top_k(&snap, &m, 6) {
+            materialized[v as usize] = p;
+        }
         for (v, &expected) in exact[2].iter().enumerate() {
             assert!(
-                (scratch.get(v) - expected).abs() < 1e-8,
+                (materialized[v] - expected).abs() < 1e-8,
                 "v={v}: {} vs {expected}",
-                scratch.get(v)
+                materialized[v]
             );
         }
         let top2 = mat.top_k(&snap, &m, 2);
         assert_eq!(top2.len(), 2);
         assert_eq!(top2[0].0, 1); // p_3 (paper) peaks at node 2 (1-based)
         assert!(top2[0].1 >= top2[1].1);
+    }
+
+    /// The scatter the panel replaced, kept as the reference the one
+    /// materialize path is pinned to: the retained ink, then each parked
+    /// hub's sparse column in ascending hub order, added into an
+    /// [`EpochScratch`] one entry at a time.
+    fn scatter_top_k(
+        retained: impl Iterator<Item = (u32, f64)>,
+        hub_ink: &SparseVector,
+        m: &HubMatrix,
+        k: usize,
+        floor: f64,
+    ) -> Vec<(u32, f64)> {
+        let mut scratch = EpochScratch::new(m.hubs().node_count());
+        for (i, w) in retained {
+            scratch.add(i as usize, w);
+        }
+        for (h, s) in hub_ink.iter() {
+            m.column(h).expect("ink parks at hubs").scatter_into(s, &mut scratch);
+        }
+        top_k_of_pairs(scratch.iter_touched().filter(|&(_, v)| v > 0.0 && v >= floor), k)
+    }
+
+    fn bits(list: &[(u32, f64)]) -> Vec<(u32, u64)> {
+        list.iter().map(|&(i, v)| (i, v.to_bits())).collect()
+    }
+
+    /// Pins `top_k` and `top_k_resident` (without a floor, and with the
+    /// list's own last value as the floor) bit for bit to the scatter, over
+    /// short and longer partial runs from every `step`-th node, for a `k` of
+    /// 1, 5 and more than the candidates. Returns how many retained entries
+    /// fell outside the panel's support.
+    fn check_against_scatter(g: &DiGraph, hubs: HubSet, omega: f64, step: usize) -> usize {
+        let t = TransitionMatrix::new(g);
+        let n = g.node_count();
+        let m = HubMatrix::build(&t, hubs.clone(), &pm_solver(), omega, 1);
+        let mut engine = BcaEngine::new(hubs, BcaParams::default());
+        let mut mat = Materializer::default();
+        let mut outside = 0;
+        for u in (0..n as u32).step_by(step) {
+            for iterations in [1, 3, 12] {
+                let stop = BcaStop { residue_norm: 0.0, max_iterations: iterations };
+                let snap = engine.run_from(&t, u, &stop);
+                outside +=
+                    snap.retained.iter().filter(|&(i, _)| m.slot[i as usize] == u32::MAX).count();
+                engine.load(&snap);
+                let hub_ink = engine.hub_ink().to_sparse(0.0);
+                for k in [1, 5, n + 5] {
+                    let at = format!("ω={omega} u={u} iterations={iterations} k={k}");
+                    let full = mat.top_k(&snap, &m, k);
+                    let reference = scatter_top_k(snap.retained.iter(), &snap.hub_ink, &m, k, 0.0);
+                    assert_eq!(bits(&full), bits(&reference), "{at}");
+                    let own_floor = full.last().map_or(0.0, |&(_, v)| v);
+                    for floor in [0.0, own_floor] {
+                        let resident =
+                            mat.top_k_resident(engine.retained(), &hub_ink, &m, k, floor);
+                        let reference =
+                            scatter_top_k(engine.retained().iter_touched(), &hub_ink, &m, k, floor);
+                        assert_eq!(bits(&resident), bits(&reference), "{at} floor={floor}");
+                        assert_eq!(bits(&resident), bits(&full), "{at} floor={floor}");
+                        assert_eq!(resident.capacity(), resident.len(), "{at}: exact-size list");
+                    }
+                }
+            }
+        }
+        outside
+    }
+
+    #[test]
+    fn panel_materializes_bitwise_what_the_column_scatter_did() {
+        let er = erdos_renyi(&ErdosRenyiConfig { nodes: 120, edges: 600, seed: 5 }).unwrap();
+        let rm = rmat(&RmatConfig::new(200, 800, 3)).unwrap();
+        for omega in [0.0, 1e-6, 1e-2] {
+            check_against_scatter(&toy(), HubSet::from_ids(6, vec![0, 1]), omega, 1);
+            check_against_scatter(&er, HubSet::degree_based(&er, 6), omega, 7);
+            let outside = check_against_scatter(&rm, HubSet::degree_based(&rm, 10), omega, 9);
+            if omega == 1e-2 {
+                assert!(outside > 0, "test premise: retained entries outside the support");
+            }
+            // |H| = 0: an empty panel, every retained entry outside it.
+            check_against_scatter(&rm, HubSet::empty(200), omega, 23);
+        }
+    }
+
+    #[test]
+    fn disjoint_column_supports_materialize_bitwise_too() {
+        // Two copies of one R-MAT graph side by side, no edge between them,
+        // with hubs in both: each column lives in its own component, so the
+        // supports are disjoint — the layout's worst case for memory.
+        let half = rmat(&RmatConfig::new(100, 400, 4)).unwrap();
+        let edges: Vec<(u32, u32)> =
+            half.edges().flat_map(|(f, t, _)| [(f, t), (f + 100, t + 100)]).collect();
+        let g = GraphBuilder::from_edges(200, &edges, DanglingPolicy::Error).unwrap();
+        let left: Vec<u32> = HubSet::degree_based(&half, 2).ids().to_vec();
+        let ids = left.iter().copied().chain(left.iter().map(|h| h + 100)).collect();
+        let hubs = HubSet::from_ids(200, ids);
+        let t = TransitionMatrix::new(&g);
+        for omega in [0.0, 1e-6] {
+            let m = HubMatrix::build(&t, hubs.clone(), &pm_solver(), omega, 1);
+            let (a, b) = (m.column(left[0]).unwrap(), m.column(left[0] + 100).unwrap());
+            assert!(a.indices().iter().all(|&i| i < 100), "ω={omega}");
+            assert!(b.indices().iter().all(|&i| i >= 100), "ω={omega}");
+            assert!(m.nnz() < m.hub_count() * m.support.len(), "test premise: zeros in the panel");
+            check_against_scatter(&g, hubs.clone(), omega, 7);
+        }
+    }
+
+    #[test]
+    fn heap_bytes_counts_the_panel_support_and_slot() {
+        let g = rmat(&RmatConfig::new(200, 800, 3)).unwrap();
+        let t = TransitionMatrix::new(&g);
+        let hubs = HubSet::degree_based(&g, 10);
+        let m = HubMatrix::build(&t, hubs.clone(), &pm_solver(), 1e-6, 1);
+        let (h, u, n) = (hubs.len(), m.support.len(), g.node_count());
+        assert!(h > 0 && u > 0, "test premise: a non-empty panel");
+        let expected = 8 * h * u
+            + 4 * u
+            + 4 * n
+            + h * std::mem::size_of::<f64>()
+            + h * std::mem::size_of::<DigestCell>();
+        assert_eq!(m.heap_bytes(), expected);
+        // The panel holds exactly the columns' entries, and zeros elsewhere.
+        let entries: usize = hubs.ids().iter().map(|&h| m.column(h).unwrap().nnz()).sum();
+        assert_eq!(m.nnz(), entries);
     }
 
     #[test]

@@ -221,9 +221,9 @@ impl ReverseIndex {
         BcaEngine::new(self.hub_matrix.hubs().clone(), self.config.bca)
     }
 
-    /// Creates a [`Materializer`] sized for this index's graph.
+    /// Creates a [`Materializer`] for refinements against this index.
     pub fn make_materializer(&self) -> Materializer {
-        Materializer::new(self.node_count())
+        Materializer::default()
     }
 
     /// Refines node `u`'s state **in place** (the paper's `update` mode):

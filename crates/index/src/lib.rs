@@ -10,8 +10,9 @@
 //!
 //! Components:
 //!
-//! * [`HubMatrix`] — the precomputed hub proximity vectors `P_H`, stored
-//!   sparsely after rounding away entries below `ω` (§4.1.3). We additionally
+//! * [`HubMatrix`] — the precomputed hub proximity vectors `P_H` after
+//!   rounding away entries below `ω` (§4.1.3), held as one dense panel over
+//!   their common support. We additionally
 //!   track each hub's *mass deficit* (rounded-away + solver-truncated mass),
 //!   which lets the query layer keep its upper bounds sound under aggressive
 //!   rounding (an extension over the paper; see the [`hub_matrix`] module

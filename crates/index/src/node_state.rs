@@ -295,7 +295,7 @@ mod tests {
             1,
         );
         let engine = BcaEngine::new(hubs, BcaParams::default());
-        (m, engine, Materializer::new(6))
+        (m, engine, Materializer::default())
     }
 
     #[test]
@@ -378,8 +378,8 @@ mod tests {
         );
         let mk = || BcaEngine::new(hubs.clone(), BcaParams::default());
         let mut engine = mk();
-        let mut mat = Materializer::new(150);
-        let mut refiner = Refiner::new(mk(), Materializer::new(150));
+        let mut mat = Materializer::default();
+        let mut refiner = Refiner::new(mk(), Materializer::default());
         let stop = BcaStop { residue_norm: 0.02, max_iterations: 40 };
         let mut refined = 0;
         for u in (0..150u32).step_by(7) {
@@ -447,12 +447,12 @@ mod tests {
             0.0,
             1,
         );
-        let mut mat = Materializer::new(5);
+        let mut mat = Materializer::default();
         let mk = || BcaEngine::new(no_hubs.clone(), BcaParams::default());
         let first = mk().run_from(&t, 0, &BcaStop::one_iteration());
         let (mut short_lists, mut floor_ties) = (0, 0);
         for max_k in [3, 10] {
-            let mut refiner = Refiner::new(mk(), Materializer::new(5));
+            let mut refiner = Refiner::new(mk(), Materializer::default());
             refiner.load(&NodeState::from_snapshot(first.clone(), &m, &mut mat, max_k));
             for _ in 0..12 {
                 let before = refiner.lower_bounds().clone();
@@ -484,10 +484,10 @@ mod tests {
             1e-4,
             1,
         );
-        let mut mat = Materializer::new(150);
+        let mut mat = Materializer::default();
         let mut engine = BcaEngine::new(hubs.clone(), BcaParams::default());
         let mut refiner =
-            Refiner::new(BcaEngine::new(hubs, BcaParams::default()), Materializer::new(150));
+            Refiner::new(BcaEngine::new(hubs, BcaParams::default()), Materializer::default());
         let mut lifted_by_hub_columns = 0;
         for u in (0..150u32).step_by(7) {
             let snap = engine.run_from(&t, u, &BcaStop::one_iteration());
@@ -525,7 +525,7 @@ mod tests {
             1,
         );
         let mut engine = BcaEngine::new(hubs, BcaParams::default());
-        let mut mat = Materializer::new(6);
+        let mut mat = Materializer::default();
         let snap = engine.run_from(&t, 2, &BcaStop { residue_norm: 0.1, max_iterations: 100 });
         assert!(!snap.hub_ink.is_empty(), "test premise: some ink parked at hubs");
         let state = NodeState::from_snapshot(snap, &m, &mut mat, 3);

@@ -11,7 +11,8 @@
 //! bca: f64 alpha, f64 eta, f64 delta, u32 max_iterations
 //! f64 rounding_threshold
 //! u32seq shard start offsets
-//! hubs: u32seq ids, then per hub one record: sparse column, f64 deficit;
+//! hubs: u32seq ids, then per hub one record: sparse column (values > 0),
+//!       f64 deficit;
 //!       after the last hub one u64: unrounded nnz summed over all hubs
 //! per shard: u64 section_bytes, then a self-contained shard blob:
 //!     header: magic "RTKSHRD1", u32 version
@@ -251,7 +252,7 @@ fn write_hub_matrix<W: Write>(w: &mut W, hm: &HubMatrix, records: Records) -> st
     for (i, &h) in hm.hubs().ids().iter().enumerate() {
         match records {
             Records::Encoded => {
-                write_hub_record(w, hm.column(h).expect("hub column"), hm.deficit(h))?
+                write_hub_record(w, &hm.column(h).expect("hub column"), hm.deficit(h))?
             }
             Records::Digested { cached } => codec::write_u64(w, hm.column_digest(i, cached))?,
         }
@@ -280,6 +281,11 @@ fn read_hub_matrix<R: Read>(
     for &h in &hub_ids {
         let column = codec::read_sparse_vector_bounded(r, n as u64)?;
         check_node_ids(&column, n, h, "hub column")?;
+        // The in-memory panel reads 0.0 as "no entry", and Prop. 1's lower
+        // bound needs every entry positive: anything else is corruption.
+        if let Some((i, v)) = column.iter().find(|&(_, v)| v <= 0.0) {
+            return Err(corrupt(format!("hub {h}: column value {v} at node {i} is not positive")));
+        }
         columns.push(column);
         deficits.push(codec::read_f64(r).map_err(DecodeError::Io)?);
     }

@@ -238,3 +238,43 @@ fn shard_sections_reject_wrong_manifest_context() {
     )
     .is_err());
 }
+
+#[test]
+fn non_positive_hub_column_values_are_refused() {
+    // The in-memory hub panel reads 0.0 as "no entry", and Prop. 1's lower
+    // bound needs every stored entry positive: a column value of 0.0 or
+    // below is corruption on every load path, named by its hub.
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(0x5AAD_7000 + case);
+        for index in with_one_shard(arb_index(&mut rng)) {
+            let (s, hubs) = (index.shard_count(), index.hub_matrix().hub_count());
+            assert!(hubs > 0, "case {case}: test premise: a hub column to corrupt");
+            let mut buf = Vec::new();
+            storage::save(&index, &mut buf).unwrap();
+            // After the 72-byte prelude and the shard-start and hub-id
+            // `u32seq`s, the first hub record opens with its index `u32seq`,
+            // then its value `f64seq`.
+            let record = 72 + (8 + 4 * s) + (8 + 4 * hubs);
+            let nnz = u64::from_le_bytes(buf[record..record + 8].try_into().unwrap()) as usize;
+            let value = record + (8 + 4 * nnz) + 8 + 8 * rng.gen_range(0..nnz);
+            for bad_value in [0.0f64, -1e-3] {
+                let mut bad = buf.clone();
+                bad[value..value + 8].copy_from_slice(&bad_value.to_le_bytes());
+                let refused = |r: Result<ReverseIndex, IndexError>| match r {
+                    Err(IndexError::Decode(DecodeError::Corrupt(m))) => {
+                        m.starts_with("hub ") && m.ends_with("is not positive")
+                    }
+                    _ => false,
+                };
+                let at = format!("case {case}, S = {s}, value {bad_value}");
+                assert!(refused(storage::load(Cursor::new(&bad))), "{at}: load");
+                for sid in 0..s {
+                    assert!(
+                        refused(storage::load_one_shard(Cursor::new(&bad), sid)),
+                        "{at}: {sid}"
+                    );
+                }
+            }
+        }
+    }
+}

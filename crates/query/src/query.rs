@@ -300,7 +300,6 @@ impl QueryResult {
 /// allocate almost nothing. Holds no graph borrow — the transition matrix
 /// is passed per call.
 pub struct QueryEngine {
-    nodes: usize,
     hubs: HubSet,
     bca: BcaParams,
     scratch: ScratchPool<Refiner>,
@@ -311,7 +310,6 @@ impl QueryEngine {
     /// parameters).
     pub fn new(index: &ReverseIndex) -> Self {
         Self {
-            nodes: index.node_count(),
             hubs: index.hub_matrix().hubs().clone(),
             bca: index.config().bca,
             scratch: ScratchPool::new(),
@@ -319,7 +317,7 @@ impl QueryEngine {
     }
 
     fn make_scratch(&self) -> Refiner {
-        Refiner::new(BcaEngine::new(self.hubs.clone(), self.bca), Materializer::new(self.nodes))
+        Refiner::new(BcaEngine::new(self.hubs.clone(), self.bca), Materializer::default())
     }
 
     /// Runs Algorithm 4. With `options.update_index` the refined states are

@@ -26,22 +26,34 @@ where
     if k == 0 {
         return Vec::new();
     }
-    #[inline]
-    fn by_value_desc(a: &(u32, f64), b: &(u32, f64)) -> std::cmp::Ordering {
-        b.1.partial_cmp(&a.1).expect("top_k_of_pairs: NaN value").then(a.0.cmp(&b.0))
-    }
     let mut all: Vec<(u32, f64)> = pairs.into_iter().collect();
     debug_assert!(all.iter().all(|&(_, v)| v.is_finite()), "top_k_of_pairs: non-finite value");
-    if all.len() > k {
-        all.select_nth_unstable_by(k - 1, by_value_desc);
-        all.truncate(k);
+    let truncated = all.len() > k;
+    select_top_k(&mut all, k);
+    if truncated {
         // The result is retained long-term (index columns, thresholds);
         // dropping the selection buffer's excess capacity keeps memory
         // accounting honest.
         all.shrink_to_fit();
     }
-    all.sort_unstable_by(by_value_desc);
     all
+}
+
+/// [`top_k_of_pairs`] in place: reduces `pairs` to its `k` largest entries,
+/// descending by value, ties broken by smaller index. The buffer keeps its
+/// capacity, so a caller can reuse it across selections.
+pub fn select_top_k(pairs: &mut Vec<(u32, f64)>, k: usize) {
+    #[inline]
+    fn by_value_desc(a: &(u32, f64), b: &(u32, f64)) -> std::cmp::Ordering {
+        b.1.partial_cmp(&a.1).expect("top_k_of_pairs: NaN value").then(a.0.cmp(&b.0))
+    }
+    if k == 0 {
+        pairs.clear();
+    } else if pairs.len() > k {
+        pairs.select_nth_unstable_by(k - 1, by_value_desc);
+        pairs.truncate(k);
+    }
+    pairs.sort_unstable_by(by_value_desc);
 }
 
 /// A fixed-capacity descending top-K list of `(index, value)` pairs.
@@ -176,6 +188,10 @@ mod tests {
             reference.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
             reference.truncate(k);
             assert_eq!(fast, reference);
+            let mut buffer: Vec<(u32, f64)> =
+                vals.iter().enumerate().map(|(i, &v)| (i as u32, v)).collect();
+            select_top_k(&mut buffer, k);
+            assert_eq!(buffer, reference);
         }
     }
 
