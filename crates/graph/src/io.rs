@@ -261,6 +261,46 @@ mod tests {
         assert!(read_binary(Cursor::new(buf)).is_err());
     }
 
+    /// `read_binary` on hostile bytes: `Err`, or a graph that round-trips
+    /// and has no dangling node. A panic fails the calling test.
+    fn read_hostile(bytes: &[u8]) -> Result<DiGraph, GraphError> {
+        let read = read_binary(Cursor::new(bytes));
+        if let Ok(g) = &read {
+            assert!((0..g.node_count() as u32).all(|u| g.out_degree(u) > 0), "dangling node");
+            let mut again = Vec::new();
+            write_binary(g, &mut again).unwrap();
+            assert_eq!(&read_binary(Cursor::new(again)).unwrap(), g);
+        }
+        read
+    }
+
+    #[test]
+    fn binary_survives_hostile_bytes() {
+        let g = crate::gen::rmat(&crate::gen::RmatConfig::new(30, 90, 5)).unwrap();
+        let mut file = Vec::new();
+        write_binary(&g, &mut file).unwrap();
+        assert_eq!(read_hostile(&file).unwrap(), g);
+
+        for len in 0..file.len() {
+            assert!(read_hostile(&file[..len]).is_err(), "truncated to {len} bytes");
+        }
+        for at in 0..file.len() {
+            let mut flipped = file.clone();
+            flipped[at] ^= 1 << (at % 8);
+            let _ = read_hostile(&flipped);
+        }
+        // The node count sits at bytes 12..20 and the edge count at 24..32.
+        assert_eq!(file[12..20], (g.node_count() as u64).to_le_bytes());
+        assert_eq!(file[24..32], (g.edge_count() as u64).to_le_bytes());
+        for field in [12..20, 24..32] {
+            for count in [1u64 << 32, 1 << 40, 1 << 63] {
+                let mut lying = file.clone();
+                lying[field.clone()].copy_from_slice(&count.to_le_bytes());
+                assert!(read_hostile(&lying).is_err(), "count {count} at {field:?}");
+            }
+        }
+    }
+
     #[test]
     fn binary_refuses_more_nodes_than_edges() {
         // 32 bytes declaring 10⁹ nodes and no edges: refused on the counts,

@@ -2,17 +2,19 @@
 //!
 //! For an edge `j → i`, `a_{i,j} = w_{i,j} / w_j` where `w_j` is the total
 //! outgoing weight of `j` (`1/OD(j)` unweighted). [`TransitionProbs`]
-//! materializes these probabilities twice:
+//! materializes these probabilities three times:
 //!
 //! * in **CSR (out-edge) order** — `probs_out[k]` is the probability attached
-//!   to the `k`-th out-edge. Used by ink *pushes* (BCA) and by the `Aᵀ·x`
-//!   gather of PMPN (`(Aᵀx)_j = Σ_{i ∈ out(j)} a_{i,j}·x_i`);
+//!   to the `k`-th out-edge. Used by ink *pushes* (BCA);
 //! * in **CSC (in-edge) order** — `probs_in[k]` pairs with the `k`-th
 //!   in-edge. Used by the `A·x` gather of the forward power method
-//!   (`(Ax)_i = Σ_{j ∈ in(i)} a_{i,j}·x_j`).
+//!   (`(Ax)_i = Σ_{j ∈ in(i)} a_{i,j}·x_j`);
+//! * as a **sliced copy of the CSR side** (SELL-4-σ, below) with the target
+//!   ids beside the probabilities. Used by the `Aᵀ·x` gather of PMPN
+//!   (`(Aᵀx)_j = Σ_{i ∈ out(j)} a_{i,j}·x_i`).
 //!
-//! Materializing ~2·|E| doubles trades memory for branch-free inner loops —
-//! the paper's `O(m)`-per-iteration costs all flow through these two arrays.
+//! Materializing ~3·|E| doubles trades memory for branch-free inner loops —
+//! the paper's `O(m)`-per-iteration costs all flow through these arrays.
 //!
 //! [`TransitionMatrix`] is the *view* every solver consumes: a graph borrow
 //! plus the probabilities, either owned ([`TransitionMatrix::new`]) or
@@ -27,14 +29,31 @@
 //! respawned. Every row is still summed in its serial edge order, so results
 //! are **bitwise identical** for any thread count.
 //!
-//! Every SpMV row runs through [`gather_dot`] over the graph's own CSR/CSC
-//! id row and the matching probability row: an unrolled gather with a
-//! **single accumulator in serial edge order**, so the result is bitwise the
-//! naive row sum while letting the CPU overlap the index loads.
+//! An `A·x` row runs through [`gather_dot`] over the graph's own CSC id row
+//! and the matching probability row: an unrolled gather with a **single
+//! accumulator in serial edge order**, so the result is bitwise the naive
+//! row sum while letting the CPU overlap the index loads.
+//!
+//! An `Aᵀ·x` row averages a handful of edges, too short for that unroll, so
+//! the transpose gathers over the sliced layout instead. Node ids are cut
+//! into windows of `WINDOW = 512` consecutive ids; inside a window, rows are
+//! sorted by out-degree (descending, ties by id) and grouped `LANES = 4` at
+//! a time into slices. A slice stores the `j`-th `(id, prob)` entry of its
+//! rows side by side, and a shorter row is padded *at its end* with
+//! probability `0.0` (id: the window's first node). The gather keeps one
+//! accumulator per lane, so four rows' add chains run at once, yet each row
+//! still adds its own products in CSR edge order starting from `+0.0`. A
+//! padding entry then adds `0.0·x = ±0.0` after the row's last real term;
+//! a sum that starts at `+0.0` never becomes `-0.0`, so that add leaves it
+//! bit-identical — the transpose is bitwise the naive row loop for any
+//! **finite** `x`. An edge splice re-lays only the window holding the
+//! spliced row.
 
 use crate::csr::{DiGraph, EdgeSplice, SpliceKind};
 use rtk_sparse::WorkerPool;
 use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::ops::Range;
 
 /// Resolves a thread-count knob: `0` means all available cores.
 pub fn resolve_threads(requested: usize) -> usize {
@@ -49,6 +68,15 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// the pooled workers and joining them would exceed the gather work.
 const PARALLEL_EDGE_CUTOFF: usize = 8_192;
 
+/// Consecutive node ids per window of the sliced transpose layout: the unit
+/// rows are sorted in, the unit a splice re-lays and the unit threads split
+/// at. Smaller windows sort worse and pad more.
+const WINDOW: usize = 512;
+
+/// Rows per slice of the sliced transpose layout: the accumulators the
+/// `Aᵀ·x` gather carries side by side.
+const LANES: usize = 4;
+
 /// Owned transition probabilities for one graph — no graph borrow, so a
 /// long-lived engine can cache this next to the graph it owns.
 ///
@@ -61,6 +89,9 @@ pub struct TransitionProbs {
     probs_out: Vec<f64>,
     /// Probability per in-edge, CSC order.
     probs_in: Vec<f64>,
+    /// The CSR side (target ids and `probs_out`) in SELL-4-σ windows of
+    /// `WINDOW` node ids each, for the `Aᵀ·x` gather.
+    sliced: Vec<SlicedWindow>,
 }
 
 impl TransitionProbs {
@@ -103,7 +134,15 @@ impl TransitionProbs {
             }
         }
 
-        Self { nodes: n as usize, probs_out, probs_in }
+        let sliced = (0..n as usize)
+            .step_by(WINDOW)
+            .map(|first| {
+                let mut window = SlicedWindow::default();
+                window.lay_out(graph, &probs_out, window_rows(first, n as usize));
+                window
+            })
+            .collect();
+        Self { nodes: n as usize, probs_out, probs_in, sliced }
     }
 
     /// Number of nodes the probabilities were computed for.
@@ -130,7 +169,8 @@ impl TransitionProbs {
     /// so the result is bitwise-equal to a from-scratch recompute on the
     /// post-mutation graph. `graph` must already reflect the mutation that
     /// produced `splice`. `O(|E|)` for the splice, `O(out_degree(from))` for
-    /// the row refresh.
+    /// the row refresh, and one re-lay of the sliced window holding `from`
+    /// (in that window's own buffers; every other window is untouched).
     pub fn apply_splice(&mut self, graph: &DiGraph, splice: &EdgeSplice) {
         match splice.kind {
             SpliceKind::Inserted => {
@@ -145,6 +185,8 @@ impl TransitionProbs {
         }
         debug_assert!(self.matches(graph), "apply_splice: graph does not reflect the splice");
         self.recompute_row(graph, splice.from);
+        let w = splice.from as usize / WINDOW;
+        self.sliced[w].lay_out(graph, &self.probs_out, window_rows(w * WINDOW, self.nodes));
     }
 
     /// Recomputes node `u`'s out-row (and its CSC mirror positions) exactly
@@ -173,6 +215,78 @@ impl TransitionProbs {
             let j = graph.in_neighbors(t).binary_search(&u).expect("CSC mirrors CSR");
             let in_pos = graph.in_edge_range(t).start + j;
             self.probs_in[in_pos] = self.probs_out[range.start + k];
+        }
+    }
+}
+
+/// The node ids of the window that starts at `first`, in a graph of `n`.
+fn window_rows(first: usize, n: usize) -> Range<u32> {
+    first as u32..(first + WINDOW).min(n) as u32
+}
+
+/// One window of the sliced (SELL-4-σ) CSR side: its rows sorted by
+/// out-degree, grouped into slices of [`LANES`] rows whose entries are
+/// stored side by side, each row padded at its end to its slice's length.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct SlicedWindow {
+    /// The window's node ids in slice order: out-degree descending, ties by
+    /// id. Slice `s` holds `rows[LANES·s..]`; only the last may be part-full.
+    rows: Vec<u32>,
+    /// Slice `s` owns entry groups `slices[s]..slices[s + 1]`.
+    slices: Vec<usize>,
+    /// Group `g` of a slice holds the `g`-th target id of each of its rows.
+    ids: Vec<[u32; LANES]>,
+    /// The probabilities parallel to `ids`; `0.0` in a padding entry.
+    probs: Vec<[f64; LANES]>,
+}
+
+impl SlicedWindow {
+    /// Re-lays this window over `nodes` from `graph`'s CSR rows and their
+    /// CSR-order probabilities, reusing the window's buffers.
+    fn lay_out(&mut self, graph: &DiGraph, probs_out: &[f64], nodes: Range<u32>) {
+        let (_, targets) = graph.csr();
+        let pad = nodes.start;
+        self.rows.clear();
+        self.rows.extend(nodes);
+        self.rows.sort_unstable_by_key(|&v| (Reverse(graph.out_degree(v)), v));
+        self.slices.clear();
+        self.slices.push(0);
+        self.ids.clear();
+        self.probs.clear();
+        for slice in self.rows.chunks(LANES) {
+            // Rows are sorted, so the slice's first row is its longest; the
+            // groups start as padding and each row overwrites its prefix.
+            let base = self.ids.len();
+            let end = base + graph.out_degree(slice[0]);
+            self.ids.resize(end, [pad; LANES]);
+            self.probs.resize(end, [0.0; LANES]);
+            for (lane, &v) in slice.iter().enumerate() {
+                for (k, g) in graph.out_edge_range(v).zip(base..) {
+                    self.ids[g][lane] = targets[k];
+                    self.probs[g][lane] = probs_out[k];
+                }
+            }
+            self.slices.push(end);
+        }
+    }
+
+    /// Writes `out[v - first] = damp · Σ_k prob[k]·x[id[k]]` for every row
+    /// `v` of this window, one accumulator per lane: each row sums its own
+    /// products in CSR edge order, then its padding's `±0.0` (a no-op for
+    /// finite `x`).
+    #[inline]
+    fn gather(&self, damp: f64, x: &[f64], first: usize, out: &mut [f64]) {
+        for (s, rows) in self.rows.chunks(LANES).enumerate() {
+            let groups = self.slices[s]..self.slices[s + 1];
+            let mut acc = [0.0f64; LANES];
+            for (ids, probs) in self.ids[groups.clone()].iter().zip(&self.probs[groups]) {
+                for lane in 0..LANES {
+                    acc[lane] += probs[lane] * x[ids[lane] as usize];
+                }
+            }
+            for (&v, sum) in rows.iter().zip(acc) {
+                out[v as usize - first] = damp * sum;
+            }
         }
     }
 }
@@ -282,8 +396,8 @@ impl<'g> TransitionMatrix<'g> {
     }
 
     /// Out-edge row of `node` as `(targets, probabilities)` — the BCA
-    /// ink-push view: the same rows the `Aᵀ·x` gather walks, resolved from
-    /// one read of the row's offset pair.
+    /// ink-push view (the rows the `Aᵀ·x` gather's sliced layout copies),
+    /// resolved from one read of the row's offset pair.
     #[inline]
     pub fn out_edges(&self, node: u32) -> (&[u32], &[f64]) {
         let (_, targets) = self.graph.csr();
@@ -319,7 +433,7 @@ impl<'g> TransitionMatrix<'g> {
         threads: usize,
     ) {
         let damp = 1.0 - alpha;
-        self.for_rows(x, y, threads, Direction::Forward, move |_, dot| damp * dot);
+        self.for_rows(x, y, threads, move |_, dot| damp * dot);
         y[restart as usize] += alpha;
     }
 
@@ -335,20 +449,22 @@ impl<'g> TransitionMatrix<'g> {
     ) {
         assert_eq!(restart.len(), self.node_count());
         let damp = 1.0 - alpha;
-        self.for_rows(x, y, threads, Direction::Forward, move |v, dot| {
-            damp * dot + alpha * restart[v]
-        });
+        self.for_rows(x, y, threads, move |v, dot| damp * dot + alpha * restart[v]);
     }
 
     /// `y ← (1−α)·Aᵀ·x + α·e_restart`, the PMPN operator (Eq. 13).
     ///
-    /// Gathers over out-edges; `y` is fully overwritten.
+    /// Gathers over out-edges; `y` is fully overwritten. `x` must be finite:
+    /// only then is the sliced gather bitwise the naive row loop (module
+    /// docs).
     pub fn apply_transpose(&self, alpha: f64, x: &[f64], restart: u32, y: &mut [f64]) {
         self.apply_transpose_threaded(alpha, x, restart, y, 1);
     }
 
     /// [`Self::apply_transpose`] over `threads` workers (`0` = all cores).
-    /// Bitwise identical to the serial result for any thread count.
+    /// Bitwise identical to the serial result for any thread count: threads
+    /// split at window boundaries, edge-balanced, and every row is summed by
+    /// the same lane code whichever worker runs its window.
     pub fn apply_transpose_threaded(
         &self,
         alpha: f64,
@@ -357,20 +473,42 @@ impl<'g> TransitionMatrix<'g> {
         y: &mut [f64],
         threads: usize,
     ) {
+        let n = self.node_count();
+        assert_eq!(x.len(), n);
+        assert_eq!(y.len(), n);
         let damp = 1.0 - alpha;
-        self.for_rows(x, y, threads, Direction::Transpose, move |_, dot| damp * dot);
+        let windows = &self.probs.sliced;
+        // Chunks start at window boundaries, so a chunk's windows hold
+        // exactly its rows.
+        let gather_windows = |first: usize, out: &mut [f64]| {
+            for window in &windows[first / WINDOW..(first + out.len()).div_ceil(WINDOW)] {
+                window.gather(damp, x, first, out);
+            }
+        };
+        let threads = self.parallel_lanes(threads, windows.len());
+        if threads <= 1 {
+            gather_windows(0, y);
+        } else {
+            // Edge-balance whole windows: the CSR offset at each window start.
+            let (offsets, _) = self.graph.csr();
+            let starts: Vec<u64> =
+                (0..=windows.len()).map(|w| offsets[(w * WINDOW).min(n)]).collect();
+            let bounds: Vec<usize> = edge_balanced_partition(&starts, threads)
+                .into_iter()
+                .map(|w| (w * WINDOW).min(n))
+                .collect();
+            scatter_chunks(y, &bounds, gather_windows);
+        }
         y[restart as usize] += alpha;
     }
 
     /// Writes `y[v] = finish(v, Σ_k prob[k]·x[id[k]])` for every node `v`,
-    /// the sum running over `v`'s row on the side `direction` gathers —
-    /// serially, or across edge-balanced contiguous node ranges when
-    /// `threads > 1` and the graph is large enough to amortize the dispatch.
-    /// Workers come from the process-wide [`WorkerPool`] (parked threads, no
-    /// spawn per apply). Each worker owns a disjoint `y` slice, and each row
-    /// sums in its serial edge order, so the output is identical for any
-    /// thread count.
-    fn for_rows<F>(&self, x: &[f64], y: &mut [f64], threads: usize, direction: Direction, finish: F)
+    /// the sum running over `v`'s in-edge row — serially, or across
+    /// edge-balanced contiguous node ranges when `threads > 1` and the graph
+    /// is large enough to amortize the dispatch. Each worker owns a disjoint
+    /// `y` slice, and each row sums in its serial edge order, so the output
+    /// is identical for any thread count.
+    fn for_rows<F>(&self, x: &[f64], y: &mut [f64], threads: usize, finish: F)
     where
         F: Fn(usize, f64) -> f64 + Sync,
     {
@@ -379,10 +517,8 @@ impl<'g> TransitionMatrix<'g> {
         assert_eq!(y.len(), n);
         // The three arrays are resolved once per apply, and a run of rows
         // reads each offset once: a row's end is the next row's start.
-        let ((offsets, ids), probs) = match direction {
-            Direction::Forward => (self.graph.csc(), self.probs.probs_in.as_slice()),
-            Direction::Transpose => (self.graph.csr(), self.probs.probs_out.as_slice()),
-        };
+        let (offsets, ids) = self.graph.csc();
+        let probs = self.probs.probs_in.as_slice();
         let gather_rows = |first: usize, out: &mut [f64]| {
             let mut lo = offsets[first] as usize;
             for (slot, v) in out.iter_mut().zip(first..) {
@@ -391,27 +527,22 @@ impl<'g> TransitionMatrix<'g> {
                 lo = hi;
             }
         };
-
-        let mut threads = resolve_threads(threads).min(n.max(1));
-        if self.graph.edge_count() < PARALLEL_EDGE_CUTOFF {
-            threads = 1;
-        }
+        let threads = self.parallel_lanes(threads, n);
         if threads <= 1 {
             gather_rows(0, y);
-            return;
+        } else {
+            scatter_chunks(y, &edge_balanced_partition(offsets, threads), gather_rows);
         }
+    }
 
-        let bounds = edge_balanced_partition(offsets, threads);
-        WorkerPool::global().scope(|scope| {
-            let mut rest = y;
-            for w in 0..threads {
-                let (lo, hi) = (bounds[w], bounds[w + 1]);
-                let (chunk, tail) = rest.split_at_mut(hi - lo);
-                rest = tail;
-                let gather_rows = &gather_rows;
-                scope.spawn(move || gather_rows(lo, chunk));
-            }
-        });
+    /// How many workers an apply runs on: the resolved `threads`, at most
+    /// one per `units` of work, and one below [`PARALLEL_EDGE_CUTOFF`].
+    fn parallel_lanes(&self, threads: usize, units: usize) -> usize {
+        if self.graph.edge_count() < PARALLEL_EDGE_CUTOFF {
+            1
+        } else {
+            resolve_threads(threads).min(units.max(1))
+        }
     }
 
     /// Materializes column `j` of `A` as a dense vector (test/oracle helper).
@@ -424,8 +555,28 @@ impl<'g> TransitionMatrix<'g> {
     }
 }
 
-/// Splits the `offsets.len() - 1` rows of one CSR/CSC side into `parts`
-/// contiguous node ranges with roughly equal edge counts. Returns
+/// Cuts `y` at `bounds` and runs `body(first, chunk)` on each chunk, `first`
+/// being the chunk's first node, as one task per chunk on the process-wide
+/// [`WorkerPool`] (parked threads, no spawn per apply).
+fn scatter_chunks<F>(y: &mut [f64], bounds: &[usize], body: F)
+where
+    F: Fn(usize, &mut [f64]) + Sync,
+{
+    WorkerPool::global().scope(|scope| {
+        let mut rest = y;
+        for part in bounds.windows(2) {
+            let (chunk, tail) = rest.split_at_mut(part[1] - part[0]);
+            rest = tail;
+            let body = &body;
+            let first = part[0];
+            scope.spawn(move || body(first, chunk));
+        }
+    });
+}
+
+/// Splits the `offsets.len() - 1` units whose edge ranges start at `offsets`
+/// (the rows of one CSR/CSC side, or the transpose's windows) into `parts`
+/// contiguous unit ranges with roughly equal edge counts. Returns
 /// `parts + 1` boundaries.
 fn edge_balanced_partition(offsets: &[u64], parts: usize) -> Vec<usize> {
     let n = offsets.len() - 1;
@@ -434,22 +585,13 @@ fn edge_balanced_partition(offsets: &[u64], parts: usize) -> Vec<usize> {
     bounds.push(0);
     for part in 1..parts {
         let target = (m * part / parts) as u64;
-        // Smallest node whose edge range starts at or past the target, at or
+        // Smallest unit whose edge range starts at or past the target, at or
         // after the previous boundary to keep boundaries monotone.
         let lo = *bounds.last().expect("bounds never empty");
         bounds.push(lo + offsets[lo..n].partition_point(|&start| start < target));
     }
     bounds.push(n);
     bounds
-}
-
-/// Which edge direction an apply gathers over.
-#[derive(Clone, Copy, Debug)]
-enum Direction {
-    /// In-edges (CSC side): `A·x`.
-    Forward,
-    /// Out-edges (CSR side): `Aᵀ·x`.
-    Transpose,
 }
 
 #[cfg(test)]
@@ -661,6 +803,137 @@ mod tests {
             t.apply_forward_restart_threaded(alpha, &x, &restart_vec, &mut got, threads);
             assert_eq!(bits(&got), bits(&want_restart), "forward restart, {threads} threads");
         }
+    }
+
+    /// `Aᵀ·x` as a naive row loop: one [`gather_dot`] per CSR row, the
+    /// kernel the sliced gather replaced.
+    fn row_loop_transpose(
+        t: &TransitionMatrix<'_>,
+        alpha: f64,
+        x: &[f64],
+        restart: u32,
+    ) -> Vec<u64> {
+        let g = t.graph();
+        let mut y: Vec<f64> = (0..g.node_count() as u32)
+            .map(|u| (1.0 - alpha) * gather_dot(g.out_neighbors(u), t.out_probs(u), x))
+            .collect();
+        y[restart as usize] += alpha;
+        y.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A finite `x` of mixed signs with exact `±0.0` entries, so padding
+    /// products of both signs and exactly cancelling rows both occur.
+    fn mixed_x(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| match i % 9 {
+                0 => 0.0,
+                4 => -0.0,
+                _ => ((i * 37 + 11) % 101) as f64 / 101.0 - 0.3,
+            })
+            .collect()
+    }
+
+    /// Asserts the sliced transpose equals the row loop bit for bit at
+    /// threads 1–4, for three restart nodes.
+    fn assert_transpose_is_row_loop(t: &TransitionMatrix<'_>, what: &str) {
+        let n = t.node_count();
+        let x = mixed_x(n);
+        for restart in [0, n as u32 / 2, n as u32 - 1] {
+            let want = row_loop_transpose(t, 0.15, &x, restart);
+            for threads in 1..=4 {
+                let mut y = vec![f64::NAN; n];
+                t.apply_transpose_threaded(0.15, &x, restart, &mut y, threads);
+                let got: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
+                assert!(got == want, "{what}: restart {restart}, {threads} threads");
+            }
+        }
+    }
+
+    /// A weighted graph of `n` nodes whose out-degrees and weights vary
+    /// row to row, from a fixed LCG.
+    fn weighted(n: u32, edges_per_node: u32) -> DiGraph {
+        let mut b = GraphBuilder::new(n as usize);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as u32
+        };
+        for u in 0..n {
+            for _ in 0..1 + next() % (2 * edges_per_node) {
+                let w = 1.0 + f64::from(next() % 1000) / 7.0;
+                b.add_weighted_edge(u, next() % n, w).unwrap();
+            }
+        }
+        b.build(DanglingPolicy::SelfLoop).unwrap()
+    }
+
+    #[test]
+    fn sliced_transpose_matches_gather_dot_row_loop_bitwise() {
+        let er = |nodes, edges, seed| {
+            crate::gen::erdos_renyi(&crate::gen::ErdosRenyiConfig { nodes, edges, seed }).unwrap()
+        };
+        let graphs = [
+            ("toy", toy()),
+            ("n = 1", GraphBuilder::from_edges(1, &[(0, 0)], DanglingPolicy::Error).unwrap()),
+            ("n = 5", er(5, 12, 1)),
+            ("er n = 513", er(513, 2_600, 2)),
+            ("er n = 513 above the cutoff", er(513, 9_000, 3)),
+            ("weighted", weighted(1_100, 5)),
+            ("weighted n = 513", weighted(513, 9)),
+            ("rmat", crate::gen::rmat(&crate::gen::RmatConfig::new(2_000, 9_000, 7)).unwrap()),
+        ];
+        for (what, g) in &graphs {
+            // Windows and slices that end part-full, and threads that
+            // really split, both occur in this list.
+            assert_transpose_is_row_loop(&TransitionMatrix::new(g), what);
+        }
+        assert!(graphs[4].1.edge_count() >= PARALLEL_EDGE_CUTOFF);
+        assert!(graphs[7].1.edge_count() >= PARALLEL_EDGE_CUTOFF);
+        assert!(graphs[7].1.node_count() > 3 * WINDOW);
+    }
+
+    #[test]
+    fn every_splice_kind_relays_its_window_like_a_rebuild() {
+        // Above the cutoff, so the threaded applies split windows.
+        let mut g = crate::gen::rmat(&crate::gen::RmatConfig::new(2_000, 9_000, 7)).unwrap();
+        let mut probs = TransitionProbs::compute(&g);
+        let x = mixed_x(g.node_count());
+        // Nodes in the first, a middle and the last (part-full) window; an
+        // insert or removal moves the row within its window's sort.
+        for (from, to) in [(3u32, 1_999u32), (700, 5), (1_990, 1_024)] {
+            for kind in [SpliceKind::Inserted, SpliceKind::Accumulated, SpliceKind::Removed] {
+                let splice = match kind {
+                    SpliceKind::Removed => g.remove_edge(from, to),
+                    _ => g.add_edge(from, to, 2.0),
+                }
+                .unwrap();
+                assert_eq!(splice.kind, kind);
+                probs.apply_splice(&g, &splice);
+                let fresh = TransitionProbs::compute(&g);
+                assert!(probs == fresh, "{kind:?} {from} → {to}");
+                for threads in 1..=4 {
+                    let [mut spliced, mut rebuilt] = [vec![0.0; 2_000], vec![0.0; 2_000]];
+                    TransitionMatrix::with_probs(&g, &probs).apply_transpose_threaded(
+                        0.15,
+                        &x,
+                        from,
+                        &mut spliced,
+                        threads,
+                    );
+                    TransitionMatrix::with_probs(&g, &fresh).apply_transpose_threaded(
+                        0.15,
+                        &x,
+                        from,
+                        &mut rebuilt,
+                        threads,
+                    );
+                    assert!(spliced.iter().zip(&rebuilt).all(|(a, b)| a.to_bits() == b.to_bits()));
+                }
+            }
+        }
+        assert_transpose_is_row_loop(&TransitionMatrix::with_probs(&g, &probs), "spliced");
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //!   form that solves a tile of columns per pass over the edges;
 //! * [`pmpn`] — **Power Method for Proximity to Node** (Alg. 2): the paper's
 //!   novel result that the *row* `p_{q,*}` of the proximity matrix is
-//!   computable by iterating on `Aᵀ` with convergence rate `1−α` (Thm. 2);
+//!   computable by iterating on `Aᵀ` with convergence rate `1−α` (Thm. 2),
+//!   one sliced 4-lane `Aᵀ·x` gather per iteration, bitwise the naive row
+//!   loop;
 //! * [`bca`] — the Bookmark Coloring Algorithm in the paper's batched
 //!   adaptation (Eqs. 8–9) with hub ink accumulation (Eq. 6) and resumable
 //!   snapshots;

@@ -13,6 +13,14 @@
 //! steps — the classical Perron–Frobenius argument does not apply, which is
 //! why the theorem is a contribution). The cost matches computing a single
 //! forward column: `O(m·log(ε/α)/log(1−α))`.
+//!
+//! [`proximity_to`] always starts from `e_q`; the any-start half of the
+//! theorem is checked by iterating the operator directly
+//! (`converges_from_arbitrary_start`). Every iteration is one
+//! [`TransitionMatrix::apply_transpose_threaded`], the sliced 4-lane `Aᵀ·x`
+//! gather: each row still sums in CSR edge order, so the iterates — and the
+//! iteration count and final delta — are bitwise the naive row loop's for
+//! any thread count.
 
 use crate::params::RwrParams;
 use crate::power::SolveReport;
@@ -25,41 +33,21 @@ use rtk_sparse::dense;
 /// This is the first step of every online reverse top-k query (Alg. 4
 /// line 1) and independently useful (e.g. exact PageRank contributions to
 /// a suspected spam page, per the paper's SpamRank discussion).
+///
+/// Iterates from `x⁰ = e_q`. Each `Aᵀ·x` product runs over
+/// `params.threads` workers (`0` = all cores); the result is bitwise
+/// identical for any thread count.
 pub fn proximity_to(
     transition: &TransitionMatrix<'_>,
     q: u32,
     params: &RwrParams,
 ) -> (Vec<f64>, SolveReport) {
-    proximity_to_from_start(transition, q, params, None)
-}
-
-/// [`proximity_to`] with an explicit starting iterate (Thm. 2 guarantees
-/// convergence from *any* `x⁰`; a warm start from a previous query's result
-/// can shave iterations when graphs change slowly).
-///
-/// Each `Aᵀ·x` product runs over `params.threads` workers (`0` = all cores);
-/// the result is bitwise identical for any thread count.
-pub fn proximity_to_from_start(
-    transition: &TransitionMatrix<'_>,
-    q: u32,
-    params: &RwrParams,
-    start: Option<&[f64]>,
-) -> (Vec<f64>, SolveReport) {
     params.validate();
     let n = transition.node_count();
     assert!((q as usize) < n, "proximity_to: node {q} out of range");
 
-    let mut x = match start {
-        Some(s) => {
-            assert_eq!(s.len(), n, "proximity_to: start vector length mismatch");
-            s.to_vec()
-        }
-        None => {
-            let mut x = vec![0.0; n];
-            x[q as usize] = 1.0;
-            x
-        }
-    };
+    let mut x = vec![0.0; n];
+    x[q as usize] = 1.0;
     let mut y = vec![0.0; n];
     let mut iterations = 0;
     let mut delta = f64::INFINITY;
@@ -139,16 +127,70 @@ mod tests {
 
     #[test]
     fn converges_from_arbitrary_start() {
-        // Theorem 2(a): any x⁰ converges to the same fixpoint.
+        // Theorem 2(a): any x⁰ converges to the same fixpoint. Iterate the
+        // operator itself from an odd start (negative and zero entries, a
+        // norm far above 1) until the step falls under ε.
         let g = toy();
         let t = TransitionMatrix::new(&g);
         let params = RwrParams::default();
         let (from_unit, _) = proximity_to(&t, 2, &params);
-        let weird_start = vec![7.0, -3.0, 0.0, 100.0, 0.5, 2.0];
-        let (from_weird, report) = proximity_to_from_start(&t, 2, &params, Some(&weird_start));
-        assert!(report.converged);
+        let mut x = vec![7.0, -3.0, 0.0, 100.0, 0.5, 2.0];
+        let mut y = vec![0.0; 6];
+        let mut iterations = 0;
+        loop {
+            t.apply_transpose(params.alpha, &x, 2, &mut y);
+            iterations += 1;
+            let delta = rtk_sparse::dense::l1_distance(&x, &y);
+            std::mem::swap(&mut x, &mut y);
+            if delta < params.epsilon {
+                break;
+            }
+            assert!(iterations < params.max_iterations, "no convergence from the odd start");
+        }
         for u in 0..6 {
-            assert!((from_unit[u] - from_weird[u]).abs() < 1e-7);
+            assert!((from_unit[u] - x[u]).abs() < 1e-7, "u={u}: {} vs {}", from_unit[u], x[u]);
+        }
+    }
+
+    #[test]
+    fn every_query_matches_a_row_loop_solve_bitwise() {
+        // The reference iterates Alg. 2 with one naive gather per CSR row;
+        // the solver's sliced gather must reproduce its vector, iteration
+        // count and final delta bit for bit, on one thread and on two (the
+        // graph clears the parallel cutoff and spans two windows). A looser
+        // ε keeps the 3 × 520 solves short in unoptimized builds.
+        let g = rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(520, 8_200, 3)).unwrap();
+        assert!(g.edge_count() >= 8_192, "below the graph crate's parallel cutoff");
+        let t = TransitionMatrix::new(&g);
+        let n = g.node_count();
+        let bits = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<u64>>();
+        let params = RwrParams { epsilon: 1e-7, ..RwrParams::default() };
+        for q in 0..n as u32 {
+            let (mut x, mut y) = (vec![0.0; n], vec![0.0; n]);
+            x[q as usize] = 1.0;
+            let (mut iterations, mut delta) = (0, f64::INFINITY);
+            while iterations < params.max_iterations {
+                for u in 0..n as u32 {
+                    let mut acc = 0.0;
+                    for (&i, &p) in g.out_neighbors(u).iter().zip(t.out_probs(u)) {
+                        acc += p * x[i as usize];
+                    }
+                    y[u as usize] = (1.0 - params.alpha) * acc;
+                }
+                y[q as usize] += params.alpha;
+                iterations += 1;
+                delta = dense::l1_distance(&x, &y);
+                std::mem::swap(&mut x, &mut y);
+                if delta < params.epsilon {
+                    break;
+                }
+            }
+            for threads in [1, 2] {
+                let (row, report) = proximity_to(&t, q, &RwrParams { threads, ..params });
+                assert!(bits(&row) == bits(&x), "q = {q}, {threads} threads: vector");
+                assert_eq!(report.iterations, iterations, "q = {q}, {threads} threads");
+                assert_eq!(report.final_delta.to_bits(), delta.to_bits(), "q = {q}");
+            }
         }
     }
 

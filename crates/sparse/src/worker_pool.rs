@@ -39,8 +39,9 @@
 //!   solve, the query's classify and refine passes, and `query_batch` all
 //!   run through it, and its one-lane case runs inline with no scope;
 //! * [`WorkerPool::scope`] spawns arbitrary borrowing tasks. Outside
-//!   `claim`, only the SpMV row split (`TransitionMatrix::for_rows`) uses it
-//!   directly, handing each task a fixed, disjoint output slice.
+//!   `claim`, only the SpMV row split (behind `TransitionMatrix`'s forward
+//!   and transpose applies) uses it directly, handing each task a fixed,
+//!   disjoint output slice.
 //!
 //! The pool never re-orders observable results by itself — `claim` callers
 //! record each item's index with its output and merge by it, and `scope`
