@@ -478,10 +478,11 @@ impl<'g> TransitionMatrix<'g> {
         assert_eq!(y.len(), n);
         let damp = 1.0 - alpha;
         let windows = &self.probs.sliced;
-        // Chunks start at window boundaries, so a chunk's windows hold
-        // exactly its rows.
+        // A chunk starts at a window boundary or, empty, at `n`; rounding
+        // both of its ends up selects exactly the windows that hold its rows
+        // (none for an empty chunk, even when the last window is part-full).
         let gather_windows = |first: usize, out: &mut [f64]| {
-            for window in &windows[first / WINDOW..(first + out.len()).div_ceil(WINDOW)] {
+            for window in &windows[first.div_ceil(WINDOW)..(first + out.len()).div_ceil(WINDOW)] {
                 window.gather(damp, x, first, out);
             }
         };
@@ -763,13 +764,46 @@ mod tests {
     fn applies_match_a_naive_row_loop_bitwise() {
         // The reference is a plain loop, not `gather_dot`, so the contract —
         // every row sums on one accumulator in serial edge order, whatever
-        // the thread count — stays pinned by code the operators do not run.
-        let g = crate::gen::rmat(&crate::gen::RmatConfig::new(4_000, 20_000, 23)).unwrap();
-        let t = TransitionMatrix::new(&g);
-        let n = g.node_count();
+        // the thread count and however the transpose lays its rows out —
+        // stays pinned by code the operators do not run.
+        let er = |nodes, edges, seed| {
+            crate::gen::erdos_renyi(&crate::gen::ErdosRenyiConfig { nodes, edges, seed }).unwrap()
+        };
+        let rmat = |nodes, edges, seed| {
+            crate::gen::rmat(&crate::gen::RmatConfig::new(nodes, edges, seed)).unwrap()
+        };
+        let graphs = [
+            ("toy", toy()),
+            ("n = 1", GraphBuilder::from_edges(1, &[(0, 0)], DanglingPolicy::Error).unwrap()),
+            ("n = 5", er(5, 12, 1)),
+            ("er n = 513", er(513, 2_600, 2)),
+            ("er n = 513 above the cutoff", er(513, 9_000, 3)),
+            ("weighted", weighted(1_100, 5)),
+            ("weighted n = 513", weighted(513, 9)),
+            ("rmat n = 2000", rmat(2_000, 9_000, 7)),
+            ("rmat n = 4000", rmat(4_000, 20_000, 23)),
+            ("heavy last window", heavy_last_window()),
+        ];
+        // Windows and slices that end part-full, and threads that really
+        // split, all occur in this list.
+        for (what, g) in &graphs {
+            assert_applies_are_row_loops(&TransitionMatrix::new(g), what);
+        }
+        for (what, g) in [4, 7, 8, 9].map(|i| &graphs[i]) {
+            assert!(g.edge_count() >= PARALLEL_EDGE_CUTOFF, "{what}");
+        }
+        assert!(graphs[7].1.node_count() > 3 * WINDOW);
+    }
+
+    /// Asserts the three operators equal a naive row loop bit for bit at
+    /// threads 1–4 and 8, for three restart nodes, and that the push view is
+    /// the graph's own CSR rows.
+    fn assert_applies_are_row_loops(t: &TransitionMatrix<'_>, what: &str) {
+        let g = t.graph();
+        let n = t.node_count();
         let alpha = 0.15;
         let damp = 1.0 - alpha;
-        let x: Vec<f64> = (0..n).map(|i| ((i * 41 + 3) % 97) as f64 / 97.0).collect();
+        let x = mixed_x(n);
         let restart_vec: Vec<f64> = (0..n).map(|i| ((i * 17) % 5) as f64 / 10.0).collect();
         let naive = |ids: &[u32], probs: &[f64]| {
             let mut acc = 0.0;
@@ -782,43 +816,32 @@ mod tests {
 
         let gathered_in: Vec<f64> =
             (0..n as u32).map(|v| naive(g.in_neighbors(v), t.in_probs(v))).collect();
-        let mut want_forward = gathered_in.clone();
-        want_forward[7] += alpha;
+        let gathered_out: Vec<f64> =
+            (0..n as u32).map(|u| naive(g.out_neighbors(u), t.out_probs(u))).collect();
         let want_restart: Vec<f64> =
             gathered_in.iter().zip(&restart_vec).map(|(y, r)| y + alpha * r).collect();
-        let mut want_transpose: Vec<f64> =
-            (0..n as u32).map(|u| naive(g.out_neighbors(u), t.out_probs(u))).collect();
-        want_transpose[7] += alpha;
-        // The push view is the same rows the transpose gather walks.
         for u in 0..n as u32 {
-            assert_eq!(t.out_edges(u), (g.out_neighbors(u), t.out_probs(u)), "node {u}");
+            assert_eq!(t.out_edges(u), (g.out_neighbors(u), t.out_probs(u)), "{what}: node {u}");
         }
 
-        for threads in [1usize, 2, 4, 8] {
-            let mut got = vec![0.0; n];
-            t.apply_forward_threaded(alpha, &x, 7, &mut got, threads);
-            assert_eq!(bits(&got), bits(&want_forward), "forward, {threads} threads");
-            t.apply_transpose_threaded(alpha, &x, 7, &mut got, threads);
-            assert_eq!(bits(&got), bits(&want_transpose), "transpose, {threads} threads");
-            t.apply_forward_restart_threaded(alpha, &x, &restart_vec, &mut got, threads);
-            assert_eq!(bits(&got), bits(&want_restart), "forward restart, {threads} threads");
+        for restart in [0, n / 2, n - 1] {
+            let mut want_forward = gathered_in.clone();
+            want_forward[restart] += alpha;
+            let mut want_transpose = gathered_out.clone();
+            want_transpose[restart] += alpha;
+            for threads in [1usize, 2, 3, 4, 8] {
+                let at = format!("{what}: restart {restart}, {threads} threads");
+                let mut got = vec![f64::NAN; n];
+                t.apply_forward_threaded(alpha, &x, restart as u32, &mut got, threads);
+                assert!(bits(&got) == bits(&want_forward), "forward, {at}");
+                got.fill(f64::NAN);
+                t.apply_transpose_threaded(alpha, &x, restart as u32, &mut got, threads);
+                assert!(bits(&got) == bits(&want_transpose), "transpose, {at}");
+                got.fill(f64::NAN);
+                t.apply_forward_restart_threaded(alpha, &x, &restart_vec, &mut got, threads);
+                assert!(bits(&got) == bits(&want_restart), "forward restart, {at}");
+            }
         }
-    }
-
-    /// `Aᵀ·x` as a naive row loop: one [`gather_dot`] per CSR row, the
-    /// kernel the sliced gather replaced.
-    fn row_loop_transpose(
-        t: &TransitionMatrix<'_>,
-        alpha: f64,
-        x: &[f64],
-        restart: u32,
-    ) -> Vec<u64> {
-        let g = t.graph();
-        let mut y: Vec<f64> = (0..g.node_count() as u32)
-            .map(|u| (1.0 - alpha) * gather_dot(g.out_neighbors(u), t.out_probs(u), x))
-            .collect();
-        y[restart as usize] += alpha;
-        y.iter().map(|v| v.to_bits()).collect()
     }
 
     /// A finite `x` of mixed signs with exact `±0.0` entries, so padding
@@ -831,22 +854,6 @@ mod tests {
                 _ => ((i * 37 + 11) % 101) as f64 / 101.0 - 0.3,
             })
             .collect()
-    }
-
-    /// Asserts the sliced transpose equals the row loop bit for bit at
-    /// threads 1–4, for three restart nodes.
-    fn assert_transpose_is_row_loop(t: &TransitionMatrix<'_>, what: &str) {
-        let n = t.node_count();
-        let x = mixed_x(n);
-        for restart in [0, n as u32 / 2, n as u32 - 1] {
-            let want = row_loop_transpose(t, 0.15, &x, restart);
-            for threads in 1..=4 {
-                let mut y = vec![f64::NAN; n];
-                t.apply_transpose_threaded(0.15, &x, restart, &mut y, threads);
-                let got: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
-                assert!(got == want, "{what}: restart {restart}, {threads} threads");
-            }
-        }
     }
 
     /// A weighted graph of `n` nodes whose out-degrees and weights vary
@@ -869,71 +876,18 @@ mod tests {
         b.build(DanglingPolicy::SelfLoop).unwrap()
     }
 
-    #[test]
-    fn sliced_transpose_matches_gather_dot_row_loop_bitwise() {
-        let er = |nodes, edges, seed| {
-            crate::gen::erdos_renyi(&crate::gen::ErdosRenyiConfig { nodes, edges, seed }).unwrap()
-        };
-        let graphs = [
-            ("toy", toy()),
-            ("n = 1", GraphBuilder::from_edges(1, &[(0, 0)], DanglingPolicy::Error).unwrap()),
-            ("n = 5", er(5, 12, 1)),
-            ("er n = 513", er(513, 2_600, 2)),
-            ("er n = 513 above the cutoff", er(513, 9_000, 3)),
-            ("weighted", weighted(1_100, 5)),
-            ("weighted n = 513", weighted(513, 9)),
-            ("rmat", crate::gen::rmat(&crate::gen::RmatConfig::new(2_000, 9_000, 7)).unwrap()),
-        ];
-        for (what, g) in &graphs {
-            // Windows and slices that end part-full, and threads that
-            // really split, both occur in this list.
-            assert_transpose_is_row_loop(&TransitionMatrix::new(g), what);
-        }
-        assert!(graphs[4].1.edge_count() >= PARALLEL_EDGE_CUTOFF);
-        assert!(graphs[7].1.edge_count() >= PARALLEL_EDGE_CUTOFF);
-        assert!(graphs[7].1.node_count() > 3 * WINDOW);
-    }
-
-    #[test]
-    fn every_splice_kind_relays_its_window_like_a_rebuild() {
-        // Above the cutoff, so the threaded applies split windows.
-        let mut g = crate::gen::rmat(&crate::gen::RmatConfig::new(2_000, 9_000, 7)).unwrap();
-        let mut probs = TransitionProbs::compute(&g);
-        let x = mixed_x(g.node_count());
-        // Nodes in the first, a middle and the last (part-full) window; an
-        // insert or removal moves the row within its window's sort.
-        for (from, to) in [(3u32, 1_999u32), (700, 5), (1_990, 1_024)] {
-            for kind in [SpliceKind::Inserted, SpliceKind::Accumulated, SpliceKind::Removed] {
-                let splice = match kind {
-                    SpliceKind::Removed => g.remove_edge(from, to),
-                    _ => g.add_edge(from, to, 2.0),
-                }
-                .unwrap();
-                assert_eq!(splice.kind, kind);
-                probs.apply_splice(&g, &splice);
-                let fresh = TransitionProbs::compute(&g);
-                assert!(probs == fresh, "{kind:?} {from} → {to}");
-                for threads in 1..=4 {
-                    let [mut spliced, mut rebuilt] = [vec![0.0; 2_000], vec![0.0; 2_000]];
-                    TransitionMatrix::with_probs(&g, &probs).apply_transpose_threaded(
-                        0.15,
-                        &x,
-                        from,
-                        &mut spliced,
-                        threads,
-                    );
-                    TransitionMatrix::with_probs(&g, &fresh).apply_transpose_threaded(
-                        0.15,
-                        &x,
-                        from,
-                        &mut rebuilt,
-                        threads,
-                    );
-                    assert!(spliced.iter().zip(&rebuilt).all(|(a, b)| a.to_bits() == b.to_bits()));
-                }
-            }
-        }
-        assert_transpose_is_row_loop(&TransitionMatrix::with_probs(&g, &probs), "spliced");
+    /// 600 nodes whose last, part-full window holds nearly all the edges:
+    /// nodes `0..512` have one out-edge each, nodes `512..600` a hundred.
+    /// Above the cutoff, every thread count from 2 up leaves a worker an
+    /// empty share that starts at node `n`.
+    fn heavy_last_window() -> DiGraph {
+        let edges: Vec<(u32, u32)> = (0..600u32)
+            .flat_map(|u| {
+                let degree = if u < 512 { 1 } else { 100 };
+                (0..degree).map(move |k| (u, (u + 1 + 5 * k) % 600))
+            })
+            .collect();
+        GraphBuilder::from_edges(600, &edges, DanglingPolicy::Error).unwrap()
     }
 
     #[test]
@@ -988,13 +942,11 @@ mod tests {
 
     #[test]
     fn spliced_probs_match_fresh_rebuild_bitwise() {
-        // Drive a long add/remove script over a seeded R-MAT graph and pin
-        // the incremental probability maintenance to a from-scratch
-        // recompute after every single step — the graph-layer half of the
-        // dynamic-graph determinism contract.
-        let mut g = crate::gen::rmat(&crate::gen::RmatConfig::new(60, 240, 7)).unwrap();
-        let mut probs = TransitionProbs::compute(&g);
-        let script: &[(bool, u32, u32, f64)] = &[
+        // Drive add/remove scripts over seeded R-MAT graphs and pin the
+        // incremental probability maintenance — the sliced window re-lay
+        // included — to a from-scratch recompute after every single step:
+        // the graph-layer half of the dynamic-graph determinism contract.
+        let small: &[(bool, u32, u32, f64)] = &[
             (true, 0, 59, 1.0),
             (true, 59, 0, 2.5),
             (true, 0, 59, 1.0), // accumulate
@@ -1005,47 +957,62 @@ mod tests {
             (true, 5, 5, 1.0),
             (false, 17, 23, 0.0),
         ];
-        for &(add, f, t, w) in script {
-            let splice = if add {
-                match g.add_edge(f, t, w) {
-                    Ok(s) => s,
-                    Err(_) => continue, // e.g. node already had this edge shape
-                }
-            } else {
-                match g.remove_edge(f, t) {
-                    Ok(s) => s,
-                    Err(_) => continue,
-                }
-            };
-            probs.apply_splice(&g, &splice);
-            assert_eq!(probs, TransitionProbs::compute(&g), "probs after {:?}", (add, f, t));
+        // Above the cutoff: sources in the first, a middle and the last
+        // (part-full) window, each edge inserted, accumulated and removed.
+        // An insert or a removal moves the row within its window's sort.
+        let windows: Vec<(bool, u32, u32, f64)> = WINDOW_SPLICES
+            .iter()
+            .flat_map(|&(f, t)| [(true, f, t, 2.0), (true, f, t, 2.0), (false, f, t, 0.0)])
+            .collect();
+        let rmat =
+            |nodes, edges| crate::gen::rmat(&crate::gen::RmatConfig::new(nodes, edges, 7)).unwrap();
+        let mut kinds = Vec::new();
+        for (mut g, script) in [(rmat(60, 240), small), (rmat(2_000, 9_000), &windows[..])] {
+            let mut probs = TransitionProbs::compute(&g);
+            kinds.clear();
+            for &(add, f, t, w) in script {
+                let splice = if add { g.add_edge(f, t, w) } else { g.remove_edge(f, t) };
+                // e.g. the node already had this edge shape
+                let Ok(splice) = splice else { continue };
+                kinds.push(splice.kind);
+                probs.apply_splice(&g, &splice);
+                assert!(probs == TransitionProbs::compute(&g), "probs after {:?}", (add, f, t));
+            }
         }
+        let each = [SpliceKind::Inserted, SpliceKind::Accumulated, SpliceKind::Removed];
+        assert_eq!(kinds, each.repeat(WINDOW_SPLICES.len()));
     }
+
+    /// Edges of `rmat:2000:9000:7` that do not exist yet, one from a node
+    /// in the first, a middle and the last (part-full) window.
+    const WINDOW_SPLICES: [(u32, u32); 3] = [(3, 1_999), (700, 5), (1_990, 1_024)];
 
     #[test]
     fn spliced_view_applies_identically_to_rebuilt_view() {
-        // After a mutation, a view over the spliced cache must produce the
-        // same operator outputs as a fresh build.
-        let mut g = crate::gen::erdos_renyi(&crate::gen::ErdosRenyiConfig {
-            nodes: 40,
-            edges: 160,
-            seed: 3,
-        })
-        .unwrap();
+        // After mutations, a view over the spliced cache must produce the
+        // same operator outputs as a fresh build at every thread count, and
+        // the transpose over the re-laid windows must still be the row loop.
+        let mut g = crate::gen::rmat(&crate::gen::RmatConfig::new(2_000, 9_000, 7)).unwrap();
         let mut probs = TransitionProbs::compute(&g);
-        let splice = g.add_edge(1, 38, 3.0).unwrap();
-        probs.apply_splice(&g, &splice);
+        for (from, to) in WINDOW_SPLICES {
+            let splice = g.add_edge(from, to, 3.0).unwrap();
+            probs.apply_splice(&g, &splice);
+        }
 
         let spliced = TransitionMatrix::with_probs(&g, &probs);
         let fresh = TransitionMatrix::new(&g);
-        let x: Vec<f64> = (0..40).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let mut y1 = vec![0.0; 40];
-        let mut y2 = vec![0.0; 40];
-        spliced.apply_forward(0.15, &x, 0, &mut y1);
-        fresh.apply_forward(0.15, &x, 0, &mut y2);
-        assert_eq!(y1, y2);
-        spliced.apply_transpose(0.15, &x, 0, &mut y1);
-        fresh.apply_transpose(0.15, &x, 0, &mut y2);
-        assert_eq!(y1, y2);
+        let x = mixed_x(2_000);
+        let bits = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<u64>>();
+        let mut y1 = vec![0.0; 2_000];
+        let mut y2 = vec![0.0; 2_000];
+        for threads in 1..=4 {
+            spliced.apply_forward_threaded(0.15, &x, 0, &mut y1, threads);
+            fresh.apply_forward_threaded(0.15, &x, 0, &mut y2, threads);
+            assert!(bits(&y1) == bits(&y2), "forward, {threads} threads");
+            spliced.apply_transpose_threaded(0.15, &x, 0, &mut y1, threads);
+            fresh.apply_transpose_threaded(0.15, &x, 0, &mut y2, threads);
+            assert!(bits(&y1) == bits(&y2), "transpose, {threads} threads");
+        }
+        assert_applies_are_row_loops(&spliced, "spliced");
     }
 }
