@@ -415,7 +415,7 @@ impl RtkService for &ReverseTopkEngine {
     fn persist(&mut self, path: &str) -> ServiceResult<u64> {
         let file = std::fs::File::create(path)
             .map_err(|e| ServiceError::Engine(format!("persist: cannot create {path:?}: {e}")))?;
-        self.save_owned(std::io::BufWriter::new(file)).map_err(engine_err)?;
+        self.save(std::io::BufWriter::new(file)).map_err(engine_err)?;
         std::fs::metadata(path)
             .map(|m| m.len())
             .map_err(|e| ServiceError::Engine(format!("persist: cannot stat {path:?}: {e}")))

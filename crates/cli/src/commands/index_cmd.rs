@@ -1,4 +1,5 @@
-//! `rtk index build` / `rtk index info`.
+//! `rtk index build` / `rtk index info`: the snapshot file holds the graph
+//! and its index.
 
 use crate::args::Parsed;
 use rtk_graph::TransitionMatrix;
@@ -39,7 +40,8 @@ fn build(args: &Parsed) -> Result<(), String> {
     };
     let index =
         ReverseIndex::build(&transition, config).map_err(|e| format!("index build: {e}"))?;
-    rtk_index::storage::save_path(&index, out).map_err(|e| format!("index save: {e}"))?;
+    rtk_index::storage::save_path(&graph, &index, out)
+        .map_err(|e| format!("snapshot save: {e}"))?;
     println!(
         "built index over {graph_path} ({} shard(s)): {}",
         index.shard_count(),
@@ -50,11 +52,13 @@ fn build(args: &Parsed) -> Result<(), String> {
 }
 
 fn info(args: &Parsed) -> Result<(), String> {
-    let path = args.positional(0, "index")?;
-    let index = rtk_index::storage::load_path(path).map_err(|e| format!("index load: {e}"))?;
+    let path = args.positional(0, "snapshot")?;
+    let (graph, index) =
+        rtk_index::storage::load_path(path).map_err(|e| format!("snapshot load: {e}"))?;
     let s = index.stats();
-    println!("index: {path}");
+    println!("snapshot: {path}");
     println!("  nodes:       {}", index.node_count());
+    println!("  edges:       {}", graph.edge_count());
     println!("  max k (K):   {}", index.max_k());
     println!("  shards:      {}", index.shard_count());
     println!("  hubs:        {}", s.hub_count);

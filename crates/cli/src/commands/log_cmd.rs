@@ -4,7 +4,7 @@
 //! a server started with `--update-log` appends every applied edge update
 //! inside the update's write-lock critical section, so `rtk log replay`
 //! over the snapshot the server started from reproduces the live engine
-//! **byte for byte** (`RTKENGN1` output, comparable with `cmp`).
+//! **byte for byte** (`RTKMANI1` output, comparable with `cmp`).
 
 use crate::args::Parsed;
 use rtk_core::{ReverseTopkEngine, UpdateRecord};
@@ -50,14 +50,14 @@ fn info(args: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// `rtk log replay --index <RTKENGN1 snapshot> --log <log> --out <file>`:
-/// load the engine snapshot, apply every logged update in order, and save
+/// `rtk log replay --index <snapshot> --log <log> --out <file>`:
+/// load the snapshot, apply every logged update in order, and save
 /// the result. Replay is deterministic, so the output is byte-identical to
 /// a `persist` from the live server that wrote the log.
 fn replay(args: &Parsed) -> Result<(), String> {
     let index = args
         .get("index")
-        .ok_or_else(|| "log replay: --index <engine snapshot> is required".to_string())?;
+        .ok_or_else(|| "log replay: --index <snapshot> is required".to_string())?;
     let log = args
         .get("log")
         .ok_or_else(|| "log replay: --log <file> is required".to_string())?;
@@ -66,7 +66,7 @@ fn replay(args: &Parsed) -> Result<(), String> {
         .ok_or_else(|| "log replay: --out <file> is required".to_string())?;
 
     let mut engine = ReverseTopkEngine::load_path(index)
-        .map_err(|e| format!("log replay: engine snapshot {index:?}: {e}"))?;
+        .map_err(|e| format!("log replay: snapshot {index:?}: {e}"))?;
     let records = rtk_index::storage::load_update_log(log)
         .map_err(|e| format!("log replay: cannot read {log:?}: {e}"))?;
     let effect = engine

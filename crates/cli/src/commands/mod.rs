@@ -22,19 +22,21 @@ usage:
   rtk generate <dataset> --out <file>            synthesize a graph
   rtk stats <graph>                              graph summary
   rtk index build <graph> --out <file> [--max-k K] [--hubs B] [--omega W] [--threads T] [--shards S]
-  rtk index info <index>                         index statistics
-  rtk shard split <index> --shards S [--balance nodes|edges --graph <g>] [--out F]
+                                                 build the index; the snapshot holds graph + index
+  rtk index info <snapshot>                      index statistics
+  rtk shard split <snapshot> --shards S [--balance nodes|edges] [--out F]
                                                  re-partition a saved index
-  rtk shard info <index>                         shard manifest summary
-  rtk query <graph> <index> --node Q --k K [--update] [--strict] [--approximate] [--threads T]
+  rtk shard info <snapshot>                      shard manifest summary
+  rtk shard stitch <prefix> [--out F]            one snapshot from <prefix>.shard<i> persists
+  rtk query <snapshot> --node Q --k K [--update] [--strict] [--approximate] [--threads T]
   rtk topk <graph> --node U --k K [--early] [--threads T]   forward top-k search
   rtk pmpn <graph> --node Q [--top N] [--threads T]         proximities to a node
   rtk convert <in> <out>                         tsv <-> binary graph formats
-  rtk serve --index <file> [--graph <file>] [--addr A] [--workers N]
+  rtk serve --index <snapshot> [--addr A] [--workers N]
             [--query-threads T] [--max-frame-mib M] [--max-connections C]
             [--persist-dir D] [--auth-token T] [--metrics-addr A]
             [--update-log F] [--log-file F] [--log-level L]   run the TCP server
-  rtk serve --shard-only --shard I --index <manifest> --graph <file> [...]
+  rtk serve --shard-only --shard I --index <snapshot> [...]
                                                  serve ONE shard (router backend)
   rtk router --backends a:p,b:p,… [--addr A] [--workers N] [--max-connections C]
              [--max-frame-mib M] [--auth-token T] [--metrics-addr A]

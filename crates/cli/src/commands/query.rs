@@ -1,8 +1,8 @@
-//! `rtk query` — run a reverse top-k search against a saved index.
+//! `rtk query` — run a reverse top-k search against a saved snapshot.
 
 use crate::args::Parsed;
-use rtk_graph::TransitionMatrix;
-use rtk_query::{ApproxParams, BoundMode, QueryEngine, QueryOptions};
+use rtk_core::{graph::NodeId, ReverseTopkEngine};
+use rtk_query::{ApproxParams, BoundMode, QueryOptions};
 
 /// Parses the shared `--approx <eps> [--approx-walks N] [--approx-seed S]`
 /// flag family (used by `rtk query` and `rtk remote query`).
@@ -20,8 +20,7 @@ pub(crate) fn approx_from_args(args: &Parsed) -> Result<Option<ApproxParams>, St
 }
 
 pub(crate) fn run(args: &Parsed) -> Result<(), String> {
-    let graph_path = args.positional(0, "graph")?;
-    let index_path = args.positional(1, "index")?;
+    let path = args.positional(0, "snapshot")?;
     let q: u32 = args
         .get("node")
         .ok_or_else(|| "query: --node <id> is required".to_string())?
@@ -30,10 +29,8 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
     let k = args.get_num("k", 10usize)?;
     let threads = args.get_num("threads", 0usize)?;
 
-    let graph = super::load_graph(graph_path)?;
-    let transition = TransitionMatrix::new(&graph);
-    let mut index =
-        rtk_index::storage::load_path(index_path).map_err(|e| format!("index load: {e}"))?;
+    let mut engine =
+        ReverseTopkEngine::load_path(path).map_err(|e| format!("snapshot load: {e}"))?;
 
     let options = QueryOptions {
         update_index: args.has("update"),
@@ -42,10 +39,7 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
         query_threads: threads,
         approx: approx_from_args(args)?,
     };
-    let mut session = QueryEngine::new(&index);
-    let result = session
-        .query(&transition, &mut index, q, k, &options)
-        .map_err(|e| format!("query: {e}"))?;
+    let result = engine.query_with(NodeId(q), k, &options).map_err(|e| format!("query: {e}"))?;
 
     println!("reverse top-{k} of node {q}: {} result(s)", result.len());
     for (u, p) in result.nodes().iter().zip(result.proximities()) {
@@ -69,9 +63,8 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
     }
 
     if args.has("update") {
-        rtk_index::storage::save_path(&index, index_path)
-            .map_err(|e| format!("index save: {e}"))?;
-        println!("index refinements saved back to {index_path}");
+        engine.save_path(path).map_err(|e| format!("snapshot save: {e}"))?;
+        println!("index refinements saved back to {path}");
     }
     Ok(())
 }
@@ -79,47 +72,34 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtk_index::{HubSelection, IndexConfig, ReverseIndex};
 
-    fn setup(dir: &std::path::Path) -> (String, String) {
+    fn setup(dir: &std::path::Path) -> String {
         std::fs::create_dir_all(dir).unwrap();
-        let g = rtk_datasets::toy_graph();
-        let gpath = dir.join("g.rtkg");
-        super::super::save_graph(&g, gpath.to_str().unwrap()).unwrap();
-        let t = TransitionMatrix::new(&g);
         // Coarse index (the paper's Figure 2 δ = 0.8) so the walkthrough
         // query actually refines — the --update test relies on it.
-        let config = IndexConfig {
-            max_k: 3,
-            bca: rtk_rwr::BcaParams { residue_threshold: 0.8, ..Default::default() },
-            hub_selection: HubSelection::DegreeBased { b: 1 },
-            threads: 1,
-            ..Default::default()
-        };
-        let index = ReverseIndex::build(&t, config).unwrap();
-        let ipath = dir.join("g.rtki");
-        rtk_index::storage::save_path(&index, &ipath).unwrap();
-        (gpath.to_str().unwrap().into(), ipath.to_str().unwrap().into())
+        let engine = ReverseTopkEngine::builder(rtk_datasets::toy_graph())
+            .max_k(3)
+            .residue_threshold(0.8)
+            .hubs_per_direction(1)
+            .threads(1)
+            .build()
+            .unwrap();
+        let path = dir.join("g.rtki");
+        engine.save_path(&path).unwrap();
+        path.to_str().unwrap().into()
     }
 
     #[test]
     fn query_runs_and_optionally_updates() {
         let dir = std::env::temp_dir().join("rtk_cli_test_query");
-        let (gpath, ipath) = setup(&dir);
-        let argv: Vec<String> = vec![
-            gpath.clone(),
-            ipath.clone(),
-            "--node".into(),
-            "0".into(),
-            "--k".into(),
-            "2".into(),
-        ];
+        let ipath = setup(&dir);
+        let argv: Vec<String> =
+            vec![ipath.clone(), "--node".into(), "0".into(), "--k".into(), "2".into()];
         run(&Parsed::parse(&argv).unwrap()).unwrap();
 
         // With --update the index file is rewritten with refinements.
         let before = std::fs::read(&ipath).unwrap();
         let argv: Vec<String> = vec![
-            gpath,
             ipath.clone(),
             "--node".into(),
             "0".into(),
@@ -136,8 +116,7 @@ mod tests {
     #[test]
     fn missing_node_flag_errors() {
         let dir = std::env::temp_dir().join("rtk_cli_test_query2");
-        let (gpath, ipath) = setup(&dir);
-        let argv: Vec<String> = vec![gpath, ipath];
+        let argv: Vec<String> = vec![setup(&dir)];
         assert!(run(&Parsed::parse(&argv).unwrap()).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }

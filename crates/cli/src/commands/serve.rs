@@ -7,7 +7,6 @@
 use crate::args::Parsed;
 use rtk_core::ReverseTopkEngine;
 use rtk_server::{Server, ServerConfig};
-use std::io::Read;
 
 /// Default listen address when `--addr` is omitted.
 pub(crate) const DEFAULT_ADDR: &str = "127.0.0.1:7313";
@@ -35,7 +34,7 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
         update_log: args.get("update-log").map(std::path::PathBuf::from),
     };
 
-    let engine = if args.has("shard-only") { load_shard_engine(args)? } else { load_engine(args)? };
+    let engine = load_engine(args)?;
     let what = match engine.index().owned_shard() {
         Some(shard) => {
             let owned = engine.index().owned_range();
@@ -72,98 +71,55 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
     server.run().map_err(|e| format!("serve: {e}"))
 }
 
-/// Loads the engine whose index holds only shard `--shard` of a sharded
-/// snapshot (`--shard-only`): `--index` must be a bare index snapshot
-/// (an `RTKMANI1` manifest, of any shard count) and
-/// `--graph` is required — every backend walks the full graph even though
-/// it holds only its shard's states.
-fn load_shard_engine(args: &Parsed) -> Result<ReverseTopkEngine, String> {
-    let index_path = args
-        .get("index")
-        .ok_or_else(|| "serve: --index <file> is required".to_string())?;
-    let shard_id = args.get_num("shard", 0usize)?;
-    let graph_path = args.get("graph").ok_or_else(|| {
-        "serve --shard-only: --graph <file> is required (backends hold the full graph)".to_string()
-    })?;
-    let graph = super::load_graph(graph_path)?;
-    let index = rtk_index::storage::load_one_shard_path(index_path, shard_id)
-        .map_err(|e| format!("serve: shard {shard_id} of {index_path:?}: {e}"))?;
-    ReverseTopkEngine::from_parts(graph, index).map_err(|e| format!("serve: {e}"))
-}
-
-/// Loads the engine from `--index`, which may be either an engine snapshot
-/// (`RTKENGN1`: graph + index in one file, written by `ReverseTopkEngine::
-/// save_path`) or a bare index (`RTKMANI1`) paired with `--graph`.
+/// Loads the engine from the `--index` snapshot: what the file holds, or
+/// with `--shard-only` only shard `--shard` of it (a router backend, which
+/// walks the whole graph but holds one shard's states).
 fn load_engine(args: &Parsed) -> Result<ReverseTopkEngine, String> {
     let index_path = args
         .get("index")
         .ok_or_else(|| "serve: --index <file> is required".to_string())?;
-    let mut magic = [0u8; 8];
-    std::fs::File::open(index_path)
-        .and_then(|mut f| f.read_exact(&mut magic))
-        .map_err(|e| format!("serve: cannot read {index_path:?}: {e}"))?;
-
-    if &magic == b"RTKENGN1" {
+    if !args.has("shard-only") {
         return ReverseTopkEngine::load_path(index_path)
-            .map_err(|e| format!("serve: engine snapshot load: {e}"));
+            .map_err(|e| format!("serve: snapshot load: {e}"));
     }
-    let graph_path = args.get("graph").ok_or_else(|| {
-        format!("serve: {index_path:?} is a bare index; add --graph <file> (or pass an engine snapshot)")
-    })?;
-    let graph = super::load_graph(graph_path)?;
-    let index =
-        rtk_index::storage::load_path(index_path).map_err(|e| format!("serve: index load: {e}"))?;
+    let shard_id = args.get_num("shard", 0usize)?;
+    let (graph, index) = rtk_index::storage::load_one_shard_path(index_path, shard_id)
+        .map_err(|e| format!("serve: shard {shard_id} of {index_path:?}: {e}"))?;
     ReverseTopkEngine::from_parts(graph, index).map_err(|e| format!("serve: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtk_graph::TransitionMatrix;
-    use rtk_index::{HubSelection, IndexConfig, ReverseIndex};
 
     #[test]
-    fn load_engine_accepts_both_formats() {
+    fn load_engine_reads_whole_and_one_shard() {
         let dir = std::env::temp_dir().join("rtk_cli_test_serve");
         std::fs::create_dir_all(&dir).unwrap();
-        let g = rtk_datasets::toy_graph();
-        let gpath = dir.join("g.rtkg");
-        super::super::save_graph(&g, gpath.to_str().unwrap()).unwrap();
-        let t = TransitionMatrix::new(&g);
-        let config = IndexConfig {
-            max_k: 3,
-            hub_selection: HubSelection::DegreeBased { b: 1 },
-            threads: 1,
-            ..Default::default()
+        let engine = ReverseTopkEngine::builder(rtk_datasets::toy_graph())
+            .max_k(3)
+            .hubs_per_direction(1)
+            .threads(1)
+            .shards(2)
+            .build()
+            .unwrap();
+        let path = dir.join("g.rtki");
+        engine.save_path(&path).unwrap();
+        let path = path.to_str().unwrap().to_string();
+        let load = |extra: &[&str]| {
+            let mut argv = vec!["--index".to_string(), path.clone()];
+            argv.extend(extra.iter().map(|s| s.to_string()));
+            load_engine(&Parsed::parse(&argv).unwrap())
         };
-        let index = ReverseIndex::build(&t, config).unwrap();
-        let ipath = dir.join("g.rtki");
-        rtk_index::storage::save_path(&index, &ipath).unwrap();
 
-        // Bare index + graph.
-        let argv: Vec<String> = vec![
-            "--index".into(),
-            ipath.to_str().unwrap().into(),
-            "--graph".into(),
-            gpath.to_str().unwrap().into(),
-        ];
-        let engine = load_engine(&Parsed::parse(&argv).unwrap()).unwrap();
-        assert_eq!(engine.node_count(), 6);
-
-        // Engine snapshot.
-        let epath = dir.join("g.rtke");
-        engine.save_path(&epath).unwrap();
-        let argv: Vec<String> = vec!["--index".into(), epath.to_str().unwrap().into()];
-        let engine = load_engine(&Parsed::parse(&argv).unwrap()).unwrap();
-        assert_eq!(engine.node_count(), 6);
-
-        // Bare index without --graph: a helpful error.
-        let argv: Vec<String> = vec!["--index".into(), ipath.to_str().unwrap().into()];
-        let err = match load_engine(&Parsed::parse(&argv).unwrap()) {
-            Err(e) => e,
-            Ok(_) => panic!("bare index without --graph should fail"),
-        };
-        assert!(err.contains("--graph"), "{err}");
+        let whole = load(&[]).unwrap();
+        assert_eq!(whole.node_count(), 6);
+        assert_eq!(whole.index().owned_shard(), None);
+        let one = load(&["--shard-only", "--shard", "1"]).unwrap();
+        assert_eq!(one.index().owned_shard(), Some(1));
+        assert_eq!(one.graph(), whole.graph());
+        let err = load(&["--shard-only", "--shard", "2"]).err().expect("no shard 2");
+        assert!(err.contains("shard 2"), "{err}");
 
         std::fs::remove_dir_all(&dir).ok();
     }

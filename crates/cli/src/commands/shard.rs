@@ -1,15 +1,17 @@
 //! `rtk shard split|info|stitch` — offline re-partitioning and
-//! re-assembly of a saved index.
+//! re-assembly of a saved snapshot.
 //!
 //! Sharding is a pure layout change: `split` re-partitions an existing
 //! index into `--shards N` contiguous node ranges (even by node count, or
 //! by total out-degree with `--balance edges`; `--shards 1` flattens it),
 //! `info` prints the shard manifest, and `stitch` re-assembles the
-//! `<path>.shard<i>` section files a router-tier `persist` leaves behind
-//! into one manifest. Per-node states are preserved bitwise, so a
+//! `<path>.shard<i>` one-shard snapshots a router-tier `persist` leaves
+//! behind into one snapshot. Per-node states are preserved bitwise, so a
 //! re-partitioned or stitched index answers every query identically.
 
 use crate::args::Parsed;
+use rtk_graph::DiGraph;
+use rtk_index::ReverseIndex;
 
 pub(crate) fn run(argv: &[String]) -> Result<(), String> {
     let Some(sub) = argv.first() else {
@@ -24,47 +26,40 @@ pub(crate) fn run(argv: &[String]) -> Result<(), String> {
     }
 }
 
-fn load(path: &str) -> Result<rtk_index::ReverseIndex, String> {
-    rtk_index::storage::load_path(path).map_err(|e| format!("shard: index load: {e}"))
+fn load(path: &str) -> Result<(DiGraph, ReverseIndex), String> {
+    rtk_index::storage::load_path(path).map_err(|e| format!("shard: snapshot load: {e}"))
 }
 
-fn save(index: &rtk_index::ReverseIndex, path: &str) -> Result<(), String> {
-    rtk_index::storage::save_path(index, path).map_err(|e| format!("shard: index save: {e}"))
+fn save(graph: &DiGraph, index: &ReverseIndex, path: &str) -> Result<(), String> {
+    rtk_index::storage::save_path(graph, index, path)
+        .map_err(|e| format!("shard: snapshot save: {e}"))
 }
 
-/// `rtk shard split <index> --shards N [--balance nodes|edges --graph <g>]
-/// [--out <file>]`
+/// `rtk shard split <snapshot> --shards N [--balance nodes|edges] [--out
+/// <file>]`
 ///
 /// `--balance nodes` (the default) cuts even node ranges; `--balance
-/// edges` cuts ranges of roughly equal total out-degree, read from
-/// `--graph`, so skewed graphs give every shard the same screen *work*.
-/// Either layout preserves per-node states bitwise.
+/// edges` cuts ranges of roughly equal total out-degree, read from the
+/// snapshot's graph, so skewed graphs give every shard the same screen
+/// *work*. Either layout preserves per-node states bitwise.
 fn split(args: &Parsed) -> Result<(), String> {
-    let path = args.positional(0, "index")?;
+    let path = args.positional(0, "snapshot")?;
     let shards = args.get_num("shards", 0usize)?;
     if shards == 0 {
         return Err("shard split: --shards <N ≥ 1> is required".into());
     }
     let out = args.get("out").unwrap_or(path);
     let balance = args.get("balance").unwrap_or("nodes");
-    let mut index = load(path)?;
+    let (graph, mut index) = load(path)?;
+    if let Some(shard) = index.owned_shard() {
+        return Err(format!(
+            "shard split: {path} holds only shard {shard}; stitch the shards into one snapshot first"
+        ));
+    }
     let before = index.shard_count();
     match balance {
         "nodes" => index.repartition(shards),
         "edges" => {
-            let Some(graph_path) = args.get("graph") else {
-                return Err(
-                    "shard split: --balance edges needs --graph <graph> for out-degrees".into()
-                );
-            };
-            let graph = super::load_graph(graph_path)?;
-            if graph.node_count() != index.node_count() {
-                return Err(format!(
-                    "shard split: graph has {} nodes but the index covers {}",
-                    graph.node_count(),
-                    index.node_count()
-                ));
-            }
             let n = index.node_count();
             let weights: Vec<u64> =
                 (0..n as u32).map(|u| graph.out_neighbors(u).len() as u64).collect();
@@ -76,7 +71,7 @@ fn split(args: &Parsed) -> Result<(), String> {
             ))
         }
     }
-    save(&index, out)?;
+    save(&graph, &index, out)?;
     println!(
         "re-partitioned {path} from {before} to {} shard(s) (balance: {balance}); wrote {out}",
         index.shard_count()
@@ -84,32 +79,25 @@ fn split(args: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// `rtk shard stitch <prefix> --index <donor> [--out <file>]`: re-assemble
-/// the `<prefix>.shard0..N-1` sections written by a router-tier `persist`
-/// into one index, taking everything shared (hub matrix, parameters,
-/// stats) from the donor snapshot the backends were loaded from.
+/// `rtk shard stitch <prefix> [--out <file>]`: re-assemble the
+/// `<prefix>.shard0..N-1` one-shard snapshots written by a router-tier
+/// `persist` into one snapshot, with the graph and hub matrix they carry
+/// (they must agree).
 fn stitch(args: &Parsed) -> Result<(), String> {
-    let prefix = args.positional(0, "section prefix")?;
-    let Some(donor_path) = args.get("index") else {
-        return Err("shard stitch: --index <donor snapshot> is required".into());
-    };
+    let prefix = args.positional(0, "snapshot prefix")?;
     let out = args.get("out").unwrap_or(prefix);
-    let donor = load(donor_path)?;
-    let stitched = rtk_index::storage::stitch_path_prefix(&donor, prefix)
-        .map_err(|e| format!("shard stitch: {e}"))?;
-    save(&stitched, out)?;
-    println!(
-        "stitched {} section(s) at {prefix}.shard* over donor {donor_path}; wrote {out}",
-        stitched.shard_count()
-    );
+    let (graph, stitched) =
+        rtk_index::storage::stitch_path_prefix(prefix).map_err(|e| format!("shard stitch: {e}"))?;
+    save(&graph, &stitched, out)?;
+    println!("stitched {} shard(s) at {prefix}.shard*; wrote {out}", stitched.shard_count());
     Ok(())
 }
 
-/// `rtk shard info <index>`: the shard manifest at a glance.
+/// `rtk shard info <snapshot>`: the shard manifest at a glance.
 fn info(args: &Parsed) -> Result<(), String> {
-    let path = args.positional(0, "index")?;
-    let index = load(path)?;
-    println!("index: {path}");
+    let path = args.positional(0, "snapshot")?;
+    let (_, index) = load(path)?;
+    println!("snapshot: {path}");
     println!("  nodes:   {}", index.node_count());
     println!("  max k:   {}", index.max_k());
     println!("  shards:  {}", index.shard_count());
@@ -130,22 +118,21 @@ fn info(args: &Parsed) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtk_graph::TransitionMatrix;
-    use rtk_index::{HubSelection, IndexConfig, ReverseIndex};
 
     fn build_index(dir: &std::path::Path) -> std::path::PathBuf {
-        let g = rtk_datasets::toy_graph();
-        let t = TransitionMatrix::new(&g);
-        let config = IndexConfig {
-            max_k: 3,
-            hub_selection: HubSelection::DegreeBased { b: 1 },
-            threads: 1,
-            ..Default::default()
-        };
-        let index = ReverseIndex::build(&t, config).unwrap();
+        let engine = rtk_core::ReverseTopkEngine::builder(rtk_datasets::toy_graph())
+            .max_k(3)
+            .hubs_per_direction(1)
+            .threads(1)
+            .build()
+            .unwrap();
         let path = dir.join("g.rtki");
-        rtk_index::storage::save_path(&index, &path).unwrap();
+        engine.save_path(&path).unwrap();
         path
+    }
+
+    fn index_at(path: &std::path::Path) -> ReverseIndex {
+        rtk_index::storage::load_path(path).unwrap().1
     }
 
     #[test]
@@ -167,9 +154,9 @@ mod tests {
             sharded_str.clone(),
         ])
         .unwrap();
-        let loaded = rtk_index::storage::load_path(&sharded).unwrap();
+        let loaded = index_at(&sharded);
         assert_eq!(loaded.shard_count(), 3);
-        let original = rtk_index::storage::load_path(&ipath).unwrap();
+        let original = index_at(&ipath);
         for u in 0..6u32 {
             assert_eq!(loaded.state(u), original.state(u), "node {u}");
         }
@@ -200,34 +187,34 @@ mod tests {
     fn stitch_reassembles_router_persist_outputs() {
         let dir = std::env::temp_dir().join("rtk_cli_test_stitch");
         std::fs::create_dir_all(&dir).unwrap();
-        let donor_path = build_index(&dir);
-        let donor_str = donor_path.to_str().unwrap().to_string();
+        let (graph, mut index) = rtk_index::storage::load_path(build_index(&dir)).unwrap();
 
-        // Simulate a 2-backend router persist: one standalone section per
+        // Simulate a 2-backend router persist: one one-shard snapshot per
         // shard, named `<prefix>.shard<i>`.
-        let mut donor = rtk_index::storage::load_path(&donor_path).unwrap();
-        donor.repartition(2);
+        index.repartition(2);
         let prefix = dir.join("persisted.rtki");
-        for shard in donor.shards() {
-            let path = dir.join(format!("persisted.rtki.shard{}", shard.id()));
-            let file = std::fs::File::create(&path).unwrap();
-            rtk_index::storage::save_shard(shard, donor.node_count(), donor.max_k(), file).unwrap();
+        for sid in 0..2 {
+            let path = dir.join(format!("persisted.rtki.shard{sid}"));
+            let one = index.one_shard(sid).unwrap();
+            rtk_index::storage::save_path(&graph, &one, &path).unwrap();
         }
+        // A one-shard snapshot cannot be re-split.
+        let shard0 = dir.join("persisted.rtki.shard0").to_str().unwrap().to_string();
+        let err = run(&["split".into(), shard0, "--shards".into(), "3".into()]).unwrap_err();
+        assert!(err.contains("holds only shard 0"), "{err}");
 
         let out = dir.join("stitched.rtki");
         run(&[
             "stitch".into(),
             prefix.to_str().unwrap().into(),
-            "--index".into(),
-            donor_str,
             "--out".into(),
             out.to_str().unwrap().into(),
         ])
         .unwrap();
-        let stitched = rtk_index::storage::load_path(&out).unwrap();
+        let stitched = index_at(&out);
         assert_eq!(stitched.shard_count(), 2);
         for u in 0..6u32 {
-            assert_eq!(stitched.state(u), donor.state(u), "node {u}");
+            assert_eq!(stitched.state(u), index.state(u), "node {u}");
         }
 
         std::fs::remove_dir_all(&dir).ok();
@@ -239,21 +226,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let ipath = build_index(&dir);
         let ipath_str = ipath.to_str().unwrap().to_string();
-        let gpath = dir.join("g.tsv");
-        super::super::save_graph(&rtk_datasets::toy_graph(), gpath.to_str().unwrap()).unwrap();
         let out = dir.join("balanced.rtki");
 
-        // --balance edges without --graph is rejected.
-        assert!(run(&[
-            "split".into(),
-            ipath_str.clone(),
-            "--shards".into(),
-            "2".into(),
-            "--balance".into(),
-            "edges".into(),
-        ])
-        .unwrap_err()
-        .contains("--graph"));
         // Unknown balance modes are rejected.
         assert!(run(&[
             "split".into(),
@@ -272,13 +246,11 @@ mod tests {
             "2".into(),
             "--balance".into(),
             "edges".into(),
-            "--graph".into(),
-            gpath.to_str().unwrap().into(),
             "--out".into(),
             out.to_str().unwrap().into(),
         ])
         .unwrap();
-        let loaded = rtk_index::storage::load_path(&out).unwrap();
+        let loaded = index_at(&out);
         assert_eq!(loaded.shard_count(), 2);
         // The layout matches ShardMap::balanced over the graph's out-degrees…
         let g = rtk_datasets::toy_graph();
@@ -286,7 +258,7 @@ mod tests {
         let expect = rtk_index::ShardMap::balanced(6, 2, &weights);
         assert_eq!(loaded.shard_map(), &expect);
         // …and every per-node state survives the move bitwise.
-        let original = rtk_index::storage::load_path(&ipath).unwrap();
+        let original = index_at(&ipath);
         for u in 0..6u32 {
             assert_eq!(loaded.state(u), original.state(u), "node {u}");
         }
@@ -299,6 +271,6 @@ mod tests {
         assert!(run(&[]).is_err());
         assert!(run(&["frob".into()]).is_err());
         assert!(run(&["split".into(), "x.rtki".into()]).is_err()); // no --shards
-        assert!(run(&["stitch".into(), "x.rtki".into()]).is_err()); // no --index
+        assert!(run(&["stitch".into(), "x.rtki".into()]).is_err()); // no x.rtki.shard0
     }
 }

@@ -3,9 +3,9 @@
 //! ```text
 //! rtk generate <dataset> --out graph.rtkg       synthesize a graph
 //! rtk stats <graph>                             node/edge/degree summary
-//! rtk index build <graph> --out idx.rtki        build the offline index
+//! rtk index build <graph> --out idx.rtki        build the graph + index snapshot
 //! rtk index info <idx.rtki>                     index statistics
-//! rtk query <graph> <idx.rtki> --node Q --k K   reverse top-k search
+//! rtk query <idx.rtki> --node Q --k K           reverse top-k search
 //! rtk topk <graph> --node U --k K [--early]     forward top-k search
 //! rtk pmpn <graph> --node Q [--top N]           proximities *to* a node
 //! rtk convert <in> <out>                        tsv <-> binary graph formats

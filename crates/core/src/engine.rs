@@ -71,8 +71,8 @@ impl ReverseTopkEngine {
     }
 
     /// Rebuilds an engine from a graph and a previously built index — one
-    /// holding every shard (e.g. loaded via [`rtk_index::storage::load`]) or
-    /// exactly one ([`rtk_index::storage::load_one_shard`]).
+    /// holding every shard or exactly one ([`ReverseIndex::one_shard`],
+    /// [`rtk_index::storage::load_one_shard`]).
     pub fn from_parts(graph: DiGraph, index: ReverseIndex) -> Result<Self, EngineError> {
         if graph.node_count() != index.node_count() {
             return Err(EngineError::Query(rtk_query::QueryError::GraphMismatch {
@@ -213,8 +213,9 @@ impl ReverseTopkEngine {
     }
 
     /// A stable digest (FNV-1a 64) of what the current index persists as —
-    /// the [`rtk_index::storage::save`] snapshot when every shard is held,
-    /// the `RTKSHRD1` section of the one held shard otherwise — with every
+    /// the [`rtk_index::storage::save`] snapshot less its graph section when
+    /// every shard is held, the `RTKSHRD1` section of the one held shard
+    /// otherwise — with every
     /// hub-column and node-state record folded to its own hash first
     /// ([`rtk_index::storage::index_digest`]). Those record hashes are
     /// cached beside the records: an edge update re-hashes what it
@@ -226,23 +227,6 @@ impl ReverseTopkEngine {
     /// are comparable between processes of the same build only.
     pub fn index_digest(&self) -> u64 {
         storage::index_digest(&self.index)
-    }
-
-    /// Persists what this engine owns: the engine snapshot ([`Self::save`])
-    /// when it holds every shard; when it holds one, that shard's
-    /// self-contained `RTKSHRD1` section (every backend already has the
-    /// graph) — loadable by [`rtk_index::storage::load_shard`],
-    /// re-assembled under a manifest by [`rtk_index::storage::stitch`].
-    pub fn save_owned<W: Write>(&self, writer: W) -> Result<(), EngineError> {
-        match self.index.owned_shard() {
-            None => self.save(writer),
-            Some(_) => Ok(storage::save_shard(
-                &self.index.shards()[0],
-                self.node_count(),
-                self.index.max_k(),
-                writer,
-            )?),
-        }
     }
 
     /// The default query options used by [`Self::query`].
@@ -430,54 +414,31 @@ impl ReverseTopkEngine {
         RwrParams::with_alpha(self.index.config().alpha()).with_threads(self.options.query_threads)
     }
 
-    /// Persists graph + index into one stream. Each section is length-
-    /// prefixed so the (buffered) section decoders cannot over-read. Needs
-    /// an index holding every shard (a one-shard engine's unit of
-    /// persistence is its section — see [`Self::save_owned`]).
-    pub fn save<W: Write>(&self, mut writer: W) -> Result<(), EngineError> {
-        let io_err = EngineError::from_io;
-        writer.write_all(ENGINE_MAGIC).map_err(io_err)?;
-
-        let mut graph_bytes = Vec::new();
-        rtk_graph::io::write_binary(&self.graph, &mut graph_bytes)?;
-        writer.write_all(&(graph_bytes.len() as u64).to_le_bytes()).map_err(io_err)?;
-        writer.write_all(&graph_bytes).map_err(io_err)?;
-
-        let mut index_bytes = Vec::new();
-        storage::save(&self.index, &mut index_bytes)?;
-        writer.write_all(&(index_bytes.len() as u64).to_le_bytes()).map_err(io_err)?;
-        writer.write_all(&index_bytes).map_err(io_err)?;
-        Ok(())
+    /// Persists the engine as one snapshot ([`rtk_index::storage::save`]):
+    /// the graph, `P_H`, the shard map and every shard the index holds —
+    /// all of them for a whole engine, its own section for a one-shard one
+    /// (a backend's `persist`, re-assembled by
+    /// [`rtk_index::storage::stitch`]).
+    pub fn save<W: Write>(&self, writer: W) -> Result<(), EngineError> {
+        Ok(storage::save(&self.graph, &self.index, writer)?)
     }
 
-    /// Loads an engine persisted by [`Self::save`].
-    pub fn load<R: Read>(mut reader: R) -> Result<Self, EngineError> {
-        let io_err = EngineError::from_io;
-        let mut magic = [0u8; 8];
-        reader.read_exact(&mut magic).map_err(io_err)?;
-        if &magic != ENGINE_MAGIC {
-            return Err(EngineError::Graph(rtk_graph::GraphError::Parse {
-                line: 0,
-                message: "not an engine snapshot (bad magic)".into(),
-            }));
-        }
-        let graph_bytes = read_section(&mut reader)?;
-        let graph = rtk_graph::io::read_binary(graph_bytes.as_slice())?;
-        let index_bytes = read_section(&mut reader)?;
-        let index = storage::load(index_bytes.as_slice())?;
+    /// Loads an engine persisted by [`Self::save`]: whole or one shard,
+    /// whatever the snapshot holds.
+    pub fn load<R: Read>(reader: R) -> Result<Self, EngineError> {
+        let (graph, index) = storage::load(reader)?;
         Self::from_parts(graph, index)
     }
 
-    /// Persists to a file path.
+    /// Persists to a file path (see [`Self::save`]).
     pub fn save_path<P: AsRef<Path>>(&self, path: P) -> Result<(), EngineError> {
-        let file = std::fs::File::create(path).map_err(rtk_graph::GraphError::Io)?;
-        self.save(file)
+        Ok(storage::save_path(&self.graph, &self.index, path)?)
     }
 
-    /// Loads from a file path.
+    /// Loads from a file path (see [`Self::load`]).
     pub fn load_path<P: AsRef<Path>>(path: P) -> Result<Self, EngineError> {
-        let file = std::fs::File::open(path).map_err(rtk_graph::GraphError::Io)?;
-        Self::load(file)
+        let (graph, index) = storage::load_path(path)?;
+        Self::from_parts(graph, index)
     }
 
     /// Forward top-k input check: `rtk-query` asserts `k ≥ 1`, and a `k`
@@ -500,39 +461,6 @@ impl ReverseTopkEngine {
             }));
         }
         Ok(())
-    }
-}
-
-/// Magic tag of the engine snapshot container.
-const ENGINE_MAGIC: &[u8; 8] = b"RTKENGN1";
-
-/// Up-front buffer reservation for one snapshot section: sections up to this
-/// size load with no reallocation, and a declared length beyond it reserves
-/// only this much before the bytes actually arrive.
-const SECTION_PREALLOC_BYTES: u64 = 1 << 26;
-
-/// Reads one `u64`-length-prefixed section. Past
-/// [`SECTION_PREALLOC_BYTES`] the buffer grows with the bytes that actually
-/// arrive, so a header declaring a huge section costs an error, never an
-/// allocation of the declared size.
-fn read_section<R: Read>(reader: &mut R) -> Result<Vec<u8>, EngineError> {
-    let mut len_bytes = [0u8; 8];
-    reader.read_exact(&mut len_bytes).map_err(EngineError::from_io)?;
-    let len = u64::from_le_bytes(len_bytes);
-    let mut bytes = Vec::with_capacity(len.min(SECTION_PREALLOC_BYTES) as usize);
-    reader.take(len).read_to_end(&mut bytes).map_err(EngineError::from_io)?;
-    if (bytes.len() as u64) < len {
-        return Err(EngineError::Graph(rtk_graph::GraphError::Parse {
-            line: 0,
-            message: format!("engine snapshot section truncated ({} of {len} bytes)", bytes.len()),
-        }));
-    }
-    Ok(bytes)
-}
-
-impl EngineError {
-    fn from_io(e: std::io::Error) -> Self {
-        EngineError::Graph(rtk_graph::GraphError::Io(e))
     }
 }
 
@@ -835,30 +763,22 @@ mod tests {
 
     #[test]
     fn load_rejects_sections_longer_than_the_stream() {
-        // A 16-byte header declaring a huge graph section, with no body.
-        for len in [1u64 << 39, 1 << 40] {
-            let mut bytes = ENGINE_MAGIC.to_vec();
+        // A v2 manifest header and a graph section declared huge, with no
+        // body: an error naming the section, never an allocation of it.
+        for len in [1u64 << 32, 1 << 39, 1 << 40, 1 << 63] {
+            let mut bytes = storage::MANIFEST_MAGIC.to_vec();
+            bytes.extend_from_slice(&storage::MANIFEST_VERSION.to_le_bytes());
             bytes.extend_from_slice(&len.to_le_bytes());
             let err = ReverseTopkEngine::load(bytes.as_slice()).err().expect("must not load");
-            assert!(err.to_string().contains("truncated"), "len {len}: {err}");
+            assert!(err.to_string().contains("graph section"), "len {len}: {err}");
         }
-        // A real snapshot cut inside its graph section.
-        let mut full = Vec::new();
-        toy_engine().save(&mut full).unwrap();
-        let graph_len = u64::from_le_bytes(full[8..16].try_into().unwrap()) as usize;
-        let cut = &full[..16 + graph_len / 2];
-        let err = ReverseTopkEngine::load(cut).err().expect("must not load");
-        assert!(err.to_string().contains("truncated"), "{err}");
     }
 
     #[test]
     fn from_parts_rejects_mismatch() {
         let engine = toy_engine();
-        let mut buf = Vec::new();
-        rtk_index::storage::save(engine.index(), &mut buf).unwrap();
-        let index = rtk_index::storage::load(std::io::Cursor::new(buf)).unwrap();
         let small = GraphBuilder::from_edges(2, &[(0, 1), (1, 0)], DanglingPolicy::Error).unwrap();
-        assert!(ReverseTopkEngine::from_parts(small, index).is_err());
+        assert!(ReverseTopkEngine::from_parts(small, engine.index().clone()).is_err());
     }
 
     #[test]

@@ -151,13 +151,13 @@ mod shard_engine {
             let sharded = sharded_engine(2);
             let backend = backend(&sharded, 0);
             let mut buf = Vec::new();
-            backend.save_owned(&mut buf).unwrap();
-            let back =
-                storage::load_shard(std::io::Cursor::new(buf), sharded.index().hub_matrix(), 6, 3)
-                    .unwrap();
-            assert_eq!(back.states(), sharded.index().shards()[0].states());
-            // An engine snapshot needs every shard.
-            assert!(backend.save(Vec::new()).is_err());
+            backend.save(&mut buf).unwrap();
+            // A one-shard snapshot loads back as the one-shard engine, and
+            // holds shard 0 only.
+            let back = ReverseTopkEngine::load(buf.as_slice()).unwrap();
+            assert_eq!(back.index().owned_shard(), Some(0));
+            assert_eq!(back.index().shards()[0].states(), sharded.index().shards()[0].states());
+            assert!(storage::load_one_shard(buf.as_slice(), 1).is_err());
         }
 
         #[test]

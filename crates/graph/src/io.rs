@@ -126,9 +126,11 @@ pub fn write_binary<W: Write>(graph: &DiGraph, writer: W) -> Result<(), GraphErr
     Ok(())
 }
 
-/// Reads a graph written by [`write_binary`].
-pub fn read_binary<R: Read>(reader: R) -> Result<DiGraph, GraphError> {
-    let mut r = BufReader::new(reader);
+/// Reads a graph written by [`write_binary`] straight from `reader`, and
+/// not one byte past it, so a graph can sit inside a longer stream (the
+/// graph section of an index snapshot). Buffer an unbuffered source first,
+/// as [`read_binary_path`] does.
+pub fn read_binary<R: Read>(mut r: R) -> Result<DiGraph, GraphError> {
     codec::read_header(&mut r, GRAPH_MAGIC, GRAPH_VERSION)?;
     // Bound both counts before the builder allocates: a corrupt header must
     // fail fast instead of reserving billions of adjacency slots.
@@ -167,7 +169,7 @@ pub fn write_binary_path<P: AsRef<Path>>(graph: &DiGraph, path: P) -> Result<(),
 
 /// Reads the binary format from a file path.
 pub fn read_binary_path<P: AsRef<Path>>(path: P) -> Result<DiGraph, GraphError> {
-    read_binary(std::fs::File::open(path)?)
+    read_binary(BufReader::new(std::fs::File::open(path)?))
 }
 
 #[cfg(test)]

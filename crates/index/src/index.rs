@@ -107,6 +107,11 @@ impl ReverseIndex {
         })
     }
 
+    /// Consumes the index, returning its held shards (stitching).
+    pub(crate) fn into_shards(self) -> Vec<IndexShard> {
+        self.shards
+    }
+
     /// The configuration the index was built with.
     pub fn config(&self) -> &IndexConfig {
         &self.config

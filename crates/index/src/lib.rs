@@ -26,13 +26,14 @@
 //!   `S` contiguous node-range shards ([`IndexConfig::shards`]), each
 //!   individually serializable and independently scannable by the query
 //!   layer. Shard count never changes answers, only wall time and layout;
-//! * [`storage`] — versioned binary persistence: one shard manifest format
-//!   (one self-contained section per shard) for every shard count.
-//!   A [`ReverseIndex`] holds every shard's states or exactly one
-//!   ([`ReverseIndex::one_shard`]): [`storage::load_one_shard`] reads the
-//!   shared hub matrix and shard map plus *one* shard section — the loading
-//!   unit of multi-process serving, where each backend process owns one
-//!   shard;
+//! * [`storage`] — versioned binary persistence: one snapshot format, the
+//!   shard manifest, holding the graph and the index — every shard's
+//!   section, or one (a backend's `persist`; [`storage::stitch`]
+//!   re-assembles those). A [`ReverseIndex`] holds every shard's states or
+//!   exactly one ([`ReverseIndex::one_shard`]): [`storage::load_one_shard`]
+//!   reads the graph, the shared hub matrix and shard map plus *one* shard
+//!   section — the loading unit of multi-process serving, where each
+//!   backend process owns one shard;
 //! * [`update`] — incremental edge updates: which entries an edit can
 //!   change, which stored runs it may keep, and [`digest`] — the index
 //!   digest replicas are compared by, folded from per-record hashes cached

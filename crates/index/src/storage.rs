@@ -1,5 +1,5 @@
-//! Versioned binary persistence of the index: one layout, the shard
-//! manifest (magic `RTKMANI1`), for every shard count.
+//! Versioned binary persistence: one file, the snapshot manifest (magic
+//! `RTKMANI1`, version 2), for every engine — whole or one shard.
 //!
 //! The paper's index is explicitly designed to be kept and *updated* across
 //! query sessions; persistence makes that durable. Little-endian, see
@@ -7,6 +7,7 @@
 //!
 //! ```text
 //! header: magic "RTKMANI1", u32 version
+//! u64 graph_bytes, then the graph as an `RTKGRPH1` body (rtk_graph::io)
 //! u64 node_count, u64 max_k, u64 shard_count
 //! bca: f64 alpha, f64 eta, f64 delta, u32 max_iterations
 //! f64 rounding_threshold
@@ -14,7 +15,8 @@
 //! hubs: u32seq ids, then per hub one record: sparse column (values > 0),
 //!       f64 deficit;
 //!       after the last hub one u64: unrounded nnz summed over all hubs
-//! per shard: u64 section_bytes, then a self-contained shard blob:
+//! per shard: u64 section_bytes (0 = the file does not hold this shard),
+//!     then a self-contained shard section:
 //!     header: magic "RTKSHRD1", u32 version
 //!     u64 shard_id, u64 node_lo, u64 shard_len, u64 node_count, u64 max_k
 //!     per node of the shard's range one record: u32 source,
@@ -23,23 +25,24 @@
 //! stats: timings, counters (see code)
 //! ```
 //!
-//! Shard blobs are individually writable/readable ([`save_shard`] /
-//! [`load_shard`]) — the unit of per-shard persistence and of the offline
-//! `rtk shard split` re-partitioning. Every sequence decode is bounded by
-//! stream-derived sizes (node count, `max_k`, section byte counts) *before*
-//! allocating. [`load_one_shard`] reads the same bytes through the same
-//! checks but decodes a single shard's section and skips the rest — the
-//! start-up load of a multi-process backend, whose footprint is one shard,
-//! not the index. A file with any other magic is refused with
-//! [`DecodeError::BadMagic`]; there is no importer for older layouts —
-//! rebuild with `rtk index build`.
+//! [`save`] writes every shard section the index holds (one, for a backend's
+//! `persist`); [`load`] returns what the file holds, [`load_one_shard`] one
+//! shard of it — a backend's start-up load, whose footprint is one shard —
+//! and [`stitch`] re-assembles one-shard files. Sections are written behind
+//! a counting pre-pass and decoded straight from the one reader, bounded by
+//! their lengths: none is buffered whole, runs into the next, or leaves
+//! bytes unread. Every sequence decode is bounded by stream-derived sizes
+//! (node count, `max_k`, section byte counts) *before* allocating. Any other
+//! magic or version is refused — rebuild with `rtk index build`.
 //!
 //! **Index digest.** [`index_digest`] hashes the stream an index persists
-//! as — [`save`]'s for an index holding every shard, [`save_shard`]'s for a
-//! one-shard index — with each hub record and each node record replaced by
-//! the 8 little-endian bytes of its own [`crate::fnv1a64`] (and each section length
-//! counting the folded section). The per-record hashes are cached beside the
-//! records, so the digest costs one short pass, not a serialization.
+//! as, less the graph section — the manifest for an index holding every
+//! shard, the `RTKSHRD1` section for a one-shard index — with each hub
+//! record and each node record replaced by the 8 little-endian bytes of its
+//! own [`crate::fnv1a64`] (and each section length counting the folded
+//! section). The per-record hashes are cached beside the records, so the
+//! digest costs one short pass, not a serialization; hashing the graph
+//! would cost every edge update an `O(|E|)` pass.
 //!
 //! The hub-selection policy and hub-vector solver are *not* round-tripped —
 //! they only matter during construction; a loaded index refines and queries
@@ -53,37 +56,44 @@ use crate::index::ReverseIndex;
 use crate::node_state::NodeState;
 use crate::shard::{IndexShard, ShardMap};
 use crate::stats::IndexStats;
+use rtk_graph::DiGraph;
 use rtk_rwr::bca::BcaSnapshot;
 use rtk_rwr::{BcaParams, HubSet, RwrParams};
 use rtk_sparse::codec::{self, DecodeError};
 use rtk_sparse::DescendingTopK;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-/// Magic tag of the index snapshot (the shard manifest).
+/// Magic tag of the snapshot (the manifest).
 pub const MANIFEST_MAGIC: &[u8; 8] = b"RTKMANI1";
-/// Current manifest format version.
-pub const MANIFEST_VERSION: u32 = 1;
+/// Current manifest format version; older versions are refused.
+pub const MANIFEST_VERSION: u32 = 2;
 /// Magic tag of one serialized shard section.
 pub const SHARD_MAGIC: &[u8; 8] = b"RTKSHRD1";
 /// Current shard section version.
 pub const SHARD_VERSION: u32 = 1;
 
-/// Sanity cap on one serialized shard section (1 TiB): rejects corrupt
-/// section lengths before any section decode begins.
-const MAX_SHARD_SECTION_BYTES: u64 = 1 << 40;
+/// Sanity cap on one serialized section (1 TiB): rejects corrupt section
+/// lengths before the section's decode begins.
+const MAX_SECTION_BYTES: u64 = 1 << 40;
+
+/// What a snapshot holds: the graph and the index (every shard, or one).
+pub type Snapshot = (DiGraph, ReverseIndex);
 
 fn corrupt(msg: String) -> IndexError {
     IndexError::Decode(DecodeError::Corrupt(msg))
 }
 
-/// Serializes `index` to `writer` as a shard manifest, whatever its shard
-/// count.
-///
-/// Only an index holding every shard has a snapshot; a one-shard index
-/// persists its section with [`save_shard`].
-pub fn save<W: Write>(index: &ReverseIndex, writer: W) -> Result<(), IndexError> {
-    write_manifest(index, writer, Records::Encoded)
+/// Serializes `graph` and `index` to `writer` as one manifest holding every
+/// shard section `index` holds.
+pub fn save<W: Write>(graph: &DiGraph, index: &ReverseIndex, writer: W) -> Result<(), IndexError> {
+    if graph.node_count() != index.node_count() {
+        return Err(IndexError::GraphMismatch {
+            index_nodes: index.node_count(),
+            graph_nodes: graph.node_count(),
+        });
+    }
+    write_manifest(Some(graph), index, writer, Records::Encoded)
 }
 
 /// How the writers below emit hub-column and node-state records.
@@ -99,10 +109,10 @@ enum Records {
 
 /// A stable digest (FNV-1a 64) of what `index` persists as (see the module
 /// docs): two indexes holding the same shards have equal digests exactly
-/// when their persisted bytes are equal, up to hash collisions. Record
-/// hashes are cached, so after an update this re-hashes what the update
-/// recomputed and otherwise folds 8 bytes per record. Comparable between
-/// processes of the same build only — the fold is not a wire format.
+/// when their persisted index bytes are equal, up to hash collisions.
+/// Record hashes are cached, so after an update this re-hashes what the
+/// update recomputed and otherwise folds 8 bytes per record. Comparable
+/// between processes of the same build only — the fold is not a wire format.
 pub fn index_digest(index: &ReverseIndex) -> u64 {
     fold_digest(index, Records::Digested { cached: true })
 }
@@ -116,7 +126,7 @@ pub fn index_digest_cold(index: &ReverseIndex) -> u64 {
 fn fold_digest(index: &ReverseIndex, records: Records) -> u64 {
     let mut hasher = Fnv1a64::default();
     match index.owned_shard() {
-        None => write_manifest(index, &mut hasher, records),
+        None => write_manifest(None, index, &mut hasher, records),
         Some(_) => {
             write_shard(&index.shards()[0], index.node_count(), index.max_k(), &mut hasher, records)
         }
@@ -125,25 +135,103 @@ fn fold_digest(index: &ReverseIndex, records: Records) -> u64 {
     hasher.finish()
 }
 
-/// Deserializes an index written by [`save`], holding every shard.
-pub fn load<R: Read>(reader: R) -> Result<ReverseIndex, IndexError> {
+/// Deserializes a snapshot written by [`save`]: the graph and an index
+/// holding what the file holds — every shard, or the one a backend wrote.
+pub fn load<R: Read>(reader: R) -> Result<Snapshot, IndexError> {
     load_owning(reader, None)
 }
 
-/// Loads the index holding only shard `shard_id` (plus the shared hub matrix
-/// and shard map) from a snapshot written by [`save`], skipping every other
-/// shard's section by its length prefix — the memory footprint is one
-/// shard, not the whole index. Every check [`load`] applies to the manifest
-/// applies here too.
-pub fn load_one_shard<R: Read>(reader: R, shard_id: usize) -> Result<ReverseIndex, IndexError> {
+/// Loads the graph and the index holding only shard `shard_id` (plus the
+/// shared hub matrix and shard map), skipping every other shard's section
+/// by its length prefix — the memory footprint is one shard, not the whole
+/// index. Every check [`load`] applies to the manifest applies here too.
+pub fn load_one_shard<R: Read>(reader: R, shard_id: usize) -> Result<Snapshot, IndexError> {
     load_owning(reader, Some(shard_id))
 }
 
-/// The one snapshot reader: `only` picks the shard to hold (`None` = all).
-fn load_owning<R: Read>(reader: R, only: Option<usize>) -> Result<ReverseIndex, IndexError> {
+/// The one snapshot reader: `only` picks the shard to hold (`None` = what
+/// the file holds).
+fn load_owning<R: Read>(reader: R, only: Option<usize>) -> Result<Snapshot, IndexError> {
     let mut r = BufReader::new(reader);
-    codec::read_header(&mut r, MANIFEST_MAGIC, MANIFEST_VERSION)?;
-    load_manifest_body(&mut r, only)
+    let version = codec::read_header(&mut r, MANIFEST_MAGIC, MANIFEST_VERSION)?;
+    if version != MANIFEST_VERSION {
+        // Version 1 carried no graph section; there is no importer.
+        return Err(DecodeError::UnsupportedVersion {
+            found: version,
+            supported: MANIFEST_VERSION,
+        }
+        .into());
+    }
+    let graph_bytes = codec::read_u64(&mut r).map_err(DecodeError::Io)?;
+    let graph = decode_section(&mut r, graph_bytes, "graph section", |s| {
+        rtk_graph::io::read_binary(s).map_err(|e| match e {
+            rtk_graph::GraphError::Decode(e) => e.into(),
+            e => corrupt(e.to_string()),
+        })
+    })?;
+    let index = load_manifest_body(&mut r, only)?;
+    let (gn, n) = (graph.node_count(), index.node_count());
+    if gn != n {
+        return Err(corrupt(format!("graph section has {gn} nodes, the index {n}")));
+    }
+    Ok((graph, index))
+}
+
+/// Decodes one section of `len` bytes straight from the manifest's reader,
+/// through a [`Section`] bound so the decoder cannot consume the next
+/// section; bytes it leaves unread are corruption. Every failure names the
+/// section.
+fn decode_section<R: BufRead, T>(
+    r: &mut R,
+    len: u64,
+    what: &str,
+    decode: impl FnOnce(&mut Section<'_, R>) -> Result<T, IndexError>,
+) -> Result<T, IndexError> {
+    if len > MAX_SECTION_BYTES {
+        return Err(corrupt(format!("{what}: a section of {len} bytes is implausible")));
+    }
+    let mut section = Section { inner: r, left: len };
+    let value = decode(&mut section).map_err(|e| match e {
+        IndexError::Decode(DecodeError::Corrupt(m)) => corrupt(format!("{what}: {m}")),
+        IndexError::Decode(e) => corrupt(format!("{what}: {e}")),
+        e => corrupt(format!("{what}: {e}")),
+    })?;
+    if section.left != 0 {
+        return Err(corrupt(format!("{what}: {} trailing bytes after its payload", section.left)));
+    }
+    Ok(value)
+}
+
+/// The next `left` bytes of `inner` — `io::Take` whose `read_exact` copies
+/// straight out of the manifest reader's buffer: a decode is many small
+/// fixed-width reads, and `Take`'s read loop made loads a third slower.
+struct Section<'r, R> {
+    inner: &'r mut R,
+    left: u64,
+}
+
+impl<R: BufRead> Read for Section<'_, R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let max = buf.len().min(usize::try_from(self.left).unwrap_or(usize::MAX));
+        let n = self.inner.read(&mut buf[..max])?;
+        self.left -= n as u64;
+        Ok(n)
+    }
+
+    fn read_exact(&mut self, buf: &mut [u8]) -> std::io::Result<()> {
+        if buf.len() as u64 > self.left {
+            return Err(std::io::ErrorKind::UnexpectedEof.into());
+        }
+        match self.inner.fill_buf()? {
+            buffered if buffered.len() >= buf.len() => {
+                buf.copy_from_slice(&buffered[..buf.len()]);
+                self.inner.consume(buf.len());
+            }
+            _ => self.inner.read_exact(buf)?,
+        }
+        self.left -= buf.len() as u64;
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -399,17 +487,6 @@ fn loaded_config(
 // Shard sections and the manifest
 // ---------------------------------------------------------------------------
 
-/// Serializes one shard as a self-contained section. `node_count` and
-/// `max_k` describe the whole index (decode bounds for the section).
-pub fn save_shard<W: Write>(
-    shard: &IndexShard,
-    node_count: usize,
-    max_k: usize,
-    writer: W,
-) -> Result<(), IndexError> {
-    write_shard(shard, node_count, max_k, writer, Records::Encoded)
-}
-
 fn write_shard<W: Write>(
     shard: &IndexShard,
     node_count: usize,
@@ -436,27 +513,25 @@ fn write_shard<W: Write>(
     Ok(())
 }
 
-/// Deserializes a shard section written by [`save_shard`]. `hub_matrix`,
-/// `node_count`, and `max_k` must come from the owning manifest (or, for a
-/// standalone shard file, from the index it belongs to); the section's own
-/// header is validated against them.
-pub fn load_shard<R: Read>(
-    reader: R,
+/// Decodes a shard section written by [`write_shard`]. `hub_matrix`,
+/// `node_count`, and `max_k` come from the owning manifest; the section's
+/// own header is validated against them.
+fn read_shard<R: Read>(
+    r: &mut R,
     hub_matrix: &HubMatrix,
     node_count: usize,
     max_k: usize,
 ) -> Result<IndexShard, IndexError> {
-    let mut r = BufReader::new(reader);
-    codec::read_header(&mut r, SHARD_MAGIC, SHARD_VERSION)?;
-    let id = codec::read_u64(&mut r).map_err(DecodeError::Io)? as usize;
-    let node_lo = codec::read_u64(&mut r).map_err(DecodeError::Io)?;
+    codec::read_header(r, SHARD_MAGIC, SHARD_VERSION)?;
+    let id = codec::read_u64(r).map_err(DecodeError::Io)? as usize;
+    let node_lo = codec::read_u64(r).map_err(DecodeError::Io)?;
     let len = codec::check_len(
-        codec::read_u64(&mut r).map_err(DecodeError::Io)?,
+        codec::read_u64(r).map_err(DecodeError::Io)?,
         node_count as u64,
         "shard length",
     )?;
-    let claimed_n = codec::read_u64(&mut r).map_err(DecodeError::Io)? as usize;
-    let claimed_k = codec::read_u64(&mut r).map_err(DecodeError::Io)? as usize;
+    let claimed_n = codec::read_u64(r).map_err(DecodeError::Io)? as usize;
+    let claimed_k = codec::read_u64(r).map_err(DecodeError::Io)? as usize;
     if claimed_n != node_count || claimed_k != max_k {
         return Err(corrupt(format!(
             "shard {id} claims n={claimed_n}, K={claimed_k}; manifest says n={node_count}, K={max_k}"
@@ -470,47 +545,60 @@ pub fn load_shard<R: Read>(
     }
     let mut states = Vec::with_capacity(len.min(1 << 20));
     for u in node_lo as u32..(node_lo as usize + len) as u32 {
-        states.push(read_node_state(&mut r, u, node_count, max_k, hub_matrix)?);
+        states.push(read_node_state(r, u, node_count, max_k, hub_matrix)?);
     }
     Ok(IndexShard::new(id, node_lo as u32, states))
 }
 
+/// Writes the manifest: with `graph`, the snapshot [`save`] persists;
+/// without, the stream [`index_digest`] folds.
 fn write_manifest<W: Write>(
+    graph: Option<&DiGraph>,
     index: &ReverseIndex,
     writer: W,
     records: Records,
 ) -> Result<(), IndexError> {
-    // Whole-index snapshots need every shard's states.
-    if let Some(i) = index.owned_shard() {
-        return Err(IndexError::InvalidConfig(format!(
-            "this index holds only shard {i} (nodes {:?}); persist its section with save_shard",
-            index.owned_range()
-        )));
-    }
+    let (n, max_k) = (index.node_count(), index.max_k());
     let mut w = BufWriter::new(writer);
     codec::write_header(&mut w, MANIFEST_MAGIC, MANIFEST_VERSION)?;
-    codec::write_u64(&mut w, index.node_count() as u64)?;
-    codec::write_u64(&mut w, index.max_k() as u64)?;
+    if let Some(graph) = graph {
+        write_section(&mut w, |s| match rtk_graph::io::write_binary(graph, s) {
+            Err(rtk_graph::GraphError::Io(e)) => Err(IndexError::Io(e)),
+            other => other.map_err(|e| IndexError::InvalidConfig(e.to_string())),
+        })?;
+    }
+    codec::write_u64(&mut w, n as u64)?;
+    codec::write_u64(&mut w, max_k as u64)?;
     codec::write_u64(&mut w, index.shard_count() as u64)?;
     write_bca_and_rounding(&mut w, &index.config().bca, index.config().rounding_threshold)?;
     codec::write_u32_seq(&mut w, index.shard_map().starts())?;
     write_hub_matrix(&mut w, index.hub_matrix(), records)?;
-    for shard in index.shards() {
-        // Two-pass section write: a counting pre-pass computes the length
-        // prefix so the section never has to be buffered in memory (a
-        // single shard of a large index can be gigabytes).
-        let mut counter = CountingWriter::default();
-        write_shard(shard, index.node_count(), index.max_k(), &mut counter, records)?;
-        codec::write_u64(&mut w, counter.bytes)?;
-        write_shard(shard, index.node_count(), index.max_k(), &mut w, records)?;
+    for i in 0..index.shard_count() {
+        match index.shards().iter().find(|s| s.id() == i) {
+            Some(shard) => write_section(&mut w, |s| write_shard(shard, n, max_k, s, records))?,
+            None => codec::write_u64(&mut w, 0)?,
+        }
     }
     write_stats(&mut w, index.stats())?;
     w.flush()?;
     Ok(())
 }
 
+/// Writes one `u64`-length-prefixed section. A counting pre-pass computes
+/// the prefix, so the section is never buffered in memory (a graph, or a
+/// single shard of a large index, can be gigabytes).
+fn write_section<W: Write>(
+    w: &mut W,
+    mut body: impl FnMut(&mut dyn Write) -> Result<(), IndexError>,
+) -> Result<(), IndexError> {
+    let mut counter = CountingWriter::default();
+    body(&mut counter)?;
+    codec::write_u64(w, counter.bytes)?;
+    body(w)
+}
+
 /// An `io::Write` sink that only counts bytes — the section-length pre-pass
-/// of `write_manifest`.
+/// of `write_section`.
 #[derive(Default)]
 struct CountingWriter {
     bytes: u64,
@@ -527,10 +615,14 @@ impl Write for CountingWriter {
     }
 }
 
-/// Reads a manifest body, decoding the section of every shard (`only =
-/// None`) or of shard `only` alone — the others are skipped by their length
-/// prefixes, never materialized. Both paths run the same checks.
-fn load_manifest_body<R: Read>(r: &mut R, only: Option<usize>) -> Result<ReverseIndex, IndexError> {
+/// Reads the manifest after its graph section, decoding the section of
+/// every shard the file holds (`only = None`) or of shard `only` alone —
+/// the others are skipped by their length prefixes, never materialized.
+/// Both paths run the same checks.
+fn load_manifest_body<R: BufRead>(
+    r: &mut R,
+    only: Option<usize>,
+) -> Result<ReverseIndex, IndexError> {
     let n = codec::check_len(
         codec::read_u64(r).map_err(DecodeError::Io)?,
         codec::MAX_SEQ_LEN,
@@ -571,32 +663,20 @@ fn load_manifest_body<R: Read>(r: &mut R, only: Option<usize>) -> Result<Reverse
     let mut shards = Vec::with_capacity(if only.is_some() { 1 } else { shard_count });
     for i in 0..shard_count {
         let section_bytes = codec::read_u64(r).map_err(DecodeError::Io)?;
-        if section_bytes > MAX_SHARD_SECTION_BYTES {
-            return Err(corrupt(format!(
-                "shard {i}: section of {section_bytes} bytes is implausible"
-            )));
+        if section_bytes == 0 {
+            continue; // not held by this file
         }
-        // Sections are read through a take-bounded view, so a shard blob
-        // lying about its length cannot consume the next section.
-        let mut section = r.take(section_bytes);
+        let what = format!("shard {i}");
         if only.is_some_and(|wanted| wanted != i) {
             // Skip the section without decoding (or materializing) it.
-            let copied =
-                std::io::copy(&mut section, &mut std::io::sink()).map_err(DecodeError::Io)?;
-            if copied != section_bytes {
-                return Err(corrupt(format!(
-                    "shard {i}: section truncated ({copied} of {section_bytes} bytes)"
-                )));
-            }
+            decode_section(r, section_bytes, &what, |s| {
+                std::io::copy(s, &mut std::io::sink())?;
+                Ok(())
+            })?;
             continue;
         }
-        let shard = load_shard(&mut section, &hub_matrix, n, max_k)?;
-        if section.limit() != 0 {
-            return Err(corrupt(format!(
-                "shard {i}: {} trailing bytes after shard payload",
-                section.limit()
-            )));
-        }
+        let shard =
+            decode_section(r, section_bytes, &what, |s| read_shard(s, &hub_matrix, n, max_k))?;
         let expected = shard_map.range(i);
         if shard.id() != i || shard.range() != expected {
             return Err(corrupt(format!(
@@ -607,6 +687,18 @@ fn load_manifest_body<R: Read>(r: &mut R, only: Option<usize>) -> Result<Reverse
         }
         shards.push(shard);
     }
+    let owned = match (only, shards.len()) {
+        (Some(wanted), 0) => {
+            return Err(corrupt(format!("shard {wanted}: section not held by this file")))
+        }
+        (None, held) if held == shard_count => None,
+        (None, 1) | (Some(_), _) => Some(shards[0].id()),
+        (None, held) => {
+            return Err(corrupt(format!(
+                "holds {held} of {shard_count} shard sections; a snapshot holds every shard or one"
+            )))
+        }
+    };
 
     let state_refs: Vec<&NodeState> = shards.iter().flat_map(|s| s.states().iter()).collect();
     let stats = read_stats(r, &state_refs, &hub_matrix, n)?;
@@ -614,86 +706,72 @@ fn load_manifest_body<R: Read>(r: &mut R, only: Option<usize>) -> Result<Reverse
 
     let config =
         loaded_config(max_k, bca, &hub_matrix, rounding_threshold, stats.threads, shard_count);
-    Ok(ReverseIndex::from_shards(config, hub_matrix, shards, shard_map, only, stats))
+    Ok(ReverseIndex::from_shards(config, hub_matrix, shards, shard_map, owned, stats))
 }
 
 // ---------------------------------------------------------------------------
 // Offline stitching of per-shard persist outputs
 // ---------------------------------------------------------------------------
 
-/// Re-assembles a full index from standalone shard sections (`RTKSHRD1`) —
-/// the files a router-tier `persist` fans out as `<path>.shard<i>`, one per
-/// backend. The sections carry only node states; everything shared — the
-/// hub matrix, BCA parameters, rounding threshold, build-stats scalars —
-/// comes from `donor`, the snapshot the backends were originally loaded
-/// from. Sections may arrive in any order; after sorting by node range they
-/// must tile `0..n` exactly (no gap, no overlap, no duplicate range), and
-/// each shard's id is its position in the re-assembled map regardless of
-/// the id the writing backend used.
-///
-/// Because refinement only tightens state, the stitched index is the
-/// donor's partition with each shard's states replaced by whatever its
-/// backend had refined them to by persist time.
-pub fn stitch<R: Read>(donor: &ReverseIndex, sections: Vec<R>) -> Result<ReverseIndex, IndexError> {
-    let n = donor.node_count();
-    let max_k = donor.max_k();
-    let hub_matrix = donor.hub_matrix().clone();
-    let mut shards = Vec::with_capacity(sections.len());
-    for section in sections {
-        shards.push(load_shard(section, &hub_matrix, n, max_k)?);
-    }
-    shards.sort_by_key(IndexShard::node_lo);
-    let starts: Vec<u32> = shards.iter().map(IndexShard::node_lo).collect();
-    let shard_map = ShardMap::from_starts(n, starts).map_err(|e| match e {
-        IndexError::InvalidConfig(m) => corrupt(format!("stitch: {m}")),
-        other => other,
-    })?;
-    for (i, shard) in shards.iter().enumerate() {
-        if shard.range() != shard_map.range(i) {
+/// Re-assembles one snapshot holding every shard from snapshots holding
+/// some — the files a router-tier `persist` fans out as `<path>.shard<i>`,
+/// one per backend, each with the backend's graph, `P_H` and own section.
+/// The inputs must agree on the graph, `P_H`, the configuration and the
+/// shard map: backends that applied the same edge updates hold the same
+/// graph and hub matrix, so the stitched snapshot answers like the live
+/// tier. Together they must hold every shard exactly once, in any order.
+pub fn stitch<R: Read>(inputs: Vec<R>) -> Result<Snapshot, IndexError> {
+    let mut snapshots = inputs.into_iter().map(load);
+    let (graph, first) = snapshots
+        .next()
+        .ok_or_else(|| IndexError::InvalidConfig("stitch: no snapshots to stitch".into()))??;
+    let (config, hub_matrix) = (first.config().clone(), first.hub_matrix().clone());
+    let (shard_map, stats) = (first.shard_map().clone(), *first.stats());
+    let mut held: Vec<Option<IndexShard>> = vec![None; shard_map.shard_count()];
+    let mut place = |index: ReverseIndex| {
+        for shard in index.into_shards() {
+            let i = shard.id();
+            if held[i].replace(shard).is_some() {
+                return Err(corrupt(format!("stitch: shard {i} is held by two inputs")));
+            }
+        }
+        Ok(())
+    };
+    place(first)?;
+    for (j, snapshot) in snapshots.enumerate() {
+        let (other_graph, index) = snapshot?;
+        if other_graph != graph
+            || index.hub_matrix() != &hub_matrix
+            || index.config() != &config
+            || index.shard_map() != &shard_map
+        {
             return Err(corrupt(format!(
-                "stitch: sections do not tile 0..{n}: section covering {:?} where \
-                 {:?} was expected (gap or overlap)",
-                shard.range(),
-                shard_map.range(i)
+                "stitch: input {} disagrees with input 0 on the graph, P_H or the index layout",
+                j + 1
             )));
         }
+        place(index)?;
     }
-    let shards: Vec<IndexShard> = shards
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let lo = s.node_lo();
-            IndexShard::new(i, lo, s.into_states())
-        })
-        .collect();
+    let shards = (held.into_iter().enumerate())
+        .map(|(i, shard)| shard.ok_or_else(|| corrupt(format!("stitch: no input holds shard {i}"))))
+        .collect::<Result<Vec<_>, _>>()?;
 
-    // Donor stats scalars, derived size figures recomputed from the
-    // stitched states — the same split the on-disk formats use.
+    // The first input's stats scalars, derived size figures recomputed from
+    // the stitched states — the same split the on-disk format uses.
     let mut stats_buf = Vec::new();
-    write_stats(&mut stats_buf, donor.stats())?;
+    write_stats(&mut stats_buf, &stats)?;
     let state_refs: Vec<&NodeState> = shards.iter().flat_map(|s| s.states().iter()).collect();
-    let stats = read_stats(&mut stats_buf.as_slice(), &state_refs, &hub_matrix, n)?;
+    let stats =
+        read_stats(&mut stats_buf.as_slice(), &state_refs, &hub_matrix, graph.node_count())?;
     drop(state_refs);
-
-    let shard_count = shards.len();
-    let config = loaded_config(
-        max_k,
-        donor.config().bca,
-        &hub_matrix,
-        donor.config().rounding_threshold,
-        stats.threads,
-        shard_count,
-    );
-    Ok(ReverseIndex::from_shards(config, hub_matrix, shards, shard_map, None, stats))
+    let index = ReverseIndex::from_shards(config, hub_matrix, shards, shard_map, None, stats);
+    Ok((graph, index))
 }
 
 /// [`stitch`] from files: opens `<prefix>.shard0`, `<prefix>.shard1`, …
 /// until the next index is missing, then stitches what was found. At least
 /// `<prefix>.shard0` must exist.
-pub fn stitch_path_prefix<P: AsRef<Path>>(
-    donor: &ReverseIndex,
-    prefix: P,
-) -> Result<ReverseIndex, IndexError> {
+pub fn stitch_path_prefix<P: AsRef<Path>>(prefix: P) -> Result<Snapshot, IndexError> {
     let prefix = prefix.as_ref();
     let mut files = Vec::new();
     loop {
@@ -705,11 +783,11 @@ pub fn stitch_path_prefix<P: AsRef<Path>>(
     }
     if files.is_empty() {
         return Err(IndexError::InvalidConfig(format!(
-            "stitch: no shard sections at {:?}",
+            "stitch: no shard snapshots at {:?}",
             section_path(prefix, 0)
         )));
     }
-    stitch(donor, files)
+    stitch(files)
 }
 
 /// `<prefix>.shard<i>` — the naming convention of router-tier persists.
@@ -720,21 +798,25 @@ fn section_path(prefix: &Path, i: usize) -> std::path::PathBuf {
 }
 
 /// Saves to a file path (see [`save`]).
-pub fn save_path<P: AsRef<Path>>(index: &ReverseIndex, path: P) -> Result<(), IndexError> {
-    save(index, std::fs::File::create(path)?)
+pub fn save_path<P: AsRef<Path>>(
+    graph: &DiGraph,
+    index: &ReverseIndex,
+    path: P,
+) -> Result<(), IndexError> {
+    save(graph, index, std::fs::File::create(path)?)
 }
 
 /// Loads from a file path (see [`load`]).
-pub fn load_path<P: AsRef<Path>>(path: P) -> Result<ReverseIndex, IndexError> {
+pub fn load_path<P: AsRef<Path>>(path: P) -> Result<Snapshot, IndexError> {
     load(std::fs::File::open(path)?)
 }
 
-/// Loads the index holding only shard `shard_id` from a snapshot file (see
-/// [`load_one_shard`]).
+/// Loads the graph and the index holding only shard `shard_id` from a
+/// snapshot file (see [`load_one_shard`]).
 pub fn load_one_shard_path<P: AsRef<Path>>(
     path: P,
     shard_id: usize,
-) -> Result<ReverseIndex, IndexError> {
+) -> Result<Snapshot, IndexError> {
     load_one_shard(std::fs::File::open(path)?, shard_id)
 }
 
@@ -924,7 +1006,8 @@ mod tests {
     use rtk_graph::{DanglingPolicy, GraphBuilder, TransitionMatrix};
     use std::io::Cursor;
 
-    fn build_sample() -> (rtk_graph::DiGraph, IndexConfig) {
+    /// The paper's Figure 1 graph and its index, in `shards` shards.
+    fn build_index(shards: usize) -> (DiGraph, ReverseIndex) {
         let g = GraphBuilder::from_edges(
             6,
             &[
@@ -949,50 +1032,54 @@ mod tests {
             hub_selection: HubSelection::DegreeBased { b: 1 },
             rounding_threshold: 1e-6,
             threads: 1,
+            shards,
             ..Default::default()
         };
-        (g, config)
+        let index = ReverseIndex::build(&TransitionMatrix::new(&g), config).unwrap();
+        (g, index)
+    }
+
+    fn saved(g: &DiGraph, index: &ReverseIndex) -> Vec<u8> {
+        let mut buf = Vec::new();
+        save(g, index, &mut buf).unwrap();
+        buf
+    }
+
+    /// Offset of the node count: header (12), the graph section's length
+    /// prefix (8) and the graph section.
+    fn prelude(buf: &[u8]) -> usize {
+        20 + u64::from_le_bytes(buf[12..20].try_into().unwrap()) as usize
     }
 
     #[test]
     fn round_trips_states_and_hubs() {
-        let (g, config) = build_sample();
-        let t = TransitionMatrix::new(&g);
-        let index = ReverseIndex::build(&t, config).unwrap();
-        let mut buf = Vec::new();
-        save(&index, &mut buf).unwrap();
+        let (g, index) = build_index(1);
+        let buf = saved(&g, &index);
         assert_eq!(&buf[..8], MANIFEST_MAGIC);
-        let loaded = load(Cursor::new(buf)).unwrap();
-        assert_eq!(loaded.node_count(), index.node_count());
-        assert_eq!(loaded.max_k(), index.max_k());
-        assert_eq!(loaded.shard_count(), 1);
-        assert_eq!(loaded.hub_matrix().hubs().ids(), index.hub_matrix().hubs().ids());
-        assert_eq!(loaded.hub_matrix().nnz(), index.hub_matrix().nnz());
+        let (graph, loaded) = load(Cursor::new(buf)).unwrap();
+        assert_eq!(graph, g);
+        assert_eq!((loaded.max_k(), loaded.owned_shard()), (index.max_k(), None));
+        assert_eq!(loaded.hub_matrix(), index.hub_matrix());
         assert_eq!(loaded.hub_matrix().unrounded_nnz(), index.hub_matrix().unrounded_nnz());
         for u in 0..6u32 {
             assert_eq!(loaded.state(u), index.state(u), "node {u}");
         }
-        assert_eq!(loaded.stats().threads, index.stats().threads);
     }
 
     #[test]
     fn sharded_round_trip_preserves_everything() {
-        let (g, config) = build_sample();
-        let t = TransitionMatrix::new(&g);
         for shards in [1usize, 2, 3, 6] {
-            let index = ReverseIndex::build(&t, IndexConfig { shards, ..config.clone() }).unwrap();
-            let mut buf = Vec::new();
-            save(&index, &mut buf).unwrap();
+            let (g, index) = build_index(shards);
+            let buf = saved(&g, &index);
             // Every shard count produces the manifest layout.
             assert_eq!(&buf[..8], MANIFEST_MAGIC);
-            let loaded = load(Cursor::new(buf)).unwrap();
-            assert_eq!(loaded.shard_count(), shards);
+            let (graph, loaded) = load(Cursor::new(&buf)).unwrap();
             assert_eq!(loaded.shard_map(), index.shard_map());
             assert_eq!(loaded.config().shards, shards);
             for u in 0..6u32 {
                 assert_eq!(loaded.state(u), index.state(u), "shards={shards} node {u}");
             }
-            assert_eq!(loaded.stats().threads, index.stats().threads);
+            assert_eq!(saved(&graph, &loaded), buf, "shards={shards}: save → load → save");
         }
     }
 
@@ -1001,139 +1088,98 @@ mod tests {
         // Sharding changes layout, never content: re-partitioning to 3
         // shards and back to 1 saves the exact bytes of the index that was
         // never sharded (`rtk shard split --shards 1`'s guarantee).
-        let (g, config) = build_sample();
-        let t = TransitionMatrix::new(&g);
-        let single = ReverseIndex::build(&t, config).unwrap();
+        let (g, single) = build_index(1);
         let mut flattened = single.clone();
         flattened.repartition(3);
         flattened.repartition(1);
-        let mut a = Vec::new();
-        save(&single, &mut a).unwrap();
-        let mut b = Vec::new();
-        save(&flattened, &mut b).unwrap();
-        assert_eq!(a, b);
+        assert_eq!(saved(&g, &single), saved(&g, &flattened));
     }
 
     #[test]
     fn standalone_shard_sections_round_trip() {
-        let (g, config) = build_sample();
-        let t = TransitionMatrix::new(&g);
-        let index = ReverseIndex::build(&t, IndexConfig { shards: 3, ..config }).unwrap();
-        for shard in index.shards() {
-            let mut buf = Vec::new();
-            save_shard(shard, index.node_count(), index.max_k(), &mut buf).unwrap();
-            let back =
-                load_shard(Cursor::new(buf), index.hub_matrix(), index.node_count(), index.max_k())
-                    .unwrap();
-            assert_eq!(back.id(), shard.id());
-            assert_eq!(back.range(), shard.range());
-            assert_eq!(back.states(), shard.states());
+        // A one-shard index saves the graph, `P_H`, the shard map and its
+        // own section (a backend's persist), and loads back as itself.
+        let (g, index) = build_index(3);
+        for sid in 0..3 {
+            let one = index.one_shard(sid).unwrap();
+            let buf = saved(&g, &one);
+            let (graph, back) = load(Cursor::new(&buf)).unwrap();
+            assert_eq!(graph, g);
+            assert_eq!(back.owned_shard(), Some(sid));
+            assert_eq!(back.shard_map(), index.shard_map());
+            assert_eq!(back.shards()[0].states(), index.shards()[sid].states());
+            assert_eq!(saved(&graph, &back), buf, "shard {sid}: save → load → save");
+            // Only its own shard is in the file.
+            assert!(load_one_shard(Cursor::new(&buf), (sid + 1) % 3).is_err(), "{sid}");
         }
+    }
+
+    fn one_shard_files(g: &DiGraph, index: &ReverseIndex) -> Vec<Vec<u8>> {
+        (0..index.shard_count())
+            .map(|sid| saved(g, &index.one_shard(sid).unwrap()))
+            .collect()
+    }
+
+    fn stitch_bytes(parts: &[&Vec<u8>]) -> Result<Snapshot, IndexError> {
+        stitch(parts.iter().map(|b| Cursor::new(b.as_slice())).collect())
     }
 
     #[test]
     fn stitch_reassembles_persisted_shard_sections() {
-        let (g, config) = build_sample();
-        let t = TransitionMatrix::new(&g);
-        let index = ReverseIndex::build(&t, IndexConfig { shards: 3, ..config }).unwrap();
+        let (g, index) = build_index(3);
         // Persist each shard standalone, as router backends do, and hand
-        // the sections back in scrambled order.
-        let mut sections = Vec::new();
-        for shard in index.shards() {
-            let mut buf = Vec::new();
-            save_shard(shard, index.node_count(), index.max_k(), &mut buf).unwrap();
-            sections.push(buf);
-        }
-        sections.rotate_left(1);
-        let stitched =
-            stitch(&index, sections.iter().map(|b| Cursor::new(b.as_slice())).collect()).unwrap();
-        assert_eq!(stitched.shard_count(), 3);
-        assert_eq!(stitched.shard_map(), index.shard_map());
-        assert_eq!(stitched.config().shards, 3);
+        // the files back in scrambled order.
+        let mut files = one_shard_files(&g, &index);
+        files.rotate_left(1);
+        let (graph, stitched) = stitch_bytes(&files.iter().collect::<Vec<_>>()).unwrap();
+        assert_eq!(graph, g);
+        assert_eq!(stitched.owned_shard(), None);
         for u in 0..6u32 {
             assert_eq!(stitched.state(u), index.state(u), "node {u}");
         }
-        // The stitched index round-trips through the manifest writer.
-        let mut manifest = Vec::new();
-        save(&stitched, &mut manifest).unwrap();
-        assert_eq!(&manifest[..8], MANIFEST_MAGIC);
-        let back = load(Cursor::new(manifest)).unwrap();
-        for u in 0..6u32 {
-            assert_eq!(back.state(u), index.state(u), "node {u}");
-        }
-        // Sections from a different partitioning than the donor stitch
-        // fine: the section count wins, not the donor's shard count.
-        let mut two = index.clone();
-        two.repartition(2);
-        let mut halves = Vec::new();
-        for shard in two.shards() {
-            let mut buf = Vec::new();
-            save_shard(shard, two.node_count(), two.max_k(), &mut buf).unwrap();
-            halves.push(buf);
-        }
-        let restitched =
-            stitch(&index, halves.iter().map(|b| Cursor::new(b.as_slice())).collect()).unwrap();
-        assert_eq!(restitched.shard_count(), 2);
-        for u in 0..6u32 {
-            assert_eq!(restitched.state(u), index.state(u), "node {u}");
-        }
+        // The stitched snapshot is the whole index's.
+        assert_eq!(saved(&graph, &stitched), saved(&g, &index));
     }
 
     #[test]
     fn stitch_rejects_gaps_duplicates_and_short_tails() {
-        let (g, config) = build_sample();
-        let t = TransitionMatrix::new(&g);
-        let index = ReverseIndex::build(&t, IndexConfig { shards: 3, ..config }).unwrap();
-        let section = |i: usize| {
-            let mut buf = Vec::new();
-            save_shard(&index.shards()[i], index.node_count(), index.max_k(), &mut buf).unwrap();
-            buf
-        };
-        let (s0, s1, s2) = (section(0), section(1), section(2));
-        let run = |parts: Vec<&Vec<u8>>| {
-            stitch(&index, parts.into_iter().map(|b| Cursor::new(b.as_slice())).collect())
-        };
-        assert!(run(vec![]).is_err(), "no sections");
-        assert!(run(vec![&s0, &s2]).is_err(), "gap where shard 1 should be");
-        assert!(run(vec![&s0, &s0, &s1, &s2]).is_err(), "duplicate range");
-        assert!(run(vec![&s0, &s1]).is_err(), "tail does not reach n");
-        assert!(run(vec![&s1, &s2]).is_err(), "does not start at node 0");
+        let (g, index) = build_index(3);
+        let files = one_shard_files(&g, &index);
+        let (s0, s1, s2) = (&files[0], &files[1], &files[2]);
+        assert!(stitch_bytes(&[]).is_err(), "no inputs");
+        assert!(stitch_bytes(&[s0, s2]).is_err(), "gap where shard 1 should be");
+        assert!(stitch_bytes(&[s0, s0, s1, s2]).is_err(), "duplicate range");
+        assert!(stitch_bytes(&[s0, s1]).is_err(), "tail does not reach n");
+        assert!(stitch_bytes(&[s1, s2]).is_err(), "does not start at node 0");
         // The full set still stitches after all those rejections.
-        assert!(run(vec![&s0, &s1, &s2]).is_ok());
+        assert!(stitch_bytes(&[s0, s1, s2]).is_ok());
     }
 
     #[test]
     fn stitch_path_prefix_reads_consecutive_sections() {
-        let (g, config) = build_sample();
-        let t = TransitionMatrix::new(&g);
-        let index = ReverseIndex::build(&t, IndexConfig { shards: 2, ..config }).unwrap();
+        let (g, index) = build_index(2);
         let dir = std::env::temp_dir().join("rtk_index_stitch_test");
         std::fs::create_dir_all(&dir).unwrap();
         let prefix = dir.join("snap.rtki");
-        for shard in index.shards() {
-            let path = dir.join(format!("snap.rtki.shard{}", shard.id()));
-            let file = std::fs::File::create(&path).unwrap();
-            save_shard(shard, index.node_count(), index.max_k(), file).unwrap();
+        for (sid, bytes) in one_shard_files(&g, &index).iter().enumerate() {
+            std::fs::write(dir.join(format!("snap.rtki.shard{sid}")), bytes).unwrap();
         }
-        let stitched = stitch_path_prefix(&index, &prefix).unwrap();
+        let (_, stitched) = stitch_path_prefix(&prefix).unwrap();
         assert_eq!(stitched.shard_count(), 2);
         for u in 0..6u32 {
             assert_eq!(stitched.state(u), index.state(u), "node {u}");
         }
         std::fs::remove_file(dir.join("snap.rtki.shard0")).unwrap();
         std::fs::remove_file(dir.join("snap.rtki.shard1")).unwrap();
-        // With no sections on disk the prefix loader fails cleanly.
-        assert!(stitch_path_prefix(&index, &prefix).is_err());
+        // With no files on disk the prefix loader fails cleanly.
+        assert!(stitch_path_prefix(&prefix).is_err());
     }
 
     #[test]
     fn loaded_index_refines_identically() {
-        let (g, config) = build_sample();
+        let (g, mut original) = build_index(1);
         let t = TransitionMatrix::new(&g);
-        let mut original = ReverseIndex::build(&t, config).unwrap();
-        let mut buf = Vec::new();
-        save(&original, &mut buf).unwrap();
-        let mut loaded = load(Cursor::new(buf)).unwrap();
+        let (_, mut loaded) = load(Cursor::new(saved(&g, &original))).unwrap();
 
         let mut e1 = original.make_engine();
         let mut m1 = original.make_materializer();
@@ -1147,28 +1193,22 @@ mod tests {
 
     #[test]
     fn rejects_corrupt_magic() {
-        let (g, config) = build_sample();
-        let t = TransitionMatrix::new(&g);
-        let index = ReverseIndex::build(&t, config).unwrap();
-        let mut buf = Vec::new();
-        save(&index, &mut buf).unwrap();
+        let (g, index) = build_index(1);
+        let mut buf = saved(&g, &index);
         buf[3] = b'?';
         assert!(load(Cursor::new(buf)).is_err());
     }
 
     #[test]
     fn rejects_duplicate_hub_ids_cleanly() {
-        let (g, config) = build_sample();
-        let t = TransitionMatrix::new(&g);
-        let index = ReverseIndex::build(&t, config).unwrap();
+        let (g, index) = build_index(1);
         assert!(index.hub_matrix().hub_count() >= 2);
-        let mut buf = Vec::new();
-        save(&index, &mut buf).unwrap();
-        // Locate the hub-id sequence after the manifest prelude: header
-        // (12) + n/max_k/shards (24) + bca (28) + omega (8), the starts
-        // `u32seq` (u64 count + one u32 per shard), then the hub-id u64
-        // count and the ids. Overwrite the second id with the first.
-        let ids_start = 12 + 24 + 28 + 8 + (8 + 4 * index.shard_count()) + 8;
+        let mut buf = saved(&g, &index);
+        // Locate the hub-id sequence after the manifest prelude: n/max_k/
+        // shards (24) + bca (28) + omega (8), the starts `u32seq` (u64 count
+        // + one u32 per shard), then the hub-id u64 count and the ids.
+        // Overwrite the second id with the first.
+        let ids_start = prelude(&buf) + 24 + 28 + 8 + (8 + 4 * index.shard_count()) + 8;
         let first = buf[ids_start..ids_start + 4].to_vec();
         buf[ids_start + 4..ids_start + 8].copy_from_slice(&first);
         // Must be a clean decode error naming the duplicate, not a HubSet
@@ -1183,39 +1223,31 @@ mod tests {
 
     #[test]
     fn rejects_truncated_stream() {
-        let (g, config) = build_sample();
-        let t = TransitionMatrix::new(&g);
-        let index = ReverseIndex::build(&t, config).unwrap();
-        let mut buf = Vec::new();
-        save(&index, &mut buf).unwrap();
+        let (g, index) = build_index(1);
+        let mut buf = saved(&g, &index);
         buf.truncate(buf.len() / 2);
         assert!(load(Cursor::new(buf)).is_err());
     }
 
     #[test]
     fn rejects_manifest_shard_range_mismatch() {
-        let (g, config) = build_sample();
-        let t = TransitionMatrix::new(&g);
-        let index = ReverseIndex::build(&t, IndexConfig { shards: 2, ..config }).unwrap();
-        let mut buf = Vec::new();
-        save(&index, &mut buf).unwrap();
-        // Corrupt the second shard-start offset (starts live right after
-        // header 12 + n/max_k/shards 24 + bca 28 + omega 8 = 72, then the
-        // u64 count and the first u32 start).
-        let second_start = 72 + 8 + 4;
+        let (g, index) = build_index(2);
+        let mut buf = saved(&g, &index);
+        // Corrupt the second shard-start offset (starts live 60 bytes into
+        // the prelude: n/max_k/shards 24 + bca 28 + omega 8; then the u64
+        // count and the first u32 start).
+        let second_start = prelude(&buf) + 60 + 8 + 4;
         buf[second_start] = buf[second_start].wrapping_add(1);
         assert!(load(Cursor::new(buf)).is_err());
     }
 
     #[test]
     fn shard_slices_load_standalone_from_manifest() {
-        let (g, config) = build_sample();
-        let t = TransitionMatrix::new(&g);
-        let index = ReverseIndex::build(&t, IndexConfig { shards: 3, ..config }).unwrap();
-        let mut buf = Vec::new();
-        save(&index, &mut buf).unwrap();
+        let (g, index) = build_index(3);
+        let buf = saved(&g, &index);
         for sid in 0..3usize {
-            let one = load_one_shard(Cursor::new(&buf), sid).unwrap();
+            let (graph, one) = load_one_shard(Cursor::new(&buf), sid).unwrap();
+            assert_eq!(graph, g);
             assert_eq!(one.owned_shard(), Some(sid));
             assert_eq!(one.shard_map(), index.shard_map());
             assert_eq!(one.shard_count(), 3);
@@ -1230,8 +1262,8 @@ mod tests {
             for u in one.owned_range() {
                 assert_eq!(one.state(u), index.state(u), "shard {sid} node {u}");
             }
-            // A one-shard index has no whole-index snapshot.
-            assert!(save(&one, Vec::new()).is_err());
+            // A one-shard index saves what `one_shard` would.
+            assert_eq!(saved(&graph, &one), saved(&g, &index.one_shard(sid).unwrap()));
         }
         // Out-of-range shard ids fail cleanly.
         assert!(load_one_shard(Cursor::new(&buf), 3).is_err());
@@ -1239,12 +1271,9 @@ mod tests {
 
     #[test]
     fn shard_slice_handles_one_shard_manifests_and_from_index() {
-        let (g, config) = build_sample();
-        let t = TransitionMatrix::new(&g);
-        let index = ReverseIndex::build(&t, config).unwrap();
-        let mut buf = Vec::new();
-        save(&index, &mut buf).unwrap();
-        let one = load_one_shard(Cursor::new(&buf), 0).unwrap();
+        let (g, index) = build_index(1);
+        let buf = saved(&g, &index);
+        let (_, one) = load_one_shard(Cursor::new(&buf), 0).unwrap();
         assert_eq!(one.owned_shard(), Some(0));
         assert_eq!(one.owned_range(), 0..6);
         assert_eq!(one.iter_states().count(), 6);
@@ -1254,11 +1283,7 @@ mod tests {
         assert_eq!(mem.shards()[0].states(), one.shards()[0].states());
         assert!(index.one_shard(5).is_err());
         // A one-shard index can hand out its own shard, nothing else.
-        let sharded = {
-            let (g, config) = build_sample();
-            let t = TransitionMatrix::new(&g);
-            ReverseIndex::build(&t, IndexConfig { shards: 2, ..config }).unwrap()
-        };
+        let (_, sharded) = build_index(2);
         let second = sharded.one_shard(1).unwrap();
         assert!(second.one_shard(1).is_ok());
         assert!(second.one_shard(0).is_err());
@@ -1269,16 +1294,15 @@ mod tests {
         // A manifest declaring 2 shards but listing 1 start used to pass the
         // one-shard loader's checks and panic in `ShardMap::range` — the
         // file a `--shard-only` backend reads at start-up.
-        let (g, config) = build_sample();
-        let t = TransitionMatrix::new(&g);
-        let index = ReverseIndex::build(&t, IndexConfig { shards: 2, ..config }).unwrap();
-        let mut buf = Vec::new();
-        save(&index, &mut buf).unwrap();
-        // Starts live at 72 (see `rejects_manifest_shard_range_mismatch`):
-        // u64 count, then one u32 per shard. Drop the second start.
-        buf[72..80].copy_from_slice(&1u64.to_le_bytes());
-        buf.drain(84..88);
-        let is_corrupt = |r: Result<ReverseIndex, IndexError>| match r {
+        let (g, index) = build_index(2);
+        let mut buf = saved(&g, &index);
+        // Starts live 60 bytes into the prelude (see
+        // `rejects_manifest_shard_range_mismatch`): u64 count, then one u32
+        // per shard. Drop the second start.
+        let starts = prelude(&buf) + 60;
+        buf[starts..starts + 8].copy_from_slice(&1u64.to_le_bytes());
+        buf.drain(starts + 12..starts + 16);
+        let is_corrupt = |r: Result<Snapshot, IndexError>| match r {
             Err(IndexError::Decode(DecodeError::Corrupt(m))) => m.contains("starts"),
             _ => false,
         };
@@ -1290,15 +1314,14 @@ mod tests {
 
     #[test]
     fn file_path_helpers_work() {
-        let (g, config) = build_sample();
-        let t = TransitionMatrix::new(&g);
-        let index = ReverseIndex::build(&t, config).unwrap();
+        let (g, index) = build_index(1);
         let dir = std::env::temp_dir().join("rtk_index_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("toy.rtki");
-        save_path(&index, &path).unwrap();
-        let loaded = load_path(&path).unwrap();
+        save_path(&g, &index, &path).unwrap();
+        let (_, loaded) = load_path(&path).unwrap();
         assert_eq!(loaded.node_count(), 6);
+        assert_eq!(load_one_shard_path(&path, 0).unwrap().1.owned_shard(), Some(0));
         std::fs::remove_file(&path).ok();
     }
 }

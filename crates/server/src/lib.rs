@@ -59,8 +59,8 @@
 //!
 //! One process per shard: [`Server::bind`] over a
 //! [`rtk_core::ReverseTopkEngine`] whose index holds one shard (CLI: `rtk
-//! serve --shard-only --shard i`) — the full graph plus one `RTKSHRD1`
-//! section; the engine itself refuses whole answers, naming the node
+//! serve --shard-only --shard i`) — the full graph plus one shard's
+//! section of the snapshot; the engine itself refuses whole answers, naming the node
 //! range it holds — and a [`Router`] (CLI: `rtk
 //! router --backends …`) owns the shard map and fans each `reverse_topk`
 //! out as per-shard `shard_reverse_topk` calls — **concurrently**: all

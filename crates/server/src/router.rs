@@ -66,8 +66,9 @@
 //!
 //! `stats` aggregates the tier (router-side request counters and latency,
 //! per-shard sizes sampled from one live replica); `persist` asks each
-//! shard to flush its section to `<path>.shard<i>` (reassemble with `rtk
-//! shard stitch`); `shutdown` propagates to every replica of every shard.
+//! shard to flush its one-shard snapshot to `<path>.shard<i>` (reassemble
+//! with `rtk shard stitch`); `shutdown` propagates to every replica of
+//! every shard.
 
 use crate::client::{Client, ClientBuilder, Pending};
 use crate::handler::{Host, ServiceHost};
@@ -1217,7 +1218,7 @@ impl RouterCtx {
         })
     }
 
-    /// Fans `persist` out: each shard flushes its section to
+    /// Fans `persist` out: each shard flushes its one-shard snapshot to
     /// `<path>.shard<i>` on the answering replica's filesystem (reassemble
     /// with `rtk shard stitch`). Returns the summed bytes; any shard
     /// failure fails the whole request (partial snapshots are worse than

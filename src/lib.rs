@@ -77,10 +77,11 @@
 //! * **Scan scope** — a one-shard index screens only its own node range,
 //!   the structural door to multi-process serving where each shard lives
 //!   in its own process;
-//! * **Persistence** — every snapshot is a versioned **shard manifest**
-//!   (`RTKMANI1`): shared hub matrix + one self-contained, individually
-//!   loadable section per shard (`RTKSHRD1`); `S = 1` is the same layout
-//!   with one section;
+//! * **Persistence** — every file is one versioned snapshot, the **shard
+//!   manifest** (`RTKMANI1`): the graph, the shared hub matrix and one
+//!   self-contained section per shard (`RTKSHRD1`) — all of them for a
+//!   whole engine, its own for a one-shard backend; `S = 1` is the same
+//!   layout with one section;
 //! * **Operations** — `rtk shard split|info` re-partitions a saved index
 //!   offline (states preserved bitwise), `rtk index info` and the
 //!   server's `stats` report per-shard node counts and sizes.
@@ -143,10 +144,11 @@
 //! [`ReverseTopkEngine`] always holds the full graph, and its index holds
 //! the node states of every shard or of exactly one. `rtk serve
 //! --shard-only --shard i` loads the full graph plus **one** `RTKSHRD1`
-//! section (`rtk_index::storage::load_one_shard`) and answers the
-//! shard-scoped slice of each query — whole answers on a one-shard
-//! engine, and shard-scoped calls on a whole one, are errors naming the
-//! owned node range, never partial answers; `rtk router --backends …`
+//! section of the snapshot (`rtk_index::storage::load_one_shard`) and
+//! answers the shard-scoped slice of each query — whole answers on a
+//! one-shard engine, and shard-scoped calls on a whole one, are errors
+//! naming the owned node range, never partial answers; `rtk router
+//! --backends …`
 //! owns the shard map, fans each query out **concurrently** (all
 //! backends in flight at once over pipelined connections, merged in
 //! deterministic shard order), and merges the partial answers — bitwise equal to a single-process server, so the

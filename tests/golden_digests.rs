@@ -1,22 +1,20 @@
-//! Golden digests of the persisted index bytes across refactors.
-//!
-//! The `whole_s3` and `one_of_3` values were recorded with the two-engine
-//! tree (commit `944fd1a`: `ReverseTopkEngine` for the whole index, a
-//! separate engine type for one shard) *before* the two were folded into
-//! one, when `index_digest()` was FNV-1a 64 of exactly the bytes an engine
-//! persists — the `RTKMANI1` snapshot for a whole index, the `RTKSHRD1`
-//! section for one shard. The `whole_s1` values were re-recorded once, in
-//! PR 26, when the one-shard snapshot became a manifest too: each is FNV-1a
-//! 64 of the manifest the parent commit (`4805a27`) wrote for the same
-//! `canonical` engine through its explicit manifest writer, fresh and after
-//! the script. `index_digest()` has
-//! since become a fold over cached per-record hashes, so this test hashes
-//! the persisted bytes itself (`persisted_digest`): the constants staying
-//! put proves the persisted bytes and the incremental update recompute
-//! (`affected ∩ owned`, kept runs included) came through every change since
-//! unchanged, for whole engines and for every one-shard engine. Beside each
-//! comparison it checks the new digest against the same fold computed cold
-//! from the entries.
+//! Golden digests of the persisted snapshot bytes across refactors: each
+//! constant is FNV-1a 64 of the bytes `ReverseTopkEngine::save` writes for
+//! the `canonical` engine, fresh and after the script — the `RTKMANI1`
+//! version 2 snapshot, with the graph section and, for a one-shard engine,
+//! that shard's section only. They were re-recorded once, when the graph
+//! moved into the manifest, with a probe against the parent `01a3471`:
+//! with its graph section and its absent (zero-length) shard sections
+//! removed and its version set back to 1, every new whole-engine file is
+//! byte-equal to that commit's `storage::save`, and every one-shard file
+//! to that commit's `S = 3` manifest less the other sections, its section
+//! byte-equal to that commit's `save_shard`. (Before, the values came from
+//! `944fd1a` and `4805a27`, each checked against its parent the same way.)
+//! The constants staying put proves the persisted bytes and the incremental
+//! update recompute (`affected ∩ owned`, kept runs included) came through
+//! every change since unchanged, for whole and one-shard engines; beside
+//! each comparison the cached `index_digest()` is checked against the same
+//! fold computed cold from the entries.
 //!
 //! Rounding is off (`ω = 0`): a rounded hub matrix persists an aggregate
 //! nnz count an incremental recompute cannot reproduce. Build timings are
@@ -42,28 +40,28 @@ struct Golden {
 }
 
 const TOY: Golden = Golden {
-    whole_s1: (0x613324d480bc8b5c, 0x5e34e0331e83b8ac),
-    whole_s3: (0xe2d60158786cb419, 0xedb846fd18adf349),
+    whole_s1: (0xf6a730b485605ddf, 0xc4fc991b367cb6ae),
+    whole_s3: (0xc29aad710a304fbe, 0xbb7eedec2d844e7b),
     one_of_3: [
-        (0x40f1466bb4324be0, 0x756ec64e9cb4a031),
-        (0xfbef0a855f77e9e0, 0x5d0ad15f59b09db1),
-        (0x82878e48c1bcb1b5, 0x3fd016728b522d4a),
+        (0x5cd1c4da6abf3cd7, 0x8e1536b85f7c7b9c),
+        (0xb72aa5fc49d7f267, 0x2c7b194938cca350),
+        (0xcb21dfff5f95b452, 0x0cf4f0267fd0477f),
     ],
 };
 
 const RMAT: Golden = Golden {
-    whole_s1: (0x5334bb33654cc61e, 0x127b514b603d156a),
-    whole_s3: (0x395a9b83e7b62ad0, 0xce1e1b18078c1f22),
+    whole_s1: (0x4b0e4805b4713e9a, 0x4703956ba1663d14),
+    whole_s3: (0xc682974669e9de34, 0xdb8b67664f13c6b0),
     one_of_3: [
-        (0xbbf4e1489778a868, 0xd3b0bae80f674e0b),
-        (0xdd09c8cbdd7188d1, 0x4fbb912ef25f776c),
-        (0x3274caa4eaae191e, 0x1949f91906523a25),
+        (0x45e4aad10af65b09, 0x9f3781135c59e600),
+        (0x6b12b886c5886800, 0x66f1398d59ffe584),
+        (0x4b56d8f4aa78f809, 0x7264e304fcaa114c),
     ],
 };
 
-/// Builds the engine, then round-trips its index through a snapshot whose
-/// four build-timing fields (the first 32 of the 56 trailing stats bytes)
-/// are zeroed, so the digest depends on nothing but the graph and config.
+/// Builds the engine, then round-trips it through a snapshot whose four
+/// build-timing fields (the first 32 of the 56 trailing stats bytes) are
+/// zeroed, so the digest depends on nothing but the graph and config.
 fn canonical(graph: &DiGraph, max_k: usize, hubs: usize, shards: usize) -> ReverseTopkEngine {
     let built = ReverseTopkEngine::builder(graph.clone())
         .max_k(max_k)
@@ -74,27 +72,18 @@ fn canonical(graph: &DiGraph, max_k: usize, hubs: usize, shards: usize) -> Rever
         .build()
         .unwrap();
     let mut bytes = Vec::new();
-    storage::save(built.index(), &mut bytes).unwrap();
+    built.save(&mut bytes).unwrap();
     let n = bytes.len();
     bytes[n - 56..n - 24].fill(0);
-    let index = storage::load(bytes.as_slice()).unwrap();
-    ReverseTopkEngine::from_parts(graph.clone(), index).unwrap()
+    ReverseTopkEngine::load(bytes.as_slice()).unwrap()
 }
 
-/// FNV-1a 64 of the bytes `engine` persists as (what `index_digest()` was
-/// when the constants were recorded), after checking that the cached digest
-/// equals the fold recomputed from the entries.
+/// FNV-1a 64 of the bytes `engine` persists as, after checking that the
+/// cached digest equals the fold recomputed from the entries.
 fn persisted_digest(engine: &ReverseTopkEngine) -> u64 {
     assert_eq!(engine.index_digest(), storage::index_digest_cold(engine.index()));
-    let index = engine.index();
     let mut bytes = Vec::new();
-    match index.owned_shard() {
-        None => storage::save(index, &mut bytes).unwrap(),
-        Some(_) => {
-            storage::save_shard(&index.shards()[0], index.node_count(), index.max_k(), &mut bytes)
-                .unwrap()
-        }
-    }
+    engine.save(&mut bytes).unwrap();
     rtk_core::fnv1a64(&bytes)
 }
 
@@ -143,10 +132,10 @@ fn a_one_shard_load_hashes_like_the_in_memory_one_shard_index() {
     let graph = rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(80, 320, 11)).unwrap();
     let whole = canonical(&graph, 5, 4, 3);
     let mut manifest = Vec::new();
-    storage::save(whole.index(), &mut manifest).unwrap();
+    whole.save(&mut manifest).unwrap();
     for (sid, &(fresh, _)) in RMAT.one_of_3.iter().enumerate() {
-        let index = storage::load_one_shard(manifest.as_slice(), sid).unwrap();
-        let engine = ReverseTopkEngine::from_parts(graph.clone(), index).unwrap();
+        let (graph, index) = storage::load_one_shard(manifest.as_slice(), sid).unwrap();
+        let engine = ReverseTopkEngine::from_parts(graph, index).unwrap();
         assert_eq!(persisted_digest(&engine), fresh, "shard {sid}");
     }
 }

@@ -161,7 +161,7 @@ fn bits(p: &[f64]) -> Vec<u64> {
 
 /// The replayable-log contract, across shard counts: snapshot the engine,
 /// live-apply the seeded log (with frozen queries interleaved), then replay
-/// the same log over the snapshot — the two `RTKENGN1` serializations must
+/// the same log over the snapshot — the two `RTKMANI1` serializations must
 /// be byte-identical, and answers must agree across {1, 2, 4} shards.
 #[test]
 fn snapshot_plus_replay_reproduces_live_bytes() {
@@ -385,10 +385,10 @@ fn shard_replicas_converge_under_the_same_log() {
     let dir = std::env::temp_dir().join("rtk_test_incremental_updates");
     std::fs::create_dir_all(&dir).unwrap();
     let manifest = dir.join("index.rtki");
-    rtk_index::storage::save_path(full.index(), &manifest).unwrap();
+    full.save_path(&manifest).unwrap();
 
     for shard in [0usize, 1] {
-        let index = rtk_index::storage::load_one_shard_path(&manifest, shard).unwrap();
+        let (_, index) = rtk_index::storage::load_one_shard_path(&manifest, shard).unwrap();
         let mut a = ReverseTopkEngine::from_parts(graph.clone(), index.clone()).unwrap();
         let mut b = ReverseTopkEngine::from_parts(graph.clone(), index.clone()).unwrap();
         let mut late = ReverseTopkEngine::from_parts(graph.clone(), index).unwrap();

@@ -92,12 +92,12 @@ fn cached_digest_equals_the_cold_fold_through_every_kind_of_change() {
         // and an update plus a shard-scoped commit move each the same way.
         resharded.reshard(3);
         let mut snapshot = Vec::new();
-        storage::save(resharded.index(), &mut snapshot).unwrap();
+        resharded.save(&mut snapshot).unwrap();
         for sid in 0..3 {
             let warm = resharded.index().one_shard(sid).unwrap();
-            let cold = storage::load_one_shard(snapshot.as_slice(), sid).unwrap();
+            let (graph, cold) = storage::load_one_shard(snapshot.as_slice(), sid).unwrap();
             let mut warm = ReverseTopkEngine::from_parts(resharded.graph().clone(), warm).unwrap();
-            let mut cold = ReverseTopkEngine::from_parts(resharded.graph().clone(), cold).unwrap();
+            let mut cold = ReverseTopkEngine::from_parts(graph, cold).unwrap();
             let before = checked(&warm, "one_shard");
             assert_eq!(before, checked(&cold, "load_one_shard"), "shard {sid}");
             for part in [&mut warm, &mut cold] {

@@ -1,12 +1,14 @@
 //! Persistence integration: engines, indexes and graphs survive disk
 //! round-trips and keep answering queries identically — including indexes
-//! that were refined by a query workload before saving.
+//! that were refined by a query workload before saving, and one-shard
+//! backends stitched back together after edge updates.
 
 use reverse_topk_rwr::prelude::*;
 use rtk_graph::gen::{rmat, RmatConfig};
 use rtk_graph::TransitionMatrix;
-use rtk_index::{HubSelection, ReverseIndex};
+use rtk_index::{HubSelection, IndexError, ReverseIndex, UpdateRecord};
 use rtk_query::{QueryEngine, QueryOptions};
+use rtk_sparse::codec::DecodeError;
 
 fn sample_graph() -> DiGraph {
     rmat(&RmatConfig::new(150, 600, 77)).unwrap()
@@ -37,8 +39,8 @@ fn refined_index_round_trips_with_its_refinements() {
 
     // Persist and reload.
     let mut buf = Vec::new();
-    rtk_index::storage::save(&index, &mut buf).unwrap();
-    let mut loaded = rtk_index::storage::load(std::io::Cursor::new(buf)).unwrap();
+    rtk_index::storage::save(&graph, &index, &mut buf).unwrap();
+    let (_, mut loaded) = rtk_index::storage::load(std::io::Cursor::new(buf)).unwrap();
 
     // The loaded index must answer every query identically and must have
     // kept the refinement (no extra refinement iterations needed compared to
@@ -82,6 +84,7 @@ fn corrupt_engine_snapshots_are_rejected() {
         .max_k(4)
         .hubs_per_direction(3)
         .threads(1)
+        .shards(2)
         .build()
         .unwrap();
     let mut buf = Vec::new();
@@ -100,6 +103,70 @@ fn corrupt_engine_snapshots_are_rejected() {
             ReverseTopkEngine::load(std::io::Cursor::new(bad)).is_err(),
             "truncation at {cut} must fail"
         );
+    }
+
+    // A cut inside the last shard section (the 56 stats bytes follow it) is
+    // an index decode error naming that shard.
+    let cut = &buf[..buf.len() - 56 - 10];
+    match ReverseTopkEngine::load(cut) {
+        Err(EngineError::Index(IndexError::Decode(DecodeError::Corrupt(m)))) => {
+            assert!(m.starts_with("shard 1: "), "{m}")
+        }
+        other => panic!("expected a shard 1 decode error, got {:?}", other.err()),
+    }
+}
+
+/// The router-tier persist path after edge updates: two one-shard backends
+/// of an `S = 2`, `ω = 0` engine apply the same add/remove script as a
+/// whole engine, persist their snapshots, and `stitch` re-assembles them.
+/// Each backend's file carries its updated graph and `P_H`, so the stitched
+/// snapshot must equal the live whole engine: graph, every hub and node
+/// record, and every node's reverse top-k answer to the proximity bit.
+#[test]
+fn stitched_backend_persists_equal_the_live_engine_after_updates() {
+    let mut whole = ReverseTopkEngine::builder(rmat(&RmatConfig::new(56, 220, 9)).unwrap())
+        .max_k(6)
+        .hubs_per_direction(3)
+        .rounding_threshold(0.0)
+        .threads(1)
+        .shards(2)
+        .build()
+        .unwrap();
+    let script = [
+        UpdateRecord::AddEdge { from: 1, to: 22, weight: 1.0 },
+        UpdateRecord::AddEdge { from: 40, to: 3, weight: 2.5 },
+        UpdateRecord::RemoveEdge { from: 1, to: 22 },
+        UpdateRecord::AddEdge { from: 7, to: 30, weight: 1.0 },
+    ];
+    let persist = |sid: usize, updates: &[UpdateRecord]| {
+        let index = whole.index().one_shard(sid).unwrap();
+        let mut backend = ReverseTopkEngine::from_parts(whole.graph().clone(), index).unwrap();
+        backend.replay_updates(updates).unwrap();
+        let mut bytes = Vec::new();
+        backend.save(&mut bytes).unwrap();
+        bytes
+    };
+    let (files, stale) = ([persist(0, &script), persist(1, &script)], persist(1, &[]));
+    whole.replay_updates(&script).unwrap();
+
+    // A backend that missed the updates holds another graph and `P_H`.
+    let err = rtk_index::storage::stitch(vec![&files[0][..], &stale[..]]).err().unwrap();
+    assert!(err.to_string().contains("disagrees"), "{err}");
+    let (graph, index) = rtk_index::storage::stitch(vec![&files[0][..], &files[1][..]]).unwrap();
+    let stitched = ReverseTopkEngine::from_parts(graph, index).unwrap();
+    assert_eq!(stitched.graph(), whole.graph());
+    assert_eq!(stitched.index().hub_matrix(), whole.index().hub_matrix());
+    let queries: Vec<(NodeId, usize)> = (0..56).map(|q| (NodeId(q), 4)).collect();
+    let options = QueryOptions::default();
+    let live = whole.query_batch(&queries, &options).unwrap();
+    let back = stitched.query_batch(&queries, &options).unwrap();
+    for (q, (a, b)) in live.iter().zip(&back).enumerate() {
+        assert_eq!(stitched.index().state(q as u32), whole.index().state(q as u32), "node {q}");
+        assert_eq!(a.nodes(), b.nodes(), "q = {q}");
+        let bits = |r: &rtk_query::QueryResult| -> Vec<u64> {
+            r.proximities().iter().map(|p| p.to_bits()).collect()
+        };
+        assert_eq!(bits(a), bits(b), "q = {q}");
     }
 }
 

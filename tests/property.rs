@@ -181,8 +181,9 @@ fn index_storage_round_trips() {
         };
         let index = ReverseIndex::build(&t, config).unwrap();
         let mut buf = Vec::new();
-        rtk_index::storage::save(&index, &mut buf).unwrap();
-        let loaded = rtk_index::storage::load(std::io::Cursor::new(buf)).unwrap();
+        rtk_index::storage::save(&graph, &index, &mut buf).unwrap();
+        let (back, loaded) = rtk_index::storage::load(std::io::Cursor::new(buf)).unwrap();
+        assert_eq!(back, graph, "case {case}");
         assert_eq!(loaded.node_count(), index.node_count(), "case {case}");
         for u in 0..graph.node_count() as u32 {
             assert_eq!(loaded.state(u), index.state(u), "case {case} u={u}");

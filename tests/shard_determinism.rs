@@ -180,15 +180,15 @@ fn sharded_snapshots_round_trip_and_answer_identically() {
         let mut sharded = index.clone();
         sharded.repartition(shards);
         let mut buf = Vec::new();
-        rtk_index::storage::save(&sharded, &mut buf).unwrap();
+        rtk_index::storage::save(graph, &sharded, &mut buf).unwrap();
         assert_eq!(&buf[..8], rtk_index::storage::MANIFEST_MAGIC, "shards={shards}");
-        let loaded = rtk_index::storage::load(std::io::Cursor::new(&buf)).unwrap();
+        let (_, loaded) = rtk_index::storage::load(std::io::Cursor::new(&buf)).unwrap();
         assert_eq!(loaded.shard_count(), shards);
         for u in 0..graph.node_count() as u32 {
             assert_eq!(loaded.state(u), index.state(u), "shards={shards} node {u}");
         }
         let mut resaved = Vec::new();
-        rtk_index::storage::save(&loaded, &mut resaved).unwrap();
+        rtk_index::storage::save(graph, &loaded, &mut resaved).unwrap();
         assert_eq!(buf, resaved, "shards={shards}: load + save must reproduce the bytes");
         loaded
     };
