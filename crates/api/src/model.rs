@@ -112,9 +112,10 @@ pub enum Request {
         /// (wire v8). Every backend solves the identical full-graph
         /// system, so a shipped vector is bitwise-equal to a local solve.
         pmpn: Option<Vec<f64>>,
-        /// Ask the backend to return its locally solved PMPN vector in the
-        /// answer so the router can ship it to the remaining shards
-        /// (wire v8). Ignored in approx mode (no exact solve runs).
+        /// Solve only (wire v10): the backend answers with its PMPN vector
+        /// alone — no screen, an empty partial answer — so the router can
+        /// ship it to every shard's screen. Refused together with `update`,
+        /// an active `approx` or a shipped `pmpn`.
         want_pmpn: bool,
     },
     /// Insert the edge `from → to` into the served graph, or accumulate
@@ -320,8 +321,8 @@ pub struct WireShardResult {
     /// The partial answer: result nodes within `[node_lo, node_hi)` and the
     /// shard's own counter statistics.
     pub result: WireQueryResult,
-    /// The backend's locally solved PMPN vector, returned only when the
-    /// request set `want_pmpn` and the exact solve actually ran (wire v8).
+    /// The backend's solved PMPN vector: the whole answer of a `want_pmpn`
+    /// (solve-only) request, absent otherwise (wire v8).
     pub pmpn: Option<Vec<f64>>,
 }
 

@@ -35,7 +35,7 @@ use crate::model::{
 use rtk_core::graph::NodeId;
 use rtk_core::query::{QueryOptions, QueryResult};
 use rtk_core::{EngineError, ReverseTopkEngine};
-use rtk_obs::{log_event, Json, Level};
+use rtk_obs::{log_event, Json, Level, TraceSpan};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -83,10 +83,12 @@ pub trait RtkService {
     fn reverse_topk(&mut self, call: &QueryCall) -> ServiceResult<WireQueryResult>;
 
     /// The shard-scoped slice of one reverse top-k query. `pmpn` supplies a
-    /// precomputed PMPN vector to screen against, and `want_pmpn` asks the
-    /// locally solved vector back (the router's solve-once, ship-to-the-rest
-    /// optimisation). Only engines holding exactly one shard answer it;
-    /// everything else reports `Unsupported`.
+    /// precomputed PMPN vector to screen against; `want_pmpn` makes the call
+    /// solve-only — the answer is the PMPN vector with an empty partial
+    /// answer, which a router ships to every shard's screen. A solve-only
+    /// call with `update`, an active `approx` or a `pmpn` is refused. Only
+    /// engines holding exactly one shard answer it; everything else reports
+    /// `Unsupported`.
     fn shard_reverse_topk(
         &mut self,
         _call: &QueryCall,
@@ -204,12 +206,11 @@ pub fn to_wire_shard(
     server_seconds: f64,
     trace: bool,
     (owned_shard, owned): (usize, Range<u32>),
-    pmpn: Option<Vec<f64>>,
 ) -> WireShardResult {
     let shard_id = owned_shard as u32;
     let mut result = to_wire(r, server_seconds, trace.then_some("engine:shard_reverse_topk"));
     result.trace = result.trace.map(|t| t.annotate("shard", shard_id.to_string()));
-    WireShardResult { shard_id, node_lo: owned.start, node_hi: owned.end, result, pmpn }
+    WireShardResult { shard_id, node_lo: owned.start, node_hi: owned.end, result, pmpn: None }
 }
 
 /// The engine's default options with `call`'s fields applied.
@@ -233,12 +234,55 @@ fn query_wire(result: &QueryResult, call: &QueryCall) -> WireQueryResult {
 /// The wire answer of the one-shard `engine`'s slice.
 fn shard_wire(
     engine: &ReverseTopkEngine,
-    (result, pmpn): (QueryResult, Option<Vec<f64>>),
+    result: QueryResult,
     call: &QueryCall,
 ) -> WireShardResult {
     let shard = engine.index().owned_shard().expect("the shard query checked ownership");
     let owned = (shard, engine.index().owned_range());
-    to_wire_shard(&result, result.stats().total_seconds, call.trace, owned, pmpn)
+    to_wire_shard(&result, result.stats().total_seconds, call.trace, owned)
+}
+
+/// A `want_pmpn` call: the one-shard `engine`'s PMPN solve alone — the
+/// vector, an empty partial answer, and (traced) one `pmpn_solve` phase.
+fn solve_only(
+    engine: &ReverseTopkEngine,
+    call: &QueryCall,
+    pmpn: Option<&[f64]>,
+) -> ServiceResult<WireShardResult> {
+    if call.update || call.approx.is_some_and(|a| a.is_active()) || pmpn.is_some() {
+        return Err(ServiceError::Unsupported(
+            "want_pmpn is solve-only: it takes no update, active approx or shipped pmpn"
+                .to_string(),
+        ));
+    }
+    let started = Instant::now();
+    let (vector, report) = engine.solve_shard(NodeId(call.q)).map_err(engine_err)?;
+    let seconds = started.elapsed().as_secs_f64();
+    let shard = engine.index().owned_shard().expect("the solve checked ownership");
+    let owned = engine.index().owned_range();
+    let trace = call.trace.then(|| {
+        let solve = TraceSpan::new("pmpn_solve", seconds)
+            .annotate("iterations", report.iterations.to_string());
+        let mut root = TraceSpan::new("engine:shard_reverse_topk", seconds)
+            .annotate("shard", shard.to_string());
+        root.children.push(solve);
+        root
+    });
+    let result = WireQueryResult {
+        query: call.q,
+        k: call.k,
+        nodes: Vec::new(),
+        proximities: Vec::new(),
+        candidates: 0,
+        hits: 0,
+        refined_nodes: 0,
+        refine_iterations: 0,
+        server_seconds: seconds,
+        trace,
+        approx: None,
+    };
+    let (node_lo, node_hi) = (owned.start, owned.end);
+    Ok(WireShardResult { shard_id: shard as u32, node_lo, node_hi, result, pmpn: Some(vector) })
 }
 
 /// Folds the post-update digest into the wire answer and logs where the
@@ -292,12 +336,12 @@ impl RtkService for ReverseTopkEngine {
         pmpn: Option<&[f64]>,
         want_pmpn: bool,
     ) -> ServiceResult<WireShardResult> {
-        if !call.update {
+        if !call.update || want_pmpn {
             return (&*self).shard_reverse_topk(call, pmpn, want_pmpn);
         }
         let opts = call_options(self, call);
         let answer = self
-            .query_shard(NodeId(call.q), call.k as usize, &opts, pmpn, want_pmpn)
+            .query_shard(NodeId(call.q), call.k as usize, &opts, pmpn)
             .map_err(engine_err)?;
         Ok(shard_wire(self, answer, call))
     }
@@ -357,12 +401,15 @@ impl RtkService for &ReverseTopkEngine {
         pmpn: Option<&[f64]>,
         want_pmpn: bool,
     ) -> ServiceResult<WireShardResult> {
+        if want_pmpn {
+            return solve_only(self, call, pmpn);
+        }
         if call.update {
             return Err(read_only("an update-mode shard_reverse_topk"));
         }
         let opts = call_options(self, call);
         let answer = self
-            .query_shard_frozen(NodeId(call.q), call.k as usize, &opts, pmpn, want_pmpn)
+            .query_shard_frozen(NodeId(call.q), call.k as usize, &opts, pmpn)
             .map_err(engine_err)?;
         Ok(shard_wire(self, answer, call))
     }

@@ -7,6 +7,7 @@ use rtk_index::{
     UpdateRecord,
 };
 use rtk_query::{QueryEngine, QueryOptions, QueryResult};
+use rtk_rwr::power::SolveReport;
 use rtk_rwr::{BcaParams, RwrParams};
 use std::io::{Read, Write};
 use std::path::Path;
@@ -253,7 +254,7 @@ impl ReverseTopkEngine {
         options: &QueryOptions,
     ) -> Result<QueryResult, EngineError> {
         self.check_ownership(false)?;
-        Ok(self.screen_and_commit(q, k, options, None, false)?.0)
+        self.screen_and_commit(q, k, options, None)
     }
 
     /// Fans independent reverse top-k queries across
@@ -278,22 +279,18 @@ impl ReverseTopkEngine {
     /// half of the cross-process commit merge (each backend owns its shard,
     /// so commits never race across processes).
     ///
-    /// `pmpn` supplies a precomputed proximity-to-`q` vector so this
-    /// backend can skip the solve, and `want_pmpn` asks for the locally
-    /// solved vector back so a router can solve once per query and ship the
-    /// result to the other shards. The returned vector is `None` unless
-    /// `want_pmpn` and the exact solve actually ran or a vector was
-    /// supplied (approx mode has no exact PMPN).
+    /// `pmpn` supplies a precomputed proximity-to-`q` vector — a router's
+    /// [`Self::solve_shard`] on any backend — so this backend skips the
+    /// solve and only screens.
     pub fn query_shard(
         &mut self,
         q: NodeId,
         k: usize,
         options: &QueryOptions,
         pmpn: Option<&[f64]>,
-        want_pmpn: bool,
-    ) -> Result<(QueryResult, Option<Vec<f64>>), EngineError> {
+    ) -> Result<QueryResult, EngineError> {
         self.check_ownership(true)?;
-        self.screen_and_commit(q, k, options, pmpn, want_pmpn)
+        self.screen_and_commit(q, k, options, pmpn)
     }
 
     /// [`Self::query_shard`] without the commit: refined states are
@@ -317,9 +314,8 @@ impl ReverseTopkEngine {
     ///
     /// // The shard-scoped slice of "reverse top-2 of node 0" ({0, 1, 4}
     /// // globally) restricted to nodes 0..3 is {0, 1}.
-    /// let (partial, _) = backend
-    ///     .query_shard_frozen(NodeId(0), 2, &Default::default(), None, false)
-    ///     .unwrap();
+    /// let partial =
+    ///     backend.query_shard_frozen(NodeId(0), 2, &Default::default(), None).unwrap();
     /// assert_eq!(partial.nodes(), &[0, 1]);
     ///
     /// // Whole answers are refused, naming what this engine holds.
@@ -332,14 +328,19 @@ impl ReverseTopkEngine {
         k: usize,
         options: &QueryOptions,
         pmpn: Option<&[f64]>,
-        want_pmpn: bool,
-    ) -> Result<(QueryResult, Option<Vec<f64>>), EngineError> {
+    ) -> Result<QueryResult, EngineError> {
         self.check_ownership(true)?;
         let opts = QueryOptions { update_index: false, ..*options };
-        let (result, _, pmpn_out) =
-            self.session
-                .screen(&self.transition(), &self.index, q.0, k, &opts, pmpn, want_pmpn)?;
-        Ok((result, pmpn_out))
+        Ok(self.session.screen(&self.transition(), &self.index, q.0, k, &opts, pmpn)?.0)
+    }
+
+    /// The solve-only half of a routed query on a one-shard engine: PMPN
+    /// (Alg. 2) alone, bit-equal to [`Self::proximities_to`], with its
+    /// report. Every shard's [`Self::query_shard`] screens against it.
+    pub fn solve_shard(&self, q: NodeId) -> Result<(Vec<f64>, SolveReport), EngineError> {
+        self.check_ownership(true)?;
+        self.check_node(q)?;
+        Ok(rtk_rwr::proximity_to(&self.transition(), q.0, &self.solver_params()))
     }
 
     /// Screens the held node range and commits refinements (update mode).
@@ -349,18 +350,11 @@ impl ReverseTopkEngine {
         k: usize,
         options: &QueryOptions,
         pmpn: Option<&[f64]>,
-        want_pmpn: bool,
-    ) -> Result<(QueryResult, Option<Vec<f64>>), EngineError> {
+    ) -> Result<QueryResult, EngineError> {
         let transition = TransitionMatrix::with_probs(&self.graph, &self.probs);
-        Ok(self.session.screen_and_commit(
-            &transition,
-            &mut self.index,
-            q.0,
-            k,
-            options,
-            pmpn,
-            want_pmpn,
-        )?)
+        Ok(self
+            .session
+            .screen_and_commit(&transition, &mut self.index, q.0, k, options, pmpn)?)
     }
 
     /// Forward top-k RWR search: the `k` nodes with the highest proximity

@@ -116,8 +116,8 @@ mod shard_engine {
                 let backend = backend(&sharded, sid);
                 assert_eq!(backend.index().owned_shard(), Some(sid));
                 assert_eq!(backend.shard_count(), 3);
-                let (partial, _) = backend
-                    .query_shard_frozen(NodeId(0), 2, &QueryOptions::default(), None, false)
+                let partial = backend
+                    .query_shard_frozen(NodeId(0), 2, &QueryOptions::default(), None)
                     .unwrap();
                 merged.extend_from_slice(partial.nodes());
             }
@@ -133,11 +133,11 @@ mod shard_engine {
             assert!(backend.index().owned_range().contains(&3));
             let before = backend.index_digest();
             let opts = QueryOptions::default();
-            let (r1, _) = backend.query_shard(NodeId(0), 2, &opts, None, false).unwrap();
+            let r1 = backend.query_shard(NodeId(0), 2, &opts, None).unwrap();
             assert!(r1.stats().refined_nodes > 0);
             assert_ne!(backend.index_digest(), before, "update mode must commit");
             let after = backend.index_digest();
-            let (r2, _) = backend.query_shard_frozen(NodeId(0), 2, &opts, None, false).unwrap();
+            let r2 = backend.query_shard_frozen(NodeId(0), 2, &opts, None).unwrap();
             assert_eq!(backend.index_digest(), after, "frozen mode must not");
             assert_eq!(r1.nodes(), r2.nodes());
             assert!(
@@ -174,7 +174,7 @@ mod shard_engine {
 
             let backend = backend(&sharded, 0);
             let opts = QueryOptions::default();
-            assert!(backend.query_shard_frozen(NodeId(9), 2, &opts, None, false).is_err());
+            assert!(backend.query_shard_frozen(NodeId(9), 2, &opts, None).is_err());
             assert!(backend.top_k(NodeId(9), 2).is_err());
         }
     }

@@ -73,10 +73,8 @@ const SCREEN_CHUNK_EDGES: usize = 96;
 pub const TIE_EPSILON: f64 = 1e-9;
 
 /// What [`QueryEngine::screen`] hands back: the answer over the index's
-/// owned node range, the per-node refinement commits it produced, and —
-/// when `want_pmpn` asked for it — the solved PMPN vector for router
-/// sharing.
-pub type ScreenOutput = (QueryResult, Vec<(u32, NodeState)>, Option<Vec<f64>>);
+/// owned node range and the per-node refinement commits it produced.
+pub type ScreenOutput = (QueryResult, Vec<(u32, NodeState)>);
 
 /// How residual mass is accounted for in the bounds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -219,15 +217,15 @@ impl QueryStats {
             screen = screen.annotate("exact_fallbacks", self.exact_fallbacks.to_string());
         }
         if self.approx_active {
-            // The approx sub-span sits under the screen phase: the backward
-            // push runs where PMPN would, but the walk + ε-band work is what
-            // the screen spends its time on.
+            // The approx sub-span times the estimator's build, which runs
+            // where PMPN would, so it nests in that phase; its counters
+            // describe the screen the estimate then drove.
             let mut approx = TraceSpan::new("approx_screen", self.approx_build_seconds)
                 .annotate("estimated", self.approx_estimated.to_string())
                 .annotate("exact_refined", self.approx_exact_refined.to_string())
                 .annotate("walks", self.approx_walks.to_string());
             approx.start_seconds = 0.0;
-            screen.children.push(approx);
+            pmpn.children.push(approx);
         }
         screen.start_seconds = self.pmpn_seconds;
         // Whatever the total holds beyond the two measured phases (commit
@@ -331,8 +329,7 @@ impl QueryEngine {
         k: usize,
         options: &QueryOptions,
     ) -> Result<QueryResult, QueryError> {
-        self.screen_and_commit(transition, index, q, k, options, None, false)
-            .map(|(r, _)| r)
+        self.screen_and_commit(transition, index, q, k, options, None)
     }
 
     /// Runs Algorithm 4 against a read-only index (refinements are never
@@ -346,7 +343,7 @@ impl QueryEngine {
         options: &QueryOptions,
     ) -> Result<QueryResult, QueryError> {
         let opts = QueryOptions { update_index: false, ..*options };
-        self.screen(transition, index, q, k, &opts, None, false).map(|(r, _, _)| r)
+        self.screen(transition, index, q, k, &opts, None).map(|(r, _)| r)
     }
 
     /// The one query entry: PMPN over the whole graph, then the screen
@@ -362,15 +359,12 @@ impl QueryEngine {
     /// independent and every shard computes the same PMPN vector.
     ///
     /// `pmpn` supplies a precomputed proximity-to-`q` vector (the solve is
-    /// skipped), and `want_pmpn` asks for the solved vector back so a
-    /// router can compute it once and ship it to every other backend of the
-    /// same query. Every backend solves the identical full-graph system, so
-    /// a shipped vector is bitwise-equal to a local solve — answers cannot
-    /// change. The returned vector is `None` when `want_pmpn` is false or
-    /// no vector was produced (approx mode has no exact PMPN); a supplied
-    /// vector whose length disagrees with the graph is rejected with
+    /// skipped), so a router can solve once and ship the vector to every
+    /// backend of the same query. Every backend solves the identical
+    /// full-graph system, so a shipped vector is bitwise-equal to a local
+    /// solve — answers cannot change. A supplied vector whose length
+    /// disagrees with the graph is rejected with
     /// [`QueryError::GraphMismatch`].
-    #[allow(clippy::too_many_arguments)]
     pub fn screen(
         &self,
         transition: &TransitionMatrix<'_>,
@@ -379,7 +373,6 @@ impl QueryEngine {
         k: usize,
         options: &QueryOptions,
         pmpn: Option<&[f64]>,
-        want_pmpn: bool,
     ) -> Result<ScreenOutput, QueryError> {
         let started = Instant::now();
         let n = transition.node_count();
@@ -389,17 +382,15 @@ impl QueryEngine {
                 return Err(QueryError::GraphMismatch { index_nodes: v.len(), graph_nodes: n });
             }
         }
-        let (mut result, commits, pmpn_out) =
-            execute_query(self, transition, index, q, k, options, pmpn, want_pmpn);
+        let (mut result, commits) = execute_query(self, transition, index, q, k, options, pmpn);
         result.stats.total_seconds = started.elapsed().as_secs_f64();
-        Ok((result, commits, pmpn_out))
+        Ok((result, commits))
     }
 
     /// [`Self::screen`] plus the commit phase (update mode): the refined
     /// private copies are serially merged back into `index`, and
     /// `total_seconds` is stamped after the merge so the trace's `commit`
     /// span contains it.
-    #[allow(clippy::too_many_arguments)]
     pub fn screen_and_commit(
         &self,
         transition: &TransitionMatrix<'_>,
@@ -408,14 +399,12 @@ impl QueryEngine {
         k: usize,
         options: &QueryOptions,
         pmpn: Option<&[f64]>,
-        want_pmpn: bool,
-    ) -> Result<(QueryResult, Option<Vec<f64>>), QueryError> {
+    ) -> Result<QueryResult, QueryError> {
         let started = Instant::now();
-        let (mut result, commits, pmpn_out) =
-            self.screen(transition, index, q, k, options, pmpn, want_pmpn)?;
+        let (mut result, commits) = self.screen(transition, index, q, k, options, pmpn)?;
         index.commit_states(commits);
         result.stats.total_seconds = started.elapsed().as_secs_f64();
-        Ok((result, pmpn_out))
+        Ok(result)
     }
 
     /// Runs many *independent* queries against a frozen index, fanning them
@@ -443,8 +432,7 @@ impl QueryEngine {
             QueryOptions { update_index: false, query_threads: threads / workers, ..*options };
         let lanes = WorkerPool::global().claim(workers, queries.len(), Vec::new, |done, i| {
             let (q, k) = queries[i];
-            let (result, _, _) =
-                execute_query(self, transition, index, q, k, &per_query, None, false);
+            let (result, _) = execute_query(self, transition, index, q, k, &per_query, None);
             done.push((i, result));
         });
         let mut results: Vec<(usize, QueryResult)> = lanes.into_iter().flatten().collect();
@@ -491,10 +479,8 @@ struct LocalScreen {
 /// in range order and summing their counters reproduces the single-process
 /// answer bitwise — the invariant multi-process serving is built on.
 ///
-/// Returns the result (with `total_seconds` still unset), the refined
-/// states to commit (empty unless `options.update_index`), and — when
-/// `want_pmpn` and the exact path ran — the PMPN vector, so a router can
-/// ship it to sibling backends instead of having each re-solve it.
+/// Returns the result (with `total_seconds` still unset) and the refined
+/// states to commit (empty unless `options.update_index`).
 ///
 /// `pmpn_in` supplies a precomputed PMPN vector (skipping the solve); the
 /// caller must have validated its length. Every backend solves the
@@ -509,8 +495,7 @@ fn execute_query(
     k: usize,
     options: &QueryOptions,
     pmpn_in: Option<&[f64]>,
-    want_pmpn: bool,
-) -> (QueryResult, Vec<(u32, NodeState)>, Option<Vec<f64>>) {
+) -> ScreenOutput {
     let approx = options.approx.filter(|a| a.is_active());
     let threads = resolve_threads(options.query_threads);
 
@@ -523,15 +508,17 @@ fn execute_query(
     let pmpn_t0 = Instant::now();
     let mut pmpn_iterations = 0u32;
     let mut estimator: Option<BidirEstimator> = None;
-    let to_q: Vec<f64> = if let Some(a) = approx {
+    let solved: Vec<f64>;
+    let to_q: &[f64] = if let Some(a) = approx {
         estimator = Some(BidirEstimator::build(transition, q, alpha, &a, a.epsilon / 2.0));
-        Vec::new()
+        &[]
     } else if let Some(v) = pmpn_in {
-        v.to_vec()
+        v
     } else {
         let (v, report) = proximity_to(transition, q, &pmpn_params);
         pmpn_iterations = report.iterations;
-        v
+        solved = v;
+        &solved
     };
     let pmpn_seconds = pmpn_t0.elapsed().as_secs_f64();
 
@@ -558,7 +545,7 @@ fn execute_query(
             let source = EnvelopeSource { est, transition };
             classify(&source, &chunks, index, k, options, threads)
         }
-        None => classify(&ExactSource(&to_q), &chunks, index, k, options, threads),
+        None => classify(&ExactSource(to_q), &chunks, index, k, options, threads),
     };
 
     // Loosest bounds first; ties break by node id so the refinement
@@ -620,11 +607,7 @@ fn execute_query(
         stats.approx_active = true;
         stats.approx_build_seconds = pmpn_seconds;
     }
-
-    // Hand the solved PMPN vector back only when it exists and was computed
-    // here or supplied — the approximate path has no exact vector to share.
-    let pmpn_out = if want_pmpn && approx.is_none() { Some(to_q) } else { None };
-    (QueryResult { query: q, k, nodes, proximities, stats }, commits, pmpn_out)
+    (QueryResult { query: q, k, nodes, proximities, stats }, commits)
 }
 
 /// Cuts `nodes` into the classify pass's `[lo, hi)` chunks, ascending and
@@ -1547,8 +1530,7 @@ mod tests {
                 let mut proximities = Vec::new();
                 let mut stats = QueryStats::default();
                 for part in &mut parts {
-                    let (partial, _) =
-                        session.screen_and_commit(&t, part, q, 5, &opts, None, false).unwrap();
+                    let partial = session.screen_and_commit(&t, part, q, 5, &opts, None).unwrap();
                     // The partial covers only this shard's range.
                     let range = part.owned_range();
                     assert!(partial.nodes().iter().all(|&u| range.contains(&u)));
@@ -1588,16 +1570,16 @@ mod tests {
         let session = QueryEngine::new(&index);
         let opts = QueryOptions::default();
         assert!(matches!(
-            session.screen(&t, &index, 0, 0, &opts, None, false),
+            session.screen(&t, &index, 0, 0, &opts, None),
             Err(QueryError::KOutOfRange { k: 0, .. })
         ));
         assert!(matches!(
-            session.screen(&t, &index, 9, 1, &opts, None, false),
+            session.screen(&t, &index, 9, 1, &opts, None),
             Err(QueryError::NodeOutOfRange { node: 9, .. })
         ));
         // A shipped PMPN vector of the wrong length is refused, not indexed.
         assert!(matches!(
-            session.screen(&t, &index, 0, 1, &opts, Some(&[0.0; 5]), false),
+            session.screen(&t, &index, 0, 1, &opts, Some(&[0.0; 5])),
             Err(QueryError::GraphMismatch { index_nodes: 5, graph_nodes: 6 })
         ));
     }

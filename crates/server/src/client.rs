@@ -511,8 +511,10 @@ impl Client {
     }
 
     /// The shard-scoped slice of one reverse top-k query: only the
-    /// receiving backend's shard range is screened. Answered by `rtk
-    /// serve --shard-only` backends; the router sends these and merges.
+    /// receiving backend's shard range is screened, against `pmpn` when
+    /// given; `want_pmpn` asks for the PMPN solve alone instead. Answered
+    /// by `rtk serve --shard-only` backends; the router sends these and
+    /// merges.
     pub fn shard_query(
         &mut self,
         call: &QueryCall,

@@ -63,8 +63,10 @@
 //! section of the snapshot; the engine itself refuses whole answers, naming the node
 //! range it holds — and a [`Router`] (CLI: `rtk
 //! router --backends …`) owns the shard map and fans each `reverse_topk`
-//! out as per-shard `shard_reverse_topk` calls — **concurrently**: all
-//! shards are in flight at once over pipelined connections, and the
+//! out as per-shard `shard_reverse_topk` calls — **concurrently**, after
+//! an exact query's one solve-only PMPN call whose vector every shard then
+//! screens against: all shards are in flight at once over pipelined
+//! connections, and the
 //! partial answers merge in deterministic shard order
 //! (nodes/proximities concatenate, counters sum). Several backends may
 //! announce the **same** shard range — the router groups them into a

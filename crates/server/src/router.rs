@@ -78,7 +78,7 @@ use crate::wire::{Request, Response, WireQueryResult, WireUpdateResult, DEFAULT_
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtk_api::service::{dispatch_request, RtkService, ServiceError, ServiceResult};
-use rtk_api::{ApproxParams, QueryCall, StatsSnapshot, WireTopk};
+use rtk_api::{QueryCall, StatsSnapshot, WireTopk};
 use rtk_index::ShardMap;
 use rtk_obs::{log_event, Json, Level, TraceSpan};
 use rtk_sparse::LatencyHistogram;
@@ -236,6 +236,25 @@ struct ShardCall {
     meta: CallMeta,
     submit_offset: f64,
     answer_offset: f64,
+}
+
+impl ShardCall {
+    /// This call's span in a traced query, annotated with how it was
+    /// served; the backend's own engine sub-trace nests under it.
+    fn span(&self, name: &str) -> TraceSpan {
+        let mut span = TraceSpan::new(name, (self.answer_offset - self.submit_offset).max(0.0));
+        span.start_seconds = self.submit_offset;
+        if let Some(addr) = self.meta.replica {
+            span = span.annotate("replica", addr.to_string());
+        }
+        if self.meta.hedged {
+            span = span.annotate("hedged", "true");
+        }
+        if self.meta.failovers > 0 {
+            span = span.annotate("failovers", self.meta.failovers.to_string());
+        }
+        span
+    }
 }
 
 /// Everything the router's workers share.
@@ -866,46 +885,49 @@ impl RouterCtx {
     /// the responses in deterministic shard order — hedging and failing
     /// over per shard as needed.
     ///
+    /// An exact query first solves PMPN once (Alg. 4 line 1): a solve-only
+    /// `want_pmpn` call to the replica set owning `q`, so solves spread
+    /// across shards. It goes out frozen (the backend's read lock) but
+    /// picks its replica as the query does — an update-mode query solves
+    /// on the stable owner that applied every edge update. Every shard then
+    /// screens against the returned vector at the same time — the screens
+    /// are independent per node, so none waits on another shard's screen.
+    /// A solve that fails or brings no vector back leaves each shard
+    /// solving for itself. The solve's call comes back beside the screens;
+    /// approximate screens never solve the full system, so they ship
+    /// nothing and make no solve call.
+    ///
     /// `started` is the root instant of the query: a traced call carries
     /// the trace flag to the backends and each [`ShardCall`] records its
     /// submit/answer offsets from it. Untraced fan-outs take zero timing
     /// syscalls beyond what the untraced path always took.
-    fn fan_out(&self, call: &QueryCall, started: Instant) -> Vec<ShardCall> {
+    fn fan_out(&self, call: &QueryCall, started: Instant) -> (Option<ShardCall>, Vec<ShardCall>) {
         let QueryCall { q, k, update, trace, approx } = *call;
         let trace_from = trace.then_some(started);
-        let make = |approx: Option<ApproxParams>, pmpn: Option<Vec<f64>>, want_pmpn: bool| {
-            Request::ShardReverseTopk { q, k, update, trace, approx, pmpn, want_pmpn }
-        };
-        // PMPN shipping (exact queries only — an approximate screen never
-        // solves the full system, so there is nothing to share): the first
-        // shard solves the shard-independent PMPN vector and returns it;
-        // every remaining shard reuses it instead of re-solving. The trade
-        // is one shard's solve serialized ahead of the rest against
-        // (shards-1) redundant solves skipped.
-        if approx.is_none() && self.shards.len() > 1 && self.pmpn_fits_frame() {
-            // Wave 1 rides the same hedged/failover machinery as any other
-            // shard call — a stalled replica still hedges here.
-            let mut calls = self.fan_out_request(
-                &make(None, None, true),
-                update,
-                trace_from,
-                &self.shards[..1],
-            );
-            // A backend that answered without the vector (or failed) simply
-            // leaves the remaining shards solving for themselves.
-            let pmpn = match calls.first().map(|c| &c.outcome) {
-                Some(Ok(Response::ShardReverseTopk(s))) => s.pmpn.clone(),
-                _ => None,
+        let exact = !approx.is_some_and(|a| a.is_active());
+        let mut solve = None;
+        let mut pmpn = None;
+        let q_in_range = u64::from(q) < self.engine_info.nodes;
+        if exact && self.shards.len() > 1 && q_in_range && self.pmpn_fits_frame() {
+            let request = Request::ShardReverseTopk {
+                q,
+                k,
+                update: false,
+                trace,
+                approx: None,
+                pmpn: None,
+                want_pmpn: true,
             };
-            calls.extend(self.fan_out_request(
-                &make(None, pmpn, false),
-                update,
-                trace_from,
-                &self.shards[1..],
-            ));
-            return calls;
+            let owner = std::slice::from_ref(&self.shards[self.shard_map.shard_of(q)]);
+            let mut call = self.fan_out_request(&request, update, trace_from, owner).remove(0);
+            if let Ok(Response::ShardReverseTopk(s)) = &mut call.outcome {
+                pmpn = s.pmpn.take();
+            }
+            solve = Some(call);
         }
-        self.fan_out_request(&make(approx, None, false), update, trace_from, &self.shards)
+        let request =
+            Request::ShardReverseTopk { q, k, update, trace, approx, pmpn, want_pmpn: false };
+        (solve, self.fan_out_request(&request, update, trace_from, &self.shards))
     }
 
     /// Whether the full PMPN vector (8 bytes per node plus framing slack)
@@ -939,29 +961,50 @@ impl RouterCtx {
             .collect();
         // Wait phase, shard order: merge determinism comes from here, not
         // from response arrival order.
-        calls
-            .into_iter()
-            .zip(sets)
-            .map(|((call, submit_offset), set)| {
-                let mut meta = CallMeta::default();
-                let outcome = match call {
-                    // No replica was attemptable at submit time; the walk
-                    // re-checks (the prober may have re-admitted one).
-                    None => self.set_call(set, request, frozen, false, &mut meta),
-                    Some(call) => {
-                        let answer = if frozen && self.should_hedge(set, call.attempt.idx) {
-                            self.wait_hedged(set, call, request, &mut meta)
-                        } else {
-                            self.settle(set, call.wait(), request, true, &mut meta)
-                        };
-                        // Failed for good on the chosen replica(s): fail
-                        // over across whatever is still attemptable.
-                        answer.or_else(|_| self.set_call(set, request, frozen, true, &mut meta))
-                    }
-                };
-                ShardCall { outcome, meta, submit_offset, answer_offset: offset() }
-            })
-            .collect()
+        let wait = |call: Option<InFlight>, set: &ReplicaSet, submit_offset: f64, hedge: bool| {
+            let mut meta = CallMeta::default();
+            let outcome = match call {
+                // No replica was attemptable at submit time; the walk
+                // re-checks (the prober may have re-admitted one).
+                None => self.set_call(set, request, frozen, false, &mut meta),
+                Some(call) => {
+                    let answer = if hedge {
+                        self.wait_hedged(set, call, request, &mut meta)
+                    } else {
+                        self.settle(set, call.wait(), request, true, &mut meta)
+                    };
+                    // Failed for good on the chosen replica(s): fail
+                    // over across whatever is still attemptable.
+                    answer.or_else(|_| self.set_call(set, request, frozen, true, &mut meta))
+                }
+            };
+            ShardCall { outcome, meta, submit_offset, answer_offset: offset() }
+        };
+        // A call that may hedge is waited on its own thread from submit
+        // time: waiting behind another shard would start its hedge clock
+        // late and record its latency — the hedge delay's input — late.
+        std::thread::scope(|scope| {
+            let pending: Vec<_> = calls
+                .into_iter()
+                .zip(sets)
+                .map(|((mut call, submit_offset), set)| {
+                    let hedge = frozen
+                        && call.as_ref().is_some_and(|c| self.should_hedge(set, c.attempt.idx));
+                    let waiter = hedge.then(|| {
+                        let call = call.take();
+                        scope.spawn(move || wait(call, set, submit_offset, true))
+                    });
+                    (waiter, call, set, submit_offset)
+                })
+                .collect();
+            pending
+                .into_iter()
+                .map(|(waiter, call, set, submit_offset)| match waiter {
+                    Some(waiter) => waiter.join().expect("a shard wait panicked"),
+                    None => wait(call, set, submit_offset, false),
+                })
+                .collect()
+        })
     }
 
     // ---- the tier-level operations ------------------------------------
@@ -991,13 +1034,23 @@ impl RouterCtx {
             trace: None,
             approx: None,
         };
-        let calls = self.fan_out(call, started);
+        let (solve, calls) = self.fan_out(call, started);
         // The merge starts once every shard's answer is in hand (fan_out
         // waits in shard order); only traced queries pay the clock read.
         let merge_start = if traced { started.elapsed().as_secs_f64() } else { 0.0 };
         let mut shard_spans: Vec<TraceSpan> =
-            Vec::with_capacity(if traced { self.shards.len() + 1 } else { 0 });
+            Vec::with_capacity(if traced { self.shards.len() + 2 } else { 0 });
+        // The solve is its own `pmpn` span ahead of the shard screens — not
+        // named `shard…`, as it screens no range.
+        if let (true, Some(solve)) = (traced, solve) {
+            let mut span = solve.span("pmpn");
+            if let Ok(Response::ShardReverseTopk(s)) = solve.outcome {
+                span.children.extend(s.result.trace);
+            }
+            shard_spans.push(span);
+        }
         for (call, set) in calls.into_iter().zip(&self.shards) {
+            let span = traced.then(|| call.span(&format!("shard{}", set.shard_id)));
             match call.outcome? {
                 Response::ShardReverseTopk(mut s) => {
                     if s.node_lo != set.node_lo || s.node_hi != set.node_hi {
@@ -1007,25 +1060,10 @@ impl RouterCtx {
                             set.shard_id, s.node_lo, s.node_hi, set.node_lo, set.node_hi
                         ));
                     }
-                    if traced {
-                        let duration = (call.answer_offset - call.submit_offset).max(0.0);
-                        let mut span = TraceSpan::new(format!("shard{}", set.shard_id), duration);
-                        span.start_seconds = call.submit_offset;
-                        if let Some(addr) = call.meta.replica {
-                            span = span.annotate("replica", addr.to_string());
-                        }
-                        if call.meta.hedged {
-                            span = span.annotate("hedged", "true");
-                        }
-                        if call.meta.failovers > 0 {
-                            span = span.annotate("failovers", call.meta.failovers.to_string());
-                        }
-                        // The backend's own engine trace nests under the
-                        // shard call span; taking it keeps the merged
+                    if let Some(mut span) = span {
+                        // Taking the backend's trace keeps the merged
                         // answer's payload free of stray sub-traces.
-                        if let Some(sub) = s.result.trace.take() {
-                            span.children.push(sub);
-                        }
+                        span.children.extend(s.result.trace.take());
                         shard_spans.push(span);
                     }
                     // Shard ranges ascend and partials are id-sorted within

@@ -60,8 +60,10 @@ pub const WIRE_MAGIC: &[u8; 8] = b"RTKWIRE1";
 /// `index_digest` stats fields; 8 the **tail-flags word** on query
 /// requests and responses (trace, approx knob and counters, shipped and
 /// returned PMPN vectors, `want_pmpn`) and the approx stats counters; 9
-/// made those counters plain fixed fields of the stats snapshot.
-pub const WIRE_VERSION: u32 = 9;
+/// made those counters plain fixed fields of the stats snapshot; 10, with
+/// the same bytes, made `want_pmpn` **solve-only** — the backend answers
+/// with its PMPN vector and an empty partial answer, no screen.
+pub const WIRE_VERSION: u32 = 10;
 /// Default per-frame payload cap (16 MiB) — generous for batch responses,
 /// small enough that a malicious length prefix cannot balloon memory.
 pub const DEFAULT_MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
@@ -95,7 +97,7 @@ const FLAG_APPROX: u32 = 1 << 1;
 /// PMPN vector section (`u64` count + that many `f64`s): router-shipped
 /// on shard requests, backend-returned on shard responses.
 const FLAG_PMPN: u32 = 1 << 2;
-/// Shard requests only: ask the backend to return its solved PMPN vector.
+/// Shard requests only: solve PMPN alone and return the vector (v10).
 const FLAG_WANT_PMPN: u32 = 1 << 3;
 
 /// Writes one frame (header + length-prefixed payload) carrying

@@ -51,13 +51,13 @@ fn engine_api_refuses_the_wrong_family() {
         }
     }
     // Its own family answers — only the owned range.
-    let (partial, _) = shard.query_shard(NodeId(0), 2, &opts, None, false).unwrap();
+    let partial = shard.query_shard(NodeId(0), 2, &opts, None).unwrap();
     assert_eq!(partial.nodes(), &[4]);
 
     let mut whole = whole_engine();
     for r in [
-        whole.query_shard(NodeId(0), 2, &opts, None, false).map(drop),
-        whole.query_shard_frozen(NodeId(0), 2, &opts, None, false).map(drop),
+        whole.query_shard(NodeId(0), 2, &opts, None).map(drop),
+        whole.query_shard_frozen(NodeId(0), 2, &opts, None).map(drop),
     ] {
         match r {
             Err(EngineError::Ownership(m)) => assert_names_range(&m, "0..6", "whole engine"),
@@ -106,12 +106,16 @@ fn dispatch_request_refuses_the_wrong_family() {
         }
     }
     for request in shard_family() {
+        let solve_only = matches!(request, Request::ShardReverseTopk { want_pmpn: true, .. });
         let (_, response) = dispatch_request(&mut shard, request);
         let Response::ShardReverseTopk(partial) = response else {
             panic!("one-shard engine must answer its slice, got {response:?}")
         };
         assert_eq!((partial.shard_id, partial.node_lo, partial.node_hi), (1, 3, 6));
-        assert_eq!(partial.result.nodes, vec![4]);
+        // A `want_pmpn` call is the solve alone: the vector, no screen.
+        let expected: &[u32] = if solve_only { &[] } else { &[4] };
+        assert_eq!(partial.result.nodes, expected);
+        assert_eq!(partial.pmpn.is_some(), solve_only);
     }
 
     let mut whole = whole_engine();

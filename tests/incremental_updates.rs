@@ -260,8 +260,7 @@ fn kept_runs_and_repeated_runs_both_land_on_the_rebuild() {
                     let whole = live.query_with(NodeId(q), k, &update_mode).unwrap();
                     let mut merged = Vec::new();
                     for part in parts.iter_mut() {
-                        let (partial, _) =
-                            part.query_shard(NodeId(q), k, &update_mode, None, false).unwrap();
+                        let partial = part.query_shard(NodeId(q), k, &update_mode, None).unwrap();
                         merged.extend_from_slice(partial.nodes());
                     }
                     assert_eq!(whole.nodes(), merged, "{label} step {step} q={q}");

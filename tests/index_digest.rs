@@ -32,7 +32,7 @@ fn commit_something(engine: &mut ReverseTopkEngine, shard_scoped: bool, from: u3
     for q in (from..n).chain(0..from) {
         let before = engine.index().clone();
         if shard_scoped {
-            engine.query_shard(NodeId(q), 4, &update_mode(), None, false).unwrap();
+            engine.query_shard(NodeId(q), 4, &update_mode(), None).unwrap();
         } else {
             engine.query_with(NodeId(q), 4, &update_mode()).unwrap();
         }

@@ -9,8 +9,12 @@
 //!   trace × approx) runs through `&mut impl RtkService` on the in-process
 //!   engine, a single server, and the routed tier at backend counts
 //!   {1, 2, 4} — result nodes, proximities (exact IEEE-754 bits), and
-//!   counter statistics all match;
-//! * the shard-scoped surface ships PMPN vectors without changing a bit;
+//!   counter statistics all match. The list includes the graph's highest
+//!   in-degree node at `k = MAX_K`, for which every shard refines, and each
+//!   backend's request count shows who solved PMPN: one solve-only call per
+//!   exact query, on the backend owning `q`;
+//! * the shard-scoped surface: a `want_pmpn` call is the PMPN solve alone,
+//!   and screening against its vector changes no bit;
 //! * one backend is killed and restarted mid-sequence: during the outage
 //!   the router degrades loudly (engine errors + `unhealthy_backends` in
 //!   stats, never a partial answer), and after the restart answers are
@@ -74,6 +78,15 @@ fn spawn_backend(
         .spawn()
 }
 
+/// The graph's highest in-degree node (lowest id on a tie): the query
+/// with the most candidates, so every shard refines for it.
+fn hub() -> u32 {
+    let g = graph();
+    (0..NODES as u32)
+        .max_by_key(|&u| (g.in_degree(u), std::cmp::Reverse(u)))
+        .expect("nodes")
+}
+
 /// The conformance list every service flavor executes: each field of
 /// [`QueryCall`] at every value — `update` × `trace` × `approx` ∈ {none,
 /// ε = 0, pinned ε > 0}. Update calls make later calls depend on earlier
@@ -81,7 +94,7 @@ fn spawn_backend(
 /// Each ε = 0 call directly follows its `approx: None` twin.
 fn sequence() -> Vec<QueryCall> {
     let mut seq = Vec::new();
-    for (q, k) in [(0u32, 1u32), (77, 4), (200, 8), (41, 3)] {
+    for (q, k) in [(0u32, 1u32), (77, 4), (200, 8), (41, 3), (hub(), MAX_K as u32)] {
         for update in [false, true] {
             for trace in [false, true] {
                 for approx in [None, Some(ZERO), Some(PINNED)] {
@@ -152,6 +165,19 @@ fn router_matches_single_process_bitwise_across_backend_counts() {
             .spawn();
         let mut via_router = Client::connect(router.addr()).expect("connect router");
 
+        // Every shard refines for the hub query, so the concurrent screens
+        // below run real refinement on every backend (asked before any
+        // update-mode call commits refinements).
+        let mut backend_clients: Vec<Client> = addrs
+            .iter()
+            .map(|a| Client::connect(a.as_str()).expect("connect backend"))
+            .collect();
+        for (sid, backend) in backend_clients.iter_mut().enumerate() {
+            let probe = QueryCall::new(hub(), MAX_K as u32, false);
+            let slice = backend.shard_query(&probe, None, false).expect("hub probe");
+            assert!(slice.result.refined_nodes > 0, "backends={backends}: shard {sid} refines");
+        }
+
         let calls = sequence();
         let local = run(&mut build_engine(backends), &calls);
         let served = run(&mut direct, &calls);
@@ -186,6 +212,27 @@ fn router_matches_single_process_bitwise_across_backend_counts() {
             assert_equal(a, b, true, &format!("backends={backends} batch"));
         }
 
+        // Who served what: every routed query (the batch's two included)
+        // screens on every backend, and with more than one shard each exact
+        // query adds one solve-only call on the backend owning `q`. The
+        // router's handshake and the hub probe add one call each.
+        let routed_queries = calls.iter().map(|c| (c.q, c.approx != Some(PINNED)));
+        let routed_queries: Vec<(u32, bool)> =
+            routed_queries.chain([(3, true), (100, true)]).collect();
+        for (sid, backend) in backend_clients.iter_mut().enumerate() {
+            let s = backend.stats().expect("backend stats");
+            let owned = s.shard_lo..s.shard_hi;
+            let solves = routed_queries
+                .iter()
+                .filter(|(q, exact)| *exact && owned.contains(&u64::from(*q)));
+            let solves = if backends > 1 { solves.count() } else { 0 };
+            assert_eq!(
+                s.shard_reverse_topk,
+                (2 + routed_queries.len() + solves) as u64,
+                "backends={backends}: shard {sid}'s shard_reverse_topk count"
+            );
+        }
+
         // Aggregated stats describe the whole tier.
         let stats = via_router.stats().expect("router stats");
         assert_eq!(stats.nodes, NODES as u64);
@@ -206,20 +253,49 @@ fn router_matches_single_process_bitwise_across_backend_counts() {
     }
 }
 
-/// The shard-scoped surface on one service flavor: `want_pmpn` hands back
-/// exactly the PMPN vector, and screening against the shipped vector skips
-/// the solve without changing a bit of the answer.
+/// The shard-scoped surface on one service flavor: a `want_pmpn` call is
+/// the PMPN solve alone — exactly the `proximities_to(q)` bits, an empty
+/// partial answer, one traced `pmpn_solve` phase — and screening against
+/// that vector skips the solve without changing a bit of the plain
+/// (self-solving) answer. A solve-only call that also asks for an update,
+/// an active approx screen or carries a vector is refused.
 fn ship_pmpn(svc: &mut impl RtkService, call: &QueryCall, pmpn: &[f64]) -> WireQueryResult {
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    let solved = svc.shard_reverse_topk(call, None, true).expect("solving slice");
+    let solved = svc.shard_reverse_topk(call, None, true).expect("solve-only call");
     assert_eq!(solved.pmpn.as_deref().map(bits), Some(bits(pmpn)), "want_pmpn vector");
+    let empty = &solved.result;
+    assert!(empty.nodes.is_empty() && empty.proximities.is_empty(), "{empty:?}");
+    assert_eq!(
+        (empty.candidates, empty.hits, empty.refined_nodes, empty.refine_iterations),
+        (0, 0, 0, 0)
+    );
+    let engine = empty.trace.as_ref().expect("traced call");
+    assert_eq!(engine.name, "engine:shard_reverse_topk");
+    let [solve] = engine.children.as_slice() else { panic!("one phase: {engine:?}") };
+    assert_eq!(solve.name, "pmpn_solve");
+    let iterations = solve.annotations.iter().find(|(k, _)| k == "iterations").expect("iterations");
+    assert!(iterations.1.parse::<u32>().expect("a count") > 0, "{solve:?}");
+
+    let plain = svc.shard_reverse_topk(call, None, false).expect("self-solving slice");
     let reused = svc.shard_reverse_topk(call, Some(pmpn), false).expect("reusing slice");
-    assert!(reused.pmpn.is_none(), "no vector was asked back");
-    assert_equal(&reused.result, &solved.result, true, "shipped vs solved PMPN");
+    assert!(plain.pmpn.is_none() && reused.pmpn.is_none(), "a screen returns no vector");
+    assert_equal(&reused.result, &plain.result, true, "shipped vs self-solved PMPN");
     let solve = &reused.result.trace.as_ref().expect("traced call").children[0];
     assert_eq!(solve.name, "pmpn_solve");
     assert!(solve.annotations.contains(&("iterations".into(), "0".into())), "{solve:?}");
-    solved.result
+
+    for refused in
+        [QueryCall { update: true, ..*call }, QueryCall { approx: Some(PINNED), ..*call }]
+    {
+        let err = svc.shard_reverse_topk(&refused, None, true).expect_err("solve-only refuses");
+        assert!(err.to_string().contains("want_pmpn"), "{refused:?}: {err}");
+    }
+    let err = svc.shard_reverse_topk(call, Some(pmpn), true).expect_err("a shipped vector");
+    assert!(err.to_string().contains("want_pmpn"), "{err}");
+    // ε = 0 is the exact path: a solve-only call may carry it.
+    let zero = QueryCall { approx: Some(ZERO), ..*call };
+    assert!(svc.shard_reverse_topk(&zero, None, true).expect("ε = 0 solve").pmpn.is_some());
+    plain.result
 }
 
 #[test]

@@ -5,7 +5,9 @@
 //!
 //! * a traced query through a router over shard backends returns one span
 //!   tree with ≥ 3 levels (router → backend → engine phase) whose child
-//!   spans all land inside the root span;
+//!   spans all land inside the root span; an exact query's one PMPN solve
+//!   is its own `pmpn` span ahead of the shard screens, which solve
+//!   nothing;
 //! * tracing never changes answers — traced and untraced runs are bitwise
 //!   equal, and untraced responses carry no trace at all;
 //! * with one replica chaos-stalled, the hedge (or failover) that hides
@@ -20,7 +22,10 @@ use rtk_core::ReverseTopkEngine;
 use rtk_graph::gen::{rmat, RmatConfig};
 use rtk_graph::DiGraph;
 use rtk_obs::TraceSpan;
-use rtk_server::{ChaosConfig, Client, Router, RouterConfig, Server, ServerConfig, ServerHandle};
+use rtk_server::wire::ApproxParams;
+use rtk_server::{
+    ChaosConfig, Client, QueryCall, Router, RouterConfig, Server, ServerConfig, ServerHandle,
+};
 use std::io::{Read, Write};
 use std::time::Duration;
 
@@ -171,6 +176,10 @@ fn routed_trace_stitches_backend_spans_and_never_changes_answers() {
                 );
             }
         }
+        // The solve-only call: one `pmpn` child ahead of the shard spans,
+        // annotated like them, wrapping the backend's one-phase sub-trace;
+        // the shard screens then read the shipped vector.
+        assert_solved_once(trace);
         assert!(find_span(trace, "merge").is_some(), "router must record its merge span");
         assert_children_contained(trace, &format!("q={q} k={k}"));
 
@@ -184,6 +193,7 @@ fn routed_trace_stitches_backend_spans_and_never_changes_answers() {
     let (q, k) = workload()[0];
     let traced = client.reverse_topk_traced(q, k, true).expect("traced update query");
     let trace = traced.trace.as_ref().expect("traced answer carries a trace");
+    assert_solved_once(trace);
     for sid in 0..SHARDS {
         let engine = find_span(trace, &format!("shard{sid}"))
             .and_then(|shard| find_span(shard, "engine:shard_reverse_topk"))
@@ -194,6 +204,17 @@ fn routed_trace_stitches_backend_spans_and_never_changes_answers() {
         assert!((phase_sum - engine.duration_seconds).abs() <= 1e-9);
     }
 
+    // An approximate screen solves nothing to share: no `pmpn` span.
+    let call = QueryCall {
+        trace: true,
+        approx: Some(ApproxParams { epsilon: 1e-3, walks: 24, seed: 42 }),
+        ..QueryCall::new(q, k, false)
+    };
+    let approx = client.query(&call).expect("traced approx query");
+    let trace = approx.trace.as_ref().expect("traced answer carries a trace");
+    assert!(trace.children.iter().all(|c| c.name != "pmpn"), "{}", trace.render());
+    assert_children_contained(trace, "approx");
+
     client.shutdown().expect("router shutdown");
     router.join().expect("router join");
     for h in handles {
@@ -201,6 +222,35 @@ fn routed_trace_stitches_backend_spans_and_never_changes_answers() {
     }
     direct.shutdown().expect("single shutdown");
     single.join().expect("single join");
+}
+
+/// The iteration count a `pmpn_solve` span reports.
+fn iterations(solve: &TraceSpan) -> u32 {
+    let (_, n) = solve.annotations.iter().find(|(k, _)| k == "iterations").expect("iterations");
+    n.parse().expect("an iteration count")
+}
+
+/// An exact routed trace solves PMPN once: exactly one `pmpn` child of the
+/// router span, before every `shard{i}` span, annotated with its replica
+/// and wrapping a backend sub-trace whose one phase is a real solve — and
+/// every shard screen's `pmpn_solve` ran no iteration.
+fn assert_solved_once(trace: &TraceSpan) {
+    let names: Vec<&str> = trace.children.iter().map(|c| c.name.as_str()).collect();
+    let at = names.iter().position(|&n| n == "pmpn").expect("a pmpn span");
+    assert_eq!(names.iter().filter(|&&n| n == "pmpn").count(), 1, "{names:?}");
+    assert!(names[..at].iter().all(|n| !n.starts_with("shard")), "{names:?}");
+    let pmpn = &trace.children[at];
+    assert!(pmpn.annotations.iter().any(|(k, _)| k == "replica"), "{pmpn:?}");
+    let [engine] = pmpn.children.as_slice() else { panic!("one sub-trace: {pmpn:?}") };
+    assert_eq!(engine.name, "engine:shard_reverse_topk");
+    let [solve] = engine.children.as_slice() else { panic!("one phase: {engine:?}") };
+    assert_eq!(solve.name, "pmpn_solve");
+    assert!(iterations(solve) > 0, "{solve:?}");
+    for sid in 0..SHARDS {
+        let shard = find_span(trace, &format!("shard{sid}")).expect("a shard span");
+        let solve = find_span(shard, "pmpn_solve").expect("a shard pmpn_solve phase");
+        assert_eq!(iterations(solve), 0, "shard{sid} must screen the shipped vector");
+    }
 }
 
 #[test]
