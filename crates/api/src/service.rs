@@ -451,12 +451,10 @@ impl RtkService for &ReverseTopkEngine {
             shard_hi: u64::from(owned.end),
             index_digest: self.index_digest(),
         };
-        let shards = self.index().shards();
-        Ok(StatsSnapshot::local(
-            info,
-            shards.iter().map(|s| s.len() as u64).collect(),
-            shards.iter().map(|s| s.heap_bytes() as u64).collect(),
-        ))
+        let (nodes, bytes) = (self.index().held_shards())
+            .map(|(_, range, bytes)| (range.len() as u64, bytes as u64))
+            .unzip();
+        Ok(StatsSnapshot::local(info, nodes, bytes))
     }
 
     fn persist(&mut self, path: &str) -> ServiceResult<u64> {

@@ -96,7 +96,6 @@ pub fn index_config(spec: &DatasetSpec, b: usize, nodes: usize) -> IndexConfig {
         hub_solver,
         rounding_threshold: spec.rounding_threshold,
         threads: 0,
-        shards: 1,
     }
 }
 

@@ -8,11 +8,11 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
     if super::is_tsv(input) == super::is_tsv(output) {
         // Same-format copies are legal (e.g. repair dangling nodes), just
         // mention it so accidental no-ops are visible.
-        println!("note: input and output use the same format");
+        outln!("note: input and output use the same format");
     }
     let graph = super::load_graph(input)?;
     super::save_graph(&graph, output)?;
-    println!(
+    outln!(
         "converted {input} -> {output} ({} nodes / {} edges)",
         graph.node_count(),
         graph.edge_count()

@@ -12,7 +12,7 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
         .ok_or_else(|| "generate: --out <file> is required".to_string())?;
     let graph = build(name)?;
     super::save_graph(&graph, out)?;
-    println!("wrote {name}: {} nodes / {} edges -> {out}", graph.node_count(), graph.edge_count());
+    outln!("wrote {name}: {} nodes / {} edges -> {out}", graph.node_count(), graph.edge_count());
     Ok(())
 }
 

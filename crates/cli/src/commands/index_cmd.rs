@@ -35,19 +35,19 @@ fn build(args: &Parsed) -> Result<(), String> {
         hub_selection: HubSelection::DegreeBased { b: hubs },
         rounding_threshold: omega,
         threads,
-        shards,
         ..Default::default()
     };
-    let index =
+    let mut index =
         ReverseIndex::build(&transition, config).map_err(|e| format!("index build: {e}"))?;
+    index.repartition(shards);
     rtk_index::storage::save_path(&graph, &index, out)
         .map_err(|e| format!("snapshot save: {e}"))?;
-    println!(
+    outln!(
         "built index over {graph_path} ({} shard(s)): {}",
         index.shard_count(),
         index.stats().summary()
     );
-    println!("wrote {out}");
+    outln!("wrote {out}");
     Ok(())
 }
 
@@ -56,22 +56,22 @@ fn info(args: &Parsed) -> Result<(), String> {
     let (graph, index) =
         rtk_index::storage::load_path(path).map_err(|e| format!("snapshot load: {e}"))?;
     let s = index.stats();
-    println!("snapshot: {path}");
-    println!("  nodes:       {}", index.node_count());
-    println!("  edges:       {}", graph.edge_count());
-    println!("  max k (K):   {}", index.max_k());
-    println!("  shards:      {}", index.shard_count());
-    println!("  hubs:        {}", s.hub_count);
-    println!("  rounding ω:  {:e}", index.config().rounding_threshold);
-    println!("  α:           {}", index.config().alpha());
-    println!("  built in:    {:.2}s on {} threads", s.total_seconds, s.threads);
-    println!(
+    outln!("snapshot: {path}");
+    outln!("  nodes:       {}", index.node_count());
+    outln!("  edges:       {}", graph.edge_count());
+    outln!("  max k (K):   {}", index.max_k());
+    outln!("  shards:      {}", index.shard_count());
+    outln!("  hubs:        {}", s.hub_count);
+    outln!("  rounding ω:  {:e}", index.config().rounding_threshold);
+    outln!("  α:           {}", index.config().alpha());
+    outln!("  built in:    {:.2}s on {} threads", s.total_seconds, s.threads);
+    outln!(
         "  size:        {:.1} MiB ({:.1} MiB without rounding, {:.1} MiB lower bounds only)",
         s.actual_bytes as f64 / (1024.0 * 1024.0),
         s.no_rounding_bytes as f64 / (1024.0 * 1024.0),
         s.lower_bound_bytes as f64 / (1024.0 * 1024.0),
     );
-    println!(
+    outln!(
         "  BCA: η = {:e}, δ = {:e}",
         index.config().bca.propagation_threshold,
         index.config().bca.residue_threshold

@@ -28,7 +28,7 @@ fn info(args: &Parsed) -> Result<(), String> {
     let records = rtk_index::storage::load_update_log(path)
         .map_err(|e| format!("log info: cannot read {path:?}: {e}"))?;
     let adds = records.iter().filter(|r| matches!(r, UpdateRecord::AddEdge { .. })).count();
-    println!(
+    outln!(
         "{path}: RTKULOG1 v1, {} record(s) ({adds} add_edge, {} remove_edge)",
         records.len(),
         records.len() - adds
@@ -37,15 +37,15 @@ fn info(args: &Parsed) -> Result<(), String> {
     for (i, r) in records.iter().take(limit).enumerate() {
         match r {
             UpdateRecord::AddEdge { from, to, weight } => {
-                println!("  [{i}] add_edge    {from} -> {to}  (weight {weight})");
+                outln!("  [{i}] add_edge    {from} -> {to}  (weight {weight})");
             }
             UpdateRecord::RemoveEdge { from, to } => {
-                println!("  [{i}] remove_edge {from} -> {to}");
+                outln!("  [{i}] remove_edge {from} -> {to}");
             }
         }
     }
     if limit > 0 && records.len() > limit {
-        println!("  … {} more (raise --limit to see them)", records.len() - limit);
+        outln!("  … {} more (raise --limit to see them)", records.len() - limit);
     }
     Ok(())
 }
@@ -73,13 +73,13 @@ fn replay(args: &Parsed) -> Result<(), String> {
         .replay_updates(&records)
         .map_err(|e| format!("log replay: applying {log:?} over {index:?}: {e}"))?;
     engine.save_path(out).map_err(|e| format!("log replay: writing {out:?}: {e}"))?;
-    println!(
+    outln!(
         "replayed {} update(s) over {index}: {} state(s) + {} hub vector(s) recomputed",
         records.len(),
         effect.recomputed_states,
         effect.recomputed_hubs
     );
-    println!("wrote {out} (index digest {:016x})", engine.index_digest());
+    outln!("wrote {out} (index digest {:016x})", engine.index_digest());
     Ok(())
 }
 

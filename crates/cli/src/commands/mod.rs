@@ -77,7 +77,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         "remote" => remote::run(rest),
         "log" => log_cmd::run(rest),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(())
         }
         other => Err(format!("unknown command {other:?}\n{USAGE}")),

@@ -23,16 +23,17 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
     let transition = TransitionMatrix::new(&graph);
     let params = RwrParams::with_alpha(alpha).with_threads(threads);
     let (row, report) = proximity_to(&transition, q, &params);
-    println!(
+    outln!(
         "proximities to node {q} (PMPN, {} iterations, converged: {})",
-        report.iterations, report.converged
+        report.iterations,
+        report.converged
     );
-    println!("largest contributors:");
+    outln!("largest contributors:");
     for (u, p) in top_k_of_dense(&row, top) {
-        println!("  node {u} -> {p:.6}");
+        outln!("  node {u} -> {p:.6}");
     }
     let total: f64 = row.iter().sum();
-    println!("sum of all contributions: {total:.4} (= PageRank·n contribution mass)");
+    outln!("sum of all contributions: {total:.4} (= PageRank·n contribution mass)");
     Ok(())
 }
 

@@ -41,12 +41,12 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
     };
     let result = engine.query_with(NodeId(q), k, &options).map_err(|e| format!("query: {e}"))?;
 
-    println!("reverse top-{k} of node {q}: {} result(s)", result.len());
+    outln!("reverse top-{k} of node {q}: {} result(s)", result.len());
     for (u, p) in result.nodes().iter().zip(result.proximities()) {
-        println!("  node {u}  (p_u(q) = {p:.6})");
+        outln!("  node {u}  (p_u(q) = {p:.6})");
     }
     let s = result.stats();
-    println!(
+    outln!(
         "stats: {} candidates | {} hits | {} pruned | {} refined ({} iterations) | {:.4}s",
         s.candidates,
         s.hits,
@@ -56,15 +56,17 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
         s.total_seconds
     );
     if s.approx_active {
-        println!(
+        outln!(
             "approx: {} estimated | {} exact-refined | {} walks",
-            s.approx_estimated, s.approx_exact_refined, s.approx_walks
+            s.approx_estimated,
+            s.approx_exact_refined,
+            s.approx_walks
         );
     }
 
     if args.has("update") {
         engine.save_path(path).map_err(|e| format!("snapshot save: {e}"))?;
-        println!("index refinements saved back to {path}");
+        outln!("index refinements saved back to {path}");
     }
     Ok(())
 }

@@ -62,12 +62,12 @@ pub(crate) fn run(argv: &[String]) -> Result<(), String> {
         "stats" => stats(&mut client),
         "ping" => {
             RtkService::ping(&mut client).map_err(|e| format!("remote ping: {e}"))?;
-            println!("pong from {addr}");
+            outln!("pong from {addr}");
             Ok(())
         }
         "shutdown" => {
             RtkService::shutdown(&mut client).map_err(|e| format!("remote shutdown: {e}"))?;
-            println!("server at {addr} acknowledged shutdown");
+            outln!("server at {addr} acknowledged shutdown");
             Ok(())
         }
         _ => unreachable!("subcommand validated above"),
@@ -107,22 +107,28 @@ fn query(svc: &mut impl RtkService, args: &Parsed) -> Result<(), String> {
         .reverse_topk(&QueryCall { q, k, update, trace: traced, approx })
         .map_err(|e| format!("remote query: {e}"))?;
     let round_trip = started.elapsed().as_secs_f64();
-    println!(
+    outln!(
         "reverse top-{k} of node {q}{}: {} result(s)",
         if update { " (update mode)" } else { "" },
         r.nodes.len()
     );
     for (u, p) in r.nodes.iter().zip(&r.proximities) {
-        println!("  node {u}  (p_u(q) = {p:.6})");
+        outln!("  node {u}  (p_u(q) = {p:.6})");
     }
-    println!(
+    outln!(
         "stats: {} candidates | {} hits | {} refined ({} iterations) | {:.4}s server-side",
-        r.candidates, r.hits, r.refined_nodes, r.refine_iterations, r.server_seconds
+        r.candidates,
+        r.hits,
+        r.refined_nodes,
+        r.refine_iterations,
+        r.server_seconds
     );
     if let Some(a) = &r.approx {
-        println!(
+        outln!(
             "approx: {} estimated | {} exact-refined | {} walks",
-            a.estimated, a.exact_refined, a.walks
+            a.estimated,
+            a.exact_refined,
+            a.walks
         );
     }
     if traced {
@@ -133,10 +139,10 @@ fn query(svc: &mut impl RtkService, args: &Parsed) -> Result<(), String> {
                 // top of server-side time.
                 let mut root = rtk_obs::TraceSpan::new("client:remote_query", round_trip);
                 root.children.push(server_trace);
-                println!("\ntrace ({} span(s)):", root.node_count());
-                print!("{}", root.render());
+                outln!("\ntrace ({} span(s)):", root.node_count());
+                crate::write_stdout(format_args!("{}", root.render()));
             }
-            None => println!("\ntrace: the service answered without a trace section"),
+            None => outln!("\ntrace: the service answered without a trace section"),
         }
     }
     Ok(())
@@ -147,9 +153,9 @@ fn topk(svc: &mut impl RtkService, args: &Parsed) -> Result<(), String> {
     let k = args.get_num("k", 10u32)?;
     let early = args.has("early");
     let t = svc.topk(u, k, early).map_err(|e| format!("remote topk: {e}"))?;
-    println!("top-{k} from node {u}{}:", if early { " (early termination)" } else { "" });
+    outln!("top-{k} from node {u}{}:", if early { " (early termination)" } else { "" });
     for (v, p) in t.nodes.iter().zip(&t.scores) {
-        println!("  node {v}  (p = {p:.6})");
+        outln!("  node {v}  (p = {p:.6})");
     }
     Ok(())
 }
@@ -160,7 +166,7 @@ fn batch(svc: &mut impl RtkService, args: &Parsed) -> Result<(), String> {
     let queries = node_list(args, k)?;
     let rs = svc.batch(&queries).map_err(|e| format!("remote batch: {e}"))?;
     for r in rs {
-        println!("node {}: {} result(s): {:?}", r.query, r.nodes.len(), r.nodes);
+        outln!("node {}: {} result(s): {:?}", r.query, r.nodes.len(), r.nodes);
     }
     Ok(())
 }
@@ -175,7 +181,7 @@ fn batch_pipelined(client: &mut Client, args: &Parsed) -> Result<(), String> {
         .pipeline(&queries, false)
         .map_err(|e| format!("remote batch --pipeline: {e}"))?;
     for r in rs {
-        println!("node {}: {} result(s): {:?}", r.query, r.nodes.len(), r.nodes);
+        outln!("node {}: {} result(s): {:?}", r.query, r.nodes.len(), r.nodes);
     }
     Ok(())
 }
@@ -192,10 +198,12 @@ fn edge_flags(args: &Parsed) -> Result<(u32, u32), String> {
 }
 
 fn print_update(verb: &str, from: u32, to: u32, u: &rtk_server::WireUpdateResult) {
-    println!(
+    outln!(
         "{verb} edge {from} -> {to}: {} state(s) + {} hub vector(s) recomputed; \
          index digest {:016x}",
-        u.recomputed_states, u.recomputed_hubs, u.index_digest
+        u.recomputed_states,
+        u.recomputed_hubs,
+        u.index_digest
     );
 }
 
@@ -228,7 +236,7 @@ fn persist(svc: &mut impl RtkService, args: &Parsed) -> Result<(), String> {
         .get("out")
         .ok_or_else(|| "remote persist: --out <server-side path> is required".to_string())?;
     let bytes = svc.persist(out).map_err(|e| format!("remote persist: {e}"))?;
-    println!(
+    outln!(
         "server flushed its engine snapshot to {out} ({:.2} MiB)",
         bytes as f64 / (1024.0 * 1024.0)
     );
@@ -240,47 +248,52 @@ fn persist(svc: &mut impl RtkService, args: &Parsed) -> Result<(), String> {
 /// either source identically.
 fn stats_json(svc: &mut impl RtkService) -> Result<(), String> {
     let s = svc.stats().map_err(|e| format!("remote stats: {e}"))?;
-    println!("{}", s.to_json().render_pretty());
+    outln!("{}", s.to_json().render_pretty());
     Ok(())
 }
 
 fn stats(svc: &mut impl RtkService) -> Result<(), String> {
     let s = svc.stats().map_err(|e| format!("remote stats: {e}"))?;
-    println!("server stats:");
-    println!("  uptime:           {:.1}s", s.uptime_seconds);
-    println!("  graph:            {} nodes / {} edges (max k {})", s.nodes, s.edges, s.max_k);
-    println!("  workers:          {}", s.workers);
+    outln!("server stats:");
+    outln!("  uptime:           {:.1}s", s.uptime_seconds);
+    outln!("  graph:            {} nodes / {} edges (max k {})", s.nodes, s.edges, s.max_k);
+    outln!("  workers:          {}", s.workers);
     let shard_sizes: Vec<String> = s
         .shard_nodes
         .iter()
         .zip(&s.shard_bytes)
         .map(|(&n, &b)| format!("{n} nodes/{:.2} MiB", b as f64 / (1024.0 * 1024.0)))
         .collect();
-    println!("  shards:           {} [{}]", s.shard_count(), shard_sizes.join(", "));
+    outln!("  shards:           {} [{}]", s.shard_count(), shard_sizes.join(", "));
     if s.shard_lo != 0 || s.shard_hi != s.nodes {
-        println!("  shard-only:       serving nodes {}..{}", s.shard_lo, s.shard_hi);
+        outln!("  shard-only:       serving nodes {}..{}", s.shard_lo, s.shard_hi);
     }
     if s.unhealthy_backends > 0 {
-        println!("  DEGRADED:         {} backend(s) unhealthy", s.unhealthy_backends);
+        outln!("  DEGRADED:         {} backend(s) unhealthy", s.unhealthy_backends);
     }
     if s.hedged_requests > 0 || s.failovers > 0 {
-        println!(
+        outln!(
             "  resilience:       {} hedged request(s), {} failover(s)",
-            s.hedged_requests, s.failovers
+            s.hedged_requests,
+            s.failovers
         );
     }
     if s.approx_queries > 0 {
-        println!(
+        outln!(
             "  approx:           {} query(ies): {} estimated, {} exact-refined, {} walks",
-            s.approx_queries, s.approx_estimated, s.approx_exact_refined, s.approx_walks
+            s.approx_queries,
+            s.approx_estimated,
+            s.approx_exact_refined,
+            s.approx_walks
         );
     }
-    println!("  connections:      {} ({} rejected at cap)", s.connections, s.rejected_connections);
-    println!(
+    outln!("  connections:      {} ({} rejected at cap)", s.connections, s.rejected_connections);
+    outln!(
         "  pipelining:       {} peak in-flight ({} rejected at depth cap)",
-        s.inflight_peak, s.inflight_rejections
+        s.inflight_peak,
+        s.inflight_rejections
     );
-    println!(
+    outln!(
         "  requests:         {} total (ping {}, reverse_topk {}, shard_rtk {}, topk {}, batch {}, add_edge {}, remove_edge {}, persist {}, stats {}, shutdown {})",
         s.total_requests(),
         s.ping,
@@ -295,13 +308,15 @@ fn stats(svc: &mut impl RtkService) -> Result<(), String> {
         s.shutdown
     );
     if s.index_digest != 0 {
-        println!("  index digest:     {:016x}", s.index_digest);
+        outln!("  index digest:     {:016x}", s.index_digest);
     }
-    println!(
+    outln!(
         "  errors:           {} protocol, {} engine, {} auth",
-        s.protocol_errors, s.engine_errors, s.auth_failures
+        s.protocol_errors,
+        s.engine_errors,
+        s.auth_failures
     );
-    println!(
+    outln!(
         "  latency:          p50 {:.6}s | p95 {:.6}s | p99 {:.6}s | mean {:.6}s | max {:.6}s ({} samples)",
         s.p50_seconds, s.p95_seconds, s.p99_seconds, s.mean_seconds, s.max_seconds, s.latency_count
     );

@@ -83,7 +83,7 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
 
     let router =
         Router::bind(&backends, addr, config.clone()).map_err(|e| format!("router: {e}"))?;
-    println!(
+    outln!(
         "rtk router listening on {} ({} workers, {} backend(s) over {} shard(s), \
          concurrent fan-out{}); \
          stop with `rtk remote shutdown --addr {}` (propagates to backends)",
@@ -95,7 +95,7 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
         router.local_addr()
     );
     if let Some(maddr) = router.metrics_addr() {
-        println!("rtk router metrics on http://{maddr}/metrics (Prometheus text format)");
+        outln!("rtk router metrics on http://{maddr}/metrics (Prometheus text format)");
     }
     router.run().map_err(|e| format!("router: {e}"))
 }

@@ -49,7 +49,7 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
     };
     let server = Server::bind(engine, addr, config.clone())
         .map_err(|e| format!("serve: cannot bind {addr}: {e}"))?;
-    println!(
+    outln!(
         "rtk-server listening on {} ({} workers, {what}{}{}); \
          stop with `rtk remote shutdown --addr {}`",
         server.local_addr(),
@@ -63,10 +63,10 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
         server.local_addr()
     );
     if let Some(maddr) = server.metrics_addr() {
-        println!("rtk-server metrics on http://{maddr}/metrics (Prometheus text format)");
+        outln!("rtk-server metrics on http://{maddr}/metrics (Prometheus text format)");
     }
     if config.chaos.is_some() {
-        println!("rtk-server CHAOS injection enabled — answers may be dropped, delayed, or cut");
+        outln!("rtk-server CHAOS injection enabled — answers may be dropped, delayed, or cut");
     }
     server.run().map_err(|e| format!("serve: {e}"))
 }

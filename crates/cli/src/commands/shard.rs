@@ -72,7 +72,7 @@ fn split(args: &Parsed) -> Result<(), String> {
         }
     }
     save(&graph, &index, out)?;
-    println!(
+    outln!(
         "re-partitioned {path} from {before} to {} shard(s) (balance: {balance}); wrote {out}",
         index.shard_count()
     );
@@ -89,7 +89,7 @@ fn stitch(args: &Parsed) -> Result<(), String> {
     let (graph, stitched) =
         rtk_index::storage::stitch_path_prefix(prefix).map_err(|e| format!("shard stitch: {e}"))?;
     save(&graph, &stitched, out)?;
-    println!("stitched {} shard(s) at {prefix}.shard*; wrote {out}", stitched.shard_count());
+    outln!("stitched {} shard(s) at {prefix}.shard*; wrote {out}", stitched.shard_count());
     Ok(())
 }
 
@@ -97,19 +97,17 @@ fn stitch(args: &Parsed) -> Result<(), String> {
 fn info(args: &Parsed) -> Result<(), String> {
     let path = args.positional(0, "snapshot")?;
     let (_, index) = load(path)?;
-    println!("snapshot: {path}");
-    println!("  nodes:   {}", index.node_count());
-    println!("  max k:   {}", index.max_k());
-    println!("  shards:  {}", index.shard_count());
-    for shard in index.shards() {
-        let r = shard.range();
-        println!(
-            "  shard {:>3}: nodes {:>8}..{:<8} ({} nodes, {:.2} MiB)",
-            shard.id(),
-            r.start,
-            r.end,
-            shard.len(),
-            shard.heap_bytes() as f64 / (1024.0 * 1024.0),
+    outln!("snapshot: {path}");
+    outln!("  nodes:   {}", index.node_count());
+    outln!("  max k:   {}", index.max_k());
+    outln!("  shards:  {}", index.shard_count());
+    for (id, range, bytes) in index.held_shards() {
+        outln!(
+            "  shard {id:>3}: nodes {:>8}..{:<8} ({} nodes, {:.2} MiB)",
+            range.start,
+            range.end,
+            range.len(),
+            bytes as f64 / (1024.0 * 1024.0),
         );
     }
     Ok(())

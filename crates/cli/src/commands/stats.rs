@@ -6,22 +6,25 @@ use rtk_graph::degree::{degree_stats, top_b_by_degree, DegreeKind};
 pub(crate) fn run(args: &Parsed) -> Result<(), String> {
     let path = args.positional(0, "graph")?;
     let graph = super::load_graph(path)?;
-    println!("graph: {path}");
-    println!("  nodes:    {}", graph.node_count());
-    println!("  edges:    {}", graph.edge_count());
-    println!("  weighted: {}", graph.is_weighted());
-    println!("  memory:   {:.1} MiB", graph.heap_bytes() as f64 / (1024.0 * 1024.0));
+    outln!("graph: {path}");
+    outln!("  nodes:    {}", graph.node_count());
+    outln!("  edges:    {}", graph.edge_count());
+    outln!("  weighted: {}", graph.is_weighted());
+    outln!("  memory:   {:.1} MiB", graph.heap_bytes() as f64 / (1024.0 * 1024.0));
     for (label, kind) in [("out", DegreeKind::Out), ("in", DegreeKind::In)] {
         let s = degree_stats(&graph, kind);
-        println!(
+        outln!(
             "  {label}-degree: min {} / mean {:.2} / max {} ({} zero)",
-            s.min, s.mean, s.max, s.zeros
+            s.min,
+            s.mean,
+            s.max,
+            s.zeros
         );
     }
     let top_in = top_b_by_degree(&graph, DegreeKind::In, 5);
     let top_out = top_b_by_degree(&graph, DegreeKind::Out, 5);
-    println!("  top in-degree nodes:  {top_in:?}");
-    println!("  top out-degree nodes: {top_out:?}");
+    outln!("  top in-degree nodes:  {top_in:?}");
+    outln!("  top out-degree nodes: {top_out:?}");
     Ok(())
 }
 

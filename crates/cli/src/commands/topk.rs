@@ -33,19 +33,20 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
             max_iterations: 100_000,
         };
         let (top, report) = rtk_query::top_k_rwr_early(&transition, u, k, &params);
-        println!(
+        outln!(
             "top-{k} from node {u} (early termination after {} iterations, residual {:.2e}):",
-            report.iterations, report.final_residual
+            report.iterations,
+            report.final_residual
         );
         top
     } else {
         let params = RwrParams::with_alpha(alpha).with_threads(threads);
         let top = rtk_query::baseline::top_k_rwr(&transition, u, k, &params);
-        println!("top-{k} from node {u} (exact power method):");
+        outln!("top-{k} from node {u} (exact power method):");
         top
     };
     for (rank, (v, p)) in top.iter().enumerate() {
-        println!("  {:>3}. node {v}  (proximity {p:.6})", rank + 1);
+        outln!("  {:>3}. node {v}  (proximity {p:.6})", rank + 1);
     }
     Ok(())
 }

@@ -14,6 +14,11 @@
 //! Graph files ending in `.tsv`/`.txt`/`.edges` are read/written as TSV edge
 //! lists; anything else uses the versioned binary format.
 
+/// `println!` for command output, through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => { $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
 mod args;
 mod commands;
 
@@ -30,5 +35,17 @@ fn main() -> ExitCode {
             rtk_obs::log_event(rtk_obs::Level::Error, "rtk", &e, &[]);
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Writes command output to stdout. A reader that closed the pipe early
+/// (`rtk stats g.rtkg | head -1`) wants no more of it: the command ends
+/// there, quietly and with status 0, instead of panicking on the `EPIPE`.
+fn write_stdout(text: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    match std::io::stdout().lock().write_fmt(text) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed printing to stdout: {e}"),
     }
 }

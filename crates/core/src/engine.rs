@@ -68,7 +68,12 @@ pub struct ReverseTopkEngine {
 impl ReverseTopkEngine {
     /// Starts configuring an engine for `graph`.
     pub fn builder(graph: DiGraph) -> EngineBuilder {
-        EngineBuilder { graph, config: IndexConfig::default(), options: QueryOptions::default() }
+        EngineBuilder {
+            graph,
+            config: IndexConfig::default(),
+            shards: 1,
+            options: QueryOptions::default(),
+        }
     }
 
     /// Rebuilds an engine from a graph and a previously built index — one
@@ -145,9 +150,9 @@ impl ReverseTopkEngine {
     }
 
     /// Re-partitions the index into `shards` even node-range shards. A pure
-    /// layout change: every per-node state is preserved bitwise, so answers
-    /// are unaffected (`rtk shard split` offline, or an embedder
-    /// retuning a loaded snapshot).
+    /// layout change: no per-node state moves, so answers are unaffected
+    /// and the next edge update does the same work (`rtk shard split`
+    /// offline, or an embedder retuning a loaded snapshot).
     ///
     /// # Panics
     /// Panics on a one-shard engine (see [`ReverseIndex::repartition_by_map`]).
@@ -462,6 +467,7 @@ impl ReverseTopkEngine {
 pub struct EngineBuilder {
     graph: DiGraph,
     config: IndexConfig,
+    shards: usize,
     options: QueryOptions,
 }
 
@@ -521,10 +527,11 @@ impl EngineBuilder {
     }
 
     /// Number of contiguous node-range index shards (default 1; `0` also
-    /// means one). Shard count, like thread count, may only change wall
-    /// time and storage layout — never answers.
+    /// means one), set on the built index with
+    /// [`ReverseIndex::repartition`]. Shard count, like thread count, may
+    /// only change wall time and storage layout — never answers.
     pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
+        self.shards = shards;
         self
     }
 
@@ -552,7 +559,7 @@ impl EngineBuilder {
     /// Builds the index and assembles the engine. The transition
     /// probabilities computed for the build are kept as the engine's cache.
     pub fn build(self) -> Result<ReverseTopkEngine, EngineError> {
-        let EngineBuilder { graph, config, options } = self;
+        let EngineBuilder { graph, config, shards, options } = self;
         // Surface dangling nodes as an error instead of a downstream panic.
         let dangling = graph.dangling_nodes();
         if let Some(&node) = dangling.first() {
@@ -562,7 +569,8 @@ impl EngineBuilder {
             }));
         }
         let probs = TransitionProbs::compute(&graph);
-        let index = ReverseIndex::build(&TransitionMatrix::with_probs(&graph, &probs), config)?;
+        let mut index = ReverseIndex::build(&TransitionMatrix::with_probs(&graph, &probs), config)?;
+        index.repartition(shards);
         let session = QueryEngine::new(&index);
         Ok(ReverseTopkEngine { graph, probs, index, session, options })
     }

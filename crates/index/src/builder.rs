@@ -243,7 +243,6 @@ mod tests {
             hub_solver: HubSolver::PowerMethod(RwrParams::default()),
             rounding_threshold: 0.0,
             threads: 1,
-            shards: 1,
         }
     }
 

@@ -51,11 +51,6 @@ pub struct IndexConfig {
     pub rounding_threshold: f64,
     /// Worker threads for construction; `0` = available parallelism.
     pub threads: usize,
-    /// Number of contiguous node-range shards the index is partitioned
-    /// into; `0` and `1` both mean a single shard. Sharding, like
-    /// threading, may only change wall time and storage layout — never
-    /// answers (clamped to the node count at build time).
-    pub shards: usize,
 }
 
 impl Default for IndexConfig {
@@ -69,7 +64,6 @@ impl Default for IndexConfig {
             hub_solver: HubSolver::PowerMethod(RwrParams::default()),
             rounding_threshold: 1e-6,
             threads: 0,
-            shards: 1,
         }
     }
 }
@@ -128,12 +122,6 @@ impl IndexConfig {
             std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
         }
     }
-
-    /// Resolved shard count for a graph of `node_count` nodes: at least one
-    /// shard, and never more shards than nodes.
-    pub fn effective_shards(&self, node_count: usize) -> usize {
-        self.shards.max(1).min(node_count.max(1))
-    }
 }
 
 #[cfg(test)]
@@ -176,16 +164,6 @@ mod tests {
         let c =
             IndexConfig { hub_selection: HubSelection::Explicit(vec![1, 1]), ..Default::default() };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn effective_shards_clamps() {
-        let c = IndexConfig { shards: 0, ..Default::default() };
-        assert_eq!(c.effective_shards(10), 1);
-        let c = IndexConfig { shards: 4, ..Default::default() };
-        assert_eq!(c.effective_shards(10), 4);
-        assert_eq!(c.effective_shards(2), 2);
-        assert_eq!(c.effective_shards(0), 1);
     }
 
     #[test]

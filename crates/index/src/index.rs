@@ -1,46 +1,63 @@
-//! The assembled reverse top-k index, partitioned into node-range shards.
+//! The assembled reverse top-k index: one block of node states, cut into
+//! node-range shards only by its [`ShardMap`].
 
-use crate::builder::LbiBuilder;
+use crate::builder::{LbiBuilder, Swept};
 use crate::config::IndexConfig;
+use crate::digest::DigestCell;
 use crate::error::IndexError;
-use crate::hub_matrix::{HubMatrix, Materializer};
-use crate::node_state::{refine_state, NodeState};
-use crate::shard::{partition_states, IndexShard, ShardMap};
+use crate::hub_matrix::HubMatrix;
+use crate::node_state::NodeState;
+use crate::shard::ShardMap;
 use crate::stats::IndexStats;
 use rtk_graph::TransitionMatrix;
-use rtk_rwr::bca::{BcaEngine, BcaStop};
+use std::ops::Range;
 
-/// The offline index `I = (P̂, R, W, S, P_H)` of Alg. 1, organized per node
-/// and partitioned into `S` contiguous node-range [`IndexShard`]s.
+/// The offline index `I = (P̂, R, W, S, P_H)` of Alg. 1, organized per node.
 ///
-/// The hub matrix `P_H` is shared across shards (every node's materialized
-/// bounds reference the same hub vectors); everything per-node lives in the
-/// shard owning that node's id range. An index always carries the
-/// configuration, `P_H` and the full [`ShardMap`], and holds the node states
-/// of either **every** shard (a single process serving whole answers) or
-/// **exactly one** ([`Self::one_shard`] / [`crate::storage::load_one_shard`]
-/// — what one backend of a multi-process tier owns; see
-/// [`Self::owned_shard`]). Per-node operations are valid for the nodes of
+/// The index holds the states of its owned node range as **one block**, in
+/// id order: every node `0..n` (a single process serving whole answers), or
+/// the range of exactly one shard ([`Self::one_shard`] /
+/// [`crate::storage::load_one_shard`] — what one backend of a
+/// multi-process tier owns; see [`Self::owned_shard`]). The [`ShardMap`] is
+/// layout metadata: it says how the snapshot cuts the node range into
+/// sections and processes, and changing it ([`Self::repartition`]) moves no
+/// state. The hub matrix `P_H` is shared by every node's materialized
+/// bounds. Per-node operations are valid for the nodes of
 /// [`Self::owned_range`]. Supports the three operations query processing
 /// needs:
 /// * O(1) access to the `k`-th lower bound of any node ([`Self::state`]);
-/// * refinement of a node's bounds, in place ([`Self::refine_node`], the
-///   paper's dynamic index update, §4.2.3) or on a caller-owned copy;
-/// * persistence ([`crate::storage`]) — per shard, under a manifest.
+/// * commits of refined copies ([`Self::commit_states`], the paper's
+///   dynamic index update, §4.2.3);
+/// * persistence ([`crate::storage`]) — one section per shard, under a
+///   manifest.
+///
+/// Beside each state the block keeps two things that are never persisted
+/// and never compared: the cached digest of the state's persisted record
+/// (see [`crate::digest`]), and the **as-built bit** — set when the state is
+/// exactly what the build recipe (Alg. 1: `run_from` under the configured
+/// stop, then materialization) yields on the current graph, which is what
+/// lets an edge update keep a run that never read the edited row (see
+/// [`crate::update`]). [`crate::builder`] and [`Self::apply_update`] set
+/// both; a commit clears them, and a load or a stitch starts them clear.
 #[derive(Clone, Debug)]
 pub struct ReverseIndex {
     config: IndexConfig,
     hub_matrix: HubMatrix,
-    /// The held shards in shard-id order: all of `shard_map`'s, or one.
-    shards: Vec<IndexShard>,
     shard_map: ShardMap,
     /// `Some(i)` when only shard `i` is held; `None` when every shard is.
     only: Option<usize>,
+    /// The states of [`Self::owned_range`], in id order.
+    states: Vec<NodeState>,
+    /// Cached record digest of each state.
+    digests: Vec<DigestCell>,
+    /// As-built bit of each state.
+    as_built: Vec<bool>,
     stats: IndexStats,
 }
 
 impl ReverseIndex {
-    /// Builds the index for `transition` with `config` (Alg. 1).
+    /// Builds the index for `transition` with `config` (Alg. 1), as one
+    /// shard.
     pub fn build(
         transition: &TransitionMatrix<'_>,
         config: IndexConfig,
@@ -48,10 +65,9 @@ impl ReverseIndex {
         LbiBuilder::new(config)?.build(transition)
     }
 
-    /// Assembles a freshly built index from its full id-ordered state
-    /// vector, partitioned per `config.shards`: every state marked as built
-    /// and carrying the record digest its sweep worker computed
-    /// (`digests[u]` for node `u`).
+    /// Assembles a freshly built one-shard index from its id-ordered
+    /// states: every state marked as built and carrying the record digest
+    /// its sweep worker computed (`digests[u]` for node `u`).
     pub(crate) fn from_build(
         config: IndexConfig,
         hub_matrix: HubMatrix,
@@ -59,57 +75,71 @@ impl ReverseIndex {
         digests: Vec<u64>,
         stats: IndexStats,
     ) -> Self {
-        let shard_map = ShardMap::even(states.len(), config.effective_shards(states.len()));
-        let mut shards = partition_states(&shard_map, states);
-        for shard in &mut shards {
-            let range = shard.node_lo() as usize..shard.node_hi() as usize;
-            shard.mark_built(&digests[range]);
+        assert_eq!(digests.len(), states.len(), "one digest per state");
+        Self {
+            config,
+            hub_matrix,
+            shard_map: ShardMap::even(states.len(), 1),
+            only: None,
+            digests: digests.into_iter().map(DigestCell::filled).collect(),
+            as_built: vec![true; states.len()],
+            states,
+            stats,
         }
-        Self { config, hub_matrix, shards, shard_map, only: None, stats }
     }
 
-    /// Assembles an index from already-partitioned shards (persistence):
-    /// every shard of `shard_map`, or — with `only = Some(i)` — shard `i`
-    /// alone.
-    pub(crate) fn from_shards(
+    /// Assembles an index from decoded states (persistence): those of every
+    /// node, or — with `only = Some(i)` — those of shard `i`'s range.
+    pub(crate) fn from_states(
         config: IndexConfig,
         hub_matrix: HubMatrix,
-        shards: Vec<IndexShard>,
         shard_map: ShardMap,
         only: Option<usize>,
+        states: Vec<NodeState>,
         stats: IndexStats,
     ) -> Self {
-        debug_assert!(match only {
-            Some(i) => shards.len() == 1 && shards[0].id() == i,
-            None => shards.len() == shard_map.shard_count(),
-        });
-        Self { config, hub_matrix, shards, shard_map, only, stats }
+        let held = states.len();
+        let index = Self {
+            config,
+            hub_matrix,
+            shard_map,
+            only,
+            digests: (0..held).map(|_| DigestCell::default()).collect(),
+            as_built: vec![false; held],
+            states,
+            stats,
+        };
+        debug_assert_eq!(index.owned_range().len(), held);
+        index
     }
 
     /// A copy of this index holding only shard `shard_id` (plus everything
     /// shared: configuration, hub matrix, shard map) — the in-memory twin
     /// of [`crate::storage::load_one_shard`].
     pub fn one_shard(&self, shard_id: usize) -> Result<Self, IndexError> {
-        let Some(shard) = self.shards.iter().find(|s| s.id() == shard_id) else {
+        if !self.holds(shard_id) {
             return Err(IndexError::InvalidConfig(format!(
                 "shard {shard_id} is not held by this index ({} shards, owning nodes {:?})",
                 self.shard_count(),
                 self.owned_range()
             )));
-        };
+        }
+        let block = self.block(self.shard_map.range(shard_id));
         Ok(Self {
             config: self.config.clone(),
             hub_matrix: self.hub_matrix.clone(),
-            shards: vec![shard.clone()],
             shard_map: self.shard_map.clone(),
             only: Some(shard_id),
+            states: self.states[block.clone()].to_vec(),
+            digests: self.digests[block.clone()].to_vec(),
+            as_built: self.as_built[block].to_vec(),
             stats: self.stats,
         })
     }
 
-    /// Consumes the index, returning its held shards (stitching).
-    pub(crate) fn into_shards(self) -> Vec<IndexShard> {
-        self.shards
+    /// Consumes the index, returning its block of states (stitching).
+    pub(crate) fn into_block(self) -> Vec<NodeState> {
+        self.states
     }
 
     /// The configuration the index was built with.
@@ -138,12 +168,17 @@ impl ReverseIndex {
         self.only
     }
 
+    /// Whether this index holds the states of shard `shard_id`.
+    pub(crate) fn holds(&self, shard_id: usize) -> bool {
+        self.only.map_or(shard_id < self.shard_count(), |i| i == shard_id)
+    }
+
     /// The node-id range whose states this index holds: `0..n`, or the one
     /// owned shard's range.
-    pub fn owned_range(&self) -> std::ops::Range<u32> {
-        match (self.shards.first(), self.shards.last()) {
-            (Some(first), Some(last)) => first.node_lo()..last.node_hi(),
-            _ => unreachable!("an index holds at least one shard"),
+    pub fn owned_range(&self) -> Range<u32> {
+        match self.only {
+            Some(i) => self.shard_map.range(i),
+            None => 0..self.node_count() as u32,
         }
     }
 
@@ -152,18 +187,31 @@ impl ReverseIndex {
         &self.shard_map
     }
 
-    /// The held shards (all of them, or the one owned), ordered by node
-    /// range.
-    pub fn shards(&self) -> &[IndexShard] {
-        &self.shards
+    /// The held shards (all of them, or the one owned) in id order: each
+    /// one's id, node range, and the heap bytes of its states and of what
+    /// is kept beside them.
+    pub fn held_shards(&self) -> impl Iterator<Item = (usize, Range<u32>, usize)> + '_ {
+        let ids = self.only.map_or(0..self.shard_count(), |i| i..i + 1);
+        ids.map(|i| {
+            let range = self.shard_map.range(i);
+            (i, range.clone(), self.heap_bytes(range))
+        })
     }
 
-    /// Position in `self.shards` of the shard holding node `u`, which must
+    /// Positions in the block of the global node ids `range`, which must
     /// lie in [`Self::owned_range`].
+    fn block(&self, range: Range<u32>) -> Range<usize> {
+        let lo = self.owned_range().start;
+        (range.start - lo) as usize..(range.end - lo) as usize
+    }
+
+    /// Position in the block of node `u`, which must lie in
+    /// [`Self::owned_range`].
     #[inline]
-    fn slot(&self, u: u32) -> usize {
-        debug_assert!(self.owned_range().contains(&u), "node {u} is not held by this index");
-        self.shard_map.shard_of(u) - self.only.unwrap_or(0)
+    fn at(&self, u: u32) -> usize {
+        let owned = self.owned_range();
+        debug_assert!(owned.contains(&u), "node {u} is not held by this index");
+        (u - owned.start) as usize
     }
 
     /// The hub proximity matrix `P_H` (shared by every shard).
@@ -171,15 +219,25 @@ impl ReverseIndex {
         &self.hub_matrix
     }
 
-    /// Per-node state of `u`, resolved through the shard map.
+    /// Per-node state of `u`.
     #[inline]
     pub fn state(&self, u: u32) -> &NodeState {
-        self.shards[self.slot(u)].state(u)
+        &self.states[self.at(u)]
     }
 
-    /// All held node states in ascending id order (crosses shard boundaries).
+    /// All held node states in ascending id order.
     pub fn iter_states(&self) -> impl Iterator<Item = &NodeState> {
-        self.shards.iter().flat_map(|s| s.states().iter())
+        self.states.iter()
+    }
+
+    /// Digest of the persisted record of node `u`'s state — cached unless
+    /// `cached` is false; hashed here if nothing has yet.
+    pub(crate) fn record_digest(&self, u: u32, cached: bool) -> u64 {
+        let i = self.at(u);
+        let state = &self.states[i];
+        self.digests[i].get_or(cached, || {
+            crate::storage::node_record_digest(state.snapshot(), state.lower_bounds())
+        })
     }
 
     /// Construction/size statistics.
@@ -187,85 +245,44 @@ impl ReverseIndex {
         &self.stats
     }
 
-    /// Re-partitions the index into `shards` even node ranges. A pure
-    /// re-grouping of the same per-node states: answers, bounds, and the
-    /// serialized per-node bytes are unchanged (`rtk shard split`).
+    /// Re-partitions the index into `shards` even node ranges (clamped to
+    /// `[1, n]`). Only the layout changes: answers, bounds, the serialized
+    /// per-node bytes and the cached record digests are unchanged (`rtk
+    /// shard split`).
     pub fn repartition(&mut self, shards: usize) {
-        let n = self.node_count();
-        self.repartition_by_map(ShardMap::even(n, shards.max(1).min(n.max(1))));
+        self.repartition_by_map(ShardMap::even(self.node_count(), shards));
     }
 
     /// Re-partitions the index along an explicit [`ShardMap`] — e.g. a
     /// degree-balanced [`ShardMap::balanced`] layout from `rtk shard split
-    /// --balance edges`. Same guarantee as [`Self::repartition`]: a pure
-    /// re-grouping of the same per-node states, so answers are unchanged.
+    /// --balance edges`. Same guarantee as [`Self::repartition`]: the map is
+    /// swapped, and no state moves.
     ///
     /// # Panics
     /// Panics if `map` covers a different node count than the index, or if
     /// the index holds only one shard (there is nothing to re-group).
     pub fn repartition_by_map(&mut self, map: ShardMap) {
-        let n = self.node_count();
-        assert_eq!(map.node_count(), n, "shard map covers a different node count");
+        assert_eq!(map.node_count(), self.node_count(), "shard map covers a different node count");
         assert!(self.only.is_none(), "cannot repartition an index holding one shard");
-        if map == self.shard_map {
-            self.config.shards = map.shard_count();
-            return;
-        }
-        let mut states = Vec::with_capacity(n);
-        for shard in std::mem::take(&mut self.shards) {
-            states.extend(shard.into_states());
-        }
-        self.shards = partition_states(&map, states);
-        self.config.shards = map.shard_count();
         self.shard_map = map;
     }
 
-    /// Creates a [`BcaEngine`] matching this index's hub set and BCA
-    /// parameters — required for any refinement against it.
-    pub fn make_engine(&self) -> BcaEngine {
-        BcaEngine::new(self.hub_matrix.hubs().clone(), self.config.bca)
-    }
-
-    /// Creates a [`Materializer`] for refinements against this index.
-    pub fn make_materializer(&self) -> Materializer {
-        Materializer::default()
-    }
-
-    /// Refines node `u`'s state **in place** (the paper's `update` mode):
-    /// resumes its BCA under `stop` and refreshes its top-K lower bounds.
-    /// Returns the iterations executed.
-    pub fn refine_node(
-        &mut self,
-        u: u32,
-        transition: &TransitionMatrix<'_>,
-        engine: &mut BcaEngine,
-        materializer: &mut Materializer,
-        stop: &BcaStop,
-    ) -> u32 {
-        let slot = self.slot(u);
-        refine_state(
-            self.shards[slot].state_mut(u),
-            transition,
-            engine,
-            &self.hub_matrix,
-            materializer,
-            stop,
-        )
-    }
-
     /// Replaces node `u`'s state wholesale (commit of an externally refined
-    /// copy; used by the query layer's update mode).
+    /// copy; used by the query layer's update mode). The state is no longer
+    /// known to be as built, and its record is re-hashed when next needed.
     pub fn commit_state(&mut self, u: u32, state: NodeState) {
-        let slot = self.slot(u);
-        self.shards[slot].commit_state(u, state);
+        let i = self.at(u);
+        self.states[i] = state;
+        self.digests[i].clear();
+        self.as_built[i] = false;
     }
 
-    /// Commits a batch of externally refined states — the serial cross-shard
-    /// merge phase of the parallel query path. Each worker refines private
-    /// copies during screening; this folds them back into the owning shards
-    /// by node id. Refinement only tightens a state, so commit order between
-    /// distinct nodes is irrelevant and the merged index equals the one a
-    /// serial in-place run produces, for every shard and thread count.
+    /// Commits a batch of externally refined states — the commit phase of
+    /// the parallel query path. Each worker refines private copies during
+    /// screening; this folds them back into the block by node id.
+    /// Refinement only tightens a state, so commit order between distinct
+    /// nodes is irrelevant and the merged index equals the one a serial
+    /// in-place run produces, for every shard and thread count.
     pub fn commit_states(&mut self, states: impl IntoIterator<Item = (u32, NodeState)>) {
         for (u, state) in states {
             self.commit_state(u, state);
@@ -311,25 +328,30 @@ impl ReverseIndex {
             .flat_map(|u| transition.out_probs(u))
             .fold(f64::INFINITY, |min, &p| min.min(p));
         let keep = |q: u32| {
-            let shard = &self.shards[self.slot(q)];
-            let state = shard.state(q);
-            let replays = shard.is_as_built(q)
+            let i = self.at(q);
+            let replays = self.as_built[i]
                 && crate::update::never_read_row(
-                    state,
+                    &self.states[i],
                     source,
                     self.hub_matrix.hubs(),
                     self.config.bca.alpha,
                     min_probability,
                 );
-            replays.then_some(state)
+            replays.then_some(&self.states[i])
         };
         let (swept, _, _) =
             crate::builder::sweep(transition, &self.hub_matrix, &self.config, &affected, &keep);
-        let bca_runs =
-            swept.iter().filter(|(s, _)| matches!(s, crate::builder::Swept::Run(_))).count();
+        let bca_runs = swept.iter().filter(|(s, _)| matches!(s, Swept::Run(_))).count();
         for (&u, (outcome, digest)) in affected.iter().zip(swept) {
-            let slot = self.slot(u);
-            self.shards[slot].install_built(u, outcome, digest);
+            let i = self.at(u);
+            match outcome {
+                Swept::Run(state) => self.states[i] = state,
+                Swept::Rebound(lower_bounds, parked_deficit) => {
+                    self.states[i].set_bounds(lower_bounds, parked_deficit)
+                }
+            }
+            self.digests[i] = DigestCell::filled(digest);
+            self.as_built[i] = true;
         }
         crate::update::UpdateEffect {
             recomputed_states: affected.len(),
@@ -340,10 +362,19 @@ impl ReverseIndex {
         }
     }
 
+    /// Heap bytes of the held states of `range` and of what is kept beside
+    /// them.
+    fn heap_bytes(&self, range: Range<u32>) -> usize {
+        let block = self.block(range);
+        let kept = std::mem::size_of::<DigestCell>() + std::mem::size_of::<bool>();
+        self.states[block.clone()].iter().map(|s| s.heap_bytes()).sum::<usize>()
+            + block.len() * kept
+    }
+
     /// Recomputes total heap bytes of what this index holds (states drift
     /// as queries refine them).
     pub fn current_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.heap_bytes()).sum::<usize>() + self.hub_matrix.heap_bytes()
+        self.heap_bytes(self.owned_range()) + self.hub_matrix.heap_bytes()
     }
 }
 
@@ -351,7 +382,10 @@ impl ReverseIndex {
 mod tests {
     use super::*;
     use crate::config::{HubSelection, HubSolver};
+    use crate::hub_matrix::Materializer;
+    use crate::node_state::refine_state;
     use rtk_graph::{DanglingPolicy, DiGraph, GraphBuilder};
+    use rtk_rwr::bca::{BcaEngine, BcaStop};
     use rtk_rwr::{BcaParams, RwrParams};
 
     fn toy() -> DiGraph {
@@ -384,8 +418,31 @@ mod tests {
             hub_solver: HubSolver::PowerMethod(RwrParams::default()),
             rounding_threshold: 0.0,
             threads: 1,
-            shards: 1,
         }
+    }
+
+    fn build(t: &TransitionMatrix<'_>, shards: usize) -> ReverseIndex {
+        let mut index = ReverseIndex::build(t, config()).unwrap();
+        index.repartition(shards);
+        index
+    }
+
+    /// Refines a copy of node `u`'s state by one BCA iteration and commits
+    /// it — the query layer's update mode for one node. Returns the copy.
+    fn refine_and_commit(index: &mut ReverseIndex, t: &TransitionMatrix<'_>, u: u32) -> NodeState {
+        let mut engine = BcaEngine::new(index.hub_matrix().hubs().clone(), index.config().bca);
+        let mut copy = index.state(u).clone();
+        let ran = refine_state(
+            &mut copy,
+            t,
+            &mut engine,
+            index.hub_matrix(),
+            &mut Materializer::default(),
+            &BcaStop::one_iteration(),
+        );
+        assert_eq!(ran, 1);
+        index.commit_state(u, copy.clone());
+        copy
     }
 
     #[test]
@@ -407,8 +464,9 @@ mod tests {
         let t = TransitionMatrix::new(&g);
         let single = ReverseIndex::build(&t, config()).unwrap();
         for shards in [2usize, 3, 6, 99] {
-            let sharded = ReverseIndex::build(&t, IndexConfig { shards, ..config() }).unwrap();
+            let sharded = build(&t, shards);
             assert_eq!(sharded.shard_count(), shards.min(6));
+            assert_eq!(sharded.current_bytes(), single.current_bytes());
             for u in 0..6u32 {
                 assert_eq!(single.state(u), sharded.state(u), "shards={shards} node {u}");
             }
@@ -424,12 +482,15 @@ mod tests {
         for shards in [3usize, 1, 6, 2] {
             index.repartition(shards);
             assert_eq!(index.shard_count(), shards);
-            assert_eq!(index.config().shards, shards);
             for u in 0..6u32 {
                 assert_eq!(index.state(u), reference.state(u), "shards={shards} node {u}");
             }
-            let covered: usize = index.shards().iter().map(|s| s.len()).sum();
-            assert_eq!(covered, 6);
+            let held: Vec<(usize, Range<u32>)> =
+                index.held_shards().map(|(id, range, _)| (id, range)).collect();
+            let map = index.shard_map();
+            assert_eq!(held, (0..shards).map(|i| (i, map.range(i))).collect::<Vec<_>>());
+            let bytes: usize = index.held_shards().map(|(_, _, bytes)| bytes).sum();
+            assert_eq!(bytes + index.hub_matrix().heap_bytes(), index.current_bytes());
         }
     }
 
@@ -437,7 +498,7 @@ mod tests {
     fn one_shard_index_holds_its_range_and_nothing_else() {
         let g = toy();
         let t = TransitionMatrix::new(&g);
-        let whole = ReverseIndex::build(&t, IndexConfig { shards: 3, ..config() }).unwrap();
+        let whole = build(&t, 3);
         assert_eq!(whole.owned_shard(), None);
         assert_eq!(whole.owned_range(), 0..6);
         for sid in 0..3 {
@@ -452,6 +513,8 @@ mod tests {
             for u in one.owned_range() {
                 assert_eq!(one.state(u), whole.state(u), "shard {sid} node {u}");
             }
+            let held: Vec<_> = one.held_shards().collect();
+            assert_eq!(held, [whole.held_shards().nth(sid).unwrap()]);
             assert!(one.current_bytes() < whole.current_bytes());
         }
         assert!(whole.one_shard(3).is_err());
@@ -464,13 +527,10 @@ mod tests {
         for shards in [1usize, 3] {
             let g = toy();
             let t = TransitionMatrix::new(&g);
-            let mut index = ReverseIndex::build(&t, IndexConfig { shards, ..config() }).unwrap();
+            let mut index = build(&t, shards);
             let before = index.state(3).kth_lower_bound(2);
             assert!((before - 0.17).abs() < 5e-3, "before = {before}");
-            let mut engine = index.make_engine();
-            let mut mat = index.make_materializer();
-            let ran = index.refine_node(3, &t, &mut engine, &mut mat, &BcaStop::one_iteration());
-            assert_eq!(ran, 1);
+            refine_and_commit(&mut index, &t, 3);
             let after = index.state(3).kth_lower_bound(2);
             assert!((after - 0.23).abs() < 5e-3, "after = {after}");
         }
@@ -479,38 +539,21 @@ mod tests {
     #[test]
     fn side_bits_and_digests_follow_every_way_a_state_changes() {
         use crate::storage::{index_digest, index_digest_cold};
-        let as_built = |index: &ReverseIndex| -> Vec<bool> {
-            index
-                .owned_range()
-                .map(|u| index.shards[index.slot(u)].is_as_built(u))
-                .collect()
-        };
         let g = toy();
         let t = TransitionMatrix::new(&g);
-        let mut index = ReverseIndex::build(&t, IndexConfig { shards: 3, ..config() }).unwrap();
-        assert_eq!(as_built(&index), [true; 6]);
+        let mut index = build(&t, 3);
+        assert_eq!(index.as_built, [true; 6]);
         let built = index_digest(&index);
         assert_eq!(built, index_digest_cold(&index));
 
-        // In-place refinement and a commit each clear the bit, drop the
-        // cached record hash, and so move the digest.
-        let mut engine = index.make_engine();
-        let mut mat = index.make_materializer();
-        index.refine_node(3, &t, &mut engine, &mut mat, &BcaStop::one_iteration());
+        // Each commit clears the bit, drops the cached record hash, and so
+        // moves the digest.
+        refine_and_commit(&mut index, &t, 3);
         let refined = index_digest(&index);
         assert_ne!(refined, built);
         assert_eq!(refined, index_digest_cold(&index));
-        let mut copy = index.state(5).clone();
-        crate::node_state::refine_state(
-            &mut copy,
-            &t,
-            &mut engine,
-            index.hub_matrix(),
-            &mut mat,
-            &BcaStop::one_iteration(),
-        );
-        index.commit_state(5, copy);
-        assert_eq!(as_built(&index), [true, true, true, false, true, false]);
+        refine_and_commit(&mut index, &t, 5);
+        assert_eq!(index.as_built, [true, true, true, false, true, false]);
         let committed = index_digest(&index);
         assert!(committed != refined && committed == index_digest_cold(&index));
 
@@ -518,21 +561,22 @@ mod tests {
         // every affected state it holds (here: all of them) and resets the
         // two refined states to the recipe's output.
         let mut one = index.one_shard(1).unwrap();
-        assert_eq!(as_built(&one), [true, false]);
+        assert_eq!(one.as_built, [true, false]);
         assert_eq!(index_digest(&one), index_digest_cold(&one));
         let effect = index.apply_update(&t, 0);
         assert_eq!((effect.recomputed_states, effect.recomputed_hubs), (6, 2));
         assert_eq!(effect.bca_runs, 2, "node 0 is a hub: only the refined states run again");
-        assert_eq!(as_built(&index), [true; 6]);
+        assert_eq!(index.as_built, [true; 6]);
         assert_eq!(index_digest(&index), built);
         assert_eq!(index_digest_cold(&index), built);
         one.apply_update(&t, 0);
         assert_eq!(one.state(3), index.state(3));
         assert_eq!(index_digest(&one), index_digest_cold(&one));
 
-        // A regrouping keeps the states but not what was kept beside them.
+        // A repartition changes the layout and keeps everything else: the
+        // states, their bits and their cached record hashes.
         index.repartition(2);
-        assert_eq!(as_built(&index), [false; 6]);
+        assert_eq!(index.as_built, [true; 6]);
         assert_eq!(index_digest(&index), index_digest_cold(&index));
     }
 
@@ -540,20 +584,10 @@ mod tests {
     fn commit_state_replaces_across_shards() {
         let g = toy();
         let t = TransitionMatrix::new(&g);
-        let mut index = ReverseIndex::build(&t, IndexConfig { shards: 3, ..config() }).unwrap();
-        let mut engine = index.make_engine();
-        let mut mat = index.make_materializer();
-        let mut copy = index.state(5).clone();
-        crate::node_state::refine_state(
-            &mut copy,
-            &t,
-            &mut engine,
-            index.hub_matrix(),
-            &mut mat,
-            &BcaStop::one_iteration(),
-        );
-        assert_ne!(&copy, index.state(5));
-        index.commit_state(5, copy.clone());
+        let mut index = build(&t, 3);
+        let before = index.state(5).clone();
+        let copy = refine_and_commit(&mut index, &t, 5);
+        assert_ne!(copy, before);
         assert_eq!(&copy, index.state(5));
     }
 }

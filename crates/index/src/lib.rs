@@ -22,15 +22,17 @@
 //! * [`LbiBuilder`] / [`ReverseIndex::build`] — parallel index construction
 //!   (Alg. 1) as `rtk_sparse::WorkerPool::claim` loops over hub tiles and
 //!   node chunks, deterministic regardless of thread count;
-//! * [`IndexShard`] / [`ShardMap`] — partition of the per-node states into
-//!   `S` contiguous node-range shards ([`IndexConfig::shards`]), each
-//!   individually serializable and independently scannable by the query
-//!   layer. Shard count never changes answers, only wall time and layout;
+//! * [`ShardMap`] — the cut of the node range into `S` contiguous shards.
+//!   It is layout metadata: a snapshot holds one section per shard, and a
+//!   backend process holds one shard's range. In memory a [`ReverseIndex`]
+//!   keeps the states of its owned range as one block in id order, whatever
+//!   the map says, so the shard count never changes answers, only wall time
+//!   and layout;
 //! * [`storage`] — versioned binary persistence: one snapshot format, the
 //!   shard manifest, holding the graph and the index — every shard's
 //!   section, or one (a backend's `persist`; [`storage::stitch`]
-//!   re-assembles those). A [`ReverseIndex`] holds every shard's states or
-//!   exactly one ([`ReverseIndex::one_shard`]): [`storage::load_one_shard`]
+//!   re-assembles those). A [`ReverseIndex`] holds every node's state or
+//!   one shard's ([`ReverseIndex::one_shard`]): [`storage::load_one_shard`]
 //!   reads the graph, the shared hub matrix and shard map plus *one* shard
 //!   section — the loading unit of multi-process serving, where each
 //!   backend process owns one shard;
@@ -38,10 +40,11 @@
 //!   change, which stored runs it may keep, and [`digest`] — the index
 //!   digest replicas are compared by, folded from per-record hashes cached
 //!   beside the records;
-//! * [`refine_state`] — the shared refinement step (Alg. 1 lines 6–7) used
-//!   to tighten a stored node's bounds in place, and [`Refiner`] — the same
-//!   step with the computation held resident in a worker's scratch, which
-//!   is how query processing re-tests a candidate's bounds between runs.
+//! * [`refine_state`] — the shared refinement step (Alg. 1 lines 6–7) on a
+//!   copy of a stored state, and [`Refiner`] — the same step with the
+//!   computation held resident in a worker's scratch, which is how query
+//!   processing re-tests a candidate's bounds between runs; a refined copy
+//!   goes back through [`ReverseIndex::commit_states`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -65,7 +68,7 @@ pub use error::IndexError;
 pub use hub_matrix::{HubMatrix, Materializer};
 pub use index::ReverseIndex;
 pub use node_state::{refine_state, NodeState, Refiner};
-pub use shard::{IndexShard, ShardMap};
+pub use shard::ShardMap;
 pub use stats::IndexStats;
 pub use storage::UpdateRecord;
 pub use update::{affected_set, UpdateEffect};

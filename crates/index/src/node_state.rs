@@ -113,8 +113,9 @@ impl NodeState {
 /// advances the BCA snapshot, rematerializes the top-K lower bounds, and
 /// refreshes the caches. Returns the iterations executed.
 ///
-/// Both query modes share this: `no-update` refines a cloned state, `update`
-/// refines the index's state in place.
+/// This is the reference form of what a [`Refiner`] does resident in a
+/// worker's scratch: refine a copy of a stored state, then commit the copy
+/// ([`crate::ReverseIndex::commit_state`]) to keep the tightened bounds.
 pub fn refine_state(
     state: &mut NodeState,
     transition: &rtk_graph::TransitionMatrix<'_>,

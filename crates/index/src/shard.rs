@@ -1,18 +1,15 @@
-//! Node-range sharding of the index.
+//! Node-range sharding: a layout of the snapshot, not of memory.
 //!
 //! The paper's two-phase query screens every node `0..n` independently, so
 //! the per-node state is embarrassingly partitionable. A [`ShardMap`] cuts
-//! the id space into `S` contiguous ranges; each [`IndexShard`] owns the
-//! [`NodeState`]s of one range. Shards are built in parallel, persisted
-//! individually (see [`crate::storage`]), and scanned independently by the
-//! query layer — with a serial cross-shard merge committing refinements, so
-//! the shard count, like the thread count, may only change wall time, never
-//! answers.
+//! the id space into `S` contiguous ranges. The cut decides how a snapshot
+//! is laid out — one section per range (see [`crate::storage`]) — and which
+//! range one backend process holds ([`crate::ReverseIndex::one_shard`]). In
+//! memory a [`crate::ReverseIndex`] keeps the states of its owned range as
+//! one block whatever the map says, so the shard count, like the thread
+//! count, may only change wall time, never answers.
 
-use crate::builder::Swept;
-use crate::digest::DigestCell;
 use crate::error::IndexError;
-use crate::node_state::NodeState;
 
 /// Partition of the node id space `0..n` into contiguous shard ranges.
 ///
@@ -137,157 +134,6 @@ impl ShardMap {
         let hi = self.starts.get(i + 1).copied().unwrap_or(self.node_count as u32);
         lo..hi
     }
-}
-
-/// One shard: the [`NodeState`]s of a contiguous node-id range.
-///
-/// All node ids in its API are **global**; the shard translates to local
-/// offsets internally.
-///
-/// Beside each state the shard keeps two things that are never persisted
-/// and never compared: the cached digest of the state's persisted record
-/// (see [`crate::digest`]), and the **as-built bit** — set when the state is
-/// exactly what the build recipe (Alg. 1: `run_from` under the configured
-/// stop, then materialization) yields on the current graph, which is what
-/// lets an edge update keep a run that never read the edited row (see
-/// [`crate::update`]). [`crate::builder`] and
-/// [`crate::ReverseIndex::apply_update`] set both; every other way a state
-/// can arrive or change (a query commit, in-place refinement, a load, a
-/// stitch, a repartition) leaves them clear.
-#[derive(Clone, Debug)]
-pub struct IndexShard {
-    id: usize,
-    node_lo: u32,
-    states: Vec<NodeState>,
-    digests: Vec<DigestCell>,
-    as_built: Vec<bool>,
-}
-
-impl IndexShard {
-    /// Assembles a shard from its id, first global node id, and states.
-    pub fn new(id: usize, node_lo: u32, states: Vec<NodeState>) -> Self {
-        let digests = states.iter().map(|_| DigestCell::default()).collect();
-        let as_built = vec![false; states.len()];
-        Self { id, node_lo, states, digests, as_built }
-    }
-
-    /// The shard's position in the [`ShardMap`].
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// First global node id owned by this shard.
-    pub fn node_lo(&self) -> u32 {
-        self.node_lo
-    }
-
-    /// One past the last global node id owned by this shard.
-    pub fn node_hi(&self) -> u32 {
-        self.node_lo + self.states.len() as u32
-    }
-
-    /// Global node-id range owned by this shard.
-    pub fn range(&self) -> std::ops::Range<u32> {
-        self.node_lo..self.node_hi()
-    }
-
-    /// Number of nodes in this shard.
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// True when the shard owns no nodes (never produced by [`ShardMap`]).
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
-    }
-
-    /// The shard's states, ordered by global node id.
-    pub fn states(&self) -> &[NodeState] {
-        &self.states
-    }
-
-    /// State of global node `u` (must lie in [`Self::range`]).
-    #[inline]
-    pub fn state(&self, u: u32) -> &NodeState {
-        &self.states[(u - self.node_lo) as usize]
-    }
-
-    /// Mutable state of global node `u`; whatever the caller does to it, it
-    /// is no longer known to be as built and its record must be re-hashed.
-    #[inline]
-    pub(crate) fn state_mut(&mut self, u: u32) -> &mut NodeState {
-        let i = (u - self.node_lo) as usize;
-        self.digests[i].clear();
-        self.as_built[i] = false;
-        &mut self.states[i]
-    }
-
-    /// Replaces the state of global node `u` (commit of a refined copy).
-    pub fn commit_state(&mut self, u: u32, state: NodeState) {
-        *self.state_mut(u) = state;
-    }
-
-    /// Marks every state as built, `digests[i]` being the digest of the
-    /// `i`-th state's persisted record (a fresh build's shards).
-    pub(crate) fn mark_built(&mut self, digests: &[u64]) {
-        self.digests = digests.iter().map(|&d| DigestCell::filled(d)).collect();
-        self.as_built = vec![true; self.states.len()];
-        assert_eq!(self.digests.len(), self.states.len(), "one digest per state");
-    }
-
-    /// Whether the state of global node `u` carries the as-built bit.
-    pub(crate) fn is_as_built(&self, u: u32) -> bool {
-        self.as_built[(u - self.node_lo) as usize]
-    }
-
-    /// Installs what the build recipe produced for global node `u`, with the
-    /// digest of its persisted record: the state is as built from here on.
-    pub(crate) fn install_built(&mut self, u: u32, swept: Swept, digest: u64) {
-        let i = (u - self.node_lo) as usize;
-        match swept {
-            Swept::Run(state) => self.states[i] = state,
-            Swept::Rebound(lower_bounds, parked_deficit) => {
-                self.states[i].set_bounds(lower_bounds, parked_deficit)
-            }
-        }
-        self.digests[i] = DigestCell::filled(digest);
-        self.as_built[i] = true;
-    }
-
-    /// Digest of the persisted record of the `i`-th state of this shard —
-    /// cached unless `cached` is false; hashed here if nothing has yet.
-    pub(crate) fn state_digest(&self, i: usize, cached: bool) -> u64 {
-        let state = &self.states[i];
-        self.digests[i].get_or(cached, || {
-            crate::storage::node_record_digest(state.snapshot(), state.lower_bounds())
-        })
-    }
-
-    /// Heap bytes of this shard's states and what it keeps beside them.
-    pub fn heap_bytes(&self) -> usize {
-        self.states.iter().map(|s| s.heap_bytes()).sum::<usize>()
-            + self.digests.len() * std::mem::size_of::<DigestCell>()
-            + self.as_built.len()
-    }
-
-    /// Consumes the shard, returning its states.
-    pub(crate) fn into_states(self) -> Vec<NodeState> {
-        self.states
-    }
-}
-
-/// Partitions a full id-ordered state vector into shards per `map`.
-pub(crate) fn partition_states(map: &ShardMap, states: Vec<NodeState>) -> Vec<IndexShard> {
-    debug_assert_eq!(states.len(), map.node_count());
-    let mut shards = Vec::with_capacity(map.shard_count());
-    let mut rest = states;
-    for i in (0..map.shard_count()).rev() {
-        let lo = map.starts()[i] as usize;
-        let tail = rest.split_off(lo);
-        shards.push(IndexShard::new(i, lo as u32, tail));
-    }
-    shards.reverse();
-    shards
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@ use crate::error::IndexError;
 use crate::hub_matrix::HubMatrix;
 use crate::index::ReverseIndex;
 use crate::node_state::NodeState;
-use crate::shard::{IndexShard, ShardMap};
+use crate::shard::ShardMap;
 use crate::stats::IndexStats;
 use rtk_graph::DiGraph;
 use rtk_rwr::bca::BcaSnapshot;
@@ -127,9 +127,7 @@ fn fold_digest(index: &ReverseIndex, records: Records) -> u64 {
     let mut hasher = Fnv1a64::default();
     match index.owned_shard() {
         None => write_manifest(None, index, &mut hasher, records),
-        Some(_) => {
-            write_shard(&index.shards()[0], index.node_count(), index.max_k(), &mut hasher, records)
-        }
+        Some(i) => write_shard(index, i, &mut hasher, records),
     }
     .expect("hashing an in-memory index cannot fail");
     hasher.finish()
@@ -427,7 +425,7 @@ fn write_stats<W: Write>(w: &mut W, s: &IndexStats) -> std::io::Result<()> {
 /// from the decoded states and hub matrix.
 fn read_stats<R: Read>(
     r: &mut R,
-    states: &[&NodeState],
+    states: &[NodeState],
     hub_matrix: &HubMatrix,
     n: usize,
 ) -> Result<IndexStats, IndexError> {
@@ -470,7 +468,6 @@ fn loaded_config(
     hub_matrix: &HubMatrix,
     rounding_threshold: f64,
     threads: usize,
-    shards: usize,
 ) -> IndexConfig {
     IndexConfig {
         max_k,
@@ -479,7 +476,6 @@ fn loaded_config(
         hub_solver: HubSolver::PowerMethod(RwrParams::with_alpha(bca.alpha)),
         rounding_threshold,
         threads,
-        shards,
     }
 }
 
@@ -487,25 +483,29 @@ fn loaded_config(
 // Shard sections and the manifest
 // ---------------------------------------------------------------------------
 
+/// Writes the section of shard `shard_id`, which `index` must hold.
 fn write_shard<W: Write>(
-    shard: &IndexShard,
-    node_count: usize,
-    max_k: usize,
+    index: &ReverseIndex,
+    shard_id: usize,
     writer: W,
     records: Records,
 ) -> Result<(), IndexError> {
+    let range = index.shard_map().range(shard_id);
     let mut w = BufWriter::new(writer);
     codec::write_header(&mut w, SHARD_MAGIC, SHARD_VERSION)?;
-    codec::write_u64(&mut w, shard.id() as u64)?;
-    codec::write_u64(&mut w, u64::from(shard.node_lo()))?;
-    codec::write_u64(&mut w, shard.len() as u64)?;
-    codec::write_u64(&mut w, node_count as u64)?;
-    codec::write_u64(&mut w, max_k as u64)?;
-    for (i, state) in shard.states().iter().enumerate() {
+    codec::write_u64(&mut w, shard_id as u64)?;
+    codec::write_u64(&mut w, u64::from(range.start))?;
+    codec::write_u64(&mut w, range.len() as u64)?;
+    codec::write_u64(&mut w, index.node_count() as u64)?;
+    codec::write_u64(&mut w, index.max_k() as u64)?;
+    for u in range {
         match records {
-            Records::Encoded => write_node_record(&mut w, state.snapshot(), state.lower_bounds())?,
+            Records::Encoded => {
+                let state = index.state(u);
+                write_node_record(&mut w, state.snapshot(), state.lower_bounds())?
+            }
             Records::Digested { cached } => {
-                codec::write_u64(&mut w, shard.state_digest(i, cached))?
+                codec::write_u64(&mut w, index.record_digest(u, cached))?
             }
         }
     }
@@ -513,23 +513,23 @@ fn write_shard<W: Write>(
     Ok(())
 }
 
-/// Decodes a shard section written by [`write_shard`]. `hub_matrix`,
-/// `node_count`, and `max_k` come from the owning manifest; the section's
-/// own header is validated against them.
+/// Decodes the section of shard `shard_id` written by [`write_shard`],
+/// appending its states to `states`. `shard_map`, `hub_matrix`, and
+/// `max_k` come from the owning manifest; the section's own header is
+/// validated against them.
 fn read_shard<R: Read>(
     r: &mut R,
+    shard_id: usize,
+    shard_map: &ShardMap,
     hub_matrix: &HubMatrix,
-    node_count: usize,
     max_k: usize,
-) -> Result<IndexShard, IndexError> {
+    states: &mut Vec<NodeState>,
+) -> Result<(), IndexError> {
+    let node_count = shard_map.node_count();
     codec::read_header(r, SHARD_MAGIC, SHARD_VERSION)?;
-    let id = codec::read_u64(r).map_err(DecodeError::Io)? as usize;
+    let id = codec::read_u64(r).map_err(DecodeError::Io)?;
     let node_lo = codec::read_u64(r).map_err(DecodeError::Io)?;
-    let len = codec::check_len(
-        codec::read_u64(r).map_err(DecodeError::Io)?,
-        node_count as u64,
-        "shard length",
-    )?;
+    let len = codec::read_u64(r).map_err(DecodeError::Io)?;
     let claimed_n = codec::read_u64(r).map_err(DecodeError::Io)? as usize;
     let claimed_k = codec::read_u64(r).map_err(DecodeError::Io)? as usize;
     if claimed_n != node_count || claimed_k != max_k {
@@ -537,17 +537,19 @@ fn read_shard<R: Read>(
             "shard {id} claims n={claimed_n}, K={claimed_k}; manifest says n={node_count}, K={max_k}"
         )));
     }
-    if node_lo as usize + len > node_count {
+    let expected = shard_map.range(shard_id);
+    if id != shard_id as u64 || (node_lo, len) != (u64::from(expected.start), expected.len() as u64)
+    {
         return Err(corrupt(format!(
-            "shard {id} range {node_lo}..{} exceeds {node_count} nodes",
-            node_lo as usize + len
+            "section covers {node_lo}..{} (id {id}), manifest expects {expected:?}",
+            node_lo.saturating_add(len)
         )));
     }
-    let mut states = Vec::with_capacity(len.min(1 << 20));
-    for u in node_lo as u32..(node_lo as usize + len) as u32 {
+    states.reserve(expected.len().min(1 << 20));
+    for u in expected {
         states.push(read_node_state(r, u, node_count, max_k, hub_matrix)?);
     }
-    Ok(IndexShard::new(id, node_lo as u32, states))
+    Ok(())
 }
 
 /// Writes the manifest: with `graph`, the snapshot [`save`] persists;
@@ -574,9 +576,10 @@ fn write_manifest<W: Write>(
     codec::write_u32_seq(&mut w, index.shard_map().starts())?;
     write_hub_matrix(&mut w, index.hub_matrix(), records)?;
     for i in 0..index.shard_count() {
-        match index.shards().iter().find(|s| s.id() == i) {
-            Some(shard) => write_section(&mut w, |s| write_shard(shard, n, max_k, s, records))?,
-            None => codec::write_u64(&mut w, 0)?,
+        if index.holds(i) {
+            write_section(&mut w, |s| write_shard(index, i, s, records))?;
+        } else {
+            codec::write_u64(&mut w, 0)?;
         }
     }
     write_stats(&mut w, index.stats())?;
@@ -660,7 +663,7 @@ fn load_manifest_body<R: BufRead>(
     })?;
     let hub_matrix = read_hub_matrix(r, n, rounding_threshold)?;
 
-    let mut shards = Vec::with_capacity(if only.is_some() { 1 } else { shard_count });
+    let (mut states, mut held) = (Vec::new(), Vec::new());
     for i in 0..shard_count {
         let section_bytes = codec::read_u64(r).map_err(DecodeError::Io)?;
         if section_bytes == 0 {
@@ -675,38 +678,28 @@ fn load_manifest_body<R: BufRead>(
             })?;
             continue;
         }
-        let shard =
-            decode_section(r, section_bytes, &what, |s| read_shard(s, &hub_matrix, n, max_k))?;
-        let expected = shard_map.range(i);
-        if shard.id() != i || shard.range() != expected {
-            return Err(corrupt(format!(
-                "shard {i}: section covers {:?} (id {}), manifest expects {expected:?}",
-                shard.range(),
-                shard.id()
-            )));
-        }
-        shards.push(shard);
+        decode_section(r, section_bytes, &what, |s| {
+            read_shard(s, i, &shard_map, &hub_matrix, max_k, &mut states)
+        })?;
+        held.push(i);
     }
-    let owned = match (only, shards.len()) {
-        (Some(wanted), 0) => {
+    let owned = match (only, held.as_slice()) {
+        (Some(wanted), []) => {
             return Err(corrupt(format!("shard {wanted}: section not held by this file")))
         }
-        (None, held) if held == shard_count => None,
-        (None, 1) | (Some(_), _) => Some(shards[0].id()),
-        (None, held) => {
+        (None, all) if all.len() == shard_count => None,
+        (_, &[one]) => Some(one),
+        (_, held) => {
             return Err(corrupt(format!(
-                "holds {held} of {shard_count} shard sections; a snapshot holds every shard or one"
+                "holds {} of {shard_count} shard sections; a snapshot holds every shard or one",
+                held.len()
             )))
         }
     };
 
-    let state_refs: Vec<&NodeState> = shards.iter().flat_map(|s| s.states().iter()).collect();
-    let stats = read_stats(r, &state_refs, &hub_matrix, n)?;
-    drop(state_refs);
-
-    let config =
-        loaded_config(max_k, bca, &hub_matrix, rounding_threshold, stats.threads, shard_count);
-    Ok(ReverseIndex::from_shards(config, hub_matrix, shards, shard_map, owned, stats))
+    let stats = read_stats(r, &states, &hub_matrix, n)?;
+    let config = loaded_config(max_k, bca, &hub_matrix, rounding_threshold, stats.threads);
+    Ok(ReverseIndex::from_states(config, hub_matrix, shard_map, owned, states, stats))
 }
 
 // ---------------------------------------------------------------------------
@@ -727,17 +720,7 @@ pub fn stitch<R: Read>(inputs: Vec<R>) -> Result<Snapshot, IndexError> {
         .ok_or_else(|| IndexError::InvalidConfig("stitch: no snapshots to stitch".into()))??;
     let (config, hub_matrix) = (first.config().clone(), first.hub_matrix().clone());
     let (shard_map, stats) = (first.shard_map().clone(), *first.stats());
-    let mut held: Vec<Option<IndexShard>> = vec![None; shard_map.shard_count()];
-    let mut place = |index: ReverseIndex| {
-        for shard in index.into_shards() {
-            let i = shard.id();
-            if held[i].replace(shard).is_some() {
-                return Err(corrupt(format!("stitch: shard {i} is held by two inputs")));
-            }
-        }
-        Ok(())
-    };
-    place(first)?;
+    let mut parts = vec![first];
     for (j, snapshot) in snapshots.enumerate() {
         let (other_graph, index) = snapshot?;
         if other_graph != graph
@@ -750,21 +733,36 @@ pub fn stitch<R: Read>(inputs: Vec<R>) -> Result<Snapshot, IndexError> {
                 j + 1
             )));
         }
-        place(index)?;
+        parts.push(index);
     }
-    let shards = (held.into_iter().enumerate())
-        .map(|(i, shard)| shard.ok_or_else(|| corrupt(format!("stitch: no input holds shard {i}"))))
-        .collect::<Result<Vec<_>, _>>()?;
+    // Each input holds one contiguous range: ordered by range, the blocks
+    // must tile `0..n` exactly.
+    parts.sort_by_key(|index| index.owned_range().start);
+    let mut next = 0;
+    for index in &parts {
+        let owned = index.owned_range();
+        if owned.start != next {
+            let (i, what) = if owned.start < next {
+                (shard_map.shard_of(owned.start), "is held by two inputs")
+            } else {
+                (shard_map.shard_of(next), "is held by no input")
+            };
+            return Err(corrupt(format!("stitch: shard {i} {what}")));
+        }
+        next = owned.end;
+    }
+    if next as usize != shard_map.node_count() {
+        let i = shard_map.shard_of(next);
+        return Err(corrupt(format!("stitch: shard {i} is held by no input")));
+    }
+    let states: Vec<NodeState> = parts.into_iter().flat_map(ReverseIndex::into_block).collect();
 
     // The first input's stats scalars, derived size figures recomputed from
     // the stitched states — the same split the on-disk format uses.
     let mut stats_buf = Vec::new();
     write_stats(&mut stats_buf, &stats)?;
-    let state_refs: Vec<&NodeState> = shards.iter().flat_map(|s| s.states().iter()).collect();
-    let stats =
-        read_stats(&mut stats_buf.as_slice(), &state_refs, &hub_matrix, graph.node_count())?;
-    drop(state_refs);
-    let index = ReverseIndex::from_shards(config, hub_matrix, shards, shard_map, None, stats);
+    let stats = read_stats(&mut stats_buf.as_slice(), &states, &hub_matrix, graph.node_count())?;
+    let index = ReverseIndex::from_states(config, hub_matrix, shard_map, None, states, stats);
     Ok((graph, index))
 }
 
@@ -1032,10 +1030,10 @@ mod tests {
             hub_selection: HubSelection::DegreeBased { b: 1 },
             rounding_threshold: 1e-6,
             threads: 1,
-            shards,
             ..Default::default()
         };
-        let index = ReverseIndex::build(&TransitionMatrix::new(&g), config).unwrap();
+        let mut index = ReverseIndex::build(&TransitionMatrix::new(&g), config).unwrap();
+        index.repartition(shards);
         (g, index)
     }
 
@@ -1075,7 +1073,7 @@ mod tests {
             assert_eq!(&buf[..8], MANIFEST_MAGIC);
             let (graph, loaded) = load(Cursor::new(&buf)).unwrap();
             assert_eq!(loaded.shard_map(), index.shard_map());
-            assert_eq!(loaded.config().shards, shards);
+            assert_eq!(loaded.shard_count(), shards);
             for u in 0..6u32 {
                 assert_eq!(loaded.state(u), index.state(u), "shards={shards} node {u}");
             }
@@ -1107,7 +1105,7 @@ mod tests {
             assert_eq!(graph, g);
             assert_eq!(back.owned_shard(), Some(sid));
             assert_eq!(back.shard_map(), index.shard_map());
-            assert_eq!(back.shards()[0].states(), index.shards()[sid].states());
+            assert!(back.iter_states().eq(one.iter_states()));
             assert_eq!(saved(&graph, &back), buf, "shard {sid}: save → load → save");
             // Only its own shard is in the file.
             assert!(load_one_shard(Cursor::new(&buf), (sid + 1) % 3).is_err(), "{sid}");
@@ -1181,13 +1179,20 @@ mod tests {
         let t = TransitionMatrix::new(&g);
         let (_, mut loaded) = load(Cursor::new(saved(&g, &original))).unwrap();
 
-        let mut e1 = original.make_engine();
-        let mut m1 = original.make_materializer();
-        let mut e2 = loaded.make_engine();
-        let mut m2 = loaded.make_materializer();
-        let stop = rtk_rwr::bca::BcaStop::one_iteration();
-        original.refine_node(3, &t, &mut e1, &mut m1, &stop);
-        loaded.refine_node(3, &t, &mut e2, &mut m2, &stop);
+        for index in [&mut original, &mut loaded] {
+            let mut engine =
+                rtk_rwr::bca::BcaEngine::new(index.hub_matrix().hubs().clone(), index.config().bca);
+            let mut copy = index.state(3).clone();
+            crate::node_state::refine_state(
+                &mut copy,
+                &t,
+                &mut engine,
+                index.hub_matrix(),
+                &mut crate::hub_matrix::Materializer::default(),
+                &rtk_rwr::bca::BcaStop::one_iteration(),
+            );
+            index.commit_state(3, copy);
+        }
         assert_eq!(original.state(3), loaded.state(3));
     }
 
@@ -1253,12 +1258,10 @@ mod tests {
             assert_eq!(one.shard_count(), 3);
             assert_eq!(one.node_count(), 6);
             assert_eq!(one.max_k(), 3);
-            assert_eq!(one.config().shards, 3);
             assert_eq!(one.hub_matrix().hubs().ids(), index.hub_matrix().hubs().ids());
             assert_eq!(one.owned_range(), index.shard_map().range(sid));
-            assert_eq!(one.shards().len(), 1);
-            assert_eq!(one.shards()[0].id(), sid);
-            assert_eq!(one.shards()[0].states(), index.shards()[sid].states());
+            let held: Vec<_> = one.held_shards().map(|(id, range, _)| (id, range)).collect();
+            assert_eq!(held, [(sid, index.shard_map().range(sid))]);
             for u in one.owned_range() {
                 assert_eq!(one.state(u), index.state(u), "shard {sid} node {u}");
             }
@@ -1280,7 +1283,7 @@ mod tests {
         assert!(load_one_shard(Cursor::new(&buf), 1).is_err());
 
         let mem = index.one_shard(0).unwrap();
-        assert_eq!(mem.shards()[0].states(), one.shards()[0].states());
+        assert!(mem.iter_states().eq(one.iter_states()));
         assert!(index.one_shard(5).is_err());
         // A one-shard index can hand out its own shard, nothing else.
         let (_, sharded) = build_index(2);

@@ -27,18 +27,18 @@
 //! reading: a push reads the out-row of the node it pushes from and nothing
 //! else (the linear push invariant), so a run from an affected `q` that never
 //! pushed *from `u`* replays push for push on the edited graph and ends in the
-//! same `(r, w, s, t)`. The shard's **as-built bit** (see
-//! [`crate::IndexShard`]) says a stored state *is* the recipe's output on the
-//! graph as it stood before the edit, and `never_read_row` reads off the
+//! same `(r, w, s, t)`. The index's **as-built bit** (see
+//! [`crate::ReverseIndex`]) says a stored state *is* the recipe's output on
+//! the graph as it stood before the edit, and `never_read_row` reads off the
 //! stored run whether it pushed from `u`; a state passing both keeps its run
 //! and only rematerializes top-K and parked deficit against the new columns
 //! (`‖r‖₁` is a function of the kept residue). Every hub-tailed edit
 //! qualifies all of its as-built states: hub ink is parked, never pushed. A
-//! state a query refined, or one that arrived by load / stitch /
-//! repartition, has no bit and takes the from-scratch run — which is also
-//! what *resets* a refined state to the recipe's output, the property that
-//! lets `snapshot + replay(log)` reproduce a live index that served
-//! update-mode queries between edits.
+//! state a query refined, or one that arrived by load or stitch, has no bit
+//! and takes the from-scratch run — which is also what *resets* a refined
+//! state to the recipe's output, the property that lets `snapshot +
+//! replay(log)` reproduce a live index that served update-mode queries
+//! between edits. A repartition keeps every bit: it moves no state.
 //!
 //! Consequently the post-update index is bitwise-equal to a full rebuild of
 //! the mutated graph — provided the states outside the affected set were
@@ -154,7 +154,7 @@ mod tests {
     use rtk_graph::{DanglingPolicy, GraphBuilder, TransitionMatrix};
     use rtk_rwr::{BcaParams, RwrParams};
 
-    fn config(threads: usize, shards: usize) -> IndexConfig {
+    fn config(threads: usize) -> IndexConfig {
         IndexConfig {
             max_k: 5,
             bca: BcaParams { residue_threshold: 0.2, ..Default::default() },
@@ -162,7 +162,6 @@ mod tests {
             hub_solver: HubSolver::PowerMethod(RwrParams::default()),
             rounding_threshold: 0.0,
             threads,
-            shards,
         }
     }
 
@@ -180,7 +179,7 @@ mod tests {
     #[test]
     fn apply_update_matches_fresh_rebuild_bitwise() {
         let mut g = rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(80, 320, 11)).unwrap();
-        let cfg = config(2, 1);
+        let cfg = config(2);
 
         let t0 = TransitionMatrix::new(&g);
         let mut live = ReverseIndex::build(&t0, cfg.clone()).unwrap();
@@ -216,9 +215,9 @@ mod tests {
             seed: 5,
         })
         .unwrap();
-        let cfg = config(1, 3);
         let t0 = TransitionMatrix::new(&g);
-        let mut full = ReverseIndex::build(&t0, cfg).unwrap();
+        let mut full = ReverseIndex::build(&t0, config(1)).unwrap();
+        full.repartition(3);
         let mut parts: Vec<ReverseIndex> =
             (0..full.shard_count()).map(|i| full.one_shard(i).unwrap()).collect();
         drop(t0);

@@ -32,10 +32,10 @@ fn arb_index(rng: &mut StdRng) -> (DiGraph, ReverseIndex) {
         hub_selection: HubSelection::DegreeBased { b: rng.gen_range(1usize..4) },
         rounding_threshold: if rng.gen_bool(0.5) { 1e-6 } else { 0.0 },
         threads: 1,
-        shards: rng.gen_range(1usize..9),
         ..Default::default()
     };
-    let index = ReverseIndex::build(&t, config).unwrap();
+    let mut index = ReverseIndex::build(&t, config).unwrap();
+    index.repartition(rng.gen_range(1usize..9));
     (g, index)
 }
 
@@ -174,7 +174,7 @@ fn random_single_byte_corruption_never_panics() {
             if let Ok((graph, loaded)) = storage::load(Cursor::new(&bad)) {
                 assert_eq!(graph.node_count(), loaded.node_count(), "{at}");
                 assert_eq!(loaded.node_count(), index.node_count(), "{at}");
-                let covered: usize = loaded.shards().iter().map(|s| s.len()).sum();
+                let covered: usize = loaded.held_shards().map(|(_, r, _)| r.len()).sum();
                 assert_eq!(covered, loaded.owned_range().len(), "{at}");
                 for u in loaded.owned_range() {
                     let _ = loaded.state(u); // resolvable through the shard map

@@ -15,8 +15,8 @@
 //!    queries through a [`ScratchPool`]) and refines each candidate
 //!    *resident in it* — the shared index is only read, and a
 //!    [`NodeState`] is written out only for the commit phase;
-//! 3. the **commit phase** (update mode only) serially merges every refined
-//!    copy back into the owning shards by node id — the cross-shard merge.
+//! 3. the **commit phase** (update mode only) serially writes every refined
+//!    copy back into the index's one block of states, by node id.
 //!
 //! Per-node screening decisions depend only on that node's stored state and
 //! the PMPN vector, never on another node's refinement, so the result set,
@@ -584,9 +584,8 @@ fn execute_query(
         },
     );
 
-    // Serial cross-shard merge: counters add; results and commits sort by
-    // node id, so the output is independent of phase interleaving *and* of
-    // the shard partition.
+    // Serial merge of the lanes: counters add; results and commits sort by
+    // node id, so the output is independent of phase interleaving.
     let mut commits: Vec<(u32, NodeState)> = Vec::new();
     for (refiner, local, pushes_before) in lanes {
         stats.refine_pushes += refiner.work().pushes - pushes_before;
@@ -615,8 +614,8 @@ fn execute_query(
 /// its `1 + out_degree` weight to [`SCREEN_CHUNK_EDGES`] (the `1` keeps
 /// edge-free stretches from collapsing into one giant chunk), so on skewed
 /// graphs chunks carry equal *work*: a hub's chunk is small in nodes, not
-/// in edges. A chunk may span shards; per-node decisions are independent
-/// and merged by node id, so the layout only changes scheduling.
+/// in edges. Per-node decisions are independent and merged by node id, so
+/// the chunking only changes scheduling.
 fn screen_chunks(nodes: Range<u32>, graph: &DiGraph) -> Vec<(u32, u32)> {
     let mut chunks = Vec::new();
     let (mut lo, mut weight) = (nodes.start, 0usize);
@@ -1006,7 +1005,6 @@ mod tests {
             hub_solver: HubSolver::PowerMethod(RwrParams::default()),
             rounding_threshold: 0.0,
             threads: 1,
-            shards: 1,
         }
     }
 
@@ -1477,10 +1475,10 @@ mod tests {
             max_k: 6,
             hub_selection: HubSelection::DegreeBased { b: 5 },
             threads: 1,
-            shards: 2,
             ..Default::default()
         };
-        let index = ReverseIndex::build(&t, config).unwrap();
+        let mut index = ReverseIndex::build(&t, config).unwrap();
+        index.repartition(2);
         let mut session = QueryEngine::new(&index);
         let opts = QueryOptions { query_threads: 8, ..Default::default() };
         session.query_frozen(&t, &index, 0, 6, &opts).unwrap(); // warm-up
@@ -1510,11 +1508,11 @@ mod tests {
             max_k: 8,
             hub_selection: HubSelection::DegreeBased { b: 5 },
             threads: 1,
-            shards: 4,
             ..Default::default()
         };
         for update in [false, true] {
             let mut whole = ReverseIndex::build(&t, config.clone()).unwrap();
+            whole.repartition(4);
             let mut parts: Vec<ReverseIndex> =
                 (0..whole.shard_count()).map(|sid| whole.one_shard(sid).unwrap()).collect();
             let mut session = QueryEngine::new(&whole);
@@ -1564,8 +1562,8 @@ mod tests {
     fn query_shard_rejects_invalid_queries() {
         let g = toy();
         let t = TransitionMatrix::new(&g);
-        let whole =
-            ReverseIndex::build(&t, IndexConfig { shards: 2, ..toy_index_config() }).unwrap();
+        let mut whole = ReverseIndex::build(&t, toy_index_config()).unwrap();
+        whole.repartition(2);
         let index = whole.one_shard(0).unwrap();
         let session = QueryEngine::new(&index);
         let opts = QueryOptions::default();

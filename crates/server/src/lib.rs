@@ -38,7 +38,7 @@
 //! (empty when unauthenticated). All integers little-endian; proximities
 //! travel as exact IEEE-754 bits, so remote answers are **bitwise
 //! identical** to local engine calls. The served engine may be sharded
-//! ([`rtk_index::IndexConfig::shards`]); `stats` reports per-shard node
+//! ([`rtk_index::ReverseIndex::repartition`]); `stats` reports per-shard node
 //! counts and heap sizes, and answers are identical for every shard
 //! count. The normative byte-level spec is `docs/FORMATS.md`.
 //!

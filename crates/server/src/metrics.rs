@@ -19,10 +19,11 @@ pub use rtk_api::model::{EngineInfo, RequestKind, StatsSnapshot};
 /// stays negligible next to query work. Keeping one histogram per request
 /// kind (wire v6) stops `ping` round-trips from diluting the
 /// `reverse_topk` tail that the router's hedge-delay quantile watches; the
-/// aggregate view is reconstructed by merging at snapshot time.
+/// aggregate view is reconstructed by merging at snapshot time. A kind's
+/// histogram is also its request count: each completed request is recorded
+/// there once.
 pub struct ServerMetrics {
     started: Instant,
-    requests: [AtomicU64; REQUEST_KINDS],
     protocol_errors: AtomicU64,
     engine_errors: AtomicU64,
     connections: AtomicU64,
@@ -65,7 +66,6 @@ impl ServerMetrics {
     pub fn new() -> Self {
         Self {
             started: Instant::now(),
-            requests: std::array::from_fn(|_| AtomicU64::new(0)),
             protocol_errors: AtomicU64::new(0),
             engine_errors: AtomicU64::new(0),
             connections: AtomicU64::new(0),
@@ -85,8 +85,12 @@ impl ServerMetrics {
     }
 
     pub(crate) fn record_request(&self, kind: RequestKind, seconds: f64) {
-        self.requests[kind as usize].fetch_add(1, Ordering::Relaxed);
         self.latency[kind as usize].lock().expect("metrics lock").record(seconds);
+    }
+
+    /// A copy of every kind's latency histogram, in [`RequestKind`] order.
+    fn latencies(&self) -> Vec<LatencyHistogram> {
+        self.latency.iter().map(|h| h.lock().expect("metrics lock").clone()).collect()
     }
 
     pub(crate) fn record_protocol_error(&self) {
@@ -153,8 +157,7 @@ impl ServerMetrics {
     /// needed). The engine facts are sampled fresh by the caller: edges, the
     /// digest and per-shard sizes drift under updates and refinement.
     pub fn snapshot(&self, engine: StatsSnapshot, unhealthy_backends: u64) -> StatsSnapshot {
-        let per_kind: Vec<LatencyHistogram> =
-            self.latency.iter().map(|h| h.lock().expect("metrics lock").clone()).collect();
+        let per_kind = self.latencies();
         let mut hist = LatencyHistogram::new();
         for h in &per_kind {
             hist.merge(h);
@@ -172,7 +175,7 @@ impl ServerMetrics {
             };
         }
         let (p50, p95, p99) = hist.percentiles();
-        let get = |k: RequestKind| self.requests[k as usize].load(Ordering::Relaxed);
+        let get = |k: RequestKind| kind_latency[k as usize].count;
         StatsSnapshot {
             uptime_seconds: self.started.elapsed().as_secs_f64(),
             ping: get(RequestKind::Ping),
@@ -222,10 +225,11 @@ impl ServerMetrics {
             out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n"));
         };
 
+        let per_kind = self.latencies();
         out.push_str("# HELP rtk_requests_total Completed requests by kind.\n");
         out.push_str("# TYPE rtk_requests_total counter\n");
         for kind in RequestKind::ALL {
-            let v = self.requests[kind as usize].load(Ordering::Relaxed);
+            let v = per_kind[kind as usize].count();
             out.push_str(&format!("rtk_requests_total{{kind=\"{}\"}} {v}\n", kind.name()));
         }
 
@@ -234,7 +238,7 @@ impl ServerMetrics {
              # TYPE rtk_request_latency_seconds histogram\n",
         );
         for kind in RequestKind::ALL {
-            let hist = self.latency[kind as usize].lock().expect("metrics lock").clone();
+            let hist = &per_kind[kind as usize];
             if hist.count() == 0 {
                 continue;
             }

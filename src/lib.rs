@@ -39,9 +39,9 @@
 //!   index is only read. Per-node decisions never depend on another node's
 //!   refinement, and results merge by node id, so any interleaving yields
 //!   the same results and statistics.
-//! * The **commit phase** (update mode) serially merges the refined states
-//!   back into the owning shards by node id — the cross-shard merge —
-//!   leaving exactly the index a serial in-place run would have produced.
+//! * The **commit phase** (update mode) serially writes the refined states
+//!   back into the index's one block of states by node id, leaving exactly
+//!   the index a serial in-place run would have produced.
 //!
 //! Three thread-count knobs, all accepting `0` = "all cores":
 //!
@@ -64,13 +64,16 @@
 //!
 //! # Sharding
 //!
-//! The index is partitioned into `S` contiguous node-range **shards**
-//! (`IndexConfig::shards`, builder: `EngineBuilder::shards`, CLI:
-//! `rtk index build --shards S`). The paper's screen phase evaluates every
-//! node independently, so the partition is answer-invariant by
-//! construction — `tests/shard_determinism.rs` pins results, statistics,
-//! and the post-query index bitwise-equal to the unsharded engine for
-//! shard counts {1, 2, 4, 8}, both bound modes, frozen and update.
+//! A `ShardMap` cuts the node range into `S` contiguous **shards**
+//! (builder: `EngineBuilder::shards`, CLI: `rtk index build --shards S`,
+//! both applied to the built index with `ReverseIndex::repartition`). The
+//! cut is a layout of the snapshot and of processes, not of memory: an
+//! index keeps the states of the range it holds as one block in id order,
+//! whatever `S` is. The paper's screen phase evaluates every node
+//! independently, so the partition is answer-invariant by construction —
+//! `tests/shard_determinism.rs` pins results, statistics, and the
+//! post-query index bitwise-equal to the unsharded engine for shard
+//! counts {1, 2, 4, 8}, both bound modes, frozen and update.
 //!
 //! What sharding changes:
 //!

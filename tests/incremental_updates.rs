@@ -412,6 +412,47 @@ fn shard_replicas_converge_under_the_same_log() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A repartition swaps the shard map and nothing else. The states keep
+/// their cached record digests and their as-built bits, so the next edge
+/// update keeps exactly the runs it keeps on the index that was never
+/// repartitioned.
+#[test]
+fn a_repartition_keeps_what_it_does_not_change() {
+    let build = || {
+        ReverseTopkEngine::builder(rmat(&RmatConfig::new(1000, 6000, 7)).unwrap())
+            .max_k(20)
+            .hubs_per_direction(10)
+            .threads(2)
+            .build()
+            .unwrap()
+    };
+    let (mut whole, mut split) = (build(), build());
+    split.reshard(2);
+    assert_eq!(split.shard_count(), 2);
+    assert_eq!(split.index_digest(), rtk_index::storage::index_digest_cold(split.index()));
+
+    let effect = whole.add_edge(NodeId(3), NodeId(900), 1.0).unwrap();
+    let split_effect = split.add_edge(NodeId(3), NodeId(900), 1.0).unwrap();
+    assert_eq!(effect.bca_runs, 586);
+    assert_eq!(split_effect.bca_runs, effect.bca_runs);
+    assert_eq!(split_effect.recomputed_states, effect.recomputed_states);
+    for u in 0..1000 {
+        assert_eq!(whole.index().state(u), split.index().state(u), "node {u}");
+    }
+    // Bitwise: flattened back to one shard, both save the same bytes, but
+    // for the two builds' timings (the first 32 of the 56 trailing stats
+    // bytes).
+    split.reshard(1);
+    let saved = |engine: &ReverseTopkEngine| {
+        let mut bytes = Vec::new();
+        engine.save(&mut bytes).unwrap();
+        let timings = bytes.len() - 56;
+        bytes[timings..timings + 32].fill(0);
+        bytes
+    };
+    assert!(saved(&whole) == saved(&split), "the repartitioned index saves other bytes");
+}
+
 /// Error paths stay loud and side-effect-free: a rejected update (unknown
 /// node, missing edge, last out-edge) leaves the index digest untouched.
 #[test]

@@ -19,10 +19,10 @@
 use rtk_approx::BidirEstimator;
 use rtk_graph::gen::{erdos_renyi, rmat, ErdosRenyiConfig, RmatConfig};
 use rtk_graph::{DiGraph, TransitionMatrix};
-use rtk_index::{refine_state, HubSelection, IndexConfig, ReverseIndex};
+use rtk_index::{refine_state, HubSelection, IndexConfig, Materializer, ReverseIndex};
 use rtk_query::query::TIE_EPSILON;
 use rtk_query::{upper_bound_kth, ApproxParams, BoundMode, QueryEngine, QueryOptions, QueryResult};
-use rtk_rwr::bca::BcaStop;
+use rtk_rwr::bca::{BcaEngine, BcaStop};
 use rtk_rwr::{proximity_from, proximity_to, RwrParams};
 
 const KS: [usize; 3] = [1, 5, 20];
@@ -38,17 +38,24 @@ fn graphs() -> Vec<(&'static str, DiGraph)> {
     ]
 }
 
-fn index_config(bound_mode: BoundMode, shards: usize) -> IndexConfig {
-    IndexConfig {
+/// The index of `transition` for `bound_mode`, cut into `shards` shards.
+fn build_index(
+    transition: &TransitionMatrix<'_>,
+    bound_mode: BoundMode,
+    shards: usize,
+) -> ReverseIndex {
+    let config = IndexConfig {
         max_k: MAX_K,
         hub_selection: HubSelection::DegreeBased { b: 6 },
         // Coarse rounding in strict mode leaves a hub deficit refinement
         // cannot close, so the exact-fallback exit is exercised too.
         rounding_threshold: if bound_mode == BoundMode::Strict { 1e-3 } else { 1e-6 },
         threads: 1,
-        shards,
         ..Default::default()
-    }
+    };
+    let mut index = ReverseIndex::build(transition, config).unwrap();
+    index.repartition(shards);
+    index
 }
 
 fn query_nodes(n: usize) -> Vec<u32> {
@@ -73,8 +80,8 @@ fn stepwise_oracle(
     let strict = bound_mode == BoundMode::Strict;
     let alpha = index.config().alpha();
     let rwr = RwrParams { alpha, threads: 1, ..RwrParams::default() };
-    let mut engine = index.make_engine();
-    let mut materializer = index.make_materializer();
+    let mut engine = BcaEngine::new(index.hub_matrix().hubs().clone(), index.config().bca);
+    let mut materializer = Materializer::default();
     let estimator =
         approx.map(|a| BidirEstimator::build(transition, q, alpha, &a, a.epsilon / 2.0));
     let to_q = if estimator.is_none() { proximity_to(transition, q, &rwr).0 } else { Vec::new() };
@@ -210,7 +217,7 @@ fn gap_directed_refinement_answers_exactly_as_the_stepwise_oracle() {
     for (name, graph) in graphs() {
         let transition = TransitionMatrix::new(&graph);
         for bound_mode in [BoundMode::PaperFaithful, BoundMode::Strict] {
-            let built = ReverseIndex::build(&transition, index_config(bound_mode, 1)).unwrap();
+            let built = build_index(&transition, bound_mode, 1);
             for update in [false, true] {
                 for approx in [None, Some(APPROX)] {
                     // Each side owns its index: in update mode both evolve
@@ -292,9 +299,7 @@ fn the_schedule_is_identical_for_every_thread_and_shard_count() {
                     let mut reference: Option<(Vec<QueryResult>, ReverseIndex)> = None;
                     for shards in [1usize, 2, 3] {
                         for threads in [1usize, 2, 4] {
-                            let mut index =
-                                ReverseIndex::build(&transition, index_config(bound_mode, shards))
-                                    .unwrap();
+                            let mut index = build_index(&transition, bound_mode, shards);
                             let mut session = QueryEngine::new(&index);
                             let options = QueryOptions {
                                 update_index: update,

@@ -2,8 +2,8 @@
 //! must be observationally invisible — byte-identical result sets,
 //! proximities, statistics, and (in update mode) an identical post-query
 //! index for every shard count, across graph families, bound modes, and
-//! access modes. This is the contract that makes `IndexConfig::shards` safe
-//! to tune freely: sharding, like threading, may only change wall time and
+//! access modes. This is the contract that makes the shard count
+//! (`EngineBuilder::shards`, `ReverseIndex::repartition`) safe to tune freely: sharding, like threading, may only change wall time and
 //! storage layout, never answers.
 //!
 //! Also pins persistence: snapshots of every shard count — one included —
@@ -42,15 +42,22 @@ fn strict_test_graphs() -> Vec<(String, DiGraph)> {
     ]
 }
 
-fn index_config(bound_mode: BoundMode, shards: usize) -> IndexConfig {
-    IndexConfig {
+/// The index of `transition` for `bound_mode`, cut into `shards` shards.
+fn build_index(
+    transition: &TransitionMatrix<'_>,
+    bound_mode: BoundMode,
+    shards: usize,
+) -> ReverseIndex {
+    let config = IndexConfig {
         max_k: if bound_mode == BoundMode::Strict { 4 } else { 8 },
         hub_selection: HubSelection::DegreeBased { b: 6 },
         rounding_threshold: if bound_mode == BoundMode::Strict { 1e-3 } else { 1e-6 },
         threads: 1,
-        shards,
         ..Default::default()
-    }
+    };
+    let mut index = ReverseIndex::build(transition, config).unwrap();
+    index.repartition(shards);
+    index
 }
 
 fn sample_queries(n: usize, max_k: usize) -> Vec<(u32, usize)> {
@@ -120,13 +127,13 @@ fn assert_equivalent(
 
 fn check_modes(label: &str, graph: &DiGraph, bound_mode: BoundMode) {
     let transition = TransitionMatrix::new(graph);
-    let baseline = ReverseIndex::build(&transition, index_config(bound_mode, 1)).unwrap();
+    let baseline = build_index(&transition, bound_mode, 1);
     assert_eq!(baseline.shard_count(), 1);
     for update in [false, true] {
         let reference = run_workload(&transition, &baseline, update, bound_mode);
         for shards in SHARD_COUNTS {
             // The sharded index must already be state-identical after build…
-            let index = ReverseIndex::build(&transition, index_config(bound_mode, shards)).unwrap();
+            let index = build_index(&transition, bound_mode, shards);
             assert_eq!(index.shard_count(), shards);
             for u in 0..graph.node_count() as u32 {
                 assert_eq!(
@@ -173,8 +180,7 @@ fn strict_mode_sharded_queries_match_unsharded() {
 fn sharded_snapshots_round_trip_and_answer_identically() {
     let (_, graph) = &test_graphs()[2]; // one R-MAT instance is plenty
     let transition = TransitionMatrix::new(graph);
-    let baseline =
-        ReverseIndex::build(&transition, index_config(BoundMode::PaperFaithful, 1)).unwrap();
+    let baseline = build_index(&transition, BoundMode::PaperFaithful, 1);
     let reference = run_workload(&transition, &baseline, true, BoundMode::PaperFaithful);
     let round_trip = |index: &ReverseIndex, shards: usize| {
         let mut sharded = index.clone();
@@ -248,8 +254,7 @@ fn edge_balanced_repartition_matches_unsharded() {
     use rtk_index::ShardMap;
     let (label, graph) = &test_graphs()[2]; // one R-MAT instance is plenty
     let transition = TransitionMatrix::new(graph);
-    let baseline =
-        ReverseIndex::build(&transition, index_config(BoundMode::PaperFaithful, 1)).unwrap();
+    let baseline = build_index(&transition, BoundMode::PaperFaithful, 1);
     let n = graph.node_count();
     let weights: Vec<u64> = (0..n as u32).map(|u| graph.out_neighbors(u).len() as u64).collect();
     for update in [false, true] {
