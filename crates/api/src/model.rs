@@ -438,26 +438,6 @@ pub struct KindLatency {
 pub struct StatsSnapshot {
     /// Seconds since the server started.
     pub uptime_seconds: f64,
-    /// Completed `ping` requests.
-    pub ping: u64,
-    /// Completed `reverse_topk` requests.
-    pub reverse_topk: u64,
-    /// Completed `topk` requests.
-    pub topk: u64,
-    /// Completed `batch` requests.
-    pub batch: u64,
-    /// Completed `stats` requests.
-    pub stats: u64,
-    /// Accepted `shutdown` requests.
-    pub shutdown: u64,
-    /// Completed `persist` requests.
-    pub persist: u64,
-    /// Completed shard-scoped `shard_reverse_topk` requests.
-    pub shard_reverse_topk: u64,
-    /// Applied `add_edge` updates (wire v7).
-    pub add_edge: u64,
-    /// Applied `remove_edge` updates (wire v7).
-    pub remove_edge: u64,
     /// Malformed frames / requests observed.
     pub protocol_errors: u64,
     /// Requests the engine rejected or failed.
@@ -485,8 +465,6 @@ pub struct StatsSnapshot {
     /// Requests answered with a `busy` frame because their connection was
     /// at the `max_inflight` pipeline-depth cap (wire v4).
     pub inflight_rejections: u64,
-    /// Observations in the latency histogram.
-    pub latency_count: u64,
     /// Mean request latency, seconds.
     pub mean_seconds: f64,
     /// Median request latency (bucket upper edge), seconds.
@@ -519,7 +497,8 @@ pub struct StatsSnapshot {
     /// drift included).
     pub shard_bytes: Vec<u64>,
     /// Latency summary per request kind, indexed by [`RequestKind`]
-    /// (wire v6). The aggregate fields above merge all kinds.
+    /// (wire v6). The aggregate fields above merge all kinds. A kind's
+    /// `count` is its number of completed requests.
     pub kind_latency: [KindLatency; REQUEST_KINDS],
     /// Reverse top-k queries answered through the approximate screen
     /// (wire v8).
@@ -540,16 +519,6 @@ impl StatsSnapshot {
     pub fn local(engine: EngineInfo, shard_nodes: Vec<u64>, shard_bytes: Vec<u64>) -> Self {
         Self {
             uptime_seconds: 0.0,
-            ping: 0,
-            reverse_topk: 0,
-            topk: 0,
-            batch: 0,
-            stats: 0,
-            shutdown: 0,
-            persist: 0,
-            shard_reverse_topk: 0,
-            add_edge: 0,
-            remove_edge: 0,
             protocol_errors: 0,
             engine_errors: 0,
             connections: 0,
@@ -560,7 +529,6 @@ impl StatsSnapshot {
             failovers: 0,
             inflight_peak: 0,
             inflight_rejections: 0,
-            latency_count: 0,
             mean_seconds: 0.0,
             p50_seconds: 0.0,
             p95_seconds: 0.0,
@@ -583,18 +551,14 @@ impl StatsSnapshot {
         }
     }
 
+    /// Completed requests of `kind`.
+    pub fn requests(&self, kind: RequestKind) -> u64 {
+        self.kind_latency[kind as usize].count
+    }
+
     /// Total completed requests across all kinds.
     pub fn total_requests(&self) -> u64 {
-        self.ping
-            + self.reverse_topk
-            + self.topk
-            + self.batch
-            + self.stats
-            + self.shutdown
-            + self.persist
-            + self.shard_reverse_topk
-            + self.add_edge
-            + self.remove_edge
+        self.kind_latency.iter().map(|l| l.count).sum()
     }
 
     /// Number of index shards the server reports.
@@ -627,18 +591,12 @@ impl StatsSnapshot {
                 )
             })
             .collect();
-        Json::Obj(vec![
-            field("uptime_seconds", Json::F64(self.uptime_seconds)),
-            field("ping", Json::U64(self.ping)),
-            field("reverse_topk", Json::U64(self.reverse_topk)),
-            field("topk", Json::U64(self.topk)),
-            field("batch", Json::U64(self.batch)),
-            field("stats", Json::U64(self.stats)),
-            field("shutdown", Json::U64(self.shutdown)),
-            field("persist", Json::U64(self.persist)),
-            field("shard_reverse_topk", Json::U64(self.shard_reverse_topk)),
-            field("add_edge", Json::U64(self.add_edge)),
-            field("remove_edge", Json::U64(self.remove_edge)),
+        // One count per kind, then the total, under the keys they have
+        // always had.
+        let counts = RequestKind::ALL.iter().map(|&k| field(k.name(), Json::U64(self.requests(k))));
+        let mut fields = vec![field("uptime_seconds", Json::F64(self.uptime_seconds))];
+        fields.extend(counts);
+        fields.extend([
             field("total_requests", Json::U64(self.total_requests())),
             field("protocol_errors", Json::U64(self.protocol_errors)),
             field("engine_errors", Json::U64(self.engine_errors)),
@@ -650,7 +608,7 @@ impl StatsSnapshot {
             field("failovers", Json::U64(self.failovers)),
             field("inflight_peak", Json::U64(self.inflight_peak)),
             field("inflight_rejections", Json::U64(self.inflight_rejections)),
-            field("latency_count", Json::U64(self.latency_count)),
+            field("latency_count", Json::U64(self.total_requests())),
             field("mean_seconds", Json::F64(self.mean_seconds)),
             field("p50_seconds", Json::F64(self.p50_seconds)),
             field("p95_seconds", Json::F64(self.p95_seconds)),
@@ -678,7 +636,8 @@ impl StatsSnapshot {
                     field("walks", Json::U64(self.approx_walks)),
                 ]),
             ),
-        ])
+        ]);
+        Json::Obj(fields)
     }
 
     /// Serializes the snapshot (fixed-width fields plus the per-shard size
@@ -687,16 +646,6 @@ impl StatsSnapshot {
     pub fn encode<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
         codec::write_f64(w, self.uptime_seconds)?;
         for v in [
-            self.ping,
-            self.reverse_topk,
-            self.topk,
-            self.batch,
-            self.stats,
-            self.shutdown,
-            self.persist,
-            self.shard_reverse_topk,
-            self.add_edge,
-            self.remove_edge,
             self.protocol_errors,
             self.engine_errors,
             self.connections,
@@ -707,7 +656,6 @@ impl StatsSnapshot {
             self.failovers,
             self.inflight_peak,
             self.inflight_rejections,
-            self.latency_count,
         ] {
             codec::write_u64(w, v)?;
         }
@@ -761,16 +709,6 @@ impl StatsSnapshot {
     pub fn decode<R: Read>(r: &mut R, max_shards: u64) -> Result<Self, DecodeError> {
         let mut snap = Self {
             uptime_seconds: codec::read_f64(r)?,
-            ping: codec::read_u64(r)?,
-            reverse_topk: codec::read_u64(r)?,
-            topk: codec::read_u64(r)?,
-            batch: codec::read_u64(r)?,
-            stats: codec::read_u64(r)?,
-            shutdown: codec::read_u64(r)?,
-            persist: codec::read_u64(r)?,
-            shard_reverse_topk: codec::read_u64(r)?,
-            add_edge: codec::read_u64(r)?,
-            remove_edge: codec::read_u64(r)?,
             protocol_errors: codec::read_u64(r)?,
             engine_errors: codec::read_u64(r)?,
             connections: codec::read_u64(r)?,
@@ -781,7 +719,6 @@ impl StatsSnapshot {
             failovers: codec::read_u64(r)?,
             inflight_peak: codec::read_u64(r)?,
             inflight_rejections: codec::read_u64(r)?,
-            latency_count: codec::read_u64(r)?,
             mean_seconds: codec::read_f64(r)?,
             p50_seconds: codec::read_f64(r)?,
             p95_seconds: codec::read_f64(r)?,

@@ -15,7 +15,7 @@ use rtk_datasets::DatasetSpec;
 use rtk_graph::DiGraph;
 use rtk_index::{HubSelection, HubSolver, IndexConfig};
 use rtk_obs::{log_event, Level};
-use rtk_rwr::{BcaParams, RwrParams};
+use rtk_rwr::BcaParams;
 
 /// Parsed command-line options shared by all experiment binaries.
 #[derive(Clone, Copy, Debug)]
@@ -78,16 +78,14 @@ impl Args {
 /// multi-thousand-hub builds tractable on one machine, with the truncation
 /// tracked as a deficit).
 pub fn index_config(spec: &DatasetSpec, b: usize, nodes: usize) -> IndexConfig {
-    let alpha = 0.15;
     let hub_solver = if nodes > 30_000 {
-        HubSolver::Bca(BcaParams {
-            alpha,
+        HubSolver::Bca {
             propagation_threshold: 1e-7,
             residue_threshold: 1e-3,
             max_iterations: 100_000,
-        })
+        }
     } else {
-        HubSolver::PowerMethod(RwrParams::with_alpha(alpha))
+        HubSolver::PowerMethod
     };
     IndexConfig {
         max_k: 200,
@@ -179,7 +177,7 @@ mod tests {
     #[test]
     fn config_switches_hub_solver_by_size() {
         let spec = &rtk_datasets::paper_datasets()[0];
-        assert!(matches!(index_config(spec, 10, 10_000).hub_solver, HubSolver::PowerMethod(_)));
-        assert!(matches!(index_config(spec, 10, 100_000).hub_solver, HubSolver::Bca(_)));
+        assert!(matches!(index_config(spec, 10, 10_000).hub_solver, HubSolver::PowerMethod));
+        assert!(matches!(index_config(spec, 10, 100_000).hub_solver, HubSolver::Bca { .. }));
     }
 }

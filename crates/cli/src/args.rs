@@ -1,7 +1,9 @@
 //! Minimal flag parser: positionals plus `--flag [value]` options.
 //!
 //! Hand-rolled (no external dependency): the surface is small and the error
-//! messages stay domain-specific.
+//! messages stay domain-specific. Each command names the flags it reads; any
+//! other `--flag` is an error, so a typo fails loudly instead of falling back
+//! to a default.
 
 use std::collections::HashMap;
 
@@ -13,41 +15,41 @@ pub struct Parsed {
 }
 
 /// Flags that take no value.
-const BOOLEAN_FLAGS: &[&str] = &[
-    "update",
-    "strict",
-    "early",
-    "approximate",
-    "shard-only",
-    "pipeline",
-    "trace",
-    "json",
-    "help",
-];
+const BOOLEAN_FLAGS: &[&str] =
+    &["update", "strict", "early", "approximate", "shard-only", "pipeline", "trace", "json"];
 
 impl Parsed {
-    /// Splits `argv` into positionals and flags.
+    /// Splits `argv` into positionals and flags, refusing any flag not in
+    /// `known` (the flags the command reads).
     ///
     /// `--key value` binds a value unless `key` is a known boolean flag;
     /// `--key=value` always binds.
-    pub fn parse(argv: &[String]) -> Result<Self, String> {
+    pub fn parse(argv: &[String], known: &[&str]) -> Result<Self, String> {
         let mut out = Parsed::default();
         let mut i = 0;
         while i < argv.len() {
             let a = &argv[i];
             if let Some(stripped) = a.strip_prefix("--") {
-                if let Some((k, v)) = stripped.split_once('=') {
-                    out.flags.insert(k.to_string(), Some(v.to_string()));
-                } else if BOOLEAN_FLAGS.contains(&stripped) {
-                    out.flags.insert(stripped.to_string(), None);
+                let (key, inline) = match stripped.split_once('=') {
+                    Some((k, v)) => (k, Some(v)),
+                    None => (stripped, None),
+                };
+                if !known.contains(&key) {
+                    let takes: Vec<String> = known.iter().map(|f| format!("--{f}")).collect();
+                    let takes = if takes.is_empty() { "no flags".into() } else { takes.join(", ") };
+                    return Err(format!("unknown flag --{key} (this command takes {takes})"));
+                }
+                if let Some(v) = inline {
+                    out.flags.insert(key.to_string(), Some(v.to_string()));
+                } else if BOOLEAN_FLAGS.contains(&key) {
+                    out.flags.insert(key.to_string(), None);
                 } else {
-                    let v = argv
-                        .get(i + 1)
-                        .ok_or_else(|| format!("flag --{stripped} expects a value"))?;
+                    let v =
+                        argv.get(i + 1).ok_or_else(|| format!("flag --{key} expects a value"))?;
                     if v.starts_with("--") {
-                        return Err(format!("flag --{stripped} expects a value, got {v}"));
+                        return Err(format!("flag --{key} expects a value, got {v}"));
                     }
-                    out.flags.insert(stripped.to_string(), Some(v.clone()));
+                    out.flags.insert(key.to_string(), Some(v.clone()));
                     i += 1;
                 }
             } else {
@@ -101,7 +103,7 @@ mod tests {
 
     #[test]
     fn parses_positionals_and_flags() {
-        let p = Parsed::parse(&argv("graph.tsv --k 5 --update out.bin")).unwrap();
+        let p = Parsed::parse(&argv("graph.tsv --k 5 --update out.bin"), &["k", "update"]).unwrap();
         assert_eq!(p.positional(0, "graph").unwrap(), "graph.tsv");
         assert_eq!(p.positional(1, "out").unwrap(), "out.bin");
         assert_eq!(p.get("k"), Some("5"));
@@ -110,30 +112,42 @@ mod tests {
 
     #[test]
     fn equals_syntax_binds() {
-        let p = Parsed::parse(&argv("--omega=1e-6")).unwrap();
+        let p = Parsed::parse(&argv("--omega=1e-6"), &["omega"]).unwrap();
         assert_eq!(p.get("omega"), Some("1e-6"));
     }
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(Parsed::parse(&argv("--k")).is_err());
-        assert!(Parsed::parse(&argv("--k --update")).is_err());
+        assert!(Parsed::parse(&argv("--k"), &["k"]).is_err());
+        assert!(Parsed::parse(&argv("--k --update"), &["k", "update"]).is_err());
     }
 
     #[test]
     fn numeric_parsing_with_default() {
-        let p = Parsed::parse(&argv("--k 7")).unwrap();
+        let p = Parsed::parse(&argv("--k 7"), &["k"]).unwrap();
         assert_eq!(p.get_num("k", 10usize).unwrap(), 7);
         assert_eq!(p.get_num("missing", 10usize).unwrap(), 10);
         assert!(p.get_num::<usize>("k", 0).is_ok());
-        let bad = Parsed::parse(&argv("--k x")).unwrap();
+        let bad = Parsed::parse(&argv("--k x"), &["k"]).unwrap();
         assert!(bad.get_num::<usize>("k", 0).is_err());
     }
 
     #[test]
     fn missing_positional_is_named() {
-        let p = Parsed::parse(&argv("only-one")).unwrap();
+        let p = Parsed::parse(&argv("only-one"), &[]).unwrap();
         let err = p.positional(1, "index").unwrap_err();
         assert!(err.contains("<index>"));
+    }
+
+    #[test]
+    fn unknown_flags_are_named() {
+        let err =
+            Parsed::parse(&argv("g.rtkg --out t.rtki --sharsd 2"), &["out", "shards"]).unwrap_err();
+        assert!(err.contains("unknown flag --sharsd"), "{err}");
+        assert!(err.contains("--shards"), "{err}");
+        let err = Parsed::parse(&argv("--aprox=1e-3"), &["approx"]).unwrap_err();
+        assert!(err.contains("--aprox"), "{err}");
+        let err = Parsed::parse(&argv("x --update"), &[]).unwrap_err();
+        assert!(err.contains("takes no flags"), "{err}");
     }
 }

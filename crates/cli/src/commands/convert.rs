@@ -2,6 +2,9 @@
 
 use crate::args::Parsed;
 
+/// The flags `rtk convert` reads.
+pub(crate) const FLAGS: &[&str] = &[];
+
 pub(crate) fn run(args: &Parsed) -> Result<(), String> {
     let input = args.positional(0, "input")?;
     let output = args.positional(1, "output")?;
@@ -34,9 +37,9 @@ mod tests {
         super::super::save_graph(&rtk_datasets::toy_graph(), tsv.to_str().unwrap()).unwrap();
 
         let argv: Vec<String> = vec![tsv.to_str().unwrap().into(), bin.to_str().unwrap().into()];
-        run(&Parsed::parse(&argv).unwrap()).unwrap();
+        run(&Parsed::parse(&argv, FLAGS).unwrap()).unwrap();
         let argv: Vec<String> = vec![bin.to_str().unwrap().into(), tsv2.to_str().unwrap().into()];
-        run(&Parsed::parse(&argv).unwrap()).unwrap();
+        run(&Parsed::parse(&argv, FLAGS).unwrap()).unwrap();
 
         let a = super::super::load_graph(tsv.to_str().unwrap()).unwrap();
         let b = super::super::load_graph(tsv2.to_str().unwrap()).unwrap();

@@ -5,6 +5,9 @@ use rtk_graph::gen::{erdos_renyi, rmat, scale_free};
 use rtk_graph::gen::{ErdosRenyiConfig, RmatConfig, ScaleFreeConfig};
 use rtk_graph::DiGraph;
 
+/// The flags `rtk generate` reads.
+pub(crate) const FLAGS: &[&str] = &["out"];
+
 pub(crate) fn run(args: &Parsed) -> Result<(), String> {
     let name = args.positional(0, "dataset")?;
     let out = args
@@ -99,7 +102,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("g.tsv");
         let argv: Vec<String> = vec!["toy".into(), "--out".into(), out.to_str().unwrap().into()];
-        run(&Parsed::parse(&argv).unwrap()).unwrap();
+        run(&Parsed::parse(&argv, FLAGS).unwrap()).unwrap();
         assert!(out.exists());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -107,6 +110,6 @@ mod tests {
     #[test]
     fn missing_out_flag_errors() {
         let argv: Vec<String> = vec!["toy".into()];
-        assert!(run(&Parsed::parse(&argv).unwrap()).is_err());
+        assert!(run(&Parsed::parse(&argv, FLAGS).unwrap()).is_err());
     }
 }

@@ -9,10 +9,12 @@ pub(crate) fn run(argv: &[String]) -> Result<(), String> {
     let Some(sub) = argv.first() else {
         return Err("index: expected `build` or `info`".into());
     };
-    let rest = Parsed::parse(&argv[1..])?;
+    let rest = &argv[1..];
     match sub.as_str() {
-        "build" => build(&rest),
-        "info" => info(&rest),
+        "build" => {
+            build(&Parsed::parse(rest, &["out", "max-k", "hubs", "omega", "threads", "shards"])?)
+        }
+        "info" => info(&Parsed::parse(rest, &[])?),
         other => Err(format!("index: unknown subcommand {other:?}")),
     }
 }

@@ -13,10 +13,10 @@ pub(crate) fn run(argv: &[String]) -> Result<(), String> {
     let Some(sub) = argv.first() else {
         return Err("log: expected info|replay".into());
     };
-    let args = Parsed::parse(&argv[1..])?;
+    let rest = &argv[1..];
     match sub.as_str() {
-        "info" => info(&args),
-        "replay" => replay(&args),
+        "info" => info(&Parsed::parse(rest, &["limit"])?),
+        "replay" => replay(&Parsed::parse(rest, &["index", "log", "out"])?),
         other => Err(format!("log: expected info|replay, got {other:?}")),
     }
 }

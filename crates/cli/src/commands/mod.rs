@@ -24,38 +24,45 @@ usage:
   rtk index build <graph> --out <file> [--max-k K] [--hubs B] [--omega W] [--threads T] [--shards S]
                                                  build the index; the snapshot holds graph + index
   rtk index info <snapshot>                      index statistics
-  rtk shard split <snapshot> --shards S [--balance nodes|edges] [--out F]
-                                                 re-partition a saved index
+  rtk shard split <snapshot> --shards S [--out F]
+                                                 re-partition a saved index into even node ranges
   rtk shard info <snapshot>                      shard manifest summary
   rtk shard stitch <prefix> [--out F]            one snapshot from <prefix>.shard<i> persists
   rtk query <snapshot> --node Q --k K [--update] [--strict] [--approximate] [--threads T]
-  rtk topk <graph> --node U --k K [--early] [--threads T]   forward top-k search
-  rtk pmpn <graph> --node Q [--top N] [--threads T]         proximities to a node
+            [--approx EPS [--approx-walks N] [--approx-seed S]]
+  rtk topk <graph> --node U --k K [--early] [--alpha A] [--threads T]   forward top-k search
+  rtk pmpn <graph> --node Q [--top N] [--alpha A] [--threads T]         proximities to a node
   rtk convert <in> <out>                         tsv <-> binary graph formats
   rtk serve --index <snapshot> [--addr A] [--workers N]
             [--query-threads T] [--max-frame-mib M] [--max-connections C]
-            [--persist-dir D] [--auth-token T] [--metrics-addr A]
-            [--update-log F] [--log-file F] [--log-level L]   run the TCP server
+            [--max-inflight D] [--persist-dir D] [--auth-token T] [--metrics-addr A]
+            [--chaos SPEC] [--update-log F] [--log-file F] [--log-level L]   run the TCP server
   rtk serve --shard-only --shard I --index <snapshot> [...]
                                                  serve ONE shard (router backend)
-  rtk router --backends a:p,b:p,… [--addr A] [--workers N] [--max-connections C]
-             [--max-frame-mib M] [--auth-token T] [--metrics-addr A]
+  rtk router --backends a:p,b:p,… [--addr A] [--workers N] [--timeout S]
+             [--max-frame-mib M] [--max-connections C] [--max-inflight D]
+             [--auth-token T] [--hedge-quantile Q] [--hedge-min-delay-ms MS]
+             [--probe-interval-ms MS] [--metrics-addr A]
              [--log-file F] [--log-level L]     fan-out router over shard backends
-  rtk remote query --node Q --k K [--update] [--trace] [--addr A]   query a server/router
-  rtk remote topk --node U --k K [--early] [--addr A]
-  rtk remote batch --nodes a,b,c --k K [--addr A]
-  rtk remote add-edge --from U --to V [--weight W] [--addr A]   apply an edge insert
-  rtk remote remove-edge --from U --to V [--addr A]             apply an edge removal
-  rtk remote persist --out <server-path> [--addr A]         flush snapshot to disk
-  rtk remote stats [--json] [--addr A]           server/tier counters
-  rtk remote ping|shutdown [--addr A]            (all remote cmds take --auth-token)
+  rtk remote query --node Q --k K [--update] [--trace]
+                   [--approx EPS [--approx-walks N] [--approx-seed S]]   query a server/router
+  rtk remote topk --node U --k K [--early]
+  rtk remote batch --nodes a,b,c --k K [--pipeline]
+  rtk remote add-edge --from U --to V [--weight W]   apply an edge insert
+  rtk remote remove-edge --from U --to V             apply an edge removal
+  rtk remote persist --out <server-path>         flush snapshot to disk
+  rtk remote stats [--json]                      server/tier counters
+  rtk remote ping|shutdown
+      (every remote command also takes [--addr A] [--timeout S] [--auth-token T])
   rtk log info <log> [--limit N]                 update-log (RTKULOG1) summary
   rtk log replay --index <snapshot> --log <log> --out <file>
                                                  deterministic snapshot + log replay
 
 datasets for `generate`: toy, web-cs-small, web-cs-sim, epinions-sim,
 web-std-sim, web-google-sim, webspam-sim, dblp-sim, rmat:<n>:<m>[:seed],
-er:<n>:<m>[:seed], sf:<n>:<deg>[:seed]";
+er:<n>:<m>[:seed], sf:<n>:<deg>[:seed]
+
+any flag not listed for a command is an error";
 
 /// Routes `argv` to a subcommand.
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
@@ -64,15 +71,15 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
     };
     let rest = &argv[1..];
     match cmd.as_str() {
-        "generate" => generate::run(&Parsed::parse(rest)?),
-        "stats" => stats::run(&Parsed::parse(rest)?),
+        "generate" => generate::run(&Parsed::parse(rest, generate::FLAGS)?),
+        "stats" => stats::run(&Parsed::parse(rest, stats::FLAGS)?),
         "index" => index_cmd::run(rest),
-        "query" => query::run(&Parsed::parse(rest)?),
-        "topk" => topk::run(&Parsed::parse(rest)?),
-        "pmpn" => pmpn::run(&Parsed::parse(rest)?),
-        "convert" => convert::run(&Parsed::parse(rest)?),
-        "serve" => serve::run(&Parsed::parse(rest)?),
-        "router" => router::run(&Parsed::parse(rest)?),
+        "query" => query::run(&Parsed::parse(rest, query::FLAGS)?),
+        "topk" => topk::run(&Parsed::parse(rest, topk::FLAGS)?),
+        "pmpn" => pmpn::run(&Parsed::parse(rest, pmpn::FLAGS)?),
+        "convert" => convert::run(&Parsed::parse(rest, convert::FLAGS)?),
+        "serve" => serve::run(&Parsed::parse(rest, serve::FLAGS)?),
+        "router" => router::run(&Parsed::parse(rest, router::FLAGS)?),
         "shard" => shard::run(rest),
         "remote" => remote::run(rest),
         "log" => log_cmd::run(rest),
@@ -150,6 +157,32 @@ mod tests {
     #[test]
     fn no_command_mentions_usage() {
         assert!(dispatch(&[]).unwrap_err().contains("usage:"));
+    }
+
+    /// One misspelt flag per command family: each fails before doing any
+    /// work, with an error naming the flag.
+    #[test]
+    fn unknown_flags_fail_by_name() {
+        for (argv, flag) in [
+            ("generate toy --outt g.rtkg", "--outt"),
+            ("stats g.rtkg --json", "--json"),
+            ("index build g.rtkg --out t.rtki --sharsd 2", "--sharsd"),
+            ("index info t.rtki --verbose", "--verbose"),
+            ("shard split t.rtki --shards 2 --balance edges", "--balance"),
+            ("query t.rtki --node 0 --k 2 --aprox 1e-3", "--aprox"),
+            ("topk g.rtkg --node 0 --k 2 --erly", "--erly"),
+            ("pmpn g.rtkg --node 0 --tpo 3", "--tpo"),
+            ("convert a.tsv b.rtkg --force", "--force"),
+            ("serve --index t.rtki --worker 2", "--worker"),
+            ("router --backends 127.0.0.1:1 --hedge-quantil 0.9", "--hedge-quantil"),
+            ("remote query --addr 127.0.0.1:1 --node 0 --k 2 --aprox 1e-3", "--aprox"),
+            ("remote ping --adr 127.0.0.1:1", "--adr"),
+            ("log replay --index t.rtki --log u.rtkl --out r.rtki --limit 3", "--limit"),
+        ] {
+            let argv: Vec<String> = argv.split_whitespace().map(String::from).collect();
+            let err = dispatch(&argv).unwrap_err();
+            assert!(err.contains(&format!("unknown flag {flag}")), "{argv:?}: {err}");
+        }
     }
 
     #[test]

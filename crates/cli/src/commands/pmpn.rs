@@ -5,6 +5,9 @@ use rtk_graph::TransitionMatrix;
 use rtk_rwr::{proximity_to, RwrParams};
 use rtk_sparse::top_k_of_dense;
 
+/// The flags `rtk pmpn` reads.
+pub(crate) const FLAGS: &[&str] = &["node", "top", "alpha", "threads"];
+
 pub(crate) fn run(args: &Parsed) -> Result<(), String> {
     let graph_path = args.positional(0, "graph")?;
     let q: u32 = args
@@ -54,7 +57,7 @@ mod tests {
             "--top".into(),
             "3".into(),
         ];
-        run(&Parsed::parse(&argv).unwrap()).unwrap();
+        run(&Parsed::parse(&argv, FLAGS).unwrap()).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -19,6 +19,19 @@ pub(crate) fn approx_from_args(args: &Parsed) -> Result<Option<ApproxParams>, St
     Ok(Some(ApproxParams { epsilon, walks, seed }))
 }
 
+/// The flags `rtk query` reads.
+pub(crate) const FLAGS: &[&str] = &[
+    "node",
+    "k",
+    "threads",
+    "update",
+    "strict",
+    "approximate",
+    "approx",
+    "approx-walks",
+    "approx-seed",
+];
+
 pub(crate) fn run(args: &Parsed) -> Result<(), String> {
     let path = args.positional(0, "snapshot")?;
     let q: u32 = args
@@ -97,7 +110,7 @@ mod tests {
         let ipath = setup(&dir);
         let argv: Vec<String> =
             vec![ipath.clone(), "--node".into(), "0".into(), "--k".into(), "2".into()];
-        run(&Parsed::parse(&argv).unwrap()).unwrap();
+        run(&Parsed::parse(&argv, FLAGS).unwrap()).unwrap();
 
         // With --update the index file is rewritten with refinements.
         let before = std::fs::read(&ipath).unwrap();
@@ -109,7 +122,7 @@ mod tests {
             "2".into(),
             "--update".into(),
         ];
-        run(&Parsed::parse(&argv).unwrap()).unwrap();
+        run(&Parsed::parse(&argv, FLAGS).unwrap()).unwrap();
         let after = std::fs::read(&ipath).unwrap();
         assert_ne!(before, after, "refinements should change the stored index");
         std::fs::remove_dir_all(&dir).ok();
@@ -119,7 +132,7 @@ mod tests {
     fn missing_node_flag_errors() {
         let dir = std::env::temp_dir().join("rtk_cli_test_query2");
         let argv: Vec<String> = vec![setup(&dir)];
-        assert!(run(&Parsed::parse(&argv).unwrap()).is_err());
+        assert!(run(&Parsed::parse(&argv, FLAGS).unwrap()).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -9,7 +9,7 @@
 //! machinery instead of a single batch frame.
 
 use crate::args::Parsed;
-use rtk_server::{Client, QueryCall, RtkService};
+use rtk_server::{Client, QueryCall, RequestKind, RtkService};
 use std::time::Duration;
 
 pub(crate) fn run(argv: &[String]) -> Result<(), String> {
@@ -17,22 +17,19 @@ pub(crate) fn run(argv: &[String]) -> Result<(), String> {
     let Some(sub) = argv.first() else {
         return Err(format!("remote: expected {SUBCOMMANDS}"));
     };
-    if ![
-        "query",
-        "topk",
-        "batch",
-        "add-edge",
-        "remove-edge",
-        "persist",
-        "stats",
-        "ping",
-        "shutdown",
-    ]
-    .contains(&sub.as_str())
-    {
-        return Err(format!("remote: expected {SUBCOMMANDS}, got {sub:?}"));
-    }
-    let args = Parsed::parse(&argv[1..])?;
+    let flags: &[&str] = match sub.as_str() {
+        "query" => &["node", "k", "update", "trace", "approx", "approx-walks", "approx-seed"],
+        "topk" => &["node", "k", "early"],
+        "batch" => &["nodes", "k", "pipeline"],
+        "add-edge" => &["from", "to", "weight"],
+        "remove-edge" => &["from", "to"],
+        "persist" => &["out"],
+        "stats" => &["json"],
+        "ping" | "shutdown" => &[],
+        _ => return Err(format!("remote: expected {SUBCOMMANDS}, got {sub:?}")),
+    };
+    // Every subcommand also takes the connection flags.
+    let args = Parsed::parse(&argv[1..], &[&["addr", "timeout", "auth-token"], flags].concat())?;
     let addr = args.get("addr").unwrap_or(super::serve::DEFAULT_ADDR);
     let mut builder = Client::builder();
     // `--timeout <secs>` bounds the TCP connect and every socket
@@ -296,16 +293,16 @@ fn stats(svc: &mut impl RtkService) -> Result<(), String> {
     outln!(
         "  requests:         {} total (ping {}, reverse_topk {}, shard_rtk {}, topk {}, batch {}, add_edge {}, remove_edge {}, persist {}, stats {}, shutdown {})",
         s.total_requests(),
-        s.ping,
-        s.reverse_topk,
-        s.shard_reverse_topk,
-        s.topk,
-        s.batch,
-        s.add_edge,
-        s.remove_edge,
-        s.persist,
-        s.stats,
-        s.shutdown
+        s.requests(RequestKind::Ping),
+        s.requests(RequestKind::ReverseTopk),
+        s.requests(RequestKind::ShardReverseTopk),
+        s.requests(RequestKind::Topk),
+        s.requests(RequestKind::Batch),
+        s.requests(RequestKind::AddEdge),
+        s.requests(RequestKind::RemoveEdge),
+        s.requests(RequestKind::Persist),
+        s.requests(RequestKind::Stats),
+        s.requests(RequestKind::Shutdown)
     );
     if s.index_digest != 0 {
         outln!("  index digest:     {:016x}", s.index_digest);
@@ -318,7 +315,7 @@ fn stats(svc: &mut impl RtkService) -> Result<(), String> {
     );
     outln!(
         "  latency:          p50 {:.6}s | p95 {:.6}s | p99 {:.6}s | mean {:.6}s | max {:.6}s ({} samples)",
-        s.p50_seconds, s.p95_seconds, s.p99_seconds, s.mean_seconds, s.max_seconds, s.latency_count
+        s.p50_seconds, s.p95_seconds, s.p99_seconds, s.mean_seconds, s.max_seconds, s.total_requests()
     );
     Ok(())
 }
@@ -368,7 +365,7 @@ mod tests {
             "--nodes".into(),
             "0,1".into(),
         ];
-        let args = Parsed::parse(&argv).unwrap();
+        let args = Parsed::parse(&argv, &["node", "k", "nodes"]).unwrap();
         query(&mut engine, &args).unwrap();
         topk(&mut engine, &args).unwrap();
         batch(&mut engine, &args).unwrap();

@@ -14,6 +14,24 @@ use rtk_server::{Router, RouterConfig};
 /// default so both tiers run on one host out of the box).
 const DEFAULT_ROUTER_ADDR: &str = "127.0.0.1:7314";
 
+/// The flags `rtk router` reads.
+pub(crate) const FLAGS: &[&str] = &[
+    "backends",
+    "addr",
+    "workers",
+    "timeout",
+    "max-frame-mib",
+    "max-connections",
+    "max-inflight",
+    "auth-token",
+    "hedge-quantile",
+    "hedge-min-delay-ms",
+    "probe-interval-ms",
+    "metrics-addr",
+    "log-file",
+    "log-level",
+];
+
 pub(crate) fn run(args: &Parsed) -> Result<(), String> {
     super::init_logging(args).map_err(|e| format!("router: {e}"))?;
     let backends: Vec<String> = args
@@ -106,14 +124,14 @@ mod tests {
 
     #[test]
     fn requires_backends_and_validates_them() {
-        let err = run(&Parsed::parse(&[]).unwrap()).unwrap_err();
+        let err = run(&Parsed::parse(&[], FLAGS).unwrap()).unwrap_err();
         assert!(err.contains("--backends"), "{err}");
 
         // An unreachable backend fails the handshake with a clean message
         // instead of serving a tier that cannot answer.
         let argv: Vec<String> =
             vec!["--backends".into(), "127.0.0.1:1".into(), "--addr".into(), "127.0.0.1:0".into()];
-        let err = run(&Parsed::parse(&argv).unwrap()).unwrap_err();
+        let err = run(&Parsed::parse(&argv, FLAGS).unwrap()).unwrap_err();
         assert!(err.contains("cannot reach backend"), "{err}");
     }
 

@@ -11,6 +11,26 @@ use rtk_server::{Server, ServerConfig};
 /// Default listen address when `--addr` is omitted.
 pub(crate) const DEFAULT_ADDR: &str = "127.0.0.1:7313";
 
+/// The flags `rtk serve` reads.
+pub(crate) const FLAGS: &[&str] = &[
+    "index",
+    "shard-only",
+    "shard",
+    "addr",
+    "workers",
+    "query-threads",
+    "max-frame-mib",
+    "max-connections",
+    "max-inflight",
+    "persist-dir",
+    "auth-token",
+    "chaos",
+    "metrics-addr",
+    "update-log",
+    "log-file",
+    "log-level",
+];
+
 pub(crate) fn run(args: &Parsed) -> Result<(), String> {
     super::init_logging(args).map_err(|e| format!("serve: {e}"))?;
     let addr = args.get("addr").unwrap_or(DEFAULT_ADDR);
@@ -109,7 +129,7 @@ mod tests {
         let load = |extra: &[&str]| {
             let mut argv = vec!["--index".to_string(), path.clone()];
             argv.extend(extra.iter().map(|s| s.to_string()));
-            load_engine(&Parsed::parse(&argv).unwrap())
+            load_engine(&Parsed::parse(&argv, FLAGS).unwrap())
         };
 
         let whole = load(&[]).unwrap();
@@ -126,7 +146,7 @@ mod tests {
 
     #[test]
     fn missing_index_flag_errors() {
-        let err = run(&Parsed::parse(&[]).unwrap()).unwrap_err();
+        let err = run(&Parsed::parse(&[], FLAGS).unwrap()).unwrap_err();
         assert!(err.contains("--index"), "{err}");
     }
 }

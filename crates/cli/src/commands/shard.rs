@@ -2,11 +2,10 @@
 //! re-assembly of a saved snapshot.
 //!
 //! Sharding is a pure layout change: `split` re-partitions an existing
-//! index into `--shards N` contiguous node ranges (even by node count, or
-//! by total out-degree with `--balance edges`; `--shards 1` flattens it),
-//! `info` prints the shard manifest, and `stitch` re-assembles the
-//! `<path>.shard<i>` one-shard snapshots a router-tier `persist` leaves
-//! behind into one snapshot. Per-node states are preserved bitwise, so a
+//! index into `--shards N` even contiguous node ranges (`--shards 1`
+//! flattens it), `info` prints the shard manifest, and `stitch`
+//! re-assembles the `<path>.shard<i>` one-shard snapshots a router-tier
+//! `persist` leaves behind into one snapshot. Per-node states are preserved bitwise, so a
 //! re-partitioned or stitched index answers every query identically.
 
 use crate::args::Parsed;
@@ -17,11 +16,11 @@ pub(crate) fn run(argv: &[String]) -> Result<(), String> {
     let Some(sub) = argv.first() else {
         return Err("shard: expected `split`, `info`, or `stitch`".into());
     };
-    let rest = Parsed::parse(&argv[1..])?;
+    let rest = &argv[1..];
     match sub.as_str() {
-        "split" => split(&rest),
-        "info" => info(&rest),
-        "stitch" => stitch(&rest),
+        "split" => split(&Parsed::parse(rest, &["shards", "out"])?),
+        "info" => info(&Parsed::parse(rest, &[])?),
+        "stitch" => stitch(&Parsed::parse(rest, &["out"])?),
         other => Err(format!("shard: unknown subcommand {other:?}")),
     }
 }
@@ -35,13 +34,8 @@ fn save(graph: &DiGraph, index: &ReverseIndex, path: &str) -> Result<(), String>
         .map_err(|e| format!("shard: snapshot save: {e}"))
 }
 
-/// `rtk shard split <snapshot> --shards N [--balance nodes|edges] [--out
-/// <file>]`
-///
-/// `--balance nodes` (the default) cuts even node ranges; `--balance
-/// edges` cuts ranges of roughly equal total out-degree, read from the
-/// snapshot's graph, so skewed graphs give every shard the same screen
-/// *work*. Either layout preserves per-node states bitwise.
+/// `rtk shard split <snapshot> --shards N [--out <file>]`: cut even node
+/// ranges; per-node states are preserved bitwise.
 fn split(args: &Parsed) -> Result<(), String> {
     let path = args.positional(0, "snapshot")?;
     let shards = args.get_num("shards", 0usize)?;
@@ -49,7 +43,6 @@ fn split(args: &Parsed) -> Result<(), String> {
         return Err("shard split: --shards <N ≥ 1> is required".into());
     }
     let out = args.get("out").unwrap_or(path);
-    let balance = args.get("balance").unwrap_or("nodes");
     let (graph, mut index) = load(path)?;
     if let Some(shard) = index.owned_shard() {
         return Err(format!(
@@ -57,25 +50,9 @@ fn split(args: &Parsed) -> Result<(), String> {
         ));
     }
     let before = index.shard_count();
-    match balance {
-        "nodes" => index.repartition(shards),
-        "edges" => {
-            let n = index.node_count();
-            let weights: Vec<u64> =
-                (0..n as u32).map(|u| graph.out_neighbors(u).len() as u64).collect();
-            index.repartition_by_map(rtk_index::ShardMap::balanced(n, shards, &weights));
-        }
-        other => {
-            return Err(format!(
-                "shard split: unknown --balance {other:?} (expected `nodes` or `edges`)"
-            ))
-        }
-    }
+    index.repartition(shards);
     save(&graph, &index, out)?;
-    outln!(
-        "re-partitioned {path} from {before} to {} shard(s) (balance: {balance}); wrote {out}",
-        index.shard_count()
-    );
+    outln!("re-partitioned {path} from {before} to {} shard(s); wrote {out}", index.shard_count());
     Ok(())
 }
 
@@ -213,52 +190,6 @@ mod tests {
         assert_eq!(stitched.shard_count(), 2);
         for u in 0..6u32 {
             assert_eq!(stitched.state(u), index.state(u), "node {u}");
-        }
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn split_balance_edges_uses_degree_weights() {
-        let dir = std::env::temp_dir().join("rtk_cli_test_balance");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ipath = build_index(&dir);
-        let ipath_str = ipath.to_str().unwrap().to_string();
-        let out = dir.join("balanced.rtki");
-
-        // Unknown balance modes are rejected.
-        assert!(run(&[
-            "split".into(),
-            ipath_str.clone(),
-            "--shards".into(),
-            "2".into(),
-            "--balance".into(),
-            "degrees".into(),
-        ])
-        .is_err());
-
-        run(&[
-            "split".into(),
-            ipath_str.clone(),
-            "--shards".into(),
-            "2".into(),
-            "--balance".into(),
-            "edges".into(),
-            "--out".into(),
-            out.to_str().unwrap().into(),
-        ])
-        .unwrap();
-        let loaded = index_at(&out);
-        assert_eq!(loaded.shard_count(), 2);
-        // The layout matches ShardMap::balanced over the graph's out-degrees…
-        let g = rtk_datasets::toy_graph();
-        let weights: Vec<u64> = (0..6u32).map(|u| g.out_neighbors(u).len() as u64).collect();
-        let expect = rtk_index::ShardMap::balanced(6, 2, &weights);
-        assert_eq!(loaded.shard_map(), &expect);
-        // …and every per-node state survives the move bitwise.
-        let original = index_at(&ipath);
-        for u in 0..6u32 {
-            assert_eq!(loaded.state(u), original.state(u), "node {u}");
         }
 
         std::fs::remove_dir_all(&dir).ok();

@@ -3,6 +3,9 @@
 use crate::args::Parsed;
 use rtk_graph::degree::{degree_stats, top_b_by_degree, DegreeKind};
 
+/// The flags `rtk stats` reads.
+pub(crate) const FLAGS: &[&str] = &[];
+
 pub(crate) fn run(args: &Parsed) -> Result<(), String> {
     let path = args.positional(0, "graph")?;
     let graph = super::load_graph(path)?;
@@ -39,13 +42,13 @@ mod tests {
         let path = dir.join("toy.rtkg");
         super::super::save_graph(&rtk_datasets::toy_graph(), path.to_str().unwrap()).unwrap();
         let argv: Vec<String> = vec![path.to_str().unwrap().into()];
-        run(&Parsed::parse(&argv).unwrap()).unwrap();
+        run(&Parsed::parse(&argv, FLAGS).unwrap()).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn stats_on_missing_file_errors() {
         let argv: Vec<String> = vec!["/nope/missing.rtkg".into()];
-        assert!(run(&Parsed::parse(&argv).unwrap()).is_err());
+        assert!(run(&Parsed::parse(&argv, FLAGS).unwrap()).is_err());
     }
 }

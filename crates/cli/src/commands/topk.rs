@@ -4,6 +4,9 @@ use crate::args::Parsed;
 use rtk_graph::TransitionMatrix;
 use rtk_rwr::{BcaParams, RwrParams};
 
+/// The flags `rtk topk` reads.
+pub(crate) const FLAGS: &[&str] = &["node", "k", "alpha", "threads", "early"];
+
 pub(crate) fn run(args: &Parsed) -> Result<(), String> {
     let graph_path = args.positional(0, "graph")?;
     let u: u32 = args
@@ -70,7 +73,7 @@ mod tests {
                 "2".into(),
             ];
             argv.extend(extra);
-            run(&Parsed::parse(&argv).unwrap()).unwrap();
+            run(&Parsed::parse(&argv, FLAGS).unwrap()).unwrap();
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -82,7 +85,7 @@ mod tests {
         let path = dir.join("g.rtkg");
         super::super::save_graph(&rtk_datasets::toy_graph(), path.to_str().unwrap()).unwrap();
         let argv: Vec<String> = vec![path.to_str().unwrap().into(), "--node".into(), "99".into()];
-        assert!(run(&Parsed::parse(&argv).unwrap()).is_err());
+        assert!(run(&Parsed::parse(&argv, FLAGS).unwrap()).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

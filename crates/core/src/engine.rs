@@ -3,12 +3,11 @@
 use crate::error::EngineError;
 use rtk_graph::{DiGraph, EdgeSplice, NodeId, TransitionMatrix, TransitionProbs};
 use rtk_index::{
-    storage, HubSelection, HubSolver, IndexConfig, IndexStats, ReverseIndex, UpdateEffect,
-    UpdateRecord,
+    storage, HubSelection, IndexConfig, IndexStats, ReverseIndex, UpdateEffect, UpdateRecord,
 };
 use rtk_query::{QueryEngine, QueryOptions, QueryResult};
 use rtk_rwr::power::SolveReport;
-use rtk_rwr::{BcaParams, RwrParams};
+use rtk_rwr::RwrParams;
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -155,7 +154,7 @@ impl ReverseTopkEngine {
     /// offline, or an embedder retuning a loaded snapshot).
     ///
     /// # Panics
-    /// Panics on a one-shard engine (see [`ReverseIndex::repartition_by_map`]).
+    /// Panics on a one-shard engine (see [`ReverseIndex::repartition`]).
     pub fn reshard(&mut self, shards: usize) {
         self.index.repartition(shards);
     }
@@ -476,10 +475,6 @@ impl EngineBuilder {
     /// hub solver, and all queries.
     pub fn restart_probability(mut self, alpha: f64) -> Self {
         self.config.bca.alpha = alpha;
-        self.config.hub_solver = match self.config.hub_solver {
-            HubSolver::PowerMethod(p) => HubSolver::PowerMethod(RwrParams { alpha, ..p }),
-            HubSolver::Bca(p) => HubSolver::Bca(BcaParams { alpha, ..p }),
-        };
         self
     }
 
@@ -660,8 +655,8 @@ mod tests {
     fn rejects_dangling_graph() {
         let mut b = GraphBuilder::new(2);
         b.add_edge(0, 1).unwrap();
-        let g = b.build(DanglingPolicy::Sink).unwrap();
-        // Sink policy repaired it: builds fine.
+        let g = b.build(DanglingPolicy::SelfLoop).unwrap();
+        // The self-loop policy repaired it: builds fine.
         assert!(ReverseTopkEngine::builder(g).threads(1).max_k(2).build().is_ok());
     }
 

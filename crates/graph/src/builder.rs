@@ -13,22 +13,14 @@ use std::collections::HashMap;
 /// What to do with dangling nodes (out-degree zero) at build time.
 ///
 /// RWR requires a column-stochastic transition matrix; a dangling node's
-/// column would be all zeros. The paper's footnote 1 offers deletion or a
-/// self-linked sink; we additionally offer the id-preserving self-loop.
+/// column would be all zeros. The paper's footnote 1 deletes such nodes or
+/// links them to a self-linked sink; both renumber or grow the node set, so
+/// the builder repairs in place with a self-loop instead, or refuses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum DanglingPolicy {
     /// Add a self-loop to every dangling node (default; preserves node ids).
     #[default]
     SelfLoop,
-    /// Append one extra *sink* node that links to itself; every dangling node
-    /// gets an edge to the sink. Node count grows by one when any dangling
-    /// node exists.
-    Sink,
-    /// Iteratively delete dangling nodes until none remain (deleting a node
-    /// can orphan its predecessors, so this runs to a fixpoint). Node ids are
-    /// compacted; the mapping is discarded — use
-    /// [`GraphBuilder::build_with_remap`] to retain it.
-    Remove,
     /// Fail with [`GraphError::DanglingNode`] if any dangling node exists.
     Error,
 }
@@ -129,20 +121,10 @@ impl GraphBuilder {
     /// node's out-weights cannot be normalized to finite probabilities (the
     /// row sums to `inf`, or to something so small its inverse does).
     pub fn build(self, policy: DanglingPolicy) -> Result<DiGraph, GraphError> {
-        self.build_with_remap(policy).map(|(g, _)| g)
-    }
-
-    /// Builds the graph and, for [`DanglingPolicy::Remove`], returns the
-    /// mapping `new id → original id` (identity for other policies, except
-    /// [`DanglingPolicy::Sink`] where an appended sink maps to `u32::MAX`).
-    pub fn build_with_remap(
-        self,
-        policy: DanglingPolicy,
-    ) -> Result<(DiGraph, Vec<u32>), GraphError> {
         if self.n == 0 {
             return Err(GraphError::EmptyGraph);
         }
-        let mut n = self.n;
+        let n = self.n;
         let mut edges: Vec<(u32, u32, f64)> =
             self.edges.into_iter().map(|((f, t), w)| (f, t, w)).collect();
         let mut weighted = self.weighted;
@@ -153,68 +135,13 @@ impl GraphBuilder {
         }
         let dangling: Vec<u32> = (0..n as u32).filter(|&u| out_deg[u as usize] == 0).collect();
 
-        let mut remap: Vec<u32> = (0..n as u32).collect();
-        if !dangling.is_empty() {
-            match policy {
-                DanglingPolicy::Error => {
-                    return Err(GraphError::DanglingNode {
-                        node: dangling[0],
-                        count: dangling.len(),
-                    });
-                }
-                DanglingPolicy::SelfLoop => {
-                    for &u in &dangling {
-                        edges.push((u, u, 1.0));
-                    }
-                }
-                DanglingPolicy::Sink => {
-                    let sink = n as u32;
-                    n += 1;
-                    edges.push((sink, sink, 1.0));
-                    for &u in &dangling {
-                        edges.push((u, sink, 1.0));
-                    }
-                    remap.push(u32::MAX);
-                }
-                DanglingPolicy::Remove => {
-                    // Iterate to a fixpoint: removing a node may orphan others.
-                    let mut alive = vec![true; n];
-                    loop {
-                        let mut deg = vec![0usize; n];
-                        for &(f, t, _) in &edges {
-                            if alive[f as usize] && alive[t as usize] {
-                                deg[f as usize] += 1;
-                            }
-                        }
-                        let mut changed = false;
-                        for u in 0..n {
-                            if alive[u] && deg[u] == 0 {
-                                alive[u] = false;
-                                changed = true;
-                            }
-                        }
-                        if !changed {
-                            break;
-                        }
-                    }
-                    if alive.iter().all(|&a| !a) {
-                        return Err(GraphError::EmptyGraph);
-                    }
-                    let mut new_id = vec![u32::MAX; n];
-                    remap = Vec::new();
-                    for u in 0..n {
-                        if alive[u] {
-                            new_id[u] = remap.len() as u32;
-                            remap.push(u as u32);
-                        }
-                    }
-                    edges.retain(|&(f, t, _)| alive[f as usize] && alive[t as usize]);
-                    for e in edges.iter_mut() {
-                        e.0 = new_id[e.0 as usize];
-                        e.1 = new_id[e.1 as usize];
-                    }
-                    n = remap.len();
-                }
+        match (dangling.first(), policy) {
+            (None, _) => {}
+            (Some(&node), DanglingPolicy::Error) => {
+                return Err(GraphError::DanglingNode { node, count: dangling.len() });
+            }
+            (Some(_), DanglingPolicy::SelfLoop) => {
+                edges.extend(dangling.iter().map(|&u| (u, u, 1.0)));
             }
         }
 
@@ -227,7 +154,7 @@ impl GraphBuilder {
         // Row sums are only final here, in the built row's summation order.
         let graph = DiGraph::from_sorted_edges(n, edges, weighted);
         graph.validate()?;
-        Ok((graph, remap))
+        Ok(graph)
     }
 }
 
@@ -309,52 +236,6 @@ mod tests {
         assert_eq!(g.node_count(), 3);
         assert!(g.dangling_nodes().is_empty());
         assert!(g.has_edge(2, 2));
-    }
-
-    #[test]
-    fn sink_policy_appends_node() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1).unwrap();
-        b.add_edge(1, 0).unwrap();
-        // node 2 dangling
-        let (g, remap) = b.build_with_remap(DanglingPolicy::Sink).unwrap();
-        assert_eq!(g.node_count(), 4);
-        assert!(g.has_edge(2, 3));
-        assert!(g.has_edge(3, 3));
-        assert_eq!(remap, vec![0, 1, 2, u32::MAX]);
-        assert!(g.dangling_nodes().is_empty());
-    }
-
-    #[test]
-    fn sink_policy_without_dangling_is_identity() {
-        let mut b = GraphBuilder::new(2);
-        b.add_edge(0, 1).unwrap();
-        b.add_edge(1, 0).unwrap();
-        let g = b.build(DanglingPolicy::Sink).unwrap();
-        assert_eq!(g.node_count(), 2);
-    }
-
-    #[test]
-    fn remove_policy_cascades() {
-        // 0 -> 1 -> 2, 2 dangling; removing 2 orphans 1; removing 1 orphans 0.
-        // Only a cycle survives: 3 <-> 4.
-        let mut b = GraphBuilder::new(5);
-        b.add_edge(0, 1).unwrap();
-        b.add_edge(1, 2).unwrap();
-        b.add_edge(3, 4).unwrap();
-        b.add_edge(4, 3).unwrap();
-        let (g, remap) = b.build_with_remap(DanglingPolicy::Remove).unwrap();
-        assert_eq!(g.node_count(), 2);
-        assert_eq!(remap, vec![3, 4]);
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(1, 0));
-    }
-
-    #[test]
-    fn remove_policy_can_empty_the_graph() {
-        let mut b = GraphBuilder::new(2);
-        b.add_edge(0, 1).unwrap();
-        assert!(matches!(b.build(DanglingPolicy::Remove).unwrap_err(), GraphError::EmptyGraph));
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //!
 //! * [`DiGraph`] — compressed sparse row (out-edges) + compressed sparse
 //!   column (in-edges) adjacency with optional edge weights;
-//! * [`GraphBuilder`] — edge-list ingestion with parallel-edge merging and the
-//!   paper's two dangling-node remedies (footnote 1: *"delete them, or add a
-//!   sink node which links to itself and is pointed by each dangling node"*)
-//!   plus a self-loop variant that preserves node ids;
+//! * [`GraphBuilder`] — edge-list ingestion with parallel-edge merging and
+//!   dangling-node repair by self-loop, which keeps node ids (the paper's
+//!   footnote 1 deletes dangling nodes or adds a sink, and renumbers);
 //! * [`TransitionMatrix`] — the normalized probabilities laid out twice (edge
 //!   order and reverse-edge order) so both `A·x` and `Aᵀ·x` are cache-friendly
 //!   gathers;

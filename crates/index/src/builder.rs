@@ -63,10 +63,6 @@ impl LbiBuilder {
         let hubs = match &self.config.hub_selection {
             HubSelection::DegreeBased { b } => HubSet::degree_based(graph, *b),
             HubSelection::Explicit(ids) => HubSet::from_ids(n, ids.clone()),
-            HubSelection::Greedy { count, seed } => {
-                HubSet::greedy_bca(transition, *count, &self.config.bca, *seed)
-            }
-            HubSelection::None => HubSet::empty(n),
         };
         let hub_selection_seconds = hub_t0.elapsed().as_secs_f64();
 
@@ -76,6 +72,7 @@ impl LbiBuilder {
             transition,
             hubs,
             &self.config.hub_solver,
+            self.config.bca.alpha,
             self.config.rounding_threshold,
             threads,
         );
@@ -211,7 +208,7 @@ mod tests {
     use super::*;
     use crate::config::HubSolver;
     use rtk_graph::{DanglingPolicy, DiGraph, GraphBuilder};
-    use rtk_rwr::{BcaParams, RwrParams};
+    use rtk_rwr::BcaParams;
 
     fn toy() -> DiGraph {
         GraphBuilder::from_edges(
@@ -240,7 +237,7 @@ mod tests {
             max_k: 3,
             bca: BcaParams { residue_threshold: 0.8, ..Default::default() },
             hub_selection: HubSelection::DegreeBased { b: 1 },
-            hub_solver: HubSolver::PowerMethod(RwrParams::default()),
+            hub_solver: HubSolver::PowerMethod,
             rounding_threshold: 0.0,
             threads: 1,
         }
@@ -344,7 +341,7 @@ mod tests {
         let g = toy();
         let t = TransitionMatrix::new(&g);
         let config = IndexConfig {
-            hub_selection: HubSelection::None,
+            hub_selection: HubSelection::Explicit(vec![]),
             max_k: 3,
             threads: 1,
             ..Default::default()

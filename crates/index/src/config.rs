@@ -1,7 +1,7 @@
 //! Index construction configuration.
 
 use crate::error::IndexError;
-use rtk_rwr::{BcaParams, RwrParams};
+use rtk_rwr::BcaParams;
 
 /// How hub nodes are chosen (paper §4.1.1).
 #[derive(Clone, Debug, PartialEq)]
@@ -12,28 +12,30 @@ pub enum HubSelection {
         /// Per-direction selection size `B`.
         b: usize,
     },
-    /// Caller-provided hub ids.
+    /// Caller-provided hub ids; `Explicit(vec![])` is plain partial BCA per
+    /// node, with no hubs.
     Explicit(Vec<u32>),
-    /// Berkhin's greedy BCA-driven selection (ablation baseline; slow).
-    Greedy {
-        /// Number of hubs to select.
-        count: usize,
-        /// Probe RNG seed.
-        seed: u64,
-    },
-    /// No hubs: plain partial BCA per node.
-    None,
 }
 
 /// How the exact hub proximity vectors `p_h` are computed (Alg. 1 line 2:
-/// *"by power method or BCA"*).
+/// *"by power method or BCA"*). Both run at the index's restart
+/// probability `bca.alpha`, so the hub vectors describe the same random
+/// walk as every node state.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum HubSolver {
-    /// Forward power method to tolerance `ε` — near-zero mass deficit.
-    PowerMethod(RwrParams),
-    /// Exhaustive-ish BCA — faster on huge graphs, leaves a tracked deficit
-    /// of up to `residue_threshold` per hub.
-    Bca(BcaParams),
+    /// Forward power method at [`rtk_rwr::RwrParams::default`]'s tolerance
+    /// `ε = 1e-10` and iteration cap — near-zero mass deficit.
+    PowerMethod,
+    /// BCA run to `residue_threshold` — faster on huge graphs, leaves a
+    /// tracked deficit of up to `residue_threshold` per hub.
+    Bca {
+        /// Propagation threshold `η`.
+        propagation_threshold: f64,
+        /// Residue threshold `δ`: a hub's BCA stops once `‖r‖₁ ≤ δ`.
+        residue_threshold: f64,
+        /// Hard iteration cap.
+        max_iterations: u32,
+    },
 }
 
 /// Full configuration for [`crate::ReverseIndex::build`].
@@ -61,7 +63,7 @@ impl Default for IndexConfig {
             max_k: 200,
             bca: BcaParams::default(),
             hub_selection: HubSelection::DegreeBased { b: 50 },
-            hub_solver: HubSolver::PowerMethod(RwrParams::default()),
+            hub_solver: HubSolver::PowerMethod,
             rounding_threshold: 1e-6,
             threads: 0,
         }
@@ -69,9 +71,7 @@ impl Default for IndexConfig {
 }
 
 impl IndexConfig {
-    /// Validates ranges and cross-field consistency (the hub solver must use
-    /// the same restart probability as the per-node BCA, or the stored hub
-    /// vectors would describe a different random walk).
+    /// Validates ranges.
     pub fn validate(&self) -> Result<(), IndexError> {
         if self.max_k == 0 {
             return Err(IndexError::InvalidConfig("max_k must be ≥ 1".into()));
@@ -85,16 +85,6 @@ impl IndexConfig {
         if self.bca.alpha <= 0.0 || self.bca.alpha >= 1.0 {
             return Err(IndexError::InvalidConfig(format!(
                 "bca.alpha must lie in (0,1), got {}",
-                self.bca.alpha
-            )));
-        }
-        let hub_alpha = match self.hub_solver {
-            HubSolver::PowerMethod(p) => p.alpha,
-            HubSolver::Bca(p) => p.alpha,
-        };
-        if (hub_alpha - self.bca.alpha).abs() > 1e-12 {
-            return Err(IndexError::InvalidConfig(format!(
-                "hub solver alpha {hub_alpha} differs from bca alpha {}",
                 self.bca.alpha
             )));
         }
@@ -147,15 +137,6 @@ mod tests {
     #[test]
     fn rejects_negative_rounding() {
         let c = IndexConfig { rounding_threshold: -1.0, ..Default::default() };
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn rejects_mismatched_alphas() {
-        let c = IndexConfig {
-            hub_solver: HubSolver::PowerMethod(RwrParams::with_alpha(0.5)),
-            ..Default::default()
-        };
         assert!(c.validate().is_err());
     }
 

@@ -34,7 +34,7 @@ use crate::digest::DigestCell;
 use rtk_graph::TransitionMatrix;
 use rtk_rwr::bca::{BcaEngine, BcaSnapshot, BcaStop};
 use rtk_rwr::power::BLOCK_WIDTH;
-use rtk_rwr::{proximity_from_many, HubSet};
+use rtk_rwr::{proximity_from_many, BcaParams, HubSet, RwrParams};
 use rtk_sparse::{select_top_k, EpochScratch, SparseVector};
 
 /// Rounded hub proximity vectors as one dense panel, plus per-hub deficits.
@@ -60,16 +60,19 @@ pub struct HubMatrix {
 }
 
 impl HubMatrix {
-    /// Computes all hub vectors with `solver`, rounds them at `ω`, and
-    /// records deficits. Hub computations are spread over `threads` workers.
+    /// Computes all hub vectors with `solver` at restart probability
+    /// `alpha`, rounds them at `ω`, and records deficits. Hub computations
+    /// are spread over `threads` workers.
     pub fn build(
         transition: &TransitionMatrix<'_>,
         hubs: HubSet,
         solver: &HubSolver,
+        alpha: f64,
         rounding_threshold: f64,
         threads: usize,
     ) -> Self {
-        let solved = solve_columns(transition, hubs.ids(), solver, rounding_threshold, threads);
+        let solved =
+            solve_columns(transition, hubs.ids(), solver, alpha, rounding_threshold, threads);
         let mut columns = Vec::with_capacity(solved.len());
         let mut deficits = Vec::with_capacity(solved.len());
         let mut unrounded_nnz = Vec::with_capacity(solved.len());
@@ -173,9 +176,11 @@ impl HubMatrix {
         transition: &TransitionMatrix<'_>,
         ids: &[u32],
         solver: &HubSolver,
+        alpha: f64,
         threads: usize,
     ) -> usize {
-        let solved = solve_columns(transition, ids, solver, self.rounding_threshold, threads);
+        let solved =
+            solve_columns(transition, ids, solver, alpha, self.rounding_threshold, threads);
         let mut columns: Vec<SparseVector> =
             (0..self.hub_count()).map(|i| self.column_at(i)).collect();
         for (&h, column) in ids.iter().zip(solved) {
@@ -289,17 +294,18 @@ fn solve_columns(
     transition: &TransitionMatrix<'_>,
     ids: &[u32],
     solver: &HubSolver,
+    alpha: f64,
     rounding_threshold: f64,
     threads: usize,
 ) -> Vec<HubColumn> {
     let width = match solver {
-        HubSolver::PowerMethod(_) => BLOCK_WIDTH,
-        HubSolver::Bca(_) => 1,
+        HubSolver::PowerMethod => BLOCK_WIDTH,
+        HubSolver::Bca { .. } => 1,
     };
     let tiles: Vec<&[u32]> = ids.chunks(width).collect();
     let lanes =
         rtk_sparse::WorkerPool::global().claim(threads, tiles.len(), Vec::new, |done, i| {
-            done.push((i, solve_tile(transition, tiles[i], solver, rounding_threshold)));
+            done.push((i, solve_tile(transition, tiles[i], solver, alpha, rounding_threshold)));
         });
     let mut solved: Vec<(usize, Vec<HubColumn>)> = lanes.into_iter().flatten().collect();
     solved.sort_unstable_by_key(|&(i, _)| i);
@@ -311,16 +317,21 @@ fn solve_tile(
     transition: &TransitionMatrix<'_>,
     hubs: &[u32],
     solver: &HubSolver,
+    alpha: f64,
     rounding_threshold: f64,
 ) -> Vec<HubColumn> {
-    let vectors: Vec<SparseVector> = match solver {
-        HubSolver::PowerMethod(params) => proximity_from_many(transition, hubs, params)
-            .into_iter()
-            .map(|(dense, _)| SparseVector::from_dense(&dense, 0.0))
-            .collect(),
-        HubSolver::Bca(params) => {
-            let mut engine = BcaEngine::new(HubSet::empty(transition.node_count()), *params);
-            let stop = BcaStop::from_params(params);
+    let vectors: Vec<SparseVector> = match *solver {
+        HubSolver::PowerMethod => {
+            proximity_from_many(transition, hubs, &RwrParams::with_alpha(alpha))
+                .into_iter()
+                .map(|(dense, _)| SparseVector::from_dense(&dense, 0.0))
+                .collect()
+        }
+        HubSolver::Bca { propagation_threshold, residue_threshold, max_iterations } => {
+            let params =
+                BcaParams { alpha, propagation_threshold, residue_threshold, max_iterations };
+            let mut engine = BcaEngine::new(HubSet::empty(transition.node_count()), params);
+            let stop = BcaStop::from_params(&params);
             hubs.iter()
                 .map(|&hub| engine.run_from(transition, hub, &stop).retained)
                 .collect()
@@ -467,8 +478,14 @@ mod tests {
         .unwrap()
     }
 
-    fn pm_solver() -> HubSolver {
-        HubSolver::PowerMethod(RwrParams::default())
+    /// BCA hub solves at the default `η` and iteration cap.
+    fn bca_solver(residue_threshold: f64) -> HubSolver {
+        let d = BcaParams::default();
+        HubSolver::Bca {
+            propagation_threshold: d.propagation_threshold,
+            residue_threshold,
+            max_iterations: d.max_iterations,
+        }
     }
 
     #[test]
@@ -476,7 +493,7 @@ mod tests {
         let g = toy();
         let t = TransitionMatrix::new(&g);
         let hubs = HubSet::from_ids(6, vec![0, 1]);
-        let m = HubMatrix::build(&t, hubs, &pm_solver(), 0.0, 1);
+        let m = HubMatrix::build(&t, hubs, &HubSolver::PowerMethod, 0.15, 0.0, 1);
         assert_eq!(m.hub_count(), 2);
         for &h in [0u32, 1].iter() {
             assert!(m.deficit(h) < 1e-8, "deficit {}", m.deficit(h));
@@ -492,8 +509,8 @@ mod tests {
         let g = toy();
         let t = TransitionMatrix::new(&g);
         let hubs = HubSet::from_ids(6, vec![1]);
-        let coarse = HubMatrix::build(&t, hubs.clone(), &pm_solver(), 0.1, 1);
-        let fine = HubMatrix::build(&t, hubs, &pm_solver(), 0.0, 1);
+        let coarse = HubMatrix::build(&t, hubs.clone(), &HubSolver::PowerMethod, 0.15, 0.1, 1);
+        let fine = HubMatrix::build(&t, hubs, &HubSolver::PowerMethod, 0.15, 0.0, 1);
         assert!(coarse.nnz() < fine.nnz());
         assert!(coarse.deficit(1) > 0.0);
         let sum_plus_deficit = coarse.column(1).unwrap().sum() + coarse.deficit(1);
@@ -506,7 +523,7 @@ mod tests {
         let g = toy();
         let t = TransitionMatrix::new(&g);
         let hubs = HubSet::from_ids(6, vec![0, 1]);
-        let rounded = HubMatrix::build(&t, hubs, &pm_solver(), 0.05, 1);
+        let rounded = HubMatrix::build(&t, hubs, &HubSolver::PowerMethod, 0.15, 0.05, 1);
         let exact = rtk_rwr::exact::proximity_matrix_dense(&t, 0.15);
         for &h in [0u32, 1].iter() {
             let col = rounded.column(h).unwrap().to_dense(6);
@@ -521,8 +538,7 @@ mod tests {
         let g = toy();
         let t = TransitionMatrix::new(&g);
         let hubs = HubSet::from_ids(6, vec![1]);
-        let coarse_bca = BcaParams { residue_threshold: 0.05, ..Default::default() };
-        let m = HubMatrix::build(&t, hubs, &HubSolver::Bca(coarse_bca), 0.0, 1);
+        let m = HubMatrix::build(&t, hubs, &bca_solver(0.05), 0.15, 0.0, 1);
         let d = m.deficit(1);
         assert!(d > 1e-4 && d <= 0.05 + 1e-9, "deficit {d}");
     }
@@ -536,17 +552,17 @@ mod tests {
             hubs.len() > 2 * BLOCK_WIDTH && !hubs.len().is_multiple_of(BLOCK_WIDTH),
             "test premise: several tiles, the last partial"
         );
-        for solver in [pm_solver(), HubSolver::Bca(BcaParams::default())] {
-            let serial = HubMatrix::build(&t, hubs.clone(), &solver, 1e-6, 1);
+        for solver in [HubSolver::PowerMethod, bca_solver(0.1)] {
+            let serial = HubMatrix::build(&t, hubs.clone(), &solver, 0.15, 1e-6, 1);
             for threads in [2, 4] {
-                let parallel = HubMatrix::build(&t, hubs.clone(), &solver, 1e-6, threads);
+                let parallel = HubMatrix::build(&t, hubs.clone(), &solver, 0.15, 1e-6, threads);
                 assert_eq!(serial, parallel, "threads = {threads}");
             }
             // A recompute of any subset, in any order, lands on the same
             // columns (and the same cached record digests) as the build.
             let mut patched = serial.clone();
             let ids: Vec<u32> = hubs.ids().iter().rev().step_by(2).copied().collect();
-            assert_eq!(patched.recompute_columns(&t, &ids, &solver, 2), ids.len());
+            assert_eq!(patched.recompute_columns(&t, &ids, &solver, 0.15, 2), ids.len());
             assert_eq!(patched, serial);
             for i in 0..hubs.len() {
                 assert_eq!(patched.column_digest(i, true), serial.column_digest(i, false));
@@ -560,7 +576,7 @@ mod tests {
         let g = rmat(&RmatConfig::new(200, 800, 3)).unwrap();
         let t = TransitionMatrix::new(&g);
         let hubs = HubSet::degree_based(&g, 6);
-        let m = HubMatrix::build(&t, hubs.clone(), &pm_solver(), 0.0, 2);
+        let m = HubMatrix::build(&t, hubs.clone(), &HubSolver::PowerMethod, 0.15, 0.0, 2);
         for &h in hubs.ids() {
             let (dense, _) = rtk_rwr::proximity_from(&t, h, &RwrParams::default());
             assert_eq!(m.column(h).unwrap(), SparseVector::from_dense(&dense, 0.0), "hub {h}");
@@ -572,7 +588,7 @@ mod tests {
         let g = toy();
         let t = TransitionMatrix::new(&g);
         let hubs = HubSet::from_ids(6, vec![0, 1]);
-        let m = HubMatrix::build(&t, hubs, &pm_solver(), 0.1, 1);
+        let m = HubMatrix::build(&t, hubs, &HubSolver::PowerMethod, 0.15, 0.1, 1);
         let ink = SparseVector::from_parts(vec![0, 1], vec![0.5, 0.25]);
         let expected = 0.5 * m.deficit(0) + 0.25 * m.deficit(1);
         assert!((m.parked_deficit(&ink) - expected).abs() < 1e-15);
@@ -583,7 +599,7 @@ mod tests {
         let g = toy();
         let t = TransitionMatrix::new(&g);
         let hubs = HubSet::from_ids(6, vec![0, 1]);
-        let m = HubMatrix::build(&t, hubs.clone(), &pm_solver(), 0.0, 1);
+        let m = HubMatrix::build(&t, hubs.clone(), &HubSolver::PowerMethod, 0.15, 0.0, 1);
         let exact = rtk_rwr::exact::proximity_matrix_dense(&t, 0.15);
 
         // Exhaustive BCA from node 2 with hubs; materialized vector must be p_2.
@@ -641,7 +657,7 @@ mod tests {
     fn check_against_scatter(g: &DiGraph, hubs: HubSet, omega: f64, step: usize) -> usize {
         let t = TransitionMatrix::new(g);
         let n = g.node_count();
-        let m = HubMatrix::build(&t, hubs.clone(), &pm_solver(), omega, 1);
+        let m = HubMatrix::build(&t, hubs.clone(), &HubSolver::PowerMethod, 0.15, omega, 1);
         let mut engine = BcaEngine::new(hubs, BcaParams::default());
         let mut mat = Materializer::default();
         let mut outside = 0;
@@ -704,7 +720,7 @@ mod tests {
         let hubs = HubSet::from_ids(200, ids);
         let t = TransitionMatrix::new(&g);
         for omega in [0.0, 1e-6] {
-            let m = HubMatrix::build(&t, hubs.clone(), &pm_solver(), omega, 1);
+            let m = HubMatrix::build(&t, hubs.clone(), &HubSolver::PowerMethod, 0.15, omega, 1);
             let (a, b) = (m.column(left[0]).unwrap(), m.column(left[0] + 100).unwrap());
             assert!(a.indices().iter().all(|&i| i < 100), "ω={omega}");
             assert!(b.indices().iter().all(|&i| i >= 100), "ω={omega}");
@@ -718,7 +734,7 @@ mod tests {
         let g = rmat(&RmatConfig::new(200, 800, 3)).unwrap();
         let t = TransitionMatrix::new(&g);
         let hubs = HubSet::degree_based(&g, 10);
-        let m = HubMatrix::build(&t, hubs.clone(), &pm_solver(), 1e-6, 1);
+        let m = HubMatrix::build(&t, hubs.clone(), &HubSolver::PowerMethod, 0.15, 1e-6, 1);
         let (h, u, n) = (hubs.len(), m.support.len(), g.node_count());
         assert!(h > 0 && u > 0, "test premise: a non-empty panel");
         let expected = 8 * h * u
@@ -736,7 +752,7 @@ mod tests {
     fn empty_hub_set_builds_empty_matrix() {
         let g = toy();
         let t = TransitionMatrix::new(&g);
-        let m = HubMatrix::build(&t, HubSet::empty(6), &pm_solver(), 1e-6, 4);
+        let m = HubMatrix::build(&t, HubSet::empty(6), &HubSolver::PowerMethod, 0.15, 1e-6, 4);
         assert_eq!(m.hub_count(), 0);
         assert_eq!(m.nnz(), 0);
         assert_eq!(m.parked_deficit(&SparseVector::new()), 0.0);
@@ -747,16 +763,30 @@ mod tests {
         let g = toy();
         let t = TransitionMatrix::new(&g);
         let hubs = HubSet::from_ids(6, vec![0, 1]);
-        let m = HubMatrix::build(&t, hubs, &pm_solver(), 1e-6, 1);
+        let m = HubMatrix::build(&t, hubs, &HubSolver::PowerMethod, 0.15, 1e-6, 1);
         let p = m.predicted_bytes(6, 0.76).unwrap();
         assert!(p > 0);
         // Smaller ω ⇒ more predicted entries.
         let g2 = toy();
         let t2 = TransitionMatrix::new(&g2);
-        let m2 = HubMatrix::build(&t2, HubSet::from_ids(6, vec![0, 1]), &pm_solver(), 1e-8, 1);
+        let m2 = HubMatrix::build(
+            &t2,
+            HubSet::from_ids(6, vec![0, 1]),
+            &HubSolver::PowerMethod,
+            0.15,
+            1e-8,
+            1,
+        );
         assert!(m2.predicted_bytes(6, 0.76).unwrap() > p);
         // ω = 0 has no finite prediction.
-        let m3 = HubMatrix::build(&t2, HubSet::from_ids(6, vec![0]), &pm_solver(), 0.0, 1);
+        let m3 = HubMatrix::build(
+            &t2,
+            HubSet::from_ids(6, vec![0]),
+            &HubSolver::PowerMethod,
+            0.15,
+            0.0,
+            1,
+        );
         assert!(m3.predicted_bytes(6, 0.76).is_none());
     }
 }

@@ -246,25 +246,16 @@ impl ReverseIndex {
     }
 
     /// Re-partitions the index into `shards` even node ranges (clamped to
-    /// `[1, n]`). Only the layout changes: answers, bounds, the serialized
-    /// per-node bytes and the cached record digests are unchanged (`rtk
-    /// shard split`).
-    pub fn repartition(&mut self, shards: usize) {
-        self.repartition_by_map(ShardMap::even(self.node_count(), shards));
-    }
-
-    /// Re-partitions the index along an explicit [`ShardMap`] — e.g. a
-    /// degree-balanced [`ShardMap::balanced`] layout from `rtk shard split
-    /// --balance edges`. Same guarantee as [`Self::repartition`]: the map is
-    /// swapped, and no state moves.
+    /// `[1, n]`). Only the layout changes: the map is swapped and no state
+    /// moves, so answers, bounds, the serialized per-node bytes and the
+    /// cached record digests are unchanged (`rtk shard split`).
     ///
     /// # Panics
-    /// Panics if `map` covers a different node count than the index, or if
-    /// the index holds only one shard (there is nothing to re-group).
-    pub fn repartition_by_map(&mut self, map: ShardMap) {
-        assert_eq!(map.node_count(), self.node_count(), "shard map covers a different node count");
+    /// Panics if the index holds only one shard (there is nothing to
+    /// re-group).
+    pub fn repartition(&mut self, shards: usize) {
         assert!(self.only.is_none(), "cannot repartition an index holding one shard");
-        self.shard_map = map;
+        self.shard_map = ShardMap::even(self.node_count(), shards);
     }
 
     /// Replaces node `u`'s state wholesale (commit of an externally refined
@@ -318,8 +309,13 @@ impl ReverseIndex {
             .collect();
         let threads = self.config.effective_threads();
         let started = std::time::Instant::now();
-        self.hub_matrix
-            .recompute_columns(transition, &hub_ids, &self.config.hub_solver, threads);
+        self.hub_matrix.recompute_columns(
+            transition,
+            &hub_ids,
+            &self.config.hub_solver,
+            self.config.bca.alpha,
+            threads,
+        );
         let hubs_seconds = started.elapsed().as_secs_f64();
         let started = std::time::Instant::now();
         let owned = self.owned_range();
@@ -386,7 +382,7 @@ mod tests {
     use crate::node_state::refine_state;
     use rtk_graph::{DanglingPolicy, DiGraph, GraphBuilder};
     use rtk_rwr::bca::{BcaEngine, BcaStop};
-    use rtk_rwr::{BcaParams, RwrParams};
+    use rtk_rwr::BcaParams;
 
     fn toy() -> DiGraph {
         GraphBuilder::from_edges(
@@ -415,7 +411,7 @@ mod tests {
             max_k: 3,
             bca: BcaParams { residue_threshold: 0.8, ..Default::default() },
             hub_selection: HubSelection::DegreeBased { b: 1 },
-            hub_solver: HubSolver::PowerMethod(RwrParams::default()),
+            hub_solver: HubSolver::PowerMethod,
             rounding_threshold: 0.0,
             threads: 1,
         }

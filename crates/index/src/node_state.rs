@@ -262,7 +262,7 @@ mod tests {
     use super::*;
     use crate::config::HubSolver;
     use rtk_graph::{DanglingPolicy, DiGraph, GraphBuilder, TransitionMatrix};
-    use rtk_rwr::{BcaParams, HubSet, RwrParams};
+    use rtk_rwr::{BcaParams, HubSet};
 
     fn toy() -> DiGraph {
         GraphBuilder::from_edges(
@@ -288,13 +288,7 @@ mod tests {
 
     fn setup(t: &TransitionMatrix<'_>) -> (HubMatrix, BcaEngine, Materializer) {
         let hubs = HubSet::from_ids(6, vec![0, 1]);
-        let m = HubMatrix::build(
-            t,
-            hubs.clone(),
-            &HubSolver::PowerMethod(RwrParams::default()),
-            0.0,
-            1,
-        );
+        let m = HubMatrix::build(t, hubs.clone(), &HubSolver::PowerMethod, 0.15, 0.0, 1);
         let engine = BcaEngine::new(hubs, BcaParams::default());
         (m, engine, Materializer::default())
     }
@@ -373,7 +367,8 @@ mod tests {
         let m = HubMatrix::build(
             &t,
             hubs.clone(),
-            &HubSolver::PowerMethod(RwrParams::default()),
+            &HubSolver::PowerMethod,
+            0.15,
             1e-4, // rounded columns: a non-zero parked deficit to carry
             1,
         );
@@ -441,13 +436,7 @@ mod tests {
         .unwrap();
         let t = TransitionMatrix::new(&star);
         let no_hubs = HubSet::empty(5);
-        let m = HubMatrix::build(
-            &t,
-            no_hubs.clone(),
-            &HubSolver::PowerMethod(RwrParams::default()),
-            0.0,
-            1,
-        );
+        let m = HubMatrix::build(&t, no_hubs.clone(), &HubSolver::PowerMethod, 0.15, 0.0, 1);
         let mut mat = Materializer::default();
         let mk = || BcaEngine::new(no_hubs.clone(), BcaParams::default());
         let first = mk().run_from(&t, 0, &BcaStop::one_iteration());
@@ -478,13 +467,7 @@ mod tests {
         let g = rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(150, 700, 9)).unwrap();
         let t = TransitionMatrix::new(&g);
         let hubs = HubSet::degree_based(&g, 5);
-        let m = HubMatrix::build(
-            &t,
-            hubs.clone(),
-            &HubSolver::PowerMethod(RwrParams::default()),
-            1e-4,
-            1,
-        );
+        let m = HubMatrix::build(&t, hubs.clone(), &HubSolver::PowerMethod, 0.15, 1e-4, 1);
         let mut mat = Materializer::default();
         let mut engine = BcaEngine::new(hubs.clone(), BcaParams::default());
         let mut refiner =
@@ -521,7 +504,8 @@ mod tests {
         let m = HubMatrix::build(
             &t,
             hubs.clone(),
-            &HubSolver::PowerMethod(RwrParams::default()),
+            &HubSolver::PowerMethod,
+            0.15,
             0.1, // aggressive rounding
             1,
         );

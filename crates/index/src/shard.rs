@@ -40,44 +40,6 @@ impl ShardMap {
         Self { node_count, starts }
     }
 
-    /// Splits `0..node_count` into `shards` contiguous ranges of roughly
-    /// equal **total weight** — `weights[u]` is typically node `u`'s
-    /// out-degree, making this the degree-balanced layout behind
-    /// `rtk shard split --balance edges`. Falls back to even node splits
-    /// when the total weight is zero. Boundaries are clamped so every shard
-    /// keeps at least one node; like every repartition, the layout never
-    /// changes answers, only how work distributes across shards.
-    ///
-    /// # Panics
-    /// Panics if `weights.len() != node_count`.
-    pub fn balanced(node_count: usize, shards: usize, weights: &[u64]) -> Self {
-        assert_eq!(weights.len(), node_count, "one weight per node");
-        let shards = shards.max(1).min(node_count.max(1));
-        let mut prefix = Vec::with_capacity(node_count + 1);
-        let mut total = 0u64;
-        prefix.push(0u64);
-        for &w in weights {
-            total += w;
-            prefix.push(total);
-        }
-        if total == 0 {
-            return Self::even(node_count, shards);
-        }
-        let mut starts = Vec::with_capacity(shards);
-        starts.push(0u32);
-        for part in 1..shards {
-            let target = total * part as u64 / shards as u64;
-            // Smallest node whose weight prefix reaches the target, clamped
-            // so starts stay strictly increasing and every later shard can
-            // still get one node.
-            let cut = prefix.partition_point(|&p| p < target).min(node_count);
-            let lo = *starts.last().expect("starts never empty") as usize + 1;
-            let hi = node_count - (shards - part);
-            starts.push(cut.clamp(lo, hi) as u32);
-        }
-        Self { node_count, starts }
-    }
-
     /// Reassembles a map from persisted start offsets, validating shape.
     pub fn from_starts(node_count: usize, starts: Vec<u32>) -> Result<Self, IndexError> {
         if starts.is_empty() {
@@ -139,39 +101,6 @@ impl ShardMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn balanced_split_tracks_weights_and_stays_valid() {
-        // One heavy node dominating the weight mass: the cut lands right
-        // after it, but every shard still gets at least one node.
-        let mut weights = vec![1u64; 10];
-        weights[1] = 1_000;
-        let map = ShardMap::balanced(10, 4, &weights);
-        assert_eq!(map.shard_count(), 4);
-        assert_eq!(map.starts()[0], 0);
-        assert!(map.starts().windows(2).all(|w| w[0] < w[1]), "{:?}", map.starts());
-        // Round-trips through the persisted-starts validator.
-        assert!(ShardMap::from_starts(10, map.starts().to_vec()).is_ok());
-        // Skewed weights pull the first boundary just past the heavy node.
-        assert_eq!(map.range(0), 0..2);
-
-        // Uniform weights degrade to (near-)even splits; zero weights fall
-        // back to even exactly.
-        for n in [1usize, 7, 64] {
-            for s in [1usize, 2, 5, 64] {
-                let uniform = ShardMap::balanced(n, s, &vec![3u64; n]);
-                assert_eq!(uniform.shard_count(), s.min(n));
-                let mut covered = 0usize;
-                for i in 0..uniform.shard_count() {
-                    let r = uniform.range(i);
-                    assert!(r.start < r.end, "empty shard {i}");
-                    covered += r.len();
-                }
-                assert_eq!(covered, n);
-                assert_eq!(ShardMap::balanced(n, s, &vec![0u64; n]), ShardMap::even(n, s));
-            }
-        }
-    }
 
     #[test]
     fn even_split_covers_every_node_once() {

@@ -44,9 +44,12 @@
 //! digest costs one short pass, not a serialization; hashing the graph
 //! would cost every edge update an `O(|E|)` pass.
 //!
-//! The hub-selection policy and hub-vector solver are *not* round-tripped —
-//! they only matter during construction; a loaded index refines and queries
-//! identically. `config().hub_selection` becomes `Explicit(ids)` after load.
+//! The hub-selection policy and hub-vector solver are *not* recorded: a
+//! loaded index refines and queries identically, and
+//! `config().hub_selection` becomes `Explicit(ids)`. The solver comes back
+//! as [`HubSolver::PowerMethod`], which an edge update's hub re-solve
+//! reproduces exactly for any index built with it; a `Bca` hub solver is
+//! not recorded.
 
 use crate::config::{HubSelection, HubSolver, IndexConfig};
 use crate::digest::Fnv1a64;
@@ -58,7 +61,7 @@ use crate::shard::ShardMap;
 use crate::stats::IndexStats;
 use rtk_graph::DiGraph;
 use rtk_rwr::bca::BcaSnapshot;
-use rtk_rwr::{BcaParams, HubSet, RwrParams};
+use rtk_rwr::{BcaParams, HubSet};
 use rtk_sparse::codec::{self, DecodeError};
 use rtk_sparse::DescendingTopK;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -473,7 +476,7 @@ fn loaded_config(
         max_k,
         bca,
         hub_selection: HubSelection::Explicit(hub_matrix.hubs().ids().to_vec()),
-        hub_solver: HubSolver::PowerMethod(RwrParams::with_alpha(bca.alpha)),
+        hub_solver: HubSolver::PowerMethod,
         rounding_threshold,
         threads,
     }
@@ -1062,6 +1065,9 @@ mod tests {
         for u in 0..6u32 {
             assert_eq!(loaded.state(u), index.state(u), "node {u}");
         }
+        // The solver comes back as built, so an edge update re-solves the
+        // hub columns as it would have before the save.
+        assert_eq!(loaded.config().hub_solver, index.config().hub_solver);
     }
 
     #[test]

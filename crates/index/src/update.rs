@@ -152,14 +152,14 @@ mod tests {
     use crate::config::{HubSelection, HubSolver, IndexConfig};
     use crate::index::ReverseIndex;
     use rtk_graph::{DanglingPolicy, GraphBuilder, TransitionMatrix};
-    use rtk_rwr::{BcaParams, RwrParams};
+    use rtk_rwr::BcaParams;
 
     fn config(threads: usize) -> IndexConfig {
         IndexConfig {
             max_k: 5,
             bca: BcaParams { residue_threshold: 0.2, ..Default::default() },
             hub_selection: HubSelection::DegreeBased { b: 4 },
-            hub_solver: HubSolver::PowerMethod(RwrParams::default()),
+            hub_solver: HubSolver::PowerMethod,
             rounding_threshold: 0.0,
             threads,
         }

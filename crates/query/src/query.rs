@@ -22,7 +22,7 @@
 //! the PMPN vector, never on another node's refinement, so the result set,
 //! the statistics, and the post-query index are **identical for every
 //! thread count and every shard count** — asserted by the
-//! `parallel_determinism` and `shard_determinism` integration suites.
+//! `parallel_determinism` integration suite.
 
 use crate::error::QueryError;
 use crate::upper_bound::{confirm_cost, upper_bound_kth};
@@ -1002,7 +1002,7 @@ mod tests {
             max_k: 3,
             bca: BcaParams { residue_threshold: 0.8, ..Default::default() },
             hub_selection: HubSelection::DegreeBased { b: 1 },
-            hub_solver: HubSolver::PowerMethod(RwrParams::default()),
+            hub_solver: HubSolver::PowerMethod,
             rounding_threshold: 0.0,
             threads: 1,
         }

@@ -5,12 +5,11 @@
 //! one batch at materialization time. The paper selects the `B` highest
 //! in-degree and `B` highest out-degree nodes — cheap and graph-size
 //! independent — and argues this beats Berkhin's greedy BCA-driven scheme at
-//! scale. Both are implemented; the greedy scheme feeds the ablation bench.
+//! scale, so only the degree heuristic is implemented; callers may also
+//! name the hubs outright.
 
-use crate::bca::{BcaEngine, BcaStop};
-use crate::params::BcaParams;
 use rtk_graph::degree::degree_hub_union;
-use rtk_graph::{DiGraph, TransitionMatrix};
+use rtk_graph::DiGraph;
 
 /// An immutable set of hub nodes with `O(1)` membership tests.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,50 +45,6 @@ impl HubSet {
     /// largest out-degree nodes.
     pub fn degree_based(graph: &DiGraph, b: usize) -> Self {
         Self::from_ids(graph.node_count(), degree_hub_union(graph, b))
-    }
-
-    /// Berkhin's greedy scheme: repeatedly run a partial BCA from a probe
-    /// node and promote the non-hub node holding the most retained ink.
-    /// `O(count · BCA)` — the cost the paper's degree heuristic avoids.
-    pub fn greedy_bca(
-        transition: &TransitionMatrix<'_>,
-        count: usize,
-        params: &BcaParams,
-        seed: u64,
-    ) -> Self {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let n = transition.node_count();
-        let count = count.min(n);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut hubs = Self::empty(n);
-        let stop = BcaStop {
-            residue_norm: params.residue_threshold,
-            max_iterations: params.max_iterations,
-        };
-        while hubs.len() < count {
-            let probe = rng.gen_range(0..n) as u32;
-            let mut engine = BcaEngine::new(hubs.clone(), *params);
-            let snap = engine.run_from(transition, probe, &stop);
-            // Largest retained ink among non-hubs (probe included).
-            let candidate = snap
-                .retained
-                .iter()
-                .filter(|&(v, _)| !hubs.contains(v))
-                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(b.0.cmp(&a.0)));
-            let chosen = match candidate {
-                Some((v, _)) => v,
-                // Degenerate probe (e.g. already-hub sink): fall back to the
-                // first non-hub node to guarantee progress.
-                None => match (0..n as u32).find(|&v| !hubs.contains(v)) {
-                    Some(v) => v,
-                    None => break,
-                },
-            };
-            let mut ids = hubs.ids.clone();
-            ids.push(chosen);
-            hubs = Self::from_ids(n, ids);
-        }
-        hubs
     }
 
     /// Number of hubs.
@@ -187,27 +142,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range() {
         HubSet::from_ids(3, vec![5]);
-    }
-
-    #[test]
-    fn greedy_selects_requested_count_deterministically() {
-        let g = toy();
-        let t = TransitionMatrix::new(&g);
-        let params = BcaParams::default();
-        let a = HubSet::greedy_bca(&t, 3, &params, 42);
-        let b = HubSet::greedy_bca(&t, 3, &params, 42);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 3);
-        // The high-in-degree node 1 attracts ink from everywhere; greedy
-        // selection should discover it.
-        assert!(a.contains(1), "greedy hubs: {:?}", a.ids());
-    }
-
-    #[test]
-    fn greedy_clamps_to_node_count() {
-        let g = toy();
-        let t = TransitionMatrix::new(&g);
-        let hubs = HubSet::greedy_bca(&t, 100, &BcaParams::default(), 7);
-        assert_eq!(hubs.len(), 6);
     }
 }

@@ -16,8 +16,7 @@
 //! * [`monte_carlo`] — the restart-terminated walk behind the MC End-Point
 //!   estimator the paper discusses as a (non-lower-bounding) alternative
 //!   (§6.2), which `rtk-approx`'s bidirectional estimator samples;
-//! * [`hubs`] — degree-based hub selection (§4.1.1) and Berkhin's greedy
-//!   BCA-driven selection as an ablation baseline;
+//! * [`hubs`] — the hub set and its degree-based selection (§4.1.1);
 //! * [`exact`] — a dense Gaussian-elimination oracle for small graphs, used
 //!   by tests to validate every iterative engine.
 

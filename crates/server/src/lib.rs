@@ -167,7 +167,7 @@ pub mod wire;
 pub use chaos::ChaosConfig;
 pub use client::{Client, ClientBuilder, FromResponse, Pending};
 pub use error::ServerError;
-pub use metrics::{EngineInfo, ServerMetrics, StatsSnapshot};
+pub use metrics::{EngineInfo, RequestKind, ServerMetrics, StatsSnapshot};
 pub use router::{Router, RouterConfig};
 pub use rtk_api::{QueryCall, RtkService, ServiceError};
 pub use server::{Server, ServerConfig, ServerHandle};
@@ -350,7 +350,7 @@ mod tests {
         assert!(matches!(err, ServerError::Remote(_)), "{err}");
 
         let stats = client.stats().unwrap();
-        assert_eq!(stats.persist, 1);
+        assert_eq!(stats.requests(RequestKind::Persist), 1);
 
         client.shutdown().unwrap();
         handle.join().unwrap();

@@ -175,19 +175,8 @@ impl ServerMetrics {
             };
         }
         let (p50, p95, p99) = hist.percentiles();
-        let get = |k: RequestKind| kind_latency[k as usize].count;
         StatsSnapshot {
             uptime_seconds: self.started.elapsed().as_secs_f64(),
-            ping: get(RequestKind::Ping),
-            reverse_topk: get(RequestKind::ReverseTopk),
-            topk: get(RequestKind::Topk),
-            batch: get(RequestKind::Batch),
-            stats: get(RequestKind::Stats),
-            shutdown: get(RequestKind::Shutdown),
-            persist: get(RequestKind::Persist),
-            shard_reverse_topk: get(RequestKind::ShardReverseTopk),
-            add_edge: get(RequestKind::AddEdge),
-            remove_edge: get(RequestKind::RemoveEdge),
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
             engine_errors: self.engine_errors.load(Ordering::Relaxed),
             connections: self.connections.load(Ordering::Relaxed),
@@ -198,7 +187,6 @@ impl ServerMetrics {
             failovers: self.failovers.load(Ordering::Relaxed),
             inflight_peak: self.inflight_peak.load(Ordering::Relaxed),
             inflight_rejections: self.inflight_rejections.load(Ordering::Relaxed),
-            latency_count: hist.count(),
             mean_seconds: hist.mean(),
             p50_seconds: p50,
             p95_seconds: p95,
@@ -395,9 +383,9 @@ mod tests {
         m.record_failover();
         let snap = m.snapshot(StatsSnapshot::local(info(100), vec![50, 50], vec![1024, 2048]), 1);
         assert_eq!(snap.total_requests(), 5);
-        assert_eq!(snap.reverse_topk, 2);
-        assert_eq!(snap.persist, 1);
-        assert_eq!(snap.shard_reverse_topk, 1);
+        assert_eq!(snap.requests(RequestKind::ReverseTopk), 2);
+        assert_eq!(snap.requests(RequestKind::Persist), 1);
+        assert_eq!(snap.requests(RequestKind::ShardReverseTopk), 1);
         assert_eq!(snap.protocol_errors, 1);
         assert_eq!(snap.rejected_connections, 1);
         assert_eq!(snap.auth_failures, 1);
@@ -405,7 +393,6 @@ mod tests {
         assert_eq!(snap.unhealthy_backends, 1);
         assert_eq!(snap.hedged_requests, 1);
         assert_eq!(snap.failovers, 2);
-        assert_eq!(snap.latency_count, 5);
         assert_eq!(snap.shard_count(), 2);
         assert!(snap.p50_seconds > 0.0 && snap.p99_seconds >= snap.p50_seconds);
 
@@ -450,9 +437,9 @@ mod tests {
         }
         m.record_request(RequestKind::Stats, 0.001);
         let snap = m.snapshot(StatsSnapshot::local(info(1), vec![1], vec![1]), 0);
-        assert_eq!(snap.batch, 5);
-        assert_eq!(snap.stats, 1);
-        assert_eq!(snap.reverse_topk, 0);
+        assert_eq!(snap.requests(RequestKind::Batch), 5);
+        assert_eq!(snap.requests(RequestKind::Stats), 1);
+        assert_eq!(snap.requests(RequestKind::ReverseTopk), 0);
         assert_eq!(snap.total_requests(), 6);
     }
 
@@ -474,7 +461,7 @@ mod tests {
         assert!(rtk.p50_seconds >= 0.05, "p50={}", rtk.p50_seconds);
         assert!(ping.p99_seconds < 0.001, "p99={}", ping.p99_seconds);
         // The aggregate view is the merge of every kind.
-        assert_eq!(snap.latency_count, 110);
+        assert_eq!(snap.total_requests(), 110);
         assert_eq!(snap.max_seconds, rtk.max_seconds);
         // The global p50 sits in ping territory (100 of 110 observations).
         assert!(snap.p50_seconds < 0.001, "p50={}", snap.p50_seconds);

@@ -62,8 +62,10 @@ pub const WIRE_MAGIC: &[u8; 8] = b"RTKWIRE1";
 /// returned PMPN vectors, `want_pmpn`) and the approx stats counters; 9
 /// made those counters plain fixed fields of the stats snapshot; 10, with
 /// the same bytes, made `want_pmpn` **solve-only** — the backend answers
-/// with its PMPN vector and an empty partial answer, no screen.
-pub const WIRE_VERSION: u32 = 10;
+/// with its PMPN vector and an empty partial answer, no screen; 11 dropped
+/// the stats snapshot's per-kind request counters and `latency_count`,
+/// which repeated the per-kind latency records' counts.
+pub const WIRE_VERSION: u32 = 11;
 /// Default per-frame payload cap (16 MiB) — generous for batch responses,
 /// small enough that a malicious length prefix cannot balloon memory.
 pub const DEFAULT_MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;

@@ -65,11 +65,10 @@ impl From<io::Error> for DecodeError {
     }
 }
 
-/// Sanity cap on declared sequence lengths (1 billion elements) so corrupt
-/// streams fail fast instead of attempting absurd allocations. Callers that
-/// know a tighter bound (a node count, a frame size, a `max_k`) should use
-/// the `*_bounded` readers instead — the bound is checked *before* any
-/// allocation happens.
+/// Sanity cap on declared sequence lengths (1 billion elements), applied
+/// on top of every caller's bound: each sequence reader takes the bound its
+/// input implies (a node count, a frame size, a `max_k`) and checks it
+/// *before* any allocation happens.
 pub const MAX_SEQ_LEN: u64 = 1_000_000_000;
 
 /// Writes the 8-byte magic tag followed by a `u32` version.
@@ -155,11 +154,6 @@ pub fn write_u32_seq<W: Write>(w: &mut W, vs: &[u32]) -> io::Result<()> {
     Ok(())
 }
 
-/// Reads a sequence written by [`write_u32_seq`], bounded by [`MAX_SEQ_LEN`].
-pub fn read_u32_seq<R: Read>(r: &mut R) -> Result<Vec<u32>, DecodeError> {
-    read_u32_seq_bounded(r, MAX_SEQ_LEN)
-}
-
 /// Reads a sequence written by [`write_u32_seq`], rejecting declared lengths
 /// above `bound` (e.g. a node count or frame size) before allocating.
 pub fn read_u32_seq_bounded<R: Read>(r: &mut R, bound: u64) -> Result<Vec<u32>, DecodeError> {
@@ -178,11 +172,6 @@ pub fn write_f64_seq<W: Write>(w: &mut W, vs: &[f64]) -> io::Result<()> {
         write_f64(w, v)?;
     }
     Ok(())
-}
-
-/// Reads a sequence written by [`write_f64_seq`], bounded by [`MAX_SEQ_LEN`].
-pub fn read_f64_seq<R: Read>(r: &mut R) -> Result<Vec<f64>, DecodeError> {
-    read_f64_seq_bounded(r, MAX_SEQ_LEN)
 }
 
 /// Reads a sequence written by [`write_f64_seq`], rejecting declared lengths
@@ -215,12 +204,6 @@ pub fn read_bytes_bounded<R: Read>(r: &mut R, bound: u64) -> Result<Vec<u8>, Dec
 pub fn write_sparse_vector<W: Write>(w: &mut W, v: &crate::SparseVector) -> io::Result<()> {
     write_u32_seq(w, v.indices())?;
     write_f64_seq(w, v.values())
-}
-
-/// Reads a sparse vector written by [`write_sparse_vector`], bounded by
-/// [`MAX_SEQ_LEN`] entries.
-pub fn read_sparse_vector<R: Read>(r: &mut R) -> Result<crate::SparseVector, DecodeError> {
-    read_sparse_vector_bounded(r, MAX_SEQ_LEN)
 }
 
 /// Reads a sparse vector written by [`write_sparse_vector`], rejecting nnz
@@ -273,8 +256,8 @@ mod tests {
         write_u32_seq(&mut buf, &[1, 2, 3]).unwrap();
         write_f64_seq(&mut buf, &[0.5, 0.25]).unwrap();
         let mut r = Cursor::new(buf);
-        assert_eq!(read_u32_seq(&mut r).unwrap(), vec![1, 2, 3]);
-        assert_eq!(read_f64_seq(&mut r).unwrap(), vec![0.5, 0.25]);
+        assert_eq!(read_u32_seq_bounded(&mut r, 3).unwrap(), vec![1, 2, 3]);
+        assert_eq!(read_f64_seq_bounded(&mut r, 2).unwrap(), vec![0.5, 0.25]);
     }
 
     #[test]
@@ -282,7 +265,7 @@ mod tests {
         let mut buf = Vec::new();
         write_u32_seq(&mut buf, &[]).unwrap();
         let mut r = Cursor::new(buf);
-        assert!(read_u32_seq(&mut r).unwrap().is_empty());
+        assert!(read_u32_seq_bounded(&mut r, 0).unwrap().is_empty());
     }
 
     #[test]
@@ -290,7 +273,7 @@ mod tests {
         let v = SparseVector::from_parts(vec![0, 7, 9], vec![0.5, 0.125, 1e-9]);
         let mut buf = Vec::new();
         write_sparse_vector(&mut buf, &v).unwrap();
-        let back = read_sparse_vector(&mut Cursor::new(buf)).unwrap();
+        let back = read_sparse_vector_bounded(&mut Cursor::new(buf), 10).unwrap();
         assert_eq!(back, v);
     }
 
@@ -315,7 +298,7 @@ mod tests {
         write_u32_seq(&mut buf, &[1, 2]).unwrap();
         write_f64_seq(&mut buf, &[0.5]).unwrap();
         assert!(matches!(
-            read_sparse_vector(&mut Cursor::new(buf)).unwrap_err(),
+            read_sparse_vector_bounded(&mut Cursor::new(buf), 8).unwrap_err(),
             DecodeError::Corrupt(_)
         ));
 
@@ -324,7 +307,7 @@ mod tests {
         write_u32_seq(&mut buf, &[2, 1]).unwrap();
         write_f64_seq(&mut buf, &[0.5, 0.5]).unwrap();
         assert!(matches!(
-            read_sparse_vector(&mut Cursor::new(buf)).unwrap_err(),
+            read_sparse_vector_bounded(&mut Cursor::new(buf), 8).unwrap_err(),
             DecodeError::Corrupt(_)
         ));
     }
@@ -334,7 +317,7 @@ mod tests {
         let mut buf = Vec::new();
         write_u64(&mut buf, u64::MAX).unwrap();
         assert!(matches!(
-            read_u32_seq(&mut Cursor::new(buf)).unwrap_err(),
+            read_u32_seq_bounded(&mut Cursor::new(buf), u64::MAX).unwrap_err(),
             DecodeError::Corrupt(_)
         ));
     }
@@ -393,6 +376,9 @@ mod tests {
     fn truncated_stream_is_io_error() {
         let mut buf = Vec::new();
         write_u64(&mut buf, 10).unwrap(); // declares 10 elements, provides none
-        assert!(matches!(read_u32_seq(&mut Cursor::new(buf)).unwrap_err(), DecodeError::Io(_)));
+        assert!(matches!(
+            read_u32_seq_bounded(&mut Cursor::new(buf), 10).unwrap_err(),
+            DecodeError::Io(_)
+        ));
     }
 }

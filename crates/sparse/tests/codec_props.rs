@@ -67,8 +67,8 @@ fn sequences_round_trip_for_arbitrary_lengths() {
         codec::write_f64_seq(&mut buf, &fs).unwrap();
         codec::write_bytes(&mut buf, &bytes).unwrap();
         let mut r = Cursor::new(buf);
-        assert_eq!(codec::read_u32_seq(&mut r).unwrap(), us, "case {case}");
-        let back = codec::read_f64_seq(&mut r).unwrap();
+        assert_eq!(codec::read_u32_seq_bounded(&mut r, 64).unwrap(), us, "case {case}");
+        let back = codec::read_f64_seq_bounded(&mut r, 64).unwrap();
         assert_eq!(back.len(), fs.len(), "case {case}");
         for (x, y) in back.iter().zip(&fs) {
             assert_eq!(x.to_bits(), y.to_bits(), "case {case}");
@@ -84,7 +84,7 @@ fn sparse_vectors_round_trip() {
         let v = arb_sparse(&mut rng);
         let mut buf = Vec::new();
         codec::write_sparse_vector(&mut buf, &v).unwrap();
-        let back = codec::read_sparse_vector(&mut Cursor::new(buf)).unwrap();
+        let back = codec::read_sparse_vector_bounded(&mut Cursor::new(buf), 32).unwrap();
         assert_eq!(back, v, "case {case}");
     }
 }
@@ -138,7 +138,7 @@ fn truncation_at_every_prefix_errors_cleanly() {
         // Every strict prefix must produce an error (Io for short reads,
         // Corrupt for inconsistent lengths) — never a panic, never Ok.
         for cut in 0..buf.len() {
-            let err = codec::read_sparse_vector(&mut Cursor::new(&buf[..cut]));
+            let err = codec::read_sparse_vector_bounded(&mut Cursor::new(&buf[..cut]), 32);
             assert!(err.is_err(), "case {case}: prefix {cut}/{} decoded", buf.len());
         }
     }
@@ -153,9 +153,10 @@ fn corrupt_length_prefixes_never_allocate_absurdly() {
         let declared = rng.gen_range(1_000_000_001u64..u64::MAX);
         let mut buf = Vec::new();
         codec::write_u64(&mut buf, declared).unwrap();
+        // Even the loosest caller bound is clamped to the global cap.
         assert!(
             matches!(
-                codec::read_u32_seq(&mut Cursor::new(buf.clone())).unwrap_err(),
+                codec::read_u32_seq_bounded(&mut Cursor::new(buf.clone()), u64::MAX).unwrap_err(),
                 DecodeError::Corrupt(_)
             ),
             "case {case}"
@@ -191,7 +192,7 @@ fn mismatched_parallel_sequences_are_corrupt() {
         codec::write_f64_seq(&mut buf, &vals).unwrap();
         assert!(
             matches!(
-                codec::read_sparse_vector(&mut Cursor::new(buf)).unwrap_err(),
+                codec::read_sparse_vector_bounded(&mut Cursor::new(buf), 32).unwrap_err(),
                 DecodeError::Corrupt(_)
             ),
             "case {case}"

@@ -71,7 +71,7 @@
 //! index keeps the states of the range it holds as one block in id order,
 //! whatever `S` is. The paper's screen phase evaluates every node
 //! independently, so the partition is answer-invariant by construction —
-//! `tests/shard_determinism.rs` pins results, statistics, and the
+//! `tests/parallel_determinism.rs` pins results, statistics, and the
 //! post-query index bitwise-equal to the unsharded engine for shard
 //! counts {1, 2, 4, 8}, both bound modes, frozen and update.
 //!

@@ -88,7 +88,7 @@ fn every_config_knob_preserves_correctness() {
         // no hubs at all
         IndexConfig {
             max_k: 4,
-            hub_selection: HubSelection::None,
+            hub_selection: HubSelection::Explicit(vec![]),
             threads: 1,
             ..Default::default()
         },
@@ -110,10 +110,10 @@ fn every_config_knob_preserves_correctness() {
             threads: 1,
             ..Default::default()
         },
-        // greedy (Berkhin-style) hub selection
+        // hand-picked hubs, not the degree heuristic's
         IndexConfig {
             max_k: 4,
-            hub_selection: HubSelection::Greedy { count: 6, seed: 3 },
+            hub_selection: HubSelection::Explicit(vec![3, 17, 29, 41, 52, 64]),
             threads: 1,
             ..Default::default()
         },

@@ -26,8 +26,8 @@ use rtk_graph::gen::{rmat, RmatConfig};
 use rtk_graph::{DiGraph, NodeId};
 use rtk_server::wire::ApproxParams;
 use rtk_server::{
-    Client, QueryCall, Router, RouterConfig, RtkService, Server, ServerConfig, ServerHandle,
-    WireQueryResult,
+    Client, QueryCall, RequestKind, Router, RouterConfig, RtkService, Server, ServerConfig,
+    ServerHandle, WireQueryResult,
 };
 
 const NODES: usize = 260;
@@ -227,7 +227,7 @@ fn router_matches_single_process_bitwise_across_backend_counts() {
                 .filter(|(q, exact)| *exact && owned.contains(&u64::from(*q)));
             let solves = if backends > 1 { solves.count() } else { 0 };
             assert_eq!(
-                s.shard_reverse_topk,
+                s.requests(RequestKind::ShardReverseTopk),
                 (2 + routed_queries.len() + solves) as u64,
                 "backends={backends}: shard {sid}'s shard_reverse_topk count"
             );
@@ -240,7 +240,7 @@ fn router_matches_single_process_bitwise_across_backend_counts() {
         assert_eq!(stats.shard_count(), backends);
         assert_eq!(stats.shard_nodes.iter().sum::<u64>(), NODES as u64);
         assert_eq!(stats.unhealthy_backends, 0);
-        assert!(stats.reverse_topk >= sequence().len() as u64);
+        assert!(stats.requests(RequestKind::ReverseTopk) >= sequence().len() as u64);
 
         // Shutdown through the router propagates to every backend.
         via_router.shutdown().expect("router shutdown");

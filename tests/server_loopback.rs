@@ -19,7 +19,7 @@ use rtk_core::query::{BoundMode, QueryOptions};
 use rtk_core::ReverseTopkEngine;
 use rtk_graph::gen::{rmat, RmatConfig};
 use rtk_graph::NodeId;
-use rtk_server::{Client, QueryCall, RtkService, Server, ServerConfig, ServerError};
+use rtk_server::{Client, QueryCall, RequestKind, RtkService, Server, ServerConfig, ServerError};
 
 const NODES: usize = 400;
 const EDGES: usize = 1800;
@@ -160,8 +160,9 @@ fn concurrent_remote_queries_match_direct_engine_calls_bitwise() {
     assert!(stats.protocol_errors >= 1, "corrupt frame not counted: {stats:?}");
     assert_eq!(stats.engine_errors, 0, "clean traffic must not log engine errors: {stats:?}");
     let expected_queries = (CLIENT_THREADS + 1) * QUERIES_PER_CLIENT + 1;
-    assert_eq!(stats.reverse_topk as usize, expected_queries, "{stats:?}");
-    assert!(stats.latency_count >= stats.reverse_topk, "{stats:?}");
+    let queries = stats.requests(RequestKind::ReverseTopk);
+    assert_eq!(queries as usize, expected_queries, "{stats:?}");
+    assert!(stats.total_requests() >= queries, "{stats:?}");
     assert!(stats.p50_seconds <= stats.p99_seconds, "{stats:?}");
     assert_eq!(stats.nodes as usize, NODES);
 
