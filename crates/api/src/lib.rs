@@ -9,9 +9,9 @@
 //!   sockets;
 //! * [`service`] — the [`RtkService`] trait covering the full surface
 //!   (`reverse_topk` and the shard-scoped `shard_reverse_topk`, both over
-//!   one [`QueryCall`] value; `topk`, `batch`, edge updates, `stats`,
-//!   `persist`, `shutdown`), implemented here once
-//!   for the in-process [`rtk_core::ReverseTopkEngine`] (whole index or
+//!   one [`QueryCall`] value; `topk`, edge updates, `stats`, `persist`,
+//!   `shutdown`), implemented here once for the in-process
+//!   [`rtk_core::ReverseTopkEngine`] (whole index or
 //!   one shard of it), and in `rtk-server` for the remote `Client` and the
 //!   router's backend aggregate.
 //!

@@ -13,12 +13,6 @@ use rtk_obs::TraceSpan;
 use rtk_sparse::codec::{self, DecodeError};
 use std::io::{Read, Write};
 
-/// Protocol-level cap on queries per batch request. Bounds the work a
-/// single frame can demand *before* the server executes anything (a 16 MiB
-/// frame could otherwise legally declare ~2M queries whose response could
-/// never fit back through the frame limit).
-pub const MAX_BATCH_QUERIES: u64 = 65_536;
-
 /// Cap on a `persist` request's path length in bytes.
 pub const MAX_PERSIST_PATH_BYTES: u64 = 4096;
 
@@ -69,11 +63,6 @@ pub enum Request {
         k: u32,
         /// Use the early-terminating BPA-style search.
         early: bool,
-    },
-    /// Many independent frozen reverse top-k queries in one round-trip.
-    Batch {
-        /// `(q, k)` pairs, answered in order.
-        queries: Vec<(u32, u32)>,
     },
     /// Server metrics + engine info.
     Stats,
@@ -151,24 +140,22 @@ pub enum RequestKind {
     ReverseTopk = 1,
     /// [`Request::Topk`].
     Topk = 2,
-    /// [`Request::Batch`].
-    Batch = 3,
     /// [`Request::Stats`].
-    Stats = 4,
+    Stats = 3,
     /// [`Request::Shutdown`].
-    Shutdown = 5,
+    Shutdown = 4,
     /// [`Request::Persist`].
-    Persist = 6,
+    Persist = 5,
     /// [`Request::ShardReverseTopk`].
-    ShardReverseTopk = 7,
+    ShardReverseTopk = 6,
     /// [`Request::AddEdge`].
-    AddEdge = 8,
+    AddEdge = 7,
     /// [`Request::RemoveEdge`].
-    RemoveEdge = 9,
+    RemoveEdge = 8,
 }
 
 /// Number of distinct [`RequestKind`]s.
-pub const REQUEST_KINDS: usize = 10;
+pub const REQUEST_KINDS: usize = 9;
 
 impl RequestKind {
     /// Every kind, in counter-array index order.
@@ -176,7 +163,6 @@ impl RequestKind {
         RequestKind::Ping,
         RequestKind::ReverseTopk,
         RequestKind::Topk,
-        RequestKind::Batch,
         RequestKind::Stats,
         RequestKind::Shutdown,
         RequestKind::Persist,
@@ -191,7 +177,6 @@ impl RequestKind {
             RequestKind::Ping => "ping",
             RequestKind::ReverseTopk => "reverse_topk",
             RequestKind::Topk => "topk",
-            RequestKind::Batch => "batch",
             RequestKind::Stats => "stats",
             RequestKind::Shutdown => "shutdown",
             RequestKind::Persist => "persist",
@@ -209,7 +194,6 @@ impl Request {
             Request::Ping => RequestKind::Ping,
             Request::ReverseTopk { .. } => RequestKind::ReverseTopk,
             Request::Topk { .. } => RequestKind::Topk,
-            Request::Batch { .. } => RequestKind::Batch,
             Request::Stats => RequestKind::Stats,
             Request::Shutdown => RequestKind::Shutdown,
             Request::Persist { .. } => RequestKind::Persist,
@@ -301,8 +285,7 @@ pub struct WireQueryResult {
     /// Server-side wall time for this query, seconds.
     pub server_seconds: f64,
     /// Span tree for this query, present only when the request asked for
-    /// tracing (wire v6). `None` costs zero bytes on the wire; batch
-    /// answers never carry traces.
+    /// tracing (wire v6). `None` costs zero bytes on the wire.
     pub trace: Option<TraceSpan>,
     /// Approximate-screen counters, present only when the query ran with
     /// an active approx knob (wire v8).
@@ -367,8 +350,6 @@ pub enum Response {
     ReverseTopk(WireQueryResult),
     /// Answer to [`Request::Topk`].
     Topk(WireTopk),
-    /// Answer to [`Request::Batch`], in request order.
-    Batch(Vec<WireQueryResult>),
     /// Answer to [`Request::Stats`]. Boxed: the per-kind latency tail
     /// makes the snapshot by far the largest response payload.
     Stats(Box<StatsSnapshot>),
@@ -778,7 +759,7 @@ mod tests {
     #[test]
     fn request_kinds_are_stable() {
         assert_eq!(Request::Ping.kind() as usize, 0);
-        assert_eq!(Request::Shutdown.kind() as usize, 5);
+        assert_eq!(Request::Shutdown.kind() as usize, 4);
         let shard = Request::ShardReverseTopk {
             q: 0,
             k: 1,
@@ -788,9 +769,10 @@ mod tests {
             pmpn: None,
             want_pmpn: false,
         };
-        assert_eq!(shard.kind() as usize, 7);
+        assert_eq!(shard.kind() as usize, 6);
         assert!(!shard.writes() && !Request::Persist { path: String::new() }.writes());
         assert!(Request::RemoveEdge { from: 0, to: 1 }.writes());
+        assert_eq!(Request::RemoveEdge { from: 0, to: 1 }.kind() as usize, REQUEST_KINDS - 1);
         assert_eq!(Request::Stats.kind(), RequestKind::Stats);
         for (i, kind) in RequestKind::ALL.iter().enumerate() {
             assert_eq!(*kind as usize, i);
@@ -851,7 +833,7 @@ mod tests {
         // records.
         let approx_bytes = 8 * 4;
         let kinds_at = buf.len() - approx_bytes - 8 * (1 + REQUEST_KINDS * 6);
-        buf[kinds_at..kinds_at + 8].copy_from_slice(&9u64.to_le_bytes());
+        buf[kinds_at..kinds_at + 8].copy_from_slice(&(REQUEST_KINDS as u64 + 1).to_le_bytes());
         let err = StatsSnapshot::decode(&mut Cursor::new(buf), 4).unwrap_err();
         assert!(matches!(err, DecodeError::Corrupt(_)), "{err:?}");
     }

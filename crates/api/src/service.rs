@@ -114,9 +114,6 @@ pub trait RtkService {
     /// Forward top-k proximity search from `u`.
     fn topk(&mut self, u: u32, k: u32, early: bool) -> ServiceResult<WireTopk>;
 
-    /// Many independent frozen reverse top-k queries, answered in order.
-    fn batch(&mut self, queries: &[(u32, u32)]) -> ServiceResult<Vec<WireQueryResult>>;
-
     /// Service metrics + engine info. In-process services report engine
     /// facts with zeroed traffic counters ([`StatsSnapshot::local`]).
     fn stats(&mut self) -> ServiceResult<StatsSnapshot>;
@@ -161,7 +158,6 @@ pub fn dispatch_request<S: RtkService + ?Sized>(
         }
         Request::RemoveEdge { from, to } => svc.remove_edge(from, to).map(Response::Updated),
         Request::Topk { u, k, early } => svc.topk(u, k, early).map(Response::Topk),
-        Request::Batch { queries } => svc.batch(&queries).map(Response::Batch),
         Request::Stats => svc.stats().map(|s| Response::Stats(Box::new(s))),
         Request::Shutdown => svc.shutdown().map(|()| Response::ShuttingDown),
         Request::Persist { path } => svc.persist(&path).map(|bytes| Response::Persisted { bytes }),
@@ -362,10 +358,6 @@ impl RtkService for ReverseTopkEngine {
         (&*self).topk(u, k, early)
     }
 
-    fn batch(&mut self, queries: &[(u32, u32)]) -> ServiceResult<Vec<WireQueryResult>> {
-        (&*self).batch(queries)
-    }
-
     fn stats(&mut self) -> ServiceResult<StatsSnapshot> {
         (&*self).stats()
     }
@@ -379,8 +371,8 @@ impl RtkService for ReverseTopkEngine {
     }
 }
 
-/// The read-only view: frozen queries, forward top-k, batch, stats,
-/// persist, ping and shutdown. Update-mode queries and edge updates are
+/// The read-only view: frozen queries, forward top-k, stats, persist,
+/// ping and shutdown. Update-mode queries and edge updates are
 /// refused as [`ServiceError::Unsupported`]; they go through the owned
 /// engine.
 impl RtkService for &ReverseTopkEngine {
@@ -431,13 +423,6 @@ impl RtkService for &ReverseTopkEngine {
         .map_err(engine_err)?;
         let (nodes, scores) = top.into_iter().map(|(v, p)| (v.0, p)).unzip();
         Ok(WireTopk { node: u, k, nodes, scores })
-    }
-
-    fn batch(&mut self, queries: &[(u32, u32)]) -> ServiceResult<Vec<WireQueryResult>> {
-        let raw: Vec<(NodeId, usize)> =
-            queries.iter().map(|&(q, k)| (NodeId(q), k as usize)).collect();
-        let results = self.query_batch(&raw, self.options()).map_err(engine_err)?;
-        Ok(results.iter().map(|r| to_wire(r, r.stats().total_seconds, None)).collect())
     }
 
     fn stats(&mut self) -> ServiceResult<StatsSnapshot> {
@@ -498,8 +483,8 @@ mod tests {
         assert_eq!(r.nodes, vec![0, 1, 4]);
         let t = svc.topk(2, 2, false).unwrap();
         assert_eq!(t.nodes[0], 1);
-        let rs = svc.batch(&[(0, 2), (1, 2)]).unwrap();
-        assert_eq!(rs.len(), 2);
+        let r = svc.reverse_topk(&QueryCall::new(1, 2, false)).unwrap();
+        assert_eq!(r.query, 1);
         let s = svc.stats().unwrap();
         assert_eq!(s.nodes, 6);
         svc.shutdown().unwrap();
@@ -582,7 +567,7 @@ mod tests {
             Err(ServiceError::Unsupported(m)) if m.contains("--shard-only") && m.contains("0..3")
         ));
         assert!(matches!(
-            shard.batch(&[(0, 2)]),
+            shard.reverse_topk(&QueryCall::new(1, 2, true)),
             Err(ServiceError::Unsupported(m)) if m.contains("0..3")
         ));
         assert!(matches!(

@@ -16,7 +16,7 @@ pub struct Parsed {
 
 /// Flags that take no value.
 const BOOLEAN_FLAGS: &[&str] =
-    &["update", "strict", "early", "approximate", "shard-only", "pipeline", "trace", "json"];
+    &["update", "strict", "early", "approximate", "shard-only", "trace", "json"];
 
 impl Parsed {
     /// Splits `argv` into positionals and flags, refusing any flag not in

@@ -47,7 +47,7 @@ usage:
   rtk remote query --node Q --k K [--update] [--trace]
                    [--approx EPS [--approx-walks N] [--approx-seed S]]   query a server/router
   rtk remote topk --node U --k K [--early]
-  rtk remote batch --nodes a,b,c --k K [--pipeline]
+  rtk remote batch --nodes a,b,c --k K           queries in flight at once
   rtk remote add-edge --from U --to V [--weight W]   apply an edge insert
   rtk remote remove-edge --from U --to V             apply an edge removal
   rtk remote persist --out <server-path>         flush snapshot to disk

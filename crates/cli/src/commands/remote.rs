@@ -1,12 +1,12 @@
 //! `rtk remote` — query a running `rtk serve` or `rtk router` instance
 //! over the wire.
 //!
-//! Every subcommand is written against the [`RtkService`] trait, not the
-//! concrete client: the command logic cannot tell (and does not care)
-//! whether the address belongs to a single server or a routed tier —
-//! exactly the transparency the trait pins down. The one `Client`-specific
-//! surface is `batch --pipeline`, which uses the v4 pipelined submit/wait
-//! machinery instead of a single batch frame.
+//! Every subcommand but `batch` is written against the [`RtkService`]
+//! trait, not the concrete client: the command logic cannot tell (and
+//! does not care) whether the address belongs to a single server or a
+//! routed tier — exactly the transparency the trait pins down. `batch` is
+//! the one `Client`-specific surface: its queries are pipelined
+//! `reverse_topk` requests, all in flight at once on one connection.
 
 use crate::args::Parsed;
 use rtk_server::{Client, QueryCall, RequestKind, RtkService};
@@ -20,7 +20,7 @@ pub(crate) fn run(argv: &[String]) -> Result<(), String> {
     let flags: &[&str] = match sub.as_str() {
         "query" => &["node", "k", "update", "trace", "approx", "approx-walks", "approx-seed"],
         "topk" => &["node", "k", "early"],
-        "batch" => &["nodes", "k", "pipeline"],
+        "batch" => &["nodes", "k"],
         "add-edge" => &["from", "to", "weight"],
         "remove-edge" => &["from", "to"],
         "persist" => &["out"],
@@ -50,7 +50,6 @@ pub(crate) fn run(argv: &[String]) -> Result<(), String> {
     match sub.as_str() {
         "query" => query(&mut client, &args),
         "topk" => topk(&mut client, &args),
-        "batch" if args.has("pipeline") => batch_pipelined(&mut client, &args),
         "batch" => batch(&mut client, &args),
         "add-edge" => add_edge(&mut client, &args),
         "remove-edge" => remove_edge(&mut client, &args),
@@ -157,26 +156,13 @@ fn topk(svc: &mut impl RtkService, args: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// `--nodes a,b,c --k K`: one frozen batch round-trip (a single frame).
-fn batch(svc: &mut impl RtkService, args: &Parsed) -> Result<(), String> {
+/// `--nodes a,b,c --k K`: frozen queries as individual requests, all in
+/// flight at once over this one connection (wire v4) — the server's whole
+/// worker pool can work on them concurrently.
+fn batch(client: &mut Client, args: &Parsed) -> Result<(), String> {
     let k = args.get_num("k", 10u32)?;
     let queries = node_list(args, k)?;
-    let rs = svc.batch(&queries).map_err(|e| format!("remote batch: {e}"))?;
-    for r in rs {
-        outln!("node {}: {} result(s): {:?}", r.query, r.nodes.len(), r.nodes);
-    }
-    Ok(())
-}
-
-/// `--nodes a,b,c --k K --pipeline`: the same queries as individual
-/// requests, all in flight at once over this one connection (wire v4) —
-/// the server's whole worker pool can work on them concurrently.
-fn batch_pipelined(client: &mut Client, args: &Parsed) -> Result<(), String> {
-    let k = args.get_num("k", 10u32)?;
-    let queries = node_list(args, k)?;
-    let rs = client
-        .pipeline(&queries, false)
-        .map_err(|e| format!("remote batch --pipeline: {e}"))?;
+    let rs = client.batch(&queries).map_err(|e| format!("remote batch: {e}"))?;
     for r in rs {
         outln!("node {}: {} result(s): {:?}", r.query, r.nodes.len(), r.nodes);
     }
@@ -291,13 +277,12 @@ fn stats(svc: &mut impl RtkService) -> Result<(), String> {
         s.inflight_rejections
     );
     outln!(
-        "  requests:         {} total (ping {}, reverse_topk {}, shard_rtk {}, topk {}, batch {}, add_edge {}, remove_edge {}, persist {}, stats {}, shutdown {})",
+        "  requests:         {} total (ping {}, reverse_topk {}, shard_rtk {}, topk {}, add_edge {}, remove_edge {}, persist {}, stats {}, shutdown {})",
         s.total_requests(),
         s.requests(RequestKind::Ping),
         s.requests(RequestKind::ReverseTopk),
         s.requests(RequestKind::ShardReverseTopk),
         s.requests(RequestKind::Topk),
-        s.requests(RequestKind::Batch),
         s.requests(RequestKind::AddEdge),
         s.requests(RequestKind::RemoveEdge),
         s.requests(RequestKind::Persist),
@@ -347,8 +332,10 @@ mod tests {
         assert!(err.contains("--timeout"), "{err}");
     }
 
-    /// The subcommand helpers run against *any* service — here a local
-    /// engine, proving the CLI's dispatch layer is transport-agnostic.
+    /// The trait-written subcommand helpers run against *any* service —
+    /// here a local engine, proving the CLI's dispatch layer is
+    /// transport-agnostic. (`batch` takes a `Client`; the end-to-end test
+    /// below drives it.)
     #[test]
     fn helpers_drive_a_local_engine_through_the_trait() {
         let mut engine = rtk_core::ReverseTopkEngine::builder(rtk_datasets::toy_graph())
@@ -357,18 +344,10 @@ mod tests {
             .threads(1)
             .build()
             .unwrap();
-        let argv: Vec<String> = vec![
-            "--node".into(),
-            "0".into(),
-            "--k".into(),
-            "2".into(),
-            "--nodes".into(),
-            "0,1".into(),
-        ];
-        let args = Parsed::parse(&argv, &["node", "k", "nodes"]).unwrap();
+        let argv: Vec<String> = vec!["--node".into(), "0".into(), "--k".into(), "2".into()];
+        let args = Parsed::parse(&argv, &["node", "k"]).unwrap();
         query(&mut engine, &args).unwrap();
         topk(&mut engine, &args).unwrap();
-        batch(&mut engine, &args).unwrap();
         stats(&mut engine).unwrap();
     }
 
@@ -428,16 +407,6 @@ mod tests {
                 "0,1,2".into(),
                 "--k".into(),
                 "2".into(),
-            ],
-            vec![
-                "batch".into(),
-                "--addr".into(),
-                addr.clone(),
-                "--nodes".into(),
-                "0,1,2".into(),
-                "--k".into(),
-                "2".into(),
-                "--pipeline".into(),
             ],
             vec![
                 "add-edge".into(),

@@ -24,7 +24,7 @@ use std::time::Duration;
 /// [`Pending`] handle immediately, [`Client::wait`] blocks until *that*
 /// request's response arrives — re-associating out-of-order responses by
 /// id and parking the ones that belong to other in-flight requests.
-/// [`Client::pipeline`] drives N reverse top-k queries concurrently over
+/// [`Client::batch`] drives N reverse top-k queries concurrently over
 /// this one connection. The blocking methods ([`Client::reverse_topk`],
 /// [`Client::stats`], …) are thin submit-then-wait wrappers.
 ///
@@ -139,15 +139,6 @@ impl FromResponse for WireTopk {
     }
 }
 
-impl FromResponse for Vec<WireQueryResult> {
-    fn from_response(resp: Response) -> Result<Self, ServerError> {
-        match resp {
-            Response::Batch(rs) => Ok(rs),
-            other => remote_err(other, "batch results"),
-        }
-    }
-}
-
 impl FromResponse for WireUpdateResult {
     fn from_response(resp: Response) -> Result<Self, ServerError> {
         match resp {
@@ -213,7 +204,8 @@ impl ClientBuilder {
         self.connect_timeout(timeout).io_timeout(timeout)
     }
 
-    /// Overrides the response-frame size cap (e.g. for very large batches).
+    /// Overrides the response-frame size cap (e.g. for very large graphs,
+    /// whose shipped PMPN vectors grow with the node count).
     pub fn max_frame_bytes(mut self, bytes: u32) -> Self {
         self.max_frame_bytes = Some(bytes);
         self
@@ -293,7 +285,8 @@ impl Client {
         })
     }
 
-    /// Overrides the response-frame size cap (e.g. for very large batches).
+    /// Overrides the response-frame size cap (e.g. for very large graphs,
+    /// whose shipped PMPN vectors grow with the node count).
     pub fn set_max_frame_bytes(&mut self, bytes: u32) {
         self.max_frame_bytes = bytes;
     }
@@ -404,50 +397,41 @@ impl Client {
         }
     }
 
-    /// Drives `queries` as frozen (or update-mode) reverse top-k requests
-    /// **concurrently over this one connection**: all submitted before any
-    /// response is read, results returned in request order. One pipelined
-    /// round costs one connection and lets the server's whole worker pool
-    /// work on this client's queries at once — the multiplexed counterpart
-    /// of [`Self::batch`] (which is a single frame, decoded and answered
-    /// as one unit).
+    /// Many independent frozen reverse top-k queries, answered in request
+    /// order. Every query is submitted before any response is read, so all
+    /// are in flight at once over this one connection and the server's
+    /// whole worker pool (or a router's fan-out) works on them together.
     ///
-    /// Plays fair with a server-side `--max-inflight` pipeline-depth cap:
-    /// queries the server answered `busy` are re-issued one at a time once
-    /// the burst has drained (a single in-flight request is always
-    /// admitted), so the call still returns every result.
-    pub fn pipeline(
-        &mut self,
-        queries: &[(u32, u32)],
-        update: bool,
-    ) -> Result<Vec<WireQueryResult>, ServerError> {
+    /// The batch succeeds or fails as a whole: it collects the response of
+    /// every query it submitted — leaving nothing in flight — and then
+    /// returns the first error in request order. Queries a server-side
+    /// `--max-inflight` pipeline-depth cap answered `busy` are re-issued one
+    /// at a time once the burst has drained (a single in-flight request is
+    /// always admitted), so they still return their results.
+    pub fn batch(&mut self, queries: &[(u32, u32)]) -> Result<Vec<WireQueryResult>, ServerError> {
         let pending: Vec<Pending<Response>> = queries
             .iter()
             .map(|&(q, k)| {
-                self.submit(&Request::ReverseTopk { q, k, update, trace: false, approx: None })
+                self.submit(&Request::ReverseTopk {
+                    q,
+                    k,
+                    update: false,
+                    trace: false,
+                    approx: None,
+                })
             })
             .collect::<Result<_, _>>()?;
-        // Collect the whole burst first — retrying while later submissions
-        // are still in flight could bounce off the depth cap again.
-        let mut slots = Vec::with_capacity(queries.len());
-        for pending in pending {
-            let resp = self.wait(pending)?;
-            if matches!(resp, Response::Error { code: wire::STATUS_BUSY, .. }) {
-                slots.push(None);
-            } else {
-                slots.push(Some(WireQueryResult::from_response(resp)?));
-            }
-        }
-        slots
+        // Collect the whole burst before re-issuing anything — a retry
+        // while later submissions are still in flight could bounce off the
+        // depth cap again.
+        let answers: Vec<Response> =
+            pending.into_iter().map(|p| self.wait(p)).collect::<Result<_, _>>()?;
+        answers
             .into_iter()
             .zip(queries)
-            .map(|(slot, &(q, k))| match slot {
-                Some(r) => Ok(r),
-                None => {
-                    // Depth-cap rejection: nothing is in flight anymore, so
-                    // a blocking re-issue is always admitted.
-                    self.reverse_topk(q, k, update)
-                }
+            .map(|(resp, &(q, k))| match resp {
+                Response::Error { code: wire::STATUS_BUSY, .. } => self.reverse_topk(q, k, false),
+                resp => WireQueryResult::from_response(resp),
             })
             .collect()
     }
@@ -564,23 +548,6 @@ impl Client {
         self.wait(pending)
     }
 
-    /// Many independent frozen queries in one round-trip, answered in order.
-    pub fn batch(&mut self, queries: &[(u32, u32)]) -> Result<Vec<WireQueryResult>, ServerError> {
-        match self.call(&Request::Batch { queries: queries.to_vec() })? {
-            Response::Batch(rs) => {
-                if rs.len() != queries.len() {
-                    return Err(ServerError::Protocol(format!(
-                        "batch: sent {} queries, got {} results",
-                        queries.len(),
-                        rs.len()
-                    )));
-                }
-                Ok(rs)
-            }
-            other => Err(unexpected("batch results", &other)),
-        }
-    }
-
     /// Server metrics + engine info.
     pub fn stats(&mut self) -> Result<StatsSnapshot, ServerError> {
         match self.call(&Request::Stats)? {
@@ -643,10 +610,6 @@ impl RtkService for Client {
         Client::topk(self, u, k, early).map_err(transport)
     }
 
-    fn batch(&mut self, queries: &[(u32, u32)]) -> ServiceResult<Vec<WireQueryResult>> {
-        Client::batch(self, queries).map_err(transport)
-    }
-
     fn stats(&mut self) -> ServiceResult<StatsSnapshot> {
         Client::stats(self).map_err(transport)
     }
@@ -674,7 +637,6 @@ fn unexpected(wanted: &str, got: &Response) -> ServerError {
         Response::Pong => "pong",
         Response::ReverseTopk(_) => "reverse_topk",
         Response::Topk(_) => "topk",
-        Response::Batch(_) => "batch",
         Response::Stats(_) => "stats",
         Response::ShuttingDown => "shutting_down",
         Response::Persisted { .. } => "persisted",

@@ -25,17 +25,17 @@
 //! shared worker pool (a connection never pins a worker), and responses
 //! return in *completion* order — the client re-associates them by id.
 //! [`Client::submit`] / [`Client::wait`] expose the pipelining directly;
-//! [`Client::pipeline`] drives N queries concurrently over one connection;
+//! [`Client::batch`] drives N queries concurrently over one connection;
 //! the plain blocking methods are submit-then-wait wrappers.
 //!
-//! Requests: `ping`, `reverse_topk`, `topk(u, k, early)`,
-//! `batch([(q, k)…])`, `stats`, `shutdown`, `persist(path)`, and the
-//! shard-scoped `shard_reverse_topk` the router tier is built on. Both
-//! query requests carry one [`QueryCall`] — `q`, `k`, `update`, `trace`,
-//! `approx` — and every layer has one entry point per request that reads
-//! those fields ([`Client::query`], the router's fan-out, the engine's
-//! options). Every request starts with a length-prefixed auth token
-//! (empty when unauthenticated). All integers little-endian; proximities
+//! Requests: `ping`, `reverse_topk`, `topk(u, k, early)`, `stats`,
+//! `shutdown`, `persist(path)`, and the shard-scoped `shard_reverse_topk`
+//! the router tier is built on. Both query requests carry one
+//! [`QueryCall`] — `q`, `k`, `update`, `trace`, `approx` — and every
+//! layer has one entry point per request that reads those fields
+//! ([`Client::query`], the router's fan-out, the engine's options).
+//! Every request starts with a length-prefixed auth token (empty when
+//! unauthenticated). All integers little-endian; proximities
 //! travel as exact IEEE-754 bits, so remote answers are **bitwise
 //! identical** to local engine calls. The served engine may be sharded
 //! ([`rtk_index::ReverseIndex::repartition`]); `stats` reports per-shard node
@@ -232,7 +232,7 @@ mod tests {
         let t = client.topk(2, 2, false).unwrap();
         assert_eq!(t.nodes[0], 1);
 
-        // Batch, echoed in order.
+        // A pipelined batch, echoed in order.
         let rs = client.batch(&[(0, 2), (1, 2), (5, 1)]).unwrap();
         assert_eq!(rs.len(), 3);
         assert_eq!(rs[0].query, 0);

@@ -433,11 +433,11 @@ mod tests {
     fn counters_are_independent_per_kind() {
         let m = ServerMetrics::new();
         for _ in 0..5 {
-            m.record_request(RequestKind::Batch, 0.001);
+            m.record_request(RequestKind::Topk, 0.001);
         }
         m.record_request(RequestKind::Stats, 0.001);
         let snap = m.snapshot(StatsSnapshot::local(info(1), vec![1], vec![1]), 0);
-        assert_eq!(snap.requests(RequestKind::Batch), 5);
+        assert_eq!(snap.requests(RequestKind::Topk), 5);
         assert_eq!(snap.requests(RequestKind::Stats), 1);
         assert_eq!(snap.requests(RequestKind::ReverseTopk), 0);
         assert_eq!(snap.total_requests(), 6);

@@ -1292,8 +1292,8 @@ impl RouterCtx {
 }
 
 /// The router's [`RtkService`] view — the tier aggregate: `reverse_topk`
-/// and `batch` fan out across the replica sets and merge, `topk` routes to
-/// the owning set, `stats` aggregates, `persist` and `shutdown` propagate.
+/// fans out across the replica sets and merges, `topk` routes to the
+/// owning set, `stats` aggregates, `persist` and `shutdown` propagate.
 struct RouterService<'a>(&'a RouterCtx);
 
 impl RtkService for RouterService<'_> {
@@ -1321,16 +1321,6 @@ impl RtkService for RouterService<'_> {
             }
             Err(m) => Err(ServiceError::Engine(m)),
         }
-    }
-
-    fn batch(&mut self, queries: &[(u32, u32)]) -> ServiceResult<Vec<WireQueryResult>> {
-        // Frozen per-query fan-out (each query concurrent across shards),
-        // answered in request order — mirroring the all-or-error semantics
-        // of a single server.
-        queries
-            .iter()
-            .map(|&(q, k)| self.reverse_topk(&QueryCall::new(q, k, false)))
-            .collect()
     }
 
     fn stats(&mut self) -> ServiceResult<StatsSnapshot> {

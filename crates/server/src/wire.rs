@@ -39,9 +39,8 @@ use std::io::{Cursor, Read, Write};
 
 pub use rtk_api::model::{
     ApproxParams, Request, Response, StatsSnapshot, WireApproxStats, WireQueryResult,
-    WireShardResult, WireTopk, WireUpdateResult, MAX_AUTH_TOKEN_BYTES, MAX_BATCH_QUERIES,
-    MAX_PERSIST_PATH_BYTES, STATUS_BUSY, STATUS_ENGINE_ERROR, STATUS_OK, STATUS_PROTOCOL_ERROR,
-    STATUS_UNAUTHORIZED,
+    WireShardResult, WireTopk, WireUpdateResult, MAX_AUTH_TOKEN_BYTES, MAX_PERSIST_PATH_BYTES,
+    STATUS_BUSY, STATUS_ENGINE_ERROR, STATUS_OK, STATUS_PROTOCOL_ERROR, STATUS_UNAUTHORIZED,
 };
 
 /// Magic tag opening every frame.
@@ -64,10 +63,13 @@ pub const WIRE_MAGIC: &[u8; 8] = b"RTKWIRE1";
 /// the same bytes, made `want_pmpn` **solve-only** — the backend answers
 /// with its PMPN vector and an empty partial answer, no screen; 11 dropped
 /// the stats snapshot's per-kind request counters and `latency_count`,
-/// which repeated the per-kind latency records' counts.
-pub const WIRE_VERSION: u32 = 11;
-/// Default per-frame payload cap (16 MiB) — generous for batch responses,
-/// small enough that a malicious length prefix cannot balloon memory.
+/// which repeated the per-kind latency records' counts; 12 retired the
+/// `batch` request and response (tag 3) and its `batch` request kind —
+/// many queries on one connection are pipelined `reverse_topk` requests.
+pub const WIRE_VERSION: u32 = 12;
+/// Default per-frame payload cap (16 MiB) — generous for shipped PMPN
+/// vectors, small enough that a malicious length prefix cannot balloon
+/// memory.
 pub const DEFAULT_MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
 
 /// Byte size of the fixed frame header (magic + version + request id +
@@ -78,7 +80,7 @@ pub const FRAME_HEADER_BYTES: usize = 8 + 4 + 8 + 4;
 const TAG_PING: u32 = 0;
 const TAG_REVERSE_TOPK: u32 = 1;
 const TAG_TOPK: u32 = 2;
-const TAG_BATCH: u32 = 3;
+// Tag 3 (the `batch` request, retired in v12) stays unassigned.
 const TAG_STATS: u32 = 4;
 const TAG_SHUTDOWN: u32 = 5;
 const TAG_PERSIST: u32 = 6;
@@ -181,14 +183,6 @@ pub fn encode_request_authed(req: &Request, token: &[u8]) -> Vec<u8> {
             codec::write_u32(w, *k).unwrap();
             codec::write_u32(w, u32::from(*early)).unwrap();
         }
-        Request::Batch { queries } => {
-            codec::write_u32(w, TAG_BATCH).unwrap();
-            codec::write_u64(w, queries.len() as u64).unwrap();
-            for &(q, k) in queries {
-                codec::write_u32(w, q).unwrap();
-                codec::write_u32(w, k).unwrap();
-            }
-        }
         Request::AddEdge { from, to, weight } => {
             codec::write_u32(w, TAG_ADD_EDGE).unwrap();
             codec::write_u32(w, *from).unwrap();
@@ -251,17 +245,6 @@ pub fn decode_request(payload: &[u8]) -> Result<(Vec<u8>, Request), DecodeError>
             k: codec::read_u32(&mut r)?,
             early: codec::read_u32(&mut r)? != 0,
         },
-        TAG_BATCH => {
-            // Each (q, k) pair costs 8 payload bytes — a stream-derived cap,
-            // further clamped by the protocol-level batch limit.
-            let cap = ((payload.len() as u64) / 8).min(MAX_BATCH_QUERIES);
-            let count = codec::check_len(codec::read_u64(&mut r)?, cap, "batch query count")?;
-            let mut queries = Vec::with_capacity(count);
-            for _ in 0..count {
-                queries.push((codec::read_u32(&mut r)?, codec::read_u32(&mut r)?));
-            }
-            Request::Batch { queries }
-        }
         TAG_ADD_EDGE => {
             let from = codec::read_u32(&mut r)?;
             let to = codec::read_u32(&mut r)?;
@@ -326,8 +309,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             codec::write_u32(w, TAG_REVERSE_TOPK).unwrap();
             write_query_result(w, r);
             // Tail sections are trailing-optional: plain answers append
-            // nothing (batch results never carry a tail, so the per-result
-            // layout inside a batch stays unambiguous).
+            // nothing.
             write_result_tail(w, r, None);
         }
         Response::Topk(t) => {
@@ -336,13 +318,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             codec::write_u32(w, t.k).unwrap();
             codec::write_u32_seq(w, &t.nodes).unwrap();
             codec::write_f64_seq(w, &t.scores).unwrap();
-        }
-        Response::Batch(rs) => {
-            codec::write_u32(w, TAG_BATCH).unwrap();
-            codec::write_u64(w, rs.len() as u64).unwrap();
-            for r in rs {
-                write_query_result(w, r);
-            }
         }
         Response::Stats(s) => {
             codec::write_u32(w, TAG_STATS).unwrap();
@@ -412,16 +387,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ServerError> {
                 )));
             }
             Response::Topk(WireTopk { node, k, nodes, scores })
-        }
-        TAG_BATCH => {
-            // A result is at least 8 fixed u32/u64/f64 fields ≥ 8 bytes.
-            let cap = payload.len() as u64 / 8;
-            let count = codec::check_len(codec::read_u64(&mut r)?, cap, "batch result count")?;
-            let mut rs = Vec::with_capacity(count);
-            for _ in 0..count {
-                rs.push(read_query_result(&mut r, payload.len())?);
-            }
-            Response::Batch(rs)
         }
         TAG_STATS => {
             // Per-shard size lists cost 16 payload bytes each — a
@@ -631,9 +596,8 @@ fn read_result_tail(
     Ok(tail)
 }
 
-/// Writes the fixed part of a query result. The optional trace section is
-/// *not* part of this layout — it is appended by the single-result
-/// response encoders only, so results inside a batch stay fixed-shape.
+/// Writes the fixed part of a query result; the response encoders append
+/// the optional tail after it.
 fn write_query_result<W: Write>(w: &mut W, r: &WireQueryResult) {
     codec::write_u32(w, r.query).unwrap();
     codec::write_u32(w, r.k).unwrap();
@@ -760,8 +724,6 @@ mod tests {
                 want_pmpn: false,
             },
             Request::Topk { u: 3, k: 2, early: true },
-            Request::Batch { queries: vec![(0, 1), (5, 10), (7, 3)] },
-            Request::Batch { queries: vec![] },
             Request::Stats,
             Request::Shutdown,
             Request::Persist { path: "/tmp/snapshot.rtke".into() },
@@ -806,8 +768,6 @@ mod tests {
             Response::Pong,
             Response::ReverseTopk(sample_result(3)),
             Response::Topk(WireTopk { node: 2, k: 3, nodes: vec![0, 5], scores: vec![0.5, 0.25] }),
-            Response::Batch(vec![sample_result(1), sample_result(2)]),
-            Response::Batch(vec![]),
             Response::ShuttingDown,
             Response::Persisted { bytes: 123_456 },
             Response::Updated(WireUpdateResult {
@@ -919,10 +879,13 @@ mod tests {
 
     #[test]
     fn unknown_tags_and_trailing_bytes_are_corrupt() {
-        let mut payload = Vec::new();
-        codec::write_bytes(&mut payload, b"").unwrap(); // empty auth token
-        codec::write_u32(&mut payload, 99).unwrap();
-        assert!(decode_request(&payload).is_err());
+        // 3 is the retired `batch` tag.
+        for tag in [3, 99] {
+            let mut payload = Vec::new();
+            codec::write_bytes(&mut payload, b"").unwrap(); // empty auth token
+            codec::write_u32(&mut payload, tag).unwrap();
+            assert!(decode_request(&payload).is_err(), "tag {tag}");
+        }
 
         let mut payload = encode_request(&Request::Ping);
         payload.push(0xFF);
@@ -951,16 +914,6 @@ mod tests {
         codec::write_u32(&mut payload, 6).unwrap();
         codec::write_bytes(&mut payload, &[0xFF, 0xFE]).unwrap(); // not UTF-8
         assert!(matches!(decode_request(&payload).unwrap_err(), DecodeError::Corrupt(_)));
-    }
-
-    #[test]
-    fn batch_count_is_bounded_by_payload_size() {
-        let mut payload = Vec::new();
-        codec::write_bytes(&mut payload, b"").unwrap(); // empty auth token
-        codec::write_u32(&mut payload, 3).unwrap(); // TAG_BATCH
-        codec::write_u64(&mut payload, u64::MAX).unwrap(); // absurd count
-        let err = decode_request(&payload).unwrap_err();
-        assert!(matches!(err, DecodeError::Corrupt(_)), "{err}");
     }
 
     #[test]

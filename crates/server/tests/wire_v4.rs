@@ -5,7 +5,9 @@
 //! rejection of v3 peers — plus live-socket tests of the pipelined client:
 //! out-of-order response association, duplicate/unknown request ids
 //! rejected without panicking, the per-connection `--max-inflight` cap
-//! answering `busy`, and the `inflight_peak` gauge.
+//! answering `busy`, the `inflight_peak` gauge, and a failed batch leaving
+//! nothing in flight. Cuts and bit flips of a stats snapshot and of a
+//! traced shard answer check the response decoder.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rtk_core::ReverseTopkEngine;
@@ -260,12 +262,15 @@ fn pipeline_results_match_serial_and_batch_bitwise() {
     let mut client = Client::connect(handle.addr()).unwrap();
     let queries: Vec<(u32, u32)> = vec![(0, 2), (1, 2), (2, 3), (3, 1), (4, 2), (5, 3)];
 
-    let pipelined = client.pipeline(&queries, false).unwrap();
     let batched = client.batch(&queries).unwrap();
-    assert_eq!(pipelined.len(), queries.len());
-    for (i, (p, b)) in pipelined.iter().zip(&batched).enumerate() {
-        assert_eq!(p.nodes, b.nodes, "query {i}");
-        for (x, y) in p.proximities.iter().zip(&b.proximities) {
+    let serial: Vec<_> = queries
+        .iter()
+        .map(|&(q, k)| client.reverse_topk(q, k, false).unwrap())
+        .collect();
+    assert_eq!(batched.len(), queries.len());
+    for (i, (b, s)) in batched.iter().zip(&serial).enumerate() {
+        assert_eq!(b.nodes, s.nodes, "query {i}");
+        for (x, y) in b.proximities.iter().zip(&s.proximities) {
             assert_eq!(x.to_bits(), y.to_bits(), "query {i}");
         }
         // And both equal the direct engine answer.
@@ -277,13 +282,16 @@ fn pipeline_results_match_serial_and_batch_bitwise() {
             .unwrap()
             .pop()
             .unwrap();
-        assert_eq!(p.nodes, direct.nodes(), "query {i}");
+        assert_eq!(b.nodes, direct.nodes(), "query {i}");
     }
 
     // Update-mode pipelining is allowed and keeps answers identical.
-    let upd = client.pipeline(&queries, true).unwrap();
-    for (p, b) in upd.iter().zip(&batched) {
-        assert_eq!(p.nodes, b.nodes);
+    let pending: Vec<_> = queries
+        .iter()
+        .map(|&(q, k)| client.submit_query(&QueryCall::new(q, k, true)).unwrap())
+        .collect();
+    for (p, b) in pending.into_iter().zip(&batched) {
+        assert_eq!(client.wait(p).unwrap().nodes, b.nodes);
     }
 
     // The server saw real pipelining depth.
@@ -333,15 +341,134 @@ fn max_inflight_cap_answers_busy_and_keeps_the_connection() {
     assert_eq!(stats.inflight_rejections as usize, busy, "{stats:?}");
     assert!(stats.inflight_peak <= 2 + 1, "cap must bound the gauge: {stats:?}");
 
-    // pipeline() plays fair with the cap: busy-rejected queries are
+    // batch() plays fair with the cap: busy-rejected queries are
     // re-issued after the burst drains, so every result still comes back.
     let queries: Vec<(u32, u32)> = (0..6).map(|i| (i % 6, 2)).collect();
-    let rs = client.pipeline(&queries, false).unwrap();
+    let rs = client.batch(&queries).unwrap();
     assert_eq!(rs.len(), queries.len());
     for (r, &(q, _)) in rs.iter().zip(&queries) {
-        assert_eq!(r.query, q, "pipeline under a depth cap must return every answer");
+        assert_eq!(r.query, q, "a batch under a depth cap must return every answer");
     }
 
     client.shutdown().unwrap();
     handle.join().unwrap();
+}
+
+#[test]
+fn a_failed_batch_leaves_nothing_in_flight() {
+    let handle = Server::bind(
+        toy_engine(),
+        "127.0.0.1:0",
+        ServerConfig { workers: 2, ..Default::default() },
+    )
+    .unwrap()
+    .spawn();
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    // k = 999 is beyond the toy index's largest k: the batch fails as a
+    // whole, naming the first error.
+    let err = client.batch(&[(0, 999), (1, 2), (2, 2)]).unwrap_err();
+    assert!(matches!(&err, ServerError::Remote(m) if m.contains("999")), "{err}");
+    // It still collected the answers of the two queries behind it, so no
+    // stale response lingers to be parked by a later call.
+    assert_eq!(client.inflight(), 0);
+    assert_eq!(client.reverse_topk(0, 2, false).unwrap().nodes, vec![0, 1, 4]);
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// Cuts `payload` at every offset and flips every bit of every byte. The
+/// decoder must never panic. Of the cuts, only the one at `tail_start`
+/// decodes: to `stripped`, the value without its trailing-optional tail.
+/// A flipped payload either errors or decodes to a value that re-encodes
+/// to exactly the flipped bytes.
+fn assert_hostile_bytes_are_refused(payload: &[u8], tail_start: usize, stripped: &Response) {
+    let full = wire::decode_response(payload).expect("the intact payload decodes");
+    assert_eq!(wire::encode_response(&full), payload);
+    for cut in 0..payload.len() {
+        let decoded = wire::decode_response(&payload[..cut]);
+        if cut == tail_start {
+            assert_eq!(&decoded.expect("the payload without its tail decodes"), stripped);
+        } else {
+            assert!(decoded.is_err(), "a cut at byte {cut} of {} decoded", payload.len());
+        }
+    }
+    let mut flipped = payload.to_vec();
+    for byte in 0..payload.len() {
+        for bit in 0..8 {
+            flipped[byte] ^= 1 << bit;
+            if let Ok(resp) = wire::decode_response(&flipped) {
+                assert_eq!(wire::encode_response(&resp), flipped, "bit {bit} of byte {byte}");
+            }
+            flipped[byte] ^= 1 << bit;
+        }
+    }
+}
+
+#[test]
+fn stats_and_traced_shard_responses_survive_hostile_bytes() {
+    use rtk_api::model::KindLatency;
+    use rtk_obs::TraceSpan;
+    use rtk_server::{EngineInfo, RequestKind, StatsSnapshot, WireQueryResult, WireShardResult};
+
+    // A stats snapshot with two shards and two kinds' latency records.
+    let info = EngineInfo {
+        nodes: 6,
+        edges: 11,
+        max_k: 3,
+        workers: 2,
+        shard_lo: 0,
+        shard_hi: 6,
+        index_digest: 0x0123_4567_89ab_cdef,
+    };
+    let mut stats = StatsSnapshot::local(info, vec![3, 3], vec![640, 768]);
+    stats.inflight_peak = 4;
+    stats.approx_walks = 1280;
+    let latency = |count| KindLatency {
+        count,
+        mean_seconds: 0.002,
+        p50_seconds: 0.001,
+        p95_seconds: 0.004,
+        p99_seconds: 0.005,
+        max_seconds: 0.006,
+    };
+    stats.kind_latency[RequestKind::ReverseTopk as usize] = latency(7);
+    stats.kind_latency[RequestKind::Stats as usize] = latency(1);
+    let stats = Response::Stats(Box::new(stats));
+    let payload = wire::encode_response(&stats);
+    // The snapshot has no optional tail: only the whole payload decodes.
+    assert_hostile_bytes_are_refused(&payload, payload.len(), &stats);
+
+    // A traced shard answer carrying its solved PMPN vector: the trace and
+    // PMPN sections of the response tail.
+    let mut engine = TraceSpan::new("engine:shard_reverse_topk", 0.003).annotate("shard", "1");
+    engine
+        .children
+        .push(TraceSpan::new("pmpn_solve", 0.002).annotate("iterations", "41"));
+    let result = WireQueryResult {
+        query: 4,
+        k: 2,
+        nodes: vec![3, 5],
+        proximities: vec![0.25, 1e-9],
+        candidates: 3,
+        hits: 1,
+        refined_nodes: 1,
+        refine_iterations: 12,
+        server_seconds: 0.003,
+        trace: None,
+        approx: None,
+    };
+    let plain =
+        WireShardResult { shard_id: 1, node_lo: 3, node_hi: 6, result: result.clone(), pmpn: None };
+    let stripped = Response::ShardReverseTopk(plain.clone());
+    let traced = Response::ShardReverseTopk(WireShardResult {
+        result: WireQueryResult { trace: Some(engine), ..result },
+        pmpn: Some(vec![0.5, 0.125, 0.0, 0.25, 0.0625, 1.0 / 3.0]),
+        ..plain
+    });
+    let payload = wire::encode_response(&traced);
+    let tail_start = wire::encode_response(&stripped).len();
+    assert!(tail_start < payload.len());
+    assert_hostile_bytes_are_refused(&payload, tail_start, &stripped);
 }

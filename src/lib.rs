@@ -107,8 +107,8 @@
 //! connection can carry many requests at once, the server dispatches
 //! frames — not connections — to its worker pool, and responses return
 //! in completion order, re-associated by id (`Client::submit`/`wait`/
-//! `pipeline`). Requests: `ping`, `reverse_topk`, `topk(u, k, early)`,
-//! `batch`, `stats`, `shutdown`, `persist(path)`, and the shard-scoped
+//! `batch`). Requests: `ping`, `reverse_topk`, `topk(u, k, early)`,
+//! `stats`, `shutdown`, `persist(path)`, and the shard-scoped
 //! `shard_reverse_topk` that multi-process serving is built on — one
 //! trait, `rtk_api::RtkService`, covers the whole surface for local
 //! engines, remote clients, and the router alike, and its two query

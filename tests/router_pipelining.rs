@@ -130,7 +130,7 @@ fn pipelined_client_through_the_router_matches_single_process() {
     // All 24 queries in flight at once over one client connection; the
     // router fans each out concurrently to both backends.
     let mut client = Client::connect(router.addr()).expect("connect router");
-    let piped = client.pipeline(&queries(), false).expect("pipelined queries");
+    let piped = client.batch(&queries()).expect("pipelined queries");
     assert_eq!(piped.len(), reference.len());
     for (i, (p, r)) in piped.iter().zip(&reference).enumerate() {
         assert_eq!(p.nodes, r.nodes, "query {i}");

@@ -112,7 +112,7 @@ fn killing_any_single_replica_mid_load_is_invisible_and_heals() {
     .spawn();
     let mut direct = Client::connect(single.addr()).expect("connect single");
     let queries = workload();
-    let reference = direct.pipeline(&queries, false).expect("reference batch");
+    let reference = direct.batch(&queries).expect("reference batch");
 
     let sharded = build_engine(SHARDS);
     // Every backend in turn plays the victim: replica 0 and 1 of each shard.
@@ -128,7 +128,7 @@ fn killing_any_single_replica_mid_load_is_invisible_and_heals() {
         let mut client = Client::connect(router.addr()).expect("connect router");
 
         // Pipelined batch before the kill: fully healthy tier.
-        let before = client.pipeline(&queries, false).expect("pre-kill batch");
+        let before = client.batch(&queries).expect("pre-kill batch");
         for (i, (a, b)) in before.iter().zip(&reference).enumerate() {
             assert_bitwise(a, b, &format!("victim={victim} pre-kill query {i}"));
         }
@@ -137,7 +137,7 @@ fn killing_any_single_replica_mid_load_is_invisible_and_heals() {
         // coming: every query must still answer, bitwise identically.
         let mut backdoor = Client::connect(victim_addr).expect("victim backdoor");
         backdoor.shutdown().expect("victim shutdown");
-        let after = client.pipeline(&queries, false).expect("post-kill batch must not error");
+        let after = client.batch(&queries).expect("post-kill batch must not error");
         for (i, (a, b)) in after.iter().zip(&reference).enumerate() {
             assert_bitwise(a, b, &format!("victim={victim} post-kill query {i}"));
         }
@@ -169,7 +169,7 @@ fn killing_any_single_replica_mid_load_is_invisible_and_heals() {
         await_readmission(&mut client, &format!("victim={victim}"));
 
         // Healed tier: still bitwise equal.
-        let healed = client.pipeline(&queries, false).expect("post-restart batch");
+        let healed = client.batch(&queries).expect("post-restart batch");
         for (i, (a, b)) in healed.iter().zip(&reference).enumerate() {
             assert_bitwise(a, b, &format!("victim={victim} post-restart query {i}"));
         }
@@ -549,8 +549,8 @@ fn update_stream_survives_owner_kill_with_loud_errors_and_replay_recovery() {
         .spawn();
     let mut direct = Client::connect(single.addr()).expect("connect single");
     let queries = workload();
-    let reference = direct.pipeline(&queries, false).expect("reference batch");
-    let recovered_answers = client.pipeline(&queries, false).expect("recovered batch");
+    let reference = direct.batch(&queries).expect("reference batch");
+    let recovered_answers = client.batch(&queries).expect("recovered batch");
     for (i, (a, b)) in recovered_answers.iter().zip(&reference).enumerate() {
         assert_bitwise(a, b, &format!("post-recovery query {i}"));
     }
