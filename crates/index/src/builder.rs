@@ -81,7 +81,7 @@ impl LbiBuilder {
         // --- Per-node partial BCA sweep (Alg. 1 lines 3–9) ---
         let sweep_t0 = Instant::now();
         let nodes: Vec<u32> = (0..n as u32).collect();
-        let (swept, total_iterations, total_pushes) =
+        let Sweep { swept, iterations: total_iterations, pushes: total_pushes, .. } =
             sweep(transition, &hub_matrix, &self.config, &nodes, &|_| None);
         let node_sweep_seconds = sweep_t0.elapsed().as_secs_f64();
         let (states, digests): (Vec<NodeState>, Vec<u64>) = swept
@@ -132,6 +132,18 @@ pub(crate) enum Swept {
     Rebound(DescendingTopK, f64),
 }
 
+/// What [`sweep`] returns.
+pub(crate) struct Sweep {
+    /// `(outcome, record digest)` per node, in the order the nodes came.
+    pub(crate) swept: Vec<(Swept, u64)>,
+    /// Iterations the BCA runs took.
+    pub(crate) iterations: u64,
+    /// Edge pushes the BCA runs made.
+    pub(crate) pushes: u64,
+    /// Time the lanes spent hashing records, summed over lanes.
+    pub(crate) hash_seconds: f64,
+}
+
 /// Algorithm 1 lines 3–9 for `nodes`, spread over `config.effective_threads()`
 /// lanes: the build's sweep over every node, and an edge update's
 /// recompute of the affected ones. `keep(u)` may hand back `u`'s stored state
@@ -140,18 +152,18 @@ pub(crate) enum Swept {
 /// the configured stop rule. Each lane also hashes the persisted record of
 /// what it produced.
 ///
-/// Returns `(outcome, record digest)` per node in `nodes` order, plus the
-/// iterations and edge pushes the BCA runs took. Lanes claim
-/// [`SWEEP_CHUNK`] nodes at a time; outcomes are put back in node order by
-/// index and the work counters are order-independent sums, so scheduling
-/// cannot change anything returned.
+/// Returns `(outcome, record digest)` per node in `nodes` order, the
+/// iterations and edge pushes the BCA runs took, and the hashing time. Lanes
+/// claim [`SWEEP_CHUNK`] nodes at a time; outcomes are put back in node
+/// order by index and the work counters are order-independent sums, so
+/// scheduling cannot change anything returned but the time.
 pub(crate) fn sweep<'a>(
     transition: &TransitionMatrix<'_>,
     hub_matrix: &HubMatrix,
     config: &IndexConfig,
     nodes: &[u32],
     keep: &(dyn Fn(u32) -> Option<&'a NodeState> + Sync),
-) -> (Vec<(Swept, u64)>, u64, u64) {
+) -> Sweep {
     let stop = BcaStop::from_params(&config.bca);
     let lanes = rtk_sparse::WorkerPool::global().claim(
         config.effective_threads(),
@@ -161,16 +173,23 @@ pub(crate) fn sweep<'a>(
                 BcaEngine::new(hub_matrix.hubs().clone(), config.bca),
                 Materializer::default(),
                 Vec::new(),
+                0.0,
             )
         },
-        |(engine, materializer, outputs), chunk| {
+        |(engine, materializer, outputs, hash_seconds), chunk| {
             let lo = chunk * SWEEP_CHUNK;
             for (i, &u) in nodes.iter().enumerate().skip(lo).take(SWEEP_CHUNK) {
+                let mut hashed = |state: &NodeState, lower_bounds: &DescendingTopK| {
+                    let started = Instant::now();
+                    let digest = node_record_digest(state.snapshot(), lower_bounds);
+                    *hash_seconds += started.elapsed().as_secs_f64();
+                    digest
+                };
                 let outcome = match keep(u) {
                     Some(state) => {
                         let (lower_bounds, parked_deficit) =
                             state.rebound(hub_matrix, materializer);
-                        let digest = node_record_digest(state.snapshot(), &lower_bounds);
+                        let digest = hashed(state, &lower_bounds);
                         (Swept::Rebound(lower_bounds, parked_deficit), digest)
                     }
                     None => {
@@ -181,7 +200,7 @@ pub(crate) fn sweep<'a>(
                             materializer,
                             config.max_k,
                         );
-                        let digest = node_record_digest(state.snapshot(), state.lower_bounds());
+                        let digest = hashed(&state, state.lower_bounds());
                         (Swept::Run(state), digest)
                     }
                 };
@@ -191,16 +210,17 @@ pub(crate) fn sweep<'a>(
     );
     // Outcomes are large: each moves once, into its node's slot, unsorted.
     let mut slots: Vec<Option<(Swept, u64)>> = (0..nodes.len()).map(|_| None).collect();
-    let (mut total_iterations, mut total_pushes) = (0u64, 0u64);
-    for (engine, _, outputs) in lanes {
-        total_iterations += u64::from(engine.work().iterations);
-        total_pushes += engine.work().pushes;
+    let (mut iterations, mut pushes, mut hash_seconds) = (0u64, 0u64, 0.0);
+    for (engine, _, outputs, hashing) in lanes {
+        iterations += u64::from(engine.work().iterations);
+        pushes += engine.work().pushes;
+        hash_seconds += hashing;
         for (i, outcome) in outputs {
             slots[i] = Some(outcome);
         }
     }
     let swept = slots.into_iter().map(|s| s.expect("node missing after sweep")).collect();
-    (swept, total_iterations, total_pushes)
+    Sweep { swept, iterations, pushes, hash_seconds }
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@ use rtk_graph::TransitionMatrix;
 use rtk_rwr::bca::{BcaEngine, BcaSnapshot, BcaStop};
 use rtk_rwr::power::BLOCK_WIDTH;
 use rtk_rwr::{proximity_from_many, BcaParams, HubSet, RwrParams};
-use rtk_sparse::{select_top_k, EpochScratch, SparseVector};
+use rtk_sparse::{EpochScratch, SparseVector, TopKSelection};
 
 /// Rounded hub proximity vectors as one dense panel, plus per-hub deficits.
 #[derive(Clone, Debug, PartialEq)]
@@ -366,14 +366,14 @@ fn solve_tile(
 /// slot the scatter touched ends on the same bits, and a slot it never
 /// touched stays `0.0` and fails the `v > 0` filter. Retained entries
 /// outside the support get no hub addend and are final as read. Selection
-/// orders by value descending, ties by id — a total order, so the order the
-/// candidates arrive in cannot change the list.
+/// ([`TopKSelection`]) orders by value descending, ties by id — a total
+/// order, so the order the candidates arrive in cannot change the list.
 #[derive(Clone, Debug, Default)]
 pub struct Materializer {
     /// `acc[j]` accumulates the entry of the support's `j`-th node.
     acc: Vec<f64>,
     /// Selection candidates, reused across calls.
-    pairs: Vec<(u32, f64)>,
+    selection: TopKSelection,
 }
 
 impl Materializer {
@@ -424,10 +424,9 @@ impl Materializer {
         let keep = |v: f64| v > 0.0 && v >= floor;
         self.acc.clear();
         self.acc.resize(hub_matrix.support.len(), 0.0);
-        self.pairs.clear();
         for (i, w) in retained {
             match hub_matrix.slot[i as usize] {
-                u32::MAX if keep(w) => self.pairs.push((i, w)),
+                u32::MAX if keep(w) => self.selection.push(i, w),
                 u32::MAX => {}
                 j => self.acc[j as usize] += w,
             }
@@ -441,10 +440,12 @@ impl Materializer {
                 *a += s * v;
             }
         }
-        let accumulated = hub_matrix.support.iter().zip(&self.acc);
-        self.pairs.extend(accumulated.filter(|&(_, &v)| keep(v)).map(|(&i, &v)| (i, v)));
-        select_top_k(&mut self.pairs, k);
-        self.pairs.to_vec()
+        for (&i, &v) in hub_matrix.support.iter().zip(&self.acc) {
+            if keep(v) {
+                self.selection.push(i, v);
+            }
+        }
+        self.selection.select(k)
     }
 }
 

@@ -1,7 +1,7 @@
 //! The assembled reverse top-k index: one block of node states, cut into
 //! node-range shards only by its [`ShardMap`].
 
-use crate::builder::{LbiBuilder, Swept};
+use crate::builder::{LbiBuilder, Sweep, Swept};
 use crate::config::IndexConfig;
 use crate::digest::DigestCell;
 use crate::error::IndexError;
@@ -335,7 +335,7 @@ impl ReverseIndex {
                 );
             replays.then_some(&self.states[i])
         };
-        let (swept, _, _) =
+        let Sweep { swept, hash_seconds, .. } =
             crate::builder::sweep(transition, &self.hub_matrix, &self.config, &affected, &keep);
         let bca_runs = swept.iter().filter(|(s, _)| matches!(s, Swept::Run(_))).count();
         for (&u, (outcome, digest)) in affected.iter().zip(swept) {
@@ -355,6 +355,7 @@ impl ReverseIndex {
             bca_runs,
             hubs_seconds,
             states_seconds: started.elapsed().as_secs_f64(),
+            hash_seconds,
         }
     }
 

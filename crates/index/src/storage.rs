@@ -39,10 +39,13 @@
 //! as, less the graph section — the manifest for an index holding every
 //! shard, the `RTKSHRD1` section for a one-shard index — with each hub
 //! record and each node record replaced by the 8 little-endian bytes of its
-//! own [`crate::fnv1a64`] (and each section length counting the folded
-//! section). The per-record hashes are cached beside the records, so the
-//! digest costs one short pass, not a serialization; hashing the graph
-//! would cost every edge update an `O(|E|)` pass.
+//! own record hash (and each section length counting the folded section),
+//! folded by [`crate::fnv1a64`]. A record hash (`digest::RecordHasher`)
+//! takes the record's bytes 8 at a time, straight from the in-memory
+//! vectors (`node_record_digest`, `hub_record_digest`); it is computed by the
+//! worker that produced the record and cached beside it, so the digest
+//! costs one short pass, not a serialization. Hashing the graph would cost
+//! every edge update an `O(|E|)` pass.
 //!
 //! The hub-selection policy and hub-vector solver are *not* recorded: a
 //! loaded index refines and queries identically, and
@@ -52,7 +55,7 @@
 //! not recorded.
 
 use crate::config::{HubSelection, HubSolver, IndexConfig};
-use crate::digest::Fnv1a64;
+use crate::digest::{Fnv1a64, RecordHasher};
 use crate::error::IndexError;
 use crate::hub_matrix::HubMatrix;
 use crate::index::ReverseIndex;
@@ -104,7 +107,7 @@ pub fn save<W: Write>(graph: &DiGraph, index: &ReverseIndex, writer: W) -> Resul
 enum Records {
     /// The persisted encoding.
     Encoded,
-    /// Each record as the 8 LE bytes of its [`crate::fnv1a64`] — the stream
+    /// Each record as the 8 LE bytes of its record hash — the stream
     /// [`index_digest`] hashes. `cached: false` re-hashes every record
     /// instead of trusting the cells kept beside them.
     Digested { cached: bool },
@@ -257,11 +260,31 @@ fn write_node_record<W: Write>(
     codec::write_f64_seq(w, &vals)
 }
 
-/// [`crate::fnv1a64`] of the record [`write_node_record`] emits.
+/// The record hash ([`RecordHasher`]) of the bytes [`write_node_record`]
+/// emits, read from the snapshot's and the list's own vectors.
 pub(crate) fn node_record_digest(snap: &BcaSnapshot, lower_bounds: &DescendingTopK) -> u64 {
-    let mut hasher = Fnv1a64::default();
-    write_node_record(&mut hasher, snap, lower_bounds).expect("hashing cannot fail");
+    let mut hasher = RecordHasher::default();
+    hasher.u32(snap.source);
+    hasher.u32(snap.iterations);
+    for v in [&snap.residue, &snap.retained, &snap.hub_ink] {
+        hash_sparse_vector(&mut hasher, v);
+    }
+    let entries = lower_bounds.entries();
+    hasher.u64(entries.len() as u64);
+    for &(i, _) in entries {
+        hasher.u32(i);
+    }
+    hasher.u64(entries.len() as u64);
+    for &(_, v) in entries {
+        hasher.u64(v.to_bits());
+    }
     hasher.finish()
+}
+
+/// Appends `v` as [`codec::write_sparse_vector`] encodes it.
+fn hash_sparse_vector(hasher: &mut RecordHasher, v: &rtk_sparse::SparseVector) {
+    hasher.u32_seq(v.indices());
+    hasher.f64_seq(v.values());
 }
 
 fn read_node_state<R: Read>(
@@ -329,10 +352,12 @@ fn write_hub_record<W: Write>(
     codec::write_f64(w, deficit)
 }
 
-/// [`crate::fnv1a64`] of the record [`write_hub_record`] emits.
+/// The record hash ([`RecordHasher`]) of the bytes [`write_hub_record`]
+/// emits.
 pub(crate) fn hub_record_digest(column: &rtk_sparse::SparseVector, deficit: f64) -> u64 {
-    let mut hasher = Fnv1a64::default();
-    write_hub_record(&mut hasher, column, deficit).expect("hashing cannot fail");
+    let mut hasher = RecordHasher::default();
+    hash_sparse_vector(&mut hasher, column);
+    hasher.u64(deficit.to_bits());
     hasher.finish()
 }
 
@@ -1038,6 +1063,105 @@ mod tests {
         let mut index = ReverseIndex::build(&TransitionMatrix::new(&g), config).unwrap();
         index.repartition(shards);
         (g, index)
+    }
+
+    /// A fixed toy node record: every field non-empty, sequences of odd and
+    /// even lengths, so words straddle the `u32` / `u64` boundaries.
+    fn toy_record() -> (BcaSnapshot, DescendingTopK) {
+        let sparse = |ids: &[u32], vals: &[f64]| {
+            rtk_sparse::SparseVector::from_parts(ids.to_vec(), vals.to_vec())
+        };
+        let snapshot = BcaSnapshot {
+            source: 7,
+            iterations: 3,
+            residue: sparse(&[1, 4, 9], &[0.125, 0.0625, 1e-9]),
+            retained: sparse(&[0, 7], &[0.15, 0.3]),
+            hub_ink: sparse(&[2], &[0.2]),
+        };
+        let lower_bounds = DescendingTopK::from_sorted(vec![(7, 0.3), (0, 0.15), (4, 0.01)], 4);
+        (snapshot, lower_bounds)
+    }
+
+    fn encoded_node_record(snapshot: &BcaSnapshot, lower_bounds: &DescendingTopK) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_node_record(&mut bytes, snapshot, lower_bounds).unwrap();
+        bytes
+    }
+
+    /// The record hashes are pinned: a change of platform, of the hasher,
+    /// or of how a record is fed to it shows here first.
+    #[test]
+    fn record_hashes_are_pinned() {
+        let (snapshot, lower_bounds) = toy_record();
+        let column = rtk_sparse::SparseVector::from_parts(vec![0, 3, 5], vec![0.5, 0.25, 0.125]);
+        let node = node_record_digest(&snapshot, &lower_bounds);
+        let hub = hub_record_digest(&column, 0.125);
+        assert_eq!(node, 0x3a9d_2a84_79d4_960e, "node record: {node:#018x}");
+        assert_eq!(hub, 0x0c39_18b2_4489_4ad7, "hub record: {hub:#018x}");
+    }
+
+    /// A record hash is the record hash of the persisted bytes, for the
+    /// toy record, every record of a built index and every hub record.
+    #[test]
+    fn record_hashes_hash_the_persisted_record_bytes() {
+        let (snapshot, lower_bounds) = toy_record();
+        let bytes = encoded_node_record(&snapshot, &lower_bounds);
+        assert_eq!(
+            node_record_digest(&snapshot, &lower_bounds),
+            crate::digest::record_hash(&bytes)
+        );
+        let (_, index) = build_index(1);
+        for u in 0..index.node_count() as u32 {
+            let state = index.state(u);
+            let bytes = encoded_node_record(state.snapshot(), state.lower_bounds());
+            assert_eq!(index.record_digest(u, false), crate::digest::record_hash(&bytes));
+        }
+        let hm = index.hub_matrix();
+        for (i, &h) in hm.hubs().ids().iter().enumerate() {
+            let mut bytes = Vec::new();
+            write_hub_record(&mut bytes, &hm.column(h).unwrap(), hm.deficit(h)).unwrap();
+            assert_eq!(hm.column_digest(i, false), crate::digest::record_hash(&bytes));
+        }
+    }
+
+    #[test]
+    fn flipping_any_bit_of_an_encoded_record_changes_its_hash() {
+        let (snapshot, lower_bounds) = toy_record();
+        let mut bytes = encoded_node_record(&snapshot, &lower_bounds);
+        let clean = crate::digest::record_hash(&bytes);
+        for bit in 0..bytes.len() * 8 {
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(crate::digest::record_hash(&bytes), clean, "bit {bit}");
+            bytes[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn equal_records_hash_equal_whatever_their_capacity() {
+        let (snapshot, lower_bounds) = toy_record();
+        let roomy = |v: &rtk_sparse::SparseVector| {
+            let mut indices = Vec::with_capacity(v.nnz() + 40);
+            let mut values = Vec::with_capacity(v.nnz() + 40);
+            indices.extend_from_slice(v.indices());
+            values.extend_from_slice(v.values());
+            rtk_sparse::SparseVector::from_parts(indices, values)
+        };
+        let mut entries = Vec::with_capacity(64);
+        entries.extend_from_slice(lower_bounds.entries());
+        let wide = BcaSnapshot {
+            residue: roomy(&snapshot.residue),
+            retained: roomy(&snapshot.retained),
+            hub_ink: roomy(&snapshot.hub_ink),
+            ..snapshot.clone()
+        };
+        assert!(wide.residue.heap_bytes() > snapshot.residue.heap_bytes(), "more capacity");
+        let wide_bounds = DescendingTopK::from_sorted(entries, lower_bounds.capacity());
+        assert_eq!(
+            node_record_digest(&wide, &wide_bounds),
+            node_record_digest(&snapshot, &lower_bounds)
+        );
+        let column = roomy(&snapshot.residue);
+        assert_eq!(hub_record_digest(&column, 0.5), hub_record_digest(&snapshot.residue, 0.5));
     }
 
     fn saved(g: &DiGraph, index: &ReverseIndex) -> Vec<u8> {

@@ -57,7 +57,7 @@ use rtk_graph::DiGraph;
 use rtk_rwr::HubSet;
 
 /// What one applied edge update invalidated and recomputed, and what the
-/// two recompute stages cost. Only the first two counts go over the wire;
+/// two recompute stages and the record hashing inside the second cost. Only the first two counts go over the wire;
 /// the rest is in-process observability.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct UpdateEffect {
@@ -77,6 +77,10 @@ pub struct UpdateEffect {
     /// Wall time of the node-state recompute (BCA runs, rematerialization,
     /// record hashing, install).
     pub states_seconds: f64,
+    /// The record hashing inside [`Self::states_seconds`], broken out: time
+    /// the sweep lanes spent hashing what they produced, summed over lanes
+    /// (so with several lanes it is CPU time, not a share of the wall).
+    pub hash_seconds: f64,
 }
 
 impl UpdateEffect {
@@ -87,6 +91,7 @@ impl UpdateEffect {
         self.bca_runs += other.bca_runs;
         self.hubs_seconds += other.hubs_seconds;
         self.states_seconds += other.states_seconds;
+        self.hash_seconds += other.hash_seconds;
     }
 }
 

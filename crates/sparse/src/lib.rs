@@ -42,5 +42,5 @@ pub use hist::LatencyHistogram;
 pub use pool::ScratchPool;
 pub use scratch::EpochScratch;
 pub use sparse_vec::SparseVector;
-pub use topk::{select_top_k, top_k_of_dense, top_k_of_pairs, DescendingTopK};
+pub use topk::{top_k_of_dense, top_k_of_pairs, DescendingTopK, TopKSelection};
 pub use worker_pool::{PoolScope, WorkerPool};

@@ -15,45 +15,83 @@ pub fn top_k_of_dense(dense: &[f64], k: usize) -> Vec<(u32, f64)> {
 /// Selects the `k` largest pairs from an arbitrary stream, descending by
 /// value, ties broken by smaller index. Zero and negative values are kept
 /// (callers filter beforehand when undesired); `k = 0` yields an empty list.
-///
-/// `O(n)` average via quickselect plus `O(k log k)` for the final sort —
-/// this runs once per index-column materialization and once per query-time
-/// refinement iteration, so it must not degrade to `O(n·k)`.
+/// One [`TopKSelection`] per call; a caller selecting repeatedly keeps its
+/// own.
 pub fn top_k_of_pairs<I>(pairs: I, k: usize) -> Vec<(u32, f64)>
 where
     I: IntoIterator<Item = (u32, f64)>,
 {
-    if k == 0 {
-        return Vec::new();
+    let pairs = pairs.into_iter();
+    let mut selection = TopKSelection { keys: Vec::with_capacity(pairs.size_hint().0) };
+    for (i, v) in pairs {
+        selection.push(i, v);
     }
-    let mut all: Vec<(u32, f64)> = pairs.into_iter().collect();
-    debug_assert!(all.iter().all(|&(_, v)| v.is_finite()), "top_k_of_pairs: non-finite value");
-    let truncated = all.len() > k;
-    select_top_k(&mut all, k);
-    if truncated {
-        // The result is retained long-term (index columns, thresholds);
-        // dropping the selection buffer's excess capacity keeps memory
-        // accounting honest.
-        all.shrink_to_fit();
-    }
-    all
+    selection.select(k)
 }
 
-/// [`top_k_of_pairs`] in place: reduces `pairs` to its `k` largest entries,
-/// descending by value, ties broken by smaller index. The buffer keeps its
-/// capacity, so a caller can reuse it across selections.
-pub fn select_top_k(pairs: &mut Vec<(u32, f64)>, k: usize) {
+/// The one top-K selection: candidates are pushed as order keys into a
+/// buffer that keeps its capacity across selections, then
+/// [`Self::select`] returns the `k` largest, descending by value, ties by
+/// smaller index.
+///
+/// A candidate `(i, v)` is kept as one `u128` whose ascending order is that
+/// comparator's order: the top 64 bits are the complement of `v`'s
+/// order-preserving image (the bits of a non-negative value with the sign
+/// bit set, all bits of a negative one flipped), the next 32 are `i`, and
+/// bit 0 records a `-0.0`. The comparator counts `-0.0` equal to `+0.0`, so
+/// both take `+0.0`'s image and differ only in bit 0, which no two distinct
+/// indices reach. A key sorts as a plain integer, the index rides along,
+/// and the value comes back with its own bits, so every list is bitwise the
+/// one the comparator picks. `O(n)` average via quickselect plus
+/// `O(k log k)` for the final sort — this runs once per materialization of
+/// an index column and per query-time refinement iteration.
+#[derive(Clone, Debug, Default)]
+pub struct TopKSelection {
+    keys: Vec<u128>,
+}
+
+impl TopKSelection {
+    /// Adds the candidate `(index, value)`.
+    ///
+    /// # Panics
+    /// Panics if `value` is NaN.
     #[inline]
-    fn by_value_desc(a: &(u32, f64), b: &(u32, f64)) -> std::cmp::Ordering {
-        b.1.partial_cmp(&a.1).expect("top_k_of_pairs: NaN value").then(a.0.cmp(&b.0))
+    pub fn push(&mut self, index: u32, value: f64) {
+        assert!(!value.is_nan(), "top-K selection: NaN value");
+        let negative_zero = value == 0.0 && value.is_sign_negative();
+        let bits = if value == 0.0 { 0 } else { value.to_bits() };
+        let image = if bits >> 63 == 1 { !bits } else { bits | 1 << 63 };
+        self.keys
+            .push(u128::from(!image) << 64 | u128::from(index) << 32 | u128::from(negative_zero));
     }
-    if k == 0 {
-        pairs.clear();
-    } else if pairs.len() > k {
-        pairs.select_nth_unstable_by(k - 1, by_value_desc);
-        pairs.truncate(k);
+
+    /// The `k` largest candidates, descending by value, ties broken by
+    /// smaller index, as an exact-size list. Leaves the buffer empty (its
+    /// capacity kept) for the next selection.
+    pub fn select(&mut self, k: usize) -> Vec<(u32, f64)> {
+        let keys = &mut self.keys;
+        if keys.len() > k {
+            if k == 0 {
+                keys.clear();
+            } else {
+                keys.select_nth_unstable(k - 1);
+                keys.truncate(k);
+            }
+        }
+        keys.sort_unstable();
+        let list = keys.iter().map(|&key| Self::entry(key)).collect();
+        keys.clear();
+        list
     }
-    pairs.sort_unstable_by(by_value_desc);
+
+    /// The candidate `key` was pushed for.
+    #[inline]
+    fn entry(key: u128) -> (u32, f64) {
+        let image = !((key >> 64) as u64);
+        let bits = if image >> 63 == 1 { image & !(1 << 63) } else { !image };
+        let value = if key & 1 == 1 { -0.0 } else { f64::from_bits(bits) };
+        ((key >> 32) as u32, value)
+    }
 }
 
 /// A fixed-capacity descending top-K list of `(index, value)` pairs.
@@ -188,11 +226,71 @@ mod tests {
             reference.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
             reference.truncate(k);
             assert_eq!(fast, reference);
-            let mut buffer: Vec<(u32, f64)> =
-                vals.iter().enumerate().map(|(i, &v)| (i as u32, v)).collect();
-            select_top_k(&mut buffer, k);
-            assert_eq!(buffer, reference);
+            let mut selection = TopKSelection::default();
+            for (i, &v) in vals.iter().enumerate() {
+                selection.push(i as u32, v);
+            }
+            assert_eq!(selection.select(k), reference);
+            assert!(selection.select(k).is_empty(), "a selection leaves the buffer empty");
         }
+    }
+
+    /// The keyed selection against a comparator sort (value descending with
+    /// `-0.0 == +0.0`, then id ascending), bit for bit, on inputs built from
+    /// a few distinct values — long runs of exact ties — with `±0.0`,
+    /// negatives and infinities among them, ids shuffled, and `k` at every
+    /// edge: 0, 1, 50, the length and one past it.
+    #[test]
+    fn keyed_selection_picks_bitwise_what_the_comparator_picks() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let palette = [
+            0.0,
+            -0.0,
+            1.0,
+            0.5,
+            0.1 + 0.2,
+            0.3,
+            -0.25,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+        ];
+        let bits = |list: &[(u32, f64)]| -> Vec<(u32, u64)> {
+            list.iter().map(|&(i, v)| (i, v.to_bits())).collect()
+        };
+        let mut rng = StdRng::seed_from_u64(40);
+        let mut selection = TopKSelection::default();
+        for round in 0..300 {
+            let len = rng.gen_range(0..400usize);
+            let distinct = rng.gen_range(1..=palette.len());
+            let mut ids: Vec<u32> = (0..len as u32).map(|i| i * 3 + round).collect();
+            for i in (1..len).rev() {
+                ids.swap(i, rng.gen_range(0..=i));
+            }
+            let pairs: Vec<(u32, f64)> =
+                ids.iter().map(|&i| (i, palette[rng.gen_range(0..distinct)])).collect();
+            let mut reference = pairs.clone();
+            reference.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+            for k in [0, 1, 50, len, len + 1] {
+                for &(i, v) in &pairs {
+                    selection.push(i, v);
+                }
+                let picked = selection.select(k);
+                let expected = &reference[..k.min(len)];
+                let at = format!("round {round}, len {len}, k {k}");
+                assert_eq!(bits(&picked), bits(expected), "{at}");
+                assert_eq!(picked.capacity(), picked.len(), "{at}: exact-size list");
+                assert_eq!(top_k_of_pairs(pairs.iter().copied(), k), picked, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN value")]
+    fn a_nan_candidate_is_refused() {
+        TopKSelection::default().push(0, f64::NAN);
     }
 
     #[test]

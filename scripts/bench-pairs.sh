@@ -2,27 +2,38 @@
 # Alternating parent/change runs of the repo benchmark, the evidence every
 # gain PR needs (ROADMAP "Rules that apply to every direction").
 #
-#   scripts/bench-pairs.sh <parent-rev> <workload> [pairs=10] [seed=42]
+#   scripts/bench-pairs.sh <parent-rev> <workload> [pairs=10] [seed=42] [layer-metric ...]
 #
 # Builds the benchmark once from a copy of <parent-rev> and once from the
 # working tree (each into its own directory under target/bench-pairs/), runs
 # them <pairs> times each at BENCHMARK.json's `run_seconds`, alternating which
 # side goes first, and prints per end-to-end metric each side's median and
-# quartiles and how many pairs the change won. It only *runs* the benchmark:
-# a wrong answer or a failed run stops the script.
+# quartiles and how many pairs the change won. Per-layer metric names after
+# the seed (e.g. index.update_ms_mean core.replay_s) add <pairs> traced pairs
+# (`--trace 1`) and the same table for those names: the layer that explains
+# a gain. It only *runs* the benchmark: a wrong answer or a failed run stops
+# the script.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,12p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,15p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent_rev=$1
 workload=$2
 pairs=${3:-10}
 seed=${4:-42}
+layer_metrics=("${@:5}")
 
 root=$(git rev-parse --show-toplevel)
 cd "$root"
+python3 - "${layer_metrics[@]}" <<'PY'
+import json, sys
+known = {spec["name"] for spec in json.load(open("BENCHMARK.json"))["per_layer"]}
+unknown = [name for name in sys.argv[1:] if name not in known]
+if unknown:
+    sys.exit(f"not a per-layer metric of BENCHMARK.json: {', '.join(unknown)}")
+PY
 sha=$(git rev-parse --short=12 "$parent_rev^{commit}")
 manifest=crates/bench/src/bin/benchmark/Cargo.toml
 seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
@@ -32,6 +43,8 @@ out=$work/runs-$sha-$workload-seed$seed
 mkdir -p "$out"
 : >"$out/parent.jsonl"
 : >"$out/change.jsonl"
+: >"$out/parent-traced.jsonl"
+: >"$out/change-traced.jsonl"
 
 # A plain copy of the parent's committed files (no worktree metadata left in
 # .git); kept between invocations, as are both target directories.
@@ -48,29 +61,39 @@ echo "building parent $sha and the working tree ..." >&2
 build "$parent_src" "$work/parent-$sha-target"
 build "$root" "$work/change-target"
 
-run() { # parent | change
-    local src=$root target=$work/change-target
+run() { # parent | change, then 0 | 1 (traced)
+    local src=$root target=$work/change-target file=$out/$1.jsonl
     if [ "$1" = parent ]; then
         src=$parent_src target=$work/parent-$sha-target
     fi
-    (cd "$src" && "$target/release/benchmark" --workload "$workload" --seed "$seed" \
-        --seconds "$seconds" --trace 0 | tail -n 1) >>"$out/$1.jsonl"
-}
-for i in $(seq 1 "$pairs"); do
-    echo "pair $i/$pairs" >&2
-    if [ $((i % 2)) -eq 1 ]; then
-        run parent
-        run change
-    else
-        run change
-        run parent
+    if [ "$2" = 1 ]; then
+        file=$out/$1-traced.jsonl
     fi
-done
+    (cd "$src" && "$target/release/benchmark" --workload "$workload" --seed "$seed" \
+        --seconds "$seconds" --trace "$2" | tail -n 1) >>"$file"
+}
+pairs_of() { # 0 | 1 (traced)
+    for i in $(seq 1 "$pairs"); do
+        echo "pair $i/$pairs (trace $1)" >&2
+        if [ $((i % 2)) -eq 1 ]; then
+            run parent "$1"
+            run change "$1"
+        else
+            run change "$1"
+            run parent "$1"
+        fi
+    done
+}
+pairs_of 0
+if [ ${#layer_metrics[@]} -gt 0 ]; then
+    pairs_of 1
+fi
 
-python3 - "$out" "$workload" "$sha" "$seed" "$seconds" <<'PY'
+python3 - "$out" "$workload" "$sha" "$seed" "$seconds" "${layer_metrics[@]}" <<'PY'
 import json, statistics, sys
 
 out, workload, sha, seed, seconds = sys.argv[1:6]
+layer_metrics = sys.argv[6:]
 sides = {s: [json.loads(l) for l in open(f"{out}/{s}.jsonl")] for s in ("parent", "change")}
 print(f"{workload}: parent {sha} vs working tree, {len(sides['parent'])} pairs, "
       f"seed {seed}, --seconds {seconds}")
@@ -85,20 +108,32 @@ def spread(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return median, q1, q3
 
-print(f"  {'metric':<16}{'parent median [q1, q3]':>36}{'change median [q1, q3]':>36}"
-      f"{'delta':>9}  wins")
-for spec in json.load(open("BENCHMARK.json"))["end_to_end"]:
-    name = spec["name"]
-    p = [r["metrics"][name]["value"] for r in sides["parent"] if name in r["metrics"]]
-    c = [r["metrics"][name]["value"] for r in sides["change"] if name in r["metrics"]]
-    if not p or not c:
-        continue
-    better = (lambda a, b: a > b) if spec["better"] == "higher" else (lambda a, b: a < b)
-    wins = sum(better(cv, pv) for pv, cv in zip(p, c))
-    losses = sum(better(pv, cv) for pv, cv in zip(p, c))
-    (pm, p1, p3), (cm, c1, c3) = spread(p), spread(c)
-    delta = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
-    print(f"  {name:<16}{f'{pm:.4g} [{p1:.4g}, {p3:.4g}]':>36}"
-          f"{f'{cm:.4g} [{c1:.4g}, {c3:.4g}]':>36}{delta:>9}  "
-          f"{wins}/{len(p)} (lost {losses}), {spec['better']} is better, bound {spec['bound']:.0%}")
+def table(sides, specs, width):
+    print(f"  {'metric':<{width}}{'parent median [q1, q3]':>36}{'change median [q1, q3]':>36}"
+          f"{'delta':>9}  wins")
+    for spec in specs:
+        name = spec["name"]
+        p = [r["metrics"][name]["value"] for r in sides["parent"] if name in r["metrics"]]
+        c = [r["metrics"][name]["value"] for r in sides["change"] if name in r["metrics"]]
+        if not p or not c:
+            print(f"  {name:<{width}}  not reported")
+            continue
+        better = (lambda a, b: a > b) if spec["better"] == "higher" else (lambda a, b: a < b)
+        wins = sum(better(cv, pv) for pv, cv in zip(p, c))
+        losses = sum(better(pv, cv) for pv, cv in zip(p, c))
+        (pm, p1, p3), (cm, c1, c3) = spread(p), spread(c)
+        delta = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
+        bound = f", bound {spec['bound']:.0%}" if "bound" in spec else ""
+        print(f"  {name:<{width}}{f'{pm:.4g} [{p1:.4g}, {p3:.4g}]':>36}"
+              f"{f'{cm:.4g} [{c1:.4g}, {c3:.4g}]':>36}{delta:>9}  "
+              f"{wins}/{len(p)} (lost {losses}), {spec['better']} is better{bound}")
+
+bench = json.load(open("BENCHMARK.json"))
+table(sides, bench["end_to_end"], 16)
+if layer_metrics:
+    known = {spec["name"]: spec for spec in bench["per_layer"]}
+    traced = {s: [json.loads(l) for l in open(f"{out}/{s}-traced.jsonl")]
+              for s in ("parent", "change")}
+    print(f"  per-layer, {len(traced['parent'])} traced pairs:")
+    table(traced, [known[name] for name in layer_metrics], 28)
 PY
