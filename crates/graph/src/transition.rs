@@ -415,15 +415,15 @@ impl<'g> TransitionMatrix<'g> {
         (&sources[range.clone()], &self.probs.probs_in[range])
     }
 
-    /// `y ← (1−α)·A·x + α·e_restart`, the forward RWR operator (Eq. 12).
+    /// `y ← (1−α)·A·x + α·e_restart`, the forward RWR operator (Eq. 12),
+    /// over `threads` workers (`0` = all cores). Gathers over in-edges; `y`
+    /// is fully overwritten.
     ///
-    /// Gathers over in-edges; `y` is fully overwritten.
-    pub fn apply_forward(&self, alpha: f64, x: &[f64], restart: u32, y: &mut [f64]) {
-        self.apply_forward_threaded(alpha, x, restart, y, 1);
-    }
-
-    /// [`Self::apply_forward`] over `threads` workers (`0` = all cores).
-    /// Bitwise identical to the serial result for any thread count.
+    /// Each row sums over `v`'s in-edges — serially, or across edge-balanced
+    /// contiguous node ranges when `threads > 1` and the graph is large
+    /// enough to amortize the dispatch. Each worker owns a disjoint `y`
+    /// slice, and each row sums in its serial edge order, so the output is
+    /// identical for any thread count.
     pub fn apply_forward_threaded(
         &self,
         alpha: f64,
@@ -432,36 +432,36 @@ impl<'g> TransitionMatrix<'g> {
         y: &mut [f64],
         threads: usize,
     ) {
+        let n = self.node_count();
+        assert_eq!(x.len(), n);
+        assert_eq!(y.len(), n);
         let damp = 1.0 - alpha;
-        self.for_rows(x, y, threads, move |_, dot| damp * dot);
+        // The three arrays are resolved once per apply, and a run of rows
+        // reads each offset once: a row's end is the next row's start.
+        let (offsets, ids) = self.graph.csc();
+        let probs = self.probs.probs_in.as_slice();
+        let gather_rows = |first: usize, out: &mut [f64]| {
+            let mut lo = offsets[first] as usize;
+            for (slot, v) in out.iter_mut().zip(first..) {
+                let hi = offsets[v + 1] as usize;
+                *slot = damp * gather_dot(&ids[lo..hi], &probs[lo..hi], x);
+                lo = hi;
+            }
+        };
+        let threads = self.parallel_lanes(threads, n);
+        if threads <= 1 {
+            gather_rows(0, y);
+        } else {
+            scatter_chunks(y, &edge_balanced_partition(offsets, threads), gather_rows);
+        }
         y[restart as usize] += alpha;
     }
 
-    /// `y ← (1−α)·A·x + α·restart`, the forward operator with a dense restart
-    /// distribution (Eq. 3's personalized form), over `threads` workers.
-    pub fn apply_forward_restart_threaded(
-        &self,
-        alpha: f64,
-        x: &[f64],
-        restart: &[f64],
-        y: &mut [f64],
-        threads: usize,
-    ) {
-        assert_eq!(restart.len(), self.node_count());
-        let damp = 1.0 - alpha;
-        self.for_rows(x, y, threads, move |v, dot| damp * dot + alpha * restart[v]);
-    }
-
-    /// `y ← (1−α)·Aᵀ·x + α·e_restart`, the PMPN operator (Eq. 13).
+    /// `y ← (1−α)·Aᵀ·x + α·e_restart`, the PMPN operator (Eq. 13), over
+    /// `threads` workers (`0` = all cores). Gathers over out-edges; `y` is
+    /// fully overwritten. `x` must be finite: only then is the sliced gather
+    /// bitwise the naive row loop (module docs).
     ///
-    /// Gathers over out-edges; `y` is fully overwritten. `x` must be finite:
-    /// only then is the sliced gather bitwise the naive row loop (module
-    /// docs).
-    pub fn apply_transpose(&self, alpha: f64, x: &[f64], restart: u32, y: &mut [f64]) {
-        self.apply_transpose_threaded(alpha, x, restart, y, 1);
-    }
-
-    /// [`Self::apply_transpose`] over `threads` workers (`0` = all cores).
     /// Bitwise identical to the serial result for any thread count: threads
     /// split at window boundaries, edge-balanced, and every row is summed by
     /// the same lane code whichever worker runs its window.
@@ -501,39 +501,6 @@ impl<'g> TransitionMatrix<'g> {
             scatter_chunks(y, &bounds, gather_windows);
         }
         y[restart as usize] += alpha;
-    }
-
-    /// Writes `y[v] = finish(v, Σ_k prob[k]·x[id[k]])` for every node `v`,
-    /// the sum running over `v`'s in-edge row — serially, or across
-    /// edge-balanced contiguous node ranges when `threads > 1` and the graph
-    /// is large enough to amortize the dispatch. Each worker owns a disjoint
-    /// `y` slice, and each row sums in its serial edge order, so the output
-    /// is identical for any thread count.
-    fn for_rows<F>(&self, x: &[f64], y: &mut [f64], threads: usize, finish: F)
-    where
-        F: Fn(usize, f64) -> f64 + Sync,
-    {
-        let n = self.node_count();
-        assert_eq!(x.len(), n);
-        assert_eq!(y.len(), n);
-        // The three arrays are resolved once per apply, and a run of rows
-        // reads each offset once: a row's end is the next row's start.
-        let (offsets, ids) = self.graph.csc();
-        let probs = self.probs.probs_in.as_slice();
-        let gather_rows = |first: usize, out: &mut [f64]| {
-            let mut lo = offsets[first] as usize;
-            for (slot, v) in out.iter_mut().zip(first..) {
-                let hi = offsets[v + 1] as usize;
-                *slot = finish(v, gather_dot(&ids[lo..hi], &probs[lo..hi], x));
-                lo = hi;
-            }
-        };
-        let threads = self.parallel_lanes(threads, n);
-        if threads <= 1 {
-            gather_rows(0, y);
-        } else {
-            scatter_chunks(y, &edge_balanced_partition(offsets, threads), gather_rows);
-        }
     }
 
     /// How many workers an apply runs on: the resolved `threads`, at most
@@ -665,7 +632,7 @@ mod tests {
         let alpha = 0.15;
         let x: Vec<f64> = (0..n).map(|i| (i + 1) as f64 / 21.0).collect();
         let mut y = vec![0.0; n];
-        t.apply_forward(alpha, &x, 2, &mut y);
+        t.apply_forward_threaded(alpha, &x, 2, &mut y, 1);
 
         // Dense reference.
         let mut expect = vec![0.0; n];
@@ -689,7 +656,7 @@ mod tests {
         let alpha = 0.15;
         let x: Vec<f64> = (0..n).map(|i| 1.0 / (i + 2) as f64).collect();
         let mut y = vec![0.0; n];
-        t.apply_transpose(alpha, &x, 0, &mut y);
+        t.apply_transpose_threaded(alpha, &x, 0, &mut y, 1);
 
         let mut expect = vec![0.0; n];
         for j in 0..n as u32 {
@@ -740,14 +707,11 @@ mod tests {
         let n = g.node_count();
         let alpha = 0.15;
         let x: Vec<f64> = (0..n).map(|i| ((i * 37 + 11) % 101) as f64 / 101.0).collect();
-        let restart_vec: Vec<f64> = (0..n).map(|i| ((i * 13) % 7) as f64 / 21.0).collect();
 
         let mut serial = vec![0.0; n];
         let mut serial_t = vec![0.0; n];
-        let mut serial_r = vec![0.0; n];
         t.apply_forward_threaded(alpha, &x, 3, &mut serial, 1);
         t.apply_transpose_threaded(alpha, &x, 3, &mut serial_t, 1);
-        t.apply_forward_restart_threaded(alpha, &x, &restart_vec, &mut serial_r, 1);
 
         for threads in [2usize, 3, 4, 8] {
             let mut y = vec![0.0; n];
@@ -755,8 +719,6 @@ mod tests {
             assert_eq!(y, serial, "forward, {threads} threads");
             t.apply_transpose_threaded(alpha, &x, 3, &mut y, threads);
             assert_eq!(y, serial_t, "transpose, {threads} threads");
-            t.apply_forward_restart_threaded(alpha, &x, &restart_vec, &mut y, threads);
-            assert_eq!(y, serial_r, "forward restart, {threads} threads");
         }
     }
 
@@ -795,7 +757,7 @@ mod tests {
         assert!(graphs[7].1.node_count() > 3 * WINDOW);
     }
 
-    /// Asserts the three operators equal a naive row loop bit for bit at
+    /// Asserts the two operators equal a naive row loop bit for bit at
     /// threads 1–4 and 8, for three restart nodes, and that the push view is
     /// the graph's own CSR rows.
     fn assert_applies_are_row_loops(t: &TransitionMatrix<'_>, what: &str) {
@@ -804,7 +766,6 @@ mod tests {
         let alpha = 0.15;
         let damp = 1.0 - alpha;
         let x = mixed_x(n);
-        let restart_vec: Vec<f64> = (0..n).map(|i| ((i * 17) % 5) as f64 / 10.0).collect();
         let naive = |ids: &[u32], probs: &[f64]| {
             let mut acc = 0.0;
             for (&j, &p) in ids.iter().zip(probs) {
@@ -818,8 +779,6 @@ mod tests {
             (0..n as u32).map(|v| naive(g.in_neighbors(v), t.in_probs(v))).collect();
         let gathered_out: Vec<f64> =
             (0..n as u32).map(|u| naive(g.out_neighbors(u), t.out_probs(u))).collect();
-        let want_restart: Vec<f64> =
-            gathered_in.iter().zip(&restart_vec).map(|(y, r)| y + alpha * r).collect();
         for u in 0..n as u32 {
             assert_eq!(t.out_edges(u), (g.out_neighbors(u), t.out_probs(u)), "{what}: node {u}");
         }
@@ -837,9 +796,6 @@ mod tests {
                 got.fill(f64::NAN);
                 t.apply_transpose_threaded(alpha, &x, restart as u32, &mut got, threads);
                 assert!(bits(&got) == bits(&want_transpose), "transpose, {at}");
-                got.fill(f64::NAN);
-                t.apply_forward_restart_threaded(alpha, &x, &restart_vec, &mut got, threads);
-                assert!(bits(&got) == bits(&want_restart), "forward restart, {at}");
             }
         }
     }

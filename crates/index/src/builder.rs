@@ -6,20 +6,16 @@
 //! its own [`rtk_rwr::BcaEngine`] and [`Materializer`], so the sweep
 //! performs no cross-thread synchronization beyond the claim counter. The
 //! result is deterministic: per-node computations are independent and
-//! merged by id.
-//! The same `sweep` serves edge updates ([`crate::update`]), which hand it
+//! merged by id. [`crate::ReverseIndex::build`] runs it over every node;
+//! the same `sweep` serves edge updates ([`crate::update`]), which hand it
 //! the affected nodes and say which stored runs may be kept.
 
-use crate::config::{HubSelection, IndexConfig};
-use crate::error::IndexError;
+use crate::config::IndexConfig;
 use crate::hub_matrix::{HubMatrix, Materializer};
-use crate::index::ReverseIndex;
 use crate::node_state::NodeState;
-use crate::stats::IndexStats;
 use crate::storage::node_record_digest;
 use rtk_graph::TransitionMatrix;
 use rtk_rwr::bca::{BcaEngine, BcaStop};
-use rtk_rwr::HubSet;
 use rtk_sparse::DescendingTopK;
 use std::time::Instant;
 
@@ -31,96 +27,6 @@ pub const DEFAULT_POWER_LAW_BETA: f64 = 0.76;
 /// enough that the last chunk an update's few hundred affected nodes leave
 /// one lane holding is a small share of the sweep.
 const SWEEP_CHUNK: usize = 16;
-
-/// Builder for [`ReverseIndex`]. Thin stateful wrapper so callers can reuse
-/// a config across graphs; [`ReverseIndex::build`] is the one-shot form.
-#[derive(Clone, Debug)]
-pub struct LbiBuilder {
-    config: IndexConfig,
-}
-
-impl LbiBuilder {
-    /// Creates a builder after validating `config`.
-    pub fn new(config: IndexConfig) -> Result<Self, IndexError> {
-        config.validate()?;
-        Ok(Self { config })
-    }
-
-    /// The validated configuration.
-    pub fn config(&self) -> &IndexConfig {
-        &self.config
-    }
-
-    /// Runs Algorithm 1 over the whole graph.
-    pub fn build(&self, transition: &TransitionMatrix<'_>) -> Result<ReverseIndex, IndexError> {
-        let started = Instant::now();
-        let graph = transition.graph();
-        let n = graph.node_count();
-        let threads = self.config.effective_threads();
-
-        // --- Hub selection (§4.1.1) ---
-        let hub_t0 = Instant::now();
-        let hubs = match &self.config.hub_selection {
-            HubSelection::DegreeBased { b } => HubSet::degree_based(graph, *b),
-            HubSelection::Explicit(ids) => HubSet::from_ids(n, ids.clone()),
-        };
-        let hub_selection_seconds = hub_t0.elapsed().as_secs_f64();
-
-        // --- Hub vectors (Alg. 1 lines 1–2) ---
-        let hub_t1 = Instant::now();
-        let hub_matrix = HubMatrix::build(
-            transition,
-            hubs,
-            &self.config.hub_solver,
-            self.config.bca.alpha,
-            self.config.rounding_threshold,
-            threads,
-        );
-        let hub_vectors_seconds = hub_t1.elapsed().as_secs_f64();
-
-        // --- Per-node partial BCA sweep (Alg. 1 lines 3–9) ---
-        let sweep_t0 = Instant::now();
-        let nodes: Vec<u32> = (0..n as u32).collect();
-        let Sweep { swept, iterations: total_iterations, pushes: total_pushes, .. } =
-            sweep(transition, &hub_matrix, &self.config, &nodes, &|_| None);
-        let node_sweep_seconds = sweep_t0.elapsed().as_secs_f64();
-        let (states, digests): (Vec<NodeState>, Vec<u64>) = swept
-            .into_iter()
-            .map(|(swept, digest)| match swept {
-                Swept::Run(state) => (state, digest),
-                Swept::Rebound(..) => unreachable!("a build keeps no stored run"),
-            })
-            .unzip();
-
-        // --- Size accounting ---
-        let lower_bound_bytes: usize = states.iter().map(|s| s.lower_bounds().heap_bytes()).sum();
-        let states_bytes: usize = states.iter().map(|s| s.heap_bytes()).sum();
-        let actual_bytes = states_bytes + hub_matrix.heap_bytes();
-        // "No rounding" = same index with hub columns at pre-rounding nnz.
-        let entry_bytes = std::mem::size_of::<u32>() + std::mem::size_of::<f64>();
-        let no_rounding_bytes =
-            actual_bytes + (hub_matrix.unrounded_nnz() - hub_matrix.nnz()) * entry_bytes;
-        let predicted_hub = hub_matrix.predicted_bytes(n, DEFAULT_POWER_LAW_BETA);
-        let predicted_bytes = predicted_hub.map(|p| p + lower_bound_bytes);
-
-        let stats = IndexStats {
-            hub_selection_seconds,
-            hub_vectors_seconds,
-            node_sweep_seconds,
-            total_seconds: started.elapsed().as_secs_f64(),
-            hub_count: hub_matrix.hub_count(),
-            total_iterations,
-            total_pushes,
-            actual_bytes,
-            no_rounding_bytes,
-            predicted_bytes,
-            lower_bound_bytes,
-            threads,
-        };
-
-        Ok(ReverseIndex::from_build(self.config.clone(), hub_matrix, states, digests, stats))
-    }
-}
 
 /// One node's outcome of [`sweep`].
 pub(crate) enum Swept {
@@ -226,7 +132,8 @@ pub(crate) fn sweep<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::HubSolver;
+    use crate::config::{HubSelection, HubSolver};
+    use crate::index::ReverseIndex;
     use rtk_graph::{DanglingPolicy, DiGraph, GraphBuilder};
     use rtk_rwr::BcaParams;
 
@@ -272,7 +179,7 @@ mod tests {
         // and ‖r₃‖=‖r₅‖=0, ‖r₄‖=‖r₆‖=0.36.
         let g = toy();
         let t = TransitionMatrix::new(&g);
-        let index = LbiBuilder::new(toy_config()).unwrap().build(&t).unwrap();
+        let index = ReverseIndex::build(&t, toy_config()).unwrap();
         let expected: [[f64; 3]; 6] = [
             [0.32, 0.28, 0.13],
             [0.39, 0.24, 0.17],
@@ -311,7 +218,7 @@ mod tests {
             threads: 2,
             ..Default::default()
         };
-        let index = LbiBuilder::new(config).unwrap().build(&t).unwrap();
+        let index = ReverseIndex::build(&t, config).unwrap();
         let exact = rtk_rwr::exact::proximity_matrix_dense(&t, 0.15);
         for u in 0..g.node_count() as u32 {
             let mut col: Vec<f64> = exact[u as usize].clone();
@@ -334,8 +241,8 @@ mod tests {
             threads,
             ..Default::default()
         };
-        let a = LbiBuilder::new(mk(1)).unwrap().build(&t).unwrap();
-        let b = LbiBuilder::new(mk(4)).unwrap().build(&t).unwrap();
+        let a = ReverseIndex::build(&t, mk(1)).unwrap();
+        let b = ReverseIndex::build(&t, mk(4)).unwrap();
         assert_eq!(a.node_count(), b.node_count());
         for u in 0..300u32 {
             assert_eq!(a.state(u), b.state(u), "node {u} differs across thread counts");
@@ -346,7 +253,7 @@ mod tests {
     fn stats_are_populated() {
         let g = toy();
         let t = TransitionMatrix::new(&g);
-        let index = LbiBuilder::new(toy_config()).unwrap().build(&t).unwrap();
+        let index = ReverseIndex::build(&t, toy_config()).unwrap();
         let s = index.stats();
         assert_eq!(s.hub_count, 2);
         assert!(s.actual_bytes > 0);
@@ -366,7 +273,7 @@ mod tests {
             threads: 1,
             ..Default::default()
         };
-        let index = LbiBuilder::new(config).unwrap().build(&t).unwrap();
+        let index = ReverseIndex::build(&t, config).unwrap();
         assert_eq!(index.hub_matrix().hub_count(), 0);
         for u in 0..6u32 {
             assert!(index.state(u).kth_lower_bound(1) > 0.0);
@@ -375,6 +282,8 @@ mod tests {
 
     #[test]
     fn rejects_invalid_config() {
-        assert!(LbiBuilder::new(IndexConfig { max_k: 0, ..Default::default() }).is_err());
+        let g = toy();
+        let t = TransitionMatrix::new(&g);
+        assert!(ReverseIndex::build(&t, IndexConfig { max_k: 0, ..Default::default() }).is_err());
     }
 }

@@ -1,8 +1,8 @@
 //! The assembled reverse top-k index: one block of node states, cut into
 //! node-range shards only by its [`ShardMap`].
 
-use crate::builder::{LbiBuilder, Sweep, Swept};
-use crate::config::IndexConfig;
+use crate::builder::{sweep, Sweep, Swept, DEFAULT_POWER_LAW_BETA};
+use crate::config::{HubSelection, IndexConfig};
 use crate::digest::DigestCell;
 use crate::error::IndexError;
 use crate::hub_matrix::HubMatrix;
@@ -10,7 +10,9 @@ use crate::node_state::NodeState;
 use crate::shard::ShardMap;
 use crate::stats::IndexStats;
 use rtk_graph::TransitionMatrix;
+use rtk_rwr::HubSet;
 use std::ops::Range;
+use std::time::Instant;
 
 /// The offline index `I = (P̂, R, W, S, P_H)` of Alg. 1, organized per node.
 ///
@@ -57,35 +59,83 @@ pub struct ReverseIndex {
 
 impl ReverseIndex {
     /// Builds the index for `transition` with `config` (Alg. 1), as one
-    /// shard.
+    /// shard: hub selection (§4.1.1), the hub vectors (lines 1–2), then the
+    /// per-node partial BCA sweep (lines 3–9). Every state is marked as
+    /// built and carries the record digest its sweep worker computed.
     pub fn build(
         transition: &TransitionMatrix<'_>,
         config: IndexConfig,
     ) -> Result<Self, IndexError> {
-        LbiBuilder::new(config)?.build(transition)
-    }
+        config.validate()?;
+        let started = Instant::now();
+        let graph = transition.graph();
+        let n = graph.node_count();
+        let threads = config.effective_threads();
 
-    /// Assembles a freshly built one-shard index from its id-ordered
-    /// states: every state marked as built and carrying the record digest
-    /// its sweep worker computed (`digests[u]` for node `u`).
-    pub(crate) fn from_build(
-        config: IndexConfig,
-        hub_matrix: HubMatrix,
-        states: Vec<NodeState>,
-        digests: Vec<u64>,
-        stats: IndexStats,
-    ) -> Self {
-        assert_eq!(digests.len(), states.len(), "one digest per state");
-        Self {
+        let hub_t0 = Instant::now();
+        let hubs = match &config.hub_selection {
+            HubSelection::DegreeBased { b } => HubSet::degree_based(graph, *b),
+            HubSelection::Explicit(ids) => HubSet::from_ids(n, ids.clone()),
+        };
+        let hub_selection_seconds = hub_t0.elapsed().as_secs_f64();
+
+        let hub_t1 = Instant::now();
+        let hub_matrix = HubMatrix::build(
+            transition,
+            hubs,
+            &config.hub_solver,
+            config.bca.alpha,
+            config.rounding_threshold,
+            threads,
+        );
+        let hub_vectors_seconds = hub_t1.elapsed().as_secs_f64();
+
+        let sweep_t0 = Instant::now();
+        let nodes: Vec<u32> = (0..n as u32).collect();
+        let Sweep { swept, iterations: total_iterations, pushes: total_pushes, .. } =
+            sweep(transition, &hub_matrix, &config, &nodes, &|_| None);
+        let node_sweep_seconds = sweep_t0.elapsed().as_secs_f64();
+        let (states, digests): (Vec<NodeState>, Vec<DigestCell>) = swept
+            .into_iter()
+            .map(|(swept, digest)| match swept {
+                Swept::Run(state) => (state, DigestCell::filled(digest)),
+                Swept::Rebound(..) => unreachable!("a build keeps no stored run"),
+            })
+            .unzip();
+
+        // Size accounting. "No rounding" = the same index with hub columns
+        // at their pre-rounding nnz.
+        let lower_bound_bytes: usize = states.iter().map(|s| s.lower_bounds().heap_bytes()).sum();
+        let states_bytes: usize = states.iter().map(|s| s.heap_bytes()).sum();
+        let actual_bytes = states_bytes + hub_matrix.heap_bytes();
+        let entry_bytes = std::mem::size_of::<u32>() + std::mem::size_of::<f64>();
+        let no_rounding_bytes =
+            actual_bytes + (hub_matrix.unrounded_nnz() - hub_matrix.nnz()) * entry_bytes;
+        let predicted_hub = hub_matrix.predicted_bytes(n, DEFAULT_POWER_LAW_BETA);
+        let stats = IndexStats {
+            hub_selection_seconds,
+            hub_vectors_seconds,
+            node_sweep_seconds,
+            total_seconds: started.elapsed().as_secs_f64(),
+            hub_count: hub_matrix.hub_count(),
+            total_iterations,
+            total_pushes,
+            actual_bytes,
+            no_rounding_bytes,
+            predicted_bytes: predicted_hub.map(|p| p + lower_bound_bytes),
+            lower_bound_bytes,
+            threads,
+        };
+        Ok(Self {
             config,
             hub_matrix,
-            shard_map: ShardMap::even(states.len(), 1),
+            shard_map: ShardMap::even(n, 1),
             only: None,
-            digests: digests.into_iter().map(DigestCell::filled).collect(),
-            as_built: vec![true; states.len()],
+            digests,
+            as_built: vec![true; n],
             states,
             stats,
-        }
+        })
     }
 
     /// Assembles an index from decoded states (persistence): those of every
@@ -336,7 +386,7 @@ impl ReverseIndex {
             replays.then_some(&self.states[i])
         };
         let Sweep { swept, hash_seconds, .. } =
-            crate::builder::sweep(transition, &self.hub_matrix, &self.config, &affected, &keep);
+            sweep(transition, &self.hub_matrix, &self.config, &affected, &keep);
         let bca_runs = swept.iter().filter(|(s, _)| matches!(s, Swept::Run(_))).count();
         for (&u, (outcome, digest)) in affected.iter().zip(swept) {
             let i = self.at(u);

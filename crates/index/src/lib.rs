@@ -19,7 +19,7 @@
 //!   docs);
 //! * [`NodeState`] — one column of the index: the BCA snapshot (`r`, `w`,
 //!   `s`) plus the descending top-K lower bounds `p̂^t_u(1:K)`;
-//! * [`LbiBuilder`] / [`ReverseIndex::build`] — parallel index construction
+//! * [`ReverseIndex::build`] — parallel index construction
 //!   (Alg. 1) as `rtk_sparse::WorkerPool::claim` loops over hub tiles and
 //!   node chunks, deterministic regardless of thread count;
 //! * [`ShardMap`] — the cut of the node range into `S` contiguous shards.
@@ -61,7 +61,6 @@ pub mod stats;
 pub mod storage;
 pub mod update;
 
-pub use builder::LbiBuilder;
 pub use config::{HubSelection, HubSolver, IndexConfig};
 pub use digest::fnv1a64;
 pub use error::IndexError;

@@ -36,8 +36,9 @@
 //! magic or version is refused — rebuild with `rtk index build`.
 //!
 //! **Index digest.** [`index_digest`] hashes the stream an index persists
-//! as, less the graph section — the manifest for an index holding every
-//! shard, the `RTKSHRD1` section for a one-shard index — with each hub
+//! as, less the graph section and the stats block — the manifest for an
+//! index holding every shard, the `RTKSHRD1` section for a one-shard
+//! index — with each hub
 //! record and each node record replaced by the 8 little-endian bytes of its
 //! own record hash (and each section length counting the folded section),
 //! folded by [`crate::fnv1a64`]. A record hash (`digest::RecordHasher`)
@@ -115,7 +116,9 @@ enum Records {
 
 /// A stable digest (FNV-1a 64) of what `index` persists as (see the module
 /// docs): two indexes holding the same shards have equal digests exactly
-/// when their persisted index bytes are equal, up to hash collisions.
+/// when their persisted index bytes other than the build stats are equal,
+/// up to hash collisions — two builds of one graph and config digest
+/// equal.
 /// Record hashes are cached, so after an update this re-hashes what the
 /// update recomputed and otherwise folds 8 bytes per record. Comparable
 /// between processes of the same build only — the fold is not a wire format.
@@ -581,7 +584,7 @@ fn read_shard<R: Read>(
 }
 
 /// Writes the manifest: with `graph`, the snapshot [`save`] persists;
-/// without, the stream [`index_digest`] folds.
+/// without, the stream [`index_digest`] folds (no stats block).
 fn write_manifest<W: Write>(
     graph: Option<&DiGraph>,
     index: &ReverseIndex,
@@ -610,7 +613,12 @@ fn write_manifest<W: Write>(
             codec::write_u64(&mut w, 0)?;
         }
     }
-    write_stats(&mut w, index.stats())?;
+    // Build timings, counters and the thread count describe how the index
+    // was made, not what it holds: two builds of one graph and config hold
+    // the same index, so the digest leaves them out.
+    if let Records::Encoded = records {
+        write_stats(&mut w, index.stats())?;
+    }
     w.flush()?;
     Ok(())
 }
@@ -1456,5 +1464,25 @@ mod tests {
         assert_eq!(loaded.node_count(), 6);
         assert_eq!(load_one_shard_path(&path, 0).unwrap().1.owned_shard(), Some(0));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn two_builds_of_one_graph_and_config_digest_equal() {
+        // The build stats (timings, iterations, pushes, threads) say how an
+        // index was made, not what it holds; the digest leaves them out.
+        let g = rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(1000, 6000, 7)).unwrap();
+        let t = TransitionMatrix::new(&g);
+        let config = IndexConfig {
+            max_k: 50,
+            hub_selection: HubSelection::DegreeBased { b: 25 },
+            threads: 1,
+            ..Default::default()
+        };
+        let a = ReverseIndex::build(&t, config.clone()).unwrap();
+        let b = ReverseIndex::build(&t, config).unwrap();
+        assert!((0..1000).all(|u| a.state(u) == b.state(u)));
+        assert_ne!(a.stats().total_seconds.to_bits(), b.stats().total_seconds.to_bits());
+        assert_eq!(index_digest(&a), index_digest(&b));
+        assert_eq!(index_digest_cold(&a), index_digest(&a));
     }
 }

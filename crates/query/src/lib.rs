@@ -12,6 +12,10 @@
 //!    needs ([`confirm_cost`]). Refinements can be written back into the
 //!    index (`update` mode, §4.2.3), making future queries cheaper.
 //!
+//! [`query`] holds the algorithm, one module per screen phase: the
+//! classify pass decides every node its stored state can decide, the
+//! refine pass resumes the rest, and both call one bound test.
+//!
 //! The crate also ships the paper's exact baselines ([`baseline::Ibf`],
 //! [`baseline::Fbf`], [`baseline::brute_force_reverse_topk`]) and a forward
 //! top-k RWR search ([`baseline::top_k_rwr`]) used by the examples.

@@ -1,20 +1,26 @@
 //! The Online Query algorithm — Algorithm 4 (paper §4.2).
 //!
-//! # Two-phase parallel execution
+//! # Phases
 //!
-//! A query runs as **PMPN → screen → commit**:
+//! A query runs as **PMPN → classify → refine → commit**, one module per
+//! screen phase:
 //!
 //! 1. PMPN computes `p_*(q)` with its sparse matrix–vector products spread
-//!    over [`QueryOptions::query_threads`] workers;
-//! 2. the **screen phase** runs in two passes, each one
-//!    [`WorkerPool::claim`] loop: *classify* runs the cheap bound checks
-//!    over degree-balanced chunks of the node range the index holds, then
-//!    *refine* visits the undecided candidates in descending upper-bound
-//!    order — loosest bounds first. Each refine lane owns a private
-//!    [`Refiner`] (a [`BcaEngine`] + [`Materializer`], recycled across
-//!    queries through a [`ScratchPool`]) and refines each candidate
-//!    *resident in it* — the shared index is only read, and a
-//!    [`NodeState`] is written out only for the commit phase;
+//!    over [`QueryOptions::query_threads`] workers (or, on the ε-band path,
+//!    the bidirectional estimator stands in for it) — here, in `mod.rs`;
+//! 2. the **screen** runs two passes, each one [`WorkerPool::claim`] loop:
+//!    - *classify* (`classify.rs`) tests every node of the range the index
+//!      holds against its stored state, over degree-balanced chunks, and
+//!      decides everything that state can decide;
+//!    - *refine* (`refine.rs`) visits the candidates left open in
+//!      descending upper-bound order — loosest bounds first. Each refine
+//!      lane owns a private [`Refiner`] (a BCA engine + [`Materializer`],
+//!      recycled across queries through a [`ScratchPool`]) and refines each
+//!      candidate *resident in it* — the shared index is only read, and a
+//!      [`NodeState`] is written out only for the commit phase;
+//!
+//!    both passes decide with one function, `bound_test` (Alg. 4's test
+//!    on a staircase, a residual and `p_u(q)`);
 //! 3. the **commit phase** (update mode only) serially writes every refined
 //!    copy back into the index's one block of states, by node id.
 //!
@@ -24,41 +30,23 @@
 //! thread count and every shard count** — asserted by the
 //! `parallel_determinism` integration suite.
 
+mod classify;
+mod refine;
+
 use crate::error::QueryError;
 use crate::upper_bound::{confirm_cost, upper_bound_kth};
+use classify::{classify, EnvelopeSource, ExactSource};
 use rtk_approx::{ApproxParams, BidirEstimator};
-use rtk_graph::{resolve_threads, DiGraph, TransitionMatrix};
-use rtk_index::{HubMatrix, Materializer, NodeState, Refiner, ReverseIndex};
-use rtk_rwr::bca::{BcaEngine, BcaStop};
+use rtk_graph::{resolve_threads, TransitionMatrix};
+use rtk_index::{Materializer, NodeState, Refiner, ReverseIndex};
+use rtk_rwr::bca::BcaEngine;
 use rtk_rwr::pmpn::proximity_to;
-use rtk_rwr::power::proximity_from;
 use rtk_rwr::{BcaParams, HubSet, RwrParams};
 use rtk_sparse::{ScratchPool, WorkerPool};
-use std::ops::Range;
 use std::time::Instant;
 
 /// Residual mass below which a node's bounds are treated as exact.
 const EXACT_RESIDUAL_EPS: f64 = 1e-12;
-
-/// Share of a candidate's confirm cost that one refinement run aims its
-/// residual at (see [`screen_candidate`]). The cost is the residual at which
-/// a confirm *first becomes possible*, read off the staircase before the
-/// run; aiming below it leaves room for the mass that lands outside the
-/// top-k steps, so most candidates decide on the first re-test.
-const REFINE_TARGET_FRACTION: f64 = 0.7;
-
-/// Most BCA iterations one refinement run takes before the bounds are
-/// re-tested — what bounds the overshoot of a candidate that is about to be
-/// *pruned*, for which no residual target exists.
-const REFINE_RUN_CAP: u32 = 64;
-
-/// Target weight per classify chunk a lane claims, where node `u` weighs
-/// `1 + out_degree(u)` — its bound checks plus the edges a refinement would
-/// push along. About 16 nodes on a mean-degree-6 graph: small enough to
-/// balance uneven chunks, large enough to amortize the claim counter; on
-/// skewed (power-law) graphs it keeps a hub node from making one chunk
-/// orders of magnitude heavier than the rest.
-const SCREEN_CHUNK_EDGES: usize = 96;
 
 /// Tie tolerance for membership comparisons (`p_u(q) ≥ p̂_u(k)`).
 ///
@@ -158,8 +146,13 @@ pub struct QueryStats {
     pub pmpn_iterations: u32,
     /// Seconds spent in PMPN.
     pub pmpn_seconds: f64,
-    /// Seconds spent screening/refining (step 2).
+    /// Seconds spent screening/refining (step 2): exactly
+    /// `classify_seconds + refine_seconds`.
     pub screen_seconds: f64,
+    /// Seconds of the screen's classify pass.
+    pub classify_seconds: f64,
+    /// Seconds of the screen's refine pass, lane merge included.
+    pub refine_seconds: f64,
     /// Total query seconds.
     pub total_seconds: f64,
     /// Whether the bounded-error approximate screen ran for this query
@@ -195,9 +188,10 @@ impl QueryStats {
         self.approx_walks += other.approx_walks;
     }
 
-    /// Rebuilds the two-phase breakdown as a span tree named `name`:
-    /// `pmpn_solve` → `screen` → `commit` children, positioned end to end
-    /// so their durations sum exactly to the root's. Built entirely from
+    /// Rebuilds the phase breakdown as a span tree named `name`:
+    /// `pmpn_solve` → `screen` → `commit` children, and `screen`'s
+    /// `classify` → `refine` children, each level positioned end to end so
+    /// its durations sum exactly to its parent's. Built entirely from
     /// timings every query records anyway — calling this adds no clock
     /// reads, so traced and untraced runs execute identically.
     pub fn to_trace(&self, name: &str) -> rtk_obs::TraceSpan {
@@ -228,6 +222,10 @@ impl QueryStats {
             pmpn.children.push(approx);
         }
         screen.start_seconds = self.pmpn_seconds;
+        let classify = TraceSpan::new("classify", self.classify_seconds);
+        let mut refine = TraceSpan::new("refine", self.refine_seconds);
+        refine.start_seconds = self.classify_seconds;
+        screen.children = vec![classify, refine];
         // Whatever the total holds beyond the two measured phases (commit
         // of refinements, result assembly) becomes the tail span.
         let commit_seconds =
@@ -382,7 +380,8 @@ impl QueryEngine {
                 return Err(QueryError::GraphMismatch { index_nodes: v.len(), graph_nodes: n });
             }
         }
-        let (mut result, commits) = execute_query(self, transition, index, q, k, options, pmpn);
+        let ctx = QueryCtx::new(transition, index, (q, k), options);
+        let (mut result, commits) = self.execute(&ctx, pmpn);
         result.stats.total_seconds = started.elapsed().as_secs_f64();
         Ok((result, commits))
     }
@@ -431,13 +430,87 @@ impl QueryEngine {
         let per_query =
             QueryOptions { update_index: false, query_threads: threads / workers, ..*options };
         let lanes = WorkerPool::global().claim(workers, queries.len(), Vec::new, |done, i| {
-            let (q, k) = queries[i];
-            let (result, _) = execute_query(self, transition, index, q, k, &per_query, None);
+            let (result, _) =
+                self.execute(&QueryCtx::new(transition, index, queries[i], &per_query), None);
             done.push((i, result));
         });
         let mut results: Vec<(usize, QueryResult)> = lanes.into_iter().flatten().collect();
         results.sort_unstable_by_key(|&(i, _)| i);
         Ok(results.into_iter().map(|(_, result)| result).collect())
+    }
+
+    /// Runs PMPN + the screen over the node range `ctx.index` holds — every
+    /// node of a whole index, or the one shard a multi-process backend
+    /// owns. Because per-node screening decisions are independent, the
+    /// union of per-shard screens equals the full one: concatenating the
+    /// shard results in range order and summing their counters reproduces
+    /// the single-process answer bitwise — the invariant multi-process
+    /// serving is built on.
+    ///
+    /// Returns the result (with `total_seconds` still unset) and the
+    /// refined states to commit (empty unless `options.update_index`).
+    /// `pmpn_in` supplies a precomputed PMPN vector (skipping the solve);
+    /// the caller must have validated its length.
+    fn execute(&self, ctx: &QueryCtx<'_>, pmpn_in: Option<&[f64]>) -> ScreenOutput {
+        let (transition, q) = (ctx.transition, ctx.q);
+
+        // Step 1 (Alg. 4 line 1): exact proximities to q via PMPN, with the
+        // index's restart probability, SpMV spread over the query threads —
+        // or, in approx mode, the backward residue push of the
+        // bidirectional estimator (deterministic radius ε/2; see
+        // `rtk-approx`).
+        let alpha = ctx.index.config().alpha();
+        let pmpn_t0 = Instant::now();
+        let mut pmpn_iterations = 0u32;
+        let mut estimator: Option<BidirEstimator> = None;
+        let solved: Vec<f64>;
+        let to_q: &[f64] = if let Some(a) = ctx.options.approx.filter(ApproxParams::is_active) {
+            estimator = Some(BidirEstimator::build(transition, q, alpha, &a, a.epsilon / 2.0));
+            &[]
+        } else if let Some(v) = pmpn_in {
+            v
+        } else {
+            let params = RwrParams { alpha, threads: ctx.threads, ..RwrParams::default() };
+            let (v, report) = proximity_to(transition, q, &params);
+            pmpn_iterations = report.iterations;
+            solved = v;
+            &solved
+        };
+        let pmpn_seconds = pmpn_t0.elapsed().as_secs_f64();
+
+        // Step 2 (Alg. 4 lines 2–14): classify decides what the stored
+        // states can, refine the rest. The one clock read between them
+        // splits the screen's time, traced or not.
+        let screen_t0 = Instant::now();
+        let mut decided = match &estimator {
+            Some(est) => classify(ctx, &EnvelopeSource { est, transition }),
+            None => classify(ctx, &ExactSource(to_q)),
+        };
+        let refine_t0 = Instant::now();
+        let pending = std::mem::take(&mut decided.pending);
+
+        // Serial merge of the lanes: counters add; results and commits sort
+        // by node id, so the output is independent of phase interleaving.
+        for (refiner, lane) in refine::refine(ctx, self, pending) {
+            self.scratch.put(refiner);
+            decided.absorb(lane);
+        }
+        let Decided { mut stats, mut results, mut commits, .. } = decided;
+        results.sort_unstable_by_key(|&(u, _)| u);
+        commits.sort_unstable_by_key(|&(u, _)| u);
+        let (nodes, proximities): (Vec<u32>, Vec<f64>) = results.into_iter().unzip();
+
+        stats.pmpn_iterations = pmpn_iterations;
+        stats.pmpn_seconds = pmpn_seconds;
+        stats.classify_seconds = (refine_t0 - screen_t0).as_secs_f64();
+        stats.refine_seconds = refine_t0.elapsed().as_secs_f64();
+        stats.screen_seconds = stats.classify_seconds + stats.refine_seconds;
+        stats.total_seconds = pmpn_seconds + stats.screen_seconds;
+        if estimator.is_some() {
+            stats.approx_active = true;
+            stats.approx_build_seconds = pmpn_seconds;
+        }
+        (QueryResult { query: q, k: ctx.k, nodes, proximities, stats }, commits)
     }
 }
 
@@ -462,509 +535,114 @@ fn check_request(
     Ok(())
 }
 
-/// One refine lane's screen-phase output.
+/// What screen lanes decide, and what their merge folds: counters, the
+/// members confirmed (`(u, p_u(q))`), the candidates classify left open,
+/// and the refined states refine hands the commit phase.
 #[derive(Default)]
-struct LocalScreen {
+struct Decided {
     stats: QueryStats,
-    /// `(node, p_u(q))` of confirmed results.
     results: Vec<(u32, f64)>,
-    /// Refined private states to merge back in update mode.
+    pending: Vec<classify::Pending>,
     commits: Vec<(u32, NodeState)>,
 }
 
-/// Runs PMPN + the screen phase over the node range `index` holds — every
-/// node of a whole index, or the one shard a multi-process backend owns.
-/// Because per-node screening decisions are independent, the union of
-/// per-shard screens equals the full one: concatenating the shard results
-/// in range order and summing their counters reproduces the single-process
-/// answer bitwise — the invariant multi-process serving is built on.
-///
-/// Returns the result (with `total_seconds` still unset) and the refined
-/// states to commit (empty unless `options.update_index`).
-///
-/// `pmpn_in` supplies a precomputed PMPN vector (skipping the solve); the
-/// caller must have validated its length. Every backend solves the
-/// identical system, so a shipped vector is bitwise-equal to a local solve
-/// and cannot change any answer.
-#[allow(clippy::too_many_arguments)]
-fn execute_query(
-    session: &QueryEngine,
-    transition: &TransitionMatrix<'_>,
-    index: &ReverseIndex,
-    q: u32,
-    k: usize,
-    options: &QueryOptions,
-    pmpn_in: Option<&[f64]>,
-) -> ScreenOutput {
-    let approx = options.approx.filter(|a| a.is_active());
-    let threads = resolve_threads(options.query_threads);
-
-    // Step 1 (Alg. 4 line 1): exact proximities to q via PMPN, with the
-    // index's restart probability, SpMV spread over the query threads — or,
-    // in approx mode, the backward residue push of the bidirectional
-    // estimator (deterministic radius ε/2; see `rtk-approx`).
-    let alpha = index.config().alpha();
-    let pmpn_params = RwrParams { alpha, threads, ..RwrParams::default() };
-    let pmpn_t0 = Instant::now();
-    let mut pmpn_iterations = 0u32;
-    let mut estimator: Option<BidirEstimator> = None;
-    let solved: Vec<f64>;
-    let to_q: &[f64] = if let Some(a) = approx {
-        estimator = Some(BidirEstimator::build(transition, q, alpha, &a, a.epsilon / 2.0));
-        &[]
-    } else if let Some(v) = pmpn_in {
-        v
-    } else {
-        let (v, report) = proximity_to(transition, q, &pmpn_params);
-        pmpn_iterations = report.iterations;
-        solved = v;
-        &solved
-    };
-    let pmpn_seconds = pmpn_t0.elapsed().as_secs_f64();
-
-    // Step 2 (Alg. 4 lines 2–14) runs in two passes so refinement — the
-    // expensive tail — can be scheduled by how undecided each candidate is.
-    //
-    // **Classify** scans every node: lanes claim degree-balanced chunks
-    // (see [`screen_chunks`]) and run the cheap bound tests that need no
-    // BCA scratch. Most nodes are pruned or confirmed here; the survivors
-    // are recorded with their first upper bound.
-    //
-    // **Refine** then visits the survivors in descending upper-bound order
-    // — the loosest bounds first, so the longest refinements start early
-    // and the parallel tail stays short. Candidates are claimed one at a
-    // time: the refinement tail is heavy and skewed, so finer granularity
-    // beats lower counter traffic here. The order is a pure scheduling
-    // choice: candidates refine inside their lane's scratch against the
-    // read-only index, so the visit order (like the thread count and the
-    // chunk layout) cannot change any answer.
-    let screen_t0 = Instant::now();
-    let chunks = screen_chunks(index.owned_range(), transition.graph());
-    let LocalClassify { mut stats, mut results, mut pending } = match &estimator {
-        Some(est) => {
-            let source = EnvelopeSource { est, transition };
-            classify(&source, &chunks, index, k, options, threads)
-        }
-        None => classify(&ExactSource(to_q), &chunks, index, k, options, threads),
-    };
-
-    // Loosest bounds first; ties break by node id so the refinement
-    // schedule is reproducible no matter how classify chunks interleaved.
-    pending.sort_unstable_by(|a, b| b.ub.total_cmp(&a.ub).then(a.node.cmp(&b.node)));
-
-    // Lanes already refining in parallel solve strict-mode exact fallbacks
-    // serially to avoid oversubscription; a lone refiner keeps the full
-    // SpMV thread budget for its fallback solves.
-    let fallback_params = RwrParams {
-        threads: if threads.min(pending.len()) > 1 { 1 } else { pmpn_params.threads },
-        ..pmpn_params
-    };
-    let lanes = WorkerPool::global().claim(
-        threads,
-        pending.len(),
-        || {
-            let refiner = session.scratch.take_with(|| session.make_scratch());
-            let pushes_before = refiner.work().pushes;
-            (refiner, LocalScreen::default(), pushes_before)
-        },
-        |(refiner, local, _), i| {
-            let PendingCandidate { node, p_uq, .. } = pending[i];
-            screen_candidate(
-                local,
-                refiner,
-                transition,
-                index,
-                node,
-                p_uq,
-                q,
-                k,
-                options,
-                &fallback_params,
-            );
-        },
-    );
-
-    // Serial merge of the lanes: counters add; results and commits sort by
-    // node id, so the output is independent of phase interleaving.
-    let mut commits: Vec<(u32, NodeState)> = Vec::new();
-    for (refiner, local, pushes_before) in lanes {
-        stats.refine_pushes += refiner.work().pushes - pushes_before;
-        session.scratch.put(refiner);
-        stats.absorb(&local.stats);
-        results.extend(local.results);
-        commits.extend(local.commits);
-    }
-    results.sort_unstable_by_key(|&(u, _)| u);
-    commits.sort_unstable_by_key(|&(u, _)| u);
-    let (nodes, proximities): (Vec<u32>, Vec<f64>) = results.into_iter().unzip();
-
-    stats.pmpn_iterations = pmpn_iterations;
-    stats.pmpn_seconds = pmpn_seconds;
-    stats.screen_seconds = screen_t0.elapsed().as_secs_f64();
-    stats.total_seconds = pmpn_seconds + stats.screen_seconds;
-    if approx.is_some() {
-        stats.approx_active = true;
-        stats.approx_build_seconds = pmpn_seconds;
-    }
-    (QueryResult { query: q, k, nodes, proximities, stats }, commits)
-}
-
-/// Cuts `nodes` into the classify pass's `[lo, hi)` chunks, ascending and
-/// covering every node once. A chunk closes at the first node that brings
-/// its `1 + out_degree` weight to [`SCREEN_CHUNK_EDGES`] (the `1` keeps
-/// edge-free stretches from collapsing into one giant chunk), so on skewed
-/// graphs chunks carry equal *work*: a hub's chunk is small in nodes, not
-/// in edges. Per-node decisions are independent and merged by node id, so
-/// the chunking only changes scheduling.
-fn screen_chunks(nodes: Range<u32>, graph: &DiGraph) -> Vec<(u32, u32)> {
-    let mut chunks = Vec::new();
-    let (mut lo, mut weight) = (nodes.start, 0usize);
-    for u in nodes.clone() {
-        weight += 1 + graph.out_neighbors(u).len();
-        if weight >= SCREEN_CHUNK_EDGES {
-            chunks.push((lo, u + 1));
-            (lo, weight) = (u + 1, 0);
-        }
-    }
-    if lo < nodes.end {
-        chunks.push((lo, nodes.end));
-    }
-    chunks
-}
-
-/// A candidate the classify pass could not decide: its bounds are open, so
-/// it needs refinement. Carries its first upper bound — the refine pass's
-/// scheduling key (recomputed identically when refinement starts).
-struct PendingCandidate {
-    node: u32,
-    /// `p_node(q)` from the PMPN vector.
-    p_uq: f64,
-    /// `upper_bound_kth` over the node's *stored* state.
-    ub: f64,
-}
-
-/// One classify worker's output: counters, immediately-decided results,
-/// and the undecided candidates bound for the refine pass.
-#[derive(Default)]
-struct LocalClassify {
-    stats: QueryStats,
-    results: Vec<(u32, f64)>,
-    pending: Vec<PendingCandidate>,
-}
-
-/// What classify reads in place of `p_u(q)`. Algorithm 4's tests are the
-/// same whichever value stands in; the two sources — and any further sound
-/// bound on `p_u(q)` — differ only in how that value is obtained.
-/// Monomorphised: the classify loop makes no dynamic call.
-trait BoundSource: Sync {
-    /// Whether [`Self::point`] is an estimate of `p_u(q)` rather than the
-    /// value itself; gates the `approx_*` counters.
-    const ESTIMATED: bool;
-
-    /// An upper bound on `p_u(q)` that costs nothing extra: a node whose
-    /// ceiling fails a pruning test is a certain miss.
-    fn ceiling(&self, u: u32) -> f64;
-
-    /// The value a surviving candidate is decided (and reported) with, at
-    /// most [`Self::ceiling`], and the forward walks spent obtaining it.
-    fn point(&self, u: u32) -> (f64, u64);
-}
-
-/// The exact source: the PMPN vector. Ceiling and point are both
-/// `p_u(q)` itself.
-struct ExactSource<'a>(&'a [f64]);
-
-impl BoundSource for ExactSource<'_> {
-    const ESTIMATED: bool = false;
-
-    #[inline]
-    fn ceiling(&self, u: u32) -> f64 {
-        self.0[u as usize]
-    }
-
-    #[inline]
-    fn point(&self, u: u32) -> (f64, u64) {
-        (self.0[u as usize], 0)
+impl Decided {
+    fn absorb(&mut self, other: Decided) {
+        self.stats.absorb(&other.stats);
+        self.results.extend(other.results);
+        self.pending.extend(other.pending);
+        self.commits.extend(other.commits);
     }
 }
 
-/// The approximate source (`rtk-approx` subsystem): the bidirectional
-/// estimator's deterministic envelope `est[u] ≤ p_u(q) ≤ est[u] + ρ`
-/// (ρ = ε/2). The ceiling is the envelope's optimistic edge, so nodes the
-/// envelope alone prunes cost no walk; the point is the walk-refined
-/// estimate `p̃`, still inside the envelope. Any misclassification requires
-/// the true proximity to lie within ε of the node's top-k boundary.
-struct EnvelopeSource<'a> {
-    est: &'a BidirEstimator,
+/// What every phase of one query reads: the graph, the index, the query
+/// and its options, resolved once before the screen starts.
+struct QueryCtx<'a> {
     transition: &'a TransitionMatrix<'a>,
-}
-
-impl BoundSource for EnvelopeSource<'_> {
-    const ESTIMATED: bool = true;
-
-    #[inline]
-    fn ceiling(&self, u: u32) -> f64 {
-        self.est.lower(u) + self.est.bound()
-    }
-
-    #[inline]
-    fn point(&self, u: u32) -> (f64, u64) {
-        self.est.estimate(self.transition, u)
-    }
-}
-
-/// Runs the classify pass over `chunks` on up to `threads` lanes and folds
-/// their outputs.
-fn classify<S: BoundSource>(
-    source: &S,
-    chunks: &[(u32, u32)],
-    index: &ReverseIndex,
-    k: usize,
-    options: &QueryOptions,
-    threads: usize,
-) -> LocalClassify {
-    let lanes =
-        WorkerPool::global().claim(threads, chunks.len(), LocalClassify::default, |local, ci| {
-            classify_chunk(local, chunks[ci], index, source, k, options)
-        });
-    let mut total = LocalClassify::default();
-    for local in lanes {
-        total.stats.absorb(&local.stats);
-        total.results.extend(local.results);
-        total.pending.extend(local.pending);
-    }
-    total
-}
-
-/// Classify pass over the nodes `lo..hi`, running only the checks that
-/// need no BCA scratch — the pruning tests and the first lower/upper bound
-/// evaluation (Alg. 4 lines 3–7 plus line 4's first look) against
-/// `source`'s stand-in for `p_u(q)`. Undecided nodes become
-/// [`PendingCandidate`]s; the refine pass re-derives these exact values
-/// from the same read-only state, so splitting the phases changes no
-/// decision.
-fn classify_chunk<S: BoundSource>(
-    local: &mut LocalClassify,
-    (lo, hi): (u32, u32),
-    index: &ReverseIndex,
-    source: &S,
-    k: usize,
-    options: &QueryOptions,
-) {
-    let strict = options.bound_mode == BoundMode::Strict;
-    // An estimated source's decisions are reported in the approx counters.
-    let estimated = u64::from(S::ESTIMATED);
-    for u in lo..hi {
-        let ceiling = source.ceiling(u);
-
-        // Membership requires strictly positive proximity: a top-k *set*
-        // only contains reachable nodes. Without this, every node whose
-        // proximity vector has fewer than k non-zeros (its k-th value is 0)
-        // would "contain" every query node — Figure 1's shaded cells are
-        // always non-zero.
-        if ceiling <= TIE_EPSILON {
-            local.stats.pruned_by_lower_bound += 1;
-            continue;
-        }
-        // Fast path: prune on the stored lower bound without copying
-        // (Alg. 4 line 4's first evaluation) — the certain misses.
-        let state = index.state(u);
-        let lb = state.kth_lower_bound(k);
-        if ceiling < lb - TIE_EPSILON {
-            local.stats.pruned_by_lower_bound += 1;
-            continue;
-        }
-        local.stats.candidates += 1;
-        let (p_uq, walks) = source.point(u);
-        local.stats.approx_walks += walks;
-        // Only an estimate can sit below its own ceiling; on the exact
-        // source the point *is* the ceiling that just passed both tests.
-        if S::ESTIMATED && (p_uq <= TIE_EPSILON || p_uq < lb - TIE_EPSILON) {
-            local.stats.approx_estimated += 1; // estimated miss
-            continue;
-        }
-        let residual = state.residual_mass(strict);
-        if residual <= EXACT_RESIDUAL_EPS {
-            // Bounds are exact: p ≥ lb = p^kmax_u ⇒ result (lines 5–7).
-            local.stats.approx_estimated += estimated;
-            local.results.push((u, p_uq));
-            continue;
-        }
-        let staircase = state.lower_bounds().prefix_values(k);
-        let ub = upper_bound_kth(&staircase, residual, k);
-        if p_uq >= ub {
-            local.stats.hits += 1; // confirmed without any refinement
-            local.stats.approx_estimated += estimated;
-            local.results.push((u, p_uq));
-            continue;
-        }
-        // Approximate mode stops here: the node is neither an immediate hit
-        // nor exactly bounded, so it is dropped (no refinement, paper §5.3's
-        // suggested variant).
-        if options.approximate {
-            continue;
-        }
-        local.pending.push(PendingCandidate { node: u, p_uq, ub });
-    }
-}
-
-/// What one refinement run did to the resident candidate.
-#[derive(Debug, PartialEq, Eq)]
-enum RefineRun {
-    /// This many BCA iterations ran; the bounds were rematerialized.
-    Advanced(u32),
-    /// No ink is left to move: `‖r‖₁` is at most [`EXACT_RESIDUAL_EPS`], or
-    /// the engine found nothing above its numerical floor.
-    Exhausted,
-}
-
-/// Runs the resident candidate's BCA until `‖r‖₁ ≤ target` (at most
-/// [`REFINE_RUN_CAP`] iterations). Exhaustion is read off the residue
-/// itself, never off the iteration count: a target that is *already met* —
-/// which the bound test rules out up to rounding, since `p < ub` means the
-/// residual still exceeds the whole cost — takes Alg. 4's single iteration
-/// instead, so the caller's loop always moves and never mistakes an idle
-/// run for an exhausted one.
-fn refine_run(
-    refiner: &mut Refiner,
-    transition: &TransitionMatrix<'_>,
-    hub_matrix: &HubMatrix,
-    target: f64,
-) -> RefineRun {
-    let norm = refiner.residue_norm();
-    if norm <= EXACT_RESIDUAL_EPS {
-        return RefineRun::Exhausted;
-    }
-    let stop = if norm <= target {
-        BcaStop::one_iteration()
-    } else {
-        BcaStop { residue_norm: target, max_iterations: REFINE_RUN_CAP }
-    };
-    match refiner.advance(transition, hub_matrix, &stop) {
-        0 => RefineRun::Exhausted,
-        executed => RefineRun::Advanced(executed),
-    }
-}
-
-/// Resolves one candidate the classify pass left undecided: bound tests
-/// alternating with refinement of its BCA, resident in `refiner` (Alg. 4
-/// lines 4–13).
-///
-/// Alg. 4 refines "one more iteration" between bound tests. Here each run
-/// goes straight to the residual the test needs: by Alg. 3's pouring
-/// argument `p_u(q) ≥ ub` holds exactly when the residual is at most
-/// [`confirm_cost`], the ink that lifts the top-k steps to `p_u(q)`, so no
-/// confirm is possible before the residual gets there and nothing is lost
-/// by not looking earlier. Bounds only tighten, so *when* they are re-tested
-/// cannot change a decision — the schedule is derived from the candidate's
-/// own state and `p_u(q)` alone, and is the same for every thread and shard
-/// count.
-///
-/// With an active `options.approx` (the bounded-error approximate path)
-/// `p_uq` is the bidirectional estimate `p̃`, within ε/2 of the truth, and the loop
-/// gains one exit: once the top-k boundary window `[lb, ub]` is no wider
-/// than ε, membership is called at its midpoint. A wrong call then needs
-/// `|p̃ − p̂| ≤ ε/2` and `|p − p̃| ≤ ε/2`, so a misclassified node's true
-/// margin is at most ε — the error contract. The window closes once the
-/// residual is down to the cost of level `lb + ε`, so runs aim at whichever
-/// of the two exits comes first. Candidates whose window never narrows to ε
-/// are decided by the exact machinery, exactly as on the exact path.
-#[allow(clippy::too_many_arguments)]
-fn screen_candidate(
-    local: &mut LocalScreen,
-    refiner: &mut Refiner,
-    transition: &TransitionMatrix<'_>,
-    index: &ReverseIndex,
-    u: u32,
-    p_uq: f64,
+    index: &'a ReverseIndex,
     q: u32,
     k: usize,
-    options: &QueryOptions,
-    fallback_params: &RwrParams,
-) {
-    let epsilon_band = options.approx.filter(|a| a.is_active()).map(|a| a.epsilon);
-    let strict = options.bound_mode == BoundMode::Strict;
-    let stored = index.state(u);
-    let mut resident = false; // `refiner` holds u's computation
-    let mut advanced = false; // at least one BCA iteration executed
-    let mut midpoint_call = false; // decided by the ε-window, not by bounds
-    let is_result = loop {
-        // Current view: the resident refinement once one exists, otherwise
-        // the index's stored state (whose first look repeats classify's).
-        let (bounds, residual) = if resident {
-            (refiner.lower_bounds(), refiner.residual_mass(strict))
-        } else {
-            (stored.lower_bounds(), stored.residual_mass(strict))
-        };
-        let lb = bounds.kth_value(k);
-        if p_uq < lb - TIE_EPSILON {
-            break false; // pruned by the refined lower bound
-        }
-        if residual <= EXACT_RESIDUAL_EPS {
-            break true; // bounds are exact: p ≥ lb = p^kmax_u (lines 5–7)
-        }
-        let staircase = bounds.prefix_values(k);
-        let ub = upper_bound_kth(&staircase, residual, k);
-        if p_uq >= ub {
-            break true;
-        }
-        let mut cost = confirm_cost(&staircase, p_uq);
-        if let Some(epsilon) = epsilon_band {
-            // ε-window exit: p̂_u(k) ∈ [lb, ub]; once that window fits in ε,
-            // call membership at the midpoint and stop paying for refinement.
-            if ub - lb <= epsilon {
-                midpoint_call = true;
-                break p_uq >= (lb + ub) * 0.5;
-            }
-            cost = cost.max(confirm_cost(&staircase, lb + epsilon));
-        }
+    options: &'a QueryOptions,
+    /// `options.bound_mode == Strict`.
+    strict: bool,
+    /// ε of an active bounded-error screen ([`QueryOptions::approx`]).
+    epsilon: Option<f64>,
+    /// Lanes each pass, and the PMPN products, may use.
+    threads: usize,
+}
 
-        // Refine (Alg. 4 line 13), loading the stored state on first use.
-        if !resident {
-            local.stats.refined_nodes += 1;
-            refiner.load(stored);
-            resident = true;
-        }
-        // The target is on ‖r‖₁; in strict mode the parked deficit is part
-        // of the residual and refinement cannot shrink it.
-        let deficit = if strict { refiner.parked_deficit() } else { 0.0 };
-        let target = (REFINE_TARGET_FRACTION * cost - deficit).max(0.0);
-        match refine_run(refiner, transition, index.hub_matrix(), target) {
-            RefineRun::Advanced(executed) => {
-                advanced = true;
-                local.stats.refine_iterations += u64::from(executed);
-                local.stats.refine_rounds += 1;
-            }
-            // Residue exhausted but bounds still open. In paper-faithful
-            // mode the lower bound then *is* the exact k-th value, which
-            // p_uq already cleared above (mirroring the paper's treatment of
-            // rounded hub vectors as exact). In strict mode the gap is the
-            // hub-rounding deficit, which refinement cannot shrink: resolve
-            // exactly with one forward solve so strict results stay sound.
-            RefineRun::Exhausted => match options.bound_mode {
-                BoundMode::PaperFaithful => break true,
-                BoundMode::Strict => {
-                    local.stats.exact_fallbacks += 1;
-                    let (col, _) = proximity_from(transition, u, fallback_params);
-                    let kth = rtk_sparse::dense::kth_largest(&col, k);
-                    break col[q as usize] >= kth - TIE_EPSILON;
-                }
-            },
-        }
-    };
-    if epsilon_band.is_some() {
-        if midpoint_call {
-            local.stats.approx_estimated += 1;
-        } else {
-            local.stats.approx_exact_refined += 1;
+impl<'a> QueryCtx<'a> {
+    fn new(
+        transition: &'a TransitionMatrix<'a>,
+        index: &'a ReverseIndex,
+        (q, k): (u32, usize),
+        options: &'a QueryOptions,
+    ) -> Self {
+        Self {
+            transition,
+            index,
+            q,
+            k,
+            options,
+            strict: options.bound_mode == BoundMode::Strict,
+            epsilon: options.approx.filter(|a| a.is_active()).map(|a| a.epsilon),
+            threads: resolve_threads(options.query_threads),
         }
     }
-    if is_result {
-        local.results.push((u, p_uq));
+}
+
+/// What [`bound_test`] makes of one view of a candidate.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Verdict {
+    /// `p_u(q)` is below the k-th lower bound (or not positive): not a
+    /// member.
+    Miss,
+    /// A member: `hit` when the upper bound confirmed it, rather than
+    /// bounds that are already exact.
+    Member { hit: bool },
+    /// The ε-window `[lb, ub]` around `p̂_u(k)` fits in ε: membership is
+    /// called at its midpoint.
+    Midpoint(bool),
+    /// Undecided. `ub` is the k-th upper bound; `cost` is the residual at
+    /// which a decision first becomes possible: [`confirm_cost`] at
+    /// `p_u(q)`, or, on the ε-band path, at `lb + ε` if that comes first
+    /// (the window closes once the residual is down to the cost of level
+    /// `lb + ε`).
+    Open { ub: f64, cost: f64 },
+}
+
+/// Algorithm 4's bound test (lines 4–7, plus the ε-band's window exit) on
+/// a staircase `p̂_u(1:k)` (`k = staircase.len()`), its residual and `p`,
+/// the value `p_u(q)` stands in with. Both screen passes decide with it:
+/// classify on the stored state, refine on the resident one.
+///
+/// The ε-window exit: with the bidirectional estimate `p̃`, within ε/2 of
+/// the truth, a midpoint call is wrong only if `|p̃ − p̂| ≤ ε/2` and
+/// `|p − p̃| ≤ ε/2`, so a misclassified node's true margin is at most ε —
+/// the error contract of [`QueryOptions::approx`].
+#[inline]
+fn bound_test(staircase: &[f64], residual: f64, p: f64, epsilon: Option<f64>) -> Verdict {
+    let k = staircase.len();
+    let lb = staircase[k - 1];
+    if p <= TIE_EPSILON || p < lb - TIE_EPSILON {
+        return Verdict::Miss;
     }
-    if options.update_index && advanced {
-        local.commits.push((u, refiner.unload(index.hub_matrix())));
+    if residual <= EXACT_RESIDUAL_EPS {
+        // Bounds are exact: p ≥ lb = p^kmax_u (lines 5–7).
+        return Verdict::Member { hit: false };
     }
+    let ub = upper_bound_kth(staircase, residual, k);
+    if p >= ub {
+        return Verdict::Member { hit: true };
+    }
+    let mut cost = confirm_cost(staircase, p);
+    if let Some(epsilon) = epsilon {
+        if ub - lb <= epsilon {
+            return Verdict::Midpoint(p >= (lb + ub) * 0.5);
+        }
+        cost = cost.max(confirm_cost(staircase, lb + epsilon));
+    }
+    Verdict::Open { ub, cost }
 }
 
 #[cfg(test)]
@@ -973,9 +651,10 @@ mod tests {
     use crate::baseline::brute_force_reverse_topk;
     use rtk_graph::{DanglingPolicy, DiGraph, GraphBuilder};
     use rtk_index::{HubSelection, HubSolver, IndexConfig};
+    use rtk_rwr::power::proximity_from;
     use rtk_rwr::BcaParams;
 
-    fn toy() -> DiGraph {
+    pub(super) fn toy() -> DiGraph {
         GraphBuilder::from_edges(
             6,
             &[
@@ -997,7 +676,7 @@ mod tests {
         .unwrap()
     }
 
-    fn toy_index_config() -> IndexConfig {
+    pub(super) fn toy_index_config() -> IndexConfig {
         IndexConfig {
             max_k: 3,
             bca: BcaParams { residue_threshold: 0.8, ..Default::default() },
@@ -1431,39 +1110,6 @@ mod tests {
     }
 
     #[test]
-    fn screen_chunks_cover_every_node_once_in_order() {
-        // The chunks must partition the range exactly: ascending, non-empty,
-        // each starting where the previous one ended.
-        let g = rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(100, 420, 3)).unwrap();
-        for nodes in [0..1u32, 0..100, 17..33, 99..100] {
-            let chunks = screen_chunks(nodes.clone(), &g);
-            let mut next = nodes.start;
-            for &(lo, hi) in &chunks {
-                assert!(lo == next && lo < hi, "{nodes:?}: {chunks:?}");
-                next = hi;
-            }
-            assert_eq!(next, nodes.end, "{nodes:?}: {chunks:?}");
-        }
-    }
-
-    #[test]
-    fn edge_balanced_chunks_track_degree_weight() {
-        // A graph with one very heavy node: its chunk must not also absorb
-        // a long run of light nodes (the balance property), while an
-        // edge-free stretch still gets cut into bounded pieces.
-        let heavy: Vec<(u32, u32)> = (1..=200u32).map(|v| (0, v % 256)).collect();
-        let g = GraphBuilder::from_edges(256, &heavy, DanglingPolicy::SelfLoop).unwrap();
-        let chunks = screen_chunks(0..256, &g);
-        assert!(chunks.len() > 1, "heavy graph should split into several chunks");
-        assert_eq!(chunks[0], (0, 1), "the 200-edge hub saturates its chunk alone");
-        for &(lo, hi) in &chunks[1..] {
-            // Every light node weighs 1 + 1 (self loop or one in-edge), so
-            // chunks stay near SCREEN_CHUNK_EDGES / 2 nodes wide.
-            assert!((hi - lo) as usize <= SCREEN_CHUNK_EDGES, "{lo}..{hi}");
-        }
-    }
-
-    #[test]
     fn queries_share_the_global_worker_pool_without_respawning() {
         // The acceptance criterion for the persistent pool: thread spawns
         // are O(pool size) per process, not O(queries) or O(refinement
@@ -1595,7 +1241,9 @@ mod tests {
             exact_fallbacks: 1,
             pmpn_iterations: 17,
             pmpn_seconds: 0.002,
-            screen_seconds: 0.006,
+            screen_seconds: 0.0025 + 0.0035,
+            classify_seconds: 0.0025,
+            refine_seconds: 0.0035,
             total_seconds: 0.009,
             ..Default::default()
         };
@@ -1621,44 +1269,23 @@ mod tests {
         assert_eq!(screen.annotations[at + 1].1, "4");
         assert_eq!(screen.annotations[at + 2], ("refine_pushes".to_string(), "321".to_string()));
         assert!(screen.annotations.iter().any(|(k, _)| k == "exact_fallbacks"));
-    }
 
-    #[test]
-    fn a_run_whose_target_is_already_met_is_not_mistaken_for_exhaustion() {
-        // Node 4 (1-based) of the running example is stored with ‖r‖ = 0.36
-        // and open bounds. A target at or above that residual — which the
-        // bound test rules out up to rounding — must neither stall the loop
-        // nor read as "no ink left": it takes one plain iteration, and only
-        // `Exhausted` may lead to a decision on the lower bound or to a
-        // strict-mode exact solve. (One iteration parks all of this node's
-        // ink at the toy's hubs; runs to a genuine target are covered by
-        // `tests/refine_schedule.rs`.)
+        // The screen's passes tile it the same way, on a real query too.
         let g = toy();
         let t = TransitionMatrix::new(&g);
         let index = ReverseIndex::build(&t, toy_index_config()).unwrap();
-        let session = QueryEngine::new(&index);
-        let mut refiner = session.make_scratch();
-        let stored = index.state(3);
-        assert!(stored.residue_norm() > 0.3);
-
-        refiner.load(stored);
-        let run = refine_run(&mut refiner, &t, index.hub_matrix(), 0.5);
-        assert_eq!(run, RefineRun::Advanced(1));
-        assert!(refiner.residue_norm() < stored.residue_norm());
-
-        // Exhaustion is read off the residue: a hub's state has none.
-        refiner.load(index.state(1));
-        assert_eq!(refiner.residue_norm(), 0.0);
-        assert_eq!(refine_run(&mut refiner, &t, index.hub_matrix(), 0.0), RefineRun::Exhausted);
-
-        // End to end, strict mode on exact hub vectors: every candidate's
-        // bounds close by refinement, so no run may count as a fallback.
-        let mut session = session;
-        let strict = QueryOptions { bound_mode: BoundMode::Strict, ..Default::default() };
-        for q in 0..6u32 {
-            let r = session.query_frozen(&t, &index, q, 2, &strict).unwrap();
-            assert_eq!(r.stats().exact_fallbacks, 0, "q={q}");
-            assert!(r.stats().refine_rounds <= r.stats().refine_iterations, "q={q}");
+        let mut session = QueryEngine::new(&index);
+        let real = session.query_frozen(&t, &index, 0, 2, &QueryOptions::default()).unwrap();
+        for trace in [trace, real.stats().to_trace("engine:reverse_topk")] {
+            let screen = &trace.children[1];
+            let names: Vec<&str> = screen.children.iter().map(|c| c.name.as_str()).collect();
+            assert_eq!(names, ["classify", "refine"]);
+            let mut cursor = 0.0;
+            for child in &screen.children {
+                assert_eq!(child.start_seconds, cursor, "{}", child.name);
+                cursor += child.duration_seconds;
+            }
+            assert_eq!(cursor, screen.duration_seconds);
         }
     }
 

@@ -138,7 +138,7 @@ mod tests {
         let mut y = vec![0.0; 6];
         let mut iterations = 0;
         loop {
-            t.apply_transpose(params.alpha, &x, 2, &mut y);
+            t.apply_transpose_threaded(params.alpha, &x, 2, &mut y, 1);
             iterations += 1;
             let delta = rtk_sparse::dense::l1_distance(&x, &y);
             std::mem::swap(&mut x, &mut y);
@@ -224,7 +224,7 @@ mod tests {
         let mut x0 = vec![0.0; 5];
         x0[0] = 1.0;
         let mut x1 = vec![0.0; 5];
-        t.apply_transpose(params.alpha, &x0, 0, &mut x1);
+        t.apply_transpose_threaded(params.alpha, &x0, 0, &mut x1, 1);
         assert!(rtk_sparse::dense::l1_norm(&x1) > 1.0);
         let (_, report) = proximity_to(&t, 0, &params);
         assert!(report.converged);

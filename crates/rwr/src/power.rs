@@ -31,21 +31,14 @@ pub fn proximity_from(
     params.validate();
     let n = transition.node_count();
     assert!((u as usize) < n, "proximity_from: node {u} out of range");
-    let mut restart = vec![0.0; n];
-    restart[u as usize] = 1.0;
-    let mut x = restart.clone();
+    let mut x = vec![0.0; n];
+    x[u as usize] = 1.0;
     let mut y = vec![0.0; n];
     let mut iterations = 0;
     let mut delta = f64::INFINITY;
     while iterations < params.max_iterations {
-        // y = (1-α) A x + α restart, via the CSC gather.
-        transition.apply_forward_restart_threaded(
-            params.alpha,
-            &x,
-            &restart,
-            &mut y,
-            params.threads,
-        );
+        // y = (1-α) A x + α e_u, via the CSC gather.
+        transition.apply_forward_threaded(params.alpha, &x, u, &mut y, params.threads);
         iterations += 1;
         delta = dense::l1_distance(&x, &y);
         std::mem::swap(&mut x, &mut y);

@@ -31,14 +31,16 @@
 //! * **PMPN** spreads each `Aᵀ·x` (and the forward solvers each `A·x`)
 //!   over edge-balanced contiguous row ranges; every row still sums in its
 //!   serial edge order, so the iterates are exactly the serial ones.
-//! * The **screen phase** fans the candidate scan out over degree-balanced
-//!   chunks of the node range the index holds, which pool lanes claim off
-//!   one counter (`WorkerPool::claim`). Each refine lane owns a private BCA
-//!   engine + materializer (recycled across queries through a scratch
-//!   pool) and refines each candidate *inside that scratch* — the shared
-//!   index is only read. Per-node decisions never depend on another node's
-//!   refinement, and results merge by node id, so any interleaving yields
-//!   the same results and statistics.
+//! * The **screen phase** is two passes, each a `WorkerPool::claim` loop.
+//!   *Classify* scans degree-balanced chunks of the node range the index
+//!   holds and decides every node its stored bounds can decide; *refine*
+//!   takes the open candidates, loosest bounds first. Each refine lane owns
+//!   a private BCA engine + materializer (recycled across queries through
+//!   a scratch pool) and refines each candidate *inside that scratch* — the
+//!   shared index is only read. Both passes decide with one bound test.
+//!   Per-node decisions never depend on another node's refinement, and
+//!   results merge by node id, so any interleaving yields the same results
+//!   and statistics.
 //! * The **commit phase** (update mode) serially writes the refined states
 //!   back into the index's one block of states by node id, leaving exactly
 //!   the index a serial in-place run would have produced.
