@@ -1,7 +1,7 @@
 //! The owning engine: graph + index + query session in one value.
 
 use crate::error::EngineError;
-use rtk_graph::{DiGraph, EdgeSplice, NodeId, TransitionMatrix, TransitionProbs};
+use rtk_graph::{DiGraph, NodeId, TransitionMatrix, TransitionProbs};
 use rtk_index::{
     storage, HubSelection, IndexConfig, IndexStats, ReverseIndex, UpdateEffect, UpdateRecord,
 };
@@ -166,15 +166,15 @@ impl ReverseTopkEngine {
     /// (nodes that can reach `from`; see [`rtk_index::update`]) — on a
     /// one-shard engine, to the affected states it holds, so every backend
     /// applying the same update does the identical hub recompute and
-    /// disjoint per-node work. Returns what was invalidated.
+    /// disjoint per-node work. Returns what was invalidated. The one-record
+    /// case of [`Self::replay_updates`].
     pub fn add_edge(
         &mut self,
         from: NodeId,
         to: NodeId,
         weight: f64,
     ) -> Result<UpdateEffect, EngineError> {
-        let splice = self.graph.add_edge(from.0, to.0, weight)?;
-        Ok(self.apply_splice(&splice))
+        self.replay_updates(&[UpdateRecord::AddEdge { from: from.0, to: to.0, weight }])
     }
 
     /// Removes the edge `from → to` entirely (errors if it does not exist,
@@ -182,39 +182,65 @@ impl ReverseTopkEngine {
     /// repairs the transition cache and the affected index entries, as
     /// [`Self::add_edge`] does.
     pub fn remove_edge(&mut self, from: NodeId, to: NodeId) -> Result<UpdateEffect, EngineError> {
-        let splice = self.graph.remove_edge(from.0, to.0)?;
-        Ok(self.apply_splice(&splice))
+        self.replay_updates(&[UpdateRecord::RemoveEdge { from: from.0, to: to.0 }])
     }
 
-    /// Replays a decoded `RTKULOG1` update log in order. Applied on top of
-    /// the snapshot the log was recorded against, this reproduces the live
-    /// engine's post-update index byte-for-byte — every recompute is a
-    /// deterministic function of (graph, edit).
+    /// Applies edge updates in order — a decoded `RTKULOG1` update log, or
+    /// one live edit — with **one** index recompute. Every record is
+    /// spliced into the graph and the transition cache first, and its
+    /// affected set taken right after its own splice; then
+    /// [`ReverseIndex::apply_update`] recomputes each hub column and held
+    /// state in the union of those sets once, against the final graph.
+    ///
+    /// The result is byte for byte what applying the records one at a time
+    /// leaves (see [`rtk_index::update`]): a state's recipe output cannot
+    /// change after the last edit that reaches it, and a stored run is kept
+    /// only if it read none of the edited rows. So applied on top of the
+    /// snapshot the log was recorded against, this reproduces the live
+    /// engine's post-update index byte for byte, at the cost of one
+    /// recompute instead of one per record. The returned effect counts each
+    /// recomputed state and hub column once.
+    ///
+    /// A record that cannot be applied (a missing edge, a node's last
+    /// out-edge, an out-of-range node, a weight that breaks its row) is
+    /// refused before it mutates anything. The records before it stay
+    /// applied and recomputed, and its error is returned: the engine is then
+    /// byte-equal to one that applied the prefix one record at a time.
     pub fn replay_updates(
         &mut self,
         records: &[UpdateRecord],
     ) -> Result<UpdateEffect, EngineError> {
-        let mut total = UpdateEffect::default();
+        let n = self.graph.node_count();
+        let mut edited = Vec::with_capacity(records.len());
+        let mut affected = vec![false; n];
+        let mut refused = None;
         for record in records {
-            let effect = match *record {
-                UpdateRecord::AddEdge { from, to, weight } => {
-                    self.add_edge(NodeId(from), NodeId(to), weight)?
-                }
-                UpdateRecord::RemoveEdge { from, to } => {
-                    self.remove_edge(NodeId(from), NodeId(to))?
+            let splice = match *record {
+                UpdateRecord::AddEdge { from, to, weight } => self.graph.add_edge(from, to, weight),
+                UpdateRecord::RemoveEdge { from, to } => self.graph.remove_edge(from, to),
+            };
+            let splice = match splice {
+                Ok(splice) => splice,
+                Err(e) => {
+                    refused = Some(e);
+                    break;
                 }
             };
-            total.merge(effect);
+            self.probs.apply_splice(&self.graph, &splice);
+            edited.push(splice.from);
+            for u in rtk_index::affected_set(&self.graph, splice.from) {
+                affected[u as usize] = true;
+            }
         }
-        Ok(total)
-    }
-
-    /// Splices the cached transition probabilities (bitwise-equal to
-    /// recomputing them) and applies the targeted index recompute.
-    fn apply_splice(&mut self, splice: &EdgeSplice) -> UpdateEffect {
-        self.probs.apply_splice(&self.graph, splice);
+        edited.sort_unstable();
+        edited.dedup();
+        let affected: Vec<u32> = (0..n as u32).filter(|&u| affected[u as usize]).collect();
         let transition = TransitionMatrix::with_probs(&self.graph, &self.probs);
-        self.index.apply_update(&transition, splice.from)
+        let effect = self.index.apply_update(&transition, &edited, &affected);
+        match refused {
+            Some(e) => Err(e.into()),
+            None => Ok(effect),
+        }
     }
 
     /// A stable digest (FNV-1a 64) of what the current index persists as —

@@ -179,6 +179,10 @@ impl HubMatrix {
         alpha: f64,
         threads: usize,
     ) -> usize {
+        if ids.is_empty() {
+            // No column to solve (an edit no hub reaches, or none at all).
+            return 0;
+        }
         let solved =
             solve_columns(transition, ids, solver, alpha, self.rounding_threshold, threads);
         let mut columns: Vec<SparseVector> =

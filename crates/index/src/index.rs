@@ -330,28 +330,31 @@ impl ReverseIndex {
         }
     }
 
-    /// Applies the index-side effect of one edge update whose renormalized
-    /// transition row is `source` (the edge's tail; see [`crate::update`]).
-    /// `transition` must already reflect the mutated graph. Recomputes the
-    /// affected hub columns first (states materialize against `P_H`), then
-    /// the affected node states *this index holds*, with the exact
+    /// Applies the index-side effect of edge updates whose renormalized
+    /// transition rows are `edited` (the edges' tails, in any order, repeats
+    /// allowed; see [`crate::update`]), with `affected` the ascending union
+    /// of their affected sets, each taken right after its own edit.
+    /// `transition` must already reflect every edit. Recomputes the affected
+    /// hub columns first (states materialize against `P_H`), then the
+    /// affected node states *this index holds*, each once, with the exact
     /// Algorithm 1 recipes — so the post-update index is bitwise-equal to a
-    /// full rebuild as long as untouched states were never query-refined.
-    /// An affected state that is still as built and whose run never read
-    /// row `source` keeps its run and only rematerializes its bounds against
-    /// the new columns — bit for bit what re-running it would produce.
-    /// Everything outside the affected set is left alone.
+    /// full rebuild as long as untouched states were never query-refined,
+    /// and bitwise-equal to applying the edits one at a time. An affected
+    /// state that is still as built and whose run read none of the `edited`
+    /// rows keeps its run and only rematerializes its bounds against the new
+    /// columns — bit for bit what re-running it would produce. Everything
+    /// outside `affected` is left alone.
     ///
-    /// One-shard indexes of the same partition applying the same update run
-    /// the identical hub recompute (their hub matrices stay bitwise
+    /// One-shard indexes of the same partition applying the same updates
+    /// run the identical hub recompute (their hub matrices stay bitwise
     /// converged) and disjoint per-node work, so their union equals this
     /// call on the whole index.
     pub fn apply_update(
         &mut self,
         transition: &TransitionMatrix<'_>,
-        source: u32,
+        edited: &[u32],
+        affected: &[u32],
     ) -> crate::update::UpdateEffect {
-        let mut affected = crate::update::affected_set(transition.graph(), source);
         let hub_ids: Vec<u32> = affected
             .iter()
             .copied()
@@ -369,16 +372,16 @@ impl ReverseIndex {
         let hubs_seconds = started.elapsed().as_secs_f64();
         let started = std::time::Instant::now();
         let owned = self.owned_range();
-        affected.retain(|u| owned.contains(u));
+        let held: Vec<u32> = affected.iter().copied().filter(|u| owned.contains(u)).collect();
         let min_probability = (0..self.node_count() as u32)
             .flat_map(|u| transition.out_probs(u))
             .fold(f64::INFINITY, |min, &p| min.min(p));
         let keep = |q: u32| {
             let i = self.at(q);
             let replays = self.as_built[i]
-                && crate::update::never_read_row(
+                && crate::update::never_read_rows(
                     &self.states[i],
-                    source,
+                    edited,
                     self.hub_matrix.hubs(),
                     self.config.bca.alpha,
                     min_probability,
@@ -386,9 +389,9 @@ impl ReverseIndex {
             replays.then_some(&self.states[i])
         };
         let Sweep { swept, hash_seconds, .. } =
-            sweep(transition, &self.hub_matrix, &self.config, &affected, &keep);
+            sweep(transition, &self.hub_matrix, &self.config, &held, &keep);
         let bca_runs = swept.iter().filter(|(s, _)| matches!(s, Swept::Run(_))).count();
-        for (&u, (outcome, digest)) in affected.iter().zip(swept) {
+        for (&u, (outcome, digest)) in held.iter().zip(swept) {
             let i = self.at(u);
             match outcome {
                 Swept::Run(state) => self.states[i] = state,
@@ -400,7 +403,7 @@ impl ReverseIndex {
             self.as_built[i] = true;
         }
         crate::update::UpdateEffect {
-            recomputed_states: affected.len(),
+            recomputed_states: held.len(),
             recomputed_hubs: hub_ids.len(),
             bca_runs,
             hubs_seconds,
@@ -610,13 +613,14 @@ mod tests {
         let mut one = index.one_shard(1).unwrap();
         assert_eq!(one.as_built, [true, false]);
         assert_eq!(index_digest(&one), index_digest_cold(&one));
-        let effect = index.apply_update(&t, 0);
+        let affected = crate::update::affected_set(&g, 0);
+        let effect = index.apply_update(&t, &[0], &affected);
         assert_eq!((effect.recomputed_states, effect.recomputed_hubs), (6, 2));
         assert_eq!(effect.bca_runs, 2, "node 0 is a hub: only the refined states run again");
         assert_eq!(index.as_built, [true; 6]);
         assert_eq!(index_digest(&index), built);
         assert_eq!(index_digest_cold(&index), built);
-        one.apply_update(&t, 0);
+        one.apply_update(&t, &[0], &affected);
         assert_eq!(one.state(3), index.state(3));
         assert_eq!(index_digest(&one), index_digest_cold(&one));
 

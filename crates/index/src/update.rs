@@ -29,7 +29,7 @@
 //! pushed *from `u`* replays push for push on the edited graph and ends in the
 //! same `(r, w, s, t)`. The index's **as-built bit** (see
 //! [`crate::ReverseIndex`]) says a stored state *is* the recipe's output on
-//! the graph as it stood before the edit, and `never_read_row` reads off the
+//! the graph as it stood before the edit, and `never_read_rows` reads off the
 //! stored run whether it pushed from `u`; a state passing both keeps its run
 //! and only rematerializes top-K and parked deficit against the new columns
 //! (`‖r‖₁` is a function of the kept residue). Every hub-tailed edit
@@ -50,25 +50,49 @@
 //! `q` can reach `u` never depends on `u`'s own out-edges, and `u` is always
 //! in the set. This makes the rule self-inverse and replay-friendly — the
 //! update log ([`crate::storage::UpdateRecord`]) stores only the edit, and
-//! replaying it deterministically regenerates the exact recompute schedule.
+//! replaying it deterministically regenerates the same recompute.
+//!
+//! *Many edits, one recompute.* A log of `m` edits to rows `u₁ … u_m` is
+//! applied as `m` splices and **one** recompute
+//! ([`crate::ReverseIndex::apply_update`]) over the union of the affected
+//! sets, each taken on the graph right after its own splice. This is byte
+//! for byte what `m` one-edit recomputes leave. A node outside the union is
+//! touched by neither. For a node in the union, let edit `j` be the last
+//! whose affected set holds it: the edit-by-edit state is the recipe's
+//! output on the graph after edit `j`. No later edit reaches it, so by the
+//! rule above the recipe's output is the same on the final graph, which is
+//! what the single recompute computes. The same holds for a hub column. A
+//! stored run is kept only if it is as built (the recipe's output on the
+//! graph before the first edit) and `never_read_rows` holds for *every*
+//! edited row: then the run read only rows that no edit touched, so it
+//! replays push for push on the final graph. Testing only some of the rows
+//! would keep a run that read a row edited earlier in the log.
+//!
+//! An edit the graph refuses (an absent edge, a node's last out-edge, an
+//! out-of-range node, a weight that breaks its row) is refused before it
+//! splices anything. The engine then recomputes the edits spliced before it
+//! and returns the error, so a log that fails at edit `k` leaves what `k`
+//! one-edit updates leave.
 
 use crate::node_state::NodeState;
 use rtk_graph::DiGraph;
 use rtk_rwr::HubSet;
 
-/// What one applied edge update invalidated and recomputed, and what the
-/// two recompute stages and the record hashing inside the second cost. Only the first two counts go over the wire;
-/// the rest is in-process observability.
+/// What one recompute ([`crate::ReverseIndex::apply_update`]) invalidated
+/// and recomputed, and what its two stages and the record hashing inside
+/// the second cost — for one edge update, or for a whole replayed log.
+/// Only the first two counts go over the wire; the rest is in-process
+/// observability.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct UpdateEffect {
-    /// Node states recomputed — the affected set intersected with the nodes
-    /// the index holds (all of it for a whole index, the owned shard's
-    /// subset for a one-shard index).
+    /// Node states recomputed, each once — the union of the edits' affected
+    /// sets intersected with the nodes the index holds (all of it for a
+    /// whole index, the owned shard's subset for a one-shard index).
     pub recomputed_states: usize,
-    /// Hub columns recomputed (hubs inside the affected set).
+    /// Hub columns recomputed, each once (hubs inside the union).
     pub recomputed_hubs: usize,
     /// How many of [`Self::recomputed_states`] re-ran their BCA from scratch;
-    /// the rest kept a run that never read the edited row. In-process only:
+    /// the rest kept a run that never read an edited row. In-process only:
     /// it depends on which states queries refined since they were built, so
     /// two replicas may differ here while agreeing on every byte.
     pub bca_runs: usize,
@@ -81,18 +105,6 @@ pub struct UpdateEffect {
     /// the sweep lanes spent hashing what they produced, summed over lanes
     /// (so with several lanes it is CPU time, not a share of the wall).
     pub hash_seconds: f64,
-}
-
-impl UpdateEffect {
-    /// Folds another effect into this one (accumulating over a replay).
-    pub fn merge(&mut self, other: UpdateEffect) {
-        self.recomputed_states += other.recomputed_states;
-        self.recomputed_hubs += other.recomputed_hubs;
-        self.bca_runs += other.bca_runs;
-        self.hubs_seconds += other.hubs_seconds;
-        self.states_seconds += other.states_seconds;
-        self.hash_seconds += other.hash_seconds;
-    }
 }
 
 /// The set of nodes whose index entries an update of `source`'s out-row can
@@ -118,37 +130,39 @@ pub fn affected_set(graph: &DiGraph, source: u32) -> Vec<u32> {
 }
 
 /// Whether the **as-built** run stored in `state` provably never read the
-/// out-row of `source` — so it replays identically when only that row
-/// changes. Sound, not complete: `false` merely costs a from-scratch run.
+/// out-row of any node in `rows` — so it replays identically when only those
+/// rows change. Sound, not complete: `false` merely costs a from-scratch run.
 ///
 /// A hub's row is never read: ink arriving at a hub is parked (Eq. 6), not
-/// pushed. For any other node, a push from `source` of residue `r` retains
-/// `α·r` there, and retained ink never leaves — so `w[source] == 0` means no
-/// push, *unless* `α·r` rounded to zero. It cannot have: a run starts from
+/// pushed. For any other node, a push from it of residue `r` retains `α·r`
+/// there, and retained ink never leaves — so `w[u] == 0` means no push from
+/// `u`, *unless* `α·r` rounded to zero. It cannot have: a run starts from
 /// one unit of residue, and each iteration turns a positive residue `r` into
 /// pushes of `(1−α)·r·p` that are added to non-negative slots, so after `t`
 /// iterations every positive residue is at least `((1−α)·p_min)^t`, with
 /// `p_min` the smallest transition probability of the rows the run read. Up
-/// to its first push from `source` the run read only rows the edit leaves
-/// alone, so `min_probability` — taken over the edited matrix — bounds them
-/// from below. The rule asks for `α` times that floor, at the run's total
-/// iteration count, to be a *normal* number, 2⁵² above the smallest
+/// to its first push from an edited row the run read only rows the edits
+/// leave alone, so `min_probability` — taken over the edited matrix — bounds
+/// them from below. The rule asks for `α` times that floor, at the run's
+/// total iteration count, to be a *normal* number, 2⁵² above the smallest
 /// subnormal — far outside what the rounding ignored in this argument can
 /// close. As-built runs stop after a handful of iterations; one long enough
 /// to fail the test is simply run again.
-pub(crate) fn never_read_row(
+pub(crate) fn never_read_rows(
     state: &NodeState,
-    source: u32,
+    rows: &[u32],
     hubs: &HubSet,
     alpha: f64,
     min_probability: f64,
 ) -> bool {
-    if hubs.contains(source) {
+    let mut pushed = rows.iter().filter(|&&u| !hubs.contains(u)).peekable();
+    if pushed.peek().is_none() {
         return true;
     }
     let iterations = i32::try_from(state.snapshot().iterations).unwrap_or(i32::MAX);
     let residue_floor = ((1.0 - alpha) * min_probability).powi(iterations);
-    state.snapshot().retained.get(source) == 0.0 && alpha * residue_floor >= f64::MIN_POSITIVE
+    let retained = &state.snapshot().retained;
+    alpha * residue_floor >= f64::MIN_POSITIVE && pushed.all(|&u| retained.get(u) == 0.0)
 }
 
 #[cfg(test)]
@@ -196,7 +210,7 @@ mod tests {
             let splice = if add { g.add_edge(from, to, w) } else { g.remove_edge(from, to) };
             let splice = splice.unwrap();
             let t = TransitionMatrix::new(&g);
-            let effect = live.apply_update(&t, splice.from);
+            let effect = live.apply_update(&t, &[splice.from], &affected_set(&g, splice.from));
             assert!(effect.recomputed_states > 0);
 
             // Rebuild oracle pins the live hub ids so selection can't drift.
@@ -229,10 +243,11 @@ mod tests {
 
         let splice = g.add_edge(7, 33, 1.0).unwrap();
         let t = TransitionMatrix::new(&g);
-        let whole = full.apply_update(&t, splice.from);
+        let affected = affected_set(&g, splice.from);
+        let whole = full.apply_update(&t, &[splice.from], &affected);
         let mut recomputed = 0;
         for part in &mut parts {
-            let effect = part.apply_update(&t, splice.from);
+            let effect = part.apply_update(&t, &[splice.from], &affected);
             // Every process runs the identical hub recompute ...
             assert_eq!(effect.recomputed_hubs, whole.recomputed_hubs);
             assert_eq!(part.hub_matrix(), full.hub_matrix());

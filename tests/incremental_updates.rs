@@ -528,3 +528,201 @@ fn weights_that_break_normalisation_are_refused_before_mutating() {
     server.join().expect("join");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Splices `record` into `graph` alone (no index), as the engine does.
+fn splice(graph: &mut DiGraph, record: &UpdateRecord) {
+    match *record {
+        UpdateRecord::AddEdge { from, to, weight } => graph.add_edge(from, to, weight),
+        UpdateRecord::RemoveEdge { from, to } => graph.remove_edge(from, to),
+    }
+    .map(drop)
+    .unwrap_or_else(|e| panic!("{record:?}: {e}"));
+}
+
+/// A 200-record log whose first records are the cases a coalesced replay
+/// must get right — a hub source, an edge added and then removed again,
+/// weight accumulated onto an existing edge, a source repeated — followed by
+/// the seeded stream over the graph those leave.
+fn crafted_log(graph: &DiGraph, hub: u32, seed: u64) -> Vec<UpdateRecord> {
+    let n = graph.node_count() as u32;
+    let from = (0..n).find(|&u| u != hub && graph.out_neighbors(u).len() < n as usize).unwrap();
+    let kept = graph.out_neighbors(from)[0];
+    let fresh = (0..n).find(|&v| !graph.has_edge(from, v)).unwrap();
+    let mut records = vec![
+        UpdateRecord::AddEdge { from: hub, to: (hub + 1) % n, weight: 0.5 },
+        UpdateRecord::AddEdge { from, to: fresh, weight: 1.5 },
+        UpdateRecord::AddEdge { from, to: kept, weight: 0.75 },
+        UpdateRecord::RemoveEdge { from, to: fresh },
+    ];
+    let mut after = graph.clone();
+    records.iter().for_each(|r| splice(&mut after, r));
+    records.extend(update_sequence(&after, seed, 196));
+    records
+}
+
+fn saved(engine: &ReverseTopkEngine) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    engine.save(&mut bytes).unwrap();
+    bytes
+}
+
+/// Asserts two engines hold the same graph, hub matrix and states, naming
+/// the first node that differs, and save the same bytes.
+fn assert_same_engine(a: &ReverseTopkEngine, b: &ReverseTopkEngine, what: &str) {
+    assert_eq!(a.graph(), b.graph(), "{what}: graph");
+    assert_eq!(a.index().hub_matrix(), b.index().hub_matrix(), "{what}: hub matrix");
+    for u in a.index().owned_range() {
+        assert_eq!(a.index().state(u), b.index().state(u), "{what}: state {u} differs");
+    }
+    assert!(saved(a) == saved(b), "{what}: saved bytes differ");
+    assert_eq!(a.index_digest(), b.index_digest(), "{what}: digest");
+}
+
+/// One recompute for a whole log is byte for byte the record-by-record
+/// replay: for logs of 1, 2, 8, 50 and 200 records over ER and R-MAT, at
+/// ω = 0 and ω = 1e-6, on the built engine (whose as-built bits let runs be
+/// kept), on its snapshot loaded whole, and on every one-shard load of that
+/// 3-shard snapshot. Update-mode queries commit refined states before the
+/// snapshot is taken, so some states start refined and some as built.
+#[test]
+fn one_recompute_per_log_equals_one_per_record() {
+    let update_mode = QueryOptions { update_index: true, query_threads: 1, ..Default::default() };
+    for (label, graph) in test_graphs() {
+        for omega in [0.0, 1e-6] {
+            let mut built = ReverseTopkEngine::builder(graph.clone())
+                .max_k(4)
+                .hubs_per_direction(4)
+                .threads(2)
+                .rounding_threshold(omega)
+                .shards(3)
+                .build()
+                .unwrap();
+            for (q, k) in (0..6).flat_map(|step| probe_queries(step, graph.node_count(), 4)) {
+                built.query_with(NodeId(q), k, &update_mode).unwrap();
+            }
+            let hub = built.index().hub_matrix().hubs().ids()[0];
+            let log = crafted_log(&graph, hub, 31);
+            let snapshot = saved(&built);
+
+            let whole_built = || {
+                ReverseTopkEngine::from_parts(built.graph().clone(), built.index().clone()).unwrap()
+            };
+            let whole_loaded = || ReverseTopkEngine::load(snapshot.as_slice()).unwrap();
+            let shard_loaded = |sid: usize| {
+                let (g, index) =
+                    rtk_index::storage::load_one_shard(snapshot.as_slice(), sid).unwrap();
+                ReverseTopkEngine::from_parts(g, index).unwrap()
+            };
+            let starts: Vec<(String, Box<dyn Fn() -> ReverseTopkEngine + '_>)> = vec![
+                ("built".into(), Box::new(whole_built)),
+                ("loaded".into(), Box::new(whole_loaded)),
+                ("shard 0".into(), Box::new(move || shard_loaded(0))),
+                ("shard 1".into(), Box::new(move || shard_loaded(1))),
+                ("shard 2".into(), Box::new(move || shard_loaded(2))),
+            ];
+            for (start, make) in &starts {
+                let mut stepped = make();
+                let mut applied = 0;
+                for len in [1usize, 2, 8, 50, 200] {
+                    for record in &log[applied..len] {
+                        stepped.replay_updates(std::slice::from_ref(record)).unwrap();
+                    }
+                    applied = len;
+                    let mut coalesced = make();
+                    let effect = coalesced.replay_updates(&log[..len]).unwrap();
+                    assert!(effect.recomputed_states <= coalesced.index().owned_range().len());
+                    let what = format!("{label} ω={omega} {start}, {len} records");
+                    assert_same_engine(&stepped, &coalesced, &what);
+                }
+            }
+        }
+    }
+}
+
+/// A log that fails at record `k` leaves the engine byte-equal to `k`
+/// one-record replays and returns the error the `k + 1`-th would: the
+/// records before it are spliced and recomputed, the failing one touches
+/// nothing. Covers an absent edge, a node's last out-edge, an out-of-range
+/// node, and a failure at `k = 0`.
+#[test]
+fn a_log_failing_at_record_k_keeps_the_prefix() {
+    for (label, graph) in test_graphs() {
+        let n = graph.node_count() as u32;
+        let built = build_engine(graph.clone(), 1);
+        let snapshot = saved(&built);
+        let prefix = update_sequence(&graph, 5, 12);
+        let mut after = graph.clone();
+        prefix.iter().for_each(|r| splice(&mut after, r));
+
+        let absent = (0..n)
+            .flat_map(|f| (0..n).map(move |t| (f, t)))
+            .find(|&(f, t)| !after.has_edge(f, t))
+            .unwrap();
+        // Strip one node down to its last out-edge; removing that is refused.
+        let node = (0..n).max_by_key(|&u| after.out_neighbors(u).len()).unwrap();
+        let targets = after.out_neighbors(node).to_vec();
+        let mut dangling = prefix.clone();
+        dangling.extend(targets.iter().map(|&to| UpdateRecord::RemoveEdge { from: node, to }));
+        let with = |bad: UpdateRecord| {
+            let mut log = prefix.clone();
+            log.push(bad);
+            log
+        };
+        let cases: Vec<(&str, Vec<UpdateRecord>, usize, &str)> = vec![
+            (
+                "absent edge",
+                with(UpdateRecord::RemoveEdge { from: absent.0, to: absent.1 }),
+                prefix.len(),
+                "does not exist",
+            ),
+            ("last out-edge", dangling.clone(), dangling.len() - 1, "dangling"),
+            (
+                "out-of-range node",
+                with(UpdateRecord::AddEdge { from: n + 3, to: 0, weight: 1.0 }),
+                prefix.len(),
+                "out of range",
+            ),
+            (
+                "k = 0",
+                [&[UpdateRecord::RemoveEdge { from: absent.0, to: absent.1 }], &prefix[..]]
+                    .concat(),
+                0,
+                "does not exist",
+            ),
+        ];
+        for (case, log, k, message) in cases {
+            let mut coalesced = ReverseTopkEngine::load(snapshot.as_slice()).unwrap();
+            let err = coalesced.replay_updates(&log).expect_err("the log must fail");
+
+            let mut stepped = ReverseTopkEngine::load(snapshot.as_slice()).unwrap();
+            for record in &log[..k] {
+                stepped.replay_updates(std::slice::from_ref(record)).unwrap();
+            }
+            let step_err = stepped
+                .replay_updates(std::slice::from_ref(&log[k]))
+                .expect_err("record k fails");
+            assert_eq!(err.to_string(), step_err.to_string(), "{label} {case}");
+            assert!(err.to_string().to_lowercase().contains(message), "{label} {case}: {err}");
+            let what = format!("{label} {case}, failing at record {k}");
+            assert_same_engine(&stepped, &coalesced, &what);
+            if k > 0 {
+                // The prefix was recomputed, not only spliced: the engine
+                // equals a pinned-hub rebuild of the graph it reached.
+                let hubs = coalesced.index().hub_matrix().hubs().ids().to_vec();
+                let rebuilt = ReverseTopkEngine::builder(coalesced.graph().clone())
+                    .max_k(4)
+                    .hub_selection(HubSelection::Explicit(hubs))
+                    .threads(1)
+                    .rounding_threshold(0.0)
+                    .build()
+                    .unwrap();
+                assert_eq!(coalesced.index().hub_matrix(), rebuilt.index().hub_matrix());
+                for u in 0..n {
+                    assert_eq!(coalesced.index().state(u), rebuilt.index().state(u), "{what}");
+                }
+            } else {
+                assert!(saved(&coalesced) == snapshot, "{what}: the engine moved");
+            }
+        }
+    }
+}
