@@ -294,6 +294,7 @@ fn updated(engine: &ReverseTopkEngine, effect: rtk_core::UpdateEffect) -> WireUp
         &[
             ("hubs_ms", Json::F64(effect.hubs_seconds * 1e3)),
             ("states_ms", Json::F64(effect.states_seconds * 1e3)),
+            ("bca_ms", Json::F64(effect.bca_seconds * 1e3)),
             ("hash_ms", Json::F64(effect.hash_seconds * 1e3)),
             ("digest_ms", Json::F64(started.elapsed().as_secs_f64() * 1e3)),
             ("recomputed_states", Json::U64(effect.recomputed_states as u64)),

@@ -46,6 +46,9 @@ pub(crate) struct Sweep {
     pub(crate) iterations: u64,
     /// Edge pushes the BCA runs made.
     pub(crate) pushes: u64,
+    /// Time the lanes spent in BCA runs, snapshot included, summed over
+    /// lanes.
+    pub(crate) bca_seconds: f64,
     /// Time the lanes spent hashing records, summed over lanes.
     pub(crate) hash_seconds: f64,
 }
@@ -59,10 +62,11 @@ pub(crate) struct Sweep {
 /// what it produced.
 ///
 /// Returns `(outcome, record digest)` per node in `nodes` order, the
-/// iterations and edge pushes the BCA runs took, and the hashing time. Lanes
-/// claim [`SWEEP_CHUNK`] nodes at a time; outcomes are put back in node
-/// order by index and the work counters are order-independent sums, so
-/// scheduling cannot change anything returned but the time.
+/// iterations and edge pushes the BCA runs took, and the time in the runs
+/// and in hashing. Lanes claim [`SWEEP_CHUNK`] nodes at a time; outcomes
+/// are put back in node order by index and the work counters are
+/// order-independent sums, so scheduling cannot change anything returned
+/// but the time.
 pub(crate) fn sweep<'a>(
     transition: &TransitionMatrix<'_>,
     hub_matrix: &HubMatrix,
@@ -79,10 +83,10 @@ pub(crate) fn sweep<'a>(
                 BcaEngine::new(hub_matrix.hubs().clone(), config.bca),
                 Materializer::default(),
                 Vec::new(),
-                0.0,
+                (0.0, 0.0),
             )
         },
-        |(engine, materializer, outputs, hash_seconds), chunk| {
+        |(engine, materializer, outputs, (bca_seconds, hash_seconds)), chunk| {
             let lo = chunk * SWEEP_CHUNK;
             for (i, &u) in nodes.iter().enumerate().skip(lo).take(SWEEP_CHUNK) {
                 let mut hashed = |state: &NodeState, lower_bounds: &DescendingTopK| {
@@ -99,7 +103,9 @@ pub(crate) fn sweep<'a>(
                         (Swept::Rebound(lower_bounds, parked_deficit), digest)
                     }
                     None => {
+                        let started = Instant::now();
                         let snapshot = engine.run_from(transition, u, &stop);
+                        *bca_seconds += started.elapsed().as_secs_f64();
                         let state = NodeState::from_snapshot(
                             snapshot,
                             hub_matrix,
@@ -116,17 +122,18 @@ pub(crate) fn sweep<'a>(
     );
     // Outcomes are large: each moves once, into its node's slot, unsorted.
     let mut slots: Vec<Option<(Swept, u64)>> = (0..nodes.len()).map(|_| None).collect();
-    let (mut iterations, mut pushes, mut hash_seconds) = (0u64, 0u64, 0.0);
-    for (engine, _, outputs, hashing) in lanes {
+    let (mut iterations, mut pushes, mut bca_seconds, mut hash_seconds) = (0u64, 0u64, 0.0, 0.0);
+    for (engine, _, outputs, (running, hashing)) in lanes {
         iterations += u64::from(engine.work().iterations);
         pushes += engine.work().pushes;
+        bca_seconds += running;
         hash_seconds += hashing;
         for (i, outcome) in outputs {
             slots[i] = Some(outcome);
         }
     }
     let swept = slots.into_iter().map(|s| s.expect("node missing after sweep")).collect();
-    Sweep { swept, iterations, pushes, hash_seconds }
+    Sweep { swept, iterations, pushes, bca_seconds, hash_seconds }
 }
 
 #[cfg(test)]

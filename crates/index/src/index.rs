@@ -388,7 +388,7 @@ impl ReverseIndex {
                 );
             replays.then_some(&self.states[i])
         };
-        let Sweep { swept, hash_seconds, .. } =
+        let Sweep { swept, bca_seconds, hash_seconds, .. } =
             sweep(transition, &self.hub_matrix, &self.config, &held, &keep);
         let bca_runs = swept.iter().filter(|(s, _)| matches!(s, Swept::Run(_))).count();
         for (&u, (outcome, digest)) in held.iter().zip(swept) {
@@ -408,6 +408,7 @@ impl ReverseIndex {
             bca_runs,
             hubs_seconds,
             states_seconds: started.elapsed().as_secs_f64(),
+            bca_seconds,
             hash_seconds,
         }
     }

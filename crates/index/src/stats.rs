@@ -8,7 +8,10 @@ pub struct IndexStats {
     pub hub_selection_seconds: f64,
     /// Wall-clock seconds spent computing + rounding hub vectors.
     pub hub_vectors_seconds: f64,
-    /// Wall-clock seconds spent on the per-node partial BCA sweeps.
+    /// Wall-clock seconds spent on the per-node partial BCA sweeps: the runs,
+    /// the rematerialization of each state's bounds against `P_H`, and the
+    /// record hashing. The benchmark's `rwr.bca_ns_per_push` divides this
+    /// whole total by [`Self::total_pushes`].
     pub node_sweep_seconds: f64,
     /// Total wall-clock build time.
     pub total_seconds: f64,

@@ -79,8 +79,8 @@ use rtk_graph::DiGraph;
 use rtk_rwr::HubSet;
 
 /// What one recompute ([`crate::ReverseIndex::apply_update`]) invalidated
-/// and recomputed, and what its two stages and the record hashing inside
-/// the second cost — for one edge update, or for a whole replayed log.
+/// and recomputed, and what its two stages and the BCA runs and record
+/// hashing inside the second cost — for one edge update, or for a whole replayed log.
 /// Only the first two counts go over the wire; the rest is in-process
 /// observability.
 #[derive(Clone, Copy, Debug, Default)]
@@ -101,6 +101,10 @@ pub struct UpdateEffect {
     /// Wall time of the node-state recompute (BCA runs, rematerialization,
     /// record hashing, install).
     pub states_seconds: f64,
+    /// The BCA runs inside [`Self::states_seconds`], broken out: time the
+    /// sweep lanes spent in from-scratch runs, snapshot included, summed
+    /// over lanes like [`Self::hash_seconds`].
+    pub bca_seconds: f64,
     /// The record hashing inside [`Self::states_seconds`], broken out: time
     /// the sweep lanes spent hashing what they produced, summed over lanes
     /// (so with several lanes it is CPU time, not a share of the wall).

@@ -23,8 +23,10 @@
 //! dense array by slot, a node → slot map beside it, the hub slots listed
 //! apart), so Eq. 6's sweep walks the hub slots only, the largest residue is
 //! one vectorised maximum over the values, and the frontier of Eqs. 8–9 is
-//! one sequential collect at the threshold that maximum fixes — `η`, or half
-//! the maximum once everything is below `η`.
+//! the set bits of one branch-free 64-bit mask per 64 slots, taken at the
+//! threshold that maximum fixes — `η`, or half the maximum once everything
+//! is below `η`. A snapshot costs one walk, in ascending id, over a bitmap
+//! of the nodes `r`, `w` and `s` hold, not three sorts.
 
 use crate::hubs::HubSet;
 use crate::params::BcaParams;
@@ -137,15 +139,32 @@ impl Residue {
         self.hub_slots.clear();
     }
 
-    /// Adds `amount` to `node`'s residue, giving the node the next slot on
-    /// its first ink.
+    /// Adds `amount` to `node`'s residue. A node that already holds a slot —
+    /// almost every push — stays on this inline path.
     #[inline]
-    fn add(&mut self, node: u32, amount: f64, hubs: &HubSet) {
+    fn add(&mut self, node: u32, amount: f64, hubs: &HubSet, support: &mut Support) {
         let slot = self.slot_of[node as usize];
         if slot != Self::UNTOUCHED {
             self.vals[slot as usize] += amount;
-            return;
+        } else {
+            self.first_touch(node, amount, hubs, support);
         }
+    }
+
+    /// A push's first ink to `node` — rare, so out of line: it takes a slot
+    /// ([`Self::insert`]) and marks `node` in the support.
+    #[cold]
+    #[inline(never)]
+    fn first_touch(&mut self, node: u32, amount: f64, hubs: &HubSet, support: &mut Support) {
+        self.insert(node, amount, hubs);
+        support.mark(node);
+    }
+
+    /// Gives the untouched `node` the next slot, holding `amount`, listed
+    /// apart if `node` is a hub.
+    #[inline]
+    fn insert(&mut self, node: u32, amount: f64, hubs: &HubSet) {
+        debug_assert_eq!(self.slot_of[node as usize], Self::UNTOUCHED);
         let slot = self.ids.len() as u32;
         self.slot_of[node as usize] = slot;
         self.ids.push(node);
@@ -175,10 +194,141 @@ impl Residue {
             .fold(0.0, |best, &v| if v > best { v } else { best })
     }
 
-    /// The non-zero entries as a sorted sparse vector.
-    fn to_sparse(&self) -> SparseVector {
-        let pairs = self.ids.iter().copied().zip(self.vals.iter().copied());
-        SparseVector::from_unsorted(pairs.filter(|&(_, v)| v != 0.0).collect())
+    /// Moves every slot whose residue is positive and `≥ threshold` into
+    /// `frontier` as `(slot, residue)`, in slot order, zeroing the slot and
+    /// subtracting its residue from `norm` in that same order. Per 64 slots
+    /// one mask is built by branch-free compares, and only its set bits are
+    /// visited.
+    fn take_frontier(&mut self, threshold: f64, frontier: &mut Vec<(u32, f64)>, norm: &mut f64) {
+        // `v ≥ threshold && v > 0` in one compare: the least positive `f64`
+        // is at most any positive threshold, and at a zero threshold
+        // (`rmax / 2` underflowed) `v ≥` it is exactly `v > 0`.
+        let floor = threshold.max(f64::from_bits(1));
+        for base in (0..self.vals.len()).step_by(64) {
+            let end = self.vals.len().min(base + 64);
+            for bit in set_bits(mask_at_least(&self.vals[base..end], floor)) {
+                let slot = base + bit as usize;
+                let v = self.vals[slot];
+                self.vals[slot] = 0.0;
+                *norm -= v;
+                frontier.push((slot as u32, v));
+            }
+        }
+    }
+}
+
+/// Bit `i` set iff `chunk[i] ≥ floor`, for a chunk of at most 64 values.
+/// Compares two values a step, with no branch, so the loop vectorises.
+#[inline]
+fn mask_at_least(chunk: &[f64], floor: f64) -> u64 {
+    debug_assert!(chunk.len() <= 64);
+    let mut mask = 0u64;
+    let mut pairs = chunk.chunks_exact(2);
+    for (j, pair) in (&mut pairs).enumerate() {
+        let two = u64::from(pair[0] >= floor) | u64::from(pair[1] >= floor) << 1;
+        mask |= two << (2 * j);
+    }
+    if let [v] = pairs.remainder() {
+        mask |= u64::from(*v >= floor) << (chunk.len() - 1);
+    }
+    mask
+}
+
+/// The positions of the set bits of `bits`, lowest first.
+#[inline]
+fn set_bits(mut bits: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let bit = bits.trailing_zeros();
+            bits &= bits - 1;
+            bit
+        })
+    })
+}
+
+/// One bit per node for the union of the supports of `r`, `w` and `s`. A
+/// node enters one of them only by taking a residue slot or by
+/// [`BcaEngine::load`] scattering it into `w` or `s`, and both mark it, so
+/// the set bits in ascending order are every node a snapshot can hold, in
+/// the order it stores them.
+struct Support {
+    words: Vec<u64>,
+}
+
+impl Support {
+    fn new(node_count: usize) -> Self {
+        Self { words: vec![0; node_count.div_ceil(64)] }
+    }
+
+    #[inline]
+    fn mark(&mut self, node: u32) {
+        self.words[node as usize / 64] |= 1 << (node % 64);
+    }
+
+    /// Marks `nodes`, given in ascending order: the bits of one word are
+    /// gathered in a register and stored once, not stored bit by bit.
+    fn mark_ascending(&mut self, nodes: &[u32]) {
+        let Some(&first) = nodes.first() else { return };
+        let (mut word, mut bits) = (first as usize / 64, 0u64);
+        for &node in nodes {
+            if node as usize / 64 != word {
+                self.words[word] |= bits;
+                (word, bits) = (node as usize / 64, 0);
+            }
+            bits |= 1 << (node % 64);
+        }
+        self.words[word] |= bits;
+    }
+
+    /// Back to no node, given the `count` marked nodes (repeats allowed):
+    /// clears their words, or all words at once when there are fewer of
+    /// those — `O(min(count, n/64))`.
+    fn reset(&mut self, count: usize, marked: impl Iterator<Item = u32>) {
+        if count >= self.words.len() {
+            self.words.fill(0);
+        } else {
+            for node in marked {
+                self.words[node as usize / 64] = 0;
+            }
+        }
+    }
+
+    /// Calls `f` on every marked node in ascending order: `O(marked + n/64)`.
+    fn for_each(&self, mut f: impl FnMut(u32)) {
+        for (word, &bits) in self.words.iter().enumerate() {
+            for bit in set_bits(bits) {
+                f(word as u32 * 64 + bit);
+            }
+        }
+    }
+}
+
+/// One sparse vector of a snapshot, emitted in ascending id: zeros are left
+/// out, and the arrays end at exact size ([`SparseVector::heap_bytes`]
+/// counts capacity).
+struct Emitted {
+    indices: Vec<u32>,
+    values: Vec<f64>,
+}
+
+impl Emitted {
+    /// Room for `entries`, the exact count unless some are zeros.
+    fn with_capacity(entries: usize) -> Self {
+        Self { indices: Vec::with_capacity(entries), values: Vec::with_capacity(entries) }
+    }
+
+    #[inline]
+    fn push(&mut self, node: u32, v: f64) {
+        if v != 0.0 {
+            self.indices.push(node);
+            self.values.push(v);
+        }
+    }
+
+    fn finish(mut self) -> SparseVector {
+        self.indices.shrink_to_fit();
+        self.values.shrink_to_fit();
+        SparseVector::from_parts(self.indices, self.values)
     }
 }
 
@@ -193,6 +343,7 @@ pub struct BcaEngine {
     residue: Residue,
     retained: EpochScratch,
     hub_ink: EpochScratch,
+    support: Support,
     residue_norm: f64,
     /// Source and cumulative iteration count of the resident computation.
     source: u32,
@@ -220,6 +371,7 @@ impl BcaEngine {
             residue: Residue::new(n),
             retained: EpochScratch::new(n),
             hub_ink: EpochScratch::new(n),
+            support: Support::new(n),
             residue_norm: 0.0,
             source: 0,
             iterations: 0,
@@ -255,7 +407,8 @@ impl BcaEngine {
         );
         self.clear();
         self.source = source;
-        self.residue.add(source, 1.0, &self.hubs);
+        self.residue.insert(source, 1.0, &self.hubs);
+        self.support.mark(source);
         self.residue_norm = 1.0;
         self.advance(transition, stop);
         self.snapshot()
@@ -283,11 +436,15 @@ impl BcaEngine {
         self.clear();
         self.source = snapshot.source;
         self.iterations = snapshot.iterations;
+        // A sparse vector holds each node once: every entry is a first ink.
         for (node, v) in snapshot.residue.iter() {
-            self.residue.add(node, v, &self.hubs);
+            self.residue.insert(node, v, &self.hubs);
         }
         snapshot.retained.scatter_into(1.0, &mut self.retained);
         snapshot.hub_ink.scatter_into(1.0, &mut self.hub_ink);
+        for vector in [&snapshot.residue, &snapshot.retained, &snapshot.hub_ink] {
+            self.support.mark_ascending(vector.indices());
+        }
         self.residue_norm = snapshot.residue.sum();
     }
 
@@ -304,14 +461,30 @@ impl BcaEngine {
         executed
     }
 
-    /// The resident computation as a compact snapshot.
+    /// The resident computation as a compact snapshot: `r`, `w` and `s`
+    /// each sorted by id, zeros left out, at exact size
+    /// ([`BcaSnapshot::heap_bytes`] counts capacity, and the index's size
+    /// with it). One walk over the support bits, in ascending id, emits all
+    /// three — `O(touched + n/64)`, no sort.
     pub fn snapshot(&self) -> BcaSnapshot {
+        let Residue { slot_of, vals, .. } = &self.residue;
+        let mut residue = Emitted::with_capacity(vals.iter().filter(|&&v| v != 0.0).count());
+        let mut retained = Emitted::with_capacity(self.retained.touched_len());
+        let mut hub_ink = Emitted::with_capacity(self.hub_ink.touched_len());
+        self.support.for_each(|node| {
+            let slot = slot_of[node as usize];
+            if slot != Residue::UNTOUCHED {
+                residue.push(node, vals[slot as usize]);
+            }
+            retained.push(node, self.retained.get(node as usize));
+            hub_ink.push(node, self.hub_ink.get(node as usize));
+        });
         BcaSnapshot {
             source: self.source,
             iterations: self.iterations,
-            residue: self.residue.to_sparse(),
-            retained: self.retained.to_sparse(0.0),
-            hub_ink: self.hub_ink.to_sparse(0.0),
+            residue: residue.finish(),
+            retained: retained.finish(),
+            hub_ink: hub_ink.finish(),
         }
     }
 
@@ -332,6 +505,12 @@ impl BcaEngine {
     }
 
     fn clear(&mut self) {
+        let count =
+            self.residue.ids.len() + self.retained.touched_len() + self.hub_ink.touched_len();
+        let marked = self.residue.ids.iter().copied();
+        let marked = marked.chain(self.retained.iter_touched().map(|(node, _)| node));
+        let marked = marked.chain(self.hub_ink.iter_touched().map(|(node, _)| node));
+        self.support.reset(count, marked);
         self.residue.reset();
         self.retained.reset();
         self.hub_ink.reset();
@@ -356,24 +535,26 @@ impl BcaEngine {
     /// `‖r‖₁` — this is what makes Figure 2's `‖r₄‖ = 0.36` come out) is
     /// swept into `s`; then the frontier chosen from `r_{t−1}` retains `α`
     /// and pushes `1−α`, with pushes *into* hubs landing back in `r` to be
-    /// swept next iteration.
+    /// swept next iteration. The loop runs on split borrows of the engine's
+    /// fields, with the running norm and the work counters in locals.
     fn iterate(&mut self, transition: &TransitionMatrix<'_>, stop: &BcaStop) -> u32 {
-        let mut executed = 0u32;
-        let mut frontier = std::mem::take(&mut self.frontier);
         let stop_norm = stop.residue_norm.max(Self::RESIDUE_FLOOR);
         let eta = self.params.propagation_threshold;
         let alpha = self.params.alpha;
-        while executed < stop.max_iterations && self.residue_norm > stop_norm {
+        let mut norm = self.residue_norm;
+        let (mut executed, mut propagations, mut pushes) = (0u32, 0u64, 0u64);
+        let Self { hubs, residue, retained, hub_ink, support, frontier, .. } = self;
+        while executed < stop.max_iterations && norm > stop_norm {
             // Eq. 6: s_t = Σ_{i∈H} r_{t−1}(i)·e_i + s_{t−1}, removing the
             // swept ink from the residue — which also leaves every hub slot
             // at zero, out of the selection below.
             let mut swept = false;
-            for &slot in &self.residue.hub_slots {
-                let v = self.residue.vals[slot as usize];
+            for &slot in &residue.hub_slots {
+                let v = residue.vals[slot as usize];
                 if v > 0.0 {
-                    self.hub_ink.add(self.residue.ids[slot as usize] as usize, v);
-                    self.residue.vals[slot as usize] = 0.0;
-                    self.residue_norm -= v;
+                    hub_ink.add(residue.ids[slot as usize] as usize, v);
+                    residue.vals[slot as usize] = 0.0;
+                    norm -= v;
                     swept = true;
                 }
             }
@@ -385,57 +566,52 @@ impl BcaEngine {
             // bounds. Batch every node above half the maximum residue — the
             // maximum itself always among them — so the residual keeps
             // decaying geometrically instead of draining one node at a time.
+            //
+            // Phase 1 (Eq. 9, second term): the frontier's residue leaves
+            // `r` as it is collected, *before* any pushes, so this iteration
+            // uses r_{t−1} throughout.
             frontier.clear();
-            let rmax = self.residue.largest();
+            let rmax = residue.largest();
             if rmax > 0.0 {
                 // `rmax / 2` can underflow to 0 once the residue reaches the
-                // denormal floor; the `v > 0` guard keeps zero-valued slots
-                // (no-op pushes, withdrawn nodes, the hubs just swept) out of
-                // the frontier.
+                // denormal floor; the collect's `v > 0` keeps zero-valued
+                // slots (no-op pushes, withdrawn nodes, the hubs just swept)
+                // out of the frontier.
                 let threshold = if rmax >= eta { eta } else { rmax / 2.0 };
-                for (slot, &v) in self.residue.vals.iter().enumerate() {
-                    if v >= threshold && v > 0.0 {
-                        frontier.push((slot as u32, v));
-                    }
-                }
+                residue.take_frontier(threshold, frontier, &mut norm);
             } else if !swept {
                 // No residue at all and nothing parked at hubs: whatever the
                 // running norm still reads is accumulated rounding, not ink.
-                self.residue_norm = 0.0;
+                norm = 0.0;
                 break;
-            }
-
-            // Phase 1 (Eq. 9, second term): withdraw the frontier's residue
-            // *before* any pushes so this iteration uses r_{t−1} throughout.
-            for &(slot, rv) in &frontier {
-                self.residue.vals[slot as usize] = 0.0;
-                self.residue_norm -= rv;
             }
 
             // Phase 2 (Eqs. 8, 9 first term): retain α, push 1−α. Pushes to
             // hubs stay in `r` until next iteration's sweep.
-            for &(slot, rv) in &frontier {
-                let v = self.residue.ids[slot as usize];
-                self.retained.add(v as usize, alpha * rv);
+            for &(slot, rv) in frontier.iter() {
+                let v = residue.ids[slot as usize];
+                retained.add(v as usize, alpha * rv);
                 let spill = (1.0 - alpha) * rv;
                 let (targets, probs) = transition.out_edges(v);
                 for (&t, &p) in targets.iter().zip(probs) {
                     let amount = spill * p;
-                    self.residue.add(t, amount, &self.hubs);
-                    self.residue_norm += amount;
+                    residue.add(t, amount, hubs, support);
+                    norm += amount;
                 }
-                self.work.pushes += targets.len() as u64;
+                pushes += targets.len() as u64;
             }
-            self.work.propagations += frontier.len() as u64;
+            propagations += frontier.len() as u64;
             executed += 1;
             // Guard against accumulated floating error pushing the norm
             // slightly negative near exhaustion.
-            if self.residue_norm < 0.0 {
-                self.residue_norm = 0.0;
+            if norm < 0.0 {
+                norm = 0.0;
             }
         }
-        self.frontier = frontier;
+        self.residue_norm = norm;
         self.work.iterations += executed;
+        self.work.propagations += propagations;
+        self.work.pushes += pushes;
         executed
     }
 }
@@ -1059,6 +1235,122 @@ mod tests {
                 let fresh = BcaEngine::new(hubs.clone(), params).run_from(&t, u, &stop);
                 assert_eq!(bits(&snapshot), bits(&fresh), "u={u}: fresh engine");
             }
+        }
+    }
+
+    /// A graph over `n` nodes where every node has two out-edges, so any
+    /// residue support can be loaded and pushed.
+    fn two_out_ring(n: u32) -> DiGraph {
+        let edges: Vec<(u32, u32)> = (0..n)
+            .flat_map(|u| [(u, (u + 1) % n), (u, (u * 7 + 3) % n)])
+            .filter(|&(u, v)| u != v)
+            .collect();
+        GraphBuilder::from_edges(n as usize, &edges, DanglingPolicy::Error).unwrap()
+    }
+
+    #[test]
+    fn the_mask_and_the_walk_equal_the_reference_at_their_word_edges() {
+        // Snapshots whose residue fills exactly 0, 1, 63, 64, 65, 128 or
+        // 129 slots at the first collect (a load gives slots in id order),
+        // the largest residue in the last slot; ids 0, 63, 64, 127 and
+        // n − 1 in every support that is large enough to hold them; and
+        // `w`, `s` entries on nodes with no residue at all.
+        let n = 200u32;
+        let g = two_out_ring(n);
+        let t = TransitionMatrix::new(&g);
+        let edges = [0u32, 63, 64, 127, n - 1];
+        let hubs = HubSet::from_ids(n as usize, vec![5, 64, 130]);
+        for eta in [BcaParams::default().propagation_threshold, 2.0] {
+            let params = BcaParams { propagation_threshold: eta, ..Default::default() };
+            for touched in [0usize, 1, 63, 64, 65, 128, 129] {
+                let mut support: Vec<u32> = edges.iter().copied().take(touched).collect();
+                support.extend((0..n).filter(|u| !edges.contains(u)).take(touched - support.len()));
+                support.sort_unstable();
+                // Every third slot below `η` and below half the maximum, the
+                // rest above both; the last slot holds the maximum.
+                let unit = 0.5 / (touched.max(1) as f64 * 3.0);
+                let mut values: Vec<f64> =
+                    (0..touched).map(|i| [5e-5, unit * 2.0, unit * 3.0][i % 3]).collect();
+                if let Some(last) = values.last_mut() {
+                    *last = unit * 4.0;
+                }
+                // Retained and parked ink off the residue's support.
+                let spare: Vec<u32> = (0..n).filter(|u| !support.contains(u)).collect();
+                let retained: Vec<u32> =
+                    spare.iter().copied().filter(|u| !hubs.contains(*u)).take(70).collect();
+                let parked: Vec<u32> =
+                    hubs.ids().iter().copied().filter(|h| spare.contains(h)).collect();
+                let loaded = BcaSnapshot {
+                    source: support.first().copied().unwrap_or(0),
+                    iterations: 2,
+                    residue: SparseVector::from_parts(support.clone(), values),
+                    retained: SparseVector::from_parts(
+                        retained.clone(),
+                        vec![1e-3; retained.len()],
+                    ),
+                    hub_ink: SparseVector::from_parts(parked.clone(), vec![2e-3; parked.len()]),
+                };
+                let context = format!("η = {eta}, {touched} touched slots");
+                let (mut engine, mut reference) = pair(&hubs, params);
+                engine.load(&loaded);
+                reference.load(&loaded);
+                assert_eq!(bits(&engine.snapshot()), bits(&loaded), "{context}: load round-trips");
+                let stop = BcaStop { residue_norm: 0.0, max_iterations: 6 };
+                let ran = lockstep(&mut engine, &mut reference, &t, &stop, &context);
+                assert_eq!(ran, if touched == 0 { 0 } else { 6 }, "{context}");
+                if touched >= edges.len() {
+                    let first = bits(&reference.snapshot());
+                    let held: Vec<u32> = first.2.iter().flatten().map(|&(i, _)| i).collect();
+                    assert!(edges.iter().all(|e| held.contains(e)), "{context}: test premise");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_engine_after_a_large_run_emits_nothing_stale_for_a_small_one() {
+        // The toy on nodes 0..6 beside a 1k-node R-MAT on 6..1006 that it
+        // never reaches: runs and loads of either, in turn, on one engine
+        // each equal the reference's and a fresh engine's, and a toy state
+        // holds toy nodes only — whatever the R-MAT runs marked before.
+        let rmat =
+            rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(1_000, 6_000, 42)).unwrap();
+        let mut edges: Vec<(u32, u32)> = toy().edges().map(|(u, v, _)| (u, v)).collect();
+        edges.extend(rmat.edges().map(|(u, v, _)| (u + 6, v + 6)));
+        let g = GraphBuilder::from_edges(1_006, &edges, DanglingPolicy::SelfLoop).unwrap();
+        let t = TransitionMatrix::new(&g);
+        let mut hub_ids = vec![1];
+        hub_ids.extend(HubSet::degree_based(&rmat, 1).ids().iter().map(|&h| h + 6));
+        let hubs = HubSet::from_ids(1_006, hub_ids);
+        let params = BcaParams::default();
+        let stop = BcaStop { residue_norm: 1e-3, max_iterations: 100 };
+        let (mut engine, mut reference) = pair(&hubs, params);
+        let mut stored = Vec::new();
+        for u in [7u32, 2, 56, 3, 4, 106, 0, 5] {
+            let snapshot = engine.run_from(&t, u, &stop);
+            reference.start(u);
+            reference.advance(&t, &stop);
+            let context = format!("u = {u}");
+            assert_same_state(&engine, &reference, &context);
+            let fresh = BcaEngine::new(hubs.clone(), params).run_from(&t, u, &stop);
+            assert_eq!(bits(&snapshot), bits(&fresh), "{context}: fresh engine");
+            if u < 6 {
+                let held = [&snapshot.residue, &snapshot.retained, &snapshot.hub_ink];
+                assert!(held.iter().all(|v| v.indices().iter().all(|&i| i < 6)), "{context}");
+            } else {
+                let held = snapshot.residue.nnz() + snapshot.retained.nnz();
+                assert!(held > 500, "{context}: test premise, most words marked ({held})");
+            }
+            stored.push(snapshot);
+        }
+        // Loads in turn, large and small, each advanced a little.
+        for snapshot in stored.iter().rev().chain(&stored) {
+            engine.load(snapshot);
+            reference.load(snapshot);
+            let context = format!("loaded u = {}", snapshot.source);
+            assert_eq!(bits(&engine.snapshot()), bits(snapshot), "{context}: load round-trips");
+            let more = BcaStop { residue_norm: 0.0, max_iterations: 3 };
+            lockstep(&mut engine, &mut reference, &t, &more, &context);
         }
     }
 }

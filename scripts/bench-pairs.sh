@@ -2,49 +2,65 @@
 # Alternating parent/change runs of the repo benchmark, the evidence every
 # gain PR needs (ROADMAP "Rules that apply to every direction").
 #
-#   scripts/bench-pairs.sh <parent-rev> <workload> [pairs=10] [seed=42] [layer-metric ...]
+#   scripts/bench-pairs.sh <parent-rev> <workloads> [pairs=10] [seed=42] [layer-metric ...]
 #
-# Builds the benchmark once from a copy of <parent-rev> and once from the
-# working tree (each into its own directory under target/bench-pairs/), runs
-# them <pairs> times each at BENCHMARK.json's `run_seconds`, alternating which
-# side goes first, and prints per end-to-end metric each side's median and
-# quartiles and how many pairs the change won. Per-layer metric names after
-# the seed (e.g. index.update_ms_mean core.replay_s) add <pairs> traced pairs
-# (`--trace 1`) and the same table for those names: the layer that explains
-# a gain. It only *runs* the benchmark: a wrong answer or a failed run stops
-# the script.
+# <workloads> is a workload of BENCHMARK.json, a comma list of them, or
+# `all`. Builds the benchmark once from a copy of <parent-rev> and once from
+# the working tree (each into its own directory under target/bench-pairs/),
+# then runs <pairs> pairs at BENCHMARK.json's `run_seconds`: every pair runs
+# each listed workload on both sides, alternating which side goes first.
+# Prints one table per workload: per end-to-end metric each side's median
+# and quartiles and how many pairs the change won. Per-layer metric names
+# after the seed (e.g. index.update_ms_mean core.replay_s) add <pairs> traced
+# pairs (`--trace 1`) and the same table for those names: the layer that
+# explains a gain. An unknown workload or metric name is refused before
+# anything is built. It only *runs* the benchmark: a wrong answer or a
+# failed run stops the script.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,15p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent_rev=$1
-workload=$2
+workload_arg=$2
 pairs=${3:-10}
 seed=${4:-42}
 layer_metrics=("${@:5}")
 
 root=$(git rev-parse --show-toplevel)
 cd "$root"
-python3 - "${layer_metrics[@]}" <<'PY'
+# The listed workloads, space-separated, once every name is known.
+workloads=$(python3 - "$workload_arg" "${layer_metrics[@]}" <<'PY'
 import json, sys
-known = {spec["name"] for spec in json.load(open("BENCHMARK.json"))["per_layer"]}
-unknown = [name for name in sys.argv[1:] if name not in known]
+bench = json.load(open("BENCHMARK.json"))
+declared = [spec["name"] for spec in bench["workloads"]]
+asked = declared if sys.argv[1] == "all" else sys.argv[1].split(",")
+unknown = [name for name in asked if name not in declared]
+if unknown:
+    sys.exit(f"not a workload of BENCHMARK.json: {', '.join(unknown)} "
+             f"(it declares {', '.join(declared)}; or give all)")
+known = {spec["name"] for spec in bench["per_layer"]}
+unknown = [name for name in sys.argv[2:] if name not in known]
 if unknown:
     sys.exit(f"not a per-layer metric of BENCHMARK.json: {', '.join(unknown)}")
+print(" ".join(dict.fromkeys(asked)))
 PY
+)
 sha=$(git rev-parse --short=12 "$parent_rev^{commit}")
 manifest=crates/bench/src/bin/benchmark/Cargo.toml
 seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 work=$root/target/bench-pairs
 parent_src=$work/parent-$sha
-out=$work/runs-$sha-$workload-seed$seed
-mkdir -p "$out"
-: >"$out/parent.jsonl"
-: >"$out/change.jsonl"
-: >"$out/parent-traced.jsonl"
-: >"$out/change-traced.jsonl"
+out_of() { # <workload>
+    echo "$work/runs-$sha-$1-seed$seed"
+}
+for w in $workloads; do
+    mkdir -p "$(out_of "$w")"
+    for file in parent change parent-traced change-traced; do
+        : >"$(out_of "$w")/$file.jsonl"
+    done
+done
 
 # A plain copy of the parent's committed files (no worktree metadata left in
 # .git); kept between invocations, as are both target directories.
@@ -61,27 +77,30 @@ echo "building parent $sha and the working tree ..." >&2
 build "$parent_src" "$work/parent-$sha-target"
 build "$root" "$work/change-target"
 
-run() { # parent | change, then 0 | 1 (traced)
-    local src=$root target=$work/change-target file=$out/$1.jsonl
+run() { # parent | change, then 0 | 1 (traced), then the workload
+    local src=$root target=$work/change-target file
+    file=$(out_of "$3")/$1.jsonl
     if [ "$1" = parent ]; then
         src=$parent_src target=$work/parent-$sha-target
     fi
     if [ "$2" = 1 ]; then
-        file=$out/$1-traced.jsonl
+        file=$(out_of "$3")/$1-traced.jsonl
     fi
-    (cd "$src" && "$target/release/benchmark" --workload "$workload" --seed "$seed" \
+    (cd "$src" && "$target/release/benchmark" --workload "$3" --seed "$seed" \
         --seconds "$seconds" --trace "$2" | tail -n 1) >>"$file"
 }
 pairs_of() { # 0 | 1 (traced)
     for i in $(seq 1 "$pairs"); do
-        echo "pair $i/$pairs (trace $1)" >&2
-        if [ $((i % 2)) -eq 1 ]; then
-            run parent "$1"
-            run change "$1"
-        else
-            run change "$1"
-            run parent "$1"
-        fi
+        for w in $workloads; do
+            echo "pair $i/$pairs, $w (trace $1)" >&2
+            if [ $((i % 2)) -eq 1 ]; then
+                run parent "$1" "$w"
+                run change "$1" "$w"
+            else
+                run change "$1" "$w"
+                run parent "$1" "$w"
+            fi
+        done
     done
 }
 pairs_of 0
@@ -89,7 +108,8 @@ if [ ${#layer_metrics[@]} -gt 0 ]; then
     pairs_of 1
 fi
 
-python3 - "$out" "$workload" "$sha" "$seed" "$seconds" "${layer_metrics[@]}" <<'PY'
+for w in $workloads; do
+python3 - "$(out_of "$w")" "$w" "$sha" "$seed" "$seconds" "${layer_metrics[@]}" <<'PY'
 import json, statistics, sys
 
 out, workload, sha, seed, seconds = sys.argv[1:6]
@@ -137,3 +157,4 @@ if layer_metrics:
     print(f"  per-layer, {len(traced['parent'])} traced pairs:")
     table(traced, [known[name] for name in layer_metrics], 28)
 PY
+done
