@@ -127,8 +127,6 @@ pub struct BidirEstimator {
     /// The residual ceiling the push actually achieved (≤ the requested
     /// threshold unless the work cap fired).
     bound: f64,
-    /// Edge traversals spent by the backward push (work accounting).
-    push_edges: u64,
 }
 
 impl BidirEstimator {
@@ -163,7 +161,6 @@ impl BidirEstimator {
         queue.push_back(q);
         queued[q as usize] = true;
 
-        let mut push_edges = 0u64;
         let mut pushes = 0u64;
         let push_cap = MAX_PUSHES_PER_NODE.saturating_mul(n as u64);
         while let Some(v) = queue.pop_front() {
@@ -177,7 +174,6 @@ impl BidirEstimator {
             let spill = (1.0 - alpha) * rv;
             let sources = graph.in_neighbors(v);
             let probs = transition.in_probs(v);
-            push_edges += sources.len() as u64;
             for (&w, &p) in sources.iter().zip(probs) {
                 let slot = &mut residual[w as usize];
                 *slot += spill * p;
@@ -192,7 +188,7 @@ impl BidirEstimator {
             }
         }
         let bound = residual.iter().cloned().fold(threshold, f64::max);
-        Self { alpha, walks: params.walks, seed: params.seed, est, residual, bound, push_edges }
+        Self { alpha, walks: params.walks, seed: params.seed, est, residual, bound }
     }
 
     /// The deterministic error radius ρ: for every node `u`,
@@ -207,12 +203,6 @@ impl BidirEstimator {
     #[inline]
     pub fn lower(&self, u: u32) -> f64 {
         self.est[u as usize]
-    }
-
-    /// Edge traversals the backward push performed.
-    #[inline]
-    pub fn push_edges(&self) -> u64 {
-        self.push_edges
     }
 
     /// Estimates `p_u(q)` for one candidate: the push estimate plus the

@@ -6,7 +6,7 @@
 
 use crate::csr::DiGraph;
 
-/// Which degree a selection or histogram refers to.
+/// Which degree a selection or statistic refers to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DegreeKind {
     /// Number of incoming edges.
@@ -74,24 +74,6 @@ pub fn degree_stats(graph: &DiGraph, kind: DegreeKind) -> DegreeStats {
     DegreeStats { min, max, mean: sum as f64 / n as f64, zeros }
 }
 
-/// Degree histogram: `hist[d]` counts nodes with degree `d` (trailing zeros
-/// trimmed). Useful for eyeballing the power-law shape of generated graphs.
-pub fn degree_histogram(graph: &DiGraph, kind: DegreeKind) -> Vec<usize> {
-    let n = graph.node_count();
-    let mut hist = Vec::new();
-    for u in 0..n as u32 {
-        let d = match kind {
-            DegreeKind::In => graph.in_degree(u),
-            DegreeKind::Out => graph.out_degree(u),
-        };
-        if d >= hist.len() {
-            hist.resize(d + 1, 0);
-        }
-        hist[d] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,9 +133,5 @@ mod tests {
         assert_eq!(s.min, 1);
         assert_eq!(s.zeros, 0);
         assert!((s.mean - 9.0 / 5.0).abs() < 1e-12);
-        let h = degree_histogram(&g, DegreeKind::Out);
-        assert_eq!(h[1], 3); // nodes 2,3,4
-        assert_eq!(h[2], 1); // node 1
-        assert_eq!(h[4], 1); // node 0
     }
 }

@@ -365,12 +365,6 @@ impl<'g> TransitionMatrix<'g> {
         Self { graph, probs: Cow::Borrowed(probs) }
     }
 
-    /// Consumes the view, returning owned probabilities (cloning only when
-    /// the view borrowed a cache).
-    pub fn into_probs(self) -> TransitionProbs {
-        self.probs.into_owned()
-    }
-
     /// The underlying graph.
     #[inline]
     pub fn graph(&self) -> &'g DiGraph {
@@ -684,8 +678,6 @@ mod tests {
             assert_eq!(owned.out_probs(u), cached.out_probs(u));
             assert_eq!(owned.in_probs(u), cached.in_probs(u));
         }
-        // Round-trip through into_probs preserves the arrays.
-        assert_eq!(owned.into_probs(), probs);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use rtk_graph::TransitionMatrix;
 use rtk_rwr::bca::{BcaEngine, BcaSnapshot, BcaStop};
 use rtk_rwr::power::BLOCK_WIDTH;
 use rtk_rwr::{proximity_from_many, BcaParams, HubSet, RwrParams};
-use rtk_sparse::{EpochScratch, SparseVector, TopKSelection};
+use rtk_sparse::{SparseVector, TopKSelection};
 
 /// Rounded hub proximity vectors as one dense panel, plus per-hub deficits.
 #[derive(Clone, Debug, PartialEq)]
@@ -363,12 +363,12 @@ fn solve_tile(
 ///
 /// Every list comes out of one path. Per support slot the accumulator holds
 /// `0.0`, then the retained `w` (if any), then `s(h)·row_h[j]` for every
-/// parked hub in ascending order: the addends the scatter of sparse columns
-/// into an [`EpochScratch`] applied, in the same order, plus `s·0.0 = +0.0`
-/// where a column has no entry. Adding `+0.0` leaves a non-negative sum
-/// bit-identical, and Rust does not fuse the multiply and the add, so every
-/// slot the scatter touched ends on the same bits, and a slot it never
-/// touched stays `0.0` and fails the `v > 0` filter. Retained entries
+/// parked hub in ascending order: the addends a scatter of the sparse
+/// columns into a dense accumulator applies, in the same order, plus
+/// `s·0.0 = +0.0` where a column has no entry. Adding `+0.0` leaves a
+/// non-negative sum bit-identical, and Rust does not fuse the multiply and
+/// the add, so every slot the scatter touched ends on the same bits, and a
+/// slot it never touched stays `0.0` and fails the `v > 0` filter. Retained entries
 /// outside the support get no hub addend and are final as read. Selection
 /// ([`TopKSelection`]) orders by value descending, ties by id — a total
 /// order, so the order the candidates arrive in cannot change the list.
@@ -381,28 +381,6 @@ pub struct Materializer {
 }
 
 impl Materializer {
-    /// [`Self::top_k`] of a computation still resident in its engine:
-    /// `retained` is the engine's dense `w`, `hub_ink` its parked ink as the
-    /// snapshot would store it. Every slot receives the same addends in the
-    /// same order as it would from the unloaded snapshot, and selection
-    /// breaks ties by id, so the list is bitwise the one [`Self::top_k`]
-    /// returns for that snapshot.
-    ///
-    /// `floor` is a value that at least `k` entries are known to reach (0 if
-    /// none is known): only entries `≥ floor` are handed to the selection,
-    /// which cannot change the list — anything below `floor` has `k` entries
-    /// above it, and ties at `floor` all pass.
-    pub(crate) fn top_k_resident(
-        &mut self,
-        retained: &EpochScratch,
-        hub_ink: &SparseVector,
-        hub_matrix: &HubMatrix,
-        k: usize,
-        floor: f64,
-    ) -> Vec<(u32, f64)> {
-        self.select(retained.iter_touched(), hub_ink, hub_matrix, k, floor)
-    }
-
     /// Materializes `snapshot`'s lower-bound vector and selects its
     /// descending top-`k` entries.
     pub fn top_k(
@@ -411,13 +389,23 @@ impl Materializer {
         hub_matrix: &HubMatrix,
         k: usize,
     ) -> Vec<(u32, f64)> {
-        self.select(snapshot.retained.iter(), &snapshot.hub_ink, hub_matrix, k, 0.0)
+        self.top_k_resident(snapshot.retained.iter(), &snapshot.hub_ink, hub_matrix, k, 0.0)
     }
 
     /// The one materialize-and-select path (see the type docs): the top `k`
     /// of `w + P_H·s` among its entries `v > 0` with `v ≥ floor`, as an
-    /// exact-size list.
-    fn select(
+    /// exact-size list. `retained` yields each node's `w` at most once, in
+    /// any order, zeros allowed (a `+0.0` addend leaves a non-negative sum
+    /// as it is, and a zero fails `v > 0`), so a computation still resident
+    /// in its engine ([`BcaEngine::retained`], [`BcaEngine::hub_ink`]) gives
+    /// every slot the addends its snapshot would, and the list is bitwise
+    /// [`Self::top_k`]'s for that snapshot.
+    ///
+    /// `floor` is a value that at least `k` entries are known to reach (0 if
+    /// none is known): only entries `≥ floor` are handed to the selection,
+    /// which cannot change the list — anything below `floor` has `k` entries
+    /// above it, and ties at `floor` all pass.
+    pub(crate) fn top_k_resident(
         &mut self,
         retained: impl Iterator<Item = (u32, f64)>,
         hub_ink: &SparseVector,
@@ -428,13 +416,12 @@ impl Materializer {
         let keep = |v: f64| v > 0.0 && v >= floor;
         self.acc.clear();
         self.acc.resize(hub_matrix.support.len(), 0.0);
-        for (i, w) in retained {
-            match hub_matrix.slot[i as usize] {
-                u32::MAX if keep(w) => self.selection.push(i, w),
-                u32::MAX => {}
-                j => self.acc[j as usize] += w,
-            }
-        }
+        let (acc, selection) = (&mut self.acc, &mut self.selection);
+        retained.for_each(|(i, w)| match hub_matrix.slot[i as usize] {
+            u32::MAX if keep(w) => selection.push(i, w),
+            u32::MAX => {}
+            j => acc[j as usize] += w,
+        });
         for (h, s) in hub_ink.iter() {
             let p = hub_matrix
                 .hubs
@@ -631,8 +618,8 @@ mod tests {
 
     /// The scatter the panel replaced, kept as the reference the one
     /// materialize path is pinned to: the retained ink, then each parked
-    /// hub's sparse column in ascending hub order, added into an
-    /// [`EpochScratch`] one entry at a time.
+    /// hub's sparse column in ascending hub order, added into a dense
+    /// node-indexed accumulator one entry at a time.
     fn scatter_top_k(
         retained: impl Iterator<Item = (u32, f64)>,
         hub_ink: &SparseVector,
@@ -640,14 +627,17 @@ mod tests {
         k: usize,
         floor: f64,
     ) -> Vec<(u32, f64)> {
-        let mut scratch = EpochScratch::new(m.hubs().node_count());
+        let mut acc = vec![0.0; m.hubs().node_count()];
         for (i, w) in retained {
-            scratch.add(i as usize, w);
+            acc[i as usize] += w;
         }
         for (h, s) in hub_ink.iter() {
-            m.column(h).expect("ink parks at hubs").scatter_into(s, &mut scratch);
+            for (i, v) in m.column(h).expect("ink parks at hubs").iter() {
+                acc[i as usize] += s * v;
+            }
         }
-        top_k_of_pairs(scratch.iter_touched().filter(|&(_, v)| v > 0.0 && v >= floor), k)
+        let entries = (0..).zip(acc).filter(|&(_, v)| v > 0.0 && v >= floor);
+        top_k_of_pairs(entries, k)
     }
 
     fn bits(list: &[(u32, f64)]) -> Vec<(u32, u64)> {
@@ -673,7 +663,7 @@ mod tests {
                 outside +=
                     snap.retained.iter().filter(|&(i, _)| m.slot[i as usize] == u32::MAX).count();
                 engine.load(&snap);
-                let hub_ink = engine.hub_ink().to_sparse(0.0);
+                let hub_ink = engine.hub_ink();
                 for k in [1, 5, n + 5] {
                     let at = format!("ω={omega} u={u} iterations={iterations} k={k}");
                     let full = mat.top_k(&snap, &m, k);
@@ -683,8 +673,7 @@ mod tests {
                     for floor in [0.0, own_floor] {
                         let resident =
                             mat.top_k_resident(engine.retained(), &hub_ink, &m, k, floor);
-                        let reference =
-                            scatter_top_k(engine.retained().iter_touched(), &hub_ink, &m, k, floor);
+                        let reference = scatter_top_k(engine.retained(), &hub_ink, &m, k, floor);
                         assert_eq!(bits(&resident), bits(&reference), "{at} floor={floor}");
                         assert_eq!(bits(&resident), bits(&full), "{at} floor={floor}");
                         assert_eq!(resident.capacity(), resident.len(), "{at}: exact-size list");

@@ -124,7 +124,9 @@ pub fn refine_state(
     materializer: &mut Materializer,
     stop: &BcaStop,
 ) -> u32 {
-    let executed = engine.resume(transition, &mut state.snapshot, stop);
+    engine.load(&state.snapshot);
+    let executed = engine.advance(transition, stop);
+    state.snapshot = engine.snapshot();
     if executed > 0 {
         let max_k = state.lower_bounds.capacity();
         (state.lower_bounds, state.parked_deficit) =
@@ -190,9 +192,9 @@ impl Refiner {
     ) -> u32 {
         let executed = self.engine.advance(transition, stop);
         if executed > 0 {
-            // A handful of hubs: storing them as the snapshot would keeps
-            // the hub order, and with it every sum below, the snapshot's.
-            let hub_ink = self.engine.hub_ink().to_sparse(0.0);
+            // Parked ink as the snapshot would store it: the hub order, and
+            // with it every sum below, is the snapshot's.
+            let hub_ink = self.engine.hub_ink();
             let max_k = self.lower_bounds.capacity();
             // Prop. 1: every entry of `w + P_H·s` only grows (each addend
             // does, and rounded addition is monotone), so the K entries of a
@@ -455,7 +457,7 @@ mod tests {
                     // leaves outside it sit exactly at the filter's edge.
                     let floor = after.kth_value(max_k);
                     assert_eq!(after.entries()[1..], [(1, floor), (2, floor)]);
-                    assert_eq!(refiner.engine.retained().get(4), floor);
+                    assert_eq!(refiner.engine.snapshot().retained.get(4), floor);
                     floor_ties += 1;
                 }
             }
@@ -488,7 +490,7 @@ mod tests {
                     .filter(|&&(v, _)| {
                         before.len() == 10
                             && before.value_of(v) == 0.0
-                            && refiner.engine.retained().get(v as usize) == 0.0
+                            && refiner.engine.snapshot().retained.get(v) == 0.0
                     })
                     .count();
             }

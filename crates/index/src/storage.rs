@@ -311,6 +311,12 @@ fn read_node_state<R: Read>(
     for (what, v) in [("residue", &residue), ("retained", &retained), ("hub ink", &hub_ink)] {
         check_node_ids(v, n, u, what)?;
     }
+    // Ink parks at hubs only: the engine that resumes the state keeps `s`
+    // by hub position, and the materializer reads a hub's column.
+    let hubs = hub_matrix.hubs();
+    if let Some(&bad) = hub_ink.indices().iter().find(|&&h| !hubs.contains(h)) {
+        return Err(corrupt(format!("node {u}: hub ink at node {bad}, which is not a hub")));
+    }
     let idx = codec::read_u32_seq_bounded(r, max_k as u64)?;
     let vals = codec::read_f64_seq_bounded(r, max_k as u64)?;
     if let Some(&bad) = idx.iter().find(|&&i| i as usize >= n) {
@@ -1361,6 +1367,52 @@ mod tests {
                 assert!(m.contains("duplicate hub id"), "{m}")
             }
             other => panic!("expected a duplicate-hub-id error, got {:?}", other.err()),
+        }
+    }
+
+    #[test]
+    fn rejects_hub_ink_at_a_non_hub_cleanly() {
+        let (g, index) = build_index(1);
+        let hubs = index.hub_matrix().hubs();
+        // A node whose last parked ink sits at a hub followed by a non-hub:
+        // moving that ink one id up keeps the ids ascending and in range.
+        let (u, state) = (0..6u32)
+            .map(|u| (u, index.state(u)))
+            .find(|(_, s)| {
+                s.snapshot()
+                    .hub_ink
+                    .indices()
+                    .last()
+                    .is_some_and(|&h| h < 5 && !hubs.contains(h + 1))
+            })
+            .expect("test premise: a node parks ink at a hub below a non-hub");
+        let snap = state.snapshot();
+        let record = encoded_node_record(snap, state.lower_bounds());
+        let mut buf = saved(&g, &index);
+        let at = buf.windows(record.len()).position(|w| w == record).expect("node record");
+        // The last hub-ink id: source and iterations (8), `r` and `w`, the
+        // id count (8) and the ids before it.
+        let encoded_len = |v: &rtk_sparse::SparseVector| {
+            let mut bytes = Vec::new();
+            codec::write_sparse_vector(&mut bytes, v).unwrap();
+            bytes.len()
+        };
+        let last = at
+            + 8
+            + encoded_len(&snap.residue)
+            + encoded_len(&snap.retained)
+            + 8
+            + 4 * (snap.hub_ink.nnz() - 1);
+        let hub = *snap.hub_ink.indices().last().unwrap();
+        assert_eq!(buf[last..last + 4], hub.to_le_bytes());
+        buf[last..last + 4].copy_from_slice(&(hub + 1).to_le_bytes());
+        // A clean decode error naming the node and the id, not a panic on
+        // the state's first refinement.
+        match load(Cursor::new(buf)) {
+            Err(IndexError::Decode(DecodeError::Corrupt(m))) => {
+                assert!(m.contains(&format!("node {u}: hub ink at node {}", hub + 1)), "{m}")
+            }
+            other => panic!("expected a non-hub hub-ink error, got {:?}", other.err()),
         }
     }
 

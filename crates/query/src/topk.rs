@@ -56,32 +56,30 @@ pub fn top_k_rwr_early(
     params.validate();
 
     let mut engine = BcaEngine::new(HubSet::empty(n), *params);
-    // Run one iteration at a time, testing the separation condition between
-    // iterations. `residue_norm: 0.0` makes each resume run exactly one step.
+    // Run one iteration at a time on the resident computation, testing the
+    // separation condition between iterations. `residue_norm: 0.0` makes
+    // each run exactly one step.
     let step = BcaStop { residue_norm: 0.0, max_iterations: 1 };
-    let mut snapshot = engine.run_from(transition, u, &step);
+    engine.run_from(transition, u, &step);
     let mut iterations = 1u32;
     let tie_eps = crate::query::TIE_EPSILON;
 
     loop {
-        let residual = snapshot.residue_norm();
-        // Top k+1 retained values decide both the set and the separation.
-        let top = top_k_of_pairs(snapshot.retained.iter(), k + 1);
+        // `‖r‖₁` summed in ascending id, as a snapshot's norm is (its zeros
+        // add nothing).
+        let residual = engine.residue().map(|(_, v)| v).sum::<f64>() + 0.0;
+        // Top k+1 retained values decide both the set and the separation;
+        // the selection would keep the zeros.
+        let mut top = top_k_of_pairs(engine.retained().filter(|&(_, v)| v != 0.0), k + 1);
         let kth = top.get(k - 1).map_or(0.0, |&(_, v)| v);
         let next = top.get(k).map_or(0.0, |&(_, v)| v);
         let separated = top.len() >= k && kth >= next + residual;
-        if separated || residual < tie_eps || iterations >= params.max_iterations {
-            let mut result = top;
-            result.truncate(k);
-            return (result, TopkReport { iterations, final_residual: residual, separated });
+        let done = separated || residual < tie_eps || iterations >= params.max_iterations;
+        if done || engine.advance(transition, &step) == 0 {
+            top.truncate(k);
+            return (top, TopkReport { iterations, final_residual: residual, separated });
         }
-        let executed = engine.resume(transition, &mut snapshot, &step);
-        if executed == 0 {
-            let mut result = top_k_of_pairs(snapshot.retained.iter(), k);
-            result.truncate(k);
-            return (result, TopkReport { iterations, final_residual: residual, separated: false });
-        }
-        iterations += executed;
+        iterations += 1;
     }
 }
 

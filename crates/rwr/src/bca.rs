@@ -16,7 +16,9 @@
 //!
 //! The engine's state round-trips through compact [`BcaSnapshot`]s so a
 //! partially-run computation can be stored in the offline index and *resumed*
-//! during query refinement (§4.2.3).
+//! during query refinement (§4.2.3): [`BcaEngine::load`] makes a snapshot
+//! the resident computation, [`BcaEngine::advance`] continues it in place,
+//! and [`BcaEngine::snapshot`] stores it back.
 //!
 //! An iteration costs its pushes, not the list of nodes `r` ever touched:
 //! the resident residue is kept in **touch order** (`Residue`: values in a
@@ -25,13 +27,17 @@
 //! one vectorised maximum over the values, and the frontier of Eqs. 8–9 is
 //! the set bits of one branch-free 64-bit mask per 64 slots, taken at the
 //! threshold that maximum fixes — `η`, or half the maximum once everything
-//! is below `η`. A snapshot costs one walk, in ascending id, over a bitmap
-//! of the nodes `r`, `w` and `s` hold, not three sorts.
+//! is below `η`. `w` is a plain array over the nodes and `s` one value per
+//! hub; one bit per node records every node `r`, `w` or `s` holds, and is
+//! the run's only record of what it touched: a snapshot is one walk over
+//! the set bits in ascending id, not three sorts, and clearing for the next
+//! run zeroes `w` and `s` at the set bits, so a node missing its bit would
+//! carry its ink into the next run.
 
 use crate::hubs::HubSet;
 use crate::params::BcaParams;
 use rtk_graph::TransitionMatrix;
-use rtk_sparse::{EpochScratch, SparseVector};
+use rtk_sparse::SparseVector;
 
 /// Stop condition for a (resumed) BCA run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -113,8 +119,9 @@ struct Residue {
     ids: Vec<u32>,
     /// Residue of each slot.
     vals: Vec<f64>,
-    /// The slots whose node is a hub — all Eq. 6's sweep has to visit.
-    hub_slots: Vec<u32>,
+    /// The slots whose node is a hub, each with the hub's
+    /// [`HubSet::position`] — all Eq. 6's sweep has to visit.
+    hub_slots: Vec<(u32, u32)>,
 }
 
 impl Residue {
@@ -169,8 +176,8 @@ impl Residue {
         self.slot_of[node as usize] = slot;
         self.ids.push(node);
         self.vals.push(amount);
-        if hubs.contains(node) {
-            self.hub_slots.push(slot);
+        if let Some(hub) = hubs.position(node) {
+            self.hub_slots.push((slot, hub as u32));
         }
     }
 
@@ -248,9 +255,10 @@ fn set_bits(mut bits: u64) -> impl Iterator<Item = u32> {
 
 /// One bit per node for the union of the supports of `r`, `w` and `s`. A
 /// node enters one of them only by taking a residue slot or by
-/// [`BcaEngine::load`] scattering it into `w` or `s`, and both mark it, so
-/// the set bits in ascending order are every node a snapshot can hold, in
-/// the order it stores them.
+/// [`BcaEngine::load`] writing it into `w` or `s`, and both mark it, so the
+/// set bits in ascending order are every node a snapshot can hold, in the
+/// order it stores them — and every entry of `w` and `s` that clearing
+/// must zero.
 struct Support {
     words: Vec<u64>,
 }
@@ -263,6 +271,11 @@ impl Support {
     #[inline]
     fn mark(&mut self, node: u32) {
         self.words[node as usize / 64] |= 1 << (node % 64);
+    }
+
+    #[inline]
+    fn contains(&self, node: u32) -> bool {
+        self.words[node as usize / 64] & 1 << (node % 64) != 0
     }
 
     /// Marks `nodes`, given in ascending order: the bits of one word are
@@ -280,26 +293,59 @@ impl Support {
         self.words[word] |= bits;
     }
 
-    /// Back to no node, given the `count` marked nodes (repeats allowed):
-    /// clears their words, or all words at once when there are fewer of
-    /// those — `O(min(count, n/64))`.
-    fn reset(&mut self, count: usize, marked: impl Iterator<Item = u32>) {
-        if count >= self.words.len() {
-            self.words.fill(0);
-        } else {
-            for node in marked {
-                self.words[node as usize / 64] = 0;
-            }
-        }
+    /// The marked nodes in ascending order: `O(marked + n/64)`.
+    fn iter(&self) -> Marked<'_> {
+        Marked { words: self.words.iter().enumerate(), word: 0, bits: 0 }
     }
 
-    /// Calls `f` on every marked node in ascending order: `O(marked + n/64)`.
-    fn for_each(&self, mut f: impl FnMut(u32)) {
-        for (word, &bits) in self.words.iter().enumerate() {
-            for bit in set_bits(bits) {
+    /// Back to no node, calling `f` on every marked node first, in
+    /// ascending order: `O(marked + n/64)`.
+    fn drain(&mut self, mut f: impl FnMut(u32)) {
+        for (word, bits) in self.words.iter_mut().enumerate() {
+            for bit in set_bits(std::mem::take(bits)) {
                 f(word as u32 * 64 + bit);
             }
         }
+    }
+}
+
+/// [`Support::iter`]: the set bits of one word at a time. Hand-rolled, with
+/// a nested-loop `fold`: a `flat_map` over the words walked the support
+/// markedly slower, and the resident materialization walks it after every
+/// refine iteration.
+struct Marked<'a> {
+    words: std::iter::Enumerate<std::slice::Iter<'a, u64>>,
+    /// The current word and its bits not yet visited.
+    word: u32,
+    bits: u64,
+}
+
+impl Iterator for Marked<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        while self.bits == 0 {
+            let (word, &bits) = self.words.next()?;
+            (self.word, self.bits) = (word as u32, bits);
+        }
+        let bit = self.bits.trailing_zeros();
+        self.bits &= self.bits - 1;
+        Some(self.word * 64 + bit)
+    }
+
+    /// A loop per word, which `for_each`, `sum` and `count` run on.
+    fn fold<B, F: FnMut(B, u32) -> B>(self, init: B, mut f: F) -> B {
+        let mut acc = init;
+        for bit in set_bits(self.bits) {
+            acc = f(acc, self.word * 64 + bit);
+        }
+        for (word, &bits) in self.words {
+            for bit in set_bits(bits) {
+                acc = f(acc, word as u32 * 64 + bit);
+            }
+        }
+        acc
     }
 }
 
@@ -334,15 +380,24 @@ impl Emitted {
 
 /// Reusable BCA executor over one graph + hub set.
 ///
-/// Owns dense scratch buffers sized to the graph, so building one engine and
-/// running it across many sources (index construction) performs no per-source
-/// allocation beyond the output snapshots.
+/// Owns dense buffers sized to the graph — `r` in touch-ordered slots, `w`
+/// over the nodes, `s` over the hubs, one support bit per node — so
+/// building one engine and running it across many sources (index
+/// construction) performs no per-source allocation beyond the output
+/// snapshots. The support bits are the one record of what a computation
+/// touched: clearing zeroes `w` and `s` at the set bits only.
 pub struct BcaEngine {
     hubs: HubSet,
     params: BcaParams,
     residue: Residue,
-    retained: EpochScratch,
-    hub_ink: EpochScratch,
+    /// Retained ink `w`, by node.
+    retained: Vec<f64>,
+    /// The non-zero entries of `w`, counted as they receive their first
+    /// ink (an addend that underflows to zero counts too, so it is an upper
+    /// bound): room for a snapshot's `w` without a counting walk.
+    retained_count: usize,
+    /// Ink parked at hubs `s`, by [`HubSet::position`].
+    hub_ink: Vec<f64>,
     support: Support,
     residue_norm: f64,
     /// Source and cumulative iteration count of the resident computation.
@@ -366,12 +421,13 @@ impl BcaEngine {
         params.validate();
         let n = hubs.node_count();
         Self {
+            residue: Residue::new(n),
+            retained: vec![0.0; n],
+            retained_count: 0,
+            hub_ink: vec![0.0; hubs.len()],
+            support: Support::new(n),
             hubs,
             params,
-            residue: Residue::new(n),
-            retained: EpochScratch::new(n),
-            hub_ink: EpochScratch::new(n),
-            support: Support::new(n),
             residue_norm: 0.0,
             source: 0,
             iterations: 0,
@@ -414,24 +470,13 @@ impl BcaEngine {
         self.snapshot()
     }
 
-    /// Loads `snapshot`, advances it until `stop`, and stores the result back.
-    /// Returns the number of iterations actually executed.
-    pub fn resume(
-        &mut self,
-        transition: &TransitionMatrix<'_>,
-        snapshot: &mut BcaSnapshot,
-        stop: &BcaStop,
-    ) -> u32 {
-        self.load(snapshot);
-        let executed = self.advance(transition, stop);
-        *snapshot = self.snapshot();
-        executed
-    }
-
     /// Makes `snapshot` the resident computation: [`Self::advance`] then
     /// continues it in place, any number of times, and [`Self::snapshot`]
     /// stores it back — so a caller that re-tests bounds between runs pays
     /// the load and the store once, not once per run.
+    ///
+    /// # Panics
+    /// Panics if `snapshot` parks ink at a node that is not a hub.
     pub fn load(&mut self, snapshot: &BcaSnapshot) {
         self.clear();
         self.source = snapshot.source;
@@ -440,8 +485,14 @@ impl BcaEngine {
         for (node, v) in snapshot.residue.iter() {
             self.residue.insert(node, v, &self.hubs);
         }
-        snapshot.retained.scatter_into(1.0, &mut self.retained);
-        snapshot.hub_ink.scatter_into(1.0, &mut self.hub_ink);
+        for (node, v) in snapshot.retained.iter() {
+            self.retained[node as usize] = v;
+        }
+        self.retained_count = snapshot.retained.nnz();
+        for (hub, v) in snapshot.hub_ink.iter() {
+            let p = self.hubs.position(hub).expect("BcaEngine: hub ink parked at a non-hub");
+            self.hub_ink[p] = v;
+        }
         for vector in [&snapshot.residue, &snapshot.retained, &snapshot.hub_ink] {
             self.support.mark_ascending(vector.indices());
         }
@@ -464,27 +515,25 @@ impl BcaEngine {
     /// The resident computation as a compact snapshot: `r`, `w` and `s`
     /// each sorted by id, zeros left out, at exact size
     /// ([`BcaSnapshot::heap_bytes`] counts capacity, and the index's size
-    /// with it). One walk over the support bits, in ascending id, emits all
-    /// three — `O(touched + n/64)`, no sort.
+    /// with it). One walk over the support bits, in ascending id, emits `r`
+    /// and `w`, and `s` is read in hub order — `O(touched + n/64)`, no sort.
     pub fn snapshot(&self) -> BcaSnapshot {
         let Residue { slot_of, vals, .. } = &self.residue;
         let mut residue = Emitted::with_capacity(vals.iter().filter(|&&v| v != 0.0).count());
-        let mut retained = Emitted::with_capacity(self.retained.touched_len());
-        let mut hub_ink = Emitted::with_capacity(self.hub_ink.touched_len());
-        self.support.for_each(|node| {
+        let mut retained = Emitted::with_capacity(self.retained_count);
+        self.support.iter().for_each(|node| {
             let slot = slot_of[node as usize];
             if slot != Residue::UNTOUCHED {
                 residue.push(node, vals[slot as usize]);
             }
-            retained.push(node, self.retained.get(node as usize));
-            hub_ink.push(node, self.hub_ink.get(node as usize));
+            retained.push(node, self.retained[node as usize]);
         });
         BcaSnapshot {
             source: self.source,
             iterations: self.iterations,
             residue: residue.finish(),
             retained: retained.finish(),
-            hub_ink: hub_ink.finish(),
+            hub_ink: self.hub_ink(),
         }
     }
 
@@ -494,26 +543,49 @@ impl BcaEngine {
         self.residue_norm
     }
 
-    /// Retained ink `w` of the resident computation.
-    pub fn retained(&self) -> &EpochScratch {
-        &self.retained
+    /// The residue `r` at every node the resident computation holds, in
+    /// ascending id: the entries [`Self::snapshot`] would store, and zeros.
+    pub fn residue(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
+        let Residue { slot_of, vals, .. } = &self.residue;
+        self.support.iter().map(move |node| match slot_of[node as usize] {
+            Residue::UNTOUCHED => (node, 0.0),
+            slot => (node, vals[slot as usize]),
+        })
     }
 
-    /// Ink parked at hubs `s` of the resident computation.
-    pub fn hub_ink(&self) -> &EpochScratch {
-        &self.hub_ink
+    /// The retained ink `w` at every node the resident computation holds,
+    /// in ascending id: the entries [`Self::snapshot`] would store, and
+    /// zeros where a node holds only `r` or `s`. Leaving the zeros to the
+    /// caller (a sum or a positive filter skips them for free) spares a
+    /// mispredicted branch per node.
+    pub fn retained(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
+        let w = &self.retained;
+        self.support.iter().map(|node| (node, w[node as usize]))
     }
 
+    /// The ink parked at hubs `s` of the resident computation, as
+    /// [`Self::snapshot`] would store it (hub ids ascend, so no sort).
+    pub fn hub_ink(&self) -> SparseVector {
+        let mut hub_ink =
+            Emitted::with_capacity(self.hub_ink.iter().filter(|&&v| v != 0.0).count());
+        for (&hub, &v) in self.hubs.ids().iter().zip(&self.hub_ink) {
+            hub_ink.push(hub, v);
+        }
+        hub_ink.finish()
+    }
+
+    /// Back to no computation. `w` and `s` are zeroed at the support bits
+    /// only — every node either holds is marked — and the bits with them.
     fn clear(&mut self) {
-        let count =
-            self.residue.ids.len() + self.retained.touched_len() + self.hub_ink.touched_len();
-        let marked = self.residue.ids.iter().copied();
-        let marked = marked.chain(self.retained.iter_touched().map(|(node, _)| node));
-        let marked = marked.chain(self.hub_ink.iter_touched().map(|(node, _)| node));
-        self.support.reset(count, marked);
-        self.residue.reset();
-        self.retained.reset();
-        self.hub_ink.reset();
+        let Self { hubs, residue, retained, hub_ink, support, .. } = self;
+        for (v, &hub) in hub_ink.iter_mut().zip(hubs.ids()) {
+            if support.contains(hub) {
+                *v = 0.0;
+            }
+        }
+        support.drain(|node| retained[node as usize] = 0.0);
+        residue.reset();
+        self.retained_count = 0;
         self.residue_norm = 0.0;
         self.iterations = 0;
     }
@@ -536,23 +608,25 @@ impl BcaEngine {
     /// swept into `s`; then the frontier chosen from `r_{t−1}` retains `α`
     /// and pushes `1−α`, with pushes *into* hubs landing back in `r` to be
     /// swept next iteration. The loop runs on split borrows of the engine's
-    /// fields, with the running norm and the work counters in locals.
+    /// fields, with the running norm, the work counters and `w`'s count in
+    /// locals.
     fn iterate(&mut self, transition: &TransitionMatrix<'_>, stop: &BcaStop) -> u32 {
         let stop_norm = stop.residue_norm.max(Self::RESIDUE_FLOOR);
         let eta = self.params.propagation_threshold;
         let alpha = self.params.alpha;
         let mut norm = self.residue_norm;
         let (mut executed, mut propagations, mut pushes) = (0u32, 0u64, 0u64);
+        let mut retained_count = self.retained_count;
         let Self { hubs, residue, retained, hub_ink, support, frontier, .. } = self;
         while executed < stop.max_iterations && norm > stop_norm {
             // Eq. 6: s_t = Σ_{i∈H} r_{t−1}(i)·e_i + s_{t−1}, removing the
             // swept ink from the residue — which also leaves every hub slot
             // at zero, out of the selection below.
             let mut swept = false;
-            for &slot in &residue.hub_slots {
+            for &(slot, hub) in &residue.hub_slots {
                 let v = residue.vals[slot as usize];
                 if v > 0.0 {
-                    hub_ink.add(residue.ids[slot as usize] as usize, v);
+                    hub_ink[hub as usize] += v;
                     residue.vals[slot as usize] = 0.0;
                     norm -= v;
                     swept = true;
@@ -590,7 +664,9 @@ impl BcaEngine {
             // hubs stay in `r` until next iteration's sweep.
             for &(slot, rv) in frontier.iter() {
                 let v = residue.ids[slot as usize];
-                retained.add(v as usize, alpha * rv);
+                let w = &mut retained[v as usize];
+                retained_count += usize::from(*w == 0.0);
+                *w += alpha * rv;
                 let spill = (1.0 - alpha) * rv;
                 let (targets, probs) = transition.out_edges(v);
                 for (&t, &p) in targets.iter().zip(probs) {
@@ -612,6 +688,7 @@ impl BcaEngine {
         self.work.iterations += executed;
         self.work.propagations += propagations;
         self.work.pushes += pushes;
+        self.retained_count = retained_count;
         executed
     }
 }
@@ -660,7 +737,8 @@ mod tests {
         for _ in 0..20 {
             let total = snap.residue_norm() + snap.settled_mass();
             assert!((total - 1.0).abs() < 1e-12, "mass leaked: {total}");
-            engine.resume(&t, &mut snap, &BcaStop::one_iteration());
+            engine.advance(&t, &BcaStop::one_iteration());
+            snap = engine.snapshot();
         }
     }
 
@@ -727,11 +805,12 @@ mod tests {
         let t = TransitionMatrix::new(&g);
         let hubs = HubSet::from_ids(6, vec![1]);
         let mut engine = BcaEngine::new(hubs, BcaParams::default());
-        let mut snap = engine.run_from(&t, 2, &BcaStop { residue_norm: 0.9, max_iterations: 1 });
+        let snap = engine.run_from(&t, 2, &BcaStop { residue_norm: 0.9, max_iterations: 1 });
         let mut prev_w = snap.retained.to_dense(6);
         let mut prev_s = snap.hub_ink.to_dense(6);
         for _ in 0..15 {
-            engine.resume(&t, &mut snap, &BcaStop::one_iteration());
+            engine.advance(&t, &BcaStop::one_iteration());
+            let snap = engine.snapshot();
             let w = snap.retained.to_dense(6);
             let s = snap.hub_ink.to_dense(6);
             for v in 0..6 {
@@ -748,11 +827,11 @@ mod tests {
         let g = toy();
         let t = TransitionMatrix::new(&g);
         let mut engine = BcaEngine::new(HubSet::empty(6), BcaParams::default());
-        let mut snap = engine.run_from(&t, 0, &BcaStop { residue_norm: 0.99, max_iterations: 1 });
+        let snap = engine.run_from(&t, 0, &BcaStop { residue_norm: 0.99, max_iterations: 1 });
         let mut prev = snap.residue_norm();
         for _ in 0..10 {
-            engine.resume(&t, &mut snap, &BcaStop::one_iteration());
-            let cur = snap.residue_norm();
+            engine.advance(&t, &BcaStop::one_iteration());
+            let cur = engine.snapshot().residue_norm();
             assert!(cur < prev, "residue should strictly shrink: {cur} vs {prev}");
             prev = cur;
         }
@@ -779,9 +858,11 @@ mod tests {
         fn mk(params: BcaParams) -> BcaEngine {
             BcaEngine::new(HubSet::from_ids(6, vec![1]), params)
         }
-        let mut spliced =
-            mk(params).run_from(&t, 2, &BcaStop { residue_norm: 0.0, max_iterations: 2 });
-        mk(params).resume(&t, &mut spliced, &BcaStop { residue_norm: 0.0, max_iterations: 3 });
+        let stored = mk(params).run_from(&t, 2, &BcaStop { residue_norm: 0.0, max_iterations: 2 });
+        let mut resumed = mk(params);
+        resumed.load(&stored);
+        resumed.advance(&t, &BcaStop { residue_norm: 0.0, max_iterations: 3 });
+        let spliced = resumed.snapshot();
         let straight =
             mk(params).run_from(&t, 2, &BcaStop { residue_norm: 0.0, max_iterations: 5 });
         assert_eq!(spliced.iterations, straight.iterations);
@@ -836,18 +917,19 @@ mod tests {
     }
 
     /// The engine as it was before the residue became touch-ordered, kept as
-    /// the reference the touch-ordered one must equal bit for bit: residue
-    /// indexed by node, one pass over the whole touched list through a hub
-    /// lookup picking the hubs to sweep, the η-frontier and the largest
-    /// residue (ties to the smaller id), and a second pass once sub-η.
+    /// the reference the touch-ordered one must equal bit for bit: `r`,
+    /// `w` and `s` indexed by node, `w` and `s` cleared whole, one pass over
+    /// the whole touched list through a hub lookup picking the hubs to
+    /// sweep, the η-frontier and the largest residue (ties to the smaller
+    /// id), and a second pass once sub-η.
     struct ReferenceEngine {
         hubs: HubSet,
         params: BcaParams,
         residue: Vec<f64>,
         seen: Vec<bool>,
         touched: Vec<u32>,
-        retained: EpochScratch,
-        hub_ink: EpochScratch,
+        retained: Vec<f64>,
+        hub_ink: Vec<f64>,
         residue_norm: f64,
         source: u32,
         iterations: u32,
@@ -863,8 +945,8 @@ mod tests {
                 residue: vec![0.0; n],
                 seen: vec![false; n],
                 touched: Vec::new(),
-                retained: EpochScratch::new(n),
-                hub_ink: EpochScratch::new(n),
+                retained: vec![0.0; n],
+                hub_ink: vec![0.0; n],
                 residue_norm: 0.0,
                 source: 0,
                 iterations: 0,
@@ -888,8 +970,8 @@ mod tests {
                 self.residue[i as usize] = 0.0;
             }
             self.touched.clear();
-            self.retained.reset();
-            self.hub_ink.reset();
+            self.retained.fill(0.0);
+            self.hub_ink.fill(0.0);
             self.residue_norm = 0.0;
             self.iterations = 0;
         }
@@ -908,8 +990,12 @@ mod tests {
             for (i, v) in snapshot.residue.iter() {
                 self.add_residue(i, 1.0 * v);
             }
-            snapshot.retained.scatter_into(1.0, &mut self.retained);
-            snapshot.hub_ink.scatter_into(1.0, &mut self.hub_ink);
+            for (i, v) in snapshot.retained.iter() {
+                self.retained[i as usize] = v;
+            }
+            for (i, v) in snapshot.hub_ink.iter() {
+                self.hub_ink[i as usize] = v;
+            }
             self.residue_norm = snapshot.residue.sum();
         }
 
@@ -919,8 +1005,8 @@ mod tests {
                 source: self.source,
                 iterations: self.iterations,
                 residue: SparseVector::from_unsorted(residue.filter(|&(_, v)| v != 0.0).collect()),
-                retained: self.retained.to_sparse(0.0),
-                hub_ink: self.hub_ink.to_sparse(0.0),
+                retained: SparseVector::from_dense(&self.retained, 0.0),
+                hub_ink: SparseVector::from_dense(&self.hub_ink, 0.0),
             }
         }
 
@@ -955,7 +1041,7 @@ mod tests {
                 let mut progressed = !swept.is_empty();
                 for &i in &swept {
                     let v = self.residue[i as usize];
-                    self.hub_ink.add(i as usize, v);
+                    self.hub_ink[i as usize] += v;
                     self.residue[i as usize] = 0.0;
                     self.residue_norm -= v;
                 }
@@ -990,7 +1076,7 @@ mod tests {
                 }
                 let alpha = self.params.alpha;
                 for &(v, rv) in &frontier {
-                    self.retained.add(v as usize, alpha * rv);
+                    self.retained[v as usize] += alpha * rv;
                     let spill = (1.0 - alpha) * rv;
                     let (targets, probs) = transition.out_edges(v);
                     for (&t, &p) in targets.iter().zip(probs) {
@@ -1313,6 +1399,10 @@ mod tests {
         // never reaches: runs and loads of either, in turn, on one engine
         // each equal the reference's and a fresh engine's, and a toy state
         // holds toy nodes only — whatever the R-MAT runs marked before.
+        // `w` and `s` are cleared at the support bits only, so ink at a node
+        // whose bit was never set, or that clearing skipped, would surface
+        // in a later state as a wrong value. Two runs from the last node
+        // put `w` on the last word too.
         let rmat =
             rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(1_000, 6_000, 42)).unwrap();
         let mut edges: Vec<(u32, u32)> = toy().edges().map(|(u, v, _)| (u, v)).collect();
@@ -1326,7 +1416,8 @@ mod tests {
         let stop = BcaStop { residue_norm: 1e-3, max_iterations: 100 };
         let (mut engine, mut reference) = pair(&hubs, params);
         let mut stored = Vec::new();
-        for u in [7u32, 2, 56, 3, 4, 106, 0, 5] {
+        let last = 1_005;
+        for u in [7u32, 2, last, 56, 3, 4, 106, 0, 5, last] {
             let snapshot = engine.run_from(&t, u, &stop);
             reference.start(u);
             reference.advance(&t, &stop);
@@ -1337,6 +1428,8 @@ mod tests {
             if u < 6 {
                 let held = [&snapshot.residue, &snapshot.retained, &snapshot.hub_ink];
                 assert!(held.iter().all(|v| v.indices().iter().all(|&i| i < 6)), "{context}");
+            } else if u == last {
+                assert!(snapshot.retained.get(last) > 0.0, "{context}: test premise");
             } else {
                 let held = snapshot.residue.nnz() + snapshot.retained.nnz();
                 assert!(held > 500, "{context}: test premise, most words marked ({held})");

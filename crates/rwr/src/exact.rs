@@ -88,12 +88,6 @@ pub fn proximity_matrix_dense(transition: &TransitionMatrix<'_>, alpha: f64) -> 
     columns
 }
 
-/// Computes a single exact proximity vector `p_u` via the dense solver.
-pub fn proximity_from_dense(transition: &TransitionMatrix<'_>, u: u32, alpha: f64) -> Vec<f64> {
-    let cols = proximity_matrix_dense(transition, alpha);
-    cols[u as usize].clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,7 +144,7 @@ mod tests {
             GraphBuilder::from_edges(3, &[(0, 1), (1, 2), (2, 0)], DanglingPolicy::Error).unwrap();
         let t = rtk_graph::TransitionMatrix::new(&g);
         let alpha = 0.15;
-        let p = proximity_from_dense(&t, 0, alpha);
+        let p = &proximity_matrix_dense(&t, alpha)[0];
         let d = 1.0 - alpha;
         let loop_gain = 1.0 - d * d * d;
         for (j, &got) in p.iter().enumerate() {

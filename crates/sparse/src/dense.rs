@@ -9,12 +9,6 @@ pub fn l1_norm(x: &[f64]) -> f64 {
     x.iter().map(|v| v.abs()).sum()
 }
 
-/// Returns the L∞ norm `max |x_i|` of `x` (0.0 for an empty slice).
-#[inline]
-pub fn linf_norm(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-}
-
 /// Returns the L1 distance `Σ|x_i − y_i|` between two equal-length slices.
 ///
 /// # Panics
@@ -23,12 +17,6 @@ pub fn linf_norm(x: &[f64]) -> f64 {
 pub fn l1_distance(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "l1_distance: length mismatch");
     x.iter().zip(y).map(|(a, b)| (a - b).abs()).sum()
-}
-
-/// Sets every element of `x` to zero.
-#[inline]
-pub fn fill_zero(x: &mut [f64]) {
-    x.fill(0.0);
 }
 
 /// In-place `y ← y + a·x` (axpy).
@@ -83,11 +71,6 @@ pub fn kth_largest(x: &[f64], k: usize) -> f64 {
     sorted[k - 1]
 }
 
-/// True when `x` and `y` agree to within absolute tolerance `tol` elementwise.
-pub fn approx_eq(x: &[f64], y: &[f64], tol: f64) -> bool {
-    x.len() == y.len() && x.iter().zip(y).all(|(a, b)| (a - b).abs() <= tol)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,12 +79,6 @@ mod tests {
     fn l1_norm_sums_absolute_values() {
         assert_eq!(l1_norm(&[1.0, -2.0, 3.0]), 6.0);
         assert_eq!(l1_norm(&[]), 0.0);
-    }
-
-    #[test]
-    fn linf_norm_takes_max_abs() {
-        assert_eq!(linf_norm(&[1.0, -5.0, 3.0]), 5.0);
-        assert_eq!(linf_norm(&[]), 0.0);
     }
 
     #[test]
@@ -142,19 +119,5 @@ mod tests {
         assert_eq!(kth_largest(&x, 3), 0.2);
         assert_eq!(kth_largest(&x, 4), 0.1);
         assert_eq!(kth_largest(&x, 5), 0.0);
-    }
-
-    #[test]
-    fn fill_zero_clears() {
-        let mut x = vec![1.0, 2.0];
-        fill_zero(&mut x);
-        assert_eq!(x, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn approx_eq_respects_tolerance() {
-        assert!(approx_eq(&[1.0, 2.0], &[1.0 + 1e-12, 2.0 - 1e-12], 1e-9));
-        assert!(!approx_eq(&[1.0], &[1.1], 1e-3));
-        assert!(!approx_eq(&[1.0], &[1.0, 2.0], 1e-3));
     }
 }

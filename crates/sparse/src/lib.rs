@@ -6,8 +6,6 @@
 //! * [`dense`] — kernels over dense `f64` slices (norms, axpy, argmax, …);
 //! * [`SparseVector`] — a compact sorted `(index, value)` vector used to store
 //!   per-node Bookmark-Coloring state (residues, retained ink, hub ink);
-//! * [`EpochScratch`] — a dense accumulator with *O(touched)* reset, the
-//!   workhorse behind batch ink propagation;
 //! * [`ScratchPool`] — a mutexed free list recycling per-thread scratch
 //!   objects across parallel query phases;
 //! * [`WorkerPool`] — a persistent pool of parked worker threads with a
@@ -33,14 +31,12 @@ pub mod codec;
 pub mod dense;
 pub mod hist;
 pub mod pool;
-pub mod scratch;
 pub mod sparse_vec;
 pub mod topk;
 pub mod worker_pool;
 
 pub use hist::LatencyHistogram;
 pub use pool::ScratchPool;
-pub use scratch::EpochScratch;
 pub use sparse_vec::SparseVector;
 pub use topk::{top_k_of_dense, top_k_of_pairs, DescendingTopK, TopKSelection};
 pub use worker_pool::{PoolScope, WorkerPool};

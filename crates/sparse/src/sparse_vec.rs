@@ -6,8 +6,6 @@
 //! sparse after the few iterations the index runs (paper §4.1.2), so storing
 //! `(u32 index, f64 value)` pairs is what makes the index fit in memory.
 
-use crate::scratch::EpochScratch;
-
 /// A sparse vector of `f64` values over a `0..n` index space.
 ///
 /// Invariants (enforced by constructors, relied on everywhere):
@@ -121,25 +119,6 @@ impl SparseVector {
         self.values.iter().map(|v| v.abs()).sum::<f64>() + 0.0
     }
 
-    /// Largest stored value with its index, or `None` when empty.
-    pub fn max_entry(&self) -> Option<(u32, f64)> {
-        let mut best: Option<(u32, f64)> = None;
-        for (i, v) in self.iter() {
-            match best {
-                Some((_, bv)) if bv >= v => {}
-                _ => best = Some((i, v)),
-            }
-        }
-        best
-    }
-
-    /// Scatters `scale ×` this vector into a dense accumulator.
-    pub fn scatter_into(&self, scale: f64, scratch: &mut EpochScratch) {
-        for (i, v) in self.iter() {
-            scratch.add(i as usize, scale * v);
-        }
-    }
-
     /// Materializes into a dense vector of length `n`.
     ///
     /// # Panics
@@ -207,7 +186,6 @@ mod tests {
         assert_eq!(v.get(4), 0.25);
         assert_eq!(v.get(2), 0.0);
         assert!((v.sum() - 0.875).abs() < 1e-15);
-        assert_eq!(v.max_entry(), Some((1, 0.5)));
     }
 
     #[test]
@@ -273,12 +251,6 @@ mod tests {
         let v = SparseVector::unit(3, 1.0);
         assert_eq!(v.get(3), 1.0);
         assert_eq!(v.nnz(), 1);
-    }
-
-    #[test]
-    fn max_entry_prefers_first_on_ties() {
-        let v = SparseVector::from_parts(vec![2, 5], vec![0.5, 0.5]);
-        assert_eq!(v.max_entry(), Some((2, 0.5)));
     }
 
     #[test]
