@@ -3,7 +3,10 @@
 //!
 //! The paper's point: as the updated index absorbs refinements, later
 //! queries in the sequence get cheaper, while the frozen index pays the
-//! same refinement cost again and again.
+//! same refinement cost again and again. Here the frozen series keeps the
+//! bounds its refinements reach (`rtk_index::kept`), so it gets cheaper
+//! along the sequence too, though less than the paper's no-update mode,
+//! which keeps nothing, would suggest.
 //!
 //! ```sh
 //! cargo run --release -p rtk-bench --bin figure7 -- --quick

@@ -289,8 +289,9 @@ impl ReverseTopkEngine {
 
     /// Fans independent reverse top-k queries across
     /// [`QueryOptions::query_threads`] workers (throughput mode). Always the
-    /// paper's `no-update` mode, so `results[i]` equals a frozen
-    /// single-query run of `queries[i]`, in input order.
+    /// paper's `no-update` mode, so `results[i]` answers as a frozen
+    /// single-query run of `queries[i]`, in input order (counters may differ:
+    /// see [`QueryEngine::query_batch`]).
     pub fn query_batch(
         &self,
         queries: &[(NodeId, usize)],
@@ -324,8 +325,10 @@ impl ReverseTopkEngine {
     }
 
     /// [`Self::query_shard`] without the commit: refined states are
-    /// dropped and the engine is not modified, whatever
+    /// dropped and the engine's states are not modified, whatever
     /// `options.update_index` says — so concurrent callers can share it.
+    /// An exact call keeps the bounds it reached
+    /// ([`rtk_index::ReverseIndex::kept`]).
     ///
     /// ```
     /// use rtk_core::{ReverseTopkEngine, graph::NodeId};

@@ -6,6 +6,7 @@ use crate::config::{HubSelection, IndexConfig};
 use crate::digest::DigestCell;
 use crate::error::IndexError;
 use crate::hub_matrix::HubMatrix;
+use crate::kept::{Kept, KeptStore};
 use crate::node_state::NodeState;
 use crate::shard::ShardMap;
 use crate::stats::IndexStats;
@@ -33,14 +34,16 @@ use std::time::Instant;
 /// * persistence ([`crate::storage`]) — one section per shard, under a
 ///   manifest.
 ///
-/// Beside each state the block keeps two things that are never persisted
+/// Beside each state the block keeps three things that are never persisted
 /// and never compared: the cached digest of the state's persisted record
-/// (see [`crate::digest`]), and the **as-built bit** — set when the state is
+/// (see [`crate::digest`]); the **as-built bit** — set when the state is
 /// exactly what the build recipe (Alg. 1: `run_from` under the configured
 /// stop, then materialization) yields on the current graph, which is what
 /// lets an edge update keep a run that never read the edited row (see
-/// [`crate::update`]). [`crate::builder`] and [`Self::apply_update`] set
-/// both; a commit clears them, and a load or a stitch starts them clear.
+/// [`crate::update`]) — where [`crate::builder`] and [`Self::apply_update`]
+/// set both, a commit clears them, and a load or a stitch starts them
+/// clear; and the bounds frozen queries kept ([`Self::kept`], see
+/// [`crate::kept`]), which only [`Self::apply_update`] empties.
 #[derive(Clone, Debug)]
 pub struct ReverseIndex {
     config: IndexConfig,
@@ -54,6 +57,8 @@ pub struct ReverseIndex {
     digests: Vec<DigestCell>,
     /// As-built bit of each state.
     as_built: Vec<bool>,
+    /// Bounds frozen queries kept for the held nodes.
+    kept: KeptStore,
     stats: IndexStats,
 }
 
@@ -133,6 +138,7 @@ impl ReverseIndex {
             only: None,
             digests,
             as_built: vec![true; n],
+            kept: KeptStore::default(),
             states,
             stats,
         })
@@ -156,6 +162,7 @@ impl ReverseIndex {
             only,
             digests: (0..held).map(|_| DigestCell::default()).collect(),
             as_built: vec![false; held],
+            kept: KeptStore::default(),
             states,
             stats,
         };
@@ -183,6 +190,7 @@ impl ReverseIndex {
             states: self.states[block.clone()].to_vec(),
             digests: self.digests[block.clone()].to_vec(),
             as_built: self.as_built[block].to_vec(),
+            kept: KeptStore::default(),
             stats: self.stats,
         })
     }
@@ -290,6 +298,13 @@ impl ReverseIndex {
         })
     }
 
+    /// The bounds frozen queries kept for the held nodes, locked until the
+    /// returned view is dropped. They were computed on the current graph:
+    /// [`Self::apply_update`] forgets them all.
+    pub fn kept(&self) -> Kept<'_> {
+        Kept::new(&self.kept, self.owned_range().start, self.states.len())
+    }
+
     /// Construction/size statistics.
     pub fn stats(&self) -> &IndexStats {
         &self.stats
@@ -349,12 +364,16 @@ impl ReverseIndex {
     /// run the identical hub recompute (their hub matrices stay bitwise
     /// converged) and disjoint per-node work, so their union equals this
     /// call on the whole index.
+    ///
+    /// Every kept bound ([`Self::kept`]) is forgotten: it was a bound on the
+    /// old graph.
     pub fn apply_update(
         &mut self,
         transition: &TransitionMatrix<'_>,
         edited: &[u32],
         affected: &[u32],
     ) -> crate::update::UpdateEffect {
+        self.kept.clear();
         let hub_ids: Vec<u32> = affected
             .iter()
             .copied()

@@ -36,6 +36,8 @@
 //!   reads the graph, the shared hub matrix and shard map plus *one* shard
 //!   section — the loading unit of multi-process serving, where each
 //!   backend process owns one shard;
+//! * [`kept`] — the bounds frozen queries' refinements reached, kept beside
+//!   the states (never persisted) until an edge update changes the graph;
 //! * [`update`] — incremental edge updates: which entries an edit can
 //!   change, which stored runs it may keep, and [`digest`] — the index
 //!   digest replicas are compared by, folded from per-record hashes cached
@@ -55,6 +57,7 @@ pub mod digest;
 pub mod error;
 pub mod hub_matrix;
 pub mod index;
+pub mod kept;
 pub mod node_state;
 pub mod shard;
 pub mod stats;
@@ -66,6 +69,7 @@ pub use digest::fnv1a64;
 pub use error::IndexError;
 pub use hub_matrix::{HubMatrix, Materializer};
 pub use index::ReverseIndex;
+pub use kept::{Kept, KeptBounds};
 pub use node_state::{refine_state, NodeState, Refiner};
 pub use shard::ShardMap;
 pub use stats::IndexStats;

@@ -4,6 +4,10 @@
 //! confirmed, or, on the ε-band path, called at its window's midpoint.
 //! Only the undecided candidates go on to the refine pass, each with the
 //! confirm cost its first refinement run aims at.
+//!
+//! An exact frozen query then makes one serial [`recall`] step: a candidate
+//! the stored state left open is tested against the bounds an earlier frozen
+//! query's refinement reached for it, which the index kept.
 
 use super::{bound_test, Decided, QueryCtx, Verdict, TIE_EPSILON};
 use rtk_approx::BidirEstimator;
@@ -109,6 +113,43 @@ pub(super) fn classify<S: BoundSource>(ctx: &QueryCtx<'_>, source: &S) -> Decide
         total.absorb(local);
     }
     total
+}
+
+/// The recall step of an exact frozen query, under one lock of the index's
+/// kept bounds: every pending candidate with kept bounds tighter than its
+/// stored state (a smaller `‖r‖₁`) takes one [`bound_test`] of them. A miss
+/// is dropped and a member joins the results, both counted as
+/// [`super::QueryStats::recalled`]; a candidate still open keeps that test's
+/// upper bound and cost, so its refinement aims at where the kept bounds
+/// left off.
+///
+/// Kept bounds are a later point of the same refinement the candidate would
+/// run from its stored state on this graph, and bounds only tighten along
+/// it, so they decide a candidate the way that refinement would.
+pub(super) fn recall(ctx: &QueryCtx<'_>, decided: &mut Decided) {
+    if decided.pending.is_empty() {
+        return;
+    }
+    let kept = ctx.index.kept();
+    let Decided { stats, results, pending, .. } = decided;
+    pending.retain_mut(|c| {
+        let Some(bounds) = kept.get(c.node) else { return true };
+        if bounds.residue_norm >= ctx.index.state(c.node).residue_norm() {
+            return true;
+        }
+        let residual = bounds.residual_mass(ctx.strict);
+        match bound_test(&bounds.staircase[..ctx.k], residual, c.p_uq, None) {
+            Verdict::Open { ub, cost } => {
+                (c.ub, c.cost) = (ub, cost);
+                return true;
+            }
+            Verdict::Member { .. } => results.push((c.node, c.p_uq)),
+            Verdict::Miss => {}
+            Verdict::Midpoint(_) => unreachable!("an exact query has no ε window"),
+        }
+        stats.recalled += 1;
+        false
+    });
 }
 
 /// Cuts `nodes` into the classify pass's `[lo, hi)` chunks, ascending and

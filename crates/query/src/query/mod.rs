@@ -19,26 +19,36 @@
 //!      candidate *resident in it* — the shared index is only read, and a
 //!      [`NodeState`] is written out only for the commit phase;
 //!
-//!    both passes decide with one function, `bound_test` (Alg. 4's test
-//!    on a staircase, a residual and `p_u(q)`);
+//!    between the two, an exact frozen query's serial *recall* step
+//!    (`classify.rs`) tests the open candidates against the bounds earlier
+//!    frozen queries kept in the index ([`rtk_index::kept`]), and refine
+//!    hands the bounds it reaches back to be kept;
+//!
+//!    every test, in both passes and in recall, is one function,
+//!    `bound_test` (Alg. 4's test on a staircase, a residual and `p_u(q)`);
 //! 3. the **commit phase** (update mode only) serially writes every refined
 //!    copy back into the index's one block of states, by node id.
 //!
-//! Per-node screening decisions depend only on that node's stored state and
-//! the PMPN vector, never on another node's refinement, so the result set,
-//! the statistics, and the post-query index are **identical for every
-//! thread count and every shard count** — asserted by the
-//! `parallel_determinism` integration suite.
+//! Per-node screening decisions depend only on that node's stored state,
+//! its kept bounds and the PMPN vector, never on another node's refinement
+//! in the same query, so for a given history of calls the result set, the
+//! statistics, the kept bounds and the post-query index are **identical for
+//! every thread count and every shard count** — asserted by the
+//! `parallel_determinism` integration suite. Kept bounds are a later point
+//! of the refinement a candidate would run from its stored state on the
+//! same graph, so they change how much work a query does, never its
+//! answer: the counters depend on the index's query history, the answers
+//! never do (`tests/kept_bounds.rs`).
 
 mod classify;
 mod refine;
 
 use crate::error::QueryError;
 use crate::upper_bound::{confirm_cost, upper_bound_kth};
-use classify::{classify, EnvelopeSource, ExactSource};
+use classify::{classify, recall, EnvelopeSource, ExactSource};
 use rtk_approx::{ApproxParams, BidirEstimator};
 use rtk_graph::{resolve_threads, TransitionMatrix};
-use rtk_index::{Materializer, NodeState, Refiner, ReverseIndex};
+use rtk_index::{KeptBounds, Materializer, NodeState, Refiner, ReverseIndex};
 use rtk_rwr::bca::BcaEngine;
 use rtk_rwr::pmpn::proximity_to;
 use rtk_rwr::{BcaParams, HubSet, RwrParams};
@@ -127,6 +137,10 @@ pub struct QueryStats {
     pub candidates: usize,
     /// Candidates confirmed by their *first* upper-bound check ("hits").
     pub hits: usize,
+    /// Candidates their stored state left open that the bounds an earlier
+    /// frozen query kept for them decided, with no refinement. In-process
+    /// only (not on the wire).
+    pub recalled: usize,
     /// Nodes pruned by the initial lower-bound test.
     pub pruned_by_lower_bound: usize,
     /// Candidates that needed at least one refinement iteration.
@@ -176,6 +190,7 @@ impl QueryStats {
     fn absorb(&mut self, other: &QueryStats) {
         self.candidates += other.candidates;
         self.hits += other.hits;
+        self.recalled += other.recalled;
         self.pruned_by_lower_bound += other.pruned_by_lower_bound;
         self.refined_nodes += other.refined_nodes;
         self.refine_iterations += other.refine_iterations;
@@ -206,7 +221,8 @@ impl QueryStats {
             .annotate("refined_nodes", self.refined_nodes.to_string())
             .annotate("refine_iterations", self.refine_iterations.to_string())
             .annotate("refine_rounds", self.refine_rounds.to_string())
-            .annotate("refine_pushes", self.refine_pushes.to_string());
+            .annotate("refine_pushes", self.refine_pushes.to_string())
+            .annotate("recalled", self.recalled.to_string());
         if self.exact_fallbacks > 0 {
             screen = screen.annotate("exact_fallbacks", self.exact_fallbacks.to_string());
         }
@@ -318,7 +334,8 @@ impl QueryEngine {
 
     /// Runs Algorithm 4. With `options.update_index` the refined states are
     /// committed back into `index`; otherwise refinement stays in the
-    /// workers' scratch and the index is untouched.
+    /// workers' scratch, the states are untouched, and an exact query keeps
+    /// only the bounds it reached ([`ReverseIndex::kept`]).
     pub fn query(
         &mut self,
         transition: &TransitionMatrix<'_>,
@@ -330,8 +347,10 @@ impl QueryEngine {
         self.screen_and_commit(transition, index, q, k, options, None)
     }
 
-    /// Runs Algorithm 4 against a read-only index (refinements are never
-    /// written back; the paper's `no-update` mode).
+    /// Runs Algorithm 4 against a read-only index (refined states are never
+    /// written back; the paper's `no-update` mode). An exact query still
+    /// keeps the bounds its refinements reach beside the states, for later
+    /// frozen queries to decide from.
     pub fn query_frozen(
         &mut self,
         transition: &TransitionMatrix<'_>,
@@ -413,10 +432,13 @@ impl QueryEngine {
     /// the budget hands each query its `threads / batch` share for its own
     /// PMPN + screen fan-out — a 2-query batch on 8 threads uses all 8.
     ///
-    /// Always the paper's `no-update` mode: concurrent queries never observe
-    /// each other's refinements, so `results[i]` equals what
-    /// [`Self::query_frozen`] returns for `queries[i]`, in input order —
-    /// for every thread budget.
+    /// Always the paper's `no-update` mode: no query commits a state, so
+    /// `results[i]` has the nodes and proximities [`Self::query_frozen`]
+    /// returns for `queries[i]`, in input order, for every thread budget.
+    /// Exact queries keep and recall bounds as [`Self::query_frozen`] does,
+    /// and queries running at the same time may see each other's kept
+    /// bounds: a batch's counters depend on its scheduling, its answers do
+    /// not.
     pub fn query_batch(
         &self,
         transition: &TransitionMatrix<'_>,
@@ -486,6 +508,9 @@ impl QueryEngine {
             Some(est) => classify(ctx, &EnvelopeSource { est, transition }),
             None => classify(ctx, &ExactSource(to_q)),
         };
+        if ctx.keeps {
+            recall(ctx, &mut decided);
+        }
         let refine_t0 = Instant::now();
         let pending = std::mem::take(&mut decided.pending);
 
@@ -495,7 +520,13 @@ impl QueryEngine {
             self.scratch.put(refiner);
             decided.absorb(lane);
         }
-        let Decided { mut stats, mut results, mut commits, .. } = decided;
+        let Decided { mut stats, mut results, mut commits, kept, .. } = decided;
+        if !kept.is_empty() {
+            let mut store = ctx.index.kept();
+            for (u, bounds) in kept {
+                store.offer(u, bounds);
+            }
+        }
         results.sort_unstable_by_key(|&(u, _)| u);
         commits.sort_unstable_by_key(|&(u, _)| u);
         let (nodes, proximities): (Vec<u32>, Vec<f64>) = results.into_iter().unzip();
@@ -537,13 +568,15 @@ fn check_request(
 
 /// What screen lanes decide, and what their merge folds: counters, the
 /// members confirmed (`(u, p_u(q))`), the candidates classify left open,
-/// and the refined states refine hands the commit phase.
+/// the refined states refine hands the commit phase, and the bounds its
+/// refinements reached for the index to keep.
 #[derive(Default)]
 struct Decided {
     stats: QueryStats,
     results: Vec<(u32, f64)>,
     pending: Vec<classify::Pending>,
     commits: Vec<(u32, NodeState)>,
+    kept: Vec<(u32, KeptBounds)>,
 }
 
 impl Decided {
@@ -552,6 +585,7 @@ impl Decided {
         self.results.extend(other.results);
         self.pending.extend(other.pending);
         self.commits.extend(other.commits);
+        self.kept.extend(other.kept);
     }
 }
 
@@ -567,6 +601,9 @@ struct QueryCtx<'a> {
     strict: bool,
     /// ε of an active bounded-error screen ([`QueryOptions::approx`]).
     epsilon: Option<f64>,
+    /// An exact frozen query: no commits, no drop mode, no ε-band. Only
+    /// these recall the bounds the index kept and keep what they refine.
+    keeps: bool,
     /// Lanes each pass, and the PMPN products, may use.
     threads: usize,
 }
@@ -578,6 +615,7 @@ impl<'a> QueryCtx<'a> {
         (q, k): (u32, usize),
         options: &'a QueryOptions,
     ) -> Self {
+        let epsilon = options.approx.filter(|a| a.is_active()).map(|a| a.epsilon);
         Self {
             transition,
             index,
@@ -585,7 +623,8 @@ impl<'a> QueryCtx<'a> {
             k,
             options,
             strict: options.bound_mode == BoundMode::Strict,
-            epsilon: options.approx.filter(|a| a.is_active()).map(|a| a.epsilon),
+            epsilon,
+            keeps: !options.update_index && !options.approximate && epsilon.is_none(),
             threads: resolve_threads(options.query_threads),
         }
     }
@@ -1048,14 +1087,20 @@ mod tests {
         let frozen = ReverseIndex::build(&t, config).unwrap();
         let mut session = QueryEngine::new(&frozen);
         let serial = QueryOptions { query_threads: 1, ..Default::default() };
+        // One index per thread count, so each side recalls from the same
+        // history of kept bounds (a clone starts with none).
+        let sides: Vec<(usize, ReverseIndex)> =
+            [2usize, 4, 8].into_iter().map(|threads| (threads, frozen.clone())).collect();
         for q in [0u32, 49, 123] {
             let base = session.query_frozen(&t, &frozen, q, 8, &serial).unwrap();
-            for threads in [2usize, 4, 8] {
+            for (threads, index) in &sides {
+                let threads = *threads;
                 let opts = QueryOptions { query_threads: threads, ..Default::default() };
-                let got = session.query_frozen(&t, &frozen, q, 8, &opts).unwrap();
+                let got = session.query_frozen(&t, index, q, 8, &opts).unwrap();
                 assert_eq!(got.nodes(), base.nodes(), "q={q} threads={threads}");
                 assert_eq!(got.proximities(), base.proximities(), "q={q} threads={threads}");
                 assert_eq!(got.stats().candidates, base.stats().candidates);
+                assert_eq!(got.stats().recalled, base.stats().recalled);
                 assert_eq!(got.stats().refine_iterations, base.stats().refine_iterations);
                 // Summed over the workers' engines, whoever refined what.
                 assert_eq!(got.stats().refine_pushes, base.stats().refine_pushes);
@@ -1189,6 +1234,7 @@ mod tests {
                 }
                 assert_eq!(stats.candidates, expect.stats().candidates);
                 assert_eq!(stats.hits, expect.stats().hits);
+                assert_eq!(stats.recalled, expect.stats().recalled);
                 assert_eq!(stats.refined_nodes, expect.stats().refined_nodes);
                 assert_eq!(stats.refine_iterations, expect.stats().refine_iterations);
                 assert_eq!(stats.refine_pushes, expect.stats().refine_pushes);

@@ -1,13 +1,15 @@
 //! The refine pass (Alg. 4 lines 8–13): each candidate the classify pass
 //! left open is loaded into its lane's [`Refiner`] and its BCA resumed,
-//! resident there, until [`bound_test`] decides it. The shared index is
-//! only read; a refined copy is written out for the commit phase.
+//! resident there, until [`bound_test`] decides it. The shared index's
+//! states are only read; a refined copy is written out for the commit
+//! phase, or, by an exact frozen query, the bounds it reached for the index
+//! to keep (see [`rtk_index::kept`]).
 
 use super::classify::Pending;
 use super::{bound_test, BoundMode, Decided, QueryCtx, QueryEngine, Verdict};
 use super::{EXACT_RESIDUAL_EPS, TIE_EPSILON};
 use rtk_graph::TransitionMatrix;
-use rtk_index::{HubMatrix, Refiner};
+use rtk_index::{HubMatrix, KeptBounds, Refiner};
 use rtk_rwr::bca::BcaStop;
 use rtk_rwr::power::proximity_from;
 use rtk_rwr::RwrParams;
@@ -183,6 +185,14 @@ fn screen_candidate(
     }
     if ctx.options.update_index && advanced {
         lane.commits.push((u, refiner.unload(ctx.index.hub_matrix())));
+    }
+    if ctx.keeps && advanced {
+        let bounds = KeptBounds {
+            staircase: refiner.lower_bounds().prefix_values(ctx.index.max_k()).into(),
+            residue_norm: refiner.residue_norm(),
+            parked_deficit: refiner.parked_deficit(),
+        };
+        lane.kept.push((u, bounds));
     }
 }
 

@@ -23,7 +23,8 @@ use rtk_query::{ApproxParams, QueryEngine, QueryOptions};
 use rtk_rwr::{proximity_from, RwrParams};
 use rtk_server::wire;
 use rtk_server::{
-    Client, QueryCall, Request, Router, RouterConfig, Server, ServerConfig, ServerHandle,
+    Client, QueryCall, Request, Router, RouterConfig, RtkService, Server, ServerConfig,
+    ServerHandle,
 };
 
 const NODES: usize = 260;
@@ -184,10 +185,15 @@ fn pinned_seed_is_bitwise_stable_across_threads_shards_and_routing() {
 /// ε = 0 is the exact path, not a very accurate approximation: answers are
 /// byte-identical to a plain exact query and no approx stats are reported —
 /// both on a single server and through the routed tier.
+///
+/// Exact frozen queries keep the bounds they refine, so each side runs the
+/// same sequence on its own index: the plain exact twin in process, the ε = 0
+/// calls on the server and on the tier. Equal histories make equal work.
 #[test]
 fn zero_epsilon_is_byte_identical_to_exact() {
     let zero = ApproxParams { epsilon: 0.0, walks: 32, seed: 3 };
     for shards in [1usize, 2] {
+        let mut plain = build_engine(shards);
         let single = Server::bind(build_engine(shards), "127.0.0.1:0", server_config(1))
             .expect("bind single")
             .spawn();
@@ -204,7 +210,7 @@ fn zero_epsilon_is_byte_identical_to_exact() {
 
         for (q, k) in queries() {
             let ctx = format!("shards={shards} q={q} k={k}");
-            let exact = direct.reverse_topk(q, k, false).expect("exact query");
+            let exact = plain.reverse_topk(&QueryCall::new(q, k, false)).expect("exact query");
             for (who, client) in [("direct", &mut direct), ("routed", &mut routed)] {
                 let call = QueryCall { approx: Some(zero), ..QueryCall::new(q, k, false) };
                 let r = client.query(&call).expect("ε=0 query");

@@ -168,23 +168,33 @@ fn router_matches_single_process_bitwise_across_backend_counts() {
         // Every shard refines for the hub query, so the concurrent screens
         // below run real refinement on every backend (asked before any
         // update-mode call commits refinements).
+        let probe = QueryCall::new(hub(), MAX_K as u32, false);
         let mut backend_clients: Vec<Client> = addrs
             .iter()
             .map(|a| Client::connect(a.as_str()).expect("connect backend"))
             .collect();
         for (sid, backend) in backend_clients.iter_mut().enumerate() {
-            let probe = QueryCall::new(hub(), MAX_K as u32, false);
             let slice = backend.shard_query(&probe, None, false).expect("hub probe");
             assert!(slice.result.refined_nodes > 0, "backends={backends}: shard {sid} refines");
         }
 
+        // The probe is a frozen query, which keeps the bounds it refines;
+        // every other side runs it too, so all sides share one history.
+        // ε = 0 twin: the same sequence with each ε = 0 call replaced by
+        // its `None` twin, on an engine of its own.
         let calls = sequence();
-        let local = run(&mut build_engine(backends), &calls);
-        let served = run(&mut direct, &calls);
+        let twins: Vec<QueryCall> = calls
+            .iter()
+            .map(|&c| if c.approx == Some(ZERO) { QueryCall { approx: None, ..c } } else { c })
+            .collect();
+        let local = run(&mut build_engine(backends), &[&[probe], &calls[..]].concat());
+        let twin = run(&mut build_engine(backends), &[&[probe], &twins[..]].concat());
+        let served = run(&mut direct, &[&[probe], &calls[..]].concat());
+        let (local, twin, served) = (&local[1..], &twin[1..], &served[1..]);
         let routed = run(&mut via_router, &calls);
         for (i, call) in calls.iter().enumerate() {
             let ctx = format!("backends={backends} {call:?}");
-            for (who, answers) in [("in-process", &local), ("routed", &routed)] {
+            for (who, answers) in [("in-process", local), ("routed", &routed[..])] {
                 assert_equal(&answers[i], &served[i], true, &format!("{ctx}: {who} vs served"));
                 assert_eq!(answers[i].approx, served[i].approx, "{ctx}: {who} approx stats");
                 assert_eq!(answers[i].trace.is_some(), call.trace, "{ctx}: {who} trace");
@@ -192,10 +202,9 @@ fn router_matches_single_process_bitwise_across_backend_counts() {
             assert_eq!(served[i].trace.is_some(), call.trace, "{ctx}: served trace");
             assert_eq!(served[i].approx.is_some(), call.approx == Some(PINNED), "{ctx}: approx");
             if call.approx == Some(ZERO) {
-                // ε = 0 is the exact path: the same bits as the `None` twin
-                // just before it, and — when no commit fell between the two
-                // (frozen calls) — the same work.
-                assert_equal(&served[i], &served[i - 1], !call.update, &format!("{ctx}: ε=0"));
+                // ε = 0 is the exact path: the same bits and the same work
+                // as the `None` call in its place.
+                assert_equal(&served[i], &twin[i], true, &format!("{ctx}: ε=0"));
             }
         }
 
